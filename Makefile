@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-baseline bench-compare bench-udp clean
+.PHONY: build test vet lint lint-fast race check sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp clean
 
 build:
 	$(GO) build ./...
@@ -41,10 +41,10 @@ race:
 # test suite under the race detector, the deterministic simulation
 # sweep, short decoder fuzzing, the reconfiguration and leader-crash
 # soaks at a higher repetition count than one `go test` pass gives
-# them, the multi-process UDP deployment smoke, and a one-iteration
+# them, the multi-process UDP deployment smoke, a one-iteration
 # benchmark smoke so a change that breaks benchmark setup (but not the
-# tests) cannot land silently.
-check: vet lint race sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke
+# tests) cannot land silently, and the reference benchmark's own module.
+check: vet lint race sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule
@@ -113,13 +113,14 @@ smoke-udp:
 	scripts/udpsmoke.sh
 
 # bench runs the datapath throughput suite (round trips, multi-client
-# load, packing on/off ablation) with the same methodology as the
+# load, replication-degree and multi-group sweeps, admission on/off)
+# with the same methodology as the
 # recorded BENCH_*.json trajectory files, then prints a JSON summary in
 # the BENCH_baseline.json schema for side-by-side comparison. Override
 # BENCH_COUNT for more repetitions.
 BENCH_COUNT ?= 3
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayPacking|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
+	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
 	@awk -f scripts/benchjson.awk /tmp/bench_run.txt
 
 # bench-smoke runs every benchmark in the module for exactly one
@@ -130,13 +131,22 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-udp records the real-network UDP datapath A/B in the
-# BENCH_udp.json schema: the in-process transport-level multi-client
-# suite (BenchmarkUDPNetMultiClient) and the gateway suite over real
-# sockets (BenchmarkGatewayMultiClientUDP), batched vs per-datagram
-# alternating within every round, plus the multi-process sweep
+# bench-module vets and tests the reference benchmark (bench/, the
+# program BENCHMARK.json runs). It is a module of its own, so `go build
+# ./...`, `go test ./...` and `make lint` at the root never compile it:
+# without this an internal/* API change breaks the benchmark silently.
+# Its tests include a one-second smoke of every workload.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-udp records the real-network UDP datapath in the BENCH_udp.json
+# schema: the in-process transport-level multi-client suite
+# (BenchmarkUDPNetMultiClient) and the gateway suite over real sockets
+# (BenchmarkGatewayMultiClientUDP), plus the multi-process sweep
 # (scripts/benchudp.sh: one ftdomaind -node OS process per ring member,
-# ring and leader ordering at r=1..3, exactly-once audited).
+# ring and leader ordering at r=1..3, exactly-once audited). Rows keep
+# the "batched" names of the recorded file; its "perdatagram" rows
+# measured a send path that no longer exists.
 BENCH_UDP_ROUNDS ?= 3
 BENCH_UDP_MP_ROUNDS ?= 2
 bench-udp:

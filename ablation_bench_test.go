@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md section 5 calls
-// out: the totem token parameters, the replica fan-out, the passive
-// synchronization interval, and the gateway-group recording of section
-// 3.5. Run with: go test -bench=Ablation -benchmem
+// out: the totem token parameters, the replica fan-out and the passive
+// synchronization interval. Run with: go test -bench=Ablation -benchmem
 package eternalgw_test
 
 import (
@@ -9,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"eternalgw/internal/core"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/experiments"
 	"eternalgw/internal/memnet"
-	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
 )
@@ -165,48 +162,6 @@ func BenchmarkAblationWarmSyncInterval(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := rmInvoke(rm, uint32(i+1), "append", args); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationGatewayGroupRecord toggles the section 3.5 recording:
-// with it on, every client request costs one extra multicast (the record
-// to the gateway group) but reissues after failover are answerable by
-// any gateway; with it off, that cost disappears and failover reissues
-// rely on server-side duplicate detection alone.
-func BenchmarkAblationGatewayGroupRecord(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "record-on"
-		if disabled {
-			name = "record-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := benchDomain(b, 3)
-			benchDeploy(b, d, replication.Active, 2)
-			gw, err := core.New(core.Config{
-				RM:                 d.Node(2).RM,
-				Group:              domain.DefaultGatewayGroup,
-				InvokeTimeout:      10 * time.Second,
-				DisableGroupRecord: disabled,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = gw.Close() })
-			if err := d.Node(2).RM.WaitSynced(domain.DefaultGatewayGroup, 10*time.Second); err != nil {
-				b.Fatal(err)
-			}
-			conn, err := orb.Dial(gw.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = conn.Close() })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := conn.Call([]byte(benchKey), "ops", nil, orb.InvokeOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

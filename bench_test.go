@@ -31,12 +31,6 @@ const (
 )
 
 func benchDomain(b *testing.B, nodes int) *domain.Domain {
-	return benchDomainPacking(b, nodes, false)
-}
-
-// benchDomainPacking is benchDomain with the totem packing knob exposed,
-// so the throughput suite can run packing-off as an ablation control.
-func benchDomainPacking(b *testing.B, nodes int, disablePacking bool) *domain.Domain {
 	b.Helper()
 	d, err := domain.New(domain.Config{
 		Name:  "bench",
@@ -46,7 +40,6 @@ func benchDomainPacking(b *testing.B, nodes int, disablePacking bool) *domain.Do
 			TokenRetransmit: 10 * time.Millisecond,
 			FailTimeout:     80 * time.Millisecond,
 			GatherTimeout:   20 * time.Millisecond,
-			DisablePacking:  disablePacking,
 		},
 		GatewayInvokeTimeout: 10 * time.Second,
 	})

@@ -186,27 +186,34 @@ func BenchmarkGatewayMultiClientLeader(b *testing.B) {
 	}
 }
 
-// benchDomainUDP is benchDomain over real localhost UDP sockets: every
-// processor's totem attachment is a udpnet endpoint with the given
-// config instead of the in-process simulated network. It lives in this
-// file (not bench_test.go) for the same overlay reason as
-// benchDomainOrdering: on a ref predating udpnet.ListenConfig the
-// overlay fails to build and bench-compare falls back to the ref's own
-// suite.
-func benchDomainUDP(b *testing.B, nodes int, ucfg udpnet.Config) *domain.Domain {
+// benchUDPNodeID names the i-th processor of a UDP bench domain, as
+// domain.New names the processors of a domain called "bench".
+func benchUDPNodeID(i int) memnet.NodeID { return memnet.NodeID(fmt.Sprintf("bench/p%02d", i)) }
+
+// benchUDPRegistry picks free localhost ports for a bench domain's
+// processors.
+func benchUDPRegistry(b *testing.B, nodes int) udpnet.Registry {
 	b.Helper()
-	registry := make(udpnet.Registry, nodes)
-	for i := 0; i < nodes; i++ {
-		id := memnet.NodeID(fmt.Sprintf("bench/p%02d", i))
-		probe, err := udpnet.Listen(id, udpnet.Registry{id: "127.0.0.1:0"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		registry[id] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			b.Fatal(err)
-		}
+	ids := make([]memnet.NodeID, nodes)
+	for i := range ids {
+		ids[i] = benchUDPNodeID(i)
 	}
+	registry, err := udpnet.LoopbackRegistry(ids...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return registry
+}
+
+// benchDomainUDP is benchDomain over real localhost UDP sockets: every
+// processor's totem attachment is a udpnet endpoint instead of the
+// in-process simulated network. It lives in this file (not
+// bench_test.go) for the same overlay reason as benchDomainOrdering: on
+// a ref predating udpnet.LoopbackRegistry the overlay fails to build and
+// bench-compare falls back to the ref's own suite.
+func benchDomainUDP(b *testing.B, nodes int) *domain.Domain {
+	b.Helper()
+	registry := benchUDPRegistry(b, nodes)
 	d, err := domain.New(domain.Config{
 		Name:  "bench",
 		Nodes: nodes,
@@ -218,7 +225,7 @@ func benchDomainUDP(b *testing.B, nodes int, ucfg udpnet.Config) *domain.Domain 
 		},
 		GatewayInvokeTimeout: 10 * time.Second,
 		TransportFactory: func(id memnet.NodeID) (totem.Transport, error) {
-			return udpnet.ListenConfig(id, registry, ucfg)
+			return udpnet.Listen(id, registry)
 		},
 	})
 	if err != nil {
@@ -238,23 +245,10 @@ func benchDomainUDP(b *testing.B, nodes int, ucfg udpnet.Config) *domain.Domain 
 // loss-recovery luck.
 func benchUDPNetMultiClient(b *testing.B, nodes, clients, window int, ucfg udpnet.Config, payload int) {
 	b.Helper()
-	ids := make([]memnet.NodeID, nodes)
-	registry := make(udpnet.Registry, nodes)
-	for i := range ids {
-		id := memnet.NodeID(fmt.Sprintf("bench/p%02d", i))
-		ids[i] = id
-		probe, err := udpnet.Listen(id, udpnet.Registry{id: "127.0.0.1:0"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		registry[id] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	registry := benchUDPRegistry(b, nodes)
 	eps := make([]*udpnet.Endpoint, nodes)
-	for i, id := range ids {
-		ep, err := udpnet.ListenConfig(id, registry, ucfg)
+	for i := range eps {
+		ep, err := udpnet.ListenConfig(benchUDPNodeID(i), registry, ucfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,17 +316,13 @@ func benchUDPNetMultiClient(b *testing.B, nodes, clients, window int, ucfg udpne
 
 // BenchmarkUDPNetMultiClient is the transport-level multi-client suite:
 // many concurrent broadcasters sharing one UDP endpoint, the shape a
-// loaded ring member's socket actually serves. This is where the
-// batched/per-datagram A/B isolates the syscall-amortization win itself
-// — on the end-to-end gateway rows the UDP datapath is a small slice of
-// each operation (Amdahl bounds the visible ratio; see
-// docs/PERFORMANCE.md), while here it is the operation. The per-mode
-// rows alternate batched/perdatagram so interleaved rounds cancel
-// machine drift.
+// loaded ring member's socket actually serves. On the end-to-end gateway
+// rows the UDP datapath is a small slice of each operation (Amdahl
+// bounds the visible ratio; see docs/PERFORMANCE.md), while here it is
+// the operation. Rows keep the "batched" name BENCH_udp.json recorded
+// them under.
 func BenchmarkUDPNetMultiClient(b *testing.B) {
 	cfg := udpnet.Config{ReadBuffer: 4 << 20, InboxSize: 4096}
-	ablation := cfg
-	ablation.DisableBatching = true
 	for _, clients := range []int{8, 16} {
 		for _, size := range throughputSizes {
 			// The in-flight window keeps window×frame bytes under the
@@ -341,58 +331,43 @@ func BenchmarkUDPNetMultiClient(b *testing.B) {
 			if size.n > 1024 {
 				window = 128
 			}
-			for _, mode := range []struct {
-				name string
-				cfg  udpnet.Config
-			}{{"batched", cfg}, {"perdatagram", ablation}} {
-				b.Run(fmt.Sprintf("c=%d/%s/%s", clients, mode.name, size.name), func(b *testing.B) {
-					benchUDPNetMultiClient(b, 3, clients, window, mode.cfg, size.n)
-				})
-			}
+			b.Run(fmt.Sprintf("c=%d/batched/%s", clients, size.name), func(b *testing.B) {
+				benchUDPNetMultiClient(b, 3, clients, window, cfg, size.n)
+			})
 		}
 	}
 }
 
 // BenchmarkGatewayMultiClientUDP is the multi-client shape with the
-// totem ring over real UDP sockets, A/B-ing the batched
-// (sendmmsg/recvmmsg, outbound gather queue, vectored framing) datapath
-// against the per-datagram ablation path (synchronous one-write-per-peer
-// broadcast, one-read-per-syscall receive — the transport's original
-// shape). The batched/perdatagram ratio is the syscall-amortization
-// speedup BENCH_udp.json records; scripts/benchcompare.sh maps these
-// rows onto the memnet BenchmarkGatewayMultiClient baseline to price the
-// real network against the simulated one.
+// totem ring over real UDP sockets (outbound gather queue, vectored
+// framing, sendmmsg/recvmmsg where the platform has them).
+// scripts/benchcompare.sh maps these rows onto the memnet
+// BenchmarkGatewayMultiClient baseline to price the real network against
+// the simulated one. Rows keep the "batched" name BENCH_udp.json
+// recorded them under.
 func BenchmarkGatewayMultiClientUDP(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  udpnet.Config
-	}{
-		{"batched", udpnet.Config{}},
-		{"perdatagram", udpnet.Config{DisableBatching: true}},
-	} {
-		for _, size := range throughputSizes {
-			b.Run(fmt.Sprintf("%s/c=16/%s", mode.name, size.name), func(b *testing.B) {
-				d := benchDomainUDP(b, 3, mode.cfg)
-				benchDeploy(b, d, replication.Active, 2)
-				gw, err := d.AddGateway(2, "")
+	for _, size := range throughputSizes {
+		b.Run(fmt.Sprintf("batched/c=16/%s", size.name), func(b *testing.B) {
+			d := benchDomainUDP(b, 3)
+			benchDeploy(b, d, replication.Active, 2)
+			gw, err := d.AddGateway(2, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			conns := make([]*orb.Conn, 16)
+			for i := range conns {
+				c, err := orb.Dial(gw.Addr())
 				if err != nil {
 					b.Fatal(err)
 				}
-				conns := make([]*orb.Conn, 16)
-				for i := range conns {
-					c, err := orb.Dial(gw.Addr())
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { _ = c.Close() })
-					conns[i] = c
-				}
-				args := experiments.OctetSeqArg(make([]byte, size.n))
-				b.SetBytes(int64(size.n))
-				b.ResetTimer()
-				runClients(b, conns, func(int) []byte { return []byte(benchKey) }, args)
-			})
-		}
+				b.Cleanup(func() { _ = c.Close() })
+				conns[i] = c
+			}
+			args := experiments.OctetSeqArg(make([]byte, size.n))
+			b.SetBytes(int64(size.n))
+			b.ResetTimer()
+			runClients(b, conns, func(int) []byte { return []byte(benchKey) }, args)
+		})
 	}
 }
 
@@ -404,24 +379,9 @@ func BenchmarkGatewayMultiClient(b *testing.B) {
 	for _, clients := range []int{4, 16, 48} {
 		for _, size := range throughputSizes {
 			b.Run(fmt.Sprintf("c=%d/%s", clients, size.name), func(b *testing.B) {
-				benchMultiClient(b, clients, size.n, false)
+				benchMultiClient(b, clients, size.n)
 			})
 		}
-	}
-}
-
-// BenchmarkGatewayPacking runs the heaviest multi-client shape with totem
-// message packing on and off, as the ablation control proving how much of
-// the throughput comes from packing (one sequence number and one datagram
-// carrying many pending payloads per token visit).
-func BenchmarkGatewayPacking(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchMultiClient(b, 16, 64, mode.disable)
-		})
 	}
 }
 
@@ -436,7 +396,7 @@ func BenchmarkGatewayReplicationDegree(b *testing.B) {
 	for _, replicas := range []int{1, 2, 3} {
 		for _, size := range throughputSizes {
 			b.Run(fmt.Sprintf("r=%d/%s", replicas, size.name), func(b *testing.B) {
-				benchMultiClientDegree(b, 4, size.n, replicas, false)
+				benchMultiClientDegree(b, 4, size.n, replicas)
 			})
 		}
 	}
@@ -473,8 +433,8 @@ func BenchmarkGatewayMultiGroup(b *testing.B) {
 	runClients(b, conns, func(i int) []byte { return []byte(keys[i%groups]) }, args)
 }
 
-func benchMultiClient(b *testing.B, clients, payload int, disablePacking bool) {
-	benchMultiClientDegree(b, clients, payload, 2, disablePacking)
+func benchMultiClient(b *testing.B, clients, payload int) {
+	benchMultiClientDegree(b, clients, payload, 2)
 }
 
 // BenchmarkGatewayAdmission is the admission-control ablation at the
@@ -507,7 +467,7 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 // benchMultiClientAdmission is benchMultiClientDegree with an admission
 // config on the gateway (nil = admission disabled).
 func benchMultiClientAdmission(b *testing.B, clients, payload, replicas int, ac *admission.Config) {
-	d := benchDomainPacking(b, replicas+1, false)
+	d := benchDomain(b, replicas+1)
 	benchDeploy(b, d, replication.Active, replicas)
 	gw, err := d.AddGatewayAdmission(replicas, "", ac)
 	if err != nil {
@@ -536,8 +496,8 @@ func benchMultiClientAdmission(b *testing.B, clients, payload, replicas int, ac 
 // benchMultiClientDegree is the shared multi-client body: `replicas`
 // server replicas on the first nodes, the gateway on a dedicated last
 // node, `clients` connections each with one request in flight.
-func benchMultiClientDegree(b *testing.B, clients, payload, replicas int, disablePacking bool) {
-	d := benchDomainPacking(b, replicas+1, disablePacking)
+func benchMultiClientDegree(b *testing.B, clients, payload, replicas int) {
+	d := benchDomain(b, replicas+1)
 	benchDeploy(b, d, replication.Active, replicas)
 	gw, err := d.AddGateway(replicas, "")
 	if err != nil {

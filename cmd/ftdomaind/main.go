@@ -47,17 +47,13 @@ import (
 // and returns a transport factory over it, applying the UDP tuning knobs
 // to every endpoint.
 func udpFactory(nodes int, ucfg udpnet.Config) (func(memnet.NodeID) (totem.Transport, error), udpnet.Registry, error) {
-	registry := make(udpnet.Registry, nodes)
-	for i := 0; i < nodes; i++ {
-		id := memnet.NodeID(fmt.Sprintf("demo/p%02d", i))
-		probe, err := udpnet.Listen(id, udpnet.Registry{id: "127.0.0.1:0"})
-		if err != nil {
-			return nil, nil, err
-		}
-		registry[id] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			return nil, nil, err
-		}
+	ids := make([]memnet.NodeID, nodes)
+	for i := range ids {
+		ids[i] = memnet.NodeID(fmt.Sprintf("demo/p%02d", i))
+	}
+	registry, err := udpnet.LoopbackRegistry(ids...)
+	if err != nil {
+		return nil, nil, err
 	}
 	factory := func(id memnet.NodeID) (totem.Transport, error) {
 		return udpnet.ListenConfig(id, registry, ucfg)
@@ -146,7 +142,6 @@ func main() {
 		registry = flag.String("registry", "", "ring membership as comma-separated id=host:port pairs, or @file with one pair per line (node mode)")
 		udpRcv   = flag.Int("udp-rcvbuf", 0, "UDP socket receive buffer in bytes (0 = OS default)")
 		udpSnd   = flag.Int("udp-sndbuf", 0, "UDP socket send buffer in bytes (0 = OS default)")
-		udpBatch = flag.Bool("udp-batch", true, "amortize UDP syscalls with sendmmsg/recvmmsg where supported (false = per-datagram ablation path)")
 		ordering = flag.String("ordering", "ring", "totem ordering mode: ring (token rotation) or leader (sequencer fast path, see docs/PERFORMANCE.md)")
 		quorum   = flag.Bool("quorum", false, "enable majority-partition protection (a minority partition refuses to serve)")
 		obsAddr  = flag.String("obs-addr", "", "ops HTTP listen address for /metrics, /healthz, /readyz, /statusz (empty disables)")
@@ -162,9 +157,8 @@ func main() {
 	)
 	flag.Parse()
 	udpCfg := udpnet.Config{
-		ReadBuffer:      *udpRcv,
-		WriteBuffer:     *udpSnd,
-		DisableBatching: !*udpBatch,
+		ReadBuffer:  *udpRcv,
+		WriteBuffer: *udpSnd,
 	}
 	if *node != "" {
 		if err := runNode(nodeOpts{

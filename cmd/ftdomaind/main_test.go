@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"eternalgw/internal/experiments"
-	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/udpnet"
 )
@@ -224,7 +223,7 @@ func TestParseRegistry(t *testing.T) {
 // register's operations execute exactly once across the replicated
 // group.
 func TestRunNodeMultiProcess(t *testing.T) {
-	reg, err := freeUDPRegistry("mp/a", "mp/b", "mp/c")
+	reg, err := udpnet.LoopbackRegistry("mp/a", "mp/b", "mp/c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,24 +298,6 @@ func TestRunNodeMultiProcess(t *testing.T) {
 	if got := string(r.ReadOctetSeq()); got != "multi-process" {
 		t.Fatalf("register = %q", got)
 	}
-}
-
-// freeUDPRegistry binds each id once on an ephemeral port to discover a
-// free address, then releases it.
-func freeUDPRegistry(ids ...string) (udpnet.Registry, error) {
-	reg := make(udpnet.Registry, len(ids))
-	for _, id := range ids {
-		nid := memnet.NodeID(id)
-		probe, err := udpnet.Listen(nid, udpnet.Registry{nid: "127.0.0.1:0"})
-		if err != nil {
-			return nil, err
-		}
-		reg[nid] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
 }
 
 // registrySpec renders a registry back into the -registry flag syntax.

@@ -80,29 +80,48 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 func TypeDirectives(files []*ast.File, info *types.Info) map[types.Object][]string {
 	out := make(map[types.Object][]string)
 	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
+		forEachTypeDirectives(f, func(ts *ast.TypeSpec, ds []string) {
+			if obj := info.Defs[ts.Name]; obj != nil {
+				out[obj] = append(out[obj], ds...)
+			}
+		})
+	}
+	return out
+}
+
+// FileTypeDirectives is TypeDirectives for one parsed but not
+// type-checked file, keyed by type name: how an analyzer reads the
+// directives on a type declared in another package.
+func FileTypeDirectives(f *ast.File) map[string][]string {
+	out := make(map[string][]string)
+	forEachTypeDirectives(f, func(ts *ast.TypeSpec, ds []string) {
+		out[ts.Name.Name] = append(out[ts.Name.Name], ds...)
+	})
+	return out
+}
+
+// forEachTypeDirectives calls fn for every top-level type declaration
+// of f that carries directives.
+func forEachTypeDirectives(f *ast.File, fn func(ts *ast.TypeSpec, ds []string)) {
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts, ok := spec.(*ast.TypeSpec)
 			if !ok {
 				continue
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[ts.Name]
-				if obj == nil {
-					continue
-				}
-				for _, cg := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-					for _, d := range directivesIn(cg) {
-						out[obj] = append(out[obj], d)
-					}
-				}
+			var ds []string
+			for _, cg := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
+				ds = append(ds, directivesIn(cg)...)
+			}
+			if len(ds) > 0 {
+				fn(ts, ds)
 			}
 		}
 	}
-	return out
 }
 
 // FuncDirectives is TypeDirectives for function declarations.

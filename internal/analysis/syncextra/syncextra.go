@@ -3,17 +3,20 @@
 //
 // Two hazards in this codebase sit just outside stock vet's reach:
 //
-//  1. The eviction rings (core.keyRing, replication.opKeyRing) contain
-//     no locks — they are guarded by their shard's mutex — so vet's
-//     copylocks says nothing when one is copied by value. But a copy
-//     aliases the ring's buffer while diverging its head index, which
-//     corrupts FIFO eviction as silently as a copied mutex corrupts
-//     exclusion. Declaring "gwlint:nocopy" on a type (a directive
-//     comment on its declaration) brings it under the same copy rules
-//     as a lock: no by-value assignment from an existing value, no
-//     by-value parameters, arguments, returns, or range elements.
-//     Types that transitively contain a sync primitive or a typed
-//     atomic are covered automatically, like vet, so the analyzer is
+//  1. The bounded first-wins table behind the record, pending and
+//     dedup shards (fifo.Map) contains no locks — it is guarded by its
+//     shard's mutex — so vet's copylocks says nothing when one is
+//     copied by value. But a copy aliases the eviction ring's buffer
+//     while diverging its head index, which corrupts FIFO eviction as
+//     silently as a copied mutex corrupts exclusion. Declaring
+//     "gwlint:nocopy" on a type (a directive comment on its
+//     declaration) brings it, every instantiation of it if it is
+//     generic, and every struct containing it under the same copy
+//     rules as a lock, in the declaring package and in its importers:
+//     no by-value assignment from an existing value, no by-value
+//     parameters, arguments, returns, or range elements. Types that
+//     transitively contain a sync primitive or a typed atomic are
+//     covered automatically, like vet, so the analyzer is
 //     self-sufficient in module mode.
 //
 //  2. The repository standardized on the typed atomics (atomic.Uint64
@@ -28,7 +31,10 @@ package syncextra
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -43,15 +49,19 @@ var Analyzer = &analysis.Analyzer{
 
 type checker struct {
 	pass   *analysis.Pass
-	nocopy map[string]bool     // TypeKeys declared gwlint:nocopy
+	nocopy map[string]bool     // TypeKeys declared gwlint:nocopy in this package
 	memo   map[types.Type]bool // containsNoCopy cache
+	// imported caches, per source file of another module package, the
+	// type names declared gwlint:nocopy there.
+	imported map[string]map[string]bool
 }
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:   pass,
-		nocopy: make(map[string]bool),
-		memo:   make(map[types.Type]bool),
+		pass:     pass,
+		nocopy:   make(map[string]bool),
+		memo:     make(map[types.Type]bool),
+		imported: make(map[string]map[string]bool),
 	}
 	for obj, ds := range analysis.TypeDirectives(pass.Files, pass.TypesInfo) {
 		if analysis.HasDirective(ds, "nocopy") {
@@ -158,7 +168,7 @@ func (c *checker) noCopy1(t types.Type) bool {
 	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
 		return false
 	}
-	if c.nocopy[key] || isSyncPrimitive(key) {
+	if c.nocopy[key] || isSyncPrimitive(key) || c.importedNoCopy(t) {
 		return true
 	}
 	switch u := t.Underlying().(type) {
@@ -172,6 +182,34 @@ func (c *checker) noCopy1(t types.Type) bool {
 		return c.noCopyType(u.Elem())
 	}
 	return false
+}
+
+// importedNoCopy reports whether t is a named type of another package
+// of this module whose declaration carries gwlint:nocopy. The vettool
+// driver sees dependencies only as export data and there are no facts
+// to carry the directive, but export data (like the source loader)
+// keeps each object's file position, so the declaring file is parsed
+// for it.
+func (c *checker) importedNoCopy(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg() == c.pass.Pkg || c.pass.ModuleDir == "" {
+		return false
+	}
+	file := c.pass.Fset.Position(named.Obj().Pos()).Filename
+	if !strings.HasPrefix(file, c.pass.ModuleDir+string(filepath.Separator)) {
+		return false
+	}
+	names, ok := c.imported[file]
+	if !ok {
+		names = make(map[string]bool)
+		if f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ParseComments|parser.SkipObjectResolution); err == nil {
+			for name, ds := range analysis.FileTypeDirectives(f) {
+				names[name] = analysis.HasDirective(ds, "nocopy")
+			}
+		}
+		c.imported[file] = names
+	}
+	return names[named.Obj().Name()]
 }
 
 func isSyncPrimitive(key string) bool {

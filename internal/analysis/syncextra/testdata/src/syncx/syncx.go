@@ -8,6 +8,8 @@ package syncx
 import (
 	"sync"
 	"sync/atomic"
+
+	"eternalgw/internal/fifo"
 )
 
 // ring has no locks — it is guarded by its shard's mutex — so stock
@@ -99,4 +101,65 @@ func bumpTyped(m *modern) uint64 {
 // The escape hatch applies here too.
 func sanctioned(c *counters) {
 	atomic.AddUint32(&c.flag, 1) //lint:allow syncextra interop with a cgo counter that predates the typed atomics
+}
+
+// A generic no-copy type: every instantiation is covered by the one
+// directive on its declaration.
+//
+// gwlint:nocopy
+type gring[K comparable] struct {
+	buf  []K
+	head int
+}
+
+func (g *gring[K]) push(k K) { g.buf = append(g.buf, k) }
+
+type shard struct {
+	keys gring[uint64]
+}
+
+func genericAssign(s *shard) int {
+	cp := s.keys // want `assignment copies a value of no-copy type`
+	return cp.head
+}
+
+func genericParam(g gring[string]) int { // want `parameter of no-copy type`
+	return g.head
+}
+
+func genericInGeneric[K comparable](g *gring[K]) gring[K] { // want `result of no-copy type`
+	return *g // want `return copies a value of no-copy type`
+}
+
+// A struct embedding an instantiation is no-copy transitively.
+func shardCopy(s *shard) shard { // want `result of no-copy type`
+	return *s // want `return copies a value of no-copy type`
+}
+
+// Using an instantiation in place, or through a pointer, is fine.
+func genericInPlace(s *shard) *gring[uint64] {
+	s.keys.push(1)
+	var fresh gring[int]
+	fresh.push(2)
+	return &s.keys
+}
+
+// The directive travels with an imported type: the production table is
+// declared no-copy once, in its own package.
+type records struct {
+	seen fifo.Map[uint64, struct{}]
+}
+
+func importedCopy(r *records) int {
+	cp := r.seen // want `assignment copies a value of no-copy type eternalgw/internal/fifo.Map`
+	return cp.Len()
+}
+
+func importedParam(m fifo.Map[string, int]) int { // want `parameter of no-copy type`
+	return m.Len()
+}
+
+func importedInPlace(r *records) bool {
+	r.seen.Init(4)
+	return r.seen.Add(1, struct{}{})
 }

@@ -34,7 +34,6 @@ import (
 	"eternalgw/internal/admission"
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
-	"eternalgw/internal/metrics"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/replication"
 )
@@ -76,13 +75,6 @@ type Config struct {
 	// ReplyCacheSize bounds the recorded-response cache used to answer
 	// reissued invocations after a gateway failover. Zero means 8192.
 	ReplyCacheSize int
-	// DisableGroupRecord turns off the section 3.5 gateway-group
-	// recording (the request record multicast and the response cache).
-	// Reissues after a failover then always travel into the domain and
-	// rely on server-side duplicate detection alone. Exists for
-	// ablation: it trades one extra multicast per request against
-	// failover work.
-	DisableGroupRecord bool
 	// Log receives diagnostics (tagged component=gateway); nil discards
 	// them.
 	Log *obs.Logger
@@ -143,7 +135,7 @@ type Gateway struct {
 	adm    *admission.Controller
 	// reqHist, non-nil only when cfg.Metrics is set, records round-trip
 	// latency of response-expected requests over a sliding window.
-	reqHist *metrics.Histogram
+	reqHist *obs.Histogram
 
 	// draining is set by Drain: new requests are shed with TRANSIENT and
 	// the accept loop stops, while in-flight invocations bleed out.
@@ -161,7 +153,7 @@ type Gateway struct {
 	acceptStopOnce sync.Once
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*clientConn
 	closed bool
 	// counters assigns TCP client identifiers per destination server
 	// group, as in paper section 3.2.
@@ -232,7 +224,7 @@ func New(cfg Config) (*Gateway, error) {
 		log:           cfg.Log.With("gateway"),
 		tracer:        cfg.Tracer,
 		adm:           cfg.Admission,
-		conns:         make(map[net.Conn]struct{}),
+		conns:         make(map[net.Conn]*clientConn),
 		counters:      make(map[replication.GroupID]uint64),
 		records:       newRecordStore(cfg.ReplyCacheSize),
 		depNotify:     make(chan struct{}, 1),
@@ -326,7 +318,7 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(g.RecordedRequests()) })
 	reg.GaugeFunc("eternalgw_gateway_recorded_replies", "Responses held in the gateway-group record.", lbl,
 		func() float64 { return float64(g.RecordedReplies()) })
-	g.reqHist = metrics.NewBounded(8192)
+	g.reqHist = obs.NewBoundedHistogram(8192)
 	reg.Histogram("eternalgw_gateway_request_duration_seconds", "Round-trip latency of response-expected requests.", lbl, g.reqHist)
 }
 
@@ -502,11 +494,12 @@ func (g *Gateway) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		g.conns[conn] = struct{}{}
+		cc := &clientConn{gw: g, nc: conn, ids: make(map[replication.GroupID]uint64), inflight: make(map[uint32]bool)}
+		g.conns[conn] = cc
 		g.mu.Unlock()
 		g.connectionsAccepted.Add(1)
 		g.wg.Add(1)
-		go g.serveConn(conn, host)
+		go g.serveConn(cc, host)
 	}
 }
 
@@ -517,9 +510,13 @@ type clientConn struct {
 	nc  net.Conn
 	wmu sync.Mutex
 
-	mu        sync.Mutex
-	ids       map[replication.GroupID]uint64
-	cancelled map[uint32]bool // request ids the client cancelled
+	mu  sync.Mutex
+	ids map[replication.GroupID]uint64
+	// inflight holds the request ids being served on this connection;
+	// true once the client cancelled the request. An entry lives from
+	// the request's arrival to its completion, so the map is bounded by
+	// the connection's in-flight requests whatever the client sends.
+	inflight map[uint32]bool
 }
 
 // serveConn handles one external client: the gateway spawned a dedicated
@@ -527,9 +524,9 @@ type clientConn struct {
 // socket (paper section 3.1). When the client departs, the gateway
 // informs the other gateways so they can delete any state stored on the
 // client's behalf (section 3.5).
-func (g *Gateway) serveConn(nc net.Conn, host string) {
+func (g *Gateway) serveConn(cc *clientConn, host string) {
 	defer g.wg.Done()
-	cc := &clientConn{gw: g, nc: nc, ids: make(map[replication.GroupID]uint64), cancelled: make(map[uint32]bool)}
+	nc := cc.nc
 	defer func() {
 		_ = nc.Close()
 		g.mu.Lock()
@@ -592,10 +589,13 @@ func (g *Gateway) serveConn(nc net.Conn, host string) {
 			// bound.
 			g.inflight.Add(1)
 			reqWG.Add(1)
+			cc.beginRequest(req.RequestID)
 			go func() {
 				defer reqWG.Done()
-				defer g.inflight.Add(-1)
+				// The gauge drops before the admission slot is released,
+				// so it never reads above the in-flight window.
 				defer release()
+				defer g.inflight.Add(-1)
 				cc.handleRequest(msg, req, arrived, group, clientID)
 			}()
 		case giop.MsgLocateRequest:
@@ -608,9 +608,7 @@ func (g *Gateway) serveConn(nc net.Conn, host string) {
 			// client has merely declared it no longer wants the reply,
 			// so the gateway stops holding the socket for it.
 			if cr, err := giop.DecodeCancelRequest(msg); err == nil {
-				cc.mu.Lock()
-				cc.cancelled[cr.RequestID] = true
-				cc.mu.Unlock()
+				cc.cancelRequest(cr.RequestID)
 			}
 		default:
 			cc.write(giop.EncodeMessageError(msg.Header.Order))
@@ -672,6 +670,7 @@ const counterIDBit = uint64(1) << 63
 // (first, deduplicated) response over the client's socket.
 func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived time.Time, group replication.GroupID, clientID uint64) {
 	gw := cc.gw
+	defer cc.endRequest(req.RequestID)
 	op := replication.OperationID{ParentTS: 0, ChildSeq: req.RequestID}
 	key := cacheKey{group: group, clientID: clientID, op: op}
 	tkey := obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq}
@@ -682,20 +681,17 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 
 	// A reissued invocation (after the client failed over from a dead
 	// gateway) may already have been answered; the gateway group's
-	// record answers it without touching the servers. The cheap flag is
-	// tested before the cache lookup takes a shard lock.
-	if !gw.cfg.DisableGroupRecord {
-		if rep, ok := gw.cachedReply(key); ok {
-			gw.answeredFromCache.Add(1)
-			gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
-			if req.ResponseExpected {
-				gw.repliesReturned.Add(1)
-				cc.writeReplyRaw(msg, req, rep)
-				gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
-			}
-			gw.observeLatency(arrived)
-			return
+	// record answers it without touching the servers.
+	if rep, ok := gw.cachedReply(key); ok {
+		gw.answeredFromCache.Add(1)
+		gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
+		if req.ResponseExpected {
+			gw.repliesReturned.Add(1)
+			cc.writeReplyRaw(msg, req, rep)
+			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
 		}
+		gw.observeLatency(arrived)
+		return
 	}
 
 	// The section 3.5 request record rides on the invocation itself: the
@@ -752,15 +748,39 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 	gw.observeLatency(arrived)
 }
 
-// isCancelled reports (and consumes) a cancellation for a request id.
+// beginRequest notes a request id as in flight. The read loop calls it
+// before handing the request to its goroutine, so a CancelRequest right
+// behind the request on the wire finds it.
+func (cc *clientConn) beginRequest(id uint32) {
+	cc.mu.Lock()
+	cc.inflight[id] = false
+	cc.mu.Unlock()
+}
+
+// cancelRequest marks an in-flight request as cancelled. A cancel for
+// any other id (already answered, or never sent) is dropped: kept, it
+// would grow without bound under a stream of cancels and suppress the
+// reply of a later request reusing the id.
+func (cc *clientConn) cancelRequest(id uint32) {
+	cc.mu.Lock()
+	if _, ok := cc.inflight[id]; ok {
+		cc.inflight[id] = true
+	}
+	cc.mu.Unlock()
+}
+
+// isCancelled reports whether the client cancelled an in-flight request.
 func (cc *clientConn) isCancelled(id uint32) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.cancelled[id] {
-		delete(cc.cancelled, id)
-		return true
-	}
-	return false
+	return cc.inflight[id]
+}
+
+// endRequest forgets a completed request, and any cancel mark with it.
+func (cc *clientConn) endRequest(id uint32) {
+	cc.mu.Lock()
+	delete(cc.inflight, id)
+	cc.mu.Unlock()
 }
 
 // shedReply refuses an invocation with a TRANSIENT system exception —
@@ -900,7 +920,7 @@ func (g *Gateway) observe(msg replication.Message, ts uint64) {
 		}
 		return
 	case replication.KindInvocation:
-		if g.cfg.DisableGroupRecord || msg.Header.ClientID == replication.UnusedClientID {
+		if msg.Header.ClientID == replication.UnusedClientID {
 			return
 		}
 		// The record rides on the invocation itself: every invocation a
@@ -917,7 +937,7 @@ func (g *Gateway) observe(msg replication.Message, ts uint64) {
 			g.reinvocationsDetected.Add(1)
 		}
 	case replication.KindResponse:
-		if g.cfg.DisableGroupRecord || msg.Header.ClientID == replication.UnusedClientID {
+		if msg.Header.ClientID == replication.UnusedClientID {
 			return
 		}
 		// The raw encapsulated reply is stored as-is (the record store

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"eternalgw/internal/fifo"
+)
 
 // recordShards is how many locks the gateway-group record is split
 // across. Must be a power of two.
@@ -10,10 +14,8 @@ const recordShards = 16
 // keys seen by the group (to detect reinvocations) and the responses that
 // flowed through any gateway (to answer reissued invocations after a
 // gateway failure). It is sharded by client identifier so concurrent
-// clients do not contend on one lock, and each shard evicts FIFO through
-// a ring buffer in O(1) — the former single-map design shifted a shared
-// slice (s = s[1:]) per eviction, retaining the backing array and
-// serializing every record touch behind the gateway's global mutex.
+// clients do not contend on one lock, and each shard bounds both record
+// kinds with a first-wins table that evicts oldest-first in O(1).
 //
 // Sharding by client keeps all of one client's records in one shard, so
 // deleting a departed client's state touches a single shard.
@@ -22,75 +24,23 @@ type recordStore struct {
 }
 
 type recordShard struct {
-	mu       sync.Mutex
-	seen     map[cacheKey]struct{}
-	seenRing keyRing
+	mu   sync.Mutex
+	seen fifo.Map[cacheKey, struct{}]
 	// replies holds the raw encapsulated IIOP reply bytes as they
 	// appeared on the wire: the observer on the replication event loop
 	// stores them without decoding, and the rare reissue path decodes on
 	// a hit.
-	replies     map[cacheKey][]byte
-	repliesRing keyRing
-}
-
-// keyRing is a fixed-capacity FIFO of cache keys: pushing into a full
-// ring overwrites the oldest slot and returns the displaced key so the
-// caller can drop its map entry.
-type keyRing struct {
-	buf  []cacheKey
-	head int // index of the oldest entry once the ring is full
-	max  int
-}
-
-func (r *keyRing) push(k cacheKey) (old cacheKey, evicted bool) {
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, k)
-		return cacheKey{}, false
-	}
-	old = r.buf[r.head]
-	r.buf[r.head] = k
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	return old, true
-}
-
-// compactDrop removes every key of the given client, calling drop for
-// each, and preserves the FIFO order of the rest. O(shard size); used
-// only for client departures, which run off the replication event loop.
-func (r *keyRing) compactDrop(clientID uint64, drop func(cacheKey)) {
-	n := len(r.buf)
-	if n == 0 {
-		return
-	}
-	kept := make([]cacheKey, 0, n)
-	for i := 0; i < n; i++ {
-		k := r.buf[(r.head+i)%n]
-		if k.clientID == clientID {
-			drop(k)
-			continue
-		}
-		kept = append(kept, k)
-	}
-	r.buf = kept
-	r.head = 0
+	replies fifo.Map[cacheKey, []byte]
 }
 
 // newRecordStore builds a store bounded at roughly capacity entries per
 // record kind, split evenly across the shards.
 func newRecordStore(capacity int) *recordStore {
 	per := (capacity + recordShards - 1) / recordShards
-	if per < 1 {
-		per = 1
-	}
 	s := &recordStore{}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.seen = make(map[cacheKey]struct{})
-		sh.replies = make(map[cacheKey][]byte)
-		sh.seenRing.max = per
-		sh.repliesRing.max = per
+		s.shards[i].seen.Init(per)
+		s.shards[i].replies.Init(per)
 	}
 	return s
 }
@@ -108,14 +58,7 @@ func (s *recordStore) noteSeen(key cacheKey) bool {
 	sh := s.shard(key.clientID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.seen[key]; ok {
-		return true
-	}
-	sh.seen[key] = struct{}{}
-	if old, evicted := sh.seenRing.push(key); evicted {
-		delete(sh.seen, old)
-	}
-	return false
+	return !sh.seen.Add(key, struct{}{})
 }
 
 // storeReply caches a raw response under its operation key; the first
@@ -127,12 +70,8 @@ func (s *recordStore) storeReply(key cacheKey, raw []byte) {
 	sh := s.shard(key.clientID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.replies[key]; ok {
-		return
-	}
-	sh.replies[key] = append([]byte(nil), raw...)
-	if old, evicted := sh.repliesRing.push(key); evicted {
-		delete(sh.replies, old)
+	if !sh.replies.Has(key) {
+		sh.replies.Add(key, append([]byte(nil), raw...))
 	}
 }
 
@@ -141,8 +80,7 @@ func (s *recordStore) reply(key cacheKey) ([]byte, bool) {
 	sh := s.shard(key.clientID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	raw, ok := sh.replies[key]
-	return raw, ok
+	return sh.replies.Get(key)
 }
 
 // dropClient deletes every record kept on a departed client's behalf.
@@ -151,8 +89,9 @@ func (s *recordStore) dropClient(clientID uint64) {
 	sh := s.shard(clientID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.seenRing.compactDrop(clientID, func(k cacheKey) { delete(sh.seen, k) })
-	sh.repliesRing.compactDrop(clientID, func(k cacheKey) { delete(sh.replies, k) })
+	departed := func(k cacheKey) bool { return k.clientID == clientID }
+	sh.seen.DeleteFunc(departed)
+	sh.replies.DeleteFunc(departed)
 }
 
 // countSeen reports the number of request records held.
@@ -161,7 +100,7 @@ func (s *recordStore) countSeen() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.seen)
+		n += sh.seen.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -173,7 +112,7 @@ func (s *recordStore) countReplies() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.replies)
+		n += sh.replies.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"eternalgw/internal/replication"
@@ -131,32 +130,5 @@ func TestRecordStoreDropClientRemovesOnlyThatClient(t *testing.T) {
 				t.Fatalf("client %d seen key %d lost by another client's departure", c, i)
 			}
 		}
-	}
-}
-
-func TestKeyRingCompactDropPreservesFIFO(t *testing.T) {
-	r := keyRing{max: 4}
-	for i := uint64(0); i < 6; i++ {
-		// Alternate two clients; pushing past max wraps the ring.
-		r.push(recKey(100+i%2, i))
-	}
-	// Ring now holds ops 2,3,4,5 with head pointing at op 2.
-	var dropped []uint64
-	r.compactDrop(100, func(k cacheKey) { dropped = append(dropped, k.op.ParentTS) })
-	if fmt.Sprint(dropped) != "[2 4]" {
-		t.Fatalf("dropped = %v, want [2 4]", dropped)
-	}
-	if len(r.buf) != 2 || r.buf[0].op.ParentTS != 3 || r.buf[1].op.ParentTS != 5 {
-		t.Fatalf("kept = %+v, want ops 3,5 in FIFO order", r.buf)
-	}
-	// The compacted ring keeps evicting oldest-first.
-	old, evicted := r.push(recKey(101, 7))
-	if evicted || old.op.ParentTS != 0 {
-		t.Fatalf("push into compacted non-full ring evicted %v", old)
-	}
-	r.push(recKey(101, 8))
-	old, evicted = r.push(recKey(101, 9))
-	if !evicted || old.op.ParentTS != 3 {
-		t.Fatalf("eviction after compaction displaced op %d, want 3", old.op.ParentTS)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/core"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
@@ -219,6 +220,106 @@ func TestCancelRequestSuppressesReply(t *testing.T) {
 	}
 	// The cancelled operation still executed.
 	waitInt(t, func() int64 { return apps[0].totalOps() }, 1, "cancelled op execution")
+}
+
+// rawCall writes one "ops" request with the given id and object key on
+// a raw gateway connection and returns the next reply on the wire.
+func rawCall(t *testing.T, raw net.Conn, id uint32, key string) giop.Reply {
+	t.Helper()
+	req, err := giop.EncodeRequest(cdr.BigEndian, giop.Request{
+		RequestID:        id,
+		ResponseExpected: true,
+		ObjectKey:        []byte(key),
+		Operation:        "ops",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := giop.WriteMessage(raw, req); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := giop.ReadMessage(raw)
+	if err != nil {
+		t.Fatalf("no reply to request %d: %v", id, err)
+	}
+	rep, err := giop.DecodeReply(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// waitNoTrackedRequests waits for the gateway to hold no per-connection
+// request ids: a request's entry goes just after its reply is written.
+func waitNoTrackedRequests(t *testing.T, gw *core.Gateway) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for gw.TrackedRequestIDs() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway still tracks %d request ids with nothing in flight", gw.TrackedRequestIDs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestCancelForUnknownIDsLeavesNoState(t *testing.T) {
+	// A hostile stream of CancelRequests naming ids that were never
+	// sent must not accumulate per-connection state, and must not
+	// suppress the reply of a later request that uses one of those ids.
+	d := fastDomain(t, "cu", 2)
+	deployRegister(t, d, replication.Active, 1)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := orb.DialRaw(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	const cancels = 10000
+	for id := uint32(1); id <= cancels; id++ {
+		if err := giop.WriteMessage(raw, giop.EncodeCancelRequest(cdr.BigEndian, giop.CancelRequest{RequestID: id})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The connection is read in order, so this reply proves every
+	// cancel above has been processed.
+	if rep := rawCall(t, raw, cancels/2, keyRegister); rep.RequestID != cancels/2 || rep.Status != giop.ReplyNoException {
+		t.Fatalf("reply %+v, want a normal reply for request %d", rep, cancels/2)
+	}
+	waitNoTrackedRequests(t, gw)
+}
+
+func TestCancelAfterReplyDoesNotSuppressReusedID(t *testing.T) {
+	// One reply per request: a cancel that arrives after its request
+	// was answered is stale and must not eat the reply of a later
+	// request reusing the id.
+	d := fastDomain(t, "cr", 2)
+	deployRegister(t, d, replication.Active, 1)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := orb.DialRaw(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	// The first use of id 1 is refused at the edge (unknown object key),
+	// so nothing about it is recorded and the reuse below is a fresh
+	// operation, not a reissue the gateway record could answer.
+	if rep := rawCall(t, raw, 1, "no/such/object"); rep.RequestID != 1 || rep.Status != giop.ReplySystemException {
+		t.Fatalf("reply %+v, want a system exception for request 1", rep)
+	}
+	if err := giop.WriteMessage(raw, giop.EncodeCancelRequest(cdr.BigEndian, giop.CancelRequest{RequestID: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rawCall(t, raw, 1, keyRegister); rep.RequestID != 1 || rep.Status != giop.ReplyNoException {
+		t.Fatalf("reply %+v, want a normal reply for the reused id 1", rep)
+	}
+	waitNoTrackedRequests(t, gw)
 }
 
 // workArgs builds the RegisterApp "work" arguments.

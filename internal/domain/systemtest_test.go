@@ -157,18 +157,13 @@ func TestDomainOverUDPTransport(t *testing.T) {
 		t.Skip("UDP transport test skipped in -short mode")
 	}
 	const nodes = 3
-	registry := make(udpnet.Registry, nodes)
 	ids := make([]memnet.NodeID, nodes)
-	for i := 0; i < nodes; i++ {
+	for i := range ids {
 		ids[i] = memnet.NodeID(fmt.Sprintf("udp/p%02d", i))
-		probe, err := udpnet.Listen(ids[i], udpnet.Registry{ids[i]: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		registry[ids[i]] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	registry, err := udpnet.LoopbackRegistry(ids...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	d, err := domain.New(domain.Config{
 		Name:  "udp",

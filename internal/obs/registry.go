@@ -19,8 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"eternalgw/internal/metrics"
 )
 
 func floatBits(v float64) uint64     { return math.Float64bits(v) }
@@ -84,7 +82,7 @@ type series struct {
 	gauge     *Gauge
 	counterFn func() uint64
 	gaugeFn   func() float64
-	hist      *metrics.Histogram
+	hist      *Histogram
 }
 
 // family is one named metric with its HELP/TYPE header and its series.
@@ -167,7 +165,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // Histogram registers an existing duration histogram, rendered as a
 // Prometheus summary (quantiles in seconds, _sum, _count) from a single
 // Snapshot per scrape.
-func (r *Registry) Histogram(name, help string, labels Labels, h *metrics.Histogram) {
+func (r *Registry) Histogram(name, help string, labels Labels, h *Histogram) {
 	r.register(name, help, "summary", labels, &series{hist: h})
 }
 

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"eternalgw/internal/metrics"
 )
 
 func TestRegistryCountersAndGauges(t *testing.T) {
@@ -61,7 +59,7 @@ func TestRegistryReregisterReplaces(t *testing.T) {
 
 func TestRegistryHistogramSummary(t *testing.T) {
 	r := NewRegistry()
-	h := &metrics.Histogram{}
+	h := &Histogram{}
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -100,7 +98,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	g.Set(1)
 	r.CounterFunc("n2_total", "", nil, func() uint64 { return 0 })
 	r.GaugeFunc("n3", "", nil, func() float64 { return 0 })
-	r.Histogram("n4", "", nil, &metrics.Histogram{})
+	r.Histogram("n4", "", nil, &Histogram{})
 	if got := r.RenderPrometheus(); got != "" {
 		t.Fatalf("nil registry rendered %q", got)
 	}

@@ -235,8 +235,9 @@ func (c *Coordinator) addReplica(id replication.GroupID, factory Factory) (repli
 }
 
 // evict removes one member through an ordered view change and waits
-// until the evicted node itself has installed the new view (so its host
-// slot is immediately reusable for a re-join).
+// until the evicted node itself and the coordinator's directory have
+// installed the new view (so its host slot is immediately reusable for
+// a re-join).
 func (c *Coordinator) evict(id replication.GroupID, node memnet.NodeID) (replication.View, error) {
 	rm, err := c.anyRM()
 	if err != nil {
@@ -257,6 +258,14 @@ func (c *Coordinator) evict(id replication.GroupID, node memnet.NodeID) (replica
 		return replication.View{}, fmt.Errorf("reconfig: evict %s from group %d: %w", node, id, err)
 	}
 	v, _ := waitOn.View(id)
+	if waitOn != rm {
+		// Placement reads membership from rm's directory: it must have
+		// installed the view too, or the evicted host still counts as a
+		// member and is not offered for the re-join.
+		if err := rm.WaitForView(id, v.Number, c.timeout); err != nil {
+			return replication.View{}, fmt.Errorf("reconfig: evict %s from group %d: %w", node, id, err)
+		}
+	}
 	return v, nil
 }
 

@@ -597,7 +597,7 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID, ts uin
 	sh.mu.Lock()
 	calls := sh.calls[key]
 	if len(calls) == 0 {
-		_, done := sh.done[key]
+		done := sh.done.Has(key)
 		sh.mu.Unlock()
 		if done {
 			// Early discard: a copy of this response was already answered

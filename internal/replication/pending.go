@@ -1,35 +1,14 @@
 package replication
 
-import "sync"
+import (
+	"sync"
+
+	"eternalgw/internal/fifo"
+)
 
 // pendingShards is how many locks the pending-call table and the
 // early-discard done-set are split across. Must be a power of two.
 const pendingShards = 16
-
-// opKeyRing is a fixed-capacity FIFO of operation keys: pushing into a
-// full ring overwrites the oldest slot and returns the displaced key so
-// the caller can drop its map entry. Same O(1) eviction shape as the
-// gateway record's keyRing (internal/core/record.go); the former designs
-// shifted a slice (s = s[1:]) per eviction, retaining the backing array.
-type opKeyRing struct {
-	buf  []opKey
-	head int // index of the oldest entry once the ring is full
-	max  int
-}
-
-func (r *opKeyRing) push(k opKey) (old opKey, evicted bool) {
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, k)
-		return opKey{}, false
-	}
-	old = r.buf[r.head]
-	r.buf[r.head] = k
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	return old, true
-}
 
 // pendingShard is one lock's worth of the pending-call table: the calls
 // awaiting responses plus the done-set remembering operations whose
@@ -39,21 +18,12 @@ type pendingShard struct {
 	calls map[opKey][]*pendingCall
 	// done is consulted from the header peek: once an operation is in
 	// it, the 2nd..Rth replica copies of its response are discarded
-	// without payload decode. Bounded FIFO through doneRing.
-	done     map[opKey]struct{}
-	doneRing opKeyRing
+	// without payload decode.
+	done fifo.Map[opKey, struct{}]
 }
 
 // markDone remembers an answered operation. Callers hold sh.mu.
-func (sh *pendingShard) markDone(key opKey) {
-	if _, ok := sh.done[key]; ok {
-		return
-	}
-	sh.done[key] = struct{}{}
-	if old, evicted := sh.doneRing.push(key); evicted {
-		delete(sh.done, old)
-	}
-}
+func (sh *pendingShard) markDone(key opKey) { sh.done.Add(key, struct{}{}) }
 
 // pendingTable is the sharded pending-call table: concurrent Invokes
 // from many gateway connections register and resolve under per-shard
@@ -66,15 +36,11 @@ type pendingTable struct {
 // capacity operations, split evenly across the shards.
 func newPendingTable(capacity int) *pendingTable {
 	per := (capacity + pendingShards - 1) / pendingShards
-	if per < 1 {
-		per = 1
-	}
 	t := &pendingTable{}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.calls = make(map[opKey][]*pendingCall)
-		sh.done = make(map[opKey]struct{})
-		sh.doneRing.max = per
+		sh.done.Init(per)
 	}
 	return t
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/fifo"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/logrec"
 	"eternalgw/internal/memnet"
@@ -135,27 +136,25 @@ type replica struct {
 	wasBackup bool
 
 	// executor-owned state.
-	executed     map[opKey]giop.Reply
-	executedRing opKeyRing    // O(1) FIFO eviction for executed
-	dedupLen     atomic.Int64 // len(executed), readable off the executor
-	opCount      uint64
-	lastOpTS     uint64
-	pendingLog   []logrec.Entry // warm-passive backup replay log
-	holdback     []task         // invocations buffered until state arrives
-	curParentTS  uint64
-	curChildSeq  uint32
+	executed    fifo.Map[opKey, giop.Reply]
+	dedupLen    atomic.Int64 // executed.Len(), readable off the executor
+	opCount     uint64
+	lastOpTS    uint64
+	pendingLog  []logrec.Entry // warm-passive backup replay log
+	holdback    []task         // invocations buffered until state arrives
+	curParentTS uint64
+	curChildSeq uint32
 }
 
 func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *replica {
 	r := &replica{
-		m:            m,
-		group:        group,
-		style:        style,
-		app:          app,
-		tasks:        newTaskQueue(),
-		executed:     make(map[opKey]giop.Reply),
-		executedRing: opKeyRing{max: m.cfg.DedupCapacity},
+		m:     m,
+		group: group,
+		style: style,
+		app:   app,
+		tasks: newTaskQueue(),
 	}
+	r.executed.Init(m.cfg.DedupCapacity)
 	if app != nil {
 		go r.runExecutor()
 	}
@@ -252,7 +251,7 @@ func (r *replica) handleInvoke(t task) {
 // it to the catch-up log); replays pass nil.
 func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode execMode) {
 	key := opKey{src: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
-	if rep, ok := r.executed[key]; ok {
+	if rep, ok := r.executed.Get(key); ok {
 		r.m.duplicateInvocations.Add(1)
 		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.cfg.NodeID))
 		if mode != execCatchup {
@@ -269,7 +268,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	if err != nil {
 		return
 	}
-	if raw != nil && !r.m.cfg.DisableCatchupLog {
+	if raw != nil {
 		// Log the wire form before executing: a checkpoint cut inside the
 		// execution (maybeSync, at Seq == ts) then correctly truncates the
 		// entry its state already covers. Replay paths whose entries are
@@ -300,18 +299,10 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 }
 
 // remember caches an executed operation's reply for duplicate detection,
-// bounded by the configured capacity. Eviction is O(1) through the key
-// ring; the former slice FIFO shifted (s = s[1:]) per eviction, which is
-// O(n) and retains the backing array.
+// bounded by the configured capacity.
 func (r *replica) remember(key opKey, rep giop.Reply) {
-	if _, ok := r.executed[key]; ok {
-		return
-	}
-	r.executed[key] = rep
-	if old, evicted := r.executedRing.push(key); evicted {
-		delete(r.executed, old)
-	}
-	r.dedupLen.Store(int64(len(r.executed)))
+	r.executed.Add(key, rep)
+	r.dedupLen.Store(int64(r.executed.Len()))
 }
 
 // respond multicasts a response addressed to the invoker's group,
@@ -379,9 +370,6 @@ func (r *replica) maybeSync(ts uint64) {
 // already covers. A joiner is then donated this checkpoint plus the
 // (bounded) entries logged since, instead of a full capture.
 func (r *replica) maybeCheckpointLocal(ts uint64) {
-	if r.m.cfg.DisableCatchupLog {
-		return
-	}
 	interval := r.m.cfg.CheckpointInterval
 	if interval <= 0 || r.opCount%uint64(interval) != 0 {
 		return
@@ -398,22 +386,20 @@ func (r *replica) maybeCheckpointLocal(ts uint64) {
 // catch-up log holds a checkpoint, the donation is the checkpoint plus
 // the entries logged since it — the joiner catches up by replaying a
 // bounded suffix instead of receiving a fresh full capture. Without a
-// checkpoint (a young group, or the log disabled) it falls back to
-// capturing the application state at this point in the total order.
+// checkpoint (a young group) it falls back to capturing the application
+// state at this point in the total order.
 func (r *replica) handleCaptureState(t task) {
-	if !r.m.cfg.DisableCatchupLog {
-		if cp, entries, err := r.m.log.Recover(uint32(r.group)); err == nil {
-			_ = r.m.multicast(Message{
-				Header: Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-				Payload: encodeState(statePayload{
-					Target: t.joiner, JoinTS: t.ts, OpCount: cp.OpCount,
-					State: cp.State, CpSeq: cp.Seq, Entries: entries,
-				}),
-			})
-			r.m.stateTransfers.Add(1)
-			r.m.transfersCheckpointed.Add(1)
-			return
-		}
+	if cp, entries, err := r.m.log.Recover(uint32(r.group)); err == nil {
+		_ = r.m.multicast(Message{
+			Header: Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
+			Payload: encodeState(statePayload{
+				Target: t.joiner, JoinTS: t.ts, OpCount: cp.OpCount,
+				State: cp.State, CpSeq: cp.Seq, Entries: entries,
+			}),
+		})
+		r.m.stateTransfers.Add(1)
+		r.m.transfersCheckpointed.Add(1)
+		return
 	}
 	state, err := r.app.State()
 	if err != nil {
@@ -465,7 +451,7 @@ func (r *replica) handleApplyState(t task) {
 			return
 		}
 		r.opCount = st.OpCount
-		if !r.m.cfg.DisableCatchupLog && st.CpSeq > 0 {
+		if st.CpSeq > 0 {
 			// Seed the local log with the donation so this replica is
 			// immediately donor-capable for the next joiner.
 			r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
@@ -477,7 +463,7 @@ func (r *replica) handleApplyState(t task) {
 			if err != nil {
 				continue
 			}
-			if !r.m.cfg.DisableCatchupLog && st.CpSeq > 0 {
+			if st.CpSeq > 0 {
 				r.m.log.AppendOwned(uint32(r.group), e)
 			}
 			r.executeInvocation(msg, nil, e.Seq, execCatchup)
@@ -516,13 +502,11 @@ func (r *replica) handleApplySync(t task) {
 			}
 		}
 		r.pendingLog = kept
-		if !r.m.cfg.DisableCatchupLog {
-			// Mirror the sync into the local log: a promoted warm backup
-			// is then donor-capable from its last synchronized state.
-			r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-				Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
-			})
-		}
+		// Mirror the sync into the local log: a promoted warm backup
+		// is then donor-capable from its last synchronized state.
+		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
+			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
+		})
 	case ColdPassive:
 		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
 			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,

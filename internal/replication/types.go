@@ -161,14 +161,6 @@ type Config struct {
 	// component keeps serving, and reconciliation is the application's
 	// concern.
 	QuorumOf int
-	// DisableCatchupLog turns off the per-group catch-up log: the local
-	// checkpoints and logged invocations every executing replica keeps so
-	// that it can donate state to a joiner as checkpoint + replay instead
-	// of a full capture, and so a joiner can catch up without replaying
-	// history from zero. With the log disabled every transfer falls back
-	// to a full state capture (the pre-reconfiguration behaviour; useful
-	// for ablation).
-	DisableCatchupLog bool
 	// BackpressureWindow is the pending-call occupancy at which the
 	// Backpressure signal saturates to 1.0 — i.e. how many invocations
 	// this node can comfortably have in flight toward the domain before

@@ -87,6 +87,17 @@ func (a *counterApp) value() int64 {
 	return a.total
 }
 
+// settled returns the replica's total once it reaches want or stops
+// short of it: a call returns on the first replica's response, so
+// another replica may still be executing the last operations.
+func (a *counterApp) settled(want int64) int64 {
+	deadline := time.Now().Add(2 * time.Second)
+	for a.value() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return a.value()
+}
+
 func deploy(t *testing.T, d *domain.Domain, replicas, gateways int) ([]*counterApp, ior.Ref) {
 	t.Helper()
 	var (
@@ -185,7 +196,7 @@ func TestFailoverToNextGateway(t *testing.T) {
 	}
 	// Exactly-once: every replica executed exactly `calls` operations.
 	for i, app := range apps {
-		if got := app.value(); got != calls {
+		if got := app.settled(calls); got != calls {
 			t.Fatalf("replica %d total = %d, want %d", i, got, calls)
 		}
 	}
@@ -233,7 +244,7 @@ func TestConcurrentCallersDuringFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, app := range apps {
-		if got := app.value(); got != workers*per {
+		if got := app.settled(workers * per); got != workers*per {
 			t.Fatalf("replica %d total = %d, want %d", i, got, workers*per)
 		}
 	}
@@ -333,7 +344,7 @@ func TestShedRetryAndFailover(t *testing.T) {
 		t.Fatalf("connected to %s, want the redundant gateway %s", c.Gateway(), d.Gateways()[1].Addr())
 	}
 	for i, app := range apps {
-		if got := app.value(); got != 2 {
+		if got := app.settled(2); got != 2 {
 			t.Fatalf("replica %d total = %d, want 2", i, got)
 		}
 	}
@@ -368,7 +379,7 @@ func TestDrainHandsClientsToRedundantGateway(t *testing.T) {
 		t.Fatalf("stats = %+v, want a failover off the drained gateway", st)
 	}
 	for i, app := range apps {
-		if got := app.value(); got != calls {
+		if got := app.settled(calls); got != calls {
 			t.Fatalf("replica %d total = %d, want %d", i, got, calls)
 		}
 	}
@@ -457,7 +468,7 @@ func TestGatewayChurnWithProfileRefresh(t *testing.T) {
 	}
 
 	for idx, app := range apps {
-		if got := app.value(); got != 30 {
+		if got := app.settled(30); got != 30 {
 			t.Fatalf("replica %d total = %d, want 30: operations lost or duplicated", idx, got)
 		}
 	}

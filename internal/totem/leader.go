@@ -158,6 +158,29 @@ func (n *Node) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
 	n.mu.Unlock()
 }
 
+// nextPack returns the end of the run of pending payloads starting at
+// first that one message carries (one sequence number, one datagram,
+// one window slot), as the original Totem fills each packet from the
+// send queue. The first payload is always accepted, so an oversized
+// payload still travels (alone); later ones must keep the pack within
+// MaxPackCount and MaxPackBytes. A run longer than one is counted as a
+// packed message.
+func (n *Node) nextPack(first int) int {
+	end := first + 1
+	bytes := len(n.pending[first])
+	for end < len(n.pending) &&
+		end-first < n.cfg.MaxPackCount &&
+		bytes+len(n.pending[end]) <= n.cfg.MaxPackBytes {
+		bytes += len(n.pending[end])
+		end++
+	}
+	if end-first > 1 {
+		n.packedMsgN.Add(1)
+		n.packedPartN.Add(uint64(end - first))
+	}
+	return end
+}
+
 // compactPending drops the first drained entries of the send queue
 // without retaining payload slices in the backing array.
 func (n *Node) compactPending(drained int) {
@@ -183,22 +206,8 @@ func (n *Node) forwardPending() {
 	drained := 0
 	for drained < len(n.pending) {
 		first := drained
-		bytes := len(n.pending[drained])
-		drained++
-		if !n.cfg.DisablePacking {
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-		}
-		parts := make([][]byte, drained-first)
-		copy(parts, n.pending[first:drained])
-		if len(parts) > 1 {
-			n.packedMsgN.Add(1)
-			n.packedPartN.Add(uint64(len(parts)))
-		}
+		drained = n.nextPack(first)
+		parts := append([][]byte(nil), n.pending[first:drained]...)
 		n.fwdNext++
 		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, parts: parts})
 		n.awaitingParts += len(parts)
@@ -221,22 +230,8 @@ func (n *Node) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
 		first := drained
-		bytes := len(n.pending[drained])
-		drained++
-		if !n.cfg.DisablePacking {
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-		}
-		parts := make([][]byte, drained-first)
-		copy(parts, n.pending[first:drained])
-		if len(parts) > 1 {
-			n.packedMsgN.Add(1)
-			n.packedPartN.Add(uint64(len(parts)))
-		}
+		drained = n.nextPack(first)
+		parts := append([][]byte(nil), n.pending[first:drained]...)
 		n.fwdNext++
 		n.broadcastN.Add(1)
 		if !n.orderParts(n.cfg.ID, n.fwdNext, parts) {

@@ -105,14 +105,14 @@ type Node struct {
 	promoteSeq uint64        // ring-ordered sequence the mode switch was installed at
 
 	// sequencer-side state
-	leaderSeq    uint64                             // last sequence number assigned
-	leaderStable uint64                             // stability horizon (min aru over the ring)
-	memberAru    map[memnet.NodeID]uint64           // latest acked aru per member
-	memberAckAt  map[memnet.NodeID]time.Time        // when each member last acked (liveness)
-	fwdSeen      map[memnet.NodeID]uint64           // contiguous forward watermark per origin
+	leaderSeq    uint64                                  // last sequence number assigned
+	leaderStable uint64                                  // stability horizon (min aru over the ring)
+	memberAru    map[memnet.NodeID]uint64                // latest acked aru per member
+	memberAckAt  map[memnet.NodeID]time.Time             // when each member last acked (liveness)
+	fwdSeen      map[memnet.NodeID]uint64                // contiguous forward watermark per origin
 	fwdStash     map[memnet.NodeID]map[uint64]forwardMsg // out-of-order forwards awaiting their gap
-	fwdLast      map[memnet.NodeID]uint64           // seq of each origin's most recent batch
-	batchOrigin  map[uint64]batchRef                // seq -> forward identity, for nak retransmission
+	fwdLast      map[memnet.NodeID]uint64                // seq of each origin's most recent batch
+	batchOrigin  map[uint64]batchRef                     // seq -> forward identity, for nak retransmission
 	heartbeatAt  time.Time
 
 	// follower-side state
@@ -653,37 +653,15 @@ func (n *Node) processToken(t token) {
 	for drained < len(n.pending) && burst > 0 {
 		burst--
 		t.Seq++
-		var m regularMsg
-		if n.cfg.DisablePacking {
-			m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Payload: n.pending[drained]}
-			drained++
+		first := drained
+		drained = n.nextPack(first)
+		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID}
+		if drained-first == 1 {
+			// A single payload takes the plain form: identical wire
+			// bytes to the pre-packing protocol.
+			m.Payload = n.pending[first]
 		} else {
-			// Pack as many queued payloads as fit into one message (one
-			// sequence number, one datagram, one window slot), as the
-			// original Totem fills each packet from the send queue. The
-			// first payload is always accepted so oversized payloads still
-			// travel (alone); later ones must keep the pack within the
-			// count and byte bounds.
-			first := drained
-			bytes := len(n.pending[drained])
-			drained++
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-			if drained-first == 1 {
-				// A single payload degrades to the plain form: identical
-				// wire bytes to the pre-packing protocol.
-				m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Payload: n.pending[first]}
-			} else {
-				parts := make([][]byte, drained-first)
-				copy(parts, n.pending[first:drained])
-				m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Parts: parts}
-				n.packedMsgN.Add(1)
-				n.packedPartN.Add(uint64(len(parts)))
-			}
+			m.Parts = append([][]byte(nil), n.pending[first:drained]...)
 		}
 		n.buffer[t.Seq] = m
 		if t.Seq > n.highest {
@@ -694,16 +672,7 @@ func (n *Node) processToken(t token) {
 		t.Spent++
 		work = true
 	}
-	if drained > 0 {
-		// Compact without retaining delivered heads in the backing array.
-		rest := len(n.pending) - drained
-		copy(n.pending, n.pending[drained:])
-		for i := rest; i < len(n.pending); i++ {
-			n.pending[i] = nil
-		}
-		n.pending = n.pending[:rest]
-		n.pendingN.Store(int64(rest))
-	}
+	n.compactPending(drained)
 	n.tryDeliver()
 
 	// Stability accounting. Every node folds its own all-received-up-to

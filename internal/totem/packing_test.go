@@ -166,9 +166,10 @@ func TestPackingRespectsBounds(t *testing.T) {
 	}
 }
 
-// TestDisablePackingDeliversPlain checks the ablation path: with packing
-// off every delivery is its own sequence number (Sub always zero).
-func TestDisablePackingDeliversPlain(t *testing.T) {
+// TestPackCountOneDeliversPlain pins the plain wire form: with
+// MaxPackCount 1 every delivery is its own sequence number (Sub always
+// zero) and nothing is counted as packed.
+func TestPackCountOneDeliversPlain(t *testing.T) {
 	net := memnet.New()
 	ep, err := net.Attach("solo")
 	if err != nil {
@@ -178,7 +179,7 @@ func TestDisablePackingDeliversPlain(t *testing.T) {
 	cfg.ID = "solo"
 	cfg.Endpoint = ep
 	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.DisablePacking = true
+	cfg.MaxPackCount = 1
 	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestDisablePackingDeliversPlain(t *testing.T) {
 			}
 			d := ev.Delivery
 			if d.Sub != 0 {
-				t.Fatalf("packing disabled but delivery has sub-index %d", d.Sub)
+				t.Fatalf("one-payload packs but delivery has sub-index %d", d.Sub)
 			}
 			if got > 0 && d.Seq != last+1 {
 				t.Fatalf("non-contiguous seqs %d -> %d", last, d.Seq)
@@ -222,6 +223,6 @@ func TestDisablePackingDeliversPlain(t *testing.T) {
 		}
 	}
 	if st := n.Stats(); st.PackedMsgs != 0 {
-		t.Fatalf("packed %d messages with packing disabled", st.PackedMsgs)
+		t.Fatalf("packed %d messages with MaxPackCount 1", st.PackedMsgs)
 	}
 }

@@ -191,7 +191,7 @@ func TestBurstLimitRespected(t *testing.T) {
 	cfg.MaxBurst = 8
 	// Packing would drain the whole backlog in a couple of datagrams;
 	// this test pins the per-message drain to exercise the burst limit.
-	cfg.DisablePacking = true
+	cfg.MaxPackCount = 1
 	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestFlowControlFairness(t *testing.T) {
 		// The window governs datagrams; with packing a single slot could
 		// carry a sender's whole backlog. Pin the per-message drain so
 		// the per-payload interleaving assertion below stays meaningful.
-		cfg.DisablePacking = true
+		cfg.MaxPackCount = 1
 		n, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -153,14 +153,10 @@ type Config struct {
 	// message unrecoverable and skips it. Zero means 4.
 	SkipAge int
 
-	// DisablePacking turns off message packing: every queued payload is
-	// broadcast as its own regular message, as the pre-packing protocol
-	// did. Exists for ablation and for transports whose datagrams cannot
-	// carry a packed message.
-	DisablePacking bool
 	// MaxPackCount bounds how many payloads one packed message carries.
 	// Zero means 32; values are capped so (Seq, Sub) still folds into a
-	// single 64-bit timestamp.
+	// single 64-bit timestamp. One means every payload travels as its
+	// own plain regular message, as in the pre-packing protocol.
 	MaxPackCount int
 	// MaxPackBytes bounds the payload bytes of one packed message, so a
 	// pack fits one datagram on real transports (udpnet reassembles up

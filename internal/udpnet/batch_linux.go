@@ -17,8 +17,6 @@ import (
 // SYS_RECVMMSG but not SYS_SENDMMSG), so the numbers live in the
 // per-arch sysnum files next to this one.
 
-const batchSupported = true
-
 // sendmmsgChunk bounds the mmsghdr vector length of one sendmmsg call.
 const sendmmsgChunk = 64
 
@@ -34,6 +32,7 @@ type mmsghdr struct {
 // the resolved peer sockaddrs, and the preallocated syscall vectors
 // owned by the send and receive loops.
 type batchState struct {
+	e  *Endpoint
 	rc syscall.RawConn
 
 	// Peer sockaddr table, parallel to Endpoint.peers.
@@ -53,16 +52,18 @@ type batchState struct {
 	rents []mmsghdr
 }
 
-// newBatchState resolves the raw connection and peer sockaddrs and
-// preallocates the syscall vectors.
-func newBatchState(e *Endpoint) (*batchState, error) {
+// useBatchSyscalls resolves the raw connection and peer sockaddrs,
+// preallocates the syscall vectors and installs the sendmmsg/recvmmsg
+// transmit and read loop on the endpoint.
+func (e *Endpoint) useBatchSyscalls() (bool, error) {
 	rc, err := e.conn.SyscallConn()
 	if err != nil {
-		return nil, fmt.Errorf("udpnet: raw conn: %w", err)
+		return false, fmt.Errorf("udpnet: raw conn: %w", err)
 	}
 	local := e.conn.LocalAddr().(*net.UDPAddr)
 	v6 := local.IP.To4() == nil
 	bs := &batchState{
+		e:      e,
 		rc:     rc,
 		sas:    make([]syscall.RawSockaddrAny, len(e.peers)),
 		salens: make([]uint32, len(e.peers)),
@@ -75,7 +76,7 @@ func newBatchState(e *Endpoint) (*batchState, error) {
 	for i, p := range e.peers {
 		n, err := putSockaddr(&bs.sas[i], p.addr, v6)
 		if err != nil {
-			return nil, fmt.Errorf("udpnet: peer %q: %w", p.id, err)
+			return false, fmt.Errorf("udpnet: peer %q: %w", p.id, err)
 		}
 		bs.salens[i] = n
 	}
@@ -86,7 +87,8 @@ func newBatchState(e *Endpoint) (*batchState, error) {
 		bs.rents[i].hdr.Iov = &bs.riovs[i]
 		bs.rents[i].hdr.Iovlen = 1
 	}
-	return bs, nil
+	e.transmit, e.readLoop = bs.sendFrames, bs.readLoop
+	return true, nil
 }
 
 // putSockaddr encodes a UDP address into a raw sockaddr matching the
@@ -118,12 +120,12 @@ func putSockaddr(sa *syscall.RawSockaddrAny, a *net.UDPAddr, v6 bool) (uint32, e
 	return syscall.SizeofSockaddrInet6, nil
 }
 
-// sendFramesBatched transmits every gathered frame to every peer,
-// packing up to sendmmsgChunk datagrams into each sendmmsg call. The
-// shared header and each payload travel as separate iovecs, so payload
-// bytes are never copied. Runs on the sendLoop goroutine.
-func (e *Endpoint) sendFramesBatched(frames [][]byte) {
-	bs := e.bs
+// sendFrames transmits every gathered frame to every peer, packing up
+// to sendmmsgChunk datagrams into each sendmmsg call. The shared header
+// and each payload travel as separate iovecs, so payload bytes are
+// never copied. Runs on the sendLoop goroutine.
+func (bs *batchState) sendFrames(frames [][]byte) {
+	e := bs.e
 	iovs := bs.iovs[:0]
 	for _, f := range frames {
 		hi := syscall.Iovec{Base: &e.hdr[0]}
@@ -189,11 +191,10 @@ func (e *Endpoint) sendFramesBatched(frames [][]byte) {
 	runtime.KeepAlive(iovs)
 }
 
-// readLoopBatched drains the socket with recvmmsg into the pooled
-// buffers, then validates and queues each datagram.
-func (e *Endpoint) readLoopBatched() {
-	defer e.wg.Done()
-	bs := e.bs
+// readLoop drains the socket with recvmmsg into the pooled buffers,
+// then validates and queues each datagram.
+func (bs *batchState) readLoop() {
+	e := bs.e
 	for {
 		var n int
 		var operr syscall.Errno

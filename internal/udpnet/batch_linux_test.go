@@ -21,8 +21,8 @@ func TestMmsghdrLayout(t *testing.T) {
 }
 
 // TestBatchedEnabledOnLinux pins that the default configuration actually
-// takes the sendmmsg/recvmmsg path on supported platforms — otherwise
-// the A/B benchmarks would silently compare the fallback with itself.
+// takes the sendmmsg/recvmmsg path on supported platforms, and that the
+// portable seam the other tests use really selects the per-datagram one.
 func TestBatchedEnabledOnLinux(t *testing.T) {
 	reg := freeRegistry(t, "n")
 	e, err := Listen("n", reg)
@@ -33,12 +33,12 @@ func TestBatchedEnabledOnLinux(t *testing.T) {
 	if !e.Batched() {
 		t.Fatal("default endpoint not batched on linux")
 	}
-	d, err := ListenConfig("n", Registry{"n": "127.0.0.1:0"}, Config{DisableBatching: true})
+	d, err := listen("n", Registry{"n": "127.0.0.1:0"}, Config{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = d.Close() }()
 	if d.Batched() {
-		t.Fatal("DisableBatching endpoint still batched")
+		t.Fatal("portable endpoint still batched")
 	}
 }

@@ -3,33 +3,6 @@
 package udpnet
 
 // Platforms without sendmmsg/recvmmsg (or whose syscall numbers this
-// package does not pin) fall back to the portable per-datagram path:
-// Broadcast frames and writes synchronously and the receive loop reads
-// one datagram per syscall, exactly as with Config.DisableBatching.
-
-const batchSupported = false
-
-// batchState is unused on this platform.
-type batchState struct{}
-
-func newBatchState(e *Endpoint) (*batchState, error) { return nil, nil }
-
-func (e *Endpoint) sendFramesBatched(frames [][]byte) {
-	// Unreachable: the send loop only starts when batchSupported.
-	for _, f := range frames {
-		frame := make([]byte, 0, len(e.hdr)+len(f))
-		frame = append(append(frame, e.hdr...), f...)
-		for i := range e.peers {
-			if e.dropTx() {
-				continue
-			}
-			if _, err := e.conn.WriteToUDP(frame, e.peers[i].addr); err != nil {
-				e.txErrors.Add(1)
-				continue
-			}
-			e.txDatagrams.Add(1)
-		}
-	}
-}
-
-func (e *Endpoint) readLoopBatched() { e.readLoopSequential() }
+// package does not pin) keep the portable per-datagram transmit and
+// read loop of udpnet.go.
+func (e *Endpoint) useBatchSyscalls() (bool, error) { return false, nil }

@@ -17,9 +17,9 @@
 // linux), while the receive loop drains many datagrams per syscall
 // (recvmmsg) into pooled buffers. The sender-identity frame header is
 // precomputed once and sent as a separate iovec, so payload bytes are
-// never copied on the batched transmit path. DisableBatching reproduces
-// the original synchronous per-datagram transport for ablation
-// (scripts/benchudp.sh and BenchmarkGatewayMultiClientUDP A/B it).
+// never copied on the batched transmit path. Platforms without those
+// syscalls run the same queue and send loop and differ only below it:
+// each flush writes, and each read takes, one datagram per syscall.
 //
 // Loss is expected and counted, never hidden: outbound-queue overflow,
 // inbox overflow, kernel truncation and malformed frames each have a
@@ -64,9 +64,32 @@ const (
 // likewise use dedicated, configured endpoints).
 type Registry map[memnet.NodeID]string
 
+// LoopbackRegistry picks a free 127.0.0.1 UDP port for every id, for
+// rings whose members all live on one host (ftdomaind -udp, tests,
+// benchmarks). Every probe socket stays bound until all ports are
+// picked: released one by one, the kernel may hand the same port out
+// twice.
+func LoopbackRegistry(ids ...memnet.NodeID) (Registry, error) {
+	registry := make(Registry, len(ids))
+	probes := make([]*net.UDPConn, 0, len(ids))
+	defer func() {
+		for _, p := range probes {
+			_ = p.Close()
+		}
+	}()
+	for _, id := range ids {
+		probe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return nil, fmt.Errorf("udpnet: pick a port for %q: %w", id, err)
+		}
+		probes = append(probes, probe)
+		registry[id] = probe.LocalAddr().String()
+	}
+	return registry, nil
+}
+
 // Config tunes an endpoint. The zero value gives the production
-// defaults: batched syscalls where the platform supports them, OS
-// socket-buffer sizes, 4096-entry queues.
+// defaults: OS socket-buffer sizes, 4096-entry queues.
 type Config struct {
 	// ReadBuffer, when positive, is handed to SetReadBuffer: the kernel
 	// receive buffer in bytes. Undersizing it makes the kernel drop
@@ -81,13 +104,8 @@ type Config struct {
 	InboxSize int
 	// OutboxSize bounds the outbound queue between Broadcast and the
 	// send loop; overflow drops are counted (best-effort, like a full
-	// socket buffer). Zero means 4096. Ignored with DisableBatching.
+	// socket buffer). Zero means 4096.
 	OutboxSize int
-	// DisableBatching turns off syscall amortization: Broadcast frames
-	// and writes one datagram per peer synchronously on the caller's
-	// goroutine, and the receive loop reads one datagram per syscall —
-	// the transport's original shape, kept for ablation benchmarks.
-	DisableBatching bool
 	// LossRate, when in (0,1], drops that fraction of outbound peer
 	// datagrams before they reach the socket, deterministically from
 	// LossSeed. Self-delivery is never dropped. This exists so tests can
@@ -130,13 +148,18 @@ type Endpoint struct {
 	// hdr is the precomputed sender-identity frame header (2-byte
 	// big-endian id length + id bytes), shared by every datagram this
 	// endpoint sends.
-	hdr     []byte
-	inbox   chan memnet.Packet
-	outbox  chan []byte
-	batched bool
-	bs      *batchState // platform batch machinery; nil when !batched
-	// gather is the flush scratch, owned by sendLoop.
+	hdr    []byte
+	inbox  chan memnet.Packet
+	outbox chan []byte
+	// transmit sends one flush's frames to every peer and readLoop
+	// drains the socket: sendmmsg/recvmmsg where the platform file
+	// installs them (batched), one datagram per syscall otherwise.
+	transmit func(frames [][]byte)
+	readLoop func()
+	batched  bool
+	// gather and frame are the flush scratch, owned by sendLoop.
 	gather [][]byte
+	frame  []byte
 
 	closed atomic.Bool
 	quit   chan struct{}
@@ -166,6 +189,13 @@ func Listen(id memnet.NodeID, registry Registry) (*Endpoint, error) {
 
 // ListenConfig is Listen with explicit tuning.
 func ListenConfig(id memnet.NodeID, registry Registry, cfg Config) (*Endpoint, error) {
+	return listen(id, registry, cfg, false)
+}
+
+// listen builds an endpoint. portable keeps the per-datagram transmit
+// and read loop even where the platform has batch syscalls, so the path
+// other platforms run stays under test on this one.
+func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*Endpoint, error) {
 	self, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("udpnet: node %q not in registry", id)
@@ -200,13 +230,15 @@ func ListenConfig(id memnet.NodeID, registry Registry, cfg Config) (*Endpoint, e
 	}
 	idb := []byte(id)
 	e := &Endpoint{
-		id:      id,
-		conn:    conn,
-		hdr:     append([]byte{byte(len(idb) >> 8), byte(len(idb))}, idb...),
-		inbox:   make(chan memnet.Packet, inboxSize),
-		batched: !cfg.DisableBatching && batchSupported,
-		quit:    make(chan struct{}),
+		id:     id,
+		conn:   conn,
+		hdr:    append([]byte{byte(len(idb) >> 8), byte(len(idb))}, idb...),
+		inbox:  make(chan memnet.Packet, inboxSize),
+		outbox: make(chan []byte, outboxSize),
+		gather: make([][]byte, 0, sendGather),
+		quit:   make(chan struct{}),
 	}
+	e.transmit, e.readLoop = e.sendFramesSequential, e.readLoopSequential
 	if cfg.LossRate > 0 {
 		e.lossRate = cfg.LossRate
 		e.lossRng = rand.New(rand.NewSource(cfg.LossSeed))
@@ -228,25 +260,20 @@ func ListenConfig(id memnet.NodeID, registry Registry, cfg Config) (*Endpoint, e
 		}
 		e.peers = append(e.peers, peer{id: memnet.NodeID(p), addr: ua})
 	}
-	if e.batched {
-		bs, err := newBatchState(e)
+	if !portable {
+		e.batched, err = e.useBatchSyscalls()
 		if err != nil {
 			_ = conn.Close()
 			return nil, err
 		}
-		e.bs = bs
-		e.outbox = make(chan []byte, outboxSize)
-		e.gather = make([][]byte, 0, sendGather)
-		e.wg.Add(1)
-		go e.sendLoop()
 	}
 	e.registerMetrics(cfg.Metrics)
-	e.wg.Add(1)
-	if e.batched {
-		go e.readLoopBatched()
-	} else {
-		go e.readLoopSequential()
-	}
+	e.wg.Add(2)
+	go e.sendLoop()
+	go func() {
+		defer e.wg.Done()
+		e.readLoop()
+	}()
 	return e, nil
 }
 
@@ -262,42 +289,23 @@ func (e *Endpoint) ID() memnet.NodeID { return e.id }
 func (e *Endpoint) Recv() <-chan memnet.Packet { return e.inbox }
 
 // Batched reports whether the endpoint amortizes syscalls (false on
-// platforms without sendmmsg/recvmmsg or with DisableBatching).
+// platforms without sendmmsg/recvmmsg).
 func (e *Endpoint) Batched() bool { return e.batched }
 
 // Broadcast implements totem.Transport: one datagram to every peer plus
 // a local loopback copy (IP-multicast loopback semantics). Delivery is
 // best-effort, as on a real network; totem recovers losses. The payload
-// is not copied on the batched path; as with memnet, callers must not
-// mutate it after broadcasting.
+// is queued, not copied; as with memnet, callers must not mutate it
+// after broadcasting.
 func (e *Endpoint) Broadcast(payload []byte) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if e.batched {
-		select {
-		case e.outbox <- payload:
-		default:
-			// Bounded queue overflow: drop, like a full socket buffer.
-			e.txQueueDrops.Add(1)
-		}
-		e.deliverLocal(payload)
-		return nil
-	}
-	// Per-datagram ablation path: frame into a fresh buffer and issue
-	// one blocking syscall per peer on the caller's goroutine — the
-	// transport's original shape.
-	frame := make([]byte, 0, len(e.hdr)+len(payload))
-	frame = append(append(frame, e.hdr...), payload...)
-	for i := range e.peers {
-		if e.dropTx() {
-			continue
-		}
-		if _, err := e.conn.WriteToUDP(frame, e.peers[i].addr); err != nil {
-			e.txErrors.Add(1)
-			continue
-		}
-		e.txDatagrams.Add(1)
+	select {
+	case e.outbox <- payload:
+	default:
+		// Bounded queue overflow: drop, like a full socket buffer.
+		e.txQueueDrops.Add(1)
 	}
 	e.deliverLocal(payload)
 	return nil
@@ -330,7 +338,7 @@ func (e *Endpoint) deliverLocal(payload []byte) {
 }
 
 // sendLoop drains the outbound queue: each wakeup gathers up to
-// sendGather queued payloads into one flush so the platform layer can
+// sendGather queued payloads into one flush so a batched transmit can
 // put many datagrams into each syscall. Broadcast never transmits
 // inline — on a machine with few cores an inline "fast path" wins every
 // race against would-be queuers and degrades every flush to a single
@@ -349,8 +357,8 @@ func (e *Endpoint) sendLoop() {
 }
 
 // flush transmits first plus everything gathered from the outbound
-// queue in one batched flush. Only sendLoop calls it; it owns e.gather
-// and the platform batch scratch.
+// queue in one flush. Only sendLoop calls it; it owns e.gather and the
+// transmit scratch.
 func (e *Endpoint) flush(first []byte) {
 	frames := append(e.gather[:0], first)
 	for len(frames) < sendGather {
@@ -362,7 +370,7 @@ func (e *Endpoint) flush(first []byte) {
 		}
 	}
 flush:
-	e.sendFramesBatched(frames)
+	e.transmit(frames)
 	e.txBatches.Add(1)
 	// Drop the payload references so flushed buffers do not outlive
 	// their batch.
@@ -372,11 +380,28 @@ flush:
 	e.gather = frames
 }
 
-// readLoopSequential is the per-datagram receive path (ablation mode and
-// platforms without recvmmsg): one syscall and one pooled buffer per
-// datagram.
+// sendFramesSequential is the portable transmit: each gathered frame is
+// framed into the send loop's scratch buffer and written to every peer,
+// one syscall per datagram.
+func (e *Endpoint) sendFramesSequential(frames [][]byte) {
+	for _, f := range frames {
+		e.frame = append(append(e.frame[:0], e.hdr...), f...)
+		for i := range e.peers {
+			if e.dropTx() {
+				continue
+			}
+			if _, err := e.conn.WriteToUDP(e.frame, e.peers[i].addr); err != nil {
+				e.txErrors.Add(1)
+				continue
+			}
+			e.txDatagrams.Add(1)
+		}
+	}
+}
+
+// readLoopSequential is the portable receive path: one syscall per
+// datagram into one reused buffer.
 func (e *Endpoint) readLoopSequential() {
-	defer e.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
 		n, _, err := e.conn.ReadFromUDP(buf)

@@ -10,22 +10,35 @@ import (
 	"eternalgw/internal/totem"
 )
 
-// freeRegistry builds a registry of localhost endpoints on free ports by
-// binding each once to discover a port, then releasing it.
+// freeRegistry builds a registry of localhost endpoints on free ports.
 func freeRegistry(t *testing.T, ids ...memnet.NodeID) Registry {
 	t.Helper()
-	reg := make(Registry, len(ids))
-	for _, id := range ids {
-		probe, err := Listen(id, Registry{id: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg[id] = probe.Addr()
-		if err := probe.Close(); err != nil {
-			t.Fatal(err)
-		}
+	reg, err := LoopbackRegistry(ids...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return reg
+}
+
+// TestLoopbackRegistryDistinctPorts pins the reason the probes are held
+// open together: 64 ids must get 64 different ports.
+func TestLoopbackRegistryDistinctPorts(t *testing.T) {
+	ids := make([]memnet.NodeID, 64)
+	for i := range ids {
+		ids[i] = memnet.NodeID(fmt.Sprintf("p%02d", i))
+	}
+	reg := freeRegistry(t, ids...)
+	seen := make(map[string]memnet.NodeID, len(ids))
+	for _, id := range ids {
+		addr, ok := reg[id]
+		if !ok {
+			t.Fatalf("no address for %s", id)
+		}
+		if other, dup := seen[addr]; dup {
+			t.Fatalf("%s and %s both got %s", other, id, addr)
+		}
+		seen[addr] = id
+	}
 }
 
 func TestListenRequiresRegistryEntry(t *testing.T) {
@@ -99,19 +112,19 @@ func TestBroadcastAfterClose(t *testing.T) {
 
 // TestTotemRingOverUDP runs a full totem ring over real UDP sockets:
 // the protocol must install a ring and deliver in identical total order
-// at every member — on the batched (sendmmsg/recvmmsg) datapath and on
-// the per-datagram ablation path.
+// at every member — on the platform's datapath (sendmmsg/recvmmsg where
+// supported) and on the portable per-datagram one.
 func TestTotemRingOverUDP(t *testing.T) {
-	t.Run("batched", func(t *testing.T) { testTotemRingOverUDP(t, Config{}) })
-	t.Run("perdatagram", func(t *testing.T) { testTotemRingOverUDP(t, Config{DisableBatching: true}) })
+	t.Run("batched", func(t *testing.T) { testTotemRingOverUDP(t, false) })
+	t.Run("perdatagram", func(t *testing.T) { testTotemRingOverUDP(t, true) })
 }
 
-func testTotemRingOverUDP(t *testing.T, cfg Config) {
+func testTotemRingOverUDP(t *testing.T, portable bool) {
 	ids := []memnet.NodeID{"u0", "u1", "u2"}
 	reg := freeRegistry(t, ids...)
 	nodes := make(map[memnet.NodeID]*totem.Node, len(ids))
 	for _, id := range ids {
-		ep, err := ListenConfig(id, reg, cfg)
+		ep, err := listen(id, reg, Config{}, portable)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ END {
         if (k in bcnt) continue
         base = k
         sub(/Leader/, "", base)
-        if (base == k) sub(/UDP\/(batched|perdatagram)/, "", base)
+        if (base == k) sub(/UDP\/batched/, "", base)
         if (base != k && (base in bcnt)) {
             b = mean(bsum, bcnt, base); a = mean(asum, acnt, k)
             printf "%-52s %14d %14d %8.2fx\n", k " (vs " base ")", b, a, b / a

@@ -7,10 +7,8 @@
 # ftdomaind -node OS processes over real localhost UDP sockets (the
 # first r sorted registry ids host replicas, the fourth hosts the
 # gateway) and drives it with udpbench: a timed multi-client echo phase
-# plus the exactly-once append audit. Within each round the batched
-# (sendmmsg/recvmmsg) and per-datagram datapaths run back to back, so
-# machine-load drift cancels out of the A/B instead of biasing one side
-# — the same interleaving discipline as scripts/benchcompare.sh.
+# plus the exactly-once append audit. Row names keep the "batched" leg
+# BENCH_udp.json recorded them under.
 #
 # Benchmark lines go to stdout in `go test -bench` format; `make
 # bench-udp` aggregates them (together with the in-process
@@ -45,13 +43,12 @@ stop_fleet() {
     PIDS=""
 }
 
-# launch_fleet ORDERING REPLICAS BATCHFLAG — start four node processes
-# and set GWADDR to the gateway address. Retries from scratch when the
+# launch_fleet ORDERING REPLICAS — start four node processes and set
+# GWADDR to the gateway address. Retries from scratch when the
 # probed registry ports are raced away.
 launch_fleet() {
     ordering=$1
     replicas=$2
-    batch=$3
     attempt=1
     while :; do
         set -- $("$WORK/udpbench" -freeports 4)
@@ -68,7 +65,7 @@ launch_fleet() {
             # shellcheck disable=SC2086
             "$WORK/ftdomaind" -node "$node" -registry "$REG" \
                 -replicas "$replicas" -ordering "$ordering" \
-                -udp-batch="$batch" -log-level error $listen >"$log" 2>&1 &
+                -log-level error $listen >"$log" 2>&1 &
             PIDS="$PIDS $!"
         done
         GWADDR=""
@@ -87,7 +84,7 @@ launch_fleet() {
             sleep 0.2
         done
         [ -n "$GWADDR" ] && return 0
-        echo "benchudp: launch attempt $attempt ($ordering r=$replicas batch=$batch) failed; node logs:" >&2
+        echo "benchudp: launch attempt $attempt ($ordering r=$replicas) failed; node logs:" >&2
         cat "$WORK"/*.log >&2 || true
         stop_fleet
         attempt=$((attempt + 1))
@@ -102,20 +99,16 @@ round=1
 while [ "$round" -le "$ROUNDS" ]; do
     for ordering in ring leader; do
         for replicas in 1 2 3; do
-            for mode in batched perdatagram; do
-                batch=true
-                [ "$mode" = perdatagram ] && batch=false
-                echo "== round $round/$ROUNDS: $ordering r=$replicas $mode ==" >&2
-                launch_fleet "$ordering" "$replicas" "$batch"
-                "$WORK/udpbench" -addr "$GWADDR" -clients "$CLIENTS" \
-                    -duration "$DURATION" -payload 64 \
-                    -name "BenchmarkUDPMultiProcess/$ordering/$mode/r=$replicas/c=$CLIENTS/small" \
-                    -audit -audit-appends 25 >"$WORK/bench.out"
-                # Benchmark line to stdout, audit confirmation to stderr.
-                grep '^Benchmark' "$WORK/bench.out"
-                grep -v '^Benchmark' "$WORK/bench.out" >&2 || true
-                stop_fleet
-            done
+            echo "== round $round/$ROUNDS: $ordering r=$replicas ==" >&2
+            launch_fleet "$ordering" "$replicas"
+            "$WORK/udpbench" -addr "$GWADDR" -clients "$CLIENTS" \
+                -duration "$DURATION" -payload 64 \
+                -name "BenchmarkUDPMultiProcess/$ordering/batched/r=$replicas/c=$CLIENTS/small" \
+                -audit -audit-appends 25 >"$WORK/bench.out"
+            # Benchmark line to stdout, audit confirmation to stderr.
+            grep '^Benchmark' "$WORK/bench.out"
+            grep -v '^Benchmark' "$WORK/bench.out" >&2 || true
+            stop_fleet
         done
     done
     round=$((round + 1))
