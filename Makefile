@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp clean
+.PHONY: build test vet lint lint-fast race check budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs clean
 
 build:
 	$(GO) build ./...
@@ -43,8 +43,17 @@ race:
 # soaks at a higher repetition count than one `go test` pass gives
 # them, the multi-process UDP deployment smoke, a one-iteration
 # benchmark smoke so a change that breaks benchmark setup (but not the
-# tests) cannot land silently, and the reference benchmark's own module.
-check: vet lint race sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
+# tests) cannot land silently, the reference benchmark's own module, and
+# the datapath's allocation budget.
+check: vet lint race budget sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
+
+# budget runs the datapath allocation budget (alloc_budget_test.go: a
+# 16 KiB leader-mode round trip at r=3 must stay under 560 KiB and 185
+# allocations) on its own, without the race detector's overhead, and
+# prints the figures. `race` runs it too; this is the line to look for
+# in a CI log. scripts/copymap.sh attributes a failure to a call site.
+budget:
+	$(GO) test -run 'TestDatapathAllocBudget$$' -count 1 -v .
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule
@@ -158,6 +167,16 @@ bench-udp:
 	done
 	scripts/benchudp.sh $(BENCH_UDP_MP_ROUNDS) 2s 8 | tee -a /tmp/bench_udp.txt
 	awk -f scripts/benchjson.awk -v cmd='make bench-udp' /tmp/bench_udp.txt | tee BENCH_udp.json
+
+# bench-allocs runs the three rows the copy and allocation diet is
+# judged by — the leader-mode round trip, small and large, and the
+# ring-mode large round trip — with -benchmem, and prints them in the
+# trajectory schema with bytes_per_op and allocs_per_op beside ns_per_op
+# (BENCH_pr14.json is this target run on the parent and on the change).
+bench-allocs:
+	$(GO) test -run xxx -bench 'BenchmarkGatewayRoundTripLeader$$' -benchmem -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_allocs.txt
+	$(GO) test -run xxx -bench 'BenchmarkGatewayRoundTrip$$/large' -benchmem -benchtime 2s -count $(BENCH_COUNT) . | tee -a /tmp/bench_allocs.txt
+	@awk -f scripts/benchjson.awk -v cmd='make bench-allocs' /tmp/bench_allocs.txt
 
 # bench-baseline reproduces the original gateway round-trip numbers
 # recorded in BENCH_baseline.json (baseline vs instrumented datapath).

@@ -100,8 +100,8 @@ func benchDomainOrdering(b *testing.B, nodes int, mode totem.OrderingMode) *doma
 // same sequencer. Promotion needs a quiescent ring (stable == seq with
 // no retransmissions), so timing must not start before it happens —
 // otherwise early iterations measure ring mode.
-func benchWaitFastpath(b *testing.B, d *domain.Domain) {
-	b.Helper()
+func benchWaitFastpath(tb testing.TB, d *domain.Domain) {
+	tb.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		agreed := true
@@ -118,7 +118,7 @@ func benchWaitFastpath(b *testing.B, d *domain.Domain) {
 			return
 		}
 		if time.Now().After(deadline) {
-			b.Fatal("fast path never promoted")
+			tb.Fatal("fast path never promoted")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -1,15 +1,18 @@
-// Package arenaalias flags code paths that let totem delivery-arena
-// memory escape the delivery callback without a copy.
+// Package arenaalias flags code paths that let delivered datagram bytes
+// escape the delivery callback without a copy, or that write to them.
 //
-// Since PR 3 the receive path is zero-copy: one datagram is decoded into
-// one arena, totem.Delivery.Payload sub-slices it, and
-// replication.DecodeHeader returns a HeaderView whose Payload aliases it
-// in turn. Everything downstream of the event-loop callback therefore
-// holds borrowed memory. Retaining it — storing it into a long-lived
-// structure, sending it to another goroutine, capturing it in a spawned
-// closure — pins the whole datagram's arena today and becomes a silent
-// use-after-reuse the day the arenas are pooled. The only safe way to
-// keep delivery bytes is an explicit copy: append([]byte(nil), b...),
+// The receive path is zero-copy and the datagram is the arena: totem
+// decodes a received datagram in place, totem.Delivery.Payload is a
+// window onto it, and replication.DecodeHeader returns a HeaderView
+// whose Payload aliases it in turn. Everything downstream of the
+// event-loop callback therefore holds borrowed memory — and on memnet
+// the same datagram is in every ring member's hands at once. Retaining
+// it — storing it into a long-lived structure, sending it to another
+// goroutine, capturing it in a spawned closure — pins the whole datagram
+// and becomes a silent use-after-reuse the day datagrams are pooled.
+// Writing to it corrupts the message for every other payload packed into
+// the datagram and for every other member. The only safe way to keep or
+// change delivery bytes is an explicit copy: append([]byte(nil), b...),
 // or a string conversion.
 //
 // The analyzer runs a per-function taint pass. Any expression whose type
@@ -34,6 +37,17 @@
 //
 // Passing a borrowed value as a call argument is allowed — the callee is
 // analyzed on its own and is responsible for what it retains.
+//
+// Borrowed also means read-only. A second pass over the same taint —
+// widened by memnet.Packet, whose Payload the transport shares between
+// receivers before totem ever decodes it — reports
+//
+//   - an element of a borrowed slice assigned, op-assigned or
+//     incremented (b[i] = x),
+//   - a borrowed slice as the destination of copy, and
+//   - append onto a borrowed slice whose capacity is not visibly clipped
+//     (b[:n:n] or slices.Clip(b)): the append may write into the bytes
+//     behind it, which belong to the next payload of the datagram.
 package arenaalias
 
 import (
@@ -54,6 +68,14 @@ var defaultArena = map[string]bool{
 	"eternalgw/internal/totem.Event":            true,
 	"eternalgw/internal/replication.HeaderView": true,
 	"eternalgw/internal/replication.Message":    true,
+}
+
+// defaultShared names types that are not escape-checked — a Packet is
+// made to be queued and handed on — but whose bytes are as read-only as
+// any arena type's: memnet gives every receiver of a broadcast the same
+// Payload.
+var defaultShared = map[string]bool{
+	"eternalgw/internal/memnet.Packet": true,
 }
 
 // defaultCarrier maps the types allowed to carry borrowed memory
@@ -81,6 +103,9 @@ var Analyzer = &analysis.Analyzer{
 type checker struct {
 	pass  *analysis.Pass
 	arena map[string]bool // type keys whose values are always borrowed
+	// writes selects the read-only pass: arena holds the shared types as
+	// well, and findings are writes instead of escapes.
+	writes bool
 	// carrier maps carrier type keys to their borrow-holding fields;
 	// a nil set means every reference-carrying field.
 	carrier map[string]map[string]bool
@@ -109,10 +134,18 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
+	ro := &checker{pass: pass, arena: make(map[string]bool, len(c.arena)+len(defaultShared)), carrier: c.carrier, writes: true}
+	for k := range c.arena {
+		ro.arena[k] = true
+	}
+	for k := range defaultShared {
+		ro.arena[k] = true
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				c.checkFunc(fd)
+				ro.checkFunc(fd)
 			}
 		}
 	}
@@ -203,7 +236,11 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		}
 	}
 
-	c.findViolations(body, tainted)
+	if c.writes {
+		c.findWrites(body, tainted)
+	} else {
+		c.findViolations(body, tainted)
+	}
 }
 
 // tainted reports whether e evaluates to borrowed arena memory under the
@@ -351,6 +388,61 @@ func (c *checker) findViolations(body *ast.BlockStmt, set map[types.Object]bool)
 		}
 		return true
 	})
+}
+
+// findWrites walks the body reporting writes to borrowed bytes. Only
+// slices of scalar elements are the datagram's own memory: a borrowed
+// slice of tasks or of part headers is the holder's private index over
+// it, and storing into that is the escape pass's business.
+func (c *checker) findWrites(body *ast.BlockStmt, set map[types.Object]bool) {
+	const why = "delivered bytes are read-only and may be shared between ring members"
+	arenaBytes := func(e ast.Expr) bool {
+		st, ok := c.pass.TypesInfo.TypeOf(e).Underlying().(*types.Slice)
+		return ok && !refLike(st.Elem()) && c.tainted(set, e)
+	}
+	element := func(lhs ast.Expr) {
+		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && arenaBytes(ix.X) {
+			c.pass.Reportf(lhs.Pos(), "write into delivery-arena memory: %s; copy first (append([]byte(nil), b...))", why)
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				element(lhs)
+			}
+		case *ast.IncDecStmt:
+			element(n.X)
+		case *ast.CallExpr:
+			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
+			if !ok || len(n.Args) == 0 {
+				return true
+			}
+			b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin)
+			if !ok || !arenaBytes(n.Args[0]) {
+				return true
+			}
+			switch {
+			case b.Name() == "copy":
+				c.pass.Reportf(n.Args[0].Pos(), "copy onto delivery-arena memory: %s; copy into a buffer of your own", why)
+			case b.Name() == "append" && !c.clipped(n.Args[0]):
+				c.pass.Reportf(n.Args[0].Pos(), "append to delivery-arena memory may write into the bytes behind it: %s; clip the capacity (b[:len(b):len(b)]) or copy first", why)
+			}
+		}
+		return true
+	})
+}
+
+// clipped reports whether e visibly has no spare capacity to append
+// into: a three-index slice whose max is its high bound, or slices.Clip.
+func (c *checker) clipped(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SliceExpr:
+		return e.Slice3 && e.High != nil && types.ExprString(e.Max) == types.ExprString(e.High)
+	case *ast.CallExpr:
+		return analysis.FuncKey(analysis.Callee(c.pass.TypesInfo, e)) == "slices.Clip"
+	}
+	return false
 }
 
 // escapingDest classifies an assignment destination that outlives the

@@ -117,3 +117,64 @@ func pinnedBelow(v view) {
 	//lint:allow arenaalias standalone directive covers the next line
 	sink = v.buf
 }
+
+// Borrowed is read-only: the bytes behind a view belong to every
+// payload packed into the datagram and, on memnet, to every ring member.
+// Each form has its sanctioned shape and its mutation.
+
+// Element writes go to a copy...
+func okWriteCopy(v view) []byte {
+	own := append([]byte(nil), v.buf...)
+	own[0] = 1
+	own[1] ^= 0xff
+	own[2]++
+	return own
+}
+
+// ...never into the borrow, directly or through a local or a sub-slice.
+func writeElem(v view) {
+	v.buf[0] = 1 // want `write into delivery-arena memory`
+}
+
+func writeElemOp(v view) {
+	b := v.buf
+	b[1] ^= 0xff // want `write into delivery-arena memory`
+	b[2:][0]++   // want `write into delivery-arena memory`
+}
+
+// A borrow may be the source of a copy...
+func okCopyFrom(v view, dst []byte) int {
+	return copy(dst, v.buf)
+}
+
+// ...not its destination.
+func copyOnto(v view, src []byte) {
+	copy(v.buf, src) // want `copy onto delivery-arena memory`
+}
+
+// Appending onto a borrow is fine once its capacity is visibly clipped:
+// the append has to reallocate and the borrow is only read.
+func okAppendClipped(v view, tail []byte) []byte {
+	b := v.buf
+	out := append(b[:len(b):len(b)], tail...)
+	return append([]byte(nil), out...)
+}
+
+// Unclipped, it writes into whatever follows the borrow in the datagram.
+func appendOnto(v view, tail []byte) int {
+	grown := append(v.buf, tail...) // want `append to delivery-arena memory`
+	return len(grown)
+}
+
+// A carrier's queue of parcels is the carrier's own index over the
+// datagram, not the datagram: growing it is the escape pass's business
+// (a carrier field store is the sanctioned handoff), not a write.
+//
+// gwlint:arena-carrier
+type queue struct {
+	items []parcel
+}
+
+func (q *queue) push(p parcel) {
+	q.items = append(q.items, p)
+}

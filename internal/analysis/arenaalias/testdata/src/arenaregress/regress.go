@@ -6,6 +6,7 @@
 package arenaregress
 
 import (
+	"eternalgw/internal/memnet"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
 )
@@ -49,4 +50,32 @@ func snapshot(d totem.Delivery) []byte {
 
 func peek(d totem.Delivery) (replication.HeaderView, error) {
 	return replication.DecodeHeader(d.Payload)
+}
+
+// A memnet.Packet is made to be queued and handed on, so it is not
+// escape-checked...
+func relay(pkt memnet.Packet, out chan memnet.Packet) {
+	out <- pkt
+}
+
+// ...but memnet puts one broadcast's payload into every receiver's
+// inbox, so it is as read-only as a delivery: a transport shim or fault
+// injector that wants to damage a datagram damages a copy.
+func corruptInPlace(pkt memnet.Packet) {
+	pkt.Payload[0] ^= 0xff // want `write into delivery-arena memory`
+}
+
+func corruptCopy(pkt memnet.Packet) memnet.Packet {
+	own := append([]byte(nil), pkt.Payload...)
+	own[0] ^= 0xff
+	return memnet.Packet{From: pkt.From, Payload: own}
+}
+
+// The same rule one layer up, on the real delivery types.
+func scrub(d totem.Delivery) {
+	copy(d.Payload, make([]byte, len(d.Payload))) // want `copy onto delivery-arena memory`
+}
+
+func extend(hv replication.HeaderView) []byte {
+	return append(hv.Payload, 0) // want `append to delivery-arena memory` `returning delivery-arena memory`
 }

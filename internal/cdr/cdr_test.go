@@ -270,3 +270,26 @@ func TestWriterAppendsAreSequential(t *testing.T) {
 		t.Fatalf("len = %d, want 8", w.Len())
 	}
 }
+
+// TestWriterOnAlignsToItsOwnStart: a stream appended behind a prefix of
+// any length is the stream a fresh writer produces, and the prefix is
+// left as it was.
+func TestWriterOnAlignsToItsOwnStart(t *testing.T) {
+	write := func(w *Writer) {
+		w.WriteOctet(1)
+		w.WriteULongLong(2)
+		w.WriteUShort(3)
+		w.WriteString("four")
+		w.WriteULong(5)
+	}
+	fresh := NewWriter(LittleEndian)
+	write(fresh)
+	for _, prefix := range []string{"", "x", "abc", "12345678", "123456789"} {
+		w := NewWriterOn([]byte(prefix), LittleEndian)
+		write(w)
+		got := w.Bytes()
+		if w.Len() != len(got) || string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], fresh.Bytes()) {
+			t.Fatalf("prefix %q: stream %x, want %x", prefix, got[len(prefix):], fresh.Bytes())
+		}
+	}
+}

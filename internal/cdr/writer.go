@@ -14,9 +14,10 @@ import (
 type Writer struct {
 	buf   []byte
 	order ByteOrder
-	// base is the stream position of buf[0]; non-zero only for writers that
-	// continue an existing stream (GIOP bodies start at offset 12 but CDR
-	// alignment is relative to the body start, so base stays 0 there).
+	// base is the stream position of buf[0]: zero for a writer that owns
+	// its buffer, minus the prefix length for one that appends a new
+	// stream behind bytes already in the buffer (NewWriterOn), so that
+	// alignment stays relative to where the stream starts.
 	base int
 	err  error
 }
@@ -36,10 +37,20 @@ func NewWriterCap(order ByteOrder, capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity), order: order}
 }
 
+// NewWriterOn returns a Writer that appends a new stream to buf: stream
+// position zero, which alignment is relative to, is buf's current end.
+// Bytes returns buf followed by the stream, and Len counts both. This is
+// how an encapsulating layer and the message it encapsulates are built
+// in one buffer.
+func NewWriterOn(buf []byte, order ByteOrder) *Writer {
+	return &Writer{buf: buf, order: order, base: -len(buf)}
+}
+
 // Order reports the byte order the writer encodes with.
 func (w *Writer) Order() ByteOrder { return w.order }
 
-// Len returns the number of bytes written so far.
+// Len returns the length of Bytes: the bytes written so far, behind any
+// prefix the writer was started on.
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Err returns the first error encountered, if any.

@@ -704,21 +704,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 	if !req.ResponseExpected {
 		// One-way request: convey it into the domain without waiting
 		// for (or ever receiving) a response.
-		wire, err := giop.EncodeRequest(req.ArgsOrder, req)
-		if err != nil {
-			gw.log.Errorf("encode one-way: %v", err)
-			return
-		}
-		if err := gw.rm.MulticastMessage(replication.Message{
-			Header: replication.Header{
-				Kind:     replication.KindInvocation,
-				ClientID: clientID,
-				SrcGroup: gw.cfg.Group,
-				DstGroup: group,
-				Op:       op,
-			},
-			Payload: giop.Marshal(wire),
-		}); err != nil {
+		if err := gw.rm.MulticastRequest(gw.cfg.Group, clientID, group, op, req); err != nil {
 			gw.requestsAbandoned.Add(1)
 		}
 		return

@@ -63,9 +63,10 @@ func (s *recordStore) noteSeen(key cacheKey) bool {
 
 // storeReply caches a raw response under its operation key; the first
 // recorded response wins, matching the deduplication rule. The bytes are
-// copied: the caller's slice may alias a delivery buffer (and, with
-// packing, the arena shared by a whole datagram), which must not be
-// pinned for the record's lifetime.
+// copied: the caller's slice may be a window onto a delivered datagram
+// (the datagram is the arena: every payload packed into it and, on
+// memnet, every ring member shares it), which must not be pinned for
+// the record's lifetime.
 func (s *recordStore) storeReply(key cacheKey, raw []byte) {
 	sh := s.shard(key.clientID)
 	sh.mu.Lock()

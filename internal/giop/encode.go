@@ -2,6 +2,7 @@ package giop
 
 import (
 	"fmt"
+	"slices"
 
 	"eternalgw/internal/cdr"
 )
@@ -15,6 +16,18 @@ import (
 // octet sequences, which carry their own alignment).
 func EncodeRequest(order cdr.ByteOrder, req Request) (Message, error) {
 	w := cdr.NewWriterCap(order, requestSizeHint(req))
+	writeRequest(w, req)
+	if err := w.Err(); err != nil {
+		return Message{}, fmt.Errorf("giop: encode request: %w", err)
+	}
+	return Message{
+		Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgRequest},
+		Body:   w.Bytes(),
+	}, nil
+}
+
+// writeRequest writes a GIOP 1.0 Request body.
+func writeRequest(w *cdr.Writer, req Request) {
 	writeServiceContexts(w, req.ServiceContexts)
 	w.WriteULong(req.RequestID)
 	w.WriteBool(req.ResponseExpected)
@@ -26,16 +39,45 @@ func EncodeRequest(order cdr.ByteOrder, req Request) (Message, error) {
 	// that matches what the encoder of Args assumed.
 	w.Align(8)
 	w.WriteOctets(req.Args)
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode request: %w", err)
-	}
-	return Message{
-		Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgRequest},
-		Body:   w.Bytes(),
-	}, nil
 }
 
-// DecodeRequest parses a Request message body.
+// AppendRequest appends to dst the wire form (header and body) of a GIOP
+// 1.0 Request: the bytes Marshal gives for EncodeRequest's message,
+// built in place. A layer that encapsulates the message sizes dst with
+// RequestSizeBound and pays for one buffer, not three.
+func AppendRequest(dst []byte, order cdr.ByteOrder, req Request) ([]byte, error) {
+	h := Header{Major: 1, Minor: 0, Order: order, Type: MsgRequest}
+	w := cdr.NewWriterOn(appendHeader(dst, h), order)
+	writeRequest(w, req)
+	return finishAppend(w, len(dst), h)
+}
+
+// AppendReply is AppendRequest for a GIOP 1.0 Reply.
+func AppendReply(dst []byte, order cdr.ByteOrder, rep Reply) ([]byte, error) {
+	h := Header{Major: 1, Minor: 0, Order: order, Type: MsgReply}
+	w := cdr.NewWriterOn(appendHeader(dst, h), order)
+	writeReply(w, rep)
+	return finishAppend(w, len(dst), h)
+}
+
+// finishAppend completes a message appended at offset start of w's
+// buffer: the body is written, so its size is known, and the header
+// written ahead of it is rewritten in place to carry it.
+func finishAppend(w *cdr.Writer, start int, h Header) ([]byte, error) {
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("giop: encode %v: %w", h.Type, err)
+	}
+	out := w.Bytes()
+	h.Size = uint32(len(out) - start - HeaderSize)
+	appendHeader(out[:start], h)
+	return out, nil
+}
+
+// DecodeRequest parses a Request message body. The request's ObjectKey,
+// Principal and Args alias msg.Body and must not be written to (they are
+// cap-clipped, so an append reallocates). Whoever holds the request
+// holds the whole body; a caller that keeps one long after the message
+// was handled copies what it needs.
 func DecodeRequest(msg Message) (Request, error) {
 	if msg.Header.Type != MsgRequest {
 		return Request{}, fmt.Errorf("giop: decode request: message is %v", msg.Header.Type)
@@ -47,20 +89,26 @@ func DecodeRequest(msg Message) (Request, error) {
 		return decodeRequest12(msg)
 	}
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
+	req := readRequest(r)
+	if err := r.Err(); err != nil {
+		return Request{}, fmt.Errorf("giop: decode request: %w", err)
+	}
+	req.ArgsOrder = msg.Header.Order
+	return req, nil
+}
+
+// readRequest reads what writeRequest writes.
+func readRequest(r *cdr.Reader) Request {
 	var req Request
 	req.ServiceContexts = readServiceContexts(r)
 	req.RequestID = r.ReadULong()
 	req.ResponseExpected = r.ReadBool()
-	req.ObjectKey = cloneBytes(r.ReadOctetSeq())
+	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
 	req.Operation = r.ReadString()
-	req.Principal = cloneBytes(r.ReadOctetSeq())
+	req.Principal = slices.Clip(r.ReadOctetSeq())
 	r.Align(8)
-	if err := r.Err(); err != nil {
-		return Request{}, fmt.Errorf("giop: decode request: %w", err)
-	}
-	req.Args = cloneBytes(r.ReadOctets(r.Remaining()))
-	req.ArgsOrder = msg.Header.Order
-	return req, nil
+	req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
+	return req
 }
 
 // requestSizeHint bounds a request body's encoded size, so encoders can
@@ -84,14 +132,16 @@ func replySizeHint(rep Reply) int {
 	return size
 }
 
+// RequestSizeBound bounds the length of what AppendRequest appends.
+func RequestSizeBound(req Request) int { return HeaderSize + requestSizeHint(req) }
+
+// ReplySizeBound bounds the length of what AppendReply appends.
+func ReplySizeBound(rep Reply) int { return HeaderSize + replySizeHint(rep) }
+
 // EncodeReply builds a framed Reply message in the given byte order.
 func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
 	w := cdr.NewWriterCap(order, replySizeHint(rep))
-	writeServiceContexts(w, rep.ServiceContexts)
-	w.WriteULong(rep.RequestID)
-	w.WriteULong(uint32(rep.Status))
-	w.Align(8)
-	w.WriteOctets(rep.Result)
+	writeReply(w, rep)
 	if err := w.Err(); err != nil {
 		return Message{}, fmt.Errorf("giop: encode reply: %w", err)
 	}
@@ -99,6 +149,15 @@ func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
 		Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgReply},
 		Body:   w.Bytes(),
 	}, nil
+}
+
+// writeReply writes a GIOP 1.0 Reply body.
+func writeReply(w *cdr.Writer, rep Reply) {
+	writeServiceContexts(w, rep.ServiceContexts)
+	w.WriteULong(rep.RequestID)
+	w.WriteULong(uint32(rep.Status))
+	w.Align(8)
+	w.WriteOctets(rep.Result)
 }
 
 // DecodeReply parses a Reply message body.
@@ -110,17 +169,23 @@ func DecodeReply(msg Message) (Reply, error) {
 		return decodeReply12(msg)
 	}
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
+	rep := readReply(r)
+	if err := r.Err(); err != nil {
+		return Reply{}, fmt.Errorf("giop: decode reply: %w", err)
+	}
+	rep.ResultOrder = msg.Header.Order
+	return rep, nil
+}
+
+// readReply reads what writeReply writes.
+func readReply(r *cdr.Reader) Reply {
 	var rep Reply
 	rep.ServiceContexts = readServiceContexts(r)
 	rep.RequestID = r.ReadULong()
 	rep.Status = ReplyStatus(r.ReadULong())
 	r.Align(8)
-	if err := r.Err(); err != nil {
-		return Reply{}, fmt.Errorf("giop: decode reply: %w", err)
-	}
 	rep.Result = cloneBytes(r.ReadOctets(r.Remaining()))
-	rep.ResultOrder = msg.Header.Order
-	return rep, nil
+	return rep
 }
 
 // EncodeCancelRequest builds a framed CancelRequest message.

@@ -127,6 +127,9 @@ type Reassembler struct {
 	partial  *Message
 	pendID   []byte // 1.2: the request id continuations must match
 	maxTotal int
+	// hdr is Next's header scratch: a local would escape through
+	// io.ReadFull and cost an allocation per message.
+	hdr [HeaderSize]byte
 }
 
 // NewReassembler wraps r. maxTotal bounds a reassembled message's body
@@ -141,14 +144,14 @@ func NewReassembler(r io.Reader, maxTotal int) *Reassembler {
 // Next returns the next complete message.
 func (ra *Reassembler) Next() (Message, error) {
 	for {
-		var hdr [HeaderSize]byte
+		hdr := &ra.hdr
 		if _, err := io.ReadFull(ra.r, hdr[:]); err != nil {
 			if ra.partial != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 				return Message{}, ErrFragmentTooOld
 			}
 			return Message{}, err
 		}
-		h, err := parseHeader(hdr)
+		h, err := parseHeader(*hdr)
 		if err != nil {
 			return Message{}, err
 		}

@@ -1,6 +1,7 @@
 package giop
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -75,7 +76,30 @@ func FuzzDecodeRequest(f *testing.F) {
 			string(back.ObjectKey) != string(req.ObjectKey) {
 			t.Fatalf("round trip changed identity: %+v != %+v", back, req)
 		}
+		// What the domain conveys is the request re-framed as GIOP 1.0:
+		// built in place it must be the bytes the two-step form gives.
+		two, err := EncodeRequest(order, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAppend(t, Marshal(two), func(dst []byte) ([]byte, error) { return AppendRequest(dst, order, req) })
 	})
+}
+
+// checkAppend holds an in-place encoder to its reference: behind any
+// prefix it appends exactly want, alignment being relative to where the
+// message starts, and leaves the prefix alone.
+func checkAppend(t *testing.T, want []byte, appendTo func(dst []byte) ([]byte, error)) {
+	t.Helper()
+	for _, prefix := range []string{"", "abc", "0123456789012345678901234567890123456789"} {
+		got, err := appendTo([]byte(prefix))
+		if err != nil {
+			t.Fatalf("prefix %d: %v", len(prefix), err)
+		}
+		if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("prefix %d: appended form differs from Marshal's (%d vs %d bytes)", len(prefix), len(got)-len(prefix), len(want))
+		}
+	}
 }
 
 // FuzzDecodeReply is FuzzDecodeRequest for the reply decoders.
@@ -111,6 +135,11 @@ func FuzzDecodeReply(f *testing.F) {
 		if back.RequestID != rep.RequestID || back.Status != rep.Status {
 			t.Fatalf("round trip changed identity: %+v != %+v", back, rep)
 		}
+		two, err := EncodeReply(order, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAppend(t, Marshal(two), func(dst []byte) ([]byte, error) { return AppendReply(dst, order, rep) })
 	})
 }
 

@@ -3,6 +3,7 @@ package giop
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"eternalgw/internal/cdr"
 )
@@ -88,26 +89,16 @@ func decodeRequest11(msg Message) (Request, error) {
 	r.ReadOctet() // reserved
 	r.ReadOctet()
 	r.ReadOctet()
-	req.ObjectKey = cloneRequestBytes(r.ReadOctetSeq())
+	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
 	req.Operation = r.ReadString()
-	req.Principal = cloneRequestBytes(r.ReadOctetSeq())
+	req.Principal = slices.Clip(r.ReadOctetSeq())
 	r.Align(8)
 	if err := r.Err(); err != nil {
 		return Request{}, fmt.Errorf("giop: decode 1.1 request: %w", err)
 	}
-	req.Args = cloneRequestBytes(r.ReadOctets(r.Remaining()))
+	req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
 	req.ArgsOrder = msg.Header.Order
 	return req, nil
-}
-
-// cloneRequestBytes copies decoded slices out of network buffers.
-func cloneRequestBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 func encodeRequest12(order cdr.ByteOrder, req Request) (Message, error) {
@@ -152,7 +143,7 @@ func decodeRequest12(msg Message) (Request, error) {
 	if r.Err() == nil && disposition != TargetKeyAddr {
 		return Request{}, fmt.Errorf("%w: %d", ErrUnsupportedTarget, disposition)
 	}
-	req.ObjectKey = cloneBytes(r.ReadOctetSeq())
+	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
 	req.Operation = r.ReadString()
 	req.ServiceContexts = readServiceContexts(r)
 	if err := r.Err(); err != nil {
@@ -160,7 +151,7 @@ func decodeRequest12(msg Message) (Request, error) {
 	}
 	if r.Remaining() > 0 {
 		r.Align(8)
-		req.Args = cloneBytes(r.ReadOctets(r.Remaining()))
+		req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
 	}
 	req.ArgsOrder = msg.Header.Order
 	return req, nil

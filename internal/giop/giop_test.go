@@ -267,3 +267,96 @@ func TestServiceContextTruncationFailsCleanly(t *testing.T) {
 		t.Fatal("expected truncation error")
 	}
 }
+
+// TestAppendMatchesMarshal pins the in-place encoders to the two-step
+// form they replace on the domain's send path, for both byte orders and
+// for empty and fragment-sized bodies: the wire format must not move.
+func TestAppendMatchesMarshal(t *testing.T) {
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		for _, n := range []int{0, 1, 64 << 10} {
+			body := bytes.Repeat([]byte{0x5a}, n)
+			req := Request{
+				RequestID: 77, ResponseExpected: true, ObjectKey: []byte("group/7"), Operation: "echo",
+				Principal: []byte("p"), Args: body, ArgsOrder: order,
+				ServiceContexts: []ServiceContext{{ID: FTClientContextID, Data: []byte("client-1")}},
+			}
+			two, err := EncodeRequest(order, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAppend(t, Marshal(two), func(dst []byte) ([]byte, error) { return AppendRequest(dst, order, req) })
+			if got := RequestSizeBound(req); got < HeaderSize+len(two.Body) {
+				t.Errorf("RequestSizeBound %d is below the encoded %d", got, HeaderSize+len(two.Body))
+			}
+
+			rep := Reply{RequestID: 77, Status: ReplyUserException, Result: body, ResultOrder: order,
+				ServiceContexts: []ServiceContext{{ID: 3, Data: []byte("ctx")}}}
+			twoRep, err := EncodeReply(order, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAppend(t, Marshal(twoRep), func(dst []byte) ([]byte, error) { return AppendReply(dst, order, rep) })
+			if got := ReplySizeBound(rep); got < HeaderSize+len(twoRep.Body) {
+				t.Errorf("ReplySizeBound %d is below the encoded %d", got, HeaderSize+len(twoRep.Body))
+			}
+		}
+	}
+}
+
+// TestDecodeRequestBorrowsBody pins the decode side of the datapath's
+// copy diet: in every protocol minor the decoded key, principal and
+// arguments are cap-clipped windows onto the message body, not copies.
+func TestDecodeRequestBorrowsBody(t *testing.T) {
+	for _, minor := range []byte{0, 1, 2} {
+		args := bytes.Repeat([]byte{0x11}, 4<<10)
+		msg, err := EncodeRequestV(cdr.BigEndian, minor, Request{
+			RequestID: 9, ResponseExpected: true, ObjectKey: []byte("group/7"), Operation: "echo",
+			Principal: []byte("who"), Args: args,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := DecodeRequest(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"ObjectKey": req.ObjectKey, "Principal": req.Principal, "Args": req.Args} {
+			if cap(b) != len(b) {
+				t.Errorf("1.%d %s: cap %d != len %d", minor, name, cap(b), len(b))
+			}
+		}
+		// The test owns the body and may write to it; a window follows.
+		for i := range msg.Body {
+			msg.Body[i] ^= 0xff
+		}
+		if req.Args[0] != 0x11^0xff || req.ObjectKey[0] != 'g'^0xff {
+			t.Errorf("1.%d: decoded request does not alias the body: DecodeRequest copied", minor)
+		}
+		for i := range msg.Body {
+			msg.Body[i] ^= 0xff
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = DecodeRequest(msg) }); n > 1 {
+			t.Errorf("1.%d: DecodeRequest made %v allocations; only the operation name is due", minor, n)
+		}
+	}
+}
+
+// TestReassemblerAllocatesOnlyBodies: the header scratch lives in the
+// Reassembler, so an unfragmented message costs its body and nothing
+// else.
+func TestReassemblerAllocatesOnlyBodies(t *testing.T) {
+	msg, err := EncodeRequest(cdr.BigEndian, Request{RequestID: 1, ObjectKey: []byte("k"), Operation: "op", Args: make([]byte, 256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	stream := bytes.NewReader(bytes.Repeat(Marshal(msg), runs+2))
+	ra := NewReassembler(stream, 0)
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := ra.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Next made %v allocations per message, want 1 (the body)", n)
+	}
+}

@@ -44,7 +44,10 @@ func (realClock) AfterFunc(d time.Duration, f func()) {
 	time.AfterFunc(d, f)
 }
 
-// Packet is one datagram.
+// Packet is one datagram. Payload belongs to the receivers and is
+// read-only: Broadcast hands every destination the sender's slice, so
+// the same bytes sit in several inboxes at once and whoever writes to
+// them — sender or receiver — corrupts the datagram for the others.
 type Packet struct {
 	From    NodeID
 	Payload []byte
@@ -80,6 +83,10 @@ type Network struct {
 	maxDelay  time.Duration
 	partition map[NodeID]int // partition group per node; absent = group 0
 	crashed   map[NodeID]bool
+	// sorted holds the attached ids in sorted order. Attach and Detach
+	// replace it (never write into it), so Broadcast can walk a snapshot
+	// taken under mu after releasing the lock.
+	sorted []NodeID
 
 	sent, delivered, lost, blocked, overflow atomic.Uint64
 }
@@ -150,6 +157,7 @@ func (n *Network) Attach(id NodeID) (*Endpoint, error) {
 		inbox: make(chan Packet, defaultInboxSize),
 	}
 	n.nodes[id] = e
+	n.resortLocked()
 	delete(n.crashed, id)
 	return e, nil
 }
@@ -159,6 +167,7 @@ func (n *Network) Detach(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.nodes, id)
+	n.resortLocked()
 }
 
 // Crash marks a node as crashed: it neither sends nor receives until
@@ -219,17 +228,18 @@ func (n *Network) SetLoss(rate float64) {
 func (n *Network) Nodes() []NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sortedNodesLocked()
+	return append([]NodeID(nil), n.sorted...)
 }
 
-// sortedNodesLocked returns the attached ids sorted. Callers hold mu.
-func (n *Network) sortedNodesLocked() []NodeID {
+// resortLocked rebuilds sorted after the node set changed. Callers hold
+// mu.
+func (n *Network) resortLocked() {
 	out := make([]NodeID, 0, len(n.nodes))
 	for id := range n.nodes {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	n.sorted = out
 }
 
 // Stats returns a snapshot of the network counters.
@@ -321,7 +331,7 @@ func (e *Endpoint) Broadcast(payload []byte) error {
 		return fmt.Errorf("memnet: node %q crashed", e.id)
 	}
 	e.net.mu.Lock()
-	ids := e.net.sortedNodesLocked()
+	ids := e.net.sorted
 	e.net.mu.Unlock()
 	for _, id := range ids {
 		e.net.send(e.id, id, payload)

@@ -2,6 +2,7 @@ package memnet
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -219,5 +220,64 @@ func TestStatsCountDelivered(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		recvOne(t, b)
+	}
+}
+
+// TestBroadcastWalksSortedIDsWithoutAllocating: the sorted id list is
+// rebuilt when the node set changes, not on every datagram, and its
+// order — the order loss and delay draws are made in, so part of the
+// simulator's determinism contract — stays sorted through attaches and
+// detaches in any order.
+func TestBroadcastWalksSortedIDsWithoutAllocating(t *testing.T) {
+	n := New(WithSeed(7), WithLoss(0.5))
+	eps := make(map[NodeID]*Endpoint)
+	for _, id := range []NodeID{"n3", "n0", "n9", "n1", "n5"} {
+		e, err := n.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[id] = e
+	}
+	n.Detach("n9")
+	want := []NodeID{"n0", "n1", "n3", "n5"}
+	if got := n.Nodes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Nodes() = %v, want %v", got, want)
+	}
+	got := n.Nodes()
+	got[0] = "mutated" // a caller's copy, not the network's list
+	if n.Nodes()[0] != "n0" {
+		t.Fatal("Nodes() handed out the network's own list")
+	}
+
+	// With loss on, which destinations survive depends on the draw order:
+	// a twin network fed its nodes in another order must lose the same
+	// datagrams.
+	twin := New(WithSeed(7), WithLoss(0.5))
+	twinEps := make(map[NodeID]*Endpoint)
+	for _, id := range []NodeID{"n5", "n1", "n0", "n3"} {
+		e, _ := twin.Attach(id)
+		twinEps[id] = e
+	}
+	for i := 0; i < 50; i++ {
+		_ = eps["n3"].Broadcast([]byte{byte(i)})
+		_ = twinEps["n3"].Broadcast([]byte{byte(i)})
+	}
+	for _, id := range want {
+		if a, b := len(eps[id].inbox), len(twinEps[id].inbox); a != b {
+			t.Errorf("%s received %d datagrams, its twin %d: broadcast order depends on attach order", id, a, b)
+		}
+	}
+
+	// The inboxes hold 4096 datagrams, so nobody needs to drain them.
+	quiet := New()
+	src, _ := quiet.Attach("a")
+	for _, id := range []NodeID{"b", "c", "d"} {
+		if _, err := quiet.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := []byte("x")
+	if allocs := testing.AllocsPerRun(200, func() { _ = src.Broadcast(payload) }); allocs != 0 {
+		t.Errorf("Broadcast made %v allocations per datagram, want 0", allocs)
 	}
 }

@@ -542,25 +542,7 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 	m.pending.register(key, call)
 	defer m.pending.unregister(key, call)
 
-	// Encode the conveyed IIOP request in the byte order its arguments
-	// were marshalled in (the external client's order, when a gateway
-	// forwards), so replicas decode the arguments correctly and answer
-	// in the same order.
-	reqMsg, err := giop.EncodeRequest(req.ArgsOrder, req)
-	if err != nil {
-		return giop.Reply{}, err
-	}
-	err = m.multicast(Message{
-		Header: Header{
-			Kind:     KindInvocation,
-			ClientID: clientID,
-			SrcGroup: src,
-			DstGroup: dst,
-			Op:       op,
-		},
-		Payload: giop.Marshal(reqMsg),
-	})
-	if err != nil {
+	if err := m.MulticastRequest(src, clientID, dst, op, req); err != nil {
 		return giop.Reply{}, err
 	}
 	m.invocationsSent.Add(1)
@@ -604,12 +586,36 @@ func (m *Mechanisms) HasQuorum() bool {
 	return len(m.node.Members()) >= m.cfg.QuorumOf/2+1
 }
 
-// multicast submits an encoded message to totem.
+// multicast encodes a message and submits it to totem.
 func (m *Mechanisms) multicast(msg Message) error {
-	if err := m.node.Multicast(Encode(msg)); err != nil {
+	return m.multicastEncoded(Encode(msg))
+}
+
+// multicastEncoded submits an encoded message to totem, which keeps the
+// buffer: the caller must not touch it afterwards.
+func (m *Mechanisms) multicastEncoded(enc []byte) error {
+	if err := m.node.Multicast(enc); err != nil {
 		return fmt.Errorf("replication: multicast: %w", err)
 	}
 	return nil
+}
+
+// MulticastRequest conveys an IIOP request into the domain as an
+// invocation of group dst on behalf of (src, clientID), without waiting
+// for a response: the whole of a one-way request, and the send half of
+// Invoke.
+func (m *Mechanisms) MulticastRequest(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request) error {
+	enc, err := EncodeRequest(Header{
+		Kind:     KindInvocation,
+		ClientID: clientID,
+		SrcGroup: src,
+		DstGroup: dst,
+		Op:       op,
+	}, req)
+	if err != nil {
+		return err
+	}
+	return m.multicastEncoded(enc)
 }
 
 // MulticastMessage multicasts an arbitrary infrastructure message into

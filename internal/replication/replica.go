@@ -182,9 +182,9 @@ func (r *replica) handle(t task) {
 			// State has not arrived yet: hold invocations back; they
 			// replay in order once the transfer is applied. The wait is
 			// unbounded, so the task must stop aliasing the delivery
-			// buffer — holding it raw would pin every packed datagram
-			// arena touched until the state transfer lands (and reads
-			// reused memory if arenas are ever pooled).
+			// buffer — holding it raw would pin every datagram touched
+			// until the state transfer lands (and read reused memory if
+			// datagrams are ever pooled).
 			r.holdback = append(r.holdback, t.detach())
 			return
 		}
@@ -309,23 +309,17 @@ func (r *replica) remember(key opKey, rep giop.Reply) {
 // carrying the same client identifier and operation identifier as the
 // invocation so receivers can correlate and deduplicate (figure 6).
 func (r *replica) respond(inv Message, rep giop.Reply) {
-	// The reply is framed in the same byte order its result bytes were
-	// produced in (the original request's order), so the label on the
-	// wire matches the payload.
-	wire, err := giop.EncodeReply(rep.ResultOrder, rep)
+	enc, err := EncodeReply(Header{
+		Kind:     KindResponse,
+		ClientID: inv.Header.ClientID,
+		SrcGroup: inv.Header.DstGroup, // we are the invoked group
+		DstGroup: inv.Header.SrcGroup,
+		Op:       inv.Header.Op,
+	}, rep)
 	if err != nil {
 		return
 	}
-	_ = r.m.multicast(Message{
-		Header: Header{
-			Kind:     KindResponse,
-			ClientID: inv.Header.ClientID,
-			SrcGroup: inv.Header.DstGroup, // we are the invoked group
-			DstGroup: inv.Header.SrcGroup,
-			Op:       inv.Header.Op,
-		},
-		Payload: giop.Marshal(wire),
-	})
+	_ = r.m.multicastEncoded(enc)
 	r.m.responsesSent.Add(1)
 }
 

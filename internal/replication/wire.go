@@ -1,9 +1,11 @@
 package replication
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/logrec"
 	"eternalgw/internal/memnet"
 )
@@ -85,19 +87,67 @@ type opKey struct {
 	op       OperationID
 }
 
-// Encode serializes a message for multicasting. The buffer is sized up
-// front: the header's fixed fields plus alignment padding fit in 48
-// bytes ahead of the payload.
+// headerLen is the encoded length of the fixed header, alignment padding
+// and the payload's length prefix included: the payload starts here.
+const headerLen = 40
+
+// Encode serializes a message for multicasting.
 func Encode(m Message) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 48+len(m.Payload))
-	w.WriteOctet(byte(m.Header.Kind))
-	w.WriteULongLong(m.Header.ClientID)
-	w.WriteULong(uint32(m.Header.SrcGroup))
-	w.WriteULong(uint32(m.Header.DstGroup))
-	w.WriteULongLong(m.Header.Op.ParentTS)
-	w.WriteULong(m.Header.Op.ChildSeq)
+	w := cdr.NewWriterCap(cdr.BigEndian, headerLen+len(m.Payload))
+	writeHeader(w, m.Header)
 	w.WriteOctetSeq(m.Payload)
 	return w.Bytes()
+}
+
+func writeHeader(w *cdr.Writer, h Header) {
+	w.WriteOctet(byte(h.Kind))
+	w.WriteULongLong(h.ClientID)
+	w.WriteULong(uint32(h.SrcGroup))
+	w.WriteULong(uint32(h.DstGroup))
+	w.WriteULongLong(h.Op.ParentTS)
+	w.WriteULong(h.Op.ChildSeq)
+}
+
+// EncodeRequest encapsulates an IIOP Request (figure 4b): Encode's wire
+// form of a message whose payload is the framed request, built in one
+// buffer — header, then the IIOP bytes appended in place, then the
+// payload length, known only now, patched in. The request is framed in
+// the byte order its arguments were marshalled in (the external
+// client's, when a gateway forwards), so replicas decode the arguments
+// correctly and answer in the same order.
+func EncodeRequest(h Header, req giop.Request) ([]byte, error) {
+	buf, err := giop.AppendRequest(openPayload(h, giop.RequestSizeBound(req)), req.ArgsOrder, req)
+	if err != nil {
+		return nil, err
+	}
+	return sealPayload(buf), nil
+}
+
+// EncodeReply is EncodeRequest for an IIOP Reply (figure 4c), framed in
+// the byte order its result bytes were produced in (the original
+// request's), so the label on the wire matches the payload.
+func EncodeReply(h Header, rep giop.Reply) ([]byte, error) {
+	buf, err := giop.AppendReply(openPayload(h, giop.ReplySizeBound(rep)), rep.ResultOrder, rep)
+	if err != nil {
+		return nil, err
+	}
+	return sealPayload(buf), nil
+}
+
+// openPayload starts a message with room for a payload of up to size
+// bytes: the header, with the payload length left for sealPayload.
+func openPayload(h Header, size int) []byte {
+	w := cdr.NewWriterCap(cdr.BigEndian, headerLen+size)
+	writeHeader(w, h)
+	w.WriteULong(0)
+	return w.Bytes()
+}
+
+// sealPayload patches the payload length into a message whose payload
+// was appended behind openPayload's header.
+func sealPayload(buf []byte) []byte {
+	binary.BigEndian.PutUint32(buf[headerLen-4:], uint32(len(buf)-headerLen))
+	return buf
 }
 
 // HeaderView is the cheap header-first peek at a delivered message: the
@@ -107,8 +157,9 @@ func Encode(m Message) []byte {
 // replica executor for request bodies, the first pending waiter for
 // reply bodies — and skipped entirely for early-discarded duplicate
 // responses. The payload must not be mutated, and anything retained
-// beyond the delivery must be copied (the packed-delivery arena behind
-// it is shared by every payload of the datagram).
+// beyond the delivery must be copied: the datagram is the arena, shared
+// by every payload packed into it and, on memnet, by every ring member
+// that received it.
 type HeaderView struct {
 	Header  Header
 	Payload []byte

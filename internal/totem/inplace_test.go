@@ -1,0 +1,301 @@
+package totem
+
+import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"eternalgw/internal/cdr"
+	"eternalgw/internal/memnet"
+)
+
+// payloadDecoders are the four decoders that hand application payloads
+// out of a datagram, behind one signature.
+var payloadDecoders = []struct {
+	name   string
+	kind   byte
+	frame  func(parts [][]byte) []byte
+	decode func(r *cdr.Reader) ([][]byte, error)
+}{
+	{"regular", kindRegular,
+		func(parts [][]byte) []byte {
+			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: parts[0]})
+		},
+		func(r *cdr.Reader) ([][]byte, error) {
+			m, err := decodeRegular(r)
+			return [][]byte{m.Payload}, err
+		}},
+	{"packed", kindPacked,
+		func(parts [][]byte) []byte {
+			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Parts: parts})
+		},
+		func(r *cdr.Reader) ([][]byte, error) {
+			m, err := decodePacked(r)
+			return m.Parts, err
+		}},
+	{"forward", kindForward,
+		func(parts [][]byte) []byte {
+			return encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 3, Parts: parts})
+		},
+		func(r *cdr.Reader) ([][]byte, error) {
+			f, err := decodeForward(r)
+			return f.Parts, err
+		}},
+	{"batch", kindBatch,
+		func(parts [][]byte) []byte {
+			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts})
+		},
+		func(r *cdr.Reader) ([][]byte, error) {
+			b, err := decodeBatch(r)
+			return b.Parts, err
+		}},
+}
+
+// slack is what a decode may allocate: part headers, the sender string,
+// an error. A copied payload is 8 KiB or more.
+const slack = 4 << 10
+
+// allocatedBy returns the bytes f allocates. MemStats counts the whole
+// process, and other goroutines only ever add to it, so the cheapest of
+// a few runs is f's own figure.
+func allocatedBy(f func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestDecodersBorrowTheDatagram pins the receive side of the datapath's
+// ownership rule: every decoded payload is a cap-clipped window onto the
+// input datagram, decoding costs part headers and not payload bytes, and
+// hostile counts and truncated frames fail before anything is allocated
+// for them.
+func TestDecodersBorrowTheDatagram(t *testing.T) {
+	parts := [][]byte{bytes.Repeat([]byte{0xa1}, 8<<10), bytes.Repeat([]byte{0xb2}, 8<<10), []byte("tail")}
+	for _, d := range payloadDecoders {
+		t.Run(d.name, func(t *testing.T) {
+			want := parts
+			if d.kind == kindRegular {
+				want = parts[:1]
+			}
+			frame := d.frame(want)
+			got, err := d.decode(decodeFrame(t, frame, d.kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d parts, want %d", len(got), len(want))
+			}
+			for i, p := range got {
+				if !bytes.Equal(p, want[i]) {
+					t.Fatalf("part %d differs from what was encoded", i)
+				}
+				if cap(p) != len(p) {
+					t.Errorf("part %d: cap %d != len %d: an append would run into the next part", i, cap(p), len(p))
+				}
+			}
+			// The test owns this datagram, so it may do what no receiver
+			// may: write to it. A part that sees the write is a window
+			// onto the datagram; a copy would not.
+			for i := range frame {
+				frame[i] ^= 0xff
+			}
+			for i, p := range got {
+				for j := range p {
+					if p[j] != want[i][j]^0xff {
+						t.Fatalf("part %d byte %d did not follow the datagram: the decoder copied", i, j)
+					}
+				}
+			}
+			for i := range frame {
+				frame[i] ^= 0xff
+			}
+
+			if n := allocatedBy(func() { _, _ = d.decode(cdrSkipKind(frame)) }); n > slack {
+				t.Errorf("decoding a %d-byte datagram allocated %d bytes; only part headers are due", len(frame), n)
+			}
+
+			// Every truncation fails, and fails cheaply.
+			for cut := 1; cut < len(frame); cut += 1 + cut/16 {
+				if _, err := d.decode(cdrSkipKind(frame[:cut])); err == nil {
+					t.Fatalf("frame truncated at %d/%d decoded", cut, len(frame))
+				}
+			}
+			if n := allocatedBy(func() { _, _ = d.decode(cdrSkipKind(frame[:len(frame)-1])) }); n > slack {
+				t.Errorf("rejecting a truncated frame allocated %d bytes", n)
+			}
+			if d.kind == kindRegular {
+				return
+			}
+			// A hostile part count: the count is the last ulong ahead of
+			// the first part's length prefix.
+			hostile := bytes.Clone(frame)
+			off := bytes.Index(hostile, want[0][:8]) - 8
+			copy(hostile[off:], []byte{0x7f, 0xff, 0xff, 0xff})
+			var derr error
+			n := allocatedBy(func() { _, derr = d.decode(cdrSkipKind(hostile)) })
+			if derr == nil {
+				t.Fatal("hostile part count decoded")
+			}
+			if n > slack {
+				t.Errorf("rejecting a hostile part count allocated %d bytes", n)
+			}
+		})
+	}
+}
+
+// auditTransport checksums every datagram a node broadcasts and keeps a
+// reference to it, so the test can prove afterwards that nobody — no
+// receiver, and not the sender either — wrote to bytes that memnet
+// shares between all ring members.
+type auditTransport struct {
+	Transport
+	ledger *datagramLedger
+}
+
+type datagramLedger struct {
+	mu      sync.Mutex
+	entries []ledgerEntry
+}
+
+type ledgerEntry struct {
+	from    memnet.NodeID
+	payload []byte
+	sum     uint32
+}
+
+func (a *auditTransport) Broadcast(payload []byte) error {
+	a.ledger.mu.Lock()
+	a.ledger.entries = append(a.ledger.entries, ledgerEntry{a.ID(), payload, crc32.ChecksumIEEE(payload)})
+	a.ledger.mu.Unlock()
+	return a.Transport.Broadcast(payload)
+}
+
+// verify re-checksums every datagram broadcast so far.
+func (l *datagramLedger) verify(t *testing.T, when string) int {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, e := range l.entries {
+		if crc32.ChecksumIEEE(e.payload) != e.sum {
+			t.Errorf("%s: datagram %d from %s (kind %d, %d bytes) was written to after Broadcast", when, i, e.from, e.payload[0], len(e.payload))
+		}
+	}
+	return len(l.entries)
+}
+
+// sequenced counts the datagrams that carried a sequence number, first
+// transmissions and retransmissions alike.
+func (l *datagramLedger) sequenced() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.entries {
+		switch e.payload[0] {
+		case kindRegular, kindPacked, kindBatch:
+			n++
+		}
+	}
+	return n
+}
+
+// TestSharedDatagramsStayIntact runs a 4-node ring on memnet, where one
+// broadcast puts the same slice into all four inboxes, through delivery
+// and stability garbage collection in both ordering modes, and checks
+// that every datagram still has the checksum it was broadcast with. Run
+// under -race it also proves no receiver's write raced another's read.
+func TestSharedDatagramsStayIntact(t *testing.T) {
+	for _, mode := range []OrderingMode{OrderingRing, OrderingLeader} {
+		t.Run(fmt.Sprint("ordering=", mode), func(t *testing.T) {
+			ledger := &datagramLedger{}
+			c := newClusterCfg(t, 4, func(cfg *Config) {
+				cfg.Ordering = mode
+				cfg.Endpoint = &auditTransport{Transport: cfg.Endpoint, ledger: ledger}
+			})
+			for _, id := range c.ids {
+				c.waitConfig(id, 4)
+			}
+			if mode == OrderingLeader {
+				c.waitFastpath()
+			}
+			// Bursts of small payloads pack; the large ones travel alone.
+			const perNode = 40
+			for i := 0; i < perNode; i++ {
+				for k, id := range c.ids {
+					size := 32
+					if i%8 == 0 {
+						size = 20 << 10
+					}
+					p := bytes.Repeat([]byte{byte(i), byte(k)}, size/2)
+					if err := c.nodes[id].Multicast(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			total := perNode * len(c.ids)
+			var first []Delivery
+			for _, id := range c.ids {
+				got := c.collect(id, total)
+				if first == nil {
+					first = got
+				}
+				// Consumers see their own payloads, whole and in the one
+				// total order.
+				for i, dv := range got {
+					if !bytes.Equal(dv.Payload, first[i].Payload) || dv.Sender != first[i].Sender {
+						t.Fatalf("%s: delivery %d differs from %s's", id, i, c.ids[0])
+					}
+					if want := bytes.Repeat(dv.Payload[:2], len(dv.Payload)/2); !bytes.Equal(dv.Payload, want) {
+						t.Fatalf("%s: delivery %d is not the payload its sender multicast", id, i)
+					}
+				}
+			}
+			ledger.verify(t, "after delivery at all four members")
+
+			// Let stability catch up so every member garbage-collects the
+			// messages whose payloads alias those datagrams.
+			passes := c.nodes[c.ids[0]].Stats().TokenPasses
+			caughtUp := func() bool {
+				if mode == OrderingRing {
+					return c.nodes[c.ids[0]].Stats().TokenPasses >= passes+4
+				}
+				leader, _, ok := c.nodes[c.ids[0]].Fastpath()
+				return ok && c.nodes[leader].Stats().StabilityLag == 0
+			}
+			for deadline := time.Now().Add(5 * time.Second); !caughtUp(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("stability never caught up")
+				}
+			}
+			// In leader mode followers learn the horizon from the next
+			// batch, so order one more message behind it.
+			if err := c.nodes[c.ids[0]].Multicast([]byte("flush")); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range c.ids {
+				c.collect(id, 1)
+			}
+			// Without GC a member still buffers every sequenced message.
+			sequenced := ledger.sequenced()
+			for _, id := range c.ids {
+				n := c.nodes[id]
+				n.Stop()
+				if len(n.buffer) >= sequenced {
+					t.Errorf("%s: all %d sequenced messages still buffered; stability GC did not run", id, sequenced)
+				}
+			}
+			if n := ledger.verify(t, "after stability GC"); n < total/32 {
+				t.Fatalf("only %d datagrams were audited", n)
+			}
+		})
+	}
+}

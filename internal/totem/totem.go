@@ -48,7 +48,9 @@ type Delivery struct {
 	RingID uint64
 	// Sender is the node that originated the message.
 	Sender memnet.NodeID
-	// Payload is the application payload.
+	// Payload is the application payload: a cap-clipped subslice of the
+	// received datagram, read-only and possibly shared with other ring
+	// members (see Transport). Copy what must outlive the delivery.
 	Payload []byte
 }
 
@@ -74,12 +76,24 @@ type ConfigChange struct {
 // broadcast-capable (with self-delivery), exactly the service a LAN
 // offers the original Totem. memnet.Endpoint implements it for the
 // simulated network; udpnet.Endpoint implements it over real UDP.
+//
+// Ownership of datagram bytes (the one rule of the datapath, DESIGN.md
+// section 7): a received Packet.Payload belongs to its receivers. The
+// node decodes it in place — every Delivery.Payload is a subslice of it
+// — and keeps it for as long as a delivered or buffered message refers
+// to it, so a transport must never reuse or write to a payload it has
+// handed out. The bytes are immutable for everyone, the sender included,
+// from the moment Broadcast returns, and may be shared between
+// receivers (memnet hands all of them the sender's slice; udpnet gives
+// each its own copy off the socket).
 type Transport interface {
 	// ID is the local node's identity on the network.
 	ID() memnet.NodeID
 	// Recv returns the incoming datagram stream.
 	Recv() <-chan memnet.Packet
 	// Broadcast sends a datagram to every node, including the sender.
+	// The transport may retain payload; the caller must not modify it
+	// afterwards.
 	Broadcast(payload []byte) error
 }
 

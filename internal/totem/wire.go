@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"slices"
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/memnet"
@@ -91,9 +92,7 @@ func encodeRegular(m regularMsg) []byte {
 		w.WriteULongLong(m.Seq)
 		w.WriteString(string(m.Sender))
 		w.WriteULong(uint32(len(m.Parts)))
-		for _, p := range m.Parts {
-			w.WriteOctetSeq(p)
-		}
+		writeParts(w, m.Parts)
 		return w.Bytes()
 	}
 	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Payload))
@@ -114,8 +113,7 @@ func decodeRegular(r *cdr.Reader) (regularMsg, error) {
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode regular: %w", err)
 	}
-	m.Payload = make([]byte, len(payload))
-	copy(m.Payload, payload)
+	m.Payload = slices.Clip(payload)
 	return m, nil
 }
 
@@ -132,21 +130,7 @@ func decodePacked(r *cdr.Reader) (regularMsg, error) {
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: bad part count %d", n)
 	}
-	// One arena allocation per datagram instead of one per part: the
-	// parts are copied out of the transport buffer into a single backing
-	// buffer and delivered as capped subslices of it. Consumers treat
-	// delivered payloads as read-only, so sharing the arena is safe; the
-	// cap on each subslice keeps an append from bleeding into the next
-	// part. The arena is sized at the reader's remainder, a slight
-	// overestimate (length prefixes and padding), so it never regrows.
-	m.Parts = make([][]byte, 0, n)
-	arena := make([]byte, 0, r.Remaining())
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		p := r.ReadOctetSeq()
-		off := len(arena)
-		arena = append(arena, p...)
-		m.Parts = append(m.Parts, arena[off:len(arena):len(arena)])
-	}
+	m.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: %w", err)
 	}
@@ -154,6 +138,27 @@ func decodePacked(r *cdr.Reader) (regularMsg, error) {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
 	}
 	return m, nil
+}
+
+// writeParts writes the payloads behind a part count.
+func writeParts(w *cdr.Writer, parts [][]byte) {
+	for _, p := range parts {
+		w.WriteOctetSeq(p)
+	}
+}
+
+// readParts reads n counted payloads in place: the datagram is the
+// arena. Each part is a subslice of the received datagram (see
+// Transport for who owns it), so decoding a datagram allocates only the
+// part headers; the cap on each part keeps an append from bleeding into
+// the next part's bytes. The caller has already bounded n by the
+// reader's remainder.
+func readParts(r *cdr.Reader, n uint32) [][]byte {
+	parts := make([][]byte, 0, n)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		parts = append(parts, slices.Clip(r.ReadOctetSeq()))
+	}
+	return parts
 }
 
 func encodeToken(t token) []byte {
@@ -285,9 +290,7 @@ func encodeForward(f forwardMsg) []byte {
 	w.WriteString(string(f.Sender))
 	w.WriteULongLong(f.FwdSeq)
 	w.WriteULong(uint32(len(f.Parts)))
-	for _, p := range f.Parts {
-		w.WriteOctetSeq(p)
-	}
+	writeParts(w, f.Parts)
 	return w.Bytes()
 }
 
@@ -302,14 +305,7 @@ func decodeForward(r *cdr.Reader) (forwardMsg, error) {
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: bad part count %d", n)
 	}
-	f.Parts = make([][]byte, 0, n)
-	arena := make([]byte, 0, r.Remaining())
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		p := r.ReadOctetSeq()
-		off := len(arena)
-		arena = append(arena, p...)
-		f.Parts = append(f.Parts, arena[off:len(arena):len(arena)])
-	}
+	f.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: %w", err)
 	}
@@ -333,9 +329,7 @@ func encodeBatch(b batchMsg) []byte {
 	w.WriteULongLong(b.OriginFwd)
 	w.WriteULongLong(b.Stable)
 	w.WriteULong(uint32(len(b.Parts)))
-	for _, p := range b.Parts {
-		w.WriteOctetSeq(p)
-	}
+	writeParts(w, b.Parts)
 	return w.Bytes()
 }
 
@@ -351,16 +345,7 @@ func decodeBatch(r *cdr.Reader) (batchMsg, error) {
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: bad part count %d", n)
 	}
-	// Same one-arena-per-datagram copy as decodePacked: parts are capped
-	// subslices of a single backing buffer.
-	b.Parts = make([][]byte, 0, n)
-	arena := make([]byte, 0, r.Remaining())
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		p := r.ReadOctetSeq()
-		off := len(arena)
-		arena = append(arena, p...)
-		b.Parts = append(b.Parts, arena[off:len(arena):len(arena)])
-	}
+	b.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: %w", err)
 	}

@@ -1,7 +1,9 @@
 # Summarizes `go test -bench` output as JSON in the BENCH_baseline.json
 # schema: goos/goarch/cpu from the run header, then per-benchmark
 # ns_per_op sample lists and means, so a run is directly comparable to
-# the recorded BENCH_*.json trajectory files. Used by `make bench`.
+# the recorded BENCH_*.json trajectory files. Rows run with -benchmem
+# also carry bytes_per_op and allocs_per_op, samples and means. Used by
+# `make bench`, `make bench-udp` and `make bench-allocs`.
 /^goos: /   { goos = $2 }
 /^goarch: / { goarch = $2 }
 /^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
@@ -16,7 +18,12 @@
             samples[name] = samples[name] == "" ? $i : samples[name] ", " $i
             sum[name] += $i
             cnt[name]++
-            break
+        } else if ($(i + 1) == "B/op") {
+            bytes[name] = bytes[name] == "" ? $i : bytes[name] ", " $i
+            bsum[name] += $i
+        } else if ($(i + 1) == "allocs/op") {
+            allocs[name] = allocs[name] == "" ? $i : allocs[name] ", " $i
+            asum[name] += $i
         }
     }
 }
@@ -31,7 +38,14 @@ END {
         name = order[i]
         printf "    \"%s\": {\n", name
         printf "      \"ns_per_op\": [%s],\n", samples[name]
-        printf "      \"mean_ns_per_op\": %d\n", sum[name] / cnt[name]
+        printf "      \"mean_ns_per_op\": %d", sum[name] / cnt[name]
+        if (name in bytes) {
+            printf ",\n      \"bytes_per_op\": [%s],\n", bytes[name]
+            printf "      \"mean_bytes_per_op\": %d,\n", bsum[name] / cnt[name]
+            printf "      \"allocs_per_op\": [%s],\n", allocs[name]
+            printf "      \"mean_allocs_per_op\": %d", asum[name] / cnt[name]
+        }
+        printf "\n"
         printf "    }%s\n", i < n ? "," : ""
     }
     printf "  }\n"
