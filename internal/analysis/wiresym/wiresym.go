@@ -71,20 +71,21 @@ var ops = map[string]string{
 	cdrPath + ".Writer.WriteOctetSeq":  "octetseq",
 	cdrPath + ".Writer.Align":          "align",
 
-	cdrPath + ".Reader.ReadOctet":     "octet",
-	cdrPath + ".Reader.ReadBool":      "bool",
-	cdrPath + ".Reader.ReadUShort":    "ushort",
-	cdrPath + ".Reader.ReadShort":     "ushort",
-	cdrPath + ".Reader.ReadULong":     "ulong",
-	cdrPath + ".Reader.ReadLong":      "ulong",
-	cdrPath + ".Reader.ReadULongLong": "ulonglong",
-	cdrPath + ".Reader.ReadLongLong":  "ulonglong",
-	cdrPath + ".Reader.ReadFloat":     "float",
-	cdrPath + ".Reader.ReadDouble":    "double",
-	cdrPath + ".Reader.ReadString":    "string",
-	cdrPath + ".Reader.ReadOctets":    "octets",
-	cdrPath + ".Reader.ReadOctetSeq":  "octetseq",
-	cdrPath + ".Reader.Align":         "align",
+	cdrPath + ".Reader.ReadOctet":       "octet",
+	cdrPath + ".Reader.ReadBool":        "bool",
+	cdrPath + ".Reader.ReadUShort":      "ushort",
+	cdrPath + ".Reader.ReadShort":       "ushort",
+	cdrPath + ".Reader.ReadULong":       "ulong",
+	cdrPath + ".Reader.ReadLong":        "ulong",
+	cdrPath + ".Reader.ReadULongLong":   "ulonglong",
+	cdrPath + ".Reader.ReadLongLong":    "ulonglong",
+	cdrPath + ".Reader.ReadFloat":       "float",
+	cdrPath + ".Reader.ReadDouble":      "double",
+	cdrPath + ".Reader.ReadString":      "string",
+	cdrPath + ".Reader.ReadStringBytes": "string",
+	cdrPath + ".Reader.ReadOctets":      "octets",
+	cdrPath + ".Reader.ReadOctetSeq":    "octetseq",
+	cdrPath + ".Reader.Align":           "align",
 }
 
 // opaque are cdr calls whose contents this analyzer cannot linearize.

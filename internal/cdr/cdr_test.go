@@ -77,6 +77,42 @@ func TestStringMissingNUL(t *testing.T) {
 	}
 }
 
+// TestReadStringBytesIsAView: the same string, length and terminator
+// checks as ReadString, as a cap-clipped window onto the stream.
+func TestReadStringBytesIsAView(t *testing.T) {
+	w := NewWriter(BigEndian)
+	w.WriteString("hi")
+	w.WriteULong(7)
+	buf := w.Bytes()
+	r := NewReader(buf, BigEndian)
+	got := r.ReadStringBytes()
+	if string(got) != "hi" || cap(got) != 2 || r.Err() != nil {
+		t.Fatalf("ReadStringBytes = %q (cap %d), err %v", got, cap(got), r.Err())
+	}
+	if &got[0] != &buf[4] {
+		t.Fatal("ReadStringBytes copied")
+	}
+	if r.ReadULong() != 7 || r.Err() != nil {
+		t.Fatal("the reader is not behind the terminator")
+	}
+	if n := testing.AllocsPerRun(100, func() { NewReader(buf, BigEndian).ReadStringBytes() }); n != 0 {
+		t.Fatalf("ReadStringBytes allocates %v times", n)
+	}
+	for name, bad := range map[string][]byte{
+		"no terminator": {0, 0, 0, 2, 'h', 'i'},
+		"too long":      {0, 0, 0, 9, 'h', 0},
+		"truncated":     {0, 0},
+	} {
+		r := NewReader(bad, BigEndian)
+		if got := r.ReadStringBytes(); got != nil || r.Err() == nil {
+			t.Errorf("%s: ReadStringBytes = %q, err %v", name, got, r.Err())
+		}
+	}
+	if got := NewReader([]byte{0, 0, 0, 0}, BigEndian).ReadStringBytes(); got != nil {
+		t.Errorf("zero-length string = %q", got)
+	}
+}
+
 func TestRoundTripAllPrimitives(t *testing.T) {
 	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
 		w := NewWriter(order)

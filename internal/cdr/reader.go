@@ -154,27 +154,34 @@ func (r *Reader) ReadFloat() float32 { return math.Float32frombits(r.ReadULong()
 func (r *Reader) ReadDouble() float64 { return math.Float64frombits(r.ReadULongLong()) }
 
 // ReadString decodes a CDR string (length includes the terminating NUL).
-func (r *Reader) ReadString() string {
+func (r *Reader) ReadString() string { return string(r.ReadStringBytes()) }
+
+// ReadStringBytes decodes a CDR string as a view of its characters: the
+// same length and NUL checks as ReadString, but the returned slice
+// aliases the reader's buffer (without the terminator) instead of being
+// copied into a string. For callers that only compare or look the string
+// up (m[string(b)] does not allocate).
+func (r *Reader) ReadStringBytes() []byte {
 	n := r.ReadULong()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n == 0 {
 		// Tolerated: some ORBs emit zero-length (rather than 1 + NUL)
 		// for empty strings.
-		return ""
+		return nil
 	}
 	if n > maxSeqLen || int(n) > r.Remaining() {
 		r.fail(fmt.Errorf("cdr: string length %d exceeds remaining %d bytes: %w", n, r.Remaining(), ErrTruncated))
-		return ""
+		return nil
 	}
 	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	if b[len(b)-1] != 0 {
 		r.fail(errors.New("cdr: string missing NUL terminator"))
-		return ""
+		return nil
 	}
-	return string(b[:len(b)-1])
+	return b[: len(b)-1 : len(b)-1]
 }
 
 // ReadOctets decodes n raw bytes without alignment. The returned slice

@@ -160,7 +160,10 @@ func writeReply(w *cdr.Writer, rep Reply) {
 	w.WriteOctets(rep.Result)
 }
 
-// DecodeReply parses a Reply message body.
+// DecodeReply parses a Reply message body. The reply's Result aliases
+// msg.Body under the rule DecodeRequest states for Args: read-only,
+// cap-clipped, and whoever holds the reply holds the whole body. The
+// service contexts are copied.
 func DecodeReply(msg Message) (Reply, error) {
 	if msg.Header.Type != MsgReply {
 		return Reply{}, fmt.Errorf("giop: decode reply: message is %v", msg.Header.Type)
@@ -184,7 +187,7 @@ func readReply(r *cdr.Reader) Reply {
 	rep.RequestID = r.ReadULong()
 	rep.Status = ReplyStatus(r.ReadULong())
 	r.Align(8)
-	rep.Result = cloneBytes(r.ReadOctets(r.Remaining()))
+	rep.Result = slices.Clip(r.ReadOctets(r.Remaining()))
 	return rep
 }
 
@@ -311,7 +314,8 @@ func readServiceContexts(r *cdr.Reader) []ServiceContext {
 	return list
 }
 
-// cloneBytes copies b so decoded messages do not alias network buffers.
+// cloneBytes copies b: the small fields of a decoded message (service
+// contexts, a locate request's key) do not alias network buffers.
 func cloneBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil

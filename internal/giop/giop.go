@@ -173,7 +173,8 @@ type Reply struct {
 	RequestID       uint32
 	Status          ReplyStatus
 	// Result holds the CDR-encoded reply body (out-parameters, or the
-	// exception, or the forwarding IOR).
+	// exception, or the forwarding IOR). In a decoded reply it aliases
+	// the message body it was decoded from (see DecodeReply).
 	Result      []byte
 	ResultOrder cdr.ByteOrder
 }

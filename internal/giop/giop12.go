@@ -203,7 +203,7 @@ func decodeReply12(msg Message) (Reply, error) {
 	}
 	if r.Remaining() > 0 {
 		r.Align(8)
-		rep.Result = cloneBytes(r.ReadOctets(r.Remaining()))
+		rep.Result = slices.Clip(r.ReadOctets(r.Remaining()))
 	}
 	rep.ResultOrder = msg.Header.Order
 	return rep, nil

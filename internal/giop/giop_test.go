@@ -341,6 +341,33 @@ func TestDecodeRequestBorrowsBody(t *testing.T) {
 	}
 }
 
+// TestDecodeReplyBorrowsBody is the reply leg's half of the same rule:
+// the result is a cap-clipped window onto the body in every minor.
+func TestDecodeReplyBorrowsBody(t *testing.T) {
+	for _, minor := range []byte{0, 1, 2} {
+		msg, err := EncodeReplyV(cdr.BigEndian, minor, Reply{
+			RequestID: 9, Status: ReplyNoException, Result: bytes.Repeat([]byte{0x22}, 4<<10),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := DecodeReply(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Result) != 4<<10 || cap(rep.Result) != len(rep.Result) {
+			t.Errorf("1.%d Result: len %d cap %d", minor, len(rep.Result), cap(rep.Result))
+		}
+		msg.Body[len(msg.Body)-1] ^= 0xff
+		if rep.Result[len(rep.Result)-1] != 0x22^0xff {
+			t.Errorf("1.%d: decoded reply does not alias the body: DecodeReply copied", minor)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = DecodeReply(msg) }); n != 0 {
+			t.Errorf("1.%d: DecodeReply made %v allocations", minor, n)
+		}
+	}
+}
+
 // TestReassemblerAllocatesOnlyBodies: the header scratch lives in the
 // Reassembler, so an unfragmented message costs its body and nothing
 // else.

@@ -84,8 +84,9 @@ type pendingCall struct {
 // the raw encapsulated IIOP reply (the common first-response path, where
 // the waiter decodes it off the event loop) or an already-decoded reply
 // (the voting path, which must decode on the loop to compare result
-// bytes across replicas). raw aliases the delivery buffer; the waiter
-// decodes it immediately and DecodeReply copies the result bytes out.
+// bytes across replicas). raw aliases the delivery buffer, and so does
+// the Result of the reply decoded from it — in both cases the borrow
+// passes to Invoke's caller, who reads the reply and lets it go.
 type pendingResult struct {
 	rep giop.Reply
 	raw []byte
@@ -515,6 +516,10 @@ func (m *Mechanisms) notifyChanged() {
 // it). clientID carries the TCP client identifier when a gateway invokes
 // on behalf of an external client, and UnusedClientID otherwise. op must
 // be determined identically by every replica of the issuing group.
+//
+// The reply's Result is a read-only view of the datagram the response
+// was delivered in (DESIGN.md section 7): the caller reads or re-encodes
+// it and copies what it means to keep.
 func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request, timeout time.Duration) (giop.Reply, error) {
 	if timeout == 0 {
 		timeout = m.cfg.InvokeTimeout
@@ -558,8 +563,9 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 		}
 		// The common path: the event loop handed over the raw
 		// encapsulated reply and this waiter — off the event loop —
-		// decodes it. DecodeReply copies the result bytes out of the
-		// delivery buffer.
+		// decodes it. The reply's Result stays a view of the delivered
+		// datagram (giop.DecodeReply): read-only, and the caller's for as
+		// long as it holds the reply.
 		wire, derr := giop.Unmarshal(res.raw)
 		if derr != nil {
 			return giop.Reply{}, fmt.Errorf("replication: decode response: %w", derr)

@@ -17,6 +17,7 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 2, Parts: [][]byte{[]byte("p")}}))
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 3, Parts: [][]byte{[]byte("a"), []byte("bb")}}))
 	f.Add(encodeBatch(batchMsg{RingID: 1, Seq: 9, Leader: "l", Origin: "n", OriginFwd: 2, Stable: 5, Parts: [][]byte{[]byte("p")}}))
+	f.Add(encodeBatch(batchMsg{RingID: 1, Seq: 10, Leader: "l", Origin: "n", OriginFwd: 3, Stable: 5, Ref: true}))
 	f.Add(encodeAck(ackMsg{RingID: 1, Sender: "n", Aru: 7, Nak: []uint64{8, 9}}))
 	f.Add(encodePromote(promoteMsg{RingID: 1, Leader: "l", StartSeq: 6, Stable: 6}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -26,21 +27,24 @@ func FuzzWireDecoders(f *testing.F) {
 		r := cdr.NewReader(data, cdr.BigEndian)
 		switch r.ReadOctet() {
 		case kindRegular:
-			_, _ = decodeRegular(r)
+			_, _ = decodeRegular(r, nil)
 		case kindPacked:
-			_, _ = decodePacked(r)
+			_, _ = decodePacked(r, nil)
 		case kindToken:
-			_, _ = decodeToken(r)
+			_, _ = decodeToken(r, nil)
 		case kindJoin:
 			_, _ = decodeJoin(r)
 		case kindForward:
-			_, _ = decodeForward(r)
+			_, _ = decodeForward(r, nil)
 		case kindBatch:
-			_, _ = decodeBatch(r)
+			_, _ = decodeBatch(r, nil)
 		case kindAck:
-			_, _ = decodeAck(r)
+			// Both depths of the ack decode: the sequencer's and everyone
+			// else's.
+			_, _ = decodeAck(r, nil, true)
+			_, _ = decodeAck(cdrSkipKind(data), nil, false)
 		case kindPromote:
-			_, _ = decodePromote(r)
+			_, _ = decodePromote(r, nil)
 		}
 	})
 }

@@ -26,7 +26,7 @@ var payloadDecoders = []struct {
 			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: parts[0]})
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			m, err := decodeRegular(r)
+			m, err := decodeRegular(r, nil)
 			return [][]byte{m.Payload}, err
 		}},
 	{"packed", kindPacked,
@@ -34,7 +34,7 @@ var payloadDecoders = []struct {
 			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Parts: parts})
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			m, err := decodePacked(r)
+			m, err := decodePacked(r, nil)
 			return m.Parts, err
 		}},
 	{"forward", kindForward,
@@ -42,16 +42,16 @@ var payloadDecoders = []struct {
 			return encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 3, Parts: parts})
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			f, err := decodeForward(r)
-			return f.Parts, err
+			f, err := decodeForward(r, nil)
+			return allParts(f.Payload, f.Parts), err
 		}},
 	{"batch", kindBatch,
 		func(parts [][]byte) []byte {
 			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts})
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			b, err := decodeBatch(r)
-			return b.Parts, err
+			b, err := decodeBatch(r, nil)
+			return allParts(b.Payload, b.Parts), err
 		}},
 }
 
@@ -148,6 +148,108 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 			}
 			if n > slack {
 				t.Errorf("rejecting a hostile part count allocated %d bytes", n)
+			}
+		})
+	}
+	// The by-reference batch's share of the rule: there is nothing to
+	// borrow, so there is nothing to allocate either — not for an honest
+	// reference, not for one naming a forward number no origin will ever
+	// reach, and not for a part count that promises payloads the datagram
+	// does not have.
+	t.Run("batch by reference", func(t *testing.T) {
+		ids := newIDTable([]memnet.NodeID{"n00", "n01"})
+		for _, fwd := range []uint64{3, ^uint64(0)} {
+			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true})
+			b, err := decodeBatch(decodeFrame(t, frame, kindBatch), ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !b.Ref || b.Payload != nil || b.Parts != nil || b.OriginFwd != fwd || b.Origin != "n01" {
+				t.Fatalf("decoded %+v", b)
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = decodeBatch(cdrSkipKind(frame), ids) }); n != 0 {
+				t.Errorf("decoding a by-reference batch (OriginFwd %d) allocates %v times", fwd, n)
+			}
+			for cut := 1; cut < len(frame); cut++ {
+				if _, err := decodeBatch(cdrSkipKind(frame[:cut]), ids); err == nil {
+					t.Fatalf("frame truncated at %d/%d decoded", cut, len(frame))
+				}
+			}
+		}
+		// The count is the last ulong of a by-reference frame.
+		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true})
+		copy(hostile[len(hostile)-4:], []byte{0x7f, 0xff, 0xff, 0xff})
+		var derr error
+		n := allocatedBy(func() { _, derr = decodeBatch(cdrSkipKind(hostile), ids) })
+		if derr == nil {
+			t.Fatal("hostile part count decoded")
+		}
+		if n > slack {
+			t.Errorf("rejecting a hostile part count allocated %d bytes", n)
+		}
+	})
+}
+
+// TestRingMemberIDsDecodeWithoutAllocating pins the id table: a datagram
+// whose ids are ring members' decodes without a string allocation, a
+// stranger's id decodes to the same value it always did, and decoding it
+// does not add it to the table.
+func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
+	ids := newIDTable([]memnet.NodeID{"n00", "n01", "n02"})
+	frames := map[string][]byte{
+		"regular": encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: []byte("p")}),
+		"token":   encodeToken(token{RingID: 1, TokenID: 2, Succ: "n01"}),
+		"forward": encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 2, Payload: []byte("p")}),
+		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}),
+		"ack":     encodeAck(ackMsg{RingID: 1, Sender: "n01", Aru: 2}),
+		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}),
+	}
+	// Static calls, as in handlePacket, so the reader stays on the stack.
+	decodeID := func(frame []byte, ids idTable) (id memnet.NodeID, err error) {
+		r := cdr.NewReader(frame, cdr.BigEndian)
+		switch r.ReadOctet() {
+		case kindRegular:
+			m, err := decodeRegular(r, ids)
+			return m.Sender, err
+		case kindToken:
+			m, err := decodeToken(r, ids)
+			return m.Succ, err
+		case kindForward:
+			m, err := decodeForward(r, ids)
+			return m.Sender, err
+		case kindBatch:
+			m, err := decodeBatch(r, ids)
+			return m.Origin, err
+		case kindAck:
+			m, err := decodeAck(r, ids, true)
+			return m.Sender, err
+		case kindPromote:
+			m, err := decodePromote(r, ids)
+			return m.Leader, err
+		}
+		return "", fmt.Errorf("kind %d", frame[0])
+	}
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) {
+			got, err := decodeID(frame, ids)
+			if err != nil || got != "n01" {
+				t.Fatalf("decoded id %q, err %v", got, err)
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = decodeID(frame, ids) }); n != 0 {
+				t.Errorf("decoding a ring member's datagram allocates %v times", n)
+			}
+			// The same datagram from a stranger decodes to the same id it
+			// always did, by allocating it — and the table stays as it was.
+			stranger := bytes.ReplaceAll(frame, []byte("n01"), []byte("x99"))
+			got, err = decodeID(stranger, ids)
+			if err != nil || got != "x99" {
+				t.Fatalf("decoded stranger id %q, err %v", got, err)
+			}
+			if _, ok := ids["x99"]; ok || len(ids) != 3 {
+				t.Fatalf("a stranger's id entered the table: %v", ids)
+			}
+			if got, err = decodeID(frame, nil); err != nil || got != "n01" {
+				t.Fatalf("nil table: decoded id %q, err %v", got, err)
 			}
 		})
 	}

@@ -6,11 +6,22 @@ package totem
 // and retires the token. From then on the common path has no token wait:
 // a node with pending payloads forwards them to the sequencer
 // immediately (kindForward), the sequencer assigns the next sequence
-// numbers and multicasts ordered batches (kindBatch, the packed wire
-// form plus a leader header), and followers report their contiguous
-// received watermark (kindAck) so the sequencer advances a stability
-// horizon that replaces the token-carried aru for garbage collection and
+// numbers and multicasts ordered batches (kindBatch, a leader header plus
+// the packed wire form), and followers report their contiguous received
+// watermark (kindAck) so the sequencer advances a stability horizon that
+// replaces the token-carried aru for garbage collection and
 // retransmission decisions. Promotion and each heartbeat are kindPromote.
+//
+// The transport only broadcasts, so a forward has put its payloads in
+// front of every member by the time the sequencer orders it. Another
+// member's forward is therefore ordered by reference: the batch carries
+// the header alone and each member binds the sequence number to the
+// forward it holds (Node.held; the origin to its awaiting list). The
+// payload-carrying batch is what the sequencer's own submissions and all
+// retransmissions are, so a member that missed the forward recovers
+// through the ordinary nak. A reference can overtake its forward (two
+// senders, no order between them): it is parked, bound when the forward
+// arrives, and nak'd only once that has had TokenRetransmit to show up.
 //
 // Failure handling is demotion: the sequencer demotes when a member's
 // acks go stale past FailTimeout or when the stability lag exceeds
@@ -36,9 +47,12 @@ import (
 )
 
 const (
-	// maxFwdStash bounds out-of-order forwards stashed per origin; drops
-	// beyond it are recovered by the origin's resend timer.
-	maxFwdStash = 64
+	// maxHeldFwds bounds the forwards held per origin (Node.held); drops
+	// beyond it are recovered by the origin's resend timer at the
+	// sequencer and by nak at a follower. maxParkedRefs bounds the
+	// references a follower parks; beyond it one is a gap like any other.
+	maxHeldFwds   = 64
+	maxParkedRefs = 64
 	// maxFwdResends is how many times a follower resends an unordered
 	// forward before declaring the sequencer wedged and demoting.
 	maxFwdResends = 8
@@ -48,6 +62,9 @@ const (
 
 func (n *Node) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
 func (n *Node) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
+
+// sequencing reports whether this node is the installed sequencer.
+func (n *Node) sequencing() bool { return n.fpActive && n.leaderID == n.cfg.ID }
 
 // promote installs this node as the ring's sequencer, consuming the
 // token for good (only the addressed holder of a live token can get
@@ -71,7 +88,7 @@ func (n *Node) promote(t token) {
 		n.memberAckAt[m] = now
 	}
 	n.fwdSeen = make(map[memnet.NodeID]uint64)
-	n.fwdStash = make(map[memnet.NodeID]map[uint64]forwardMsg)
+	n.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
 	n.fwdLast = make(map[memnet.NodeID]uint64)
 	n.batchOrigin = make(map[uint64]batchRef)
 	n.fwdNext = 0
@@ -98,6 +115,9 @@ func (n *Node) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
 	n.fpActive = true
 	n.leaderID = leader
 	n.promoteSeq = startSeq
+	n.fwdSeen = make(map[memnet.NodeID]uint64)
+	n.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
+	n.parked = make(map[uint64]parkedRef)
 	n.fwdNext = 0
 	n.awaiting = nil
 	n.awaitingParts = 0
@@ -125,11 +145,17 @@ func (n *Node) leaveLeaderMode() {
 	// them did reach some member, ring recovery re-delivers it there and
 	// the requeued copy becomes a second delivery under a new sequence
 	// number — which the replication layer's operation-id dedup absorbs,
-	// the same way it absorbs gateway retries.
+	// the same way it absorbs gateway retries. Held forwards and parked
+	// references go with the epoch: what they would have become is
+	// buffered at a survivor or requeued here, at its origin.
 	if len(n.awaiting) > 0 {
 		requeued := make([][]byte, 0, n.awaitingParts+len(n.pending))
 		for _, a := range n.awaiting {
-			requeued = append(requeued, a.parts...)
+			if a.parts == nil {
+				requeued = append(requeued, a.payload)
+			} else {
+				requeued = append(requeued, a.parts...)
+			}
 		}
 		n.pending = append(requeued, n.pending...)
 	}
@@ -139,13 +165,15 @@ func (n *Node) leaveLeaderMode() {
 	n.memberAru = nil
 	n.memberAckAt = nil
 	n.fwdSeen = nil
-	n.fwdStash = nil
+	n.held = nil
+	n.parked = nil
 	n.fwdLast = nil
 	n.batchOrigin = nil
 	n.fwdNext = 0
 	n.heartbeatAt = time.Time{}
 	n.fwdResendAt = time.Time{}
 	n.ackDueAt = time.Time{}
+	n.refNakAt = time.Time{}
 	n.fpSeqA.Store(0)
 	n.fpStableA.Store(0)
 	n.setFastpathMirror("", 0)
@@ -196,6 +224,16 @@ func (n *Node) compactPending(drained int) {
 	n.pendingN.Store(int64(rest))
 }
 
+// packOf returns a run of the send queue as one message's payloads: a
+// single payload as itself, several as a list of their own (the queue's
+// backing array is about to be compacted).
+func packOf(run [][]byte) (payload []byte, parts [][]byte) {
+	if len(run) == 1 {
+		return run[0], nil
+	}
+	return nil, append([][]byte(nil), run...)
+}
+
 // forwardPending ships every queued payload to the sequencer instead of
 // waiting for a token visit: the fast path's datapath entry on a
 // follower. Payloads are chunked by the same packing bounds the ring
@@ -207,15 +245,15 @@ func (n *Node) forwardPending() {
 	for drained < len(n.pending) {
 		first := drained
 		drained = n.nextPack(first)
-		parts := append([][]byte(nil), n.pending[first:drained]...)
+		payload, parts := packOf(n.pending[first:drained])
 		n.fwdNext++
-		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, parts: parts})
-		n.awaitingParts += len(parts)
+		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, payload: payload, parts: parts})
+		n.awaitingParts += drained - first
 		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: n.fwdNext, Parts: parts,
+			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: n.fwdNext, Payload: payload, Parts: parts,
 		}))
 		n.broadcastN.Add(1)
-		n.forwardedN.Add(uint64(len(parts)))
+		n.forwardedN.Add(uint64(drained - first))
 	}
 	n.compactPending(drained)
 	n.pendingN.Store(int64(len(n.pending) + n.awaitingParts))
@@ -231,10 +269,10 @@ func (n *Node) leaderOrderPending() {
 	for drained < len(n.pending) {
 		first := drained
 		drained = n.nextPack(first)
-		parts := append([][]byte(nil), n.pending[first:drained]...)
+		payload, parts := packOf(n.pending[first:drained])
 		n.fwdNext++
 		n.broadcastN.Add(1)
-		if !n.orderParts(n.cfg.ID, n.fwdNext, parts) {
+		if !n.order(n.cfg.ID, n.fwdNext, payload, parts) {
 			// Demoted mid-drain (stability lag): what was not ordered
 			// stays pending for the ring.
 			break
@@ -243,19 +281,16 @@ func (n *Node) leaderOrderPending() {
 	n.compactPending(drained)
 }
 
-// orderParts assigns the next sequence number to one forward's payloads,
-// multicasts the ordered batch, and delivers locally. It reports false
-// when ordering stopped because the stability-lag limit demoted the ring.
-func (n *Node) orderParts(origin memnet.NodeID, fwd uint64, parts [][]byte) bool {
+// order assigns the next sequence number to one forward's payloads,
+// multicasts the ordered batch — by reference for another member's
+// forward, which everyone saw on the wire; in full for the sequencer's
+// own, which has been nowhere yet — and delivers locally. It reports
+// false when ordering stopped because the stability-lag limit demoted
+// the ring.
+func (n *Node) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte) bool {
 	n.leaderSeq++
 	seq := n.leaderSeq
-	m := regularMsg{RingID: n.ringID, Seq: seq, Sender: origin}
-	if len(parts) == 1 {
-		m.Payload = parts[0]
-	} else {
-		m.Parts = parts
-	}
-	n.buffer[seq] = m
+	n.buffer[seq] = regularMsg{RingID: n.ringID, Seq: seq, Sender: origin, Payload: payload, Parts: parts}
 	if seq > n.highest {
 		n.highest = seq
 	}
@@ -263,11 +298,17 @@ func (n *Node) orderParts(origin memnet.NodeID, fwd uint64, parts [][]byte) bool
 	n.fwdLast[origin] = seq
 	n.fpSeqA.Store(seq)
 	n.leaderBatchN.Add(1)
-	n.broadcastRaw(encodeBatch(batchMsg{
+	b := batchMsg{
 		RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
-		Origin: origin, OriginFwd: fwd,
-		Stable: n.leaderStable, Parts: parts,
-	}))
+		Origin: origin, OriginFwd: fwd, Stable: n.leaderStable,
+	}
+	if origin == n.cfg.ID {
+		b.Payload, b.Parts = payload, parts
+	} else {
+		b.Ref = true
+		n.refN.Add(1)
+	}
+	n.broadcastRaw(encodeBatch(b))
 	n.tryDeliver()
 	n.updateStability()
 	if seq-n.leaderStable > uint64(n.cfg.FastpathLagLimit) {
@@ -279,8 +320,9 @@ func (n *Node) orderParts(origin memnet.NodeID, fwd uint64, parts [][]byte) bool
 	return true
 }
 
-// handleForward is the sequencer's side of the datapath: order each
-// origin's forwards in FwdSeq order, exactly once.
+// handleForward is every member's view of a forward. The sequencer
+// orders each origin's forwards in FwdSeq order, exactly once; everyone
+// else keeps the forward for the by-reference batch that will order it.
 func (n *Node) handleForward(f forwardMsg) {
 	if f.RingID != n.ringID {
 		if f.RingID > n.ringID && !n.gathering {
@@ -288,11 +330,15 @@ func (n *Node) handleForward(f forwardMsg) {
 		}
 		return
 	}
-	if n.gathering || !n.fpActive || n.leaderID != n.cfg.ID {
+	if n.gathering || !n.fpActive {
 		return
 	}
 	if !n.inRing(f.Sender) {
 		n.startGather()
+		return
+	}
+	if n.leaderID != n.cfg.ID {
+		n.holdForward(f)
 		return
 	}
 	n.touchLiveness()
@@ -311,48 +357,68 @@ func (n *Node) handleForward(f forwardMsg) {
 		return
 	}
 	if f.FwdSeq > seen+1 {
-		// Out of order: stash until the gap fills; the origin's resend
-		// timer recovers drops beyond the bounded stash.
-		stash := n.fwdStash[f.Sender]
-		if stash == nil {
-			stash = make(map[uint64]forwardMsg)
-			n.fwdStash[f.Sender] = stash
-		}
-		if len(stash) < maxFwdStash {
-			stash[f.FwdSeq] = f
-		}
+		// Out of order: hold until the gap fills; the origin's resend
+		// timer recovers drops beyond the bound.
+		n.hold(f)
 		return
 	}
-	if !n.orderParts(f.Sender, f.FwdSeq, f.Parts) {
-		return
-	}
-	n.fwdSeen[f.Sender] = f.FwdSeq
 	for {
-		next, ok := n.fwdStash[f.Sender][n.fwdSeen[f.Sender]+1]
+		if !n.order(f.Sender, f.FwdSeq, f.Payload, f.Parts) {
+			return
+		}
+		n.fwdSeen[f.Sender] = f.FwdSeq
+		next, ok := n.held[f.Sender][f.FwdSeq+1]
 		if !ok {
 			return
 		}
-		delete(n.fwdStash[f.Sender], next.FwdSeq)
-		if !n.orderParts(f.Sender, next.FwdSeq, next.Parts) {
+		delete(n.held[f.Sender], next.FwdSeq)
+		f = next
+	}
+}
+
+// hold keeps a forward until it is seen ordered, within the per-origin
+// bound.
+func (n *Node) hold(f forwardMsg) {
+	h := n.held[f.Sender]
+	if h == nil {
+		h = make(map[uint64]forwardMsg)
+		n.held[f.Sender] = h
+	}
+	if len(h) < maxHeldFwds {
+		h[f.FwdSeq] = f
+	}
+}
+
+// holdForward is a follower's side of a forward: bind the reference that
+// overtook it, or keep it for the reference to come. The node's own
+// forwards are bound from awaiting, and one at or below the origin's
+// watermark is a resend of something already seen ordered.
+func (n *Node) holdForward(f forwardMsg) {
+	if f.Sender == n.cfg.ID {
+		return
+	}
+	for seq, p := range n.parked {
+		if p.origin == f.Sender && p.fwd == f.FwdSeq {
+			delete(n.parked, seq)
+			n.handleRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: f.Sender, Payload: f.Payload, Parts: f.Parts})
 			return
 		}
-		n.fwdSeen[f.Sender] = next.FwdSeq
+	}
+	if f.FwdSeq > n.fwdSeen[f.Sender] {
+		n.hold(f)
 	}
 }
 
 // rebroadcastOrdered retransmits an ordered sequence number: as a batch
 // when it was leader-ordered (so the origin also learns its forward came
-// back), in the plain regular form for ring-era sequence numbers.
+// back) — always in the full form, whoever asks has not got the forward
+// — and in the plain regular form for ring-era sequence numbers.
 func (n *Node) rebroadcastOrdered(seq uint64, m regularMsg) {
 	if ref, ok := n.batchOrigin[seq]; ok {
-		parts := m.Parts
-		if parts == nil {
-			parts = [][]byte{m.Payload}
-		}
 		n.broadcastRaw(encodeBatch(batchMsg{
 			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 			Origin: ref.origin, OriginFwd: ref.fwd,
-			Stable: n.leaderStable, Parts: parts,
+			Stable: n.leaderStable, Payload: m.Payload, Parts: m.Parts,
 		}))
 	} else {
 		m.RingID = n.ringID
@@ -387,20 +453,89 @@ func (n *Node) handleBatch(b batchMsg) {
 			return
 		}
 	}
-	m := regularMsg{RingID: b.RingID, Seq: b.Seq, Sender: b.Origin}
-	if len(b.Parts) == 1 {
-		m.Payload = b.Parts[0]
-	} else {
-		m.Parts = b.Parts
+	if n.sequencing() && n.following(b) {
+		return // own broadcast echo: what this node ordered, it buffered
 	}
-	n.handleRegular(m)
-	if b.RingID != n.ringID || n.gathering || !n.fpActive || n.leaderID != b.Leader {
+	if _, waiting := n.parked[b.Seq]; waiting && !b.Ref && n.following(b) {
+		// The retransmission a parked reference asked for.
+		delete(n.parked, b.Seq)
+		n.refMissN.Add(1)
+	}
+	m := regularMsg{RingID: b.RingID, Seq: b.Seq, Sender: b.Origin, Payload: b.Payload, Parts: b.Parts}
+	switch {
+	case !b.Ref, b.RingID != n.ringID, !n.inRing(b.Origin):
+		// A reference from another ring, or naming a stranger, goes
+		// through handleRegular for its merge detection alone: it
+		// buffers nothing from either.
+		n.handleRegular(m)
+	case !n.following(b):
+		// Nothing can be bound outside the epoch, and nothing needs to
+		// be: recovery retransmits what was ordered in the regular form.
+		return
+	case n.bindRef(b, &m):
+		n.handleRegular(m)
+	}
+	if !n.following(b) {
 		return
 	}
 	n.applyStable(b.Stable)
-	if b.Origin == n.cfg.ID && n.leaderID != n.cfg.ID {
+	// (Origin, OriginFwd) has been seen ordered: the origin stops
+	// resending it, everyone else stops holding it.
+	if b.Origin == n.cfg.ID {
 		n.clearOrdered(b.OriginFwd)
+		return
 	}
+	delete(n.held[b.Origin], b.OriginFwd)
+	if b.OriginFwd > n.fwdSeen[b.Origin] {
+		n.fwdSeen[b.Origin] = b.OriginFwd
+	}
+}
+
+// following reports whether b belongs to the leader epoch this node is
+// in right now.
+func (n *Node) following(b batchMsg) bool {
+	return b.RingID == n.ringID && !n.gathering && n.fpActive && n.leaderID == b.Leader
+}
+
+// bindRef resolves a by-reference batch to the payloads this member
+// holds for (Origin, OriginFwd) and reports whether m now carries them.
+// When the forward has not arrived the reference is parked: the sequence
+// number counts as a known gap, but holdForward gets until nakAt to fill
+// it before sendAck asks the sequencer for the full form.
+func (n *Node) bindRef(b batchMsg, m *regularMsg) bool {
+	if _, have := n.buffer[b.Seq]; have || b.Seq <= n.deliveredSeq || n.skipped[b.Seq] {
+		return false // duplicate
+	}
+	if b.Origin == n.cfg.ID {
+		for _, a := range n.awaiting {
+			if a.fwd == b.OriginFwd {
+				m.Payload, m.Parts = a.payload, a.parts
+				return true
+			}
+		}
+	} else if f, ok := n.held[b.Origin][b.OriginFwd]; ok {
+		m.Payload, m.Parts = f.Payload, f.Parts
+		return true
+	}
+	if _, dup := n.parked[b.Seq]; dup {
+		return false
+	}
+	n.touchLiveness()
+	if b.Seq > n.highest {
+		n.highest = b.Seq
+	}
+	if len(n.parked) >= maxParkedRefs {
+		// No room to wait in: an ordinary gap.
+		n.refMissN.Add(1)
+		n.scheduleAck()
+		return false
+	}
+	nakAt := time.Now().Add(n.cfg.TokenRetransmit)
+	n.parked[b.Seq] = parkedRef{batchRef{origin: b.Origin, fwd: b.OriginFwd}, nakAt}
+	if n.refNakAt.IsZero() {
+		n.refNakAt = nakAt
+	}
+	return false
 }
 
 // clearOrdered drops awaiting forwards up to fwd: the sequencer orders
@@ -413,7 +548,7 @@ func (n *Node) clearOrdered(fwd uint64) {
 		if a.fwd <= fwd {
 			continue
 		}
-		parts += len(a.parts)
+		parts += int(partCount(a.parts))
 		kept = append(kept, a)
 	}
 	for i := len(kept); i < len(n.awaiting); i++ {
@@ -528,11 +663,6 @@ func (n *Node) updateStability() {
 		n.leaderStable = min
 		n.fpStableA.Store(min)
 		n.gc(min)
-		for s := range n.batchOrigin {
-			if s <= min {
-				delete(n.batchOrigin, s)
-			}
-		}
 	}
 }
 
@@ -581,7 +711,7 @@ func (n *Node) resendForwards(now time.Time) {
 			return
 		}
 		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: a.fwd, Parts: a.parts,
+			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: a.fwd, Payload: a.payload, Parts: a.parts,
 		}))
 	}
 	n.fwdResendAt = now.Add(n.cfg.TokenRetransmit)
@@ -598,9 +728,27 @@ func (n *Node) scheduleAck() {
 	}
 }
 
+// refWait is how much longer a parked reference waits for its forward
+// before it is nak'd: until nakAt, and past it — a timer that fires
+// late, after a stall of the machine, finds the forward sitting in the
+// inbox — while there is something to look at first. Within reason: a
+// saturated node's inbox is never empty, and a lost forward must be
+// asked for.
+func (n *Node) refWait(p parkedRef, now time.Time) time.Duration {
+	if d := p.nakAt.Sub(now); d > 0 {
+		return d
+	}
+	if len(n.ep.Recv()) > 0 && now.Before(p.nakAt.Add(n.cfg.TokenRetransmit)) {
+		return n.ackDelay()
+	}
+	return 0
+}
+
 // sendAck reports this follower's contiguous watermark plus
-// retransmission requests for any observed gaps.
+// retransmission requests for any observed gaps. A gap that is a parked
+// reference is not requested before its forward has had its wait.
 func (n *Node) sendAck(now time.Time) {
+	n.refNakAt = time.Time{}
 	if !n.fpActive || n.leaderID == n.cfg.ID {
 		n.ackDueAt = time.Time{}
 		return
@@ -609,6 +757,14 @@ func (n *Node) sendAck(now time.Time) {
 	for s := n.deliveredSeq + 1; s <= n.highest && len(a.Nak) < maxNaks; s++ {
 		if _, ok := n.buffer[s]; ok || n.skipped[s] {
 			continue
+		}
+		if p, ok := n.parked[s]; ok {
+			if wait := n.refWait(p, now); wait > 0 {
+				if at := now.Add(wait); n.refNakAt.IsZero() || at.Before(n.refNakAt) {
+					n.refNakAt = at
+				}
+				continue
+			}
 		}
 		a.Nak = append(a.Nak, s)
 	}

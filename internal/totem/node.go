@@ -62,6 +62,8 @@ type Node struct {
 	packedPartN    atomic.Uint64
 	forwardedN     atomic.Uint64
 	leaderBatchN   atomic.Uint64
+	refN           atomic.Uint64
+	refMissN       atomic.Uint64
 	promotionN     atomic.Uint64
 	demotionN      atomic.Uint64
 	// pendingN mirrors len(pending) (owned by the run goroutine) so
@@ -76,8 +78,10 @@ type Node struct {
 	skipped      map[uint64]bool
 	deliveredSeq uint64 // contiguous received-and-delivered watermark (local aru)
 	highest      uint64
+	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      [][]byte
 	lastTokenID  uint64
+	ids          idTable // the ring's member ids, for allocation-free decoding
 
 	lastSentToken *token
 	tokenResendAt time.Time
@@ -104,21 +108,31 @@ type Node struct {
 	leaderID   memnet.NodeID // the installed sequencer
 	promoteSeq uint64        // ring-ordered sequence the mode switch was installed at
 
+	// held keeps the forwards this member has seen on the wire and not
+	// yet seen ordered (the received datagram is the storage), per origin
+	// and bounded by maxHeldFwds: the sequencer's out-of-order stash, and
+	// what a follower binds a by-reference batch to. fwdSeen is the
+	// per-origin watermark at or below which a forward is known ordered
+	// and not held again: contiguous at the sequencer, the highest seen
+	// ordered at a follower.
+	held    map[memnet.NodeID]map[uint64]forwardMsg
+	fwdSeen map[memnet.NodeID]uint64
+
 	// sequencer-side state
-	leaderSeq    uint64                                  // last sequence number assigned
-	leaderStable uint64                                  // stability horizon (min aru over the ring)
-	memberAru    map[memnet.NodeID]uint64                // latest acked aru per member
-	memberAckAt  map[memnet.NodeID]time.Time             // when each member last acked (liveness)
-	fwdSeen      map[memnet.NodeID]uint64                // contiguous forward watermark per origin
-	fwdStash     map[memnet.NodeID]map[uint64]forwardMsg // out-of-order forwards awaiting their gap
-	fwdLast      map[memnet.NodeID]uint64                // seq of each origin's most recent batch
-	batchOrigin  map[uint64]batchRef                     // seq -> forward identity, for nak retransmission
+	leaderSeq    uint64                      // last sequence number assigned
+	leaderStable uint64                      // stability horizon (min aru over the ring)
+	memberAru    map[memnet.NodeID]uint64    // latest acked aru per member
+	memberAckAt  map[memnet.NodeID]time.Time // when each member last acked (liveness)
+	fwdLast      map[memnet.NodeID]uint64    // seq of each origin's most recent batch
+	batchOrigin  map[uint64]batchRef         // seq -> forward identity, for nak retransmission
 	heartbeatAt  time.Time
 
 	// follower-side state
-	fwdNext       uint64        // next forward number to issue this epoch
-	awaiting      []awaitingFwd // forwards sent but not yet seen ordered
-	awaitingParts int           // payloads inside awaiting (backlog accounting)
+	fwdNext       uint64               // next forward number to issue this epoch
+	awaiting      []awaitingFwd        // forwards sent but not yet seen ordered
+	awaitingParts int                  // payloads inside awaiting (backlog accounting)
+	parked        map[uint64]parkedRef // by-reference batches whose forward has not arrived, by seq
+	refNakAt      time.Time            // when the first parked reference may be nak'd
 	fwdResendAt   time.Time
 	ackDueAt      time.Time
 
@@ -136,11 +150,22 @@ type batchRef struct {
 }
 
 // awaitingFwd is a forward this follower sent to the sequencer and has
-// not yet seen come back ordered.
+// not yet seen come back ordered. It is also what the origin binds its
+// own by-reference batches to.
 type awaitingFwd struct {
 	fwd     uint64
+	payload []byte
 	parts   [][]byte
 	resends int
+}
+
+// parkedRef is a by-reference batch that overtook its forward: the
+// sequence number is known, the payloads are still on the wire. It is
+// bound when the forward arrives; nakAt is when the member stops waiting
+// for it and asks the sequencer for the full form.
+type parkedRef struct {
+	batchRef
+	nakAt time.Time
 }
 
 // Start creates a node and launches its protocol goroutine. The founding
@@ -193,6 +218,8 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_totem_packed_parts_total", "Payloads carried inside packed datagrams.", n.packedPartN.Load},
 		{"eternalgw_totem_fastpath_forwarded_total", "Payloads forwarded to a sequencer in leader mode.", n.forwardedN.Load},
 		{"eternalgw_totem_fastpath_batches_total", "Ordered batches this node multicast as sequencer.", n.leaderBatchN.Load},
+		{"eternalgw_totem_fastpath_refs_total", "Sequence numbers this node ordered by reference as sequencer (batches without payloads).", n.refN.Load},
+		{"eternalgw_totem_fastpath_ref_misses_total", "By-reference batches this node could not bind to a held forward and had served by retransmission.", n.refMissN.Load},
 		{"eternalgw_totem_fastpath_promotions_total", "Leader epochs installed on this node.", n.promotionN.Load},
 		{"eternalgw_totem_fastpath_demotions_total", "Falls from leader mode back to ring rotation.", n.demotionN.Load},
 	} {
@@ -264,6 +291,8 @@ func (n *Node) Stats() Stats {
 		PackedParts:   n.packedPartN.Load(),
 		Forwarded:     n.forwardedN.Load(),
 		LeaderBatches: n.leaderBatchN.Load(),
+		RefBatches:    n.refN.Load(),
+		RefMisses:     n.refMissN.Load(),
 		Promotions:    n.promotionN.Load(),
 		Demotions:     n.demotionN.Load(),
 		StabilityLag:  n.stabilityLagN(),
@@ -390,6 +419,7 @@ func (n *Node) rearm(timer *time.Timer) {
 	earliest(n.heartbeatAt)
 	earliest(n.fwdResendAt)
 	earliest(n.ackDueAt)
+	earliest(n.refNakAt)
 	if n.heldToken != nil {
 		earliest(n.holdUntil)
 	}
@@ -428,7 +458,7 @@ func (n *Node) handleTimeouts(now time.Time) {
 	if !n.fwdResendAt.IsZero() && !n.fwdResendAt.After(now) {
 		n.resendForwards(now)
 	}
-	if !n.ackDueAt.IsZero() && !n.ackDueAt.After(now) {
+	if (!n.ackDueAt.IsZero() && !n.ackDueAt.After(now)) || (!n.refNakAt.IsZero() && !n.refNakAt.After(now)) {
 		n.sendAck(now)
 	}
 	if !n.failDeadline.IsZero() && !n.failDeadline.After(now) && !n.gathering {
@@ -443,15 +473,15 @@ func (n *Node) handlePacket(pkt memnet.Packet) {
 	r := cdr.NewReader(pkt.Payload, cdr.BigEndian)
 	switch r.ReadOctet() {
 	case kindRegular:
-		if m, err := decodeRegular(r); err == nil {
+		if m, err := decodeRegular(r, n.ids); err == nil {
 			n.handleRegular(m)
 		}
 	case kindPacked:
-		if m, err := decodePacked(r); err == nil {
+		if m, err := decodePacked(r, n.ids); err == nil {
 			n.handleRegular(m)
 		}
 	case kindToken:
-		if t, err := decodeToken(r); err == nil {
+		if t, err := decodeToken(r, n.ids); err == nil {
 			n.handleToken(t)
 		}
 	case kindJoin:
@@ -459,19 +489,20 @@ func (n *Node) handlePacket(pkt memnet.Packet) {
 			n.handleJoin(j)
 		}
 	case kindForward:
-		if f, err := decodeForward(r); err == nil {
+		if f, err := decodeForward(r, n.ids); err == nil {
 			n.handleForward(f)
 		}
 	case kindBatch:
-		if b, err := decodeBatch(r); err == nil {
+		if b, err := decodeBatch(r, n.ids); err == nil {
 			n.handleBatch(b)
 		}
 	case kindAck:
-		if a, err := decodeAck(r); err == nil {
+		// Everyone receives acks, only the sequencer consumes them.
+		if a, err := decodeAck(r, n.ids, n.sequencing()); err == nil {
 			n.handleAck(a)
 		}
 	case kindPromote:
-		if p, err := decodePromote(r); err == nil {
+		if p, err := decodePromote(r, n.ids); err == nil {
 			n.handlePromote(p)
 		}
 	}
@@ -655,14 +686,10 @@ func (n *Node) processToken(t token) {
 		t.Seq++
 		first := drained
 		drained = n.nextPack(first)
+		// A single payload takes the plain form: identical wire bytes to
+		// the pre-packing protocol.
 		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID}
-		if drained-first == 1 {
-			// A single payload takes the plain form: identical wire
-			// bytes to the pre-packing protocol.
-			m.Payload = n.pending[first]
-		} else {
-			m.Parts = append([][]byte(nil), n.pending[first:drained]...)
-		}
+		m.Payload, m.Parts = packOf(n.pending[first:drained])
 		n.buffer[t.Seq] = m
 		if t.Seq > n.highest {
 			n.highest = t.Seq
@@ -838,17 +865,39 @@ func (n *Node) tryDeliver() {
 	}
 }
 
-// gc discards buffered and skipped entries at or below the stability
-// watermark: every ring member has received them.
+// gc discards what is kept per sequence number — buffered and skipped
+// entries, the sequencer's forward identities, a follower's parked
+// references — at or below the stability watermark: every ring member
+// has received them. Sequence numbers are dense, so each call walks only
+// what the horizon newly covers, not the backlog above it; a horizon
+// that jumps further than everything kept (a joiner's first, or a forged
+// one) walks the tables instead.
 func (n *Node) gc(aru uint64) {
-	for s := range n.buffer {
-		if s <= aru {
-			delete(n.buffer, s)
-		}
+	if aru <= n.gcThrough {
+		return
 	}
-	for s := range n.skipped {
-		if s <= aru {
+	if aru-n.gcThrough <= uint64(len(n.buffer)+len(n.skipped)+len(n.batchOrigin)+len(n.parked)) {
+		for s := n.gcThrough + 1; s <= aru; s++ {
+			delete(n.buffer, s)
 			delete(n.skipped, s)
+			delete(n.batchOrigin, s)
+			delete(n.parked, s)
+		}
+	} else {
+		dropThrough(n.buffer, aru)
+		dropThrough(n.skipped, aru)
+		dropThrough(n.batchOrigin, aru)
+		dropThrough(n.parked, aru)
+	}
+	n.gcThrough = aru
+}
+
+// dropThrough deletes the entries of m at or below aru by visiting all
+// of m.
+func dropThrough[V any](m map[uint64]V, aru uint64) {
+	for s := range m {
+		if s <= aru {
+			delete(m, s)
 		}
 	}
 }
@@ -966,6 +1015,7 @@ func (n *Node) installRing() {
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 
 	n.ring = members
+	n.ids = newIDTable(members)
 	n.ringID = n.proposedRingID
 	n.gathering = false
 	n.lastTokenID = 0

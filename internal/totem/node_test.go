@@ -335,3 +335,66 @@ func TestMembersSnapshot(t *testing.T) {
 		t.Fatal("ring id not set")
 	}
 }
+
+// TestGCWalksTheNewSpanOnly pins the stability collector: entries at or
+// below the horizon go, entries above stay, a horizon that does not
+// advance does nothing, and one that jumps past everything kept — a
+// joiner's first, or a forged one — ends without walking the span.
+func TestGCWalksTheNewSpanOnly(t *testing.T) {
+	n := &Node{
+		buffer:      make(map[uint64]regularMsg),
+		skipped:     make(map[uint64]bool),
+		batchOrigin: make(map[uint64]batchRef),
+		parked:      make(map[uint64]parkedRef),
+	}
+	fill := func(from, to uint64) {
+		for s := from; s <= to; s++ {
+			n.buffer[s] = regularMsg{Seq: s}
+			n.batchOrigin[s] = batchRef{fwd: s}
+			if s%7 == 0 {
+				n.skipped[s] = true
+			}
+			if s%5 == 0 {
+				n.parked[s] = parkedRef{}
+			}
+		}
+	}
+	kept := func(horizon, top uint64) {
+		t.Helper()
+		for s := uint64(1); s <= top; s++ {
+			_, b := n.buffer[s]
+			_, o := n.batchOrigin[s]
+			_, p := n.parked[s]
+			if want := s > horizon; b != want || o != want || n.skipped[s] != (want && s%7 == 0) || p != (want && s%5 == 0) {
+				t.Fatalf("horizon %d: seq %d: buffered %v, origin kept %v, skipped %v, parked %v", horizon, s, b, o, n.skipped[s], p)
+			}
+		}
+	}
+	fill(1, 5000)
+	n.gc(100)
+	kept(100, 5000)
+	n.gc(100)
+	n.gc(40) // a regressing horizon (a new ring's minimum) collects nothing
+	kept(100, 5000)
+	n.gc(4096)
+	kept(4096, 5000)
+	// A horizon far beyond what is kept: must end, promptly, with
+	// everything collected.
+	done := make(chan struct{})
+	go func() { n.gc(1 << 62); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("gc walked a forged horizon's span")
+	}
+	if len(n.buffer)+len(n.skipped)+len(n.batchOrigin)+len(n.parked) != 0 {
+		t.Fatalf("a horizon past everything left %d buffered", len(n.buffer))
+	}
+	// Sequence numbers never reach below a collected horizon again, so
+	// nothing is lost by not looking there.
+	fill(1<<62+1, 1<<62+10)
+	n.gc(1<<62 + 4)
+	if len(n.buffer) != 6 {
+		t.Fatalf("%d buffered above the horizon, want 6", len(n.buffer))
+	}
+}

@@ -245,7 +245,9 @@ type Stats struct {
 	PackedMsgs    uint64 // packed datagrams this node originated
 	PackedParts   uint64 // payloads that travelled inside those packs
 	Forwarded     uint64 // payloads this node forwarded to a sequencer (leader mode)
-	LeaderBatches uint64 // ordered batches this node multicast as sequencer
+	LeaderBatches uint64 // sequence numbers this node ordered as sequencer (full and by-reference batches)
+	RefBatches    uint64 // of those, the ones ordered by reference (no payloads on the wire)
+	RefMisses     uint64 // by-reference batches this node had to have retransmitted in full
 	Promotions    uint64 // leader epochs this node installed (as sequencer or follower)
 	Demotions     uint64 // falls from leader mode back to ring rotation
 	StabilityLag  uint64 // sequencer's current seq minus its stability horizon

@@ -82,17 +82,13 @@ type joinMsg struct {
 
 func encodeRegular(m regularMsg) []byte {
 	if len(m.Parts) > 0 {
-		size := 32 + len(m.Sender)
-		for _, p := range m.Parts {
-			size += 8 + len(p)
-		}
-		w := cdr.NewWriterCap(cdr.BigEndian, size)
+		w := cdr.NewWriterCap(cdr.BigEndian, 32+len(m.Sender)+partsSize(nil, m.Parts))
 		w.WriteOctet(kindPacked)
 		w.WriteULongLong(m.RingID)
 		w.WriteULongLong(m.Seq)
 		w.WriteString(string(m.Sender))
 		w.WriteULong(uint32(len(m.Parts)))
-		writeParts(w, m.Parts)
+		writeParts(w, nil, m.Parts)
 		return w.Bytes()
 	}
 	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Payload))
@@ -104,11 +100,11 @@ func encodeRegular(m regularMsg) []byte {
 	return w.Bytes()
 }
 
-func decodeRegular(r *cdr.Reader) (regularMsg, error) {
+func decodeRegular(r *cdr.Reader, ids idTable) (regularMsg, error) {
 	var m regularMsg
 	m.RingID = r.ReadULongLong()
 	m.Seq = r.ReadULongLong()
-	m.Sender = memnet.NodeID(r.ReadString())
+	m.Sender = ids.id(r.ReadStringBytes())
 	payload := r.ReadOctetSeq()
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode regular: %w", err)
@@ -119,29 +115,78 @@ func decodeRegular(r *cdr.Reader) (regularMsg, error) {
 
 // decodePacked parses the packed form: the regular header followed by a
 // counted list of payloads.
-func decodePacked(r *cdr.Reader) (regularMsg, error) {
+func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
 	var m regularMsg
 	m.RingID = r.ReadULongLong()
 	m.Seq = r.ReadULongLong()
-	m.Sender = memnet.NodeID(r.ReadString())
+	m.Sender = ids.id(r.ReadStringBytes())
 	n := r.ReadULong()
 	// Each part costs at least its 4-byte length prefix, which bounds a
 	// hostile count before any allocation happens.
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: bad part count %d", n)
 	}
-	m.Parts = readParts(r, n)
+	if n == 0 {
+		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
+	}
+	m.Payload, m.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: %w", err)
-	}
-	if len(m.Parts) == 0 {
-		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
 	}
 	return m, nil
 }
 
+// idTable resolves the node ids inside a datagram without allocating a
+// string per id: the ids a ring exchanges are, almost always, the ring's
+// own members, and a map lookup keyed by string(b) does not allocate.
+// The node rebuilds its table in installRing. An id that is not in the
+// table is converted (allocating, as every id used to) and never added,
+// so hostile datagrams cannot grow it. A nil table resolves nothing.
+type idTable map[string]memnet.NodeID
+
+func newIDTable(members []memnet.NodeID) idTable {
+	t := make(idTable, len(members))
+	for _, m := range members {
+		t[string(m)] = m
+	}
+	return t
+}
+
+func (t idTable) id(b []byte) memnet.NodeID {
+	if id, ok := t[string(b)]; ok {
+		return id
+	}
+	return memnet.NodeID(b)
+}
+
+// The payloads of a forward or a batch follow regularMsg's convention:
+// one payload travels in Payload, several in Parts, and the wire form is
+// the same counted list either way. A single-part datagram — nearly all
+// of them outside a burst — then costs no slice header to decode.
+
+// partCount is the count writeParts' list is announced with.
+func partCount(parts [][]byte) uint32 {
+	if len(parts) > 0 {
+		return uint32(len(parts))
+	}
+	return 1
+}
+
+// partsSize bounds the encoded size of the list.
+func partsSize(payload []byte, parts [][]byte) int {
+	size := 8 + len(payload)
+	for _, p := range parts {
+		size += 8 + len(p)
+	}
+	return size
+}
+
 // writeParts writes the payloads behind a part count.
-func writeParts(w *cdr.Writer, parts [][]byte) {
+func writeParts(w *cdr.Writer, payload []byte, parts [][]byte) {
+	if len(parts) == 0 {
+		w.WriteOctetSeq(payload)
+		return
+	}
 	for _, p := range parts {
 		w.WriteOctetSeq(p)
 	}
@@ -149,16 +194,19 @@ func writeParts(w *cdr.Writer, parts [][]byte) {
 
 // readParts reads n counted payloads in place: the datagram is the
 // arena. Each part is a subslice of the received datagram (see
-// Transport for who owns it), so decoding a datagram allocates only the
-// part headers; the cap on each part keeps an append from bleeding into
-// the next part's bytes. The caller has already bounded n by the
+// Transport for who owns it), so decoding a datagram allocates at most
+// the part headers; the cap on each part keeps an append from bleeding
+// into the next part's bytes. The caller has already bounded n by the
 // reader's remainder.
-func readParts(r *cdr.Reader, n uint32) [][]byte {
-	parts := make([][]byte, 0, n)
+func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
+	if n == 1 {
+		return slices.Clip(r.ReadOctetSeq()), nil
+	}
+	parts = make([][]byte, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		parts = append(parts, slices.Clip(r.ReadOctetSeq()))
 	}
-	return parts
+	return nil, parts
 }
 
 func encodeToken(t token) []byte {
@@ -183,14 +231,14 @@ func encodeToken(t token) []byte {
 	return w.Bytes()
 }
 
-func decodeToken(r *cdr.Reader) (token, error) {
+func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	var t token
 	t.RingID = r.ReadULongLong()
 	t.TokenID = r.ReadULongLong()
 	t.Seq = r.ReadULongLong()
 	t.Aru = r.ReadULongLong()
 	t.Stable = r.ReadULongLong()
-	t.Succ = memnet.NodeID(r.ReadString())
+	t.Succ = ids.id(r.ReadStringBytes())
 	t.Spent = r.ReadULong()
 	nRtr := r.ReadULong()
 	if r.Err() != nil || int(nRtr) > r.Remaining()/8 {
@@ -234,19 +282,28 @@ func encodeJoin(j joinMsg) []byte {
 // forwardMsg carries a follower's queued payloads to the sequencer in
 // leader mode. FwdSeq numbers the sender's forwards within the current
 // leader epoch, giving the sequencer a per-origin FIFO to order by and a
-// way to recognize resent duplicates.
+// way to recognize resent duplicates. Forwards are broadcast like every
+// datagram, so every member sees the payloads the sequencer is about to
+// order — which is what lets the sequencer order them by reference.
 type forwardMsg struct {
-	RingID uint64
-	Sender memnet.NodeID
-	FwdSeq uint64
-	Parts  [][]byte
+	RingID  uint64
+	Sender  memnet.NodeID
+	FwdSeq  uint64
+	Payload []byte
+	Parts   [][]byte
 }
 
-// batchMsg is one leader-ordered batch: the packed wire form plus the
-// leader header. Each batch orders exactly one forward (Origin,
-// OriginFwd), consumes one sequence number, and piggybacks the
+// batchMsg is one leader-ordered batch: the leader header plus, in the
+// full form, the packed wire form. Each batch orders exactly one forward
+// (Origin, OriginFwd), consumes one sequence number, and piggybacks the
 // sequencer's current stability horizon so followers garbage-collect
 // without a token.
+//
+// With Ref set the batch orders by reference: it carries no payloads
+// (part count zero on the wire) and every member binds Seq to the
+// forward (Origin, OriginFwd) it already holds. The sequencer orders
+// other members' forwards this way; its own submissions, and every
+// retransmission, take the full form.
 type batchMsg struct {
 	RingID    uint64
 	Seq       uint64
@@ -254,6 +311,8 @@ type batchMsg struct {
 	Origin    memnet.NodeID
 	OriginFwd uint64
 	Stable    uint64
+	Ref       bool
+	Payload   []byte
 	Parts     [][]byte
 }
 
@@ -280,24 +339,20 @@ type promoteMsg struct {
 }
 
 func encodeForward(f forwardMsg) []byte {
-	size := 40 + len(f.Sender)
-	for _, p := range f.Parts {
-		size += 8 + len(p)
-	}
-	w := cdr.NewWriterCap(cdr.BigEndian, size)
+	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(f.Sender)+partsSize(f.Payload, f.Parts))
 	w.WriteOctet(kindForward)
 	w.WriteULongLong(f.RingID)
 	w.WriteString(string(f.Sender))
 	w.WriteULongLong(f.FwdSeq)
-	w.WriteULong(uint32(len(f.Parts)))
-	writeParts(w, f.Parts)
+	w.WriteULong(partCount(f.Parts))
+	writeParts(w, f.Payload, f.Parts)
 	return w.Bytes()
 }
 
-func decodeForward(r *cdr.Reader) (forwardMsg, error) {
+func decodeForward(r *cdr.Reader, ids idTable) (forwardMsg, error) {
 	var f forwardMsg
 	f.RingID = r.ReadULongLong()
-	f.Sender = memnet.NodeID(r.ReadString())
+	f.Sender = ids.id(r.ReadStringBytes())
 	f.FwdSeq = r.ReadULongLong()
 	n := r.ReadULong()
 	// Each part costs at least its 4-byte length prefix, which bounds a
@@ -305,20 +360,20 @@ func decodeForward(r *cdr.Reader) (forwardMsg, error) {
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: bad part count %d", n)
 	}
-	f.Parts = readParts(r, n)
+	if n == 0 {
+		return forwardMsg{}, fmt.Errorf("totem: decode forward: empty forward")
+	}
+	f.Payload, f.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: %w", err)
-	}
-	if len(f.Parts) == 0 {
-		return forwardMsg{}, fmt.Errorf("totem: decode forward: empty forward")
 	}
 	return f, nil
 }
 
 func encodeBatch(b batchMsg) []byte {
 	size := 64 + len(b.Leader) + len(b.Origin)
-	for _, p := range b.Parts {
-		size += 8 + len(p)
+	if !b.Ref {
+		size += partsSize(b.Payload, b.Parts)
 	}
 	w := cdr.NewWriterCap(cdr.BigEndian, size)
 	w.WriteOctet(kindBatch)
@@ -328,29 +383,40 @@ func encodeBatch(b batchMsg) []byte {
 	w.WriteString(string(b.Origin))
 	w.WriteULongLong(b.OriginFwd)
 	w.WriteULongLong(b.Stable)
-	w.WriteULong(uint32(len(b.Parts)))
-	writeParts(w, b.Parts)
+	if b.Ref {
+		w.WriteULong(0)
+		return w.Bytes()
+	}
+	w.WriteULong(partCount(b.Parts))
+	writeParts(w, b.Payload, b.Parts)
 	return w.Bytes()
 }
 
-func decodeBatch(r *cdr.Reader) (batchMsg, error) {
+func decodeBatch(r *cdr.Reader, ids idTable) (batchMsg, error) {
 	var b batchMsg
 	b.RingID = r.ReadULongLong()
 	b.Seq = r.ReadULongLong()
-	b.Leader = memnet.NodeID(r.ReadString())
-	b.Origin = memnet.NodeID(r.ReadString())
+	b.Leader = ids.id(r.ReadStringBytes())
+	b.Origin = ids.id(r.ReadStringBytes())
 	b.OriginFwd = r.ReadULongLong()
 	b.Stable = r.ReadULongLong()
 	n := r.ReadULong()
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: bad part count %d", n)
 	}
-	b.Parts = readParts(r, n)
+	if n == 0 {
+		// No parts: the batch orders the forward (Origin, OriginFwd) by
+		// reference. The header is all there is, so anything behind it is
+		// a malformed datagram, not a payload to be guessed at.
+		if r.Remaining() != 0 {
+			return batchMsg{}, fmt.Errorf("totem: decode batch: %d bytes behind a by-reference batch", r.Remaining())
+		}
+		b.Ref = true
+		return b, nil
+	}
+	b.Payload, b.Parts = readParts(r, n)
 	if err := r.Err(); err != nil {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: %w", err)
-	}
-	if len(b.Parts) == 0 {
-		return batchMsg{}, fmt.Errorf("totem: decode batch: empty batch")
 	}
 	return b, nil
 }
@@ -368,10 +434,19 @@ func encodeAck(a ackMsg) []byte {
 	return w.Bytes()
 }
 
-func decodeAck(r *cdr.Reader) (ackMsg, error) {
+// decodeAck parses a stability report. Only the sequencer consumes acks,
+// but every member receives them: with full unset the decode stops behind
+// the ring id, which is all a non-sequencer looks at (handleAck).
+func decodeAck(r *cdr.Reader, ids idTable, full bool) (ackMsg, error) {
 	var a ackMsg
 	a.RingID = r.ReadULongLong()
-	a.Sender = memnet.NodeID(r.ReadString())
+	if !full {
+		if err := r.Err(); err != nil {
+			return ackMsg{}, fmt.Errorf("totem: decode ack: %w", err)
+		}
+		return a, nil
+	}
+	a.Sender = ids.id(r.ReadStringBytes())
 	a.Aru = r.ReadULongLong()
 	n := r.ReadULong()
 	// Each nak costs 8 bytes, which bounds a hostile count before any
@@ -401,10 +476,10 @@ func encodePromote(p promoteMsg) []byte {
 	return w.Bytes()
 }
 
-func decodePromote(r *cdr.Reader) (promoteMsg, error) {
+func decodePromote(r *cdr.Reader, ids idTable) (promoteMsg, error) {
 	var p promoteMsg
 	p.RingID = r.ReadULongLong()
-	p.Leader = memnet.NodeID(r.ReadString())
+	p.Leader = ids.id(r.ReadStringBytes())
 	p.StartSeq = r.ReadULongLong()
 	p.Stable = r.ReadULongLong()
 	if err := r.Err(); err != nil {

@@ -21,7 +21,7 @@ func decodeFrame(t *testing.T, b []byte, wantKind byte) *cdr.Reader {
 
 func TestRegularRoundTrip(t *testing.T) {
 	m := regularMsg{RingID: 3, Seq: 99, Sender: "n2", Payload: []byte("abc")}
-	got, err := decodeRegular(decodeFrame(t, encodeRegular(m), kindRegular))
+	got, err := decodeRegular(decodeFrame(t, encodeRegular(m), kindRegular), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTokenRoundTrip(t *testing.T) {
 		Rtr:     []rtrEntry{{Seq: 481, Age: 2}, {Seq: 483}},
 		Skip:    []uint64{460, 470},
 	}
-	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken))
+	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestTokenRoundTrip(t *testing.T) {
 
 func TestTokenRoundTripEmptyLists(t *testing.T) {
 	tok := token{RingID: 1, TokenID: 1, Succ: "a"}
-	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken))
+	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 			tok.Rtr = append(tok.Rtr, rtrEntry{Seq: s, Age: uint32(s % 7)})
 		}
 		tok.Skip = skip
-		got, err := decodeToken(cdrSkipKind(encodeToken(tok)))
+		got, err := decodeToken(cdrSkipKind(encodeToken(tok)), nil)
 		if err != nil {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 
 func TestForwardRoundTrip(t *testing.T) {
 	fm := forwardMsg{RingID: 5, Sender: "n7", FwdSeq: 42, Parts: [][]byte{[]byte("one"), []byte("two"), {}}}
-	got, err := decodeForward(decodeFrame(t, encodeForward(fm), kindForward))
+	got, err := decodeForward(decodeFrame(t, encodeForward(fm), kindForward), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +113,24 @@ func TestForwardRoundTrip(t *testing.T) {
 }
 
 func TestForwardRejectsEmptyAndHostile(t *testing.T) {
-	if _, err := decodeForward(cdrSkipKind(encodeForward(forwardMsg{RingID: 1, Sender: "n"}))); err == nil {
+	// The encoder cannot write a forward without parts (no payload is one
+	// empty part), so the counts are written by hand. Zero parts is the
+	// by-reference form, which only a batch has.
+	frame := func(count uint32) *cdr.Reader {
+		w := cdr.NewWriter(cdr.BigEndian)
+		w.WriteOctet(kindForward)
+		w.WriteULongLong(1)
+		w.WriteString("n")
+		w.WriteULongLong(1)
+		w.WriteULong(count)
+		return cdrSkipKind(w.Bytes())
+	}
+	if _, err := decodeForward(frame(0), nil); err == nil {
 		t.Fatal("empty forward decoded")
 	}
 	// A hostile part count larger than the remaining bytes could carry
 	// must be rejected before allocation.
-	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteOctet(kindForward)
-	w.WriteULongLong(1)
-	w.WriteString("n")
-	w.WriteULongLong(1)
-	w.WriteULong(1 << 30)
-	if _, err := decodeForward(cdrSkipKind(w.Bytes())); err == nil {
+	if _, err := decodeForward(frame(1<<30), nil); err == nil {
 		t.Fatal("hostile part count decoded")
 	}
 }
@@ -134,19 +140,74 @@ func TestBatchRoundTrip(t *testing.T) {
 		RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200,
 		Parts: [][]byte{[]byte("payload")},
 	}
-	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm), kindBatch))
+	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm), kindBatch), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.RingID != 9 || got.Seq != 1234 || got.Leader != "n0" || got.Origin != "n2" ||
-		got.OriginFwd != 17 || got.Stable != 1200 || len(got.Parts) != 1 || !bytes.Equal(got.Parts[0], bm.Parts[0]) {
+		got.OriginFwd != 17 || got.Stable != 1200 || got.Ref || got.Parts != nil || !bytes.Equal(got.Payload, bm.Parts[0]) {
 		t.Fatalf("got %+v", got)
 	}
 }
 
+// TestBatchByReferenceRoundTrip pins the by-reference wire form: the
+// leader header behind a part count of zero and nothing else, whatever
+// payloads the struct happens to carry.
+func TestBatchByReferenceRoundTrip(t *testing.T) {
+	bm := batchMsg{RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200, Ref: true}
+	full := bm
+	full.Ref, full.Payload = false, []byte("payload")
+	frame := encodeBatch(bm)
+	if want := len(encodeBatch(full)) - 4 - len(full.Payload); len(frame) != want {
+		t.Fatalf("by-reference batch is %d bytes, want the %d of the header alone", len(frame), want)
+	}
+	withPayload := bm
+	withPayload.Payload = []byte("ignored")
+	if !bytes.Equal(encodeBatch(withPayload), frame) {
+		t.Fatal("a by-reference batch put its payload on the wire")
+	}
+	got, err := decodeBatch(decodeFrame(t, frame, kindBatch), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, bm) {
+		t.Fatalf("got %+v, want %+v", got, bm)
+	}
+	// Bytes behind the header are a malformed datagram, not a payload.
+	if _, err := decodeBatch(cdrSkipKind(append(bytes.Clone(frame), 0, 0, 0, 0)), nil); err == nil {
+		t.Fatal("a by-reference batch with trailing bytes decoded")
+	}
+}
+
+// TestAckHeaderOnlyDecode: a non-sequencer reads the ring id and stops.
+func TestAckHeaderOnlyDecode(t *testing.T) {
+	frame := encodeAck(ackMsg{RingID: 7, Sender: "n1", Aru: 800, Nak: []uint64{801, 803}})
+	got, err := decodeAck(cdrSkipKind(frame), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ackMsg{RingID: 7}) {
+		t.Fatalf("got %+v, want the ring id alone", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = decodeAck(cdrSkipKind(frame), nil, false) }); n != 0 {
+		t.Fatalf("header-only ack decode allocates %v times", n)
+	}
+	if _, err := decodeAck(cdrSkipKind(frame[:5]), nil, false); err == nil {
+		t.Fatal("an ack truncated inside its ring id decoded")
+	}
+}
+
+// allParts flattens the Payload-or-Parts convention for comparison.
+func allParts(payload []byte, parts [][]byte) [][]byte {
+	if parts == nil {
+		return [][]byte{payload}
+	}
+	return parts
+}
+
 func TestAckRoundTrip(t *testing.T) {
 	am := ackMsg{RingID: 2, Sender: "n1", Aru: 800, Nak: []uint64{801, 803}}
-	got, err := decodeAck(decodeFrame(t, encodeAck(am), kindAck))
+	got, err := decodeAck(decodeFrame(t, encodeAck(am), kindAck), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +216,7 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 	// Empty nak list survives too.
 	am2 := ackMsg{RingID: 2, Sender: "n1", Aru: 801}
-	got2, err := decodeAck(cdrSkipKind(encodeAck(am2)))
+	got2, err := decodeAck(cdrSkipKind(encodeAck(am2)), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +227,7 @@ func TestAckRoundTrip(t *testing.T) {
 
 func TestPromoteRoundTrip(t *testing.T) {
 	pm := promoteMsg{RingID: 3, Leader: "n0", StartSeq: 555, Stable: 555}
-	got, err := decodePromote(decodeFrame(t, encodePromote(pm), kindPromote))
+	got, err := decodePromote(decodeFrame(t, encodePromote(pm), kindPromote), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,17 +242,23 @@ func TestQuickForwardBatchRoundTrip(t *testing.T) {
 			payloads = [][]byte{{}}
 		}
 		fm := forwardMsg{RingID: ringID, Sender: "q", FwdSeq: fwd, Parts: payloads}
-		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm)))
-		if err != nil || gotF.FwdSeq != fwd || len(gotF.Parts) != len(payloads) {
+		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm)), nil)
+		partsF := allParts(gotF.Payload, gotF.Parts)
+		if err != nil || gotF.FwdSeq != fwd || len(partsF) != len(payloads) {
 			return false
 		}
 		bm := batchMsg{RingID: ringID, Seq: fwd + 1, Leader: "l", Origin: "q", OriginFwd: fwd, Stable: fwd / 2, Parts: payloads}
-		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm)))
-		if err != nil || gotB.Seq != fwd+1 || gotB.Origin != "q" || len(gotB.Parts) != len(payloads) {
+		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm)), nil)
+		partsB := allParts(gotB.Payload, gotB.Parts)
+		if err != nil || gotB.Seq != fwd+1 || gotB.Origin != "q" || gotB.Ref || len(partsB) != len(payloads) {
+			return false
+		}
+		// One payload comes back without a slice header around it.
+		if (len(payloads) == 1) != (gotF.Parts == nil) || (len(payloads) == 1) != (gotB.Parts == nil) {
 			return false
 		}
 		for i := range payloads {
-			if !bytes.Equal(gotF.Parts[i], payloads[i]) || !bytes.Equal(gotB.Parts[i], payloads[i]) {
+			if !bytes.Equal(partsF[i], payloads[i]) || !bytes.Equal(partsB[i], payloads[i]) {
 				return false
 			}
 		}
@@ -212,19 +279,19 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 		r := cdr.NewReader(data, cdr.BigEndian)
 		switch r.ReadOctet() {
 		case kindRegular:
-			_, _ = decodeRegular(r)
+			_, _ = decodeRegular(r, nil)
 		case kindToken:
-			_, _ = decodeToken(r)
+			_, _ = decodeToken(r, nil)
 		case kindJoin:
 			_, _ = decodeJoin(r)
 		case kindForward:
-			_, _ = decodeForward(r)
+			_, _ = decodeForward(r, nil)
 		case kindBatch:
-			_, _ = decodeBatch(r)
+			_, _ = decodeBatch(r, nil)
 		case kindAck:
-			_, _ = decodeAck(r)
+			_, _ = decodeAck(r, nil, true)
 		case kindPromote:
-			_, _ = decodePromote(r)
+			_, _ = decodePromote(r, nil)
 		}
 		return true
 	}
@@ -240,6 +307,7 @@ func TestTruncatedLeaderFramesRejected(t *testing.T) {
 	frames := [][]byte{
 		encodeForward(forwardMsg{RingID: 1, Sender: "n1", FwdSeq: 2, Parts: [][]byte{[]byte("abc"), []byte("defg")}}),
 		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Parts: [][]byte{[]byte("abc")}}),
+		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Ref: true}),
 		encodeAck(ackMsg{RingID: 1, Sender: "n1", Aru: 3, Nak: []uint64{4}}),
 		encodePromote(promoteMsg{RingID: 1, Leader: "n0", StartSeq: 3, Stable: 3}),
 	}
@@ -250,13 +318,13 @@ func TestTruncatedLeaderFramesRejected(t *testing.T) {
 			var err error
 			switch r.ReadOctet() {
 			case kindForward:
-				_, err = decodeForward(r)
+				_, err = decodeForward(r, nil)
 			case kindBatch:
-				_, err = decodeBatch(r)
+				_, err = decodeBatch(r, nil)
 			case kindAck:
-				_, err = decodeAck(r)
+				_, err = decodeAck(r, nil, true)
 			case kindPromote:
-				_, err = decodePromote(r)
+				_, err = decodePromote(r, nil)
 			}
 			if err == nil && cut < len(frame) {
 				t.Fatalf("kind %d truncated at %d/%d decoded without error", kind, cut, len(frame))

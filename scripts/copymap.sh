@@ -3,8 +3,8 @@
 #
 # Prints the datapath's copy map: which call site allocates how many
 # payload-sized buffers per 16 KiB leader-mode round trip at r=3 on four
-# processors (the large_rtt shape). It runs TestDatapathAllocBudget with
-# -memprofilerate=1, so every allocation is sampled and the figures are
+# processors (the large_rtt shape). It runs TestDatapathAllocBudget's
+# 16KiB row with -memprofilerate=1, so every allocation is sampled and the figures are
 # exact, and attributes each buffer to the first non-inlined function
 # that asked for it (cdr.NewWriterCap is inlined into every encoder). A
 # unit is one 18 KiB allocation per op: the size class a 16 KiB payload
@@ -22,7 +22,7 @@ cd "$ROOT"
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/copymap.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-# The test makes 50 warm-up calls and three windows of 200.
+# The row makes 50 warm-up calls and three windows of 200.
 OPS=650
 UNIT=18432
 
@@ -31,7 +31,7 @@ UNIT=18432
 profile() {
     # A tree that is over budget fails the test and is still profiled.
     (cd "$1" && go test -c -o "$WORK/t.test" . &&
-        { "$WORK/t.test" -test.run '^TestDatapathAllocBudget$' \
+        { "$WORK/t.test" -test.run '^TestDatapathAllocBudget$/^16KiB$' \
             -test.memprofilerate=1 -test.memprofile "$WORK/mem.prof" >/dev/null || true; })
     go tool pprof -sample_index=alloc_space -unit=b -noinlines -top -nodecount=200 \
         "$WORK/t.test" "$WORK/mem.prof" 2>/dev/null |
