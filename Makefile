@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs clean
+.PHONY: build test vet lint lint-fast race check loc budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs clean
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ race:
 # tests) cannot land silently, the reference benchmark's own module, and
 # the datapath's allocation budget.
 check: vet lint race budget sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
+
+# loc prints non-test, non-blank Go lines per top-level package and the
+# total a simplicity PR is judged by (scripts/loc.sh: everything outside
+# bench/ and internal/analysis). Such a PR states this number on its
+# parent and on its change.
+loc:
+	@scripts/loc.sh
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
 # leader-mode round trip at r=3 must stay under 425 KiB and 70

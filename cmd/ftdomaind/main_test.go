@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,10 +13,62 @@ import (
 	"testing"
 	"time"
 
+	"eternalgw/internal/admission"
+	"eternalgw/internal/cdr"
+	"eternalgw/internal/domain"
 	"eternalgw/internal/experiments"
+	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/udpnet"
 )
+
+// TestParseFlagsApplicability: a flag that cannot apply in the chosen
+// mode, or without the ops server it rides on, is rejected by name when
+// set explicitly; everything else parses in both modes.
+func TestParseFlagsApplicability(t *testing.T) {
+	const node = "-node a -registry a=127.0.0.1:1 -replicas 1 "
+	tests := []struct {
+		args    string
+		wantErr string // substring; empty means accepted
+	}{
+		{"", ""},
+		{"-nodes 3 -gateways 1 -udp -monitor 1s -listen 127.0.0.1:0", ""},
+		{"-obs-addr 127.0.0.1:0 -trace -pprof", ""},
+		{node + "-listen 127.0.0.1:0 -obs-addr 127.0.0.1:0 -trace -pprof", ""},
+		{node + "-max-conns 9 -max-conns-per-client 3 -rate 50 -inflight 1", ""},
+		{node + "-nodes 3", "-nodes does not apply with -node"},
+		{node + "-gateways 1", "-gateways does not apply with -node"},
+		{node + "-udp", "-udp does not apply with -node"},
+		{node + "-monitor 1s", "-monitor does not apply with -node"},
+		{"-registry a=127.0.0.1:1", "-registry does not apply without -node"},
+		{"-trace", "-trace requires -obs-addr"},
+		{"-pprof", "-pprof requires -obs-addr"},
+		{node + "-trace", "-trace requires -obs-addr"},
+		{node + "-pprof", "-pprof requires -obs-addr"},
+		{"-trace=false -pprof=false", ""},
+	}
+	for _, tt := range tests {
+		o, err := parseFlags(strings.Fields(tt.args))
+		switch {
+		case tt.wantErr == "" && err != nil:
+			t.Errorf("parseFlags(%q) = %v, want accepted", tt.args, err)
+		case tt.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tt.wantErr)):
+			t.Errorf("parseFlags(%q) = %v, want error containing %q", tt.args, err, tt.wantErr)
+		}
+		if strings.Contains(tt.args, "-inflight 1") && (o.adm.MaxInFlight != 1 || o.adm.Rate != 50 || o.admissionConfig() == nil) {
+			t.Errorf("parseFlags(%q): admission flags lost in node mode: %+v", tt.args, o.adm)
+		}
+	}
+}
+
+// gatewayAddrs lists the addresses of the domain's gateways.
+func gatewayAddrs(d *domain.Domain) []string {
+	var addrs []string
+	for _, gw := range d.Gateways() {
+		addrs = append(addrs, gw.Addr())
+	}
+	return addrs
+}
 
 func TestParseStyle(t *testing.T) {
 	tests := []struct {
@@ -55,9 +108,9 @@ func TestGracefulShutdownDrainsGateways(t *testing.T) {
 		done <- run(runOpts{
 			nodes: 2, replicas: 1, gateways: 1, styleStr: "active",
 			logLevel: "error", drainTimeout: 2 * time.Second,
-			inflight: 32,
-			stop:     stop,
-			onReady:  func(addrs []string) { ready <- addrs },
+			adm:     admission.Config{MaxInFlight: 32},
+			stop:    stop,
+			onReady: func(d *domain.Domain, _ *obs.Server) { ready <- gatewayAddrs(d) },
 		})
 	}()
 	var addrs []string
@@ -105,8 +158,10 @@ func TestAdminReconfigEndpoints(t *testing.T) {
 			logLevel: "error", drainTimeout: 2 * time.Second,
 			obsAddr: "127.0.0.1:0",
 			stop:    stop,
-			onReady: func(addrs []string) { ready <- addrs },
-			onObs:   func(addr string) { obsReady <- addr },
+			onReady: func(d *domain.Domain, ops *obs.Server) {
+				obsReady <- ops.Addr()
+				ready <- gatewayAddrs(d)
+			},
 		})
 	}()
 	defer func() {
@@ -215,13 +270,14 @@ func TestParseRegistry(t *testing.T) {
 	}
 }
 
-// TestRunNodeMultiProcess stands up a three-member ring with one runNode
-// per member — the one-ring-member-per-OS-process deployment, exercised
-// in-process so the test can drive the runNode lifecycle directly. Two
+// TestRunNodeMultiProcess stands up a three-member ring with one -node
+// run per member — the one-ring-member-per-OS-process deployment,
+// exercised in-process so the test can drive the lifecycle directly. Two
 // members host replicas by the sorted-registry convention; the third
-// hosts the gateway. A client invokes through the gateway and the
-// register's operations execute exactly once across the replicated
-// group.
+// hosts the gateway, under -inflight 1. A client invokes through the
+// gateway and the register's operations execute exactly once across the
+// replicated group; a second client arriving while the window is full is
+// shed with TRANSIENT, as in single-process mode.
 func TestRunNodeMultiProcess(t *testing.T) {
 	reg, err := udpnet.LoopbackRegistry("mp/a", "mp/b", "mp/c")
 	if err != nil {
@@ -230,20 +286,21 @@ func TestRunNodeMultiProcess(t *testing.T) {
 	spec := registrySpec(reg)
 	stops := make([]chan struct{}, 3)
 	dones := make([]chan error, 3)
-	ready := make(chan []string, 1)
+	ready := make(chan *domain.Domain, 1)
 	for i, id := range []string{"mp/a", "mp/b", "mp/c"} {
 		stops[i] = make(chan struct{})
 		dones[i] = make(chan error, 1)
-		o := nodeOpts{
+		o := runOpts{
 			node: id, registry: spec, replicas: 2, styleStr: "active",
 			ordering: "ring", logLevel: "error", drainTimeout: 2 * time.Second,
 			stop: stops[i],
 		}
 		if id == "mp/c" {
 			o.listen = "127.0.0.1:0"
-			o.onReady = func(addrs []string) { ready <- addrs }
+			o.adm.MaxInFlight = 1
+			o.onReady = func(d *domain.Domain, _ *obs.Server) { ready <- d }
 		}
-		go func(o nodeOpts, done chan error) { done <- runNode(o) }(o, dones[i])
+		go func(o runOpts, done chan error) { done <- run(o) }(o, dones[i])
 	}
 	stopAll := func() {
 		for i := range stops {
@@ -262,12 +319,13 @@ func TestRunNodeMultiProcess(t *testing.T) {
 	}
 	defer stopAll()
 
-	var addrs []string
+	var gwDomain *domain.Domain
 	select {
-	case addrs = <-ready:
+	case gwDomain = <-ready:
 	case <-time.After(60 * time.Second):
 		t.Fatal("gateway node never became ready")
 	}
+	addrs := gatewayAddrs(gwDomain)
 	for i, done := range dones {
 		select {
 		case err := <-done:
@@ -297,6 +355,37 @@ func TestRunNodeMultiProcess(t *testing.T) {
 	}
 	if got := string(r.ReadOctetSeq()); got != "multi-process" {
 		t.Fatalf("register = %q", got)
+	}
+
+	// Admission applies in node mode: a slow invocation fills the
+	// -inflight 1 window and a second client is shed once it has waited
+	// out the admit deadline.
+	work := cdr.NewWriter(cdr.BigEndian)
+	work.WriteULong(1000) // server-side milliseconds
+	work.WriteOctetSeq([]byte("!"))
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := conn.Call([]byte(demoKey), "work", work.Bytes(), opts)
+		slowDone <- err
+	}()
+	gw := gwDomain.Gateways()[0]
+	for deadline := time.Now().Add(5 * time.Second); gw.InFlight() < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("slow invocation never in flight")
+		}
+	}
+	fast, err := orb.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fast.Close() }()
+	_, err = fast.Call([]byte(demoKey), "ops", nil, opts)
+	var sysEx *orb.SystemException
+	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoTransient {
+		t.Fatalf("second client with the window full: err = %v, want TRANSIENT", err)
+	}
+	if err := <-slowDone; err != nil {
+		t.Fatalf("admitted slow call failed: %v", err)
 	}
 }
 

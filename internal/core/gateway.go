@@ -60,6 +60,10 @@ const (
 // Errors reported by the gateway.
 var ErrClosed = errors.New("gateway: closed")
 
+// replyCacheSize bounds the recorded-response cache used to answer
+// reissued invocations after a gateway failover.
+const replyCacheSize = 8192
+
 // Config parameterizes a Gateway.
 type Config struct {
 	// RM is this node's replication mechanisms; the gateway must already
@@ -72,9 +76,6 @@ type Config struct {
 	ListenAddr string
 	// InvokeTimeout bounds each forwarded invocation. Zero means 10s.
 	InvokeTimeout time.Duration
-	// ReplyCacheSize bounds the recorded-response cache used to answer
-	// reissued invocations after a gateway failover. Zero means 8192.
-	ReplyCacheSize int
 	// Log receives diagnostics (tagged component=gateway); nil discards
 	// them.
 	Log *obs.Logger
@@ -202,9 +203,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.InvokeTimeout == 0 {
 		cfg.InvokeTimeout = 10 * time.Second
 	}
-	if cfg.ReplyCacheSize == 0 {
-		cfg.ReplyCacheSize = 8192
-	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
@@ -226,7 +224,7 @@ func New(cfg Config) (*Gateway, error) {
 		adm:           cfg.Admission,
 		conns:         make(map[net.Conn]*clientConn),
 		counters:      make(map[replication.GroupID]uint64),
-		records:       newRecordStore(cfg.ReplyCacheSize),
+		records:       newRecordStore(replyCacheSize),
 		depNotify:     make(chan struct{}, 1),
 		acceptStop:    make(chan struct{}),
 		quit:          make(chan struct{}),

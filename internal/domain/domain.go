@@ -1,7 +1,10 @@
 // Package domain composes the substrates of this repository into
-// runnable fault tolerance domains: a simulated network, a Totem ring, a
+// runnable fault tolerance domains: a network (simulated unless a
+// transport factory says otherwise), a Totem ring, a
 // replication-mechanisms instance per processor, the management objects,
-// and any number of gateways on the domain's edge.
+// and any number of gateways on the domain's edge. It is the only place
+// a processor is assembled; every binary, benchmark and test that needs
+// one calls New.
 //
 // A Domain is the paper's "fault tolerance domain": the domain of
 // control of one fault tolerance infrastructure (paper section 1).
@@ -14,6 +17,7 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,8 +40,20 @@ const DefaultGatewayGroup replication.GroupID = 1
 type Config struct {
 	// Name identifies the domain (e.g. "new-york").
 	Name string
-	// Nodes is the number of processors in the domain.
+	// Nodes is the number of processors in the domain, with identities
+	// minted by MemberIDs. Ignored when Members is set.
 	Nodes int
+	// Members, when set, is the domain's ring membership by explicit
+	// identity — e.g. the ids of a udpnet registry. Every process of the
+	// domain must configure the same list.
+	Members []memnet.NodeID
+	// Local, when set, names the members this process hosts; the others
+	// run in other processes (or other Domain values) on the same
+	// network. Unset means all of them. A Domain manages what it hosts:
+	// Node, Manager placement, AddGateway, CrashNode and RestartNode see
+	// local processors only, while the group directory, and so
+	// invocations, span the whole ring.
+	Local []memnet.NodeID
 	// NetOptions configure the simulated network (loss, delay, seed).
 	NetOptions []memnet.Option
 	// Totem overrides protocol timeouts; zero values use totem defaults.
@@ -95,10 +111,11 @@ type Domain struct {
 	Name string
 	Net  *memnet.Network
 
-	cfg     Config
-	nodes   []*Node
-	manager *ftmgmt.Manager
-	closed  bool
+	cfg         Config
+	nodes       []*Node
+	manager     *ftmgmt.Manager
+	syncTimeout time.Duration
+	closed      bool
 
 	mu        sync.Mutex // guards gateways, gwNode, published
 	gateways  []*core.Gateway
@@ -106,16 +123,37 @@ type Domain struct {
 	published map[string]string // object key -> type id, for republishing
 }
 
-// New builds and starts a domain with cfg.Nodes processors.
-func New(cfg Config) (*Domain, error) {
-	if cfg.Nodes <= 0 {
-		return nil, errors.New("domain: need at least one node")
+// MemberIDs returns the identities New mints for a domain of n
+// processors when Config.Members is unset: <name>/p00, <name>/p01, ...
+func MemberIDs(name string, n int) []memnet.NodeID {
+	ids := make([]memnet.NodeID, n)
+	for i := range ids {
+		ids[i] = memnet.NodeID(fmt.Sprintf("%s/p%02d", name, i))
 	}
+	return ids
+}
+
+// New builds and starts the processors of a domain that this process
+// hosts: all cfg.Nodes of them unless cfg.Members and cfg.Local say
+// otherwise. It is the one place a processor is assembled — transport,
+// totem node, replication mechanisms, and (AddGateway) gateways.
+func New(cfg Config) (*Domain, error) {
 	if cfg.Name == "" {
 		cfg.Name = "domain"
 	}
 	if cfg.GatewayGroup == 0 {
 		cfg.GatewayGroup = DefaultGatewayGroup
+	}
+	members := cfg.Members
+	if len(members) == 0 {
+		members = MemberIDs(cfg.Name, cfg.Nodes)
+	}
+	local := cfg.Local
+	if len(local) == 0 {
+		local = members
+	}
+	if len(local) == 0 {
+		return nil, errors.New("domain: need at least one node")
 	}
 	d := &Domain{
 		Name:      cfg.Name,
@@ -123,12 +161,19 @@ func New(cfg Config) (*Domain, error) {
 		cfg:       cfg,
 		gwNode:    make(map[*core.Gateway]int),
 		published: make(map[string]string),
+
+		syncTimeout: 10 * time.Second,
 	}
-	ids := make([]memnet.NodeID, cfg.Nodes)
-	for i := range ids {
-		ids[i] = memnet.NodeID(fmt.Sprintf("%s/p%02d", cfg.Name, i))
+	if len(local) < len(members) {
+		// Members hosted elsewhere start on their own schedule, so waits
+		// that need the rest of the ring get a deployment-scale bound.
+		d.syncTimeout = 60 * time.Second
 	}
-	for _, id := range ids {
+	for _, id := range local {
+		if !slices.Contains(members, id) {
+			d.Close()
+			return nil, fmt.Errorf("domain %s: local node %q is not among the members %v", cfg.Name, id, members)
+		}
 		var (
 			ep  totem.Transport
 			err error
@@ -145,7 +190,7 @@ func New(cfg Config) (*Domain, error) {
 		tcfg := cfg.Totem
 		tcfg.ID = id
 		tcfg.Endpoint = ep
-		tcfg.Members = ids
+		tcfg.Members = members
 		tcfg.Metrics = cfg.Metrics
 		tn, err := totem.Start(tcfg)
 		if err != nil {
@@ -172,12 +217,14 @@ func New(cfg Config) (*Domain, error) {
 	d.manager = ftmgmt.NewManager(hosts...)
 	d.manager.Instrument(cfg.Metrics, cfg.Log)
 	// The gateway group exists from the start so gateways can join it.
+	// CreateGroup is a delivered no-op on an existing id, so when several
+	// processes each announce it the first delivery wins.
 	if err := d.nodes[0].RM.CreateGroup(cfg.GatewayGroup, replication.Active, nil); err != nil {
 		d.Close()
 		return nil, err
 	}
 	for _, n := range d.nodes {
-		if err := n.RM.WaitForGroup(cfg.GatewayGroup, 10*time.Second); err != nil {
+		if err := n.RM.WaitForGroup(cfg.GatewayGroup, d.syncTimeout); err != nil {
 			d.Close()
 			return nil, fmt.Errorf("domain %s: gateway group: %w", cfg.Name, err)
 		}
@@ -185,10 +232,10 @@ func New(cfg Config) (*Domain, error) {
 	return d, nil
 }
 
-// Nodes returns the number of processors.
+// Nodes returns the number of processors this Domain hosts.
 func (d *Domain) Nodes() int { return len(d.nodes) }
 
-// Node returns processor i.
+// Node returns local processor i.
 func (d *Domain) Node(i int) *Node { return d.nodes[i] }
 
 // Manager returns the domain's management objects.
@@ -237,7 +284,7 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 	if err != nil {
 		return nil, err
 	}
-	if err := n.RM.WaitSynced(d.cfg.GatewayGroup, 10*time.Second); err != nil {
+	if err := n.RM.WaitSynced(d.cfg.GatewayGroup, d.syncTimeout); err != nil {
 		_ = gw.Close()
 		return nil, err
 	}

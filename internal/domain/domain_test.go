@@ -1,6 +1,7 @@
 package domain_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/ior"
+	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/thinclient"
@@ -280,6 +282,99 @@ func TestBridgeSurvivesRemoteGatewayFailover(t *testing.T) {
 func TestDomainConfigValidation(t *testing.T) {
 	if _, err := domain.New(domain.Config{Nodes: 0}); err == nil {
 		t.Fatal("zero nodes accepted")
+	}
+	ids := domain.MemberIDs("v", 2)
+	if _, err := domain.New(domain.Config{Members: ids, Local: []memnet.NodeID{"v/elsewhere"}}); err == nil {
+		t.Fatal("local node outside the membership accepted")
+	}
+}
+
+// TestOneRingFromTwoPartialDomains builds one four-member ring out of
+// two Domain values that each host two of the members on a shared
+// network — the shape of a multi-process deployment. The object is
+// deployed through one domain's managers and invoked through a gateway
+// on the other: the group directory spans the ring, while each Domain
+// manages only the processors it hosts.
+func TestOneRingFromTwoPartialDomains(t *testing.T) {
+	net := memnet.New()
+	members := domain.MemberIDs("split", 4)
+	halves := make([]*domain.Domain, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range halves {
+		wg.Add(1)
+		go func() { // together, like processes of one deployment
+			defer wg.Done()
+			halves[i], errs[i] = domain.New(domain.Config{
+				Name:                 "split",
+				Members:              members,
+				Local:                members[2*i : 2*i+2],
+				Totem:                fastTotem(),
+				GatewayInvokeTimeout: 5 * time.Second,
+				TransportFactory: func(id memnet.NodeID) (totem.Transport, error) {
+					return net.Attach(id)
+				},
+			})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("half %d: %v", i, err)
+		}
+		t.Cleanup(halves[i].Close)
+	}
+	a, b := halves[0], halves[1]
+	if a.Nodes() != 2 || b.Nodes() != 2 || a.Node(0).ID != members[0] || b.Node(0).ID != members[2] {
+		t.Fatalf("local processors: a=%d from %s, b=%d from %s", a.Nodes(), a.Node(0).ID, b.Nodes(), b.Node(0).ID)
+	}
+	// Both halves are in one ring before anything is deployed.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.Node(0).Totem.Members()) != len(members) || len(a.Node(0).Totem.Members()) != len(members) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring never merged: a sees %v, b sees %v", a.Node(0).Totem.Members(), b.Node(0).Totem.Members())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	const grp replication.GroupID = 700
+	key := []byte("split/adder")
+	err := a.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 2,
+		MinReplicas:     1,
+		ObjectKey:       key,
+	}, func() (replication.Application, error) { return &adderApp{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a's managers can place only on what a hosts.
+	if _, err := a.Manager().Grow(grp); !errors.Is(err, ftmgmt.ErrNoHosts) {
+		t.Fatalf("grow beyond the local processors: err = %v, want ErrNoHosts", err)
+	}
+	if err := b.Node(0).RM.WaitForMembers(grp, 2, 5*time.Second); err != nil {
+		t.Fatalf("b never learned the group a deployed: %v", err)
+	}
+	if _, err := b.AddGateway(0, ""); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := b.PublishIOR("IDL:X:1.0", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, conn, err := orb.Resolve(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	for i := 1; i <= 5; i++ {
+		r, err := obj.Call("add", int64Args(1), orb.InvokeOptions{})
+		if err != nil {
+			t.Fatalf("call %d through b's gateway to a's replicas: %v", i, err)
+		}
+		if got := r.ReadLongLong(); got != int64(i) {
+			t.Fatalf("call %d = %d", i, got)
+		}
 	}
 }
 

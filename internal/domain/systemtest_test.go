@@ -1,7 +1,6 @@
 package domain_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -157,11 +156,7 @@ func TestDomainOverUDPTransport(t *testing.T) {
 		t.Skip("UDP transport test skipped in -short mode")
 	}
 	const nodes = 3
-	ids := make([]memnet.NodeID, nodes)
-	for i := range ids {
-		ids[i] = memnet.NodeID(fmt.Sprintf("udp/p%02d", i))
-	}
-	registry, err := udpnet.LoopbackRegistry(ids...)
+	registry, err := udpnet.LoopbackRegistry(domain.MemberIDs("udp", nodes)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"eternalgw/internal/domain"
 	"eternalgw/internal/faultinject"
 	"eternalgw/internal/giop"
-	"eternalgw/internal/metrics"
+	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/thinclient"
@@ -181,7 +181,7 @@ func runE8GatewayFailover(cfg Config) (Result, error) {
 		faultinject.Step{AtOp: uint64(killAt), Name: "kill gateway 0", Action: func() { _ = d.Gateways()[0].Close() }},
 		faultinject.Step{AtOp: uint64(2 * killAt), Name: "kill gateway 1", Action: func() { _ = d.Gateways()[1].Close() }},
 	)
-	lat := &metrics.Histogram{}
+	lat := &obs.Histogram{}
 	var worst time.Duration
 	for i := 1; i <= total; i++ {
 		plan.Tick()
@@ -260,7 +260,7 @@ func runE9ReplicationStyles(cfg Config) (Result, error) {
 			return err
 		}
 
-		lat := &metrics.Histogram{}
+		lat := &obs.Histogram{}
 		for i := 1; i <= warm; i++ {
 			start := time.Now()
 			if err := invoke(uint32(i), "append"); err != nil {

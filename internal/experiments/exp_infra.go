@@ -8,7 +8,7 @@ import (
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/giop"
-	"eternalgw/internal/metrics"
+	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 )
@@ -49,7 +49,7 @@ func runE1MultiDomain(cfg Config) (Result, error) {
 	}
 
 	// Path 1: replicated client inside the NY domain (figure 4c path).
-	inDomain := &metrics.Histogram{}
+	inDomain := &obs.Histogram{}
 	rm := ny.Node(2).RM
 	if err := rm.WaitSynced(domain.DefaultGatewayGroup, 5*time.Second); err != nil {
 		return Result{}, err
@@ -67,7 +67,7 @@ func runE1MultiDomain(cfg Config) (Result, error) {
 	}
 
 	// Path 2: unreplicated client through the NY gateway (figure 3).
-	viaGateway := &metrics.Histogram{}
+	viaGateway := &obs.Histogram{}
 	obj, conn, err := orb.Resolve(nyRef)
 	if err != nil {
 		return Result{}, err
@@ -96,7 +96,7 @@ func runE1MultiDomain(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	twoDomains := &metrics.Histogram{}
+	twoDomains := &obs.Histogram{}
 	obj2, conn2, err := orb.Resolve(laRef)
 	if err != nil {
 		return Result{}, err
@@ -110,7 +110,7 @@ func runE1MultiDomain(cfg Config) (Result, error) {
 		twoDomains.Record(time.Since(start))
 	}
 
-	row := func(name string, h *metrics.Histogram) []string {
+	row := func(name string, h *obs.Histogram) []string {
 		return []string{name, fmt.Sprint(h.Count()),
 			h.Mean().Round(time.Microsecond).String(),
 			h.Percentile(50).Round(time.Microsecond).String(),
@@ -185,7 +185,7 @@ func runE2InfrastructureOverhead(cfg Config) (Result, error) {
 		payload := make([]byte, size)
 		args := OctetSeqArg(payload)
 
-		direct := &metrics.Histogram{}
+		direct := &obs.Histogram{}
 		for i := 0; i < ops; i++ {
 			start := time.Now()
 			if _, err := baseConn.Call([]byte("plain"), "echo", args, orb.InvokeOptions{}); err != nil {
@@ -194,7 +194,7 @@ func runE2InfrastructureOverhead(cfg Config) (Result, error) {
 			direct.Record(time.Since(start))
 		}
 
-		infra := &metrics.Histogram{}
+		infra := &obs.Histogram{}
 		for i := 0; i < ops; i++ {
 			reqID++
 			start := time.Now()
@@ -312,7 +312,7 @@ func runE5GatewayLoops(cfg Config) (Result, error) {
 
 	// Direct: same node, straight into the replication mechanisms.
 	rm := d.Node(2).RM
-	direct := &metrics.Histogram{}
+	direct := &obs.Histogram{}
 	for i := 1; i <= ops; i++ {
 		start := time.Now()
 		_, err := rm.Invoke(domain.DefaultGatewayGroup, 99, expServerGroup,
@@ -331,7 +331,7 @@ func runE5GatewayLoops(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	defer func() { _ = conn.Close() }()
-	through := &metrics.Histogram{}
+	through := &obs.Histogram{}
 	for i := 0; i < ops; i++ {
 		start := time.Now()
 		if _, err := conn.Call([]byte(expServerKey), "ops", nil, orb.InvokeOptions{}); err != nil {

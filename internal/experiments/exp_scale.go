@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"eternalgw/internal/metrics"
+	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 )
@@ -36,8 +36,8 @@ func runE10GatewayScalability(cfg Config) (Result, error) {
 
 	var rows [][]string
 	for _, clients := range clientCounts {
-		lat := &metrics.Histogram{}
-		tp := metrics.StartThroughput()
+		lat := &obs.Histogram{}
+		tp := startThroughput()
 		var (
 			wg    sync.WaitGroup
 			errMu sync.Mutex
@@ -96,4 +96,27 @@ func runE10GatewayScalability(cfg Config) (Result, error) {
 			"expected shape: throughput rises with client concurrency until the single totem ring serializing the domain saturates, then latency grows while throughput flattens",
 		},
 	}, nil
+}
+
+// throughput measures operations per second over a wall-clock window.
+type throughput struct {
+	start time.Time
+	ops   int
+}
+
+// startThroughput begins a measurement window.
+func startThroughput() *throughput {
+	return &throughput{start: time.Now()}
+}
+
+// Add counts n completed operations.
+func (t *throughput) Add(n int) { t.ops += n }
+
+// PerSecond reports the rate since the window began.
+func (t *throughput) PerSecond() float64 {
+	elapsed := time.Since(t.start).Seconds()
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(t.ops) / elapsed
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAllExperimentsRunQuick executes the entire reproduction suite in
@@ -145,4 +146,14 @@ func rowMap(res Result) map[string]string {
 		}
 	}
 	return out
+}
+
+func TestThroughput(t *testing.T) {
+	tp := startThroughput()
+	tp.Add(10)
+	time.Sleep(10 * time.Millisecond)
+	rate := tp.PerSecond()
+	if rate <= 0 || rate > 10_000 {
+		t.Fatalf("rate = %f", rate)
+	}
 }

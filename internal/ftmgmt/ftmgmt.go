@@ -16,11 +16,11 @@
 // their observable behaviour (placement, replacement, live upgrade) at
 // laptop scale (see DESIGN.md section 2).
 //
-// The managers are policy: they decide which groups exist, what their
-// factories are, and when membership must change. The mechanics of a
-// membership change — ordered view installation, checkpoint + log-replay
-// state transfer, placement on the least loaded host — live in
-// internal/reconfig, whose Coordinator the managers drive for initial
+// One Manager owns the domain's one list of processors. This file is
+// policy: which groups exist, what their factories are, and when
+// membership must change. The mechanics of a membership change — ordered
+// view installation, checkpoint + log-replay state transfer, placement
+// on the least loaded host — are in reconfig.go, and serve initial
 // placement, failure replacement, elasticity (Grow/Shrink/Replace) and
 // live upgrades alike.
 package ftmgmt
@@ -34,7 +34,6 @@ import (
 
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
-	"eternalgw/internal/reconfig"
 	"eternalgw/internal/replication"
 )
 
@@ -44,7 +43,13 @@ var (
 	ErrUnknownGroup = errors.New("ftmgmt: group not managed")
 	ErrBadProps     = errors.New("ftmgmt: invalid fault tolerance properties")
 	ErrMinReplicas  = errors.New("ftmgmt: shrink would violate the minimum replica count")
+	ErrNotMember    = errors.New("reconfig: node is not a member of the group")
+	ErrLastReplica  = errors.New("reconfig: refusing to remove the last replica")
 )
+
+// syncTimeout bounds each synchronization step of a membership change
+// (group creation, state transfer, view installation).
+const syncTimeout = 10 * time.Second
 
 // Properties are the user-specified fault tolerance properties of one
 // replicated object.
@@ -71,56 +76,50 @@ type Host struct {
 
 // managedGroup records what the managers know about one group.
 type managedGroup struct {
-	id      replication.GroupID
 	props   Properties
 	factory Factory
 }
 
 // Manager combines the Replication, Resource and Evolution Managers for
-// one fault tolerance domain.
+// one fault tolerance domain. Membership operations on one manager are
+// serialized: each grow/shrink/replace step is an ordered view change,
+// and overlapping operations on the same group would race each other's
+// placement decisions.
 type Manager struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards hosts, groups, reg, log
 	hosts  []Host
-	groups map[replication.GroupID]*managedGroup
-	coord  *reconfig.Coordinator
+	groups map[replication.GroupID]managedGroup
+	log    *obs.Logger // nil until Instrument
+	reg    *obs.Registry
+
+	opMu sync.Mutex // serializes membership operations
 
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
 
-	syncTimeout time.Duration
-
-	log          *obs.Logger // nil until Instrument
-	reg          *obs.Registry
 	replacements atomic.Uint64 // replicas started by the Resource Manager
-	upgrades     atomic.Uint64 // live upgrades completed
+	grows        atomic.Uint64
+	shrinks      atomic.Uint64
+	replaces     atomic.Uint64
+	upgrades     atomic.Uint64 // rolling upgrades completed
+	failures     atomic.Uint64 // membership operations that failed partway
 }
 
 // NewManager creates a manager over the given hosts.
 func NewManager(hosts ...Host) *Manager {
 	m := &Manager{
-		hosts:       append([]Host(nil), hosts...),
-		groups:      make(map[replication.GroupID]*managedGroup),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		syncTimeout: 10 * time.Second,
+		hosts:  append([]Host(nil), hosts...),
+		groups: make(map[replication.GroupID]managedGroup),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	coordHosts := make([]reconfig.Host, len(hosts))
-	for i, h := range hosts {
-		coordHosts[i] = reconfig.Host(h)
-	}
-	m.coord = reconfig.New(m.syncTimeout, coordHosts...)
 	close(m.done) // no monitor running yet
 	return m
 }
 
-// Coordinator returns the reconfiguration coordinator the managers drive;
-// callers needing raw membership operations (e.g. an admin surface) can
-// use it directly.
-func (m *Manager) Coordinator() *reconfig.Coordinator { return m.coord }
-
 // Instrument connects the managers to the observability subsystem:
-// replacement and upgrade counters plus a per-group replica-count gauge
+// operation counters, plus a replica-count gauge and a view-number gauge
 // registered for every group created afterwards. Call before
 // CreateReplicatedObject; safe to skip entirely (nil arguments are
 // no-ops).
@@ -129,40 +128,58 @@ func (m *Manager) Instrument(reg *obs.Registry, log *obs.Logger) {
 	defer m.mu.Unlock()
 	m.reg = reg
 	m.log = log.With("ftmgmt")
-	if reg != nil {
-		reg.CounterFunc("eternalgw_ftmgmt_replacements_total",
-			"Replacement replicas started by the Resource Manager.", nil, m.replacements.Load)
-		reg.CounterFunc("eternalgw_ftmgmt_upgrades_total",
-			"Live upgrades completed by the Evolution Manager.", nil, m.upgrades.Load)
+	for _, c := range []struct {
+		name, help string
+		fn         func() uint64
+	}{
+		{"eternalgw_ftmgmt_replacements_total", "Replacement replicas started by the Resource Manager.", m.replacements.Load},
+		{"eternalgw_ftmgmt_upgrades_total", "Live upgrades completed by the Evolution Manager.", m.upgrades.Load},
+		{"eternalgw_reconfig_grows_total", "Grow operations completed (one replica added).", m.grows.Load},
+		{"eternalgw_reconfig_shrinks_total", "Shrink operations completed (one replica evicted).", m.shrinks.Load},
+		{"eternalgw_reconfig_replaces_total", "Replace operations completed (one replica swapped for a fresh one).", m.replaces.Load},
+		{"eternalgw_reconfig_rolling_upgrades_total", "Rolling upgrades completed (every replica of a group replaced).", m.upgrades.Load},
+		{"eternalgw_reconfig_failures_total", "Reconfiguration operations that failed partway.", m.failures.Load},
+	} {
+		reg.CounterFunc(c.name, c.help, nil, c.fn)
 	}
-	m.coord.Instrument(reg, log)
 }
 
-// registerGroupGauge publishes the live replica count of one managed
-// group. Callers hold mu.
-func (m *Manager) registerGroupGauge(id replication.GroupID) {
-	if m.reg == nil || len(m.hosts) == 0 {
-		return
+// registerGroupGauges publishes the live replica count and the view
+// number of one managed group. Both resolve the mechanisms they read at
+// scrape time, so they follow the host list across RemoveHost instead of
+// reading a withdrawn processor's directory forever.
+func (m *Manager) registerGroupGauges(reg *obs.Registry, id replication.GroupID) {
+	labels := obs.Labels{"group": fmt.Sprintf("%d", id)}
+	scrape := func(read func(*replication.Mechanisms) float64) func() float64 {
+		return func() float64 {
+			rm, err := m.anyRM()
+			if err != nil {
+				return 0
+			}
+			return read(rm)
+		}
 	}
-	rm := m.hosts[0].RM
-	m.reg.GaugeFunc("eternalgw_ftmgmt_group_replicas",
-		"Live replicas of a managed object group.",
-		obs.Labels{"group": fmt.Sprintf("%d", id)},
-		func() float64 { return float64(len(rm.Members(id))) })
+	reg.GaugeFunc("eternalgw_ftmgmt_group_replicas",
+		"Live replicas of a managed object group.", labels,
+		scrape(func(rm *replication.Mechanisms) float64 { return float64(len(rm.Members(id))) }))
+	reg.GaugeFunc("eternalgw_reconfig_group_view",
+		"Current membership view number of a reconfigured object group.", labels,
+		scrape(func(rm *replication.Mechanisms) float64 {
+			v, _ := rm.View(id)
+			return float64(v.Number)
+		}))
 }
 
 // AddHost makes a processor available for placement.
 func (m *Manager) AddHost(h Host) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, existing := range m.hosts {
 		if existing.ID == h.ID {
-			m.mu.Unlock()
 			return
 		}
 	}
 	m.hosts = append(m.hosts, h)
-	m.mu.Unlock()
-	m.coord.AddHost(reconfig.Host(h))
 }
 
 // RemoveHost withdraws a processor from placement decisions (it does not
@@ -180,11 +197,13 @@ func (m *Manager) RemoveHost(id memnet.NodeID) {
 	}
 	m.hosts = kept
 	m.mu.Unlock()
-	m.coord.RemoveHost(id)
 	m.reconcile()
 }
 
-// anyRM returns some host's mechanisms for domain-wide queries.
+// anyRM returns the mechanisms of the first processor still in the host
+// list, for domain-wide queries: every processor's group directory is
+// fed by the same total order, so any one that has not been withdrawn
+// will do.
 func (m *Manager) anyRM() (*replication.Mechanisms, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -209,15 +228,15 @@ func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Propertie
 		return err
 	}
 	m.mu.Lock()
-	m.groups[id] = &managedGroup{id: id, props: props, factory: factory}
-	m.registerGroupGauge(id)
-	hostCount := len(m.hosts)
+	m.groups[id] = managedGroup{props: props, factory: factory}
+	reg, hostCount := m.reg, len(m.hosts)
 	m.mu.Unlock()
+	m.registerGroupGauges(reg, id)
 	m.log.Infof("group %d: %s, initial=%d min=%d", id, props.Style, props.InitialReplicas, props.MinReplicas)
 	if props.InitialReplicas > hostCount {
 		return fmt.Errorf("%w: need %d hosts, have %d", ErrNoHosts, props.InitialReplicas, hostCount)
 	}
-	if err := rm.WaitForGroup(id, m.syncTimeout); err != nil {
+	if err := rm.WaitForGroup(id, syncTimeout); err != nil {
 		return err
 	}
 	for i := 0; i < props.InitialReplicas; i++ {
@@ -226,17 +245,6 @@ func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Propertie
 		}
 	}
 	return nil
-}
-
-// placeOne starts one replica of the group on the least loaded host that
-// does not already have one, waiting until it has caught up by state
-// transfer.
-func (m *Manager) placeOne(id replication.GroupID, factory Factory) error {
-	_, err := m.coord.AddReplica(id, reconfig.Factory(factory))
-	if errors.Is(err, reconfig.ErrNoHosts) {
-		return ErrNoHosts
-	}
-	return err
 }
 
 // Monitor starts the Resource Manager loop: every interval it compares
@@ -264,101 +272,37 @@ func (m *Manager) Monitor(interval time.Duration) {
 // reconcile performs one Resource Manager pass.
 func (m *Manager) reconcile() {
 	m.mu.Lock()
-	groups := make([]*managedGroup, 0, len(m.groups))
-	for _, g := range m.groups {
-		groups = append(groups, g)
+	groups := make(map[replication.GroupID]managedGroup, len(m.groups))
+	for id, g := range m.groups {
+		groups[id] = g
 	}
 	m.mu.Unlock()
 	rm, err := m.anyRM()
 	if err != nil {
 		return
 	}
-	for _, g := range groups {
-		for len(rm.Members(g.id)) < g.props.MinReplicas {
-			if err := m.placeOne(g.id, g.factory); err != nil {
-				m.log.Warnf("group %d: replacement failed: %v", g.id, err)
+	for id, g := range groups {
+		for len(rm.Members(id)) < g.props.MinReplicas {
+			if err := m.placeOne(id, g.factory); err != nil {
+				m.log.Warnf("group %d: replacement failed: %v", id, err)
 				break // no host available now; retry next tick
 			}
 			m.replacements.Add(1)
 			m.log.Infof("group %d: replacement replica started (%d/%d live)",
-				g.id, len(rm.Members(g.id)), g.props.MinReplicas)
+				id, len(rm.Members(id)), g.props.MinReplicas)
 		}
 	}
 }
 
 // managed returns the managed-group record for id.
-func (m *Manager) managed(id replication.GroupID) (*managedGroup, error) {
+func (m *Manager) managed(id replication.GroupID) (managedGroup, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, ok := m.groups[id]
 	if !ok {
-		return nil, fmt.Errorf("group %d: %w", id, ErrUnknownGroup)
+		return g, fmt.Errorf("group %d: %w", id, ErrUnknownGroup)
 	}
 	return g, nil
-}
-
-// Grow adds one replica of the managed group, built from its current
-// factory, on the least loaded spare host.
-func (m *Manager) Grow(id replication.GroupID) (replication.View, error) {
-	g, err := m.managed(id)
-	if err != nil {
-		return replication.View{}, err
-	}
-	return m.coord.Grow(id, reconfig.Factory(g.factory))
-}
-
-// Shrink evicts the group's newest replica, refusing to go below the
-// group's minimum replica count (the Resource Manager would immediately
-// undo such a shrink anyway).
-func (m *Manager) Shrink(id replication.GroupID) (replication.View, error) {
-	g, err := m.managed(id)
-	if err != nil {
-		return replication.View{}, err
-	}
-	rm, err := m.anyRM()
-	if err != nil {
-		return replication.View{}, err
-	}
-	if live := len(rm.Members(id)); live <= g.props.MinReplicas {
-		return replication.View{}, fmt.Errorf("group %d: %d live, minimum %d: %w",
-			id, live, g.props.MinReplicas, ErrMinReplicas)
-	}
-	return m.coord.Shrink(id)
-}
-
-// Replace swaps one replica of the managed group for a fresh instance
-// from its current factory, carrying state over by checkpoint + log
-// replay.
-func (m *Manager) Replace(id replication.GroupID, old memnet.NodeID) (replication.View, error) {
-	g, err := m.managed(id)
-	if err != nil {
-		return replication.View{}, err
-	}
-	return m.coord.Replace(id, old, reconfig.Factory(g.factory))
-}
-
-// RollingUpgrade is the Evolution Manager's entry point: it replaces
-// every replica of the group with instances from the new factory, one at
-// a time, exploiting checkpoint + log-replay state transfer so the
-// object stays available and its state carries over — including on a
-// fully packed domain, where each old replica is retired first and its
-// host reused. The new application must accept the old application's
-// state encoding.
-func (m *Manager) RollingUpgrade(id replication.GroupID, factory Factory) (replication.View, error) {
-	g, err := m.managed(id)
-	if err != nil {
-		return replication.View{}, err
-	}
-	m.mu.Lock()
-	g.factory = factory
-	m.mu.Unlock()
-	v, err := m.coord.RollingUpgrade(id, reconfig.Factory(factory))
-	if err != nil {
-		return v, fmt.Errorf("ftmgmt: upgrade group %d: %w", id, err)
-	}
-	m.upgrades.Add(1)
-	m.log.Infof("group %d: live upgrade complete, %d replicas (view %d)", id, len(v.Members), v.Number)
-	return v, nil
 }
 
 // Upgrade is the historical name of RollingUpgrade, kept for callers of
@@ -373,10 +317,7 @@ func (m *Manager) Properties(id replication.GroupID) (Properties, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, ok := m.groups[id]
-	if !ok {
-		return Properties{}, false
-	}
-	return g.props, true
+	return g.props, ok
 }
 
 // Close stops the Resource Manager loop.

@@ -3,6 +3,7 @@ package ftmgmt_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/obs"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
 )
@@ -427,5 +429,53 @@ func TestUpgradePackedDomainCarriesState(t *testing.T) {
 	}
 	if got := r.ReadLongLong(); got != 4 {
 		t.Fatalf("ops after packed upgrade = %d, want 4", got)
+	}
+}
+
+// TestGroupGaugesFollowHostList: the per-group gauges resolve the
+// mechanisms they read at scrape time. Registered while the first host
+// was p00, they must keep moving after p00 crashed and was withdrawn —
+// not report the dead processor's directory forever.
+func TestGroupGaugesFollowHostList(t *testing.T) {
+	d := fastDomain(t, 4)
+	hosts := make([]ftmgmt.Host, 0, d.Nodes())
+	for i := 0; i < d.Nodes(); i++ {
+		hosts = append(hosts, ftmgmt.Host{ID: d.Node(i).ID, RM: d.Node(i).RM})
+	}
+	m := ftmgmt.NewManager(hosts...)
+	reg := obs.NewRegistry()
+	m.Instrument(reg, nil)
+	if err := m.CreateReplicatedObject(grpObj, props(replication.Active, 2, 1), factoryV(1, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	first := d.Node(0).ID
+	d.CrashNode(0)
+	deadline := time.Now().Add(5 * time.Second)
+	for contains(d.Node(1).RM.Members(grpObj), first) {
+		if time.Now().After(deadline) {
+			t.Fatalf("failure never detected: %v", d.Node(1).RM.Members(grpObj))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	m.RemoveHost(first)
+	v, err := m.Grow(grpObj)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := []string{
+		fmt.Sprintf(`eternalgw_ftmgmt_group_replicas{group="%d"} %d`, grpObj, len(v.Members)),
+		fmt.Sprintf(`eternalgw_reconfig_group_view{group="%d"} %d`, grpObj, v.Number),
+	}
+	for {
+		out := reg.RenderPrometheus()
+		if strings.Contains(out, want[0]) && strings.Contains(out, want[1]) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gauges frozen: want %q in\n%s", want, out)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,8 +1,9 @@
-package metrics
+package obs
 
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -93,7 +94,7 @@ func TestSummaryFormat(t *testing.T) {
 }
 
 func TestBoundedHistogramSlidesWindow(t *testing.T) {
-	h := NewBounded(3)
+	h := NewBoundedHistogram(3)
 	for i := 1; i <= 5; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -111,12 +112,42 @@ func TestBoundedHistogramSlidesWindow(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := StartThroughput()
-	tp.Add(10)
-	time.Sleep(10 * time.Millisecond)
-	rate := tp.PerSecond()
-	if rate <= 0 || rate > 10_000 {
-		t.Fatalf("rate = %f", rate)
+// TestQuickPercentileMonotone property: percentiles are monotone in q
+// and bounded by min/max.
+func TestQuickPercentileMonotone(t *testing.T) {
+	f := func(samples []uint16) bool {
+		if len(samples) == 0 {
+			return true
+		}
+		var h Histogram
+		for _, s := range samples {
+			h.Record(time.Duration(s))
+		}
+		prev := time.Duration(-1)
+		for _, q := range []float64{1, 25, 50, 75, 90, 99, 100} {
+			p := h.Percentile(q)
+			if p < prev || p < h.Min() || p > h.Max() {
+				return false
+			}
+			prev = p
+		}
+		return h.Mean() >= h.Min() && h.Mean() <= h.Max()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickCountMatches property: Count equals the number of samples.
+func TestQuickCountMatches(t *testing.T) {
+	f := func(n uint8) bool {
+		var h Histogram
+		for i := 0; i < int(n); i++ {
+			h.Record(time.Duration(i))
+		}
+		return h.Count() == int(n)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,10 +10,10 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/domain"
+	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
-	"eternalgw/internal/reconfig"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
 )
@@ -45,20 +45,28 @@ func fastDomain(t *testing.T, nodes int) *domain.Domain {
 	return d
 }
 
-func coordinatorFor(d *domain.Domain) *reconfig.Coordinator {
-	hosts := make([]reconfig.Host, 0, d.Nodes())
+// coordinatorFor returns a manager of its own over the domain's
+// processors, so a test can instrument it with a registry of its own.
+func coordinatorFor(d *domain.Domain) *ftmgmt.Manager {
+	hosts := make([]ftmgmt.Host, 0, d.Nodes())
 	for i := 0; i < d.Nodes(); i++ {
 		n := d.Node(i)
-		hosts = append(hosts, reconfig.Host{ID: n.ID, RM: n.RM})
+		hosts = append(hosts, ftmgmt.Host{ID: n.ID, RM: n.RM})
 	}
-	return reconfig.New(syncedTimeout, hosts...)
+	return ftmgmt.NewManager(hosts...)
 }
 
-// newGroup creates the object group and grows it to the given degree
-// through the coordinator.
-func newGroup(t *testing.T, d *domain.Domain, c *reconfig.Coordinator, degree int, factory reconfig.Factory) {
+// newGroup deploys the object with one replica and no minimum (so a
+// shrink is refused only at the last replica), then grows it to the
+// given degree one operator grow at a time.
+func newGroup(t *testing.T, d *domain.Domain, c *ftmgmt.Manager, degree int, factory ftmgmt.Factory) {
 	t.Helper()
-	if err := d.Node(0).RM.CreateGroup(grpObj, replication.Active, []byte(keyObj)); err != nil {
+	err := c.CreateReplicatedObject(grpObj, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 1,
+		ObjectKey:       []byte(keyObj),
+	}, factory)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < d.Nodes(); i++ {
@@ -66,8 +74,8 @@ func newGroup(t *testing.T, d *domain.Domain, c *reconfig.Coordinator, degree in
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < degree; i++ {
-		if _, err := c.Grow(grpObj, factory); err != nil {
+	for i := 1; i < degree; i++ {
+		if _, err := c.Grow(grpObj); err != nil {
 			t.Fatalf("grow %d: %v", i, err)
 		}
 	}
@@ -114,7 +122,7 @@ func (a *counterApp) SetState(state []byte) error {
 	return r.Err()
 }
 
-func factoryV(version int64) reconfig.Factory {
+func factoryV(version int64) ftmgmt.Factory {
 	return func() (replication.Application, error) {
 		return &counterApp{version: version}, nil
 	}
@@ -189,7 +197,7 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("no view for group")
 	}
-	v, err := c.Grow(grpObj, factoryV(1))
+	v, err := c.Grow(grpObj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +263,7 @@ func TestShrinkEvictsNewestMember(t *testing.T) {
 	if _, err := c.Shrink(grpObj); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Shrink(grpObj); !errors.Is(err, reconfig.ErrLastReplica) {
+	if _, err := c.Shrink(grpObj); !errors.Is(err, ftmgmt.ErrLastReplica) {
 		t.Fatalf("shrink to zero: err = %v, want ErrLastReplica", err)
 	}
 }
@@ -276,7 +284,7 @@ func TestReplacePackedDomainPreservesState(t *testing.T) {
 	}
 
 	old := d.Node(0).RM.Members(grpObj)[0]
-	v, err := c.Replace(grpObj, old, factoryV(2))
+	v, err := c.Replace(grpObj, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +300,7 @@ func TestReplacePackedDomainPreservesState(t *testing.T) {
 		t.Fatalf("post-replace ops = %d, want %d", got, ops+1)
 	}
 
-	if _, err := c.Replace(grpObj, memnet.NodeID("reconfig-nope"), factoryV(2)); !errors.Is(err, reconfig.ErrNotMember) {
+	if _, err := c.Replace(grpObj, memnet.NodeID("reconfig-nope")); !errors.Is(err, ftmgmt.ErrNotMember) {
 		t.Fatalf("replace non-member: err = %v, want ErrNotMember", err)
 	}
 }
@@ -338,7 +346,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	c := coordinatorFor(d)
 	reg := obs.NewRegistry()
 	c.Instrument(reg, nil)
-	newGroup(t, d, c, 2, factoryV(1))
+	newGroup(t, d, c, 3, factoryV(1)) // two operator grows
 
 	if _, err := c.Shrink(grpObj); err != nil {
 		t.Fatal(err)

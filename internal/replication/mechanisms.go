@@ -239,11 +239,17 @@ func (m *Mechanisms) PendingCalls() int {
 	return m.pending.occupancy()
 }
 
+// backpressureWindow is the pending-call occupancy at which the
+// Backpressure signal saturates to 1.0 — how many invocations this node
+// can comfortably have in flight toward the domain before a gateway
+// should start shedding at its edge.
+const backpressureWindow = 1024
+
 // Backpressure is the domain-side load signal in [0, 1] that admission
 // breakers sample: the worse of (a) the totem send backlog against the
 // submission queue's capacity — ordered multicasts waiting for a token
-// visit — and (b) the pending-call occupancy against the configured
-// BackpressureWindow — invocations conveyed but unanswered. Either one
+// visit — and (b) the pending-call occupancy against
+// backpressureWindow — invocations conveyed but unanswered. Either one
 // saturating means the domain is falling behind this node's offered
 // load, which an edge gateway should stop accepting.
 func (m *Mechanisms) Backpressure() float64 {
@@ -251,7 +257,7 @@ func (m *Mechanisms) Backpressure() float64 {
 	if queued, capacity := m.node.Backlog(); capacity > 0 {
 		sig = float64(queued) / float64(capacity)
 	}
-	if p := float64(m.PendingCalls()) / float64(m.cfg.BackpressureWindow); p > sig {
+	if p := float64(m.PendingCalls()) / backpressureWindow; p > sig {
 		sig = p
 	}
 	if sig > 1 {

@@ -161,11 +161,6 @@ type Config struct {
 	// component keeps serving, and reconciliation is the application's
 	// concern.
 	QuorumOf int
-	// BackpressureWindow is the pending-call occupancy at which the
-	// Backpressure signal saturates to 1.0 — i.e. how many invocations
-	// this node can comfortably have in flight toward the domain before
-	// a gateway should start shedding at its edge. Zero means 1024.
-	BackpressureWindow int
 	// Metrics, when set, receives the mechanisms' counters and the
 	// dedup-cache occupancy gauge, labelled with this node's id.
 	Metrics *obs.Registry
@@ -190,9 +185,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.InvokeTimeout == 0 {
 		c.InvokeTimeout = 10 * time.Second
-	}
-	if c.BackpressureWindow == 0 {
-		c.BackpressureWindow = 1024
 	}
 }
 

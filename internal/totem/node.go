@@ -34,7 +34,16 @@ type Event struct {
 // ErrStopped is returned by Multicast after Stop.
 var ErrStopped = errors.New("totem: node stopped")
 
-const eventBufSize = 4096
+const (
+	eventBufSize = 4096
+	// activeWindowHolds is how many IdleHolds after the last observed
+	// application traffic the ring keeps rotating on shortened holds.
+	activeWindowHolds = 8
+	// skipAge is how many unsatisfied full token rotations a
+	// retransmission request survives before the leader declares the
+	// message unrecoverable and skips it.
+	skipAge = 4
+)
 
 // Node is one member of a Totem ring. Create with Start, stop with Stop.
 // All protocol state is owned by a single goroutine; the public methods
@@ -90,8 +99,8 @@ type Node struct {
 	holdUntil  time.Time
 	workInHold bool
 	// lastTrafficAt is when this node last saw application traffic (a
-	// new regular broadcast, local or remote). Within Config.ActiveWindow
-	// of it the token is forwarded without an idle hold.
+	// new regular broadcast, local or remote). Within activeWindowHolds
+	// idle holds of it the token is forwarded on a shortened hold.
 	lastTrafficAt time.Time
 
 	alive          map[memnet.NodeID]bool
@@ -735,14 +744,14 @@ func (n *Node) processToken(t token) {
 	t.Skip = kept2
 
 	// The leader ages unsatisfied requests once per rotation; requests
-	// that survive SkipAge rotations are declared unrecoverable: no
+	// that survive skipAge rotations are declared unrecoverable: no
 	// surviving member holds the message (and therefore none delivered
 	// it), so agreement is preserved by skipping it everywhere.
 	if isLeader {
 		kept3 := t.Rtr[:0]
 		for _, e := range t.Rtr {
 			e.Age++
-			if int(e.Age) > n.cfg.SkipAge {
+			if e.Age > skipAge {
 				t.Skip = append(t.Skip, e.Seq)
 				if e.Seq > n.deliveredSeq && !n.skipped[e.Seq] {
 					n.skipped[e.Seq] = true
@@ -774,7 +783,7 @@ func (n *Node) processToken(t token) {
 
 	// Forward immediately if this visit did work or left work pending;
 	// otherwise hold before forwarding so an idle ring does not spin.
-	// Within ActiveWindow of the last traffic the hold is cut to a
+	// Within the active window of the last traffic the hold is cut to a
 	// quarter: a request submitted at any member mid-conversation meets
 	// the token after short holds instead of full idle holds, while the
 	// shortened hold still paces rotation enough that token processing
@@ -787,7 +796,7 @@ func (n *Node) processToken(t token) {
 		return
 	}
 	hold := n.cfg.IdleHold
-	if time.Since(n.lastTrafficAt) < n.cfg.ActiveWindow {
+	if time.Since(n.lastTrafficAt) < activeWindowHolds*n.cfg.IdleHold {
 		hold /= 4
 	}
 	n.holdUntil = time.Now().Add(hold)

@@ -142,15 +142,6 @@ type Config struct {
 	// the token, throttling rotation when there is no traffic. Zero
 	// means the default of 200 microseconds.
 	IdleHold time.Duration
-	// ActiveWindow is how long after the last observed application
-	// traffic the ring keeps rotating at full speed before idle holds
-	// resume. While traffic is flowing a request submitted anywhere on
-	// the ring meets the token after plain rotation hops instead of up
-	// to one IdleHold per quiet member, which is what bounds datapath
-	// latency under load; once the ring has been quiet for the window,
-	// holds resume and an idle ring stops spinning. Zero means eight
-	// times IdleHold.
-	ActiveWindow time.Duration
 	// TokenRetransmit is how long the previous holder waits for evidence
 	// of progress before resending the token. Zero means 25ms.
 	TokenRetransmit time.Duration
@@ -162,10 +153,6 @@ type Config struct {
 	// membership recovery before a new ring is installed. Zero means
 	// 60ms.
 	GatherTimeout time.Duration
-	// SkipAge is how many unsatisfied full token rotations a
-	// retransmission request survives before the leader declares the
-	// message unrecoverable and skips it. Zero means 4.
-	SkipAge int
 
 	// MaxPackCount bounds how many payloads one packed message carries.
 	// Zero means 32; values are capped so (Seq, Sub) still folds into a
@@ -205,9 +192,6 @@ func (c *Config) applyDefaults() {
 	if c.IdleHold == 0 {
 		c.IdleHold = 200 * time.Microsecond
 	}
-	if c.ActiveWindow == 0 {
-		c.ActiveWindow = 8 * c.IdleHold
-	}
 	if c.TokenRetransmit == 0 {
 		c.TokenRetransmit = 25 * time.Millisecond
 	}
@@ -216,9 +200,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.GatherTimeout == 0 {
 		c.GatherTimeout = 60 * time.Millisecond
-	}
-	if c.SkipAge == 0 {
-		c.SkipAge = 4
 	}
 	if c.MaxPackCount == 0 {
 		c.MaxPackCount = 32

@@ -49,8 +49,11 @@ var ErrClosed = errors.New("udpnet: endpoint closed")
 const maxDatagram = 64 << 10
 
 const (
-	defaultInboxSize  = 4096
-	defaultOutboxSize = 4096
+	defaultInboxSize = 4096
+	// outboxSize bounds the outbound queue between Broadcast and the
+	// send loop; overflow drops are counted (best-effort, like a full
+	// socket buffer).
+	outboxSize = 4096
 	// sendGather bounds how many queued payloads one send-loop flush
 	// drains; each flush transmits len(frames)×len(peers) datagrams.
 	sendGather = 64
@@ -102,10 +105,6 @@ type Config struct {
 	// reader and the protocol; overflow drops are counted. Zero means
 	// 4096.
 	InboxSize int
-	// OutboxSize bounds the outbound queue between Broadcast and the
-	// send loop; overflow drops are counted (best-effort, like a full
-	// socket buffer). Zero means 4096.
-	OutboxSize int
 	// LossRate, when in (0,1], drops that fraction of outbound peer
 	// datagrams before they reach the socket, deterministically from
 	// LossSeed. Self-delivery is never dropped. This exists so tests can
@@ -223,10 +222,6 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 	inboxSize := cfg.InboxSize
 	if inboxSize <= 0 {
 		inboxSize = defaultInboxSize
-	}
-	outboxSize := cfg.OutboxSize
-	if outboxSize <= 0 {
-		outboxSize = defaultOutboxSize
 	}
 	idb := []byte(id)
 	e := &Endpoint{
