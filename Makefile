@@ -50,9 +50,11 @@ check: vet lint race budget sim fuzz-smoke soak-reconfig soak-leader smoke-udp b
 # loc prints non-test, non-blank Go lines per top-level package and the
 # total a simplicity PR is judged by (scripts/loc.sh: everything outside
 # bench/ and internal/analysis). Such a PR states this number on its
-# parent and on its change.
+# parent and on its change; with LOC_REF=<ref> the target prints the
+# per-package parent/change/delta table against that ref instead.
+LOC_REF ?=
 loc:
-	@scripts/loc.sh
+	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
 # leader-mode round trip at r=3 must stay under 425 KiB and 70
@@ -83,15 +85,14 @@ SIM_LONG_SEEDS ?= 2000
 sim-long:
 	$(GO) run ./cmd/simrun -seeds $(SIM_LONG_SEEDS) -metrics
 
-# fuzz-smoke runs the decoder fuzz targets of both wires briefly — GIOP
-# off the client's socket, and the totem datagram and the replication
-# message inside it off the ring — enough to catch a framing/decoder
-# regression on the corpus frontier without turning `make check` into a
-# fuzzing campaign. Targets run one at a time (the go tool rejects -fuzz
-# matching multiple targets in one invocation). A change that adds a wire
-# form adds its decoder's target here. The remaining packages' fuzz
-# targets (udpnet, ior) stay ad hoc: their seed corpora run as plain
-# tests under `race` already.
+# fuzz-smoke runs every decoder of bytes from outside the process
+# briefly — GIOP and stringified IORs off the client's side, the UDP
+# frame, the totem datagram and the replication message inside it off
+# the ring — enough to catch a framing/decoder regression on the corpus
+# frontier without turning `make check` into a fuzzing campaign. Targets
+# run one at a time (the go tool rejects -fuzz matching multiple targets
+# in one invocation). A change that adds a wire form adds its decoder's
+# target here.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/giop/ -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) -run xxx
@@ -100,6 +101,8 @@ fuzz-smoke:
 	$(GO) test ./internal/giop/ -fuzz FuzzReassembler -fuzztime $(FUZZTIME) -run xxx
 	$(GO) test ./internal/totem/ -fuzz FuzzWireDecoders -fuzztime $(FUZZTIME) -run xxx
 	$(GO) test ./internal/replication/ -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run xxx
+	$(GO) test ./internal/udpnet/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) -run xxx
+	$(GO) test ./internal/ior/ -fuzz FuzzParse -fuzztime $(FUZZTIME) -run xxx
 
 # soak slams one admission-controlled gateway at 4x its configured
 # in-flight window under the race detector while fault injection slows

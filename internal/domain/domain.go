@@ -32,8 +32,8 @@ import (
 	"eternalgw/internal/totem"
 )
 
-// DefaultGatewayGroup is the object group id gateways join unless the
-// caller chooses another.
+// DefaultGatewayGroup is the object group id every gateway of a domain
+// joins.
 const DefaultGatewayGroup replication.GroupID = 1
 
 // Config parameterizes a Domain.
@@ -54,14 +54,10 @@ type Config struct {
 	// local processors only, while the group directory, and so
 	// invocations, span the whole ring.
 	Local []memnet.NodeID
-	// NetOptions configure the simulated network (loss, delay, seed).
-	NetOptions []memnet.Option
 	// Totem overrides protocol timeouts; zero values use totem defaults.
 	Totem totem.Config
 	// Replication overrides mechanism tuning; zero values use defaults.
 	Replication replication.Config
-	// GatewayGroup is the gateways' object group id.
-	GatewayGroup replication.GroupID
 	// GatewayInvokeTimeout bounds invocations forwarded by gateways.
 	GatewayInvokeTimeout time.Duration
 	// Admission, when set, is the admission-control template applied to
@@ -141,9 +137,6 @@ func New(cfg Config) (*Domain, error) {
 	if cfg.Name == "" {
 		cfg.Name = "domain"
 	}
-	if cfg.GatewayGroup == 0 {
-		cfg.GatewayGroup = DefaultGatewayGroup
-	}
 	members := cfg.Members
 	if len(members) == 0 {
 		members = MemberIDs(cfg.Name, cfg.Nodes)
@@ -157,7 +150,7 @@ func New(cfg Config) (*Domain, error) {
 	}
 	d := &Domain{
 		Name:      cfg.Name,
-		Net:       memnet.New(cfg.NetOptions...),
+		Net:       memnet.New(),
 		cfg:       cfg,
 		gwNode:    make(map[*core.Gateway]int),
 		published: make(map[string]string),
@@ -219,12 +212,12 @@ func New(cfg Config) (*Domain, error) {
 	// The gateway group exists from the start so gateways can join it.
 	// CreateGroup is a delivered no-op on an existing id, so when several
 	// processes each announce it the first delivery wins.
-	if err := d.nodes[0].RM.CreateGroup(cfg.GatewayGroup, replication.Active, nil); err != nil {
+	if err := d.nodes[0].RM.CreateGroup(DefaultGatewayGroup, replication.Active, nil); err != nil {
 		d.Close()
 		return nil, err
 	}
 	for _, n := range d.nodes {
-		if err := n.RM.WaitForGroup(cfg.GatewayGroup, d.syncTimeout); err != nil {
+		if err := n.RM.WaitForGroup(DefaultGatewayGroup, d.syncTimeout); err != nil {
 			d.Close()
 			return nil, fmt.Errorf("domain %s: gateway group: %w", cfg.Name, err)
 		}
@@ -273,7 +266,7 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 	}
 	gw, err := core.New(core.Config{
 		RM:            n.RM,
-		Group:         d.cfg.GatewayGroup,
+		Group:         DefaultGatewayGroup,
 		ListenAddr:    addr,
 		InvokeTimeout: d.cfg.GatewayInvokeTimeout,
 		Admission:     adm,
@@ -284,7 +277,7 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 	if err != nil {
 		return nil, err
 	}
-	if err := n.RM.WaitSynced(d.cfg.GatewayGroup, d.syncTimeout); err != nil {
+	if err := n.RM.WaitSynced(DefaultGatewayGroup, d.syncTimeout); err != nil {
 		_ = gw.Close()
 		return nil, err
 	}
@@ -335,7 +328,7 @@ func (d *Domain) RemoveGateway(gw *core.Gateway, drainTimeout time.Duration) err
 	}
 	err := gw.Drain(drainTimeout)
 	if lastOnNode {
-		if lerr := d.nodes[idx].RM.LeaveGroup(d.cfg.GatewayGroup); lerr != nil && err == nil {
+		if lerr := d.nodes[idx].RM.LeaveGroup(DefaultGatewayGroup); lerr != nil && err == nil {
 			err = lerr
 		}
 	}

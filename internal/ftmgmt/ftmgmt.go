@@ -170,18 +170,6 @@ func (m *Manager) registerGroupGauges(reg *obs.Registry, id replication.GroupID)
 		}))
 }
 
-// AddHost makes a processor available for placement.
-func (m *Manager) AddHost(h Host) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, existing := range m.hosts {
-		if existing.ID == h.ID {
-			return
-		}
-	}
-	m.hosts = append(m.hosts, h)
-}
-
 // RemoveHost withdraws a processor from placement decisions (it does not
 // stop replicas already running there) and immediately runs a Resource
 // Manager pass: a host is usually withdrawn because it failed, and any

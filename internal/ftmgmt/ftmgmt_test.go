@@ -19,8 +19,9 @@ import (
 )
 
 const (
-	grpObj replication.GroupID = 300
-	keyObj                     = "app/obj"
+	grpObj     replication.GroupID = 400
+	keyObj                         = "app/obj"
+	cpInterval                     = 8
 )
 
 func fastDomain(t *testing.T, nodes int) *domain.Domain {
@@ -34,6 +35,7 @@ func fastDomain(t *testing.T, nodes int) *domain.Domain {
 			FailTimeout:     80 * time.Millisecond,
 			GatherTimeout:   20 * time.Millisecond,
 		},
+		Replication: replication.Config{CheckpointInterval: cpInterval},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,49 +1,19 @@
-package reconfig_test
+package ftmgmt_test
 
 import (
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"eternalgw/internal/cdr"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
-	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/replication"
-	"eternalgw/internal/totem"
 )
 
-const (
-	grpObj        replication.GroupID = 400
-	keyObj                            = "reconfig/obj"
-	cpInterval                        = 8
-	syncedTimeout                     = 5 * time.Second
-)
-
-func fastDomain(t *testing.T, nodes int) *domain.Domain {
-	t.Helper()
-	d, err := domain.New(domain.Config{
-		Name:  "reconfig",
-		Nodes: nodes,
-		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-		},
-		Replication: replication.Config{CheckpointInterval: cpInterval},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	return d
-}
+const syncedTimeout = 5 * time.Second
 
 // coordinatorFor returns a manager of its own over the domain's
 // processors, so a test can instrument it with a registry of its own.
@@ -81,72 +51,13 @@ func newGroup(t *testing.T, d *domain.Domain, c *ftmgmt.Manager, degree int, fac
 	}
 }
 
-// counterApp counts invocations and reports a build version; used to
-// observe state transfer and rolling upgrades.
-type counterApp struct {
-	version int64
-
-	mu  sync.Mutex
-	ops int64
-}
-
-func (a *counterApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch op {
-	case "bump":
-		a.ops++
-		reply.WriteLongLong(a.ops)
-		return nil
-	case "version":
-		reply.WriteLongLong(a.version)
-		return nil
-	default:
-		return fmt.Errorf("counterApp: unknown op %q", op)
-	}
-}
-
-func (a *counterApp) State() ([]byte, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteLongLong(a.ops)
-	return w.Bytes(), nil
-}
-
-func (a *counterApp) SetState(state []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := cdr.NewReader(state, cdr.BigEndian)
-	a.ops = r.ReadLongLong()
-	return r.Err()
-}
-
-func factoryV(version int64) ftmgmt.Factory {
-	return func() (replication.Application, error) {
-		return &counterApp{version: version}, nil
-	}
-}
-
-// invoke drives one invocation from a client-only member of the gateway
-// group on node i and returns the reply's first long long.
-func invoke(t *testing.T, d *domain.Domain, i int, reqID uint32, op string) int64 {
+// invokeInt is invoke returning the reply's first long long.
+func invokeInt(t *testing.T, d *domain.Domain, i int, reqID uint32, op string) int64 {
 	t.Helper()
-	rm := d.Node(i).RM
-	if err := rm.JoinGroup(domain.DefaultGatewayGroup, nil); err != nil && !errors.Is(err, replication.ErrAlreadyMember) {
-		t.Fatal(err)
-	}
-	if err := rm.WaitSynced(domain.DefaultGatewayGroup, syncedTimeout); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rm.Invoke(domain.DefaultGatewayGroup, 1, grpObj,
-		replication.OperationID{ChildSeq: reqID},
-		giop.Request{RequestID: reqID, ResponseExpected: true, ObjectKey: []byte(keyObj), Operation: op},
-		syncedTimeout)
+	r, err := invoke(t, d, i, reqID, op)
 	if err != nil {
 		t.Fatalf("invoke %s: %v", op, err)
 	}
-	r := cdr.NewReader(rep.Result, rep.ResultOrder)
 	v := r.ReadLongLong()
 	if err := r.Err(); err != nil {
 		t.Fatalf("invoke %s: decode reply: %v", op, err)
@@ -167,8 +78,7 @@ func sumStats(d *domain.Domain) replication.Stats {
 	for i := 0; i < d.Nodes(); i++ {
 		st := d.Node(i).RM.Stats()
 		total.ViewChanges += st.ViewChanges
-		total.TransfersCheckpointed += st.TransfersCheckpointed
-		total.TransfersFullState += st.TransfersFullState
+		total.StateTransfers += st.StateTransfers
 		total.TransferEntriesReplayed += st.TransferEntriesReplayed
 		total.CatchupCheckpoints += st.CatchupCheckpoints
 	}
@@ -181,13 +91,13 @@ func sumStats(d *domain.Domain) replication.Stats {
 func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 	d := fastDomain(t, 3)
 	c := coordinatorFor(d)
-	newGroup(t, d, c, 2, factoryV(1))
+	newGroup(t, d, c, 2, factoryV(1, nil, nil))
 
 	const ops = 20
 	reqID := uint32(0)
 	for i := 0; i < ops; i++ {
 		reqID++
-		if got := invoke(t, d, 0, reqID, "bump"); got != int64(i+1) {
+		if got := invokeInt(t, d, 0, reqID, "bump"); got != int64(i+1) {
 			t.Fatalf("bump %d: ops = %d", i+1, got)
 		}
 	}
@@ -209,7 +119,7 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 	}
 
 	after := sumStats(d)
-	if got := after.TransfersCheckpointed - before.TransfersCheckpointed; got == 0 {
+	if got := after.StateTransfers - before.StateTransfers; got == 0 {
 		t.Fatal("joiner was not fed from a checkpoint")
 	}
 	replayed := after.TransferEntriesReplayed - before.TransferEntriesReplayed
@@ -220,7 +130,7 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 	// The group keeps executing with carried state: the next operation
 	// observes every one of the pre-grow invocations.
 	reqID++
-	if got := invoke(t, d, 0, reqID, "bump"); got != ops+1 {
+	if got := invokeInt(t, d, 0, reqID, "bump"); got != ops+1 {
 		t.Fatalf("post-grow ops = %d, want %d", got, ops+1)
 	}
 }
@@ -231,7 +141,7 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 func TestShrinkEvictsNewestMember(t *testing.T) {
 	d := fastDomain(t, 3)
 	c := coordinatorFor(d)
-	newGroup(t, d, c, 3, factoryV(1))
+	newGroup(t, d, c, 3, factoryV(1, nil, nil))
 
 	members := d.Node(0).RM.Members(grpObj)
 	if len(members) != 3 {
@@ -274,13 +184,13 @@ func TestShrinkEvictsNewestMember(t *testing.T) {
 func TestReplacePackedDomainPreservesState(t *testing.T) {
 	d := fastDomain(t, 2)
 	c := coordinatorFor(d)
-	newGroup(t, d, c, 2, factoryV(1))
+	newGroup(t, d, c, 2, factoryV(1, nil, nil))
 
 	const ops = 5
 	reqID := uint32(0)
 	for i := 0; i < ops; i++ {
 		reqID++
-		invoke(t, d, 0, reqID, "bump")
+		invokeInt(t, d, 0, reqID, "bump")
 	}
 
 	old := d.Node(0).RM.Members(grpObj)[0]
@@ -296,7 +206,7 @@ func TestReplacePackedDomainPreservesState(t *testing.T) {
 	}
 
 	reqID++
-	if got := invoke(t, d, 0, reqID, "bump"); got != ops+1 {
+	if got := invokeInt(t, d, 0, reqID, "bump"); got != ops+1 {
 		t.Fatalf("post-replace ops = %d, want %d", got, ops+1)
 	}
 
@@ -310,19 +220,19 @@ func TestReplacePackedDomainPreservesState(t *testing.T) {
 func TestRollingUpgradeCarriesState(t *testing.T) {
 	d := fastDomain(t, 3)
 	c := coordinatorFor(d)
-	newGroup(t, d, c, 2, factoryV(1))
+	newGroup(t, d, c, 2, factoryV(1, nil, nil))
 
 	const ops = 3
 	reqID := uint32(0)
 	for i := 0; i < ops; i++ {
 		reqID++
-		invoke(t, d, 0, reqID, "bump")
+		invokeInt(t, d, 0, reqID, "bump")
 	}
-	if got := invoke(t, d, 0, 100, "version"); got != 1 {
+	if got := invokeInt(t, d, 0, 100, "version"); got != 1 {
 		t.Fatalf("pre-upgrade version = %d, want 1", got)
 	}
 
-	v, err := c.RollingUpgrade(grpObj, factoryV(2))
+	v, err := c.RollingUpgrade(grpObj, factoryV(2, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +240,11 @@ func TestRollingUpgradeCarriesState(t *testing.T) {
 		t.Fatalf("view members = %v, want degree preserved at 2", v.Members)
 	}
 
-	if got := invoke(t, d, 0, 101, "version"); got != 2 {
+	if got := invokeInt(t, d, 0, 101, "version"); got != 2 {
 		t.Fatalf("post-upgrade version = %d, want 2", got)
 	}
 	reqID++
-	if got := invoke(t, d, 0, reqID, "bump"); got != ops+1 {
+	if got := invokeInt(t, d, 0, reqID, "bump"); got != ops+1 {
 		t.Fatalf("post-upgrade ops = %d, want %d", got, ops+1)
 	}
 }
@@ -346,7 +256,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	c := coordinatorFor(d)
 	reg := obs.NewRegistry()
 	c.Instrument(reg, nil)
-	newGroup(t, d, c, 3, factoryV(1)) // two operator grows
+	newGroup(t, d, c, 3, factoryV(1, nil, nil)) // two operator grows
 
 	if _, err := c.Shrink(grpObj); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@
 // transfer to new and recovering replicas (paper section 2.2).
 //
 // A Log records, per object group, the most recent checkpoint of the
-// application state and the totally-ordered invocations executed since
-// that checkpoint. Recovery loads the checkpoint and replays the logged
+// application state and the totally-ordered invocations delivered since
+// that checkpoint — on a member that executes them and on one that only
+// follows alike. Recovery loads the checkpoint and replays the logged
 // invocations, reconstructing exactly the primary's state because the
 // invocation stream is totally ordered and the application deterministic.
 package logrec
@@ -86,17 +87,10 @@ func (l *Log) Checkpoint(g uint32, cp Checkpoint) {
 	gl.entries = kept
 }
 
-// Append records one invocation for group g, copying e.Data so the
-// caller's buffer may be reused.
-func (l *Log) Append(g uint32, e Entry) {
-	e.Data = append([]byte(nil), e.Data...)
-	l.AppendOwned(g, e)
-}
-
 // AppendOwned records one invocation for group g, taking ownership of
-// e.Data: the caller must not reuse or mutate the slice afterwards. The
-// replication datapath uses it to log a copy it already made, avoiding
-// Append's second copy.
+// e.Data: the caller must not reuse or mutate the slice afterwards (the
+// replication datapath hands over the one copy it makes of a delivered
+// invocation).
 func (l *Log) AppendOwned(g uint32, e Entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

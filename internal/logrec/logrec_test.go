@@ -12,7 +12,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 	if _, _, err := l.Recover(1); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 	}
-	l.Append(1, Entry{Seq: 5, Data: []byte("op")})
+	l.AppendOwned(1, Entry{Seq: 5, Data: []byte("op")})
 	if _, _, err := l.Recover(1); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("entries without checkpoint: err = %v", err)
 	}
@@ -21,8 +21,8 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 func TestCheckpointAndReplay(t *testing.T) {
 	l := NewLog()
 	l.Checkpoint(7, Checkpoint{Seq: 10, OpCount: 3, State: []byte("s10")})
-	l.Append(7, Entry{Seq: 11, Data: []byte("op11")})
-	l.Append(7, Entry{Seq: 12, Data: []byte("op12")})
+	l.AppendOwned(7, Entry{Seq: 11, Data: []byte("op11")})
+	l.AppendOwned(7, Entry{Seq: 12, Data: []byte("op12")})
 
 	cp, entries, err := l.Recover(7)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestCheckpointTruncatesSubsumedEntries(t *testing.T) {
 	l := NewLog()
 	l.Checkpoint(1, Checkpoint{Seq: 0, State: []byte("s0")})
 	for seq := uint64(1); seq <= 5; seq++ {
-		l.Append(1, Entry{Seq: seq, Data: []byte{byte(seq)}})
+		l.AppendOwned(1, Entry{Seq: seq, Data: []byte{byte(seq)}})
 	}
 	if got := l.EntryCount(1); got != 5 {
 		t.Fatalf("entries = %d", got)
@@ -59,7 +59,7 @@ func TestLogIsolatesGroups(t *testing.T) {
 	l := NewLog()
 	l.Checkpoint(1, Checkpoint{Seq: 1, State: []byte("a")})
 	l.Checkpoint(2, Checkpoint{Seq: 2, State: []byte("b")})
-	l.Append(1, Entry{Seq: 3, Data: []byte("x")})
+	l.AppendOwned(1, Entry{Seq: 3, Data: []byte("x")})
 
 	if l.EntryCount(2) != 0 {
 		t.Fatal("group 2 contaminated")
@@ -107,7 +107,7 @@ func TestRecoverOrdering(t *testing.T) {
 	l := NewLog()
 	l.Checkpoint(9, Checkpoint{Seq: 0, State: []byte("s0")})
 	for seq := uint64(1); seq <= 10; seq++ {
-		l.Append(9, Entry{Seq: seq, Data: []byte{byte(seq)}})
+		l.AppendOwned(9, Entry{Seq: seq, Data: []byte{byte(seq)}})
 		if seq == 6 {
 			l.Checkpoint(9, Checkpoint{Seq: 6, OpCount: 6, State: []byte("s6")})
 		}
@@ -148,7 +148,7 @@ func TestRecoverCheckpointZeroEntries(t *testing.T) {
 		t.Fatalf("checkpoint = %+v", cp)
 	}
 	// Appends after the fact extend the image without disturbing it.
-	l.Append(3, Entry{Seq: 43, Data: []byte("op")})
+	l.AppendOwned(3, Entry{Seq: 43, Data: []byte("op")})
 	if _, entries, _ = l.Recover(3); len(entries) != 1 || entries[0].Seq != 43 {
 		t.Fatalf("entries after late append = %+v", entries)
 	}
@@ -165,7 +165,7 @@ func TestDropConcurrentAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for seq := uint64(1); seq <= appends; seq++ {
-			l.Append(5, Entry{Seq: seq, Data: []byte{byte(seq)}})
+			l.AppendOwned(5, Entry{Seq: seq, Data: []byte{byte(seq)}})
 		}
 	}()
 	go func() {
@@ -182,7 +182,7 @@ func TestDropConcurrentAppend(t *testing.T) {
 	// append recover cleanly.
 	l.Drop(5)
 	l.Checkpoint(5, Checkpoint{Seq: 100, State: []byte("fresh")})
-	l.Append(5, Entry{Seq: 101, Data: []byte("op")})
+	l.AppendOwned(5, Entry{Seq: 101, Data: []byte("op")})
 	cp, entries, err := l.Recover(5)
 	if err != nil {
 		t.Fatal(err)

@@ -277,11 +277,6 @@ func Resolve(ref ior.Ref) (*ObjectRef, *Conn, error) {
 	return &ObjectRef{conn: conn, key: p.ObjectKey}, conn, nil
 }
 
-// Object binds a proxy for objectKey over an existing connection.
-func Object(conn *Conn, objectKey []byte) *ObjectRef {
-	return &ObjectRef{conn: conn, key: objectKey}
-}
-
 // Call invokes op on the referenced object.
 func (o *ObjectRef) Call(op string, args []byte, opts InvokeOptions) (*cdr.Reader, error) {
 	return o.conn.Call(o.key, op, args, opts)

@@ -2,8 +2,6 @@ package orb
 
 import (
 	"errors"
-	"io"
-	"log"
 	"net"
 	"strconv"
 	"sync"
@@ -41,11 +39,6 @@ func WithAdvertiser(a Advertiser) ServerOption {
 	return serverOptionFunc(func(s *Server) { s.advertiser = a })
 }
 
-// WithLogger directs server diagnostics to l instead of discarding them.
-func WithLogger(l *log.Logger) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.logger = l })
-}
-
 // WithConcurrentDispatch makes the server execute each request on its
 // own goroutine, as commercial multithreaded ORBs do. The paper's
 // section 2.2 identifies exactly this multithreading as a significant
@@ -63,7 +56,6 @@ func WithConcurrentDispatch() ServerOption {
 type Server struct {
 	ln         net.Listener
 	advertiser Advertiser
-	logger     *log.Logger
 	concurrent bool
 
 	mu       sync.Mutex
@@ -103,13 +95,6 @@ func (s *Server) Register(objectKey []byte, sv Servant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.servants[string(objectKey)] = sv
-}
-
-// Unregister removes the servant bound to objectKey.
-func (s *Server) Unregister(objectKey []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.servants, string(objectKey))
 }
 
 // lookup returns the servant for an object key.
@@ -193,9 +178,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		msg, err := ra.Next()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("orb: connection %s: %v", conn.RemoteAddr(), err)
-			}
 			return
 		}
 		switch msg.Header.Type {
@@ -226,7 +208,6 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message) {
 	req, err := giop.DecodeRequest(msg)
 	if err != nil {
-		s.logf("orb: bad request from %s: %v", conn.RemoteAddr(), err)
 		wmu.Lock()
 		_ = giop.WriteMessage(conn, giop.EncodeMessageError(msg.Header.Order))
 		wmu.Unlock()
@@ -238,14 +219,11 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message)
 	}
 	out, err := giop.EncodeReplyV(msg.Header.Order, msg.Header.Minor, rep)
 	if err != nil {
-		s.logf("orb: encode reply: %v", err)
 		return
 	}
 	wmu.Lock()
 	defer wmu.Unlock()
-	if err := giop.WriteMessageFragmented(conn, out, 0); err != nil {
-		s.logf("orb: write reply to %s: %v", conn.RemoteAddr(), err)
-	}
+	_ = giop.WriteMessageFragmented(conn, out, 0) // a failed write surfaces as the read loop's error
 }
 
 func (s *Server) handleLocate(conn net.Conn, wmu *sync.Mutex, msg giop.Message) {
@@ -304,11 +282,5 @@ func InvokeServant(sv Servant, req giop.Request) giop.Reply {
 		Status:      giop.ReplyNoException,
 		Result:      reply.Bytes(),
 		ResultOrder: req.ArgsOrder,
-	}
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
 	}
 }

@@ -14,8 +14,20 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(Message{Header: Header{Kind: KindInvocation, ClientID: 1, SrcGroup: 2, DstGroup: 3, Op: OperationID{ParentTS: 4, ChildSeq: 5}}, Payload: []byte("x")}))
 	f.Add(encodeCreateGroup(createGroupPayload{Style: Active, ObjectKey: []byte("k")}))
-	f.Add(encodeState(statePayload{Target: "n", JoinTS: 1, OpCount: 2, State: []byte("s"),
-		CpSeq: 1, Entries: []logrec.Entry{{Seq: 2, Data: []byte("e")}}}))
+	// Recovery images inside the messages that carry them (the fuzz body
+	// reaches decodeState through Decode): a donation — checkpoint at a
+	// non-zero position with a suffix of real invocations, and without
+	// one — and a passive primary's sync, the checkpoint alone.
+	inv, _ := EncodeRequest(Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 8}},
+		giop.Request{RequestID: 8, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "append", Args: []byte{1}})
+	cp := logrec.Checkpoint{Seq: 7 << 16, OpCount: 7, State: []byte("state")}
+	suffix := []logrec.Entry{{Seq: 8 << 16, Data: inv}, {Seq: 9 << 16, Data: inv}}
+	image := func(kind Kind, p statePayload) []byte {
+		return Encode(Message{Header: Header{Kind: kind, SrcGroup: 100, DstGroup: 100}, Payload: encodeState(p)})
+	}
+	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp, Entries: suffix}))
+	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp}))
+	f.Add(image(KindStateSync, statePayload{Checkpoint: cp}))
 	f.Add(encodeViewChange(viewChangePayload{Add: []memnet.NodeID{"a"}, Remove: []memnet.NodeID{"b"}}))
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		h := Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 3}}

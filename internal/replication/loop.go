@@ -143,7 +143,7 @@ func (m *Mechanisms) deliverCreateGroup(msg Message, ts uint64) {
 		id:           id,
 		style:        p.Style,
 		objectKey:    string(p.ObjectKey),
-		pendingJoins: make(map[memnet.NodeID]uint64),
+		pendingJoins: make(map[memnet.NodeID]bool),
 		view:         1, // the empty group is view 1
 		viewSeq:      ts,
 	}
@@ -166,7 +166,7 @@ func (m *Mechanisms) bumpView(g *groupState, seq uint64) {
 // pending-join record and the donor's state-capture task. It reports
 // whether the membership changed (a self-join that was never prearmed is
 // rolled back for safety). Callers hold mu.
-func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, ts uint64) bool {
+func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
 	g.members = append(g.members, node)
 	first := len(g.members) == 1
 
@@ -186,16 +186,16 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, ts uint64) boo
 		if first || app == nil {
 			r.synced.Store(true)
 		} else {
-			g.pendingJoins[node] = ts
+			g.pendingJoins[node] = true
 		}
 	} else if g.local != nil && g.local.app != nil && !first {
-		g.pendingJoins[node] = ts
+		g.pendingJoins[node] = true
 	}
 
 	// The donor (current primary) captures state for a joining servant.
 	if !first && len(g.members) > 0 && g.members[0] == m.cfg.NodeID &&
 		g.local != nil && g.local.app != nil && node != m.cfg.NodeID {
-		g.local.push(task{kind: taskCaptureState, joiner: node, ts: ts})
+		g.local.push(task{kind: taskCaptureState, joiner: node})
 	}
 	return true
 }
@@ -211,7 +211,7 @@ func (m *Mechanisms) deliverJoin(msg Message, ts uint64) {
 	if !ok || g.isMember(p.Node) {
 		return
 	}
-	if m.addMember(g, p.Node, ts) {
+	if m.addMember(g, p.Node) {
 		m.bumpView(g, ts)
 		m.updatePrimary(g)
 	}
@@ -273,7 +273,7 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 		if g.isMember(node) {
 			continue
 		}
-		if m.addMember(g, node, ts) {
+		if m.addMember(g, node) {
 			changed = true
 		}
 	}
@@ -391,8 +391,8 @@ func fromMajority(prev, merged []memnet.NodeID) bool {
 // returning from a minority partition: its state missed the operations
 // the majority executed, so it must not answer post-merge invocations.
 // Running at the merge configuration — before any post-merge delivery —
-// closes the window in which a stale replica could respond. The catch-up
-// log goes with it (a stale checkpoint must never be donated), and the
+// closes the window in which a stale replica could respond. Its recovery
+// image goes with it (a stale checkpoint must never be donated), and the
 // node rejoins groups only through the resource manager's normal
 // placement, with a fresh state transfer. Callers hold mu.
 func (m *Mechanisms) discardStaleReplicasLocked(seq uint64) {
@@ -406,7 +406,6 @@ func (m *Mechanisms) discardStaleReplicasLocked(seq uint64) {
 		for node := range g.pendingJoins {
 			delete(g.pendingJoins, node)
 		}
-		m.log.Drop(uint32(g.id))
 		m.bumpView(g, seq)
 	}
 }
@@ -458,7 +457,7 @@ func (m *Mechanisms) deliverMembershipSync(msg Message) {
 				id:           sg.ID,
 				style:        sg.Style,
 				objectKey:    string(sg.ObjectKey),
-				pendingJoins: make(map[memnet.NodeID]uint64),
+				pendingJoins: make(map[memnet.NodeID]bool),
 			}
 			m.groups[sg.ID] = g
 			if g.objectKey != "" {
@@ -473,7 +472,6 @@ func (m *Mechanisms) deliverMembershipSync(msg Message) {
 			// membership it thinks it holds is void.
 			g.local.close()
 			g.local = nil
-			m.log.Drop(uint32(g.id))
 		}
 		m.updatePrimary(g)
 	}
@@ -492,7 +490,7 @@ func (m *Mechanisms) updatePrimary(g *groupState) {
 		// Failover applies only to replicas that actually served as a
 		// backup: a replica that is primary from its own join (the
 		// group's first member) has nothing to recover.
-		if g.local.wasBackup && (g.style == WarmPassive || g.style == ColdPassive) && g.local.app != nil {
+		if g.local.wasBackup && g.style.passive() && g.local.app != nil {
 			g.local.push(task{kind: taskFailover})
 		}
 	} else if !isPrimary {
@@ -510,9 +508,9 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	if len(g.members) == 0 || g.members[0] != m.cfg.NodeID {
 		return
 	}
-	for joiner, ts := range g.pendingJoins {
+	for joiner := range g.pendingJoins {
 		if joiner != m.cfg.NodeID {
-			g.local.push(task{kind: taskCaptureState, joiner: joiner, ts: ts})
+			g.local.push(task{kind: taskCaptureState, joiner: joiner})
 		}
 	}
 }
@@ -552,15 +550,11 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 	dstObs = m.observerLocked(g)
 	var r *replica
 	execute := true
-	logOnly := false
 	if g.local != nil && g.local.app != nil {
 		r = g.local
-		if g.style == WarmPassive || g.style == ColdPassive {
-			// Only the primary executes; backups log the invocation
-			// stream for replay after failover.
-			execute = r.primary
-			logOnly = !r.primary
-		}
+		// Only the primary of a passive group executes; backups log the
+		// invocation stream for replay after failover.
+		execute = r.primary || !g.style.passive()
 	}
 	m.mu.RUnlock()
 	if srcObs != nil {
@@ -578,9 +572,9 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 	// that trace with an earlier deliver hop.
 	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.cfg.NodeID))
 	// The still-encoded GIOP request rides to the per-group executor,
-	// which decodes it off the event loop; backups that only log the
-	// invocation copy the raw wire form instead of re-encoding it.
-	r.push(task{kind: taskInvoke, msg: msg, raw: raw, ts: ts, execute: execute, logInv: logOnly})
+	// which decodes it off the event loop and logs the raw wire form
+	// instead of re-encoding it.
+	r.push(task{kind: taskInvoke, msg: msg, raw: raw, ts: ts, execute: execute})
 }
 
 // deliverResponse routes a response to local pending invocations,

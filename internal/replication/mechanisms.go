@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"eternalgw/internal/giop"
-	"eternalgw/internal/logrec"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/totem"
@@ -37,9 +36,8 @@ type groupState struct {
 	members []memnet.NodeID
 	// local is this node's replica runtime, if the node is a member.
 	local *replica
-	// pendingJoins tracks joiners awaiting state transfer: node -> the
-	// totem timestamp of their join.
-	pendingJoins map[memnet.NodeID]uint64
+	// pendingJoins is the set of joiners still awaiting state transfer.
+	pendingJoins map[memnet.NodeID]bool
 	// view numbers this group's membership views; viewSeq is the
 	// total-order position the current view was installed at. Both are
 	// bumped by the event loop at every membership change, so all members
@@ -97,7 +95,6 @@ type pendingResult struct {
 type Mechanisms struct {
 	cfg    Config
 	node   *totem.Node
-	log    *logrec.Log
 	tracer *obs.Tracer // nil when tracing is disabled
 
 	stop chan struct{}
@@ -153,8 +150,6 @@ type Mechanisms struct {
 	failovers               atomic.Uint64
 	replayedInvocations     atomic.Uint64
 	viewChanges             atomic.Uint64
-	transfersCheckpointed   atomic.Uint64
-	transfersFullState      atomic.Uint64
 	transferEntriesReplayed atomic.Uint64
 	catchupCheckpoints      atomic.Uint64
 	membershipSyncs         atomic.Uint64
@@ -171,7 +166,6 @@ func New(cfg Config) (*Mechanisms, error) {
 		cfg:       cfg,
 		node:      cfg.Node,
 		tracer:    cfg.Tracer,
-		log:       logrec.NewLog(),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		groups:    make(map[GroupID]*groupState),
@@ -206,16 +200,14 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_replication_responses_delivered_total", "Responses delivered to local pending invocations.", m.responsesDelivered.Load},
 		{"eternalgw_replication_duplicate_responses_total", "Duplicate responses detected and suppressed.", m.duplicateResponses.Load},
 		{"eternalgw_replication_responses_discarded_early_total", "Duplicate responses discarded from the header peek, without payload decode.", m.responsesDiscardedEarly.Load},
-		{"eternalgw_replication_state_transfers_total", "State transfers donated.", m.stateTransfers.Load},
-		{"eternalgw_replication_state_syncs_total", "Warm-passive state synchronizations published.", m.stateSyncs.Load},
-		{"eternalgw_replication_checkpoints_total", "Cold-passive checkpoints written.", m.checkpoints.Load},
+		{"eternalgw_replication_state_transfers_total", "State transfers donated: the donor's checkpoint plus its log suffix.", m.stateTransfers.Load},
+		{"eternalgw_replication_state_syncs_total", "Warm-passive checkpoints cut and multicast to the backups.", m.stateSyncs.Load},
+		{"eternalgw_replication_checkpoints_total", "Cold-passive checkpoints cut and multicast to the backups.", m.checkpoints.Load},
 		{"eternalgw_replication_failovers_total", "Passive-group failovers performed.", m.failovers.Load},
 		{"eternalgw_replication_replayed_invocations_total", "Invocations re-executed during failover.", m.replayedInvocations.Load},
 		{"eternalgw_replication_view_changes_total", "Group membership views installed (joins, leaves, evictions, failures).", m.viewChanges.Load},
-		{"eternalgw_replication_transfers_checkpointed_total", "State donations served as checkpoint plus log replay.", m.transfersCheckpointed.Load},
-		{"eternalgw_replication_transfers_full_state_total", "State donations that fell back to a full state capture.", m.transfersFullState.Load},
 		{"eternalgw_replication_transfer_entries_replayed_total", "Logged invocations replayed by joining replicas catching up from a checkpoint.", m.transferEntriesReplayed.Load},
-		{"eternalgw_replication_catchup_checkpoints_total", "Local checkpoints written into the catch-up log by executing replicas.", m.catchupCheckpoints.Load},
+		{"eternalgw_replication_catchup_checkpoints_total", "Checkpoints cut into the local log only: per interval by the executing styles, on demand by a donor that has none.", m.catchupCheckpoints.Load},
 		{"eternalgw_replication_membership_syncs_total", "Authoritative directory snapshots adopted after a ring merge (partition healing).", m.membershipSyncs.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
@@ -285,10 +277,6 @@ func (m *Mechanisms) DedupOccupancy() map[GroupID]int {
 // NodeID returns the identity of the node these mechanisms run on.
 func (m *Mechanisms) NodeID() memnet.NodeID { return m.cfg.NodeID }
 
-// Log exposes the node's logging-recovery store (used by experiments and
-// the resource manager to inspect recovery behaviour).
-func (m *Mechanisms) Log() *logrec.Log { return m.log }
-
 // Stop shuts down the event loop and all replica executors, then waits
 // for any in-flight handoff goroutines (totem.Multicast unblocks them
 // once the node stops, so the wait terminates on every shutdown path).
@@ -315,8 +303,6 @@ func (m *Mechanisms) Stats() Stats {
 		Failovers:               m.failovers.Load(),
 		ReplayedInvocations:     m.replayedInvocations.Load(),
 		ViewChanges:             m.viewChanges.Load(),
-		TransfersCheckpointed:   m.transfersCheckpointed.Load(),
-		TransfersFullState:      m.transfersFullState.Load(),
 		TransferEntriesReplayed: m.transferEntriesReplayed.Load(),
 		CatchupCheckpoints:      m.catchupCheckpoints.Load(),
 		MembershipSyncs:         m.membershipSyncs.Load(),

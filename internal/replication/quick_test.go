@@ -51,23 +51,24 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// TestQuickStatePayloadRoundTrip property: state transfer payloads —
-// including the checkpoint sequence number and replay entries of the
-// catch-up transfer path — survive their codec.
+// TestQuickStatePayloadRoundTrip property: recovery images — a checkpoint
+// at any position, with or without a log suffix behind it — survive
+// their codec.
 func TestQuickStatePayloadRoundTrip(t *testing.T) {
-	f := func(target string, joinTS, opCount, cpSeq uint64, state, e1, e2 []byte) bool {
-		target = stripNULs(target)
+	f := func(target string, seq, opCount uint64, state, e1, e2 []byte, suffix bool) bool {
 		p := statePayload{
-			Target: memnetNodeID(target), JoinTS: joinTS, OpCount: opCount, State: state,
-			CpSeq:   cpSeq,
-			Entries: []logrec.Entry{{Seq: cpSeq + 1, Data: e1}, {Seq: cpSeq + 2, Data: e2}},
+			Target:     memnetNodeID(stripNULs(target)),
+			Checkpoint: logrec.Checkpoint{Seq: seq, OpCount: opCount, State: state},
+		}
+		if suffix {
+			p.Entries = []logrec.Entry{{Seq: seq + 1, Data: e1}, {Seq: seq + 2, Data: e2}}
 		}
 		got, err := decodeState(encodeState(p))
 		if err != nil {
 			return false
 		}
-		if got.Target != p.Target || got.JoinTS != joinTS || got.OpCount != opCount ||
-			!bytes.Equal(got.State, state) || got.CpSeq != cpSeq || len(got.Entries) != 2 {
+		if got.Target != p.Target || got.Checkpoint.Seq != seq || got.Checkpoint.OpCount != opCount ||
+			!bytes.Equal(got.Checkpoint.State, state) || len(got.Entries) != len(p.Entries) {
 			return false
 		}
 		for i, e := range p.Entries {

@@ -1,0 +1,281 @@
+package replication
+
+import (
+	"bytes"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
+	"eternalgw/internal/orb"
+)
+
+// imageState rebuilds the group's state from one member's recovery image
+// alone: its checkpoint loaded into a fresh application, then its logged
+// suffix executed in order. ok is false while the member has no image.
+func imageState(t *testing.T, m *Mechanisms) (state []byte, ok bool) {
+	t.Helper()
+	m.mu.RLock()
+	log := m.groups[grpServer].local.log
+	m.mu.RUnlock()
+	cp, entries, err := log.Recover(uint32(grpServer))
+	if err != nil {
+		return nil, false
+	}
+	app := &regApp{}
+	if err := app.SetState(cp.State); err != nil {
+		t.Fatalf("%s: checkpoint does not load: %v", m.NodeID(), err)
+	}
+	last := cp.Seq
+	for _, e := range entries {
+		if e.Seq <= last {
+			t.Fatalf("%s: entry at %d after position %d: image out of order or not truncated", m.NodeID(), e.Seq, last)
+		}
+		last = e.Seq
+		msg, err := Decode(e.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := giop.Unmarshal(msg.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := giop.DecodeRequest(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orb.InvokeServant(app, req)
+	}
+	state, _ = app.State()
+	return state, true
+}
+
+// TestRecoveryImageInvariant drives the passive styles through the
+// points where warm and cold used to take different code: a backup
+// promoted before the primary ever synchronized, one promoted from a
+// sync plus a logged suffix, and one that joined by donation, was
+// promoted before its first sync and then donates to the next joiner,
+// which is promoted in turn. At every stage each servant member's
+// recovery image, on its own, must rebuild the live state.
+func TestRecoveryImageInvariant(t *testing.T) {
+	for _, style := range []Style{ColdPassive, WarmPassive} {
+		interval := 8 // the harness's CheckpointInterval
+		if style == WarmPassive {
+			interval = 4 // and its WarmSyncInterval
+		}
+		for _, tc := range []struct {
+			name string
+			// solo operations run before the backup joins, paired ones
+			// after; the promoted backup must replay exactly replayed.
+			solo, paired int
+			replayed     uint64
+		}{
+			{"failover before first sync", 0, 3, 3},
+			{"failover after sync with a suffix", 0, interval + 2, 2},
+			{"joiner promoted before its first sync then donates", 2, 1, 1},
+		} {
+			t.Run(style.String()+"/"+tc.name, func(t *testing.T) {
+				recoveryScenario(t, style, tc.solo, tc.paired, tc.replayed)
+			})
+		}
+	}
+}
+
+func recoveryScenario(t *testing.T, style Style, solo, paired int, replayed uint64) {
+	d := newDomain(t, 4)
+	d.mustCreate(grpServer, style, testKeyStr)
+	d.mustCreate(grpClient, style, "")
+	apps := []*regApp{{}, {}, {}}
+	d.mustJoin(d.ids[0], grpServer, apps[0])
+	d.mustJoin(d.ids[3], grpClient, nil)
+	client := d.rms[d.ids[3]]
+
+	var want []byte
+	invoke := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			want = append(want, byte('a'+len(want)))
+			if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(len(want)), "append", octets(want[len(want)-1:])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// imagesRebuild waits until the image of every listed member rebuilds
+	// the primary's live state.
+	imagesRebuild := func(primary int, members ...int) {
+		t.Helper()
+		live, _ := apps[primary].State()
+		for _, i := range members {
+			var got []byte
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				var ok bool
+				if got, ok = imageState(t, d.rms[d.ids[i]]); ok && bytes.Equal(got, live) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: recovery image rebuilds %q, live state is %q", d.ids[i], got, live)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	promoted := func(i int) {
+		t.Helper()
+		waitFor(t, 5*time.Second, func() bool {
+			v, ops := apps[i].snapshot()
+			return bytes.Equal(v, want) && ops == int64(len(want))
+		})
+	}
+
+	invoke(solo)
+	d.mustJoin(d.ids[1], grpServer, apps[1])
+	for _, n := range d.ids {
+		if err := d.rms[n].WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke(paired)
+	imagesRebuild(0, 0, 1)
+
+	d.net.Crash(d.ids[0])
+	promoted(1)
+	waitStat(t, func() uint64 { return d.rms[d.ids[1]].Stats().ReplayedInvocations }, replayed)
+	if got := d.rms[d.ids[1]].Stats().Failovers; got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+
+	// The promoted backup donates its image to a second joiner, which
+	// follows one more operation and is promoted in turn.
+	d.mustJoin(d.ids[2], grpServer, apps[2])
+	if got := d.rms[d.ids[1]].Stats().StateTransfers; got != 1 {
+		t.Fatalf("promoted backup donated %d transfers, want 1", got)
+	}
+	invoke(1)
+	imagesRebuild(1, 1, 2)
+	d.net.Crash(d.ids[1])
+	promoted(2)
+}
+
+// stallApp is a regApp whose executor can be parked inside Invoke, so a
+// test can hold a replica's task queue still while the total order moves
+// on.
+type stallApp struct {
+	regApp
+	stall   atomic.Bool
+	release chan struct{}
+}
+
+func (a *stallApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
+	if a.stall.Load() {
+		<-a.release
+	}
+	return a.regApp.Invoke(op, args, reply)
+}
+
+// TestRetriggeredTransferDoesNotReexecute: a joiner's donor dies between
+// the ordered join and its capture, so the next member donates instead —
+// later than the join, from a state that already contains the
+// invocations the joiner has been holding back since. The joiner must
+// not execute those a second time.
+func TestRetriggeredTransferDoesNotReexecute(t *testing.T) {
+	d := newDomain(t, 4)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpClient, Active, "")
+	donor := &stallApp{release: make(chan struct{})}
+	t.Cleanup(func() { close(donor.release) }) // before the domain's own cleanup
+	survivor, joiner := &regApp{}, &regApp{}
+	d.mustJoin(d.ids[0], grpServer, donor)
+	d.mustJoin(d.ids[1], grpServer, survivor)
+	d.mustJoin(d.ids[3], grpClient, nil)
+	client := d.rms[d.ids[3]]
+	for _, n := range d.ids {
+		if err := d.rms[n].WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOp := func(i int) {
+		t.Helper()
+		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte{byte('0' + i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOp(1)
+	appendOp(2)
+	// Park the donor's executor inside operation 3 (the survivor answers
+	// it), then order the join: the donor's capture task queues behind
+	// the parked operation and is never reached.
+	donor.stall.Store(true)
+	appendOp(3)
+	if err := d.rms[d.ids[2]].JoinGroup(grpServer, joiner); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range d.ids[1:3] {
+		if err := d.rms[n].WaitForMembers(grpServer, 3, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Ordered after the join: the survivor executes these, the joiner
+	// holds them back.
+	appendOp(4)
+	appendOp(5)
+	appendOp(6)
+	d.net.Crash(d.ids[0])
+	if err := d.rms[d.ids[2]].WaitSynced(grpServer, 5*time.Second); err != nil {
+		t.Fatalf("joiner never synced from the surviving member: %v", err)
+	}
+	appendOp(7)
+	waitFor(t, 5*time.Second, func() bool {
+		v, _ := joiner.snapshot()
+		return bytes.HasSuffix(v, []byte("7"))
+	})
+	wantV, wantOps := survivor.snapshot()
+	gotV, gotOps := joiner.snapshot()
+	if !bytes.Equal(gotV, wantV) || gotOps != wantOps || wantOps != 7 {
+		t.Fatalf("joiner state = %q after %d ops, survivor's = %q after %d: held-back invocations the donated state already contained were executed again",
+			gotV, gotOps, wantV, wantOps)
+	}
+}
+
+// TestRecreatedGroupDonatesFreshImage: a group id retired by DeleteGroup
+// and created again starts from nothing. The first member of the new
+// incarnation — on the processor that hosted the old one — must donate
+// what it has executed since, not the checkpoint the old incarnation
+// left behind.
+func TestRecreatedGroupDonatesFreshImage(t *testing.T) {
+	d := newDomain(t, 3)
+	apps := setupClientServer(t, d, Active, 1, 2)
+	client := d.rms[d.ids[2]]
+	for i := 1; i <= 9; i++ { // past the harness's CheckpointInterval of 8
+		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte("o"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ops := apps[0].snapshot(); ops != 9 {
+		t.Fatalf("old incarnation executed %d ops, want 9", ops)
+	}
+	if err := client.DeleteGroup(grpServer); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range d.ids {
+		waitFor(t, 3*time.Second, func() bool {
+			_, ok := d.rms[n].GroupStyle(grpServer)
+			return !ok
+		})
+	}
+
+	d.mustCreate(grpServer, Active, testKeyStr)
+	first, second := &regApp{}, &regApp{}
+	d.mustJoin(d.ids[0], grpServer, first)
+	if _, err := invokeAsClient(t, client, grpClient, 2, grpServer, 1, "append", octets([]byte("n"))); err != nil {
+		t.Fatal(err)
+	}
+	d.mustJoin(d.ids[1], grpServer, second)
+	wantV, wantOps := first.snapshot()
+	gotV, gotOps := second.snapshot()
+	if !bytes.Equal(gotV, wantV) || gotOps != wantOps || wantOps != 1 {
+		t.Fatalf("joiner state = %q after %d ops, donor's = %q after %d: the retired incarnation's image was donated",
+			gotV, gotOps, wantV, wantOps)
+	}
+}

@@ -35,12 +35,11 @@ type task struct {
 	// or copies it, never retains it.
 	msg Message
 	// raw is the full encoded wire form of an invocation delivery
-	// (header plus payload), aliasing the delivery buffer; backups copy
-	// it into the replay log instead of re-encoding msg.
+	// (header plus payload), aliasing the delivery buffer; logInvocation
+	// copies it into the recovery log instead of re-encoding msg.
 	raw     []byte
 	ts      uint64
 	execute bool
-	logInv  bool
 	state   statePayload
 	joiner  memnet.NodeID
 }
@@ -121,12 +120,29 @@ func (q *taskQueue) close() {
 // application (nil for client-only members such as gateways) plus the
 // executor state. Fields below the queue are owned by the executor
 // goroutine; primary is owned by the event loop.
+//
+// Logging-recovery invariant (DESIGN.md section 5). On every member that
+// hosts a servant, whatever the style, log holds the newest checkpoint
+// that member knows — cut locally if it executes, received by
+// KindStateSync if it is a backup, donated if it joined — and every
+// invocation delivered to it after that checkpoint's Seq, in total order
+// (an executing member leaves out the duplicates it suppressed: they
+// changed nothing). Passive failover and state donation both read that
+// one image (logrec.Recover), and a joiner is seeded with it, so any
+// servant member can recover the group or donate it at any point. The
+// only difference between the passive styles is when a backup loads a
+// checkpoint into its application: warm on arrival, cold at failover.
 type replica struct {
 	m     *Mechanisms
 	group GroupID
 	style Style
 	app   Application
 	tasks *taskQueue
+	// log is this replica's share of the processor's Log (figure 2). It
+	// lives and dies with the membership, so an image never outlasts the
+	// incarnation it describes — not across a leave and rejoin, nor into a
+	// group created again under a retired identifier.
+	log *logrec.Log
 
 	synced atomic.Bool
 	// primary marks this node as g.members[0]; loop-owned. wasBackup
@@ -136,12 +152,14 @@ type replica struct {
 	wasBackup bool
 
 	// executor-owned state.
-	executed    fifo.Map[opKey, giop.Reply]
-	dedupLen    atomic.Int64 // executed.Len(), readable off the executor
+	executed fifo.Map[opKey, giop.Reply]
+	dedupLen atomic.Int64 // executed.Len(), readable off the executor
+	// opCount operations are folded into the application state, the last
+	// of them delivered at lastOpTS: the position a checkpoint cut now
+	// reflects.
 	opCount     uint64
 	lastOpTS    uint64
-	pendingLog  []logrec.Entry // warm-passive backup replay log
-	holdback    []task         // invocations buffered until state arrives
+	holdback    []task // invocations buffered until state arrives
 	curParentTS uint64
 	curChildSeq uint32
 }
@@ -156,6 +174,7 @@ func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *rep
 	}
 	r.executed.Init(m.cfg.DedupCapacity)
 	if app != nil {
+		r.log = logrec.NewLog()
 		go r.runExecutor()
 	}
 	return r
@@ -201,13 +220,13 @@ func (r *replica) handle(t task) {
 }
 
 // execMode distinguishes why an invocation is being executed, which
-// decides whether it is appended to the catch-up log and whether its
+// decides whether it is appended to the recovery log and whether its
 // response is multicast.
 type execMode uint8
 
 const (
 	// execLive is the normal path: a freshly delivered invocation. It is
-	// logged for future joiners and its response is multicast.
+	// logged and its response is multicast.
 	execLive execMode = iota
 	// execFailover re-executes a logged invocation on a promoted passive
 	// primary. Responses ARE re-multicast: clients that already received
@@ -217,28 +236,38 @@ const (
 	execFailover
 	// execCatchup replays a donated log entry on a joining replica.
 	// Responses were already multicast by the established members, so the
-	// joiner stays quiet; the entries are seeded into its own log by the
-	// transfer application, not re-appended here.
+	// joiner stays quiet; the entries were seeded into its own log with
+	// the donation, not re-appended here.
 	execCatchup
 )
 
 func (r *replica) handleInvoke(t task) {
-	if t.logInv {
-		// The delivery already carries the encoded wire form; copy it
-		// (it aliases the delivery buffer) rather than re-encoding.
-		entry := logrec.Entry{Seq: t.ts, Data: append([]byte(nil), t.raw...)}
-		switch r.style {
-		case WarmPassive:
-			r.pendingLog = append(r.pendingLog, entry)
-		case ColdPassive:
-			r.m.log.AppendOwned(uint32(r.group), entry)
-		}
-		return
-	}
 	if !t.execute {
+		// A passive backup: the invocation waits in the log for failover.
+		r.logInvocation(t.ts, t.raw)
 		return
 	}
 	r.executeInvocation(t.msg, t.raw, t.ts, execLive)
+}
+
+// logInvocation copies a delivered invocation's wire form into the
+// recovery log — the one place a servant member retains request bytes
+// past their delivery. raw aliases the datagram, which cannot itself be
+// kept without pinning everything packed beside it.
+func (r *replica) logInvocation(ts uint64, raw []byte) {
+	r.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: append([]byte(nil), raw...)})
+}
+
+// replay executes logged invocations in order; the entries stay owned by
+// the log they came from.
+func (r *replica) replay(entries []logrec.Entry, mode execMode) {
+	for _, e := range entries {
+		hv, err := DecodeHeader(e.Data)
+		if err != nil {
+			continue
+		}
+		r.executeInvocation(hv.Message(), e.Data, e.Seq, mode)
+	}
 }
 
 // executeInvocation runs one invocation against the application,
@@ -246,9 +275,9 @@ func (r *replica) handleInvoke(t task) {
 // identifier from the same source and client) are detected and
 // suppressed: the cached response is re-sent so a reissuing client (or a
 // gateway that failed over) still obtains the result, but the operation
-// is not executed twice (paper sections 2.2, 3.3, 3.5). raw is the
-// encoded wire form when the caller has it (the live path, which appends
-// it to the catch-up log); replays pass nil.
+// is not executed twice (paper sections 2.2, 3.3, 3.5) — and, having
+// changed nothing, is not logged either. raw is the invocation's encoded
+// wire form.
 func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode execMode) {
 	key := opKey{src: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
 	if rep, ok := r.executed.Get(key); ok {
@@ -268,12 +297,11 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	if err != nil {
 		return
 	}
-	if raw != nil {
-		// Log the wire form before executing: a checkpoint cut inside the
-		// execution (maybeSync, at Seq == ts) then correctly truncates the
-		// entry its state already covers. Replay paths whose entries are
-		// already in the log pass nil.
-		r.m.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: append([]byte(nil), raw...)})
+	if mode == execLive {
+		// Log before executing: a checkpoint cut at the end of this
+		// execution (Seq == ts) then truncates the entry its state already
+		// covers.
+		r.logInvocation(ts, raw)
 	}
 
 	r.curParentTS = ts
@@ -295,7 +323,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	if req.ResponseExpected && mode != execCatchup {
 		r.respond(msg, rep)
 	}
-	r.maybeSync(ts)
+	r.maybeCheckpoint()
 }
 
 // remember caches an executed operation's reply for duplicate detection,
@@ -323,238 +351,159 @@ func (r *replica) respond(inv Message, rep giop.Reply) {
 	r.m.responsesSent.Add(1)
 }
 
-// maybeSync publishes state to the backups of a passive group — a
-// StateSync every WarmSyncInterval operations for warm replicas, a
-// checkpoint every CheckpointInterval for cold ones — and, for every
-// style, cuts a local catch-up checkpoint every CheckpointInterval so
-// this replica can donate state as checkpoint + log replay. Only
-// executing replicas arrive here (the primary of passive groups, every
-// replica of active ones).
-func (r *replica) maybeSync(ts uint64) {
-	r.maybeCheckpointLocal(ts)
-	var interval int
+// maybeCheckpoint is the executing side of logging-recovery. Whoever
+// executes — the primary of a passive group, every replica of the other
+// styles — cuts a checkpoint into its own log every interval operations,
+// and a passive primary also multicasts it so the backups' logs follow.
+// Each cut is counted once, under the name its style has always had.
+func (r *replica) maybeCheckpoint() {
+	interval, cuts := r.m.cfg.CheckpointInterval, &r.m.catchupCheckpoints
 	switch r.style {
 	case WarmPassive:
-		interval = r.m.cfg.WarmSyncInterval
+		interval, cuts = r.m.cfg.WarmSyncInterval, &r.m.stateSyncs
 	case ColdPassive:
-		interval = r.m.cfg.CheckpointInterval
-	default:
-		return
+		cuts = &r.m.checkpoints
 	}
 	if interval <= 0 || r.opCount%uint64(interval) != 0 {
 		return
 	}
-	state, err := r.app.State()
-	if err != nil {
+	cp, ok := r.cutCheckpoint()
+	if !ok {
 		return
 	}
-	_ = r.m.multicast(Message{
-		Header:  Header{Kind: KindStateSync, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-		Payload: encodeState(statePayload{JoinTS: ts, OpCount: r.opCount, State: state}),
-	})
-	if r.style == WarmPassive {
-		r.m.stateSyncs.Add(1)
-	} else {
-		r.m.checkpoints.Add(1)
-	}
-}
-
-// maybeCheckpointLocal cuts a catch-up checkpoint into the local log:
-// the state as of operation ts, truncating the logged entries the state
-// already covers. A joiner is then donated this checkpoint plus the
-// (bounded) entries logged since, instead of a full capture.
-func (r *replica) maybeCheckpointLocal(ts uint64) {
-	interval := r.m.cfg.CheckpointInterval
-	if interval <= 0 || r.opCount%uint64(interval) != 0 {
-		return
-	}
-	state, err := r.app.State()
-	if err != nil {
-		return
-	}
-	r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{Seq: ts, OpCount: r.opCount, State: state})
-	r.m.catchupCheckpoints.Add(1)
-}
-
-// handleCaptureState is the donor side of state transfer. When the local
-// catch-up log holds a checkpoint, the donation is the checkpoint plus
-// the entries logged since it — the joiner catches up by replaying a
-// bounded suffix instead of receiving a fresh full capture. Without a
-// checkpoint (a young group) it falls back to capturing the application
-// state at this point in the total order.
-func (r *replica) handleCaptureState(t task) {
-	if cp, entries, err := r.m.log.Recover(uint32(r.group)); err == nil {
+	cuts.Add(1)
+	if r.style.passive() {
 		_ = r.m.multicast(Message{
-			Header: Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-			Payload: encodeState(statePayload{
-				Target: t.joiner, JoinTS: t.ts, OpCount: cp.OpCount,
-				State: cp.State, CpSeq: cp.Seq, Entries: entries,
-			}),
+			Header:  Header{Kind: KindStateSync, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
+			Payload: encodeState(statePayload{Checkpoint: cp}),
 		})
-		r.m.stateTransfers.Add(1)
-		r.m.transfersCheckpointed.Add(1)
-		return
 	}
+}
+
+// cutCheckpoint captures the application state into the local log at the
+// position it reflects, truncating the logged entries it covers.
+func (r *replica) cutCheckpoint() (logrec.Checkpoint, bool) {
 	state, err := r.app.State()
+	if err != nil {
+		return logrec.Checkpoint{}, false
+	}
+	cp := logrec.Checkpoint{Seq: r.lastOpTS, OpCount: r.opCount, State: state}
+	r.log.Checkpoint(uint32(r.group), cp)
+	return cp, true
+}
+
+// eager reports whether this replica loads a checkpoint into its
+// application when it arrives; a cold-passive backup leaves it in the
+// log until failover. Warm is cold plus eager apply, and nothing else.
+func (r *replica) eager() bool { return r.style != ColdPassive }
+
+// load replaces the application state with a checkpoint's.
+func (r *replica) load(cp logrec.Checkpoint) error {
+	if err := r.app.SetState(cp.State); err != nil {
+		return err
+	}
+	r.opCount, r.lastOpTS = cp.OpCount, cp.Seq
+	return nil
+}
+
+// adopt takes over a checkpoint this replica did not cut — a donation or
+// a periodic sync — into the log, and into the application if the style
+// is eager.
+func (r *replica) adopt(cp logrec.Checkpoint) error {
+	if r.eager() {
+		if err := r.load(cp); err != nil {
+			return err
+		}
+	}
+	r.log.Checkpoint(uint32(r.group), cp)
+	return nil
+}
+
+// handleCaptureState is the donor side of state transfer: the donation is
+// this member's recovery image, its checkpoint plus the entries logged
+// since, so the joiner catches up by replaying a bounded suffix. A donor
+// that has not reached its first interval cuts the checkpoint now.
+func (r *replica) handleCaptureState(t task) {
+	if !r.log.HasCheckpoint(uint32(r.group)) {
+		if _, ok := r.cutCheckpoint(); !ok {
+			return
+		}
+		r.m.catchupCheckpoints.Add(1)
+	}
+	cp, entries, err := r.log.Recover(uint32(r.group))
 	if err != nil {
 		return
 	}
 	_ = r.m.multicast(Message{
 		Header:  Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-		Payload: encodeState(statePayload{Target: t.joiner, JoinTS: t.ts, OpCount: r.opCount, State: state}),
+		Payload: encodeState(statePayload{Target: t.joiner, Checkpoint: cp, Entries: entries}),
 	})
 	r.m.stateTransfers.Add(1)
-	r.m.transfersFullState.Add(1)
 }
 
-// handleApplyState is the joiner side of state transfer: install the
-// donated checkpoint, replay the donated log suffix quietly (the
-// established members already multicast these responses), then replay
-// the invocations held back since the join.
+// handleApplyState is the joiner side of state transfer: adopt the
+// donated image as this member's own log, replay the suffix quietly if
+// this replica executes (the established members already multicast those
+// responses), then take up the invocations held back since the join.
 func (r *replica) handleApplyState(t task) {
 	if r.synced.Load() {
 		return // duplicate transfer (donor died and was re-triggered)
 	}
-	st := t.state
-	cpSeq := st.CpSeq
-	if cpSeq == 0 {
-		cpSeq = st.JoinTS // full capture: the state is current as of the join
+	cp, entries := t.state.Checkpoint, t.state.Entries
+	if err := r.adopt(cp); err != nil {
+		return
 	}
-	switch r.style {
-	case ColdPassive:
-		// A cold backup stores the donation in its log; the application
-		// is loaded only at failover.
-		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-			Seq: cpSeq, OpCount: st.OpCount, State: st.State,
-		})
-		for _, e := range st.Entries {
-			r.m.log.AppendOwned(uint32(r.group), e)
-		}
-		r.opCount = st.OpCount + uint64(len(st.Entries))
-	case WarmPassive:
-		if err := r.app.SetState(st.State); err != nil {
-			return
-		}
-		// Backups do not execute: the donated suffix becomes the pending
-		// replay log, exactly as if this backup had logged those
-		// invocations itself.
-		r.opCount = st.OpCount
-		r.pendingLog = append(r.pendingLog[:0], st.Entries...)
-	default:
-		if err := r.app.SetState(st.State); err != nil {
-			return
-		}
-		r.opCount = st.OpCount
-		if st.CpSeq > 0 {
-			// Seed the local log with the donation so this replica is
-			// immediately donor-capable for the next joiner.
-			r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-				Seq: st.CpSeq, OpCount: st.OpCount, State: st.State,
-			})
-		}
-		for _, e := range st.Entries {
-			msg, err := Decode(e.Data)
-			if err != nil {
-				continue
-			}
-			if st.CpSeq > 0 {
-				r.m.log.AppendOwned(uint32(r.group), e)
-			}
-			r.executeInvocation(msg, nil, e.Seq, execCatchup)
-		}
+	covered := cp.Seq
+	for _, e := range entries {
+		r.log.AppendOwned(uint32(r.group), e)
+		covered = e.Seq
+	}
+	if !r.style.passive() {
+		r.replay(entries, execCatchup)
 	}
 	r.synced.Store(true)
 	r.m.mu.Lock()
 	r.m.notifyChanged()
 	r.m.mu.Unlock()
 
-	// Replay invocations that were delivered between the join and the
-	// state's arrival, in their original order.
+	// The image was cut where the donor stood when it captured, which is
+	// later than the join if the first donor died and the transfer was
+	// re-triggered: what it already covers must not run a second time.
 	held := r.holdback
 	r.holdback = nil
 	for _, h := range held {
-		r.handle(h)
+		if h.ts > covered {
+			r.handle(h)
+		}
 	}
 }
 
-// handleApplySync is the backup side of periodic state synchronization.
+// handleApplySync is the backup side of a passive primary's periodic
+// checkpoint.
 func (r *replica) handleApplySync(t task) {
-	switch r.style {
-	case WarmPassive:
-		if err := r.app.SetState(t.state.State); err != nil {
-			return
-		}
-		r.opCount = t.state.OpCount
-		// The synchronized state covers operations up to its capture
-		// point; entries logged after it must survive for failover
-		// replay (the capture races the entries still in flight to this
-		// backup).
-		kept := r.pendingLog[:0]
-		for _, e := range r.pendingLog {
-			if e.Seq > t.state.JoinTS {
-				kept = append(kept, e)
-			}
-		}
-		r.pendingLog = kept
-		// Mirror the sync into the local log: a promoted warm backup
-		// is then donor-capable from its last synchronized state.
-		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
-		})
-	case ColdPassive:
-		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
-		})
-	}
+	_ = r.adopt(t.state.Checkpoint) // a state the application refuses is not adopted
 }
 
 // handleFailover promotes a passive backup to primary: reconstruct the
-// primary's state and re-execute the invocations it may not have
-// answered. Responses for replayed operations are multicast normally;
-// clients that already received them suppress the duplicates, and
-// clients the dead primary never answered finally get their responses —
-// this is exactly the scenario of paper section 3, where a new primary
-// that never saw the original invocation could not produce the response.
+// primary's state from the log and re-execute the invocations it may not
+// have answered. Responses for replayed operations are multicast
+// normally; clients that already received them suppress the duplicates,
+// and clients the dead primary never answered finally get their
+// responses — this is exactly the scenario of paper section 3, where a
+// new primary that never saw the original invocation could not produce
+// the response.
 func (r *replica) handleFailover() {
 	r.m.failovers.Add(1)
-	var entries []logrec.Entry
-	logReplayed := false
-	switch r.style {
-	case WarmPassive:
-		// State is current as of the last sync; replay the log since.
-		// The replayed entries are appended to the catch-up log (the
-		// last sync mirrored a checkpoint there), keeping the promoted
-		// primary donor-capable.
-		entries = r.pendingLog
-		r.pendingLog = nil
-		logReplayed = true
-	case ColdPassive:
-		cp, logged, err := r.m.log.Recover(uint32(r.group))
-		if err == nil {
-			if err := r.app.SetState(cp.State); err != nil {
-				return
-			}
-			r.opCount = cp.OpCount
+	// A backup promoted before any state reached it has no image and
+	// serves from its initial state.
+	cp, entries, err := r.log.Recover(uint32(r.group))
+	if err == nil && !r.eager() {
+		if r.load(cp) != nil {
+			return
 		}
-		// With no checkpoint the application starts from its initial
-		// state and the full log replays. The entries are already in the
-		// log, so the replay must not re-append them.
-		entries = logged
-	default:
-		return
 	}
 	r.synced.Store(true)
-	for _, e := range entries {
-		msg, err := Decode(e.Data)
-		if err != nil {
-			continue
-		}
-		var raw []byte
-		if logReplayed {
-			raw = e.Data
-		}
-		r.executeInvocation(msg, raw, e.Seq, execFailover)
-	}
+	r.replay(entries, execFailover)
 }
 
 // --- nested invocations ----------------------------------------------------

@@ -35,13 +35,13 @@ const (
 	// Stateless replicas hold no state; any replica may execute any
 	// invocation independently.
 	Stateless Style = iota + 1
-	// ColdPassive keeps backups idle: only the primary executes; state
-	// reaches backups solely through checkpoints in the log, which a
-	// backup loads (and tops up with replayed invocations) on failover.
+	// ColdPassive keeps backups idle: only the primary executes; backups
+	// log its checkpoints and the invocation stream, and load the newest
+	// checkpoint (topped up with the replayed invocations) on failover.
 	ColdPassive
-	// WarmPassive keeps backups loaded: only the primary executes, but
-	// backups apply periodic state synchronizations and log the
-	// invocation stream between them.
+	// WarmPassive is ColdPassive with the backups kept loaded: they apply
+	// each checkpoint as it arrives, and the primary sends them more often
+	// (WarmSyncInterval against CheckpointInterval).
 	WarmPassive
 	// Active replication executes every invocation at every replica;
 	// duplicate responses are suppressed downstream.
@@ -50,6 +50,10 @@ const (
 	// result only when a majority of replicas return identical bytes.
 	ActiveWithVoting
 )
+
+// passive reports whether only the group's primary executes, the other
+// members following through checkpoints and the logged invocation stream.
+func (s Style) passive() bool { return s == WarmPassive || s == ColdPassive }
 
 // String returns the conventional name of the style.
 func (s Style) String() string {
@@ -140,11 +144,13 @@ type Config struct {
 	Node *totem.Node
 	// NodeID is this node's identity (defaults to Node.ID()).
 	NodeID memnet.NodeID
-	// WarmSyncInterval is the number of executed operations between
-	// warm-passive state synchronizations. Zero means 8.
+	// WarmSyncInterval is the number of executed operations between the
+	// checkpoints a warm-passive primary cuts and sends its backups. Zero
+	// means 8.
 	WarmSyncInterval int
-	// CheckpointInterval is the number of executed operations between
-	// cold-passive checkpoints written to the log. Zero means 32.
+	// CheckpointInterval is the same for a cold-passive primary, and the
+	// number of operations between the local checkpoints of every other
+	// style. Zero means 32.
 	CheckpointInterval int
 	// DedupCapacity bounds the per-group duplicate-detection and
 	// response-cache tables, and the node's early-discard done-set for
@@ -202,26 +208,24 @@ type Stats struct {
 	// ResponsesDiscardedEarly is the subset of DuplicateResponses
 	// dropped from the header peek alone, without payload decode.
 	ResponsesDiscardedEarly uint64
-	StateTransfers          uint64
-	StateSyncs              uint64
-	Checkpoints             uint64
-	Failovers               uint64
-	ReplayedInvocations     uint64
+	// StateTransfers counts recovery images donated to joiners.
+	StateTransfers uint64
+	// StateSyncs and Checkpoints count the checkpoints a warm-passive and
+	// a cold-passive primary cut and multicast to its backups;
+	// CatchupCheckpoints counts those cut into the local log only (per
+	// interval by replicas of the other styles, on demand by a donor that
+	// has none yet). Every cut lands in exactly one of the three.
+	StateSyncs          uint64
+	Checkpoints         uint64
+	CatchupCheckpoints  uint64
+	Failovers           uint64
+	ReplayedInvocations uint64
 	// ViewChanges counts group membership views installed at this node
 	// (joins, leaves, evictions, failure-driven removals).
 	ViewChanges uint64
-	// TransfersCheckpointed counts state donations served as checkpoint
-	// plus log replay; TransfersFullState counts the fallback full
-	// captures (no local checkpoint available, or the catch-up log is
-	// disabled).
-	TransfersCheckpointed uint64
-	TransfersFullState    uint64
 	// TransferEntriesReplayed counts logged invocations replayed by
 	// joining replicas catching up from a donated checkpoint.
 	TransferEntriesReplayed uint64
-	// CatchupCheckpoints counts local checkpoints written into the
-	// catch-up log by executing replicas.
-	CatchupCheckpoints uint64
 	// MembershipSyncs counts authoritative directory snapshots adopted
 	// after a ring merge (partition healing).
 	MembershipSyncs uint64

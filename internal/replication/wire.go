@@ -338,33 +338,29 @@ func decodeMembershipSync(b []byte) (membershipSyncPayload, error) {
 	return p, nil
 }
 
-// statePayload carries a state transfer or synchronization.
+// statePayload carries a recovery image between members of a group: a
+// state transfer (the donor's checkpoint plus its log suffix, addressed
+// to one joiner) or a passive primary's periodic synchronization (the
+// checkpoint alone, addressed to every backup).
 type statePayload struct {
 	// Target is the joining node a transfer is addressed to; empty for
-	// warm-passive synchronizations addressed to the whole group.
+	// synchronizations.
 	Target memnet.NodeID
-	// JoinTS is the totem timestamp of the join this transfer answers.
-	JoinTS uint64
-	// OpCount is the number of operations folded into the state.
-	OpCount uint64
-	State   []byte
-	// CpSeq is the totem sequence number of the checkpoint State was cut
-	// at; zero when State is a direct capture at the join point (the
-	// full-state fallback), in which case Entries is empty.
-	CpSeq uint64
-	// Entries are the logged invocations after the checkpoint, in total
-	// order; the joiner replays them to catch up from CpSeq to JoinTS
-	// without replaying history from zero.
+	// Checkpoint is the application state and the position in the total
+	// order it was cut at.
+	Checkpoint logrec.Checkpoint
+	// Entries are the invocations logged after the checkpoint, in total
+	// order; the joiner catches up through them instead of replaying
+	// history from zero.
 	Entries []logrec.Entry
 }
 
 func encodeState(p statePayload) []byte {
 	w := cdr.NewWriter(cdr.BigEndian)
 	w.WriteString(string(p.Target))
-	w.WriteULongLong(p.JoinTS)
-	w.WriteULongLong(p.OpCount)
-	w.WriteOctetSeq(p.State)
-	w.WriteULongLong(p.CpSeq)
+	w.WriteULongLong(p.Checkpoint.Seq)
+	w.WriteULongLong(p.Checkpoint.OpCount)
+	w.WriteOctetSeq(p.Checkpoint.State)
 	w.WriteULong(uint32(len(p.Entries)))
 	for _, e := range p.Entries {
 		w.WriteULongLong(e.Seq)
@@ -377,10 +373,9 @@ func decodeState(b []byte) (statePayload, error) {
 	r := cdr.NewReader(b, cdr.BigEndian)
 	var p statePayload
 	p.Target = memnet.NodeID(r.ReadString())
-	p.JoinTS = r.ReadULongLong()
-	p.OpCount = r.ReadULongLong()
-	p.State = append([]byte(nil), r.ReadOctetSeq()...)
-	p.CpSeq = r.ReadULongLong()
+	p.Checkpoint.Seq = r.ReadULongLong()
+	p.Checkpoint.OpCount = r.ReadULongLong()
+	p.Checkpoint.State = append([]byte(nil), r.ReadOctetSeq()...)
 	for n := r.ReadULong(); n > 0 && r.Err() == nil; n-- {
 		e := logrec.Entry{Seq: r.ReadULongLong()}
 		e.Data = append([]byte(nil), r.ReadOctetSeq()...)

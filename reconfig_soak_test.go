@@ -100,15 +100,14 @@ func TestReconfigRollingUpgradeSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Baseline transfer stats: the initial placement performs full-state
-	// transfers (no checkpoint exists yet); only what the fault plan
-	// causes afterwards is asserted against.
+	// Baseline transfer stats: the initial placement performs transfers
+	// of its own; only what the fault plan causes afterwards is asserted
+	// against.
 	sumStats := func() replication.Stats {
 		var out replication.Stats
 		for i := 0; i < d.Nodes(); i++ {
 			st := d.Node(i).RM.Stats()
-			out.TransfersCheckpointed += st.TransfersCheckpointed
-			out.TransfersFullState += st.TransfersFullState
+			out.StateTransfers += st.StateTransfers
 			out.TransferEntriesReplayed += st.TransferEntriesReplayed
 			out.ViewChanges += st.ViewChanges
 		}
@@ -241,10 +240,10 @@ func TestReconfigRollingUpgradeSoak(t *testing.T) {
 	// The upgraded replicas caught up from checkpoints, replaying only a
 	// bounded suffix of the invocation log — not history from zero.
 	delta := sumStats()
-	delta.TransfersCheckpointed -= before.TransfersCheckpointed
+	delta.StateTransfers -= before.StateTransfers
 	delta.TransferEntriesReplayed -= before.TransferEntriesReplayed
-	if delta.TransfersCheckpointed < 3 {
-		t.Fatalf("checkpointed transfers during upgrade = %d, want >= 3 (one per replaced replica)", delta.TransfersCheckpointed)
+	if delta.StateTransfers < 3 {
+		t.Fatalf("checkpointed transfers during upgrade = %d, want >= 3 (one per replaced replica)", delta.StateTransfers)
 	}
 	if delta.TransferEntriesReplayed >= uint64(total) {
 		t.Fatalf("joiners replayed %d entries (load was %d): state transfer replayed history from zero", delta.TransferEntriesReplayed, total)
