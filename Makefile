@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check loc budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs clean
+.PHONY: build test vet lint lint-fast race check loc budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -208,6 +208,18 @@ BENCH_REF ?= HEAD~1
 BENCH_REGEX ?= BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup
 bench-compare:
 	scripts/benchcompare.sh '$(BENCH_REF)' '$(BENCH_REGEX)' $(BENCH_COUNT) 2s
+
+# alloc-gate is the allocation regression gate (scripts/allocgate.sh):
+# the reference benchmark on ALLOC_GATE_REF and on the working tree in
+# alternating pairs, the full `bench/run.sh compare` table printed, and a
+# non-zero exit only when allocs_per_op or alloc_kb_per_op regressed on
+# a workload — the two metrics that repeat closely enough on a shared
+# machine to gate on. About 25 minutes at the default three pairs, so it
+# is its own CI job and not part of `make check`.
+#   make alloc-gate ALLOC_GATE_REF=origin/main
+ALLOC_GATE_REF ?= HEAD~1
+alloc-gate:
+	scripts/allocgate.sh '$(ALLOC_GATE_REF)'
 
 clean:
 	$(GO) clean ./...

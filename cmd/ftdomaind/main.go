@@ -353,8 +353,9 @@ func startOps(o runOpts, cfg *domain.Config) (*obs.Server, error) {
 }
 
 // addStatusSections puts the local processors' dedup-cache occupancy
-// and, under admission control, the gateways' admission state on
-// /statusz.
+// (each replica's executed-operation cache and the node's
+// answered-operation table) and, under admission control, the gateways'
+// admission state on /statusz.
 func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 	ops.AddStatusSection("dedup-cache", func() string {
 		var b strings.Builder
@@ -363,9 +364,8 @@ func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 			for group, entries := range n.RM.DedupOccupancy() {
 				fmt.Fprintf(&b, "node %s group %d: %d entries\n", n.ID, group, entries)
 			}
-		}
-		if b.Len() == 0 {
-			return "no local servant replicas\n"
+			replies, answered := n.RM.RecordedReplies()
+			fmt.Fprintf(&b, "node %s answered: %d entries, %d recorded replies\n", n.ID, answered, replies)
 		}
 		return b.String()
 	})

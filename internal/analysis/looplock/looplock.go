@@ -11,8 +11,8 @@
 // at handleDelivery itself.
 //
 // Starting from the roots — (*Mechanisms).deliverInvocation,
-// deliverResponse, deliverVotingResponse, observeResponse,
-// deliverGatewayControl and observe, any function passed to
+// deliverResponse, deliverVotingResponse, deliverGatewayControl and
+// observe, any function passed to
 // (*Mechanisms).SetObserver, and any function whose declaration carries
 // a "gwlint:eventloop" directive comment — the analyzer walks the
 // static call graph of the package under analysis (internal/analysis/
@@ -51,7 +51,6 @@ var defaultRoots = map[string]bool{
 	"eternalgw/internal/replication.Mechanisms.deliverInvocation":     true,
 	"eternalgw/internal/replication.Mechanisms.deliverResponse":       true,
 	"eternalgw/internal/replication.Mechanisms.deliverVotingResponse": true,
-	"eternalgw/internal/replication.Mechanisms.observeResponse":       true,
 	"eternalgw/internal/replication.Mechanisms.deliverGatewayControl": true,
 	"eternalgw/internal/replication.Mechanisms.observe":               true,
 	"eternalgw/internal/totem.Node.forwardPending":                    true,

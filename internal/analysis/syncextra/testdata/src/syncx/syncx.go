@@ -161,5 +161,6 @@ func importedParam(m fifo.Map[string, int]) int { // want `parameter of no-copy 
 
 func importedInPlace(r *records) bool {
 	r.seen.Init(4)
-	return r.seen.Add(1, struct{}{})
+	_, inserted := r.seen.Add(1, struct{}{})
+	return inserted
 }

@@ -13,10 +13,10 @@
 //
 // A gateway is not a CORBA object: it is part of the fault tolerance
 // infrastructure. Several gateways form a redundant gateway group
-// (paper section 3.5): each records the requests and responses flowing
-// through any of them, so a client that fails over to another gateway
-// and reissues its pending invocations receives its responses without
-// the operations being executed twice.
+// (paper section 3.5): each gateway's processor records the responses
+// flowing through any of them, so a client that fails over to another
+// gateway and reissues its pending invocations receives its responses
+// without the operations being executed twice.
 package core
 
 import (
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -60,10 +61,6 @@ const (
 // Errors reported by the gateway.
 var ErrClosed = errors.New("gateway: closed")
 
-// replyCacheSize bounds the recorded-response cache used to answer
-// reissued invocations after a gateway failover.
-const replyCacheSize = 8192
-
 // Config parameterizes a Gateway.
 type Config struct {
 	// RM is this node's replication mechanisms; the gateway must already
@@ -97,34 +94,17 @@ type Config struct {
 
 // Stats snapshots gateway counters.
 type Stats struct {
-	ConnectionsAccepted   uint64
-	RequestsReceived      uint64
-	RequestsForwarded     uint64
-	RepliesReturned       uint64
-	AnsweredFromCache     uint64 // reissued invocations answered from the gateway-group record
-	ReinvocationsDetected uint64 // requests seen before by the gateway group
-	RequestsAbandoned     uint64 // received but never answered (gateway or domain failure)
-	Exceptions            uint64 // system exceptions returned to clients
-	ClientsDeparted       uint64 // departed-client notifications processed (state deleted)
-	RequestsShed          uint64 // requests refused by admission control (TRANSIENT returned)
-	ConnectionsShed       uint64 // connections refused by admission control (closed at accept)
-	DeparturesDropped     uint64 // departed-client notifications dropped by the bounded overflow queue
+	ConnectionsAccepted uint64
+	RequestsReceived    uint64
+	RequestsForwarded   uint64
+	RepliesReturned     uint64
+	AnsweredFromCache   uint64 // reissued invocations answered from the gateway-group record
+	RequestsAbandoned   uint64 // received but never answered (gateway or domain failure)
+	Exceptions          uint64 // system exceptions returned to clients
+	ClientsDeparted     uint64 // departed-client notifications processed by this gateway's processor (state deleted)
+	RequestsShed        uint64 // requests refused by admission control (TRANSIENT returned)
+	ConnectionsShed     uint64 // connections refused by admission control (closed at accept)
 }
-
-// cacheKey identifies a recorded operation: the routing triple of paper
-// section 3.2 (server group, TCP client id) plus the operation
-// identifier.
-type cacheKey struct {
-	group    replication.GroupID
-	clientID uint64
-	op       replication.OperationID
-}
-
-// departQueueMax bounds the departed-client overflow queue: departures
-// beyond it are dropped (and counted) rather than spawning goroutines.
-// Dropping one only delays cleanup — the per-client records age out of
-// the bounded record caches regardless.
-const departQueueMax = 4096
 
 // Gateway bridges external IIOP clients into a fault tolerance domain.
 type Gateway struct {
@@ -159,38 +139,21 @@ type Gateway struct {
 	// counters assigns TCP client identifiers per destination server
 	// group, as in paper section 3.2.
 	counters map[replication.GroupID]uint64
-	// records is the section 3.5 gateway-group record: request keys seen
-	// (reinvocation detection) and responses (answering reissues),
-	// sharded by client identifier so the datapath does not serialize
-	// behind mu.
-	records *recordStore
 	// instanceNonce distinguishes this gateway instance's counter-
 	// assigned client identifiers from any other gateway's.
 	instanceNonce uint64
 
-	// The departure overflow queue carries departed-client notifications
-	// from the replication event loop (whose observer must not block) to
-	// the departure worker. It is bounded at departQueueMax; notifications
-	// beyond that are dropped and counted rather than spawning goroutines.
-	depMu     sync.Mutex
-	depQueue  []uint64
-	depNotify chan struct{}
-	quit      chan struct{}
-
 	wg sync.WaitGroup
 
-	connectionsAccepted   atomic.Uint64
-	requestsReceived      atomic.Uint64
-	requestsForwarded     atomic.Uint64
-	repliesReturned       atomic.Uint64
-	answeredFromCache     atomic.Uint64
-	reinvocationsDetected atomic.Uint64
-	requestsAbandoned     atomic.Uint64
-	exceptions            atomic.Uint64
-	clientsDeparted       atomic.Uint64
-	requestsShed          atomic.Uint64
-	connectionsShed       atomic.Uint64
-	departuresDropped     atomic.Uint64
+	connectionsAccepted atomic.Uint64
+	requestsReceived    atomic.Uint64
+	requestsForwarded   atomic.Uint64
+	repliesReturned     atomic.Uint64
+	answeredFromCache   atomic.Uint64
+	requestsAbandoned   atomic.Uint64
+	exceptions          atomic.Uint64
+	requestsShed        atomic.Uint64
+	connectionsShed     atomic.Uint64
 }
 
 // New creates a gateway, joins the gateway group as a client-only member
@@ -224,24 +187,19 @@ func New(cfg Config) (*Gateway, error) {
 		adm:           cfg.Admission,
 		conns:         make(map[net.Conn]*clientConn),
 		counters:      make(map[replication.GroupID]uint64),
-		records:       newRecordStore(replyCacheSize),
-		depNotify:     make(chan struct{}, 1),
 		acceptStop:    make(chan struct{}),
-		quit:          make(chan struct{}),
 		instanceNonce: binary.BigEndian.Uint64(nonce[:]) &^ counterIDBit,
 	}
 	g.registerMetrics(cfg.Metrics)
-	// Join the gateway group (idempotent error if the embedding code
-	// joined already) and observe the group's traffic to build the
-	// request/response record.
+	// Join the gateway group (idempotent error if the embedding code, or
+	// another gateway on this processor, joined already). The membership
+	// is what makes the processor record the group's responses.
 	if err := g.rm.JoinGroup(cfg.Group, nil); err != nil && !errors.Is(err, replication.ErrAlreadyMember) {
 		_ = ln.Close()
 		return nil, err
 	}
-	g.rm.SetObserver(cfg.Group, g.observe)
-	g.wg.Add(2)
+	g.wg.Add(1)
 	go g.acceptLoop()
-	go g.departureLoop()
 	return g, nil
 }
 
@@ -267,13 +225,11 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_gateway_requests_forwarded_total", "Requests conveyed into the fault tolerance domain.", g.requestsForwarded.Load},
 		{"eternalgw_gateway_replies_returned_total", "Replies written back to external clients.", g.repliesReturned.Load},
 		{"eternalgw_gateway_answered_from_cache_total", "Reissued invocations answered from the gateway-group record.", g.answeredFromCache.Load},
-		{"eternalgw_gateway_reinvocations_detected_total", "Requests seen before by the gateway group.", g.reinvocationsDetected.Load},
 		{"eternalgw_gateway_requests_abandoned_total", "Requests received but never answered.", g.requestsAbandoned.Load},
 		{"eternalgw_gateway_exceptions_total", "System exceptions returned to external clients.", g.exceptions.Load},
-		{"eternalgw_gateway_clients_departed_total", "Departed-client notifications processed.", g.clientsDeparted.Load},
+		{"eternalgw_gateway_clients_departed_total", "Departed-client notifications processed by this gateway's processor.", func() uint64 { return g.rm.Stats().ClientsDeparted }},
 		{"eternalgw_gateway_requests_shed_total", "Requests refused by admission control (TRANSIENT returned).", g.requestsShed.Load},
 		{"eternalgw_gateway_connections_shed_total", "Connections refused by admission control (closed at accept).", g.connectionsShed.Load},
-		{"eternalgw_gateway_departures_dropped_total", "Departed-client notifications dropped by the bounded overflow queue.", g.departuresDropped.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
@@ -312,9 +268,7 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 		defer g.mu.Unlock()
 		return float64(len(g.conns))
 	})
-	reg.GaugeFunc("eternalgw_gateway_recorded_requests", "Request records held for reinvocation detection.", lbl,
-		func() float64 { return float64(g.RecordedRequests()) })
-	reg.GaugeFunc("eternalgw_gateway_recorded_replies", "Responses held in the gateway-group record.", lbl,
+	reg.GaugeFunc("eternalgw_gateway_recorded_replies", "Responses held in the gateway-group record of this gateway's processor.", lbl,
 		func() float64 { return float64(g.RecordedReplies()) })
 	g.reqHist = obs.NewBoundedHistogram(8192)
 	reg.Histogram("eternalgw_gateway_request_duration_seconds", "Round-trip latency of response-expected requests.", lbl, g.reqHist)
@@ -340,18 +294,16 @@ func (g *Gateway) HostPort() (string, uint16) {
 // Stats snapshots the counters.
 func (g *Gateway) Stats() Stats {
 	return Stats{
-		ConnectionsAccepted:   g.connectionsAccepted.Load(),
-		RequestsReceived:      g.requestsReceived.Load(),
-		RequestsForwarded:     g.requestsForwarded.Load(),
-		RepliesReturned:       g.repliesReturned.Load(),
-		AnsweredFromCache:     g.answeredFromCache.Load(),
-		ReinvocationsDetected: g.reinvocationsDetected.Load(),
-		RequestsAbandoned:     g.requestsAbandoned.Load(),
-		Exceptions:            g.exceptions.Load(),
-		ClientsDeparted:       g.clientsDeparted.Load(),
-		RequestsShed:          g.requestsShed.Load(),
-		ConnectionsShed:       g.connectionsShed.Load(),
-		DeparturesDropped:     g.departuresDropped.Load(),
+		ConnectionsAccepted: g.connectionsAccepted.Load(),
+		RequestsReceived:    g.requestsReceived.Load(),
+		RequestsForwarded:   g.requestsForwarded.Load(),
+		RepliesReturned:     g.repliesReturned.Load(),
+		AnsweredFromCache:   g.answeredFromCache.Load(),
+		RequestsAbandoned:   g.requestsAbandoned.Load(),
+		Exceptions:          g.exceptions.Load(),
+		ClientsDeparted:     g.rm.Stats().ClientsDeparted,
+		RequestsShed:        g.requestsShed.Load(),
+		ConnectionsShed:     g.connectionsShed.Load(),
 	}
 }
 
@@ -387,7 +339,6 @@ func (g *Gateway) Close() error {
 		return nil
 	}
 	g.closed = true
-	close(g.quit)
 	g.stopAccepting()
 	conns := make([]net.Conn, 0, len(g.conns))
 	for c := range g.conns {
@@ -404,18 +355,21 @@ func (g *Gateway) Close() error {
 }
 
 // Shutdown closes the gateway gracefully: connected clients receive a
-// GIOP CloseConnection before their sockets are severed. Close (without
-// the notification) doubles as the abrupt process-failure model used in
-// the section 3.4/3.5 experiments.
+// GIOP CloseConnection before their sockets are severed. The
+// notification takes the connection's write lock like any reply, so it
+// follows the last fragment of a reply still being written instead of
+// landing between two of them. Close (without the notification) doubles
+// as the abrupt process-failure model used in the section 3.4/3.5
+// experiments.
 func (g *Gateway) Shutdown() error {
 	g.mu.Lock()
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
+	conns := make([]*clientConn, 0, len(g.conns))
+	for _, cc := range g.conns {
+		conns = append(conns, cc)
 	}
 	g.mu.Unlock()
-	for _, c := range conns {
-		_ = giop.WriteMessage(c, giop.EncodeCloseConnection(cdr.BigEndian))
+	for _, cc := range conns {
+		cc.write(giop.EncodeCloseConnection(cdr.BigEndian))
 	}
 	return g.Close()
 }
@@ -670,7 +624,6 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 	gw := cc.gw
 	defer cc.endRequest(req.RequestID)
 	op := replication.OperationID{ParentTS: 0, ChildSeq: req.RequestID}
-	key := cacheKey{group: group, clientID: clientID, op: op}
 	tkey := obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq}
 	if gw.tracer != nil {
 		gw.tracer.EventAt(tkey, obs.StageGatewayAccept, arrived, "gateway")
@@ -680,7 +633,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 	// A reissued invocation (after the client failed over from a dead
 	// gateway) may already have been answered; the gateway group's
 	// record answers it without touching the servers.
-	if rep, ok := gw.cachedReply(key); ok {
+	if rep, ok := gw.cachedReply(group, clientID, op); ok {
 		gw.answeredFromCache.Add(1)
 		gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
 		if req.ResponseExpected {
@@ -691,12 +644,6 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		gw.observeLatency(arrived)
 		return
 	}
-
-	// The section 3.5 request record rides on the invocation itself: the
-	// gateways observe the invocation (whose source group is theirs) at
-	// its place in the total order and build the same (client, op)
-	// record a separate record multicast used to carry — one ordered
-	// multicast and one request encoding per request instead of two.
 
 	gw.requestsForwarded.Add(1)
 	if !req.ResponseExpected {
@@ -816,128 +763,33 @@ func (cc *clientConn) handleLocate(msg giop.Message) {
 }
 
 // announceDepartures tells the gateway group that a TCP client's
-// connection ended, one notification per client identifier the
-// connection used, so every gateway deletes the state it stored on the
-// client's behalf. Enhanced clients are exempt: their identifiers
-// outlive connections by design (that is what makes failover reissues
-// recognizable), so their records age out of the bounded caches instead.
+// connection ended, one notification per server group the connection
+// used and the identifier it had there (a counter value repeats across
+// groups), so every gateway deletes the state it stored on the client's
+// behalf. Enhanced clients are exempt: their identifiers outlive
+// connections by design (that is what makes failover reissues
+// recognizable), so their records age out of the bounded table instead.
 func (g *Gateway) announceDepartures(cc *clientConn) {
 	cc.mu.Lock()
-	ids := make([]uint64, 0, len(cc.ids))
-	for _, id := range cc.ids {
-		ids = append(ids, id)
-	}
+	ids := maps.Clone(cc.ids)
 	cc.mu.Unlock()
-	for _, id := range ids {
+	for group, id := range ids {
 		_ = g.rm.MulticastMessage(replication.Message{
 			Header: replication.Header{
 				Kind:     replication.KindGatewayControl,
 				ClientID: id,
-				SrcGroup: g.cfg.Group,
+				SrcGroup: group,
 				DstGroup: g.cfg.Group,
 			},
 		})
 	}
 }
 
-// departureLoop processes departed-client notifications off the
-// replication event loop: the observer contract forbids blocking there,
-// and deleting a client's records walks its whole record shard.
-func (g *Gateway) departureLoop() {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.depNotify:
-			g.drainDepartures()
-		case <-g.quit:
-			// Process notifications already queued so departures observed
-			// before shutdown still clean up.
-			g.drainDepartures()
-			return
-		}
-	}
-}
-
-// drainDepartures swaps out the queued departure notifications and
-// processes them. Swapping under the lock keeps the observer's enqueue
-// path to an append.
-func (g *Gateway) drainDepartures() {
-	g.depMu.Lock()
-	batch := g.depQueue
-	g.depQueue = nil
-	g.depMu.Unlock()
-	for _, id := range batch {
-		g.processDeparture(id)
-	}
-}
-
-func (g *Gateway) processDeparture(clientID uint64) {
-	g.records.dropClient(clientID)
-	g.clientsDeparted.Add(1)
-}
-
-// observe is the gateway-group observer: it records requests (to detect
-// reinvocations) and responses (to answer reissued invocations) flowing
-// through any gateway of the group. It runs on the replication event
-// loop and must not block.
-func (g *Gateway) observe(msg replication.Message, ts uint64) {
-	switch msg.Header.Kind {
-	case replication.KindGatewayControl:
-		// A client departed somewhere in the gateway group: hand the
-		// cleanup to the departure worker over a bounded queue. A full
-		// queue drops the notification instead of spawning a goroutine —
-		// the departure worker is already saturated, and the dropped
-		// client's records age out of the bounded record caches anyway.
-		if msg.Header.ClientID != replication.UnusedClientID {
-			g.depMu.Lock()
-			if len(g.depQueue) < departQueueMax {
-				g.depQueue = append(g.depQueue, msg.Header.ClientID)
-				g.depMu.Unlock()
-				select {
-				case g.depNotify <- struct{}{}:
-				default:
-				}
-			} else {
-				g.depMu.Unlock()
-				g.departuresDropped.Add(1)
-			}
-		}
-		return
-	case replication.KindInvocation:
-		if msg.Header.ClientID == replication.UnusedClientID {
-			return
-		}
-		// The record rides on the invocation itself: every invocation a
-		// gateway of this group conveys has this group as its source, and
-		// the replication mechanisms dispatch it to the source group's
-		// observer at its place in the total order. Reinvocation
-		// detection keys on (client, op) with the gateway group, exactly
-		// as the former separate record multicast did.
-		if msg.Header.SrcGroup != g.cfg.Group {
-			return
-		}
-		key := cacheKey{group: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
-		if g.records.noteSeen(key) {
-			g.reinvocationsDetected.Add(1)
-		}
-	case replication.KindResponse:
-		if msg.Header.ClientID == replication.UnusedClientID {
-			return
-		}
-		// The raw encapsulated reply is stored as-is (the record store
-		// copies it out of the delivery buffer); decoding happens only on
-		// the rare reissue path, keeping CDR work off the event loop.
-		key := cacheKey{group: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
-		g.records.storeReply(key, msg.Payload)
-	}
-}
-
-// cachedReply returns the recorded response for a reissued invocation,
-// decoding the stored raw reply. A record that fails to decode (it was
-// malformed on the wire and would have been ignored by the old eager
-// path too) reads as a miss.
-func (g *Gateway) cachedReply(key cacheKey) (giop.Reply, bool) {
-	raw, ok := g.records.reply(key)
+// cachedReply returns the gateway-group record's response to a reissued
+// invocation, decoding the raw reply its processor kept. A record that
+// fails to decode (it was malformed on the wire) reads as a miss.
+func (g *Gateway) cachedReply(group replication.GroupID, clientID uint64, op replication.OperationID) (giop.Reply, bool) {
+	raw, ok := g.rm.RecordedReply(group, clientID, op)
 	if !ok {
 		return giop.Reply{}, false
 	}
@@ -952,9 +804,9 @@ func (g *Gateway) cachedReply(key cacheKey) (giop.Reply, bool) {
 	return rep, true
 }
 
-// RecordedReplies reports how many responses the gateway currently holds
-// in its gateway-group record (diagnostics and tests).
-func (g *Gateway) RecordedReplies() int { return g.records.countReplies() }
-
-// RecordedRequests reports how many request records the gateway holds.
-func (g *Gateway) RecordedRequests() int { return g.records.countSeen() }
+// RecordedReplies reports how many responses the gateway's processor
+// currently holds in the gateway-group record (diagnostics and tests).
+func (g *Gateway) RecordedReplies() int {
+	n, _ := g.rm.RecordedReplies()
+	return n
+}

@@ -49,7 +49,6 @@ func TestGatewayGroupRecordsRequestsAndResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// gw2 never saw the TCP connection, yet it has the record.
-	waitCount(t, "gw2 recorded requests", gw2.RecordedRequests, 1)
 	waitCount(t, "gw2 recorded replies", gw2.RecordedReplies, 1)
 }
 
@@ -340,4 +339,69 @@ func TestGatewayLocateViaClientAPI(t *testing.T) {
 	if err != nil || status != giop.LocateUnknownObject {
 		t.Fatalf("locate ghost = %v, %v", status, err)
 	}
+}
+
+func TestTwoGatewaysOneProcessorShareTheRecord(t *testing.T) {
+	// The section 3.5 record belongs to the processor's membership in the
+	// gateway group, not to a gateway instance: two gateways on one
+	// processor answer reissues from the same record, and removing one
+	// leaves the other's record intact.
+	d := fastDomain(t, "ny", 3)
+	apps := deployRegister(t, d, replication.Active, 2)
+	gwA, err := d.AddGateway(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwB, err := d.AddGateway(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := orb.InvokeOptions{RequestID: 9, ServiceContexts: enhancedContext("shared-record-client")}
+	call := func(addr string) int64 {
+		t.Helper()
+		conn, err := orb.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		r, err := conn.Call([]byte(keyRegister), "append", encodeOctetSeq([]byte("x")), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ReadLongLong()
+	}
+	answered := func(what string, wantA, wantB uint64) {
+		t.Helper()
+		a, b := gwA.Stats().AnsweredFromCache, gwB.Stats().AnsweredFromCache
+		if a != wantA || b != wantB {
+			t.Fatalf("gwA replies=%d gwB replies=%d: after %s AnsweredFromCache = %d/%d, want %d/%d",
+				gwA.RecordedReplies(), gwB.RecordedReplies(), what, a, b, wantA, wantB)
+		}
+	}
+
+	if got := call(gwA.Addr()); got != 1 {
+		t.Fatalf("append = %d", got)
+	}
+	if got := call(gwA.Addr()); got != 1 {
+		t.Fatalf("reissue to the first gateway returned %d, want the recorded result 1", got)
+	}
+	answered("the reissue to the first gateway", 1, 0)
+	if got := call(gwB.Addr()); got != 1 {
+		t.Fatalf("reissue to the second gateway returned %d, want the recorded result 1", got)
+	}
+	answered("the reissue to the second gateway", 1, 1)
+
+	if err := d.RemoveGateway(gwB, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := call(gwA.Addr()); got != 1 {
+		t.Fatalf("reissue after removing the second gateway returned %d, want 1", got)
+	}
+	answered("removing the second gateway", 2, 1)
+	for i, app := range apps {
+		if got := app.totalOps(); got > 1 {
+			t.Fatalf("replica %d executed %d ops, want 1", i, got)
+		}
+	}
+	waitInt(t, func() int64 { return apps[0].totalOps() }, 1, "ops")
 }

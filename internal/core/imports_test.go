@@ -25,7 +25,7 @@ func TestImportAllowlist(t *testing.T) {
 		pkg  string
 		want []string
 	}{
-		{"core", []string{"admission", "cdr", "fifo", "giop", "obs", "replication"}},
+		{"core", []string{"admission", "cdr", "giop", "obs", "replication"}},
 		{"totem", []string{"cdr", "memnet", "obs"}},
 		{"replication", []string{"cdr", "fifo", "giop", "logrec", "memnet", "obs", "orb", "totem"}},
 	} {

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -156,6 +158,84 @@ func TestGatewayShutdownNotifiesClients(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("close notification not honoured: failed only after %v", elapsed)
+	}
+}
+
+func TestShutdownDoesNotSplitAFragmentedReply(t *testing.T) {
+	// A reply larger than what the loopback socket buffers absorb (about
+	// 4 MB) to a GIOP 1.2 client that has stopped reading: the gateway
+	// is blocked partway through the fragment run when Shutdown's
+	// CloseConnection is due.
+	value := make([]byte, 6<<20)
+	for i := range value {
+		value[i] = byte(i)
+	}
+	d := fastDomain(t, "sf", 2)
+	deployRegister(t, d, replication.Active, 1)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := orb.Dial(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	conn.SetGIOPMinor(2)
+	if _, err := conn.Call([]byte(keyRegister), "append", encodeOctetSeq(value), orb.InvokeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := orb.DialRaw(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	req, err := giop.EncodeRequestV(cdr.BigEndian, 2, giop.Request{
+		RequestID:        77,
+		ResponseExpected: true,
+		ObjectKey:        []byte(keyRegister),
+		Operation:        "read",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := giop.WriteMessage(raw, req); err != nil {
+		t.Fatal(err)
+	}
+	// Take the first frame's header, so the run has begun, and stop.
+	_ = raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var first [giop.HeaderSize]byte
+	if _, err := io.ReadFull(raw, first[:]); err != nil {
+		t.Fatal(err)
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- gw.Shutdown() }()
+	time.Sleep(100 * time.Millisecond) // let Shutdown reach the connection
+
+	// What the client then reads is the one whole reply, and after it
+	// the close notification or a severed connection — never the close
+	// inside the fragment run.
+	ra := giop.NewReassembler(io.MultiReader(bytes.NewReader(first[:]), raw), 0)
+	msg, err := ra.Next()
+	if err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	if msg.Header.Type != giop.MsgReply {
+		t.Fatalf("first complete message is %v, want the reply", msg.Header.Type)
+	}
+	rep, err := giop.DecodeReply(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cdr.NewReader(rep.Result, rep.ResultOrder).ReadOctetSeq(); rep.RequestID != 77 || !bytes.Equal(got, value) {
+		t.Fatalf("reply %d carries %d bytes, want request 77's %d intact", rep.RequestID, len(got), len(value))
+	}
+	if msg, err := ra.Next(); err == nil && msg.Header.Type != giop.MsgCloseConn {
+		t.Fatalf("after the reply came %v, want CloseConnection or a severed connection", msg.Header.Type)
+	}
+	if err := <-shut; err != nil {
+		t.Fatal(err)
 	}
 }
 

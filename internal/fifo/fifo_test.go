@@ -69,10 +69,10 @@ func TestMapTable(t *testing.T) {
 func TestMapFirstValueWins(t *testing.T) {
 	var m Map[string, int]
 	m.Init(4)
-	if !m.Add("op", 1) {
+	if _, inserted := m.Add("op", 1); !inserted {
 		t.Fatal("first Add not reported as inserted")
 	}
-	if m.Add("op", 2) {
+	if _, inserted := m.Add("op", 2); inserted {
 		t.Fatal("second Add of a present key reported as inserted")
 	}
 	if v, _ := m.Get("op"); v != 1 {
@@ -110,16 +110,22 @@ func TestMapMatchesModel(t *testing.T) {
 			} else {
 				k := rng.Intn(3 * capacity)
 				_, present := vals[k]
-				if inserted := m.Add(k, step); inserted == present {
+				evicted, inserted := m.Add(k, step)
+				if inserted == present {
 					t.Fatalf("seed %d step %d: Add(%d) inserted=%v with present=%v", seed, step, k, inserted, present)
 				}
+				wantEvicted := 0 // the zero value unless the insert pushed the oldest out
 				if !present {
 					if len(model) == capacity {
+						wantEvicted = vals[model[0]]
 						delete(vals, model[0])
 						model = model[1:]
 					}
 					model = append(model, k)
 					vals[k] = step
+				}
+				if evicted != wantEvicted {
+					t.Fatalf("seed %d step %d: Add(%d) evicted value %d, want %d", seed, step, k, evicted, wantEvicted)
 				}
 			}
 			if got := order(&m); fmt.Sprint(got) != fmt.Sprint(model) {
@@ -152,5 +158,25 @@ func TestMapAddDoesNotAllocateWhenFull(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Add on a full table allocates %.1f times per call", allocs)
+	}
+}
+
+// TestMapDeleteFuncDoesNotAllocate pins the departed-client cleanup,
+// which runs on the replication event loop: the ring is compacted in
+// place, wrapped or not, whether or not anything is deleted.
+func TestMapDeleteFuncDoesNotAllocate(t *testing.T) {
+	var m Map[uint64, struct{}]
+	m.Init(64)
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ { // past capacity: the head sits mid-ring
+			m.Add(next, struct{}{})
+			next++
+		}
+		m.DeleteFunc(func(uint64) bool { return false })
+		m.DeleteFunc(func(k uint64) bool { return k%3 == 0 })
+	})
+	if allocs != 0 {
+		t.Fatalf("DeleteFunc allocates %.1f times per call", allocs)
 	}
 }

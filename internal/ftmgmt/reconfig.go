@@ -15,9 +15,8 @@ import (
 // under traffic.
 //
 // A view change is just another totally-ordered message (replication's
-// KindJoinGroup / KindLeaveGroup / KindViewChange), so every replica
-// installs the same numbered view at the same sequence number; there is
-// no separate agreement round. A joining replica catches up by state
+// KindViewChange), so every replica installs the same numbered view at
+// the same sequence number; there is no separate agreement round. A joining replica catches up by state
 // transfer: the donor sends its latest application checkpoint plus the
 // logged invocations after it (internal/logrec), and the joiner replays
 // only that bounded suffix — never history from zero (the checkpoint +

@@ -28,7 +28,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp, Entries: suffix}))
 	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp}))
 	f.Add(image(KindStateSync, statePayload{Checkpoint: cp}))
-	f.Add(encodeViewChange(viewChangePayload{Add: []memnet.NodeID{"a"}, Remove: []memnet.NodeID{"b"}}))
+	// Membership deltas as JoinGroup, LeaveGroup and a replace send them.
+	delta := func(p viewChangePayload) []byte {
+		return Encode(Message{Header: Header{Kind: KindViewChange, DstGroup: 100}, Payload: encodeViewChange(p)})
+	}
+	f.Add(delta(viewChangePayload{Add: []memnet.NodeID{"n02"}}))
+	f.Add(delta(viewChangePayload{Remove: []memnet.NodeID{"n02"}}))
+	f.Add(delta(viewChangePayload{Add: []memnet.NodeID{"a"}, Remove: []memnet.NodeID{"b"}}))
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		h := Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 3}}
 		req, _ := EncodeRequest(h, giop.Request{RequestID: 3, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "echo", Args: []byte{1, 2, 3}, ArgsOrder: order})
@@ -41,7 +47,6 @@ func FuzzDecode(f *testing.F) {
 		if msg, err := Decode(data); err == nil {
 			checkEncapsulated(t, msg)
 			_, _ = decodeCreateGroup(msg.Payload)
-			_, _ = decodeMember(msg.Payload)
 			_, _ = decodeState(msg.Payload)
 			_, _ = decodeViewChange(msg.Payload)
 		}

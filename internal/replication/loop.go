@@ -71,22 +71,18 @@ func (m *Mechanisms) handleDelivery(d totem.Delivery) {
 	switch hv.Header.Kind {
 	case KindCreateGroup:
 		m.deliverCreateGroup(hv.Message(), ts)
-	case KindJoinGroup:
-		m.deliverJoin(hv.Message(), ts)
-	case KindLeaveGroup:
-		m.deliverLeave(hv.Message(), ts)
 	case KindViewChange:
 		m.deliverViewChange(hv.Message(), ts)
 	case KindInvocation:
 		m.deliverInvocation(hv, d.Payload, ts)
 	case KindResponse:
-		m.deliverResponse(hv, d.Sender, ts)
+		m.deliverResponse(hv, d.Sender)
 	case KindStateTransfer:
 		m.deliverStateTransfer(hv.Message())
 	case KindStateSync:
 		m.deliverStateSync(hv.Message())
 	case KindGatewayControl:
-		m.deliverGatewayControl(hv.Message(), ts)
+		m.deliverGatewayControl(hv.Header)
 	case KindDeleteGroup:
 		m.deliverDeleteGroup(hv.Message())
 	case KindMembershipSync:
@@ -114,18 +110,32 @@ func (m *Mechanisms) deliverDeleteGroup(msg Message) {
 	m.notifyChanged()
 }
 
-// deliverGatewayControl routes gateway housekeeping to the destination
-// group's observer; the infrastructure itself attaches no meaning to it.
-func (m *Mechanisms) deliverGatewayControl(msg Message, ts uint64) {
+// deliverGatewayControl handles gateway-group housekeeping where the
+// record lives: a TCP client of server group SrcGroup departed somewhere
+// in gateway group DstGroup, so every member's processor drops what it
+// remembered on the client's behalf (paper section 3.5) but the departure.
+func (m *Mechanisms) deliverGatewayControl(h Header) {
+	if h.ClientID == UnusedClientID {
+		return
+	}
+	if member, _ := m.membership(h.DstGroup); !member {
+		return
+	}
+	m.pending.forget(h.SrcGroup, h.ClientID)
+	m.clientsDeparted.Add(1)
+}
+
+// membership reports whether this node is a member of the group, and
+// whether a client-only one (it hosts no servant there, as a gateway's
+// processor in the gateway group).
+func (m *Mechanisms) membership(id GroupID) (member, clientOnly bool) {
 	m.mu.RLock()
-	var fn Observer
-	if g, ok := m.groups[msg.Header.DstGroup]; ok {
-		fn = m.observerLocked(g)
+	defer m.mu.RUnlock()
+	g, ok := m.groups[id]
+	if !ok || g.local == nil {
+		return false, false
 	}
-	m.mu.RUnlock()
-	if fn != nil {
-		fn(msg, ts)
-	}
+	return true, g.local.app == nil
 }
 
 func (m *Mechanisms) deliverCreateGroup(msg Message, ts uint64) {
@@ -162,10 +172,10 @@ func (m *Mechanisms) bumpView(g *groupState, seq uint64) {
 }
 
 // addMember applies one join to the group directory: the membership slot,
-// the local replica activation when the joiner is this node, the
-// pending-join record and the donor's state-capture task. It reports
-// whether the membership changed (a self-join that was never prearmed is
-// rolled back for safety). Callers hold mu.
+// the local replica activation when the joiner is this node, and the
+// pending-join record the donor's state capture is queued from. It
+// reports whether the membership changed (a self-join that was never
+// prearmed is rolled back for safety). Callers hold mu.
 func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
 	g.members = append(g.members, node)
 	first := len(g.members) == 1
@@ -186,78 +196,24 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
 		if first || app == nil {
 			r.synced.Store(true)
 		} else {
-			g.pendingJoins[node] = true
+			g.pendingJoins[node] = false
 		}
 	} else if g.local != nil && g.local.app != nil && !first {
-		g.pendingJoins[node] = true
-	}
-
-	// The donor (current primary) captures state for a joining servant.
-	if !first && len(g.members) > 0 && g.members[0] == m.cfg.NodeID &&
-		g.local != nil && g.local.app != nil && node != m.cfg.NodeID {
-		g.local.push(task{kind: taskCaptureState, joiner: node})
+		g.pendingJoins[node] = false
 	}
 	return true
 }
 
-func (m *Mechanisms) deliverJoin(msg Message, ts uint64) {
-	p, err := decodeMember(msg.Payload)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.groups[msg.Header.DstGroup]
-	if !ok || g.isMember(p.Node) {
-		return
-	}
-	if m.addMember(g, p.Node) {
-		m.bumpView(g, ts)
-		m.updatePrimary(g)
-	}
-	m.notifyChanged()
-}
-
-func (m *Mechanisms) deliverLeave(msg Message, ts uint64) {
-	p, err := decodeMember(msg.Payload)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.groups[msg.Header.DstGroup]
-	if !ok || !g.isMember(p.Node) {
-		return
-	}
-	g.removeMember(p.Node)
-	delete(g.pendingJoins, p.Node)
-	if p.Node == m.cfg.NodeID && g.local != nil {
-		g.local.close()
-		g.local = nil
-	}
-	m.bumpView(g, ts)
-	m.updatePrimary(g)
-	m.retriggerTransfers(g)
-	m.notifyChanged()
-}
-
-// deliverViewChange applies a membership delta: evictions first, then
-// joins (a replace delta frees the evicted slot before the joiner lands).
-// Like every membership change it is delivered in total order, so every
-// member installs the same numbered view at the same sequence number.
-func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
-	p, err := decodeViewChange(msg.Payload)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.groups[msg.Header.DstGroup]
-	if !ok {
-		return
-	}
+// applyView applies one membership delta to a group: removals first, then
+// joins (a replace delta frees the evicted slot before the joiner lands),
+// then, if anything changed, the next numbered view, the primary role and
+// the state transfers the new membership owes. Every membership change
+// goes through here — the wire delta and a ring failure's removals from
+// handleConfig alike — at one point in the total order, so every member
+// installs the same numbered view at the same place. Callers hold mu.
+func (m *Mechanisms) applyView(g *groupState, add, remove []memnet.NodeID, seq uint64) {
 	changed := false
-	for _, node := range p.Remove {
+	for _, node := range remove {
 		if !g.isMember(node) {
 			continue
 		}
@@ -269,20 +225,33 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 		}
 		changed = true
 	}
-	for _, node := range p.Add {
-		if g.isMember(node) {
-			continue
-		}
-		if m.addMember(g, node) {
+	for _, node := range add {
+		if !g.isMember(node) && m.addMember(g, node) {
 			changed = true
 		}
 	}
-	if changed {
-		m.bumpView(g, ts)
-		m.updatePrimary(g)
-		m.retriggerTransfers(g)
+	if !changed {
+		return
 	}
-	m.notifyChanged()
+	m.bumpView(g, seq)
+	m.updatePrimary(g)
+	m.retriggerTransfers(g)
+}
+
+// deliverViewChange applies a membership delta off the wire. Like every
+// membership change it is delivered in total order, so every member
+// installs the same numbered view at the same sequence number.
+func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
+	p, err := decodeViewChange(msg.Payload)
+	if err != nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if g, ok := m.groups[msg.Header.DstGroup]; ok {
+		m.applyView(g, p.Add, p.Remove, ts)
+		m.notifyChanged()
+	}
 }
 
 // handleConfig reacts to a totem membership change: nodes that left the
@@ -320,22 +289,16 @@ func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
 		}
 	}
 	for _, g := range m.groups {
-		changed := false
-		for _, node := range append([]memnet.NodeID(nil), g.members...) {
+		var gone []memnet.NodeID
+		for _, node := range g.members {
 			if !inRing[node] {
-				g.removeMember(node)
-				delete(g.pendingJoins, node)
-				changed = true
+				gone = append(gone, node)
 			}
 		}
-		if changed {
-			// Failure-driven view change: every survivor installs the new
-			// ring at the same point in the total order, so the ring
-			// identifier stands in for the membership message's timestamp.
-			m.bumpView(g, c.RingID)
-			m.updatePrimary(g)
-			m.retriggerTransfers(g)
-		}
+		// Failure-driven view change: every survivor installs the new ring
+		// at the same point in the total order, so the ring identifier
+		// stands in for the membership message's timestamp.
+		m.applyView(g, nil, gone, c.RingID)
 	}
 	if merged {
 		if fromMajority(prev, c.Members) {
@@ -499,8 +462,12 @@ func (m *Mechanisms) updatePrimary(g *groupState) {
 	}
 }
 
-// retriggerTransfers re-issues state capture for joiners whose donor died
-// before sending their state. Callers hold mu.
+// retriggerTransfers has the group's donor — its first member, if that
+// is this node and it hosts a servant — queue a state capture for every
+// joiner without one queued: the delta's own joiners, those a departed
+// donor still owed, and those whose capture failed. It runs after
+// updatePrimary, so a backup promoted by the same delta captures what it
+// recovered. Callers hold mu.
 func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	if g.local == nil || g.local.app == nil {
 		return
@@ -508,9 +475,10 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	if len(g.members) == 0 || g.members[0] != m.cfg.NodeID {
 		return
 	}
-	for joiner := range g.pendingJoins {
-		if joiner != m.cfg.NodeID {
+	for joiner, queued := range g.pendingJoins {
+		if !queued && joiner != m.cfg.NodeID {
 			g.local.push(task{kind: taskCaptureState, joiner: joiner})
+			g.pendingJoins[joiner] = true
 		}
 	}
 }
@@ -524,52 +492,31 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 	}
 	msg := hv.Message()
 	// Everything the directory lock protects is collected in one read
-	// section; the observers run after release (see observerLocked). The
-	// event loop is the only dispatcher, so they still see invocations in
+	// section; the observer runs after release (see SetObserver). The
+	// event loop is the only dispatcher, so it still sees invocations in
 	// total order.
 	m.mu.RLock()
-	// An invocation is also observed by its source group, if this node is
-	// a member: that is how gateways build the §3.5 gateway-group record
-	// from the invocation itself, without a separate record multicast —
-	// every gateway sees the invocation at the same point in the total
-	// order as the servants do.
-	var srcObs, dstObs Observer
-	if msg.Header.SrcGroup != msg.Header.DstGroup {
-		if sg, ok := m.groups[msg.Header.SrcGroup]; ok {
-			srcObs = m.observerLocked(sg)
-		}
-	}
 	g, ok := m.groups[msg.Header.DstGroup]
-	if !ok {
+	if !ok || g.local == nil {
 		m.mu.RUnlock()
-		if srcObs != nil {
-			srcObs(msg, ts)
-		}
 		return
 	}
-	dstObs = m.observerLocked(g)
+	observer := m.observers[g.id]
 	var r *replica
 	execute := true
-	if g.local != nil && g.local.app != nil {
+	if g.local.app != nil {
 		r = g.local
 		// Only the primary of a passive group executes; backups log the
 		// invocation stream for replay after failover.
 		execute = r.primary || !g.style.passive()
 	}
 	m.mu.RUnlock()
-	if srcObs != nil {
-		srcObs(msg, ts)
-	}
-	if dstObs != nil {
-		dstObs(msg, ts)
+	if observer != nil {
+		observer(msg, ts)
 	}
 	if r == nil {
 		return
 	}
-	// The deliver span fires only on nodes hosting a servant for the
-	// destination group: the gateway-group record multicast reuses the
-	// real invocation's operation identifier and would otherwise pollute
-	// that trace with an earlier deliver hop.
 	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.cfg.NodeID))
 	// The still-encoded GIOP request rides to the per-group executor,
 	// which decodes it off the event loop and logs the raw wire form
@@ -579,69 +526,65 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 
 // deliverResponse routes a response to local pending invocations,
 // suppressing duplicates by response identifier (paper section 3.3): the
-// first copy is delivered, all subsequently received copies of the same
-// operation identifier are discarded. The discard happens from the
-// header peek alone — once an operation is in the shard's done-set, the
-// 2nd..Rth replica copies never reach the group directory or CDR.
-func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID, ts uint64) {
+// first copy is delivered and remembered, all subsequently received
+// copies of the same operation identifier, and whatever arrives for a
+// departed client, are discarded — from the header peek alone, never
+// reaching the group directory or CDR. What is remembered is also the
+// gateway group's record (section 3.5): see pendingShard.answered.
+func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID) {
 	h := hv.Header
 	key := opKey{src: h.SrcGroup, clientID: h.ClientID, op: h.Op}
 	sh := m.pending.shard(key)
 
 	sh.mu.Lock()
-	calls := sh.calls[key]
-	if len(calls) == 0 {
-		done := sh.done.Has(key)
-		sh.mu.Unlock()
-		if done {
-			// Early discard: a copy of this response was already answered
-			// or recorded at this node.
-			m.duplicateResponses.Add(1)
-			m.responsesDiscardedEarly.Add(1)
-			m.tracer.Event(traceKey(h), obs.StageDupSuppressed, string(m.cfg.NodeID)+"/response")
-			return
-		}
-		// First copy with nobody waiting (another gateway's traffic, or a
-		// caller that timed out): members of the destination group still
-		// observe it — that is how every gateway of the group records
-		// responses flowing through its peers (§3.5) — and remember it so
-		// the remaining replica copies are discarded early.
-		if m.observeResponse(hv, ts) {
-			sh.mu.Lock()
-			sh.markDone(key)
-			sh.mu.Unlock()
-		}
+	waiting := len(sh.calls[key]) > 0
+	answered := sh.answered.Has(key) || sh.answered.Has(departedKey(h.SrcGroup, h.ClientID))
+	sh.mu.Unlock()
+	if !waiting && answered {
+		m.duplicateResponses.Add(1)
+		m.responsesDiscardedEarly.Add(1)
+		m.tracer.Event(traceKey(h), obs.StageDupSuppressed, string(m.cfg.NodeID)+"/response")
 		return
 	}
-	voting := false
+	// A first copy. With nobody waiting (another gateway's traffic, or a
+	// caller that timed out) it still concerns the members of the group it
+	// is addressed to, and nobody else.
+	member, clientOnly := m.membership(h.DstGroup)
+	if !waiting && !member {
+		return
+	}
+	record := clientOnly && h.ClientID != UnusedClientID
+
+	sh.mu.Lock()
+	calls := sh.calls[key]
 	for _, c := range calls {
 		if c.votesNeeded > 0 {
-			voting = true
-			break
+			sh.mu.Unlock()
+			m.deliverVotingResponse(hv, sh, key, sender, record)
+			return
 		}
 	}
-	if !voting {
-		// First-response delivery: this copy resolves every waiter. The
-		// payload travels raw; each waiter decodes it off the event loop.
-		for _, c := range calls {
-			c.ch <- pendingResult{raw: hv.Payload}
-		}
-		delete(sh.calls, key)
-		sh.markDone(key)
-		sh.mu.Unlock()
-		m.responsesDelivered.Add(1)
-		m.observeResponse(hv, ts)
-		return
+	// First-response delivery: this copy resolves every waiter. The
+	// payload travels raw; each waiter decodes it off the event loop.
+	for _, c := range calls {
+		c.ch <- pendingResult{raw: hv.Payload}
 	}
+	delete(sh.calls, key)
+	sh.remember(key, hv.Payload, record)
 	sh.mu.Unlock()
-	m.deliverVotingResponse(hv, sh, key, sender, ts)
+	if len(calls) > 0 {
+		m.responsesDelivered.Add(1)
+	}
 }
 
 // deliverVotingResponse handles responses awaited by active-with-voting
 // callers. Voting compares result bytes across replica copies, so —
 // unlike the first-response path — every copy is decoded, on the event
-// loop, until a majority agrees.
-func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key opKey, sender memnet.NodeID, ts uint64) {
+// loop, until a majority agrees; the operation is remembered then, with
+// the copy that completed the majority, so the record holds the value
+// delivered and not whichever copy arrived first. A vote that ends
+// without agreement delivered no copy and records none.
+func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key opKey, sender memnet.NodeID, record bool) {
 	wire, err := giop.Unmarshal(hv.Payload)
 	if err != nil {
 		return
@@ -654,11 +597,11 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 	sh.mu.Lock()
 	calls := sh.calls[key]
 	remaining := calls[:0]
-	delivered := false
+	delivered, agreed := false, false
 	for _, c := range calls {
 		if c.votesNeeded == 0 {
 			c.ch <- pendingResult{rep: rep}
-			delivered = true
+			delivered, agreed = true, true
 			continue // resolved; drop from pending
 		}
 		if c.responded[sender] {
@@ -670,7 +613,7 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 		c.votes[string(rep.Result)]++
 		if c.votes[string(rep.Result)] >= c.votesNeeded {
 			c.ch <- pendingResult{rep: rep}
-			delivered = true
+			delivered, agreed = true, true
 			continue
 		}
 		if len(c.responded) >= c.expected {
@@ -692,32 +635,12 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 		sh.calls[key] = remaining
 	}
 	if delivered {
-		sh.markDone(key)
+		sh.remember(key, hv.Payload, record && agreed)
 	}
 	sh.mu.Unlock()
 	if delivered {
 		m.responsesDelivered.Add(1)
 	}
-	m.observeResponse(hv, ts)
-}
-
-// observeResponse dispatches a response to the destination group's
-// observer if this node is a member, and reports the membership. The
-// §3.5 gateway record consumes this; it copies what it retains, since
-// the payload aliases the delivery buffer.
-func (m *Mechanisms) observeResponse(hv HeaderView, ts uint64) bool {
-	m.mu.RLock()
-	g, ok := m.groups[hv.Header.DstGroup]
-	if !ok || g.local == nil {
-		m.mu.RUnlock()
-		return false
-	}
-	fn := m.observerLocked(g)
-	m.mu.RUnlock()
-	if fn != nil {
-		fn(hv.Message(), ts)
-	}
-	return true
 }
 
 func (m *Mechanisms) deliverStateTransfer(msg Message) {

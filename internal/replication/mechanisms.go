@@ -36,7 +36,8 @@ type groupState struct {
 	members []memnet.NodeID
 	// local is this node's replica runtime, if the node is a member.
 	local *replica
-	// pendingJoins is the set of joiners still awaiting state transfer.
+	// pendingJoins is the set of joiners still awaiting state transfer;
+	// true once this node, as their donor, has queued the capture.
 	pendingJoins map[memnet.NodeID]bool
 	// view numbers this group's membership views; viewSeq is the
 	// total-order position the current view was installed at. Both are
@@ -123,9 +124,9 @@ type Mechanisms struct {
 	ringID      uint64
 	syncApplied uint64
 
-	// pending is the sharded pending-call table plus the early-discard
-	// done-set, outside mu entirely: response delivery and Invoke
-	// registration meet only on a shard lock.
+	// pending is the sharded pending-call and answered-operation table,
+	// outside mu entirely: response delivery, Invoke registration and a
+	// gateway's record lookup meet only on a shard lock.
 	pending *pendingTable
 
 	stopOnce sync.Once
@@ -153,6 +154,7 @@ type Mechanisms struct {
 	transferEntriesReplayed atomic.Uint64
 	catchupCheckpoints      atomic.Uint64
 	membershipSyncs         atomic.Uint64
+	clientsDeparted         atomic.Uint64
 }
 
 // New creates the replication mechanisms over a running totem node and
@@ -172,7 +174,7 @@ func New(cfg Config) (*Mechanisms, error) {
 		byKey:     make(map[string]GroupID),
 		prearmed:  make(map[GroupID]Application),
 		observers: make(map[GroupID]Observer),
-		pending:   newPendingTable(cfg.DedupCapacity),
+		pending:   newPendingTable(answeredCapacity),
 		changed:   make(chan struct{}),
 	}
 	m.registerMetrics(cfg.Metrics)
@@ -306,6 +308,7 @@ func (m *Mechanisms) Stats() Stats {
 		TransferEntriesReplayed: m.transferEntriesReplayed.Load(),
 		CatchupCheckpoints:      m.catchupCheckpoints.Load(),
 		MembershipSyncs:         m.membershipSyncs.Load(),
+		ClientsDeparted:         m.clientsDeparted.Load(),
 	}
 }
 
@@ -337,10 +340,7 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 	// delivered in total order.
 	m.prearmed[id] = app
 	m.mu.Unlock()
-	return m.multicast(Message{
-		Header:  Header{Kind: KindJoinGroup, ClientID: UnusedClientID, DstGroup: id},
-		Payload: encodeMember(memberPayload{Node: m.cfg.NodeID}),
-	})
+	return m.changeView(id, viewChangePayload{Add: []memnet.NodeID{m.cfg.NodeID}})
 }
 
 // DeleteGroup retires the group across the whole domain: every node
@@ -354,9 +354,15 @@ func (m *Mechanisms) DeleteGroup(id GroupID) error {
 
 // LeaveGroup removes this node's replica from the group.
 func (m *Mechanisms) LeaveGroup(id GroupID) error {
+	return m.changeView(id, viewChangePayload{Remove: []memnet.NodeID{m.cfg.NodeID}})
+}
+
+// changeView multicasts one membership delta of a group; it takes effect
+// where the total order delivers it (applyView).
+func (m *Mechanisms) changeView(id GroupID, delta viewChangePayload) error {
 	return m.multicast(Message{
-		Header:  Header{Kind: KindLeaveGroup, ClientID: UnusedClientID, DstGroup: id},
-		Payload: encodeMember(memberPayload{Node: m.cfg.NodeID}),
+		Header:  Header{Kind: KindViewChange, ClientID: UnusedClientID, DstGroup: id},
+		Payload: encodeViewChange(delta),
 	})
 }
 
@@ -428,10 +434,7 @@ func (m *Mechanisms) EvictMembers(id GroupID, nodes ...memnet.NodeID) error {
 	if len(nodes) == 0 {
 		return nil
 	}
-	return m.multicast(Message{
-		Header:  Header{Kind: KindViewChange, ClientID: UnusedClientID, DstGroup: id},
-		Payload: encodeViewChange(viewChangePayload{Remove: nodes}),
-	})
+	return m.changeView(id, viewChangePayload{Remove: nodes})
 }
 
 // WaitForView blocks until the group's view number reaches at least n.
@@ -617,41 +620,42 @@ func (m *Mechanisms) MulticastRequest(src GroupID, clientID uint64, dst GroupID,
 }
 
 // MulticastMessage multicasts an arbitrary infrastructure message into
-// the domain. Gateways use it to record incoming client requests with
-// the whole gateway group before forwarding them (paper section 3.5).
+// the domain. Gateways use it to tell the gateway group that a TCP
+// client departed (paper section 3.5).
 func (m *Mechanisms) MulticastMessage(msg Message) error {
 	return m.multicast(msg)
 }
 
-// Observer receives infrastructure messages addressed to an observed
-// group, in total order, together with their delivery timestamps.
-// Observers run on the event loop and must not block.
+// RecordedReply returns the gateway-group record's response to the
+// operation a gateway would convey as Invoke(_, clientID, group, op, ...):
+// the encapsulated IIOP reply of its first response, if this processor
+// observed one as a client-only member of the group it was addressed to
+// and still remembers it. Every gateway on the processor reads the one
+// record (paper section 3.5). The bytes are shared and read-only.
+func (m *Mechanisms) RecordedReply(group GroupID, clientID uint64, op OperationID) ([]byte, bool) {
+	return m.pending.reply(opKey{src: group, clientID: clientID, op: op})
+}
+
+// RecordedReplies reports how many responses this processor holds in the
+// gateway-group record, and how many entries its answered-operation
+// table holds in all (diagnostics and tests).
+func (m *Mechanisms) RecordedReplies() (replies, answered int) {
+	return m.pending.remembered()
+}
+
+// Observer receives the invocations addressed to an observed group, in
+// total order, together with their delivery timestamps. Observers run on
+// the event loop and must not block.
 type Observer func(msg Message, ts uint64)
 
-// SetObserver registers fn to observe every invocation and response
-// delivered to the group while this node is a member. This is how every
-// member of a redundant gateway group keeps a record of the requests and
-// responses flowing through any one of them (paper section 3.5).
+// SetObserver registers fn to observe every invocation delivered to the
+// group while this node is a member. The event loop calls fn after
+// releasing the directory lock: observers are foreign code, which under
+// the lock would stretch the loop's critical section and hide lock-order
+// edges from gwlint lockorder. The message payload aliases the delivery
+// buffer; observers copy what they retain.
 func (m *Mechanisms) SetObserver(group GroupID, fn Observer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.observers[group] = fn
-}
-
-// observerLocked returns the observer a delivered message to the group
-// should be dispatched to, or nil if the node is not a member or none is
-// registered. Callers hold mu (read or write) for the map lookup, but
-// must invoke the returned function only after releasing it: observers
-// are foreign code (the gateway record takes its shard locks and copies
-// reply bytes), so calling them under the directory lock stretches the
-// event loop's critical section and hides lock-order edges from static
-// analysis (gwlint lockorder). Delivery order is preserved because every
-// dispatch site runs on the single event-loop goroutine. The message
-// payload may alias the delivery buffer; observers copy what they
-// retain.
-func (m *Mechanisms) observerLocked(g *groupState) Observer {
-	if g.local == nil {
-		return nil
-	}
-	return m.observers[g.id]
 }

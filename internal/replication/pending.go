@@ -7,51 +7,133 @@ import (
 )
 
 // pendingShards is how many locks the pending-call table and the
-// early-discard done-set are split across. Must be a power of two.
+// answered-operation table are split across. Must be a power of two.
 const pendingShards = 16
 
+// answeredCapacity bounds the answered-operation table, and with it the
+// section 3.5 record: how many operations back a processor discards a
+// late response copy and a gateway answers a reissue itself.
+const answeredCapacity = 8192
+
 // pendingShard is one lock's worth of the pending-call table: the calls
-// awaiting responses plus the done-set remembering operations whose
-// first response copy has already been answered (or recorded) here.
+// awaiting responses plus the operations already answered here.
 type pendingShard struct {
 	mu    sync.Mutex
 	calls map[opKey][]*pendingCall
-	// done is consulted from the header peek: once an operation is in
-	// it, the 2nd..Rth replica copies of its response are discarded
-	// without payload decode.
-	done fifo.Map[opKey, struct{}]
+	// answered holds every operation whose first response this processor
+	// delivered or observed. Present means answered: the header peek
+	// discards the 2nd..Rth replica copies on it without payload decode
+	// (section 3.3). A non-nil value is the section 3.5 gateway-group
+	// record — that first response's encapsulated IIOP bytes, kept where
+	// the response carries a TCP client identifier and this node is a
+	// client-only member of the group it is addressed to — from which any
+	// gateway on this processor answers a reissue without re-invoking the
+	// servers. A departed client's entries give way to one bare entry
+	// under departedKey, on which what still arrives for it is discarded.
+	answered fifo.Map[opKey, []byte]
+	replies  int // how many entries of answered hold bytes
 }
 
-// markDone remembers an answered operation. Callers hold sh.mu.
-func (sh *pendingShard) markDone(key opKey) { sh.done.Add(key, struct{}{}) }
+// departedKey stands for a departed client, named as its operations are:
+// by server group and the identifier it had there. No operation has the
+// key: what a gateway conveys for a client has parent timestamp zero.
+func departedKey(serverGroup GroupID, clientID uint64) opKey {
+	return opKey{src: serverGroup, clientID: clientID, op: OperationID{ParentTS: ^uint64(0)}}
+}
+
+// remember notes an operation as answered; the first note wins. record
+// says the reply belongs in the gateway-group record, and then it is
+// copied: it is a window onto a delivered datagram (the datagram is the
+// arena: every payload packed into it and, on memnet, every ring member
+// shares it), which must not be pinned for the record's lifetime.
+// Callers hold sh.mu.
+func (sh *pendingShard) remember(key opKey, reply []byte, record bool) {
+	if sh.answered.Has(key) {
+		return
+	}
+	var kept []byte
+	if record && len(reply) > 0 {
+		kept = append(kept, reply...)
+		sh.replies++
+	}
+	if evicted, _ := sh.answered.Add(key, kept); evicted != nil {
+		sh.replies--
+	}
+}
 
 // pendingTable is the sharded pending-call table: concurrent Invokes
-// from many gateway connections register and resolve under per-shard
-// locks instead of serializing behind the group-directory mutex.
+// register and resolve under per-shard locks, not the directory mutex.
 type pendingTable struct {
 	shards [pendingShards]pendingShard
 }
 
-// newPendingTable builds a table whose done-set is bounded at roughly
-// capacity operations, split evenly across the shards.
+// newPendingTable builds a table that remembers roughly capacity
+// answered operations, split evenly across the shards.
 func newPendingTable(capacity int) *pendingTable {
 	per := (capacity + pendingShards - 1) / pendingShards
 	t := &pendingTable{}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.calls = make(map[opKey][]*pendingCall)
-		sh.done.Init(per)
+		sh.answered.Init(per)
 	}
 	return t
 }
 
-// shard maps an operation key to its shard. Fibonacci hashing over the
-// mixed key fields spreads both gateway traffic (distinct client ids,
-// ChildSeq-only operation ids) and nested invocations (distinct parent
-// timestamps).
+// shard maps an operation key to its shard: everything a gateway conveys
+// for one external client shares the client's shard (its departure
+// touches only that one), and traffic without a client identifier —
+// in-domain and nested invocations — spreads by the rest of the key.
+// Fibonacci hashing spreads counter-assigned identifiers (sequential
+// values xor a nonce), FNV hashes and sequence numbers alike.
 func (t *pendingTable) shard(k opKey) *pendingShard {
-	h := k.clientID ^ k.op.ParentTS ^ uint64(k.op.ChildSeq)<<32 ^ uint64(k.src)<<13
+	h := k.clientID
+	if h == UnusedClientID {
+		h = k.op.ParentTS ^ uint64(k.op.ChildSeq)<<32 ^ uint64(k.src)<<13
+	}
 	return &t.shards[(h*0x9E3779B97F4A7C15)>>(64-4)&(pendingShards-1)]
+}
+
+// reply returns the recorded response for an operation, if the
+// gateway-group record holds one.
+func (t *pendingTable) reply(key opKey) ([]byte, bool) {
+	sh := t.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	raw, _ := sh.answered.Get(key)
+	return raw, raw != nil
+}
+
+// forget drops everything remembered on behalf of a departed client of
+// a server group, in place and from the client's one shard, and
+// remembers the departure in its stead.
+func (t *pendingTable) forget(serverGroup GroupID, clientID uint64) {
+	sh := t.shard(opKey{clientID: clientID})
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.answered.DeleteFunc(func(k opKey) bool {
+		if k.src != serverGroup || k.clientID != clientID {
+			return false
+		}
+		if reply, _ := sh.answered.Get(k); reply != nil {
+			sh.replies--
+		}
+		return true
+	})
+	sh.remember(departedKey(serverGroup, clientID), nil, false)
+}
+
+// remembered counts the recorded replies and the entries held in all,
+// the replies and the departed clients' among them.
+func (t *pendingTable) remembered() (replies, answered int) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		replies += sh.replies
+		answered += sh.answered.Len()
+		sh.mu.Unlock()
+	}
+	return replies, answered
 }
 
 // occupancy counts the calls currently awaiting responses across all

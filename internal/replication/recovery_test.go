@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,6 +236,49 @@ func TestRetriggeredTransferDoesNotReexecute(t *testing.T) {
 	if !bytes.Equal(gotV, wantV) || gotOps != wantOps || wantOps != 7 {
 		t.Fatalf("joiner state = %q after %d ops, survivor's = %q after %d: held-back invocations the donated state already contained were executed again",
 			gotV, gotOps, wantV, wantOps)
+	}
+}
+
+// refusingApp is a regApp whose State fails a set number of times.
+type refusingApp struct {
+	regApp
+	refusals atomic.Int32 // State calls still to fail
+	asked    atomic.Int32 // State calls so far
+}
+
+func (a *refusingApp) State() ([]byte, error) {
+	a.asked.Add(1)
+	if a.refusals.Add(-1) >= 0 {
+		return nil, errors.New("refusingApp: state unavailable")
+	}
+	return a.regApp.State()
+}
+
+// TestFailedCaptureIsRetriedOnTheNextDelta: a donor whose capture could
+// not be cut still owes the joiner its state, and the next membership
+// delta of the group must queue the capture again instead of finding it
+// marked as queued for good.
+func TestFailedCaptureIsRetriedOnTheNextDelta(t *testing.T) {
+	d := newDomain(t, 3)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	donor := &refusingApp{}
+	d.mustJoin(d.ids[0], grpServer, donor)
+	donor.refusals.Store(1)
+	joiner := d.rms[d.ids[1]]
+	if err := joiner.JoinGroup(grpServer, &regApp{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return donor.asked.Load() == 1 })
+	if err := joiner.WaitSynced(grpServer, 50*time.Millisecond); err == nil {
+		t.Fatal("joiner synced although the donor's capture failed")
+	}
+	// Any delta will do: a third member comes, and the donor owes two.
+	d.mustJoin(d.ids[2], grpServer, &regApp{})
+	if err := joiner.WaitSynced(grpServer, 5*time.Second); err != nil {
+		t.Fatalf("the failed capture was never retried: %v", err)
+	}
+	if got := d.rms[d.ids[0]].Stats().StateTransfers; got != 2 {
+		t.Fatalf("donor counts %d state transfers, want the 2 it sent", got)
 	}
 }
 

@@ -419,26 +419,39 @@ func (r *replica) adopt(cp logrec.Checkpoint) error {
 	return nil
 }
 
-// handleCaptureState is the donor side of state transfer: the donation is
-// this member's recovery image, its checkpoint plus the entries logged
-// since, so the joiner catches up by replaying a bounded suffix. A donor
-// that has not reached its first interval cuts the checkpoint now.
+// handleCaptureState is the donor side of state transfer. A capture that
+// could not be sent leaves the joiner owed its state: the join is marked
+// un-queued again, so the next membership delta re-triggers it.
 func (r *replica) handleCaptureState(t task) {
+	if r.donate(t.joiner) {
+		r.m.stateTransfers.Add(1)
+		return
+	}
+	r.m.mu.Lock()
+	if g, ok := r.m.groups[r.group]; ok && g.pendingJoins[t.joiner] {
+		g.pendingJoins[t.joiner] = false
+	}
+	r.m.mu.Unlock()
+}
+
+// donate multicasts this member's recovery image, its checkpoint plus the
+// entries logged since, for the joiner to replay a bounded suffix. A
+// donor that has not reached its first interval cuts the checkpoint now.
+func (r *replica) donate(joiner memnet.NodeID) bool {
 	if !r.log.HasCheckpoint(uint32(r.group)) {
 		if _, ok := r.cutCheckpoint(); !ok {
-			return
+			return false
 		}
 		r.m.catchupCheckpoints.Add(1)
 	}
 	cp, entries, err := r.log.Recover(uint32(r.group))
 	if err != nil {
-		return
+		return false
 	}
-	_ = r.m.multicast(Message{
+	return r.m.multicast(Message{
 		Header:  Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-		Payload: encodeState(statePayload{Target: t.joiner, Checkpoint: cp, Entries: entries}),
-	})
-	r.m.stateTransfers.Add(1)
+		Payload: encodeState(statePayload{Target: joiner, Checkpoint: cp, Entries: entries}),
+	}) == nil
 }
 
 // handleApplyState is the joiner side of state transfer: adopt the

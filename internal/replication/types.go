@@ -152,9 +152,9 @@ type Config struct {
 	// number of operations between the local checkpoints of every other
 	// style. Zero means 32.
 	CheckpointInterval int
-	// DedupCapacity bounds the per-group duplicate-detection and
-	// response-cache tables, and the node's early-discard done-set for
-	// duplicate responses. Zero means 16384 operations.
+	// DedupCapacity bounds each local replica's executed-operation cache
+	// (duplicate-invocation detection and the responses it re-sends).
+	// Zero means 16384 operations.
 	DedupCapacity int
 	// InvokeTimeout bounds waiting for a response. Zero means 10s.
 	InvokeTimeout time.Duration
@@ -229,6 +229,9 @@ type Stats struct {
 	// MembershipSyncs counts authoritative directory snapshots adopted
 	// after a ring merge (partition healing).
 	MembershipSyncs uint64
+	// ClientsDeparted counts departed-client notifications processed as
+	// a member of the gateway group they were addressed to.
+	ClientsDeparted uint64
 }
 
 // traceKey derives the obs trace key of a message: the paper's

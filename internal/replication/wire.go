@@ -20,26 +20,25 @@ const (
 	KindInvocation Kind = iota + 1
 	KindResponse
 	KindCreateGroup
-	KindJoinGroup
-	KindLeaveGroup
+	// 4 and 5 are retired (the join and leave announcements KindViewChange
+	// now carries), so the surviving kinds keep their values.
+	_
+	_
 	KindStateTransfer
 	KindStateSync
-	// KindGatewayControl carries gateway-group housekeeping, e.g. the
-	// notification that a TCP client departed so every gateway can drop
-	// the state it stored on the client's behalf (paper section 3.5).
-	// The infrastructure only routes it to the destination group's
-	// observers.
+	// KindGatewayControl carries gateway-group housekeeping: the
+	// notification that a TCP client departed, on which each member of
+	// the destination group forgets the client ClientID of server group
+	// SrcGroup — identifiers are per-group counters (sections 3.2, 3.5).
 	KindGatewayControl
 	// KindDeleteGroup retires an object group everywhere: local replicas
 	// stop and the directory entry disappears.
 	KindDeleteGroup
-	// KindViewChange installs a membership delta — joiners and evicted
-	// members in one message. Because it travels through the same total
-	// order as every invocation, all replicas switch to the new numbered
-	// view at the same sequence number; there is no separate agreement
-	// round. The resource manager's shrink/replace path uses it to remove
-	// replicas without their cooperation (LeaveGroup is the cooperative
-	// exit).
+	// KindViewChange installs a membership delta — joiners and removed
+	// members in one message; JoinGroup, LeaveGroup and EvictMembers all
+	// send it. Because it travels through the same total order as every
+	// invocation, all replicas switch to the new numbered view at the
+	// same sequence number; there is no separate agreement round.
 	KindViewChange
 	// KindMembershipSync carries the authoritative group directory after
 	// a ring merge. Nodes from the majority component broadcast their
@@ -221,26 +220,6 @@ func decodeCreateGroup(b []byte) (createGroupPayload, error) {
 	p.ObjectKey = append([]byte(nil), r.ReadOctetSeq()...)
 	if err := r.Err(); err != nil {
 		return createGroupPayload{}, fmt.Errorf("replication: decode create-group: %w", err)
-	}
-	return p, nil
-}
-
-// memberPayload carries join/leave announcements.
-type memberPayload struct {
-	Node memnet.NodeID
-}
-
-func encodeMember(p memberPayload) []byte {
-	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteString(string(p.Node))
-	return w.Bytes()
-}
-
-func decodeMember(b []byte) (memberPayload, error) {
-	r := cdr.NewReader(b, cdr.BigEndian)
-	p := memberPayload{Node: memnet.NodeID(r.ReadString())}
-	if err := r.Err(); err != nil {
-		return memberPayload{}, fmt.Errorf("replication: decode member: %w", err)
 	}
 	return p, nil
 }

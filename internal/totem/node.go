@@ -671,27 +671,11 @@ func (n *Node) processToken(t token) {
 		}
 	}
 
-	// Broadcast pending messages, consuming new sequence numbers. Flow
-	// control caps the visit twice: by the member's fair share of the
-	// rotation window (so an eager early member cannot starve the rest)
-	// and by what is left of the window itself.
+	// Broadcast pending messages, consuming new sequence numbers, at most
+	// MaxBurst per visit so one busy member cannot hold the token.
 	n.drainSendq()
-	burst := n.cfg.MaxBurst
-	if n.cfg.WindowSize > 0 && len(n.ring) > 0 {
-		quota := n.cfg.WindowSize / len(n.ring)
-		if quota < 1 {
-			quota = 1
-		}
-		if quota < burst {
-			burst = quota
-		}
-		if remaining := n.cfg.WindowSize - int(t.Spent); remaining < burst {
-			burst = remaining
-		}
-	}
 	drained := 0
-	for drained < len(n.pending) && burst > 0 {
-		burst--
+	for burst := n.cfg.MaxBurst; drained < len(n.pending) && burst > 0; burst-- {
 		t.Seq++
 		first := drained
 		drained = n.nextPack(first)
@@ -705,7 +689,6 @@ func (n *Node) processToken(t token) {
 		}
 		n.broadcastRaw(encodeRegular(m))
 		n.broadcastN.Add(1)
-		t.Spent++
 		work = true
 	}
 	n.compactPending(drained)
@@ -729,8 +712,6 @@ func (n *Node) processToken(t token) {
 			work = true
 		}
 		t.Aru = myAru
-		// A new rotation begins: reset the flow-control window.
-		t.Spent = 0
 	}
 
 	// Garbage-collect messages everyone is confirmed to have received.

@@ -133,11 +133,6 @@ type Config struct {
 	// MaxBurst bounds how many queued messages one token visit may
 	// broadcast. Zero means the default of 64.
 	MaxBurst int
-	// WindowSize bounds how many regular messages the whole ring may
-	// broadcast per token rotation (Totem's flow control). Zero disables
-	// the global bound, leaving only the per-visit MaxBurst. All members
-	// must configure the same value.
-	WindowSize int
 	// IdleHold is how long an idle token holder waits before forwarding
 	// the token, throttling rotation when there is no traffic. Zero
 	// means the default of 200 microseconds.

@@ -56,13 +56,8 @@ type token struct {
 	// garbage-collected and their retransmission requests dropped.
 	Stable uint64
 	Succ   memnet.NodeID // the member this token is addressed to
-	// Spent counts regular messages broadcast during the current token
-	// rotation; the leader resets it. Together with Config.WindowSize it
-	// implements Totem's flow control: a global bound on broadcasts per
-	// rotation that keeps one busy node from monopolizing the ring.
-	Spent uint32
-	Rtr   []rtrEntry // outstanding retransmission requests
-	Skip  []uint64   // sequence numbers declared unrecoverable
+	Rtr    []rtrEntry    // outstanding retransmission requests
+	Skip   []uint64      // sequence numbers declared unrecoverable
 }
 
 // rtrEntry is one retransmission request with its rotation age.
@@ -218,7 +213,6 @@ func encodeToken(t token) []byte {
 	w.WriteULongLong(t.Aru)
 	w.WriteULongLong(t.Stable)
 	w.WriteString(string(t.Succ))
-	w.WriteULong(t.Spent)
 	w.WriteULong(uint32(len(t.Rtr)))
 	for _, e := range t.Rtr {
 		w.WriteULongLong(e.Seq)
@@ -239,7 +233,6 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	t.Aru = r.ReadULongLong()
 	t.Stable = r.ReadULongLong()
 	t.Succ = ids.id(r.ReadStringBytes())
-	t.Spent = r.ReadULong()
 	nRtr := r.ReadULong()
 	if r.Err() != nil || int(nRtr) > r.Remaining()/8 {
 		// A hostile count must fail the decode, not silently yield an
