@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check loc budget sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
+.PHONY: build test vet lint lint-fast race check loc budget sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -80,9 +80,17 @@ sim:
 	$(GO) run ./cmd/simrun -seeds $(SIM_TEETH_SEEDS) -mutate disable-dedup
 	$(GO) run ./cmd/simrun -seeds $(SIM_TEETH_SEEDS) -mutate disable-membership-sync
 
+# sim-totem sweeps the shipping totem core itself — not a model of it —
+# through seeded schedules of loss, duplication, reorder and a
+# silence-and-return under a virtual clock, in both ordering modes
+# (internal/totem's TestSeededRingsAgree; `go test ./...` runs 200 seeds
+# of it; pass -seeds to go test for a larger sweep). About 50 s.
+sim-totem:
+	$(GO) test ./internal/totem -run TestSeededRingsAgree -seeds 5000
+
 # sim-long is the nightly-scale budget (override SIM_LONG_SEEDS).
 SIM_LONG_SEEDS ?= 2000
-sim-long:
+sim-long: sim-totem
 	$(GO) run ./cmd/simrun -seeds $(SIM_LONG_SEEDS) -metrics
 
 # fuzz-smoke runs every decoder of bytes from outside the process

@@ -53,8 +53,8 @@ var defaultRoots = map[string]bool{
 	"eternalgw/internal/replication.Mechanisms.deliverVotingResponse": true,
 	"eternalgw/internal/replication.Mechanisms.deliverGatewayControl": true,
 	"eternalgw/internal/replication.Mechanisms.observe":               true,
-	"eternalgw/internal/totem.Node.forwardPending":                    true,
-	"eternalgw/internal/totem.Node.leaderOrderPending":                true,
+	"eternalgw/internal/totem.core.forwardPending":                    true,
+	"eternalgw/internal/totem.core.leaderOrderPending":                true,
 }
 
 // setObserverKey is the registration point whose function argument runs

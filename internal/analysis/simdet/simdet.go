@@ -14,7 +14,10 @@
 // internal/faultinject, every function declared in internal/memnet (the
 // deterministic network substrate — all of its delivery machinery runs
 // as virtual-clock callbacks when a simulation injects its clock), and
-// any function whose declaration carries a "gwlint:simroot" directive.
+// any function whose declaration carries a "gwlint:simroot" directive —
+// which is how the first part of the shipping stack is rooted: the three
+// entry points of internal/totem's protocol core (receive, submit,
+// tick), which take the time as an argument.
 // From the roots the analyzer walks the package's static call graph
 // (internal/analysis/callgraph) and reports:
 //

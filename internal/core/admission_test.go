@@ -289,6 +289,11 @@ func TestGatewayDrainShedsNewRequests(t *testing.T) {
 		_, err := hold.Call([]byte(keyRegister), "work", encodeWork(300, []byte("h")), orb.InvokeOptions{})
 		holdDone <- err
 	}()
+	// InFlight can still read 1 from the "ops" call above — the gauge
+	// covers the reply write, so its decrement runs after the client has
+	// its reply — which would start the drain before the held request has
+	// arrived. Wait for the held request to be inside the domain first.
+	waitInt(t, func() int64 { return int64(gw.Stats().RequestsForwarded) }, 2, "requests forwarded")
 	waitInt(t, gw.InFlight, 1, "in-flight")
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- gw.Drain(5 * time.Second) }()

@@ -185,10 +185,13 @@ func TestUnreplicatedClientThroughGateway(t *testing.T) {
 		waitInt(t, func() int64 { return app.totalOps() }, 1, fmt.Sprintf("replica %d ops", i))
 	}
 	// Three replicas responded per request; the gateway delivered one
-	// and suppressed the duplicates (paper figure 3).
-	rmStats := d.Node(0).RM.Stats()
-	if rmStats.DuplicateResponses < 2 {
-		t.Fatalf("duplicate responses suppressed = %d, want >= 2", rmStats.DuplicateResponses)
+	// and suppressed the duplicates (paper figure 3). They are ordered
+	// behind the reply the client already has, so wait for them (reading
+	// at once failed 1 run in 300, here and at the parent).
+	for deadline := time.Now().Add(3 * time.Second); d.Node(0).RM.Stats().DuplicateResponses < 2; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("duplicate responses suppressed = %d, want >= 2", d.Node(0).RM.Stats().DuplicateResponses)
+		}
 	}
 	st := gw.Stats()
 	if st.RequestsForwarded != 2 || st.RepliesReturned != 2 {

@@ -1,11 +1,13 @@
 package replication
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
+	"eternalgw/internal/memnet"
 )
 
 // TestPartitionHealingDiscardsStaleMinority exercises primary-component
@@ -95,5 +97,72 @@ func TestPartitionHealingDiscardsStaleMinority(t *testing.T) {
 	}
 	if _, ops := apps[0].snapshot(); ops != staleOps {
 		t.Fatalf("discarded replica executed after merge: ops %d -> %d", staleOps, ops)
+	}
+}
+
+// TestReturnUnderLoadKeepsDirectory is ROADMAP item 1 one layer above
+// where it broke: a processor that was cut off while the ring stayed
+// busy returns, rejoins the ring and adopts the majority's directory.
+// A client on n03 invokes an active group on n00..n02 in a loop beside a
+// stream of payloads that are not infrastructure messages (they only
+// run the sequence numbers up); n01 is cut off for 1.5 s and returns,
+// then n02. Before totem kept one history across a merge, the returner
+// installed the 4-ring and never delivered again — its old watermark
+// pinned the ring's horizon and the token carried one retransmission
+// request per sequence number it had missed — so the snapshot never
+// reached it.
+func TestReturnUnderLoadKeepsDirectory(t *testing.T) {
+	d := newDomain(t, 4)
+	setupClientServer(t, d, Active, 3, 3)
+	client := d.rms[d.ids[3]]
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		junk := make([]byte, 64) // kind 0: not an infrastructure message
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d.nodes[d.ids[3]].Multicast(junk) != nil {
+				return
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for req := uint32(1); ; req++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors are the reconfigurations' business, not this test's.
+			_, _ = client.Invoke(grpClient, 1, grpServer, OperationID{ChildSeq: req}, giop.Request{
+				RequestID: req, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets([]byte("x")),
+			}, 200*time.Millisecond)
+		}
+	}()
+
+	for _, victim := range []memnet.NodeID{d.ids[1], d.ids[2]} {
+		before := d.rms[victim].Stats().MembershipSyncs
+		d.net.Crash(victim)
+		time.Sleep(1500 * time.Millisecond)
+		d.net.Restart(victim)
+		deadline := time.Now().Add(10 * time.Second)
+		for len(d.nodes[victim].Members()) != 4 || d.rms[victim].Stats().MembershipSyncs == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("victim %s: ring %v, syncs %d -> %d: did not rejoin and adopt the directory",
+					victim, d.nodes[victim].Members(), before, d.rms[victim].Stats().MembershipSyncs)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 }

@@ -1,0 +1,558 @@
+package totem
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"eternalgw/internal/memnet"
+)
+
+var seeds = flag.Int("seeds", 200, "how many seeds TestSeededRingsAgree runs")
+
+// bothModes runs f as a subtest per ordering mode.
+func bothModes(t *testing.T, f func(t *testing.T, mode OrderingMode)) {
+	for _, mode := range []OrderingMode{OrderingRing, OrderingLeader} {
+		mode := mode
+		t.Run(fmt.Sprint("ordering=", mode), func(t *testing.T) { f(t, mode) })
+	}
+}
+
+// load makes feed submit one 64-byte payload per listed member every
+// period of virtual time, for as long as it stays installed.
+func (v *vnet) load(period time.Duration, ids ...memnet.NodeID) {
+	due := v.now()
+	k := 0
+	v.feed = func() {
+		for ; !due.After(v.now()); due = due.Add(period) {
+			for _, id := range ids {
+				k++
+				v.submit(id, []byte(fmt.Sprintf("%-64s", fmt.Sprint(id, "/", k))))
+			}
+		}
+	}
+}
+
+// TestReturnAfterLongAbsenceResumes is ROADMAP item 1's "returns under
+// load and never delivers again", at the layer that caused it: a member
+// is silent while the other three order and collect up to 200 000
+// sequence numbers, and returns. At the parent's rule the first token starts from
+// the returner's old watermark, so it asks for every number it lacks —
+// one request each, on a token that carries them round a ring in which
+// nobody holds them — and the ring flaps under its own fail timers; this
+// test does not terminate there. Here the token names the history the
+// three kept, and the returner resumes at its horizon.
+func TestReturnAfterLongAbsenceResumes(t *testing.T) {
+	for _, cell := range []struct {
+		mode   OrderingMode
+		victim int
+		gap    uint64
+	}{
+		{OrderingRing, 3, 200_000}, // the long one; the others keep the test's cost down
+		{OrderingRing, 0, 20_000},
+		{OrderingLeader, 3, 20_000},
+		{OrderingLeader, 0, 20_000},
+	} {
+		mode, victim, gap := cell.mode, cell.victim, cell.gap
+		t.Run(fmt.Sprintf("ordering=%v/v%02d/gap=%d", mode, victim, gap), func(t *testing.T) {
+			// One payload per sequence number, so the numbers run up fast.
+			v := newVnet(t, 4, 1, func(c *Config) { c.Ordering, c.MaxPackCount = mode, 1 })
+			v.settle(time.Second)
+			gone := v.ids[victim]
+			var live []memnet.NodeID
+			for _, id := range v.ids {
+				if id != gone {
+					live = append(live, id)
+				}
+			}
+			v.net.Crash(gone)
+			v.load(10*time.Microsecond, live...)
+			first := v.cores[live[0]]
+			start := first.gcThrough
+			if !v.run(time.Minute, func() bool { return len(first.ring) == 3 && first.gcThrough >= start+gap }) {
+				t.Fatalf("%s away: ring %v collected through %d from %d", gone, first.ring, first.gcThrough, start)
+			}
+			if seq := v.cores[gone].deliveredSeq; seq > start+1000 {
+				t.Fatalf("%s was to be far behind, and stands at %d of %d", gone, seq, first.gcThrough)
+			}
+
+			v.net.Restart(gone)
+			back := v.cores[gone]
+			before := len(v.got[gone])
+			if !v.run(100*time.Millisecond, func() bool {
+				return len(back.ring) == 4 && back.resumedN.Load() == 1 && len(v.got[gone]) > before+100
+			}) {
+				t.Fatalf("%s back: ring %v, resumed %d, %d deliveries since; survivors' ring %v", gone, back.ring,
+					back.resumedN.Load(), len(v.got[gone])-before, first.ring)
+			}
+			v.feed = nil
+			v.settle(time.Second)
+			want := make([]uint64, 4)
+			want[victim] = 1
+			if got := v.resumed(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s back: Resumed = %v, want %v", gone, got, want)
+			}
+			if v.maxRtr > maxRtr {
+				t.Fatalf("a token carried %d retransmission requests", v.maxRtr)
+			}
+			v.agree(live[0], v.ids...)
+		})
+	}
+}
+
+// TestMergeKeepsPrimaryHistory is the hazard the tempting smaller rule
+// falls into. Three members are idle but for two messages, the first of
+// which one of them missed: it holds the second buffered, undelivered.
+// The fourth, partitioned off alone, stayed busy and is numbered far
+// ahead. At the merge the three's history survives: each of them
+// delivers both messages once, in one order — nobody jumps to the
+// singleton's horizon over its own buffer — and nothing the singleton
+// buffered in its dead sequence space is ever retransmitted.
+func TestMergeKeepsPrimaryHistory(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 2, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		three, alone := v.ids[:3], v.ids[3]
+		v.net.Partition([]memnet.NodeID{alone})
+		v.settle(time.Second, three...)
+		v.settle(time.Second, alone)
+		for k := 0; k < 5000; k += 50 {
+			for i := 0; i < 50; i++ {
+				v.submit(alone, []byte(fmt.Sprint("alone/", k+i)))
+			}
+			v.settle(time.Second, alone)
+		}
+		if a, b := v.cores[alone].deliveredSeq, v.cores[three[0]].deliveredSeq; a < b+100 {
+			t.Fatalf("the singleton was to be numbered far ahead: %d against %d", a, b)
+		}
+
+		// The two messages; v02 never sees the first until the merge.
+		v.drop = func(to memnet.NodeID, data []byte) bool {
+			return to == three[2] && (data[0] == kindRegular || data[0] == kindBatch) && bytes.Contains(data, []byte("first"))
+		}
+		seen := len(v.got[three[1]])
+		v.submit(three[0], []byte("first"))
+		v.run(10*time.Millisecond, func() bool { return len(v.got[three[1]]) > seen })
+		v.submit(three[0], []byte("second"))
+		held := v.cores[three[2]]
+		if !v.run(10*time.Millisecond, func() bool { return len(held.buffer) > 0 && held.deliveredSeq < held.highest }) {
+			t.Fatalf("%s was to hold a message it cannot deliver: delivered %d, highest %d", three[2], held.deliveredSeq, held.highest)
+		}
+		// The merge finds it so: the datagram stays lost until all four
+		// have installed the merged ring.
+		v.net.Heal()
+		if !v.run(time.Second, func() bool {
+			return !slices.ContainsFunc(v.ids, func(id memnet.NodeID) bool { return len(v.cores[id].ring) != 4 })
+		}) {
+			t.Fatal("the four did not merge")
+		}
+		v.drop = nil
+		v.settle(time.Second)
+
+		if got, want := v.resumed(), []uint64{0, 0, 0, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		if n := v.cores[alone].retransmittedN.Load(); n != 0 {
+			t.Fatalf("the singleton retransmitted %d messages of its dead history into the ring", n)
+		}
+		v.agree(three[0], v.ids...)
+		tail := v.got[three[2]]
+		if len(tail) < 2 || tail[len(tail)-2].crc != crc32.ChecksumIEEE([]byte("first")) || tail[len(tail)-1].crc != crc32.ChecksumIEEE([]byte("second")) {
+			t.Fatalf("%s did not deliver first, second in that order, once: %d deliveries", three[2], len(tail))
+		}
+	})
+}
+
+// TestEvenSplitKeepsTheLowestHalf: neither half of a 2|2 split is a
+// majority, so the half holding the ring's lowest id keeps its history
+// and the other two resume.
+func TestEvenSplitKeepsTheLowestHalf(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 3, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		low, high := v.ids[:2], v.ids[2:]
+		v.net.Partition(high)
+		v.settle(time.Second, low...)
+		v.settle(time.Second, high...)
+		for k := 0; k < 40; k++ {
+			v.submit(low[k%2], []byte(fmt.Sprint("low/", k)))
+			v.submit(high[k%2], []byte(fmt.Sprint("high/", k)))
+			if k%3 == 0 {
+				v.submit(high[0], []byte(fmt.Sprint("more/", k)))
+			}
+		}
+		v.settle(time.Second, low...)
+		v.settle(time.Second, high...)
+		v.net.Heal()
+		v.settle(time.Second)
+		for _, id := range v.ids {
+			v.submit(id, []byte(fmt.Sprint("merged/", id)))
+		}
+		v.settle(time.Second)
+		if got, want := v.resumed(), []uint64{0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		v.agree(low[0], v.ids...)
+		if n := len(v.got[low[1]]); n != 40+4 {
+			t.Fatalf("%s delivered %d messages, want its half's 40 and the 4 after the merge", low[1], n)
+		}
+	})
+}
+
+// TestNoMergeNoResume: a founding ring keeps everybody's (empty)
+// history, and a ring that loses a member for good keeps the rest's.
+func TestNoMergeNoResume(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 4, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		for k := 0; k < 20; k++ {
+			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
+		}
+		v.settle(time.Second)
+		v.net.Crash(v.ids[1])
+		rest := []memnet.NodeID{v.ids[0], v.ids[2], v.ids[3]}
+		for k := 0; k < 20; k++ {
+			v.submit(rest[k%3], []byte(fmt.Sprint("three/", k)))
+		}
+		v.settle(time.Second, rest...)
+		v.run(time.Second, nil) // the silent one reconfigures alone, over and over
+		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		v.agree(rest[0], rest...)
+		if n := len(v.got[rest[0]]); n != 40 {
+			t.Fatalf("%s delivered %d of 40", rest[0], n)
+		}
+	})
+}
+
+// dropTokens makes the network lose every token lose reports true for,
+// at the member it would have reached.
+func (v *vnet) dropTokens(lose func(to memnet.NodeID, tok token) bool) {
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		if data[0] != kindToken {
+			return false
+		}
+		tok, err := decodeToken(cdrSkipKind(data), nil)
+		return err == nil && lose(to, tok)
+	}
+}
+
+// TestLostFirstTokenStillResumes: the token of the merged ring never
+// reaches the returner it is addressed to, the ring wedges there and
+// gathers again. The returner saw the ring's tokens pass on their way to
+// the others, so it knows whose history the ring kept: it resumed, and
+// tells the second gather where it stands in that history — its old
+// watermark pins nothing, and nothing it buffered alone enters the ring.
+func TestLostFirstTokenStillResumes(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 5, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		three, alone := v.ids[:3], v.ids[3]
+		v.net.Partition([]memnet.NodeID{alone})
+		v.settle(time.Second, three...)
+		v.settle(time.Second, alone)
+		for k := 0; k < 500; k += 50 {
+			for i := 0; i < 50; i++ {
+				v.submit(alone, []byte(fmt.Sprint("alone/", k+i)))
+			}
+			v.settle(time.Second, alone)
+		}
+		v.submit(three[1], []byte("three"))
+		v.settle(time.Second, three...)
+
+		back := v.cores[alone]
+		merged := uint64(0) // the first ring of four the returner installs
+		v.dropTokens(func(to memnet.NodeID, tok token) bool {
+			if merged == 0 && len(back.ring) == 4 {
+				merged = back.ringID
+			}
+			return to == alone && tok.Succ == alone && tok.RingID == merged
+		})
+		v.net.Heal()
+		if !v.run(time.Second, func() bool { return merged != 0 && back.ringID > merged }) {
+			t.Fatalf("the ring did not wedge at %s and gather again: ring %d %v after %d", alone, back.ringID, back.ring, merged)
+		}
+		v.settle(time.Second)
+		if got, want := v.resumed(), []uint64{0, 0, 0, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		if n := back.retransmittedN.Load(); n != 0 {
+			t.Fatalf("the returner retransmitted %d messages of its dead history into the ring", n)
+		}
+		for _, id := range v.ids {
+			v.submit(id, []byte(fmt.Sprint("merged/", id)))
+		}
+		v.settle(time.Second)
+		v.agree(three[0], v.ids...)
+		if n := len(v.got[three[0]]); n != 1+4 {
+			t.Fatalf("%s delivered %d messages, want the three's 1 and the 4 after the merge", three[0], n)
+		}
+	})
+}
+
+// TestRegatherBeforeFirstTokenKeepsMembers is why a member that gathers
+// again before any token of its ring has reached it still answers for
+// that ring, and not for the one before: two of four are in that state —
+// they were in the ring all along and have buffered what the other two
+// ordered and delivered in it meanwhile — and the second gather must find
+// one component of four. (Counted as the previous ring's, the two would
+// lose an even split and resume past messages nobody would send again.)
+func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 6, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		for k := 0; k < 8; k++ {
+			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
+		}
+		v.settle(time.Second)
+		// The founding ring loses its token and gathers; the ring after it
+		// loses every token on its way to the last two.
+		founding, late := v.cores[v.ids[0]].ringID, v.ids[2:]
+		v.dropTokens(func(to memnet.NodeID, tok token) bool {
+			return tok.RingID == founding || tok.RingID == founding+1 && slices.Contains(late, to)
+		})
+		for k := 0; k < 8; k++ {
+			v.submit(v.ids[k%2], []byte(fmt.Sprint("second/", k)))
+		}
+		ahead, behind := v.cores[v.ids[1]], v.cores[late[0]]
+		if !v.run(time.Second, func() bool { return behind.ringID > founding+1 }) {
+			t.Fatalf("the second ring did not wedge and gather again: %s in ring %d", late[0], behind.ringID)
+		}
+		if !behind.unchecked || ahead.deliveredSeq <= behind.deliveredSeq {
+			t.Fatalf("%s was to be unchecked and behind %s: unchecked %v, delivered %d against %d", late[0], v.ids[1], behind.unchecked, behind.deliveredSeq, ahead.deliveredSeq)
+		}
+		v.settle(time.Second)
+		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		v.agree(v.ids[0], v.ids...)
+		if n := len(v.got[late[1]]); n != 16 {
+			t.Fatalf("%s delivered %d of 16", late[1], n)
+		}
+	})
+}
+
+// TestSkippedRequestIsDeclaredAgain: a skip is declared on a token, and
+// a member that left the ring before that token reached it asks again in
+// the next ring, whose fresh token carries no skip list. Whoever has the
+// number skipped says so again; dropping the request as resolved (the
+// parent's rule) left the requester asking for ever.
+func TestSkippedRequestIsDeclaredAgain(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var sent []token
+	n := newCore(Config{ID: "v01"}, now, func(b []byte) {
+		if tok, err := decodeToken(cdrSkipKind(b), nil); b[0] == kindToken && err == nil {
+			sent = append(sent, tok)
+		}
+	}, func(Event) {})
+	n.cfg.applyDefaults()
+	n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
+	n.ids = newIDTable(n.ring)
+	n.deliveredSeq, n.highest, n.gcThrough = 20, 20, 11
+	n.skipped[12] = true
+	n.receive(now, encodeToken(token{RingID: 5, TokenID: 7, Seq: 20, Aru: 11, Stable: 11, Succ: "v01",
+		Rtr: []rtrEntry{{Seq: 12}}}), 0)
+	if len(sent) != 1 || !slices.Equal(sent[0].Skip, []uint64{12}) || len(sent[0].Rtr) != 0 {
+		t.Fatalf("forwarded %+v, want one token that skips 12 and requests nothing", sent)
+	}
+}
+
+// TestEveryDatagramPassesTheGate pins the one answer to "is this
+// datagram from my ring, a newer one, or a foreign one to merge with?"
+// for every kind a handler takes. v00 is in ring 5 of v00..v02; each
+// datagram comes from that ring, a newer or an older one, speaks for a
+// member or a stranger, and arrives while v00 is gathering or not.
+func TestEveryDatagramPassesTheGate(t *testing.T) {
+	type outcome string
+	const (
+		processed outcome = "processed"
+		ignored   outcome = "ignored"
+		gather    outcome = "gather"
+	)
+	// The semantics, written down once. Rejoining a newer ring and
+	// merging with a foreign one are both a gather; while gathering,
+	// only ordered traffic of the current ring is still taken in.
+	want := func(ring string, member, gathering, ordered bool) outcome {
+		switch {
+		case ring == "same" && member && (ordered || !gathering):
+			return processed
+		case gathering:
+			return ignored
+		case ring == "newer", !member:
+			return gather
+		}
+		return ignored // an older ring's traffic from a member: stale
+	}
+	rings := map[string]uint64{"same": 5, "newer": 6, "older": 4}
+
+	// Each kind: the epoch v00 must be in for the handler to care, the
+	// datagram as (ring, from) would send it, and what processing it
+	// leaves behind.
+	kinds := []struct {
+		name    string
+		ordered bool
+		leader  memnet.NodeID // v00's epoch: "" none, else its sequencer
+		frame   func(ring uint64, from memnet.NodeID) []byte
+		took    func(n *core) bool
+	}{
+		{"regular", true, "", func(r uint64, from memnet.NodeID) []byte {
+			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Payload: []byte("p")})
+		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		{"packed", true, "", func(r uint64, from memnet.NodeID) []byte {
+			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Parts: [][]byte{[]byte("a"), []byte("b")}})
+		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		{"token", false, "", func(r uint64, from memnet.NodeID) []byte {
+			return encodeToken(token{RingID: r, TokenID: 7, Seq: 8, Aru: 8, Stable: 8, Succ: from})
+		}, func(n *core) bool { return n.lastTokenID == 7 }},
+		{"forward", false, "v01", func(r uint64, from memnet.NodeID) []byte {
+			return encodeForward(forwardMsg{RingID: r, Sender: from, FwdSeq: 1, Payload: []byte("p")})
+		}, func(n *core) bool { return len(n.fp.held) == 1 }},
+		{"batch", true, "v01", func(r uint64, from memnet.NodeID) []byte {
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")})
+		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		{"batch by reference", false, "v01", func(r uint64, from memnet.NodeID) []byte {
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true})
+		}, func(n *core) bool { return len(n.fp.parked) == 1 }},
+		{"ack", false, "v00", func(r uint64, from memnet.NodeID) []byte {
+			return encodeAck(ackMsg{RingID: r, Sender: from, Aru: 8})
+		}, func(n *core) bool { return n.fp.memberAru["v01"] == 8 }},
+		{"promote", false, "", func(r uint64, from memnet.NodeID) []byte {
+			return encodePromote(promoteMsg{RingID: r, Leader: from, StartSeq: 8, Stable: 8})
+		}, func(n *core) bool { return n.fp.leader == "v01" }},
+	}
+	for _, k := range kinds {
+		for ring, ringID := range rings {
+			for _, member := range []bool{true, false} {
+				for _, gathering := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s ring/member=%v/gathering=%v", k.name, ring, member, gathering)
+					now := time.Unix(1000, 0)
+					joins := 0
+					n := newCore(Config{ID: "v00", Ordering: OrderingLeader}, now, func(b []byte) {
+						if b[0] == kindJoin {
+							joins++
+						}
+					}, func(Event) {})
+					n.cfg.applyDefaults()
+					n.now = now
+					n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
+					n.ids = newIDTable(n.ring)
+					n.deliveredSeq, n.highest, n.lastTokenID = 8, 8, 6
+					n.arm(dlFail, time.Hour)
+					switch k.leader {
+					case "v00":
+						n.promote(token{RingID: 5, Seq: 8, Stable: 8})
+						n.fp.memberAru["v01"] = 7
+					case "v01":
+						n.adoptLeader("v01", 8, 8)
+					}
+					if gathering {
+						// A gather leaves any epoch; what is asked is whether
+						// the old ring's traffic is still taken in.
+						n.startGather()
+					}
+					joins = 0
+					from := memnet.NodeID("v01")
+					if !member {
+						from = "v09"
+					}
+					n.receive(now, k.frame(ringID, from), 0)
+					got := ignored
+					switch {
+					case k.took(n):
+						got = processed
+					case joins > 0:
+						got = gather
+					}
+					if w := want(ring, member, gathering, k.ordered); got != w {
+						t.Errorf("%s: %s, want %s", name, got, w)
+					}
+				}
+			}
+		}
+	}
+
+	// A member that is not the sequencer decodes an ack's ring id alone,
+	// so the id is all it can judge: a newer ring is still a reason to
+	// rejoin, a stranger's ack in this ring or an older one is not seen
+	// for what it is.
+	for ring, ringID := range rings {
+		joins := 0
+		n := newCore(Config{ID: "v00"}, time.Unix(1000, 0), func(b []byte) { joins++ }, func(Event) {})
+		n.cfg.applyDefaults()
+		n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
+		n.receive(time.Unix(1000, 0), encodeAck(ackMsg{RingID: ringID, Sender: "v09", Aru: 8}), 0)
+		if gathered := joins > 0; gathered != (ring == "newer") {
+			t.Errorf("follower's view of an ack from a %s ring: gathered %v", ring, gathered)
+		}
+	}
+}
+
+// TestSeededRingsAgree runs the core through seeded schedules of loss,
+// duplication, reorder and one silence-and-return, in both ordering
+// modes, and checks what must hold on every one of them: nobody
+// delivered twice, every member that never left the surviving history
+// delivered one identical stream, a sequence number of that history
+// means one message everywhere, the ring came to rest with everyone in
+// it, and from there on everyone delivered the same stream
+// (agreeWhereTogether). The schedules on which a member is excused from
+// the first two — the windows a gather without a commit token leaves
+// open — are counted, and bounded.
+func TestSeededRingsAgree(t *testing.T) {
+	excused := 0
+	for seed := int64(1); seed <= int64(*seeds); seed++ {
+		seed := seed
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			loss, dup := rng.Float64()*0.05, rng.Float64()*0.05
+			delay := 2*vhop + time.Duration(rng.Int63n(int64(200*time.Microsecond)))
+			v := newVnet(t, 3+int(seed/2%3), seed, func(c *Config) { c.Ordering = OrderingMode(seed % 2) },
+				memnet.WithDuplication(dup), memnet.WithMaxDelay(delay))
+			v.settle(time.Second)
+			gone := v.ids[rng.Intn(len(v.ids))]
+			leaves := time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
+			returns := leaves + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
+			t.Logf("%d members, %s silent %v..%v, loss %.3f, duplication %.3f, delay < %v", len(v.ids), gone, leaves, returns, loss, dup, delay)
+			v.net.SetLoss(loss)
+			v.clk.AfterFunc(leaves, func() { v.net.Crash(gone) })
+			v.clk.AfterFunc(returns, func() { v.net.Restart(gone) })
+			start, sent := v.now(), 0
+			v.feed = func() {
+				for since := v.now().Sub(start); time.Duration(sent)*500*time.Microsecond < since; sent++ {
+					id := v.ids[rng.Intn(len(v.ids))]
+					v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/", sent)))
+				}
+			}
+			v.run(returns+50*time.Millisecond, nil)
+			v.feed = nil
+			v.net.SetLoss(0)
+			// A follower that lost the last batch of a leader epoch learns of
+			// it from the next one: order one more behind the lossy phase.
+			v.run(100*time.Millisecond, nil)
+			for _, id := range v.ids {
+				v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/flush")))
+			}
+			v.settle(2 * time.Second)
+			for _, id := range v.ids {
+				v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/after")))
+			}
+			v.settle(time.Second)
+			if v.agreeWhereTogether() {
+				t.Logf("a core was excused from agreeing on what it delivered before the last ring")
+				excused++
+			}
+		})
+	}
+	// 28 of 5000 measured (26 of them a merge that kept no history): a
+	// change that makes merges blind, or leaves members unchecked, shows
+	// here before it shows anywhere else.
+	if t.Logf("%d of %d seeds excused a core", excused, *seeds); excused > 2+*seeds/50 {
+		t.Fatalf("%d of %d seeds excused a core from agreeing, want at most %d", excused, *seeds, 2+*seeds/50)
+	}
+}

@@ -16,7 +16,7 @@ package totem
 // front of every member by the time the sequencer orders it. Another
 // member's forward is therefore ordered by reference: the batch carries
 // the header alone and each member binds the sequence number to the
-// forward it holds (Node.held; the origin to its awaiting list). The
+// forward it holds (epoch.held; the origin to its awaiting list). The
 // payload-carrying batch is what the sequencer's own submissions and all
 // retransmissions are, so a member that missed the forward recovers
 // through the ordinary nak. A reference can overtake its forward (two
@@ -36,9 +36,8 @@ package totem
 // every assigned sequence number delivered at every member (stable ==
 // seq == local aru, no outstanding requests or skips), so promoteSeq is
 // exactly the boundary below which everything was token-ordered and
-// above which everything is leader-ordered within the ring. All
-// functions here run on the protocol goroutine and share its state
-// ownership rules.
+// above which everything is leader-ordered within the ring. Everything
+// here is part of the core (core.go) and runs inside its steps.
 
 import (
 	"time"
@@ -47,7 +46,7 @@ import (
 )
 
 const (
-	// maxHeldFwds bounds the forwards held per origin (Node.held); drops
+	// maxHeldFwds bounds the forwards held per origin (epoch.held); drops
 	// beyond it are recovered by the origin's resend timer at the
 	// sequencer and by nak at a follower. maxParkedRefs bounds the
 	// references a follower parks; beyond it one is a gap like any other.
@@ -60,86 +59,127 @@ const (
 	maxNaks = 64
 )
 
-func (n *Node) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
-func (n *Node) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
+// epoch is the fast path's state for one sequencer's reign: one value,
+// replaced wholesale on promotion, adoption and demotion. The zero value
+// — no leader — is a ring that rotates its token; every table of it
+// reads as empty.
+type epoch struct {
+	leader     memnet.NodeID // the installed sequencer
+	promoteSeq uint64        // ring-ordered sequence the mode switch was installed at
+	stable     uint64        // stability horizon: the sequencer's min aru over the ring, as followers learn it
 
-// sequencing reports whether this node is the installed sequencer.
-func (n *Node) sequencing() bool { return n.fpActive && n.leaderID == n.cfg.ID }
+	// held keeps the forwards this member has seen on the wire and not
+	// yet seen ordered (the received datagram is the storage), per origin
+	// and bounded by maxHeldFwds: the sequencer's out-of-order stash, and
+	// what a follower binds a by-reference batch to. fwdSeen is the
+	// per-origin watermark at or below which a forward is known ordered
+	// and not held again: contiguous at the sequencer, the highest seen
+	// ordered at a follower. fwdNext numbers this member's own forwards.
+	held    map[memnet.NodeID]map[uint64]forwardMsg
+	fwdSeen map[memnet.NodeID]uint64
+	fwdNext uint64
+
+	// sequencer side
+	seq         uint64                      // last sequence number assigned
+	memberAru   map[memnet.NodeID]uint64    // latest acked aru per member
+	memberAckAt map[memnet.NodeID]time.Time // when each member last acked (liveness)
+	fwdLast     map[memnet.NodeID]uint64    // seq of each origin's most recent batch
+	batchOrigin map[uint64]batchRef         // seq -> forward identity, for nak retransmission
+
+	// follower side
+	awaiting      []awaitingFwd        // forwards sent but not yet seen ordered
+	awaitingParts int                  // payloads inside awaiting (backlog accounting)
+	parked        map[uint64]parkedRef // by-reference batches whose forward has not arrived, by seq
+}
+
+// batchRef identifies the forward a sequence number ordered.
+type batchRef struct {
+	origin memnet.NodeID
+	fwd    uint64
+}
+
+// awaitingFwd is a forward this follower sent to the sequencer and has
+// not yet seen come back ordered. It is also what the origin binds its
+// own by-reference batches to.
+type awaitingFwd struct {
+	fwd     uint64
+	payload []byte
+	parts   [][]byte
+	resends int
+}
+
+// parkedRef is a by-reference batch that overtook its forward: the
+// sequence number is known, the payloads are still on the wire. It is
+// bound when the forward arrives; nakAt is when the member stops waiting
+// for it and asks the sequencer for the full form.
+type parkedRef struct {
+	batchRef
+	nakAt time.Time
+}
+
+func (n *core) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
+func (n *core) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
+
+// sequencing reports whether this node is the installed sequencer,
+// following whether it is in an epoch under another's.
+func (n *core) sequencing() bool { return n.fp.leader == n.cfg.ID }
+func (n *core) following() bool  { return n.fp.leader != "" && !n.sequencing() }
+
+// enter installs ep as the current epoch: the token is retired and the
+// ring-mode deadlines with it.
+func (n *core) enter(ep epoch) {
+	ep.fwdSeen = make(map[memnet.NodeID]uint64)
+	ep.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
+	n.fp = ep
+	n.heldToken = nil
+	n.disarm(dlHold)
+	n.clearTokenResend()
+	n.promotionN.Add(1)
+	n.setFastpathMirror(ep.leader, ep.promoteSeq)
+}
 
 // promote installs this node as the ring's sequencer, consuming the
 // token for good (only the addressed holder of a live token can get
 // here, so at most one promotion happens per ring).
-func (n *Node) promote(t token) {
-	now := time.Now()
-	n.fpActive = true
-	n.leaderID = n.cfg.ID
-	n.promoteSeq = t.Seq
-	n.leaderSeq = t.Seq
-	n.leaderStable = t.Stable
+func (n *core) promote(t token) {
+	ep := epoch{
+		leader: n.cfg.ID, promoteSeq: t.Seq, seq: t.Seq, stable: t.Stable,
+		memberAru:   make(map[memnet.NodeID]uint64, len(n.ring)),
+		memberAckAt: make(map[memnet.NodeID]time.Time, len(n.ring)),
+		fwdLast:     make(map[memnet.NodeID]uint64),
+		batchOrigin: make(map[uint64]batchRef),
+	}
+	for _, m := range n.ring {
+		if m != n.cfg.ID {
+			ep.memberAru[m] = t.Stable
+			ep.memberAckAt[m] = n.now
+		}
+	}
+	n.enter(ep)
 	n.fpSeqA.Store(t.Seq)
 	n.fpStableA.Store(t.Stable)
-	n.memberAru = make(map[memnet.NodeID]uint64, len(n.ring))
-	n.memberAckAt = make(map[memnet.NodeID]time.Time, len(n.ring))
-	for _, m := range n.ring {
-		if m == n.cfg.ID {
-			continue
-		}
-		n.memberAru[m] = t.Stable
-		n.memberAckAt[m] = now
-	}
-	n.fwdSeen = make(map[memnet.NodeID]uint64)
-	n.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
-	n.fwdLast = make(map[memnet.NodeID]uint64)
-	n.batchOrigin = make(map[uint64]batchRef)
-	n.fwdNext = 0
-	n.awaiting = nil
-	n.awaitingParts = 0
-	n.heldToken = nil
-	n.holdUntil = time.Time{}
-	n.clearTokenResend()
-	n.heartbeatAt = now.Add(n.heartbeatInterval())
-	n.failDeadline = now.Add(n.cfg.FailTimeout)
-	n.promotionN.Add(1)
-	n.setFastpathMirror(n.cfg.ID, t.Seq)
+	n.arm(dlHeartbeat, n.heartbeatInterval())
+	n.arm(dlFail, n.cfg.FailTimeout)
 	n.broadcastRaw(encodePromote(promoteMsg{
 		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable,
 	}))
-	n.drainSendq()
 	n.leaderOrderPending()
 }
 
 // adoptLeader installs a remote sequencer on this node. startSeq may be
 // zero when adoption was triggered by a batch (the promote datagram was
 // lost); the next heartbeat fills in the agreed switch sequence.
-func (n *Node) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
-	n.fpActive = true
-	n.leaderID = leader
-	n.promoteSeq = startSeq
-	n.fwdSeen = make(map[memnet.NodeID]uint64)
-	n.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
-	n.parked = make(map[uint64]parkedRef)
-	n.fwdNext = 0
-	n.awaiting = nil
-	n.awaitingParts = 0
-	n.fwdResendAt = time.Time{}
-	n.ackDueAt = time.Time{}
-	n.heldToken = nil
-	n.holdUntil = time.Time{}
-	n.clearTokenResend()
-	n.promotionN.Add(1)
-	n.setFastpathMirror(leader, startSeq)
+func (n *core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
+	n.enter(epoch{leader: leader, promoteSeq: startSeq, parked: make(map[uint64]parkedRef)})
 	n.touchLiveness()
 	n.applyStable(stable)
-	n.drainSendq()
 	n.forwardPending()
-	n.sendAck(time.Now())
+	n.sendAck()
 }
 
 // leaveLeaderMode tears the fast path down on the way into membership
 // recovery (the only exit from leader mode).
-func (n *Node) leaveLeaderMode() {
-	n.fpActive = false
-	n.leaderID = ""
+func (n *core) leaveLeaderMode() {
 	// Forwards the sequencer never ordered go back to the front of the
 	// send queue and rotate out with the new ring. If a batch for one of
 	// them did reach some member, ring recovery re-delivers it there and
@@ -148,9 +188,9 @@ func (n *Node) leaveLeaderMode() {
 	// the same way it absorbs gateway retries. Held forwards and parked
 	// references go with the epoch: what they would have become is
 	// buffered at a survivor or requeued here, at its origin.
-	if len(n.awaiting) > 0 {
-		requeued := make([][]byte, 0, n.awaitingParts+len(n.pending))
-		for _, a := range n.awaiting {
+	if len(n.fp.awaiting) > 0 {
+		requeued := make([][]byte, 0, n.fp.awaitingParts+len(n.pending))
+		for _, a := range n.fp.awaiting {
 			if a.parts == nil {
 				requeued = append(requeued, a.payload)
 			} else {
@@ -159,42 +199,37 @@ func (n *Node) leaveLeaderMode() {
 		}
 		n.pending = append(requeued, n.pending...)
 	}
-	n.awaiting = nil
-	n.awaitingParts = 0
-	n.pendingN.Store(int64(len(n.pending)))
-	n.memberAru = nil
-	n.memberAckAt = nil
-	n.fwdSeen = nil
-	n.held = nil
-	n.parked = nil
-	n.fwdLast = nil
-	n.batchOrigin = nil
-	n.fwdNext = 0
-	n.heartbeatAt = time.Time{}
-	n.fwdResendAt = time.Time{}
-	n.ackDueAt = time.Time{}
-	n.refNakAt = time.Time{}
+	n.fp = epoch{}
+	n.noteBacklog()
+	n.disarm(dlHeartbeat, dlFwdResend, dlAck, dlRefNak)
 	n.fpSeqA.Store(0)
 	n.fpStableA.Store(0)
 	n.setFastpathMirror("", 0)
 }
 
-func (n *Node) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
+func (n *core) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
 	n.mu.Lock()
 	n.curLeader = leader
 	n.curLeaderSeq = startSeq
 	n.mu.Unlock()
 }
 
-// nextPack returns the end of the run of pending payloads starting at
-// first that one message carries (one sequence number, one datagram,
-// one window slot), as the original Totem fills each packet from the
-// send queue. The first payload is always accepted, so an oversized
-// payload still travels (alone); later ones must keep the pack within
-// MaxPackCount and MaxPackBytes. A run longer than one is counted as a
-// packed message.
-func (n *Node) nextPack(first int) int {
-	end := first + 1
+// noteBacklog publishes how many payloads are submitted and not yet
+// ordered: the send queue plus what a follower has forwarded and not
+// seen come back.
+func (n *core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awaitingParts)) }
+
+// nextPack takes the run of pending payloads starting at first that one
+// message carries (one sequence number, one datagram, one window slot),
+// as the original Totem fills each packet from the send queue, and
+// returns its end and the message's payloads. The first payload is
+// always accepted, so an oversized payload still travels (alone); later
+// ones must keep the pack within MaxPackCount and MaxPackBytes. A single
+// payload travels as itself; a longer run is counted as a packed message
+// and gets a list of its own (the queue's backing array is about to be
+// compacted).
+func (n *core) nextPack(first int) (end int, payload []byte, parts [][]byte) {
+	end = first + 1
 	bytes := len(n.pending[first])
 	for end < len(n.pending) &&
 		end-first < n.cfg.MaxPackCount &&
@@ -202,36 +237,25 @@ func (n *Node) nextPack(first int) int {
 		bytes += len(n.pending[end])
 		end++
 	}
-	if end-first > 1 {
-		n.packedMsgN.Add(1)
-		n.packedPartN.Add(uint64(end - first))
+	if end-first == 1 {
+		return end, n.pending[first], nil
 	}
-	return end
+	n.packedMsgN.Add(1)
+	n.packedPartN.Add(uint64(end - first))
+	return end, nil, append([][]byte(nil), n.pending[first:end]...)
 }
 
 // compactPending drops the first drained entries of the send queue
 // without retaining payload slices in the backing array.
-func (n *Node) compactPending(drained int) {
+func (n *core) compactPending(drained int) {
 	if drained == 0 {
 		return
 	}
 	rest := len(n.pending) - drained
 	copy(n.pending, n.pending[drained:])
-	for i := rest; i < len(n.pending); i++ {
-		n.pending[i] = nil
-	}
+	clear(n.pending[rest:])
 	n.pending = n.pending[:rest]
-	n.pendingN.Store(int64(rest))
-}
-
-// packOf returns a run of the send queue as one message's payloads: a
-// single payload as itself, several as a list of their own (the queue's
-// backing array is about to be compacted).
-func packOf(run [][]byte) (payload []byte, parts [][]byte) {
-	if len(run) == 1 {
-		return run[0], nil
-	}
-	return nil, append([][]byte(nil), run...)
+	n.noteBacklog()
 }
 
 // forwardPending ships every queued payload to the sequencer instead of
@@ -239,40 +263,36 @@ func packOf(run [][]byte) (payload []byte, parts [][]byte) {
 // follower. Payloads are chunked by the same packing bounds the ring
 // uses, each chunk one forward; the chunk stays in awaiting until its
 // ordered batch comes back.
-func (n *Node) forwardPending() {
-	n.drainSendq()
+func (n *core) forwardPending() {
+	fp := &n.fp
 	drained := 0
 	for drained < len(n.pending) {
-		first := drained
-		drained = n.nextPack(first)
-		payload, parts := packOf(n.pending[first:drained])
-		n.fwdNext++
-		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, payload: payload, parts: parts})
-		n.awaitingParts += drained - first
+		end, payload, parts := n.nextPack(drained)
+		fp.fwdNext++
+		fp.awaiting = append(fp.awaiting, awaitingFwd{fwd: fp.fwdNext, payload: payload, parts: parts})
+		fp.awaitingParts += end - drained
 		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: n.fwdNext, Payload: payload, Parts: parts,
+			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: fp.fwdNext, Payload: payload, Parts: parts,
 		}))
 		n.broadcastN.Add(1)
-		n.forwardedN.Add(uint64(drained - first))
+		n.forwardedN.Add(uint64(end - drained))
+		drained = end
 	}
 	n.compactPending(drained)
-	n.pendingN.Store(int64(len(n.pending) + n.awaitingParts))
-	if len(n.awaiting) > 0 && n.fwdResendAt.IsZero() {
-		n.fwdResendAt = time.Now().Add(n.cfg.TokenRetransmit)
+	if len(fp.awaiting) > 0 && !n.armed(dlFwdResend) {
+		n.arm(dlFwdResend, n.cfg.TokenRetransmit)
 	}
 }
 
 // leaderOrderPending orders the sequencer's own submissions directly.
-func (n *Node) leaderOrderPending() {
-	n.drainSendq()
+func (n *core) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
-		first := drained
-		drained = n.nextPack(first)
-		payload, parts := packOf(n.pending[first:drained])
-		n.fwdNext++
+		end, payload, parts := n.nextPack(drained)
+		drained = end
+		n.fp.fwdNext++
 		n.broadcastN.Add(1)
-		if !n.order(n.cfg.ID, n.fwdNext, payload, parts) {
+		if !n.order(n.cfg.ID, n.fp.fwdNext, payload, parts) {
 			// Demoted mid-drain (stability lag): what was not ordered
 			// stays pending for the ring.
 			break
@@ -287,20 +307,20 @@ func (n *Node) leaderOrderPending() {
 // own, which has been nowhere yet — and delivers locally. It reports
 // false when ordering stopped because the stability-lag limit demoted
 // the ring.
-func (n *Node) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte) bool {
-	n.leaderSeq++
-	seq := n.leaderSeq
+func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte) bool {
+	n.fp.seq++
+	seq := n.fp.seq
 	n.buffer[seq] = regularMsg{RingID: n.ringID, Seq: seq, Sender: origin, Payload: payload, Parts: parts}
 	if seq > n.highest {
 		n.highest = seq
 	}
-	n.batchOrigin[seq] = batchRef{origin: origin, fwd: fwd}
-	n.fwdLast[origin] = seq
+	n.fp.batchOrigin[seq] = batchRef{origin: origin, fwd: fwd}
+	n.fp.fwdLast[origin] = seq
 	n.fpSeqA.Store(seq)
 	n.leaderBatchN.Add(1)
 	b := batchMsg{
 		RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
-		Origin: origin, OriginFwd: fwd, Stable: n.leaderStable,
+		Origin: origin, OriginFwd: fwd, Stable: n.fp.stable,
 	}
 	if origin == n.cfg.ID {
 		b.Payload, b.Parts = payload, parts
@@ -311,7 +331,7 @@ func (n *Node) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 	n.broadcastRaw(encodeBatch(b))
 	n.tryDeliver()
 	n.updateStability()
-	if seq-n.leaderStable > uint64(n.cfg.FastpathLagLimit) {
+	if seq-n.fp.stable > uint64(n.cfg.FastpathLagLimit) {
 		// Backlog imbalance: a member is not confirming. Demote to ring
 		// rotation rather than buffer without bound.
 		n.startGather()
@@ -323,33 +343,24 @@ func (n *Node) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 // handleForward is every member's view of a forward. The sequencer
 // orders each origin's forwards in FwdSeq order, exactly once; everyone
 // else keeps the forward for the by-reference batch that will order it.
-func (n *Node) handleForward(f forwardMsg) {
-	if f.RingID != n.ringID {
-		if f.RingID > n.ringID && !n.gathering {
-			n.startGather()
-		}
+func (n *core) handleForward(f forwardMsg) {
+	if !n.admit(f.RingID, f.Sender, false) || n.fp.leader == "" {
 		return
 	}
-	if n.gathering || !n.fpActive {
-		return
-	}
-	if !n.inRing(f.Sender) {
-		n.startGather()
-		return
-	}
-	if n.leaderID != n.cfg.ID {
+	if !n.sequencing() {
 		n.holdForward(f)
 		return
 	}
+	fp := &n.fp
 	n.touchLiveness()
-	n.memberAckAt[f.Sender] = time.Now()
-	seen := n.fwdSeen[f.Sender]
+	fp.memberAckAt[f.Sender] = n.now
+	seen := fp.fwdSeen[f.Sender]
 	if f.FwdSeq <= seen {
 		// A resend of a forward already ordered: the origin has not seen
 		// its batch. Repeat the origin's most recent batch so it can
 		// clear its awaiting list (earlier ones re-trigger naks if also
 		// lost).
-		if seq, ok := n.fwdLast[f.Sender]; ok {
+		if seq, ok := fp.fwdLast[f.Sender]; ok {
 			if m, have := n.buffer[seq]; have {
 				n.rebroadcastOrdered(seq, m)
 			}
@@ -366,23 +377,23 @@ func (n *Node) handleForward(f forwardMsg) {
 		if !n.order(f.Sender, f.FwdSeq, f.Payload, f.Parts) {
 			return
 		}
-		n.fwdSeen[f.Sender] = f.FwdSeq
-		next, ok := n.held[f.Sender][f.FwdSeq+1]
+		fp.fwdSeen[f.Sender] = f.FwdSeq
+		next, ok := fp.held[f.Sender][f.FwdSeq+1]
 		if !ok {
 			return
 		}
-		delete(n.held[f.Sender], next.FwdSeq)
+		delete(fp.held[f.Sender], next.FwdSeq)
 		f = next
 	}
 }
 
 // hold keeps a forward until it is seen ordered, within the per-origin
 // bound.
-func (n *Node) hold(f forwardMsg) {
-	h := n.held[f.Sender]
+func (n *core) hold(f forwardMsg) {
+	h := n.fp.held[f.Sender]
 	if h == nil {
 		h = make(map[uint64]forwardMsg)
-		n.held[f.Sender] = h
+		n.fp.held[f.Sender] = h
 	}
 	if len(h) < maxHeldFwds {
 		h[f.FwdSeq] = f
@@ -393,18 +404,22 @@ func (n *Node) hold(f forwardMsg) {
 // overtook it, or keep it for the reference to come. The node's own
 // forwards are bound from awaiting, and one at or below the origin's
 // watermark is a resend of something already seen ordered.
-func (n *Node) holdForward(f forwardMsg) {
+func (n *core) holdForward(f forwardMsg) {
 	if f.Sender == n.cfg.ID {
 		return
 	}
-	for seq, p := range n.parked {
-		if p.origin == f.Sender && p.fwd == f.FwdSeq {
-			delete(n.parked, seq)
-			n.handleRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: f.Sender, Payload: f.Payload, Parts: f.Parts})
-			return
+	// The sequencer orders a forward once, so at most one reference is
+	// parked for it; were there ever two, the lowest is the one bound.
+	var bound uint64
+	for seq, p := range n.fp.parked {
+		if p.origin == f.Sender && p.fwd == f.FwdSeq && (bound == 0 || seq < bound) {
+			bound = seq
 		}
 	}
-	if f.FwdSeq > n.fwdSeen[f.Sender] {
+	if bound != 0 {
+		delete(n.fp.parked, bound)
+		n.handleRegular(regularMsg{RingID: n.ringID, Seq: bound, Sender: f.Sender, Payload: f.Payload, Parts: f.Parts})
+	} else if f.FwdSeq > n.fp.fwdSeen[f.Sender] {
 		n.hold(f)
 	}
 }
@@ -412,17 +427,17 @@ func (n *Node) holdForward(f forwardMsg) {
 // rebroadcastOrdered retransmits an ordered sequence number: as a batch
 // when it was leader-ordered (so the origin also learns its forward came
 // back) — always in the full form, whoever asks has not got the forward
-// — and in the plain regular form for ring-era sequence numbers.
-func (n *Node) rebroadcastOrdered(seq uint64, m regularMsg) {
-	if ref, ok := n.batchOrigin[seq]; ok {
+// — and otherwise in the plain regular form, restamped for the current
+// configuration.
+func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
+	if ref, ok := n.fp.batchOrigin[seq]; ok {
 		n.broadcastRaw(encodeBatch(batchMsg{
 			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 			Origin: ref.origin, OriginFwd: ref.fwd,
-			Stable: n.leaderStable, Payload: m.Payload, Parts: m.Parts,
+			Stable: n.fp.stable, Payload: m.Payload, Parts: m.Parts,
 		}))
 	} else {
-		m.RingID = n.ringID
-		n.broadcastRaw(encodeRegular(m))
+		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Payload: m.Payload, Parts: m.Parts}))
 	}
 	n.retransmittedN.Add(1)
 }
@@ -432,51 +447,46 @@ func (n *Node) rebroadcastOrdered(seq uint64, m regularMsg) {
 // the leader instead of a token visit — so buffering, gap detection,
 // contiguous delivery and recovery-time retransmission all behave
 // identically in both modes.
-func (n *Node) handleBatch(b batchMsg) {
-	if b.RingID == n.ringID && !n.gathering {
-		if !n.inRing(b.Leader) {
-			n.startGather()
-			return
-		}
-		if !n.fpActive {
-			if n.cfg.Ordering != OrderingLeader {
-				return // misconfigured peer promoted; refuse the mode
-			}
-			// First evidence of a promotion whose datagram we lost:
-			// adopt now; the heartbeat fills in the switch sequence.
-			n.adoptLeader(b.Leader, 0, b.Stable)
-		} else if n.leaderID != b.Leader {
-			// Two sequencers inside one ring is impossible by
-			// construction (one live token, one promotion per ring);
-			// treat it as corruption and resolve through recovery.
-			n.startGather()
-			return
-		}
-	}
-	if n.sequencing() && n.following(b) {
-		return // own broadcast echo: what this node ordered, it buffered
-	}
-	if _, waiting := n.parked[b.Seq]; waiting && !b.Ref && n.following(b) {
-		// The retransmission a parked reference asked for.
-		delete(n.parked, b.Seq)
-		n.refMissN.Add(1)
+func (n *core) handleBatch(b batchMsg) {
+	if !n.admit(b.RingID, b.Leader, !b.Ref) {
+		return
 	}
 	m := regularMsg{RingID: b.RingID, Seq: b.Seq, Sender: b.Origin, Payload: b.Payload, Parts: b.Parts}
-	switch {
-	case !b.Ref, b.RingID != n.ringID, !n.inRing(b.Origin):
-		// A reference from another ring, or naming a stranger, goes
-		// through handleRegular for its merge detection alone: it
-		// buffers nothing from either.
+	if n.gathering {
+		// Outside an epoch nothing can be bound, and nothing needs to be:
+		// the full form is buffered for recovery like any ordered message.
 		n.handleRegular(m)
-	case !n.following(b):
-		// Nothing can be bound outside the epoch, and nothing needs to
-		// be: recovery retransmits what was ordered in the regular form.
 		return
-	case n.bindRef(b, &m):
+	}
+	switch n.fp.leader {
+	case b.Leader:
+	case "":
+		if n.cfg.Ordering != OrderingLeader {
+			return // misconfigured peer promoted; refuse the mode
+		}
+		// First evidence of a promotion whose datagram we lost: adopt
+		// now; the heartbeat fills in the switch sequence.
+		n.adoptLeader(b.Leader, 0, b.Stable)
+	default:
+		// Two sequencers inside one ring is impossible by construction
+		// (one live token, one promotion per ring); treat it as
+		// corruption and resolve through recovery.
+		n.startGather()
+		return
+	}
+	if n.sequencing() {
+		return // own broadcast echo: what this node ordered, it buffered
+	}
+	if _, waiting := n.fp.parked[b.Seq]; waiting && !b.Ref {
+		// The retransmission a parked reference asked for.
+		delete(n.fp.parked, b.Seq)
+		n.refMissN.Add(1)
+	}
+	if !b.Ref || n.bindRef(b, &m) {
 		n.handleRegular(m)
 	}
-	if !n.following(b) {
-		return
+	if n.fp.leader != b.Leader {
+		return // the origin turned out a stranger: recovery has begun
 	}
 	n.applyStable(b.Stable)
 	// (Origin, OriginFwd) has been seen ordered: the origin stops
@@ -485,16 +495,10 @@ func (n *Node) handleBatch(b batchMsg) {
 		n.clearOrdered(b.OriginFwd)
 		return
 	}
-	delete(n.held[b.Origin], b.OriginFwd)
-	if b.OriginFwd > n.fwdSeen[b.Origin] {
-		n.fwdSeen[b.Origin] = b.OriginFwd
+	delete(n.fp.held[b.Origin], b.OriginFwd)
+	if b.OriginFwd > n.fp.fwdSeen[b.Origin] {
+		n.fp.fwdSeen[b.Origin] = b.OriginFwd
 	}
-}
-
-// following reports whether b belongs to the leader epoch this node is
-// in right now.
-func (n *Node) following(b batchMsg) bool {
-	return b.RingID == n.ringID && !n.gathering && n.fpActive && n.leaderID == b.Leader
 }
 
 // bindRef resolves a by-reference batch to the payloads this member
@@ -502,38 +506,38 @@ func (n *Node) following(b batchMsg) bool {
 // When the forward has not arrived the reference is parked: the sequence
 // number counts as a known gap, but holdForward gets until nakAt to fill
 // it before sendAck asks the sequencer for the full form.
-func (n *Node) bindRef(b batchMsg, m *regularMsg) bool {
+func (n *core) bindRef(b batchMsg, m *regularMsg) bool {
+	fp := &n.fp
 	if _, have := n.buffer[b.Seq]; have || b.Seq <= n.deliveredSeq || n.skipped[b.Seq] {
 		return false // duplicate
 	}
 	if b.Origin == n.cfg.ID {
-		for _, a := range n.awaiting {
+		for _, a := range fp.awaiting {
 			if a.fwd == b.OriginFwd {
 				m.Payload, m.Parts = a.payload, a.parts
 				return true
 			}
 		}
-	} else if f, ok := n.held[b.Origin][b.OriginFwd]; ok {
+	} else if f, ok := fp.held[b.Origin][b.OriginFwd]; ok {
 		m.Payload, m.Parts = f.Payload, f.Parts
 		return true
 	}
-	if _, dup := n.parked[b.Seq]; dup {
+	if _, dup := fp.parked[b.Seq]; dup {
 		return false
 	}
 	n.touchLiveness()
 	if b.Seq > n.highest {
 		n.highest = b.Seq
 	}
-	if len(n.parked) >= maxParkedRefs {
+	if len(fp.parked) >= maxParkedRefs {
 		// No room to wait in: an ordinary gap.
 		n.refMissN.Add(1)
 		n.scheduleAck()
 		return false
 	}
-	nakAt := time.Now().Add(n.cfg.TokenRetransmit)
-	n.parked[b.Seq] = parkedRef{batchRef{origin: b.Origin, fwd: b.OriginFwd}, nakAt}
-	if n.refNakAt.IsZero() {
-		n.refNakAt = nakAt
+	fp.parked[b.Seq] = parkedRef{batchRef{origin: b.Origin, fwd: b.OriginFwd}, n.now.Add(n.cfg.TokenRetransmit)}
+	if !n.armed(dlRefNak) {
+		n.arm(dlRefNak, n.cfg.TokenRetransmit)
 	}
 	return false
 }
@@ -541,47 +545,42 @@ func (n *Node) bindRef(b batchMsg, m *regularMsg) bool {
 // clearOrdered drops awaiting forwards up to fwd: the sequencer orders
 // one origin's forwards in FwdSeq order, so seeing fwd ordered implies
 // everything before it was too.
-func (n *Node) clearOrdered(fwd uint64) {
-	kept := n.awaiting[:0]
+func (n *core) clearOrdered(fwd uint64) {
+	fp := &n.fp
+	kept := fp.awaiting[:0]
 	parts := 0
-	for _, a := range n.awaiting {
+	for _, a := range fp.awaiting {
 		if a.fwd <= fwd {
 			continue
 		}
 		parts += int(partCount(a.parts))
 		kept = append(kept, a)
 	}
-	for i := len(kept); i < len(n.awaiting); i++ {
-		n.awaiting[i] = awaitingFwd{} // release payload slices
-	}
-	n.awaiting = kept
-	n.awaitingParts = parts
-	n.pendingN.Store(int64(len(n.pending) + parts))
-	if len(n.awaiting) == 0 {
-		n.fwdResendAt = time.Time{}
+	clear(fp.awaiting[len(kept):]) // release payload slices
+	fp.awaiting = kept
+	fp.awaitingParts = parts
+	n.noteBacklog()
+	if len(kept) == 0 {
+		n.disarm(dlFwdResend)
 	}
 }
 
 // handleAck folds a follower's watermark into the stability horizon and
-// serves its gap requests. Only the sequencer consumes acks.
-func (n *Node) handleAck(a ackMsg) {
-	if a.RingID != n.ringID {
-		if a.RingID > n.ringID && !n.gathering {
-			n.startGather()
-		}
+// serves its gap requests. Only the sequencer consumes acks, and only
+// for it is an ack decoded past its ring id (decodeAck): everyone else
+// puts that id through the gate in its own name.
+func (n *core) handleAck(a ackMsg) {
+	if !n.sequencing() {
+		n.admit(a.RingID, n.cfg.ID, false)
 		return
 	}
-	if n.gathering || !n.fpActive || n.leaderID != n.cfg.ID || a.Sender == n.cfg.ID {
-		return
-	}
-	if !n.inRing(a.Sender) {
-		n.startGather()
+	if !n.admit(a.RingID, a.Sender, false) || a.Sender == n.cfg.ID {
 		return
 	}
 	n.touchLiveness()
-	n.memberAckAt[a.Sender] = time.Now()
-	if a.Aru > n.memberAru[a.Sender] {
-		n.memberAru[a.Sender] = a.Aru
+	n.fp.memberAckAt[a.Sender] = n.now
+	if a.Aru > n.fp.memberAru[a.Sender] {
+		n.fp.memberAru[a.Sender] = a.Aru
 	}
 	n.updateStability()
 	for _, s := range a.Nak {
@@ -597,112 +596,82 @@ func (n *Node) handleAck(a ackMsg) {
 // handlePromote installs a sequencer (first receipt) or refreshes it
 // (heartbeats). Heartbeats are the sequencer's liveness signal and carry
 // the stability horizon for idle epochs.
-func (n *Node) handlePromote(p promoteMsg) {
-	if p.RingID != n.ringID {
-		if p.RingID > n.ringID && !n.gathering {
-			n.startGather()
-		} else if p.RingID < n.ringID && !n.inRing(p.Leader) && !n.gathering {
-			n.startGather() // concurrent foreign ring: merge
-		}
+func (n *core) handlePromote(p promoteMsg) {
+	// A peer that promotes in a ring not configured for it is refused:
+	// that starves it of acks and it demotes within its fail timeout.
+	if !n.admit(p.RingID, p.Leader, false) || n.cfg.Ordering != OrderingLeader {
 		return
 	}
-	if n.gathering {
-		return
-	}
-	if !n.inRing(p.Leader) {
-		n.startGather()
-		return
-	}
-	if n.cfg.Ordering != OrderingLeader {
-		// A misconfigured peer promoted; refusing to adopt starves it of
-		// acks and it demotes within its fail timeout.
-		return
-	}
-	if !n.fpActive {
+	switch n.fp.leader {
+	case p.Leader:
+	case "":
 		n.adoptLeader(p.Leader, p.StartSeq, p.Stable)
 		return
-	}
-	if n.leaderID != p.Leader {
+	default:
 		n.startGather() // conflicting sequencers: resolve through recovery
 		return
 	}
-	n.promoteSeq = p.StartSeq
+	n.fp.promoteSeq = p.StartSeq
 	n.setFastpathMirror(p.Leader, p.StartSeq)
-	if n.leaderID == n.cfg.ID {
+	if n.sequencing() {
 		return // own broadcast echo
 	}
 	n.touchLiveness()
-	n.clearTokenResend()
 	n.applyStable(p.Stable)
 	// Answer immediately so the sequencer's failure detector sees this
 	// member alive even when the epoch is idle.
-	n.sendAck(time.Now())
+	n.sendAck()
 }
 
 // applyStable advances the follower's view of the stability horizon.
-func (n *Node) applyStable(stable uint64) {
-	if stable > n.leaderStable {
-		n.leaderStable = stable
+func (n *core) applyStable(stable uint64) {
+	if stable > n.fp.stable {
+		n.fp.stable = stable
 		n.gc(stable)
 	}
 }
 
 // updateStability recomputes the sequencer's stability horizon: the
 // minimum acked watermark across the ring (its own is deliveredSeq).
-func (n *Node) updateStability() {
+func (n *core) updateStability() {
 	min := n.deliveredSeq
-	for _, m := range n.ring {
-		if m == n.cfg.ID {
-			continue
-		}
-		if a := n.memberAru[m]; a < min {
+	for _, a := range n.fp.memberAru {
+		if a < min {
 			min = a
 		}
 	}
-	if min > n.leaderStable {
-		n.leaderStable = min
+	if min > n.fp.stable {
 		n.fpStableA.Store(min)
-		n.gc(min)
+		n.applyStable(min)
 	}
 }
 
 // leaderHeartbeat runs on the sequencer's heartbeat timer: check member
 // liveness through ack staleness, then re-announce the epoch.
-func (n *Node) leaderHeartbeat(now time.Time) {
-	if !n.fpActive || n.leaderID != n.cfg.ID {
-		n.heartbeatAt = time.Time{}
-		return
-	}
+func (n *core) leaderHeartbeat() {
 	// Ack staleness is the sequencer's failure detector (it no longer
 	// sees the token): a silent member demotes the ring back to
 	// rotation, whose membership recovery sorts out who is alive.
 	for _, m := range n.ring {
-		if m == n.cfg.ID {
-			continue
-		}
-		if at, ok := n.memberAckAt[m]; ok && now.Sub(at) > n.cfg.FailTimeout {
+		if at, ok := n.fp.memberAckAt[m]; ok && n.now.Sub(at) > n.cfg.FailTimeout {
 			n.startGather()
 			return
 		}
 	}
 	n.broadcastRaw(encodePromote(promoteMsg{
-		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.promoteSeq, Stable: n.leaderStable,
+		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.fp.promoteSeq, Stable: n.fp.stable,
 	}))
-	n.heartbeatAt = now.Add(n.heartbeatInterval())
+	n.arm(dlHeartbeat, n.heartbeatInterval())
 	// The members just proved live above; the sequencer's own fail timer
 	// must not fire merely because an idle epoch has no inbound traffic.
-	n.failDeadline = now.Add(n.cfg.FailTimeout)
+	n.arm(dlFail, n.cfg.FailTimeout)
 }
 
 // resendForwards retries forwards the sequencer has not ordered yet, and
 // escapes through recovery when it never does.
-func (n *Node) resendForwards(now time.Time) {
-	if !n.fpActive || n.leaderID == n.cfg.ID || len(n.awaiting) == 0 {
-		n.fwdResendAt = time.Time{}
-		return
-	}
-	for i := range n.awaiting {
-		a := &n.awaiting[i]
+func (n *core) resendForwards() {
+	for i := range n.fp.awaiting {
+		a := &n.fp.awaiting[i]
 		a.resends++
 		if a.resends > maxFwdResends {
 			// The sequencer heartbeats but never orders our forwards:
@@ -714,31 +683,29 @@ func (n *Node) resendForwards(now time.Time) {
 			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: a.fwd, Payload: a.payload, Parts: a.parts,
 		}))
 	}
-	n.fwdResendAt = now.Add(n.cfg.TokenRetransmit)
+	n.arm(dlFwdResend, n.cfg.TokenRetransmit)
 }
 
-// scheduleAck coalesces stability reports: the first watermark movement
-// arms the timer, later ones ride along when it fires.
-func (n *Node) scheduleAck() {
-	if !n.fpActive || n.leaderID == n.cfg.ID {
-		return
-	}
-	if n.ackDueAt.IsZero() {
-		n.ackDueAt = time.Now().Add(n.ackDelay())
+// scheduleAck coalesces a follower's stability reports: the first
+// watermark movement arms the timer, later ones ride along when it
+// fires.
+func (n *core) scheduleAck() {
+	if !n.armed(dlAck) {
+		n.arm(dlAck, n.ackDelay())
 	}
 }
 
 // refWait is how much longer a parked reference waits for its forward
 // before it is nak'd: until nakAt, and past it — a timer that fires
 // late, after a stall of the machine, finds the forward sitting in the
-// inbox — while there is something to look at first. Within reason: a
-// saturated node's inbox is never empty, and a lost forward must be
-// asked for.
-func (n *Node) refWait(p parkedRef, now time.Time) time.Duration {
-	if d := p.nakAt.Sub(now); d > 0 {
+// inbox — while the transport has something to look at first. Within
+// reason: a saturated node's inbox is never empty, and a lost forward
+// must be asked for.
+func (n *core) refWait(p parkedRef) time.Duration {
+	if d := p.nakAt.Sub(n.now); d > 0 {
 		return d
 	}
-	if len(n.ep.Recv()) > 0 && now.Before(p.nakAt.Add(n.cfg.TokenRetransmit)) {
+	if n.waiting > 0 && n.now.Before(p.nakAt.Add(n.cfg.TokenRetransmit)) {
 		return n.ackDelay()
 	}
 	return 0
@@ -747,21 +714,18 @@ func (n *Node) refWait(p parkedRef, now time.Time) time.Duration {
 // sendAck reports this follower's contiguous watermark plus
 // retransmission requests for any observed gaps. A gap that is a parked
 // reference is not requested before its forward has had its wait.
-func (n *Node) sendAck(now time.Time) {
-	n.refNakAt = time.Time{}
-	if !n.fpActive || n.leaderID == n.cfg.ID {
-		n.ackDueAt = time.Time{}
-		return
-	}
+func (n *core) sendAck() {
+	n.disarm(dlAck, dlRefNak)
 	a := ackMsg{RingID: n.ringID, Sender: n.cfg.ID, Aru: n.deliveredSeq}
+	var owed time.Duration // the shortest wait a parked reference still has coming
 	for s := n.deliveredSeq + 1; s <= n.highest && len(a.Nak) < maxNaks; s++ {
 		if _, ok := n.buffer[s]; ok || n.skipped[s] {
 			continue
 		}
-		if p, ok := n.parked[s]; ok {
-			if wait := n.refWait(p, now); wait > 0 {
-				if at := now.Add(wait); n.refNakAt.IsZero() || at.Before(n.refNakAt) {
-					n.refNakAt = at
+		if p, ok := n.fp.parked[s]; ok {
+			if wait := n.refWait(p); wait > 0 {
+				if owed == 0 || wait < owed {
+					owed = wait
 				}
 				continue
 			}
@@ -769,10 +733,11 @@ func (n *Node) sendAck(now time.Time) {
 		a.Nak = append(a.Nak, s)
 	}
 	n.broadcastRaw(encodeAck(a))
+	if owed > 0 {
+		n.arm(dlRefNak, owed)
+	}
 	if len(a.Nak) > 0 {
 		// Gaps outstanding: keep re-nakking until retransmissions land.
-		n.ackDueAt = now.Add(n.cfg.TokenRetransmit)
-	} else {
-		n.ackDueAt = time.Time{}
+		n.arm(dlAck, n.cfg.TokenRetransmit)
 	}
 }

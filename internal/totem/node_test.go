@@ -341,21 +341,20 @@ func TestMembersSnapshot(t *testing.T) {
 // advance does nothing, and one that jumps past everything kept — a
 // joiner's first, or a forged one — ends without walking the span.
 func TestGCWalksTheNewSpanOnly(t *testing.T) {
-	n := &Node{
-		buffer:      make(map[uint64]regularMsg),
-		skipped:     make(map[uint64]bool),
-		batchOrigin: make(map[uint64]batchRef),
-		parked:      make(map[uint64]parkedRef),
+	n := &core{
+		buffer:  make(map[uint64]regularMsg),
+		skipped: make(map[uint64]bool),
+		fp:      epoch{batchOrigin: make(map[uint64]batchRef), parked: make(map[uint64]parkedRef)},
 	}
 	fill := func(from, to uint64) {
 		for s := from; s <= to; s++ {
 			n.buffer[s] = regularMsg{Seq: s}
-			n.batchOrigin[s] = batchRef{fwd: s}
+			n.fp.batchOrigin[s] = batchRef{fwd: s}
 			if s%7 == 0 {
 				n.skipped[s] = true
 			}
 			if s%5 == 0 {
-				n.parked[s] = parkedRef{}
+				n.fp.parked[s] = parkedRef{}
 			}
 		}
 	}
@@ -363,8 +362,8 @@ func TestGCWalksTheNewSpanOnly(t *testing.T) {
 		t.Helper()
 		for s := uint64(1); s <= top; s++ {
 			_, b := n.buffer[s]
-			_, o := n.batchOrigin[s]
-			_, p := n.parked[s]
+			_, o := n.fp.batchOrigin[s]
+			_, p := n.fp.parked[s]
 			if want := s > horizon; b != want || o != want || n.skipped[s] != (want && s%7 == 0) || p != (want && s%5 == 0) {
 				t.Fatalf("horizon %d: seq %d: buffered %v, origin kept %v, skipped %v, parked %v", horizon, s, b, o, n.skipped[s], p)
 			}
@@ -387,7 +386,7 @@ func TestGCWalksTheNewSpanOnly(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("gc walked a forged horizon's span")
 	}
-	if len(n.buffer)+len(n.skipped)+len(n.batchOrigin)+len(n.parked) != 0 {
+	if len(n.buffer)+len(n.skipped)+len(n.fp.batchOrigin)+len(n.fp.parked) != 0 {
 		t.Fatalf("a horizon past everything left %d buffered", len(n.buffer))
 	}
 	// Sequence numbers never reach below a collected horizon again, so

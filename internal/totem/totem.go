@@ -216,6 +216,7 @@ type Stats struct {
 	Delivered     uint64 // application payloads delivered in total order
 	Retransmitted uint64 // retransmissions this node served
 	Skipped       uint64 // sequence numbers declared unrecoverable
+	Resumed       uint64 // times this node resumed at the horizon of a history it was not in
 	TokenPasses   uint64 // tokens this node forwarded
 	Reconfigs     uint64 // ring installations
 	PackedMsgs    uint64 // packed datagrams this node originated

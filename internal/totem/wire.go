@@ -56,8 +56,21 @@ type token struct {
 	// garbage-collected and their retransmission requests dropped.
 	Stable uint64
 	Succ   memnet.NodeID // the member this token is addressed to
-	Rtr    []rtrEntry    // outstanding retransmission requests
-	Skip   []uint64      // sequence numbers declared unrecoverable
+	// History names the component whose sequence space this ring
+	// continues, when a merge kept one (installRing): a member that
+	// came from any other ring resumes at Stable on its first visit.
+	History ringRef
+	Rtr     []rtrEntry // outstanding retransmission requests
+	Skip    []uint64   // sequence numbers declared unrecoverable
+}
+
+// ringRef names an installed ring across a partition: the ring id with
+// the ring's lowest member. Ring ids alone collide — both sides of a
+// partition count up in lockstep — but the sides share no member. The
+// zero value is no ring.
+type ringRef struct {
+	ID  uint64
+	Low memnet.NodeID
 }
 
 // rtrEntry is one retransmission request with its rotation age.
@@ -70,9 +83,10 @@ type rtrEntry struct {
 type joinMsg struct {
 	Sender  memnet.NodeID
 	Alive   []memnet.NodeID
-	RingID  uint64 // proposed new ring id
-	Highest uint64 // sender's highest received sequence number
-	Aru     uint64 // sender's contiguous received watermark
+	RingID  uint64  // proposed new ring id
+	Last    ringRef // the ring the sender last installed, whose history its watermarks are in
+	Highest uint64  // sender's highest received sequence number
+	Aru     uint64  // sender's contiguous received watermark
 }
 
 func encodeRegular(m regularMsg) []byte {
@@ -134,9 +148,11 @@ func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
 // idTable resolves the node ids inside a datagram without allocating a
 // string per id: the ids a ring exchanges are, almost always, the ring's
 // own members, and a map lookup keyed by string(b) does not allocate.
-// The node rebuilds its table in installRing. An id that is not in the
-// table is converted (allocating, as every id used to) and never added,
-// so hostile datagrams cannot grow it. A nil table resolves nothing.
+// The core rebuilds its table in installRing and adds the one other id
+// every token of the ring names (processToken). Decoding an id that is
+// not in the table converts it (allocating, as every id used to) and
+// never adds it, so hostile datagrams cannot grow it. A nil table
+// resolves nothing.
 type idTable map[string]memnet.NodeID
 
 func newIDTable(members []memnet.NodeID) idTable {
@@ -205,7 +221,7 @@ func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
 }
 
 func encodeToken(t token) []byte {
-	w := cdr.NewWriter(cdr.BigEndian)
+	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+len(t.History.Low)+12*len(t.Rtr)+8*len(t.Skip))
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -213,6 +229,8 @@ func encodeToken(t token) []byte {
 	w.WriteULongLong(t.Aru)
 	w.WriteULongLong(t.Stable)
 	w.WriteString(string(t.Succ))
+	w.WriteULongLong(t.History.ID)
+	w.WriteString(string(t.History.Low))
 	w.WriteULong(uint32(len(t.Rtr)))
 	for _, e := range t.Rtr {
 		w.WriteULongLong(e.Seq)
@@ -233,6 +251,7 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	t.Aru = r.ReadULongLong()
 	t.Stable = r.ReadULongLong()
 	t.Succ = ids.id(r.ReadStringBytes())
+	t.History = ringRef{r.ReadULongLong(), ids.id(r.ReadStringBytes())}
 	nRtr := r.ReadULong()
 	if r.Err() != nil || int(nRtr) > r.Remaining()/8 {
 		// A hostile count must fail the decode, not silently yield an
@@ -267,6 +286,8 @@ func encodeJoin(j joinMsg) []byte {
 		w.WriteString(string(id))
 	}
 	w.WriteULongLong(j.RingID)
+	w.WriteULongLong(j.Last.ID)
+	w.WriteString(string(j.Last.Low))
 	w.WriteULongLong(j.Highest)
 	w.WriteULongLong(j.Aru)
 	return w.Bytes()
@@ -493,6 +514,7 @@ func decodeJoin(r *cdr.Reader) (joinMsg, error) {
 		j.Alive = append(j.Alive, memnet.NodeID(r.ReadString()))
 	}
 	j.RingID = r.ReadULongLong()
+	j.Last = ringRef{r.ReadULongLong(), memnet.NodeID(r.ReadString())}
 	j.Highest = r.ReadULongLong()
 	j.Aru = r.ReadULongLong()
 	if err := r.Err(); err != nil {

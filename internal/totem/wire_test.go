@@ -38,6 +38,7 @@ func TestTokenRoundTrip(t *testing.T) {
 		Aru:     480,
 		Stable:  480,
 		Succ:    "n3",
+		History: ringRef{ID: 6, Low: "n1"},
 		Rtr:     []rtrEntry{{Seq: 481, Age: 2}, {Seq: 483}},
 		Skip:    []uint64{460, 470},
 	}
@@ -66,6 +67,7 @@ func TestJoinRoundTrip(t *testing.T) {
 		Sender:  "n5",
 		Alive:   []memnet.NodeID{"n1", "n5", "n9"},
 		RingID:  12,
+		Last:    ringRef{ID: 11, Low: "n1"},
 		Highest: 4000,
 		Aru:     3999,
 	}
@@ -80,7 +82,7 @@ func TestJoinRoundTrip(t *testing.T) {
 
 func TestQuickTokenRoundTrip(t *testing.T) {
 	f := func(ringID, tokenID, seq, aru uint64, rtrSeqs []uint64, skip []uint64) bool {
-		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y"}
+		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y", History: ringRef{ID: ringID / 2, Low: "x"}}
 		for _, s := range rtrSeqs {
 			tok.Rtr = append(tok.Rtr, rtrEntry{Seq: s, Age: uint32(s % 7)})
 		}
