@@ -354,8 +354,8 @@ func startOps(o runOpts, cfg *domain.Config) (*obs.Server, error) {
 
 // addStatusSections puts the local processors' dedup-cache occupancy
 // (each replica's executed-operation cache and the node's
-// answered-operation table) and, under admission control, the gateways'
-// admission state on /statusz.
+// answered-operation table), the state of their group directories and,
+// under admission control, the gateways' admission state on /statusz.
 func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 	ops.AddStatusSection("dedup-cache", func() string {
 		var b strings.Builder
@@ -366,6 +366,15 @@ func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 			}
 			replies, answered := n.RM.RecordedReplies()
 			fmt.Fprintf(&b, "node %s answered: %d entries, %d recorded replies\n", n.ID, answered, replies)
+		}
+		return b.String()
+	})
+	ops.AddStatusSection("directory", func() string {
+		var b strings.Builder
+		for i := 0; i < d.Nodes(); i++ {
+			n := d.Node(i)
+			s := n.RM.Stats()
+			fmt.Fprintf(&b, "node %s directory: %d groups, awaiting=%v, %d snapshots adopted\n", n.ID, len(n.RM.Groups()), s.DirectoryAwaiting, s.MembershipSyncs)
 		}
 		return b.String()
 	})

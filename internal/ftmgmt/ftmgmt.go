@@ -189,16 +189,19 @@ func (m *Manager) RemoveHost(id memnet.NodeID) {
 }
 
 // anyRM returns the mechanisms of the first processor still in the host
-// list, for domain-wide queries: every processor's group directory is
-// fed by the same total order, so any one that has not been withdrawn
-// will do.
+// list whose group directory is the domain's, for domain-wide queries:
+// every such directory is fed by the same total order, so any one will
+// do — but not one that is awaiting a snapshot, which still holds what
+// its processor knew before it was away.
 func (m *Manager) anyRM() (*replication.Mechanisms, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.hosts) == 0 {
-		return nil, ErrNoHosts
+	for _, h := range m.hosts {
+		if !h.RM.Stats().DirectoryAwaiting {
+			return h.RM, nil
+		}
 	}
-	return m.hosts[0].RM, nil
+	return nil, ErrNoHosts
 }
 
 // CreateReplicatedObject is the Replication Manager's entry point: it
@@ -270,16 +273,29 @@ func (m *Manager) reconcile() {
 		return
 	}
 	for id, g := range groups {
-		for len(rm.Members(id)) < g.props.MinReplicas {
+		for m.live(rm, id) < g.props.MinReplicas {
 			if err := m.placeOne(id, g.factory); err != nil {
 				m.log.Warnf("group %d: replacement failed: %v", id, err)
 				break // no host available now; retry next tick
 			}
 			m.replacements.Add(1)
 			m.log.Infof("group %d: replacement replica started (%d/%d live)",
-				id, len(rm.Members(id)), g.props.MinReplicas)
+				id, m.live(rm, id), g.props.MinReplicas)
 		}
 	}
+}
+
+// live counts the group's members hosted on a listed processor. A member
+// on a withdrawn one is lost already, whether or not the directory read
+// has been delivered its eviction, so RemoveHost repairs at once.
+func (m *Manager) live(rm *replication.Mechanisms, id replication.GroupID) int {
+	n := 0
+	for _, node := range rm.Members(id) {
+		if _, ok := m.hostByID(node); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // managed returns the managed-group record for id.

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"reflect"
 	"testing"
 
 	"eternalgw/internal/cdr"
@@ -35,6 +36,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add(delta(viewChangePayload{Add: []memnet.NodeID{"n02"}}))
 	f.Add(delta(viewChangePayload{Remove: []memnet.NodeID{"n02"}}))
 	f.Add(delta(viewChangePayload{Add: []memnet.NodeID{"a"}, Remove: []memnet.NodeID{"b"}}))
+	// Directory recovery, both forms of the one kind: the request of an
+	// awaiting member — no payload, the ring it asks in in the header —
+	// and a snapshot that echoes it, names the asker and is cut at the
+	// position the request was delivered at, of an empty directory and of
+	// one with a group in its third view.
+	sync := Header{Kind: KindMembershipSync, ClientID: UnusedClientID, Op: OperationID{ParentTS: 7}}
+	f.Add(Encode(Message{Header: sync}))
+	f.Add(Encode(Message{Header: sync, Payload: encodeMembershipSync(membershipSyncPayload{Asker: "n00", Cut: 41 << 16})}))
+	f.Add(Encode(Message{Header: sync, Payload: encodeMembershipSync(membershipSyncPayload{Asker: "n00", Cut: 41<<16 | 3, Groups: []syncGroup{
+		{ID: 100, Style: WarmPassive, ObjectKey: []byte("k"), View: 3, ViewSeq: 17 << 16, Members: []memnet.NodeID{"n02", "n01"}},
+	}})}))
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		h := Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 3}}
 		req, _ := EncodeRequest(h, giop.Request{RequestID: 3, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "echo", Args: []byte{1, 2, 3}, ArgsOrder: order})
@@ -48,7 +60,15 @@ func FuzzDecode(f *testing.F) {
 			checkEncapsulated(t, msg)
 			_, _ = decodeCreateGroup(msg.Payload)
 			_, _ = decodeState(msg.Payload)
+			_ = stateTarget(msg.Payload)
 			_, _ = decodeViewChange(msg.Payload)
+			if p, err := decodeMembershipSync(msg.Payload); err == nil && len(msg.Payload) > 0 {
+				// What decodes encodes to something that decodes alike: an
+				// adopter and a later donor hold the same directory.
+				if q, err := decodeMembershipSync(encodeMembershipSync(p)); err != nil || !reflect.DeepEqual(p, q) {
+					t.Fatalf("snapshot %+v re-decodes as %+v (%v)", p, q, err)
+				}
+			}
 		}
 	})
 }

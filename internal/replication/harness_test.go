@@ -92,6 +92,10 @@ func (d *domain) mustJoin(n memnet.NodeID, id GroupID, app Application) {
 	}
 }
 
+// directoryAwaiting reports whether the processor's directory is awaiting
+// a snapshot of the kept history's.
+func directoryAwaiting(m *Mechanisms) bool { return m.Stats().DirectoryAwaiting }
+
 // regApp is a deterministic register application: "set"/"append" mutate a
 // byte string, "read" returns it, "count" returns the op count.
 type regApp struct {

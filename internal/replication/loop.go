@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"slices"
+
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
@@ -69,31 +71,85 @@ func (m *Mechanisms) handleDelivery(d totem.Delivery) {
 	// unique, totally-ordered value for operation identifiers.
 	ts := d.Timestamp()
 	switch hv.Header.Kind {
-	case KindCreateGroup:
-		m.deliverCreateGroup(hv.Message(), ts)
-	case KindViewChange:
-		m.deliverViewChange(hv.Message(), ts)
 	case KindInvocation:
 		m.deliverInvocation(hv, d.Payload, ts)
 	case KindResponse:
 		m.deliverResponse(hv, d.Sender)
-	case KindStateTransfer:
-		m.deliverStateTransfer(hv.Message())
 	case KindStateSync:
 		m.deliverStateSync(hv.Message())
 	case KindGatewayControl:
 		m.deliverGatewayControl(hv.Header)
-	case KindDeleteGroup:
-		m.deliverDeleteGroup(hv.Message())
-	case KindMembershipSync:
-		m.deliverMembershipSync(hv.Message())
+	case KindCreateGroup, KindViewChange, KindDeleteGroup, KindStateTransfer, KindMembershipSync:
+		m.deliverControl(hv.Message(), d.Sender, ts)
 	}
 }
 
-// deliverDeleteGroup retires a group at this node.
-func (m *Mechanisms) deliverDeleteGroup(msg Message) {
+// heldEvent is one thing a member whose directory is awaiting was
+// delivered that the directory it adopts must still see: a control
+// message — header, sender, payload copied out of the delivery arena,
+// position in the total order — or, the header zero, a ring.
+type heldEvent struct {
+	h       Header
+	from    memnet.NodeID
+	payload []byte
+	ts      uint64
+	ring    totem.ConfigChange
+}
+
+// deliverControl takes the messages that read or write the group
+// directory. One rule recovers a directory (DESIGN.md section 5): a
+// member whose directory is awaiting holds them, in order — of the state
+// transfers its own alone, another joiner's image is nothing a directory
+// needs — until a snapshot arrives that answers a request it holds; that
+// is then its directory, and what it held behind the request is replayed.
+func (m *Mechanisms) deliverControl(msg Message, from memnet.NodeID, ts uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	switch {
+	case !m.awaiting.Load():
+		m.applyControl(msg, from, ts)
+	case msg.Header.Kind == KindMembershipSync && len(msg.Payload) > 0:
+		m.adopt(msg)
+	case msg.Header.Kind != KindStateTransfer || stateTarget(msg.Payload) == m.cfg.NodeID:
+		m.held = append(m.held, heldEvent{h: msg.Header, from: from, payload: append([]byte(nil), msg.Payload...), ts: ts})
+	}
+	m.notifyChanged()
+}
+
+// applyControl applies one control message, sent by from, to a directory
+// that is not awaiting. A request is answered with a snapshot cut at its
+// delivery — an empty directory's too: a processor new to the domain must
+// not wait for ever — and a snapshot is ignored: only an awaiting member
+// adopts. Callers hold mu.
+func (m *Mechanisms) applyControl(msg Message, from memnet.NodeID, ts uint64) {
+	switch msg.Header.Kind {
+	case KindCreateGroup:
+		m.deliverCreateGroup(msg, ts)
+	case KindViewChange:
+		m.deliverViewChange(msg, ts)
+	case KindDeleteGroup:
+		m.deliverDeleteGroup(msg)
+	case KindStateTransfer:
+		m.deliverStateTransfer(msg)
+	case KindMembershipSync:
+		if len(msg.Payload) == 0 {
+			m.send(Message{Header: msg.Header, Payload: m.snapshot(from, ts)})
+		}
+	}
+}
+
+// send multicasts from the event loop. Multicast can block on the send
+// queue, so it leaves the loop; Stop waits on wg for the hand-off.
+func (m *Mechanisms) send(msg Message) {
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		_ = m.multicast(msg)
+	}()
+}
+
+// deliverDeleteGroup retires a group at this node. Callers hold mu.
+func (m *Mechanisms) deliverDeleteGroup(msg Message) {
 	g, ok := m.groups[msg.Header.DstGroup]
 	if !ok {
 		return
@@ -107,7 +163,6 @@ func (m *Mechanisms) deliverDeleteGroup(msg Message) {
 	}
 	delete(m.groups, g.id)
 	delete(m.observers, g.id)
-	m.notifyChanged()
 }
 
 // deliverGatewayControl handles gateway-group housekeeping where the
@@ -138,13 +193,12 @@ func (m *Mechanisms) membership(id GroupID) (member, clientOnly bool) {
 	return true, g.local.app == nil
 }
 
+// deliverCreateGroup enters a new group in the directory. Callers hold mu.
 func (m *Mechanisms) deliverCreateGroup(msg Message, ts uint64) {
 	p, err := decodeCreateGroup(msg.Payload)
 	if err != nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	id := msg.Header.DstGroup
 	if _, ok := m.groups[id]; ok {
 		return // concurrent creators: first delivery wins
@@ -160,7 +214,6 @@ func (m *Mechanisms) deliverCreateGroup(msg Message, ts uint64) {
 	if len(p.ObjectKey) > 0 {
 		m.byKey[string(p.ObjectKey)] = id
 	}
-	m.notifyChanged()
 }
 
 // bumpView installs the next numbered view of a group after a membership
@@ -240,147 +293,71 @@ func (m *Mechanisms) applyView(g *groupState, add, remove []memnet.NodeID, seq u
 
 // deliverViewChange applies a membership delta off the wire. Like every
 // membership change it is delivered in total order, so every member
-// installs the same numbered view at the same sequence number.
+// installs the same numbered view at the same sequence number. Callers
+// hold mu.
 func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 	p, err := decodeViewChange(msg.Payload)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if g, ok := m.groups[msg.Header.DstGroup]; ok {
+	if g, ok := m.groups[msg.Header.DstGroup]; ok && err == nil {
 		m.applyView(g, p.Add, p.Remove, ts)
-		m.notifyChanged()
 	}
 }
 
-// handleConfig reacts to a totem membership change: nodes that left the
-// ring are removed from every group, at a single point in the total
-// order, so all survivors agree on the resulting memberships and on who
-// is promoted. When the change is a merge (a healed partition brought
-// nodes back), the two sides' directories have diverged — the majority
-// component evicted the absentees and repaired around them, while the
-// minority evicted everyone else and kept executing on state that then
-// went stale. The minority side therefore discards its replicas at the
-// merge point, before any post-merge invocation can reach them, and the
-// majority side broadcasts its directory for the returning nodes to
-// adopt (primary-component membership, paper section 2.4).
+// handleConfig reacts to a totem ring change. Nodes that left the ring are
+// removed from every group, at a single point in the total order, so all
+// survivors agree on the resulting memberships and on who is promoted.
+// Whether this member's directory and replicas outlive the change is
+// totem's verdict and nothing else (ConfigChange.Continues). Told it does
+// not continue the history the ring keeps, it closes its servant replicas
+// here, before any delivery of the ring reaches them — their state missed
+// what that history executed; it rejoins groups only through placement —
+// marks its directory awaiting and asks for a snapshot, and asks again at
+// every later ring while still awaiting: whoever would have answered may
+// be gone.
 func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
-	inRing := make(map[memnet.NodeID]bool, len(c.Members))
-	for _, id := range c.Members {
-		inRing[id] = true
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := m.ring
-	m.ring = append([]memnet.NodeID(nil), c.Members...)
-	m.ringID = c.RingID
-	merged := false
-	if len(prev) > 0 {
-		was := make(map[memnet.NodeID]bool, len(prev))
-		for _, id := range prev {
-			was[id] = true
-		}
-		for _, id := range c.Members {
-			if !was[id] {
-				merged = true
-				break
+	m.evictDeparted(c)
+	if !c.Continues {
+		for _, g := range m.groups {
+			if g.local != nil && g.local.app != nil {
+				g.local.close()
+				g.local = nil
 			}
 		}
+		m.awaiting.Store(true)
+		m.held = nil // held in a history this member has now left as well
+	} else if m.awaiting.Load() {
+		m.held = append(m.held, heldEvent{ring: c})
 	}
-	for _, g := range m.groups {
-		var gone []memnet.NodeID
-		for _, node := range g.members {
-			if !inRing[node] {
-				gone = append(gone, node)
-			}
-		}
-		// Failure-driven view change: every survivor installs the new ring
-		// at the same point in the total order, so the ring identifier
-		// stands in for the membership message's timestamp.
-		m.applyView(g, nil, gone, c.RingID)
-	}
-	if merged {
-		if fromMajority(prev, c.Members) {
-			if payload := m.directorySyncLocked(c.RingID); payload != nil {
-				// Multicast can block on the send queue; it must leave the
-				// event loop. The snapshot was taken under mu at the merge
-				// point, so every majority node sends identical content and
-				// the first delivery wins. Stop waits on wg for this
-				// handoff.
-				m.wg.Add(1)
-				go func() {
-					defer m.wg.Done()
-					_ = m.multicast(Message{
-						Header:  Header{Kind: KindMembershipSync, ClientID: UnusedClientID},
-						Payload: payload,
-					})
-				}()
-			}
-		} else {
-			m.discardStaleReplicasLocked(c.RingID)
-		}
+	if m.awaiting.Load() {
+		// The ring it asks in tells this request from any other of this
+		// member's, in whichever history: a member installs an id once.
+		m.send(Message{Header: Header{Kind: KindMembershipSync, ClientID: UnusedClientID, Op: OperationID{ParentTS: c.RingID}}})
 	}
 	m.notifyChanged()
 }
 
-// fromMajority reports whether the previous ring was the majority
-// component of the merged ring — the side whose directory survives a
-// partition healing. An exact half keeps the component holding the
-// merged ring's lowest node identifier, a tiebreak both sides can
-// compute from what they know.
-func fromMajority(prev, merged []memnet.NodeID) bool {
-	if len(prev)*2 > len(merged) {
-		return true
-	}
-	if len(prev)*2 < len(merged) {
-		return false
-	}
-	low := merged[0]
-	for _, id := range merged[1:] {
-		if id < low {
-			low = id
-		}
-	}
-	for _, id := range prev {
-		if id == low {
-			return true
-		}
-	}
-	return false
-}
-
-// discardStaleReplicasLocked drops every local servant replica on a node
-// returning from a minority partition: its state missed the operations
-// the majority executed, so it must not answer post-merge invocations.
-// Running at the merge configuration — before any post-merge delivery —
-// closes the window in which a stale replica could respond. Its recovery
-// image goes with it (a stale checkpoint must never be donated), and the
-// node rejoins groups only through the resource manager's normal
-// placement, with a fresh state transfer. Callers hold mu.
-func (m *Mechanisms) discardStaleReplicasLocked(seq uint64) {
+// evictDeparted removes the nodes that are not in the ring from every
+// group: the failure-driven view change. Every member of the ring is told
+// of it at the same point in the total order, so the ring identifier
+// stands in for a membership message's timestamp. Callers hold mu.
+func (m *Mechanisms) evictDeparted(c totem.ConfigChange) {
 	for _, g := range m.groups {
-		if g.local == nil || g.local.app == nil {
-			continue
+		var gone []memnet.NodeID
+		for _, node := range g.members {
+			if !slices.Contains(c.Members, node) {
+				gone = append(gone, node)
+			}
 		}
-		g.local.close()
-		g.local = nil
-		g.removeMember(m.cfg.NodeID)
-		for node := range g.pendingJoins {
-			delete(g.pendingJoins, node)
-		}
-		m.bumpView(g, seq)
+		m.applyView(g, nil, gone, c.RingID)
 	}
 }
 
-// directorySyncLocked snapshots the group directory as an encoded
-// membership-sync payload, or returns nil when there is nothing to
-// share. Callers hold mu.
-func (m *Mechanisms) directorySyncLocked(ringID uint64) []byte {
-	if len(m.groups) == 0 {
-		return nil
-	}
-	p := membershipSyncPayload{RingID: ringID}
+// snapshot encodes the group directory as it stands at cut, the
+// total-order position of the request from asker that it answers. Callers
+// hold mu.
+func (m *Mechanisms) snapshot(asker memnet.NodeID, cut uint64) []byte {
+	p := membershipSyncPayload{Asker: asker, Cut: cut}
 	for _, g := range m.groups {
 		p.Groups = append(p.Groups, syncGroup{
 			ID:        g.id,
@@ -388,57 +365,67 @@ func (m *Mechanisms) directorySyncLocked(ringID uint64) []byte {
 			ObjectKey: []byte(g.objectKey),
 			View:      g.view,
 			ViewSeq:   g.viewSeq,
-			Members:   append([]memnet.NodeID(nil), g.members...),
+			Members:   g.members,
 		})
 	}
 	return encodeMembershipSync(p)
 }
 
-// deliverMembershipSync adopts the majority component's directory after
-// a ring merge. It is delivered in total order, so every node applies
-// the same snapshot at the same point; on the nodes that were already in
-// the majority it is a no-op by content. Only the first sync for the
-// current ring applies — later ones for the same ring are the identical
-// snapshots of other majority nodes, and syncs for older rings are
-// stale.
-func (m *Mechanisms) deliverMembershipSync(msg Message) {
-	p, err := decodeMembershipSync(msg.Payload)
-	if err != nil {
+// adopt makes a snapshot this member's directory, if it answers a request
+// the member holds: it has held, since, everything the snapshot cannot
+// know, and replays it. A request is known by who asked, in which ring
+// (the header, which the snapshot echoes) and where it landed: a snapshot
+// a member of a discarded history had still to send is ordered in this one
+// all the same, its cut a number of that history's. Adoption is wholesale:
+// a group the snapshot does not list is gone, this node's replicas carry
+// over where it is still listed, and where it is listed and hosts nothing
+// — the kept history never saw it go — it says so. Callers hold mu, while
+// awaiting.
+func (m *Mechanisms) adopt(snapshot Message) {
+	p, err := decodeMembershipSync(snapshot.Payload)
+	at := slices.IndexFunc(m.held, func(h heldEvent) bool { return h.h == snapshot.Header && h.from == p.Asker && h.ts == p.Cut })
+	if err != nil || at < 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p.RingID != m.ringID || p.RingID <= m.syncApplied {
-		return
-	}
-	m.syncApplied = p.RingID
-	m.membershipSyncs.Add(1)
+	old, replay := m.groups, m.held[at+1:]
+	m.groups, m.byKey, m.held = make(map[GroupID]*groupState, len(p.Groups)), make(map[string]GroupID, len(p.Groups)), nil
 	for _, sg := range p.Groups {
-		g, ok := m.groups[sg.ID]
-		if !ok {
-			g = &groupState{
-				id:           sg.ID,
-				style:        sg.Style,
-				objectKey:    string(sg.ObjectKey),
-				pendingJoins: make(map[memnet.NodeID]bool),
-			}
-			m.groups[sg.ID] = g
-			if g.objectKey != "" {
-				m.byKey[g.objectKey] = sg.ID
-			}
+		g := &groupState{id: sg.ID, style: sg.Style, objectKey: string(sg.ObjectKey), members: sg.Members,
+			pendingJoins: make(map[memnet.NodeID]bool), view: sg.View, viewSeq: sg.ViewSeq}
+		if o := old[g.id]; o != nil && g.isMember(m.cfg.NodeID) {
+			g.local, o.local = o.local, nil
+			m.updatePrimary(g)
 		}
-		g.members = append(g.members[:0], sg.Members...)
-		g.view = sg.View
-		g.viewSeq = sg.ViewSeq
-		if g.local != nil && !g.isMember(m.cfg.NodeID) {
-			// The majority evicted this node while it was away; whatever
-			// membership it thinks it holds is void.
-			g.local.close()
-			g.local = nil
+		m.groups[g.id] = g
+		if g.objectKey != "" {
+			m.byKey[g.objectKey] = g.id
 		}
-		m.updatePrimary(g)
 	}
-	m.notifyChanged()
+	for id, o := range old {
+		if o.local != nil {
+			o.local.close()
+		}
+		if m.groups[id] == nil {
+			delete(m.observers, id)
+		}
+	}
+	m.awaiting.Store(false)
+	m.membershipSyncs.Add(1)
+	for _, h := range replay {
+		switch h.h.Kind {
+		case 0:
+			m.evictDeparted(h.ring)
+		case KindMembershipSync: // a request delivered to an awaiting member was not its to answer
+		default:
+			m.applyControl(Message{Header: h.h, Payload: h.payload}, h.from, h.ts)
+		}
+	}
+	for id, g := range m.groups {
+		if g.local == nil && g.isMember(m.cfg.NodeID) {
+			delete(m.prearmed, id) // its join was ordered ahead of the cut, out of this member's sight
+			m.send(viewChange(id, viewChangePayload{Remove: []memnet.NodeID{m.cfg.NodeID}}))
+		}
+	}
 }
 
 // updatePrimary recomputes the local replica's primary role; a backup of
@@ -643,25 +630,17 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 	}
 }
 
+// deliverStateTransfer hands a recovery image to the joiner it is for, if
+// that is this node. Callers hold mu.
 func (m *Mechanisms) deliverStateTransfer(msg Message) {
 	p, err := decodeState(msg.Payload)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
 	g, ok := m.groups[msg.Header.DstGroup]
-	if !ok {
-		m.mu.Unlock()
+	if err != nil || !ok {
 		return
 	}
 	delete(g.pendingJoins, p.Target)
-	var r *replica
 	if p.Target == m.cfg.NodeID && g.local != nil && g.local.app != nil {
-		r = g.local
-	}
-	m.mu.Unlock()
-	if r != nil {
-		r.push(task{kind: taskApplyState, state: p})
+		g.local.push(task{kind: taskApplyState, state: p})
 	}
 }
 

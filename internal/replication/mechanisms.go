@@ -114,15 +114,12 @@ type Mechanisms struct {
 	observers map[GroupID]Observer
 	changed   chan struct{} // closed and replaced on directory change
 
-	// ring is the current totem ring's membership and ringID its
-	// identifier, tracked so a configuration change can tell a merge (new
-	// nodes appeared) from a departure, and which side of a healed
-	// partition this node was on. syncApplied is the highest ring whose
-	// membership sync has been adopted. All three are loop-owned, under
-	// mu.
-	ring        []memnet.NodeID
-	ringID      uint64
-	syncApplied uint64
+	// awaiting marks the directory as another history's than the one the
+	// ring keeps (handleConfig); held is what the loop was delivered since
+	// that the directory it adopts must still see, in order. Loop-owned,
+	// under mu.
+	awaiting atomic.Bool
+	held     []heldEvent
 
 	// pending is the sharded pending-call and answered-operation table,
 	// outside mu entirely: response delivery, Invoke registration and a
@@ -130,9 +127,9 @@ type Mechanisms struct {
 	pending *pendingTable
 
 	stopOnce sync.Once
-	// wg tracks goroutines the event loop hands blocking work to (the
-	// membership-sync multicast); Stop waits for them so no multicast
-	// fires after the caller assumes quiescence.
+	// wg tracks goroutines the event loop hands blocking work to (send);
+	// Stop waits for them so no multicast fires after the caller assumes
+	// quiescence.
 	wg sync.WaitGroup
 
 	invocationsSent      atomic.Uint64
@@ -210,7 +207,7 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_replication_view_changes_total", "Group membership views installed (joins, leaves, evictions, failures).", m.viewChanges.Load},
 		{"eternalgw_replication_transfer_entries_replayed_total", "Logged invocations replayed by joining replicas catching up from a checkpoint.", m.transferEntriesReplayed.Load},
 		{"eternalgw_replication_catchup_checkpoints_total", "Checkpoints cut into the local log only: per interval by the executing styles, on demand by a donor that has none.", m.catchupCheckpoints.Load},
-		{"eternalgw_replication_membership_syncs_total", "Authoritative directory snapshots adopted after a ring merge (partition healing).", m.membershipSyncs.Load},
+		{"eternalgw_replication_membership_syncs_total", "Directory snapshots this node adopted while its directory was awaiting (after a ring merge, or joining a running domain).", m.membershipSyncs.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
@@ -223,6 +220,12 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("eternalgw_replication_pending_calls", "Invocations registered and awaiting responses on this node.", lbl, func() float64 {
 		return float64(m.PendingCalls())
+	})
+	reg.GaugeFunc("eternalgw_replication_directory_awaiting", "1 while this node's group directory is another history's than the one its ring keeps and no snapshot has been adopted; staying 1 means no member that could answer is in the ring.", lbl, func() float64 {
+		if m.awaiting.Load() {
+			return 1
+		}
+		return 0
 	})
 	reg.GaugeFunc("eternalgw_replication_backpressure", "Domain-side load signal in [0,1]: max of totem send backlog and pending-call occupancy against their windows.", lbl, m.Backpressure)
 }
@@ -308,6 +311,7 @@ func (m *Mechanisms) Stats() Stats {
 		TransferEntriesReplayed: m.transferEntriesReplayed.Load(),
 		CatchupCheckpoints:      m.catchupCheckpoints.Load(),
 		MembershipSyncs:         m.membershipSyncs.Load(),
+		DirectoryAwaiting:       m.awaiting.Load(),
 		ClientsDeparted:         m.clientsDeparted.Load(),
 	}
 }
@@ -330,6 +334,10 @@ func (m *Mechanisms) CreateGroup(id GroupID, style Style, objectKey []byte) erro
 // hosts no servant. Use WaitSynced to block until the replica has
 // received its state transfer and is live.
 func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
+	// An awaiting directory describes another history than the join is for.
+	if err := m.waitCondition(m.cfg.InvokeTimeout, func() bool { return !m.awaiting.Load() }); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	g, ok := m.groups[id]
 	if _, armed := m.prearmed[id]; (ok && g.local != nil) || armed {
@@ -360,10 +368,15 @@ func (m *Mechanisms) LeaveGroup(id GroupID) error {
 // changeView multicasts one membership delta of a group; it takes effect
 // where the total order delivers it (applyView).
 func (m *Mechanisms) changeView(id GroupID, delta viewChangePayload) error {
-	return m.multicast(Message{
+	return m.multicast(viewChange(id, delta))
+}
+
+// viewChange is the message that carries one membership delta of a group.
+func viewChange(id GroupID, delta viewChangePayload) Message {
+	return Message{
 		Header:  Header{Kind: KindViewChange, ClientID: UnusedClientID, DstGroup: id},
 		Payload: encodeViewChange(delta),
-	})
+	}
 }
 
 // GroupByKey resolves a CORBA object key to its object group. This is

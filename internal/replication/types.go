@@ -226,9 +226,13 @@ type Stats struct {
 	// TransferEntriesReplayed counts logged invocations replayed by
 	// joining replicas catching up from a donated checkpoint.
 	TransferEntriesReplayed uint64
-	// MembershipSyncs counts authoritative directory snapshots adopted
-	// after a ring merge (partition healing).
-	MembershipSyncs uint64
+	// MembershipSyncs counts the directory snapshots this node adopted;
+	// DirectoryAwaiting says it is waiting for one now — its directory is
+	// another history's than the one its ring keeps, and lookups answer
+	// from it only until a member that continues that history has served
+	// it. One that stays set has nobody in its ring to be served by.
+	MembershipSyncs   uint64
+	DirectoryAwaiting bool
 	// ClientsDeparted counts departed-client notifications processed as
 	// a member of the gateway group they were addressed to.
 	ClientsDeparted uint64

@@ -40,12 +40,11 @@ const (
 	// invocation, all replicas switch to the new numbered view at the
 	// same sequence number; there is no separate agreement round.
 	KindViewChange
-	// KindMembershipSync carries the authoritative group directory after
-	// a ring merge. Nodes from the majority component broadcast their
-	// directory snapshot; nodes returning from a minority partition —
-	// whose memberships diverged while they were away — adopt it. The
-	// first sync delivered for a ring wins; the rest are identical and
-	// ignored.
+	// KindMembershipSync recovers a group directory (handleConfig). With
+	// an empty payload it is the request of a member whose directory is
+	// awaiting; with one, the snapshot a member whose directory is not
+	// cut where that request was delivered — a position every member
+	// agrees on — for the awaiting to adopt.
 	KindMembershipSync
 )
 
@@ -269,16 +268,18 @@ type syncGroup struct {
 	Members   []memnet.NodeID
 }
 
-// membershipSyncPayload is a majority node's directory snapshot, taken
-// at the merge configuration and valid only for that ring.
+// membershipSyncPayload is a directory snapshot: every group as it stood
+// at Cut, the total-order position of the request from Asker it answers.
 type membershipSyncPayload struct {
-	RingID uint64
+	Asker  memnet.NodeID
+	Cut    uint64
 	Groups []syncGroup
 }
 
 func encodeMembershipSync(p membershipSyncPayload) []byte {
 	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteULongLong(p.RingID)
+	w.WriteString(string(p.Asker))
+	w.WriteULongLong(p.Cut)
 	w.WriteULong(uint32(len(p.Groups)))
 	for _, g := range p.Groups {
 		w.WriteULong(uint32(g.ID))
@@ -297,7 +298,8 @@ func encodeMembershipSync(p membershipSyncPayload) []byte {
 func decodeMembershipSync(b []byte) (membershipSyncPayload, error) {
 	r := cdr.NewReader(b, cdr.BigEndian)
 	var p membershipSyncPayload
-	p.RingID = r.ReadULongLong()
+	p.Asker = memnet.NodeID(r.ReadString())
+	p.Cut = r.ReadULongLong()
 	for n := r.ReadULong(); n > 0 && r.Err() == nil; n-- {
 		g := syncGroup{
 			ID:        GroupID(r.ReadULong()),
@@ -346,6 +348,12 @@ func encodeState(p statePayload) []byte {
 		w.WriteOctetSeq(e.Data)
 	}
 	return w.Bytes()
+}
+
+// stateTarget is the joiner a state transfer is addressed to, read
+// without decoding the image behind it.
+func stateTarget(b []byte) memnet.NodeID {
+	return memnet.NodeID(cdr.NewReader(b, cdr.BigEndian).ReadString())
 }
 
 func decodeState(b []byte) (statePayload, error) {

@@ -93,12 +93,13 @@ type core struct {
 	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      [][]byte
 	lastTokenID  uint64
+	sentTokenID  uint64  // the token this node last forwarded in this ring; zero before the first
 	ids          idTable // the ring's member ids, for allocation-free decoding
-	// cameFrom is the ring installed before this one. Until a token of
-	// the new ring has said whose history the ring keeps (unchecked),
-	// nothing is delivered: a member the token then sends to the horizon
-	// must not have delivered ahead of it.
-	cameFrom  ringRef
+	// stood is the ring whose history this node holds: the last it
+	// installed whose verdict it knows — no token of a later one need have
+	// reached it. Until it knows the present ring's (unchecked) it delivers
+	// nothing: a member sent to the horizon must not have delivered ahead.
+	stood     ringRef
 	unchecked bool
 
 	lastSentToken *token
@@ -287,7 +288,13 @@ func (n *core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
 }
 
 func (n *core) handleRegular(m regularMsg) {
-	if !n.admit(m.RingID, m.Sender, true) {
+	// A retransmission speaks for whoever retransmits it: it carries this
+	// ring's id in the name of its sender, which may have left rings ago.
+	from := m.Sender
+	if m.Via != "" {
+		from, m.Via = m.Via, ""
+	}
+	if !n.admit(m.RingID, from, true) {
 		return
 	}
 	if m.Seq <= n.deliveredSeq || n.skipped[m.Seq] {
@@ -327,6 +334,16 @@ func (n *core) handleToken(t token) {
 	if !n.admit(t.RingID, t.Succ, false) || n.fp.leader != "" || t.TokenID <= n.lastTokenID {
 		return
 	}
+	if t.Succ == n.successor() && t.TokenID != n.sentTokenID {
+		// Nobody but this node addresses its successor, and this is not
+		// the token it forwarded: another ring is running under this
+		// ring's id. Gathering is not atomic, so two members can install
+		// different lists under one id; left alone, each side's tokens pass
+		// for the other's liveness and a member both sides skip waits for
+		// ever.
+		n.startGather()
+		return
+	}
 	n.lastTokenID = t.TokenID
 	n.touchLiveness()
 	// Progress evidence: a token newer than the one we forwarded means
@@ -347,27 +364,29 @@ func (n *core) handleToken(t token) {
 }
 
 // checkIn is what the first token of a new ring that reaches this node
-// does, whoever it is addressed to: it says whose history the ring keeps.
+// does, whoever it is addressed to: it says whose history the ring keeps,
+// and the application is told of the ring with that verdict, ahead of
+// everything the ring delivers.
 func (n *core) checkIn(t token) {
 	if !n.unchecked {
 		return
 	}
-	n.unchecked = false
-	// The kept ring's lowest member need not be in this one: every token
-	// names it, so it decodes like a member's id.
-	n.ids[string(t.History.Low)] = t.History.Low
-	if t.History != (ringRef{}) && t.History != n.cameFrom {
-		// This ring continues a history this node was not in. What it
+	continues := t.History == n.stood
+	n.unchecked, n.stood = false, n.installed()
+	if !continues {
+		// This ring keeps a history this node does not hold. What it
 		// buffered is numbered in a dead sequence space and must never be
-		// retransmitted into the ring; what the history ordered up to its
-		// horizon no member is bound to hold any more. Resume at the
-		// horizon, as a processor that was never there (no rotation can
-		// have completed without this node: the horizon has not moved).
+		// retransmitted into the ring; what the history ordered before
+		// this ring nobody owes it. Resume where the members the token
+		// has visited stand, as a processor that was never there: what
+		// they hold above that they keep until a rotation with this node
+		// in it has confirmed it.
 		clear(n.buffer)
 		clear(n.skipped)
-		n.deliveredSeq, n.highest, n.gcThrough = t.Stable, t.Stable, t.Stable
+		n.deliveredSeq, n.highest, n.gcThrough = t.Aru, t.Aru, t.Aru
 		n.resumedN.Add(1)
 	}
+	n.emit(Event{Type: EventConfig, Config: ConfigChange{RingID: n.ringID, Members: n.ring, Continues: continues}})
 	n.tryDeliver()
 }
 
@@ -435,7 +454,7 @@ func (n *core) processToken(t token) {
 	}
 	isLeader := n.ring[0] == n.cfg.ID
 	if isLeader {
-		if t.Aru > t.Stable {
+		if t.Aru > t.Stable && t.TokenID > 1 { // its first visit closes no rotation
 			t.Stable = t.Aru
 			work = true
 		}
@@ -534,7 +553,7 @@ func (n *core) finishHold() {
 	n.disarm(dlHold)
 	t.TokenID++
 	t.Succ = n.successor()
-	n.lastSentToken = t
+	n.lastSentToken, n.sentTokenID = t, t.TokenID
 	n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	n.broadcastRaw(encodeToken(*t))
 	n.tokenPassN.Add(1)
@@ -633,7 +652,7 @@ func (n *core) installed() ringRef {
 	if len(n.ring) == 0 {
 		return ringRef{}
 	}
-	return ringRef{ID: n.ringID, Low: n.ring[0]}
+	return ringRef{ID: n.ringID, List: listDigest(n.ring)}
 }
 
 // startGather begins membership recovery.
@@ -666,9 +685,9 @@ func (n *core) startGather() {
 }
 
 // join is what this node has to say to a gather right now: the sorted
-// candidate set, and where it stands in which ring's history. A member
-// still unchecked answers for the ring it installed all the same, or that
-// ring's members would count as two components (DESIGN.md section 5).
+// candidate set, and where it stands in which ring's history (stood: a
+// ring it installed and heard no verdict of is not its history, whatever
+// that ring went on to keep — DESIGN.md section 5).
 func (n *core) join() joinMsg {
 	alive := make([]memnet.NodeID, 0, len(n.alive))
 	for id := range n.alive {
@@ -679,7 +698,7 @@ func (n *core) join() joinMsg {
 		Sender:  n.cfg.ID,
 		Alive:   alive,
 		RingID:  n.proposed,
-		Last:    n.installed(),
+		Last:    n.stood,
 		Highest: n.highest,
 		Aru:     n.deliveredSeq,
 	}
@@ -728,12 +747,21 @@ func (n *core) installRing() {
 	me := n.join()
 	n.joins[n.cfg.ID] = me
 	members := me.Alive
-	n.cameFrom, n.unchecked = me.Last, true
+	n.unchecked = true
+	// One verdict needs no token: every member was heard proposing this
+	// ring from the history this node holds, so the creator, whichever
+	// joins it heard, can name no other. Such a ring is checked into here,
+	// and its members are one component at the next gather even if it
+	// wedges before a token has reached them all.
+	unanimous := true
+	for _, id := range members {
+		unanimous = unanimous && n.joins[id].RingID == n.proposed && n.joins[id].Last == n.stood
+	}
 	n.ring = members
 	n.ids = newIDTable(members)
 	n.ringID = n.proposed
 	n.gathering = false
-	n.lastTokenID = 0
+	n.lastTokenID, n.sentTokenID = 0, 0
 	n.disarm(dlGather)
 	n.arm(dlFail, n.cfg.FailTimeout)
 	n.reconfigN.Add(1)
@@ -747,49 +775,45 @@ func (n *core) installRing() {
 	n.curRing = n.ringID
 	n.mu.Unlock()
 
-	n.emit(Event{Type: EventConfig, Config: ConfigChange{
-		RingID:  n.ringID,
-		Members: members,
-	}})
-
+	if unanimous {
+		n.checkIn(token{History: n.stood})
+	}
 	if members[0] != n.cfg.ID {
 		return
 	}
 	// Leader: create the first token of the new ring. One history
-	// survives a merge. The joins heard are grouped by the ring their
-	// sender last installed — named with its lowest member, because ring
-	// ids alone collide across a partition — and a component holding
-	// more than half of the new ring, or exactly half and its lowest id
-	// (the rule replication.fromMajority applies one layer up), is the
-	// history the ring keeps: the token names it and resumes from its
-	// joins alone, and whoever was not in it resumes at its horizon
-	// (processToken). A returner's old watermark then cannot pin the
-	// horizon, nor a partitioned member's own numbering enter the ring.
-	// The tempting smaller rule — raise Stable to the highest horizon
-	// any join reports and let whoever is below it jump — is not safe: a
-	// singleton that stayed busy while partitioned reports the highest
-	// horizon, and the majority would jump over its own buffered,
-	// undelivered messages. A member known only through another's alive
-	// list contributes nothing. With no such component (a founding ring,
-	// a merge of small pieces) Seq resumes from the highest sequence
-	// number any join reported and the stability watermark from the
-	// lowest, so no survivor garbage-collects what another still needs.
+	// survives a merge, and this is the one place that says which: the
+	// joins heard are grouped by the ring whose history their sender
+	// holds, and the largest component's — of equals the one with the
+	// lowest member id — is kept. The token names it and takes Seq and Aru
+	// from its joins alone; whoever holds another resumes at Aru (checkIn),
+	// so a returner's old watermark cannot pin the horizon nor a
+	// partitioned member's numbering enter the ring. Whenever a join names
+	// a ring the token names one: every ring but a founding one, which all
+	// continue, has a member that continues — a donor for whoever does
+	// not. (Raising the horizon to the highest any join reports instead is
+	// not safe: a singleton that stayed busy while partitioned reports the
+	// highest, and the majority would jump over its own undelivered
+	// messages.) A member known only through another's alive list
+	// contributes nothing and may stand below every join heard, so Stable
+	// starts from nothing: what may be collected is what a full rotation,
+	// that member in it, has confirmed (processToken).
 	votes := make(map[ringRef]int)
 	for _, id := range members {
-		if j, heard := n.joins[id]; heard && j.Last != (ringRef{}) {
-			votes[j.Last]++
+		if last := n.joins[id].Last; last != (ringRef{}) {
+			votes[last]++
 		}
 	}
 	t := token{RingID: n.ringID, TokenID: 1}
-	for ref, v := range votes { // order-free: at most one component can qualify
-		if 2*v > len(members) || 2*v == len(members) && ref == me.Last {
-			t.History = ref
+	for _, id := range members {
+		if last := n.joins[id].Last; votes[last] > votes[t.History] {
+			t.History = last
 		}
 	}
 	first := true
 	for _, id := range members {
 		j, heard := n.joins[id]
-		if !heard || t.History != (ringRef{}) && j.Last != t.History {
+		if !heard || j.Last != t.History {
 			continue
 		}
 		t.Seq = max(t.Seq, j.Highest)
@@ -797,7 +821,6 @@ func (n *core) installRing() {
 			t.Aru, first = j.Aru, false
 		}
 	}
-	t.Stable = t.Aru
 	// Process the fresh token as if it had just arrived addressed to us.
 	n.lastTokenID = t.TokenID
 	n.checkIn(t)

@@ -101,6 +101,7 @@ func TestReturnAfterLongAbsenceResumes(t *testing.T) {
 			if v.maxRtr > maxRtr {
 				t.Fatalf("a token carried %d retransmission requests", v.maxRtr)
 			}
+			v.toldRight()
 			v.agree(live[0], v.ids...)
 		})
 	}
@@ -161,6 +162,7 @@ func TestMergeKeepsPrimaryHistory(t *testing.T) {
 		if n := v.cores[alone].retransmittedN.Load(); n != 0 {
 			t.Fatalf("the singleton retransmitted %d messages of its dead history into the ring", n)
 		}
+		v.toldRight()
 		v.agree(three[0], v.ids...)
 		tail := v.got[three[2]]
 		if len(tail) < 2 || tail[len(tail)-2].crc != crc32.ChecksumIEEE([]byte("first")) || tail[len(tail)-1].crc != crc32.ChecksumIEEE([]byte("second")) {
@@ -198,11 +200,99 @@ func TestEvenSplitKeepsTheLowestHalf(t *testing.T) {
 		if got, want := v.resumed(), []uint64{0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("Resumed = %v, want %v", got, want)
 		}
+		v.toldRight()
 		v.agree(low[0], v.ids...)
 		if n := len(v.got[low[1]]); n != 40+4 {
 			t.Fatalf("%s delivered %d messages, want its half's 40 and the 4 after the merge", low[1], n)
 		}
 	})
+}
+
+// TestEveryMergeKeepsAHistory: whenever a join names a ring the token
+// names one — the largest component's, of equals the one with the lowest
+// member — however small a part of the new ring that component is. Left to
+// a majority rule, a ring none of whose components is most of it kept
+// nobody's history: every member was told it does not continue, and an
+// application that rebuilds from a member that does waited for ever. One
+// processor of a four-member configuration started a fail timeout ahead of
+// the next is such a ring, with no datagram lost: the first ring the two
+// install is the founding list of four, of which the runner is one. Where
+// neither of the two is that list's lowest member the ring has no token
+// at all, and the two install the next one from it: a member answers a
+// gather for the ring whose verdict it last heard, not for the one it
+// last installed, or the newcomer would pass for a member of a history it
+// never saw.
+func TestEveryMergeKeepsAHistory(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		pieces  [][]int  // the components that run apart, by index
+		fresh   []int    // who starts at the merge, never in a ring before
+		keeps   int      // the piece whose history the merged ring keeps
+		resumed []uint64 // by index; who is in no piece and not fresh never starts
+	}{
+		{"one of four runs and a fresh one joins it", [][]int{{0}}, []int{1}, 0, []uint64{0, 1, 0, 0}},
+		{"one runs and a fresh one with a lower id joins it", [][]int{{1}}, []int{0}, 0, []uint64{1, 0, 0, 0}},
+		{"one runs, a fresh one joins it, the lowest of the configuration is neither", [][]int{{2}}, []int{3}, 0, []uint64{0, 0, 0, 1}},
+		{"four singletons", [][]int{{0}, {1}, {2}, {3}}, nil, 0, []uint64{0, 1, 1, 1}},
+		{"the largest piece is no majority and holds no low id", [][]int{{0}, {1}, {2, 3}, {4}}, nil, 2, []uint64{1, 1, 0, 0, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bothModes(t, func(t *testing.T, mode OrderingMode) {
+				v := newVnet(t, len(c.resumed), 5, func(c *Config) { c.Ordering = mode })
+				for _, id := range v.ids {
+					v.net.Crash(id)
+				}
+				start := func(k int) memnet.NodeID {
+					v.boot(v.ids[k])
+					v.net.Restart(v.ids[k])
+					return v.ids[k]
+				}
+				var merged []memnet.NodeID
+				pieces := make([][]memnet.NodeID, len(c.pieces))
+				for i, p := range c.pieces {
+					for _, k := range p {
+						pieces[i] = append(pieces[i], v.ids[k])
+					}
+				}
+				v.net.Partition(pieces...)
+				for i, p := range c.pieces {
+					for _, k := range p {
+						merged = append(merged, start(k))
+					}
+					v.settle(time.Second, pieces[i]...)
+					for k := 0; k < 6; k++ {
+						v.submit(pieces[i][k%len(p)], []byte(fmt.Sprint("apart/", i, "/", k)))
+					}
+					v.settle(time.Second, pieces[i]...)
+				}
+				kept := pieces[c.keeps][0]
+				before := len(v.got[kept])
+
+				for _, k := range c.fresh {
+					merged = append(merged, start(k))
+				}
+				slices.Sort(merged)
+				v.net.Heal()
+				v.settle(time.Second, merged...)
+				for _, id := range merged {
+					v.submit(id, []byte(fmt.Sprint("merged/", id)))
+				}
+				v.settle(time.Second, merged...)
+
+				if got := v.resumed(); !reflect.DeepEqual(got, c.resumed) {
+					t.Fatalf("Resumed = %v, want %v", got, c.resumed)
+				}
+				if rings := v.donorless(); len(rings) > 0 {
+					t.Fatalf("nobody was told it continues in %v", rings)
+				}
+				v.toldRight()
+				v.agree(kept, merged...)
+				if n := len(v.got[kept]); n != before+len(merged) {
+					t.Fatalf("%s delivered %d messages, want the %d of its own history and the %d after the merge", kept, n, before, len(merged))
+				}
+			})
+		})
+	}
 }
 
 // TestNoMergeNoResume: a founding ring keeps everybody's (empty)
@@ -225,6 +315,7 @@ func TestNoMergeNoResume(t *testing.T) {
 		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Resumed = %v, want %v", got, want)
 		}
+		v.toldRight()
 		v.agree(rest[0], rest...)
 		if n := len(v.got[rest[0]]); n != 40 {
 			t.Fatalf("%s delivered %d of 40", rest[0], n)
@@ -290,6 +381,7 @@ func TestLostFirstTokenStillResumes(t *testing.T) {
 			v.submit(id, []byte(fmt.Sprint("merged/", id)))
 		}
 		v.settle(time.Second)
+		v.toldRight()
 		v.agree(three[0], v.ids...)
 		if n := len(v.got[three[0]]); n != 1+4 {
 			t.Fatalf("%s delivered %d messages, want the three's 1 and the 4 after the merge", three[0], n)
@@ -297,13 +389,14 @@ func TestLostFirstTokenStillResumes(t *testing.T) {
 	})
 }
 
-// TestRegatherBeforeFirstTokenKeepsMembers is why a member that gathers
-// again before any token of its ring has reached it still answers for
-// that ring, and not for the one before: two of four are in that state —
-// they were in the ring all along and have buffered what the other two
-// ordered and delivered in it meanwhile — and the second gather must find
-// one component of four. (Counted as the previous ring's, the two would
-// lose an even split and resume past messages nobody would send again.)
+// TestRegatherBeforeFirstTokenKeepsMembers: two of four never see a token
+// of the ring they are in. They were in its history all along and heard
+// every member propose the ring from it, so they know its verdict without
+// one: they report the ring, deliver what the other two order in it, and
+// when it wedges and gathers again they answer for it, and not for the
+// one before — the second gather finds one component of four. (Counted as
+// the previous ring's, the two would lose an even split and resume past
+// messages nobody would send again.)
 func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 	bothModes(t, func(t *testing.T, mode OrderingMode) {
 		v := newVnet(t, 4, 6, func(c *Config) { c.Ordering = mode })
@@ -321,17 +414,20 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 		for k := 0; k < 8; k++ {
 			v.submit(v.ids[k%2], []byte(fmt.Sprint("second/", k)))
 		}
-		ahead, behind := v.cores[v.ids[1]], v.cores[late[0]]
+		behind := v.cores[late[0]]
 		if !v.run(time.Second, func() bool { return behind.ringID > founding+1 }) {
 			t.Fatalf("the second ring did not wedge and gather again: %s in ring %d", late[0], behind.ringID)
 		}
-		if !behind.unchecked || ahead.deliveredSeq <= behind.deliveredSeq {
-			t.Fatalf("%s was to be unchecked and behind %s: unchecked %v, delivered %d against %d", late[0], v.ids[1], behind.unchecked, behind.deliveredSeq, ahead.deliveredSeq)
+		if !slices.ContainsFunc(v.told, func(w verdict) bool {
+			return w.id == late[0] && w.c.RingID == founding+1 && w.c.Continues
+		}) {
+			t.Fatalf("%s was to report the second ring, no token of which reached it, as one it continues", late[0])
 		}
 		v.settle(time.Second)
 		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Resumed = %v, want %v", got, want)
 		}
+		v.toldRight()
 		v.agree(v.ids[0], v.ids...)
 		if n := len(v.got[late[1]]); n != 16 {
 			t.Fatalf("%s delivered %d of 16", late[1], n)
@@ -443,7 +539,7 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 					n.now = now
 					n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
 					n.ids = newIDTable(n.ring)
-					n.deliveredSeq, n.highest, n.lastTokenID = 8, 8, 6
+					n.deliveredSeq, n.highest, n.lastTokenID, n.sentTokenID = 8, 8, 6, 7
 					n.arm(dlFail, time.Hour)
 					switch k.leader {
 					case "v00":
@@ -494,6 +590,180 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 	}
 }
 
+// TestTokenToMySuccessorIsMine: only a member's predecessor addresses it,
+// so a token this node sees addressed to its successor is its own echo or
+// comes from another ring running under this ring's id — gathering is not
+// atomic, and two members can install different lists under one id. Each
+// side's tokens then pass for the other's liveness, and a member both
+// rotations skip waits for ever (TestHeavyLossReturnsSettle, seed 38).
+func TestTokenToMySuccessorIsMine(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		tokenID uint64
+		gathers bool
+	}{
+		{"its own echo", 7, false},
+		{"a duplicate of an older one", 5, false},
+		{"one it never sent", 9, true},
+	} {
+		now := time.Unix(1000, 0)
+		joins := 0
+		n := newCore(Config{ID: "v01"}, now, func(b []byte) {
+			if b[0] == kindJoin {
+				joins++
+			}
+		}, func(Event) {})
+		n.cfg.applyDefaults()
+		n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
+		n.ids = newIDTable(n.ring)
+		n.lastTokenID, n.sentTokenID = 6, 7
+		n.arm(dlFail, time.Hour)
+		n.receive(now, encodeToken(token{RingID: 5, TokenID: c.tokenID, Succ: "v02"}), 0)
+		if gathered := joins > 0; gathered != c.gathers {
+			t.Errorf("%s: gathered %v, want %v", c.name, gathered, c.gathers)
+		}
+	}
+}
+
+// TestTwoListsUnderOneIdAreTwoRings: gathering is not atomic, and two
+// members can end one gather with different lists under one ring id —
+// here v03 installed ring 7 with itself in it and the other two without.
+// A ring is named by its id and its list, so at the next gather the two
+// are two components, the larger is kept, and v03 is told that it does
+// not continue: it reported a ring to its application that the others
+// never saw, and they one that it never saw. (Named by id and lowest
+// member the two passed for one component and everybody was told to
+// continue: 5 of 476 returns under 40 % loss ended with directories that
+// differed and nobody awaiting.)
+func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
+	without, with := []memnet.NodeID{"v01", "v02"}, []memnet.NodeID{"v01", "v02", "v03"}
+	stood := map[memnet.NodeID]ringRef{
+		"v01": {ID: 7, List: listDigest(without)},
+		"v02": {ID: 7, List: listDigest(without)},
+		"v03": {ID: 7, List: listDigest(with)},
+	}
+	if stood["v01"] == stood["v03"] {
+		t.Fatal("two lists under one id have one name")
+	}
+	// Each of the three gathers ring 8 by hand, having heard all three;
+	// v01, its lowest member, creates the token the other two then see.
+	var first []byte
+	for _, id := range with {
+		now := time.Unix(1000, 0)
+		var told []ConfigChange
+		n := newCore(Config{ID: id, GatherTimeout: time.Millisecond, IdleHold: time.Millisecond}, now, func(b []byte) {
+			if b[0] == kindToken && first == nil {
+				first = b
+			}
+		}, func(ev Event) { told = append(told, ev.Config) })
+		n.cfg.applyDefaults()
+		n.ring, n.ringID, n.stood = with, 7, stood[id]
+		if id != "v03" {
+			n.ring = without
+		}
+		n.ids = newIDTable(n.ring)
+		n.tick(now, 0) // the fail timer a new core starts with: gather
+		for _, from := range with {
+			n.receive(now, encodeJoin(joinMsg{Sender: from, Alive: with, RingID: 8, Last: stood[from]}), 0)
+		}
+		n.tick(now.Add(2*time.Millisecond), 0) // the gather ends
+		n.tick(now.Add(4*time.Millisecond), 0) // the creator's idle hold ends
+		if id != "v01" {
+			n.receive(now.Add(4*time.Millisecond), first, 0)
+		}
+		if len(told) != 1 || told[0].RingID != 8 || told[0].Continues != (id != "v03") {
+			t.Fatalf("%s was told %+v, want ring 8 and Continues = %v", id, told, id != "v03")
+		}
+	}
+}
+
+// TestUnheardJoinIsNotCollectedPast: a member lags — it lost what the
+// others ordered — the ring gathers again, and the join that says how far
+// it lags never reaches the token's creator. What the ring may collect is
+// what every member has, and the joins the creator heard do not say that
+// of a member it did not hear: the first token starts no higher than a
+// full rotation has confirmed, the laggard folds its own watermark in on
+// the way, and what it lacks is still there to be sent again. (Started
+// from the joins heard, the horizon stood above the laggard, the others
+// collected up to it, and it asked for collected messages for ever: the
+// one red seed in 20 000 of TestSeededRingsAgree, whichever seed the
+// schedule of the day made it.)
+func TestUnheardJoinIsNotCollectedPast(t *testing.T) {
+	v := newVnet(t, 3, 8, nil)
+	v.settle(time.Second)
+	creator, laggard := v.ids[0], v.ids[1]
+	old := v.cores[creator].ringID
+	wedge := false
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		switch data[0] {
+		case kindRegular, kindPacked:
+			return to == laggard // it lags, and stays behind until the new ring stands
+		case kindToken:
+			tok, err := decodeToken(cdrSkipKind(data), nil)
+			return wedge && err == nil && tok.RingID == old // the ring loses its token and gathers
+		case kindJoin:
+			j, err := decodeJoin(cdrSkipKind(data))
+			return to == creator && err == nil && j.Sender == laggard
+		}
+		return false
+	}
+	for k := 0; k < 30; k++ {
+		v.submit(v.ids[k%3], []byte(fmt.Sprint("ordered/", k)))
+	}
+	ahead, behind := v.cores[creator], v.cores[laggard]
+	if !v.run(time.Second, func() bool { return len(v.got[creator]) == 30 && len(v.got[v.ids[2]]) == 30 }) || len(v.got[laggard]) > 0 {
+		t.Fatalf("%s was to lag: delivered %d against %d", laggard, len(v.got[laggard]), len(v.got[creator]))
+	}
+	wedge = true
+	if !v.run(time.Second, func() bool {
+		return !slices.ContainsFunc(v.ids, func(id memnet.NodeID) bool { return v.cores[id].ringID == old || v.cores[id].gathering })
+	}) {
+		t.Fatal("the ring did not gather again")
+	}
+	if len(ahead.ring) != 3 || len(behind.ring) != 3 {
+		t.Fatalf("the new ring was to hold all three: %v at %s, %v at %s", ahead.ring, creator, behind.ring, laggard)
+	}
+	v.drop = nil
+	v.settle(time.Second)
+	if got, want := v.resumed(), make([]uint64, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Resumed = %v, want %v", got, want)
+	}
+	v.toldRight()
+	v.agree(creator, v.ids...)
+	if n := len(v.got[laggard]); n != 30 {
+		t.Fatalf("%s delivered %d of 30", laggard, n)
+	}
+}
+
+// TestHeavyLossReturnsSettle is the sweep replication's
+// TestLossyReturnsConverge stands on, in virtual time: per seed four
+// rounds of one member silent and back with 40 % loss for 400 ms around
+// its return, and after each the ring must come to rest with everyone in
+// it. Joins are lost at every stage of every gather here, and members
+// install different lists under one ring id far more often than under the
+// few percent of loss TestSeededRingsAgree applies.
+func TestHeavyLossReturnsSettle(t *testing.T) {
+	for seed := int64(1); seed <= int64(*seeds); seed++ {
+		seed := seed
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			v := newVnet(t, 4, seed, func(c *Config) { c.Ordering = OrderingMode(seed % 2) })
+			v.settle(time.Second)
+			for round := 0; round < 4; round++ {
+				v.net.Crash(v.ids[0])
+				v.settle(time.Second, v.ids[1:]...)
+				v.settle(time.Second, v.ids[0])
+				v.net.SetLoss(0.4)
+				v.run(200*time.Millisecond, nil)
+				v.net.Restart(v.ids[0])
+				v.run(200*time.Millisecond, nil)
+				v.net.SetLoss(0)
+				v.settle(time.Second)
+			}
+			v.toldRight()
+		})
+	}
+}
+
 // TestSeededRingsAgree runs the core through seeded schedules of loss,
 // duplication, reorder and one silence-and-return, in both ordering
 // modes, and checks what must hold on every one of them: nobody
@@ -501,11 +771,14 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 // delivered one identical stream, a sequence number of that history
 // means one message everywhere, the ring came to rest with everyone in
 // it, and from there on everyone delivered the same stream
-// (agreeWhereTogether). The schedules on which a member is excused from
-// the first two — the windows a gather without a commit token leaves
-// open — are counted, and bounded.
+// (agreeWhereTogether), and every ring a member reported came with the
+// verdict the harness's own books give (toldRight). No member is excused
+// from any of it on any schedule: while a merge could keep no history, a
+// member answer for a ring it had heard no verdict of, and two lists
+// installed under one ring id pass for one component, 128 of 20 000 seeds
+// needed one of them excused; a change that reopens one of the three
+// shows here before it shows anywhere else.
 func TestSeededRingsAgree(t *testing.T) {
-	excused := 0
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -543,16 +816,55 @@ func TestSeededRingsAgree(t *testing.T) {
 				v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/after")))
 			}
 			v.settle(time.Second)
-			if v.agreeWhereTogether() {
-				t.Logf("a core was excused from agreeing on what it delivered before the last ring")
-				excused++
-			}
+			v.toldRight()
+			v.agreeWhereTogether()
 		})
 	}
-	// 28 of 5000 measured (26 of them a merge that kept no history): a
-	// change that makes merges blind, or leaves members unchecked, shows
-	// here before it shows anywhere else.
-	if t.Logf("%d of %d seeds excused a core", excused, *seeds); excused > 2+*seeds/50 {
-		t.Fatalf("%d of %d seeds excused a core from agreeing, want at most %d", excused, *seeds, 2+*seeds/50)
-	}
+}
+
+// TestDepartedSendersMessageIsRecovered: a member broadcasts, the datagram
+// reaches one of the others and not the rest — a crash in the middle of a
+// broadcast does that — and the member is gone. The ring that follows owes
+// the message to everybody: whoever holds it retransmits it, under the new
+// ring's id and in its sender's name, and its sender is no member of that
+// ring. Taken for a foreign ring's traffic under this ring's id it sent
+// every member that saw it into a gather, the next ring retransmitted it
+// again, and so on for ever (ftmgmt's TestRemoveHostRepairsImmediately
+// timed out on it once in a few hundred runs: 659 rings in 15 s).
+func TestDepartedSendersMessageIsRecovered(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 7, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		gone, holder, rest := v.ids[0], v.ids[1], v.ids[2:]
+		founding := v.cores[gone].ringID
+		v.drop = func(to memnet.NodeID, data []byte) bool {
+			// The original alone: a batch of the founding epoch, or a regular
+			// message under the founding ring's id.
+			if !slices.Contains(rest, to) || !bytes.Contains(data, []byte("last words")) {
+				return false
+			}
+			m, err := decodeRegular(cdrSkipKind(data), nil)
+			return data[0] == kindBatch || data[0] == kindRegular && err == nil && m.RingID == founding
+		}
+		v.submit(gone, []byte("last words"))
+		seen := len(v.got[holder])
+		if !v.run(10*time.Millisecond, func() bool { return len(v.got[holder]) > seen }) {
+			t.Fatalf("%s was to deliver the message before %s went", holder, gone)
+		}
+		v.net.Crash(gone)
+		v.settle(time.Second, v.ids[1:]...)
+		for _, id := range v.ids[1:] {
+			v.submit(id, []byte(fmt.Sprint("after/", id)))
+		}
+		v.settle(time.Second, v.ids[1:]...)
+		v.toldRight()
+		v.agree(holder, rest...)
+		if n := v.cores[holder].reconfigN.Load(); n > 3 {
+			t.Fatalf("%s installed %d rings", holder, n)
+		}
+		tail := v.got[rest[1]]
+		if len(tail) != 4 || tail[0].crc != crc32.ChecksumIEEE([]byte("last words")) || tail[0].sender != gone {
+			t.Fatalf("%s delivered %d messages, want %s's last one and the three after", rest[1], len(tail), gone)
+		}
+	})
 }

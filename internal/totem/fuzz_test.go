@@ -12,11 +12,13 @@ import (
 func FuzzWireDecoders(f *testing.F) {
 	f.Add(encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n", Payload: []byte("p")}))
 	f.Add(encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n", Parts: [][]byte{[]byte("a"), []byte("b")}}))
+	f.Add(encodeRegular(regularMsg{RingID: 2, Seq: 2, Sender: "n", Via: "m", Payload: []byte("p")})) // retransmissions
+	f.Add(encodeRegular(regularMsg{RingID: 2, Seq: 2, Sender: "n", Via: "m", Parts: [][]byte{[]byte("a"), []byte("b")}}))
 	f.Add(encodeToken(token{RingID: 1, TokenID: 2, Seq: 3, Succ: "n", Rtr: []rtrEntry{{Seq: 1}}}))
 	f.Add(encodeToken(token{RingID: 1, TokenID: 9, Seq: 7, Aru: 5, Stable: 4, Succ: "n", Rtr: []rtrEntry{{Seq: 6, Age: 2}}, Skip: []uint64{5}}))
-	f.Add(encodeToken(token{RingID: 3, TokenID: 2, Seq: 7, Aru: 5, Stable: 5, Succ: "n", History: ringRef{ID: 2, Low: "m"}, Rtr: []rtrEntry{{Seq: 6}}}))
+	f.Add(encodeToken(token{RingID: 3, TokenID: 2, Seq: 7, Aru: 5, Stable: 5, Succ: "n", History: ringRef{ID: 2, List: 0x9e3779b97f4a7c15}, Rtr: []rtrEntry{{Seq: 6}}}))
 	f.Add(encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"n"}, RingID: 1, Highest: 2, Aru: 1}))
-	f.Add(encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"m", "n"}, RingID: 3, Last: ringRef{ID: 2, Low: "m"}, Highest: 7, Aru: 5}))
+	f.Add(encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"m", "n"}, RingID: 3, Last: ringRef{ID: 2, List: 0x9e3779b97f4a7c15}, Highest: 7, Aru: 5}))
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 2, Parts: [][]byte{[]byte("p")}}))
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 3, Parts: [][]byte{[]byte("a"), []byte("bb")}}))
 	f.Add(encodeBatch(batchMsg{RingID: 1, Seq: 9, Leader: "l", Origin: "n", OriginFwd: 2, Stable: 5, Parts: [][]byte{[]byte("p")}}))

@@ -428,7 +428,8 @@ func (n *core) holdForward(f forwardMsg) {
 // when it was leader-ordered (so the origin also learns its forward came
 // back) — always in the full form, whoever asks has not got the forward
 // — and otherwise in the plain regular form, restamped for the current
-// configuration.
+// configuration and, its sender's membership of that being nobody's
+// business by now, in this member's name (Via).
 func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
 	if ref, ok := n.fp.batchOrigin[seq]; ok {
 		n.broadcastRaw(encodeBatch(batchMsg{
@@ -437,7 +438,7 @@ func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
 			Stable: n.fp.stable, Payload: m.Payload, Parts: m.Parts,
 		}))
 	} else {
-		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Payload: m.Payload, Parts: m.Parts}))
+		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}))
 	}
 	n.retransmittedN.Add(1)
 }

@@ -66,10 +66,19 @@ func (d Delivery) Timestamp() uint64 {
 	return d.Seq<<subTimestampBits | uint64(d.Sub)
 }
 
-// ConfigChange reports a membership change: a new ring was installed.
+// ConfigChange reports a membership change: a new ring was installed and
+// this member knows whose history it keeps — its first token has arrived,
+// or every member was heard proposing the ring from one history. Nothing
+// the ring delivers precedes it.
 type ConfigChange struct {
 	RingID  uint64
 	Members []memnet.NodeID
+	// Continues is the ring's one verdict on this member: the history the
+	// ring goes on from is the one it holds, so what it derived from its
+	// deliveries stands. False, it was elsewhere while that history was
+	// made (DESIGN.md section 5) and rebuilds from a member that was not;
+	// every ring has one, but a founding ring, which all continue.
+	Continues bool
 }
 
 // Transport carries the ring's datagrams: unordered, unreliable,

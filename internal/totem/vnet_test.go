@@ -27,23 +27,34 @@ type vnet struct {
 	eps   map[memnet.NodeID]*memnet.Endpoint
 	woken map[memnet.NodeID]time.Time // the earliest tick the clock holds for each core
 
+	mut  func(*Config)                            // what the test changes of every core's configuration
 	drop func(to memnet.NodeID, data []byte) bool // aimed loss, at the receiver
 	feed func()                                   // called before every step: a load generator
 
-	got    map[memnet.NodeID][]vdelivery // what each core delivered, with resume marks
-	marked map[memnet.NodeID]uint64      // each core's Resumed counter at its latest delivery
-	rings  map[memnet.NodeID][]ConfigChange
-	since  map[memnet.NodeID]int // how much each core had delivered when it installed its latest ring
-	maxRtr int                   // the most retransmission requests any token carried
+	got    map[memnet.NodeID][]vdelivery    // what each core delivered, with resume marks
+	marked map[memnet.NodeID]uint64         // each core's Resumed counter at its latest delivery
+	rings  map[memnet.NodeID][]ConfigChange // the rings each core installed, as the harness saw them
+	told   []verdict                        // the rings each core reported, with what it was told
+	toldAt map[memnet.NodeID]uint64         // each core's Resumed counter when it last reported a ring
+	since  map[memnet.NodeID]int            // how much each core had delivered when it installed its latest ring
+	maxRtr int                              // the most retransmission requests any token carried
 
-	// What makes a core's earlier deliveries not owed to agree (excused).
-	named   map[uint64]ringRef        // the history each ring's tokens named, by ring id
-	checked map[memnet.NodeID]ringRef // the ring each core last stood checked into
-	owed    map[memnet.NodeID]bool    // cores that left a ring without the resume it asked of them
+	// Whose history each core holds, by the books.
+	named   map[string]ringRef          // the history each ring's tokens named (ringKey: ids alone collide)
+	checked map[memnet.NodeID]ringRef   // the ring each core last stood checked into
+	from    map[memnet.NodeID][]ringRef // that ring as it was when the core installed each of rings
 }
 
 // vhop is the network's mean latency, so traffic moves the clock.
 const vhop = 20 * time.Microsecond
+
+// verdict is one ConfigChange as a core emitted it, and whether the core
+// resumed at a horizon since the one before.
+type verdict struct {
+	id      memnet.NodeID
+	c       ConfigChange
+	resumed bool
+}
 
 // vdelivery is one delivery as the agreement checks compare it; resumed
 // marks the first delivery after the core resumed at a horizon.
@@ -67,6 +78,7 @@ func newVnet(t *testing.T, n int, seed int64, mut func(*Config), opts ...memnet.
 	v := &vnet{
 		t:       t,
 		clk:     clk,
+		mut:     mut,
 		net:     memnet.New(append([]memnet.Option{memnet.WithSeed(seed), memnet.WithClock(clk), memnet.WithMaxDelay(2 * vhop)}, opts...)...),
 		cores:   make(map[memnet.NodeID]*core),
 		eps:     make(map[memnet.NodeID]*memnet.Endpoint),
@@ -74,68 +86,88 @@ func newVnet(t *testing.T, n int, seed int64, mut func(*Config), opts ...memnet.
 		got:     make(map[memnet.NodeID][]vdelivery),
 		marked:  make(map[memnet.NodeID]uint64),
 		rings:   make(map[memnet.NodeID][]ConfigChange),
+		toldAt:  make(map[memnet.NodeID]uint64),
 		since:   make(map[memnet.NodeID]int),
-		named:   make(map[uint64]ringRef),
+		named:   make(map[string]ringRef),
 		checked: make(map[memnet.NodeID]ringRef),
-		owed:    make(map[memnet.NodeID]bool),
+		from:    make(map[memnet.NodeID][]ringRef),
 	}
 	for i := 0; i < n; i++ {
 		v.ids = append(v.ids, memnet.NodeID(fmt.Sprintf("v%02d", i)))
 	}
 	for _, id := range v.ids {
-		id := id
-		cfg := fastConfig()
-		cfg.ID, cfg.Members = id, v.ids
-		if mut != nil {
-			mut(&cfg)
-		}
-		cfg.applyDefaults()
 		ep, err := v.net.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v.eps[id] = ep
-		v.cores[id] = newCore(cfg, v.now(), func(b []byte) {
-			v.noteToken(b)
-			_ = ep.Broadcast(b) // a crashed node's sends fail, as under Node
-		}, func(ev Event) {
-			if ev.Type == EventConfig {
-				// Leaving a ring none of whose tokens reached it, a core has
-				// kept its history; the ring may have named another.
-				if n := len(v.rings[id]); n > 0 && v.checked[id].ID != v.rings[id][n-1].RingID && v.named[v.rings[id][n-1].RingID] != v.checked[id] {
-					v.owed[id] = true
-				}
-				v.rings[id] = append(v.rings[id], ev.Config)
-				v.since[id] = len(v.got[id])
-				return
-			}
-			d := ev.Delivery
-			r := v.cores[id].resumedN.Load()
-			v.got[id] = append(v.got[id], vdelivery{d.Timestamp(), d.Sender, crc32.ChecksumIEEE(d.Payload), r != v.marked[id]})
-			v.marked[id] = r
-		})
+		v.boot(id)
 	}
 	return v
+}
+
+// boot gives id a core that was never in a ring, as a process started
+// now, and opens the books on it afresh.
+func (v *vnet) boot(id memnet.NodeID) {
+	cfg := fastConfig()
+	cfg.ID, cfg.Members = id, v.ids
+	if v.mut != nil {
+		v.mut(&cfg)
+	}
+	cfg.applyDefaults()
+	ep := v.eps[id]
+	v.got[id], v.rings[id], v.from[id], v.since[id], v.marked[id], v.toldAt[id] = nil, nil, nil, 0, 0, 0
+	delete(v.checked, id)
+	delete(v.woken, id)
+	v.told = slices.DeleteFunc(v.told, func(w verdict) bool { return w.id == id })
+	v.cores[id] = newCore(cfg, v.now(), func(b []byte) {
+		v.noteToken(id, b)
+		_ = ep.Broadcast(b) // a crashed node's sends fail, as under Node
+	}, func(ev Event) {
+		r := v.cores[id].resumedN.Load()
+		if ev.Type == EventConfig {
+			// Nothing is delivered between a ring's installation and
+			// its first token, so this is where the ring began.
+			v.since[id] = len(v.got[id])
+			v.told = append(v.told, verdict{id, ev.Config, r != v.toldAt[id]})
+			v.toldAt[id] = r
+			return
+		}
+		d := ev.Delivery
+		v.got[id] = append(v.got[id], vdelivery{d.Timestamp(), d.Sender, crc32.ChecksumIEEE(d.Payload), r != v.marked[id]})
+		v.marked[id] = r
+	})
 }
 
 // now is the virtual clock as the cores are told it.
 func (v *vnet) now() time.Time { return time.Unix(0, v.clk.Now()) }
 
-// noteToken keeps the books on every token any core sends.
-func (v *vnet) noteToken(data []byte) {
+// ringKey names a ring as the cores that installed it know it: under
+// loss two of them can install different lists under one id.
+func ringKey(c ConfigChange) string { return fmt.Sprint(c.RingID, c.Members) }
+
+// noteToken keeps the books on every token any core sends: it belongs to
+// the ring its sender has installed.
+func (v *vnet) noteToken(from memnet.NodeID, data []byte) {
 	if data[0] != kindToken {
 		return
 	}
 	if tok, err := decodeToken(cdrSkipKind(data), nil); err == nil {
 		v.maxRtr = max(v.maxRtr, len(tok.Rtr))
-		v.named[tok.RingID] = tok.History
+		v.named[ringKey(ConfigChange{RingID: tok.RingID, Members: v.cores[from].ring})] = tok.History
 	}
 }
 
-// noteChecked keeps the books, after a step, on the ring a core stands
-// checked into.
+// noteChecked keeps the books, after a step, on the rings a core has
+// installed, the ring it stood checked into at each, and the one it
+// stands checked into now.
 func (v *vnet) noteChecked(id memnet.NodeID) {
-	if c := v.cores[id]; !c.unchecked {
+	c := v.cores[id]
+	if n := len(v.rings[id]); c.ring != nil && (n == 0 || v.rings[id][n-1].RingID != c.ringID) {
+		v.rings[id] = append(v.rings[id], ConfigChange{RingID: c.ringID, Members: c.ring})
+		v.from[id] = append(v.from[id], v.checked[id])
+	}
+	if !c.unchecked {
 		v.checked[id] = c.installed()
 	}
 }
@@ -279,27 +311,13 @@ func (v *vnet) agree(ref memnet.NodeID, ids ...memnet.NodeID) {
 	}
 }
 
-// excused reports whether what id delivered before the last ring is not
-// owed to agree with the others, for one of the three reasons gathering
-// leaves open because it is not atomic (there is no commit token; DESIGN.md
-// section 5). Id installed a ring, not the founding one, whose token
-// named no history: a member that returns while the others are gathering
-// can leave all of a 3-ring with different last rings, no component of the
-// merge then has a majority, and the ring merges the sequence spaces as it
-// always did. Or id installed a ring under an id and a lowest member
-// under which another core installed other members: the two pass for one
-// component at the next merge. Or id installed a ring that kept a history
-// it was not in, and the next one before any token of the first had
-// reached it: the resume it owed it never learnt of.
-func (v *vnet) excused(id memnet.NodeID) bool {
-	return v.owed[id] || slices.ContainsFunc(v.rings[id], func(c ConfigChange) bool {
-		if c.RingID > 1 && v.named[c.RingID] == (ringRef{}) {
-			return true
-		}
-		return slices.ContainsFunc(v.ids, func(other memnet.NodeID) bool {
-			return slices.ContainsFunc(v.rings[other], func(o ConfigChange) bool {
-				return o.RingID == c.RingID && o.Members[0] == c.Members[0] && !slices.Equal(o.Members, c.Members)
-			})
+// twoLists reports whether some core installed other members than c's
+// under c's ring id: gathering is not atomic (there is no commit token;
+// DESIGN.md section 5).
+func (v *vnet) twoLists(c ConfigChange) bool {
+	return slices.ContainsFunc(v.ids, func(other memnet.NodeID) bool {
+		return slices.ContainsFunc(v.rings[other], func(o ConfigChange) bool {
+			return o.RingID == c.RingID && !slices.Equal(o.Members, c.Members)
 		})
 	})
 }
@@ -307,23 +325,20 @@ func (v *vnet) excused(id memnet.NodeID) bool {
 // agreeWhereTogether is what holds on any schedule, including the ones
 // where members installed different rings under one id: what a core
 // delivered on its own, in a ring the others were not in, is its own.
-// Every core that never left the surviving history — never resumed, never
-// excused — delivered one identical stream from the start. In the history
-// each core that was not excused is in at the end, a sequence number means
-// one message everywhere. And from the ring all of them installed last —
-// from the first number every one of them delivered in it — all of them,
-// excused or not, delivered one identical stream. It reports whether any
-// core was excused.
-func (v *vnet) agreeWhereTogether() (excused bool) {
+// Every core that never left the surviving history — never resumed —
+// delivered one identical stream from the start. In the history each core
+// is in at the end, a sequence number means one message everywhere. And
+// from the ring all of them installed last — from the first number every
+// one of them delivered in it — all of them delivered one identical
+// stream.
+func (v *vnet) agreeWhereTogether() {
 	v.t.Helper()
 	known := make(map[uint64]vdelivery)
 	var from uint64
 	var stayed memnet.NodeID // the first core that never left the surviving history
 	for _, id := range v.ids {
 		tail, resumed := v.lastHistory(id)
-		if v.excused(id) {
-			excused, tail = true, nil
-		} else if !resumed && stayed == "" {
+		if !resumed && stayed == "" {
 			stayed = id
 		} else if !resumed && !slices.EqualFunc(tail, v.got[stayed], vdelivery.same) {
 			v.t.Fatalf("%s and %s never left the surviving history and delivered %d and %d messages, or not the same ones", stayed, id, len(v.got[stayed]), len(tail))
@@ -352,7 +367,56 @@ func (v *vnet) agreeWhereTogether() (excused bool) {
 			v.t.Fatalf("%s delivered %d messages from %#x on, %s %d, or not the same ones", id, len(got), from, v.ids[0], len(want))
 		}
 	}
-	return excused
+}
+
+// toldRight fails unless every ConfigChange a core emitted was for a ring
+// the harness saw it install, with the verdict the harness's own books
+// give: the core continues exactly when the history the ring's tokens
+// named is the ring the books had it standing in when it installed this
+// one — none, for both, in a founding ring — and it resumed at a horizon
+// exactly when it does not. That holds a core to the verdicts it took for
+// known before any token (installRing) as well: the tokens, once sent,
+// must have named what it assumed.
+func (v *vnet) toldRight() {
+	v.t.Helper()
+	for _, w := range v.told {
+		rings := v.rings[w.id]
+		i := slices.IndexFunc(rings, func(c ConfigChange) bool { return c.RingID == w.c.RingID })
+		if i < 0 || !slices.Equal(rings[i].Members, w.c.Members) {
+			v.t.Fatalf("%s reported ring %d %v, which it did not install", w.id, w.c.RingID, w.c.Members)
+		}
+		// Two lists installed under one id: a core may have checked in on
+		// the other ring's token, and the books cannot say which it saw.
+		if v.twoLists(w.c) {
+			continue
+		}
+		// A ring of one sends no token for the books to read.
+		named, sent := v.named[ringKey(w.c)]
+		if want := named == v.from[w.id][i] || !sent && !w.resumed; w.c.Continues != want || w.resumed == want {
+			v.t.Fatalf("%s was told Continues = %v of ring %d %v (history %v, resumed %v, stood in %v, installed %v)", w.id, w.c.Continues,
+				w.c.RingID, w.c.Members, named, w.resumed, v.from[w.id][i], rings[:i])
+		}
+	}
+}
+
+// donorless lists the rings every member of which reported and none was
+// told it continues: nobody there holds the history the ring keeps, and
+// whoever rebuilds from a member that does waits for ever.
+func (v *vnet) donorless() []string {
+	reports, donors := make(map[string]int), make(map[string]int)
+	for _, w := range v.told {
+		reports[ringKey(w.c)]++
+		if w.c.Continues {
+			donors[ringKey(w.c)]++
+		}
+	}
+	var out []string
+	for _, w := range v.told {
+		if k := ringKey(w.c); reports[k] == len(w.c.Members) && donors[k] == 0 && !slices.Contains(out, k) {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // resumed lists each core's Resumed counter, in id order.

@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"hash/fnv"
 	"slices"
 
 	"eternalgw/internal/cdr"
@@ -37,6 +38,11 @@ type regularMsg struct {
 	Sender  memnet.NodeID
 	Payload []byte
 	Parts   [][]byte
+	// Via is the member a retransmission comes from, behind the payloads
+	// on the wire; the original has none. The gate asks about it instead
+	// of the sender, who ordered the message in some earlier ring of this
+	// history and need not be a member of this one.
+	Via memnet.NodeID
 }
 
 // token is the circulating ring token. Tokens are broadcast rather than
@@ -53,24 +59,36 @@ type token struct {
 	// Stable is the confirmed global watermark: the Aru of the last
 	// completed rotation, published by the leader. Every member is known
 	// to have received all messages with seq <= Stable, so they may be
-	// garbage-collected and their retransmission requests dropped.
+	// garbage-collected and their retransmission requests dropped. A new
+	// ring starts it at zero: the joins its creator heard say nothing of
+	// a member it did not hear.
 	Stable uint64
 	Succ   memnet.NodeID // the member this token is addressed to
-	// History names the component whose sequence space this ring
-	// continues, when a merge kept one (installRing): a member that
-	// came from any other ring resumes at Stable on its first visit.
+	// History names the ring whose history this ring keeps (installRing):
+	// a member that holds any other resumes at Aru when the first token
+	// reaches it. None is named in a founding ring alone.
 	History ringRef
 	Rtr     []rtrEntry // outstanding retransmission requests
 	Skip    []uint64   // sequence numbers declared unrecoverable
 }
 
-// ringRef names an installed ring across a partition: the ring id with
-// the ring's lowest member. Ring ids alone collide — both sides of a
-// partition count up in lockstep — but the sides share no member. The
-// zero value is no ring.
+// ringRef names an installed ring: the ring id with a digest of the
+// ring's member list. Ring ids alone collide — both sides of a partition
+// count up in lockstep, and a gather, which is not atomic, can end with
+// different lists under one id at different members — but the lists
+// differ. The zero value is no ring.
 type ringRef struct {
-	ID  uint64
-	Low memnet.NodeID
+	ID   uint64
+	List uint64
+}
+
+// listDigest is FNV-1a over the ids, each closed by a zero byte.
+func listDigest(ids []memnet.NodeID) uint64 {
+	h := fnv.New64a()
+	for _, id := range ids {
+		h.Write(append([]byte(id), 0))
+	}
+	return h.Sum64()
 }
 
 // rtrEntry is one retransmission request with its rotation age.
@@ -84,28 +102,34 @@ type joinMsg struct {
 	Sender  memnet.NodeID
 	Alive   []memnet.NodeID
 	RingID  uint64  // proposed new ring id
-	Last    ringRef // the ring the sender last installed, whose history its watermarks are in
+	Last    ringRef // the ring whose history the sender holds (core.stood), and its watermarks are in
 	Highest uint64  // sender's highest received sequence number
 	Aru     uint64  // sender's contiguous received watermark
 }
 
 func encodeRegular(m regularMsg) []byte {
 	if len(m.Parts) > 0 {
-		w := cdr.NewWriterCap(cdr.BigEndian, 32+len(m.Sender)+partsSize(nil, m.Parts))
+		w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts))
 		w.WriteOctet(kindPacked)
 		w.WriteULongLong(m.RingID)
 		w.WriteULongLong(m.Seq)
 		w.WriteString(string(m.Sender))
 		w.WriteULong(uint32(len(m.Parts)))
 		writeParts(w, nil, m.Parts)
+		if m.Via != "" {
+			w.WriteString(string(m.Via))
+		}
 		return w.Bytes()
 	}
-	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Payload))
+	w := cdr.NewWriterCap(cdr.BigEndian, 48+len(m.Sender)+len(m.Via)+len(m.Payload))
 	w.WriteOctet(kindRegular)
 	w.WriteULongLong(m.RingID)
 	w.WriteULongLong(m.Seq)
 	w.WriteString(string(m.Sender))
 	w.WriteOctetSeq(m.Payload)
+	if m.Via != "" {
+		w.WriteString(string(m.Via))
+	}
 	return w.Bytes()
 }
 
@@ -115,6 +139,9 @@ func decodeRegular(r *cdr.Reader, ids idTable) (regularMsg, error) {
 	m.Seq = r.ReadULongLong()
 	m.Sender = ids.id(r.ReadStringBytes())
 	payload := r.ReadOctetSeq()
+	if r.Remaining() > 0 {
+		m.Via = ids.id(r.ReadStringBytes())
+	}
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode regular: %w", err)
 	}
@@ -139,6 +166,9 @@ func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
 	}
 	m.Payload, m.Parts = readParts(r, n)
+	if r.Remaining() > 0 {
+		m.Via = ids.id(r.ReadStringBytes())
+	}
 	if err := r.Err(); err != nil {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: %w", err)
 	}
@@ -221,7 +251,7 @@ func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
 }
 
 func encodeToken(t token) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+len(t.History.Low)+12*len(t.Rtr)+8*len(t.Skip))
+	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip))
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -230,7 +260,7 @@ func encodeToken(t token) []byte {
 	w.WriteULongLong(t.Stable)
 	w.WriteString(string(t.Succ))
 	w.WriteULongLong(t.History.ID)
-	w.WriteString(string(t.History.Low))
+	w.WriteULongLong(t.History.List)
 	w.WriteULong(uint32(len(t.Rtr)))
 	for _, e := range t.Rtr {
 		w.WriteULongLong(e.Seq)
@@ -251,7 +281,7 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	t.Aru = r.ReadULongLong()
 	t.Stable = r.ReadULongLong()
 	t.Succ = ids.id(r.ReadStringBytes())
-	t.History = ringRef{r.ReadULongLong(), ids.id(r.ReadStringBytes())}
+	t.History = ringRef{r.ReadULongLong(), r.ReadULongLong()}
 	nRtr := r.ReadULong()
 	if r.Err() != nil || int(nRtr) > r.Remaining()/8 {
 		// A hostile count must fail the decode, not silently yield an
@@ -287,7 +317,7 @@ func encodeJoin(j joinMsg) []byte {
 	}
 	w.WriteULongLong(j.RingID)
 	w.WriteULongLong(j.Last.ID)
-	w.WriteString(string(j.Last.Low))
+	w.WriteULongLong(j.Last.List)
 	w.WriteULongLong(j.Highest)
 	w.WriteULongLong(j.Aru)
 	return w.Bytes()
@@ -514,7 +544,7 @@ func decodeJoin(r *cdr.Reader) (joinMsg, error) {
 		j.Alive = append(j.Alive, memnet.NodeID(r.ReadString()))
 	}
 	j.RingID = r.ReadULongLong()
-	j.Last = ringRef{r.ReadULongLong(), memnet.NodeID(r.ReadString())}
+	j.Last = ringRef{r.ReadULongLong(), r.ReadULongLong()}
 	j.Highest = r.ReadULongLong()
 	j.Aru = r.ReadULongLong()
 	if err := r.Err(); err != nil {

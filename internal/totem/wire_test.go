@@ -25,8 +25,36 @@ func TestRegularRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RingID != 3 || got.Seq != 99 || got.Sender != "n2" || !bytes.Equal(got.Payload, []byte("abc")) {
+	if got.RingID != 3 || got.Seq != 99 || got.Sender != "n2" || got.Via != "" || !bytes.Equal(got.Payload, []byte("abc")) {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// TestRetransmissionNamesItsMember: a retransmission is the original with
+// the retransmitting member behind the payloads, in both forms, and the
+// original's bytes are a prefix of it.
+func TestRetransmissionNamesItsMember(t *testing.T) {
+	for _, m := range []regularMsg{
+		{RingID: 4, Seq: 99, Sender: "n2", Payload: []byte("abcde")}, // ends off a 4-byte boundary
+		{RingID: 4, Seq: 99, Sender: "n2", Parts: [][]byte{[]byte("a"), []byte("bcd")}},
+	} {
+		original := encodeRegular(m)
+		m.Via = "n1"
+		wire := encodeRegular(m)
+		if !bytes.HasPrefix(wire, original) {
+			t.Fatalf("the retransmission of %+v does not begin with the original", m)
+		}
+		decode, kind := decodeRegular, byte(kindRegular)
+		if m.Parts != nil {
+			decode, kind = decodePacked, kindPacked
+		}
+		got, err := decode(decodeFrame(t, wire, kind), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Via != "n1" || got.Sender != "n2" || !bytes.Equal(got.Payload, m.Payload) || len(got.Parts) != len(m.Parts) {
+			t.Fatalf("got %+v, want %+v", got, m)
+		}
 	}
 }
 
@@ -38,7 +66,7 @@ func TestTokenRoundTrip(t *testing.T) {
 		Aru:     480,
 		Stable:  480,
 		Succ:    "n3",
-		History: ringRef{ID: 6, Low: "n1"},
+		History: ringRef{ID: 6, List: 0x9e3779b97f4a7c15},
 		Rtr:     []rtrEntry{{Seq: 481, Age: 2}, {Seq: 483}},
 		Skip:    []uint64{460, 470},
 	}
@@ -67,7 +95,7 @@ func TestJoinRoundTrip(t *testing.T) {
 		Sender:  "n5",
 		Alive:   []memnet.NodeID{"n1", "n5", "n9"},
 		RingID:  12,
-		Last:    ringRef{ID: 11, Low: "n1"},
+		Last:    ringRef{ID: 11, List: 0x9e3779b97f4a7c15},
 		Highest: 4000,
 		Aru:     3999,
 	}
@@ -82,7 +110,7 @@ func TestJoinRoundTrip(t *testing.T) {
 
 func TestQuickTokenRoundTrip(t *testing.T) {
 	f := func(ringID, tokenID, seq, aru uint64, rtrSeqs []uint64, skip []uint64) bool {
-		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y", History: ringRef{ID: ringID / 2, Low: "x"}}
+		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y", History: ringRef{ID: ringID / 2, List: 0x9e3779b97f4a7c15}}
 		for _, s := range rtrSeqs {
 			tok.Rtr = append(tok.Rtr, rtrEntry{Seq: s, Age: uint32(s % 7)})
 		}
