@@ -493,3 +493,54 @@ func TestGroupGaugesFollowHostList(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestAwaitingDirectoryIsNotRead: a host whose group directory is
+// awaiting a snapshot still holds what its processor knew before it was
+// away, so domain-wide reads and writes skip it (anyRM). Host 0 here is
+// as wrong as a directory can be — a processor of another domain, left
+// awaiting for good because the one member that could answer it runs no
+// mechanisms any more: creating a group and the group gauges go through
+// host 1, and host 0 never hears of the group.
+func TestAwaitingDirectoryIsNotRead(t *testing.T) {
+	away, err := domain.New(domain.Config{Name: "zz-away", Nodes: 2, Totem: totem.Config{
+		IdleHold: 100 * time.Microsecond, TokenRetransmit: 10 * time.Millisecond,
+		FailTimeout: 80 * time.Millisecond, GatherTimeout: 20 * time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(away.Close)
+	away.Node(0).RM.Stop()
+	stale := away.Node(1)
+	deadline := time.Now().Add(10 * time.Second)
+	wait := func(what string, ok func() bool) {
+		t.Helper()
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	away.CrashNode(1)
+	wait("the two never parted", func() bool { return len(away.Node(0).Totem.Members()) == 1 && len(stale.Totem.Members()) == 1 })
+	away.RestartNode(1)
+	wait("the returner's directory is not awaiting", func() bool { return stale.RM.Stats().DirectoryAwaiting })
+
+	d := fastDomain(t, 3)
+	hosts := []ftmgmt.Host{{ID: stale.ID, RM: stale.RM}}
+	for i := 0; i < d.Nodes(); i++ {
+		hosts = append(hosts, ftmgmt.Host{ID: d.Node(i).ID, RM: d.Node(i).RM})
+	}
+	m := ftmgmt.NewManager(hosts...)
+	reg := obs.NewRegistry()
+	m.Instrument(reg, nil)
+	if err := m.CreateReplicatedObject(grpObj, props(replication.Active, 2, 1), factoryV(1, nil, nil)); err != nil {
+		t.Fatalf("creating through a manager whose first host is awaiting: %v", err)
+	}
+	if _, known := stale.RM.View(grpObj); known || !stale.RM.Stats().DirectoryAwaiting {
+		t.Fatalf("host 0 awaiting %v with groups %v: it was to be left out of it", stale.RM.Stats().DirectoryAwaiting, stale.RM.Groups())
+	}
+	want := fmt.Sprintf(`eternalgw_ftmgmt_group_replicas{group="%d"} 2`, grpObj)
+	wait("the replicas gauge does not read host 1's directory: want "+want, func() bool { return strings.Contains(reg.RenderPrometheus(), want) })
+}

@@ -2,7 +2,6 @@ package totem
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,8 @@ const (
 	dlFail        deadline = iota // no ring traffic for FailTimeout: start membership recovery
 	dlHold                        // an idle token has been held long enough: forward it
 	dlTokenResend                 // no evidence the forwarded token arrived: resend it
-	dlGather                      // the alive set has been stable for GatherTimeout: install the ring
+	dlGather                      // the candidate set has been stable for GatherTimeout: wait for its commit
+	dlCommit                      // the commit has installed no ring in half a FailTimeout — two rotations, tokens resent: gather again
 	dlHeartbeat                   // sequencer: check the members' acks and re-announce the epoch
 	dlFwdResend                   // follower: forwards are still unordered; resend them
 	dlAck                         // follower: a stability report is due
@@ -64,6 +64,7 @@ type core struct {
 	resumedN       atomic.Uint64
 	tokenPassN     atomic.Uint64
 	reconfigN      atomic.Uint64
+	gatherN        atomic.Uint64
 	packedMsgN     atomic.Uint64
 	packedPartN    atomic.Uint64
 	forwardedN     atomic.Uint64
@@ -93,14 +94,7 @@ type core struct {
 	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      [][]byte
 	lastTokenID  uint64
-	sentTokenID  uint64  // the token this node last forwarded in this ring; zero before the first
 	ids          idTable // the ring's member ids, for allocation-free decoding
-	// stood is the ring whose history this node holds: the last it
-	// installed whose verdict it knows — no token of a later one need have
-	// reached it. Until it knows the present ring's (unchecked) it delivers
-	// nothing: a member sent to the horizon must not have delivered ahead.
-	stood     ringRef
-	unchecked bool
 
 	lastSentToken *token
 	heldToken     *token
@@ -109,9 +103,12 @@ type core struct {
 	// idle holds of it the token is forwarded on a shortened hold.
 	lastTrafficAt time.Time
 
-	alive    map[memnet.NodeID]bool
-	joins    map[memnet.NodeID]joinMsg // the latest join heard from each candidate
-	proposed uint64                    // the ring id this gather will install
+	alive    []memnet.NodeID // the candidate set, sorted
+	proposed uint64          // the ring id this gather will install; zero before the first gather
+	// last names the installed ring and from the history it kept; commit,
+	// the last commit this node wrote into since. From there on it takes in
+	// no more of the old ring: what it told the commit it holds, it holds.
+	last, from, commit ringRef
 
 	fp epoch // the leader-ordered fast path (leader.go); zero while the token rotates
 }
@@ -169,7 +166,7 @@ func (n *core) tick(now time.Time, waiting int) {
 		n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	}
 	if n.due(dlGather) {
-		n.installRing()
+		n.endGather()
 	}
 	if n.due(dlHeartbeat) {
 		n.leaderHeartbeat()
@@ -180,7 +177,7 @@ func (n *core) tick(now time.Time, waiting int) {
 	if n.due(dlAck) || n.due(dlRefNak) {
 		n.sendAck()
 	}
-	if n.due(dlFail) {
+	if n.due(dlFail) || n.due(dlCommit) {
 		n.startGather()
 	}
 }
@@ -268,7 +265,8 @@ func (n *core) receive(now time.Time, datagram []byte, waiting int) {
 //
 //   - this ring, from a member: processed. While gathering that holds
 //     for ordered traffic only — recovery needs every message of the
-//     old ring a survivor holds — and the rest waits for the install.
+//     old ring a survivor holds — until this node has told a commit what
+//     it holds, and the rest waits for the install.
 //   - a newer ring: this node missed a membership change; rejoin.
 //   - an older ring, or this ring's id, from a stranger: a concurrent
 //     foreign ring (both sides of a partition count their ring ids up in
@@ -279,7 +277,7 @@ func (n *core) receive(now time.Time, datagram []byte, waiting int) {
 func (n *core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
 	switch member := n.inRing(from); {
 	case ringID == n.ringID && member:
-		return ordered || !n.gathering
+		return !n.gathering || ordered && n.commit == ringRef{}
 	case n.gathering:
 	case ringID > n.ringID, !member:
 		n.startGather()
@@ -325,23 +323,22 @@ func (n *core) handleRegular(m regularMsg) {
 }
 
 func (n *core) handleToken(t token) {
+	first := false // a commit this node is part of, on its first rotation
+	if n.gathering && len(t.Members) > 0 {
+		if !n.partOf(t) {
+			return
+		}
+		if first = !t.Decided; !first {
+			n.install(t)
+		}
+	}
 	// A promotion retired its ring's token: in an epoch anything still
 	// in flight is a stale resend, and it is not liveness — the
 	// sequencer's batches and heartbeats are. A token at or below the
 	// last one seen is a retransmission, deliberately not liveness
 	// either: a ring wedged on a dead member sees only resends of the
 	// same token, and must still reconfigure.
-	if !n.admit(t.RingID, t.Succ, false) || n.fp.leader != "" || t.TokenID <= n.lastTokenID {
-		return
-	}
-	if t.Succ == n.successor() && t.TokenID != n.sentTokenID {
-		// Nobody but this node addresses its successor, and this is not
-		// the token it forwarded: another ring is running under this
-		// ring's id. Gathering is not atomic, so two members can install
-		// different lists under one id; left alone, each side's tokens pass
-		// for the other's liveness and a member both sides skip waits for
-		// ever.
-		n.startGather()
+	if !first && !n.admit(t.RingID, t.Succ, false) || n.fp.leader != "" || t.TokenID <= n.lastTokenID {
 		return
 	}
 	n.lastTokenID = t.TokenID
@@ -353,48 +350,113 @@ func (n *core) handleToken(t token) {
 	if n.lastSentToken != nil && t.TokenID > n.lastSentToken.TokenID {
 		n.clearTokenResend()
 	}
-	n.checkIn(t)
 	if t.Succ != n.cfg.ID {
 		// Token observed in passing (tokens are broadcast so every node
-		// can use them for liveness, merge detection and the check-in).
+		// can use them for liveness, merge detection and the install).
 		return
 	}
 	n.clearTokenResend()
+	switch {
+	case first:
+		if !n.commitVisit(&t) {
+			return
+		}
+	case t.Decided && n.ring[0] == n.cfg.ID:
+		// Back at its creator every member has read it: a plain token.
+		t.Members, t.Entries, t.Decided = nil, nil, false
+	}
 	n.processToken(t)
 }
 
-// checkIn is what the first token of a new ring that reaches this node
-// does, whoever it is addressed to: it says whose history the ring keeps,
-// and the application is told of the ring with that verdict, ahead of
-// everything the ring delivers.
-func (n *core) checkIn(t token) {
-	if !n.unchecked {
-		return
+// A commit is the token that ends a gather, twice round the proposed
+// ring. On the first rotation every member writes in the history it holds
+// and how far (commitVisit), so the creator decides from what each said
+// itself, not from the joins it happened to hear; the decided form's
+// rotation is the ring's first, and whoever reads it, in passing too,
+// installs the ring there and nowhere else (handleToken). partOf reports
+// whether this gathering node is part of the commit t carries, which it
+// becomes where a first rotation first reaches it — of one per ring id,
+// so two lists decided under one id share no member.
+func (n *core) partOf(t token) bool {
+	c := ringRef{ID: t.RingID, Low: t.Members[0]}
+	if c != n.commit && !t.Decided && t.Succ == n.cfg.ID && t.RingID >= n.proposed && t.RingID != n.commit.ID {
+		n.commit, n.proposed, n.lastTokenID = c, t.RingID, 0
+		n.disarm(dlGather)
+		n.arm(dlCommit, n.cfg.FailTimeout/2)
 	}
-	continues := t.History == n.stood
-	n.unchecked, n.stood = false, n.installed()
+	return c == n.commit
+}
+
+// commitVisit writes this member's entry and forwards. Back at the
+// creator the commit is decided — Seq, Aru and Stable are the kept
+// component's — and installed: true, the token is the ring's first.
+func (n *core) commitVisit(t *token) bool {
+	me := slices.Index(t.Members, n.cfg.ID)
+	t.Entries[me] = commitEntry{Filled: true, Last: n.last, Highest: n.highest, Aru: n.deliveredSeq}
+	if me != 0 || slices.ContainsFunc(t.Entries, func(e commitEntry) bool { return !e.Filled }) {
+		held := *t // a copy: the caller's token stays off the heap
+		n.heldToken = &held
+		n.finishHold()
+		return false
+	}
+	t.Decided = true
+	for i, id := range t.Members {
+		// A member of this node's ring that still holds the history that
+		// ring kept only missed its install: it wrote into its commit, has
+		// taken in nothing since, and holds a prefix of what this node holds.
+		if e := &t.Entries[i]; e.Last == n.from && e.Last != (ringRef{}) && n.inRing(id) {
+			e.Last = n.last
+		}
+	}
+	kept, first := t.kept(), true
+	for _, e := range t.Entries {
+		if e.Last != kept {
+			continue
+		}
+		t.Seq = max(t.Seq, e.Highest)
+		if first || e.Aru < t.Aru {
+			t.Aru, first = e.Aru, false
+		}
+	}
+	t.Stable = t.Aru
+	n.install(*t)
+	return true
+}
+
+// install makes the ring of a decided commit this node's and tells the
+// application, with the verdict, ahead of everything the ring delivers.
+func (n *core) install(t token) {
+	n.from = t.kept()
+	continues := n.from == t.Entries[slices.Index(t.Members, n.cfg.ID)].Last
+	n.ring, n.ringID, n.ids = t.Members, t.RingID, newIDTable(t.Members)
+	n.gathering, n.last, n.commit = false, n.commit, ringRef{}
+	n.disarm(dlGather, dlCommit)
+	n.arm(dlFail, n.cfg.FailTimeout)
+	n.reconfigN.Add(1)
+
+	n.mu.Lock()
+	n.curMembers = n.ring
+	n.curRing = n.ringID
+	n.mu.Unlock()
+
 	if !continues {
-		// This ring keeps a history this node does not hold. What it
+		// The ring keeps a history this node does not hold. What it
 		// buffered is numbered in a dead sequence space and must never be
-		// retransmitted into the ring; what the history ordered before
-		// this ring nobody owes it. Resume where the members the token
-		// has visited stand, as a processor that was never there: what
-		// they hold above that they keep until a rotation with this node
-		// in it has confirmed it.
+		// retransmitted into the ring. It resumes where the members the
+		// token has visited stand, as a processor that was never there.
 		clear(n.buffer)
 		clear(n.skipped)
 		n.deliveredSeq, n.highest, n.gcThrough = t.Aru, t.Aru, t.Aru
 		n.resumedN.Add(1)
 	}
 	n.emit(Event{Type: EventConfig, Config: ConfigChange{RingID: n.ringID, Members: n.ring, Continues: continues}})
-	n.tryDeliver()
 }
 
 // processToken performs one token visit: apply skips, serve and update
 // retransmission requests, broadcast pending messages, maintain the aru
 // watermark, age requests (leader only), then forward.
 func (n *core) processToken(t token) {
-	work := false
+	work := t.Decided // the rotation that installs a ring does not idle
 
 	// Apply the skip list: declared-unrecoverable sequence numbers count
 	// as received-but-empty so delivery can proceed past them.
@@ -454,7 +516,7 @@ func (n *core) processToken(t token) {
 	}
 	isLeader := n.ring[0] == n.cfg.ID
 	if isLeader {
-		if t.Aru > t.Stable && t.TokenID > 1 { // its first visit closes no rotation
+		if t.Aru > t.Stable {
 			t.Stable = t.Aru
 			work = true
 		}
@@ -552,16 +614,15 @@ func (n *core) finishHold() {
 	n.heldToken = nil
 	n.disarm(dlHold)
 	t.TokenID++
-	t.Succ = n.successor()
-	n.lastSentToken, n.sentTokenID = t, t.TokenID
+	list := n.ring
+	if n.gathering {
+		list = t.Members // a commit's first rotation: the ring is not installed yet
+	}
+	t.Succ = list[(slices.Index(list, n.cfg.ID)+1)%len(list)]
+	n.lastSentToken = t
 	n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	n.broadcastRaw(encodeToken(*t))
 	n.tokenPassN.Add(1)
-}
-
-// successor returns the next member after this node on the ring.
-func (n *core) successor() memnet.NodeID {
-	return n.ring[(slices.Index(n.ring, n.cfg.ID)+1)%len(n.ring)]
 }
 
 func (n *core) clearTokenResend() {
@@ -573,7 +634,7 @@ func (n *core) clearTokenResend() {
 // each payload of a packed message as its own delivery, ordered within
 // the message by its sub-index.
 func (n *core) tryDeliver() {
-	for !n.unchecked {
+	for {
 		next := n.deliveredSeq + 1
 		if n.skipped[next] {
 			n.deliveredSeq = next
@@ -646,15 +707,6 @@ func (n *core) touchLiveness() {
 
 func (n *core) inRing(id memnet.NodeID) bool { return slices.Contains(n.ring, id) }
 
-// installed names the ring this node last installed; zero before the
-// first.
-func (n *core) installed() ringRef {
-	if len(n.ring) == 0 {
-		return ringRef{}
-	}
-	return ringRef{ID: n.ringID, List: listDigest(n.ring)}
-}
-
 // startGather begins membership recovery.
 func (n *core) startGather() {
 	if n.fp.leader != "" {
@@ -663,74 +715,50 @@ func (n *core) startGather() {
 		n.demotionN.Add(1)
 		n.leaveLeaderMode()
 	}
+	n.gatherN.Add(1)
 	n.gathering = true
 	n.heldToken = nil
 	n.clearTokenResend()
-	n.disarm(dlHold, dlFail)
-	n.alive = map[memnet.NodeID]bool{n.cfg.ID: true}
-	if n.ring == nil {
-		// A founding gather starts from the configured members, so all
-		// founders install the same first ring without waiting out a
-		// failure timeout.
-		for _, m := range n.cfg.Members {
-			n.alive[m] = true
-		}
+	n.disarm(dlHold, dlFail, dlCommit)
+	n.alive = []memnet.NodeID{n.cfg.ID}
+	if n.proposed == 0 {
+		// Founders wait for each other; later gathers start from the joins
+		// heard, or a configured processor that is not running would keep
+		// every commit from getting round.
+		n.heard(n.cfg.Members...)
 	}
-	n.joins = make(map[memnet.NodeID]joinMsg)
-	if next := n.ringID + 1; next > n.proposed {
-		n.proposed = next
-	}
+	n.proposed = max(n.proposed, n.ringID) + 1 // a commit given up may still be about
 	n.arm(dlGather, n.cfg.GatherTimeout)
 	n.sendJoin()
 }
 
-// join is what this node has to say to a gather right now: the sorted
-// candidate set, and where it stands in which ring's history (stood: a
-// ring it installed and heard no verdict of is not its history, whatever
-// that ring went on to keep — DESIGN.md section 5).
-func (n *core) join() joinMsg {
-	alive := make([]memnet.NodeID, 0, len(n.alive))
-	for id := range n.alive {
-		alive = append(alive, id)
+// heard adds ids to the candidate set and reports whether it grew.
+func (n *core) heard(ids ...memnet.NodeID) (grew bool) {
+	for _, id := range ids {
+		if i, found := slices.BinarySearch(n.alive, id); !found {
+			n.alive, grew = slices.Insert(n.alive, i, id), true
+		}
 	}
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
-	return joinMsg{
-		Sender:  n.cfg.ID,
-		Alive:   alive,
-		RingID:  n.proposed,
-		Last:    n.stood,
-		Highest: n.highest,
-		Aru:     n.deliveredSeq,
-	}
+	return grew
 }
 
 func (n *core) sendJoin() {
-	j := n.join()
-	n.joins[n.cfg.ID] = j
-	n.broadcastRaw(encodeJoin(j))
+	n.broadcastRaw(encodeJoin(joinMsg{Sender: n.cfg.ID, Alive: n.alive, RingID: n.proposed}))
 }
 
 func (n *core) handleJoin(j joinMsg) {
-	if !n.gathering {
+	switch {
+	case !n.gathering:
 		// A join is a reason to gather exactly when the gate says so; the
 		// echo of a gather this node already installed is not.
 		n.admit(j.RingID, j.Sender, false)
-		if !n.gathering {
-			return
-		}
+	case n.armed(dlCommit) && j.RingID > n.proposed:
+		n.startGather() // its sender has given up on the commit this node waits for
 	}
-	changed := false
-	if !n.alive[j.Sender] {
-		n.alive[j.Sender] = true
-		changed = true
+	if !n.gathering || n.armed(dlCommit) {
+		return // a candidate set that waits for its commit is closed
 	}
-	for _, id := range j.Alive {
-		if !n.alive[id] {
-			n.alive[id] = true
-			changed = true
-		}
-	}
-	n.joins[j.Sender] = j
+	changed := n.heard(append(j.Alive, j.Sender)...)
 	if j.RingID > n.proposed {
 		n.proposed = j.RingID
 		changed = true
@@ -741,90 +769,37 @@ func (n *core) handleJoin(j joinMsg) {
 	}
 }
 
-// installRing ends the gather phase: the stable alive set becomes the new
-// ring, and the lowest-id member generates the new token.
-func (n *core) installRing() {
-	me := n.join()
-	n.joins[n.cfg.ID] = me
-	members := me.Alive
-	n.unchecked = true
-	// One verdict needs no token: every member was heard proposing this
-	// ring from the history this node holds, so the creator, whichever
-	// joins it heard, can name no other. Such a ring is checked into here,
-	// and its members are one component at the next gather even if it
-	// wedges before a token has reached them all.
-	unanimous := true
-	for _, id := range members {
-		unanimous = unanimous && n.joins[id].RingID == n.proposed && n.joins[id].Last == n.stood
-	}
-	n.ring = members
-	n.ids = newIDTable(members)
-	n.ringID = n.proposed
-	n.gathering = false
-	n.lastTokenID, n.sentTokenID = 0, 0
+// endGather closes the candidate set. Nobody installs it on its own: the
+// lowest id sends it round as a commit, and everybody waits for one.
+func (n *core) endGather() {
 	n.disarm(dlGather)
-	n.arm(dlFail, n.cfg.FailTimeout)
-	n.reconfigN.Add(1)
-	// Start the new ring's pacing clock now: after a promotion/demotion
-	// cycle the previous epoch's traffic timestamps must not add idle
-	// holds to (or remove them from) the first post-switch rotations.
-	n.lastTrafficAt = n.now
-
-	n.mu.Lock()
-	n.curMembers = members
-	n.curRing = n.ringID
-	n.mu.Unlock()
-
-	if unanimous {
-		n.checkIn(token{History: n.stood})
+	n.arm(dlCommit, n.cfg.FailTimeout/2)
+	if n.alive[0] == n.cfg.ID {
+		n.handleToken(token{RingID: n.proposed, TokenID: 1, Succ: n.cfg.ID, Members: n.alive, Entries: make([]commitEntry, len(n.alive))})
 	}
-	if members[0] != n.cfg.ID {
-		return
-	}
-	// Leader: create the first token of the new ring. One history
-	// survives a merge, and this is the one place that says which: the
-	// joins heard are grouped by the ring whose history their sender
-	// holds, and the largest component's — of equals the one with the
-	// lowest member id — is kept. The token names it and takes Seq and Aru
-	// from its joins alone; whoever holds another resumes at Aru (checkIn),
-	// so a returner's old watermark cannot pin the horizon nor a
-	// partitioned member's numbering enter the ring. Whenever a join names
-	// a ring the token names one: every ring but a founding one, which all
-	// continue, has a member that continues — a donor for whoever does
-	// not. (Raising the horizon to the highest any join reports instead is
-	// not safe: a singleton that stayed busy while partitioned reports the
-	// highest, and the majority would jump over its own undelivered
-	// messages.) A member known only through another's alive list
-	// contributes nothing and may stand below every join heard, so Stable
-	// starts from nothing: what may be collected is what a full rotation,
-	// that member in it, has confirmed (processToken).
+}
+
+// kept names the history a commit's ring keeps, in the one place that
+// says which: the largest component's — of equals the one with the lowest
+// member id — however small a part of the ring it is, so every ring but
+// a founding one, which all continue, has a member that continues: a
+// donor for whoever does not. (Raising the horizon to the highest any
+// member reports instead is not safe: a singleton that stayed busy while
+// partitioned would make the majority jump its own undelivered messages.)
+func (t token) kept() ringRef {
 	votes := make(map[ringRef]int)
-	for _, id := range members {
-		if last := n.joins[id].Last; last != (ringRef{}) {
-			votes[last]++
+	for _, e := range t.Entries {
+		if e.Last != (ringRef{}) {
+			votes[e.Last]++
 		}
 	}
-	t := token{RingID: n.ringID, TokenID: 1}
-	for _, id := range members {
-		if last := n.joins[id].Last; votes[last] > votes[t.History] {
-			t.History = last
+	var kept ringRef
+	for _, e := range t.Entries {
+		if votes[e.Last] > votes[kept] {
+			kept = e.Last
 		}
 	}
-	first := true
-	for _, id := range members {
-		j, heard := n.joins[id]
-		if !heard || j.Last != t.History {
-			continue
-		}
-		t.Seq = max(t.Seq, j.Highest)
-		if first || j.Aru < t.Aru {
-			t.Aru, first = j.Aru, false
-		}
-	}
-	// Process the fresh token as if it had just arrived addressed to us.
-	n.lastTokenID = t.TokenID
-	n.checkIn(t)
-	n.processToken(t)
+	return kept
 }
 
 // hasRtr reports whether seq already has a retransmission request.

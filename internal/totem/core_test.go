@@ -42,12 +42,12 @@ func (v *vnet) load(period time.Duration, ids ...memnet.NodeID) {
 // TestReturnAfterLongAbsenceResumes is ROADMAP item 1's "returns under
 // load and never delivers again", at the layer that caused it: a member
 // is silent while the other three order and collect up to 200 000
-// sequence numbers, and returns. At the parent's rule the first token starts from
-// the returner's old watermark, so it asks for every number it lacks —
-// one request each, on a token that carries them round a ring in which
-// nobody holds them — and the ring flaps under its own fail timers; this
-// test does not terminate there. Here the token names the history the
-// three kept, and the returner resumes at its horizon.
+// sequence numbers, and returns. Started from the returner's old
+// watermark, the first token has it ask for every number it lacks — one
+// request each, on a token that carries them round a ring in which nobody
+// holds them — and the ring flaps under its own fail timers. The commit
+// keeps the history of the three, and the returner resumes at its
+// horizon.
 func TestReturnAfterLongAbsenceResumes(t *testing.T) {
 	for _, cell := range []struct {
 		mode   OrderingMode
@@ -208,20 +208,18 @@ func TestEvenSplitKeepsTheLowestHalf(t *testing.T) {
 	})
 }
 
-// TestEveryMergeKeepsAHistory: whenever a join names a ring the token
-// names one — the largest component's, of equals the one with the lowest
-// member — however small a part of the new ring that component is. Left to
-// a majority rule, a ring none of whose components is most of it kept
-// nobody's history: every member was told it does not continue, and an
-// application that rebuilds from a member that does waited for ever. One
-// processor of a four-member configuration started a fail timeout ahead of
-// the next is such a ring, with no datagram lost: the first ring the two
-// install is the founding list of four, of which the runner is one. Where
-// neither of the two is that list's lowest member the ring has no token
-// at all, and the two install the next one from it: a member answers a
-// gather for the ring whose verdict it last heard, not for the one it
-// last installed, or the newcomer would pass for a member of a history it
-// never saw.
+// TestEveryMergeKeepsAHistory: whenever a member of a commit holds a
+// history the ring keeps one — the largest component's, of equals the one
+// with the lowest member — however small a part of the new ring that
+// component is. Left to a majority rule, a ring none of whose components
+// is most of it kept nobody's history: every member was told it does not
+// continue, and an application that rebuilds from a member that does
+// waited for ever. One processor of a four-member configuration started a
+// fail timeout ahead of the next is such a ring, with no datagram lost:
+// the newcomer's first gather proposes the founding list of four, whose
+// commit is given up — two of the four are not running — and the two
+// install the ring the next gather finds, the runner answering for the
+// ring it ran in and the newcomer for none.
 func TestEveryMergeKeepsAHistory(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -335,12 +333,14 @@ func (v *vnet) dropTokens(lose func(to memnet.NodeID, tok token) bool) {
 	}
 }
 
-// TestLostFirstTokenStillResumes: the token of the merged ring never
+// TestLostFirstTokenStillResumes: the merged ring's decided commit never
 // reaches the returner it is addressed to, the ring wedges there and
-// gathers again. The returner saw the ring's tokens pass on their way to
-// the others, so it knows whose history the ring kept: it resumed, and
-// tells the second gather where it stands in that history — its old
-// watermark pins nothing, and nothing it buffered alone enters the ring.
+// gathers again. Tokens are broadcast and a decided commit is read
+// wherever it is seen: the returner saw it pass on its way to the others,
+// so it installed the ring, resumed, and reported it with that verdict —
+// and writes into the next commit where it stands in the kept history.
+// Its old watermark pins nothing, and nothing it buffered alone enters
+// the ring.
 func TestLostFirstTokenStillResumes(t *testing.T) {
 	bothModes(t, func(t *testing.T, mode OrderingMode) {
 		v := newVnet(t, 4, 5, func(c *Config) { c.Ordering = mode })
@@ -370,6 +370,9 @@ func TestLostFirstTokenStillResumes(t *testing.T) {
 		if !v.run(time.Second, func() bool { return merged != 0 && back.ringID > merged }) {
 			t.Fatalf("the ring did not wedge at %s and gather again: ring %d %v after %d", alone, back.ringID, back.ring, merged)
 		}
+		if !slices.ContainsFunc(v.told, func(w verdict) bool { return w.id == alone && w.c.RingID == merged && !w.c.Continues }) {
+			t.Fatalf("%s was to report ring %d, whose decided commit it saw in passing, as one it does not continue", alone, merged)
+		}
 		v.settle(time.Second)
 		if got, want := v.resumed(), []uint64{0, 0, 0, 1}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("Resumed = %v, want %v", got, want)
@@ -390,13 +393,13 @@ func TestLostFirstTokenStillResumes(t *testing.T) {
 }
 
 // TestRegatherBeforeFirstTokenKeepsMembers: two of four never see a token
-// of the ring they are in. They were in its history all along and heard
-// every member propose the ring from it, so they know its verdict without
-// one: they report the ring, deliver what the other two order in it, and
-// when it wedges and gathers again they answer for it, and not for the
-// one before — the second gather finds one component of four. (Counted as
-// the previous ring's, the two would lose an even split and resume past
-// messages nobody would send again.)
+// of the ring a gather proposes. While each member installed that ring on
+// its own, the two were in a ring they had heard nothing of, and had to
+// derive its verdict from the joins or be counted apart at the next
+// gather and rebuilt though they lacked nothing. A commit that does not
+// get round is installed by nobody: no member reports the ring, the commit
+// deadline sends all four gathering again from the ring they were in, the
+// next gather finds one component of four, and nobody resumes.
 func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 	bothModes(t, func(t *testing.T, mode OrderingMode) {
 		v := newVnet(t, 4, 6, func(c *Config) { c.Ordering = mode })
@@ -405,8 +408,8 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
 		}
 		v.settle(time.Second)
-		// The founding ring loses its token and gathers; the ring after it
-		// loses every token on its way to the last two.
+		// The founding ring loses its token and gathers; the ring proposed
+		// after it loses every token on its way to the last two.
 		founding, late := v.cores[v.ids[0]].ringID, v.ids[2:]
 		v.dropTokens(func(to memnet.NodeID, tok token) bool {
 			return tok.RingID == founding || tok.RingID == founding+1 && slices.Contains(late, to)
@@ -416,14 +419,17 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 		}
 		behind := v.cores[late[0]]
 		if !v.run(time.Second, func() bool { return behind.ringID > founding+1 }) {
-			t.Fatalf("the second ring did not wedge and gather again: %s in ring %d", late[0], behind.ringID)
-		}
-		if !slices.ContainsFunc(v.told, func(w verdict) bool {
-			return w.id == late[0] && w.c.RingID == founding+1 && w.c.Continues
-		}) {
-			t.Fatalf("%s was to report the second ring, no token of which reached it, as one it continues", late[0])
+			t.Fatalf("the second commit was to be given up and a third to get round: %s in ring %d", late[0], behind.ringID)
 		}
 		v.settle(time.Second)
+		if slices.ContainsFunc(v.told, func(w verdict) bool { return w.c.RingID == founding+1 }) {
+			t.Fatalf("ring %d was reported, and its commit never got round: %+v", founding+1, v.told)
+		}
+		for _, id := range v.ids {
+			if c := v.cores[id]; c.gatherN.Load() != c.reconfigN.Load()+1 {
+				t.Fatalf("%s began %d gathers and installed %d rings, want one gather abandoned at the commit", id, c.gatherN.Load(), c.reconfigN.Load())
+			}
+		}
 		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Resumed = %v, want %v", got, want)
 		}
@@ -435,6 +441,17 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 	})
 }
 
+// tokenCore is a core driven by hand that keeps the tokens it sends.
+func tokenCore(id memnet.NodeID, now time.Time, sent *[]token, emit func(Event)) *core {
+	n := newCore(Config{ID: id}, now, func(b []byte) {
+		if tok, err := decodeToken(cdrSkipKind(b), nil); b[0] == kindToken && err == nil {
+			*sent = append(*sent, tok)
+		}
+	}, emit)
+	n.cfg.applyDefaults()
+	return n
+}
+
 // TestSkippedRequestIsDeclaredAgain: a skip is declared on a token, and
 // a member that left the ring before that token reached it asks again in
 // the next ring, whose fresh token carries no skip list. Whoever has the
@@ -443,12 +460,7 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 func TestSkippedRequestIsDeclaredAgain(t *testing.T) {
 	now := time.Unix(1000, 0)
 	var sent []token
-	n := newCore(Config{ID: "v01"}, now, func(b []byte) {
-		if tok, err := decodeToken(cdrSkipKind(b), nil); b[0] == kindToken && err == nil {
-			sent = append(sent, tok)
-		}
-	}, func(Event) {})
-	n.cfg.applyDefaults()
+	n := tokenCore("v01", now, &sent, func(Event) {})
 	n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
 	n.ids = newIDTable(n.ring)
 	n.deliveredSeq, n.highest, n.gcThrough = 20, 20, 11
@@ -539,7 +551,7 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 					n.now = now
 					n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
 					n.ids = newIDTable(n.ring)
-					n.deliveredSeq, n.highest, n.lastTokenID, n.sentTokenID = 8, 8, 6, 7
+					n.deliveredSeq, n.highest, n.lastTokenID = 8, 8, 6
 					n.arm(dlFail, time.Hour)
 					switch k.leader {
 					case "v00":
@@ -591,103 +603,105 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 }
 
 // TestTokenToMySuccessorIsMine: only a member's predecessor addresses it,
-// so a token this node sees addressed to its successor is its own echo or
-// comes from another ring running under this ring's id — gathering is not
-// atomic, and two members can install different lists under one id. Each
-// side's tokens then pass for the other's liveness, and a member both
-// rotations skip waits for ever (TestHeavyLossReturnsSettle, seed 38).
+// so a token of its ring that a member sees addressed to its successor is
+// its own. While a gather ended separately at each member, two of them
+// could install different lists under one id, and then it was not: two
+// rotations ran under one id, each side's tokens passed for the other's
+// liveness, and a member both skipped waited for ever. A commit is
+// decided once, and a member writes into one per id: on the sweep that
+// found the wedge, no member ever hears a token of its ring for its
+// successor from anybody else.
 func TestTokenToMySuccessorIsMine(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		tokenID uint64
-		gathers bool
-	}{
-		{"its own echo", 7, false},
-		{"a duplicate of an older one", 5, false},
-		{"one it never sent", 9, true},
-	} {
-		now := time.Unix(1000, 0)
-		joins := 0
-		n := newCore(Config{ID: "v01"}, now, func(b []byte) {
-			if b[0] == kindJoin {
-				joins++
+	for seed := int64(1); seed <= 40; seed++ {
+		v := newVnet(t, 4, seed, func(c *Config) { c.Ordering = OrderingMode(seed % 2) })
+		v.hear = func(from, to memnet.NodeID, data []byte) {
+			c := v.cores[to]
+			if data[0] != kindToken || c.gathering || from == to {
+				return
 			}
-		}, func(Event) {})
-		n.cfg.applyDefaults()
-		n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
-		n.ids = newIDTable(n.ring)
-		n.lastTokenID, n.sentTokenID = 6, 7
-		n.arm(dlFail, time.Hour)
-		n.receive(now, encodeToken(token{RingID: 5, TokenID: c.tokenID, Succ: "v02"}), 0)
-		if gathered := joins > 0; gathered != c.gathers {
-			t.Errorf("%s: gathered %v, want %v", c.name, gathered, c.gathers)
+			tok, err := decodeToken(cdrSkipKind(data), nil)
+			if err != nil || tok.RingID != c.ringID {
+				return
+			}
+			if succ := c.ring[(slices.Index(c.ring, to)+1)%len(c.ring)]; tok.Succ == succ {
+				t.Fatalf("seed %d: %s, in ring %d %v, heard %s address its successor %s", seed, to, c.ringID, c.ring, from, succ)
+			}
 		}
+		v.settle(time.Second)
+		v.lossyReturns()
 	}
 }
 
-// TestTwoListsUnderOneIdAreTwoRings: gathering is not atomic, and two
-// members can end one gather with different lists under one ring id —
-// here v03 installed ring 7 with itself in it and the other two without.
-// A ring is named by its id and its list, so at the next gather the two
-// are two components, the larger is kept, and v03 is told that it does
-// not continue: it reported a ring to its application that the others
-// never saw, and they one that it never saw. (Named by id and lowest
-// member the two passed for one component and everybody was told to
-// continue: 5 of 476 returns under 40 % loss ended with directories that
-// differed and nobody awaiting.)
+// TestTwoListsUnderOneIdAreTwoRings: two creators can propose different
+// lists under one ring id — each the lowest of the candidates it heard —
+// and a member of both writes into the first that reaches it and into no
+// other under that id. Neither commit is decided without every member's
+// entry, so the lists of two that are share no member: nobody reports a
+// ring to its application whose other members report another of that id.
+// Rings that share no member do collide in their ids, as across a
+// partition, so a ring is named by its id and its lowest member, and at
+// the next gather two such are two components.
 func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
-	without, with := []memnet.NodeID{"v01", "v02"}, []memnet.NodeID{"v01", "v02", "v03"}
-	stood := map[memnet.NodeID]ringRef{
-		"v01": {ID: 7, List: listDigest(without)},
-		"v02": {ID: 7, List: listDigest(without)},
-		"v03": {ID: 7, List: listDigest(with)},
+	first, second := []memnet.NodeID{"v00", "v02"}, []memnet.NodeID{"v01", "v02"}
+	now := time.Unix(1000, 0)
+	var sent []token
+	var told []ConfigChange
+	n := tokenCore("v02", now, &sent, func(ev Event) { told = append(told, ev.Config) })
+	n.tick(now, 0) // the fail timer a new core starts with: gather
+	commit := func(list []memnet.NodeID, decided bool) []byte {
+		tok := token{RingID: 8, TokenID: 2, Succ: "v02", Members: list, Entries: []commitEntry{{Filled: true}, {Filled: decided}}, Decided: decided}
+		if decided {
+			tok.TokenID = 4
+		}
+		return encodeToken(tok)
 	}
-	if stood["v01"] == stood["v03"] {
-		t.Fatal("two lists under one id have one name")
+	n.receive(now, commit(first, false), 0)
+	if len(sent) != 1 || !slices.Equal(sent[0].Members, first) || sent[0].Succ != "v00" || !sent[0].Entries[1].Filled {
+		t.Fatalf("sent %+v, want the first commit forwarded to v00 with v02's entry in it", sent)
 	}
-	// Each of the three gathers ring 8 by hand, having heard all three;
-	// v01, its lowest member, creates the token the other two then see.
-	var first []byte
-	for _, id := range with {
-		now := time.Unix(1000, 0)
-		var told []ConfigChange
-		n := newCore(Config{ID: id, GatherTimeout: time.Millisecond, IdleHold: time.Millisecond}, now, func(b []byte) {
-			if b[0] == kindToken && first == nil {
-				first = b
-			}
-		}, func(ev Event) { told = append(told, ev.Config) })
-		n.cfg.applyDefaults()
-		n.ring, n.ringID, n.stood = with, 7, stood[id]
-		if id != "v03" {
-			n.ring = without
+	n.receive(now, commit(second, false), 0)
+	n.receive(now, commit(second, true), 0)
+	if len(sent) != 1 || len(told) != 0 || !n.gathering {
+		t.Fatalf("sent %+v and reported %+v: a second commit under the id was to be left alone", sent[1:], told)
+	}
+	n.receive(now, commit(first, true), 0)
+	if len(told) != 1 || told[0].RingID != 8 || !slices.Equal(told[0].Members, first) || !told[0].Continues {
+		t.Fatalf("reported %+v, want ring 8 %v, which a processor never in a ring continues", told, first)
+	}
+
+	a, b := ringRef{ID: 8, Low: "v00"}, ringRef{ID: 8, Low: "v01"}
+	if n.last != a || a == b {
+		t.Fatalf("installed %v, want %v, and %v another ring", n.last, a, b)
+	}
+	for _, c := range []struct {
+		holds []ringRef
+		kept  ringRef
+	}{
+		{[]ringRef{a, b, a, b}, a}, // of equals, the one with the lowest member
+		{[]ringRef{a, b, {}, b}, b},
+		{[]ringRef{{}, {}, b}, b}, // however small a part of the ring it is
+		{[]ringRef{{}, {}}, ringRef{}},
+	} {
+		var tok token
+		for _, h := range c.holds {
+			tok.Entries = append(tok.Entries, commitEntry{Filled: true, Last: h})
 		}
-		n.ids = newIDTable(n.ring)
-		n.tick(now, 0) // the fail timer a new core starts with: gather
-		for _, from := range with {
-			n.receive(now, encodeJoin(joinMsg{Sender: from, Alive: with, RingID: 8, Last: stood[from]}), 0)
-		}
-		n.tick(now.Add(2*time.Millisecond), 0) // the gather ends
-		n.tick(now.Add(4*time.Millisecond), 0) // the creator's idle hold ends
-		if id != "v01" {
-			n.receive(now.Add(4*time.Millisecond), first, 0)
-		}
-		if len(told) != 1 || told[0].RingID != 8 || told[0].Continues != (id != "v03") {
-			t.Fatalf("%s was told %+v, want ring 8 and Continues = %v", id, told, id != "v03")
+		if got := tok.kept(); got != c.kept {
+			t.Errorf("members holding %v keep %v, want %v", c.holds, got, c.kept)
 		}
 	}
 }
 
 // TestUnheardJoinIsNotCollectedPast: a member lags — it lost what the
-// others ordered — the ring gathers again, and the join that says how far
-// it lags never reaches the token's creator. What the ring may collect is
-// what every member has, and the joins the creator heard do not say that
-// of a member it did not hear: the first token starts no higher than a
-// full rotation has confirmed, the laggard folds its own watermark in on
-// the way, and what it lacks is still there to be sent again. (Started
-// from the joins heard, the horizon stood above the laggard, the others
-// collected up to it, and it asked for collected messages for ever: the
-// one red seed in 20 000 of TestSeededRingsAgree, whichever seed the
-// schedule of the day made it.)
+// others ordered — the ring gathers again, and no join of the laggard
+// reaches the creator, which knows it through its neighbour's candidate
+// set. What the ring may collect is what every member has. The laggard
+// writes its own watermark into the commit, so the ring's Aru and Stable
+// start no higher than it stands, and what it lacks is still there to be
+// sent again. (Started from the joins the creator heard, the horizon
+// stood above the laggard, the others collected up to it, and it asked
+// for collected messages for ever; started from zero for fear of that,
+// nothing was collected before a full rotation.)
 func TestUnheardJoinIsNotCollectedPast(t *testing.T) {
 	v := newVnet(t, 3, 8, nil)
 	v.settle(time.Second)
@@ -739,28 +753,36 @@ func TestUnheardJoinIsNotCollectedPast(t *testing.T) {
 // TestLossyReturnsConverge stands on, in virtual time: per seed four
 // rounds of one member silent and back with 40 % loss for 400 ms around
 // its return, and after each the ring must come to rest with everyone in
-// it. Joins are lost at every stage of every gather here, and members
-// install different lists under one ring id far more often than under the
-// few percent of loss TestSeededRingsAgree applies.
+// it. Joins and commits are lost at every stage of every gather here, and
+// gathers are given up at the commit far more often than under the few
+// percent of loss TestSeededRingsAgree applies.
 func TestHeavyLossReturnsSettle(t *testing.T) {
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			v := newVnet(t, 4, seed, func(c *Config) { c.Ordering = OrderingMode(seed % 2) })
 			v.settle(time.Second)
-			for round := 0; round < 4; round++ {
-				v.net.Crash(v.ids[0])
-				v.settle(time.Second, v.ids[1:]...)
-				v.settle(time.Second, v.ids[0])
-				v.net.SetLoss(0.4)
-				v.run(200*time.Millisecond, nil)
-				v.net.Restart(v.ids[0])
-				v.run(200*time.Millisecond, nil)
-				v.net.SetLoss(0)
-				v.settle(time.Second)
-			}
+			v.lossyReturns()
 			v.toldRight()
 		})
+	}
+}
+
+// lossyReturns is four rounds of the first member silent and back with
+// 40 % loss for 400 ms around its return, the ring at rest with everyone
+// in it after each.
+func (v *vnet) lossyReturns() {
+	v.t.Helper()
+	for round := 0; round < 4; round++ {
+		v.net.Crash(v.ids[0])
+		v.settle(time.Second, v.ids[1:]...)
+		v.settle(time.Second, v.ids[0])
+		v.net.SetLoss(0.4)
+		v.run(200*time.Millisecond, nil)
+		v.net.Restart(v.ids[0])
+		v.run(200*time.Millisecond, nil)
+		v.net.SetLoss(0)
+		v.settle(time.Second)
 	}
 }
 
@@ -773,11 +795,10 @@ func TestHeavyLossReturnsSettle(t *testing.T) {
 // it, and from there on everyone delivered the same stream
 // (agreeWhereTogether), and every ring a member reported came with the
 // verdict the harness's own books give (toldRight). No member is excused
-// from any of it on any schedule: while a merge could keep no history, a
-// member answer for a ring it had heard no verdict of, and two lists
-// installed under one ring id pass for one component, 128 of 20 000 seeds
-// needed one of them excused; a change that reopens one of the three
-// shows here before it shows anywhere else.
+// from any of it on any schedule, and nothing is submitted behind the
+// lossy phase to flush it out: a change that lets a member install what
+// no commit decided, or leaves a follower short of an idle epoch's last
+// batch, shows here before it shows anywhere else.
 func TestSeededRingsAgree(t *testing.T) {
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		seed := seed
@@ -805,12 +826,6 @@ func TestSeededRingsAgree(t *testing.T) {
 			v.run(returns+50*time.Millisecond, nil)
 			v.feed = nil
 			v.net.SetLoss(0)
-			// A follower that lost the last batch of a leader epoch learns of
-			// it from the next one: order one more behind the lossy phase.
-			v.run(100*time.Millisecond, nil)
-			for _, id := range v.ids {
-				v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/flush")))
-			}
 			v.settle(2 * time.Second)
 			for _, id := range v.ids {
 				v.submit(id, []byte(fmt.Sprint(seed, "/", id, "/after")))
@@ -865,6 +880,266 @@ func TestDepartedSendersMessageIsRecovered(t *testing.T) {
 		tail := v.got[rest[1]]
 		if len(tail) != 4 || tail[0].crc != crc32.ChecksumIEEE([]byte("last words")) || tail[0].sender != gone {
 			t.Fatalf("%s delivered %d messages, want %s's last one and the three after", rest[1], len(tail), gone)
+		}
+	})
+}
+
+// The three schedules a gather that ended separately at each member let
+// through, each aimed with the receiver-side drop hook. What they have in
+// common: the ring's creator decided from the joins it happened to hear.
+// A commit is decided from what every member wrote into it itself.
+
+// TestUnheardLargerComponentIsKept: two members merge with three, and no
+// join of the three reaches the creator, which knows of them through its
+// neighbour's candidate set alone. The three are the larger component
+// and their history is kept all the same.
+func TestUnheardLargerComponentIsKept(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 5, 9, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		small, large := v.ids[:2], v.ids[2:]
+		v.net.Partition(large)
+		v.settle(time.Second, small...)
+		v.settle(time.Second, large...)
+		for k := 0; k < 12; k++ {
+			v.submit(small[k%2], []byte(fmt.Sprint("small/", k)))
+			v.submit(large[k%3], []byte(fmt.Sprint("large/", k)))
+		}
+		v.settle(time.Second, small...)
+		v.settle(time.Second, large...)
+		before := len(v.got[large[0]])
+		v.drop = func(to memnet.NodeID, data []byte) bool {
+			j, err := decodeJoin(cdrSkipKind(data))
+			return data[0] == kindJoin && err == nil && to == small[0] && slices.Contains(large, j.Sender)
+		}
+		v.net.Heal()
+		v.settle(time.Second)
+		v.drop = nil
+		for _, id := range v.ids {
+			v.submit(id, []byte(fmt.Sprint("merged/", id)))
+		}
+		v.settle(time.Second)
+		if got, want := v.resumed(), []uint64{1, 1, 0, 0, 0}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v: the three's history was to be kept", got, want)
+		}
+		v.toldRight()
+		v.agree(large[0], v.ids...)
+		if n := len(v.got[large[0]]); n != before+5 {
+			t.Fatalf("%s delivered %d messages, want the %d of its own history and the 5 after the merge", large[0], n, before)
+		}
+	})
+}
+
+// TestEarlyGatherDeadlineInstallsNothingAlone: three members gather after
+// the fourth went silent, and one's gather deadline fires a GatherTimeout
+// ahead of the others', whose candidate sets a newcomer then reopens. The
+// early one waits for a commit like everybody else: every ring it
+// installs the others install, and it does not resume.
+func TestEarlyGatherDeadlineInstallsNothingAlone(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 10, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		for k := 0; k < 8; k++ {
+			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
+		}
+		v.settle(time.Second)
+		three, gone, early := v.ids[:3], v.ids[3], v.cores[v.ids[1]]
+		v.net.Crash(gone)
+		if !v.run(time.Second, func() bool {
+			return !slices.ContainsFunc(three, func(id memnet.NodeID) bool {
+				c := v.cores[id]
+				return !c.gathering || len(c.alive) != 3 || c.proposed != early.proposed
+			})
+		}) {
+			t.Fatal("the three did not gather")
+		}
+		old := early.ringID
+		early.deadlines[dlGather] = v.now()
+		v.boot(gone) // back as a processor started now, while the other two still gather
+		v.net.Restart(gone)
+		v.settle(time.Second)
+		for _, id := range v.ids {
+			v.submit(id, []byte(fmt.Sprint("merged/", id)))
+		}
+		v.settle(time.Second)
+		for _, c := range v.rings[v.ids[1]] {
+			for _, id := range c.Members {
+				if c.RingID > old && !slices.ContainsFunc(v.rings[id], func(o ConfigChange) bool { return ringKey(o) == ringKey(c) }) {
+					t.Fatalf("%s installed ring %d %v, and %s did not", v.ids[1], c.RingID, c.Members, id)
+				}
+			}
+		}
+		if got, want := v.resumed(), []uint64{0, 0, 0, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		v.toldRight()
+		v.agree(v.ids[0], v.ids...)
+	})
+}
+
+// TestUnheardHighestSeqIsNotAssignedAgain: a member broadcasts on its
+// token visit, nobody receives it, the token is lost with it, and no join
+// of that member reaches the next ring's creator. It holds — and has
+// delivered — sequence numbers the creator has not heard of, and the ring
+// must not give them to other messages.
+func TestUnheardHighestSeqIsNotAssignedAgain(t *testing.T) {
+	v := newVnet(t, 3, 11, func(c *Config) { c.MaxPackCount = 1 }) // one payload a number
+	v.settle(time.Second)
+	for k := 0; k < 6; k++ {
+		v.submit(v.ids[k%3], []byte(fmt.Sprint("founding/", k)))
+	}
+	v.settle(time.Second)
+	creator, ahead := v.ids[0], v.ids[2]
+	old, seq := v.cores[creator].ringID, v.cores[creator].highest
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		switch data[0] {
+		case kindRegular:
+			m, err := decodeRegular(cdrSkipKind(data), nil)
+			return err == nil && m.RingID == old && m.Seq > seq && to != ahead
+		case kindToken:
+			tok, err := decodeToken(cdrSkipKind(data), nil)
+			return err == nil && tok.RingID == old && tok.Seq > seq
+		case kindJoin:
+			j, err := decodeJoin(cdrSkipKind(data))
+			return err == nil && to == creator && j.Sender == ahead
+		}
+		return false
+	}
+	for k := 0; k < 5; k++ {
+		v.submit(ahead, []byte(fmt.Sprint("unheard/", k)))
+	}
+	if !v.run(time.Second, func() bool {
+		return !slices.ContainsFunc(v.ids, func(id memnet.NodeID) bool { return v.cores[id].ringID == old || v.cores[id].gathering })
+	}) {
+		t.Fatal("the ring did not gather again")
+	}
+	if c := v.cores[creator]; len(c.ring) != 3 {
+		t.Fatalf("the new ring was to hold all three: %v at %s", c.ring, creator)
+	}
+	v.drop = nil
+	for _, id := range v.ids {
+		v.submit(id, []byte(fmt.Sprint("after/", id)))
+	}
+	v.settle(time.Second)
+	if got, want := v.resumed(), make([]uint64, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Resumed = %v, want %v", got, want)
+	}
+	v.toldRight()
+	v.agree(creator, v.ids...)
+	if n := len(v.got[creator]); n != 6+5+3 {
+		t.Fatalf("%s delivered %d messages, want 14", creator, n)
+	}
+}
+
+// TestFoundingGatherOutlivesAnAbsentMember: a processor's first gather
+// proposes the whole configuration, and a commit for that never gets
+// round while a configured processor is not running. Its next gather
+// starts from the joins it hears: one runner of four stands alone after
+// one commit given up, and a second processor started later is in a ring
+// with it within FailTimeout + 2×GatherTimeout of its start.
+func TestFoundingGatherOutlivesAnAbsentMember(t *testing.T) {
+	v := newVnet(t, 4, 12, nil)
+	for _, id := range v.ids {
+		v.net.Crash(id)
+	}
+	start := func(id memnet.NodeID) time.Time {
+		v.boot(id)
+		v.net.Restart(id)
+		return v.now()
+	}
+	cfg := v.cores[v.ids[0]].cfg
+	first, second := v.ids[0], v.ids[1]
+	began := start(first)
+	alone := v.cores[first]
+	if !v.run(time.Second, func() bool { return !alone.gathering && len(alone.ring) == 1 }) {
+		t.Fatalf("%s, the one runner of four, installed no ring of its own: gathering %v, ring %v", first, alone.gathering, alone.ring)
+	}
+	if took, limit := v.now().Sub(began), cfg.FailTimeout+2*cfg.GatherTimeout; took > limit || alone.gatherN.Load() != 2 {
+		t.Fatalf("%s stood alone after %v and %d gathers, want within %v and one commit given up", first, took, alone.gatherN.Load(), limit)
+	}
+	began = start(second)
+	v.settle(time.Second, first, second)
+	if took, limit := v.now().Sub(began), cfg.FailTimeout+2*cfg.GatherTimeout; took > limit {
+		t.Fatalf("%s was in a ring with %s %v after its start, want within %v", second, first, took, limit)
+	}
+	if got, want := v.resumed(), []uint64{0, 1, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Resumed = %v, want %v", got, want)
+	}
+	v.toldRight()
+}
+
+// TestCommitEntryIsFinal: a gathering member still takes in what the old
+// ring ordered — recovery needs every message a survivor holds — until it
+// writes its entry into a commit. From there on it takes in no more: the
+// ring's starting Seq is read off the entries, and a number a member came
+// to hold behind its entry would be given to another message.
+func TestCommitEntryIsFinal(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var sent []token
+	n := tokenCore("v01", now, &sent, func(Event) {})
+	n.ring, n.ringID, n.last = []memnet.NodeID{"v00", "v01", "v02"}, 5, ringRef{ID: 5, Low: "v00"}
+	n.ids = newIDTable(n.ring)
+	n.deliveredSeq, n.highest = 8, 8
+	n.startGather()
+	ordered := func(seq uint64) []byte {
+		return encodeRegular(regularMsg{RingID: 5, Seq: seq, Sender: "v00", Payload: []byte("p")})
+	}
+	n.receive(now, ordered(9), 0)
+	n.receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}), 0)
+	n.receive(now, ordered(10), 0)
+	want := commitEntry{Filled: true, Last: ringRef{ID: 5, Low: "v00"}, Highest: 9, Aru: 9}
+	if len(sent) != 1 || sent[0].Succ != "v02" || sent[0].Entries[1] != want {
+		t.Fatalf("forwarded %+v, want one commit on to v02 with the entry %+v", sent, want)
+	}
+	if n.highest != 9 || len(n.buffer) != 1 {
+		t.Fatalf("highest %d with %d messages buffered behind an entry that says 9", n.highest, len(n.buffer))
+	}
+}
+
+// TestMissedInstallIsCaughtUp: a commit is decided, and its second
+// rotation reaches half the ring — the creator, and a member that read the
+// decision in passing. The creator orders and delivers in the new ring;
+// the other two give the commit up and gather again, still standing in the ring
+// before. They are not another component: they wrote into that commit, have
+// taken in nothing since, and hold a prefix of what the two hold. The next
+// commit's creator, which installed the ring they missed, says so in their
+// entries, and all four continue — counted apart, the two would have lost
+// the even split to the side with the lowest id and been rebuilt though
+// they lacked two messages (and under lasting loss, every member whose
+// directory was good in turn: replication's lossy sweep, 3 returns of 960).
+func TestMissedInstallIsCaughtUp(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 4, 14, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		for k := 0; k < 8; k++ {
+			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
+		}
+		v.settle(time.Second)
+		founding, missed := v.cores[v.ids[0]].ringID, []memnet.NodeID{v.ids[1], v.ids[3]}
+		v.dropTokens(func(to memnet.NodeID, tok token) bool {
+			return tok.RingID == founding || tok.RingID == founding+1 && tok.Decided && slices.Contains(missed, to)
+		})
+		v.submit(v.ids[0], []byte("half/0"))
+		v.submit(v.ids[0], []byte("half/1"))
+		half := v.cores[v.ids[2]]
+		if !v.run(time.Second, func() bool { return half.ringID == founding+1 }) {
+			t.Fatalf("%s was to read ring %d's decision in passing: ring %d", v.ids[2], founding+1, half.ringID)
+		}
+		v.settle(time.Second)
+		for _, id := range v.ids {
+			v.submit(id, []byte(fmt.Sprint("whole/", id)))
+		}
+		v.settle(time.Second)
+		if slices.ContainsFunc(v.told, func(w verdict) bool { return slices.Contains(missed, w.id) && w.c.RingID == founding+1 }) {
+			t.Fatalf("%v were to miss ring %d: %+v", missed, founding+1, v.told)
+		}
+		if got, want := v.resumed(), make([]uint64, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v", got, want)
+		}
+		v.toldRight()
+		v.agree(v.ids[0], v.ids...)
+		if n := len(v.got[missed[1]]); n != 8+2+4 {
+			t.Fatalf("%s delivered %d of 14", missed[1], n)
 		}
 	})
 }

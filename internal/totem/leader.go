@@ -161,7 +161,7 @@ func (n *core) promote(t token) {
 	n.arm(dlHeartbeat, n.heartbeatInterval())
 	n.arm(dlFail, n.cfg.FailTimeout)
 	n.broadcastRaw(encodePromote(promoteMsg{
-		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable,
+		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable, Seq: t.Seq,
 	}))
 	n.leaderOrderPending()
 }
@@ -603,6 +603,7 @@ func (n *core) handlePromote(p promoteMsg) {
 	if !n.admit(p.RingID, p.Leader, false) || n.cfg.Ordering != OrderingLeader {
 		return
 	}
+	n.highest = max(n.highest, p.Seq) // the acks below ask for what this member now knows it lacks
 	switch n.fp.leader {
 	case p.Leader:
 	case "":
@@ -660,7 +661,7 @@ func (n *core) leaderHeartbeat() {
 		}
 	}
 	n.broadcastRaw(encodePromote(promoteMsg{
-		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.fp.promoteSeq, Stable: n.fp.stable,
+		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.fp.promoteSeq, Stable: n.fp.stable, Seq: n.fp.seq,
 	}))
 	n.arm(dlHeartbeat, n.heartbeatInterval())
 	// The members just proved live above; the sequencer's own fail timer

@@ -93,6 +93,7 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_totem_resumed_total", "Times this node resumed at the horizon of a ring history it was not part of.", n.resumedN.Load},
 		{"eternalgw_totem_token_passes_total", "Tokens this node forwarded.", n.tokenPassN.Load},
 		{"eternalgw_totem_reconfigs_total", "Ring installations this node participated in.", n.reconfigN.Load},
+		{"eternalgw_totem_gathers_total", "Membership recoveries this node began; those beyond its reconfigs were abandoned at the commit.", n.gatherN.Load},
 		{"eternalgw_totem_packed_msgs_total", "Packed datagrams this node originated.", n.packedMsgN.Load},
 		{"eternalgw_totem_packed_parts_total", "Payloads carried inside packed datagrams.", n.packedPartN.Load},
 		{"eternalgw_totem_fastpath_forwarded_total", "Payloads forwarded to a sequencer in leader mode.", n.forwardedN.Load},
@@ -168,6 +169,7 @@ func (n *Node) Stats() Stats {
 		Resumed:       n.resumedN.Load(),
 		TokenPasses:   n.tokenPassN.Load(),
 		Reconfigs:     n.reconfigN.Load(),
+		Gathers:       n.gatherN.Load(),
 		PackedMsgs:    n.packedMsgN.Load(),
 		PackedParts:   n.packedPartN.Load(),
 		Forwarded:     n.forwardedN.Load(),

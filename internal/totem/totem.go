@@ -14,9 +14,9 @@
 //
 // Membership: when a node's token-loss timer fires, it enters a gather
 // phase, exchanging Join messages until the set of responsive nodes is
-// stable; the lowest-id survivor then installs a new ring and generates a
-// fresh token. Configuration changes are delivered to the application in
-// order with respect to regular messages, as virtual synchrony requires.
+// stable; the lowest id then sends a commit token twice round that set,
+// which installs the ring (core.go). Configuration changes are delivered
+// in order with respect to regular messages, as virtual synchrony requires.
 //
 // The sequence numbers exposed in Delivery.Seq are exactly the
 // "timestamps derived from the totally-ordered message sequence numbers"
@@ -66,10 +66,9 @@ func (d Delivery) Timestamp() uint64 {
 	return d.Seq<<subTimestampBits | uint64(d.Sub)
 }
 
-// ConfigChange reports a membership change: a new ring was installed and
-// this member knows whose history it keeps — its first token has arrived,
-// or every member was heard proposing the ring from one history. Nothing
-// the ring delivers precedes it.
+// ConfigChange reports a membership change: this member has read the
+// decided commit of a new ring, which says who is in it and whose history
+// it keeps, and installed it. Nothing the ring delivers precedes it.
 type ConfigChange struct {
 	RingID  uint64
 	Members []memnet.NodeID
@@ -150,12 +149,12 @@ type Config struct {
 	// of progress before resending the token. Zero means 25ms.
 	TokenRetransmit time.Duration
 	// FailTimeout is how long a node tolerates not seeing the token (or
-	// any ring traffic) before starting membership recovery. Zero means
-	// 250ms.
+	// any ring traffic) before starting membership recovery, and half of
+	// it how long a gather waits for its commit. Zero means 250ms.
 	FailTimeout time.Duration
-	// GatherTimeout is how long the alive-set must be stable during
-	// membership recovery before a new ring is installed. Zero means
-	// 60ms.
+	// GatherTimeout is how long the candidate set must be stable during
+	// membership recovery before it is sent round as a commit. Zero
+	// means 60ms.
 	GatherTimeout time.Duration
 
 	// MaxPackCount bounds how many payloads one packed message carries.
@@ -228,6 +227,7 @@ type Stats struct {
 	Resumed       uint64 // times this node resumed at the horizon of a history it was not in
 	TokenPasses   uint64 // tokens this node forwarded
 	Reconfigs     uint64 // ring installations
+	Gathers       uint64 // membership recoveries begun; those beyond Reconfigs were abandoned at the commit
 	PackedMsgs    uint64 // packed datagrams this node originated
 	PackedParts   uint64 // payloads that travelled inside those packs
 	Forwarded     uint64 // payloads this node forwarded to a sequencer (leader mode)

@@ -27,9 +27,10 @@ type vnet struct {
 	eps   map[memnet.NodeID]*memnet.Endpoint
 	woken map[memnet.NodeID]time.Time // the earliest tick the clock holds for each core
 
-	mut  func(*Config)                            // what the test changes of every core's configuration
-	drop func(to memnet.NodeID, data []byte) bool // aimed loss, at the receiver
-	feed func()                                   // called before every step: a load generator
+	mut  func(*Config)                             // what the test changes of every core's configuration
+	drop func(to memnet.NodeID, data []byte) bool  // aimed loss, at the receiver
+	hear func(from, to memnet.NodeID, data []byte) // called with every datagram a core is about to receive
+	feed func()                                    // called before every step: a load generator
 
 	got    map[memnet.NodeID][]vdelivery    // what each core delivered, with resume marks
 	marked map[memnet.NodeID]uint64         // each core's Resumed counter at its latest delivery
@@ -40,9 +41,9 @@ type vnet struct {
 	maxRtr int                              // the most retransmission requests any token carried
 
 	// Whose history each core holds, by the books.
-	named   map[string]ringRef          // the history each ring's tokens named (ringKey: ids alone collide)
-	checked map[memnet.NodeID]ringRef   // the ring each core last stood checked into
-	from    map[memnet.NodeID][]ringRef // that ring as it was when the core installed each of rings
+	decided map[ringRef]token           // each ring's decided commit, by the ring's name
+	was     map[memnet.NodeID]ringRef   // the ring each core had installed after its latest step
+	from    map[memnet.NodeID][]ringRef // the ring each core stood in when it installed each of rings
 }
 
 // vhop is the network's mean latency, so traffic moves the clock.
@@ -88,8 +89,8 @@ func newVnet(t *testing.T, n int, seed int64, mut func(*Config), opts ...memnet.
 		rings:   make(map[memnet.NodeID][]ConfigChange),
 		toldAt:  make(map[memnet.NodeID]uint64),
 		since:   make(map[memnet.NodeID]int),
-		named:   make(map[string]ringRef),
-		checked: make(map[memnet.NodeID]ringRef),
+		decided: make(map[ringRef]token),
+		was:     make(map[memnet.NodeID]ringRef),
 		from:    make(map[memnet.NodeID][]ringRef),
 	}
 	for i := 0; i < n; i++ {
@@ -117,17 +118,17 @@ func (v *vnet) boot(id memnet.NodeID) {
 	cfg.applyDefaults()
 	ep := v.eps[id]
 	v.got[id], v.rings[id], v.from[id], v.since[id], v.marked[id], v.toldAt[id] = nil, nil, nil, 0, 0, 0
-	delete(v.checked, id)
+	delete(v.was, id)
 	delete(v.woken, id)
 	v.told = slices.DeleteFunc(v.told, func(w verdict) bool { return w.id == id })
 	v.cores[id] = newCore(cfg, v.now(), func(b []byte) {
-		v.noteToken(id, b)
+		v.noteToken(b)
 		_ = ep.Broadcast(b) // a crashed node's sends fail, as under Node
 	}, func(ev Event) {
 		r := v.cores[id].resumedN.Load()
 		if ev.Type == EventConfig {
-			// Nothing is delivered between a ring's installation and
-			// its first token, so this is where the ring began.
+			// A ring is reported where it is installed, so this is where
+			// the ring began.
 			v.since[id] = len(v.got[id])
 			v.told = append(v.told, verdict{id, ev.Config, r != v.toldAt[id]})
 			v.toldAt[id] = r
@@ -142,34 +143,33 @@ func (v *vnet) boot(id memnet.NodeID) {
 // now is the virtual clock as the cores are told it.
 func (v *vnet) now() time.Time { return time.Unix(0, v.clk.Now()) }
 
-// ringKey names a ring as the cores that installed it know it: under
-// loss two of them can install different lists under one id.
+// ringKey names a ring as the cores that installed it know it: two
+// commits under one id can both be decided where they share no member.
 func ringKey(c ConfigChange) string { return fmt.Sprint(c.RingID, c.Members) }
 
-// noteToken keeps the books on every token any core sends: it belongs to
-// the ring its sender has installed.
-func (v *vnet) noteToken(from memnet.NodeID, data []byte) {
+// noteToken keeps the books on every token any core sends: a decided
+// commit says which history its ring keeps.
+func (v *vnet) noteToken(data []byte) {
 	if data[0] != kindToken {
 		return
 	}
 	if tok, err := decodeToken(cdrSkipKind(data), nil); err == nil {
 		v.maxRtr = max(v.maxRtr, len(tok.Rtr))
-		v.named[ringKey(ConfigChange{RingID: tok.RingID, Members: v.cores[from].ring})] = tok.History
+		if tok.Decided {
+			v.decided[ringRef{ID: tok.RingID, Low: tok.Members[0]}] = tok
+		}
 	}
 }
 
 // noteChecked keeps the books, after a step, on the rings a core has
-// installed, the ring it stood checked into at each, and the one it
-// stands checked into now.
+// installed and the ring it stood in before each.
 func (v *vnet) noteChecked(id memnet.NodeID) {
 	c := v.cores[id]
 	if n := len(v.rings[id]); c.ring != nil && (n == 0 || v.rings[id][n-1].RingID != c.ringID) {
 		v.rings[id] = append(v.rings[id], ConfigChange{RingID: c.ringID, Members: c.ring})
-		v.from[id] = append(v.from[id], v.checked[id])
+		v.from[id] = append(v.from[id], v.was[id])
 	}
-	if !c.unchecked {
-		v.checked[id] = c.installed()
-	}
+	v.was[id] = c.last
 }
 
 // submit hands payloads to a core at the present instant.
@@ -187,6 +187,9 @@ func (v *vnet) pump() {
 			case p := <-v.eps[id].Recv():
 				busy = true
 				if v.drop == nil || !v.drop(id, p.Payload) {
+					if v.hear != nil {
+						v.hear(p.From, id, p.Payload)
+					}
 					v.cores[id].receive(v.now(), p.Payload, len(v.eps[id].Recv()))
 					v.noteChecked(id)
 				}
@@ -243,7 +246,7 @@ func (v *vnet) settle(limit time.Duration, ids ...memnet.NodeID) {
 		first := v.cores[ids[0]]
 		for _, id := range ids {
 			c := v.cores[id]
-			if c.gathering || c.unchecked || len(c.ring) != len(ids) || c.ringID != first.ringID ||
+			if c.gathering || len(c.ring) != len(ids) || c.ringID != first.ringID ||
 				c.deliveredSeq != first.deliveredSeq || c.deliveredSeq != c.highest ||
 				len(c.pending) != 0 || len(c.fp.awaiting) != 0 {
 				return false
@@ -254,8 +257,8 @@ func (v *vnet) settle(limit time.Duration, ids ...memnet.NodeID) {
 	if !v.run(limit, quiet) {
 		for _, id := range ids {
 			c := v.cores[id]
-			v.t.Logf("%s: ring %d %v gathering %v unchecked %v delivered %d highest %d pending %d awaiting %d leader %q",
-				id, c.ringID, c.ring, c.gathering, c.unchecked, c.deliveredSeq, c.highest, len(c.pending), len(c.fp.awaiting), c.fp.leader)
+			v.t.Logf("%s: ring %d %v gathering %v commit %v delivered %d highest %d pending %d awaiting %d leader %q",
+				id, c.ringID, c.ring, c.gathering, c.commit, c.deliveredSeq, c.highest, len(c.pending), len(c.fp.awaiting), c.fp.leader)
 		}
 		v.t.Fatalf("no quiescence among %v within %v of virtual time", ids, limit)
 	}
@@ -311,19 +314,7 @@ func (v *vnet) agree(ref memnet.NodeID, ids ...memnet.NodeID) {
 	}
 }
 
-// twoLists reports whether some core installed other members than c's
-// under c's ring id: gathering is not atomic (there is no commit token;
-// DESIGN.md section 5).
-func (v *vnet) twoLists(c ConfigChange) bool {
-	return slices.ContainsFunc(v.ids, func(other memnet.NodeID) bool {
-		return slices.ContainsFunc(v.rings[other], func(o ConfigChange) bool {
-			return o.RingID == c.RingID && !slices.Equal(o.Members, c.Members)
-		})
-	})
-}
-
-// agreeWhereTogether is what holds on any schedule, including the ones
-// where members installed different rings under one id: what a core
+// agreeWhereTogether is what holds on any schedule: what a core
 // delivered on its own, in a ring the others were not in, is its own.
 // Every core that never left the surviving history — never resumed —
 // delivered one identical stream from the start. In the history each core
@@ -371,12 +362,13 @@ func (v *vnet) agreeWhereTogether() {
 
 // toldRight fails unless every ConfigChange a core emitted was for a ring
 // the harness saw it install, with the verdict the harness's own books
-// give: the core continues exactly when the history the ring's tokens
-// named is the ring the books had it standing in when it installed this
-// one — none, for both, in a founding ring — and it resumed at a horizon
-// exactly when it does not. That holds a core to the verdicts it took for
-// known before any token (installRing) as well: the tokens, once sent,
-// must have named what it assumed.
+// give. The ring's decided commit must have been sent with these members;
+// the core continues exactly when the history that commit keeps is the one
+// its own entry names, and it resumed at a horizon exactly when it does
+// not. And its entry names the ring the books had it standing in when it
+// installed this one — none, in a founding ring — or, where the creator
+// vouched for it, a ring the core was a member of and missed the install
+// of, which kept the history the books have it standing in.
 func (v *vnet) toldRight() {
 	v.t.Helper()
 	for _, w := range v.told {
@@ -385,16 +377,17 @@ func (v *vnet) toldRight() {
 		if i < 0 || !slices.Equal(rings[i].Members, w.c.Members) {
 			v.t.Fatalf("%s reported ring %d %v, which it did not install", w.id, w.c.RingID, w.c.Members)
 		}
-		// Two lists installed under one id: a core may have checked in on
-		// the other ring's token, and the books cannot say which it saw.
-		if v.twoLists(w.c) {
-			continue
+		tok, sent := v.decided[ringRef{ID: w.c.RingID, Low: w.c.Members[0]}]
+		if !sent || !slices.Equal(tok.Members, w.c.Members) {
+			v.t.Fatalf("%s reported ring %d %v, of which no decided commit was sent", w.id, w.c.RingID, w.c.Members)
 		}
-		// A ring of one sends no token for the books to read.
-		named, sent := v.named[ringKey(w.c)]
-		if want := named == v.from[w.id][i] || !sent && !w.resumed; w.c.Continues != want || w.resumed == want {
+		stood, said := v.from[w.id][i], tok.Entries[slices.Index(tok.Members, w.id)].Last
+		if missed := v.decided[said]; said != stood && (stood == ringRef{} || missed.kept() != stood || !slices.Contains(missed.Members, w.id)) {
+			v.t.Fatalf("%s stood in %v and its entry in the commit of ring %d says %v", w.id, stood, w.c.RingID, said)
+		}
+		if want := tok.kept() == said; w.c.Continues != want || w.resumed == want {
 			v.t.Fatalf("%s was told Continues = %v of ring %d %v (history %v, resumed %v, stood in %v, installed %v)", w.id, w.c.Continues,
-				w.c.RingID, w.c.Members, named, w.resumed, v.from[w.id][i], rings[:i])
+				w.c.RingID, w.c.Members, tok.kept(), w.resumed, stood, rings[:i])
 		}
 	}
 }
@@ -426,4 +419,38 @@ func (v *vnet) resumed() []uint64 {
 		out[i] = v.cores[id].resumedN.Load()
 	}
 	return out
+}
+
+// TestFollowerAsksForTheLastBatchOfAnIdleEpoch: the last batch of a
+// leader epoch is lost at one follower and nothing more is submitted. No
+// later batch shows the follower the gap; the heartbeat says how far the
+// sequencer has ordered, and the follower asks (it used to stall until
+// the next submission, whenever that came).
+func TestFollowerAsksForTheLastBatchOfAnIdleEpoch(t *testing.T) {
+	v := newVnet(t, 3, 13, func(c *Config) { c.Ordering = OrderingLeader })
+	v.settle(time.Second)
+	seq := v.cores[v.ids[0]]
+	if !v.run(time.Second, func() bool { return seq.fp.leader != "" }) {
+		t.Fatal("no sequencer was promoted")
+	}
+	seq = v.cores[seq.fp.leader]
+	follower := v.ids[0]
+	if follower == seq.cfg.ID {
+		follower = v.ids[1]
+	}
+	lost := 0
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		if to == follower && data[0] == kindBatch && lost == 0 {
+			lost++
+			return true
+		}
+		return false
+	}
+	before := len(v.got[follower])
+	v.submit(seq.cfg.ID, []byte("last"))
+	if !v.run(2*seq.heartbeatInterval(), func() bool { return len(v.got[follower]) > before }) || lost != 1 {
+		t.Fatalf("%s lost %d batches and delivered %d messages within two heartbeats of the last batch", follower, lost, len(v.got[follower])-before)
+	}
+	v.settle(time.Second)
+	v.agree(seq.cfg.ID, v.ids...)
 }

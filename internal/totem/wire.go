@@ -2,7 +2,6 @@ package totem
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"eternalgw/internal/cdr"
@@ -59,36 +58,34 @@ type token struct {
 	// Stable is the confirmed global watermark: the Aru of the last
 	// completed rotation, published by the leader. Every member is known
 	// to have received all messages with seq <= Stable, so they may be
-	// garbage-collected and their retransmission requests dropped. A new
-	// ring starts it at zero: the joins its creator heard say nothing of
-	// a member it did not hear.
+	// garbage-collected and their retransmission requests dropped.
 	Stable uint64
 	Succ   memnet.NodeID // the member this token is addressed to
-	// History names the ring whose history this ring keeps (installRing):
-	// a member that holds any other resumes at Aru when the first token
-	// reaches it. None is named in a founding ring alone.
-	History ringRef
-	Rtr     []rtrEntry // outstanding retransmission requests
-	Skip    []uint64   // sequence numbers declared unrecoverable
+	Rtr    []rtrEntry    // outstanding retransmission requests
+	Skip   []uint64      // sequence numbers declared unrecoverable
+	// On a commit (core.partOf) alone: the ring proposed, an entry per
+	// member, and whether its creator has read them all and decided.
+	Members []memnet.NodeID
+	Entries []commitEntry
+	Decided bool
 }
 
-// ringRef names an installed ring: the ring id with a digest of the
-// ring's member list. Ring ids alone collide — both sides of a partition
-// count up in lockstep, and a gather, which is not atomic, can end with
-// different lists under one id at different members — but the lists
-// differ. The zero value is no ring.
+// commitEntry is what one member writes into a commit: the ring whose
+// history it holds — none for a processor never in a ring — and how far.
+type commitEntry struct {
+	Filled  bool
+	Last    ringRef
+	Highest uint64 // highest received sequence number
+	Aru     uint64 // contiguous received watermark
+}
+
+// ringRef names an installed ring: its id with its lowest member. Ring
+// ids alone collide — both sides of a partition count up in lockstep —
+// but rings of one id share no member (core.partOf), and a member
+// installs an id once. The zero value is no ring.
 type ringRef struct {
-	ID   uint64
-	List uint64
-}
-
-// listDigest is FNV-1a over the ids, each closed by a zero byte.
-func listDigest(ids []memnet.NodeID) uint64 {
-	h := fnv.New64a()
-	for _, id := range ids {
-		h.Write(append([]byte(id), 0))
-	}
-	return h.Sum64()
+	ID  uint64
+	Low memnet.NodeID
 }
 
 // rtrEntry is one retransmission request with its rotation age.
@@ -99,12 +96,9 @@ type rtrEntry struct {
 
 // joinMsg is a membership-recovery message.
 type joinMsg struct {
-	Sender  memnet.NodeID
-	Alive   []memnet.NodeID
-	RingID  uint64  // proposed new ring id
-	Last    ringRef // the ring whose history the sender holds (core.stood), and its watermarks are in
-	Highest uint64  // sender's highest received sequence number
-	Aru     uint64  // sender's contiguous received watermark
+	Sender memnet.NodeID
+	Alive  []memnet.NodeID
+	RingID uint64 // proposed new ring id
 }
 
 func encodeRegular(m regularMsg) []byte {
@@ -177,12 +171,10 @@ func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
 
 // idTable resolves the node ids inside a datagram without allocating a
 // string per id: the ids a ring exchanges are, almost always, the ring's
-// own members, and a map lookup keyed by string(b) does not allocate.
-// The core rebuilds its table in installRing and adds the one other id
-// every token of the ring names (processToken). Decoding an id that is
-// not in the table converts it (allocating, as every id used to) and
-// never adds it, so hostile datagrams cannot grow it. A nil table
-// resolves nothing.
+// own members (the core rebuilds its table at every install), and a map
+// lookup keyed by string(b) does not allocate. Decoding an id that is not
+// in the table converts it, allocating, and never adds it, so hostile
+// datagrams cannot grow it. A nil table resolves nothing.
 type idTable map[string]memnet.NodeID
 
 func newIDTable(members []memnet.NodeID) idTable {
@@ -251,7 +243,7 @@ func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
 }
 
 func encodeToken(t token) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip))
+	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip)+64*len(t.Members))
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -259,8 +251,6 @@ func encodeToken(t token) []byte {
 	w.WriteULongLong(t.Aru)
 	w.WriteULongLong(t.Stable)
 	w.WriteString(string(t.Succ))
-	w.WriteULongLong(t.History.ID)
-	w.WriteULongLong(t.History.List)
 	w.WriteULong(uint32(len(t.Rtr)))
 	for _, e := range t.Rtr {
 		w.WriteULongLong(e.Seq)
@@ -269,6 +259,21 @@ func encodeToken(t token) []byte {
 	w.WriteULong(uint32(len(t.Skip)))
 	for _, s := range t.Skip {
 		w.WriteULongLong(s)
+	}
+	if len(t.Members) == 0 {
+		return w.Bytes()
+	}
+	w.WriteBool(t.Decided)
+	w.WriteULong(uint32(len(t.Members)))
+	for _, id := range t.Members {
+		w.WriteString(string(id))
+	}
+	for _, e := range t.Entries {
+		w.WriteBool(e.Filled)
+		w.WriteULongLong(e.Last.ID)
+		w.WriteString(string(e.Last.Low))
+		w.WriteULongLong(e.Highest)
+		w.WriteULongLong(e.Aru)
 	}
 	return w.Bytes()
 }
@@ -281,7 +286,6 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	t.Aru = r.ReadULongLong()
 	t.Stable = r.ReadULongLong()
 	t.Succ = ids.id(r.ReadStringBytes())
-	t.History = ringRef{r.ReadULongLong(), r.ReadULongLong()}
 	nRtr := r.ReadULong()
 	if r.Err() != nil || int(nRtr) > r.Remaining()/8 {
 		// A hostile count must fail the decode, not silently yield an
@@ -301,8 +305,29 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	for i := uint32(0); i < nSkip && r.Err() == nil; i++ {
 		t.Skip = append(t.Skip, r.ReadULongLong())
 	}
+	if r.Err() == nil && r.Remaining() == 0 {
+		return t, nil
+	}
+	// The commit form: a member list with its addressee in it and an
+	// entry per member, every one filled in once it is decided.
+	t.Decided = r.ReadBool()
+	n := r.ReadULong()
+	if r.Err() != nil || n == 0 || int(n) > r.Remaining()/8 {
+		return token{}, fmt.Errorf("totem: decode token: bad member count %d", n)
+	}
+	t.Members = make([]memnet.NodeID, 0, n)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		t.Members = append(t.Members, ids.id(r.ReadStringBytes()))
+	}
+	t.Entries = make([]commitEntry, 0, n)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		t.Entries = append(t.Entries, commitEntry{r.ReadBool(), ringRef{r.ReadULongLong(), ids.id(r.ReadStringBytes())}, r.ReadULongLong(), r.ReadULongLong()})
+	}
 	if err := r.Err(); err != nil {
 		return token{}, fmt.Errorf("totem: decode token: %w", err)
+	}
+	if !slices.Contains(t.Members, t.Succ) || t.Decided && slices.ContainsFunc(t.Entries, func(e commitEntry) bool { return !e.Filled }) {
+		return token{}, fmt.Errorf("totem: decode token: commit addressed to a stranger, or decided with an entry not filled in")
 	}
 	return t, nil
 }
@@ -316,10 +341,6 @@ func encodeJoin(j joinMsg) []byte {
 		w.WriteString(string(id))
 	}
 	w.WriteULongLong(j.RingID)
-	w.WriteULongLong(j.Last.ID)
-	w.WriteULongLong(j.Last.List)
-	w.WriteULongLong(j.Highest)
-	w.WriteULongLong(j.Aru)
 	return w.Bytes()
 }
 
@@ -374,12 +395,15 @@ type ackMsg struct {
 // promoteMsg installs (and then heartbeats) a sequencer. StartSeq is the
 // agreed mode-switch sequence: the last ring-ordered sequence number,
 // identical at every node, below which everything was token-ordered and
-// above which everything is leader-ordered within this ring.
+// above which everything is leader-ordered within this ring. Seq is the
+// highest sequence number the sequencer has ordered: a follower that
+// lost the last batches of an idle epoch learns of them here.
 type promoteMsg struct {
 	RingID   uint64
 	Leader   memnet.NodeID
 	StartSeq uint64
 	Stable   uint64
+	Seq      uint64
 }
 
 func encodeForward(f forwardMsg) []byte {
@@ -517,6 +541,7 @@ func encodePromote(p promoteMsg) []byte {
 	w.WriteString(string(p.Leader))
 	w.WriteULongLong(p.StartSeq)
 	w.WriteULongLong(p.Stable)
+	w.WriteULongLong(p.Seq)
 	return w.Bytes()
 }
 
@@ -526,6 +551,7 @@ func decodePromote(r *cdr.Reader, ids idTable) (promoteMsg, error) {
 	p.Leader = ids.id(r.ReadStringBytes())
 	p.StartSeq = r.ReadULongLong()
 	p.Stable = r.ReadULongLong()
+	p.Seq = r.ReadULongLong()
 	if err := r.Err(); err != nil {
 		return promoteMsg{}, fmt.Errorf("totem: decode promote: %w", err)
 	}
@@ -544,9 +570,6 @@ func decodeJoin(r *cdr.Reader) (joinMsg, error) {
 		j.Alive = append(j.Alive, memnet.NodeID(r.ReadString()))
 	}
 	j.RingID = r.ReadULongLong()
-	j.Last = ringRef{r.ReadULongLong(), r.ReadULongLong()}
-	j.Highest = r.ReadULongLong()
-	j.Aru = r.ReadULongLong()
 	if err := r.Err(); err != nil {
 		return joinMsg{}, fmt.Errorf("totem: decode join: %w", err)
 	}

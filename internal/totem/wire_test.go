@@ -66,16 +66,53 @@ func TestTokenRoundTrip(t *testing.T) {
 		Aru:     480,
 		Stable:  480,
 		Succ:    "n3",
-		History: ringRef{ID: 6, List: 0x9e3779b97f4a7c15},
 		Rtr:     []rtrEntry{{Seq: 481, Age: 2}, {Seq: 483}},
 		Skip:    []uint64{460, 470},
 	}
-	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
-	if err != nil {
-		t.Fatal(err)
+	// The plain form, a commit on its first rotation, and a decided one.
+	undecided, decided := tok, tok
+	undecided.Members = []memnet.NodeID{"n1", "n3"}
+	undecided.Entries = []commitEntry{{Filled: true, Last: ringRef{ID: 6, Low: "m"}, Highest: 500, Aru: 480}, {}}
+	decided.Members, decided.Decided = undecided.Members, true
+	decided.Entries = []commitEntry{undecided.Entries[0], {Filled: true, Highest: 3, Aru: 2}}
+	for _, tok := range []token{tok, undecided, decided} {
+		got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tok) {
+			t.Fatalf("got %+v, want %+v", got, tok)
+		}
 	}
-	if !reflect.DeepEqual(got, tok) {
-		t.Fatalf("got %+v, want %+v", got, tok)
+}
+
+// hostileCommits are commit forms the decoder must refuse, each an
+// encoding of a token no core sends.
+func hostileCommits() []struct {
+	name  string
+	frame []byte
+} {
+	filled := commitEntry{Filled: true, Highest: 3, Aru: 2}
+	two := []memnet.NodeID{"m", "n"}
+	// With no member the encoder writes the plain form: the empty commit
+	// is spelled out, the decided flag and two zero counts.
+	empty := append(encodeToken(token{RingID: 3, TokenID: 1, Succ: "n"}), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"no entries and no members", empty},
+		{"a list that omits the addressee", encodeToken(token{RingID: 3, TokenID: 1, Succ: "x", Members: two, Entries: []commitEntry{filled, {}}})},
+		{"fewer entries than members", encodeToken(token{RingID: 3, TokenID: 1, Succ: "n", Members: two, Entries: []commitEntry{filled}})},
+		{"decided with an entry not yet written", encodeToken(token{RingID: 3, TokenID: 3, Succ: "n", Members: two, Entries: []commitEntry{filled, {}}, Decided: true})},
+	}
+}
+
+func TestTokenRejectsHostileCommits(t *testing.T) {
+	for _, c := range hostileCommits() {
+		if tok, err := decodeToken(cdrSkipKind(c.frame), nil); err == nil {
+			t.Errorf("%s: decoded %+v", c.name, tok)
+		}
 	}
 }
 
@@ -92,12 +129,9 @@ func TestTokenRoundTripEmptyLists(t *testing.T) {
 
 func TestJoinRoundTrip(t *testing.T) {
 	jm := joinMsg{
-		Sender:  "n5",
-		Alive:   []memnet.NodeID{"n1", "n5", "n9"},
-		RingID:  12,
-		Last:    ringRef{ID: 11, List: 0x9e3779b97f4a7c15},
-		Highest: 4000,
-		Aru:     3999,
+		Sender: "n5",
+		Alive:  []memnet.NodeID{"n1", "n5", "n9"},
+		RingID: 12,
 	}
 	got, err := decodeJoin(decodeFrame(t, encodeJoin(jm), kindJoin))
 	if err != nil {
@@ -110,7 +144,7 @@ func TestJoinRoundTrip(t *testing.T) {
 
 func TestQuickTokenRoundTrip(t *testing.T) {
 	f := func(ringID, tokenID, seq, aru uint64, rtrSeqs []uint64, skip []uint64) bool {
-		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y", History: ringRef{ID: ringID / 2, List: 0x9e3779b97f4a7c15}}
+		tok := token{RingID: ringID, TokenID: tokenID, Seq: seq, Aru: aru, Stable: aru / 2, Succ: "y"}
 		for _, s := range rtrSeqs {
 			tok.Rtr = append(tok.Rtr, rtrEntry{Seq: s, Age: uint32(s % 7)})
 		}
