@@ -57,8 +57,8 @@ loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
-# leader-mode round trip at r=3 must stay under 425 KiB and 70
-# allocations at 16 KiB, and under 10 KiB and 70 allocations at 64 B —
+# leader-mode round trip at r=3 must stay under 235 KiB and 62
+# allocations at 16 KiB, and under 8.5 KiB and 62 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost) on its own, without the
 # race detector's overhead, and prints the figures. `race` runs it too;
 # this is the line to look for in a CI log. scripts/copymap.sh attributes

@@ -11,9 +11,19 @@
 // goroutine, capturing it in a spawned closure — pins the whole datagram
 // and becomes a silent use-after-reuse the day datagrams are pooled.
 // Writing to it corrupts the message for every other payload packed into
-// the datagram and for every other member. The only safe way to keep or
-// change delivery bytes is an explicit copy: append([]byte(nil), b...),
-// or a string conversion.
+// the datagram and for every other member. The only safe way to change
+// delivery bytes is an explicit copy: append([]byte(nil), b...), or a
+// string conversion. And the only ways to keep them are that copy and the
+// one sanctioned retention (DESIGN.md section 7): a function declared with
+// a "gwlint:arena-retain" directive — replication.retain — which hands
+// back the window itself when the datagram carries no other message and a
+// copy when it is a part of a pack. Its result may flow into a field
+// store; it is still borrowed for the read-only pass, because a kept
+// datagram is as shared as a delivered one. A datagram that may be kept
+// like this is also one no transport may ever pool: sole-message
+// datagrams live as long as the log entry or reply record that keeps
+// them, so the "use-after-reuse the day datagrams are pooled" that
+// remains is the pack's, whose parts are always copied out.
 //
 // The analyzer runs a per-function taint pass. Any expression whose type
 // is an arena type (totem.Delivery, totem.Event, replication.HeaderView,
@@ -109,6 +119,9 @@ type checker struct {
 	// carrier maps carrier type keys to their borrow-holding fields;
 	// a nil set means every reference-carrying field.
 	carrier map[string]map[string]bool
+	// retain holds the functions declared "gwlint:arena-retain": what they
+	// return may be kept, and may not be written to.
+	retain map[types.Object]bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -116,6 +129,7 @@ func run(pass *analysis.Pass) error {
 		pass:    pass,
 		arena:   make(map[string]bool, len(defaultArena)),
 		carrier: make(map[string]map[string]bool, len(defaultCarrier)),
+		retain:  make(map[types.Object]bool),
 	}
 	for k := range defaultArena {
 		c.arena[k] = true
@@ -134,7 +148,12 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	ro := &checker{pass: pass, arena: make(map[string]bool, len(c.arena)+len(defaultShared)), carrier: c.carrier, writes: true}
+	for obj, ds := range analysis.FuncDirectives(pass.Files, pass.TypesInfo) {
+		if analysis.HasDirective(ds, "arena-retain") {
+			c.retain[obj] = true
+		}
+	}
+	ro := &checker{pass: pass, arena: make(map[string]bool, len(c.arena)+len(defaultShared)), carrier: c.carrier, retain: c.retain, writes: true}
 	for k := range c.arena {
 		ro.arena[k] = true
 	}
@@ -332,6 +351,11 @@ func (c *checker) callTainted(set map[types.Object]bool, call *ast.CallExpr) boo
 			}
 			return false
 		}
+	}
+	// The sanctioned retention: its result is the caller's to keep, and,
+	// being possibly the delivered window itself, nobody's to write to.
+	if fn := analysis.Callee(c.pass.TypesInfo, call); fn != nil && c.retain[fn] {
+		return c.writes && len(call.Args) > 0 && c.tainted(set, call.Args[0])
 	}
 	// A type conversion to a reference-like type keeps the borrow
 	// ([]byte(x)); conversions to string or scalars copy. Ordinary calls

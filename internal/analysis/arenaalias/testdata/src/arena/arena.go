@@ -178,3 +178,49 @@ type queue struct {
 func (q *queue) push(p parcel) {
 	q.items = append(q.items, p)
 }
+
+// The one sanctioned retention (DESIGN.md section 7): a datagram that
+// carries one message may be kept as it is, and the function that decides
+// — window or copy — is the only non-copy whose result may be stored.
+//
+// gwlint:arena-retain
+func retain(b []byte, sole bool) []byte {
+	if sole {
+		return b
+	}
+	return append([]byte(nil), b...)
+}
+
+// pack is a datagram that carries several payloads, like a packed
+// regularMsg: sole says whether it carries just the one.
+//
+// gwlint:arena
+type pack struct {
+	parts [][]byte
+	sole  bool
+}
+
+func okRetain(p pack, k *keeper) {
+	k.held = retain(p.parts[0], p.sole)
+}
+
+// Without it a window stays a borrow, whatever the code around it knows:
+// a part of a pack kept by reference pins the whole pack...
+func keepPart(p pack, k *keeper) {
+	k.held = p.parts[1] // want `stored in a struct field`
+}
+
+// ...and so does the payload of a datagram that travelled alone, kept on
+// the caller's own say-so.
+func keepSoleUnasked(p pack, k *keeper) {
+	if p.sole {
+		k.held = p.parts[0] // want `stored in a struct field`
+	}
+}
+
+// A kept datagram is still the datagram every other member holds.
+func writeKept(p pack, k *keeper) {
+	kept := retain(p.parts[0], p.sole)
+	kept[0] = 1 // want `write into delivery-arena memory`
+	k.held = kept
+}

@@ -79,3 +79,38 @@ func scrub(d totem.Delivery) {
 func extend(hv replication.HeaderView) []byte {
 	return append(hv.Payload, 0) // want `append to delivery-arena memory` `returning delivery-arena memory`
 }
+
+// The recovery log and the gateway-group record keep a delivery's bytes
+// through the one function that may hand the window back (DESIGN.md
+// section 7), asked with the delivery's own Sole...
+//
+// gwlint:arena-retain
+func retain(b []byte, sole bool) []byte {
+	if sole {
+		return b
+	}
+	return append([]byte(nil), b...)
+}
+
+type recoveryLog struct {
+	entries [][]byte
+}
+
+func (l *recoveryLog) logged(d totem.Delivery) {
+	l.entries = append(l.entries, retain(d.Payload, d.Sole))
+}
+
+// ...and not by looking at Sole themselves,
+func (l *recoveryLog) loggedUnasked(d totem.Delivery) {
+	if d.Sole {
+		l.entries = append(l.entries, d.Payload) // want `stored in a struct field`
+	}
+}
+
+// and what they keep they never write to: on memnet it is in the other
+// replicas' logs too.
+func (l *recoveryLog) stamp(d totem.Delivery) {
+	kept := retain(d.Payload, d.Sole)
+	kept[0] |= 0x80 // want `write into delivery-arena memory`
+	l.entries = append(l.entries, kept)
+}

@@ -461,6 +461,11 @@ type clientConn struct {
 	gw  *Gateway
 	nc  net.Conn
 	wmu sync.Mutex
+	// The gathered reply write's scratch, under wmu: the reply's head,
+	// the write's two buffers, and the slice of them WriteTo consumes.
+	whead []byte
+	wvec  [2][]byte
+	wbufs net.Buffers
 
 	mu  sync.Mutex
 	ids map[replication.GroupID]uint64
@@ -734,16 +739,36 @@ func (cc *clientConn) shedReply(msg giop.Message, req giop.Request, v admission.
 	})
 }
 
-// writeReplyRaw re-encodes a reply in the byte order of the client's
-// request and writes it to the socket.
+// writeReplyRaw frames a reply in the byte order and version of the
+// client's request and writes it to the socket: the head built here and
+// the result — a view onto the delivered datagram — from where it lies,
+// in one gathered write. A reply that has to be fragmented is encoded
+// whole, so each frame is one Write.
 func (cc *clientConn) writeReplyRaw(msg giop.Message, req giop.Request, rep giop.Reply) {
 	rep.RequestID = req.RequestID
-	out, err := giop.EncodeReplyV(msg.Header.Order, msg.Header.Minor, rep)
+	order, minor := msg.Header.Order, msg.Header.Minor
+	if minor >= 1 && giop.ReplySizeBound(rep) > giop.DefaultFragmentSize {
+		out, err := giop.EncodeReplyV(order, minor, rep)
+		if err != nil {
+			cc.gw.log.Errorf("encode reply: %v", err)
+			return
+		}
+		cc.write(out)
+		return
+	}
+	cc.wmu.Lock()
+	defer cc.wmu.Unlock()
+	head, err := giop.AppendReplyHead(cc.whead[:0], order, minor, rep)
 	if err != nil {
 		cc.gw.log.Errorf("encode reply: %v", err)
 		return
 	}
-	cc.write(out)
+	cc.whead = head
+	cc.wbufs = append(cc.wvec[:0], head, rep.Result)
+	if _, err := cc.wbufs.WriteTo(cc.nc); err != nil {
+		cc.gw.log.Warnf("write to %s: %v", cc.nc.RemoteAddr(), err)
+	}
+	cc.wvec[1] = nil // the result is the datagram's, not this connection's to hold
 }
 
 func (cc *clientConn) handleLocate(msg giop.Message) {

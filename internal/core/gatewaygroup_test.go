@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -315,6 +316,47 @@ func TestLargeFragmentedRequestThroughGateway(t *testing.T) {
 	for i := range got {
 		if got[i] != payload[i] {
 			t.Fatalf("byte %d corrupted through fragmentation", i)
+		}
+	}
+}
+
+// TestRepliesArriveWholeInEveryVersion drives both ways the gateway
+// writes a reply — one gathered write of head and result, and the encoded
+// message written frame by frame — with clients of every GIOP minor
+// version: an empty result, one of 20 KiB, which every version gathers,
+// and one of 40 KiB, which 1.0 gathers whole and 1.1 and 1.2 fragment.
+func TestRepliesArriveWholeInEveryVersion(t *testing.T) {
+	d := fastDomain(t, "ny", 3)
+	deployRegister(t, d, replication.Active, 2)
+	gw, err := d.AddGateway(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns [3]*orb.Conn
+	for minor := range conns {
+		conn, err := orb.Dial(gw.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		conn.SetGIOPMinor(byte(minor))
+		conns[minor] = conn
+	}
+	var want []byte
+	for round := 0; round < 3; round++ {
+		for minor, conn := range conns {
+			r, err := conn.Call([]byte(keyRegister), "read", nil, orb.InvokeOptions{})
+			if err != nil {
+				t.Fatalf("1.%d: read of %d bytes: %v", minor, len(want), err)
+			}
+			if got := r.ReadOctetSeq(); r.Err() != nil || !bytes.Equal(got, want) {
+				t.Fatalf("1.%d: read %d bytes (err %v), want the %d appended", minor, len(got), r.Err(), len(want))
+			}
+		}
+		chunk := bytes.Repeat([]byte{byte(round), 0xa5}, 10<<10)
+		want = append(want, chunk...)
+		if _, err := conns[round].Call([]byte(keyRegister), "append", encodeOctetSeq(chunk), orb.InvokeOptions{}); err != nil {
+			t.Fatalf("1.%d: append: %v", round, err)
 		}
 	}
 }

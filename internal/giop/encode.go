@@ -54,10 +54,11 @@ func AppendRequest(dst []byte, order cdr.ByteOrder, req Request) ([]byte, error)
 
 // AppendReply is AppendRequest for a GIOP 1.0 Reply.
 func AppendReply(dst []byte, order cdr.ByteOrder, rep Reply) ([]byte, error) {
-	h := Header{Major: 1, Minor: 0, Order: order, Type: MsgReply}
-	w := cdr.NewWriterOn(appendHeader(dst, h), order)
-	writeReply(w, rep)
-	return finishAppend(w, len(dst), h)
+	head, err := AppendReplyHead(dst, order, 0, rep)
+	if err != nil {
+		return nil, err
+	}
+	return append(head, rep.Result...), nil
 }
 
 // finishAppend completes a message appended at offset start of w's
@@ -113,21 +114,22 @@ func readRequest(r *cdr.Reader) Request {
 
 // requestSizeHint bounds a request body's encoded size, so encoders can
 // preallocate their buffer instead of growing it through the default
-// 64-byte writer (fixed fields and alignment slack stay under the
-// 64-byte allowance).
+// 64-byte writer: 38 bytes of fixed fields, length prefixes and worst-case
+// padding in every minor version, 11 per service context beside its data,
+// and no more — a small message changes size class over a few bytes.
 func requestSizeHint(req Request) int {
-	size := 64 + len(req.ObjectKey) + len(req.Operation) + len(req.Principal) + len(req.Args)
+	size := 40 + len(req.ObjectKey) + len(req.Operation) + len(req.Principal) + len(req.Args)
 	for _, sc := range req.ServiceContexts {
-		size += 16 + len(sc.Data)
+		size += 12 + len(sc.Data)
 	}
 	return size
 }
 
-// replySizeHint is requestSizeHint for replies.
+// replySizeHint is requestSizeHint for replies, whose fixed part is 16.
 func replySizeHint(rep Reply) int {
-	size := 32 + len(rep.Result)
+	size := 16 + len(rep.Result)
 	for _, sc := range rep.ServiceContexts {
-		size += 16 + len(sc.Data)
+		size += 12 + len(sc.Data)
 	}
 	return size
 }
@@ -140,24 +142,15 @@ func ReplySizeBound(rep Reply) int { return HeaderSize + replySizeHint(rep) }
 
 // EncodeReply builds a framed Reply message in the given byte order.
 func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
-	w := cdr.NewWriterCap(order, replySizeHint(rep))
-	writeReply(w, rep)
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode reply: %w", err)
-	}
-	return Message{
-		Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgReply},
-		Body:   w.Bytes(),
-	}, nil
+	return EncodeReplyV(order, 0, rep)
 }
 
-// writeReply writes a GIOP 1.0 Reply body.
-func writeReply(w *cdr.Writer, rep Reply) {
+// writeReplyHead writes a GIOP 1.0 Reply body up to its result.
+func writeReplyHead(w *cdr.Writer, rep Reply) {
 	writeServiceContexts(w, rep.ServiceContexts)
 	w.WriteULong(rep.RequestID)
 	w.WriteULong(uint32(rep.Status))
 	w.Align(8)
-	w.WriteOctets(rep.Result)
 }
 
 // DecodeReply parses a Reply message body. The reply's Result aliases
@@ -180,7 +173,7 @@ func DecodeReply(msg Message) (Reply, error) {
 	return rep, nil
 }
 
-// readReply reads what writeReply writes.
+// readReply reads what writeReplyHead writes, and the result behind it.
 func readReply(r *cdr.Reader) Reply {
 	var rep Reply
 	rep.ServiceContexts = readServiceContexts(r)

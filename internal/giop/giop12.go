@@ -159,52 +159,76 @@ func decodeRequest12(msg Message) (Request, error) {
 
 // EncodeReplyV builds a framed Reply in the given GIOP minor version.
 func EncodeReplyV(order cdr.ByteOrder, minor byte, rep Reply) (Message, error) {
-	switch minor {
-	case 0, 1:
-		msg, err := EncodeReply(order, rep)
-		if err != nil {
-			return Message{}, err
-		}
-		msg.Header.Minor = minor
-		return msg, nil
-	case 2:
-		return encodeReply12(order, rep)
-	default:
-		return Message{}, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
+	head, err := AppendReplyHead(make([]byte, 0, ReplySizeBound(rep)), order, minor, rep)
+	if err != nil {
+		return Message{}, err
 	}
+	return Message{
+		Header: Header{Major: 1, Minor: minor, Order: order, Type: MsgReply},
+		Body:   append(head, rep.Result...)[HeaderSize:],
+	}, nil
 }
 
-func encodeReply12(order cdr.ByteOrder, rep Reply) (Message, error) {
-	w := cdr.NewWriterCap(order, replySizeHint(rep))
+// AppendReplyHead appends to dst everything of a framed Reply that comes
+// ahead of its result: the GIOP header, sized for the whole message, and
+// the reply header through the padding in front of the result. Every
+// reply encoder is this and the result behind it, copied or gathered.
+func AppendReplyHead(dst []byte, order cdr.ByteOrder, minor byte, rep Reply) (head []byte, err error) {
+	if minor > 2 {
+		return nil, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
+	}
+	h := Header{Major: 1, Minor: minor, Order: order, Type: MsgReply}
+	w := cdr.NewWriterOn(appendHeader(dst, h), order)
+	if minor == 2 {
+		writeReplyHead12(w, rep)
+	} else {
+		writeReplyHead(w, rep)
+	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("giop: encode reply: %w", err)
+	}
+	head = w.Bytes()
+	size := len(head) - len(dst) - HeaderSize + len(rep.Result)
+	if size > MaxMessageSize {
+		return nil, ErrTooLarge
+	}
+	h.Size = uint32(size)
+	appendHeader(head[:len(dst)], h)
+	return head, nil
+}
+
+// writeReplyHead12 writes a GIOP 1.2 Reply body up to its result, which
+// if there is one starts at an 8-octet boundary.
+func writeReplyHead12(w *cdr.Writer, rep Reply) {
 	w.WriteULong(rep.RequestID)
 	w.WriteULong(uint32(rep.Status))
 	writeServiceContexts(w, rep.ServiceContexts)
 	if len(rep.Result) > 0 {
 		w.Align(8)
-		w.WriteOctets(rep.Result)
 	}
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode 1.2 reply: %w", err)
-	}
-	return Message{
-		Header: Header{Major: 1, Minor: 2, Order: order, Type: MsgReply},
-		Body:   w.Bytes(),
-	}, nil
 }
 
 func decodeReply12(msg Message) (Reply, error) {
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	var rep Reply
-	rep.RequestID = r.ReadULong()
-	rep.Status = ReplyStatus(r.ReadULong())
-	rep.ServiceContexts = readServiceContexts(r)
+	rep := readReplyHead12(r)
 	if err := r.Err(); err != nil {
 		return Reply{}, fmt.Errorf("giop: decode 1.2 reply: %w", err)
 	}
 	if r.Remaining() > 0 {
-		r.Align(8)
 		rep.Result = slices.Clip(r.ReadOctets(r.Remaining()))
 	}
 	rep.ResultOrder = msg.Header.Order
 	return rep, nil
+}
+
+// readReplyHead12 reads what writeReplyHead12 writes.
+func readReplyHead12(r *cdr.Reader) Reply {
+	var rep Reply
+	rep.RequestID = r.ReadULong()
+	rep.Status = ReplyStatus(r.ReadULong())
+	rep.ServiceContexts = readServiceContexts(r)
+	if r.Err() == nil && r.Remaining() > 0 {
+		r.Align(8)
+	}
+	return rep
 }

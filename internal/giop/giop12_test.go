@@ -3,6 +3,7 @@ package giop
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,94 @@ func TestQuick12DecodersNeverPanic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplyHeadThenResultIsTheFramedReply pins what a gathered write puts
+// on the wire: for every minor version, both byte orders, with and without
+// service contexts, and for empty, odd-sized and fragment-sized results,
+// AppendReplyHead's bytes followed by the result are exactly what
+// WriteMessage writes of EncodeReplyV's message — behind whatever the
+// destination already held.
+func TestReplyHeadThenResultIsTheFramedReply(t *testing.T) {
+	for _, minor := range []byte{0, 1, 2} {
+		for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+			for _, ctx := range [][]ServiceContext{nil, {{ID: 3, Data: []byte("ctx")}}} {
+				for _, n := range []int{0, 5, 64 << 10} {
+					rep := Reply{RequestID: 77, Status: ReplyUserException, Result: bytes.Repeat([]byte{0x5a}, n), ResultOrder: order, ServiceContexts: ctx}
+					msg, err := EncodeReplyV(order, minor, rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want bytes.Buffer
+					if err := WriteMessage(&want, msg); err != nil {
+						t.Fatal(err)
+					}
+					head, err := AppendReplyHead([]byte("kept"), order, minor, rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := append(head[4:len(head):len(head)], rep.Result...); string(head[:4]) != "kept" || !bytes.Equal(got, want.Bytes()) {
+						t.Errorf("1.%d order %d contexts %d result %d: head and result differ from the framed reply (%d vs %d bytes)",
+							minor, order, len(ctx), n, len(got), want.Len())
+					}
+				}
+			}
+		}
+	}
+	if _, err := AppendReplyHead(nil, cdr.BigEndian, 3, Reply{}); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("minor 3: err = %v, want ErrBadVersion", err)
+	}
+	if _, err := AppendReplyHead(nil, cdr.BigEndian, 0, Reply{Result: make([]byte, MaxMessageSize)}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized reply: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestSizeHintsBoundEveryVersion: the allowance the encoders preallocate
+// by is allocated with every message the domain conveys, so it is the
+// worst case and no more. For every minor version and every residue of
+// the variable-length fields' lengths — which is what decides the padding
+// — the hint is at least the encoded body, and for some residue, without
+// service contexts, within eight bytes of it.
+func TestSizeHintsBoundEveryVersion(t *testing.T) {
+	for _, minor := range []byte{0, 1, 2} {
+		tightest := map[string]int{"request": 1 << 20, "reply": 1 << 20}
+		for n := 0; n < 8*8*8*8; n++ {
+			key, op, principal, ctx := n%8, n/8%8, n/64%8, n/512%8
+			req := Request{RequestID: 1, ResponseExpected: true, ObjectKey: make([]byte, key), Operation: strings.Repeat("o", op),
+				Args: make([]byte, 24)}
+			if minor < 2 {
+				req.Principal = make([]byte, principal) // 1.2 has none
+			}
+			rep := Reply{RequestID: 1, Result: make([]byte, 24)}
+			if ctx > 0 {
+				req.ServiceContexts = []ServiceContext{{ID: 1, Data: make([]byte, ctx)}, {ID: 2, Data: make([]byte, principal)}}
+				rep.ServiceContexts = req.ServiceContexts
+			}
+			qm, err := EncodeRequestV(cdr.BigEndian, minor, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, err := EncodeReplyV(cdr.BigEndian, minor, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				what       string
+				hint, body int
+			}{{"request", requestSizeHint(req), len(qm.Body)}, {"reply", replySizeHint(rep), len(pm.Body)}} {
+				if c.hint < c.body {
+					t.Fatalf("1.%d %s key %d op %d principal %d contexts %d: hint %d is below the %d-byte body", minor, c.what, key, op, principal, ctx, c.hint, c.body)
+				}
+				if ctx == 0 {
+					tightest[c.what] = min(tightest[c.what], c.hint-c.body)
+				}
+			}
+		}
+		for what, slack := range tightest {
+			if slack > 8 {
+				t.Errorf("1.%d %s: the hint is never closer than %d bytes to the body it bounds", minor, what, slack)
+			}
+		}
 	}
 }

@@ -87,10 +87,10 @@ func (l *Log) Checkpoint(g uint32, cp Checkpoint) {
 	gl.entries = kept
 }
 
-// AppendOwned records one invocation for group g, taking ownership of
-// e.Data: the caller must not reuse or mutate the slice afterwards (the
-// replication datapath hands over the one copy it makes of a delivered
-// invocation).
+// AppendOwned records one invocation for group g and keeps e.Data as it
+// is: bytes nobody will write to again — the caller's own copy, or the
+// delivered datagram that carries this invocation alone, which other
+// members' logs may share. Recover's entries share them too.
 func (l *Log) AppendOwned(g uint32, e Entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -72,9 +72,9 @@ func (m *Mechanisms) handleDelivery(d totem.Delivery) {
 	ts := d.Timestamp()
 	switch hv.Header.Kind {
 	case KindInvocation:
-		m.deliverInvocation(hv, d.Payload, ts)
+		m.deliverInvocation(hv, d, ts)
 	case KindResponse:
-		m.deliverResponse(hv, d.Sender)
+		m.deliverResponse(hv, d)
 	case KindStateSync:
 		m.deliverStateSync(hv.Message())
 	case KindGatewayControl:
@@ -470,7 +470,7 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	}
 }
 
-func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
+func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint64) {
 	if !m.HasQuorum() {
 		// Minority partition: refuse to advance replica state so the
 		// majority's history stays the only history (reconciliation by
@@ -508,7 +508,7 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 	// The still-encoded GIOP request rides to the per-group executor,
 	// which decodes it off the event loop and logs the raw wire form
 	// instead of re-encoding it.
-	r.push(task{kind: taskInvoke, msg: msg, raw: raw, ts: ts, execute: execute})
+	r.push(task{kind: taskInvoke, msg: msg, raw: d.Payload, sole: d.Sole, ts: ts, execute: execute})
 }
 
 // deliverResponse routes a response to local pending invocations,
@@ -518,9 +518,9 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 // departed client, are discarded — from the header peek alone, never
 // reaching the group directory or CDR. What is remembered is also the
 // gateway group's record (section 3.5): see pendingShard.answered.
-func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID) {
+func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	h := hv.Header
-	key := opKey{src: h.SrcGroup, clientID: h.ClientID, op: h.Op}
+	key := h.key()
 	sh := m.pending.shard(key)
 
 	sh.mu.Lock()
@@ -547,7 +547,7 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID) {
 	for _, c := range calls {
 		if c.votesNeeded > 0 {
 			sh.mu.Unlock()
-			m.deliverVotingResponse(hv, sh, key, sender, record)
+			m.deliverVotingResponse(hv, d, sh, key, record)
 			return
 		}
 	}
@@ -557,7 +557,7 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID) {
 		c.ch <- pendingResult{raw: hv.Payload}
 	}
 	delete(sh.calls, key)
-	sh.remember(key, hv.Payload, record)
+	sh.remember(key, hv.Payload, d.Sole, record)
 	sh.mu.Unlock()
 	if len(calls) > 0 {
 		m.responsesDelivered.Add(1)
@@ -571,7 +571,7 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID) {
 // the copy that completed the majority, so the record holds the value
 // delivered and not whichever copy arrived first. A vote that ends
 // without agreement delivered no copy and records none.
-func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key opKey, sender memnet.NodeID, record bool) {
+func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *pendingShard, key opKey, record bool) {
 	wire, err := giop.Unmarshal(hv.Payload)
 	if err != nil {
 		return
@@ -591,12 +591,12 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 			delivered, agreed = true, true
 			continue // resolved; drop from pending
 		}
-		if c.responded[sender] {
+		if c.responded[d.Sender] {
 			m.duplicateResponses.Add(1)
 			remaining = append(remaining, c)
 			continue
 		}
-		c.responded[sender] = true
+		c.responded[d.Sender] = true
 		c.votes[string(rep.Result)]++
 		if c.votes[string(rep.Result)] >= c.votesNeeded {
 			c.ch <- pendingResult{rep: rep}
@@ -622,7 +622,7 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, sh *pendingShard, key 
 		sh.calls[key] = remaining
 	}
 	if delivered {
-		sh.remember(key, hv.Payload, record && agreed)
+		sh.remember(key, hv.Payload, d.Sole, record && agreed)
 	}
 	sh.mu.Unlock()
 	if delivered {

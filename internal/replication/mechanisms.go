@@ -96,6 +96,7 @@ type pendingResult struct {
 type Mechanisms struct {
 	cfg    Config
 	node   *totem.Node
+	room   int         // node.Headroom(): what every multicast is encoded behind
 	tracer *obs.Tracer // nil when tracing is disabled
 
 	stop chan struct{}
@@ -164,6 +165,7 @@ func New(cfg Config) (*Mechanisms, error) {
 	m := &Mechanisms{
 		cfg:       cfg,
 		node:      cfg.Node,
+		room:      cfg.Node.Headroom(),
 		tracer:    cfg.Tracer,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -602,13 +604,13 @@ func (m *Mechanisms) HasQuorum() bool {
 
 // multicast encodes a message and submits it to totem.
 func (m *Mechanisms) multicast(msg Message) error {
-	return m.multicastEncoded(Encode(msg))
+	return m.multicastEncoded(encode(m.room, msg))
 }
 
-// multicastEncoded submits an encoded message to totem, which keeps the
-// buffer: the caller must not touch it afterwards.
+// multicastEncoded submits a message encoded behind m.room to totem,
+// which keeps the buffer: the caller must not touch it afterwards.
 func (m *Mechanisms) multicastEncoded(enc []byte) error {
-	if err := m.node.Multicast(enc); err != nil {
+	if err := m.node.MulticastFramed(enc); err != nil {
 		return fmt.Errorf("replication: multicast: %w", err)
 	}
 	return nil
@@ -619,7 +621,7 @@ func (m *Mechanisms) multicastEncoded(enc []byte) error {
 // for a response: the whole of a one-way request, and the send half of
 // Invoke.
 func (m *Mechanisms) MulticastRequest(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request) error {
-	enc, err := EncodeRequest(Header{
+	enc, err := encodeRequest(m.room, Header{
 		Kind:     KindInvocation,
 		ClientID: clientID,
 		SrcGroup: src,

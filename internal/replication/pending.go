@@ -42,18 +42,16 @@ func departedKey(serverGroup GroupID, clientID uint64) opKey {
 }
 
 // remember notes an operation as answered; the first note wins. record
-// says the reply belongs in the gateway-group record, and then it is
-// copied: it is a window onto a delivered datagram (the datagram is the
-// arena: every payload packed into it and, on memnet, every ring member
-// shares it), which must not be pinned for the record's lifetime.
-// Callers hold sh.mu.
-func (sh *pendingShard) remember(key opKey, reply []byte, record bool) {
+// says the reply, a window onto a delivered datagram, belongs in the
+// gateway-group record, where it is kept under retain's rule: the
+// datagram itself if sole, a copy if it was packed. Callers hold sh.mu.
+func (sh *pendingShard) remember(key opKey, reply []byte, sole, record bool) {
 	if sh.answered.Has(key) {
 		return
 	}
 	var kept []byte
 	if record && len(reply) > 0 {
-		kept = append(kept, reply...)
+		kept = retain(reply, sole)
 		sh.replies++
 	}
 	if evicted, _ := sh.answered.Add(key, kept); evicted != nil {
@@ -120,7 +118,7 @@ func (t *pendingTable) forget(serverGroup GroupID, clientID uint64) {
 		}
 		return true
 	})
-	sh.remember(departedKey(serverGroup, clientID), nil, false)
+	sh.remember(departedKey(serverGroup, clientID), nil, false, false)
 }
 
 // remembered counts the recorded replies and the entries held in all,

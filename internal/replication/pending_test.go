@@ -9,6 +9,7 @@ import (
 
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/totem"
 )
 
 // TestConcurrentInvokeStress exercises the sharded pending-call table:
@@ -166,7 +167,7 @@ const recServers GroupID = 7
 func (t *pendingTable) record(key opKey, reply []byte, keep bool) {
 	sh := t.shard(key)
 	sh.mu.Lock()
-	sh.remember(key, reply, keep)
+	sh.remember(key, reply, false, keep)
 	sh.mu.Unlock()
 }
 
@@ -392,7 +393,7 @@ func respond(t *testing.T, m *Mechanisms, h Header, sender string, result byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.deliverResponse(hv, memnet.NodeID(sender))
+	m.deliverResponse(hv, totem.Delivery{Sender: memnet.NodeID(sender), Payload: enc})
 	return hv.Payload
 }
 

@@ -323,3 +323,66 @@ func TestRecreatedGroupDonatesFreshImage(t *testing.T) {
 			gotV, gotOps, wantV, wantOps)
 	}
 }
+
+// TestSecondCopyBehindACheckpointIsNotLogged: an invocation delivered a
+// second time — totem re-sends a forward it had still awaited when the
+// ring changed, a gateway reissues — with a checkpoint cut between the
+// two copies. The primary suppresses the second; a backup that logged it
+// would hold it behind a checkpoint that has truncated the first, and on
+// promotion execute the operation again against an empty table
+// (bench failover_passive, seed 2204). A backup logs first copies alone,
+// whether it saw the first delivered or was donated it.
+func TestSecondCopyBehindACheckpointIsNotLogged(t *testing.T) {
+	for _, style := range []Style{WarmPassive, ColdPassive} {
+		t.Run(style.String(), func(t *testing.T) {
+			d := newDomain(t, 4)
+			apps := setupClientServer(t, d, style, 2, 3)
+			client := d.rms[d.ids[3]]
+			appendOp := func(i int) {
+				t.Helper()
+				if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte{byte('a' + i - 1)})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cutAt := func(m *Mechanisms) uint64 {
+				m.mu.RLock()
+				defer m.mu.RUnlock()
+				cp, _, _ := m.groups[grpServer].local.log.Recover(uint32(grpServer))
+				return cp.OpCount
+			}
+			// Operations 1..7, then a joiner donated an image whose suffix
+			// holds 5..7 (warm: cut at 4) or 1..7 (cold: cut on the spot
+			// at the first join, at 0), then 8: both styles cut there.
+			for i := 1; i <= 7; i++ {
+				appendOp(i)
+			}
+			d.mustJoin(d.ids[2], grpServer, &regApp{})
+			appendOp(8)
+			for _, n := range d.ids[1:3] {
+				waitFor(t, 5*time.Second, func() bool { return cutAt(d.rms[n]) == 8 })
+			}
+			// Second copies of 8, which both backups saw delivered, and of
+			// 7, which the joiner was donated: behind the cut at 8 only the
+			// log tells them from first copies.
+			appendOp(8)
+			appendOp(7)
+			appendOp(9)
+			d.net.Crash(d.ids[0])
+			waitFor(t, 5*time.Second, func() bool { return d.rms[d.ids[1]].Stats().Failovers == 1 })
+			appendOp(10)
+			if v, ops := apps[1].snapshot(); ops != 10 || !bytes.Equal(v, []byte("abcdefghij")) {
+				t.Fatalf("promoted backup holds %q after %d operations, want %q after 10: a second copy was logged and replayed", v, ops, "abcdefghij")
+			}
+			if n := logLen(d.rms[d.ids[2]]); n > 2 {
+				t.Fatalf("the donated backup's log holds %d entries behind the cut at 8, want 9 and 10 alone", n)
+			}
+		})
+	}
+}
+
+// logLen is how many invocations a member's log holds for grpServer.
+func logLen(m *Mechanisms) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.groups[grpServer].local.log.EntryCount(uint32(grpServer))
+}

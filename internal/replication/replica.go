@@ -36,10 +36,12 @@ type task struct {
 	msg Message
 	// raw is the full encoded wire form of an invocation delivery
 	// (header plus payload), aliasing the delivery buffer; logInvocation
-	// copies it into the recovery log instead of re-encoding msg.
+	// keeps it in the recovery log instead of re-encoding msg — as it is
+	// if sole (totem.Delivery.Sole, or a detached copy), see retain.
 	raw     []byte
 	ts      uint64
 	execute bool
+	sole    bool
 	state   statePayload
 	joiner  memnet.NodeID
 }
@@ -51,7 +53,7 @@ type task struct {
 // list) must detach first — the arenaalias analyzer enforces it.
 func (t task) detach() task {
 	t.msg.Payload = append([]byte(nil), t.msg.Payload...)
-	t.raw = append([]byte(nil), t.raw...)
+	t.raw, t.sole = append([]byte(nil), t.raw...), true
 	return t
 }
 
@@ -126,8 +128,10 @@ func (q *taskQueue) close() {
 // that member knows — cut locally if it executes, received by
 // KindStateSync if it is a backup, donated if it joined — and every
 // invocation delivered to it after that checkpoint's Seq, in total order
-// (an executing member leaves out the duplicates it suppressed: they
-// changed nothing). Passive failover and state donation both read that
+// and once: an executing member leaves out the duplicates it suppressed
+// (they changed nothing), a backup those of what it has logged — behind a
+// checkpoint that truncated the first copy, a second would be taken for
+// one at failover. Passive failover and state donation both read that
 // one image (logrec.Recover), and a joiner is seeded with it, so any
 // servant member can recover the group or donate it at any point. The
 // only difference between the passive styles is when a backup loads a
@@ -151,8 +155,11 @@ type replica struct {
 	primary   bool
 	wasBackup bool
 
-	// executor-owned state.
+	// executor-owned state. executed is what this replica ran and answered;
+	// logged, while it is a passive backup, what it put in its log instead,
+	// delivered or donated.
 	executed fifo.Map[opKey, giop.Reply]
+	logged   fifo.Map[opKey, struct{}]
 	dedupLen atomic.Int64 // executed.Len(), readable off the executor
 	// opCount operations are folded into the application state, the last
 	// of them delivered at lastOpTS: the position a checkpoint cut now
@@ -173,6 +180,7 @@ func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *rep
 		tasks: newTaskQueue(),
 	}
 	r.executed.Init(m.cfg.DedupCapacity)
+	r.logged.Init(m.cfg.DedupCapacity)
 	if app != nil {
 		r.log = logrec.NewLog()
 		go r.runExecutor()
@@ -243,19 +251,25 @@ const (
 
 func (r *replica) handleInvoke(t task) {
 	if !t.execute {
-		// A passive backup: the invocation waits in the log for failover.
-		r.logInvocation(t.ts, t.raw)
+		// A passive backup: the invocation waits in the log for failover,
+		// unless it is a second copy (the replica invariant).
+		key := t.msg.Header.key()
+		if _, first := r.logged.Add(key, struct{}{}); !first || r.executed.Has(key) {
+			r.m.duplicateInvocations.Add(1)
+			return
+		}
+		r.logInvocation(t.ts, t.raw, t.sole)
 		return
 	}
-	r.executeInvocation(t.msg, t.raw, t.ts, execLive)
+	r.executeInvocation(t.msg, t.raw, t.sole, t.ts, execLive)
 }
 
-// logInvocation copies a delivered invocation's wire form into the
-// recovery log — the one place a servant member retains request bytes
-// past their delivery. raw aliases the datagram, which cannot itself be
-// kept without pinning everything packed beside it.
-func (r *replica) logInvocation(ts uint64, raw []byte) {
-	r.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: append([]byte(nil), raw...)})
+// logInvocation puts a delivered invocation's wire form into the recovery
+// log — the one place a servant member retains request bytes past their
+// delivery, under retain's rule: the datagram itself if the invocation
+// travelled alone, a copy if it was packed.
+func (r *replica) logInvocation(ts uint64, raw []byte, sole bool) {
+	r.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: retain(raw, sole)})
 }
 
 // replay executes logged invocations in order; the entries stay owned by
@@ -266,7 +280,7 @@ func (r *replica) replay(entries []logrec.Entry, mode execMode) {
 		if err != nil {
 			continue
 		}
-		r.executeInvocation(hv.Message(), e.Data, e.Seq, mode)
+		r.executeInvocation(hv.Message(), e.Data, true, e.Seq, mode)
 	}
 }
 
@@ -277,9 +291,9 @@ func (r *replica) replay(entries []logrec.Entry, mode execMode) {
 // gateway that failed over) still obtains the result, but the operation
 // is not executed twice (paper sections 2.2, 3.3, 3.5) — and, having
 // changed nothing, is not logged either. raw is the invocation's encoded
-// wire form.
-func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode execMode) {
-	key := opKey{src: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
+// wire form, sole as in task.
+func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint64, mode execMode) {
+	key := msg.Header.key()
 	if rep, ok := r.executed.Get(key); ok {
 		r.m.duplicateInvocations.Add(1)
 		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.cfg.NodeID))
@@ -301,7 +315,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 		// Log before executing: a checkpoint cut at the end of this
 		// execution (Seq == ts) then truncates the entry its state already
 		// covers.
-		r.logInvocation(ts, raw)
+		r.logInvocation(ts, raw, sole)
 	}
 
 	r.curParentTS = ts
@@ -337,7 +351,7 @@ func (r *replica) remember(key opKey, rep giop.Reply) {
 // carrying the same client identifier and operation identifier as the
 // invocation so receivers can correlate and deduplicate (figure 6).
 func (r *replica) respond(inv Message, rep giop.Reply) {
-	enc, err := EncodeReply(Header{
+	enc, err := encodeReply(r.m.room, Header{
 		Kind:     KindResponse,
 		ClientID: inv.Header.ClientID,
 		SrcGroup: inv.Header.DstGroup, // we are the invoked group
@@ -473,6 +487,12 @@ func (r *replica) handleApplyState(t task) {
 	}
 	if !r.style.passive() {
 		r.replay(entries, execCatchup)
+	} else {
+		for _, e := range entries {
+			if hv, err := DecodeHeader(e.Data); err == nil {
+				r.logged.Add(hv.Header.key(), struct{}{})
+			}
+		}
 	}
 	r.synced.Store(true)
 	r.m.mu.Lock()

@@ -85,16 +85,23 @@ type opKey struct {
 	op       OperationID
 }
 
+// key names the operation a header is about: an invocation's among those
+// its destination executes, a response's among those its source answered.
+func (h Header) key() opKey { return opKey{src: h.SrcGroup, clientID: h.ClientID, op: h.Op} }
+
 // headerLen is the encoded length of the fixed header, alignment padding
 // and the payload's length prefix included: the payload starts here.
 const headerLen = 40
 
-// Encode serializes a message for multicasting.
-func Encode(m Message) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, headerLen+len(m.Payload))
-	writeHeader(w, m.Header)
-	w.WriteOctetSeq(m.Payload)
-	return w.Bytes()
+// Encode serializes a message: the bare wire form, for a caller that
+// wants the bytes (experiments, the benchmark's probe).
+func Encode(m Message) []byte { return encode(0, m) }
+
+// encode is the wire form behind room unwritten bytes (Mechanisms.room),
+// which totem frames the message in: the buffer built here is the datagram
+// that is broadcast (totem.Node.MulticastFramed).
+func encode(room int, m Message) []byte {
+	return sealPayload(room, append(openPayload(room, m.Header, len(m.Payload)), m.Payload...))
 }
 
 func writeHeader(w *cdr.Writer, h Header) {
@@ -113,29 +120,35 @@ func writeHeader(w *cdr.Writer, h Header) {
 // the byte order its arguments were marshalled in (the external
 // client's, when a gateway forwards), so replicas decode the arguments
 // correctly and answer in the same order.
-func EncodeRequest(h Header, req giop.Request) ([]byte, error) {
-	buf, err := giop.AppendRequest(openPayload(h, giop.RequestSizeBound(req)), req.ArgsOrder, req)
+func EncodeRequest(h Header, req giop.Request) ([]byte, error) { return encodeRequest(0, h, req) }
+
+// encodeRequest is to EncodeRequest what encode is to Encode.
+func encodeRequest(room int, h Header, req giop.Request) ([]byte, error) {
+	buf, err := giop.AppendRequest(openPayload(room, h, giop.RequestSizeBound(req)), req.ArgsOrder, req)
 	if err != nil {
 		return nil, err
 	}
-	return sealPayload(buf), nil
+	return sealPayload(room, buf), nil
 }
 
 // EncodeReply is EncodeRequest for an IIOP Reply (figure 4c), framed in
 // the byte order its result bytes were produced in (the original
 // request's), so the label on the wire matches the payload.
-func EncodeReply(h Header, rep giop.Reply) ([]byte, error) {
-	buf, err := giop.AppendReply(openPayload(h, giop.ReplySizeBound(rep)), rep.ResultOrder, rep)
+func EncodeReply(h Header, rep giop.Reply) ([]byte, error) { return encodeReply(0, h, rep) }
+
+func encodeReply(room int, h Header, rep giop.Reply) ([]byte, error) {
+	buf, err := giop.AppendReply(openPayload(room, h, giop.ReplySizeBound(rep)), rep.ResultOrder, rep)
 	if err != nil {
 		return nil, err
 	}
-	return sealPayload(buf), nil
+	return sealPayload(room, buf), nil
 }
 
-// openPayload starts a message with room for a payload of up to size
-// bytes: the header, with the payload length left for sealPayload.
-func openPayload(h Header, size int) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, headerLen+size)
+// openPayload starts a message behind room unwritten bytes, with space
+// for a payload of up to size: the header, its payload length left for
+// sealPayload.
+func openPayload(room int, h Header, size int) []byte {
+	w := cdr.NewWriterOn(make([]byte, room, room+headerLen+size), cdr.BigEndian)
 	writeHeader(w, h)
 	w.WriteULong(0)
 	return w.Bytes()
@@ -143,8 +156,8 @@ func openPayload(h Header, size int) []byte {
 
 // sealPayload patches the payload length into a message whose payload
 // was appended behind openPayload's header.
-func sealPayload(buf []byte) []byte {
-	binary.BigEndian.PutUint32(buf[headerLen-4:], uint32(len(buf)-headerLen))
+func sealPayload(room int, buf []byte) []byte {
+	binary.BigEndian.PutUint32(buf[room+headerLen-4:], uint32(len(buf)-room-headerLen))
 	return buf
 }
 
@@ -155,12 +168,27 @@ func sealPayload(buf []byte) []byte {
 // replica executor for request bodies, the first pending waiter for
 // reply bodies — and skipped entirely for early-discarded duplicate
 // responses. The payload must not be mutated, and anything retained
-// beyond the delivery must be copied: the datagram is the arena, shared
-// by every payload packed into it and, on memnet, by every ring member
-// that received it.
+// beyond the delivery goes through retain: the datagram is the arena,
+// shared by every payload packed into it and, on memnet, by every ring
+// member that received it.
 type HeaderView struct {
 	Header  Header
 	Payload []byte
+}
+
+// retain returns b, a window onto a delivered datagram, as it may outlive
+// the delivery, and is the only way delivered bytes do (DESIGN.md section
+// 7): b itself if sole (totem.Delivery.Sole), which pins one totem header
+// besides and on memnet is the one buffer every member keeps; a copy of a
+// part of a pack, so that a hundred-byte record never pins 32 KiB. Kept
+// bytes stay read-only, and no transport may pool a datagram that can be.
+//
+// gwlint:arena-retain
+func retain(b []byte, sole bool) []byte {
+	if sole {
+		return b
+	}
+	return append([]byte(nil), b...)
 }
 
 // Message materializes the view as a Message whose payload still aliases
@@ -188,7 +216,8 @@ func DecodeHeader(b []byte) (HeaderView, error) {
 }
 
 // Decode parses a multicast message, copying the payload so the result
-// does not alias the input.
+// does not alias the input (experiments, the benchmark's probe); the
+// datapath reads DecodeHeader's view.
 func Decode(b []byte) (Message, error) {
 	v, err := DecodeHeader(b)
 	if err != nil {

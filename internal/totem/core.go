@@ -73,6 +73,8 @@ type core struct {
 	refMissN       atomic.Uint64
 	promotionN     atomic.Uint64
 	demotionN      atomic.Uint64
+	framedInPlaceN atomic.Uint64
+	framedByCopyN  atomic.Uint64
 	// pendingN mirrors the payloads submitted and not yet ordered, so
 	// Backlog can report send-queue depth without touching protocol state.
 	pendingN atomic.Int64
@@ -92,7 +94,7 @@ type core struct {
 	deliveredSeq uint64 // contiguous received-and-delivered watermark (local aru)
 	highest      uint64
 	gcThrough    uint64 // stability horizon the last gc collected through
-	pending      [][]byte
+	pending      []submission
 	lastTokenID  uint64
 	ids          idTable // the ring's member ids, for allocation-free decoding
 
@@ -111,6 +113,22 @@ type core struct {
 	last, from, commit ringRef
 
 	fp epoch // the leader-ordered fast path (leader.go); zero while the token rotates
+
+	// hdrLen is this node's header in front of a single payload, by kind
+	// (its id's length decides), and room the longest its ordering mode
+	// has it write: what a submission leaves free ahead of its payload.
+	hdrLen [kindBatch + 1]int
+	room   int
+}
+
+// submission is a queued payload in its sender's buffer: own is room
+// unwritten bytes and then the payload, so its first datagram is framed
+// there and own itself broadcast (DESIGN.md section 7). The room is
+// written once — on memnet the receivers hold own from then on — so a
+// payload requeued (leaveLeaderMode) has no own and travels by copy.
+type submission struct {
+	payload []byte
+	own     []byte
 }
 
 // newCore returns a processor that has no ring yet: its fail deadline is
@@ -124,7 +142,35 @@ func newCore(cfg Config, now time.Time, broadcastRaw func([]byte), emit func(Eve
 		skipped:      make(map[uint64]bool),
 	}
 	n.deadlines[dlFail] = now
+	// An empty payload's datagram is its header.
+	n.hdrLen[kindRegular] = len(encodeRegular(regularMsg{Sender: cfg.ID}, nil))
+	n.hdrLen[kindForward] = len(encodeForward(forwardMsg{Sender: cfg.ID}, nil))
+	n.hdrLen[kindBatch] = len(encodeBatch(batchMsg{Leader: cfg.ID, Origin: cfg.ID}, nil))
+	// A ring that only rotates its token never writes the other two.
+	n.room = n.hdrLen[kindRegular]
+	if cfg.Ordering == OrderingLeader {
+		n.room = slices.Max(n.hdrLen[:])
+	}
 	return n
+}
+
+// framed returns payload as submit takes it, copied behind room bytes.
+func (n *core) framed(payload []byte) []byte {
+	buf := make([]byte, n.room+len(payload))
+	copy(buf[n.room:], payload)
+	return buf
+}
+
+// frameIn says where in own the datagram of kind that carries its payload
+// alone begins, for the encoder to build it there; nil (a pack, a
+// requeued payload) has it built by copy. Both are counted.
+func (n *core) frameIn(kind byte, own []byte) []byte {
+	if own == nil {
+		n.framedByCopyN.Add(1)
+		return nil
+	}
+	n.framedInPlaceN.Add(1)
+	return own[n.room-n.hdrLen[kind]:]
 }
 
 func (n *core) arm(d deadline, in time.Duration) { n.deadlines[d] = n.now.Add(in) }
@@ -183,12 +229,15 @@ func (n *core) tick(now time.Time, waiting int) {
 }
 
 // submit is the step for application payloads: they join the send queue
-// and are ordered as soon as the mode allows.
+// and are ordered as soon as the mode allows. Each arrives behind room
+// unwritten bytes (Node.MulticastFramed).
 //
 // gwlint:simroot
-func (n *core) submit(now time.Time, payloads [][]byte) {
+func (n *core) submit(now time.Time, framed [][]byte) {
 	n.now = now
-	n.pending = append(n.pending, payloads...)
+	for _, buf := range framed {
+		n.pending = append(n.pending, submission{payload: buf[n.room:len(buf):len(buf)], own: buf})
+	}
 	n.noteBacklog()
 	switch {
 	case n.sequencing():
@@ -594,13 +643,14 @@ func (n *core) broadcastPending(t *token) bool {
 		t.Seq++
 		// A single payload takes the plain form: identical wire bytes to
 		// the pre-packing protocol.
-		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID}
-		drained, m.Payload, m.Parts = n.nextPack(drained)
+		end, payload, parts, own := n.nextPack(drained)
+		drained = end
+		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Payload: payload, Parts: parts}
 		n.buffer[t.Seq] = m
 		if t.Seq > n.highest {
 			n.highest = t.Seq
 		}
-		n.broadcastRaw(encodeRegular(m))
+		n.broadcastRaw(encodeRegular(m, n.frameIn(kindRegular, own)))
 		n.broadcastN.Add(1)
 	}
 	n.compactPending(drained)
@@ -657,6 +707,7 @@ func (n *core) tryDeliver() {
 				RingID:  m.RingID,
 				Sender:  m.Sender,
 				Payload: p,
+				Sole:    m.Parts == nil,
 			}})
 		}
 	}

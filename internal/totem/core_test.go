@@ -511,22 +511,22 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 		took    func(n *core) bool
 	}{
 		{"regular", true, "", func(r uint64, from memnet.NodeID) []byte {
-			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Payload: []byte("p")})
+			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Payload: []byte("p")}, nil)
 		}, func(n *core) bool { return len(n.buffer) == 1 }},
 		{"packed", true, "", func(r uint64, from memnet.NodeID) []byte {
-			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Parts: [][]byte{[]byte("a"), []byte("b")}})
+			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Parts: [][]byte{[]byte("a"), []byte("b")}}, nil)
 		}, func(n *core) bool { return len(n.buffer) == 1 }},
 		{"token", false, "", func(r uint64, from memnet.NodeID) []byte {
 			return encodeToken(token{RingID: r, TokenID: 7, Seq: 8, Aru: 8, Stable: 8, Succ: from})
 		}, func(n *core) bool { return n.lastTokenID == 7 }},
 		{"forward", false, "v01", func(r uint64, from memnet.NodeID) []byte {
-			return encodeForward(forwardMsg{RingID: r, Sender: from, FwdSeq: 1, Payload: []byte("p")})
+			return encodeForward(forwardMsg{RingID: r, Sender: from, FwdSeq: 1, Payload: []byte("p")}, nil)
 		}, func(n *core) bool { return len(n.fp.held) == 1 }},
 		{"batch", true, "v01", func(r uint64, from memnet.NodeID) []byte {
-			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")})
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")}, nil)
 		}, func(n *core) bool { return len(n.buffer) == 1 }},
 		{"batch by reference", false, "v01", func(r uint64, from memnet.NodeID) []byte {
-			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true})
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true}, nil)
 		}, func(n *core) bool { return len(n.fp.parked) == 1 }},
 		{"ack", false, "v00", func(r uint64, from memnet.NodeID) []byte {
 			return encodeAck(ackMsg{RingID: r, Sender: from, Aru: 8})
@@ -1082,7 +1082,7 @@ func TestCommitEntryIsFinal(t *testing.T) {
 	n.deliveredSeq, n.highest = 8, 8
 	n.startGather()
 	ordered := func(seq uint64) []byte {
-		return encodeRegular(regularMsg{RingID: 5, Seq: seq, Sender: "v00", Payload: []byte("p")})
+		return encodeRegular(regularMsg{RingID: 5, Seq: seq, Sender: "v00", Payload: []byte("p")}, nil)
 	}
 	n.receive(now, ordered(9), 0)
 	n.receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}), 0)

@@ -23,7 +23,7 @@ var payloadDecoders = []struct {
 }{
 	{"regular", kindRegular,
 		func(parts [][]byte) []byte {
-			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: parts[0]})
+			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: parts[0]}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
 			m, err := decodeRegular(r, nil)
@@ -31,7 +31,7 @@ var payloadDecoders = []struct {
 		}},
 	{"packed", kindPacked,
 		func(parts [][]byte) []byte {
-			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Parts: parts})
+			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
 			m, err := decodePacked(r, nil)
@@ -39,7 +39,7 @@ var payloadDecoders = []struct {
 		}},
 	{"forward", kindForward,
 		func(parts [][]byte) []byte {
-			return encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 3, Parts: parts})
+			return encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 3, Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
 			f, err := decodeForward(r, nil)
@@ -47,7 +47,7 @@ var payloadDecoders = []struct {
 		}},
 	{"batch", kindBatch,
 		func(parts [][]byte) []byte {
-			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts})
+			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
 			b, err := decodeBatch(r, nil)
@@ -159,7 +159,7 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 	t.Run("batch by reference", func(t *testing.T) {
 		ids := newIDTable([]memnet.NodeID{"n00", "n01"})
 		for _, fwd := range []uint64{3, ^uint64(0)} {
-			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true})
+			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true}, nil)
 			b, err := decodeBatch(decodeFrame(t, frame, kindBatch), ids)
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +177,7 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 			}
 		}
 		// The count is the last ulong of a by-reference frame.
-		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true})
+		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true}, nil)
 		copy(hostile[len(hostile)-4:], []byte{0x7f, 0xff, 0xff, 0xff})
 		var derr error
 		n := allocatedBy(func() { _, derr = decodeBatch(cdrSkipKind(hostile), ids) })
@@ -197,10 +197,10 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 	ids := newIDTable([]memnet.NodeID{"n00", "n01", "n02"})
 	frames := map[string][]byte{
-		"regular": encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: []byte("p")}),
+		"regular": encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: []byte("p")}, nil),
 		"token":   encodeToken(token{RingID: 1, TokenID: 2, Succ: "n01"}),
-		"forward": encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 2, Payload: []byte("p")}),
-		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}),
+		"forward": encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 2, Payload: []byte("p")}, nil),
+		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}, nil),
 		"ack":     encodeAck(ackMsg{RingID: 1, Sender: "n01", Aru: 2}),
 		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}),
 	}
@@ -276,10 +276,15 @@ type ledgerEntry struct {
 }
 
 func (a *auditTransport) Broadcast(payload []byte) error {
-	a.ledger.mu.Lock()
-	a.ledger.entries = append(a.ledger.entries, ledgerEntry{a.ID(), payload, crc32.ChecksumIEEE(payload)})
-	a.ledger.mu.Unlock()
+	a.ledger.note(a.ID(), payload)
 	return a.Transport.Broadcast(payload)
+}
+
+// note enters a datagram as it stands when it is broadcast.
+func (l *datagramLedger) note(from memnet.NodeID, payload []byte) {
+	l.mu.Lock()
+	l.entries = append(l.entries, ledgerEntry{from, payload, crc32.ChecksumIEEE(payload)})
+	l.mu.Unlock()
 }
 
 // verify re-checksums every datagram broadcast so far.
@@ -315,7 +320,19 @@ func (l *datagramLedger) sequenced() int {
 // and stability garbage collection in both ordering modes, and checks
 // that every datagram still has the checksum it was broadcast with. Run
 // under -race it also proves no receiver's write raced another's read.
+//
+// A payload that travels alone is framed in the buffer it was submitted
+// in, so the sender is one more party that could write to a datagram its
+// receivers hold: the room in front of the payload is written once, before
+// the first Broadcast. The three subtests behind the two modes are the
+// schedules on which the same payload is framed a second time — each on
+// the virtual-time harness, whose every test audits every datagram the same
+// way (vnet.ledger), so the seeded sweeps of make sim-totem do too and a
+// seed that rewrites a datagram replays.
 func TestSharedDatagramsStayIntact(t *testing.T) {
+	t.Run("reframed=resent forward", resentForwardIsTheSameBytes)
+	t.Run("reframed=demoted forward", demotedForwardIsFramedByCopy)
+	t.Run("reframed=retransmission by another member", retransmissionIsFramedByCopy)
 	for _, mode := range []OrderingMode{OrderingRing, OrderingLeader} {
 		t.Run(fmt.Sprint("ordering=", mode), func(t *testing.T) {
 			ledger := &datagramLedger{}
@@ -399,5 +416,155 @@ func TestSharedDatagramsStayIntact(t *testing.T) {
 				t.Fatalf("only %d datagrams were audited", n)
 			}
 		})
+	}
+}
+
+// leaderVnet returns three cores in a leader epoch all of them have
+// adopted, with the sequencer's id and a follower's.
+func leaderVnet(t *testing.T, seed int64) (v *vnet, seq, follower memnet.NodeID) {
+	t.Helper()
+	v = newVnet(t, 3, seed, func(c *Config) { c.Ordering = OrderingLeader })
+	v.settle(time.Second)
+	adopted := func() bool {
+		for _, id := range v.ids {
+			if v.cores[id].fp.leader == "" {
+				return false
+			}
+		}
+		return true
+	}
+	if !v.run(time.Second, adopted) {
+		t.Fatal("no sequencer was adopted by all")
+	}
+	seq = v.cores[v.ids[0]].fp.leader
+	for _, id := range v.ids {
+		if id != seq {
+			return v, seq, id
+		}
+	}
+	panic("unreachable")
+}
+
+// carried lists the datagrams of one kind that from broadcast with payload
+// in them, by the address of their first byte: two entries with one address
+// are one buffer broadcast twice.
+func (l *datagramLedger) carried(from memnet.NodeID, kind byte, payload []byte) (at []*byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range l.entries {
+		if e.from == from && e.payload[0] == kind && bytes.Contains(e.payload, payload) {
+			at = append(at, &e.payload[0])
+		}
+	}
+	return at
+}
+
+// everyoneDelivered fails unless every core delivered payload exactly once.
+func (v *vnet) everyoneDelivered(payload []byte) {
+	v.t.Helper()
+	sum := crc32.ChecksumIEEE(payload)
+	for _, id := range v.ids {
+		n := 0
+		for _, d := range v.got[id] {
+			if d.crc == sum {
+				n++
+			}
+		}
+		if n != 1 {
+			v.t.Fatalf("%s delivered the payload %d times", id, n)
+		}
+	}
+}
+
+// resentForwardIsTheSameBytes: a follower's forward is lost at the
+// sequencer and resent on dlFwdResend. The resend is the datagram that
+// went out the first time, not a second framing of its payload.
+func resentForwardIsTheSameBytes(t *testing.T) {
+	v, seq, follower := leaderVnet(t, 21)
+	lost := 0
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		if to == seq && data[0] == kindForward && lost == 0 {
+			lost++
+			return true
+		}
+		return false
+	}
+	payload := bytes.Repeat([]byte("resent "), 3<<10)
+	v.submit(follower, payload)
+	v.settle(time.Second)
+	v.everyoneDelivered(payload)
+	sent := v.ledger.carried(follower, kindForward, payload)
+	if lost != 1 || len(sent) < 2 {
+		t.Fatalf("%d forwards lost, %d sent: the schedule did not force a resend", lost, len(sent))
+	}
+	for _, at := range sent[1:] {
+		if at != sent[0] {
+			t.Fatal("a resent forward is not the buffer that was broadcast the first time")
+		}
+	}
+	if c := v.cores[follower]; c.framedInPlaceN.Load() != 1 || c.framedByCopyN.Load() != 0 {
+		t.Fatalf("%s framed %d datagrams in place and %d by copy, want 1 and 0", follower, c.framedInPlaceN.Load(), c.framedByCopyN.Load())
+	}
+}
+
+// demotedForwardIsFramedByCopy: the sequencer never sees a follower's
+// forward, the follower gives the epoch up (maxFwdResends) and the ring is
+// demoted to rotation with the forward still awaiting. Its payload goes out
+// again as a regular message, under a new ring's id — by copy: the buffer
+// it was submitted in is the forward every other member holds.
+func demotedForwardIsFramedByCopy(t *testing.T) {
+	v, seq, follower := leaderVnet(t, 22)
+	v.drop = func(to memnet.NodeID, data []byte) bool { return to == seq && data[0] == kindForward }
+	payload := bytes.Repeat([]byte("demoted "), 3<<10)
+	v.submit(follower, payload)
+	c := v.cores[follower]
+	if !v.run(time.Second, func() bool { return c.demotionN.Load() > 0 }) {
+		t.Fatal("the follower never gave the epoch up")
+	}
+	v.drop = nil
+	v.settle(2 * time.Second)
+	v.everyoneDelivered(payload)
+	forwards := v.ledger.carried(follower, kindForward, payload)
+	again := append(v.ledger.carried(follower, kindRegular, payload), v.ledger.carried(follower, kindPacked, payload)...)
+	if len(forwards) == 0 || len(again) == 0 {
+		t.Fatalf("%d forwards and %d regular messages carried the payload: the schedule did not send it twice", len(forwards), len(again))
+	}
+	if c.framedInPlaceN.Load() != 1 || c.framedByCopyN.Load() == 0 {
+		t.Fatalf("%s framed %d datagrams in place and %d by copy, want 1 and at least 1", follower, c.framedInPlaceN.Load(), c.framedByCopyN.Load())
+	}
+}
+
+// retransmissionIsFramedByCopy: in ring mode a message is lost at one
+// member, and the request on the token is served by the next holder — not
+// its sender — which retransmits in its own name (Via) out of the datagram
+// it received: the sender's buffer, which it may only read.
+func retransmissionIsFramedByCopy(t *testing.T) {
+	v := newVnet(t, 3, 23, nil)
+	v.settle(time.Second)
+	sender, misses, serves := v.ids[1], v.ids[2], v.ids[0]
+	payload := bytes.Repeat([]byte("again "), 3<<10)
+	lost := 0
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		if to == misses && data[0] == kindRegular && bytes.Contains(data, payload) && lost == 0 {
+			lost++
+			return true
+		}
+		return false
+	}
+	v.submit(sender, payload)
+	v.settle(time.Second)
+	v.everyoneDelivered(payload)
+	first, served := v.ledger.carried(sender, kindRegular, payload), v.ledger.carried(serves, kindRegular, payload)
+	if lost != 1 || len(first) != 1 || len(served) == 0 {
+		t.Fatalf("%d lost, %d sent by %s, %d retransmitted by %s: the schedule did not have another member serve the request", lost, len(first), sender, len(served), serves)
+	}
+	if served[0] == first[0] {
+		t.Fatal("the retransmission is the sender's buffer")
+	}
+	if c := v.cores[serves]; c.framedByCopyN.Load() != uint64(len(served)) || c.retransmittedN.Load() != uint64(len(served)) {
+		t.Fatalf("%s counts %d datagrams by copy and %d retransmissions for %d", serves, c.framedByCopyN.Load(), c.retransmittedN.Load(), len(served))
+	}
+	if c := v.cores[sender]; c.framedInPlaceN.Load() != 1 || c.framedByCopyN.Load() != 0 {
+		t.Fatalf("%s framed %d datagrams in place and %d by copy, want 1 and 0", sender, c.framedInPlaceN.Load(), c.framedByCopyN.Load())
 	}
 }

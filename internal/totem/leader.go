@@ -102,10 +102,11 @@ type batchRef struct {
 // not yet seen come back ordered. It is also what the origin binds its
 // own by-reference batches to.
 type awaitingFwd struct {
-	fwd     uint64
-	payload []byte
-	parts   [][]byte
-	resends int
+	fwd      uint64
+	payload  []byte
+	parts    [][]byte
+	datagram []byte // the forward as it was broadcast: a resend is the same bytes
+	resends  int
 }
 
 // parkedRef is a by-reference batch that overtook its forward: the
@@ -187,14 +188,16 @@ func (n *core) leaveLeaderMode() {
 	// number — which the replication layer's operation-id dedup absorbs,
 	// the same way it absorbs gateway retries. Held forwards and parked
 	// references go with the epoch: what they would have become is
-	// buffered at a survivor or requeued here, at its origin.
+	// buffered at a survivor or requeued here, at its origin — without
+	// its buffer, which every member holds (submission).
 	if len(n.fp.awaiting) > 0 {
-		requeued := make([][]byte, 0, n.fp.awaitingParts+len(n.pending))
+		requeued := make([]submission, 0, n.fp.awaitingParts+len(n.pending))
 		for _, a := range n.fp.awaiting {
 			if a.parts == nil {
-				requeued = append(requeued, a.payload)
-			} else {
-				requeued = append(requeued, a.parts...)
+				requeued = append(requeued, submission{payload: a.payload})
+			}
+			for _, p := range a.parts {
+				requeued = append(requeued, submission{payload: p})
 			}
 		}
 		n.pending = append(requeued, n.pending...)
@@ -225,24 +228,27 @@ func (n *core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awai
 // returns its end and the message's payloads. The first payload is
 // always accepted, so an oversized payload still travels (alone); later
 // ones must keep the pack within MaxPackCount and MaxPackBytes. A single
-// payload travels as itself; a longer run is counted as a packed message
-// and gets a list of its own (the queue's backing array is about to be
-// compacted).
-func (n *core) nextPack(first int) (end int, payload []byte, parts [][]byte) {
+// payload travels as itself, framed in own if it still has one; a
+// longer run is counted as a packed message and gets a list of its own.
+func (n *core) nextPack(first int) (end int, payload []byte, parts [][]byte, own []byte) {
 	end = first + 1
-	bytes := len(n.pending[first])
+	bytes := len(n.pending[first].payload)
 	for end < len(n.pending) &&
 		end-first < n.cfg.MaxPackCount &&
-		bytes+len(n.pending[end]) <= n.cfg.MaxPackBytes {
-		bytes += len(n.pending[end])
+		bytes+len(n.pending[end].payload) <= n.cfg.MaxPackBytes {
+		bytes += len(n.pending[end].payload)
 		end++
 	}
 	if end-first == 1 {
-		return end, n.pending[first], nil
+		return end, n.pending[first].payload, nil, n.pending[first].own
 	}
 	n.packedMsgN.Add(1)
 	n.packedPartN.Add(uint64(end - first))
-	return end, nil, append([][]byte(nil), n.pending[first:end]...)
+	parts = make([][]byte, 0, end-first)
+	for _, s := range n.pending[first:end] {
+		parts = append(parts, s.payload)
+	}
+	return end, nil, parts, nil
 }
 
 // compactPending drops the first drained entries of the send queue
@@ -267,13 +273,14 @@ func (n *core) forwardPending() {
 	fp := &n.fp
 	drained := 0
 	for drained < len(n.pending) {
-		end, payload, parts := n.nextPack(drained)
+		end, payload, parts, own := n.nextPack(drained)
 		fp.fwdNext++
-		fp.awaiting = append(fp.awaiting, awaitingFwd{fwd: fp.fwdNext, payload: payload, parts: parts})
-		fp.awaitingParts += end - drained
-		n.broadcastRaw(encodeForward(forwardMsg{
+		datagram := encodeForward(forwardMsg{
 			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: fp.fwdNext, Payload: payload, Parts: parts,
-		}))
+		}, n.frameIn(kindForward, own))
+		fp.awaiting = append(fp.awaiting, awaitingFwd{fwd: fp.fwdNext, payload: payload, parts: parts, datagram: datagram})
+		fp.awaitingParts += end - drained
+		n.broadcastRaw(datagram)
 		n.broadcastN.Add(1)
 		n.forwardedN.Add(uint64(end - drained))
 		drained = end
@@ -288,11 +295,11 @@ func (n *core) forwardPending() {
 func (n *core) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
-		end, payload, parts := n.nextPack(drained)
+		end, payload, parts, own := n.nextPack(drained)
 		drained = end
 		n.fp.fwdNext++
 		n.broadcastN.Add(1)
-		if !n.order(n.cfg.ID, n.fp.fwdNext, payload, parts) {
+		if !n.order(n.cfg.ID, n.fp.fwdNext, payload, parts, own) {
 			// Demoted mid-drain (stability lag): what was not ordered
 			// stays pending for the ring.
 			break
@@ -304,10 +311,10 @@ func (n *core) leaderOrderPending() {
 // order assigns the next sequence number to one forward's payloads,
 // multicasts the ordered batch — by reference for another member's
 // forward, which everyone saw on the wire; in full for the sequencer's
-// own, which has been nowhere yet — and delivers locally. It reports
-// false when ordering stopped because the stability-lag limit demoted
-// the ring.
-func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte) bool {
+// own, which has been nowhere yet (framed in own, see frameIn) — and
+// delivers locally. It reports false when ordering stopped because the
+// stability-lag limit demoted the ring.
+func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte, own []byte) bool {
 	n.fp.seq++
 	seq := n.fp.seq
 	n.buffer[seq] = regularMsg{RingID: n.ringID, Seq: seq, Sender: origin, Payload: payload, Parts: parts}
@@ -322,13 +329,15 @@ func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 		RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 		Origin: origin, OriginFwd: fwd, Stable: n.fp.stable,
 	}
+	var in []byte
 	if origin == n.cfg.ID {
 		b.Payload, b.Parts = payload, parts
+		in = n.frameIn(kindBatch, own)
 	} else {
 		b.Ref = true
 		n.refN.Add(1)
 	}
-	n.broadcastRaw(encodeBatch(b))
+	n.broadcastRaw(encodeBatch(b, in))
 	n.tryDeliver()
 	n.updateStability()
 	if seq-n.fp.stable > uint64(n.cfg.FastpathLagLimit) {
@@ -374,7 +383,7 @@ func (n *core) handleForward(f forwardMsg) {
 		return
 	}
 	for {
-		if !n.order(f.Sender, f.FwdSeq, f.Payload, f.Parts) {
+		if !n.order(f.Sender, f.FwdSeq, f.Payload, f.Parts, nil) {
 			return
 		}
 		fp.fwdSeen[f.Sender] = f.FwdSeq
@@ -429,17 +438,19 @@ func (n *core) holdForward(f forwardMsg) {
 // back) — always in the full form, whoever asks has not got the forward
 // — and otherwise in the plain regular form, restamped for the current
 // configuration and, its sender's membership of that being nobody's
-// business by now, in this member's name (Via).
+// business by now, in this member's name (Via). Always by copy: the
+// payloads lie in a datagram other members hold.
 func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
 	if ref, ok := n.fp.batchOrigin[seq]; ok {
 		n.broadcastRaw(encodeBatch(batchMsg{
 			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 			Origin: ref.origin, OriginFwd: ref.fwd,
 			Stable: n.fp.stable, Payload: m.Payload, Parts: m.Parts,
-		}))
+		}, nil))
 	} else {
-		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}))
+		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}, nil))
 	}
+	n.framedByCopyN.Add(1)
 	n.retransmittedN.Add(1)
 }
 
@@ -669,8 +680,8 @@ func (n *core) leaderHeartbeat() {
 	n.arm(dlFail, n.cfg.FailTimeout)
 }
 
-// resendForwards retries forwards the sequencer has not ordered yet, and
-// escapes through recovery when it never does.
+// resendForwards retries forwards the sequencer has not ordered yet, the
+// same datagrams again, and escapes through recovery when it never does.
 func (n *core) resendForwards() {
 	for i := range n.fp.awaiting {
 		a := &n.fp.awaiting[i]
@@ -681,9 +692,7 @@ func (n *core) resendForwards() {
 			n.startGather()
 			return
 		}
-		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: a.fwd, Payload: a.payload, Parts: a.parts,
-		}))
+		n.broadcastRaw(a.datagram)
 	}
 	n.arm(dlFwdResend, n.cfg.TokenRetransmit)
 }

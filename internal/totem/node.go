@@ -102,6 +102,8 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_totem_fastpath_ref_misses_total", "By-reference batches this node could not bind to a held forward and had served by retransmission.", n.refMissN.Load},
 		{"eternalgw_totem_fastpath_promotions_total", "Leader epochs installed on this node.", n.promotionN.Load},
 		{"eternalgw_totem_fastpath_demotions_total", "Falls from leader mode back to ring rotation.", n.demotionN.Load},
+		{"eternalgw_totem_framed_in_place_total", "Payload-bearing datagrams framed in the buffer their one payload was submitted in.", n.framedInPlaceN.Load},
+		{"eternalgw_totem_framed_by_copy_total", "Payload-bearing datagrams built by copying their payloads: packs, retransmissions, a payload sent a second time.", n.framedByCopyN.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
@@ -118,16 +120,31 @@ func (n *Node) ID() memnet.NodeID { return n.cfg.ID }
 func (n *Node) Events() <-chan Event { return n.events }
 
 // Multicast submits a payload for totally-ordered delivery to every ring
-// member (including this node). The payload must not be mutated after
-// the call.
+// member (including this node): MulticastFramed of a copy of the payload
+// behind the room.
 func (n *Node) Multicast(payload []byte) error {
+	return n.MulticastFramed(n.framed(payload))
+}
+
+// Headroom is how many bytes MulticastFramed's caller leaves in front of
+// a payload: this node's longest header ahead of a message sent alone.
+func (n *Node) Headroom() int { return n.room }
+
+// MulticastFramed is Multicast for a payload built behind Headroom
+// unwritten bytes, in a buffer that ends with it and that the node takes
+// over: a payload that travels alone has its header written into the room
+// and the buffer itself broadcast (DESIGN.md section 7).
+func (n *Node) MulticastFramed(buf []byte) error {
+	if len(buf) < n.room {
+		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.room)
+	}
 	select {
 	case <-n.stop:
 		return ErrStopped
 	default:
 	}
 	select {
-	case n.sendq <- payload:
+	case n.sendq <- buf:
 		return nil
 	case <-n.stop:
 		return ErrStopped
@@ -179,6 +196,8 @@ func (n *Node) Stats() Stats {
 		Promotions:    n.promotionN.Load(),
 		Demotions:     n.demotionN.Load(),
 		StabilityLag:  n.stabilityLagN(),
+		FramedInPlace: n.framedInPlaceN.Load(),
+		FramedByCopy:  n.framedByCopyN.Load(),
 	}
 }
 

@@ -324,6 +324,19 @@ func TestMulticastAfterStop(t *testing.T) {
 	}
 }
 
+// A buffer shorter than the room is refused at the API, not sliced on
+// the protocol goroutine.
+func TestMulticastFramedNeedsItsRoom(t *testing.T) {
+	c := newCluster(t, 1)
+	n := c.nodes["n00"]
+	if err := n.MulticastFramed(make([]byte, n.Headroom()-1)); err == nil {
+		t.Fatal("a buffer one byte short of the room was accepted")
+	}
+	if err := n.MulticastFramed(make([]byte, n.Headroom())); err != nil {
+		t.Fatalf("an empty payload behind the room: %v", err)
+	}
+}
+
 func TestMembersSnapshot(t *testing.T) {
 	c := newCluster(t, 3)
 	c.waitConfig("n00", 3)

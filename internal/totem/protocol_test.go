@@ -42,7 +42,7 @@ func TestUnrecoverableGapIsSkipped(t *testing.T) {
 		Sender:  "n00",
 		Payload: []byte("future"),
 	}
-	if err := evil.Broadcast(encodeRegular(forged)); err != nil {
+	if err := evil.Broadcast(encodeRegular(forged, nil)); err != nil {
 		t.Fatal(err)
 	}
 	c.net.Crash("n00")

@@ -50,8 +50,14 @@ type Delivery struct {
 	Sender memnet.NodeID
 	// Payload is the application payload: a cap-clipped subslice of the
 	// received datagram, read-only and possibly shared with other ring
-	// members (see Transport). Copy what must outlive the delivery.
+	// members (see Transport). Copy what must outlive the delivery, or,
+	// if Sole, keep it.
 	Payload []byte
+	// Sole reports that Payload is the only message of its datagram, not
+	// a part of a pack: keeping it pins one totem header besides, so it
+	// may be retained by reference, read-only and shared as it is
+	// (DESIGN.md section 7).
+	Sole bool
 }
 
 // subTimestampBits is how far Seq is shifted when folding Sub into a
@@ -237,4 +243,6 @@ type Stats struct {
 	Promotions    uint64 // leader epochs this node installed (as sequencer or follower)
 	Demotions     uint64 // falls from leader mode back to ring rotation
 	StabilityLag  uint64 // sequencer's current seq minus its stability horizon
+	FramedInPlace uint64 // payload-bearing datagrams framed in the buffer their one payload was submitted in
+	FramedByCopy  uint64 // those built by copying payloads: packs, retransmissions, a payload sent a second time
 }

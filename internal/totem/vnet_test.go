@@ -39,6 +39,7 @@ type vnet struct {
 	toldAt map[memnet.NodeID]uint64         // each core's Resumed counter when it last reported a ring
 	since  map[memnet.NodeID]int            // how much each core had delivered when it installed its latest ring
 	maxRtr int                              // the most retransmission requests any token carried
+	ledger *datagramLedger                  // every datagram any core broadcast, checksummed then and when the test ends
 
 	// Whose history each core holds, by the books.
 	decided map[ringRef]token           // each ring's decided commit, by the ring's name
@@ -92,7 +93,12 @@ func newVnet(t *testing.T, n int, seed int64, mut func(*Config), opts ...memnet.
 		decided: make(map[ringRef]token),
 		was:     make(map[memnet.NodeID]ringRef),
 		from:    make(map[memnet.NodeID][]ringRef),
+		ledger:  &datagramLedger{},
 	}
+	// On memnet every receiver holds the sender's slice, and a core frames a
+	// payload in the buffer it was submitted in: nobody, the sender
+	// included, may have written to a datagram after it was broadcast.
+	t.Cleanup(func() { v.ledger.verify(t, "when the test ended") })
 	for i := 0; i < n; i++ {
 		v.ids = append(v.ids, memnet.NodeID(fmt.Sprintf("v%02d", i)))
 	}
@@ -123,6 +129,7 @@ func (v *vnet) boot(id memnet.NodeID) {
 	v.told = slices.DeleteFunc(v.told, func(w verdict) bool { return w.id == id })
 	v.cores[id] = newCore(cfg, v.now(), func(b []byte) {
 		v.noteToken(b)
+		v.ledger.note(id, b)
 		_ = ep.Broadcast(b) // a crashed node's sends fail, as under Node
 	}, func(ev Event) {
 		r := v.cores[id].resumedN.Load()
@@ -174,7 +181,12 @@ func (v *vnet) noteChecked(id memnet.NodeID) {
 
 // submit hands payloads to a core at the present instant.
 func (v *vnet) submit(id memnet.NodeID, payloads ...[]byte) {
-	v.cores[id].submit(v.now(), payloads)
+	c := v.cores[id]
+	framed := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		framed[i] = c.framed(p)
+	}
+	c.submit(v.now(), framed)
 }
 
 // pump is the driver's part: it hands every core what its inbox holds

@@ -101,7 +101,18 @@ type joinMsg struct {
 	RingID uint64 // proposed new ring id
 }
 
-func encodeRegular(m regularMsg) []byte {
+// datagramWriter returns the writer of a payload-bearing datagram: on in,
+// the sender's buffer from where the datagram begins (core's submission:
+// the header's room, then the one payload), or else on a new buffer of
+// about size bytes that the payloads are copied into.
+func datagramWriter(in []byte, size int) *cdr.Writer {
+	if in != nil {
+		return cdr.NewWriterOn(in[:0], cdr.BigEndian)
+	}
+	return cdr.NewWriterCap(cdr.BigEndian, size)
+}
+
+func encodeRegular(m regularMsg, in []byte) []byte {
 	if len(m.Parts) > 0 {
 		w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts))
 		w.WriteOctet(kindPacked)
@@ -109,17 +120,20 @@ func encodeRegular(m regularMsg) []byte {
 		w.WriteULongLong(m.Seq)
 		w.WriteString(string(m.Sender))
 		w.WriteULong(uint32(len(m.Parts)))
-		writeParts(w, nil, m.Parts)
+		writeParts(w, nil, nil, m.Parts)
 		if m.Via != "" {
 			w.WriteString(string(m.Via))
 		}
 		return w.Bytes()
 	}
-	w := cdr.NewWriterCap(cdr.BigEndian, 48+len(m.Sender)+len(m.Via)+len(m.Payload))
+	w := datagramWriter(in, 48+len(m.Sender)+len(m.Via)+len(m.Payload))
 	w.WriteOctet(kindRegular)
 	w.WriteULongLong(m.RingID)
 	w.WriteULongLong(m.Seq)
 	w.WriteString(string(m.Sender))
+	if in != nil {
+		return writeParts(w, in, m.Payload, nil)
+	}
 	w.WriteOctetSeq(m.Payload)
 	if m.Via != "" {
 		w.WriteString(string(m.Via))
@@ -214,15 +228,25 @@ func partsSize(payload []byte, parts [][]byte) int {
 	return size
 }
 
-// writeParts writes the payloads behind a part count.
-func writeParts(w *cdr.Writer, payload []byte, parts [][]byte) {
-	if len(parts) == 0 {
+// writeParts writes the payloads behind a part count and returns the
+// datagram they end. Framed in place (in, see datagramWriter) that is in:
+// the payload lies there already, its length ends the header, and the
+// header fills its room to the byte.
+func writeParts(w *cdr.Writer, in, payload []byte, parts [][]byte) []byte {
+	switch {
+	case in != nil:
+		w.WriteULong(uint32(len(payload)))
+		if w.Len()+len(payload) != len(in) {
+			panic("totem: a header framed in place does not fill the room in front of its payload")
+		}
+		return in
+	case len(parts) == 0:
 		w.WriteOctetSeq(payload)
-		return
 	}
 	for _, p := range parts {
 		w.WriteOctetSeq(p)
 	}
+	return w.Bytes()
 }
 
 // readParts reads n counted payloads in place: the datagram is the
@@ -406,15 +430,14 @@ type promoteMsg struct {
 	Seq      uint64
 }
 
-func encodeForward(f forwardMsg) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(f.Sender)+partsSize(f.Payload, f.Parts))
+func encodeForward(f forwardMsg, in []byte) []byte {
+	w := datagramWriter(in, 40+len(f.Sender)+partsSize(f.Payload, f.Parts))
 	w.WriteOctet(kindForward)
 	w.WriteULongLong(f.RingID)
 	w.WriteString(string(f.Sender))
 	w.WriteULongLong(f.FwdSeq)
 	w.WriteULong(partCount(f.Parts))
-	writeParts(w, f.Payload, f.Parts)
-	return w.Bytes()
+	return writeParts(w, in, f.Payload, f.Parts)
 }
 
 func decodeForward(r *cdr.Reader, ids idTable) (forwardMsg, error) {
@@ -438,12 +461,12 @@ func decodeForward(r *cdr.Reader, ids idTable) (forwardMsg, error) {
 	return f, nil
 }
 
-func encodeBatch(b batchMsg) []byte {
+func encodeBatch(b batchMsg, in []byte) []byte {
 	size := 64 + len(b.Leader) + len(b.Origin)
 	if !b.Ref {
 		size += partsSize(b.Payload, b.Parts)
 	}
-	w := cdr.NewWriterCap(cdr.BigEndian, size)
+	w := datagramWriter(in, size)
 	w.WriteOctet(kindBatch)
 	w.WriteULongLong(b.RingID)
 	w.WriteULongLong(b.Seq)
@@ -456,8 +479,7 @@ func encodeBatch(b batchMsg) []byte {
 		return w.Bytes()
 	}
 	w.WriteULong(partCount(b.Parts))
-	writeParts(w, b.Payload, b.Parts)
-	return w.Bytes()
+	return writeParts(w, in, b.Payload, b.Parts)
 }
 
 func decodeBatch(r *cdr.Reader, ids idTable) (batchMsg, error) {

@@ -21,7 +21,7 @@ func decodeFrame(t *testing.T, b []byte, wantKind byte) *cdr.Reader {
 
 func TestRegularRoundTrip(t *testing.T) {
 	m := regularMsg{RingID: 3, Seq: 99, Sender: "n2", Payload: []byte("abc")}
-	got, err := decodeRegular(decodeFrame(t, encodeRegular(m), kindRegular), nil)
+	got, err := decodeRegular(decodeFrame(t, encodeRegular(m, nil), kindRegular), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,9 @@ func TestRetransmissionNamesItsMember(t *testing.T) {
 		{RingID: 4, Seq: 99, Sender: "n2", Payload: []byte("abcde")}, // ends off a 4-byte boundary
 		{RingID: 4, Seq: 99, Sender: "n2", Parts: [][]byte{[]byte("a"), []byte("bcd")}},
 	} {
-		original := encodeRegular(m)
+		original := encodeRegular(m, nil)
 		m.Via = "n1"
-		wire := encodeRegular(m)
+		wire := encodeRegular(m, nil)
 		if !bytes.HasPrefix(wire, original) {
 			t.Fatalf("the retransmission of %+v does not begin with the original", m)
 		}
@@ -162,7 +162,7 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 
 func TestForwardRoundTrip(t *testing.T) {
 	fm := forwardMsg{RingID: 5, Sender: "n7", FwdSeq: 42, Parts: [][]byte{[]byte("one"), []byte("two"), {}}}
-	got, err := decodeForward(decodeFrame(t, encodeForward(fm), kindForward), nil)
+	got, err := decodeForward(decodeFrame(t, encodeForward(fm, nil), kindForward), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200,
 		Parts: [][]byte{[]byte("payload")},
 	}
-	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm), kindBatch), nil)
+	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm, nil), kindBatch), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +221,13 @@ func TestBatchByReferenceRoundTrip(t *testing.T) {
 	bm := batchMsg{RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200, Ref: true}
 	full := bm
 	full.Ref, full.Payload = false, []byte("payload")
-	frame := encodeBatch(bm)
-	if want := len(encodeBatch(full)) - 4 - len(full.Payload); len(frame) != want {
+	frame := encodeBatch(bm, nil)
+	if want := len(encodeBatch(full, nil)) - 4 - len(full.Payload); len(frame) != want {
 		t.Fatalf("by-reference batch is %d bytes, want the %d of the header alone", len(frame), want)
 	}
 	withPayload := bm
 	withPayload.Payload = []byte("ignored")
-	if !bytes.Equal(encodeBatch(withPayload), frame) {
+	if !bytes.Equal(encodeBatch(withPayload, nil), frame) {
 		t.Fatal("a by-reference batch put its payload on the wire")
 	}
 	got, err := decodeBatch(decodeFrame(t, frame, kindBatch), nil)
@@ -306,13 +306,13 @@ func TestQuickForwardBatchRoundTrip(t *testing.T) {
 			payloads = [][]byte{{}}
 		}
 		fm := forwardMsg{RingID: ringID, Sender: "q", FwdSeq: fwd, Parts: payloads}
-		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm)), nil)
+		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm, nil)), nil)
 		partsF := allParts(gotF.Payload, gotF.Parts)
 		if err != nil || gotF.FwdSeq != fwd || len(partsF) != len(payloads) {
 			return false
 		}
 		bm := batchMsg{RingID: ringID, Seq: fwd + 1, Leader: "l", Origin: "q", OriginFwd: fwd, Stable: fwd / 2, Parts: payloads}
-		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm)), nil)
+		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm, nil)), nil)
 		partsB := allParts(gotB.Payload, gotB.Parts)
 		if err != nil || gotB.Seq != fwd+1 || gotB.Origin != "q" || gotB.Ref || len(partsB) != len(payloads) {
 			return false
@@ -369,9 +369,9 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 // panic or return success.
 func TestTruncatedLeaderFramesRejected(t *testing.T) {
 	frames := [][]byte{
-		encodeForward(forwardMsg{RingID: 1, Sender: "n1", FwdSeq: 2, Parts: [][]byte{[]byte("abc"), []byte("defg")}}),
-		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Parts: [][]byte{[]byte("abc")}}),
-		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Ref: true}),
+		encodeForward(forwardMsg{RingID: 1, Sender: "n1", FwdSeq: 2, Parts: [][]byte{[]byte("abc"), []byte("defg")}}, nil),
+		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Parts: [][]byte{[]byte("abc")}}, nil),
+		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Ref: true}, nil),
 		encodeAck(ackMsg{RingID: 1, Sender: "n1", Aru: 3, Nak: []uint64{4}}),
 		encodePromote(promoteMsg{RingID: 1, Leader: "n0", StartSeq: 3, Stable: 3}),
 	}
