@@ -59,12 +59,15 @@ loc:
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
 # leader-mode round trip at r=3 must stay under 235 KiB and 62
 # allocations at 16 KiB, and under 8.5 KiB and 62 allocations at 64 B —
-# large_rtt's copies and small_rtt's fixed cost) on its own, without the
-# race detector's overhead, and prints the figures. `race` runs it too;
-# this is the line to look for in a CI log. scripts/copymap.sh attributes
-# a failure on the 16 KiB row to a call site.
+# large_rtt's copies and small_rtt's fixed cost) and the live-heap gate
+# beside it (after 8192 echoes of 16 KiB the process holds under
+# 4 x replication.ReplyWindow + 64 MiB: the operation tables are bounded
+# by reply bytes) on their own, without the race detector's overhead, and
+# prints the figures. `race` runs them too; this is the line to look for
+# in a CI log. scripts/copymap.sh attributes a failure on the 16 KiB row
+# to a call site.
 budget:
-	$(GO) test -run 'TestDatapathAllocBudget$$' -count 1 -v .
+	$(GO) test -run 'TestDatapathAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule

@@ -32,21 +32,11 @@ var datapathBudgets = []struct {
 	{"64B", 64, 8.5, 62, "the fixed cost of a message grew"},
 }
 
-// TestDatapathAllocBudget holds the datapath's copy and allocation diet
-// in `go test ./...`: the large_rtt and small_rtt shapes of the reference
-// benchmark (4 processors on memnet, leader ordering, active r=3 on the
-// first three, one gateway on the fourth, closed-loop echo), measured
-// the way the benchmark measures them — process-wide MemStats over the
-// window.
-//
-// scripts/copymap.sh runs the 16KiB row with -memprofilerate=1 to
-// attribute every buffer to its call site.
-func TestDatapathAllocBudget(t *testing.T) {
-	const (
-		warmup  = 50
-		windows = 3
-		ops     = 200
-	)
+// budgetDomain stands up the reference benchmark's steady shape — 4
+// processors on memnet, leader ordering, active r=3 on the first three,
+// one gateway on the fourth — and a client connected to the gateway.
+func budgetDomain(t *testing.T) (*domain.Domain, *orb.Conn) {
+	t.Helper()
 	d, err := domain.New(domain.Config{
 		Name:  "budget",
 		Nodes: 4,
@@ -64,7 +54,7 @@ func TestDatapathAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	t.Cleanup(d.Close)
 	benchWaitFastpath(t, d)
 	err = d.Manager().CreateReplicatedObject(benchGroup, ftmgmt.Properties{
 		Style:           replication.Active,
@@ -84,7 +74,26 @@ func TestDatapathAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
+	return d, conn
+}
+
+// TestDatapathAllocBudget holds the datapath's copy and allocation diet
+// in `go test ./...`: the large_rtt and small_rtt shapes of the reference
+// benchmark (4 processors on memnet, leader ordering, active r=3 on the
+// first three, one gateway on the fourth, closed-loop echo), measured
+// the way the benchmark measures them — process-wide MemStats over the
+// window.
+//
+// scripts/copymap.sh runs the 16KiB row with -memprofilerate=1 to
+// attribute every buffer to its call site.
+func TestDatapathAllocBudget(t *testing.T) {
+	const (
+		warmup  = 50
+		windows = 3
+		ops     = 200
+	)
+	d, conn := budgetDomain(t)
 
 	for _, b := range datapathBudgets {
 		t.Run(b.name, func(t *testing.T) {
@@ -126,5 +135,43 @@ func TestDatapathAllocBudget(t *testing.T) {
 				t.Errorf("%.0f allocs/op, budget %v", allocs, b.allocsPerOp)
 			}
 		})
+	}
+}
+
+// TestReplyWindowBoundsTheLiveHeap holds what large_rtt's resident memory
+// comes from: the three replicas' operation tables and the gateway
+// processor's record keep reply bytes up to replication.ReplyWindow each,
+// however large a reply is. 8192 echoes of 16 KiB are 128 MiB of replies:
+// bounded by entries alone every replica holds all of them (451 MiB live,
+// measured at PR 22), bounded by the window 32 MiB each. Four windows is
+// every table full, 64 MiB the rest of the process and what is in flight.
+func TestReplyWindowBoundsTheLiveHeap(t *testing.T) {
+	const (
+		ops     = 8192
+		ceiling = 4*replication.ReplyWindow + 64<<20
+	)
+	d, conn := budgetDomain(t)
+	args := experiments.OctetSeqArg(make([]byte, 16<<10))
+	for i := 0; i < ops; i++ {
+		if _, err := conn.Call([]byte(benchKey), "echo", args, orb.InvokeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	kept := 0
+	for i := 0; i < d.Nodes(); i++ {
+		for _, u := range d.Node(i).RM.DedupOccupancy() {
+			kept += u.ReplyBytes
+		}
+		_, recorded, _ := d.Node(i).RM.RecordedReplies()
+		kept += recorded
+	}
+	t.Logf("after %d echoes of 16 KiB: %d MiB live, %d MiB of it replies in the tables (ceiling %d MiB)",
+		ops, ms.HeapAlloc>>20, kept>>20, ceiling>>20)
+	if ms.HeapAlloc > ceiling {
+		t.Errorf("%d MiB live after %d echoes of 16 KiB, ceiling %d MiB (4 x replication.ReplyWindow + 64 MiB): a table is keeping reply bytes past its window",
+			ms.HeapAlloc>>20, ops, ceiling>>20)
 	}
 }

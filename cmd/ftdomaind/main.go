@@ -353,19 +353,21 @@ func startOps(o runOpts, cfg *domain.Config) (*obs.Server, error) {
 }
 
 // addStatusSections puts the local processors' dedup-cache occupancy
-// (each replica's executed-operation cache and the node's
-// answered-operation table), the state of their group directories and,
-// under admission control, the gateways' admission state on /statusz.
+// (each replica's operation table and the node's answered-operation
+// table, identifiers and reply bytes), the state of their group
+// directories and, under admission control, the gateways' admission state
+// on /statusz.
 func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 	ops.AddStatusSection("dedup-cache", func() string {
 		var b strings.Builder
 		for i := 0; i < d.Nodes(); i++ {
 			n := d.Node(i)
-			for group, entries := range n.RM.DedupOccupancy() {
-				fmt.Fprintf(&b, "node %s group %d: %d entries\n", n.ID, group, entries)
+			for group, u := range n.RM.DedupOccupancy() {
+				fmt.Fprintf(&b, "node %s group %d: %d entries, %d reply bytes\n", n.ID, group, u.Entries, u.ReplyBytes)
 			}
-			replies, answered := n.RM.RecordedReplies()
-			fmt.Fprintf(&b, "node %s answered: %d entries, %d recorded replies\n", n.ID, answered, replies)
+			replies, replyBytes, answered := n.RM.RecordedReplies()
+			fmt.Fprintf(&b, "node %s answered: %d entries, %d recorded replies, %d reply bytes\n", n.ID, answered, replies, replyBytes)
+			fmt.Fprintf(&b, "node %s duplicates beyond the reply window: %d\n", n.ID, n.RM.Stats().DuplicatesBeyondWindow)
 		}
 		return b.String()
 	})

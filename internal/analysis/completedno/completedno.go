@@ -24,7 +24,9 @@
 //     name carries the completion status this codebase assigns it:
 //     TRANSIENT, OBJECT_NOT_EXIST and MARSHAL arise only before
 //     dispatch and must be COMPLETED_NO; NO_AGREEMENT means the replicas
-//     split on an executed request and must be COMPLETED_MAYBE.
+//     split on an executed request and must be COMPLETED_MAYBE;
+//     REPLY_DISCARDED answers a duplicate of an operation that ran and
+//     must be COMPLETED_YES.
 package completedno
 
 import (
@@ -45,6 +47,7 @@ var completionByException = map[string]int64{
 	"OBJECT_NOT_EXIST": 1, // CompletedNo: never dispatched
 	"MARSHAL":          1, // CompletedNo: failed in decode
 	"NO_AGREEMENT":     2, // CompletedMaybe: executed, outcome disputed
+	"REPLY_DISCARDED":  0, // CompletedYes: executed once, the reply no longer kept
 }
 
 var completionName = map[int64]string{0: "COMPLETED_YES", 1: "COMPLETED_NO", 2: "COMPLETED_MAYBE"}
@@ -114,6 +117,8 @@ func rationale(name string) string {
 	switch name {
 	case "NO_AGREEMENT":
 		return "the request executed but the replicas disagree, so the outcome is unknown"
+	case "REPLY_DISCARDED":
+		return "the request is a duplicate of an operation that ran, so a reissue must not be invited"
 	default:
 		return "the request was never dispatched, so the client may retry safely"
 	}

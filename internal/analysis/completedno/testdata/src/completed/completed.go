@@ -51,6 +51,16 @@ func agreementNo(order cdr.ByteOrder) []byte {
 	return giop.SystemExceptionBody(order, "IDL:eternalgw/NO_AGREEMENT:1.0", minorShed, giop.CompletedNo) // want `NO_AGREEMENT must be raised with COMPLETED_MAYBE \(got COMPLETED_NO\)`
 }
 
+// REPLY_DISCARDED answers a duplicate whose operation ran and whose reply
+// is no longer kept: anything but COMPLETED_YES invites a reissue of it.
+func discardedYes(order cdr.ByteOrder) []byte {
+	return giop.SystemExceptionBody(order, "IDL:eternalgw/REPLY_DISCARDED:1.0", minorShed, giop.CompletedYes)
+}
+
+func discardedMaybe(order cdr.ByteOrder) []byte {
+	return giop.SystemExceptionBody(order, "IDL:eternalgw/REPLY_DISCARDED:1.0", minorShed, giop.CompletedMaybe) // want `REPLY_DISCARDED must be raised with COMPLETED_YES \(got COMPLETED_MAYBE\)`
+}
+
 // A dynamic repository ID proves nothing statically; only the literal
 // rules apply.
 func dynamic(order cdr.ByteOrder, repoID string, minor uint32) []byte {

@@ -147,7 +147,7 @@ func genericInPlace(s *shard) *gring[uint64] {
 // The directive travels with an imported type: the production table is
 // declared no-copy once, in its own package.
 type records struct {
-	seen fifo.Map[uint64, struct{}]
+	seen fifo.Map[uint64]
 }
 
 func importedCopy(r *records) int {
@@ -155,12 +155,11 @@ func importedCopy(r *records) int {
 	return cp.Len()
 }
 
-func importedParam(m fifo.Map[string, int]) int { // want `parameter of no-copy type`
+func importedParam(m fifo.Map[string]) int { // want `parameter of no-copy type`
 	return m.Len()
 }
 
 func importedInPlace(r *records) bool {
-	r.seen.Init(4)
-	_, inserted := r.seen.Add(1, struct{}{})
-	return inserted
+	r.seen.Init(4, 64)
+	return r.seen.Add(1, nil)
 }

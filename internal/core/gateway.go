@@ -270,6 +270,10 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("eternalgw_gateway_recorded_replies", "Responses held in the gateway-group record of this gateway's processor.", lbl,
 		func() float64 { return float64(g.RecordedReplies()) })
+	reg.GaugeFunc("eternalgw_gateway_recorded_reply_bytes", "Bytes of the responses held in that record; bounded by the reply window.", lbl, func() float64 {
+		_, bytes, _ := g.rm.RecordedReplies()
+		return float64(bytes)
+	})
 	g.reqHist = obs.NewBoundedHistogram(8192)
 	reg.Histogram("eternalgw_gateway_request_duration_seconds", "Round-trip latency of response-expected requests.", lbl, g.reqHist)
 }
@@ -832,6 +836,6 @@ func (g *Gateway) cachedReply(group replication.GroupID, clientID uint64, op rep
 // RecordedReplies reports how many responses the gateway's processor
 // currently holds in the gateway-group record (diagnostics and tests).
 func (g *Gateway) RecordedReplies() int {
-	n, _ := g.rm.RecordedReplies()
+	n, _, _ := g.rm.RecordedReplies()
 	return n
 }

@@ -25,69 +25,143 @@ func TestStatelessStyleExecutesEverywhere(t *testing.T) {
 	}
 }
 
+// boundTable gives m's replica of the group an operation table of the
+// test's bounds in place of operationCapacity and ReplyWindow. The
+// executor must be idle: before the replica's first invocation, or after
+// the response to its last has come back.
+func boundTable(m *Mechanisms, group GroupID, capacity, window int) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.groups[group].local.ops.Init(capacity, window)
+}
+
+// wantReplyDiscarded checks that a duplicate was answered with the
+// exception of an identifier that stands alone: the operation completed,
+// its reply is not to be had.
+func wantReplyDiscarded(t *testing.T, rep giop.Reply) {
+	t.Helper()
+	if rep.Status != giop.ReplySystemException {
+		t.Fatalf("status = %v, want a system exception", rep.Status)
+	}
+	repo, minor, completed, err := giop.DecodeSystemException(rep.Result, rep.ResultOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repo != "IDL:eternalgw/REPLY_DISCARDED:1.0" || minor != minorBeyondWindow || completed != giop.CompletedYes {
+		t.Fatalf("exception %s minor %d completed %d, want REPLY_DISCARDED minor %d COMPLETED_YES", repo, minor, completed, minorBeyondWindow)
+	}
+}
+
 func TestDedupCacheEviction(t *testing.T) {
-	// With a tiny dedup capacity, an operation reissued after its entry
-	// was evicted re-executes: the bounded-memory trade-off the paper's
-	// section 3.4 discussion implies.
-	net := memnet.New()
-	ids := []memnet.NodeID{"a", "b"}
-	var rms []*Mechanisms
-	for _, id := range ids {
-		ep, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := startTotem(t, id, ep, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rm, err := New(Config{Node: node, DedupCapacity: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rms = append(rms, rm)
-		t.Cleanup(rm.Stop)
-	}
-	app := &regApp{}
-	if err := rms[0].CreateGroup(grpServer, Active, []byte(testKeyStr)); err != nil {
-		t.Fatal(err)
-	}
-	for _, rm := range rms {
-		if err := rm.WaitForGroup(grpServer, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rms[0].JoinGroup(grpServer, app); err != nil {
-		t.Fatal(err)
-	}
-	if err := rms[0].WaitSynced(grpServer, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := rms[1].CreateGroup(grpClient, Active, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := rms[1].WaitForGroup(grpClient, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := rms[1].JoinGroup(grpClient, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := rms[1].WaitSynced(grpClient, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	// An operation reissued after operationCapacity newer ones have pushed
+	// its identifier out re-executes: the bounded-memory trade-off the
+	// paper's section 3.4 discussion implies.
+	d := newDomain(t, 2)
+	apps := setupClientServer(t, d, Active, 1, 1)
+	boundTable(d.rms[d.ids[0]], grpServer, 4, ReplyWindow)
+	client := d.rms[d.ids[1]]
 
 	// Operation 1, then enough distinct operations to evict it.
 	for i := 1; i <= 6; i++ {
-		if _, err := invokeAsClient(t, rms[1], grpClient, 1, grpServer, uint32(i), "append", octets([]byte("x"))); err != nil {
+		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte("x"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Reissue operation 1: its dedup entry is gone, so it re-executes.
-	if _, err := invokeAsClient(t, rms[1], grpClient, 1, grpServer, 1, "append", octets([]byte("x"))); err != nil {
+	// Reissue operation 1: its identifier is gone, so it re-executes.
+	if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, 1, "append", octets([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ops := app.snapshot(); ops != 7 {
+	if _, ops := apps[0].snapshot(); ops != 7 {
 		t.Fatalf("ops = %d, want 7 (eviction should allow re-execution)", ops)
+	}
+}
+
+// TestDuplicateBeyondTheReplyWindowIsDetected: a reply goes when the
+// window says so and the identifier stays, so a reissue from that far
+// back is suppressed at every replica and answered with the named
+// exception; nearer ones are answered with the reply, as ever.
+func TestDuplicateBeyondTheReplyWindowIsDetected(t *testing.T) {
+	d := newDomain(t, 3)
+	apps := setupClientServer(t, d, Active, 2, 2)
+	client := d.rms[d.ids[2]]
+	appendOp := func(i int) giop.Reply {
+		t.Helper()
+		rep, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte("x")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	servers := []*Mechanisms{d.rms[d.ids[0]], d.rms[d.ids[1]]}
+	settled := func(op int64) {
+		t.Helper()
+		for _, app := range apps {
+			waitFor(t, 5*time.Second, func() bool { _, ops := app.snapshot(); return ops == op })
+		}
+	}
+	// One operation sizes a response; the tables then hold two of them.
+	appendOp(1)
+	settled(1)
+	size := servers[0].DedupOccupancy()[grpServer].ReplyBytes
+	if size == 0 {
+		t.Fatal("the executed operation's response is not in the table")
+	}
+	for _, m := range servers {
+		waitFor(t, 5*time.Second, func() bool { return m.Stats().ResponsesSent == 1 })
+		boundTable(m, grpServer, 16, 2*size)
+	}
+	appendOp(2)
+	appendOp(3)
+	fourth := appendOp(4)
+	settled(4)
+	for _, m := range servers {
+		if u := m.DedupOccupancy()[grpServer]; u.Entries != 3 || u.ReplyBytes != 2*size {
+			t.Fatalf("%s: table holds %d identifiers and %d reply bytes, want 3 and %d", m.NodeID(), u.Entries, u.ReplyBytes, 2*size)
+		}
+	}
+	wantReplyDiscarded(t, appendOp(2))
+	if rep := appendOp(4); rep.Status != giop.ReplyNoException || !bytes.Equal(rep.Result, fourth.Result) {
+		t.Fatalf("a duplicate inside the window: status %v, result %x, want the reply %x", rep.Status, rep.Result, fourth.Result)
+	}
+	settled(4)
+	for _, m := range servers {
+		waitStat(t, func() uint64 { return m.Stats().DuplicatesBeyondWindow }, 1)
+		waitStat(t, func() uint64 { return m.Stats().DuplicateInvocations }, 2)
+	}
+}
+
+// TestDuplicateAnsweredTwiceWhileTheFirstResponseIsHeld: what the table
+// keeps of a response lies in the buffer totem took over with it, and may
+// hold yet for retransmission; an answer from the table is a copy behind
+// a header room of its own. Two reissues back to back, under -race, with
+// the first response and the first answer both unacknowledged.
+func TestDuplicateAnsweredTwiceWhileTheFirstResponseIsHeld(t *testing.T) {
+	d := newDomain(t, 3)
+	setupClientServer(t, d, Active, 2, 2)
+	client, server := d.rms[d.ids[2]], d.rms[d.ids[0]]
+	req := giop.Request{RequestID: 5, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets(bytes.Repeat([]byte("x"), 4096))}
+	op := OperationID{ChildSeq: 5}
+	first, err := client.Invoke(grpClient, 9, grpServer, op, req, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), first.Result...)
+	for i := 0; i < 2; i++ {
+		if err := client.MulticastRequest(grpClient, 9, grpServer, op, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStat(t, func() uint64 { return server.Stats().DuplicateInvocations }, 2)
+	waitStat(t, func() uint64 { return server.Stats().ResponsesSent }, 3)
+	again, err := client.Invoke(grpClient, 9, grpServer, op, req, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status != giop.ReplyNoException || !bytes.Equal(again.Result, want) {
+		t.Fatalf("the third answer from the table: status %v, %d result bytes, want the first response's %d", again.Status, len(again.Result), len(want))
+	}
+	if got := server.Stats().InvocationsExecuted; got != 1 {
+		t.Fatalf("executed %d times, want 1", got)
 	}
 }
 

@@ -21,6 +21,13 @@ const giopOrder = cdr.BigEndian
 // unknown and a blind retry is not known to be safe.
 const minorNoAgreement uint32 = 0
 
+// minorBeyondWindow is the REPLY_DISCARDED minor code a replica answers a
+// duplicate invocation with when its table holds the operation's
+// identifier and no longer, or not yet here, its response (documented in
+// docs/OPERATIONS.md). The operation ran, once, and is not run again:
+// COMPLETED_YES.
+const minorBeyondWindow uint32 = 1
+
 // run consumes the totem event stream. It is the only goroutine that
 // mutates the group directory; replica executors receive work through
 // their task queues in delivery order, which preserves the total order

@@ -143,6 +143,9 @@ type Mechanisms struct {
 	// responsesDiscardedEarly counts the subset of duplicate responses
 	// dropped from the header peek alone, without payload decode.
 	responsesDiscardedEarly atomic.Uint64
+	// duplicatesBeyondWindow counts the subset of duplicate invocations
+	// that met a bare identifier and were answered with REPLY_DISCARDED.
+	duplicatesBeyondWindow  atomic.Uint64
 	stateTransfers          atomic.Uint64
 	stateSyncs              atomic.Uint64
 	checkpoints             atomic.Uint64
@@ -173,7 +176,7 @@ func New(cfg Config) (*Mechanisms, error) {
 		byKey:     make(map[string]GroupID),
 		prearmed:  make(map[GroupID]Application),
 		observers: make(map[GroupID]Observer),
-		pending:   newPendingTable(answeredCapacity),
+		pending:   newPendingTable(answeredCapacity, ReplyWindow),
 		changed:   make(chan struct{}),
 	}
 	m.registerMetrics(cfg.Metrics)
@@ -196,6 +199,7 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_replication_invocations_sent_total", "Invocations multicast by this node.", m.invocationsSent.Load},
 		{"eternalgw_replication_invocations_executed_total", "Invocations executed by local replicas.", m.invocationsExecuted.Load},
 		{"eternalgw_replication_duplicate_invocations_total", "Duplicate invocations detected and suppressed (dedup hits).", m.duplicateInvocations.Load},
+		{"eternalgw_replication_duplicates_beyond_window_total", "Duplicate invocations that met the operation's identifier without its response (stripped by the reply window, or run by a primary since lost) and were answered with REPLY_DISCARDED, not executed.", m.duplicatesBeyondWindow.Load},
 		{"eternalgw_replication_dedup_misses_total", "Executed invocations that were not duplicates (dedup misses).", m.dedupMisses.Load},
 		{"eternalgw_replication_responses_sent_total", "Responses multicast by local replicas.", m.responsesSent.Load},
 		{"eternalgw_replication_responses_delivered_total", "Responses delivered to local pending invocations.", m.responsesDelivered.Load},
@@ -213,12 +217,11 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
-	reg.GaugeFunc("eternalgw_replication_dedup_cache_entries", "Executed-operation records held for duplicate detection, all local replicas.", lbl, func() float64 {
-		total := 0
-		for _, n := range m.DedupOccupancy() {
-			total += n
-		}
-		return float64(total)
+	reg.GaugeFunc("eternalgw_replication_dedup_cache_entries", "Operation identifiers held for duplicate detection, all local replicas.", lbl, func() float64 {
+		return float64(m.dedupTotal().Entries)
+	})
+	reg.GaugeFunc("eternalgw_replication_dedup_cache_bytes", "Response bytes held among those identifiers, all local replicas; each replica's share is bounded by the reply window.", lbl, func() float64 {
+		return float64(m.dedupTotal().ReplyBytes)
 	})
 	reg.GaugeFunc("eternalgw_replication_pending_calls", "Invocations registered and awaiting responses on this node.", lbl, func() float64 {
 		return float64(m.PendingCalls())
@@ -265,20 +268,34 @@ func (m *Mechanisms) Backpressure() float64 {
 	return sig
 }
 
-// DedupOccupancy reports, per group with a local servant replica, how
-// many executed-operation records the replica's duplicate-detection
-// cache currently holds (the /statusz dedup section and capacity-tuning
-// diagnostics read this).
-func (m *Mechanisms) DedupOccupancy() map[GroupID]int {
+// DedupUsage is what one replica's operation table holds: identifiers,
+// and the bytes of the responses kept among them.
+type DedupUsage struct {
+	Entries, ReplyBytes int
+}
+
+// DedupOccupancy reports, per group with a local servant replica, what
+// the replica's operation table currently holds (the /statusz dedup
+// section and the two dedup-cache gauges read this).
+func (m *Mechanisms) DedupOccupancy() map[GroupID]DedupUsage {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make(map[GroupID]int)
+	out := make(map[GroupID]DedupUsage)
 	for id, g := range m.groups {
 		if g.local != nil && g.local.app != nil {
-			out[id] = int(g.local.dedupLen.Load())
+			out[id] = DedupUsage{Entries: int(g.local.opsLen.Load()), ReplyBytes: int(g.local.opsBytes.Load())}
 		}
 	}
 	return out
+}
+
+// dedupTotal is DedupOccupancy summed over the local replicas.
+func (m *Mechanisms) dedupTotal() (total DedupUsage) {
+	for _, u := range m.DedupOccupancy() {
+		total.Entries += u.Entries
+		total.ReplyBytes += u.ReplyBytes
+	}
+	return total
 }
 
 // NodeID returns the identity of the node these mechanisms run on.
@@ -299,6 +316,7 @@ func (m *Mechanisms) Stats() Stats {
 		InvocationsSent:         m.invocationsSent.Load(),
 		InvocationsExecuted:     m.invocationsExecuted.Load(),
 		DuplicateInvocations:    m.duplicateInvocations.Load(),
+		DuplicatesBeyondWindow:  m.duplicatesBeyondWindow.Load(),
 		DedupMisses:             m.dedupMisses.Load(),
 		ResponsesSent:           m.responsesSent.Load(),
 		ResponsesDelivered:      m.responsesDelivered.Load(),
@@ -652,9 +670,9 @@ func (m *Mechanisms) RecordedReply(group GroupID, clientID uint64, op OperationI
 }
 
 // RecordedReplies reports how many responses this processor holds in the
-// gateway-group record, and how many entries its answered-operation
-// table holds in all (diagnostics and tests).
-func (m *Mechanisms) RecordedReplies() (replies, answered int) {
+// gateway-group record, their bytes, and how many entries its
+// answered-operation table holds in all (diagnostics and tests).
+func (m *Mechanisms) RecordedReplies() (replies, replyBytes, answered int) {
 	return m.pending.remembered()
 }
 

@@ -15,6 +15,17 @@ const pendingShards = 16
 // late response copy and a gateway answers a reissue itself.
 const answeredCapacity = 8192
 
+// operationCapacity bounds a replica's operation table: how many
+// operations back it recognizes a duplicate invocation.
+const operationCapacity = 16384
+
+// ReplyWindow bounds the reply bytes a table keeps among its identifiers
+// — each replica's operation table, and a processor's answered table over
+// its shards: how far back a duplicate is answered with the reply itself
+// (DESIGN.md section 8 has the arithmetic). Beyond it the identifier
+// stands alone.
+const ReplyWindow = 32 << 20
+
 // pendingShard is one lock's worth of the pending-call table: the calls
 // awaiting responses plus the operations already answered here.
 type pendingShard struct {
@@ -28,10 +39,12 @@ type pendingShard struct {
 	// the response carries a TCP client identifier and this node is a
 	// client-only member of the group it is addressed to — from which any
 	// gateway on this processor answers a reissue without re-invoking the
-	// servers. A departed client's entries give way to one bare entry
-	// under departedKey, on which what still arrives for it is discarded.
-	answered fifo.Map[opKey, []byte]
-	replies  int // how many entries of answered hold bytes
+	// servers, for as long as the shard's window holds it: a reissue from
+	// further back is conveyed like a first request, and the servers'
+	// tables answer it. A departed client's entries give way to one bare
+	// entry under departedKey, on which what still arrives for it is
+	// discarded.
+	answered fifo.Map[opKey]
 }
 
 // departedKey stands for a departed client, named as its operations are:
@@ -52,11 +65,8 @@ func (sh *pendingShard) remember(key opKey, reply []byte, sole, record bool) {
 	var kept []byte
 	if record && len(reply) > 0 {
 		kept = retain(reply, sole)
-		sh.replies++
 	}
-	if evicted, _ := sh.answered.Add(key, kept); evicted != nil {
-		sh.replies--
-	}
+	sh.answered.Add(key, kept)
 }
 
 // pendingTable is the sharded pending-call table: concurrent Invokes
@@ -66,14 +76,15 @@ type pendingTable struct {
 }
 
 // newPendingTable builds a table that remembers roughly capacity
-// answered operations, split evenly across the shards.
-func newPendingTable(capacity int) *pendingTable {
+// answered operations and window bytes of their replies, both split
+// evenly across the shards.
+func newPendingTable(capacity, window int) *pendingTable {
 	per := (capacity + pendingShards - 1) / pendingShards
 	t := &pendingTable{}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.calls = make(map[opKey][]*pendingCall)
-		sh.answered.Init(per)
+		sh.answered.Init(per, window/pendingShards)
 	}
 	return t
 }
@@ -110,28 +121,24 @@ func (t *pendingTable) forget(serverGroup GroupID, clientID uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.answered.DeleteFunc(func(k opKey) bool {
-		if k.src != serverGroup || k.clientID != clientID {
-			return false
-		}
-		if reply, _ := sh.answered.Get(k); reply != nil {
-			sh.replies--
-		}
-		return true
+		return k.src == serverGroup && k.clientID == clientID
 	})
 	sh.remember(departedKey(serverGroup, clientID), nil, false, false)
 }
 
-// remembered counts the recorded replies and the entries held in all,
-// the replies and the departed clients' among them.
-func (t *pendingTable) remembered() (replies, answered int) {
+// remembered counts the recorded replies, their bytes, and the entries
+// held in all, the replies and the departed clients' among them.
+func (t *pendingTable) remembered() (replies, replyBytes, answered int) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		replies += sh.replies
+		n, bytes := sh.answered.Replies()
+		replies += n
+		replyBytes += bytes
 		answered += sh.answered.Len()
 		sh.mu.Unlock()
 	}
-	return replies, answered
+	return replies, replyBytes, answered
 }
 
 // occupancy counts the calls currently awaiting responses across all

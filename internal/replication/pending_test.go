@@ -175,13 +175,13 @@ func TestRecordStoreEvictsOldestPastCapacity(t *testing.T) {
 	// Capacity is split across the shards; one client's records all land
 	// in one shard, so a single client sees a per-shard bound of
 	// ceil(32/16) = 2 entries.
-	table := newPendingTable(32)
+	table := newPendingTable(32, ReplyWindow)
 	const client = 42
 	const n = 6
 	for i := uint32(0); i < n; i++ {
 		table.record(recKey(client, i), []byte{byte(i)}, true)
 	}
-	if replies, answered := table.remembered(); replies != 2 || answered != 2 {
+	if replies, _, answered := table.remembered(); replies != 2 || answered != 2 {
 		t.Fatalf("remembered = %d replies of %d answered, want per-shard bound 2 of 2", replies, answered)
 	}
 	// The oldest entries were evicted in FIFO order; only the newest two
@@ -202,8 +202,33 @@ func TestRecordStoreEvictsOldestPastCapacity(t *testing.T) {
 	}
 }
 
+// TestRecordStoreKeepsRepliesInsideTheWindow: the record of one client's
+// shard is bounded by bytes before it is bounded by entries. A reply past
+// the window reads as a miss — the gateway conveys the reissue like a
+// first request — while its identifier still discards late copies.
+func TestRecordStoreKeepsRepliesInsideTheWindow(t *testing.T) {
+	table := newPendingTable(8*pendingShards, 8*pendingShards) // 8 entries and 8 bytes per shard
+	const client = 42
+	for i := uint32(0); i < 5; i++ {
+		table.record(recKey(client, i), []byte{byte(i), 0, 0}, true)
+	}
+	if replies, replyBytes, answered := table.remembered(); replies != 2 || replyBytes != 6 || answered != 5 {
+		t.Fatalf("remembered = %d replies in %d bytes of %d answered, want 2 in 6 of 5", replies, replyBytes, answered)
+	}
+	sh := table.shard(recKey(client, 0))
+	for i := uint32(0); i < 5; i++ {
+		rep, ok := table.reply(recKey(client, i))
+		if want := i >= 3; ok != want || (ok && rep[0] != byte(i)) {
+			t.Fatalf("reply %d recorded = %v (%v), want the newest two alone", i, ok, rep)
+		}
+		if !sh.answered.Has(recKey(client, i)) {
+			t.Fatalf("operation %d is no longer known as answered", i)
+		}
+	}
+}
+
 func TestRecordStoreFirstReplyWins(t *testing.T) {
-	table := newPendingTable(64)
+	table := newPendingTable(64, ReplyWindow)
 	key := recKey(5, 100)
 	first := []byte{1}
 	table.record(key, first, true)
@@ -227,7 +252,7 @@ func TestRecordStoreFirstReplyWins(t *testing.T) {
 }
 
 func TestRecordStoreDropClientRemovesOnlyThatClient(t *testing.T) {
-	table := newPendingTable(256)
+	table := newPendingTable(256, ReplyWindow)
 	const departed = 17
 	// Find a client that hashes to the departed client's shard, so the
 	// compaction must discriminate by client id and not just by shard.
@@ -274,17 +299,17 @@ func TestRecordStoreDropClientRemovesOnlyThatClient(t *testing.T) {
 		}
 	}
 	// What is left: the other clients' replies, and the departure.
-	if replies, answered := table.remembered(); replies != (len(clients)-1)*perClient+1 || answered != replies+1 {
+	if replies, _, answered := table.remembered(); replies != (len(clients)-1)*perClient+1 || answered != replies+1 {
 		t.Fatalf("remembered = %d replies of %d answered, want %d of %d", replies, answered, (len(clients)-1)*perClient+1, (len(clients)-1)*perClient+2)
 	}
 }
 
-// TestRecordedRepliesCountFollowsTheTable: the per-shard count of
-// entries holding bytes, which is what RecordedReplies sums, moves with
-// every way an entry comes and goes: recorded, remembered bare, evicted
-// by a newer entry, forgotten with its client.
+// TestRecordedRepliesCountFollowsTheTable: the table's own count of
+// entries holding bytes and of those bytes, which is what RecordedReplies
+// sums, moves with every way an entry comes and goes: recorded, remembered
+// bare, evicted by a newer entry, forgotten with its client.
 func TestRecordedRepliesCountFollowsTheTable(t *testing.T) {
-	table := newPendingTable(4 * pendingShards) // 4 entries per shard
+	table := newPendingTable(4*pendingShards, ReplyWindow) // 4 entries per shard
 	const client = 42
 	sh := table.shard(recKey(client, 0))
 	walk := func() (n int) {
@@ -298,8 +323,9 @@ func TestRecordedRepliesCountFollowsTheTable(t *testing.T) {
 	}
 	check := func(step string, want int) {
 		t.Helper()
-		if replies, _ := table.remembered(); replies != want || walk() != want {
-			t.Fatalf("%s: count %d, the shard holds %d entries with bytes, want %d", step, replies, walk(), want)
+		// Every reply here is one byte.
+		if replies, replyBytes, _ := table.remembered(); replies != want || replyBytes != want || walk() != want {
+			t.Fatalf("%s: count %d in %d bytes, the shard holds %d entries with bytes, want %d", step, replies, replyBytes, walk(), want)
 		}
 	}
 	table.record(recKey(client, 0), []byte{1}, true)
@@ -323,7 +349,7 @@ func TestRecordedRepliesCountFollowsTheTable(t *testing.T) {
 // cleanup — which runs on the event loop — walks that shard alone, and
 // compacts it in place.
 func TestForgetTouchesOneShardAndAllocatesNothing(t *testing.T) {
-	table := newPendingTable(answeredCapacity)
+	table := newPendingTable(answeredCapacity, ReplyWindow)
 	const departed = 0xC0FFEE
 	home := table.shard(recKey(departed, 0))
 	for i := uint32(0); i < 64; i++ {
@@ -425,14 +451,14 @@ func TestAnsweredTableRecordsOnlyForClientOnlyMembers(t *testing.T) {
 			Header{ClientID: 7, SrcGroup: grpServer, DstGroup: grpClient, Op: op(3)}, false, false},
 	} {
 		before := tc.m.Stats()
-		_, answeredBefore := tc.m.RecordedReplies()
+		_, _, answeredBefore := tc.m.RecordedReplies()
 		raw := respond(t, tc.m, tc.h, "n00", 1)
 		respond(t, tc.m, tc.h, "n01", 1) // a second replica's copy
 		got, recorded := tc.m.RecordedReply(tc.h.SrcGroup, tc.h.ClientID, tc.h.Op)
 		if recorded != tc.wantRecorded || (recorded && !bytes.Equal(got, raw)) {
 			t.Errorf("%s: recorded = %v (%d bytes), want %v", tc.name, recorded, len(got), tc.wantRecorded)
 		}
-		_, answered := tc.m.RecordedReplies()
+		_, _, answered := tc.m.RecordedReplies()
 		if (answered == answeredBefore+1) != tc.wantAnswered {
 			t.Errorf("%s: answered operations %d -> %d, want remembered = %v", tc.name, answeredBefore, answered, tc.wantAnswered)
 		}
@@ -464,7 +490,7 @@ func TestResponseAfterDepartureIsNotRecordedAgain(t *testing.T) {
 
 	h := Header{ClientID: 7, SrcGroup: grpServer, DstGroup: grpClient, Op: OperationID{ChildSeq: 1}}
 	respond(t, m, h, "n01", 1)
-	if replies, _ := m.RecordedReplies(); replies != 1 {
+	if replies, _, _ := m.RecordedReplies(); replies != 1 {
 		t.Fatalf("RecordedReplies = %d before the departure, want 1", replies)
 	}
 	m.deliverGatewayControl(Header{Kind: KindGatewayControl, ClientID: h.ClientID, SrcGroup: grpServer, DstGroup: grpClient})
@@ -473,7 +499,7 @@ func TestResponseAfterDepartureIsNotRecordedAgain(t *testing.T) {
 	abandoned := h
 	abandoned.Op.ChildSeq = 2
 	respond(t, m, abandoned, "n01", 1) // a first copy, its caller long gone
-	if replies, _ := m.RecordedReplies(); replies != 0 {
+	if replies, _, _ := m.RecordedReplies(); replies != 0 {
 		t.Fatalf("RecordedReplies = %d after the departure, want 0", replies)
 	}
 	for _, op := range []OperationID{h.Op, abandoned.Op} {

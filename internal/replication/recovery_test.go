@@ -380,6 +380,52 @@ func TestSecondCopyBehindACheckpointIsNotLogged(t *testing.T) {
 	}
 }
 
+// TestReissueBehindACheckpointAfterPromotionIsNotExecuted: the second
+// copy arrives after the promotion, the first behind the checkpoint the
+// backup loaded. The backup noted the identifier when it logged the first
+// copy and keeps it through the truncation and the promotion, so the
+// reissue is suppressed — answered with the named exception, the reply
+// having died with the primary — where it used to meet an empty table and
+// run. An operation in the log suffix was run by the failover itself, and
+// its reissue gets the reply.
+func TestReissueBehindACheckpointAfterPromotionIsNotExecuted(t *testing.T) {
+	for _, style := range []Style{WarmPassive, ColdPassive} {
+		t.Run(style.String(), func(t *testing.T) {
+			d := newDomain(t, 4)
+			apps := setupClientServer(t, d, style, 2, 3)
+			client, backup := d.rms[d.ids[3]], d.rms[d.ids[1]]
+			appendOp := func(i int) giop.Reply {
+				t.Helper()
+				rep, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte{byte('a' + i - 1)}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			// Both styles cut at 8; 9 is the backup's log suffix.
+			for i := 1; i <= 9; i++ {
+				appendOp(i)
+			}
+			waitFor(t, 5*time.Second, func() bool { return logLen(backup) == 1 })
+			d.net.Crash(d.ids[0])
+			waitFor(t, 5*time.Second, func() bool { return backup.Stats().Failovers == 1 })
+			waitStat(t, func() uint64 { return backup.Stats().ReplayedInvocations }, 1)
+
+			wantReplyDiscarded(t, appendOp(8))
+			if rep := appendOp(9); rep.Status != giop.ReplyNoException {
+				t.Fatalf("reissue of the replayed operation: status %v, want its reply", rep.Status)
+			}
+			appendOp(10)
+			if v, ops := apps[1].snapshot(); ops != 10 || !bytes.Equal(v, []byte("abcdefghij")) {
+				t.Fatalf("promoted backup holds %q after %d operations, want %q after 10: a reissue ran", v, ops, "abcdefghij")
+			}
+			if got := backup.Stats().DuplicatesBeyondWindow; got != 1 {
+				t.Fatalf("duplicates beyond the window = %d, want the reissue of 8 alone", got)
+			}
+		})
+	}
+}
+
 // logLen is how many invocations a member's log holds for grpServer.
 func logLen(m *Mechanisms) int {
 	m.mu.RLock()

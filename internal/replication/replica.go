@@ -128,10 +128,11 @@ func (q *taskQueue) close() {
 // that member knows — cut locally if it executes, received by
 // KindStateSync if it is a backup, donated if it joined — and every
 // invocation delivered to it after that checkpoint's Seq, in total order
-// and once: an executing member leaves out the duplicates it suppressed
-// (they changed nothing), a backup those of what it has logged — behind a
-// checkpoint that truncated the first copy, a second would be taken for
-// one at failover. Passive failover and state donation both read that
+// and once: the operations its table (ops) does not hold yet. An executing
+// member so leaves out the duplicates it suppressed (they changed
+// nothing), a backup the second copies — behind a checkpoint that
+// truncated the first, one would be taken for a first at failover.
+// Passive failover and state donation both read that
 // one image (logrec.Recover), and a joiner is seeded with it, so any
 // servant member can recover the group or donate it at any point. The
 // only difference between the passive styles is when a backup loads a
@@ -155,12 +156,15 @@ type replica struct {
 	primary   bool
 	wasBackup bool
 
-	// executor-owned state. executed is what this replica ran and answered;
-	// logged, while it is a passive backup, what it put in its log instead,
-	// delivered or donated.
-	executed fifo.Map[opKey, giop.Reply]
-	logged   fifo.Map[opKey, struct{}]
-	dedupLen atomic.Int64 // executed.Len(), readable off the executor
+	// executor-owned state. ops is the operation table (DESIGN.md section
+	// 8): every operation this replica has met, noted where its first copy
+	// was delivered or donated and given its response — as encoded for the
+	// multicast, read-only — where it ran here. A bare entry has run all the
+	// same: behind the checkpoint a backup holds or in the log suffix its
+	// failover executes first, or here, its response since lost to the window.
+	ops fifo.Map[opKey]
+	// ops.Len() and the bytes of its responses, readable off the executor.
+	opsLen, opsBytes atomic.Int64
 	// opCount operations are folded into the application state, the last
 	// of them delivered at lastOpTS: the position a checkpoint cut now
 	// reflects.
@@ -179,8 +183,7 @@ func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *rep
 		app:   app,
 		tasks: newTaskQueue(),
 	}
-	r.executed.Init(m.cfg.DedupCapacity)
-	r.logged.Init(m.cfg.DedupCapacity)
+	r.ops.Init(operationCapacity, ReplyWindow)
 	if app != nil {
 		r.log = logrec.NewLog()
 		go r.runExecutor()
@@ -237,10 +240,11 @@ const (
 	// logged and its response is multicast.
 	execLive execMode = iota
 	// execFailover re-executes a logged invocation on a promoted passive
-	// primary. Responses ARE re-multicast: clients that already received
-	// them suppress the duplicates, and clients the dead primary never
-	// answered finally get theirs (paper section 3). The log already
-	// holds these entries, so they are not re-appended.
+	// primary, whatever the table says: the log holds first copies alone
+	// and none of them has run here. Responses ARE re-multicast: clients
+	// that already received them suppress the duplicates, and clients the
+	// dead primary never answered finally get theirs (paper section 3). The
+	// log already holds these entries, so they are not re-appended.
 	execFailover
 	// execCatchup replays a donated log entry on a joining replica.
 	// Responses were already multicast by the established members, so the
@@ -253,8 +257,7 @@ func (r *replica) handleInvoke(t task) {
 	if !t.execute {
 		// A passive backup: the invocation waits in the log for failover,
 		// unless it is a second copy (the replica invariant).
-		key := t.msg.Header.key()
-		if _, first := r.logged.Add(key, struct{}{}); !first || r.executed.Has(key) {
+		if !r.remember(t.msg.Header.key(), nil) {
 			r.m.duplicateInvocations.Add(1)
 			return
 		}
@@ -287,27 +290,23 @@ func (r *replica) replay(entries []logrec.Entry, mode execMode) {
 // executeInvocation runs one invocation against the application,
 // multicasting the response. Duplicate invocations (same operation
 // identifier from the same source and client) are detected and
-// suppressed: the cached response is re-sent so a reissuing client (or a
+// suppressed: the kept response is sent again so a reissuing client (or a
 // gateway that failed over) still obtains the result, but the operation
 // is not executed twice (paper sections 2.2, 3.3, 3.5) — and, having
 // changed nothing, is not logged either. raw is the invocation's encoded
 // wire form, sole as in task.
 func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint64, mode execMode) {
 	key := msg.Header.key()
-	if rep, ok := r.executed.Get(key); ok {
+	if kept, met := r.ops.Get(key); met && mode != execFailover {
 		r.m.duplicateInvocations.Add(1)
 		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.cfg.NodeID))
-		if mode != execCatchup {
-			r.respond(msg, rep)
+		if mode == execLive {
+			r.answerDuplicate(msg, kept)
 		}
 		return
 	}
 	r.m.dedupMisses.Add(1)
-	wire, err := giop.Unmarshal(msg.Payload)
-	if err != nil {
-		return
-	}
-	req, err := giop.DecodeRequest(wire)
+	req, err := decodeRequest(msg.Payload)
 	if err != nil {
 		return
 	}
@@ -333,34 +332,81 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 	}
 	r.opCount++
 	r.lastOpTS = ts
-	r.remember(key, rep)
-	if req.ResponseExpected && mode != execCatchup {
-		r.respond(msg, rep)
+	// A response that does not encode is none: the operation has run, and
+	// its identifier says so.
+	var response []byte
+	enc, err := encodeReply(r.m.room, responseHeader(msg.Header), rep)
+	if err == nil {
+		response = enc[r.m.room:]
+	}
+	r.remember(key, response)
+	if err == nil && req.ResponseExpected && mode != execCatchup {
+		r.send(enc)
 	}
 	r.maybeCheckpoint()
 }
 
-// remember caches an executed operation's reply for duplicate detection,
-// bounded by the configured capacity.
-func (r *replica) remember(key opKey, rep giop.Reply) {
-	r.executed.Add(key, rep)
-	r.dedupLen.Store(int64(r.executed.Len()))
+// remember records an operation in the table, with its response if it ran
+// here, and reports whether this is the first the replica has met of it.
+func (r *replica) remember(key opKey, response []byte) bool {
+	first := r.ops.Add(key, response)
+	_, bytes := r.ops.Replies()
+	r.opsLen.Store(int64(r.ops.Len()))
+	r.opsBytes.Store(int64(bytes))
+	return first
 }
 
-// respond multicasts a response addressed to the invoker's group,
-// carrying the same client identifier and operation identifier as the
-// invocation so receivers can correlate and deduplicate (figure 6).
-func (r *replica) respond(inv Message, rep giop.Reply) {
-	enc, err := encodeReply(r.m.room, Header{
-		Kind:     KindResponse,
-		ClientID: inv.Header.ClientID,
-		SrcGroup: inv.Header.DstGroup, // we are the invoked group
-		DstGroup: inv.Header.SrcGroup,
-		Op:       inv.Header.Op,
-	}, rep)
-	if err != nil {
+// answerDuplicate answers a second copy of an operation that has run:
+// with the response kept for it, or, where the table holds the identifier
+// alone, with a system exception that says it completed and its reply is
+// no longer to be had — the same bytes at every replica.
+func (r *replica) answerDuplicate(inv Message, kept []byte) {
+	if kept != nil {
+		// A copy: the kept bytes end a buffer totem took over with the
+		// first response, and may hold yet (DESIGN.md section 7).
+		r.send(append(make([]byte, r.m.room, r.m.room+len(kept)), kept...))
 		return
 	}
+	r.m.duplicatesBeyondWindow.Add(1)
+	req, err := decodeRequest(inv.Payload)
+	if err != nil || !req.ResponseExpected {
+		return
+	}
+	enc, err := encodeReply(r.m.room, responseHeader(inv.Header), giop.Reply{
+		RequestID: req.RequestID,
+		Status:    giop.ReplySystemException,
+		Result:    giop.SystemExceptionBody(giopOrder, "IDL:eternalgw/REPLY_DISCARDED:1.0", minorBeyondWindow, giop.CompletedYes),
+	})
+	if err == nil {
+		r.send(enc)
+	}
+}
+
+// decodeRequest reads the IIOP request an invocation encapsulates; it
+// borrows from payload.
+func decodeRequest(payload []byte) (giop.Request, error) {
+	wire, err := giop.Unmarshal(payload)
+	if err != nil {
+		return giop.Request{}, err
+	}
+	return giop.DecodeRequest(wire)
+}
+
+// responseHeader addresses a response to the invoker's group, carrying
+// the same client identifier and operation identifier as the invocation
+// so receivers can correlate and deduplicate (figure 6).
+func responseHeader(inv Header) Header {
+	return Header{
+		Kind:     KindResponse,
+		ClientID: inv.ClientID,
+		SrcGroup: inv.DstGroup, // we are the invoked group
+		DstGroup: inv.SrcGroup,
+		Op:       inv.Op,
+	}
+}
+
+// send multicasts a response encoded behind the mechanisms' headroom.
+func (r *replica) send(enc []byte) {
 	_ = r.m.multicastEncoded(enc)
 	r.m.responsesSent.Add(1)
 }
@@ -490,7 +536,7 @@ func (r *replica) handleApplyState(t task) {
 	} else {
 		for _, e := range entries {
 			if hv, err := DecodeHeader(e.Data); err == nil {
-				r.logged.Add(hv.Header.key(), struct{}{})
+				r.remember(hv.Header.key(), nil)
 			}
 		}
 	}

@@ -152,10 +152,6 @@ type Config struct {
 	// number of operations between the local checkpoints of every other
 	// style. Zero means 32.
 	CheckpointInterval int
-	// DedupCapacity bounds each local replica's executed-operation cache
-	// (duplicate-invocation detection and the responses it re-sends).
-	// Zero means 16384 operations.
-	DedupCapacity int
 	// InvokeTimeout bounds waiting for a response. Zero means 10s.
 	InvokeTimeout time.Duration
 	// QuorumOf, when non-zero, enables majority-partition protection:
@@ -186,9 +182,6 @@ func (c *Config) applyDefaults() {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 32
 	}
-	if c.DedupCapacity == 0 {
-		c.DedupCapacity = 16384
-	}
 	if c.InvokeTimeout == 0 {
 		c.InvokeTimeout = 10 * time.Second
 	}
@@ -208,6 +201,10 @@ type Stats struct {
 	// ResponsesDiscardedEarly is the subset of DuplicateResponses
 	// dropped from the header peek alone, without payload decode.
 	ResponsesDiscardedEarly uint64
+	// DuplicatesBeyondWindow is the subset of DuplicateInvocations that met
+	// the operation's identifier without its response and were answered
+	// with REPLY_DISCARDED.
+	DuplicatesBeyondWindow uint64
 	// StateTransfers counts recovery images donated to joiners.
 	StateTransfers uint64
 	// StateSyncs and Checkpoints count the checkpoints a warm-passive and
