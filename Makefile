@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check loc budget sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
+.PHONY: build test vet lint lint-fast race check loc budget copymap sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -57,17 +57,28 @@ loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
-# leader-mode round trip at r=3 must stay under 235 KiB and 62
-# allocations at 16 KiB, and under 8.5 KiB and 62 allocations at 64 B —
+# leader-mode round trip at r=3 must stay under 120 KiB and 50
+# allocations at 16 KiB, and under 5 KiB and 44 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost) and the live-heap gate
 # beside it (after 8192 echoes of 16 KiB the process holds under
 # 4 x replication.ReplyWindow + 64 MiB: the operation tables are bounded
 # by reply bytes) on their own, without the race detector's overhead, and
 # prints the figures. `race` runs them too; this is the line to look for
-# in a CI log. scripts/copymap.sh attributes a failure on the 16 KiB row
-# to a call site.
+# in a CI log. `make copymap` attributes a failure to a call site.
 budget:
 	$(GO) test -run 'TestDatapathAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
+
+# copymap prints the two maps behind the budget (scripts/copymap.sh): which
+# call site allocates how many payload-sized buffers per 16 KiB round trip,
+# and which how many objects per 64 B round trip. With COPYMAP_REF=<ref>
+# each is a before/after table against that ref.
+COPYMAP_REF ?=
+copymap:
+	@echo '#### Payload-sized buffers per 16 KiB round trip (scripts/copymap.sh)'
+	@scripts/copymap.sh $(COPYMAP_REF)
+	@echo
+	@echo '#### Allocations per 64 B round trip (scripts/copymap.sh -n)'
+	@scripts/copymap.sh -n $(COPYMAP_REF)
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule

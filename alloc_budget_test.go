@@ -15,12 +15,13 @@ import (
 )
 
 // What a leader-mode round trip at r=3 may allocate, client side
-// included: what the copy map in docs/PERFORMANCE.md accounts for (10
-// payload-sized buffers and ~47 allocations on the 16 KiB row) plus a
+// included: what the maps in docs/PERFORMANCE.md account for (5
+// payload-sized buffers — the gateway's read, three replicas' results,
+// the client's read — and ~34 allocations on the 16 KiB row) plus a
 // quarter. The 64 B row holds the fixed cost of a message — headers, part
 // lists, ids — which the large row cannot see; its bytes are small
 // objects, which the race detector pads, so both rows are a quarter above
-// the highest -race figure (189 KiB and 51 allocations; 6.9 KiB and 50).
+// the highest -race figure (93.2 KiB and 39 allocations; 4.0 KiB and 35).
 var datapathBudgets = []struct {
 	name        string
 	payload     int
@@ -28,8 +29,8 @@ var datapathBudgets = []struct {
 	allocsPerOp float64
 	overBy      string
 }{
-	{"16KiB", 16 << 10, 235, 62, "a payload-sized copy came back (scripts/copymap.sh names it)"},
-	{"64B", 64, 8.5, 62, "the fixed cost of a message grew"},
+	{"16KiB", 16 << 10, 120, 50, "a payload-sized copy came back (scripts/copymap.sh names it)"},
+	{"64B", 64, 5, 44, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
 }
 
 // budgetDomain stands up the reference benchmark's steady shape — 4

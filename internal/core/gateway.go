@@ -56,6 +56,10 @@ const (
 	// minorInvokeFailed: COMM_FAILURE — conveying the request through
 	// the fault tolerance domain failed or timed out.
 	minorInvokeFailed uint32 = 0
+	// minorRequestTooLarge: IMP_LIMIT — the request's header declares more
+	// than one datagram of the domain's transport carries. Refused before
+	// its body was read; it never entered the total order.
+	minorRequestTooLarge uint32 = 1
 )
 
 // Errors reported by the gateway.
@@ -104,6 +108,7 @@ type Stats struct {
 	ClientsDeparted     uint64 // departed-client notifications processed by this gateway's processor (state deleted)
 	RequestsShed        uint64 // requests refused by admission control (TRANSIENT returned)
 	ConnectionsShed     uint64 // connections refused by admission control (closed at accept)
+	RequestsTooLarge    uint64 // messages refused because the domain's transport could not carry them (IMP_LIMIT returned)
 }
 
 // Gateway bridges external IIOP clients into a fault tolerance domain.
@@ -154,6 +159,7 @@ type Gateway struct {
 	exceptions          atomic.Uint64
 	requestsShed        atomic.Uint64
 	connectionsShed     atomic.Uint64
+	requestsTooLarge    atomic.Uint64
 }
 
 // New creates a gateway, joins the gateway group as a client-only member
@@ -230,6 +236,7 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_gateway_clients_departed_total", "Departed-client notifications processed by this gateway's processor.", func() uint64 { return g.rm.Stats().ClientsDeparted }},
 		{"eternalgw_gateway_requests_shed_total", "Requests refused by admission control (TRANSIENT returned).", g.requestsShed.Load},
 		{"eternalgw_gateway_connections_shed_total", "Connections refused by admission control (closed at accept).", g.connectionsShed.Load},
+		{"eternalgw_gateway_requests_too_large_total", "Messages whose header declared more than one datagram of the domain's transport carries: refused unread, requests answered IMP_LIMIT, COMPLETED_NO.", g.requestsTooLarge.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
@@ -308,6 +315,7 @@ func (g *Gateway) Stats() Stats {
 		ClientsDeparted:     g.rm.Stats().ClientsDeparted,
 		RequestsShed:        g.requestsShed.Load(),
 		ConnectionsShed:     g.connectionsShed.Load(),
+		RequestsTooLarge:    g.requestsTooLarge.Load(),
 	}
 }
 
@@ -498,9 +506,19 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 	}()
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
-	ra := giop.NewReassembler(nc, 0)
+	// A request is read into the buffer it is multicast from: behind the
+	// room the domain's headers take, and no longer than one datagram of
+	// its transport carries.
+	room, ceiling := g.rm.Headroom()
+	ra := giop.NewReassembler(nc, max(0, ceiling-room-giop.HeaderSize))
+	ra.Room = room
 	for {
 		msg, err := ra.Next()
+		if msg.Body != nil && errors.Is(err, giop.ErrTooLarge) {
+			// Refused, and read past: the connection is still in step.
+			cc.refuseOversize(msg)
+			continue
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				g.log.Warnf("connection %s: %v", nc.RemoteAddr(), err)
@@ -658,12 +676,12 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 	if !req.ResponseExpected {
 		// One-way request: convey it into the domain without waiting
 		// for (or ever receiving) a response.
-		if err := gw.rm.MulticastRequest(gw.cfg.Group, clientID, group, op, req); err != nil {
+		if err := gw.rm.MulticastFrame(gw.cfg.Group, clientID, group, op, msg.Frame); err != nil {
 			gw.requestsAbandoned.Add(1)
 		}
 		return
 	}
-	rep, err := gw.rm.Invoke(gw.cfg.Group, clientID, group, op, req, gw.cfg.InvokeTimeout)
+	rep, err := gw.rm.InvokeFrame(gw.cfg.Group, clientID, group, op, msg.Frame, gw.cfg.InvokeTimeout)
 	if err != nil {
 		gw.requestsAbandoned.Add(1)
 		gw.exceptions.Add(1)
@@ -721,6 +739,34 @@ func (cc *clientConn) endRequest(id uint32) {
 	cc.mu.Lock()
 	delete(cc.inflight, id)
 	cc.mu.Unlock()
+}
+
+// refuseOversize answers a message the reassembler refused by the size
+// its header declared: the body was read and dropped, msg holds the first
+// bytes of it — the request header, the arguments cut short — and the
+// connection is still in step. A request is answered IMP_LIMIT,
+// COMPLETED_NO: it went nowhere, and a smaller one is welcome.
+func (cc *clientConn) refuseOversize(msg giop.Message) {
+	gw := cc.gw
+	gw.requestsTooLarge.Add(1)
+	gw.log.Warnf("%v of %d bytes from %s refused: the domain's transport carries no such datagram", msg.Header.Type, msg.Header.Size, cc.nc.RemoteAddr())
+	if msg.Header.Type != giop.MsgRequest {
+		return
+	}
+	req, err := giop.DecodeRequest(msg)
+	if err != nil {
+		cc.write(giop.EncodeMessageError(msg.Header.Order))
+		return
+	}
+	gw.requestsReceived.Add(1)
+	gw.exceptions.Add(1)
+	if req.ResponseExpected {
+		cc.writeReplyRaw(msg, req, giop.Reply{
+			RequestID: req.RequestID,
+			Status:    giop.ReplySystemException,
+			Result:    giop.SystemExceptionBody(msg.Header.Order, "IDL:omg.org/CORBA/IMP_LIMIT:1.0", minorRequestTooLarge, giop.CompletedNo),
+		})
+	}
 }
 
 // shedReply refuses an invocation with a TRANSIENT system exception —

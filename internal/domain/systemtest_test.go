@@ -1,12 +1,16 @@
 package domain_test
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"eternalgw/internal/cdr"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
@@ -204,5 +208,178 @@ func TestDomainOverUDPTransport(t *testing.T) {
 		if got := r.ReadLongLong(); got != int64(i) {
 			t.Fatalf("call %d = %d", i, got)
 		}
+	}
+}
+
+// sizedApp echoes, and answers "blow" with a result of the size asked
+// for, counting every execution.
+type sizedApp struct {
+	adderApp
+}
+
+func (a *sizedApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.total++
+	switch op {
+	case "echo":
+		reply.WriteOctetSeq(args.ReadOctetSeq())
+	case "blow":
+		reply.WriteOctetSeq(make([]byte, args.ReadULong()))
+	default:
+		a.total--
+		return fmt.Errorf("sizedApp: unknown op %q", op)
+	}
+	return args.Err()
+}
+
+// TestOversizeMessageDoesNotWedgeUDPDomain: a message no UDP datagram can
+// carry is refused where it can still be refused — the request at the
+// gateway, from its GIOP header; the reply at the replicas, each sending
+// the same exception in its place — and is never ordered. Before the
+// transport stated its largest datagram, such a message took its place in
+// the total order, was refused by the kernel at every transmission and
+// retransmitted for ever: the call timed out, and so did every call
+// after it.
+func TestOversizeMessageDoesNotWedgeUDPDomain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("UDP transport test skipped in -short mode")
+	}
+	for _, mode := range []struct {
+		name     string
+		ordering totem.OrderingMode
+	}{{"ring", totem.OrderingRing}, {"leader", totem.OrderingLeader}} {
+		t.Run(mode.name, func(t *testing.T) {
+			const nodes = 4
+			registry, err := udpnet.LoopbackRegistry(domain.MemberIDs("big", nodes)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eps []*udpnet.Endpoint
+			txErrors := func() (n uint64) {
+				for _, ep := range eps {
+					n += ep.Stats().TxErrors
+				}
+				return n
+			}
+			d, err := domain.New(domain.Config{
+				Name:  "big",
+				Nodes: nodes,
+				Totem: totem.Config{Ordering: mode.ordering},
+				TransportFactory: func(id memnet.NodeID) (totem.Transport, error) {
+					ep, err := udpnet.Listen(id, registry)
+					if err == nil {
+						eps = append(eps, ep)
+					}
+					return ep, err
+				},
+				GatewayInvokeTimeout: 2 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Close)
+
+			const grp replication.GroupID = 700
+			key := []byte("big/echo")
+			var (
+				mu   sync.Mutex
+				apps []*sizedApp
+			)
+			err = d.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
+				Style:           replication.Active,
+				InitialReplicas: 3,
+				MinReplicas:     3,
+				ObjectKey:       key,
+			}, func() (replication.Application, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				apps = append(apps, &sizedApp{})
+				return apps[len(apps)-1], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw, err := d.AddGateway(3, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := orb.Dial(gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+
+			octets := func(n int) []byte {
+				w := cdr.NewWriter(cdr.BigEndian)
+				w.WriteOctetSeq(make([]byte, n))
+				return w.Bytes()
+			}
+			executed := 0
+			small := func(when string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					start := time.Now()
+					if _, err := conn.Call(key, "echo", octets(64), orb.InvokeOptions{Timeout: 5 * time.Second}); err != nil {
+						t.Fatalf("64 B echo %d %s: %v after %v", i, when, err, time.Since(start))
+					}
+					executed++
+				}
+			}
+			// refused makes a call that must be answered IMP_LIMIT, long
+			// before the gateway's invoke timeout.
+			refused := func(what, op string, args []byte, minor, completed uint32) {
+				t.Helper()
+				start := time.Now()
+				_, err := conn.Call(key, op, args, orb.InvokeOptions{Timeout: 5 * time.Second})
+				var sys *orb.SystemException
+				if !errors.As(err, &sys) || sys.RepoID != "IDL:omg.org/CORBA/IMP_LIMIT:1.0" || sys.Minor != minor || sys.Completed != completed {
+					t.Fatalf("%s: %v, want IMP_LIMIT minor %d completed %d", what, err, minor, completed)
+				}
+				if took := time.Since(start); took > time.Second {
+					t.Errorf("%s was refused after %v: not fast", what, took)
+				}
+			}
+
+			small("before anything oversize", 20)
+			before := txErrors()
+
+			refused("a 100 KiB request", "echo", octets(100<<10), 1, giop.CompletedNo)
+			if got := gw.Stats().RequestsTooLarge; got != 1 {
+				t.Errorf("gateway counted %d requests too large, want 1", got)
+			}
+			small("after the oversize request", 10)
+
+			w := cdr.NewWriter(cdr.BigEndian)
+			w.WriteULong(100 << 10)
+			refused("a request for a 100 KiB reply", "blow", w.Bytes(), 2, giop.CompletedYes)
+			executed++ // it ran; its result could not travel
+			small("after the oversize reply", 10)
+
+			if moved := txErrors() - before; moved != 0 {
+				t.Errorf("the kernel refused %d datagrams: an oversize message reached the transport", moved)
+			}
+			// Exactly once: every replica ran what was answered — a call
+			// returns on the first response, so the others may have one
+			// execution to go — and the refused request nowhere.
+			mu.Lock()
+			defer mu.Unlock()
+			if len(apps) != 3 {
+				t.Fatalf("%d replicas, want 3", len(apps))
+			}
+			for i, app := range apps {
+				count := func() int64 {
+					app.mu.Lock()
+					defer app.mu.Unlock()
+					return app.total
+				}
+				for deadline := time.Now().Add(2 * time.Second); count() < int64(executed) && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if got := count(); got != int64(executed) {
+					t.Errorf("replica %d executed %d operations, want %d", i, got, executed)
+				}
+			}
+		})
 	}
 }

@@ -7,30 +7,56 @@ import (
 	"eternalgw/internal/cdr"
 )
 
-// EncodeRequest builds a framed Request message in the given byte order.
-// args must already be CDR-encoded in the same byte order (alignment
-// within args is handled by appending it directly after the header
-// fields, so args should be produced via a body writer obtained from
-// the request encoder when strict alignment of the first argument
+// EncodeRequest builds a framed GIOP 1.0 Request message in the given
+// byte order. args must already be CDR-encoded in the same byte order
+// (alignment within args is handled by appending it directly after the
+// header fields, so args should be produced via a body writer obtained
+// from the request encoder when strict alignment of the first argument
 // matters; primitive echo payloads used throughout this repository are
 // octet sequences, which carry their own alignment).
 func EncodeRequest(order cdr.ByteOrder, req Request) (Message, error) {
-	w := cdr.NewWriterCap(order, requestSizeHint(req))
-	writeRequest(w, req)
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode request: %w", err)
-	}
-	return Message{
-		Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgRequest},
-		Body:   w.Bytes(),
-	}, nil
+	return EncodeRequestV(order, 0, req)
 }
 
-// writeRequest writes a GIOP 1.0 Request body.
-func writeRequest(w *cdr.Writer, req Request) {
+// AppendRequestHead appends to dst everything of a framed Request that
+// comes ahead of its arguments: the GIOP header, sized for the whole
+// message, and the request header of the given minor version through the
+// padding in front of req.Args, which it does not read. Every request
+// encoder is this and the arguments behind it, copied or gathered.
+func AppendRequestHead(dst []byte, order cdr.ByteOrder, minor byte, req Request) ([]byte, error) {
+	if minor > 2 {
+		return nil, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
+	}
+	w := cdr.NewWriterOn(appendHeader(dst, Header{Major: 1, Minor: minor, Order: order, Type: MsgRequest}), order)
+	if minor == 2 {
+		writeRequestHead12(w, req)
+	} else {
+		writeRequestHead(w, minor, req)
+	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("giop: encode 1.%d request: %w", minor, err)
+	}
+	head := w.Bytes()
+	size := len(head) - len(dst) - HeaderSize + len(req.Args)
+	if size > MaxMessageSize {
+		return nil, ErrTooLarge
+	}
+	putSize(head[len(dst):], uint32(size))
+	return head, nil
+}
+
+// writeRequestHead writes a GIOP 1.0 or 1.1 Request body up to its
+// arguments; 1.1 is the 1.0 layout plus three reserved octets between
+// response_expected and the object key.
+func writeRequestHead(w *cdr.Writer, minor byte, req Request) {
 	writeServiceContexts(w, req.ServiceContexts)
 	w.WriteULong(req.RequestID)
 	w.WriteBool(req.ResponseExpected)
+	if minor == 1 {
+		w.WriteOctet(0) // reserved
+		w.WriteOctet(0)
+		w.WriteOctet(0)
+	}
 	w.WriteOctetSeq(req.ObjectKey)
 	w.WriteString(req.Operation)
 	w.WriteOctetSeq(req.Principal)
@@ -38,7 +64,6 @@ func writeRequest(w *cdr.Writer, req Request) {
 	// fresh stream, so realign to 8 to give them a deterministic base
 	// that matches what the encoder of Args assumed.
 	w.Align(8)
-	w.WriteOctets(req.Args)
 }
 
 // AppendRequest appends to dst the wire form (header and body) of a GIOP
@@ -46,10 +71,11 @@ func writeRequest(w *cdr.Writer, req Request) {
 // built in place. A layer that encapsulates the message sizes dst with
 // RequestSizeBound and pays for one buffer, not three.
 func AppendRequest(dst []byte, order cdr.ByteOrder, req Request) ([]byte, error) {
-	h := Header{Major: 1, Minor: 0, Order: order, Type: MsgRequest}
-	w := cdr.NewWriterOn(appendHeader(dst, h), order)
-	writeRequest(w, req)
-	return finishAppend(w, len(dst), h)
+	head, err := AppendRequestHead(dst, order, 0, req)
+	if err != nil {
+		return nil, err
+	}
+	return append(head, req.Args...), nil
 }
 
 // AppendReply is AppendRequest for a GIOP 1.0 Reply.
@@ -59,19 +85,6 @@ func AppendReply(dst []byte, order cdr.ByteOrder, rep Reply) ([]byte, error) {
 		return nil, err
 	}
 	return append(head, rep.Result...), nil
-}
-
-// finishAppend completes a message appended at offset start of w's
-// buffer: the body is written, so its size is known, and the header
-// written ahead of it is rewritten in place to carry it.
-func finishAppend(w *cdr.Writer, start int, h Header) ([]byte, error) {
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("giop: encode %v: %w", h.Type, err)
-	}
-	out := w.Bytes()
-	h.Size = uint32(len(out) - start - HeaderSize)
-	appendHeader(out[:start], h)
-	return out, nil
 }
 
 // DecodeRequest parses a Request message body. The request's ObjectKey,
@@ -98,7 +111,8 @@ func DecodeRequest(msg Message) (Request, error) {
 	return req, nil
 }
 
-// readRequest reads what writeRequest writes.
+// readRequest reads a 1.0 request: what writeRequestHead writes, and the
+// arguments behind it.
 func readRequest(r *cdr.Reader) Request {
 	var req Request
 	req.ServiceContexts = readServiceContexts(r)
@@ -145,14 +159,6 @@ func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
 	return EncodeReplyV(order, 0, rep)
 }
 
-// writeReplyHead writes a GIOP 1.0 Reply body up to its result.
-func writeReplyHead(w *cdr.Writer, rep Reply) {
-	writeServiceContexts(w, rep.ServiceContexts)
-	w.WriteULong(rep.RequestID)
-	w.WriteULong(uint32(rep.Status))
-	w.Align(8)
-}
-
 // DecodeReply parses a Reply message body. The reply's Result aliases
 // msg.Body under the rule DecodeRequest states for Args: read-only,
 // cap-clipped, and whoever holds the reply holds the whole body. The
@@ -173,7 +179,8 @@ func DecodeReply(msg Message) (Reply, error) {
 	return rep, nil
 }
 
-// readReply reads what writeReplyHead writes, and the result behind it.
+// readReply reads what replyHead writes of a 1.0 or 1.1 reply, and the
+// result behind it.
 func readReply(r *cdr.Reader) Reply {
 	var rep Reply
 	rep.ServiceContexts = readServiceContexts(r)

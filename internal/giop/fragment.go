@@ -123,17 +123,30 @@ func writeWithFlags(w io.Writer, msg Message, more bool) error {
 // one around each connection's read side.
 type Reassembler struct {
 	r io.Reader
-	// partial is the in-progress fragmented message, if any.
+	// Room is how many unwritten bytes Next leaves at the front of each
+	// message's Frame, for a layer that conveys the message as it was read
+	// to write its own header there. Set it before the first Next.
+	Room int
+	// partial is the in-progress fragmented message, if any: its Frame
+	// grows fragment by fragment. refused says it outgrew maxTotal: its
+	// Body is then the first bytes alone and the rest is read and dropped.
 	partial  *Message
-	pendID   []byte // 1.2: the request id continuations must match
+	refused  bool
 	maxTotal int
 	// hdr is Next's header scratch: a local would escape through
 	// io.ReadFull and cost an allocation per message.
 	hdr [HeaderSize]byte
+	// dropped is what a refused body is read into, made at the first refusal.
+	dropped []byte
 }
 
-// NewReassembler wraps r. maxTotal bounds a reassembled message's body
-// (0 means MaxMessageSize).
+// refusedHead is how much of a refused message's body Next still returns:
+// enough for a request header, so that a server can say which request it
+// is not going to serve.
+const refusedHead = 4 << 10
+
+// NewReassembler wraps r. maxTotal bounds a message's body, reassembled
+// or not (0 means MaxMessageSize).
 func NewReassembler(r io.Reader, maxTotal int) *Reassembler {
 	if maxTotal <= 0 || maxTotal > MaxMessageSize {
 		maxTotal = MaxMessageSize
@@ -141,75 +154,147 @@ func NewReassembler(r io.Reader, maxTotal int) *Reassembler {
 	return &Reassembler{r: r, maxTotal: maxTotal}
 }
 
-// Next returns the next complete message.
+// Next returns the next complete message. Its Frame is one buffer — Room
+// unwritten bytes, the GIOP header as a whole message carries it, the
+// body — that nothing else refers to: it is the caller's.
+//
+// A message that declares more than maxTotal is refused before its body
+// is allocated: the body is read and dropped, and Next returns the header
+// and the first bytes of the body, without a Frame, beside ErrTooLarge.
+// That is the one error after which the stream is still in step and Next
+// may be called again. ErrTooLarge with no message beside it is a header
+// that declares more than any GIOP message may have (MaxMessageSize),
+// and final like every other error.
 func (ra *Reassembler) Next() (Message, error) {
 	for {
-		hdr := &ra.hdr
-		if _, err := io.ReadFull(ra.r, hdr[:]); err != nil {
-			if ra.partial != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-				return Message{}, ErrFragmentTooOld
-			}
-			return Message{}, err
+		if _, err := io.ReadFull(ra.r, ra.hdr[:]); err != nil {
+			return Message{}, ra.readErr(err)
 		}
-		h, err := parseHeader(*hdr)
+		h, err := parseHeader(ra.hdr)
 		if err != nil {
 			return Message{}, err
 		}
-		more := hdr[6]&flagMoreFragments != 0
-		body := make([]byte, h.Size)
-		if _, err := io.ReadFull(ra.r, body); err != nil {
-			if ra.partial != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-				return Message{}, ErrFragmentTooOld
-			}
-			return Message{}, fmt.Errorf("giop: reading %v body: %w", h.Type, err)
-		}
-
+		more := ra.hdr[6]&flagMoreFragments != 0
+		var msg Message
 		switch {
 		case h.Type == MsgFragment:
 			if ra.partial == nil {
 				return Message{}, ErrOrphanFragment
 			}
-			if ra.partial.Header.Minor == 2 {
-				// Strip and verify the continuation's request id.
-				if len(body) < 4 {
-					return Message{}, fmt.Errorf("giop: 1.2 fragment shorter than its request id")
-				}
-				if string(body[:4]) != string(ra.pendID) {
-					return Message{}, fmt.Errorf("giop: interleaved fragment for a different request")
-				}
-				body = body[4:]
+			if err := ra.readFragment(h); err != nil {
+				return Message{}, err
 			}
-			if len(ra.partial.Body)+len(body) > ra.maxTotal {
-				return Message{}, ErrTooLarge
-			}
-			ra.partial.Body = append(ra.partial.Body, body...)
 			if more {
 				continue
 			}
-			msg := *ra.partial
-			ra.partial = nil
-			ra.pendID = nil
-			return msg, nil
-
-		case more:
-			if h.Minor < 1 {
-				return Message{}, errFragmentProtocol
+			msg, ra.partial = *ra.partial, nil
+			if !ra.refused {
+				// The frame reads as the whole message: what the first
+				// fragment's header said of flags and size is rewritten.
+				msg.Header.Size = uint32(len(msg.Body))
+				msg.Frame[ra.Room+6] &^= flagMoreFragments
+				putSize(msg.Frame[ra.Room:], msg.Header.Size)
 			}
-			if ra.partial != nil {
-				return Message{}, fmt.Errorf("giop: new fragmented message before the previous completed")
+		case more && h.Minor < 1:
+			return Message{}, errFragmentProtocol
+		case ra.partial != nil:
+			return Message{}, fmt.Errorf("giop: new fragmented message before the previous completed")
+		default:
+			if msg, err = ra.readFirst(h); err != nil {
+				return Message{}, err
 			}
-			msg := Message{Header: h, Body: body}
-			ra.partial = &msg
-			if h.Minor == 2 {
-				if len(body) < 4 {
+			if more {
+				if h.Minor == 2 && len(msg.Body) < 4 {
 					return Message{}, fmt.Errorf("giop: fragmented 1.2 message shorter than its request id")
 				}
-				ra.pendID = append([]byte(nil), body[:4]...)
+				first := msg // msg itself stays off the heap
+				ra.partial = &first
+				continue
 			}
-			continue
-
-		default:
-			return Message{Header: h, Body: body}, nil
 		}
+		if ra.refused {
+			ra.refused = false
+			return msg, ErrTooLarge
+		}
+		return msg, nil
 	}
+}
+
+// readErr is the error of a read that failed: a stream that ends inside a
+// fragmented message says so.
+func (ra *Reassembler) readErr(err error) error {
+	if ra.partial != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		return ErrFragmentTooOld
+	}
+	return err
+}
+
+// readFirst reads the body behind a message's own header, into a new
+// frame; or refuses it.
+func (ra *Reassembler) readFirst(h Header) (Message, error) {
+	if h.Size > uint32(ra.maxTotal) {
+		head := make([]byte, min(h.Size, refusedHead))
+		if err := ra.readBody(h, head, int64(h.Size)-int64(len(head))); err != nil {
+			return Message{}, err
+		}
+		ra.refused = true
+		return Message{Header: h, Body: head}, nil
+	}
+	frame := make([]byte, ra.Room+HeaderSize+int(h.Size))
+	copy(frame[ra.Room:], ra.hdr[:])
+	body := frame[ra.Room+HeaderSize:]
+	if err := ra.readBody(h, body, 0); err != nil {
+		return Message{}, err
+	}
+	return Message{Header: h, Body: body, Frame: frame}, nil
+}
+
+// readFragment reads a continuation's body in behind the partial
+// message's; or, the message refused, reads it and drops it.
+func (ra *Reassembler) readFragment(h Header) error {
+	p, n := ra.partial, int64(h.Size)
+	if p.Header.Minor == 2 {
+		// Strip and verify the continuation's request id (read into the
+		// header scratch, which is parsed and done with).
+		id := ra.hdr[:4]
+		if n < 4 {
+			return fmt.Errorf("giop: 1.2 fragment shorter than its request id")
+		}
+		if err := ra.readBody(h, id, 0); err != nil {
+			return err
+		}
+		if string(id) != string(p.Body[:4]) {
+			return fmt.Errorf("giop: interleaved fragment for a different request")
+		}
+		n -= 4
+	}
+	if !ra.refused && int64(len(p.Body))+n > int64(ra.maxTotal) {
+		ra.refused = true
+		p.Body, p.Frame = p.Body[:min(len(p.Body), refusedHead)], nil
+	}
+	if ra.refused {
+		return ra.readBody(h, nil, n)
+	}
+	at := len(p.Frame)
+	p.Frame = append(p.Frame, make([]byte, n)...)
+	p.Body = p.Frame[ra.Room+HeaderSize:]
+	return ra.readBody(h, p.Frame[at:], 0)
+}
+
+// readBody reads into keep, and then reads and drops drop bytes more, of
+// the body of the message h heads.
+func (ra *Reassembler) readBody(h Header, keep []byte, drop int64) error {
+	_, err := io.ReadFull(ra.r, keep)
+	for err == nil && drop > 0 {
+		if ra.dropped == nil {
+			ra.dropped = make([]byte, refusedHead)
+		}
+		n := min(drop, refusedHead)
+		_, err = io.ReadFull(ra.r, ra.dropped[:n])
+		drop -= n
+	}
+	if err = ra.readErr(err); err == nil || err == ErrFragmentTooOld {
+		return err
+	}
+	return fmt.Errorf("giop: reading %v body: %w", h.Type, err)
 }

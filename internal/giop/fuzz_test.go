@@ -50,6 +50,13 @@ func FuzzDecodeRequest(f *testing.F) {
 			ServiceContexts: []ServiceContext{{ID: 9, Data: []byte("ctx")}},
 		})
 		f.Add(minor, false, req.Body)
+		// As the domain conveys it: in the client's version and byte order.
+		little, _ := EncodeRequestV(cdr.LittleEndian, minor, Request{
+			RequestID: 6, ResponseExpected: true, ObjectKey: []byte("bench/register"),
+			Operation: "echo", Args: []byte{0, 0, 0, 2, 7, 7},
+			ServiceContexts: []ServiceContext{{ID: FTClientContextID, Data: []byte("client-7")}},
+		})
+		f.Add(minor, true, little.Body)
 	}
 	f.Add(byte(0), true, []byte{})
 	f.Add(byte(2), true, []byte{0xff, 0xff, 0xff, 0xff})
@@ -76,13 +83,19 @@ func FuzzDecodeRequest(f *testing.F) {
 			string(back.ObjectKey) != string(req.ObjectKey) {
 			t.Fatalf("round trip changed identity: %+v != %+v", back, req)
 		}
-		// What the domain conveys is the request re-framed as GIOP 1.0:
-		// built in place it must be the bytes the two-step form gives.
+		// What a replicated object invokes another with is framed as GIOP
+		// 1.0: built in place it must be the bytes the two-step form gives.
 		two, err := EncodeRequest(order, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAppend(t, Marshal(two), func(dst []byte) ([]byte, error) { return AppendRequest(dst, order, req) })
+		// And what a client gathers — head, then arguments — is the
+		// re-encoded request whole.
+		checkAppend(t, Marshal(re), func(dst []byte) ([]byte, error) {
+			head, err := AppendRequestHead(dst, order, msg.Header.Minor, req)
+			return append(head, req.Args...), err
+		})
 	})
 }
 

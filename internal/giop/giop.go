@@ -10,6 +10,7 @@
 package giop
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -150,6 +151,9 @@ type Header struct {
 type Message struct {
 	Header Header
 	Body   []byte
+	// Frame, on a message a Reassembler read, is the buffer it was read
+	// into: the reassembler's Room, the wire header, Body.
+	Frame []byte
 }
 
 // Request is a decoded GIOP 1.0 Request message body.
@@ -299,6 +303,16 @@ func appendHeader(dst []byte, h Header) []byte {
 		return append(dst, byte(h.Size>>24), byte(h.Size>>16), byte(h.Size>>8), byte(h.Size))
 	}
 	return append(dst, byte(h.Size), byte(h.Size>>8), byte(h.Size>>16), byte(h.Size>>24))
+}
+
+// putSize writes a body size into the wire header hdr begins with, in
+// that header's byte order: a message built in place learns its size last.
+func putSize(hdr []byte, size uint32) {
+	if cdr.ByteOrder(hdr[6]&1) == cdr.BigEndian {
+		binary.BigEndian.PutUint32(hdr[8:], size)
+	} else {
+		binary.LittleEndian.PutUint32(hdr[8:], size)
+	}
 }
 
 func encodeHeader(h Header) []byte {

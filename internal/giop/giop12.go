@@ -44,39 +44,13 @@ var ErrUnsupportedTarget = errors.New("giop: unsupported GIOP 1.2 target address
 // version (0, 1 or 2). Minor versions 0 and 1 share the 1.0 header
 // layout.
 func EncodeRequestV(order cdr.ByteOrder, minor byte, req Request) (Message, error) {
-	switch minor {
-	case 0:
-		return EncodeRequest(order, req)
-	case 1:
-		return encodeRequest11(order, req)
-	case 2:
-		return encodeRequest12(order, req)
-	default:
-		return Message{}, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
-	}
-}
-
-// encodeRequest11 builds a GIOP 1.1 Request: the 1.0 layout plus three
-// reserved octets between response_expected and the object key.
-func encodeRequest11(order cdr.ByteOrder, req Request) (Message, error) {
-	w := cdr.NewWriterCap(order, requestSizeHint(req))
-	writeServiceContexts(w, req.ServiceContexts)
-	w.WriteULong(req.RequestID)
-	w.WriteBool(req.ResponseExpected)
-	w.WriteOctet(0) // reserved
-	w.WriteOctet(0)
-	w.WriteOctet(0)
-	w.WriteOctetSeq(req.ObjectKey)
-	w.WriteString(req.Operation)
-	w.WriteOctetSeq(req.Principal)
-	w.Align(8)
-	w.WriteOctets(req.Args)
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode 1.1 request: %w", err)
+	head, err := AppendRequestHead(make([]byte, 0, RequestSizeBound(req)), order, minor, req)
+	if err != nil {
+		return Message{}, err
 	}
 	return Message{
-		Header: Header{Major: 1, Minor: 1, Order: order, Type: MsgRequest},
-		Body:   w.Bytes(),
+		Header: Header{Major: 1, Minor: minor, Order: order, Type: MsgRequest},
+		Body:   append(head, req.Args...)[HeaderSize:],
 	}, nil
 }
 
@@ -101,8 +75,9 @@ func decodeRequest11(msg Message) (Request, error) {
 	return req, nil
 }
 
-func encodeRequest12(order cdr.ByteOrder, req Request) (Message, error) {
-	w := cdr.NewWriterCap(order, requestSizeHint(req))
+// writeRequestHead12 writes a GIOP 1.2 Request body up to its arguments,
+// which if there are any start at an 8-octet boundary.
+func writeRequestHead12(w *cdr.Writer, req Request) {
 	w.WriteULong(req.RequestID)
 	flags := responseFlagsNone
 	if req.ResponseExpected {
@@ -117,17 +92,8 @@ func encodeRequest12(order cdr.ByteOrder, req Request) (Message, error) {
 	w.WriteString(req.Operation)
 	writeServiceContexts(w, req.ServiceContexts)
 	if len(req.Args) > 0 {
-		// GIOP 1.2: a non-empty body starts at an 8-octet boundary.
 		w.Align(8)
-		w.WriteOctets(req.Args)
 	}
-	if err := w.Err(); err != nil {
-		return Message{}, fmt.Errorf("giop: encode 1.2 request: %w", err)
-	}
-	return Message{
-		Header: Header{Major: 1, Minor: 2, Order: order, Type: MsgRequest},
-		Body:   w.Bytes(),
-	}, nil
 }
 
 func decodeRequest12(msg Message) (Request, error) {
@@ -172,40 +138,89 @@ func EncodeReplyV(order cdr.ByteOrder, minor byte, rep Reply) (Message, error) {
 // AppendReplyHead appends to dst everything of a framed Reply that comes
 // ahead of its result: the GIOP header, sized for the whole message, and
 // the reply header through the padding in front of the result. Every
-// reply encoder is this and the result behind it, copied or gathered.
-func AppendReplyHead(dst []byte, order cdr.ByteOrder, minor byte, rep Reply) (head []byte, err error) {
-	if minor > 2 {
-		return nil, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
+// reply encoder is this and the result behind it, copied or gathered —
+// or its two halves around a result written in place, OpenReply and
+// SealReply.
+func AppendReplyHead(dst []byte, order cdr.ByteOrder, minor byte, rep Reply) ([]byte, error) {
+	head, bare, err := replyHead(dst, order, minor, rep)
+	if err != nil {
+		return nil, err
 	}
-	h := Header{Major: 1, Minor: minor, Order: order, Type: MsgReply}
-	w := cdr.NewWriterOn(appendHeader(dst, h), order)
-	if minor == 2 {
-		writeReplyHead12(w, rep)
-	} else {
-		writeReplyHead(w, rep)
+	if len(rep.Result) == 0 {
+		head = head[:bare]
 	}
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("giop: encode reply: %w", err)
+	return sizeReply(head, len(dst), len(rep.Result))
+}
+
+// OpenReply appends to dst a framed Reply up to where its result begins,
+// for the result to be written in place behind it: the GIOP header, its
+// size still to come, and the reply header through the padding a result
+// is aligned by. rep's request id and service contexts are final; its
+// status stands until SealReply gives the outcome, and its Result is not
+// read.
+func OpenReply(dst []byte, order cdr.ByteOrder, minor byte, rep Reply) ([]byte, error) {
+	head, _, err := replyHead(dst, order, minor, rep)
+	return head, err
+}
+
+// SealReply completes the reply OpenReply began at buf[at:], whose result
+// is whatever buf holds behind the head: it writes the head again, now
+// that rep.Status is known, and the GIOP size. The reply it returns is
+// buf, less the padding OpenReply left if the result turned out empty
+// (GIOP 1.2 aligns only a result that is there). order, minor and rep's
+// request id and service contexts are what OpenReply was given.
+func SealReply(buf []byte, at int, order cdr.ByteOrder, minor byte, rep Reply) ([]byte, error) {
+	head, bare, err := replyHead(buf[:at], order, minor, rep)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(buf) < len(head):
+		return nil, fmt.Errorf("giop: seal reply: %d bytes end ahead of the %d-byte head", len(buf)-at, len(head)-at)
+	case len(buf) == len(head):
+		buf = buf[:bare]
 	}
-	head = w.Bytes()
-	size := len(head) - len(dst) - HeaderSize + len(rep.Result)
+	return sizeReply(buf, at, 0)
+}
+
+// sizeReply writes the GIOP size of the reply at buf[at:], of which more
+// bytes are still to follow buf (the result, in a gathered write).
+func sizeReply(buf []byte, at, more int) ([]byte, error) {
+	size := len(buf) - at - HeaderSize + more
 	if size > MaxMessageSize {
 		return nil, ErrTooLarge
 	}
-	h.Size = uint32(size)
-	appendHeader(head[:len(dst)], h)
-	return head, nil
+	putSize(buf[at:], uint32(size))
+	return buf, nil
 }
 
-// writeReplyHead12 writes a GIOP 1.2 Reply body up to its result, which
-// if there is one starts at an 8-octet boundary.
-func writeReplyHead12(w *cdr.Writer, rep Reply) {
-	w.WriteULong(rep.RequestID)
-	w.WriteULong(uint32(rep.Status))
-	writeServiceContexts(w, rep.ServiceContexts)
-	if len(rep.Result) > 0 {
-		w.Align(8)
+// replyHead writes a Reply's GIOP header and reply header at the end of
+// dst — over what lies there, when dst has the capacity (SealReply) —
+// and returns it padded for a result to follow, and how long it is bare
+// of that padding, as it stands when there is no result: GIOP 1.2 aligns
+// only a result that is there; before 1.2 the padding is part of the
+// reply header.
+func replyHead(dst []byte, order cdr.ByteOrder, minor byte, rep Reply) (head []byte, bare int, err error) {
+	if minor > 2 {
+		return nil, 0, fmt.Errorf("%w: 1.%d", ErrBadVersion, minor)
 	}
+	w := cdr.NewWriterOn(appendHeader(dst, Header{Major: 1, Minor: minor, Order: order, Type: MsgReply}), order)
+	if minor == 2 {
+		w.WriteULong(rep.RequestID)
+		w.WriteULong(uint32(rep.Status))
+		writeServiceContexts(w, rep.ServiceContexts)
+		bare = w.Len()
+		w.Align(8)
+	} else {
+		writeServiceContexts(w, rep.ServiceContexts)
+		w.WriteULong(rep.RequestID)
+		w.WriteULong(uint32(rep.Status))
+		w.Align(8)
+		bare = w.Len()
+	}
+	if err := w.Err(); err != nil {
+		return nil, 0, fmt.Errorf("giop: encode reply: %w", err)
+	}
+	return w.Bytes(), bare, nil
 }
 
 func decodeReply12(msg Message) (Reply, error) {
@@ -221,7 +236,7 @@ func decodeReply12(msg Message) (Reply, error) {
 	return rep, nil
 }
 
-// readReplyHead12 reads what writeReplyHead12 writes.
+// readReplyHead12 reads what replyHead writes of a 1.2 reply.
 func readReplyHead12(r *cdr.Reader) Reply {
 	var rep Reply
 	rep.RequestID = r.ReadULong()

@@ -274,6 +274,11 @@ func TestSizeHintsBoundEveryVersion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The client's gathered write sizes its scratch by the same bound.
+			if head, err := AppendRequestHead(nil, cdr.BigEndian, minor, req); err != nil || len(head)+len(req.Args) != HeaderSize+len(qm.Body) {
+				t.Fatalf("1.%d key %d op %d principal %d contexts %d: AppendRequestHead gives %d bytes ahead of %d of arguments for a %d-byte body (%v)",
+					minor, key, op, principal, ctx, len(head), len(req.Args), len(qm.Body), err)
+			}
 			for _, c := range []struct {
 				what       string
 				hint, body int

@@ -313,6 +313,10 @@ func (e *Endpoint) ID() NodeID { return e.id }
 // Recv returns the endpoint's inbox channel.
 func (e *Endpoint) Recv() <-chan Packet { return e.inbox }
 
+// MaxDatagram reports that the simulated network carries a datagram of
+// any size (zero: no limit).
+func (e *Endpoint) MaxDatagram() int { return 0 }
+
 // Send transmits a unicast datagram. The payload is not copied; callers
 // must not mutate it after sending.
 func (e *Endpoint) Send(to NodeID, payload []byte) error {

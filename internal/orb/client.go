@@ -21,6 +21,11 @@ type Conn struct {
 	minor atomic.Uint32 // GIOP minor version for outgoing requests
 
 	wmu sync.Mutex // serializes writes
+	// The gathered request write's scratch, under wmu: the request's head,
+	// the write's two buffers, and the slice of them WriteTo consumes.
+	whead []byte
+	wvec  [2][]byte
+	wbufs net.Buffers
 
 	mu       sync.Mutex
 	nextID   uint32
@@ -183,31 +188,23 @@ func (c *Conn) Invoke(objectKey []byte, op string, args []byte, opts InvokeOptio
 	}
 	c.mu.Unlock()
 
-	msg, err := giop.EncodeRequestV(c.order, byte(c.minor.Load()), giop.Request{
+	err := c.writeRequest(byte(c.minor.Load()), giop.Request{
 		ServiceContexts:  opts.ServiceContexts,
 		RequestID:        id,
 		ResponseExpected: !opts.OneWay,
 		ObjectKey:        objectKey,
 		Operation:        op,
-		Args:             args,
-	})
+	}, args)
 	if err != nil {
 		c.abandon(id)
 		return giop.Reply{}, err
-	}
-	c.wmu.Lock()
-	err = giop.WriteMessageFragmented(c.nc, msg, 0)
-	c.wmu.Unlock()
-	if err != nil {
-		c.abandon(id)
-		return giop.Reply{}, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	if opts.OneWay {
 		return giop.Reply{}, nil
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := AcquireTimer(timeout)
+	defer ReleaseTimer(timer)
 	select {
 	case rep, ok := <-ch:
 		if !ok {
@@ -221,6 +218,37 @@ func (c *Conn) Invoke(objectKey []byte, op string, args []byte, opts InvokeOptio
 		c.abandon(id)
 		return giop.Reply{}, fmt.Errorf("%w: %s after %v", ErrTimeout, op, timeout)
 	}
+}
+
+// writeRequest frames a request and writes it to the socket: the head
+// built in the connection's scratch and the arguments from where the
+// caller has them, in one gathered write. A request that has to be
+// fragmented is encoded whole, so each frame is one Write. (args comes
+// beside req so that only it, and not the caller's object key and service
+// contexts, is seen to reach the connection's scratch.)
+func (c *Conn) writeRequest(minor byte, req giop.Request, args []byte) error {
+	req.Args = args
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	if minor >= 1 && giop.RequestSizeBound(req) > giop.DefaultFragmentSize {
+		var msg giop.Message
+		if msg, err = giop.EncodeRequestV(c.order, minor, req); err != nil {
+			return err
+		}
+		err = giop.WriteMessageFragmented(c.nc, msg, 0)
+	} else {
+		if c.whead, err = giop.AppendRequestHead(c.whead[:0], c.order, minor, req); err != nil {
+			return err
+		}
+		c.wbufs = append(c.wvec[:0], c.whead, args)
+		_, err = c.wbufs.WriteTo(c.nc)
+		c.wvec[1] = nil // the arguments are the caller's, not this connection's to hold
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return nil
 }
 
 // abandon forgets a pending request.
@@ -312,8 +340,8 @@ func (c *Conn) Locate(objectKey []byte, timeout time.Duration) (giop.LocateStatu
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := AcquireTimer(timeout)
+	defer ReleaseTimer(timer)
 	select {
 	case lr := <-ch:
 		return lr.Status, nil

@@ -62,6 +62,12 @@ const (
 // in-parameters from args and encode results into reply. Returning an
 // error produces a CORBA system exception at the client.
 //
+// reply writes into the buffer the reply is sent from, behind what is
+// built of it already: reply.Bytes() and reply.Len() take that in, and
+// the buffer is the sender's once Invoke returns — a servant keeps
+// neither the writer nor its bytes. args likewise reads the buffer the
+// request arrived in.
+//
 // A servant used inside a fault tolerance domain must be deterministic:
 // its state changes may depend only on the operation, its arguments and
 // the current state, never on wall-clock time or randomness, because

@@ -205,6 +205,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// handleRequest runs one request against the object adapter. The reply
+// is built in one buffer: opened in the request's byte order and version,
+// the servant's result written behind its head, sealed with the outcome.
 func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message) {
 	req, err := giop.DecodeRequest(msg)
 	if err != nil {
@@ -213,11 +216,25 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message)
 		wmu.Unlock()
 		return
 	}
-	rep := DispatchRequest(s, req)
+	order, minor := msg.Header.Order, msg.Header.Minor
+	rep := giop.Reply{RequestID: req.RequestID}
+	buf, err := giop.OpenReply(make([]byte, 0, replyStart), order, minor, rep)
+	if err != nil {
+		return
+	}
+	if sv, ok := s.lookup(req.ObjectKey); ok {
+		buf, rep.Status = InvokeServant(sv, req, buf)
+	} else {
+		rep.Status = giop.ReplySystemException
+		buf = append(buf, giop.SystemExceptionBody(order, RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo)...)
+	}
 	if !req.ResponseExpected {
 		return
 	}
-	out, err := giop.EncodeReplyV(msg.Header.Order, msg.Header.Minor, rep)
+	if buf, err = giop.SealReply(buf, 0, order, minor, rep); err != nil {
+		return
+	}
+	out, err := giop.Unmarshal(buf)
 	if err != nil {
 		return
 	}
@@ -243,44 +260,26 @@ func (s *Server) handleLocate(conn net.Conn, wmu *sync.Mutex, msg giop.Message) 
 	}))
 }
 
-// DispatchRequest runs one decoded request against the server's object
-// adapter and produces the reply. It is exported so the replication
-// mechanisms can feed totally-ordered requests through the same dispatch
-// path that direct IIOP connections use.
-func DispatchRequest(s *Server, req giop.Request) giop.Reply {
-	sv, ok := s.lookup(req.ObjectKey)
-	if !ok {
-		return giop.Reply{
-			RequestID: req.RequestID,
-			Status:    giop.ReplySystemException,
-			Result:    giop.SystemExceptionBody(req.ArgsOrder, RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo),
-		}
-	}
-	return InvokeServant(sv, req)
-}
+// replyStart is the capacity a reply's buffer is opened with: its head and
+// a result of a value or two, before append has to grow it.
+const replyStart = 128
 
-// InvokeServant runs one request against a servant, mapping servant
-// errors to system exceptions.
-func InvokeServant(sv Servant, req giop.Request) giop.Reply {
-	args := cdr.NewReader(req.Args, req.ArgsOrder)
-	reply := cdr.NewWriter(req.ArgsOrder)
-	if err := sv.Invoke(req.Operation, args, reply); err != nil {
-		var sysEx *SystemException
-		repoID, minor := RepoUnknown, uint32(0)
-		if errors.As(err, &sysEx) {
-			repoID, minor = sysEx.RepoID, sysEx.Minor
-		}
-		return giop.Reply{
-			RequestID:   req.RequestID,
-			Status:      giop.ReplySystemException,
-			Result:      giop.SystemExceptionBody(req.ArgsOrder, repoID, minor, giop.CompletedYes),
-			ResultOrder: req.ArgsOrder,
-		}
+// InvokeServant runs one request against a servant, which writes its
+// result through a writer on head — the reply as far as it is built
+// (giop.OpenReply), so that the result lies where it is sent from — and
+// returns the buffer with the result behind head, and the reply's status.
+// A servant error is mapped to a system exception, written where the
+// result began: what the servant had written is given up.
+func InvokeServant(sv Servant, req giop.Request, head []byte) ([]byte, giop.ReplyStatus) {
+	reply := cdr.NewWriterOn(head, req.ArgsOrder)
+	err := sv.Invoke(req.Operation, cdr.NewReader(req.Args, req.ArgsOrder), reply)
+	if err == nil {
+		return reply.Bytes(), giop.ReplyNoException
 	}
-	return giop.Reply{
-		RequestID:   req.RequestID,
-		Status:      giop.ReplyNoException,
-		Result:      reply.Bytes(),
-		ResultOrder: req.ArgsOrder,
+	var sysEx *SystemException
+	repoID, minor := RepoUnknown, uint32(0)
+	if errors.As(err, &sysEx) {
+		repoID, minor = sysEx.RepoID, sysEx.Minor
 	}
+	return append(head, giop.SystemExceptionBody(req.ArgsOrder, repoID, minor, giop.CompletedYes)...), giop.ReplySystemException
 }

@@ -55,6 +55,16 @@ func FuzzDecode(f *testing.F) {
 		rep, _ := EncodeReply(h, giop.Reply{RequestID: 3, Result: []byte{4, 5}, ResultOrder: order})
 		f.Add(rep)
 	}
+	// Invocations as a gateway conveys them: the client's bytes, in its
+	// GIOP version and byte order, behind the header.
+	for _, c := range verbatimCases() {
+		_, frame := c.read(f, headerLen)
+		inv, err := frameInvocation(0, Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 42}}, frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(inv)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if msg, err := Decode(data); err == nil {
 			checkEncapsulated(t, msg)

@@ -28,6 +28,12 @@ const minorNoAgreement uint32 = 0
 // COMPLETED_YES.
 const minorBeyondWindow uint32 = 1
 
+// minorReplyTooLarge is the IMP_LIMIT minor code a replica answers with in
+// place of a response longer than one datagram of the domain's transport
+// carries (documented in docs/OPERATIONS.md). The operation ran and its
+// effects stand: COMPLETED_YES.
+const minorReplyTooLarge uint32 = 2
+
 // run consumes the totem event stream. It is the only goroutine that
 // mutates the group directory; replica executors receive work through
 // their task queues in delivery order, which preserves the total order

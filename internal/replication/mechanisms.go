@@ -10,6 +10,7 @@ import (
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
+	"eternalgw/internal/orb"
 	"eternalgw/internal/totem"
 )
 
@@ -94,10 +95,13 @@ type pendingResult struct {
 // Mechanisms is the per-node replication engine. Create with New, stop
 // with Stop.
 type Mechanisms struct {
-	cfg    Config
-	node   *totem.Node
-	room   int         // node.Headroom(): what every multicast is encoded behind
-	tracer *obs.Tracer // nil when tracing is disabled
+	cfg  Config
+	node *totem.Node
+	room int // node.Headroom(): what every multicast is encoded behind
+	// ceiling is node.Ceiling(): the longest encoded multicast, room
+	// included, that totem takes; zero for any.
+	ceiling int
+	tracer  *obs.Tracer // nil when tracing is disabled
 
 	stop chan struct{}
 	done chan struct{}
@@ -145,7 +149,10 @@ type Mechanisms struct {
 	responsesDiscardedEarly atomic.Uint64
 	// duplicatesBeyondWindow counts the subset of duplicate invocations
 	// that met a bare identifier and were answered with REPLY_DISCARDED.
-	duplicatesBeyondWindow  atomic.Uint64
+	duplicatesBeyondWindow atomic.Uint64
+	// repliesTooLarge counts the responses replaced by an IMP_LIMIT
+	// exception because no datagram of the transport could carry them.
+	repliesTooLarge         atomic.Uint64
 	stateTransfers          atomic.Uint64
 	stateSyncs              atomic.Uint64
 	checkpoints             atomic.Uint64
@@ -169,6 +176,7 @@ func New(cfg Config) (*Mechanisms, error) {
 		cfg:       cfg,
 		node:      cfg.Node,
 		room:      cfg.Node.Headroom(),
+		ceiling:   cfg.Node.Ceiling(),
 		tracer:    cfg.Tracer,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -200,6 +208,7 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_replication_invocations_executed_total", "Invocations executed by local replicas.", m.invocationsExecuted.Load},
 		{"eternalgw_replication_duplicate_invocations_total", "Duplicate invocations detected and suppressed (dedup hits).", m.duplicateInvocations.Load},
 		{"eternalgw_replication_duplicates_beyond_window_total", "Duplicate invocations that met the operation's identifier without its response (stripped by the reply window, or run by a primary since lost) and were answered with REPLY_DISCARDED, not executed.", m.duplicatesBeyondWindow.Load},
+		{"eternalgw_replication_replies_too_large_total", "Responses longer than one datagram of the transport carries, answered with IMP_LIMIT, COMPLETED_YES in their place.", m.repliesTooLarge.Load},
 		{"eternalgw_replication_dedup_misses_total", "Executed invocations that were not duplicates (dedup misses).", m.dedupMisses.Load},
 		{"eternalgw_replication_responses_sent_total", "Responses multicast by local replicas.", m.responsesSent.Load},
 		{"eternalgw_replication_responses_delivered_total", "Responses delivered to local pending invocations.", m.responsesDelivered.Load},
@@ -317,6 +326,7 @@ func (m *Mechanisms) Stats() Stats {
 		InvocationsExecuted:     m.invocationsExecuted.Load(),
 		DuplicateInvocations:    m.duplicateInvocations.Load(),
 		DuplicatesBeyondWindow:  m.duplicatesBeyondWindow.Load(),
+		RepliesTooLarge:         m.repliesTooLarge.Load(),
 		DedupMisses:             m.dedupMisses.Load(),
 		ResponsesSent:           m.responsesSent.Load(),
 		ResponsesDelivered:      m.responsesDelivered.Load(),
@@ -549,13 +559,48 @@ func (m *Mechanisms) notifyChanged() {
 // was delivered in (DESIGN.md section 7): the caller reads or re-encodes
 // it and copies what it means to keep.
 func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request, timeout time.Duration) (giop.Reply, error) {
+	h := invocationHeader(src, clientID, dst, op)
+	enc, err := encodeRequest(m.room, h, req)
+	if err != nil {
+		return giop.Reply{}, err
+	}
+	return m.invoke(h, enc, timeout)
+}
+
+// InvokeFrame is Invoke for a request that lies framed in the buffer it
+// was read into: frame is Headroom's room unwritten bytes and then the
+// IIOP message whole, GIOP header first (giop.Message.Frame). The request
+// is conveyed as it was read, in its sender's byte order and GIOP
+// version, and the buffer is totem's from here on (DESIGN.md section 7):
+// the caller may go on reading what it decoded from it and writes to
+// nothing of it. Refused before anything is sent — no such group, no
+// quorum, totem.ErrTooLarge — the frame is still the caller's.
+func (m *Mechanisms) InvokeFrame(src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte, timeout time.Duration) (giop.Reply, error) {
+	h := invocationHeader(src, clientID, dst, op)
+	enc, err := frameInvocation(m.room, h, frame)
+	if err != nil {
+		return giop.Reply{}, err
+	}
+	return m.invoke(h, enc, timeout)
+}
+
+// invocationHeader addresses an invocation of group dst on behalf of
+// (src, clientID).
+func invocationHeader(src GroupID, clientID uint64, dst GroupID, op OperationID) Header {
+	return Header{Kind: KindInvocation, ClientID: clientID, SrcGroup: src, DstGroup: dst, Op: op}
+}
+
+// invoke registers a pending call for the invocation h, multicasts enc,
+// its encoded form behind m.room, and waits for the response.
+func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.Reply, error) {
 	if timeout == 0 {
 		timeout = m.cfg.InvokeTimeout
 	}
+	dst := h.DstGroup
 	if !m.HasQuorum() {
 		return giop.Reply{}, fmt.Errorf("invoke group %d: %w", dst, ErrNoQuorum)
 	}
-	key := opKey{src: dst, clientID: clientID, op: op}
+	key := opKey{src: dst, clientID: h.ClientID, op: h.Op}
 
 	m.mu.RLock()
 	g, ok := m.groups[dst]
@@ -575,15 +620,14 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 	m.pending.register(key, call)
 	defer m.pending.unregister(key, call)
 
-	if err := m.MulticastRequest(src, clientID, dst, op, req); err != nil {
+	if err := m.multicastEncoded(enc); err != nil {
 		return giop.Reply{}, err
 	}
 	m.invocationsSent.Add(1)
-	m.tracer.Event(obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq},
-		obs.StageMulticastSend, string(m.cfg.NodeID))
+	m.tracer.Event(traceKey(h), obs.StageMulticastSend, string(m.cfg.NodeID))
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := orb.AcquireTimer(timeout)
+	defer orb.ReleaseTimer(timer)
 	select {
 	case res := <-call.ch:
 		if res.raw == nil {
@@ -604,11 +648,17 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 		}
 		return rep, nil
 	case <-timer.C:
-		return giop.Reply{}, fmt.Errorf("%w: op %v on group %d", ErrTimeout, op, dst)
+		return giop.Reply{}, fmt.Errorf("%w: op %v on group %d", ErrTimeout, h.Op, dst)
 	case <-m.stop:
 		return giop.Reply{}, ErrStopped
 	}
 }
+
+// Headroom says how a request is to lie in its buffer for InvokeFrame and
+// MulticastFrame to convey it from there: behind room unwritten bytes,
+// and, where ceiling is not zero, in a buffer of at most ceiling bytes in
+// all — what one datagram of this node's transport carries.
+func (m *Mechanisms) Headroom() (room, ceiling int) { return m.room + headerLen, m.ceiling }
 
 // HasQuorum reports whether this node may serve: always true unless
 // QuorumOf is configured, in which case the node's ring must hold a
@@ -639,13 +689,17 @@ func (m *Mechanisms) multicastEncoded(enc []byte) error {
 // for a response: the whole of a one-way request, and the send half of
 // Invoke.
 func (m *Mechanisms) MulticastRequest(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request) error {
-	enc, err := encodeRequest(m.room, Header{
-		Kind:     KindInvocation,
-		ClientID: clientID,
-		SrcGroup: src,
-		DstGroup: dst,
-		Op:       op,
-	}, req)
+	enc, err := encodeRequest(m.room, invocationHeader(src, clientID, dst, op), req)
+	if err != nil {
+		return err
+	}
+	return m.multicastEncoded(enc)
+}
+
+// MulticastFrame is MulticastRequest for a request framed as InvokeFrame
+// takes it.
+func (m *Mechanisms) MulticastFrame(src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte) error {
+	enc, err := frameInvocation(m.room, invocationHeader(src, clientID, dst, op), frame)
 	if err != nil {
 		return err
 	}

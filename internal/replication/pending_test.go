@@ -569,3 +569,48 @@ func TestVotingRecordHoldsTheDeliveredValue(t *testing.T) {
 		t.Fatalf("ResponsesDelivered = %d, want 1", st.ResponsesDelivered)
 	}
 }
+
+// TestTaskQueueReusesItsArrayAndForgetsWhatItPopped: at a depth of one —
+// a closed-loop client — push and pop allocate nothing once the array is
+// there, and the array keeps no reference to a task that has had its
+// turn: a delivered datagram is not pinned by the queue it passed through.
+func TestTaskQueueReusesItsArrayAndForgetsWhatItPopped(t *testing.T) {
+	q := newTaskQueue()
+	raw := make([]byte, 16<<10)
+	q.push(task{kind: taskInvoke, raw: raw})
+	if _, ok := q.pop(); !ok {
+		t.Fatal("pop on a queue of one")
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		q.push(task{kind: taskInvoke, raw: raw, ts: 1})
+		if got, ok := q.pop(); !ok || got.ts != 1 {
+			t.Fatal("pop did not return what was pushed")
+		}
+	}); n != 0 {
+		t.Errorf("push and pop at depth one allocate %v times", n)
+	}
+	// Deeper, in order, and nothing of what was popped is left behind.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5; i++ {
+			q.push(task{kind: taskInvoke, raw: raw, ts: uint64(i)})
+		}
+		for i := 0; i < 5; i++ {
+			if got, ok := q.pop(); !ok || got.ts != uint64(i) {
+				t.Fatalf("round %d: popped ts %d at position %d", round, got.ts, i)
+			}
+			for j, kept := range q.items[:cap(q.items)][:q.head] {
+				if kept.raw != nil {
+					t.Fatalf("round %d: slot %d still holds the datagram of a task popped", round, j)
+				}
+			}
+		}
+		if q.head != 0 || len(q.items) != 0 || cap(q.items) < 5 {
+			t.Fatalf("round %d: drained, the queue stands at head %d len %d cap %d", round, q.head, len(q.items), cap(q.items))
+		}
+	}
+	for j, kept := range q.items[:cap(q.items)] {
+		if kept.raw != nil {
+			t.Fatalf("drained, slot %d still holds a datagram", j)
+		}
+	}
+}

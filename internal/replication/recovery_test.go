@@ -46,7 +46,7 @@ func imageState(t *testing.T, m *Mechanisms) (state []byte, ok bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orb.InvokeServant(app, req)
+		orb.InvokeServant(app, req, nil)
 	}
 	state, _ = app.State()
 	return state, true

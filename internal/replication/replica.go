@@ -65,8 +65,13 @@ func (t task) detach() task {
 // the consumer decodes or copies each task promptly and never retains
 // one past its turn (holdback buffering detaches first).
 type taskQueue struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// items[head:] are queued. A popped slot is cleared, so the queue
+	// keeps nothing of a task that has had its turn, and the array is
+	// used from the front again once it drains: at a depth of one —
+	// closed-loop traffic — a push allocates nothing.
 	items  []task
+	head   int
 	signal chan struct{}
 	closed bool
 }
@@ -93,9 +98,12 @@ func (q *taskQueue) push(t task) {
 func (q *taskQueue) pop() (task, bool) {
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			t := q.items[0]
-			q.items = q.items[1:]
+		if q.head < len(q.items) {
+			t := q.items[q.head]
+			q.items[q.head] = task{}
+			if q.head++; q.head == len(q.items) {
+				q.items, q.head = q.items[:0], 0
+			}
 			q.mu.Unlock()
 			return t, true
 		}
@@ -319,7 +327,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 
 	r.curParentTS = ts
 	r.curChildSeq = 0
-	rep := orb.InvokeServant(r.app, req)
+	enc, err := r.respond(responseHeader(msg.Header), req)
 	r.curParentTS = 0
 
 	r.m.invocationsExecuted.Add(1)
@@ -335,7 +343,6 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 	// A response that does not encode is none: the operation has run, and
 	// its identifier says so.
 	var response []byte
-	enc, err := encodeReply(r.m.room, responseHeader(msg.Header), rep)
 	if err == nil {
 		response = enc[r.m.room:]
 	}
@@ -344,6 +351,40 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 		r.send(enc)
 	}
 	r.maybeCheckpoint()
+}
+
+// replyStart is what the buffer of a response starts with behind the two
+// headers: the IIOP reply's head and a result of a value or two, before
+// append has to grow it. Nothing is guessed from the request.
+const replyStart = 128
+
+// respond executes req against the application and returns the response
+// addressed by h, encoded behind the mechanisms' headroom. The servant
+// writes its result into the datagram the response travels in: the
+// headers are there before it runs, and status, size and payload length
+// are filled in once it has (DESIGN.md section 7). A response totem could
+// not carry is replaced by a system exception that says the operation ran
+// and its reply could not travel — the same bytes at every replica.
+func (r *replica) respond(h Header, req giop.Request) ([]byte, error) {
+	room, order := r.m.room, req.ArgsOrder
+	rep := giop.Reply{RequestID: req.RequestID}
+	buf, err := giop.OpenReply(openPayload(room, h, replyStart), order, 0, rep)
+	if err != nil {
+		return nil, err
+	}
+	buf, rep.Status = orb.InvokeServant(r.app, req, buf)
+	if buf, err = giop.SealReply(buf, room+headerLen, order, 0, rep); err != nil {
+		return nil, err
+	}
+	if r.m.ceiling > 0 && len(buf) > r.m.ceiling {
+		r.m.repliesTooLarge.Add(1)
+		return encodeReply(room, h, giop.Reply{
+			RequestID: req.RequestID,
+			Status:    giop.ReplySystemException,
+			Result:    giop.SystemExceptionBody(giopOrder, "IDL:omg.org/CORBA/IMP_LIMIT:1.0", minorReplyTooLarge, giop.CompletedYes),
+		})
+	}
+	return sealPayload(room, buf), nil
 }
 
 // remember records an operation in the table, with its response if it ran

@@ -130,6 +130,10 @@ const UnusedClientID uint64 = 0
 // state transfer. Implementations must be deterministic: identical state
 // and identical invocation streams must produce identical behaviour at
 // every replica.
+//
+// Invoke writes its result, through the writer it is handed, into the
+// datagram the response is multicast in (DESIGN.md section 7): once it
+// returns, the writer and reply.Bytes() are totem's, and it keeps neither.
 type Application interface {
 	orb.Servant
 	// State captures the full application state.
@@ -205,6 +209,9 @@ type Stats struct {
 	// the operation's identifier without its response and were answered
 	// with REPLY_DISCARDED.
 	DuplicatesBeyondWindow uint64
+	// RepliesTooLarge counts the responses no datagram of the transport
+	// could carry, answered with IMP_LIMIT, COMPLETED_YES in their place.
+	RepliesTooLarge uint64
 	// StateTransfers counts recovery images donated to joiners.
 	StateTransfers uint64
 	// StateSyncs and Checkpoints count the checkpoints a warm-passive and

@@ -131,6 +131,19 @@ func encodeRequest(room int, h Header, req giop.Request) ([]byte, error) {
 	return sealPayload(room, buf), nil
 }
 
+// frameInvocation is encodeRequest for an IIOP request that lies in its
+// buffer already: frame is room unwritten bytes, headerLen more, and the
+// request as it was read off a socket (Mechanisms.Headroom). The header
+// is written into the room, and the request conveyed verbatim — in the
+// client's byte order and GIOP version, which is figure 4b to the letter.
+func frameInvocation(room int, h Header, frame []byte) ([]byte, error) {
+	if len(frame) < room+headerLen+giop.HeaderSize {
+		return nil, fmt.Errorf("replication: a frame of %d bytes has no room for the %d-byte headers ahead of a request", len(frame), room+headerLen)
+	}
+	writeHeader(cdr.NewWriterOn(frame[:room], cdr.BigEndian), h)
+	return sealPayload(room, frame), nil
+}
+
 // EncodeReply is EncodeRequest for an IIOP Reply (figure 4c), framed in
 // the byte order its result bytes were produced in (the original
 // request's), so the label on the wire matches the payload.

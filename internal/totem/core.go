@@ -154,6 +154,22 @@ func newCore(cfg Config, now time.Time, broadcastRaw func([]byte), emit func(Eve
 	return n
 }
 
+// longestHeader is the longest header a payload that travels alone can
+// meet: ahead of it, from any configured member, in any kind — and, on a
+// retransmission, another member's name behind it (regularMsg.Via).
+func (n *core) longestHeader() int {
+	longest := n.cfg.ID
+	for _, id := range n.cfg.Members {
+		if len(id) > len(longest) {
+			longest = id
+		}
+	}
+	return max(
+		len(encodeRegular(regularMsg{Sender: longest, Via: longest}, nil))+3, // Via is aligned, behind a payload of any length
+		len(encodeForward(forwardMsg{Sender: longest}, nil)),
+		len(encodeBatch(batchMsg{Leader: longest, Origin: longest}, nil)))
+}
+
 // framed returns payload as submit takes it, copied behind room bytes.
 func (n *core) framed(payload []byte) []byte {
 	buf := make([]byte, n.room+len(payload))

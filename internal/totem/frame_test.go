@@ -3,11 +3,14 @@ package totem
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 )
 
@@ -156,5 +159,77 @@ func TestFramedInPlaceIsTheEncodersWireForm(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFramesBuiltElsewhereAreWrittenOnce puts the two buffers the layers
+// above now build where totem sends them from under the virtual-time
+// harness, whose ledger checksums every datagram when it is broadcast and
+// again when the schedule ends: a request as a gateway's reassembler
+// reads it — from three fragments — behind the headroom, and a reply
+// whose result is written behind its opened head and sealed. Each travels
+// in the buffer it was submitted in, its room written once, before the
+// first Broadcast, and every core delivers the bytes that were submitted.
+func TestFramesBuiltElsewhereAreWrittenOnce(t *testing.T) {
+	const above = 40 // what the layer above writes into the room it asks for
+	for _, mode := range []OrderingMode{OrderingRing, OrderingLeader} {
+		t.Run(fmt.Sprint("ordering=", mode), func(t *testing.T) {
+			v := newVnet(t, 4, 9, func(c *Config) { c.Ordering = mode })
+			v.settle(time.Second)
+			gateway, replica := v.cores[v.ids[3]], v.cores[v.ids[1]]
+
+			req, err := giop.EncodeRequestV(cdr.LittleEndian, 2, giop.Request{RequestID: 7, ResponseExpected: true,
+				ObjectKey: []byte("k"), Operation: "echo", Args: bytes.Repeat([]byte{0xa5}, 40<<10)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire bytes.Buffer
+			if err := giop.WriteMessageFragmented(&wire, req, len(req.Body)/3+1); err != nil {
+				t.Fatal(err)
+			}
+			ra := giop.NewReassembler(&wire, 0)
+			ra.Room = gateway.room + above
+			read, err := ra.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			request := read.Frame
+			for i := gateway.room; i < ra.Room; i++ {
+				request[i] = 0xf7
+			}
+
+			rep := giop.Reply{RequestID: 7}
+			reply, err := giop.OpenReply(make([]byte, replica.room+above, 256), cdr.LittleEndian, 0, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := cdr.NewWriterOn(reply, cdr.LittleEndian)
+			w.WriteOctetSeq(bytes.Repeat([]byte{0x5a}, 40<<10))
+			if reply, err = giop.SealReply(w.Bytes(), replica.room+above, cdr.LittleEndian, 0, rep); err != nil {
+				t.Fatal(err)
+			}
+
+			inPlace := gateway.framedInPlaceN.Load() + replica.framedInPlaceN.Load()
+			gateway.submit(v.now(), [][]byte{request})
+			replica.submit(v.now(), [][]byte{reply})
+			v.settle(time.Second)
+			if got := gateway.framedInPlaceN.Load() + replica.framedInPlaceN.Load() - inPlace; got != 2 {
+				t.Errorf("%d of the two buffers were framed in place", got)
+			}
+			want := map[memnet.NodeID]uint32{
+				gateway.cfg.ID: crc32.ChecksumIEEE(request[gateway.room:]),
+				replica.cfg.ID: crc32.ChecksumIEEE(reply[replica.room:]),
+			}
+			for _, id := range v.ids {
+				got := map[memnet.NodeID]uint32{}
+				for _, d := range v.got[id] {
+					got[d.sender] = d.crc
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s delivered %v, want %v", id, got, want)
+				}
+			}
+			v.agree(v.ids[0], v.ids...)
+		})
 	}
 }

@@ -30,6 +30,10 @@ type Event struct {
 // ErrStopped is returned by Multicast after Stop.
 var ErrStopped = errors.New("totem: node stopped")
 
+// ErrTooLarge is returned by Multicast for a payload no datagram of the
+// node's transport can carry (Ceiling).
+var ErrTooLarge = errors.New("totem: message exceeds the transport's largest datagram")
+
 // eventBufSize is the depth of the ordered event stream.
 const eventBufSize = 4096
 
@@ -41,6 +45,8 @@ const eventBufSize = 4096
 type Node struct {
 	*core
 	ep Transport
+	// ceiling is the longest buffer MulticastFramed takes, zero for any.
+	ceiling int
 
 	events chan Event
 	sendq  chan []byte
@@ -71,6 +77,9 @@ func Start(cfg Config) (*Node, error) {
 		done:   make(chan struct{}),
 	}
 	n.core = newCore(cfg, time.Now(), n.broadcast, n.deliver)
+	if max := cfg.Endpoint.MaxDatagram(); max > 0 {
+		n.ceiling = max - n.longestHeader() + n.room
+	}
 	n.registerMetrics(cfg.Metrics)
 	go n.run()
 	return n, nil
@@ -130,13 +139,23 @@ func (n *Node) Multicast(payload []byte) error {
 // a payload: this node's longest header ahead of a message sent alone.
 func (n *Node) Headroom() int { return n.room }
 
+// Ceiling is the longest buffer MulticastFramed takes, Headroom included,
+// and zero if the transport sets no limit: the payload then fits one
+// datagram under the longest header any configured member would send or
+// retransmit it with. It is the same payload length at every member.
+func (n *Node) Ceiling() int { return n.ceiling }
+
 // MulticastFramed is Multicast for a payload built behind Headroom
 // unwritten bytes, in a buffer that ends with it and that the node takes
 // over: a payload that travels alone has its header written into the room
-// and the buffer itself broadcast (DESIGN.md section 7).
+// and the buffer itself broadcast (DESIGN.md section 7). A buffer longer
+// than Ceiling is refused with ErrTooLarge and stays the caller's.
 func (n *Node) MulticastFramed(buf []byte) error {
 	if len(buf) < n.room {
 		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.room)
+	}
+	if n.ceiling > 0 && len(buf) > n.ceiling {
+		return fmt.Errorf("%w: %d bytes, ceiling %d", ErrTooLarge, len(buf)-n.room, n.ceiling-n.room)
 	}
 	select {
 	case <-n.stop:

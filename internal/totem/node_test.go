@@ -1,6 +1,7 @@
 package totem
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -334,6 +335,57 @@ func TestMulticastFramedNeedsItsRoom(t *testing.T) {
 	}
 	if err := n.MulticastFramed(make([]byte, n.Headroom())); err != nil {
 		t.Fatalf("an empty payload behind the room: %v", err)
+	}
+}
+
+// boundedTransport is a transport whose datagrams end at max bytes.
+type boundedTransport struct {
+	Transport
+	max int
+}
+
+func (b boundedTransport) MaxDatagram() int { return b.max }
+
+// A payload no datagram of the transport can carry is refused where it is
+// submitted: ordered, it would be retransmitted for ever. The ceiling
+// leaves room for the longest header any configured member may put around
+// the payload, a retransmission's included, so it is one payload length
+// at every member; a transport without a limit has no ceiling.
+func TestMulticastFramedRefusesWhatCannotTravel(t *testing.T) {
+	const limit = 4096
+	for _, mode := range []OrderingMode{OrderingRing, OrderingLeader} {
+		c := newClusterCfg(t, 2, func(cfg *Config) {
+			cfg.Ordering = mode
+			cfg.Members = append(cfg.Members, "a-member-with-a-much-longer-name")
+			cfg.Endpoint = boundedTransport{cfg.Endpoint, limit}
+		})
+		var payload int
+		for id, n := range c.nodes {
+			room, ceiling := n.Headroom(), n.Ceiling()
+			if got := ceiling - room; payload != 0 && got != payload {
+				t.Errorf("ordering %v: %s takes payloads of %d bytes, another member %d", mode, id, got, payload)
+			}
+			payload = ceiling - room
+			// Whoever retransmits it, for whomever, in whichever form: the
+			// datagram fits, and the longest of them just.
+			const long = "a-member-with-a-much-longer-name"
+			body := make([]byte, payload)
+			worst := max(
+				len(encodeRegular(regularMsg{Sender: long, Via: long, Payload: body}, nil)),
+				len(encodeBatch(batchMsg{Leader: long, Origin: long, Payload: body}, nil)))
+			if worst > limit || worst < limit-8 {
+				t.Errorf("ordering %v: the largest payload retransmitted is a datagram of %d bytes, limit %d", mode, worst, limit)
+			}
+			if err := n.MulticastFramed(make([]byte, ceiling+1)); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("ordering %v: a buffer one byte over the ceiling: %v, want ErrTooLarge", mode, err)
+			}
+			if err := n.MulticastFramed(make([]byte, ceiling)); err != nil {
+				t.Errorf("ordering %v: a buffer at the ceiling: %v", mode, err)
+			}
+		}
+	}
+	if n := newCluster(t, 1).nodes["n00"]; n.Ceiling() != 0 {
+		t.Errorf("on memnet the ceiling is %d, want none", n.Ceiling())
 	}
 }
 

@@ -109,6 +109,11 @@ type Transport interface {
 	// The transport may retain payload; the caller must not modify it
 	// afterwards.
 	Broadcast(payload []byte) error
+	// MaxDatagram is the longest datagram Broadcast can carry, zero when
+	// there is no limit. A message that could not travel is refused where
+	// it is submitted (ErrTooLarge): once ordered it would be retransmitted
+	// for ever.
+	MaxDatagram() int
 }
 
 // OrderingMode selects how a ring totally orders messages.

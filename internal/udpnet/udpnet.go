@@ -48,6 +48,11 @@ var ErrClosed = errors.New("udpnet: endpoint closed")
 // larger should be fragmented by the application layer.
 const maxDatagram = 64 << 10
 
+// maxUDPPayload is the most a UDP datagram carries over IPv4: the 65 535
+// an IP packet's length field can say, less the IP and UDP headers. The
+// kernel refuses a longer one.
+const maxUDPPayload = 65535 - 20 - 8
+
 const (
 	defaultInboxSize = 4096
 	// outboxSize bounds the outbound queue between Broadcast and the
@@ -282,6 +287,11 @@ func (e *Endpoint) ID() memnet.NodeID { return e.id }
 
 // Recv implements totem.Transport.
 func (e *Endpoint) Recv() <-chan memnet.Packet { return e.inbox }
+
+// MaxDatagram implements totem.Transport: what one UDP datagram carries
+// behind this endpoint's frame header. A longer payload would be refused
+// by the kernel at every transmission (TxErrors), for ever.
+func (e *Endpoint) MaxDatagram() int { return maxUDPPayload - len(e.hdr) }
 
 // Batched reports whether the endpoint amortizes syscalls (false on
 // platforms without sendmmsg/recvmmsg).

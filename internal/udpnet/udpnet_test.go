@@ -216,3 +216,46 @@ func TestFrameRoundTripSenderIdentity(t *testing.T) {
 		t.Fatal("broadcast never arrived")
 	}
 }
+
+// TestMaxDatagramIsWhatTheKernelTakes: a payload of MaxDatagram bytes
+// reaches a peer whole, on the batched path and the portable one; one
+// byte more is refused by the kernel and counted — which is why totem asks
+// before it orders a message.
+func TestMaxDatagramIsWhatTheKernelTakes(t *testing.T) {
+	for _, portable := range []bool{false, true} {
+		reg := freeRegistry(t, "sender-with-a-name", "b")
+		eps := make(map[memnet.NodeID]*Endpoint, 2)
+		for id := range reg {
+			e, err := listen(id, reg, Config{}, portable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			eps[id] = e
+		}
+		from, to := eps["sender-with-a-name"], eps["b"]
+		payload := make([]byte, from.MaxDatagram())
+		payload[len(payload)-1] = 0x7e
+		if err := from.Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-to.Recv():
+			if len(p.Payload) != len(payload) || p.Payload[len(payload)-1] != 0x7e {
+				t.Fatalf("portable=%v: %d bytes arrived of %d", portable, len(p.Payload), len(payload))
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("portable=%v: a datagram of MaxDatagram bytes never arrived (stats %+v)", portable, from.Stats())
+		}
+		if err := from.Broadcast(make([]byte, from.MaxDatagram()+1)); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for from.Stats().TxErrors == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("portable=%v: one byte over MaxDatagram was not refused (stats %+v)", portable, from.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
