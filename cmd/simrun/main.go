@@ -123,7 +123,7 @@ func main() {
 					if bad {
 						status = fmt.Sprintf("FAIL (%s, %d violations)", res.Reason, len(res.Violations))
 					}
-					fmt.Printf("seed=%d workload=%s schedule=%s: %s\n", res.Seed, res.Workload, res.Schedule, status)
+					fmt.Printf("seed=%d workload=%s schedule=%s ordering=%s: %s\n", res.Seed, res.Workload, res.Schedule, res.Ordering, status)
 					for _, v := range res.Violations {
 						fmt.Printf("  %s\n", v)
 					}
@@ -174,8 +174,8 @@ func main() {
 	}
 	if len(failures) > 0 {
 		f := failures[0].res
-		fmt.Fprintf(os.Stderr, "simrun: replay first failure with: simrun -seed %d -workload %s -schedule %s\n",
-			f.Seed, f.Workload, f.Schedule)
+		fmt.Fprintf(os.Stderr, "simrun: replay first failure (%s ordering) with: simrun -seed %d -workload %s -schedule %s\n",
+			f.Ordering, f.Seed, f.Workload, f.Schedule)
 		os.Exit(1)
 	}
 }
@@ -188,6 +188,7 @@ func dumpArtifact(dir string, res *sim.Result) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# simrun failure artifact\n")
 	fmt.Fprintf(&b, "# replay: simrun -seed %d -workload %s -schedule %s\n", res.Seed, res.Workload, res.Schedule)
+	fmt.Fprintf(&b, "# ordering: %s (drawn from the seed's schedule stream)\n", res.Ordering)
 	fmt.Fprintf(&b, "# reason: %s\n", res.Reason)
 	for _, v := range res.Violations {
 		fmt.Fprintf(&b, "# violation: %s\n", v)

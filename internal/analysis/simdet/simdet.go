@@ -10,14 +10,15 @@
 // nondeterminism sources LLFT-style replication must sanitize are
 // machine-checked.
 //
-// Roots: every function declared in internal/sim and
+// Roots: every function declared in internal/sim, internal/vclock and
 // internal/faultinject, every function declared in internal/memnet (the
 // deterministic network substrate — all of its delivery machinery runs
 // as virtual-clock callbacks when a simulation injects its clock), and
 // any function whose declaration carries a "gwlint:simroot" directive —
 // which is how the first part of the shipping stack is rooted: the three
-// entry points of internal/totem's protocol core (receive, submit,
-// tick), which take the time as an argument.
+// exported entry points of internal/totem's protocol core
+// (Core.Receive, Core.Submit, Core.Tick), which take the time as an
+// argument and which the simulation steps.
 // From the roots the analyzer walks the package's static call graph
 // (internal/analysis/callgraph) and reports:
 //
@@ -58,6 +59,7 @@ var Analyzer = &analysis.Analyzer{
 // rootedPackages are analyzed whole: every declared function is a root.
 var rootedPackages = map[string]bool{
 	"eternalgw/internal/sim":         true,
+	"eternalgw/internal/vclock":      true,
 	"eternalgw/internal/faultinject": true,
 	"eternalgw/internal/memnet":      true,
 }

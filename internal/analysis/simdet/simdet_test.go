@@ -50,27 +50,27 @@ func TestSimdetMutationClockArgument(t *testing.T) {
 
 import "time"
 
-type core struct {
+type Core struct {
 	now      time.Time
 	failAt   time.Time
 	inFlight map[uint64][]byte
 }
 
 // gwlint:simroot
-func (c *core) receive(now time.Time, datagram []byte) {
+func (c *Core) Receive(now time.Time, datagram []byte) {
 	c.now = now
 	c.handle(datagram)
 }
 
 // gwlint:simroot
-func (c *core) tick(now time.Time) {
+func (c *Core) Tick(now time.Time) {
 	c.now = now
 	if !c.failAt.After(now) {
 		c.handle(nil)
 	}
 }
 
-func (c *core) handle(datagram []byte) {
+func (c *Core) handle(datagram []byte) {
 	c.failAt = c.now.Add(time.Second)
 	c.inFlight[uint64(len(datagram))] = datagram
 }

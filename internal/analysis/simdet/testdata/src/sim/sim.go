@@ -80,3 +80,19 @@ func sanctioned() {
 	//lint:allow simdet the wall clock is the documented real-time default here
 	time.Sleep(time.Millisecond)
 }
+
+// Core stands in for internal/totem's protocol core: its exported
+// entry points carry the directive, and a wall-clock read below one is
+// reported with the path through it.
+type Core struct{ failAt time.Time }
+
+// gwlint:simroot
+func (c *Core) Tick(now time.Time) {
+	if !c.failAt.After(now) {
+		c.gather()
+	}
+}
+
+func (c *Core) gather() {
+	c.failAt = time.Now().Add(time.Second) // want `time\.Now on a virtual-clock path \(reachable via Tick → gather\)`
+}

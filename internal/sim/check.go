@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Violation is one invariant breach found by the checkers. Invariant
@@ -215,17 +216,21 @@ func Check(events []Event, opts CheckOpts) []Violation {
 		}
 	}
 
-	// --- view agreement: every member that installed a given ring id
-	// must agree on its membership; only quorum rings matter (minority
-	// fragments may gather transient views while partitioned). ---
-	views := make(map[string]map[int]string) // "d<dom>/<ringid>" -> node -> member note
+	// --- view agreement: every member that installed a given ring must
+	// agree on its membership; only quorum rings matter (minority
+	// fragments may gather transient views while partitioned). A ring is
+	// named by its id and its lowest member, as totem names it: both
+	// sides of a partition count ring ids up in lockstep, and two rings
+	// under one id that share no member are two rings. ---
+	views := make(map[string]map[int]string) // "d<dom>/<ringid>/<lowest>" -> node -> member note
 	var viewKeys []string
 	for _, e := range events {
 		if e.Kind != EvRing || !e.Quorum {
 			continue
 		}
 		id, members := splitRingNote(e.Note)
-		vk := fmt.Sprintf("d%d/%s", e.Dom, id)
+		lowest, _, _ := strings.Cut(strings.Trim(members, "[]"), " ")
+		vk := fmt.Sprintf("d%d/%s/%s", e.Dom, id, lowest)
 		if views[vk] == nil {
 			views[vk] = make(map[int]string)
 			viewKeys = append(viewKeys, vk)
@@ -318,8 +323,8 @@ func Check(events []Event, opts CheckOpts) []Violation {
 	return out
 }
 
-// splitRingNote splits a ring event note "e<epoch>.i<node>[members]"
-// into the ring id and the member list.
+// splitRingNote splits a ring event note "r<id>[members]" into the ring
+// id and the member list.
 func splitRingNote(note string) (id, members string) {
 	for i := 0; i < len(note); i++ {
 		if note[i] == '[' {

@@ -115,17 +115,28 @@ func TestCheckConvergence(t *testing.T) {
 }
 
 func TestCheckViewAgreement(t *testing.T) {
+	// One (id, lowest member) pair with two member lists.
 	tr := []Event{
-		{Kind: EvRing, Dom: 0, Node: 0, Quorum: true, Note: "e3.i0[0 1 2]"},
-		{Kind: EvRing, Dom: 0, Node: 1, Quorum: true, Note: "e3.i0[0 1 3]"},
+		{Kind: EvRing, Dom: 0, Node: 0, Quorum: true, Note: "r3[0 1 2]"},
+		{Kind: EvRing, Dom: 0, Node: 1, Quorum: true, Note: "r3[0 1 3]"},
 	}
 	if vs := Check(tr, CheckOpts{}); !hasInv(vs, InvViewAgree) {
 		t.Fatalf("conflicting quorum views not flagged: %v", vs)
 	}
+	// Two rings under one id with no member in common: the two sides of
+	// a partition count ring ids up in lockstep.
+	lockstep := []Event{
+		{Kind: EvRing, Dom: 0, Node: 0, Quorum: true, Note: "r3[0 1 2]"},
+		{Kind: EvRing, Dom: 0, Node: 3, Quorum: true, Note: "r3[3 4 5]"},
+		{Kind: EvRing, Dom: 0, Node: 4, Quorum: true, Note: "r3[3 4 5]"},
+	}
+	if vs := Check(lockstep, CheckOpts{}); hasInv(vs, InvViewAgree) {
+		t.Fatalf("two rings under one id flagged: %v", vs)
+	}
 	// Minority (non-quorum) views may disagree freely.
 	minority := []Event{
-		{Kind: EvRing, Dom: 0, Node: 0, Quorum: false, Note: "e3.i0[0 1]"},
-		{Kind: EvRing, Dom: 0, Node: 1, Quorum: false, Note: "e3.i0[1 3]"},
+		{Kind: EvRing, Dom: 0, Node: 0, Quorum: false, Note: "r3[0 1]"},
+		{Kind: EvRing, Dom: 0, Node: 1, Quorum: false, Note: "r3[0 3]"},
 	}
 	if vs := Check(minority, CheckOpts{}); hasInv(vs, InvViewAgree) {
 		t.Fatalf("minority views flagged: %v", vs)

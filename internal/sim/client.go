@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/vclock"
 )
 
 const (
@@ -35,13 +36,13 @@ type client struct {
 	cur     *Op
 	attempt int
 	gwIdx   int
-	timer   *Timer
+	timer   *vclock.Timer
 	nextOp  func(c *client) *Op
 }
 
 func clientName(idx int) memnet.NodeID { return memnet.NodeID(fmt.Sprintf("zc%02d", idx)) }
 
-func (c *client) after(d time.Duration, f func()) *Timer {
+func (c *client) after(d time.Duration, f func()) *vclock.Timer {
 	return c.w.clock.After(d, func() {
 		if c.w.done {
 			return
@@ -75,7 +76,7 @@ func (c *client) issueNext() {
 
 func (c *client) sendCur() {
 	gw := c.gws[c.gwIdx%len(c.gws)]
-	c.w.send(c.ep, gw, &msg{kind: mRequest, dom: c.dom, from: -1, op: c.cur})
+	c.w.send(c.ep, gw, &msg{kind: mRequest, op: c.cur})
 	to := clientBaseTO * time.Duration(c.attempt)
 	if to > clientMaxTO {
 		to = clientMaxTO
@@ -98,7 +99,7 @@ func (c *client) onTimeout() {
 }
 
 func (c *client) handle(m *msg) {
-	if m.kind != mReply {
+	if m == nil || m.kind != mReply {
 		return
 	}
 	if c.cur == nil || m.op.Key != c.cur.Key {
@@ -148,6 +149,9 @@ func (s *subscriber) start() {
 }
 
 func (s *subscriber) handle(m *msg) {
+	if m == nil {
+		return
+	}
 	switch m.kind {
 	case mPush:
 		s.accept([]uint64{m.val})
@@ -179,7 +183,7 @@ func (s *subscriber) scheduleFetch() {
 		}
 		gw := s.gws[s.fetchIdx%len(s.gws)]
 		s.fetchIdx++
-		s.w.send(s.ep, gw, &msg{kind: mFetch, dom: s.dom, from: -1, have: s.next - 1, client: string(s.nid)})
+		s.w.send(s.ep, gw, &msg{kind: mFetch, have: s.next - 1, client: string(s.nid)})
 		s.scheduleFetch()
 	})
 }

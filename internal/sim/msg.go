@@ -1,28 +1,17 @@
 package sim
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
+import "encoding/binary"
 
-// msgKind enumerates the simulated wire messages. The simulation sends
-// real datagrams through memnet (so loss, duplication, delay, partition
-// and crash apply), but the payload is only an 8-byte handle into the
-// world's message table — the protocol model needs no byte codecs.
+// msgKind enumerates the sim's unicast messages: between a client or a
+// subscriber and a gateway, and between the domains. They travel as
+// real memnet datagrams (so loss, duplication, delay, partition and
+// crash apply), whose payload is an 8-byte handle into the world's
+// message table. None passes between two protocol nodes of one domain:
+// what those exchange is the ring's own datagrams.
 type msgKind int
 
 const (
-	mToken     msgKind = iota // ring token, holder -> successor
-	mEntry                    // ordered entry broadcast / retransmission
-	mProbe                    // holder's foreign-ring probe (merge detection)
-	mJoin                     // membership gather
-	mPrepare                  // installer -> members freeze + fresh-state request
-	mPrepareAck               // member -> installer fresh joinInfo under freeze
-	mSnapReq                  // installer -> donor snapshot request
-	mSnap                     // donor -> installer snapshot
-	mInstall                  // installer -> members ring install (commit)
-	mRequest                  // client -> gateway invocation
+	mRequest   msgKind = iota // client -> gateway invocation
 	mReply                    // gateway -> client reply
 	mBridge                   // replica -> remote gateway nested invocation
 	mBridgeAck                // remote gateway -> origin domain ack
@@ -31,136 +20,69 @@ const (
 	mItems                    // gateway -> subscriber backfill reply
 )
 
-// ringID identifies one installed ring configuration: a monotonically
-// increasing epoch plus the installer that proposed it (lexicographic
-// order — the tie-break when concurrent installers in disjoint
-// partitions pick the same epoch).
-type ringID struct {
-	epoch     uint64
-	installer int
+// msg is one unicast datagram.
+type msg struct {
+	kind   msgKind
+	op     *Op
+	val    uint64
+	items  []uint64
+	have   uint64
+	client string
 }
 
-func (r ringID) String() string { return fmt.Sprintf("e%d.i%d", r.epoch, r.installer) }
+// entryKind enumerates what a domain orders through its totem ring.
+type entryKind int
 
-func (r ringID) less(o ringID) bool {
-	if r.epoch != o.epoch {
-		return r.epoch < o.epoch
-	}
-	return r.installer < o.installer
-}
+const (
+	eInvoke   entryKind = iota // a client or bridge invocation
+	eResponse                  // a replica's response, ordered back so every gateway records it
+	eReport                    // how far a member has delivered: the stability rule's input
+	eAsk                       // a member that does not hold the kept history asks for a snapshot
+	eAnswer                    // a snapshot cut where an ask was delivered
+)
 
-// entry is one slot of the replicated log: a client/bridge invocation
-// or a response flowing back through the total order (the paper orders
-// responses through the domain too, so every gateway's record store
-// sees them).
+// entry is one payload of the total order. It travels as an 8-byte
+// handle into the world's entry table; totem orders the handle.
 type entry struct {
+	kind  entryKind
 	op    *Op
-	resp  bool
-	val   uint64 // response value
+	val   uint64 // eResponse: the response value
 	group int
+	from  int    // eReport, eAsk, eAnswer: the member that submitted it
+	ring  uint64 // eReport: the ring it was made in
+	upTo  uint64 // eReport: the timestamp through which its member has delivered
+	ask   uint64 // eAsk, eAnswer: the request's id
+	snap  *snapshot
 }
 
-// token is the circulating ring token: the highest assigned sequence,
-// the per-member all-received vector (Totem's safe-delivery input: the
-// minimum over current members is the horizon every member is known to
-// have), and the outstanding retransmission requests.
-type token struct {
-	ring ringID
-	rot  uint64
-	max  uint64
-	ar   map[int]uint64
-	rtr  map[uint64]bool
+// logged is one delivered invocation or response awaiting execution,
+// at its place in the order (totem.Delivery.Timestamp).
+type logged struct {
+	ts uint64
+	e  *entry
 }
 
-func (t *token) clone() *token {
-	c := &token{ring: t.ring, rot: t.rot, max: t.max,
-		ar: make(map[int]uint64, len(t.ar)), rtr: make(map[uint64]bool, len(t.rtr))}
-	for k, v := range t.ar {
-		c.ar[k] = v
-	}
-	for k := range t.rtr {
-		c.rtr[k] = true
-	}
-	return c
-}
-
-// sortedRtr returns the requested sequences in increasing order (map
-// iteration must never leak into behavior).
-func (t *token) sortedRtr() []uint64 {
-	out := make([]uint64, 0, len(t.rtr))
-	for s := range t.rtr {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// joinInfo is the state summary carried on gather messages; the
-// installer uses it to pick the donor: max lastQuorum ring first (a
-// member of the latest quorum ring holds every executed position of any
-// surviving lineage — the majority-intersection argument), then max
-// delivered, then lowest index.
-type joinInfo struct {
-	idx        int
-	epoch      uint64
-	lastQuorum ringID
-	delivered  uint64
-}
-
-func betterDonor(a, b *joinInfo) bool {
-	if a.lastQuorum != b.lastQuorum {
-		return b.lastQuorum.less(a.lastQuorum)
-	}
-	if a.delivered != b.delivered {
-		return a.delivered > b.delivered
-	}
-	return a.idx < b.idx
-}
-
-// snapshot is the donor's transferable state: the log, horizons, and
-// the replicated application state (apps, duplicate-detection tables,
-// bridge outbox). Adopters deep-copy everything mutable; the entries
-// themselves are immutable once created.
+// snapshot is a member's replicated state cut where an ask was
+// delivered: the applications, duplicate-detection tables, bridge outbox
+// and publication count as executed, and the delivered entries not yet
+// executed. Adopters deep-copy everything mutable; entries themselves are
+// immutable once created.
 type snapshot struct {
-	log        []*entry
-	delivered  uint64
-	execPos    uint64
-	lastQuorum ringID
-	apps       map[int]App
-	executed   map[int]map[OpKey]execRec
-	outbox     map[OpKey]*Op
+	apps      map[int]App
+	executed  map[int]map[OpKey]execRec
+	outbox    map[OpKey]*Op
+	published uint64
+	log       []logged
 }
 
-// execRec is a replica's memory of one executed op: the agreed global
-// sequence and the cached reply value used to answer duplicates.
+// execRec is a replica's memory of one executed op: the agreed position
+// in the order and the cached reply value used to answer duplicates.
 type execRec struct {
 	seq uint64
 	val uint64
 }
 
-// msg is one simulated datagram. from is the sender's protocol-node
-// index (-1 for clients/subscribers, which identify themselves in
-// their specific fields).
-type msg struct {
-	kind    msgKind
-	dom     int
-	from    int
-	ring    ringID
-	members []int
-	token   *token
-	seq     uint64
-	entry   *entry
-	join    *joinInfo
-	snap    *snapshot
-	op      *Op
-	val     uint64
-	items   []uint64
-	have    uint64
-	sub     int
-	client  string
-}
-
-// handle encodes a message-table index as the 8-byte memnet payload.
+// handle encodes a table index as an 8-byte payload.
 func handle(idx int) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(idx))

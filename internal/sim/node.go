@@ -2,50 +2,39 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/totem"
 )
 
-// Virtual-time protocol constants. All values are in simulated time;
-// they are scaled roughly like the production stack's LAN tuning so the
-// schedules exercise the same races (token loss vs fail timeout, client
-// timeout vs reconfiguration, gap flush vs retransmission).
 const (
 	linkMaxDelay   = 250 * time.Microsecond
-	holdDelay      = 150 * time.Microsecond
-	maxAssign      = 16
-	tokenRetransTO = 2500 * time.Microsecond
-	failTO         = 8 * time.Millisecond
-	gatherTO       = 2 * time.Millisecond
-	installTO      = 6 * time.Millisecond
-	prepareTO      = 4 * time.Millisecond
-	snapTO         = 4 * time.Millisecond
-	installResend  = 1500 * time.Microsecond
-	gapTO          = 15 * time.Millisecond
 	bridgeResendTO = 5 * time.Millisecond
 	fetchBatch     = 32
 )
 
 // gwRecord is a gateway's memory of one operation identifier: the
-// paper's record store. admitted means the invocation is (or was)
-// headed into the total order; replied caches the response so reissues
-// are answered without re-execution; interested marks that this gateway
-// owes a thin client (or bridge origin) an answer.
+// paper's record store. replied caches the response so reissues are
+// answered without re-execution; interested marks that this gateway owes
+// a thin client an answer.
 type gwRecord struct {
 	op         *Op
-	admitted   bool
 	replied    bool
 	val        uint64
 	interested bool
 	client     string
 }
 
-// node is one protocol node of a simulated domain: always a ring member
-// and a replica of every group (the sim models the paper's common
-// deployment where the domain is the unit of replication), optionally a
-// gateway serving thin clients and bridges.
+// node is one protocol node of a simulated domain: a totem processor
+// stepping a real totem.Core, a replica of every group (the sim models
+// the paper's common deployment where the domain is the unit of
+// replication), and optionally a gateway serving thin clients and
+// bridges. The core orders; everything above it is the sim's model of
+// the paper's replicas, gateways, bridges and fan-out, fed by the
+// core's EventDeliver and EventConfig.
 type node struct {
 	w    *world
 	dom  int
@@ -58,48 +47,37 @@ type node struct {
 	crashed bool
 	inc     uint64 // incarnation; invalidates timers on crash/restart
 
-	// Replicated state (transferred by membership sync).
+	core      *totem.Core
+	woken     int64    // the earliest tick booked for this core, zero for none
+	out       [][]byte // what the node produced during a step, submitted after it
+	delivered int      // deliveries in the step in progress
+
+	// The ring as the core last reported it, and how far each member has
+	// reported delivering in it: the stability rule's input.
+	ring       uint64
+	members    []int
+	horizon    map[int]uint64
+	last       uint64 // timestamp of the latest delivery
+	unreported bool   // something was delivered, or a ring installed, since the last report
+
+	// Replicated state (what a snapshot carries).
 	apps      map[int]App
 	executed  map[int]map[OpKey]execRec
 	outbox    map[OpKey]*Op // emitted bridge ops owed to remote domains
-	log       []*entry
-	delivered uint64 // contiguous received prefix
-	execPos   uint64 // processed prefix (<= safe horizon)
+	published uint64        // fan-out items published
+	log       []logged      // delivered, not yet executed
+
+	// Recovery. awaiting: this node does not hold the history its ring
+	// keeps; asked maps each of its asks delivered since to where its log
+	// stood then, the cut an answer is adopted at.
+	awaiting bool
+	asked    map[uint64]int
 
 	// Volatile state (lost on crash).
 	acked    map[OpKey]bool // bridge ops known delivered remotely
-	pending  []*entry       // locally submitted, awaiting a token hold
+	ordering map[OpKey]bool // invocations this node submitted and has not seen delivered
 	records  map[OpKey]*gwRecord
 	recOrder []OpKey
-	pubs     []uint64 // fan-out items in ring order (gateway role)
-
-	// Ring state.
-	ring       ringID
-	members    []int
-	epoch      uint64 // max epoch seen; survives crash (stable storage)
-	lastQuorum ringID
-	lastRot    uint64
-	gapSince   int64
-
-	gathering      bool
-	heard          map[int]*joinInfo
-	pendingRing    ringID
-	pendingMembers []int
-	expectDonor    *joinInfo
-
-	// Two-round install state. frozen means this node has acknowledged
-	// a prepare and must not deliver/execute in its old ring until a
-	// commit at least as new as prepHigh arrives — the freeze is what
-	// keeps the fresh state it advertised from going stale while the
-	// installer picks the donor.
-	frozen      bool
-	prepHigh    ringID // highest ring this node acked a prepare for
-	prepRing    ringID // installer side: ring being prepared
-	prepMembers []int
-	prepAcks    map[int]*joinInfo
-
-	failTimer, gatherTimer, installTimer, snapTimer, retransTimer *Timer
-	prepTimer, prepAbortTimer                                     *Timer
 }
 
 func nodeName(dom, idx int) memnet.NodeID {
@@ -109,9 +87,9 @@ func nodeName(dom, idx int) memnet.NodeID {
 // after schedules f on the virtual clock, bound to this incarnation:
 // the callback is dropped if the node crashed, restarted or the run
 // ended in the meantime.
-func (n *node) after(d time.Duration, f func()) *Timer {
+func (n *node) after(d time.Duration, f func()) {
 	inc := n.inc
-	return n.w.clock.After(d, func() {
+	n.w.clock.AfterFunc(d, func() {
 		if n.w.done || n.crashed || n.inc != inc {
 			return
 		}
@@ -126,271 +104,285 @@ func (n *node) trace(e Event) {
 	n.w.record(e)
 }
 
-func (n *node) hasQuorum() bool { return len(n.members) >= n.w.doms[n.dom].quorum }
-
-func (n *node) memberOf(idx int) bool {
-	for _, m := range n.members {
-		if m == idx {
-			return true
-		}
+// boot gives the node empty state and a core that was never in a ring,
+// as a process started now.
+func (n *node) boot() {
+	d := n.w.doms[n.dom]
+	n.apps = d.newApps()
+	n.executed = make(map[int]map[OpKey]execRec, len(n.apps))
+	for g := range n.apps {
+		n.executed[g] = make(map[OpKey]execRec)
 	}
-	return false
-}
-
-func (n *node) get(seq uint64) *entry {
-	if seq == 0 || seq > uint64(len(n.log)) {
-		return nil
+	n.outbox = make(map[OpKey]*Op)
+	n.published, n.log, n.asked = 0, nil, nil
+	n.acked = make(map[OpKey]bool)
+	n.ordering = make(map[OpKey]bool)
+	n.records, n.recOrder = make(map[OpKey]*gwRecord), nil
+	n.ring, n.members, n.horizon, n.last = 0, nil, nil, 0
+	n.woken, n.out = 0, nil
+	// The timeouts are the vnet harness's (internal/totem's fastConfig).
+	cfg := totem.Config{
+		ID:              n.id,
+		Members:         d.ids,
+		Ordering:        n.w.ordering,
+		IdleHold:        100 * time.Microsecond,
+		TokenRetransmit: 10 * time.Millisecond,
+		FailTimeout:     80 * time.Millisecond,
+		GatherTimeout:   20 * time.Millisecond,
 	}
-	return n.log[seq-1]
-}
-
-func (n *node) store(seq uint64, e *entry) {
-	for uint64(len(n.log)) < seq {
-		n.log = append(n.log, nil)
-	}
-	if n.log[seq-1] == nil {
-		n.log[seq-1] = e
-	}
-	for n.delivered < uint64(len(n.log)) && n.log[n.delivered] != nil {
-		n.delivered++
-	}
-}
-
-// start arms the node's background timers at world boot.
-func (n *node) start() {
-	n.resetFail()
+	n.core = totem.NewCore(cfg, n.w.now(), n.broadcast, n.deliver)
+	n.book()
 	n.startBridgeResend()
 }
 
-// resetFail re-arms the token-loss detector. The deterministic
-// per-node stagger keeps a whole partition side from gathering at the
-// same virtual instant.
-func (n *node) resetFail() {
-	if n.failTimer != nil {
-		n.failTimer.Stop()
+// broadcast is the core's send hook: one datagram to every protocol
+// node of the domain, this one included. A crashed node's sends fail.
+func (n *node) broadcast(b []byte) {
+	for _, p := range n.w.doms[n.dom].nodes {
+		_ = n.ep.Send(p.id, b)
 	}
-	n.failTimer = n.after(failTO+time.Duration(n.idx)*131*time.Microsecond, func() {
-		n.startGather("fail-timeout")
+}
+
+// step runs one step of the core and then settles what it left.
+func (n *node) step(f func(now time.Time)) {
+	f(n.w.now())
+	n.settle()
+}
+
+// settle does what a step left the node to do: execute what became
+// stable, report how far it has delivered, and hand the core what it
+// produced — never from inside the core's step. A submission is a step
+// too (a sequencer orders its own at once), so this repeats until
+// nothing is left.
+func (n *node) settle() {
+	for {
+		n.execAdvance()
+		if n.unreported {
+			n.unreported = false
+			n.submit(&entry{kind: eReport, from: n.idx, ring: n.ring, upTo: n.last})
+		}
+		if len(n.out) == 0 {
+			break
+		}
+		out := n.out
+		n.out = nil
+		n.core.Submit(n.w.now(), out)
+	}
+	n.book()
+}
+
+// book puts the core's next deadline on the clock, unless a tick no
+// later than it is booked already. A tick that finds nothing due does
+// nothing, so one booked for a deadline since moved is harmless.
+func (n *node) book() {
+	at := n.core.Next()
+	if at.IsZero() || n.woken != 0 && at.UnixNano() >= n.woken {
+		return
+	}
+	n.woken = at.UnixNano()
+	n.after(time.Duration(n.woken-n.w.clock.Now()), func() {
+		n.woken = 0
+		n.step(func(now time.Time) { n.core.Tick(now, len(n.ep.Recv())) })
 	})
 }
 
-// handle dispatches one received datagram.
-func (n *node) handle(m *msg) {
+// submit queues e for the total order; step hands it to the core.
+func (n *node) submit(e *entry) {
+	room := n.core.Headroom()
+	buf := make([]byte, room, room+8)
+	n.out = append(n.out, append(buf, handle(len(n.w.entries))...))
+	n.w.entries = append(n.w.entries, e)
+}
+
+// handle takes one datagram off the network. A protocol node of this
+// domain sends nothing but ring datagrams to another, so those are the
+// core's; everything else is one of the sim's unicast messages.
+func (n *node) handle(pkt memnet.Packet) {
 	if n.crashed {
 		return
 	}
+	if p := n.w.nodes[pkt.From]; p != nil && p.dom == n.dom {
+		n.step(func(now time.Time) {
+			n.delivered = 0
+			n.core.Receive(now, pkt.Payload, len(n.ep.Recv()))
+			if n.delivered > 0 {
+				n.w.doms[n.dom].lastOrderer = p.idx
+			}
+		})
+		return
+	}
+	m := n.w.msg(pkt)
+	if m == nil {
+		return
+	}
 	switch m.kind {
-	case mToken:
-		n.onToken(m)
-	case mEntry:
-		n.onEntry(m)
-	case mProbe:
-		n.onProbe(m)
-	case mJoin:
-		n.onJoin(m)
-	case mPrepare:
-		n.onPrepare(m)
-	case mPrepareAck:
-		n.onPrepareAck(m)
-	case mSnapReq:
-		n.onSnapReq(m)
-	case mSnap:
-		n.onSnap(m)
-	case mInstall:
-		n.adoptInstall(m.ring, m.members, m.snap, false)
 	case mRequest:
-		n.onRequest(m)
+		n.onRequest(m.op)
 	case mBridge:
-		n.onBridge(m)
+		n.onBridge(m.op)
 	case mBridgeAck:
 		n.acked[m.op.Key] = true
 	case mFetch:
 		n.onFetch(m)
 	}
+	n.settle()
 }
 
-// ---- total order: token, entries, execution ----
-
-func (n *node) onToken(m *msg) {
-	t := m.token
-	if t.ring != n.ring {
-		if n.ring.less(t.ring) {
-			n.startGather("foreign-token")
-		}
+// deliver is the core's event hook.
+func (n *node) deliver(ev totem.Event) {
+	if ev.Type == totem.EventConfig {
+		n.install(ev.Config)
 		return
 	}
-	if n.frozen {
-		// Prepared for a newer ring: the state advertised in the ack
-		// must stay put, so no more holds in this ring. The fail timer
-		// keeps running — if the commit never comes it forces a fresh
-		// gather rather than a silent stall.
+	e := n.w.entries[handleIndex(ev.Delivery.Payload)]
+	ts := ev.Delivery.Timestamp()
+	n.last = ts
+	n.delivered++
+	switch e.kind {
+	case eReport:
+		if e.ring == n.ring && e.upTo > n.horizon[e.from] {
+			n.horizon[e.from] = e.upTo
+		}
+		return // a report is no reason to report
+	case eAsk:
+		if e.from == n.idx && n.awaiting {
+			n.asked[e.ask] = len(n.log)
+		} else if !n.awaiting && e.from != n.idx {
+			n.submit(&entry{kind: eAnswer, from: n.idx, ask: e.ask, snap: n.snapshot()})
+		}
+	case eAnswer:
+		if cut, ok := n.asked[e.ask]; ok && n.awaiting {
+			n.adopt(e.snap, cut)
+		}
+	case eInvoke, eResponse:
+		delete(n.ordering, e.op.Key)
+		n.log = append(n.log, logged{ts, e})
+	}
+	n.unreported = true
+}
+
+// install takes in a ring the core installed. Told it does not continue
+// the history the ring keeps, the node drops what it delivered outside
+// it and awaits a snapshot, as replication recovers: it asks in the
+// order, at every ring until answered, and adopts the first answer cut
+// at one of its asks.
+func (n *node) install(c totem.ConfigChange) {
+	n.ring = c.RingID
+	n.members = make([]int, len(c.Members))
+	for i, id := range c.Members {
+		n.members[i] = n.w.nodes[id].idx
+	}
+	n.horizon = make(map[int]uint64, len(n.members))
+	q := n.hasQuorum()
+	n.trace(Event{Kind: EvRing, Quorum: q, Note: fmt.Sprintf("r%d%v", c.RingID, n.members)})
+	n.w.stats.Rings++
+	if !c.Continues {
+		n.awaiting = true
+		n.log, n.asked, n.last = nil, nil, 0
+		clear(n.ordering) // what it broadcast and did not see delivered died with its history
+	}
+	if n.awaiting {
+		if n.asked == nil {
+			n.asked = make(map[uint64]int)
+		}
+		n.w.asks++
+		n.submit(&entry{kind: eAsk, from: n.idx, ask: n.w.asks})
+	}
+	// A response may have died with a history, or have been executed
+	// before the cut this node will adopt: every unanswered record is
+	// conveyed again, behind the ask, and the duplicate's response
+	// answers it — the paper's no-lost-requests discipline.
+	for _, k := range n.recOrder {
+		if rec := n.records[k]; rec.interested && !rec.replied {
+			n.convey(rec.op)
+		}
+	}
+	n.unreported = true
+}
+
+func (n *node) hasQuorum() bool { return len(n.members) >= n.w.doms[n.dom].quorum }
+
+// snapshot cuts this node's replicated state where it stands.
+func (n *node) snapshot() *snapshot {
+	s := &snapshot{published: n.published, log: append([]logged(nil), n.log...)}
+	s.apps, s.executed, s.outbox = copyState(n.apps, n.executed, n.outbox)
+	return s
+}
+
+// adopt installs a snapshot cut at one of this node's asks and replays
+// what it held behind the cut. The membership-sync mutation skips the
+// adoption: the node goes on from its stale state with what it held.
+func (n *node) adopt(s *snapshot, cut int) {
+	n.awaiting, n.asked = false, nil
+	if !n.w.cfg.Mutations.DisableMembershipSync {
+		n.log = append(append([]logged(nil), s.log...), n.log[cut:]...)
+		n.apps, n.executed, n.outbox = copyState(s.apps, s.executed, s.outbox)
+		n.published = s.published
+	}
+}
+
+// copyState deep-copies replicated state: a snapshot is shared by every
+// adopter. Apps clone in sorted group order, since Clone is application
+// code and its call order must be schedule-stable.
+func copyState(apps map[int]App, executed map[int]map[OpKey]execRec, outbox map[OpKey]*Op) (map[int]App, map[int]map[OpKey]execRec, map[OpKey]*Op) {
+	a := make(map[int]App, len(apps))
+	for _, g := range sortedAppGroups(apps) {
+		a[g] = apps[g].Clone()
+	}
+	e := make(map[int]map[OpKey]execRec, len(executed))
+	for g, m := range executed {
+		cp := make(map[OpKey]execRec, len(m))
+		for k, v := range m {
+			cp[k] = v
+		}
+		e[g] = cp
+	}
+	o := make(map[OpKey]*Op, len(outbox))
+	for k, v := range outbox {
+		o[k] = v
+	}
+	return a, e, o
+}
+
+// sortedAppGroups returns the map's group ids in ascending order.
+func sortedAppGroups(m map[int]App) []int {
+	out := make([]int, 0, len(m))
+	for g := range m {
+		out = append(out, g)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// execAdvance executes delivered entries up to the horizon every ring
+// member has reported delivering through the order. Only quorum rings
+// execute: a minority fragment freezes, so no operation can be executed
+// on two sides of a partition at different positions.
+func (n *node) execAdvance() {
+	if n.awaiting || !n.hasQuorum() {
 		return
 	}
-	n.resetFail()
-	if n.retransTimer != nil {
-		n.retransTimer.Stop()
+	safe := uint64(math.MaxUint64)
+	for _, m := range n.members {
+		safe = min(safe, n.horizon[m])
 	}
-	if t.rot <= n.lastRot {
-		return // duplicate delivery or retransmitted token we already held
-	}
-	n.holdToken(t)
-}
-
-// holdToken is one token hold: fill and serve retransmission requests,
-// assign sequence numbers to pending submissions (quorum rings only),
-// publish our received horizon on the all-received vector, execute up
-// to the safe horizon, and pass the token on.
-func (n *node) holdToken(t *token) {
-	n.lastRot = t.rot
-	n.w.doms[n.dom].lastHolder = n.idx
-
-	for s := n.delivered + 1; s <= t.max; s++ {
-		if n.get(s) == nil {
-			t.rtr[s] = true
-		}
-	}
-	for _, s := range t.sortedRtr() {
-		if e := n.get(s); e != nil {
-			delete(t.rtr, s)
-			n.bcastEntry(s, e)
-		}
-	}
-	if n.hasQuorum() {
-		for i := 0; i < maxAssign && len(n.pending) > 0; i++ {
-			e := n.pending[0]
-			n.pending = n.pending[1:]
-			t.max++
-			n.store(t.max, e)
-			n.bcastEntry(t.max, e)
-		}
-	}
-	t.ar[n.idx] = n.delivered
-	safe := t.max
-	for _, mb := range n.members {
-		if t.ar[mb] < safe {
-			safe = t.ar[mb]
-		}
-	}
-	n.execAdvance(safe)
-	n.gapCheck(t)
-	n.probeForeign()
-	n.passToken(t)
-}
-
-func (n *node) bcastEntry(seq uint64, e *entry) {
-	for _, mb := range n.members {
-		if mb == n.idx {
-			continue
-		}
-		n.w.send(n.ep, nodeName(n.dom, mb), &msg{kind: mEntry, dom: n.dom, from: n.idx, ring: n.ring, seq: seq, entry: e})
-	}
-}
-
-func (n *node) onEntry(m *msg) {
-	if m.ring != n.ring {
-		if n.ring.less(m.ring) {
-			n.startGather("foreign-entry")
-		}
-		return
-	}
-	n.store(m.seq, m.entry)
-}
-
-func (n *node) passToken(t *token) {
-	mi := 0
-	for i, mb := range n.members {
-		if mb == n.idx {
-			mi = i
-		}
-	}
-	next := n.members[(mi+1)%len(n.members)]
-	t2 := t.clone()
-	t2.rot++
-	out := &msg{kind: mToken, dom: n.dom, from: n.idx, token: t2}
-	n.after(holdDelay, func() {
-		if n.ring != t2.ring {
-			return
-		}
-		n.w.send(n.ep, nodeName(n.dom, next), out)
-		n.retransTimer = n.after(tokenRetransTO, func() {
-			if n.ring != t2.ring {
-				return
-			}
-			n.w.send(n.ep, nodeName(n.dom, next), out)
-		})
-	})
-}
-
-// gapCheck flushes permanently unrecoverable holes: a sequence whose
-// assigner crashed before any copy escaped can never be filled, so a
-// stalled received horizon forces a reconfiguration, whose install-time
-// compaction drops the hole.
-func (n *node) gapCheck(t *token) {
-	if n.delivered >= t.max {
-		n.gapSince = 0
-		return
-	}
-	now := n.w.clock.Now()
-	if n.gapSince == 0 {
-		n.gapSince = now
-		return
-	}
-	if now-n.gapSince > int64(gapTO) {
-		n.gapSince = 0
-		n.gathering = false
-		n.startGather("gap-timeout")
-	}
-}
-
-// probeForeign announces our ring to every domain node outside it. In a
-// steady full ring this is a no-op; after a partition heals the probes
-// are what tell two surviving fragments about each other and trigger
-// the merge.
-func (n *node) probeForeign() {
-	size := n.w.doms[n.dom].size
-	for i := 0; i < size; i++ {
-		if i == n.idx || n.memberOf(i) {
-			continue
-		}
-		n.w.send(n.ep, nodeName(n.dom, i), &msg{kind: mProbe, dom: n.dom, from: n.idx, ring: n.ring})
-	}
-}
-
-func (n *node) onProbe(m *msg) {
-	if m.ring == n.ring {
-		return
-	}
-	n.startGather("foreign-probe")
-}
-
-// execAdvance processes ordered entries up to the safe horizon. Only
-// quorum rings execute: a minority fragment freezes, so no operation
-// can be executed on two sides of a partition at different positions.
-func (n *node) execAdvance(safe uint64) {
-	if !n.hasQuorum() || n.frozen {
-		return
-	}
-	if safe > n.delivered {
-		safe = n.delivered
-	}
-	for n.execPos < safe {
-		e := n.log[n.execPos]
-		n.execPos++
-		if e.resp {
-			n.execResponse(e)
+	for len(n.log) > 0 && n.log[0].ts <= safe {
+		l := n.log[0]
+		n.log = n.log[1:]
+		if l.e.kind == eResponse {
+			n.execResponse(l.e)
 		} else {
-			n.execInvocation(e, n.execPos)
+			n.execInvocation(l.e.op, l.ts)
 		}
 	}
 }
 
-func (n *node) execInvocation(e *entry, seq uint64) {
-	op := e.op
+func (n *node) execInvocation(op *Op, seq uint64) {
 	ex := n.executed[op.Group]
 	if rec, dup := ex[op.Key]; dup && !n.w.cfg.Mutations.DisableDedup {
 		n.trace(Event{Kind: EvDedup, Group: op.Group, Op: op.Key, Seq: rec.seq})
 		if !n.isGW && n.lowestLiveReplica() {
-			n.pending = append(n.pending, &entry{op: op, resp: true, val: rec.val, group: op.Group})
+			n.submit(&entry{kind: eResponse, op: op, val: rec.val, group: op.Group})
 		}
 		return
 	}
@@ -401,16 +393,14 @@ func (n *node) execInvocation(e *entry, seq uint64) {
 	for _, nop := range emitted {
 		n.outbox[nop.Key] = nop
 	}
+	if op.Name == "pub" {
+		n.published++
+		n.pushItem(val)
+	}
 	if n.isGW {
-		rec := n.record(op)
-		rec.admitted = true
-		if op.Name == "pub" {
-			n.pubs = append(n.pubs, val)
-			n.pushItem(val)
-		}
 		return
 	}
-	n.pending = append(n.pending, &entry{op: op, resp: true, val: val, group: op.Group})
+	n.submit(&entry{kind: eResponse, op: op, val: val, group: op.Group})
 	for _, nop := range emitted {
 		n.sendBridge(nop)
 	}
@@ -436,7 +426,6 @@ func (n *node) execResponse(e *entry) {
 	}
 	op := e.op
 	rec := n.record(op)
-	rec.admitted = true
 	if rec.replied {
 		n.trace(Event{Kind: EvDupResp, Group: e.group, Op: op.Key})
 		return
@@ -445,7 +434,7 @@ func (n *node) execResponse(e *entry) {
 	rec.val = e.val
 	n.trace(Event{Kind: EvRespRec, Group: e.group, Op: op.Key, Val: e.val})
 	if rec.interested && rec.client != "" {
-		n.w.send(n.ep, memnet.NodeID(rec.client), &msg{kind: mReply, dom: n.dom, from: n.idx, op: op, val: e.val})
+		n.w.send(n.ep, memnet.NodeID(rec.client), &msg{kind: mReply, op: op, val: e.val})
 	}
 	if op.OriginDom >= 0 {
 		n.ackBridge(op)
@@ -464,47 +453,41 @@ func (n *node) record(op *Op) *gwRecord {
 	return rec
 }
 
-func (n *node) onRequest(m *msg) {
-	op := m.op
-	if rec, ok := n.records[op.Key]; ok {
-		rec.interested = true
-		rec.client = op.ReplyTo
-		if rec.replied {
-			n.trace(Event{Kind: EvRecordHit, Group: op.Group, Op: op.Key})
-			n.w.send(n.ep, memnet.NodeID(op.ReplyTo), &msg{kind: mReply, dom: n.dom, from: n.idx, op: op, val: rec.val})
-		}
+// convey orders an invocation, unless this node's earlier copy of it is
+// still on its way. Replica-side duplicate detection collapses the
+// copies that do get ordered twice.
+func (n *node) convey(op *Op) {
+	if n.ordering[op.Key] {
 		return
 	}
-	rec := n.record(op)
-	rec.admitted = true
-	rec.interested = true
-	rec.client = op.ReplyTo
-	n.pending = append(n.pending, &entry{op: op, group: op.Group})
+	n.ordering[op.Key] = true
+	n.submit(&entry{kind: eInvoke, op: op, group: op.Group})
 }
 
-func (n *node) onBridge(m *msg) {
-	op := m.op
-	if rec, ok := n.records[op.Key]; ok {
-		if rec.replied {
-			n.ackBridge(op)
-			return
-		}
-		// Admitted but still unanswered. The response entries may have
-		// died with a wiped ring, and nothing else regenerates them for
-		// an uninterested record — so re-order the invocation: replica
-		// dedup collapses it and the designated re-responder resends
-		// the cached answer.
-		for _, e := range n.pending {
-			if e.op.Key == op.Key {
-				return
-			}
-		}
-		n.pending = append(n.pending, &entry{op: op, group: op.Group})
+// onRequest admits a client's invocation, answers a reissue from the
+// record, or conveys a reissue whose answer has not come back.
+func (n *node) onRequest(op *Op) {
+	rec := n.record(op)
+	rec.interested = true
+	rec.client = op.ReplyTo
+	if rec.replied {
+		n.trace(Event{Kind: EvRecordHit, Group: op.Group, Op: op.Key})
+		n.w.send(n.ep, memnet.NodeID(op.ReplyTo), &msg{kind: mReply, op: op, val: rec.val})
 		return
 	}
-	rec := n.record(op)
-	rec.admitted = true
-	n.pending = append(n.pending, &entry{op: op, group: op.Group})
+	n.convey(op)
+}
+
+// onBridge is the remote side of a nested invocation: answered ones are
+// acknowledged, the rest conveyed — again, if a response died with a
+// ring's history, since nothing else regenerates it for an uninterested
+// record.
+func (n *node) onBridge(op *Op) {
+	if rec, ok := n.records[op.Key]; ok && rec.replied {
+		n.ackBridge(op)
+		return
+	}
+	n.convey(op)
 }
 
 // ackBridge tells every node of the origin domain that the nested
@@ -512,7 +495,7 @@ func (n *node) onBridge(m *msg) {
 func (n *node) ackBridge(op *Op) {
 	size := n.w.doms[op.OriginDom].size
 	for i := 0; i < size; i++ {
-		n.w.send(n.ep, nodeName(op.OriginDom, i), &msg{kind: mBridgeAck, dom: n.dom, from: n.idx, op: op})
+		n.w.send(n.ep, nodeName(op.OriginDom, i), &msg{kind: mBridgeAck, op: op})
 	}
 	n.trace(Event{Kind: EvNestedAck, Group: op.Group, Op: op.Key})
 }
@@ -523,7 +506,7 @@ func (n *node) ackBridge(op *Op) {
 func (n *node) sendBridge(op *Op) {
 	d := n.w.doms[op.Dom]
 	for _, g := range d.gateways {
-		n.w.send(n.ep, nodeName(op.Dom, g), &msg{kind: mBridge, dom: op.Dom, from: n.idx, op: op})
+		n.w.send(n.ep, nodeName(op.Dom, g), &msg{kind: mBridge, op: op})
 	}
 }
 
@@ -562,474 +545,21 @@ func (n *node) resendBridges() {
 func (n *node) pushItem(val uint64) {
 	for _, s := range n.subs {
 		n.trace(Event{Kind: EvPush, Val: val})
-		n.w.send(n.ep, s, &msg{kind: mPush, dom: n.dom, from: n.idx, val: val})
+		n.w.send(n.ep, s, &msg{kind: mPush, val: val})
 	}
 }
 
 func (n *node) onFetch(m *msg) {
-	have := m.have
-	if have > uint64(len(n.pubs)) {
-		have = uint64(len(n.pubs))
-	}
-	end := have + fetchBatch
-	if end > uint64(len(n.pubs)) {
-		end = uint64(len(n.pubs))
-	}
+	have := min(m.have, n.published)
+	end := min(have+fetchBatch, n.published)
 	if end == have {
 		return
 	}
-	items := append([]uint64(nil), n.pubs[have:end]...)
-	n.w.send(n.ep, memnet.NodeID(m.client), &msg{kind: mItems, dom: n.dom, from: n.idx, items: items})
-}
-
-// ---- membership: gather, donor selection, install ----
-
-func (n *node) myJoinInfo() *joinInfo {
-	return &joinInfo{idx: n.idx, epoch: n.epoch, lastQuorum: n.lastQuorum, delivered: n.delivered}
-}
-
-func (n *node) startGather(reason string) {
-	if n.gathering {
-		return
+	items := make([]uint64, 0, end-have)
+	for it := have + 1; it <= end; it++ {
+		items = append(items, it)
 	}
-	n.gathering = true
-	n.heard = map[int]*joinInfo{n.idx: n.myJoinInfo()}
-	n.trace(Event{Kind: EvFault, Note: "gather:" + reason})
-	size := n.w.doms[n.dom].size
-	for i := 0; i < size; i++ {
-		if i == n.idx {
-			continue
-		}
-		n.w.send(n.ep, nodeName(n.dom, i), &msg{kind: mJoin, dom: n.dom, from: n.idx, join: n.myJoinInfo()})
-	}
-	if n.gatherTimer != nil {
-		n.gatherTimer.Stop()
-	}
-	n.gatherTimer = n.after(gatherTO, n.finishGather)
-}
-
-func (n *node) onJoin(m *msg) {
-	if !n.gathering {
-		n.startGather("join")
-	}
-	if _, seen := n.heard[m.join.idx]; !seen {
-		// First time we hear this peer in the round: answer directly in
-		// case our broadcast predated its gather. The seen-set makes the
-		// exchange terminate.
-		n.w.send(n.ep, nodeName(n.dom, m.join.idx), &msg{kind: mJoin, dom: n.dom, from: n.idx, join: n.myJoinInfo()})
-	}
-	n.heard[m.join.idx] = m.join
-}
-
-func (n *node) finishGather() {
-	ids := make([]int, 0, len(n.heard))
-	for i := range n.heard {
-		ids = append(ids, i)
-	}
-	sort.Ints(ids)
-	if n.idx != ids[0] {
-		// Someone lower-indexed installs; if no install arrives, retry.
-		if n.installTimer != nil {
-			n.installTimer.Stop()
-		}
-		n.installTimer = n.after(installTO, func() {
-			n.gathering = false
-			n.startGather("install-timeout")
-		})
-		return
-	}
-	maxEpoch := n.epoch
-	for _, i := range ids {
-		if ji := n.heard[i]; ji.epoch > maxEpoch {
-			maxEpoch = ji.epoch
-		}
-	}
-	n.startPrepare(ringID{epoch: maxEpoch + 1, installer: n.idx}, ids)
-}
-
-// startPrepare opens the install's first round: freeze every member and
-// collect its state description as of the freeze. Gather-time joinInfos
-// only elect the installer — they go stale the moment an old quorum
-// ring executes another entry, and a donor picked from stale infos can
-// miss an executed suffix. The prepare acks cannot: once a member acks,
-// it stops delivering and executing until a commit, so the donor chosen
-// from acks still covers every executed position at commit time.
-func (n *node) startPrepare(ring ringID, members []int) {
-	if ring.less(n.prepHigh) {
-		// Already acked someone else's newer prepare; let that round
-		// win, falling back to a fresh gather if its commit never lands.
-		if n.installTimer != nil {
-			n.installTimer.Stop()
-		}
-		n.installTimer = n.after(installTO, func() {
-			n.gathering = false
-			n.startGather("install-timeout")
-		})
-		return
-	}
-	n.prepRing = ring
-	n.prepMembers = append([]int(nil), members...)
-	n.prepAcks = make(map[int]*joinInfo)
-	n.frozen = true
-	n.prepHigh = ring
-	out := &msg{kind: mPrepare, dom: n.dom, from: n.idx, ring: ring, members: n.prepMembers}
-	send := func() {
-		for _, mb := range n.prepMembers {
-			if mb != n.idx && n.prepAcks[mb] == nil {
-				n.w.send(n.ep, nodeName(n.dom, mb), out)
-			}
-		}
-	}
-	send()
-	var resend func()
-	resend = func() {
-		if n.prepRing != ring {
-			return
-		}
-		send()
-		n.prepTimer = n.after(installResend, resend)
-	}
-	if n.prepTimer != nil {
-		n.prepTimer.Stop()
-	}
-	n.prepTimer = n.after(installResend, resend)
-	if n.prepAbortTimer != nil {
-		n.prepAbortTimer.Stop()
-	}
-	n.prepAbortTimer = n.after(prepareTO, func() {
-		if n.prepRing != ring {
-			return
-		}
-		n.prepRing = ringID{}
-		n.gathering = false
-		n.startGather("prepare-timeout")
-	})
-	n.maybeCommit()
-}
-
-func (n *node) onPrepare(m *msg) {
-	if !n.ring.less(m.ring) {
-		return
-	}
-	ok := false
-	for _, mb := range m.members {
-		if mb == n.idx {
-			ok = true
-		}
-	}
-	if !ok {
-		return
-	}
-	// Freeze first, then describe: nothing may advance between the two.
-	n.frozen = true
-	if n.prepHigh.less(m.ring) {
-		n.prepHigh = m.ring
-	}
-	n.w.send(n.ep, nodeName(n.dom, m.from), &msg{kind: mPrepareAck, dom: n.dom, from: n.idx, ring: m.ring, join: n.myJoinInfo()})
-}
-
-func (n *node) onPrepareAck(m *msg) {
-	if m.ring != n.prepRing {
-		return
-	}
-	n.prepAcks[m.join.idx] = m.join
-	n.maybeCommit()
-}
-
-// maybeCommit closes the prepare round once every member has acked:
-// pick the donor from the fresh infos (self included, read now — the
-// installer is frozen too) and either commit immediately with our own
-// snapshot or fetch the donor's.
-func (n *node) maybeCommit() {
-	if n.prepRing == (ringID{}) {
-		return
-	}
-	for _, mb := range n.prepMembers {
-		if mb != n.idx && n.prepAcks[mb] == nil {
-			return
-		}
-	}
-	ring, members := n.prepRing, n.prepMembers
-	n.prepAcks[n.idx] = n.myJoinInfo()
-	donor := n.prepAcks[n.idx]
-	for _, mb := range members {
-		if ji := n.prepAcks[mb]; betterDonor(ji, donor) {
-			donor = ji
-		}
-	}
-	n.prepRing = ringID{}
-	if n.prepTimer != nil {
-		n.prepTimer.Stop()
-	}
-	if n.prepAbortTimer != nil {
-		n.prepAbortTimer.Stop()
-	}
-	quorum := len(members) >= n.w.doms[n.dom].quorum
-	if !quorum || donor.idx == n.idx {
-		// Minority rings never transfer state (their members' logs may
-		// legitimately diverge until a quorum ring re-converges them),
-		// and a self-donor needs no fetch.
-		var snap *snapshot
-		if quorum {
-			snap = n.makeSnapshot()
-		}
-		n.doInstall(ring, members, snap)
-		return
-	}
-	n.pendingRing = ring
-	n.pendingMembers = members
-	n.expectDonor = donor
-	n.w.send(n.ep, nodeName(n.dom, donor.idx), &msg{kind: mSnapReq, dom: n.dom, from: n.idx, ring: ring})
-	if n.snapTimer != nil {
-		n.snapTimer.Stop()
-	}
-	n.snapTimer = n.after(snapTO, func() {
-		n.gathering = false
-		n.startGather("snap-timeout")
-	})
-}
-
-func (n *node) onSnapReq(m *msg) {
-	n.w.send(n.ep, nodeName(n.dom, m.from), &msg{
-		kind: mSnap, dom: n.dom, from: n.idx, ring: m.ring,
-		snap: n.makeSnapshot(), join: n.myJoinInfo(),
-	})
-}
-
-func (n *node) onSnap(m *msg) {
-	if !n.gathering || m.ring != n.pendingRing || n.expectDonor == nil || m.from != n.expectDonor.idx {
-		return
-	}
-	// Donor restarted between its join and our request: its state no
-	// longer covers what it advertised, so the snapshot could roll the
-	// group back. Re-gather instead of installing it.
-	if m.join.lastQuorum != n.expectDonor.lastQuorum || m.join.delivered < n.expectDonor.delivered {
-		n.gathering = false
-		n.startGather("donor-changed")
-		return
-	}
-	if n.snapTimer != nil {
-		n.snapTimer.Stop()
-	}
-	n.doInstall(n.pendingRing, n.pendingMembers, m.snap)
-}
-
-func (n *node) doInstall(ring ringID, members []int, snap *snapshot) {
-	out := &msg{kind: mInstall, dom: n.dom, from: n.idx, ring: ring, members: members, snap: snap}
-	for _, mb := range members {
-		if mb == n.idx {
-			continue
-		}
-		n.w.send(n.ep, nodeName(n.dom, mb), out)
-	}
-	n.after(installResend, func() {
-		if n.ring != ring {
-			return
-		}
-		for _, mb := range members {
-			if mb != n.idx {
-				n.w.send(n.ep, nodeName(n.dom, mb), out)
-			}
-		}
-	})
-	n.adoptInstall(ring, members, snap, true)
-}
-
-// adoptInstall transitions to a newly installed ring: adopt the donor
-// snapshot (unless the membership-sync mutation is disabled — the
-// checker teeth), record the view, rebuild the gateway role's derived
-// state, and re-enqueue every admitted-but-unanswered interested
-// record (the paper's no-lost-requests discipline). The installer also
-// regenerates the token and takes the first hold.
-func (n *node) adoptInstall(ring ringID, members []int, snap *snapshot, installer bool) {
-	if n.crashed || ring == n.ring || ring.less(n.ring) {
-		return
-	}
-	ok := false
-	for _, mb := range members {
-		if mb == n.idx {
-			ok = true
-		}
-	}
-	if !ok {
-		return
-	}
-	n.ring = ring
-	n.members = append([]int(nil), members...)
-	if ring.epoch > n.epoch {
-		n.epoch = ring.epoch
-	}
-	n.lastRot = 0
-	n.gathering = false
-	n.gapSince = 0
-	n.prepRing = ringID{}
-	for _, t := range []*Timer{n.gatherTimer, n.installTimer, n.snapTimer, n.retransTimer, n.prepTimer, n.prepAbortTimer} {
-		t.Stop()
-	}
-	// Unfreeze only if this commit is at least as new as every prepare
-	// we acked: a ring older than prepHigh must not resume executing
-	// with the state a newer pending install was promised.
-	if !ring.less(n.prepHigh) {
-		n.frozen = false
-	}
-	q := len(members) >= n.w.doms[n.dom].quorum
-	// Only quorum installs replace state. A minority install must not
-	// rewrite member logs: compaction renumbers undelivered entries,
-	// and rewriting a log that held a prefix executed under an earlier
-	// quorum ring breaks the donor-rule induction that keeps executed
-	// positions stable across reconfigurations (a later quorum install
-	// could pick the rewritten log as donor and reassign those seqs).
-	// Minority rings never assign or execute, so their members' logs
-	// can stay divergent until a quorum ring re-converges them.
-	if q && snap != nil && !n.w.cfg.Mutations.DisableMembershipSync {
-		n.adoptSnapshot(snap)
-	}
-	if q {
-		n.lastQuorum = ring
-	}
-	n.trace(Event{Kind: EvRing, Quorum: q, Note: fmt.Sprintf("%s%v", ring, members)})
-	n.w.stats.Rings++
-	if n.isGW {
-		n.rebuildFromLog()
-		n.reenqueueInterested()
-	}
-	n.resetFail()
-	if installer && !n.frozen {
-		t := &token{ring: ring, rot: 1, max: n.delivered, ar: make(map[int]uint64), rtr: make(map[uint64]bool)}
-		for _, mb := range members {
-			t.ar[mb] = 0
-		}
-		t.ar[n.idx] = n.delivered
-		n.holdToken(t)
-	}
-}
-
-// adoptSnapshot installs the donor's state, compacting the log: the
-// delivered prefix keeps its positions (nothing executed ever moves),
-// received-but-undelivered tail entries are renumbered contiguously,
-// unrecoverable holes are dropped. State transfer only ever moves a
-// node forward: the old ring keeps executing while the gather and
-// snapshot request are in flight, so a member can be ahead of the
-// donor's execution position at install — its local state is the same
-// history executed further (execution happens only in quorum rings,
-// which are totally ordered, and the donor rule bounds every executed
-// position by the donor's delivered horizon), so it is kept.
-// Everything mutable is deep-copied — the snapshot object is shared by
-// all adopters.
-func (n *node) adoptSnapshot(s *snapshot) {
-	log := make([]*entry, 0, len(s.log))
-	log = append(log, s.log[:s.delivered]...)
-	for _, e := range s.log[s.delivered:] {
-		if e != nil {
-			log = append(log, e)
-		}
-	}
-	n.log = log
-	n.delivered = uint64(len(log))
-	if n.execPos < s.execPos {
-		n.execPos = s.execPos
-		n.apps = make(map[int]App, len(s.apps))
-		// Clone in sorted group order: an App's Clone may observe the
-		// call order (allocation counters, shared pools), and map
-		// iteration order must not leak into the deterministic schedule.
-		for _, g := range sortedAppGroups(s.apps) {
-			n.apps[g] = s.apps[g].Clone()
-		}
-		n.executed = make(map[int]map[OpKey]execRec, len(s.executed))
-		for g, m := range s.executed {
-			cp := make(map[OpKey]execRec, len(m))
-			for k, v := range m {
-				cp[k] = v
-			}
-			n.executed[g] = cp
-		}
-		n.outbox = make(map[OpKey]*Op, len(s.outbox))
-		for k, v := range s.outbox {
-			n.outbox[k] = v
-		}
-	}
-	if n.lastQuorum.less(s.lastQuorum) {
-		n.lastQuorum = s.lastQuorum
-	}
-}
-
-// sortedAppGroups returns the map's group ids in ascending order.
-func sortedAppGroups(m map[int]App) []int {
-	out := make([]int, 0, len(m))
-	for g := range m {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (n *node) makeSnapshot() *snapshot {
-	s := &snapshot{
-		log:        append([]*entry(nil), n.log...),
-		delivered:  n.delivered,
-		execPos:    n.execPos,
-		lastQuorum: n.lastQuorum,
-		apps:       make(map[int]App, len(n.apps)),
-		executed:   make(map[int]map[OpKey]execRec, len(n.executed)),
-		outbox:     make(map[OpKey]*Op, len(n.outbox)),
-	}
-	// Sorted for the same reason as adoptSnapshot: Clone is a call into
-	// application code, and its invocation order must be schedule-stable.
-	for _, g := range sortedAppGroups(n.apps) {
-		s.apps[g] = n.apps[g].Clone()
-	}
-	for g, m := range n.executed {
-		cp := make(map[OpKey]execRec, len(m))
-		for k, v := range m {
-			cp[k] = v
-		}
-		s.executed[g] = cp
-	}
-	for k, v := range n.outbox {
-		s.outbox[k] = v
-	}
-	return s
-}
-
-// rebuildFromLog reconstructs the gateway's derived state (record
-// store, fan-out history) from the adopted log, merging with what the
-// gateway already knew: interested/client flags are local knowledge and
-// survive; admitted/replied come from the order itself.
-func (n *node) rebuildFromLog() {
-	n.pubs = n.pubs[:0]
-	pubbed := make(map[OpKey]bool)
-	for i := uint64(0); i < n.delivered; i++ {
-		e := n.log[i]
-		if e == nil {
-			continue
-		}
-		rec := n.record(e.op)
-		rec.admitted = true
-		if e.resp && !rec.replied {
-			rec.replied = true
-			rec.val = e.val
-		}
-		// A reissued op can be ordered twice; the replicas dedup at
-		// execution, so the rebuilt publication stream must too.
-		if !e.resp && e.op.Name == "pub" && !pubbed[e.op.Key] {
-			pubbed[e.op.Key] = true
-			n.pubs = append(n.pubs, uint64(len(n.pubs)+1))
-		}
-	}
-}
-
-// reenqueueInterested resubmits every admitted, unanswered operation
-// this gateway owes someone. Replica-side duplicate detection collapses
-// re-submissions that survived in the adopted log; ones that were lost
-// with a dead ring get ordered for the first time. This is what makes
-// "no lost admitted requests" hold across reconfigurations.
-func (n *node) reenqueueInterested() {
-	for _, k := range n.recOrder {
-		rec := n.records[k]
-		if rec.interested && !rec.replied && rec.op != nil {
-			n.pending = append(n.pending, &entry{op: rec.op, group: rec.op.Group})
-		}
-	}
+	n.w.send(n.ep, memnet.NodeID(m.client), &msg{kind: mItems, items: items})
 }
 
 // ---- crash / restart ----
@@ -1040,40 +570,14 @@ func (n *node) crash() {
 	n.w.net.Crash(n.id)
 }
 
-// restart brings the node back with empty state (only the epoch
-// survives, modeling the small stable-storage item that keeps ring ids
-// monotonic). The node rejoins by gathering; membership sync restores
-// its state from the donor snapshot.
+// restart brings the node back with empty state and a fresh core, as a
+// new process: it joins a ring as one that was never in it, and awaits
+// a snapshot like any member that does not continue.
 func (n *node) restart() {
 	n.crashed = false
 	n.inc++
 	n.trace(Event{Kind: EvRestart})
 	n.w.net.Restart(n.id)
-	d := n.w.doms[n.dom]
-	n.apps = d.newApps()
-	n.executed = make(map[int]map[OpKey]execRec)
-	for g := range n.apps {
-		n.executed[g] = make(map[OpKey]execRec)
-	}
-	n.outbox = make(map[OpKey]*Op)
-	n.acked = make(map[OpKey]bool)
-	n.log = nil
-	n.delivered = 0
-	n.execPos = 0
-	n.pending = nil
-	n.records = make(map[OpKey]*gwRecord)
-	n.recOrder = nil
-	n.pubs = nil
-	n.ring = ringID{}
-	n.members = []int{n.idx}
-	n.lastQuorum = ringID{}
-	n.lastRot = 0
-	n.gathering = false
-	n.gapSince = 0
-	n.frozen = false
-	n.prepHigh = ringID{}
-	n.prepRing = ringID{}
-	n.prepAcks = nil
-	n.startBridgeResend()
-	n.startGather("restart")
+	n.boot()
+	n.awaiting = true
 }

@@ -10,10 +10,10 @@ import (
 
 // Schedule class names accepted by Config.Schedule. Empty picks one by
 // seed. Each class is an adversarial script aimed at a specific paper
-// mechanism: partitions mid-invocation at the safe-delivery gate,
-// killing the token holder or the installer at the reconfiguration
-// machinery, crashing gateways at the record store, rapid
-// partition/merge at view agreement, and loss storms at every
+// mechanism: partitions mid-invocation at the stability rule, killing
+// the processor that orders and then the next commit's creator at
+// totem's membership protocol, crashing gateways at the record store,
+// rapid partition/merge at view agreement, and loss storms at every
 // retransmission path.
 const (
 	SchedCalm           = "calm"
@@ -67,12 +67,24 @@ func (w *world) buildSchedule(class string, rng *rand.Rand) []faultinject.StepSp
 			{Name: "heal", MinOp: tot / 2, MaxOp: 3 * tot / 4, Action: w.doHeal},
 		}
 	case SchedKillHolder:
+		// The holder is whoever ordered last; the creator is the lowest
+		// member of its ring still up, which sends the next commit round.
+		holder := -1
 		return []faultinject.StepSpec{
 			{Name: "kill-holder", MinOp: tot / 8, MaxOp: tot / 3, Action: func() {
-				w.doCrash(0, w.doms[0].lastHolder, "holder")
+				holder = w.doms[0].lastOrderer
+				w.doCrash(0, holder, "holder")
 			}},
-			{Name: "kill-installer", MinOp: tot / 3, MaxOp: tot / 2, Action: func() {
-				w.doCrash(0, w.doms[0].nodes[w.doms[0].lastHolder].ring.installer, "installer")
+			{Name: "kill-creator", MinOp: tot / 3, MaxOp: tot / 2, Action: func() {
+				if holder < 0 {
+					return
+				}
+				for _, m := range w.doms[0].nodes[holder].members {
+					if !w.doms[0].nodes[m].crashed {
+						w.doCrash(0, m, "creator")
+						return
+					}
+				}
 			}},
 			{Name: "restart-all", MinOp: tot / 2, MaxOp: 2 * tot / 3, Action: w.doRestartAll},
 		}
@@ -176,7 +188,8 @@ func (w *world) doCalmLoss() {
 // forceHeal is the time-triggered backstop: whatever the op-triggered
 // plan did (or never got to do because the fault it injected stalled
 // the workload that drives it), at a fixed virtual time every fault is
-// lifted so liveness is a fair thing to check.
+// lifted, and the plan fires nothing more, so liveness is a fair thing
+// to check.
 func (w *world) forceHeal() {
 	if w.done {
 		return
@@ -186,5 +199,6 @@ func (w *world) forceHeal() {
 	w.net.SetLoss(baseLoss)
 	w.stormActive = false
 	w.doRestartAll()
+	w.healed = true
 	w.faultEvent("forced-heal")
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // TestDeterministicReplay is the replay gate: the same seed must
-// produce the identical event trace byte-for-byte, for every workload
-// and a fault-heavy schedule class.
+// produce the identical event trace byte-for-byte, for every workload,
+// in both of totem's ordering modes, on fault-heavy schedule classes.
 func TestDeterministicReplay(t *testing.T) {
 	for _, wl := range Workloads() {
-		for _, seed := range []uint64{1, 17, 42} {
+		modes := make(map[string]bool)
+		for _, seed := range []uint64{1, 17, 42} { // ring, ring, leader
 			cfg := Config{Seed: seed, Workload: wl}
 			a := Run(cfg)
 			b := Run(cfg)
@@ -21,10 +22,41 @@ func TestDeterministicReplay(t *testing.T) {
 			if a.Trace.Dump() != b.Trace.Dump() {
 				t.Fatalf("wl=%s seed=%d: trace dumps differ despite equal hashes", wl, seed)
 			}
-			if a.Schedule != b.Schedule || a.Reason != b.Reason {
-				t.Fatalf("wl=%s seed=%d: run metadata differs: %q/%q vs %q/%q",
-					wl, seed, a.Schedule, a.Reason, b.Schedule, b.Reason)
+			if a.Schedule != b.Schedule || a.Reason != b.Reason || a.Ordering != b.Ordering {
+				t.Fatalf("wl=%s seed=%d: run metadata differs: %q/%q/%q vs %q/%q/%q",
+					wl, seed, a.Schedule, a.Reason, a.Ordering, b.Schedule, b.Reason, b.Ordering)
 			}
+			modes[a.Ordering] = true
+		}
+		if !modes["ring"] || !modes["leader"] {
+			t.Fatalf("wl=%s: the pinned seeds ran %v; the gate needs a seed of each mode", wl, modes)
+		}
+	}
+}
+
+// TestSeedsFoundWhileRehosting pins every seed that went red while the
+// sim moved onto the shipping totem, each with what it found.
+func TestSeedsFoundWhileRehosting(t *testing.T) {
+	for _, c := range []struct {
+		cfg   Config
+		found string
+	}{
+		// A 2|3 split, then a merge of two and two: the minority's history
+		// was kept, and what the majority had executed was lost (totem's
+		// TestLatestMajorityHistoryIsKept).
+		{Config{Seed: 10, Workload: WorkloadCounter}, "ring mode: a merge kept the minority's history"},
+		{Config{Seed: 223, Workload: WorkloadFanout}, "leader mode: a merge kept the minority's history"},
+		// The plan cut both gateways off again after the forced heal, and
+		// the operations that would have fired its heal never completed.
+		{Config{Seed: 887, Workload: WorkloadCounter}, "a fault fired after the forced heal"},
+		// The re-responder's response to a gateway's reissue was ordered in
+		// a minority that was then discarded, and the gateway owed its
+		// record an answer for good.
+		{Config{Seed: 585, Workload: WorkloadBank}, "an unanswered record conveyed only at adoption"},
+	} {
+		res := Run(c.cfg)
+		if res.Reason != "completed" || len(res.Violations) > 0 {
+			t.Errorf("seed %d (%s, %s ordering; found %s): %s, %v", c.cfg.Seed, c.cfg.Workload, res.Ordering, c.found, res.Reason, res.Violations)
 		}
 	}
 }
@@ -50,8 +82,8 @@ func TestInvariantsAcrossClasses(t *testing.T) {
 	}
 }
 
-// TestBankAcceptance pins the issue's acceptance bar: the cross-domain
-// bank-transfer workload holds conservation-of-money and exactly-once
+// TestBankAcceptance pins the acceptance bar of the bank workload: the
+// cross-domain transfers hold conservation-of-money and exactly-once
 // under the partition-during-invocation and kill-token-holder classes.
 func TestBankAcceptance(t *testing.T) {
 	for _, sched := range []string{SchedPartition, SchedKillHolder} {
@@ -68,8 +100,9 @@ func TestBankAcceptance(t *testing.T) {
 }
 
 // TestMutationTeeth proves the checkers detect real protocol damage:
-// disabling replica-side duplicate suppression or the membership-sync
-// snapshot must surface a violating seed within a small budget.
+// disabling replica-side duplicate suppression or the adoption of the
+// snapshot a non-continuing node asks for must surface a violating seed
+// within a small budget.
 func TestMutationTeeth(t *testing.T) {
 	cases := []struct {
 		name string

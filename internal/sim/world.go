@@ -1,13 +1,43 @@
+// Package sim is the repository's deterministic simulation harness: a
+// FoundationDB-style seeded simulator that runs a full multi-group fault
+// tolerance domain — replicas, gateways, thin clients, and for the bank
+// workload a second domain bridged through its gateways — on a virtual
+// clock over memnet, with every source of nondeterminism (event
+// interleaving, fault schedule, ordering mode, client workload,
+// topology, payloads) derived from a single uint64 seed.
+//
+// A schedule generator composes faultinject primitives into adversarial
+// scripts (partition the ring mid-invocation, kill the processor that
+// orders and then the next commit's creator, crash a gateway during
+// reply delivery, partition-then-merge during a view change, loss
+// storms), and after every run a checker library audits the paper's
+// invariants from the recorded trace: a single total order across
+// surviving replicas, exactly-once execution per operation identifier,
+// duplicate suppression on reissue, no lost admitted requests, and view
+// agreement. Failing seeds replay byte-for-byte: the trace of a run is a
+// pure function of its configuration.
+//
+// The order is the shipping protocol's: every simulated processor steps
+// a real totem.Core, in ring or leader mode as the seed draws, on the
+// virtual clock. Above it the sim models the paper's replicas (which
+// execute in quorum rings, up to the horizon every member has reported
+// through the order, and recover by adopting a snapshot asked for in the
+// order), gateway record stores keyed by the paper's operation
+// identifiers, bridges and fan-out — small enough to run thousands of
+// seeded schedules in minutes, faithful enough that disabling a real
+// guard (replica dedup, the snapshot adoption) makes the checkers find a
+// violating seed within a CI-sized budget.
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 
 	"eternalgw/internal/faultinject"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/totem"
+	"eternalgw/internal/vclock"
 )
 
 const (
@@ -27,8 +57,9 @@ type Mutations struct {
 	// DisableDedup turns off replica-side duplicate detection, so a
 	// reissued or doubly-admitted operation executes twice.
 	DisableDedup bool
-	// DisableMembershipSync skips the donor-snapshot state transfer at
-	// ring install, so merging and recovering nodes keep stale state.
+	// DisableMembershipSync skips the adoption of the snapshot a node
+	// that does not continue its ring's history asked for, so merging and
+	// recovering nodes keep stale state.
 	DisableMembershipSync bool
 }
 
@@ -66,9 +97,12 @@ type RunStats struct {
 
 // Result is the outcome of one simulated run.
 type Result struct {
-	Seed       uint64
-	Schedule   string
-	Workload   string
+	Seed     uint64
+	Schedule string
+	Workload string
+	// Ordering is the totem ordering mode the seed drew: "ring" or
+	// "leader".
+	Ordering   string
 	Planned    []faultinject.FiredStep
 	Fired      []faultinject.FiredStep
 	Violations []Violation
@@ -88,9 +122,13 @@ type domainSim struct {
 	gateways []int
 	gwSet    map[int]bool
 	nodes    []*node
+	ids      []memnet.NodeID // the nodes' ids, every core's configured membership
 	appFn    func(group int) App
 
-	lastHolder int
+	// lastOrderer is the node whose ring datagram last had a member
+	// deliver something: the token holder while the token rotates, the
+	// sequencer in a leader epoch.
+	lastOrderer int
 }
 
 func (d *domainSim) isGateway(i int) bool { return d.gwSet[i] }
@@ -104,19 +142,23 @@ func (d *domainSim) newApps() map[int]App {
 }
 
 type world struct {
-	cfg   Config
-	spec  *workloadSpec
-	clock *Clock
-	net   *memnet.Network
-	msgs  []*msg
+	cfg      Config
+	spec     *workloadSpec
+	clock    *vclock.Clock
+	net      *memnet.Network
+	ordering totem.OrderingMode
+	msgs     []*msg   // unicast messages, by handle
+	entries  []*entry // what the rings order, by handle
+	asks     uint64   // ask ids handed out
 
 	doms        []*domainSim
 	clients     []*client
 	subscribers []*subscriber
 
+	nodes    map[memnet.NodeID]*node // every protocol node, by id
 	order    []memnet.NodeID
 	eps      map[memnet.NodeID]*memnet.Endpoint
-	handlers map[memnet.NodeID]func(*msg)
+	handlers map[memnet.NodeID]func(memnet.Packet)
 
 	plan      *faultinject.Plan
 	schedName string
@@ -127,6 +169,7 @@ type world struct {
 	workers         int
 	partitionActive bool
 	stormActive     bool
+	healed          bool // the forced heal has lifted every fault for good
 	settlePending   bool
 	done            bool
 	reason          string
@@ -153,10 +196,11 @@ func newWorld(cfg Config) *world {
 	w := &world{
 		cfg:      cfg,
 		spec:     specFor(cfg.Workload),
-		clock:    NewClock(),
+		clock:    vclock.New(),
 		trace:    NewTrace(),
+		nodes:    make(map[memnet.NodeID]*node),
 		eps:      make(map[memnet.NodeID]*memnet.Endpoint),
-		handlers: make(map[memnet.NodeID]func(*msg)),
+		handlers: make(map[memnet.NodeID]func(memnet.Packet)),
 	}
 	w.net = memnet.New(
 		memnet.WithSeed(int64(faultinject.Split(cfg.Seed, 1))),
@@ -168,7 +212,7 @@ func newWorld(cfg Config) *world {
 	return w
 }
 
-func (w *world) attach(id memnet.NodeID, h func(*msg)) *memnet.Endpoint {
+func (w *world) attach(id memnet.NodeID, h func(memnet.Packet)) *memnet.Endpoint {
 	ep, err := w.net.Attach(id)
 	if err != nil {
 		panic(err) // topology ids are unique by construction
@@ -180,6 +224,17 @@ func (w *world) attach(id memnet.NodeID, h func(*msg)) *memnet.Endpoint {
 }
 
 func (w *world) boot() {
+	// The schedule stream draws the ordering mode, then the class.
+	schedRng := rand.New(rand.NewSource(int64(faultinject.Split(w.cfg.Seed, 3))))
+	if schedRng.Intn(2) == 1 {
+		w.ordering = totem.OrderingLeader
+	}
+	w.schedName = w.cfg.Schedule
+	if w.schedName == "" {
+		names := Schedules()
+		w.schedName = names[schedRng.Intn(len(names))]
+	}
+
 	// Topology.
 	for di, ds := range w.spec.doms {
 		d := &domainSim{idx: di, size: ds.size, quorum: ds.size/2 + 1, groups: ds.groups, appFn: ds.app, gwSet: make(map[int]bool)}
@@ -188,24 +243,17 @@ func (w *world) boot() {
 			d.gwSet[g] = true
 		}
 		for i := 0; i < ds.size; i++ {
-			n := &node{
-				w: w, dom: di, idx: i, id: nodeName(di, i), isGW: d.gwSet[i],
-				apps:     nil, // set below once d is registered
-				executed: make(map[int]map[OpKey]execRec),
-				outbox:   make(map[OpKey]*Op),
-				acked:    make(map[OpKey]bool),
-				records:  make(map[OpKey]*gwRecord),
-				members:  []int{i},
-			}
+			n := &node{w: w, dom: di, idx: i, id: nodeName(di, i), isGW: d.gwSet[i]}
 			n.ep = w.attach(n.id, n.handle)
+			w.nodes[n.id] = n
 			d.nodes = append(d.nodes, n)
+			d.ids = append(d.ids, n.id)
 		}
 		w.doms = append(w.doms, d)
+	}
+	for _, d := range w.doms {
 		for _, n := range d.nodes {
-			n.apps = d.newApps()
-			for g := range n.apps {
-				n.executed[g] = make(map[OpKey]execRec)
-			}
+			n.boot()
 		}
 	}
 
@@ -222,48 +270,20 @@ func (w *world) boot() {
 			gws: gw0, total: w.spec.opsPerClient, nextOp: w.spec.nextOp,
 			rng: rand.New(rand.NewSource(int64(faultinject.Split(w.cfg.Seed, 100+uint64(i))))),
 		}
-		c.ep = w.attach(c.nid, c.handle)
+		c.ep = w.attach(c.nid, func(pkt memnet.Packet) { c.handle(w.msg(pkt)) })
 		w.clients = append(w.clients, c)
 	}
 	for i := 0; i < w.spec.subscribers; i++ {
 		s := &subscriber{w: w, dom: 0, idx: i, nid: subscriberName(i), gws: gw0, total: w.spec.fanoutItems}
-		s.ep = w.attach(s.nid, s.handle)
+		s.ep = w.attach(s.nid, func(pkt memnet.Packet) { s.handle(w.msg(pkt)) })
 		w.subscribers = append(w.subscribers, s)
 	}
 	w.workers = len(w.clients) + len(w.subscribers)
 
-	// Fault schedule.
-	schedRng := rand.New(rand.NewSource(int64(faultinject.Split(w.cfg.Seed, 3))))
-	w.schedName = w.cfg.Schedule
-	if w.schedName == "" {
-		names := Schedules()
-		w.schedName = names[schedRng.Intn(len(names))]
-	}
 	w.plan = faultinject.Generate(schedRng, w.buildSchedule(w.schedName, schedRng)...)
 
-	// Boot events: install the initial full rings, start everything.
+	// Start the workload; the cores form their rings meanwhile.
 	w.clock.AfterFunc(0, func() {
-		for _, d := range w.doms {
-			ring := ringID{epoch: 1, installer: 0}
-			all := make([]int, d.size)
-			for i := range all {
-				all[i] = i
-			}
-			for _, n := range d.nodes {
-				n.ring = ring
-				n.members = all
-				n.epoch = 1
-				n.lastQuorum = ring
-				n.trace(Event{Kind: EvRing, Quorum: true, Note: fmt.Sprintf("%s%v", ring, all)})
-				w.stats.Rings++
-				n.start()
-			}
-			t := &token{ring: ring, rot: 1, max: 0, ar: make(map[int]uint64), rtr: make(map[uint64]bool)}
-			for _, m := range all {
-				t.ar[m] = 0
-			}
-			d.nodes[0].holdToken(t)
-		}
 		for _, c := range w.clients {
 			c.start()
 		}
@@ -281,6 +301,9 @@ func (w *world) boot() {
 	})
 }
 
+// now is the virtual clock as the cores are told it.
+func (w *world) now() time.Time { return time.Unix(0, w.clock.Now()) }
+
 // send appends m to the world's message table and transmits its handle
 // as a real memnet datagram, so loss, duplication, delay, partitions
 // and crashes all apply to it.
@@ -288,6 +311,14 @@ func (w *world) send(ep *memnet.Endpoint, to memnet.NodeID, m *msg) {
 	idx := len(w.msgs)
 	w.msgs = append(w.msgs, m)
 	_ = ep.Send(to, handle(idx)) // a crashed sender's error is the drop itself
+}
+
+// msg is the unicast message a datagram's handle names, nil if none.
+func (w *world) msg(pkt memnet.Packet) *msg {
+	if idx := handleIndex(pkt.Payload); idx >= 0 && idx < len(w.msgs) {
+		return w.msgs[idx]
+	}
+	return nil
 }
 
 // drain processes every queued inbox packet, in sorted endpoint order,
@@ -310,11 +341,8 @@ func (w *world) drain() {
 					break
 				}
 				progress = true
-				if w.done {
-					continue
-				}
-				if idx := handleIndex(pkt.Payload); idx >= 0 && idx < len(w.msgs) {
-					h(w.msgs[idx])
+				if !w.done {
+					h(pkt)
 				}
 			}
 		}
@@ -346,9 +374,12 @@ func (w *world) record(e Event) {
 
 // opCompleted drives the fault plan: schedule triggers are operation
 // counts, so fault timing is reproducible regardless of how fast the
-// virtual run proceeds.
+// virtual run proceeds. The forced heal ends the plan: a fault injected
+// after it would make liveness unfair to check.
 func (w *world) opCompleted() {
-	w.plan.Tick()
+	if !w.healed {
+		w.plan.Tick()
+	}
 }
 
 // workerDone is called by each client/subscriber when its workload is
@@ -374,9 +405,9 @@ func (w *world) quiescePoll() {
 }
 
 // quiesced reports whether the whole system has converged: no fault in
-// force, every domain back to one full quorum ring, every log fully
-// delivered and executed, nothing pending anywhere, every bridge op
-// acknowledged, and no gateway owing anyone an answer.
+// force, every domain one full ring that holds its history everywhere,
+// every delivered entry executed, the same last delivery at every node,
+// every bridge op acknowledged, and no gateway owing anyone an answer.
 func (w *world) quiesced() bool {
 	if w.partitionActive {
 		return false
@@ -386,17 +417,11 @@ func (w *world) quiesced() bool {
 			return false
 		}
 		ref := d.nodes[0]
-		if ref.gathering || len(ref.members) != d.size {
+		if len(ref.members) != d.size {
 			return false
 		}
 		for _, n := range d.nodes {
-			if n.gathering || n.frozen || n.ring != ref.ring {
-				return false
-			}
-			if n.delivered != ref.delivered || n.execPos != n.delivered {
-				return false
-			}
-			if uint64(len(n.log)) != n.delivered || len(n.pending) > 0 {
+			if n.ring != ref.ring || n.awaiting || len(n.log) > 0 || n.last != ref.last {
 				return false
 			}
 			for k := range n.outbox {
@@ -404,12 +429,9 @@ func (w *world) quiesced() bool {
 					return false
 				}
 			}
-			if n.isGW {
-				for _, k := range n.recOrder {
-					rec := n.records[k]
-					if rec.interested && !rec.replied {
-						return false
-					}
+			for _, rec := range n.records {
+				if rec.interested && !rec.replied {
+					return false
 				}
 			}
 		}
@@ -443,15 +465,19 @@ func (w *world) finalize(reason string) {
 func (w *world) result() *Result {
 	w.stats.VirtualMS = w.clock.Now() / int64(time.Millisecond)
 	res := &Result{
-		Seed:       w.cfg.Seed,
-		Schedule:   w.schedName,
-		Workload:   w.spec.name,
-		Planned:    w.plan.Steps(),
-		Fired:      w.plan.FiredAt(),
-		Trace:      w.trace,
-		TraceHash:  w.trace.Hash(),
-		Stats:      w.stats,
-		Reason:     w.reason,
+		Seed:      w.cfg.Seed,
+		Schedule:  w.schedName,
+		Workload:  w.spec.name,
+		Ordering:  "ring",
+		Planned:   w.plan.Steps(),
+		Fired:     w.plan.FiredAt(),
+		Trace:     w.trace,
+		TraceHash: w.trace.Hash(),
+		Stats:     w.stats,
+		Reason:    w.reason,
+	}
+	if w.ordering == totem.OrderingLeader {
+		res.Ordering = "leader"
 	}
 	res.Violations = Check(w.trace.Events(), w.spec.checkOpts())
 	if m := w.cfg.Metrics; m != nil {

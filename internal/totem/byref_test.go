@@ -162,11 +162,11 @@ func (c *cluster) quiesce(leader memnet.NodeID) {
 		n := c.nodes[id]
 		n.Stop()
 		held := 0
-		for _, h := range n.fp.held {
+		for _, h := range n.core.fp.held {
 			held += len(h)
 		}
-		if held != 0 || len(n.fp.parked) != 0 || len(n.fp.awaiting) != 0 {
-			c.t.Errorf("%s at quiescence: %d held forwards, %d parked references, %d awaiting forwards", id, held, len(n.fp.parked), len(n.fp.awaiting))
+		if held != 0 || len(n.core.fp.parked) != 0 || len(n.core.fp.awaiting) != 0 {
+			c.t.Errorf("%s at quiescence: %d held forwards, %d parked references, %d awaiting forwards", id, held, len(n.core.fp.parked), len(n.core.fp.awaiting))
 		}
 	}
 }

@@ -39,17 +39,19 @@ const (
 	numDeadlines
 )
 
-// core is the ring protocol as one state machine. It owns all ring
+// Core is the ring protocol as one state machine. It owns all ring
 // state and performs no I/O: no goroutine, channel, timer or clock
-// read. It is entered through receive, submit and tick, each told the
-// time by its caller; next says when it must be ticked again; and it
-// acts on the world through two hooks. Node (node.go) drives one over a
-// Transport in real time, the tests drive several over a scripted
-// network in virtual time.
-type core struct {
-	cfg          Config
-	broadcastRaw func([]byte) // sends one datagram to every member, this one included
-	emit         func(Event)  // hands the application its next ordered event
+// read. It is entered through Receive, Submit and Tick, each told the
+// time by its caller; Next says when it must be ticked again; and it
+// acts on the world through two hooks. It has three drivers: Node
+// (node.go) steps one over a Transport in real time, the package's
+// tests (vnet_test.go) and internal/sim step many over a seeded network
+// in virtual time. A Core is not safe for concurrent use: its driver
+// makes one step at a time, and never from inside a hook.
+type Core struct {
+	cfg       Config
+	broadcast func([]byte) // sends one datagram to every member, this one included
+	emit      func(Event)  // hands the application its next ordered event
 
 	mu           sync.Mutex // guards the mirrors behind Node's accessors
 	curMembers   []memnet.NodeID
@@ -111,6 +113,9 @@ type core struct {
 	// the last commit this node wrote into since. From there on it takes in
 	// no more of the old ring: what it told the commit it holds, it holds.
 	last, from, commit ringRef
+	// majority is the id of the latest ring of most of the configured
+	// processors in the history this node holds, zero for none.
+	majority uint64
 
 	fp epoch // the leader-ordered fast path (leader.go); zero while the token rotates
 
@@ -131,15 +136,19 @@ type submission struct {
 	own     []byte
 }
 
-// newCore returns a processor that has no ring yet: its fail deadline is
-// already due, so the first tick starts the founding gather.
-func newCore(cfg Config, now time.Time, broadcastRaw func([]byte), emit func(Event)) *core {
-	n := &core{
-		cfg:          cfg,
-		broadcastRaw: broadcastRaw,
-		emit:         emit,
-		buffer:       make(map[uint64]regularMsg),
-		skipped:      make(map[uint64]bool),
+// NewCore returns a processor that has no ring yet: its fail deadline is
+// already due, so the first Tick starts the founding gather. broadcast
+// sends one datagram to every member, this one included; emit hands the
+// application its next ordered event. cfg.Endpoint and cfg.Metrics are
+// the driver's and are not read; the zero timeouts take their defaults.
+func NewCore(cfg Config, now time.Time, broadcast func([]byte), emit func(Event)) *Core {
+	cfg.applyDefaults()
+	n := &Core{
+		cfg:       cfg,
+		broadcast: broadcast,
+		emit:      emit,
+		buffer:    make(map[uint64]regularMsg),
+		skipped:   make(map[uint64]bool),
 	}
 	n.deadlines[dlFail] = now
 	// An empty payload's datagram is its header.
@@ -157,7 +166,7 @@ func newCore(cfg Config, now time.Time, broadcastRaw func([]byte), emit func(Eve
 // longestHeader is the longest header a payload that travels alone can
 // meet: ahead of it, from any configured member, in any kind — and, on a
 // retransmission, another member's name behind it (regularMsg.Via).
-func (n *core) longestHeader() int {
+func (n *Core) longestHeader() int {
 	longest := n.cfg.ID
 	for _, id := range n.cfg.Members {
 		if len(id) > len(longest) {
@@ -170,8 +179,8 @@ func (n *core) longestHeader() int {
 		len(encodeBatch(batchMsg{Leader: longest, Origin: longest}, nil)))
 }
 
-// framed returns payload as submit takes it, copied behind room bytes.
-func (n *core) framed(payload []byte) []byte {
+// framed returns payload as Submit takes it, copied behind room bytes.
+func (n *Core) framed(payload []byte) []byte {
 	buf := make([]byte, n.room+len(payload))
 	copy(buf[n.room:], payload)
 	return buf
@@ -180,7 +189,7 @@ func (n *core) framed(payload []byte) []byte {
 // frameIn says where in own the datagram of kind that carries its payload
 // alone begins, for the encoder to build it there; nil (a pack, a
 // requeued payload) has it built by copy. Both are counted.
-func (n *core) frameIn(kind byte, own []byte) []byte {
+func (n *Core) frameIn(kind byte, own []byte) []byte {
 	if own == nil {
 		n.framedByCopyN.Add(1)
 		return nil
@@ -189,21 +198,25 @@ func (n *core) frameIn(kind byte, own []byte) []byte {
 	return own[n.room-n.hdrLen[kind]:]
 }
 
-func (n *core) arm(d deadline, in time.Duration) { n.deadlines[d] = n.now.Add(in) }
+func (n *Core) arm(d deadline, in time.Duration) { n.deadlines[d] = n.now.Add(in) }
 
-func (n *core) armed(d deadline) bool { return !n.deadlines[d].IsZero() }
+func (n *Core) armed(d deadline) bool { return !n.deadlines[d].IsZero() }
 
-func (n *core) disarm(ds ...deadline) {
+func (n *Core) disarm(ds ...deadline) {
 	for _, d := range ds {
 		n.deadlines[d] = time.Time{}
 	}
 }
 
-func (n *core) due(d deadline) bool { return n.armed(d) && !n.deadlines[d].After(n.now) }
+func (n *Core) due(d deadline) bool { return n.armed(d) && !n.deadlines[d].After(n.now) }
 
-// next is the earliest armed deadline, zero when there is none: when
+// Headroom is how many unwritten bytes Submit takes in front of each
+// payload: this core's longest header ahead of a message sent alone.
+func (n *Core) Headroom() int { return n.room }
+
+// Next is the earliest armed deadline, zero when there is none: when
 // the core must next be ticked if nothing else happens first.
-func (n *core) next() time.Time {
+func (n *Core) Next() time.Time {
 	var next time.Time
 	for _, at := range n.deadlines {
 		if !at.IsZero() && (next.IsZero() || at.Before(next)) {
@@ -213,18 +226,18 @@ func (n *core) next() time.Time {
 	return next
 }
 
-// tick is the step for the passage of time: it acts on every deadline
+// Tick is the step for the passage of time: it acts on every deadline
 // that is due. waiting is how many datagrams the transport holds.
 //
 // gwlint:simroot
-func (n *core) tick(now time.Time, waiting int) {
+func (n *Core) Tick(now time.Time, waiting int) {
 	n.now, n.waiting = now, waiting
 	if n.due(dlHold) {
 		n.finishHold()
 	}
 	if n.due(dlTokenResend) {
 		// No evidence of progress since forwarding: resend the token.
-		n.broadcastRaw(encodeToken(*n.lastSentToken))
+		n.broadcast(encodeToken(*n.lastSentToken))
 		n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	}
 	if n.due(dlGather) {
@@ -244,12 +257,13 @@ func (n *core) tick(now time.Time, waiting int) {
 	}
 }
 
-// submit is the step for application payloads: they join the send queue
-// and are ordered as soon as the mode allows. Each arrives behind room
-// unwritten bytes (Node.MulticastFramed).
+// Submit is the step for application payloads: they join the send queue
+// and are ordered as soon as the mode allows. Each arrives behind
+// Headroom unwritten bytes, in a buffer the core takes over
+// (Node.MulticastFramed).
 //
 // gwlint:simroot
-func (n *core) submit(now time.Time, framed [][]byte) {
+func (n *Core) Submit(now time.Time, framed [][]byte) {
 	n.now = now
 	for _, buf := range framed {
 		n.pending = append(n.pending, submission{payload: buf[n.room:len(buf):len(buf)], own: buf})
@@ -275,11 +289,12 @@ func (n *core) submit(now time.Time, framed [][]byte) {
 	}
 }
 
-// receive is the step for one datagram off the transport; waiting is
-// how many more the transport holds behind it.
+// Receive is the step for one datagram off the transport; waiting is
+// how many more the transport holds behind it. The datagram is the
+// core's from then on, read-only (Transport).
 //
 // gwlint:simroot
-func (n *core) receive(now time.Time, datagram []byte, waiting int) {
+func (n *Core) Receive(now time.Time, datagram []byte, waiting int) {
 	n.now, n.waiting = now, waiting
 	if len(datagram) == 0 {
 		return
@@ -339,7 +354,7 @@ func (n *core) receive(now time.Time, datagram []byte, waiting int) {
 //   - an older ring from a member: stale, ignored.
 //
 // Rejoining and merging are both membership recovery.
-func (n *core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
+func (n *Core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
 	switch member := n.inRing(from); {
 	case ringID == n.ringID && member:
 		return !n.gathering || ordered && n.commit == ringRef{}
@@ -350,7 +365,7 @@ func (n *core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
 	return false
 }
 
-func (n *core) handleRegular(m regularMsg) {
+func (n *Core) handleRegular(m regularMsg) {
 	// A retransmission speaks for whoever retransmits it: it carries this
 	// ring's id in the name of its sender, which may have left rings ago.
 	from := m.Sender
@@ -371,7 +386,7 @@ func (n *core) handleRegular(m regularMsg) {
 	// holder, endlessly resent stale token) still trips the fail timer.
 	n.touchLiveness()
 	if n.fp.leader == "" {
-		n.lastTrafficAt = n.now // token pacing; see submit
+		n.lastTrafficAt = n.now // token pacing; see Submit
 	}
 	n.buffer[m.Seq] = m
 	if m.Seq > n.highest {
@@ -387,7 +402,7 @@ func (n *core) handleRegular(m regularMsg) {
 	}
 }
 
-func (n *core) handleToken(t token) {
+func (n *Core) handleToken(t token) {
 	first := false // a commit this node is part of, on its first rotation
 	if n.gathering && len(t.Members) > 0 {
 		if !n.partOf(t) {
@@ -442,7 +457,7 @@ func (n *core) handleToken(t token) {
 // whether this gathering node is part of the commit t carries, which it
 // becomes where a first rotation first reaches it — of one per ring id,
 // so two lists decided under one id share no member.
-func (n *core) partOf(t token) bool {
+func (n *Core) partOf(t token) bool {
 	c := ringRef{ID: t.RingID, Low: t.Members[0]}
 	if c != n.commit && !t.Decided && t.Succ == n.cfg.ID && t.RingID >= n.proposed && t.RingID != n.commit.ID {
 		n.commit, n.proposed, n.lastTokenID = c, t.RingID, 0
@@ -455,9 +470,9 @@ func (n *core) partOf(t token) bool {
 // commitVisit writes this member's entry and forwards. Back at the
 // creator the commit is decided — Seq, Aru and Stable are the kept
 // component's — and installed: true, the token is the ring's first.
-func (n *core) commitVisit(t *token) bool {
+func (n *Core) commitVisit(t *token) bool {
 	me := slices.Index(t.Members, n.cfg.ID)
-	t.Entries[me] = commitEntry{Filled: true, Last: n.last, Highest: n.highest, Aru: n.deliveredSeq}
+	t.Entries[me] = commitEntry{Filled: true, Last: n.last, Majority: n.majority, Highest: n.highest, Aru: n.deliveredSeq}
 	if me != 0 || slices.ContainsFunc(t.Entries, func(e commitEntry) bool { return !e.Filled }) {
 		held := *t // a copy: the caller's token stays off the heap
 		n.heldToken = &held
@@ -470,7 +485,7 @@ func (n *core) commitVisit(t *token) bool {
 		// ring kept only missed its install: it wrote into its commit, has
 		// taken in nothing since, and holds a prefix of what this node holds.
 		if e := &t.Entries[i]; e.Last == n.from && e.Last != (ringRef{}) && n.inRing(id) {
-			e.Last = n.last
+			e.Last, e.Majority = n.last, n.majority
 		}
 	}
 	kept, first := t.kept(), true
@@ -490,9 +505,15 @@ func (n *core) commitVisit(t *token) bool {
 
 // install makes the ring of a decided commit this node's and tells the
 // application, with the verdict, ahead of everything the ring delivers.
-func (n *core) install(t token) {
+func (n *Core) install(t token) {
 	n.from = t.kept()
 	continues := n.from == t.Entries[slices.Index(t.Members, n.cfg.ID)].Last
+	for _, e := range t.Entries {
+		n.majority = max(n.majority, e.Majority) // the kept history's
+	}
+	if 2*len(t.Members) > len(n.cfg.Members) {
+		n.majority = t.RingID
+	}
 	n.ring, n.ringID, n.ids = t.Members, t.RingID, newIDTable(t.Members)
 	n.gathering, n.last, n.commit = false, n.commit, ringRef{}
 	n.disarm(dlGather, dlCommit)
@@ -520,7 +541,7 @@ func (n *core) install(t token) {
 // processToken performs one token visit: apply skips, serve and update
 // retransmission requests, broadcast pending messages, maintain the aru
 // watermark, age requests (leader only), then forward.
-func (n *core) processToken(t token) {
+func (n *Core) processToken(t token) {
 	work := t.Decided // the rotation that installs a ring does not idle
 
 	// Apply the skip list: declared-unrecoverable sequence numbers count
@@ -653,7 +674,7 @@ func (n *core) processToken(t token) {
 // broadcastPending broadcasts the send queue under the token's sequence
 // numbers, at most MaxBurst messages per visit so one busy member cannot
 // hold the token, and reports whether there was anything to send.
-func (n *core) broadcastPending(t *token) bool {
+func (n *Core) broadcastPending(t *token) bool {
 	drained := 0
 	for burst := n.cfg.MaxBurst; drained < len(n.pending) && burst > 0; burst-- {
 		t.Seq++
@@ -666,7 +687,7 @@ func (n *core) broadcastPending(t *token) bool {
 		if t.Seq > n.highest {
 			n.highest = t.Seq
 		}
-		n.broadcastRaw(encodeRegular(m, n.frameIn(kindRegular, own)))
+		n.broadcast(encodeRegular(m, n.frameIn(kindRegular, own)))
 		n.broadcastN.Add(1)
 	}
 	n.compactPending(drained)
@@ -675,7 +696,7 @@ func (n *core) broadcastPending(t *token) bool {
 }
 
 // finishHold forwards the held token to the ring successor.
-func (n *core) finishHold() {
+func (n *Core) finishHold() {
 	t := n.heldToken
 	n.heldToken = nil
 	n.disarm(dlHold)
@@ -687,11 +708,11 @@ func (n *core) finishHold() {
 	t.Succ = list[(slices.Index(list, n.cfg.ID)+1)%len(list)]
 	n.lastSentToken = t
 	n.arm(dlTokenResend, n.cfg.TokenRetransmit)
-	n.broadcastRaw(encodeToken(*t))
+	n.broadcast(encodeToken(*t))
 	n.tokenPassN.Add(1)
 }
 
-func (n *core) clearTokenResend() {
+func (n *Core) clearTokenResend() {
 	n.lastSentToken = nil
 	n.disarm(dlTokenResend)
 }
@@ -699,7 +720,7 @@ func (n *core) clearTokenResend() {
 // tryDeliver delivers buffered messages in contiguous sequence order,
 // each payload of a packed message as its own delivery, ordered within
 // the message by its sub-index.
-func (n *core) tryDeliver() {
+func (n *Core) tryDeliver() {
 	for {
 		next := n.deliveredSeq + 1
 		if n.skipped[next] {
@@ -736,7 +757,7 @@ func (n *core) tryDeliver() {
 // what the horizon newly covers, not the backlog above it; a horizon
 // that jumps further than everything kept (a joiner's first, or a forged
 // one) walks the tables instead.
-func (n *core) gc(aru uint64) {
+func (n *Core) gc(aru uint64) {
 	if aru <= n.gcThrough {
 		return
 	}
@@ -766,16 +787,16 @@ func dropThrough[V any](m map[uint64]V, aru uint64) {
 	}
 }
 
-func (n *core) touchLiveness() {
+func (n *Core) touchLiveness() {
 	if !n.gathering {
 		n.arm(dlFail, n.cfg.FailTimeout)
 	}
 }
 
-func (n *core) inRing(id memnet.NodeID) bool { return slices.Contains(n.ring, id) }
+func (n *Core) inRing(id memnet.NodeID) bool { return slices.Contains(n.ring, id) }
 
 // startGather begins membership recovery.
-func (n *core) startGather() {
+func (n *Core) startGather() {
 	if n.fp.leader != "" {
 		// Any fall into membership recovery from leader mode is a
 		// demotion: the ring rotates again until a fresh promotion.
@@ -800,7 +821,7 @@ func (n *core) startGather() {
 }
 
 // heard adds ids to the candidate set and reports whether it grew.
-func (n *core) heard(ids ...memnet.NodeID) (grew bool) {
+func (n *Core) heard(ids ...memnet.NodeID) (grew bool) {
 	for _, id := range ids {
 		if i, found := slices.BinarySearch(n.alive, id); !found {
 			n.alive, grew = slices.Insert(n.alive, i, id), true
@@ -809,11 +830,11 @@ func (n *core) heard(ids ...memnet.NodeID) (grew bool) {
 	return grew
 }
 
-func (n *core) sendJoin() {
-	n.broadcastRaw(encodeJoin(joinMsg{Sender: n.cfg.ID, Alive: n.alive, RingID: n.proposed}))
+func (n *Core) sendJoin() {
+	n.broadcast(encodeJoin(joinMsg{Sender: n.cfg.ID, Alive: n.alive, RingID: n.proposed}))
 }
 
-func (n *core) handleJoin(j joinMsg) {
+func (n *Core) handleJoin(j joinMsg) {
 	switch {
 	case !n.gathering:
 		// A join is a reason to gather exactly when the gate says so; the
@@ -838,7 +859,7 @@ func (n *core) handleJoin(j joinMsg) {
 
 // endGather closes the candidate set. Nobody installs it on its own: the
 // lowest id sends it round as a commit, and everybody waits for one.
-func (n *core) endGather() {
+func (n *Core) endGather() {
 	n.disarm(dlGather)
 	n.arm(dlCommit, n.cfg.FailTimeout/2)
 	if n.alive[0] == n.cfg.ID {
@@ -847,16 +868,23 @@ func (n *core) endGather() {
 }
 
 // kept names the history a commit's ring keeps, in the one place that
-// says which: the largest component's — of equals the one with the lowest
-// member id — however small a part of the ring it is, so every ring but
-// a founding one, which all continue, has a member that continues: a
-// donor for whoever does not. (Raising the horizon to the highest any
-// member reports instead is not safe: a singleton that stayed busy while
-// partitioned would make the majority jump its own undelivered messages.)
+// says which: of the histories that passed through the latest ring of
+// most of the configured processors any member names — the only ones a
+// quorum can have executed in — the largest component's, of equals the
+// one with the lowest member id, however small a part of the ring it is.
+// So every ring but a founding one, which all continue, has a member
+// that continues: a donor for whoever does not. (Raising the horizon to
+// the highest any member reports instead is not safe: a singleton that
+// stayed busy while partitioned would make the majority jump its own
+// undelivered messages.)
 func (t token) kept() ringRef {
+	var latest uint64
+	for _, e := range t.Entries {
+		latest = max(latest, e.Majority)
+	}
 	votes := make(map[ringRef]int)
 	for _, e := range t.Entries {
-		if e.Last != (ringRef{}) {
+		if e.Last != (ringRef{}) && e.Majority == latest {
 			votes[e.Last]++
 		}
 	}

@@ -208,6 +208,42 @@ func TestEvenSplitKeepsTheLowestHalf(t *testing.T) {
 	})
 }
 
+// TestLatestMajorityHistoryIsKept is what internal/sim found the first
+// time it ordered with this core (make sim, seeds 10 and 223): five split
+// 2|3, so the three are a ring of most of the configuration — the side a
+// quorum lets execute — and the two are not. One of the three is cut off
+// as the rest merge, and the merged ring is two and two. Of equals the
+// lowest id's history used to be kept, the two's, and everything the
+// three had executed was discarded at the two that continued it. The
+// history of the latest majority ring is kept, however small a part of
+// the merged ring holds it.
+func TestLatestMajorityHistoryIsKept(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode OrderingMode) {
+		v := newVnet(t, 5, 6, func(c *Config) { c.Ordering = mode })
+		v.settle(time.Second)
+		two := []memnet.NodeID{v.ids[0], v.ids[3]}
+		three := []memnet.NodeID{v.ids[1], v.ids[2], v.ids[4]}
+		v.net.Partition(two)
+		v.settle(time.Second, two...)
+		v.settle(time.Second, three...)
+		for k := 0; k < 20; k++ {
+			v.submit(two[k%2], []byte(fmt.Sprint("two/", k)))
+			v.submit(three[k%3], []byte(fmt.Sprint("three/", k)))
+		}
+		v.settle(time.Second, two...)
+		v.settle(time.Second, three...)
+
+		four := v.ids[:4]
+		v.net.Partition([]memnet.NodeID{v.ids[4]})
+		v.settle(time.Second, four...)
+		if got, want := v.resumed()[:4], []uint64{1, 0, 0, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resumed = %v, want %v: the three's history is kept", got, want)
+		}
+		v.toldRight()
+		v.agree(three[0], four...)
+	})
+}
+
 // TestEveryMergeKeepsAHistory: whenever a member of a commit holds a
 // history the ring keeps one — the largest component's, of equals the one
 // with the lowest member — however small a part of the new ring that
@@ -442,8 +478,8 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 }
 
 // tokenCore is a core driven by hand that keeps the tokens it sends.
-func tokenCore(id memnet.NodeID, now time.Time, sent *[]token, emit func(Event)) *core {
-	n := newCore(Config{ID: id}, now, func(b []byte) {
+func tokenCore(id memnet.NodeID, now time.Time, sent *[]token, emit func(Event)) *Core {
+	n := NewCore(Config{ID: id}, now, func(b []byte) {
 		if tok, err := decodeToken(cdrSkipKind(b), nil); b[0] == kindToken && err == nil {
 			*sent = append(*sent, tok)
 		}
@@ -465,7 +501,7 @@ func TestSkippedRequestIsDeclaredAgain(t *testing.T) {
 	n.ids = newIDTable(n.ring)
 	n.deliveredSeq, n.highest, n.gcThrough = 20, 20, 11
 	n.skipped[12] = true
-	n.receive(now, encodeToken(token{RingID: 5, TokenID: 7, Seq: 20, Aru: 11, Stable: 11, Succ: "v01",
+	n.Receive(now, encodeToken(token{RingID: 5, TokenID: 7, Seq: 20, Aru: 11, Stable: 11, Succ: "v01",
 		Rtr: []rtrEntry{{Seq: 12}}}), 0)
 	if len(sent) != 1 || !slices.Equal(sent[0].Skip, []uint64{12}) || len(sent[0].Rtr) != 0 {
 		t.Fatalf("forwarded %+v, want one token that skips 12 and requests nothing", sent)
@@ -508,32 +544,32 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 		ordered bool
 		leader  memnet.NodeID // v00's epoch: "" none, else its sequencer
 		frame   func(ring uint64, from memnet.NodeID) []byte
-		took    func(n *core) bool
+		took    func(n *Core) bool
 	}{
 		{"regular", true, "", func(r uint64, from memnet.NodeID) []byte {
 			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Payload: []byte("p")}, nil)
-		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		}, func(n *Core) bool { return len(n.buffer) == 1 }},
 		{"packed", true, "", func(r uint64, from memnet.NodeID) []byte {
 			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Parts: [][]byte{[]byte("a"), []byte("b")}}, nil)
-		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		}, func(n *Core) bool { return len(n.buffer) == 1 }},
 		{"token", false, "", func(r uint64, from memnet.NodeID) []byte {
 			return encodeToken(token{RingID: r, TokenID: 7, Seq: 8, Aru: 8, Stable: 8, Succ: from})
-		}, func(n *core) bool { return n.lastTokenID == 7 }},
+		}, func(n *Core) bool { return n.lastTokenID == 7 }},
 		{"forward", false, "v01", func(r uint64, from memnet.NodeID) []byte {
 			return encodeForward(forwardMsg{RingID: r, Sender: from, FwdSeq: 1, Payload: []byte("p")}, nil)
-		}, func(n *core) bool { return len(n.fp.held) == 1 }},
+		}, func(n *Core) bool { return len(n.fp.held) == 1 }},
 		{"batch", true, "v01", func(r uint64, from memnet.NodeID) []byte {
 			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")}, nil)
-		}, func(n *core) bool { return len(n.buffer) == 1 }},
+		}, func(n *Core) bool { return len(n.buffer) == 1 }},
 		{"batch by reference", false, "v01", func(r uint64, from memnet.NodeID) []byte {
 			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true}, nil)
-		}, func(n *core) bool { return len(n.fp.parked) == 1 }},
+		}, func(n *Core) bool { return len(n.fp.parked) == 1 }},
 		{"ack", false, "v00", func(r uint64, from memnet.NodeID) []byte {
 			return encodeAck(ackMsg{RingID: r, Sender: from, Aru: 8})
-		}, func(n *core) bool { return n.fp.memberAru["v01"] == 8 }},
+		}, func(n *Core) bool { return n.fp.memberAru["v01"] == 8 }},
 		{"promote", false, "", func(r uint64, from memnet.NodeID) []byte {
 			return encodePromote(promoteMsg{RingID: r, Leader: from, StartSeq: 8, Stable: 8})
-		}, func(n *core) bool { return n.fp.leader == "v01" }},
+		}, func(n *Core) bool { return n.fp.leader == "v01" }},
 	}
 	for _, k := range kinds {
 		for ring, ringID := range rings {
@@ -542,7 +578,7 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 					name := fmt.Sprintf("%s/%s ring/member=%v/gathering=%v", k.name, ring, member, gathering)
 					now := time.Unix(1000, 0)
 					joins := 0
-					n := newCore(Config{ID: "v00", Ordering: OrderingLeader}, now, func(b []byte) {
+					n := NewCore(Config{ID: "v00", Ordering: OrderingLeader}, now, func(b []byte) {
 						if b[0] == kindJoin {
 							joins++
 						}
@@ -570,7 +606,7 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 					if !member {
 						from = "v09"
 					}
-					n.receive(now, k.frame(ringID, from), 0)
+					n.Receive(now, k.frame(ringID, from), 0)
 					got := ignored
 					switch {
 					case k.took(n):
@@ -592,10 +628,10 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 	// for what it is.
 	for ring, ringID := range rings {
 		joins := 0
-		n := newCore(Config{ID: "v00"}, time.Unix(1000, 0), func(b []byte) { joins++ }, func(Event) {})
+		n := NewCore(Config{ID: "v00"}, time.Unix(1000, 0), func(b []byte) { joins++ }, func(Event) {})
 		n.cfg.applyDefaults()
 		n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
-		n.receive(time.Unix(1000, 0), encodeAck(ackMsg{RingID: ringID, Sender: "v09", Aru: 8}), 0)
+		n.Receive(time.Unix(1000, 0), encodeAck(ackMsg{RingID: ringID, Sender: "v09", Aru: 8}), 0)
 		if gathered := joins > 0; gathered != (ring == "newer") {
 			t.Errorf("follower's view of an ack from a %s ring: gathered %v", ring, gathered)
 		}
@@ -647,7 +683,7 @@ func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
 	var sent []token
 	var told []ConfigChange
 	n := tokenCore("v02", now, &sent, func(ev Event) { told = append(told, ev.Config) })
-	n.tick(now, 0) // the fail timer a new core starts with: gather
+	n.Tick(now, 0) // the fail timer a new core starts with: gather
 	commit := func(list []memnet.NodeID, decided bool) []byte {
 		tok := token{RingID: 8, TokenID: 2, Succ: "v02", Members: list, Entries: []commitEntry{{Filled: true}, {Filled: decided}}, Decided: decided}
 		if decided {
@@ -655,16 +691,16 @@ func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
 		}
 		return encodeToken(tok)
 	}
-	n.receive(now, commit(first, false), 0)
+	n.Receive(now, commit(first, false), 0)
 	if len(sent) != 1 || !slices.Equal(sent[0].Members, first) || sent[0].Succ != "v00" || !sent[0].Entries[1].Filled {
 		t.Fatalf("sent %+v, want the first commit forwarded to v00 with v02's entry in it", sent)
 	}
-	n.receive(now, commit(second, false), 0)
-	n.receive(now, commit(second, true), 0)
+	n.Receive(now, commit(second, false), 0)
+	n.Receive(now, commit(second, true), 0)
 	if len(sent) != 1 || len(told) != 0 || !n.gathering {
 		t.Fatalf("sent %+v and reported %+v: a second commit under the id was to be left alone", sent[1:], told)
 	}
-	n.receive(now, commit(first, true), 0)
+	n.Receive(now, commit(first, true), 0)
 	if len(told) != 1 || told[0].RingID != 8 || !slices.Equal(told[0].Members, first) || !told[0].Continues {
 		t.Fatalf("reported %+v, want ring 8 %v, which a processor never in a ring continues", told, first)
 	}
@@ -1084,9 +1120,9 @@ func TestCommitEntryIsFinal(t *testing.T) {
 	ordered := func(seq uint64) []byte {
 		return encodeRegular(regularMsg{RingID: 5, Seq: seq, Sender: "v00", Payload: []byte("p")}, nil)
 	}
-	n.receive(now, ordered(9), 0)
-	n.receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}), 0)
-	n.receive(now, ordered(10), 0)
+	n.Receive(now, ordered(9), 0)
+	n.Receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}), 0)
+	n.Receive(now, ordered(10), 0)
 	want := commitEntry{Filled: true, Last: ringRef{ID: 5, Low: "v00"}, Highest: 9, Aru: 9}
 	if len(sent) != 1 || sent[0].Succ != "v02" || sent[0].Entries[1] != want {
 		t.Fatalf("forwarded %+v, want one commit on to v02 with the entry %+v", sent, want)

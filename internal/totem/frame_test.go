@@ -92,11 +92,11 @@ func TestFramedInPlaceIsTheEncodersWireForm(t *testing.T) {
 		id := memnet.NodeID(strings.Repeat("n", idLen))
 		for _, size := range []int{0, 1, 5, 16 << 10} {
 			t.Run(fmt.Sprintf("id=%d/payload=%d", idLen, size), func(t *testing.T) {
-				c := newCore(Config{ID: id, Ordering: OrderingLeader}, time.Unix(0, 0), nil, nil)
+				c := NewCore(Config{ID: id, Ordering: OrderingLeader}, time.Unix(0, 0), nil, nil)
 				if want := c.hdrLen[kindBatch]; c.room != want || c.hdrLen[kindForward] > want || c.hdrLen[kindRegular] > want {
 					t.Fatalf("room %d, headers %v: the batch header is the longest", c.room, c.hdrLen)
 				}
-				if ring := newCore(Config{ID: id}, time.Unix(0, 0), nil, nil); ring.room != c.hdrLen[kindRegular] {
+				if ring := NewCore(Config{ID: id}, time.Unix(0, 0), nil, nil); ring.room != c.hdrLen[kindRegular] {
 					t.Fatalf("a ring that only rotates leaves %d bytes of room for a %d-byte regular header", ring.room, c.hdrLen[kindRegular])
 				}
 				payload := bytes.Repeat([]byte{0xc3}, size)
@@ -210,8 +210,8 @@ func TestFramesBuiltElsewhereAreWrittenOnce(t *testing.T) {
 			}
 
 			inPlace := gateway.framedInPlaceN.Load() + replica.framedInPlaceN.Load()
-			gateway.submit(v.now(), [][]byte{request})
-			replica.submit(v.now(), [][]byte{reply})
+			gateway.Submit(v.now(), [][]byte{request})
+			replica.Submit(v.now(), [][]byte{reply})
 			v.settle(time.Second)
 			if got := gateway.framedInPlaceN.Load() + replica.framedInPlaceN.Load() - inPlace; got != 2 {
 				t.Errorf("%d of the two buffers were framed in place", got)

@@ -408,7 +408,7 @@ func TestSharedDatagramsStayIntact(t *testing.T) {
 			for _, id := range c.ids {
 				n := c.nodes[id]
 				n.Stop()
-				if len(n.buffer) >= sequenced {
+				if len(n.core.buffer) >= sequenced {
 					t.Errorf("%s: all %d sequenced messages still buffered; stability GC did not run", id, sequenced)
 				}
 			}

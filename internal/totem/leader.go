@@ -118,17 +118,17 @@ type parkedRef struct {
 	nakAt time.Time
 }
 
-func (n *core) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
-func (n *core) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
+func (n *Core) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
+func (n *Core) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
 
 // sequencing reports whether this node is the installed sequencer,
 // following whether it is in an epoch under another's.
-func (n *core) sequencing() bool { return n.fp.leader == n.cfg.ID }
-func (n *core) following() bool  { return n.fp.leader != "" && !n.sequencing() }
+func (n *Core) sequencing() bool { return n.fp.leader == n.cfg.ID }
+func (n *Core) following() bool  { return n.fp.leader != "" && !n.sequencing() }
 
 // enter installs ep as the current epoch: the token is retired and the
 // ring-mode deadlines with it.
-func (n *core) enter(ep epoch) {
+func (n *Core) enter(ep epoch) {
 	ep.fwdSeen = make(map[memnet.NodeID]uint64)
 	ep.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
 	n.fp = ep
@@ -142,7 +142,7 @@ func (n *core) enter(ep epoch) {
 // promote installs this node as the ring's sequencer, consuming the
 // token for good (only the addressed holder of a live token can get
 // here, so at most one promotion happens per ring).
-func (n *core) promote(t token) {
+func (n *Core) promote(t token) {
 	ep := epoch{
 		leader: n.cfg.ID, promoteSeq: t.Seq, seq: t.Seq, stable: t.Stable,
 		memberAru:   make(map[memnet.NodeID]uint64, len(n.ring)),
@@ -161,7 +161,7 @@ func (n *core) promote(t token) {
 	n.fpStableA.Store(t.Stable)
 	n.arm(dlHeartbeat, n.heartbeatInterval())
 	n.arm(dlFail, n.cfg.FailTimeout)
-	n.broadcastRaw(encodePromote(promoteMsg{
+	n.broadcast(encodePromote(promoteMsg{
 		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable, Seq: t.Seq,
 	}))
 	n.leaderOrderPending()
@@ -170,7 +170,7 @@ func (n *core) promote(t token) {
 // adoptLeader installs a remote sequencer on this node. startSeq may be
 // zero when adoption was triggered by a batch (the promote datagram was
 // lost); the next heartbeat fills in the agreed switch sequence.
-func (n *core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
+func (n *Core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
 	n.enter(epoch{leader: leader, promoteSeq: startSeq, parked: make(map[uint64]parkedRef)})
 	n.touchLiveness()
 	n.applyStable(stable)
@@ -180,7 +180,7 @@ func (n *core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
 
 // leaveLeaderMode tears the fast path down on the way into membership
 // recovery (the only exit from leader mode).
-func (n *core) leaveLeaderMode() {
+func (n *Core) leaveLeaderMode() {
 	// Forwards the sequencer never ordered go back to the front of the
 	// send queue and rotate out with the new ring. If a batch for one of
 	// them did reach some member, ring recovery re-delivers it there and
@@ -210,7 +210,7 @@ func (n *core) leaveLeaderMode() {
 	n.setFastpathMirror("", 0)
 }
 
-func (n *core) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
+func (n *Core) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
 	n.mu.Lock()
 	n.curLeader = leader
 	n.curLeaderSeq = startSeq
@@ -220,7 +220,7 @@ func (n *core) setFastpathMirror(leader memnet.NodeID, startSeq uint64) {
 // noteBacklog publishes how many payloads are submitted and not yet
 // ordered: the send queue plus what a follower has forwarded and not
 // seen come back.
-func (n *core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awaitingParts)) }
+func (n *Core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awaitingParts)) }
 
 // nextPack takes the run of pending payloads starting at first that one
 // message carries (one sequence number, one datagram, one window slot),
@@ -230,7 +230,7 @@ func (n *core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awai
 // ones must keep the pack within MaxPackCount and MaxPackBytes. A single
 // payload travels as itself, framed in own if it still has one; a
 // longer run is counted as a packed message and gets a list of its own.
-func (n *core) nextPack(first int) (end int, payload []byte, parts [][]byte, own []byte) {
+func (n *Core) nextPack(first int) (end int, payload []byte, parts [][]byte, own []byte) {
 	end = first + 1
 	bytes := len(n.pending[first].payload)
 	for end < len(n.pending) &&
@@ -253,7 +253,7 @@ func (n *core) nextPack(first int) (end int, payload []byte, parts [][]byte, own
 
 // compactPending drops the first drained entries of the send queue
 // without retaining payload slices in the backing array.
-func (n *core) compactPending(drained int) {
+func (n *Core) compactPending(drained int) {
 	if drained == 0 {
 		return
 	}
@@ -269,7 +269,7 @@ func (n *core) compactPending(drained int) {
 // follower. Payloads are chunked by the same packing bounds the ring
 // uses, each chunk one forward; the chunk stays in awaiting until its
 // ordered batch comes back.
-func (n *core) forwardPending() {
+func (n *Core) forwardPending() {
 	fp := &n.fp
 	drained := 0
 	for drained < len(n.pending) {
@@ -280,7 +280,7 @@ func (n *core) forwardPending() {
 		}, n.frameIn(kindForward, own))
 		fp.awaiting = append(fp.awaiting, awaitingFwd{fwd: fp.fwdNext, payload: payload, parts: parts, datagram: datagram})
 		fp.awaitingParts += end - drained
-		n.broadcastRaw(datagram)
+		n.broadcast(datagram)
 		n.broadcastN.Add(1)
 		n.forwardedN.Add(uint64(end - drained))
 		drained = end
@@ -292,7 +292,7 @@ func (n *core) forwardPending() {
 }
 
 // leaderOrderPending orders the sequencer's own submissions directly.
-func (n *core) leaderOrderPending() {
+func (n *Core) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
 		end, payload, parts, own := n.nextPack(drained)
@@ -314,7 +314,7 @@ func (n *core) leaderOrderPending() {
 // own, which has been nowhere yet (framed in own, see frameIn) — and
 // delivers locally. It reports false when ordering stopped because the
 // stability-lag limit demoted the ring.
-func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte, own []byte) bool {
+func (n *Core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][]byte, own []byte) bool {
 	n.fp.seq++
 	seq := n.fp.seq
 	n.buffer[seq] = regularMsg{RingID: n.ringID, Seq: seq, Sender: origin, Payload: payload, Parts: parts}
@@ -337,7 +337,7 @@ func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 		b.Ref = true
 		n.refN.Add(1)
 	}
-	n.broadcastRaw(encodeBatch(b, in))
+	n.broadcast(encodeBatch(b, in))
 	n.tryDeliver()
 	n.updateStability()
 	if seq-n.fp.stable > uint64(n.cfg.FastpathLagLimit) {
@@ -352,7 +352,7 @@ func (n *core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 // handleForward is every member's view of a forward. The sequencer
 // orders each origin's forwards in FwdSeq order, exactly once; everyone
 // else keeps the forward for the by-reference batch that will order it.
-func (n *core) handleForward(f forwardMsg) {
+func (n *Core) handleForward(f forwardMsg) {
 	if !n.admit(f.RingID, f.Sender, false) || n.fp.leader == "" {
 		return
 	}
@@ -398,7 +398,7 @@ func (n *core) handleForward(f forwardMsg) {
 
 // hold keeps a forward until it is seen ordered, within the per-origin
 // bound.
-func (n *core) hold(f forwardMsg) {
+func (n *Core) hold(f forwardMsg) {
 	h := n.fp.held[f.Sender]
 	if h == nil {
 		h = make(map[uint64]forwardMsg)
@@ -413,7 +413,7 @@ func (n *core) hold(f forwardMsg) {
 // overtook it, or keep it for the reference to come. The node's own
 // forwards are bound from awaiting, and one at or below the origin's
 // watermark is a resend of something already seen ordered.
-func (n *core) holdForward(f forwardMsg) {
+func (n *Core) holdForward(f forwardMsg) {
 	if f.Sender == n.cfg.ID {
 		return
 	}
@@ -440,15 +440,15 @@ func (n *core) holdForward(f forwardMsg) {
 // configuration and, its sender's membership of that being nobody's
 // business by now, in this member's name (Via). Always by copy: the
 // payloads lie in a datagram other members hold.
-func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
+func (n *Core) rebroadcastOrdered(seq uint64, m regularMsg) {
 	if ref, ok := n.fp.batchOrigin[seq]; ok {
-		n.broadcastRaw(encodeBatch(batchMsg{
+		n.broadcast(encodeBatch(batchMsg{
 			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 			Origin: ref.origin, OriginFwd: ref.fwd,
 			Stable: n.fp.stable, Payload: m.Payload, Parts: m.Parts,
 		}, nil))
 	} else {
-		n.broadcastRaw(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}, nil))
+		n.broadcast(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}, nil))
 	}
 	n.framedByCopyN.Add(1)
 	n.retransmittedN.Add(1)
@@ -459,7 +459,7 @@ func (n *core) rebroadcastOrdered(seq uint64, m regularMsg) {
 // the leader instead of a token visit — so buffering, gap detection,
 // contiguous delivery and recovery-time retransmission all behave
 // identically in both modes.
-func (n *core) handleBatch(b batchMsg) {
+func (n *Core) handleBatch(b batchMsg) {
 	if !n.admit(b.RingID, b.Leader, !b.Ref) {
 		return
 	}
@@ -518,7 +518,7 @@ func (n *core) handleBatch(b batchMsg) {
 // When the forward has not arrived the reference is parked: the sequence
 // number counts as a known gap, but holdForward gets until nakAt to fill
 // it before sendAck asks the sequencer for the full form.
-func (n *core) bindRef(b batchMsg, m *regularMsg) bool {
+func (n *Core) bindRef(b batchMsg, m *regularMsg) bool {
 	fp := &n.fp
 	if _, have := n.buffer[b.Seq]; have || b.Seq <= n.deliveredSeq || n.skipped[b.Seq] {
 		return false // duplicate
@@ -557,7 +557,7 @@ func (n *core) bindRef(b batchMsg, m *regularMsg) bool {
 // clearOrdered drops awaiting forwards up to fwd: the sequencer orders
 // one origin's forwards in FwdSeq order, so seeing fwd ordered implies
 // everything before it was too.
-func (n *core) clearOrdered(fwd uint64) {
+func (n *Core) clearOrdered(fwd uint64) {
 	fp := &n.fp
 	kept := fp.awaiting[:0]
 	parts := 0
@@ -581,7 +581,7 @@ func (n *core) clearOrdered(fwd uint64) {
 // serves its gap requests. Only the sequencer consumes acks, and only
 // for it is an ack decoded past its ring id (decodeAck): everyone else
 // puts that id through the gate in its own name.
-func (n *core) handleAck(a ackMsg) {
+func (n *Core) handleAck(a ackMsg) {
 	if !n.sequencing() {
 		n.admit(a.RingID, n.cfg.ID, false)
 		return
@@ -608,7 +608,7 @@ func (n *core) handleAck(a ackMsg) {
 // handlePromote installs a sequencer (first receipt) or refreshes it
 // (heartbeats). Heartbeats are the sequencer's liveness signal and carry
 // the stability horizon for idle epochs.
-func (n *core) handlePromote(p promoteMsg) {
+func (n *Core) handlePromote(p promoteMsg) {
 	// A peer that promotes in a ring not configured for it is refused:
 	// that starves it of acks and it demotes within its fail timeout.
 	if !n.admit(p.RingID, p.Leader, false) || n.cfg.Ordering != OrderingLeader {
@@ -637,7 +637,7 @@ func (n *core) handlePromote(p promoteMsg) {
 }
 
 // applyStable advances the follower's view of the stability horizon.
-func (n *core) applyStable(stable uint64) {
+func (n *Core) applyStable(stable uint64) {
 	if stable > n.fp.stable {
 		n.fp.stable = stable
 		n.gc(stable)
@@ -646,7 +646,7 @@ func (n *core) applyStable(stable uint64) {
 
 // updateStability recomputes the sequencer's stability horizon: the
 // minimum acked watermark across the ring (its own is deliveredSeq).
-func (n *core) updateStability() {
+func (n *Core) updateStability() {
 	min := n.deliveredSeq
 	for _, a := range n.fp.memberAru {
 		if a < min {
@@ -661,7 +661,7 @@ func (n *core) updateStability() {
 
 // leaderHeartbeat runs on the sequencer's heartbeat timer: check member
 // liveness through ack staleness, then re-announce the epoch.
-func (n *core) leaderHeartbeat() {
+func (n *Core) leaderHeartbeat() {
 	// Ack staleness is the sequencer's failure detector (it no longer
 	// sees the token): a silent member demotes the ring back to
 	// rotation, whose membership recovery sorts out who is alive.
@@ -671,7 +671,7 @@ func (n *core) leaderHeartbeat() {
 			return
 		}
 	}
-	n.broadcastRaw(encodePromote(promoteMsg{
+	n.broadcast(encodePromote(promoteMsg{
 		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.fp.promoteSeq, Stable: n.fp.stable, Seq: n.fp.seq,
 	}))
 	n.arm(dlHeartbeat, n.heartbeatInterval())
@@ -682,7 +682,7 @@ func (n *core) leaderHeartbeat() {
 
 // resendForwards retries forwards the sequencer has not ordered yet, the
 // same datagrams again, and escapes through recovery when it never does.
-func (n *core) resendForwards() {
+func (n *Core) resendForwards() {
 	for i := range n.fp.awaiting {
 		a := &n.fp.awaiting[i]
 		a.resends++
@@ -692,7 +692,7 @@ func (n *core) resendForwards() {
 			n.startGather()
 			return
 		}
-		n.broadcastRaw(a.datagram)
+		n.broadcast(a.datagram)
 	}
 	n.arm(dlFwdResend, n.cfg.TokenRetransmit)
 }
@@ -700,7 +700,7 @@ func (n *core) resendForwards() {
 // scheduleAck coalesces a follower's stability reports: the first
 // watermark movement arms the timer, later ones ride along when it
 // fires.
-func (n *core) scheduleAck() {
+func (n *Core) scheduleAck() {
 	if !n.armed(dlAck) {
 		n.arm(dlAck, n.ackDelay())
 	}
@@ -712,7 +712,7 @@ func (n *core) scheduleAck() {
 // inbox — while the transport has something to look at first. Within
 // reason: a saturated node's inbox is never empty, and a lost forward
 // must be asked for.
-func (n *core) refWait(p parkedRef) time.Duration {
+func (n *Core) refWait(p parkedRef) time.Duration {
 	if d := p.nakAt.Sub(n.now); d > 0 {
 		return d
 	}
@@ -725,7 +725,7 @@ func (n *core) refWait(p parkedRef) time.Duration {
 // sendAck reports this follower's contiguous watermark plus
 // retransmission requests for any observed gaps. A gap that is a parked
 // reference is not requested before its forward has had its wait.
-func (n *core) sendAck() {
+func (n *Core) sendAck() {
 	n.disarm(dlAck, dlRefNak)
 	a := ackMsg{RingID: n.ringID, Sender: n.cfg.ID, Aru: n.deliveredSeq}
 	var owed time.Duration // the shortest wait a parked reference still has coming
@@ -743,7 +743,7 @@ func (n *core) sendAck() {
 		}
 		a.Nak = append(a.Nak, s)
 	}
-	n.broadcastRaw(encodeAck(a))
+	n.broadcast(encodeAck(a))
 	if owed > 0 {
 		n.arm(dlRefNak, owed)
 	}

@@ -43,8 +43,8 @@ const eventBufSize = 4096
 // submissions and the time; the public methods communicate with that
 // goroutine through channels and read the mirrors the core publishes.
 type Node struct {
-	*core
-	ep Transport
+	core *Core
+	ep   Transport
 	// ceiling is the longest buffer MulticastFramed takes, zero for any.
 	ceiling int
 
@@ -76,9 +76,9 @@ func Start(cfg Config) (*Node, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	n.core = newCore(cfg, time.Now(), n.broadcast, n.deliver)
+	n.core = NewCore(cfg, time.Now(), n.broadcast, n.deliver)
 	if max := cfg.Endpoint.MaxDatagram(); max > 0 {
-		n.ceiling = max - n.longestHeader() + n.room
+		n.ceiling = max - n.core.longestHeader() + n.core.room
 	}
 	n.registerMetrics(cfg.Metrics)
 	go n.run()
@@ -90,29 +90,29 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	lbl := obs.Labels{"node": string(n.cfg.ID)}
+	lbl := obs.Labels{"node": string(n.core.cfg.ID)}
 	for _, c := range []struct {
 		name, help string
 		fn         func() uint64
 	}{
-		{"eternalgw_totem_broadcast_total", "Regular messages this node originated.", n.broadcastN.Load},
-		{"eternalgw_totem_delivered_total", "Regular messages delivered to the application in total order.", n.deliveredN.Load},
-		{"eternalgw_totem_retransmitted_total", "Retransmissions this node served.", n.retransmittedN.Load},
-		{"eternalgw_totem_skipped_total", "Sequence numbers declared unrecoverable and skipped.", n.skippedN.Load},
-		{"eternalgw_totem_resumed_total", "Times this node resumed at the horizon of a ring history it was not part of.", n.resumedN.Load},
-		{"eternalgw_totem_token_passes_total", "Tokens this node forwarded.", n.tokenPassN.Load},
-		{"eternalgw_totem_reconfigs_total", "Ring installations this node participated in.", n.reconfigN.Load},
-		{"eternalgw_totem_gathers_total", "Membership recoveries this node began; those beyond its reconfigs were abandoned at the commit.", n.gatherN.Load},
-		{"eternalgw_totem_packed_msgs_total", "Packed datagrams this node originated.", n.packedMsgN.Load},
-		{"eternalgw_totem_packed_parts_total", "Payloads carried inside packed datagrams.", n.packedPartN.Load},
-		{"eternalgw_totem_fastpath_forwarded_total", "Payloads forwarded to a sequencer in leader mode.", n.forwardedN.Load},
-		{"eternalgw_totem_fastpath_batches_total", "Ordered batches this node multicast as sequencer.", n.leaderBatchN.Load},
-		{"eternalgw_totem_fastpath_refs_total", "Sequence numbers this node ordered by reference as sequencer (batches without payloads).", n.refN.Load},
-		{"eternalgw_totem_fastpath_ref_misses_total", "By-reference batches this node could not bind to a held forward and had served by retransmission.", n.refMissN.Load},
-		{"eternalgw_totem_fastpath_promotions_total", "Leader epochs installed on this node.", n.promotionN.Load},
-		{"eternalgw_totem_fastpath_demotions_total", "Falls from leader mode back to ring rotation.", n.demotionN.Load},
-		{"eternalgw_totem_framed_in_place_total", "Payload-bearing datagrams framed in the buffer their one payload was submitted in.", n.framedInPlaceN.Load},
-		{"eternalgw_totem_framed_by_copy_total", "Payload-bearing datagrams built by copying their payloads: packs, retransmissions, a payload sent a second time.", n.framedByCopyN.Load},
+		{"eternalgw_totem_broadcast_total", "Regular messages this node originated.", n.core.broadcastN.Load},
+		{"eternalgw_totem_delivered_total", "Regular messages delivered to the application in total order.", n.core.deliveredN.Load},
+		{"eternalgw_totem_retransmitted_total", "Retransmissions this node served.", n.core.retransmittedN.Load},
+		{"eternalgw_totem_skipped_total", "Sequence numbers declared unrecoverable and skipped.", n.core.skippedN.Load},
+		{"eternalgw_totem_resumed_total", "Times this node resumed at the horizon of a ring history it was not part of.", n.core.resumedN.Load},
+		{"eternalgw_totem_token_passes_total", "Tokens this node forwarded.", n.core.tokenPassN.Load},
+		{"eternalgw_totem_reconfigs_total", "Ring installations this node participated in.", n.core.reconfigN.Load},
+		{"eternalgw_totem_gathers_total", "Membership recoveries this node began; those beyond its reconfigs were abandoned at the commit.", n.core.gatherN.Load},
+		{"eternalgw_totem_packed_msgs_total", "Packed datagrams this node originated.", n.core.packedMsgN.Load},
+		{"eternalgw_totem_packed_parts_total", "Payloads carried inside packed datagrams.", n.core.packedPartN.Load},
+		{"eternalgw_totem_fastpath_forwarded_total", "Payloads forwarded to a sequencer in leader mode.", n.core.forwardedN.Load},
+		{"eternalgw_totem_fastpath_batches_total", "Ordered batches this node multicast as sequencer.", n.core.leaderBatchN.Load},
+		{"eternalgw_totem_fastpath_refs_total", "Sequence numbers this node ordered by reference as sequencer (batches without payloads).", n.core.refN.Load},
+		{"eternalgw_totem_fastpath_ref_misses_total", "By-reference batches this node could not bind to a held forward and had served by retransmission.", n.core.refMissN.Load},
+		{"eternalgw_totem_fastpath_promotions_total", "Leader epochs installed on this node.", n.core.promotionN.Load},
+		{"eternalgw_totem_fastpath_demotions_total", "Falls from leader mode back to ring rotation.", n.core.demotionN.Load},
+		{"eternalgw_totem_framed_in_place_total", "Payload-bearing datagrams framed in the buffer their one payload was submitted in.", n.core.framedInPlaceN.Load},
+		{"eternalgw_totem_framed_by_copy_total", "Payload-bearing datagrams built by copying their payloads: packs, retransmissions, a payload sent a second time.", n.core.framedByCopyN.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
@@ -121,7 +121,7 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 }
 
 // ID returns the node's identity.
-func (n *Node) ID() memnet.NodeID { return n.cfg.ID }
+func (n *Node) ID() memnet.NodeID { return n.core.cfg.ID }
 
 // Events returns the ordered event stream. The consumer must keep
 // draining it; a full event buffer blocks the protocol goroutine, which
@@ -132,12 +132,12 @@ func (n *Node) Events() <-chan Event { return n.events }
 // member (including this node): MulticastFramed of a copy of the payload
 // behind the room.
 func (n *Node) Multicast(payload []byte) error {
-	return n.MulticastFramed(n.framed(payload))
+	return n.MulticastFramed(n.core.framed(payload))
 }
 
 // Headroom is how many bytes MulticastFramed's caller leaves in front of
 // a payload: this node's longest header ahead of a message sent alone.
-func (n *Node) Headroom() int { return n.room }
+func (n *Node) Headroom() int { return n.core.Headroom() }
 
 // Ceiling is the longest buffer MulticastFramed takes, Headroom included,
 // and zero if the transport sets no limit: the payload then fits one
@@ -151,11 +151,11 @@ func (n *Node) Ceiling() int { return n.ceiling }
 // and the buffer itself broadcast (DESIGN.md section 7). A buffer longer
 // than Ceiling is refused with ErrTooLarge and stays the caller's.
 func (n *Node) MulticastFramed(buf []byte) error {
-	if len(buf) < n.room {
-		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.room)
+	if len(buf) < n.core.room {
+		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.core.room)
 	}
 	if n.ceiling > 0 && len(buf) > n.ceiling {
-		return fmt.Errorf("%w: %d bytes, ceiling %d", ErrTooLarge, len(buf)-n.room, n.ceiling-n.room)
+		return fmt.Errorf("%w: %d bytes, ceiling %d", ErrTooLarge, len(buf)-n.core.room, n.ceiling-n.core.room)
 	}
 	select {
 	case <-n.stop:
@@ -176,54 +176,54 @@ func (n *Node) MulticastFramed(buf []byte) error {
 // the capacity means Multicast callers are about to block — the domain
 // is not keeping up with offered load.
 func (n *Node) Backlog() (queued, capacity int) {
-	return len(n.sendq) + int(n.pendingN.Load()), cap(n.sendq)
+	return len(n.sendq) + int(n.core.pendingN.Load()), cap(n.sendq)
 }
 
 // Members returns the most recently installed ring.
 func (n *Node) Members() []memnet.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]memnet.NodeID, len(n.curMembers))
-	copy(out, n.curMembers)
+	n.core.mu.Lock()
+	defer n.core.mu.Unlock()
+	out := make([]memnet.NodeID, len(n.core.curMembers))
+	copy(out, n.core.curMembers)
 	return out
 }
 
 // RingID returns the id of the most recently installed ring.
 func (n *Node) RingID() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.curRing
+	n.core.mu.Lock()
+	defer n.core.mu.Unlock()
+	return n.core.curRing
 }
 
 // Stats returns a snapshot of protocol counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		Broadcast:     n.broadcastN.Load(),
-		Delivered:     n.deliveredN.Load(),
-		Retransmitted: n.retransmittedN.Load(),
-		Skipped:       n.skippedN.Load(),
-		Resumed:       n.resumedN.Load(),
-		TokenPasses:   n.tokenPassN.Load(),
-		Reconfigs:     n.reconfigN.Load(),
-		Gathers:       n.gatherN.Load(),
-		PackedMsgs:    n.packedMsgN.Load(),
-		PackedParts:   n.packedPartN.Load(),
-		Forwarded:     n.forwardedN.Load(),
-		LeaderBatches: n.leaderBatchN.Load(),
-		RefBatches:    n.refN.Load(),
-		RefMisses:     n.refMissN.Load(),
-		Promotions:    n.promotionN.Load(),
-		Demotions:     n.demotionN.Load(),
+		Broadcast:     n.core.broadcastN.Load(),
+		Delivered:     n.core.deliveredN.Load(),
+		Retransmitted: n.core.retransmittedN.Load(),
+		Skipped:       n.core.skippedN.Load(),
+		Resumed:       n.core.resumedN.Load(),
+		TokenPasses:   n.core.tokenPassN.Load(),
+		Reconfigs:     n.core.reconfigN.Load(),
+		Gathers:       n.core.gatherN.Load(),
+		PackedMsgs:    n.core.packedMsgN.Load(),
+		PackedParts:   n.core.packedPartN.Load(),
+		Forwarded:     n.core.forwardedN.Load(),
+		LeaderBatches: n.core.leaderBatchN.Load(),
+		RefBatches:    n.core.refN.Load(),
+		RefMisses:     n.core.refMissN.Load(),
+		Promotions:    n.core.promotionN.Load(),
+		Demotions:     n.core.demotionN.Load(),
 		StabilityLag:  n.stabilityLagN(),
-		FramedInPlace: n.framedInPlaceN.Load(),
-		FramedByCopy:  n.framedByCopyN.Load(),
+		FramedInPlace: n.core.framedInPlaceN.Load(),
+		FramedByCopy:  n.core.framedByCopyN.Load(),
 	}
 }
 
 // stabilityLagN reports how far the sequencer has assigned sequence
 // numbers beyond its stability horizon (zero off the fast path).
 func (n *Node) stabilityLagN() uint64 {
-	seq, stable := n.fpSeqA.Load(), n.fpStableA.Load()
+	seq, stable := n.core.fpSeqA.Load(), n.core.fpStableA.Load()
 	if seq > stable {
 		return seq - stable
 	}
@@ -234,12 +234,12 @@ func (n *Node) stabilityLagN() uint64 {
 // leader-ordered fast path is active: the leader's identity and the
 // agreed ring-ordered sequence number the mode switch was installed at.
 func (n *Node) Fastpath() (leader memnet.NodeID, startSeq uint64, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.curLeader == "" {
+	n.core.mu.Lock()
+	defer n.core.mu.Unlock()
+	if n.core.curLeader == "" {
 		return "", 0, false
 	}
-	return n.curLeader, n.curLeaderSeq, true
+	return n.core.curLeader, n.core.curLeaderSeq, true
 }
 
 // Stop terminates the protocol goroutine and waits for it to exit.
@@ -282,15 +282,15 @@ func (n *Node) run() {
 		}
 		now := time.Now()
 		if len(batch) > 0 {
-			n.submit(now, batch)
+			n.core.Submit(now, batch)
 			clear(batch)
 			batch = batch[:0]
 		}
 		if pkt.Payload != nil {
-			n.receive(now, pkt.Payload, len(n.ep.Recv()))
+			n.core.Receive(now, pkt.Payload, len(n.ep.Recv()))
 		}
 		if fired {
-			n.tick(now, len(n.ep.Recv()))
+			n.core.Tick(now, len(n.ep.Recv()))
 		} else if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -298,7 +298,7 @@ func (n *Node) run() {
 			}
 		}
 		wait := time.Hour
-		if next := n.next(); !next.IsZero() {
+		if next := n.core.Next(); !next.IsZero() {
 			wait = max(0, next.Sub(now))
 		}
 		timer.Reset(wait)

@@ -406,7 +406,7 @@ func TestMembersSnapshot(t *testing.T) {
 // advance does nothing, and one that jumps past everything kept — a
 // joiner's first, or a forged one — ends without walking the span.
 func TestGCWalksTheNewSpanOnly(t *testing.T) {
-	n := &core{
+	n := &Core{
 		buffer:  make(map[uint64]regularMsg),
 		skipped: make(map[uint64]bool),
 		fp:      epoch{batchOrigin: make(map[uint64]batchRef), parked: make(map[uint64]parkedRef)},

@@ -8,22 +8,22 @@ import (
 	"time"
 
 	"eternalgw/internal/memnet"
-	"eternalgw/internal/sim"
+	"eternalgw/internal/vclock"
 )
 
 // vnet is the virtual-time harness the clock-free core makes possible: N
 // cores on a seeded memnet — its loss, duplication, random delay (hence
 // reorder), partitions and crashes — whose delayed deliveries and the
-// cores' deadlines are events of one sim.Clock. The clock only moves
+// cores' deadlines are events of one vclock.Clock. The clock only moves
 // when nothing is left to do at the present instant, so a second of
 // protocol time costs what its steps cost, there is no goroutine and no
 // sleep, and a seed replays exactly.
 type vnet struct {
 	t     *testing.T
-	clk   *sim.Clock
+	clk   *vclock.Clock
 	net   *memnet.Network
 	ids   []memnet.NodeID
-	cores map[memnet.NodeID]*core
+	cores map[memnet.NodeID]*Core
 	eps   map[memnet.NodeID]*memnet.Endpoint
 	woken map[memnet.NodeID]time.Time // the earliest tick the clock holds for each core
 
@@ -76,13 +76,13 @@ func (d vdelivery) same(o vdelivery) bool {
 // a network seeded with seed; opts override its delay and add faults.
 func newVnet(t *testing.T, n int, seed int64, mut func(*Config), opts ...memnet.Option) *vnet {
 	t.Helper()
-	clk := sim.NewClock()
+	clk := vclock.New()
 	v := &vnet{
 		t:       t,
 		clk:     clk,
 		mut:     mut,
 		net:     memnet.New(append([]memnet.Option{memnet.WithSeed(seed), memnet.WithClock(clk), memnet.WithMaxDelay(2 * vhop)}, opts...)...),
-		cores:   make(map[memnet.NodeID]*core),
+		cores:   make(map[memnet.NodeID]*Core),
 		eps:     make(map[memnet.NodeID]*memnet.Endpoint),
 		woken:   make(map[memnet.NodeID]time.Time),
 		got:     make(map[memnet.NodeID][]vdelivery),
@@ -127,7 +127,7 @@ func (v *vnet) boot(id memnet.NodeID) {
 	delete(v.was, id)
 	delete(v.woken, id)
 	v.told = slices.DeleteFunc(v.told, func(w verdict) bool { return w.id == id })
-	v.cores[id] = newCore(cfg, v.now(), func(b []byte) {
+	v.cores[id] = NewCore(cfg, v.now(), func(b []byte) {
 		v.noteToken(b)
 		v.ledger.note(id, b)
 		_ = ep.Broadcast(b) // a crashed node's sends fail, as under Node
@@ -186,7 +186,7 @@ func (v *vnet) submit(id memnet.NodeID, payloads ...[]byte) {
 	for i, p := range payloads {
 		framed[i] = c.framed(p)
 	}
-	c.submit(v.now(), framed)
+	c.Submit(v.now(), framed)
 }
 
 // pump is the driver's part: it hands every core what its inbox holds
@@ -202,7 +202,7 @@ func (v *vnet) pump() {
 					if v.hear != nil {
 						v.hear(p.From, id, p.Payload)
 					}
-					v.cores[id].receive(v.now(), p.Payload, len(v.eps[id].Recv()))
+					v.cores[id].Receive(v.now(), p.Payload, len(v.eps[id].Recv()))
 					v.noteChecked(id)
 				}
 			default:
@@ -211,7 +211,7 @@ func (v *vnet) pump() {
 	}
 	for _, id := range v.ids {
 		id := id
-		at := v.cores[id].next()
+		at := v.cores[id].Next()
 		if at.IsZero() || !v.woken[id].IsZero() && !at.Before(v.woken[id]) {
 			continue
 		}
@@ -220,7 +220,7 @@ func (v *vnet) pump() {
 		v.woken[id] = at
 		v.clk.AfterFunc(at.Sub(v.now()), func() {
 			v.woken[id] = time.Time{}
-			v.cores[id].tick(v.now(), len(v.eps[id].Recv()))
+			v.cores[id].Tick(v.now(), len(v.eps[id].Recv()))
 			v.noteChecked(id)
 		})
 	}

@@ -71,12 +71,14 @@ type token struct {
 }
 
 // commitEntry is what one member writes into a commit: the ring whose
-// history it holds — none for a processor never in a ring — and how far.
+// history it holds — none for a processor never in a ring — the latest
+// majority ring in that history, and how far.
 type commitEntry struct {
-	Filled  bool
-	Last    ringRef
-	Highest uint64 // highest received sequence number
-	Aru     uint64 // contiguous received watermark
+	Filled   bool
+	Last     ringRef
+	Majority uint64 // id of the latest ring of most of the configured processors in Last's history; zero for none
+	Highest  uint64 // highest received sequence number
+	Aru      uint64 // contiguous received watermark
 }
 
 // ringRef names an installed ring: its id with its lowest member. Ring
@@ -267,7 +269,7 @@ func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
 }
 
 func encodeToken(t token) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip)+64*len(t.Members))
+	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip)+72*len(t.Members))
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -296,6 +298,7 @@ func encodeToken(t token) []byte {
 		w.WriteBool(e.Filled)
 		w.WriteULongLong(e.Last.ID)
 		w.WriteString(string(e.Last.Low))
+		w.WriteULongLong(e.Majority)
 		w.WriteULongLong(e.Highest)
 		w.WriteULongLong(e.Aru)
 	}
@@ -345,7 +348,7 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	}
 	t.Entries = make([]commitEntry, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		t.Entries = append(t.Entries, commitEntry{r.ReadBool(), ringRef{r.ReadULongLong(), ids.id(r.ReadStringBytes())}, r.ReadULongLong(), r.ReadULongLong()})
+		t.Entries = append(t.Entries, commitEntry{r.ReadBool(), ringRef{r.ReadULongLong(), ids.id(r.ReadStringBytes())}, r.ReadULongLong(), r.ReadULongLong(), r.ReadULongLong()})
 	}
 	if err := r.Err(); err != nil {
 		return token{}, fmt.Errorf("totem: decode token: %w", err)

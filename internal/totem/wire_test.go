@@ -72,7 +72,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	// The plain form, a commit on its first rotation, and a decided one.
 	undecided, decided := tok, tok
 	undecided.Members = []memnet.NodeID{"n1", "n3"}
-	undecided.Entries = []commitEntry{{Filled: true, Last: ringRef{ID: 6, Low: "m"}, Highest: 500, Aru: 480}, {}}
+	undecided.Entries = []commitEntry{{Filled: true, Last: ringRef{ID: 6, Low: "m"}, Majority: 4, Highest: 500, Aru: 480}, {}}
 	decided.Members, decided.Decided = undecided.Members, true
 	decided.Entries = []commitEntry{undecided.Entries[0], {Filled: true, Highest: 3, Aru: 2}}
 	for _, tok := range []token{tok, undecided, decided} {
