@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check loc budget copymap sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-baseline bench-compare bench-udp bench-allocs alloc-gate clean
+.PHONY: build test vet lint lint-fast race check loc budget copymap sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-compare alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -155,22 +155,24 @@ soak-leader:
 	$(GO) test -race -run TestLeaderCrashSoak -count $(SOAK_LEADER_COUNT) -timeout 10m -v .
 
 # smoke-udp launches a three-member totem ring as three separate OS
-# processes over real localhost UDP sockets (ftdomaind -node), drives a
-# short multi-client echo soak through a gateway, and audits that every
-# append executed exactly once (scripts/udpsmoke.sh). Part of `make
+# processes over real localhost UDP sockets (ftdomaind -node), has eight
+# clients append through a gateway at once, and audits that every append
+# executed exactly once (scripts/udpsmoke.sh). Part of `make
 # check`: the real-network deployment path must keep standing up.
 smoke-udp:
 	scripts/udpsmoke.sh
 
-# bench runs the datapath throughput suite (round trips, multi-client
-# load, replication-degree and multi-group sweeps, admission on/off)
-# with the same methodology as the
-# recorded BENCH_*.json trajectory files, then prints a JSON summary in
-# the BENCH_baseline.json schema for side-by-side comparison. Override
-# BENCH_COUNT for more repetitions.
+# bench runs the datapath throughput suite (round trips in ring and
+# leader mode, multi-client load, replication-degree and multi-group
+# sweeps, admission on/off) and E5's gateway loops with their
+# instrumented twin (BenchmarkE5GatewayLoopsInstrumented, the overhead
+# row of BENCH_baseline.json), with -benchmem and the same methodology as
+# the recorded BENCH_*.json trajectory files, then prints a JSON summary
+# in the BENCH_baseline.json schema, with bytes_per_op and allocs_per_op
+# beside ns_per_op. Override BENCH_COUNT for more repetitions.
 BENCH_COUNT ?= 3
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
+	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchmem -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
 	@awk -f scripts/benchjson.awk /tmp/bench_run.txt
 
 # bench-smoke runs every benchmark in the module for exactly one
@@ -188,41 +190,6 @@ bench-smoke:
 # Its tests include a one-second smoke of every workload.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# bench-udp records the real-network UDP datapath in the BENCH_udp.json
-# schema: the in-process transport-level multi-client suite
-# (BenchmarkUDPNetMultiClient) and the gateway suite over real sockets
-# (BenchmarkGatewayMultiClientUDP), plus the multi-process sweep
-# (scripts/benchudp.sh: one ftdomaind -node OS process per ring member,
-# ring and leader ordering at r=1..3, exactly-once audited). Rows keep
-# the "batched" names of the recorded file; its "perdatagram" rows
-# measured a send path that no longer exists.
-BENCH_UDP_ROUNDS ?= 3
-BENCH_UDP_MP_ROUNDS ?= 2
-bench-udp:
-	: >/tmp/bench_udp.txt
-	i=1; while [ $$i -le $(BENCH_UDP_ROUNDS) ]; do \
-		echo "== bench-udp round $$i/$(BENCH_UDP_ROUNDS) ==" >&2; \
-		$(GO) test -run xxx -bench 'BenchmarkUDPNetMultiClient|BenchmarkGatewayMultiClientUDP' -benchtime 2s -count 1 . | tee -a /tmp/bench_udp.txt || exit 1; \
-		i=$$((i + 1)); \
-	done
-	scripts/benchudp.sh $(BENCH_UDP_MP_ROUNDS) 2s 8 | tee -a /tmp/bench_udp.txt
-	awk -f scripts/benchjson.awk -v cmd='make bench-udp' /tmp/bench_udp.txt | tee BENCH_udp.json
-
-# bench-allocs runs the three rows the copy and allocation diet is
-# judged by — the leader-mode round trip, small and large, and the
-# ring-mode large round trip — with -benchmem, and prints them in the
-# trajectory schema with bytes_per_op and allocs_per_op beside ns_per_op
-# (BENCH_pr14.json is this target run on the parent and on the change).
-bench-allocs:
-	$(GO) test -run xxx -bench 'BenchmarkGatewayRoundTripLeader$$' -benchmem -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_allocs.txt
-	$(GO) test -run xxx -bench 'BenchmarkGatewayRoundTrip$$/large' -benchmem -benchtime 2s -count $(BENCH_COUNT) . | tee -a /tmp/bench_allocs.txt
-	@awk -f scripts/benchjson.awk -v cmd='make bench-allocs' /tmp/bench_allocs.txt
-
-# bench-baseline reproduces the original gateway round-trip numbers
-# recorded in BENCH_baseline.json (baseline vs instrumented datapath).
-bench-baseline:
-	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkE5GatewayLoopsInstrumented' -benchtime 2s -count $(BENCH_COUNT) .
 
 # bench-compare runs the throughput suite interleaved against a named
 # ref (HEAD's bench_throughput_test.go overlaid onto the ref's tree, so

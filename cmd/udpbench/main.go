@@ -1,20 +1,16 @@
 // Command udpbench drives a multi-process fault tolerance domain (one
 // ftdomaind -node per ring member) from the outside, as real IIOP
-// clients: a timed multi-client echo throughput phase that reports its
-// result as a `go test -bench`-formatted line (so scripts/benchjson.awk
-// can aggregate it into BENCH_udp.json next to the in-process rows), and
-// an exactly-once audit phase that appends unique markers through the
-// gateway and then proves, from the replicated register's own state,
-// that every append executed exactly once.
+// clients: an exactly-once audit in which every client appends unique
+// markers through the gateway at once, after which the replicated
+// register's own state must show that every append executed exactly
+// once.
 //
-// scripts/benchudp.sh and scripts/udpsmoke.sh are the harnesses that
-// launch the node processes and run this client against them.
+// scripts/udpsmoke.sh is the harness that launches the node processes
+// and runs this audit against them.
 //
 // Usage:
 //
-//	udpbench -freeports 4                      # print free localhost UDP ports
-//	udpbench -addr 127.0.0.1:9021 -clients 16 -duration 2s \
-//	         -name BenchmarkUDPMultiProcess/batched/r=3/c=16/small
+//	udpbench -freeports 3                      # print free localhost UDP ports
 //	udpbench -addr 127.0.0.1:9021 -clients 8 -audit
 package main
 
@@ -23,14 +19,15 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eternalgw/internal/experiments"
+	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
+	"eternalgw/internal/udpnet"
 )
 
 const (
@@ -43,11 +40,7 @@ func main() {
 		freePorts = flag.Int("freeports", 0, "print this many free localhost UDP ports and exit (registry construction for the launch scripts)")
 		addr      = flag.String("addr", "", "gateway address to drive")
 		clients   = flag.Int("clients", 8, "concurrent client connections, each with one request in flight")
-		duration  = flag.Duration("duration", 2*time.Second, "timed length of the throughput phase")
-		warmup    = flag.Duration("warmup", 250*time.Millisecond, "untimed warmup before the throughput phase")
-		payload   = flag.Int("payload", 64, "echo payload bytes in the throughput phase")
-		name      = flag.String("name", "", "benchmark row name; when set, run the throughput phase and print a go test -bench formatted line")
-		audit     = flag.Bool("audit", false, "run the exactly-once audit phase (append unique markers, then verify count and content)")
+		audit     = flag.Bool("audit", false, "run the exactly-once audit (append unique markers, then verify count and content)")
 		appends   = flag.Int("audit-appends", 50, "audit appends per client")
 	)
 	flag.Parse()
@@ -58,39 +51,38 @@ func main() {
 		}
 		return
 	}
-	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "udpbench: -addr required (or -freeports)")
+	if *addr == "" || !*audit {
+		fmt.Fprintln(os.Stderr, "udpbench: -addr and -audit required (or -freeports)")
 		os.Exit(2)
 	}
-	if err := run(*addr, *clients, *duration, *warmup, *payload, *name, *audit, *appends); err != nil {
+	if err := run(*addr, *clients, *appends); err != nil {
 		fmt.Fprintln(os.Stderr, "udpbench:", err)
 		os.Exit(1)
 	}
 }
 
-// printFreePorts binds n ephemeral localhost UDP sockets at once (so the
-// ports are distinct), prints their port numbers, then releases them.
+// printFreePorts prints the n distinct ports udpnet.LoopbackRegistry
+// picks, one per line.
 func printFreePorts(n int) error {
-	conns := make([]*net.UDPConn, 0, n)
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	ids := make([]memnet.NodeID, n)
+	for i := range ids {
+		ids[i] = memnet.NodeID(strconv.Itoa(i))
+	}
+	registry, err := udpnet.LoopbackRegistry(ids...)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		_, port, err := net.SplitHostPort(registry[id])
 		if err != nil {
 			return err
 		}
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
-		fmt.Println(c.LocalAddr().(*net.UDPAddr).Port)
+		fmt.Println(port)
 	}
 	return nil
 }
 
-func run(addr string, clients int, duration, warmup time.Duration, payload int, name string, audit bool, appends int) error {
+func run(addr string, clients, appends int) error {
 	if clients <= 0 {
 		return fmt.Errorf("need at least one client")
 	}
@@ -103,73 +95,7 @@ func run(addr string, clients int, duration, warmup time.Duration, payload int, 
 		defer func() { _ = c.Close() }()
 		conns[i] = c
 	}
-	opts := orb.InvokeOptions{Timeout: callTimeout}
-	if name != "" {
-		if err := throughput(conns, duration, warmup, payload, name); err != nil {
-			return err
-		}
-	}
-	if audit {
-		if err := auditExactlyOnce(conns, appends, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// throughput drives every connection with one echo in flight until the
-// deadline and prints the aggregate as a benchmark line.
-func throughput(conns []*orb.Conn, duration, warmup time.Duration, payload int, name string) error {
-	args := experiments.OctetSeqArg(make([]byte, payload))
-	opts := orb.InvokeOptions{Timeout: callTimeout}
-	phase := func(d time.Duration) (uint64, time.Duration, error) {
-		var (
-			total    atomic.Uint64
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-		)
-		deadline := time.Now().Add(d)
-		start := time.Now()
-		for _, c := range conns {
-			wg.Add(1)
-			go func(c *orb.Conn) {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					if _, err := c.Call([]byte(demoKey), "echo", args, opts); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-					total.Add(1)
-				}
-			}(c)
-		}
-		wg.Wait()
-		return total.Load(), time.Since(start), firstErr
-	}
-	if warmup > 0 {
-		if _, _, err := phase(warmup); err != nil {
-			return fmt.Errorf("warmup: %w", err)
-		}
-	}
-	ops, elapsed, err := phase(duration)
-	if err != nil {
-		return fmt.Errorf("throughput: %w", err)
-	}
-	if ops == 0 {
-		return fmt.Errorf("throughput: no operations completed in %v", duration)
-	}
-	nsPerOp := float64(elapsed.Nanoseconds()) / float64(ops)
-	mbPerSec := float64(ops) * float64(payload) / elapsed.Seconds() / 1e6
-	// The exact shape `go test -bench` prints, so benchjson.awk and
-	// benchcompare-style tooling parse it unmodified.
-	fmt.Printf("%s-%d \t%8d\t%12.1f ns/op\t%8.2f MB/s\n",
-		name, runtime.GOMAXPROCS(0), ops, nsPerOp, mbPerSec)
-	return nil
+	return auditExactlyOnce(conns, appends, orb.InvokeOptions{Timeout: callTimeout})
 }
 
 // auditExactlyOnce has every client append a unique marker sequence

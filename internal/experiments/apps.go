@@ -1,3 +1,10 @@
+// Package experiments holds the demo servant and the claim index. The
+// servant, RegisterApp, is the replicated object every daemon, example
+// and benchmark of the repository deploys. The claim index is the
+// package's test file: one test per figure and evaluated claim of the
+// paper (E1–E12, DESIGN.md section 4), each asserting the measurable part
+// of its claim through the public domain API; the timings are the
+// repository-root BenchmarkE* rows (EXPERIMENTS.md).
 package experiments
 
 import (
@@ -6,14 +13,10 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
-	"eternalgw/internal/domain"
-	"eternalgw/internal/ftmgmt"
-	"eternalgw/internal/replication"
 )
 
-// RegisterApp is the deterministic workload object used by most
-// experiments: a byte register with an operation counter. It is exported
-// so examples and benchmarks can reuse it.
+// RegisterApp is the deterministic workload object: a byte register with
+// an operation counter.
 type RegisterApp struct {
 	mu    sync.Mutex
 	value []byte
@@ -115,30 +118,4 @@ func OctetSeqArg(b []byte) []byte {
 	w := cdr.NewWriter(cdr.BigEndian)
 	w.WriteOctetSeq(b)
 	return w.Bytes()
-}
-
-// deployRegisters places a replicated RegisterApp and returns the
-// replica instances.
-func deployRegisters(d *domain.Domain, grp replication.GroupID, key string, style replication.Style, replicas int) ([]*RegisterApp, error) {
-	var (
-		mu   sync.Mutex
-		apps []*RegisterApp
-	)
-	err := d.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
-		Style:           style,
-		InitialReplicas: replicas,
-		MinReplicas:     replicas,
-		ObjectKey:       []byte(key),
-		TypeID:          "IDL:eternalgw/Register:1.0",
-	}, func() (replication.Application, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		app := &RegisterApp{}
-		apps = append(apps, app)
-		return app, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return apps, nil
 }

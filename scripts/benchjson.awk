@@ -3,7 +3,7 @@
 # ns_per_op sample lists and means, so a run is directly comparable to
 # the recorded BENCH_*.json trajectory files. Rows run with -benchmem
 # also carry bytes_per_op and allocs_per_op, samples and means. Used by
-# `make bench`, `make bench-udp` and `make bench-allocs`.
+# `make bench`.
 /^goos: /   { goos = $2 }
 /^goarch: / { goarch = $2 }
 /^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }

@@ -5,17 +5,21 @@
 # left out of it: the one is the reference benchmark's own module, the
 # other the lint tooling). A simplicity PR states this script's total on
 # its parent and on its change; `make loc` runs it, and CI prints it in
-# the check job's step summary.
+# the check job's step summary. The script also prints the same count of
+# _test.go lines: code moved into a test file is no reduction, and shows
+# there.
 #
 #   scripts/loc.sh [dir]      dir defaults to the repository root
 #   scripts/loc.sh -d <ref>   the packages that differ between <ref> and
 #                             the working tree — parent, change, delta —
-#                             and the two totals (`make loc LOC_REF=<ref>`)
+#                             and the totals of both kinds of line
+#                             (`make loc LOC_REF=<ref>`)
 set -eu
 
-# count prints "<lines> <package>" for every package under directory $1.
+# count prints "<lines> <package> <kind>" for every package under
+# directory $1, kind "test" for _test.go files and "code" for the rest.
 count() {
-    (cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './.git/*') |
+    (cd "$1" && find . -name '*.go' ! -path './.bench_build/*' ! -path './.git/*') |
         sed 's|^\./||' | sort |
         while read -r f; do
             case "$f" in
@@ -23,22 +27,34 @@ count() {
             */*) pkg=${f%%/*} ;;                        # bench
             *) pkg=. ;;
             esac
-            echo "$(grep -c '[^[:space:]]' "$1/$f" || true) $pkg"
+            case "$f" in
+            *_test.go) kind=test ;;
+            *) kind=code ;;
+            esac
+            echo "$(grep -c '[^[:space:]]' "$1/$f" || true) $pkg $kind"
         done |
-        awk '{ lines[$2] += $1 } END { for (p in lines) print lines[p], p }' | sort -k2
+        awk '{ lines[$2 " " $3] += $1 } END { for (k in lines) print lines[k], k }' | sort -k2
 }
 
 ROOT=$(git rev-parse --show-toplevel 2>/dev/null || pwd)
 NOTE='(non-test, non-blank Go lines outside bench/ and internal/analysis)'
+TESTNOTE='(_test.go non-blank lines, same packages)'
 
 if [ "${1:-}" != -d ]; then
-    count "${1:-$ROOT}" | awk -v note="$NOTE" '
+    count "${1:-$ROOT}" | awk -v note="$NOTE" -v testnote="$TESTNOTE" '
         {
             excluded = ($2 == "bench" || $2 == "internal/analysis")
+            if ($3 == "test") {
+                if (!excluded) tests += $1
+                next
+            }
             printf "%7d  %s%s\n", $1, $2, excluded ? "  (not in total)" : ""
             if (!excluded) total += $1
         }
-        END { printf "%7d  total %s\n", total, note }'
+        END {
+            printf "%7d  total %s\n", total, note
+            printf "%7d  tests %s\n", tests, testnote
+        }'
     exit
 fi
 
@@ -48,8 +64,13 @@ trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/ref"
 git -C "$ROOT" archive "$REF" | tar -x -C "$WORK/ref"
 count "$WORK/ref" >"$WORK/parent.txt"
-count "$ROOT" | awk -v note="$NOTE" '
-    FILENAME == ARGV[1] { parent[$2] = $1; next }
+count "$ROOT" | awk -v note="$NOTE" -v testnote="$TESTNOTE" '
+    {
+        counted = ($2 != "bench" && $2 != "internal/analysis")
+        side = FILENAME == ARGV[1] ? "parent" : "change"
+    }
+    $3 == "test" { if (counted) tests[side] += $1; next }
+    side == "parent" { parent[$2] = $1; next }
     { change[$2] = $1 }
     END {
         printf "%-24s %6s %6s %6s\n", "package", "parent", "change", "delta"
@@ -61,4 +82,6 @@ count "$ROOT" | awk -v note="$NOTE" '
         }
         close("sort")
         printf "%-24s %6d %6d %+6d  %s\n", "total", tp, tc, tc - tp, note
+        printf "%-24s %6d %6d %+6d  %s\n", "tests", tests["parent"], tests["change"], tests["change"] - tests["parent"], testnote
+        printf "%-24s %6d %6d %+6d\n", "total + tests", tp + tests["parent"], tc + tests["change"], tc + tests["change"] - tp - tests["parent"]
     }' "$WORK/parent.txt" -
