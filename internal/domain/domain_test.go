@@ -16,6 +16,7 @@ import (
 	"eternalgw/internal/replication"
 	"eternalgw/internal/thinclient"
 	"eternalgw/internal/totem"
+	"eternalgw/internal/udpnet"
 )
 
 func fastTotem() totem.Config {
@@ -103,6 +104,48 @@ func TestDomainLifecycle(t *testing.T) {
 	}
 	if _, err := ref.PrimaryProfile(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDomainFormsWithoutWaitingForGatherTimeout: New starts its
+// processors one after another, so the first joins of each are lost at
+// those not started yet — over udpnet, sent to ports nobody has bound. A
+// ring of every configured processor forms once each has answered, and New
+// returns long before a GatherTimeout of five seconds, which it used to
+// wait out.
+func TestDomainFormsWithoutWaitingForGatherTimeout(t *testing.T) {
+	const nodes = 4
+	for _, transport := range []string{"memnet", "udpnet"} {
+		t.Run(transport, func(t *testing.T) {
+			cfg := domain.Config{Name: "quick", Nodes: nodes, Totem: fastTotem()}
+			cfg.Totem.GatherTimeout = 5 * time.Second
+			if transport == "udpnet" {
+				if testing.Short() {
+					t.Skip("UDP transport test skipped in -short mode")
+				}
+				registry, err := udpnet.LoopbackRegistry(domain.MemberIDs(cfg.Name, nodes)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.TransportFactory = func(id memnet.NodeID) (totem.Transport, error) { return udpnet.Listen(id, registry) }
+			}
+			start := time.Now()
+			d, err := domain.New(cfg)
+			took := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Close)
+			if took > time.Second {
+				t.Fatalf("New took %v, want under 1s with GatherTimeout %v", took, cfg.Totem.GatherTimeout)
+			}
+			for i := 0; i < d.Nodes(); i++ {
+				if got := d.Node(i).Totem.Members(); len(got) != nodes {
+					t.Fatalf("%s stands in ring %v, want all %d processors", d.Node(i).ID, got, nodes)
+				}
+			}
+			t.Logf("New took %v", took)
+		})
 	}
 }
 

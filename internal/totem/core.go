@@ -30,7 +30,7 @@ const (
 	dlFail        deadline = iota // no ring traffic for FailTimeout: start membership recovery
 	dlHold                        // an idle token has been held long enough: forward it
 	dlTokenResend                 // no evidence the forwarded token arrived: resend it
-	dlGather                      // the candidate set has been stable for GatherTimeout: wait for its commit
+	dlGather                      // the candidate set has been stable for GatherTimeout and no full house agreed on it: wait for its commit
 	dlCommit                      // the commit has installed no ring in half a FailTimeout — two rotations, tokens resent: gather again
 	dlHeartbeat                   // sequencer: check the members' acks and re-announce the epoch
 	dlFwdResend                   // follower: forwards are still unordered; resend them
@@ -108,6 +108,7 @@ type Core struct {
 	lastTrafficAt time.Time
 
 	alive    []memnet.NodeID // the candidate set, sorted
+	agreed   []memnet.NodeID // who has sent a join for exactly proposed and alive, this node first
 	proposed uint64          // the ring id this gather will install; zero before the first gather
 	// last names the installed ring and from the history it kept; commit,
 	// the last commit this node wrote into since. From there on it takes in
@@ -404,13 +405,23 @@ func (n *Core) handleRegular(m regularMsg) {
 
 func (n *Core) handleToken(t token) {
 	first := false // a commit this node is part of, on its first rotation
-	if n.gathering && len(t.Members) > 0 {
+	switch {
+	case len(t.Members) == 0:
+	case n.gathering:
 		if !n.partOf(t) {
+			if n.lostTo(t) {
+				n.startGather()
+			}
 			return
 		}
 		if first = !t.Decided; !first {
 			n.install(t)
 		}
+	case !t.Decided && t.RingID == n.ringID && !slices.Equal(t.Members, n.ring):
+		// An undecided commit of another list under this ring's id lost the
+		// race for a member of this ring: it is no token of this ring,
+		// though admit, going by id and successor, would take it for one.
+		return
 	}
 	// A promotion retired its ring's token: in an epoch anything still
 	// in flight is a stale resend, and it is not liveness — the
@@ -465,6 +476,19 @@ func (n *Core) partOf(t token) bool {
 		n.arm(dlCommit, n.cfg.FailTimeout/2)
 	}
 	return c == n.commit
+}
+
+// lostTo reports whether t, another commit under the id of the one this
+// node sent on, has its addressee's entry filled in. A member writes into
+// one commit per id, so this node's is stuck there and never decided:
+// resent, it would only reach a ring formed under its id.
+func (n *Core) lostTo(t token) bool {
+	s := n.lastSentToken
+	if s == nil || len(s.Members) == 0 || s.RingID != t.RingID {
+		return false
+	}
+	i := slices.Index(t.Members, s.Succ)
+	return i >= 0 && t.Entries[i].Filled
 }
 
 // commitVisit writes this member's entry and forwards. Back at the
@@ -816,8 +840,26 @@ func (n *Core) startGather() {
 		n.heard(n.cfg.Members...)
 	}
 	n.proposed = max(n.proposed, n.ringID) + 1 // a commit given up may still be about
+	n.propose()
+}
+
+// propose broadcasts the ring id and candidate set this node now gathers
+// for, which nobody else has agreed to yet, and restarts the fallback.
+func (n *Core) propose() {
+	n.agreed = append(n.agreed[:0], n.cfg.ID)
 	n.arm(dlGather, n.cfg.GatherTimeout)
 	n.sendJoin()
+}
+
+// fullHouse reports whether the candidate set holds every configured
+// processor: no join can grow it any more.
+func (n *Core) fullHouse() bool {
+	for _, id := range n.cfg.Members {
+		if _, found := slices.BinarySearch(n.alive, id); !found {
+			return false
+		}
+	}
+	return true
 }
 
 // heard adds ids to the candidate set and reports whether it grew.
@@ -852,13 +894,30 @@ func (n *Core) handleJoin(j joinMsg) {
 		changed = true
 	}
 	if changed {
-		n.arm(dlGather, n.cfg.GatherTimeout)
-		n.sendJoin()
+		n.propose()
+	}
+	// A full house ends the gather as soon as every member of it has sent a
+	// join for this proposal; a smaller set waits for dlGather, which is
+	// how a silent processor is declared failed.
+	if j.RingID != n.proposed || !slices.Equal(j.Alive, n.alive) || !n.fullHouse() {
+		return
+	}
+	if !slices.Contains(n.agreed, j.Sender) {
+		n.agreed = append(n.agreed, j.Sender)
+		if !changed {
+			// Its sender may have started after this node's join went out:
+			// answer the first matching join of each, once per proposal.
+			n.sendJoin()
+		}
+	}
+	if len(n.agreed) == len(n.alive) {
+		n.endGather()
 	}
 }
 
-// endGather closes the candidate set. Nobody installs it on its own: the
-// lowest id sends it round as a commit, and everybody waits for one.
+// endGather closes the candidate set, at full-house consensus or at the
+// fallback deadline. Nobody installs it on its own: the lowest id sends it
+// round as a commit, and everybody waits for one.
 func (n *Core) endGather() {
 	n.disarm(dlGather)
 	n.arm(dlCommit, n.cfg.FailTimeout/2)

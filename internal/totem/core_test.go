@@ -704,6 +704,14 @@ func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
 	if len(told) != 1 || told[0].RingID != 8 || !slices.Equal(told[0].Members, first) || !told[0].Continues {
 		t.Fatalf("reported %+v, want ring 8 %v, which a processor never in a ring continues", told, first)
 	}
+	// A resend of the second reaches it in the ring: the gate, going by id
+	// and addressee, would take it for a token of the ring's, and no token
+	// id may make it one.
+	sends, last := len(sent), n.lastTokenID
+	n.Receive(now, encodeToken(token{RingID: 8, TokenID: last + 5, Succ: "v02", Members: second, Entries: []commitEntry{{Filled: true}, {}}}), 0)
+	if len(sent) != sends || n.lastTokenID != last {
+		t.Fatalf("sent %+v, token id %d: the second commit was taken for ring 8 %v's token", sent[sends:], n.lastTokenID, first)
+	}
 
 	a, b := ringRef{ID: 8, Low: "v00"}, ringRef{ID: 8, Low: "v01"}
 	if n.last != a || a == b {
@@ -1102,6 +1110,161 @@ func TestFoundingGatherOutlivesAnAbsentMember(t *testing.T) {
 		t.Fatalf("Resumed = %v, want %v", got, want)
 	}
 	v.toldRight()
+}
+
+// gatherFallback is the GatherTimeout of the full-house tests: long enough
+// that a ring formed within joinRound was not formed by the fallback.
+const gatherFallback = 10 * time.Second
+
+// joinRound bounds, in virtual time, a gather that ends on full-house
+// consensus: its joins and their answers, then the commit twice round.
+const joinRound = 5 * time.Millisecond
+
+// installed reports whether every listed core stands in one ring of
+// exactly those members.
+func (v *vnet) installed(ids ...memnet.NodeID) bool {
+	first := v.cores[ids[0]]
+	return !slices.ContainsFunc(ids, func(id memnet.NodeID) bool {
+		c := v.cores[id]
+		return c.gathering || c.ringID != first.ringID || !slices.Equal(c.ring, ids)
+	})
+}
+
+// TestFullHouseGatherEndsOnConsensus: four processors start a millisecond
+// apart, the highest id first, so every join sent before the last start is
+// lost at those not running yet, and the one that sends the commit hears
+// none of them. A candidate set that holds every configured processor
+// cannot grow, so the gather ends once each of them has sent a join for
+// it — each answering the first it hears from every other — and not a
+// GatherTimeout later: the ring stands within joinRound of the last start,
+// with no commit given up on the way. With one configured processor never
+// started the fallback decides: the other three install nothing before
+// two GatherTimeouts, the founding gather's — every configured processor
+// is in its set, and one never answers — and the next one's, whose set of
+// three is no full house, and then a ring of three.
+func TestFullHouseGatherEndsOnConsensus(t *testing.T) {
+	for _, started := range []int{4, 3} {
+		t.Run(fmt.Sprintf("started=%d", started), func(t *testing.T) {
+			bothModes(t, func(t *testing.T, mode OrderingMode) {
+				v := newVnet(t, 4, 15, func(c *Config) { c.Ordering, c.GatherTimeout = mode, gatherFallback })
+				for _, id := range v.ids {
+					v.net.Crash(id)
+				}
+				first := v.now()
+				up := v.ids[:started]
+				for i := range up {
+					if i > 0 {
+						v.run(time.Millisecond, nil)
+					}
+					id := up[len(up)-1-i] // the lowest id, which sends the commit, last
+					v.boot(id)
+					v.net.Restart(id)
+				}
+				if started < len(v.ids) {
+					var at time.Time
+					if !v.run(3*gatherFallback, func() bool {
+						if at.IsZero() && slices.ContainsFunc(up, func(id memnet.NodeID) bool { return v.cores[id].reconfigN.Load() > 0 }) {
+							at = v.now()
+						}
+						return v.installed(up...)
+					}) {
+						t.Fatalf("the three formed no ring of their own within %v", 3*gatherFallback)
+					}
+					if took := at.Sub(first); took < 2*gatherFallback {
+						t.Fatalf("a ring was installed %v after the first start, before two GatherTimeouts of %v", took, gatherFallback)
+					}
+					return
+				}
+				last := v.now()
+				if !v.run(joinRound, func() bool { return v.installed(up...) }) {
+					t.Fatalf("no ring of all four within %v of the last start", joinRound)
+				}
+				t.Logf("ring of four %v after the last start", v.now().Sub(last))
+				for _, id := range up {
+					if c := v.cores[id]; c.gatherN.Load() != 1 || c.reconfigN.Load() != 1 {
+						t.Fatalf("%s began %d gathers and installed %d rings, want one of each", id, c.gatherN.Load(), c.reconfigN.Load())
+					}
+				}
+				v.toldRight()
+			})
+		})
+	}
+}
+
+// TestFullHouseReformsWithinAJoinRound: a full-membership reconfiguration
+// after a fault — a 2|2 partition healing, a processor restarted with a
+// fresh core, which proposes the whole configuration — ends on consensus
+// too: the ring of four stands within joinRound of the first gather the
+// heal or the restart starts, with no commit given up, though each half
+// alone, and the three without the fourth, waited out GatherTimeout. The
+// merge keeps the history it always kept: the half with the lowest id's,
+// or the three's.
+func TestFullHouseReformsWithinAJoinRound(t *testing.T) {
+	for _, fault := range []string{"heal", "restart"} {
+		t.Run(fault, func(t *testing.T) {
+			bothModes(t, func(t *testing.T, mode OrderingMode) {
+				v := newVnet(t, 4, 16, func(c *Config) { c.Ordering, c.GatherTimeout = mode, gatherFallback })
+				v.settle(3 * gatherFallback)
+				var want []uint64
+				switch fault {
+				case "heal":
+					low, high := v.ids[:2], v.ids[2:]
+					v.net.Partition(high)
+					v.settle(3*gatherFallback, low...)
+					v.settle(3*gatherFallback, high...)
+					for k := 0; k < 10; k++ {
+						v.submit(low[k%2], []byte(fmt.Sprint("low/", k)))
+						v.submit(high[k%2], []byte(fmt.Sprint("high/", k)))
+					}
+					v.settle(time.Second, low...)
+					v.settle(time.Second, high...)
+					v.net.Heal()
+					want = []uint64{0, 0, 1, 1}
+				case "restart":
+					gone, rest := v.ids[1], []memnet.NodeID{v.ids[0], v.ids[2], v.ids[3]}
+					v.net.Crash(gone)
+					v.settle(3*gatherFallback, rest...)
+					for k := 0; k < 10; k++ {
+						v.submit(rest[k%3], []byte(fmt.Sprint("three/", k)))
+					}
+					v.settle(time.Second, rest...)
+					v.boot(gone)
+					v.net.Restart(gone)
+					want = []uint64{0, 1, 0, 0}
+				}
+				abandoned := make(map[memnet.NodeID]uint64)
+				for _, id := range v.ids {
+					abandoned[id] = v.cores[id].gatherN.Load() - v.cores[id].reconfigN.Load()
+				}
+				// A healed partition is noticed at the first foreign datagram,
+				// which in an idle leader epoch is a heartbeat.
+				if !v.run(time.Second, func() bool {
+					return slices.ContainsFunc(v.ids, func(id memnet.NodeID) bool { return v.cores[id].gathering })
+				}) {
+					t.Fatalf("nobody gathered after the %s", fault)
+				}
+				began := v.now()
+				if !v.run(joinRound, func() bool { return v.installed(v.ids...) }) {
+					t.Fatalf("no ring of all four within %v of the first gather after the %s", joinRound, fault)
+				}
+				t.Logf("ring of four %v after the first gather", v.now().Sub(began))
+				for _, id := range v.ids {
+					if c := v.cores[id]; c.gatherN.Load()-c.reconfigN.Load() != abandoned[id] {
+						t.Fatalf("%s gave up a commit on the way: %d gathers, %d rings", id, c.gatherN.Load(), c.reconfigN.Load())
+					}
+				}
+				for _, id := range v.ids {
+					v.submit(id, []byte(fmt.Sprint("whole/", id)))
+				}
+				v.settle(time.Second)
+				if got := v.resumed(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Resumed = %v, want %v", got, want)
+				}
+				v.toldRight()
+				v.agree(v.ids[0], v.ids...)
+			})
+		})
+	}
 }
 
 // TestCommitEntryIsFinal: a gathering member still takes in what the old

@@ -13,10 +13,12 @@
 // (declaring messages that no surviving member holds after a failure).
 //
 // Membership: when a node's token-loss timer fires, it enters a gather
-// phase, exchanging Join messages until the set of responsive nodes is
-// stable; the lowest id then sends a commit token twice round that set,
-// which installs the ring (core.go). Configuration changes are delivered
-// in order with respect to regular messages, as virtual synchrony requires.
+// phase, exchanging Join messages until every configured node has sent
+// one naming the same set, or else until the set of responsive nodes has
+// been stable for GatherTimeout; the lowest id then sends a commit token
+// twice round that set, which installs the ring (core.go). Configuration
+// changes are delivered in order with respect to regular messages, as
+// virtual synchrony requires.
 //
 // The sequence numbers exposed in Delivery.Seq are exactly the
 // "timestamps derived from the totally-ordered message sequence numbers"
@@ -163,9 +165,12 @@ type Config struct {
 	// any ring traffic) before starting membership recovery, and half of
 	// it how long a gather waits for its commit. Zero means 250ms.
 	FailTimeout time.Duration
-	// GatherTimeout is how long the candidate set must be stable during
-	// membership recovery before it is sent round as a commit. Zero
-	// means 60ms.
+	// GatherTimeout is the fallback end of membership recovery: how long
+	// the candidate set must be stable before it is sent round as a commit
+	// when it has not reached full-house consensus — every configured
+	// processor in the set, and each having sent a join for exactly that
+	// set, which ends the gather at once. It is how a silent processor is
+	// declared failed. Zero means 60ms.
 	GatherTimeout time.Duration
 
 	// MaxPackCount bounds how many payloads one packed message carries.
