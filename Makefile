@@ -58,8 +58,10 @@ loc:
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
 # leader-mode round trip at r=3 must stay under 120 KiB and 50
-# allocations at 16 KiB, and under 5 KiB and 44 allocations at 64 B —
-# large_rtt's copies and small_rtt's fixed cost) and the live-heap gate
+# allocations at 16 KiB, and under 5 KiB and 26 allocations at 64 B —
+# large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
+# over loopback UDP sockets under 10 KiB and 79 at 64 B, udp_ring_ladder's
+# fixed cost of a message and a datagram) and the live-heap gate
 # beside it (after 8192 echoes of 16 KiB the process holds under
 # 4 x replication.ReplyWindow + 64 MiB: the operation tables are bounded
 # by reply bytes) on their own, without the race detector's overhead, and
@@ -68,16 +70,17 @@ loc:
 budget:
 	$(GO) test -run 'TestDatapathAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
 
-# copymap prints the two maps behind the budget (scripts/copymap.sh): which
+# copymap prints the maps behind the budget (scripts/copymap.sh): which
 # call site allocates how many payload-sized buffers per 16 KiB round trip,
-# and which how many objects per 64 B round trip. With COPYMAP_REF=<ref>
+# and which how many objects per 64 B round trip — on memnet in leader
+# ordering, and over loopback UDP in ring ordering. With COPYMAP_REF=<ref>
 # each is a before/after table against that ref.
 COPYMAP_REF ?=
 copymap:
 	@echo '#### Payload-sized buffers per 16 KiB round trip (scripts/copymap.sh)'
 	@scripts/copymap.sh $(COPYMAP_REF)
 	@echo
-	@echo '#### Allocations per 64 B round trip (scripts/copymap.sh -n)'
+	@echo '#### Allocations per 64 B round trip, memnet and UDP (scripts/copymap.sh -n)'
 	@scripts/copymap.sh -n $(COPYMAP_REF)
 
 # sim sweeps the deterministic simulation harness (internal/sim,

@@ -9,36 +9,48 @@ import (
 	"eternalgw/internal/domain"
 	"eternalgw/internal/experiments"
 	"eternalgw/internal/ftmgmt"
+	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
+	"eternalgw/internal/udpnet"
 )
 
-// What a leader-mode round trip at r=3 may allocate, client side
-// included: what the maps in docs/PERFORMANCE.md account for (5
-// payload-sized buffers — the gateway's read, three replicas' results,
-// the client's read — and ~34 allocations on the 16 KiB row) plus a
-// quarter. The 64 B row holds the fixed cost of a message — headers, part
-// lists, ids — which the large row cannot see; its bytes are small
-// objects, which the race detector pads, so both rows are a quarter above
-// the highest -race figure (93.2 KiB and 39 allocations; 4.0 KiB and 35).
+// What a round trip at r=3 may allocate, client side included. The 16 KiB
+// row holds the copies: 5 payload-sized buffers — the gateway's read,
+// three replicas' results, the client's read — which the maps in
+// docs/PERFORMANCE.md account for. The 64 B rows hold the fixed cost of a
+// message — headers, part lists, ids, bookkeeping — which the large row
+// cannot see: 64B in leader mode on memnet (the small_rtt shape),
+// 64B-udp-ring in ring mode over loopback UDP sockets (the
+// udp_ring_ladder shape), the only row whose datagrams pass a socket's
+// receive loop; in a closed loop most of them are the token's idle
+// rotation, so it counts what a datagram costs as much as what a message
+// does. The race detector pads small objects and drops a quarter of what
+// is given back to a sync.Pool, so each budget is a quarter above the
+// highest -race figure it was set at: 93.2 KiB and 39 allocations on the
+// 16 KiB row, 4.0 KiB and 21 on the 64 B row, 8.1 KiB and 63 on the UDP
+// row.
 var datapathBudgets = []struct {
 	name        string
+	udp         bool // ring ordering over udpnet; leader ordering on memnet otherwise
 	payload     int
 	kibPerOp    float64
 	allocsPerOp float64
 	overBy      string
 }{
-	{"16KiB", 16 << 10, 120, 50, "a payload-sized copy came back (scripts/copymap.sh names it)"},
-	{"64B", 64, 5, 44, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
+	{"16KiB", false, 16 << 10, 120, 50, "a payload-sized copy came back (scripts/copymap.sh names it)"},
+	{"64B", false, 64, 5, 26, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
+	{"64B-udp-ring", true, 64, 10, 79, "the fixed cost of a message or a datagram grew (scripts/copymap.sh -n names it)"},
 }
 
 // budgetDomain stands up the reference benchmark's steady shape — 4
-// processors on memnet, leader ordering, active r=3 on the first three,
-// one gateway on the fourth — and a client connected to the gateway.
-func budgetDomain(t *testing.T) (*domain.Domain, *orb.Conn) {
+// processors, active r=3 on the first three, one gateway on the fourth —
+// and a client connected to the gateway: on memnet in leader ordering,
+// or with udp over loopback UDP sockets in ring ordering.
+func budgetDomain(t *testing.T, udp bool) (*domain.Domain, *orb.Conn) {
 	t.Helper()
-	d, err := domain.New(domain.Config{
+	cfg := domain.Config{
 		Name:  "budget",
 		Nodes: 4,
 		Totem: totem.Config{
@@ -51,12 +63,23 @@ func budgetDomain(t *testing.T) (*domain.Domain, *orb.Conn) {
 			Ordering:      totem.OrderingLeader,
 		},
 		GatewayInvokeTimeout: 10 * time.Second,
-	})
+	}
+	if udp {
+		registry, err := udpnet.LoopbackRegistry(domain.MemberIDs(cfg.Name, cfg.Nodes)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Totem.Ordering = totem.OrderingRing
+		cfg.TransportFactory = func(id memnet.NodeID) (totem.Transport, error) { return udpnet.Listen(id, registry) }
+	}
+	d, err := domain.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	benchWaitFastpath(t, d)
+	if !udp {
+		benchWaitFastpath(t, d)
+	}
 	err = d.Manager().CreateReplicatedObject(benchGroup, ftmgmt.Properties{
 		Style:           replication.Active,
 		InitialReplicas: 3,
@@ -82,22 +105,24 @@ func budgetDomain(t *testing.T) (*domain.Domain, *orb.Conn) {
 // TestDatapathAllocBudget holds the datapath's copy and allocation diet
 // in `go test ./...`: the large_rtt and small_rtt shapes of the reference
 // benchmark (4 processors on memnet, leader ordering, active r=3 on the
-// first three, one gateway on the fourth, closed-loop echo), measured
-// the way the benchmark measures them — process-wide MemStats over the
-// window.
+// first three, one gateway on the fourth, closed-loop echo), and the same
+// domain in ring ordering over loopback UDP sockets (udp_ring_ladder's),
+// measured the way the benchmark measures them — process-wide MemStats
+// over the window.
 //
 // scripts/copymap.sh runs the 16KiB row with -memprofilerate=1 to
-// attribute every buffer to its call site.
+// attribute every buffer to its call site, and -n the two 64 B rows to
+// attribute every allocation.
 func TestDatapathAllocBudget(t *testing.T) {
 	const (
 		warmup  = 50
 		windows = 3
 		ops     = 200
 	)
-	d, conn := budgetDomain(t)
-
 	for _, b := range datapathBudgets {
 		t.Run(b.name, func(t *testing.T) {
+			d, conn := budgetDomain(t, b.udp)
+			reconfigs := d.Node(0).Totem.Stats().Reconfigs
 			args := experiments.OctetSeqArg(make([]byte, b.payload))
 			call := func() {
 				if _, err := conn.Call([]byte(benchKey), "echo", args, orb.InvokeOptions{}); err != nil {
@@ -127,7 +152,10 @@ func TestDatapathAllocBudget(t *testing.T) {
 					t.Skipf("ring left the fast path during the run (%+v); the figures mix modes", s)
 				}
 			}
-			t.Logf("%s leader round trip, r=3: %.1f KiB/op, %.0f allocs/op (budget %v KiB, %v allocs)",
+			if s := d.Node(0).Totem.Stats(); s.Reconfigs != reconfigs {
+				t.Skipf("the ring reconfigured during the run (%+v); the figures include a membership change", s)
+			}
+			t.Logf("%s round trip, r=3: %.1f KiB/op, %.0f allocs/op (budget %v KiB, %v allocs)",
 				b.name, kib, allocs, b.kibPerOp, b.allocsPerOp)
 			if kib > b.kibPerOp {
 				t.Errorf("allocated %.1f KiB/op, budget %v: %s", kib, b.kibPerOp, b.overBy)
@@ -151,7 +179,7 @@ func TestReplyWindowBoundsTheLiveHeap(t *testing.T) {
 		ops     = 8192
 		ceiling = 4*replication.ReplyWindow + 64<<20
 	)
-	d, conn := budgetDomain(t)
+	d, conn := budgetDomain(t, false)
 	args := experiments.OctetSeqArg(make([]byte, 16<<10))
 	for i := 0; i < ops; i++ {
 		if _, err := conn.Call([]byte(benchKey), "echo", args, orb.InvokeOptions{}); err != nil {

@@ -329,3 +329,31 @@ func TestWriterOnAlignsToItsOwnStart(t *testing.T) {
 		}
 	}
 }
+
+// TestResetStartsAFreshStream: a Reader reset after a failed read, and a
+// Writer reset onto a new prefix, decode and encode exactly what a new one
+// would — position zero, no sticky error, alignment relative to the new
+// stream's start.
+func TestResetStartsAFreshStream(t *testing.T) {
+	r := NewReader([]byte{1, 2}, BigEndian)
+	r.ReadULong() // fails: only 2 bytes
+	r.Reset([]byte{0, 0, 0, 7, 9}, LittleEndian)
+	if r.Pos() != 0 || r.Err() != nil || r.Order() != LittleEndian {
+		t.Fatalf("reset reader at %d, err %v, order %v", r.Pos(), r.Err(), r.Order())
+	}
+	if got := r.ReadULong(); got != 7<<24 || r.ReadOctet() != 9 || r.Err() != nil {
+		t.Fatalf("reset reader decoded %#x, err %v", got, r.Err())
+	}
+
+	w := NewWriterOn([]byte("abc"), BigEndian)
+	w.WriteULongLong(1)
+	w.ResetOn([]byte("12345"), LittleEndian)
+	w.WriteOctet(1)
+	w.WriteULong(2)
+	fresh := NewWriterOn([]byte("12345"), LittleEndian)
+	fresh.WriteOctet(1)
+	fresh.WriteULong(2)
+	if !bytes.Equal(w.Bytes(), fresh.Bytes()) || w.Len() != fresh.Len() || w.Err() != nil || w.Order() != LittleEndian {
+		t.Fatalf("reset writer wrote %x, a new one %x", w.Bytes(), fresh.Bytes())
+	}
+}

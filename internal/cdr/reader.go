@@ -32,6 +32,12 @@ func NewReader(buf []byte, order ByteOrder) *Reader {
 	return &Reader{buf: buf, order: order}
 }
 
+// Reset makes r what NewReader(buf, order) returns: position zero, no
+// error. A caller that decodes one stream after another keeps one Reader.
+func (r *Reader) Reset(buf []byte, order ByteOrder) {
+	*r = Reader{buf: buf, order: order}
+}
+
 // Order reports the byte order the reader decodes with.
 func (r *Reader) Order() ByteOrder { return r.order }
 

@@ -46,6 +46,13 @@ func NewWriterOn(buf []byte, order ByteOrder) *Writer {
 	return &Writer{buf: buf, order: order, base: -len(buf)}
 }
 
+// ResetOn makes w what NewWriterOn(buf, order) returns: a new stream behind
+// buf, no error. A caller that encodes one stream after another keeps one
+// Writer.
+func (w *Writer) ResetOn(buf []byte, order ByteOrder) {
+	*w = Writer{buf: buf, order: order, base: -len(buf)}
+}
+
 // Order reports the byte order the writer encodes with.
 func (w *Writer) Order() ByteOrder { return w.order }
 

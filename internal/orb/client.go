@@ -85,7 +85,7 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// fail marks the connection broken and wakes all waiters.
+// fail marks the connection broken and wakes all waiters (c.done).
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,10 +94,6 @@ func (c *Conn) fail(err error) {
 	}
 	c.closed = true
 	c.err = err
-	for id, ch := range c.pending {
-		close(ch)
-		delete(c.pending, id)
-	}
 	close(c.done)
 }
 
@@ -115,15 +111,7 @@ func (c *Conn) readLoop() {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			ch, ok := c.pending[rep.RequestID]
-			if ok {
-				delete(c.pending, rep.RequestID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- rep
-			}
+			c.deliver(rep)
 		case giop.MsgLocateReply:
 			lr, err := giop.DecodeLocateReply(msg)
 			if err != nil {
@@ -144,6 +132,19 @@ func (c *Conn) readLoop() {
 		default:
 			// Unsolicited message types are ignored by this client.
 		}
+	}
+}
+
+// deliver hands a reply to the call awaiting its request id, if one is.
+// It sends under mu, so that nothing reaches a channel once its call has
+// abandoned it (Invoke reuses channels), and never blocks: one reply per
+// registration, into a channel emptied before.
+func (c *Conn) deliver(rep giop.Reply) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ch, ok := c.pending[rep.RequestID]; ok {
+		delete(c.pending, rep.RequestID)
+		ch <- rep
 	}
 }
 
@@ -183,8 +184,9 @@ func (c *Conn) Invoke(objectKey []byte, op string, args []byte, opts InvokeOptio
 	}
 	var ch chan giop.Reply
 	if !opts.OneWay {
-		ch = make(chan giop.Reply, 1)
+		ch = acquireReplyChan()
 		c.pending[id] = ch
+		defer c.abandon(id, ch)
 	}
 	c.mu.Unlock()
 
@@ -196,7 +198,6 @@ func (c *Conn) Invoke(objectKey []byte, op string, args []byte, opts InvokeOptio
 		Operation:        op,
 	}, args)
 	if err != nil {
-		c.abandon(id)
 		return giop.Reply{}, err
 	}
 	if opts.OneWay {
@@ -206,18 +207,33 @@ func (c *Conn) Invoke(objectKey []byte, op string, args []byte, opts InvokeOptio
 	timer := AcquireTimer(timeout)
 	defer ReleaseTimer(timer)
 	select {
-	case rep, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return giop.Reply{}, err
-		}
+	case rep := <-ch:
 		return rep, nil
+	case <-c.done:
+		// A reply read before the connection failed is still this call's.
+		select {
+		case rep := <-ch:
+			return rep, nil
+		default:
+		}
+		c.mu.Lock()
+		err := c.err
+		c.mu.Unlock()
+		return giop.Reply{}, err
 	case <-timer.C:
-		c.abandon(id)
 		return giop.Reply{}, fmt.Errorf("%w: %s after %v", ErrTimeout, op, timeout)
 	}
+}
+
+// replyChans holds reply channels with nothing in them: an invocation
+// takes one and gives it back, as it does its timer.
+var replyChans sync.Pool
+
+func acquireReplyChan() chan giop.Reply {
+	if ch, ok := replyChans.Get().(chan giop.Reply); ok {
+		return ch
+	}
+	return make(chan giop.Reply, 1)
 }
 
 // writeRequest frames a request and writes it to the socket: the head
@@ -251,11 +267,20 @@ func (c *Conn) writeRequest(minor byte, req giop.Request, args []byte) error {
 	return nil
 }
 
-// abandon forgets a pending request.
-func (c *Conn) abandon(id uint32) {
+// abandon forgets a pending request, answered or not, and gives its
+// channel back: emptied, so that a reply which crossed the call's
+// timeout never reaches the next call that takes the channel.
+func (c *Conn) abandon(id uint32, ch chan giop.Reply) {
 	c.mu.Lock()
-	delete(c.pending, id)
+	if c.pending[id] == ch {
+		delete(c.pending, id)
+	}
 	c.mu.Unlock()
+	select {
+	case <-ch:
+	default:
+	}
+	replyChans.Put(ch)
 }
 
 // Call invokes op and surfaces CORBA exceptions as errors, returning a

@@ -64,9 +64,10 @@ const (
 //
 // reply writes into the buffer the reply is sent from, behind what is
 // built of it already: reply.Bytes() and reply.Len() take that in, and
-// the buffer is the sender's once Invoke returns — a servant keeps
-// neither the writer nor its bytes. args likewise reads the buffer the
-// request arrived in.
+// the buffer is the sender's once Invoke returns. args likewise reads the
+// buffer the request arrived in. Both are the dispatcher's, reset for the
+// next request as soon as Invoke returns: a servant keeps neither the
+// reader nor the writer, nor any bytes of theirs.
 //
 // A servant used inside a fault tolerance domain must be deterministic:
 // its state changes may depend only on the operation, its arguments and

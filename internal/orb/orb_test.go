@@ -411,3 +411,107 @@ func TestLocateAPI(t *testing.T) {
 		t.Fatalf("locate ghost = %v, %v", status, err)
 	}
 }
+
+// TestLateReplyNeverFeedsTheNextInvoke: a call that timed out gives its
+// reply channel back for the next call to reuse, and the reply that comes
+// after the timeout reaches nobody. End to end, a servant answers each
+// timed-out call just before the next call is made; then the window
+// itself, where the read loop hands the reply over after the caller's
+// timer fired and before the caller abandoned its channel.
+func TestLateReplyNeverFeedsTheNextInvoke(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	release := make(chan struct{})
+	s.Register([]byte("late"), ServantFunc(func(op string, _ *cdr.Reader, reply *cdr.Writer) error {
+		if op == "slow" {
+			<-release
+		}
+		reply.WriteString(op)
+		return nil
+	}))
+	c := dialServer(t, s)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Call([]byte("late"), "slow", nil, InvokeOptions{Timeout: 5 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("round %d: slow call returned %v, want ErrTimeout", i, err)
+		}
+		release <- struct{}{} // answered now, after its caller gave up
+		r, err := c.Call([]byte("late"), "fast", nil, InvokeOptions{})
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if got := r.ReadString(); got != "fast" {
+			t.Fatalf("round %d: the next call was handed %q, the timed-out call's reply", i, got)
+		}
+	}
+
+	const id = 1 << 30
+	for reused, i := false, 0; !reused; i++ {
+		if i == 1000 {
+			t.Fatal("an abandoned reply channel was never reused")
+		}
+		ch := acquireReplyChan()
+		c.mu.Lock()
+		c.pending[id] = ch
+		c.mu.Unlock()
+		c.deliver(giop.Reply{RequestID: id, Result: []byte("late")}) // the timer has fired
+		c.abandon(id, ch)
+		next := acquireReplyChan()
+		reused = next == ch
+		select {
+		case rep := <-next:
+			t.Fatalf("a reused reply channel holds %q, a reply to the call that gave it back", rep.Result)
+		default:
+		}
+		replyChans.Put(next)
+	}
+}
+
+// TestServantFailureLeavesTheNextInvocationClean: the reader and writer
+// InvokeServant hands a servant are the caller's, reset for every request.
+// A servant that fails mid-read — the reader's error is sticky — or
+// mid-write leaves the next invocation a reader at position 0 without an
+// error and a writer holding nothing behind the reply's head.
+func TestServantFailureLeavesTheNextInvocationClean(t *testing.T) {
+	args, reply := new(cdr.Reader), new(cdr.Writer)
+	var dirty error
+	sv := ServantFunc(func(op string, args *cdr.Reader, reply *cdr.Writer) error {
+		switch op {
+		case "midread":
+			args.ReadULongLong()
+			args.ReadULongLong() // past the end
+			return args.Err()
+		case "midwrite":
+			reply.WriteString("half a result")
+			return errors.New("failed while writing")
+		}
+		switch {
+		case args.Pos() != 0 || args.Err() != nil || args.Remaining() != 8:
+			dirty = fmt.Errorf("reader at %d, err %v, %d bytes left", args.Pos(), args.Err(), args.Remaining())
+		case reply.Len() != 4 || reply.Err() != nil:
+			dirty = fmt.Errorf("writer holds %d bytes, err %v", reply.Len(), reply.Err())
+		}
+		reply.WriteLongLong(args.ReadLongLong())
+		return dirty
+	})
+	req := giop.Request{Args: encodeDelta(9), ArgsOrder: cdr.BigEndian}
+	for _, failing := range []string{"midread", "midwrite", "midread", "midread", "midwrite", "midwrite"} {
+		req.Operation = failing
+		if _, status := InvokeServant(sv, req, []byte("head"), args, reply); status != giop.ReplySystemException {
+			t.Fatalf("%s: status %v, want a system exception", failing, status)
+		}
+		req.Operation = "check"
+		out, status := InvokeServant(sv, req, []byte("head"), args, reply)
+		if status != giop.ReplyNoException {
+			t.Fatalf("after %s: status %v: %v", failing, status, dirty)
+		}
+		if r := cdr.NewReader(out[4:], cdr.BigEndian); string(out[:4]) != "head" || r.ReadLongLong() != 9 {
+			t.Fatalf("after %s: reply %x", failing, out)
+		}
+		if args.Remaining() != 0 || reply.Len() != 0 {
+			t.Fatalf("after %s: InvokeServant left the reader %d bytes, the writer %d", failing, args.Remaining(), reply.Len())
+		}
+	}
+}

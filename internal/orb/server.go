@@ -174,6 +174,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var wmu sync.Mutex // serializes replies onto the connection
+	// The servant's reader and writer for the requests this loop runs in
+	// turn; a concurrently dispatched request has its own.
+	var args cdr.Reader
+	var reply cdr.Writer
 	ra := giop.NewReassembler(conn, 0)
 	for {
 		msg, err := ra.Next()
@@ -186,10 +190,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.wg.Add(1)
 				go func(msg giop.Message) {
 					defer s.wg.Done()
-					s.handleRequest(conn, &wmu, msg)
+					s.handleRequest(conn, &wmu, msg, new(cdr.Reader), new(cdr.Writer))
 				}(msg)
 			} else {
-				s.handleRequest(conn, &wmu, msg)
+				s.handleRequest(conn, &wmu, msg, &args, &reply)
 			}
 		case giop.MsgLocateRequest:
 			s.handleLocate(conn, &wmu, msg)
@@ -208,7 +212,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // handleRequest runs one request against the object adapter. The reply
 // is built in one buffer: opened in the request's byte order and version,
 // the servant's result written behind its head, sealed with the outcome.
-func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message) {
+// args and reply are the servant's reader and writer (InvokeServant).
+func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message, args *cdr.Reader, reply *cdr.Writer) {
 	req, err := giop.DecodeRequest(msg)
 	if err != nil {
 		wmu.Lock()
@@ -223,7 +228,7 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message)
 		return
 	}
 	if sv, ok := s.lookup(req.ObjectKey); ok {
-		buf, rep.Status = InvokeServant(sv, req, buf)
+		buf, rep.Status = InvokeServant(sv, req, buf, args, reply)
 	} else {
 		rep.Status = giop.ReplySystemException
 		buf = append(buf, giop.SystemExceptionBody(order, RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo)...)
@@ -270,11 +275,19 @@ const replyStart = 128
 // returns the buffer with the result behind head, and the reply's status.
 // A servant error is mapped to a system exception, written where the
 // result began: what the servant had written is given up.
-func InvokeServant(sv Servant, req giop.Request, head []byte) ([]byte, giop.ReplyStatus) {
-	reply := cdr.NewWriterOn(head, req.ArgsOrder)
-	err := sv.Invoke(req.Operation, cdr.NewReader(req.Args, req.ArgsOrder), reply)
+//
+// args and reply are the caller's, reset here for this request and
+// emptied again before it returns: one pair serves every request a
+// dispatcher runs in turn, and neither holds a buffer between them.
+func InvokeServant(sv Servant, req giop.Request, head []byte, args *cdr.Reader, reply *cdr.Writer) ([]byte, giop.ReplyStatus) {
+	args.Reset(req.Args, req.ArgsOrder)
+	reply.ResetOn(head, req.ArgsOrder)
+	err := sv.Invoke(req.Operation, args, reply)
+	out := reply.Bytes()
+	args.Reset(nil, req.ArgsOrder)
+	reply.ResetOn(nil, req.ArgsOrder)
 	if err == nil {
-		return reply.Bytes(), giop.ReplyNoException
+		return out, giop.ReplyNoException
 	}
 	var sysEx *SystemException
 	repoID, minor := RepoUnknown, uint32(0)

@@ -537,13 +537,13 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	sh := m.pending.shard(key)
 
 	sh.mu.Lock()
-	waiting := len(sh.calls[key]) > 0
+	waiting := sh.calls[key] != nil
 	answered := sh.answered.Has(key) || sh.answered.Has(departedKey(h.SrcGroup, h.ClientID))
 	sh.mu.Unlock()
 	if !waiting && answered {
 		m.duplicateResponses.Add(1)
 		m.responsesDiscardedEarly.Add(1)
-		m.tracer.Event(traceKey(h), obs.StageDupSuppressed, string(m.cfg.NodeID)+"/response")
+		m.tracer.Event(traceKey(h), obs.StageDupSuppressed, m.responseHop)
 		return
 	}
 	// A first copy. With nobody waiting (another gateway's traffic, or a
@@ -556,8 +556,8 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	record := clientOnly && h.ClientID != UnusedClientID
 
 	sh.mu.Lock()
-	calls := sh.calls[key]
-	for _, c := range calls {
+	first := sh.calls[key]
+	for c := first; c != nil; c = c.next {
 		if c.votesNeeded > 0 {
 			sh.mu.Unlock()
 			m.deliverVotingResponse(hv, d, sh, key, record)
@@ -566,13 +566,16 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	}
 	// First-response delivery: this copy resolves every waiter. The
 	// payload travels raw; each waiter decodes it off the event loop.
-	for _, c := range calls {
+	for c := first; c != nil; {
+		next := c.next
+		c.next = nil
 		c.ch <- pendingResult{raw: hv.Payload}
+		c = next
 	}
 	delete(sh.calls, key)
 	sh.remember(key, hv.Payload, d.Sole, record)
 	sh.mu.Unlock()
-	if len(calls) > 0 {
+	if first != nil {
 		m.responsesDelivered.Add(1)
 	}
 }
@@ -595,44 +598,41 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 	}
 
 	sh.mu.Lock()
-	calls := sh.calls[key]
-	remaining := calls[:0]
 	delivered, agreed := false, false
-	for _, c := range calls {
-		if c.votesNeeded == 0 {
-			c.ch <- pendingResult{rep: rep}
-			delivered, agreed = true, true
-			continue // resolved; drop from pending
-		}
-		if c.responded[d.Sender] {
+	// prev is the last call kept awaiting key; a resolved one is dropped.
+	var prev, next *pendingCall
+	for c := sh.calls[key]; c != nil; c = next {
+		next = c.next
+		res := pendingResult{rep: rep}
+		switch {
+		case c.votesNeeded == 0:
+			agreed = true
+		case c.responded[d.Sender]:
 			m.duplicateResponses.Add(1)
-			remaining = append(remaining, c)
+			prev = c
 			continue
+		default:
+			c.responded[d.Sender] = true
+			c.votes[string(rep.Result)]++
+			switch {
+			case c.votes[string(rep.Result)] >= c.votesNeeded:
+				agreed = true
+			case len(c.responded) >= c.expected:
+				// All replicas answered without a majority: surface the
+				// disagreement instead of hanging the caller.
+				res.rep = giop.Reply{
+					RequestID: rep.RequestID,
+					Status:    giop.ReplySystemException,
+					Result:    giop.SystemExceptionBody(giopOrder, "IDL:eternalgw/NO_AGREEMENT:1.0", minorNoAgreement, giop.CompletedMaybe),
+				}
+			default:
+				prev = c
+				continue
+			}
 		}
-		c.responded[d.Sender] = true
-		c.votes[string(rep.Result)]++
-		if c.votes[string(rep.Result)] >= c.votesNeeded {
-			c.ch <- pendingResult{rep: rep}
-			delivered, agreed = true, true
-			continue
-		}
-		if len(c.responded) >= c.expected {
-			// All replicas answered without a majority: surface the
-			// disagreement instead of hanging the caller.
-			c.ch <- pendingResult{rep: giop.Reply{
-				RequestID: rep.RequestID,
-				Status:    giop.ReplySystemException,
-				Result:    giop.SystemExceptionBody(giopOrder, "IDL:eternalgw/NO_AGREEMENT:1.0", minorNoAgreement, giop.CompletedMaybe),
-			}}
-			delivered = true
-			continue
-		}
-		remaining = append(remaining, c)
-	}
-	if len(remaining) == 0 {
-		delete(sh.calls, key)
-	} else {
-		sh.calls[key] = remaining
+		c.ch <- res
+		delivered = true
+		sh.drop(key, c, prev)
 	}
 	if delivered {
 		sh.remember(key, hv.Payload, d.Sole, record && agreed)

@@ -69,9 +69,12 @@ func (g *groupState) removeMember(id memnet.NodeID) {
 
 // pendingCall is one invocation awaiting its response(s). The fields
 // below ch are mutated only by the event loop, under the call's pending
-// shard lock.
+// shard lock. Calls and their channels are reused (acquireCall).
 type pendingCall struct {
 	ch chan pendingResult
+	// next is the next call awaiting the same operation: the rare second
+	// waiter (pendingShard.calls).
+	next *pendingCall
 	// votesNeeded is zero for first-response delivery; otherwise the
 	// number of identical results required (active-with-voting).
 	votesNeeded int
@@ -102,6 +105,10 @@ type Mechanisms struct {
 	// included, that totem takes; zero for any.
 	ceiling int
 	tracer  *obs.Tracer // nil when tracing is disabled
+	// responseHop is the hop a duplicate response discarded early is
+	// traced at, built once: building it per discard allocated whether or
+	// not a tracer was set.
+	responseHop string
 
 	stop chan struct{}
 	done chan struct{}
@@ -173,19 +180,20 @@ func New(cfg Config) (*Mechanisms, error) {
 	}
 	cfg.applyDefaults()
 	m := &Mechanisms{
-		cfg:       cfg,
-		node:      cfg.Node,
-		room:      cfg.Node.Headroom(),
-		ceiling:   cfg.Node.Ceiling(),
-		tracer:    cfg.Tracer,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		groups:    make(map[GroupID]*groupState),
-		byKey:     make(map[string]GroupID),
-		prearmed:  make(map[GroupID]Application),
-		observers: make(map[GroupID]Observer),
-		pending:   newPendingTable(answeredCapacity, ReplyWindow),
-		changed:   make(chan struct{}),
+		cfg:         cfg,
+		node:        cfg.Node,
+		room:        cfg.Node.Headroom(),
+		ceiling:     cfg.Node.Ceiling(),
+		tracer:      cfg.Tracer,
+		responseHop: string(cfg.NodeID) + "/response",
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		groups:      make(map[GroupID]*groupState),
+		byKey:       make(map[string]GroupID),
+		prearmed:    make(map[GroupID]Application),
+		observers:   make(map[GroupID]Observer),
+		pending:     newPendingTable(answeredCapacity, ReplyWindow),
+		changed:     make(chan struct{}),
 	}
 	m.registerMetrics(cfg.Metrics)
 	go m.run()
@@ -610,7 +618,7 @@ func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.R
 	}
 	style, groupSize := g.style, len(g.members)
 	m.mu.RUnlock()
-	call := &pendingCall{ch: make(chan pendingResult, 1)}
+	call := acquireCall()
 	if style == ActiveWithVoting {
 		call.expected = groupSize
 		call.votesNeeded = groupSize/2 + 1

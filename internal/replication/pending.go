@@ -29,8 +29,10 @@ const ReplyWindow = 32 << 20
 // pendingShard is one lock's worth of the pending-call table: the calls
 // awaiting responses plus the operations already answered here.
 type pendingShard struct {
-	mu    sync.Mutex
-	calls map[opKey][]*pendingCall
+	mu sync.Mutex
+	// calls holds the first call awaiting each operation; a second waiter
+	// on one operation, which is rare, hangs off it (pendingCall.next).
+	calls map[opKey]*pendingCall
 	// answered holds every operation whose first response this processor
 	// delivered or observed. Present means answered: the header peek
 	// discards the 2nd..Rth replica copies on it without payload decode
@@ -83,7 +85,7 @@ func newPendingTable(capacity, window int) *pendingTable {
 	t := &pendingTable{}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.calls = make(map[opKey][]*pendingCall)
+		sh.calls = make(map[opKey]*pendingCall)
 		sh.answered.Init(per, window/pendingShards)
 	}
 	return t
@@ -149,8 +151,10 @@ func (t *pendingTable) occupancy() int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, calls := range sh.calls {
-			total += len(calls)
+		for _, c := range sh.calls {
+			for ; c != nil; c = c.next {
+				total++
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -161,25 +165,64 @@ func (t *pendingTable) occupancy() int {
 func (t *pendingTable) register(key opKey, c *pendingCall) {
 	sh := t.shard(key)
 	sh.mu.Lock()
-	sh.calls[key] = append(sh.calls[key], c)
+	c.next = sh.calls[key]
+	sh.calls[key] = c
 	sh.mu.Unlock()
 }
 
-// unregister removes a call, whether resolved or abandoned (timeout).
+// unregister removes a call, whether resolved or abandoned (timeout), and
+// gives it back for reuse: the caller is done with it.
 func (t *pendingTable) unregister(key opKey, c *pendingCall) {
 	sh := t.shard(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	calls := sh.calls[key]
-	kept := calls[:0]
-	for _, pc := range calls {
-		if pc != c {
-			kept = append(kept, pc)
+	var prev *pendingCall
+	for p := sh.calls[key]; p != nil; prev, p = p, p.next {
+		if p == c { // still awaiting: nothing has resolved it
+			sh.drop(key, c, prev)
+			break
 		}
 	}
-	if len(kept) == 0 {
+	sh.mu.Unlock()
+	releaseCall(c)
+}
+
+// drop takes c, which follows prev (nil: c is the first), out of the
+// calls awaiting key. Callers hold sh.mu.
+func (sh *pendingShard) drop(key opKey, c, prev *pendingCall) {
+	switch {
+	case prev != nil:
+		prev.next = c.next
+	case c.next != nil:
+		sh.calls[key] = c.next
+	default:
 		delete(sh.calls, key)
-	} else {
-		sh.calls[key] = kept
 	}
+	c.next = nil
+}
+
+// idleCalls holds released pending calls, their channels empty: an
+// invocation takes one and gives it back, as orb.AcquireTimer does with
+// timers.
+var idleCalls sync.Pool
+
+// acquireCall returns a pending call for first-response delivery whose
+// channel holds nothing.
+func acquireCall() *pendingCall {
+	if c, ok := idleCalls.Get().(*pendingCall); ok {
+		return c
+	}
+	return &pendingCall{ch: make(chan pendingResult, 1)}
+}
+
+// releaseCall takes back what the event loop may have sent a call after
+// its caller stopped waiting — a response that crossed its timeout — so
+// that it never reaches the caller that reuses the call. The call must be
+// unregistered: nothing sends to it any more.
+func releaseCall(c *pendingCall) {
+	select {
+	case <-c.ch:
+	default:
+	}
+	*c = pendingCall{ch: c.ch}
+	idleCalls.Put(c)
 }

@@ -2,11 +2,13 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/totem"
@@ -613,4 +615,193 @@ func TestTaskQueueReusesItsArrayAndForgetsWhatItPopped(t *testing.T) {
 			t.Fatalf("drained, slot %d still holds a datagram", j)
 		}
 	}
+}
+
+// gateApp answers "slow" once it is released and every other operation
+// at once, each with the operation's name.
+type gateApp struct {
+	regApp
+	release chan struct{}
+}
+
+func (a *gateApp) Invoke(op string, _ *cdr.Reader, reply *cdr.Writer) error {
+	if op == "slow" {
+		<-a.release
+	}
+	reply.WriteString(op)
+	return nil
+}
+
+// TestLateResponseNeverReachesTheNextCall: a call that timed out gives
+// its pendingCall back for the next invocation to reuse, and the response
+// that arrives after the timeout reaches nobody. End to end, the servant
+// answers each timed-out call just before the next call is made; then the
+// window itself, where the event loop hands the response over after the
+// caller's timer fired and before the caller unregistered.
+func TestLateResponseNeverReachesTheNextCall(t *testing.T) {
+	d := newDomain(t, 2)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpClient, Active, "")
+	app := &gateApp{release: make(chan struct{})}
+	d.mustJoin(d.ids[0], grpServer, app)
+	d.mustJoin(d.ids[1], grpClient, nil)
+	client := d.rms[d.ids[1]]
+	if err := client.WaitForMembers(grpServer, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	call := func(seq uint32, op string, timeout time.Duration) (giop.Reply, error) {
+		return client.Invoke(grpClient, 7, grpServer, OperationID{ChildSeq: seq}, giop.Request{
+			RequestID: seq, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: op,
+		}, timeout)
+	}
+	for seq := uint32(1); seq < 40; seq += 2 {
+		if _, err := call(seq, "slow", 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("call %d returned %v, want ErrTimeout", seq, err)
+		}
+		app.release <- struct{}{} // answered now, after its caller gave up
+		rep, err := call(seq+1, "fast", 5*time.Second)
+		if err != nil {
+			t.Fatalf("call %d: %v", seq+1, err)
+		}
+		if got := cdr.NewReader(rep.Result, rep.ResultOrder).ReadString(); got != "fast" || rep.RequestID != seq+1 {
+			t.Fatalf("call %d was handed %q for request %d, the timed-out call's response", seq+1, got, rep.RequestID)
+		}
+	}
+
+	h := Header{ClientID: 8, SrcGroup: grpServer, DstGroup: grpClient}
+	for reused, seq := false, uint32(1); !reused; seq++ {
+		if seq == 1000 {
+			t.Fatal("an unregistered pendingCall was never reused")
+		}
+		h.Op.ChildSeq = seq
+		key := h.key()
+		c := acquireCall()
+		client.pending.register(key, c)
+		respond(t, client, h, "n00", 1) // the caller's timer has fired
+		client.pending.unregister(key, c)
+		next := acquireCall()
+		reused = next == c
+		select {
+		case res := <-next.ch:
+			t.Fatalf("a reused pendingCall holds %x, the response to the call that gave it back", res.raw)
+		default:
+		}
+		if next.next != nil || next.votesNeeded != 0 || next.votes != nil {
+			t.Fatalf("a reused pendingCall kept state: %+v", next)
+		}
+		releaseCall(next)
+	}
+}
+
+// TestEveryWaiterOnAnOperationIsResolved: the rare second waiter on an
+// operation hangs off the first; a response resolves all of them, a waiter
+// that gave up in between is unlinked wherever it stands, and nothing is
+// left pending.
+func TestEveryWaiterOnAnOperationIsResolved(t *testing.T) {
+	d := newDomain(t, 1)
+	d.mustCreate(grpClient, Active, "")
+	d.mustJoin(d.ids[0], grpClient, nil)
+	m := d.rms[d.ids[0]]
+	h := Header{ClientID: 7, SrcGroup: grpServer, DstGroup: grpClient}
+	for _, gaveUp := range []int{-1, 0, 1, 2} {
+		h.Op.ChildSeq++
+		key := h.key()
+		calls := []*pendingCall{acquireCall(), acquireCall(), acquireCall()}
+		for _, c := range calls {
+			m.pending.register(key, c)
+		}
+		if gaveUp >= 0 {
+			m.pending.unregister(key, calls[gaveUp])
+		}
+		want := len(calls)
+		if gaveUp >= 0 {
+			want--
+		}
+		if got := m.PendingCalls(); got != want {
+			t.Fatalf("waiter %d gave up: %d calls pending, want %d", gaveUp, got, want)
+		}
+		reply := respond(t, m, h, "n00", 0x5A)
+		for i, c := range calls {
+			if i == gaveUp {
+				continue
+			}
+			select {
+			case res := <-c.ch:
+				if !bytes.Equal(res.raw, reply) {
+					t.Fatalf("waiter %d of %d got %x, want %x", i, len(calls), res.raw, reply)
+				}
+			default:
+				t.Fatalf("waiter %d gave up: waiter %d was not resolved", gaveUp, i)
+			}
+			m.pending.unregister(key, c)
+		}
+		if n := m.PendingCalls(); n != 0 {
+			t.Fatalf("waiter %d gave up: %d calls left pending", gaveUp, n)
+		}
+	}
+}
+
+// TestServantFailureLeavesTheExecutorClean: a replica's executor hands its
+// servant one reader and one writer, reset for every invocation. A servant
+// that fails mid-read or mid-write leaves the next invocation a reader at
+// position 0 without an error, a writer holding the reply's head and
+// nothing of the failed result, and a reply that is its own alone.
+func TestServantFailureLeavesTheExecutorClean(t *testing.T) {
+	d := newDomain(t, 2)
+	app := &cleanApp{}
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpClient, Active, "")
+	d.mustJoin(d.ids[0], grpServer, app)
+	d.mustJoin(d.ids[1], grpClient, nil)
+	client := d.rms[d.ids[1]]
+	if err := client.WaitForMembers(grpServer, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range []string{"midread", "check", "midwrite", "check", "midread", "midwrite", "check"} {
+		rep, err := invokeAsClient(t, client, grpClient, 7, grpServer, uint32(i+1), op, octets([]byte("abc")))
+		if err != nil {
+			t.Fatalf("%d %s: %v", i, op, err)
+		}
+		if op != "check" {
+			if rep.Status != giop.ReplySystemException {
+				t.Fatalf("%d %s: status %v, want a system exception", i, op, rep.Status)
+			}
+			continue
+		}
+		r := cdr.NewReader(rep.Result, rep.ResultOrder)
+		if got := r.ReadOctetSeq(); rep.Status != giop.ReplyNoException || string(got) != "abc" || r.Remaining() != 0 {
+			t.Fatalf("%d %s: status %v, result %x (%q, %d bytes more): %v", i, op, rep.Status, rep.Result, got, r.Remaining(), app.dirty)
+		}
+	}
+}
+
+// cleanApp fails on "midread" and "midwrite" halfway through, and on
+// "check" records what is wrong with the reader and writer it was handed.
+type cleanApp struct {
+	regApp
+	head  int // the writer's length at the first check: the reply's head
+	dirty error
+}
+
+func (a *cleanApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
+	switch op {
+	case "midread":
+		args.ReadOctetSeq()
+		args.ReadOctetSeq() // past the end
+		return args.Err()
+	case "midwrite":
+		reply.WriteString("half a result")
+		return errors.New("failed while writing")
+	}
+	if a.head == 0 {
+		a.head = reply.Len()
+	}
+	switch {
+	case args.Pos() != 0 || args.Err() != nil:
+		a.dirty = fmt.Errorf("reader at %d, err %v", args.Pos(), args.Err())
+	case reply.Len() != a.head || reply.Err() != nil:
+		a.dirty = fmt.Errorf("writer holds %d bytes, not the head's %d, err %v", reply.Len(), a.head, reply.Err())
+	}
+	reply.WriteOctetSeq(args.ReadOctetSeq())
+	return a.dirty
 }

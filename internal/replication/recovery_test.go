@@ -46,7 +46,7 @@ func imageState(t *testing.T, m *Mechanisms) (state []byte, ok bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orb.InvokeServant(app, req, nil)
+		orb.InvokeServant(app, req, nil, new(cdr.Reader), new(cdr.Writer))
 	}
 	state, _ = app.State()
 	return state, true
@@ -227,9 +227,12 @@ func TestRetriggeredTransferDoesNotReexecute(t *testing.T) {
 		t.Fatalf("joiner never synced from the surviving member: %v", err)
 	}
 	appendOp(7)
+	// The call returns on the first response: wait for both replicas to
+	// have executed it, or the one that answered second is read behind.
 	waitFor(t, 5*time.Second, func() bool {
 		v, _ := joiner.snapshot()
-		return bytes.HasSuffix(v, []byte("7"))
+		w, _ := survivor.snapshot()
+		return bytes.HasSuffix(v, []byte("7")) && bytes.HasSuffix(w, []byte("7"))
 	})
 	wantV, wantOps := survivor.snapshot()
 	gotV, gotOps := joiner.snapshot()

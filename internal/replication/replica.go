@@ -181,6 +181,10 @@ type replica struct {
 	holdback    []task // invocations buffered until state arrives
 	curParentTS uint64
 	curChildSeq uint32
+	// args and reply are the servant's reader and writer, reset for each
+	// invocation (orb.InvokeServant): the executor runs one at a time.
+	args  cdr.Reader
+	reply cdr.Writer
 }
 
 func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *replica {
@@ -372,7 +376,7 @@ func (r *replica) respond(h Header, req giop.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, rep.Status = orb.InvokeServant(r.app, req, buf)
+	buf, rep.Status = orb.InvokeServant(r.app, req, buf, &r.args, &r.reply)
 	if buf, err = giop.SealReply(buf, room+headerLen, order, 0, rep); err != nil {
 		return nil, err
 	}

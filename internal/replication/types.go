@@ -133,7 +133,9 @@ const UnusedClientID uint64 = 0
 //
 // Invoke writes its result, through the writer it is handed, into the
 // datagram the response is multicast in (DESIGN.md section 7): once it
-// returns, the writer and reply.Bytes() are totem's, and it keeps neither.
+// returns, reply.Bytes() is totem's, and the args reader and the writer
+// are the replica executor's, reset for its next invocation. It keeps
+// neither of them, nor any bytes of theirs.
 type Application interface {
 	orb.Servant
 	// State captures the full application state.

@@ -41,15 +41,24 @@ type batchState struct {
 
 	// Send-loop scratch (sendLoop goroutine only): one iovec pair
 	// [header, payload] per gathered frame, one mmsghdr per
-	// (frame, peer) datagram.
+	// (frame, peer) datagram. send is the raw-conn write callback,
+	// built once; it transmits ents[off:], and off carries its progress
+	// across the re-entries that follow a wait for writability.
 	iovs []syscall.Iovec
 	ents []mmsghdr
+	off  int
+	send func(fd uintptr) bool
 
 	// Receive-loop scratch (readLoop goroutine only): pooled
-	// maxDatagram buffers, one per recvmmsg slot.
+	// maxDatagram buffers, one per recvmmsg slot. recv is the raw-conn
+	// read callback, built once; it leaves the datagram count in rn, or
+	// the call's error in rerr.
 	rbufs [][]byte
 	riovs []syscall.Iovec
 	rents []mmsghdr
+	rn    int
+	rerr  syscall.Errno
+	recv  func(fd uintptr) bool
 }
 
 // useBatchSyscalls resolves the raw connection and peer sockaddrs,
@@ -87,6 +96,7 @@ func (e *Endpoint) useBatchSyscalls() (bool, error) {
 		bs.rents[i].hdr.Iov = &bs.riovs[i]
 		bs.rents[i].hdr.Iovlen = 1
 	}
+	bs.send, bs.recv = bs.sendmmsg, bs.recvmmsg
 	e.transmit, e.readLoop = bs.sendFrames, bs.readLoop
 	return true, nil
 }
@@ -154,41 +164,62 @@ func (bs *batchState) sendFrames(frames [][]byte) {
 	if len(ents) == 0 {
 		return
 	}
-	off := 0
-	// The callback may be re-entered after waiting for writability;
-	// off carries the progress across entries.
-	err := bs.rc.Write(func(fd uintptr) bool {
-		for off < len(ents) {
-			n := len(ents) - off
-			if n > sendmmsgChunk {
-				n = sendmmsgChunk
-			}
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&ents[off])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				e.txDatagrams.Add(uint64(r))
-				off += int(r)
-				if r == 0 {
-					off++ // cannot happen, but never spin
-				}
-			case syscall.EINTR:
-				// retry
-			case syscall.EAGAIN:
-				return false
-			default:
-				// Per-datagram refusal (e.g. a bounced ICMP error
-				// surfacing on the error queue): count it, skip one
-				// datagram, keep the rest of the batch moving.
-				e.txErrors.Add(1)
-				off++
-			}
-		}
-		return true
-	})
-	_ = err // socket closed mid-flush: remaining datagrams are lost, as on the wire
+	bs.ents, bs.off = ents, 0
+	_ = bs.rc.Write(bs.send) // socket closed mid-flush: remaining datagrams are lost, as on the wire
 	runtime.KeepAlive(frames)
 	runtime.KeepAlive(iovs)
+}
+
+// sendmmsg is the raw-conn write callback of sendFrames: it transmits
+// bs.ents[bs.off:] and reports false to wait for writability.
+func (bs *batchState) sendmmsg(fd uintptr) bool {
+	e, ents := bs.e, bs.ents
+	for bs.off < len(ents) {
+		n := min(len(ents)-bs.off, sendmmsgChunk)
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&ents[bs.off])), uintptr(n), 0, 0, 0)
+		switch errno {
+		case 0:
+			e.txDatagrams.Add(uint64(r))
+			bs.off += int(r)
+			if r == 0 {
+				bs.off++ // cannot happen, but never spin
+			}
+		case syscall.EINTR:
+			// retry
+		case syscall.EAGAIN:
+			return false
+		default:
+			// Per-datagram refusal (e.g. a bounced ICMP error
+			// surfacing on the error queue): count it, skip one
+			// datagram, keep the rest of the batch moving.
+			e.txErrors.Add(1)
+			bs.off++
+		}
+	}
+	return true
+}
+
+// recvmmsg is the raw-conn read callback of readLoop: it fills the
+// pooled buffers and leaves the count in bs.rn, or an error in bs.rerr,
+// and reports false to wait for readability.
+func (bs *batchState) recvmmsg(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&bs.rents[0])), uintptr(len(bs.rents)), 0, 0, 0)
+		switch errno {
+		case 0:
+			bs.rn = int(r)
+			return true
+		case syscall.EINTR:
+			// retry
+		case syscall.EAGAIN:
+			return false
+		default:
+			bs.rerr = errno
+			return true
+		}
+	}
 }
 
 // readLoop drains the socket with recvmmsg into the pooled buffers,
@@ -196,35 +227,17 @@ func (bs *batchState) sendFrames(frames [][]byte) {
 func (bs *batchState) readLoop() {
 	e := bs.e
 	for {
-		var n int
-		var operr syscall.Errno
-		err := bs.rc.Read(func(fd uintptr) bool {
-			for {
-				r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-					uintptr(unsafe.Pointer(&bs.rents[0])), uintptr(len(bs.rents)), 0, 0, 0)
-				switch errno {
-				case 0:
-					n = int(r)
-					return true
-				case syscall.EINTR:
-					// retry
-				case syscall.EAGAIN:
-					return false
-				default:
-					operr = errno
-					return true
-				}
-			}
-		})
-		if err != nil {
+		bs.rn, bs.rerr = 0, 0
+		if err := bs.rc.Read(bs.recv); err != nil {
 			return // socket closed
 		}
-		if operr != 0 {
+		if bs.rerr != 0 {
 			if e.closed.Load() {
 				return
 			}
 			continue // transient error-queue hit; keep receiving
 		}
+		n := bs.rn
 		if n > 0 {
 			e.rxBatches.Add(1)
 		}

@@ -1,6 +1,7 @@
 package udpnet
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,118 @@ func TestBatchedCountersAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output lacks %s:\n%s", want, text)
+		}
+	}
+}
+
+// TestReceiveAllocatesOnlyThePayload: a datagram off the socket costs one
+// allocation, the copy of its payload out of the pooled receive buffer —
+// its sender's id is the registry's, not a new string — and a recvmmsg or
+// sendmmsg call costs none. The burst goes through both batched loops.
+func TestReceiveAllocatesOnlyThePayload(t *testing.T) {
+	reg := freeRegistry(t, "sender", "receiver")
+	src, err := Listen("sender", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	dst, err := Listen("receiver", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dst.Close() }()
+	if !dst.Batched() {
+		t.Skip("no sendmmsg/recvmmsg on this platform")
+	}
+	const burst = 32
+	payload := make([]byte, 64)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	recv := func(e *Endpoint) {
+		timer.Reset(5 * time.Second)
+		defer timer.Stop()
+		select {
+		case p := <-e.Recv():
+			if p.From != "sender" {
+				t.Fatalf("%s received a datagram from %q", e.ID(), p.From)
+			}
+		case <-timer.C:
+			t.Fatalf("%s: burst lost on loopback (stats %+v)", e.ID(), e.Stats())
+		}
+	}
+	before := dst.Stats()
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < burst; i++ {
+			if err := src.Broadcast(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < burst; i++ {
+			recv(dst)
+			recv(src) // the loopback copy
+		}
+	})
+	after := dst.Stats()
+	batches := float64(after.RxBatches-before.RxBatches) / 21
+	t.Logf("%.1f allocations per burst of %d datagrams in %.1f recvmmsg returns", allocs, burst, batches)
+	// Below one more per burst: a stray allocation elsewhere in the process
+	// is tolerated, one per syscall is not.
+	if allocs >= burst+1 {
+		t.Fatalf("%.1f allocations per burst of %d datagrams (%.1f recvmmsg returns): want one per datagram, none per syscall", allocs, burst, batches)
+	}
+}
+
+// TestDatagramFromOutsideTheRegistryIsDropped: a frame whose sender id
+// is not a peer in the endpoint's registry — a stranger's, or the
+// endpoint's own, which its peers never send — is counted and dropped
+// before totem hears of it, on the batched path and the portable one. A
+// frame naming a peer still arrives.
+func TestDatagramFromOutsideTheRegistryIsDropped(t *testing.T) {
+	for _, portable := range []bool{false, true} {
+		reg := freeRegistry(t, "self", "peer")
+		mreg := obs.NewRegistry()
+		e, err := listen("self", reg, Config{Metrics: mreg}, portable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = e.Close() }()
+		addr, err := net.ResolveUDPAddr("udp", e.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.DialUDP("udp", nil, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = raw.Close() }()
+		for _, f := range [][]byte{
+			frameFor("stranger", []byte("forged")),
+			frameFor("self", []byte("forged")),
+			frameFor("peer", []byte("genuine")),
+		} {
+			if _, err := raw.Write(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := waitStats(t, e, "three datagrams read", func(s Stats) bool { return s.RxDatagrams == 3 })
+		if s.RxUnknownSender != 2 {
+			t.Fatalf("portable=%v: RxUnknownSender = %d, want 2 (stats %+v)", portable, s.RxUnknownSender, s)
+		}
+		select {
+		case p := <-e.Recv():
+			if p.From != "peer" || string(p.Payload) != "genuine" {
+				t.Fatalf("portable=%v: delivered %q from %q, want the peer's frame alone", portable, p.Payload, p.From)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("portable=%v: the peer's frame never arrived", portable)
+		}
+		select {
+		case p := <-e.Recv():
+			t.Fatalf("portable=%v: delivered %q from %q, a sender outside the registry", portable, p.Payload, p.From)
+		default:
+		}
+		if want := `eternalgw_udpnet_rx_unknown_sender_total{node="self"} 2`; !strings.Contains(mreg.RenderPrometheus(), want) {
+			t.Fatalf("portable=%v: metrics lack %s", portable, want)
 		}
 	}
 }

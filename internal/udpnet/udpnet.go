@@ -22,9 +22,10 @@
 // each flush writes, and each read takes, one datagram per syscall.
 //
 // Loss is expected and counted, never hidden: outbound-queue overflow,
-// inbox overflow, kernel truncation and malformed frames each have a
-// counter, exposed as eternalgw_udpnet_* metrics when a registry is
-// attached (docs/OBSERVABILITY.md).
+// inbox overflow, kernel truncation, malformed frames and frames from a
+// sender outside the registry each have a counter, exposed as
+// eternalgw_udpnet_* metrics when a registry is attached
+// (docs/OBSERVABILITY.md).
 package udpnet
 
 import (
@@ -136,6 +137,10 @@ type Stats struct {
 	RxInboxDrops   uint64 // received datagrams dropped because the inbox was full
 	RxTruncated    uint64 // datagrams the kernel truncated (larger than maxDatagram)
 	RxShortFrames  uint64 // frames too short or with a hostile id length
+	// RxUnknownSender counts frames dropped because their sender id is
+	// not a peer in the registry: an id from outside it, or this
+	// endpoint's own, which never reaches it off the socket.
+	RxUnknownSender uint64
 }
 
 // peer is one remote ring member: resolved once at Listen time.
@@ -149,6 +154,10 @@ type Endpoint struct {
 	id    memnet.NodeID
 	conn  *net.UDPConn
 	peers []peer
+	// senders resolves a received frame's sender id to the peer's own
+	// NodeID, so a datagram allocates no id; a frame whose id is not
+	// here is dropped.
+	senders map[string]memnet.NodeID
 	// hdr is the precomputed sender-identity frame header (2-byte
 	// big-endian id length + id bytes), shared by every datagram this
 	// endpoint sends.
@@ -173,16 +182,17 @@ type Endpoint struct {
 	lossRate float64
 	lossRng  *rand.Rand
 
-	txDatagrams    atomic.Uint64
-	txBatches      atomic.Uint64
-	txQueueDrops   atomic.Uint64
-	txErrors       atomic.Uint64
-	txLossInjected atomic.Uint64
-	rxDatagrams    atomic.Uint64
-	rxBatches      atomic.Uint64
-	rxInboxDrops   atomic.Uint64
-	rxTruncated    atomic.Uint64
-	rxShortFrames  atomic.Uint64
+	txDatagrams     atomic.Uint64
+	txBatches       atomic.Uint64
+	txQueueDrops    atomic.Uint64
+	txErrors        atomic.Uint64
+	txLossInjected  atomic.Uint64
+	rxDatagrams     atomic.Uint64
+	rxBatches       atomic.Uint64
+	rxInboxDrops    atomic.Uint64
+	rxTruncated     atomic.Uint64
+	rxShortFrames   atomic.Uint64
+	rxUnknownSender atomic.Uint64
 }
 
 // Listen binds the endpoint for id at its registry address with default
@@ -230,13 +240,14 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 	}
 	idb := []byte(id)
 	e := &Endpoint{
-		id:     id,
-		conn:   conn,
-		hdr:    append([]byte{byte(len(idb) >> 8), byte(len(idb))}, idb...),
-		inbox:  make(chan memnet.Packet, inboxSize),
-		outbox: make(chan []byte, outboxSize),
-		gather: make([][]byte, 0, sendGather),
-		quit:   make(chan struct{}),
+		id:      id,
+		conn:    conn,
+		hdr:     append([]byte{byte(len(idb) >> 8), byte(len(idb))}, idb...),
+		inbox:   make(chan memnet.Packet, inboxSize),
+		outbox:  make(chan []byte, outboxSize),
+		gather:  make([][]byte, 0, sendGather),
+		quit:    make(chan struct{}),
+		senders: make(map[string]memnet.NodeID, len(registry)),
 	}
 	e.transmit, e.readLoop = e.sendFramesSequential, e.readLoopSequential
 	if cfg.LossRate > 0 {
@@ -259,6 +270,7 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 			return nil, fmt.Errorf("udpnet: resolve peer %q at %q: %w", p, registry[memnet.NodeID(p)], err)
 		}
 		e.peers = append(e.peers, peer{id: memnet.NodeID(p), addr: ua})
+		e.senders[p] = memnet.NodeID(p)
 	}
 	if !portable {
 		e.batched, err = e.useBatchSyscalls()
@@ -419,9 +431,10 @@ func (e *Endpoint) readLoopSequential() {
 }
 
 // deliverFrame validates one received datagram's sender-id framing and
-// queues the decoded packet. The frame buffer is only borrowed: the
-// payload is copied out because the inbox consumer holds it
-// indefinitely while the receive buffers are pooled.
+// queues the decoded packet from the peer it names. The frame buffer is
+// only borrowed: the payload is copied out because the inbox consumer
+// holds it indefinitely while the receive buffers are pooled. The copy is
+// the one allocation a datagram costs.
 func (e *Endpoint) deliverFrame(frame []byte, truncated bool) {
 	e.rxDatagrams.Add(1)
 	if truncated {
@@ -430,9 +443,16 @@ func (e *Endpoint) deliverFrame(frame []byte, truncated bool) {
 		e.rxTruncated.Add(1)
 		return
 	}
-	from, payload, ok := decodeFrame(frame)
+	id, payload, ok := decodeFrame(frame)
 	if !ok {
 		e.rxShortFrames.Add(1)
+		return
+	}
+	from, ok := e.senders[string(id)]
+	if !ok {
+		// Not a peer: a datagram from outside the registry, or one that
+		// claims this endpoint's own id. Totem never hears of it.
+		e.rxUnknownSender.Add(1)
 		return
 	}
 	cp := make([]byte, len(payload))
@@ -444,33 +464,34 @@ func (e *Endpoint) deliverFrame(frame []byte, truncated bool) {
 	}
 }
 
-// decodeFrame splits a wire frame into its sender identity and payload.
-// The returned payload aliases the frame. It rejects frames shorter than
-// the length prefix and hostile id lengths pointing past the frame end.
-func decodeFrame(frame []byte) (from memnet.NodeID, payload []byte, ok bool) {
+// decodeFrame splits a wire frame into its sender id and payload, both
+// aliasing the frame. It rejects frames shorter than the length prefix
+// and hostile id lengths pointing past the frame end.
+func decodeFrame(frame []byte) (id, payload []byte, ok bool) {
 	if len(frame) < 2 {
-		return "", nil, false
+		return nil, nil, false
 	}
 	idLen := int(frame[0])<<8 | int(frame[1])
 	if idLen == 0 || 2+idLen > len(frame) {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return memnet.NodeID(frame[2 : 2+idLen]), frame[2+idLen:], true
+	return frame[2 : 2+idLen], frame[2+idLen:], true
 }
 
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats {
 	return Stats{
-		TxDatagrams:    e.txDatagrams.Load(),
-		TxBatches:      e.txBatches.Load(),
-		TxQueueDrops:   e.txQueueDrops.Load(),
-		TxErrors:       e.txErrors.Load(),
-		TxLossInjected: e.txLossInjected.Load(),
-		RxDatagrams:    e.rxDatagrams.Load(),
-		RxBatches:      e.rxBatches.Load(),
-		RxInboxDrops:   e.rxInboxDrops.Load(),
-		RxTruncated:    e.rxTruncated.Load(),
-		RxShortFrames:  e.rxShortFrames.Load(),
+		TxDatagrams:     e.txDatagrams.Load(),
+		TxBatches:       e.txBatches.Load(),
+		TxQueueDrops:    e.txQueueDrops.Load(),
+		TxErrors:        e.txErrors.Load(),
+		TxLossInjected:  e.txLossInjected.Load(),
+		RxDatagrams:     e.rxDatagrams.Load(),
+		RxBatches:       e.rxBatches.Load(),
+		RxInboxDrops:    e.rxInboxDrops.Load(),
+		RxTruncated:     e.rxTruncated.Load(),
+		RxShortFrames:   e.rxShortFrames.Load(),
+		RxUnknownSender: e.rxUnknownSender.Load(),
 	}
 }
 
@@ -494,6 +515,7 @@ func (e *Endpoint) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_udpnet_rx_inbox_drops_total", "Received datagrams dropped because the inbox was full.", e.rxInboxDrops.Load},
 		{"eternalgw_udpnet_rx_truncated_total", "Received datagrams the kernel truncated.", e.rxTruncated.Load},
 		{"eternalgw_udpnet_rx_short_frames_total", "Received frames rejected by sender-id framing validation.", e.rxShortFrames.Load},
+		{"eternalgw_udpnet_rx_unknown_sender_total", "Received frames dropped because their sender id is not a peer in the registry.", e.rxUnknownSender.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
