@@ -131,7 +131,7 @@ type runOpts struct {
 	nodes, replicas, gateways  int
 	styleStr, listen, ordering string
 	monitor                    time.Duration
-	udp, quorum                bool
+	udp                        bool
 	node, registry             string
 	udpCfg                     udpnet.Config
 	obsAddr, logLevel          string
@@ -166,7 +166,6 @@ func parseFlags(args []string) (runOpts, error) {
 	fs.IntVar(&o.udpCfg.ReadBuffer, "udp-rcvbuf", 0, "UDP socket receive buffer in bytes (0 = OS default)")
 	fs.IntVar(&o.udpCfg.WriteBuffer, "udp-sndbuf", 0, "UDP socket send buffer in bytes (0 = OS default)")
 	fs.StringVar(&o.ordering, "ordering", "ring", "totem ordering mode: ring (token rotation) or leader (sequencer fast path, see docs/PERFORMANCE.md)")
-	fs.BoolVar(&o.quorum, "quorum", false, "enable majority-partition protection (a minority partition refuses to serve)")
 	fs.StringVar(&o.obsAddr, "obs-addr", "", "ops HTTP listen address for /metrics, /healthz, /readyz, /statusz (empty disables)")
 	fs.BoolVar(&o.trace, "trace", false, "record per-invocation traces, shown on /statusz (requires -obs-addr)")
 	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/ on the ops server (requires -obs-addr)")
@@ -278,9 +277,6 @@ func run(o runOpts) error {
 	}
 	if o.replicas <= 0 || o.replicas > len(cfg.Members) {
 		return fmt.Errorf("cannot place %d replicas on %d nodes", o.replicas, len(cfg.Members))
-	}
-	if o.quorum {
-		cfg.Replication.QuorumOf = len(cfg.Members)
 	}
 	if cfg.Totem.Ordering == totem.OrderingLeader {
 		fmt.Println("totem ordering: leader fast path (sequencer-assigned order, ring fallback on failure)")

@@ -47,8 +47,7 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs, _ := filepath.Glob("docs/*.md") // the pattern is well formed
-	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+	for _, doc := range gatedDocs() {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -65,6 +64,46 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 				prefix, isPrefix := strings.CutSuffix(name, "*")
 				if !slices.ContainsFunc(declared, func(d string) bool { return d == name || isPrefix && strings.HasPrefix(d, prefix) }) {
 					t.Errorf("%s:%d names %s, which no test file declares", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// gatedDocs lists the documents whose claims the gates below check:
+// README.md, DESIGN.md, EXPERIMENTS.md and every document under docs/.
+func gatedDocs() []string {
+	docs, _ := filepath.Glob("docs/*.md") // the pattern is well formed
+	return append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...)
+}
+
+// seriesName matches a metric series of this repository named in prose.
+var seriesName = regexp.MustCompile(`eternalgw_[a-z0-9_]+`)
+
+// TestDocsNameDocumentedSeries fails when a gated document names an
+// eternalgw_* series that docs/OBSERVABILITY.md does not document, or a
+// prefix of none (a grep example may name a family by its prefix). The
+// metricname analyzer's DocSync ties OBSERVABILITY.md to the
+// registrations, so a series a document names is one the code registers.
+func TestDocsNameDocumentedSeries(t *testing.T) {
+	const catalogue = "docs/OBSERVABILITY.md"
+	text, err := os.ReadFile(catalogue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := seriesName.FindAllString(string(text), -1)
+	for _, doc := range gatedDocs() {
+		if doc == filepath.FromSlash(catalogue) {
+			continue
+		}
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, name := range seriesName.FindAllString(line, -1) {
+				if !slices.ContainsFunc(documented, func(d string) bool { return strings.HasPrefix(d, name) }) {
+					t.Errorf("%s:%d names %s, which %s does not document", doc, i+1, name, catalogue)
 				}
 			}
 		}

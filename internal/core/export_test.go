@@ -17,3 +17,7 @@ func (g *Gateway) TrackedRequestIDs() int {
 	}
 	return n
 }
+
+// MinorOutcomeUnknown is the minor code of a request that was multicast
+// and went unanswered (OPERATIONS.md).
+const MinorOutcomeUnknown = minorOutcomeUnknown

@@ -53,13 +53,19 @@ const (
 	// minorUnknownObjectKey: OBJECT_NOT_EXIST — the request's object key
 	// matches no replicated group at this gateway.
 	minorUnknownObjectKey uint32 = 0
-	// minorInvokeFailed: COMM_FAILURE — conveying the request through
-	// the fault tolerance domain failed or timed out.
+	// minorInvokeFailed: COMM_FAILURE — conveying the request into the
+	// fault tolerance domain failed before the multicast.
 	minorInvokeFailed uint32 = 0
 	// minorRequestTooLarge: IMP_LIMIT — the request's header declares more
 	// than one datagram of the domain's transport carries. Refused before
 	// its body was read; it never entered the total order.
 	minorRequestTooLarge uint32 = 1
+	// minorOutcomeUnknown: COMM_FAILURE — multicast, and no response came
+	// back in time or the wait was stopped: it may have executed.
+	minorOutcomeUnknown uint32 = 2
+	// minorNoQuorum: TRANSIENT — refused before the multicast: the ring
+	// holds no majority (replication.ErrNoQuorum). Above every verdict's.
+	minorNoQuorum uint32 = 6
 )
 
 // Errors reported by the gateway.
@@ -689,7 +695,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 			cc.writeReplyRaw(msg, req, giop.Reply{
 				RequestID: req.RequestID,
 				Status:    giop.ReplySystemException,
-				Result:    giop.SystemExceptionBody(msg.Header.Order, "IDL:omg.org/CORBA/COMM_FAILURE:1.0", minorInvokeFailed, giop.CompletedNo),
+				Result:    invokeFailure(msg.Header.Order, err),
 			})
 			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway-exception")
 		}
@@ -704,6 +710,20 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
 	}
 	gw.observeLatency(arrived)
+}
+
+// invokeFailure answers a request whose conveyance failed: COMPLETED_NO
+// only if it was never multicast, since a plain client told so reissues it
+// under a new request id (section 3.4).
+func invokeFailure(order cdr.ByteOrder, err error) []byte {
+	switch {
+	case errors.Is(err, replication.ErrNoQuorum):
+		return giop.SystemExceptionBody(order, repoIDTransient, minorNoQuorum, giop.CompletedNo)
+	case errors.Is(err, replication.ErrTimeout), errors.Is(err, replication.ErrStopped):
+		return giop.SystemExceptionBody(order, "IDL:omg.org/CORBA/COMM_FAILURE:1.0", minorOutcomeUnknown, giop.CompletedMaybe)
+	default:
+		return giop.SystemExceptionBody(order, "IDL:omg.org/CORBA/COMM_FAILURE:1.0", minorInvokeFailed, giop.CompletedNo)
+	}
 }
 
 // beginRequest notes a request id as in flight. The read loop calls it

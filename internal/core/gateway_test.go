@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/core"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/giop"
@@ -25,6 +26,12 @@ const (
 
 func fastDomain(t *testing.T, name string, nodes int) *domain.Domain {
 	t.Helper()
+	return fastDomainTimeout(t, name, nodes, 5*time.Second)
+}
+
+// fastDomainTimeout is fastDomain with the gateways' invoke timeout.
+func fastDomainTimeout(t *testing.T, name string, nodes int, invokeTimeout time.Duration) *domain.Domain {
+	t.Helper()
 	d, err := domain.New(domain.Config{
 		Name:  name,
 		Nodes: nodes,
@@ -34,7 +41,7 @@ func fastDomain(t *testing.T, name string, nodes int) *domain.Domain {
 			FailTimeout:     80 * time.Millisecond,
 			GatherTimeout:   20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
+		GatewayInvokeTimeout: invokeTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +242,34 @@ func TestGatewayUnknownObjectKey(t *testing.T) {
 	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoObjectNotExist {
 		t.Fatalf("err = %v, want OBJECT_NOT_EXIST", err)
 	}
+}
+
+// TestTimedOutRequestMayHaveCompleted: the servant stalls past the
+// gateway's invoke timeout. The request was multicast and runs to the end,
+// so the client is told COMPLETED_MAYBE: told COMPLETED_NO, a plain client
+// reissues under a new request id and the operation runs twice.
+func TestTimedOutRequestMayHaveCompleted(t *testing.T) {
+	d := fastDomainTimeout(t, "ny", 2, 100*time.Millisecond)
+	apps := deployRegister(t, d, replication.Active, 1)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := orb.Dial(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	w := cdr.NewWriter(cdr.BigEndian)
+	w.WriteULong(400) // milliseconds the servant stalls
+	w.WriteOctetSeq([]byte("slow"))
+	_, err = conn.Call([]byte(keyRegister), "work", w.Bytes(), orb.InvokeOptions{Timeout: 5 * time.Second})
+	var sysEx *orb.SystemException
+	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoCommFailure || sysEx.Minor != core.MinorOutcomeUnknown || sysEx.Completed != giop.CompletedMaybe {
+		t.Fatalf("err = %v, want COMM_FAILURE minor %d COMPLETED_MAYBE", err, core.MinorOutcomeUnknown)
+	}
+	// It did run.
+	waitInt(t, apps[0].totalOps, 1, "servant ops")
 }
 
 func TestDistinctTCPClientsGetDistinctIdentifiers(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/totem"
 )
 
 func TestStatelessStyleExecutesEverywhere(t *testing.T) {
@@ -374,13 +375,16 @@ func TestDeleteGroupRetiresEverywhere(t *testing.T) {
 	}
 }
 
+// TestQuorumProtectionBlocksMinority: with the default Config, a node
+// whose ring holds no majority of the configured processors
+// (totem.ConfigChange.Primary false) neither executes nor issues
+// invocations; after the merge the minority replica is intact (it never
+// diverged).
 func TestQuorumProtectionBlocksMinority(t *testing.T) {
-	// With quorum protection on, a minority partition neither executes
-	// nor issues invocations; after the merge the minority replica is
-	// intact (it never diverged).
 	net := memnet.New()
 	ids := []memnet.NodeID{"q0", "q1", "q2"}
 	rms := make(map[memnet.NodeID]*Mechanisms, 3)
+	nodes := make(map[memnet.NodeID]*totem.Node, 3)
 	for _, id := range ids {
 		ep, err := net.Attach(id)
 		if err != nil {
@@ -390,11 +394,11 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, err := New(Config{Node: node, QuorumOf: len(ids)})
+		rm, err := New(Config{Node: node})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rms[id] = rm
+		rms[id], nodes[id] = rm, node
 		t.Cleanup(rm.Stop)
 	}
 	apps := map[memnet.NodeID]*regApp{"q0": {}, "q1": {}}
@@ -432,22 +436,30 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 
 	// Partition q1 (one server replica) into a minority of one.
 	net.Partition([]memnet.NodeID{"q0", "q2"}, []memnet.NodeID{"q1"})
-	waitFor(t, 5*time.Second, func() bool { return !rms["q1"].HasQuorum() })
+	waitFor(t, 5*time.Second, func() bool { return len(nodes["q1"].Members()) == 1 })
 
 	// The minority cannot invoke...
-	_, err := rms["q1"].Invoke(grpServer, 0, grpServer, OperationID{ChildSeq: 99}, giop.Request{
-		RequestID: 99, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: "read",
-	}, time.Second)
-	if !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("minority invoke err = %v, want ErrNoQuorum", err)
+	waitFor(t, 5*time.Second, func() bool {
+		_, err := rms["q1"].Invoke(grpServer, 0, grpServer, OperationID{ChildSeq: 99}, giop.Request{
+			RequestID: 99, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: "read",
+		}, 10*time.Millisecond)
+		return errors.Is(err, ErrNoQuorum)
+	})
+	// ...nor execute what its own ring delivers...
+	delivered := nodes["q1"].Stats().Delivered
+	if err := rms["q1"].MulticastRequest(grpServer, 0, grpServer, OperationID{ChildSeq: 98}, giop.Request{
+		RequestID: 98, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets([]byte("z")),
+	}); err != nil {
+		t.Fatal(err)
 	}
+	waitFor(t, 5*time.Second, func() bool { return nodes["q1"].Stats().Delivered > delivered })
 	// ...while the majority keeps serving.
 	if _, err := invokeAsClient(t, rms["q2"], grpClient, 1, grpServer, 2, "append", octets([]byte("b"))); err != nil {
 		t.Fatal(err)
 	}
 
 	net.Heal()
-	waitFor(t, 5*time.Second, func() bool { return rms["q1"].HasQuorum() })
+	waitFor(t, 5*time.Second, func() bool { return len(nodes["q1"].Members()) == len(ids) })
 	if _, err := invokeAsClient(t, rms["q2"], grpClient, 1, grpServer, 3, "append", octets([]byte("c"))); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +473,7 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 	// merge (c) — it missed b, which a production deployment would
 	// recover by rejoining (state transfer), exercised elsewhere.
 	mv, _ := apps["q1"].snapshot()
-	if bytes.Contains(mv, []byte("b")) && !bytes.Equal(mv, []byte("abc")) {
+	if bytes.Contains(mv, []byte("z")) || bytes.Contains(mv, []byte("b")) && !bytes.Equal(mv, []byte("abc")) {
 		t.Fatalf("minority diverged: %q", mv)
 	}
 }

@@ -161,7 +161,7 @@ func octets(b []byte) []byte {
 }
 
 // startTotem boots a totem node with test timeouts.
-func startTotem(t *testing.T, id memnet.NodeID, ep *memnet.Endpoint, members []memnet.NodeID) (*totem.Node, error) {
+func startTotem(t *testing.T, id memnet.NodeID, ep totem.Transport, members []memnet.NodeID) (*totem.Node, error) {
 	t.Helper()
 	node, err := totem.Start(totem.Config{
 		ID:              id,

@@ -315,9 +315,11 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 	}
 }
 
-// handleConfig reacts to a totem ring change. Nodes that left the ring are
-// removed from every group, at a single point in the total order, so all
-// survivors agree on the resulting memberships and on who is promoted.
+// handleConfig reacts to a totem ring change. Whether this node executes
+// and invokes from here on is the ring's ConfigChange.Primary
+// (awaitPrimary). Nodes that left the ring are removed from every group,
+// at a single point in the total order, so all survivors agree on the
+// resulting memberships and on who is promoted.
 // Whether this member's directory and replicas outlive the change is
 // totem's verdict and nothing else (ConfigChange.Continues). Told it does
 // not continue the history the ring keeps, it closes its servant replicas
@@ -329,6 +331,7 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.primary.Store(c.Primary)
 	m.evictDeparted(c)
 	if !c.Continues {
 		for _, g := range m.groups {
@@ -348,6 +351,30 @@ func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
 		m.send(Message{Header: Header{Kind: KindMembershipSync, ClientID: UnusedClientID, Op: OperationID{ParentTS: c.RingID}}})
 	}
 	m.notifyChanged()
+}
+
+// awaitPrimary holds an executor until this member's ring is primary, and
+// reports whether the task it holds is to run. Two members of one history
+// can deliver an invocation in different rings (a retransmission arrives
+// in whichever is installed by then), so what a ring without a majority
+// delivered runs, in order, in a primary ring the member continues into —
+// or never: told it does not continue, the member closes its servant
+// replicas' queues in the same ring change, and a closed queue runs
+// nothing more.
+func (m *Mechanisms) awaitPrimary(q *taskQueue) bool {
+	for {
+		m.mu.RLock() // rings and closes change under mu, and notify
+		primary, closed, changed := m.primary.Load(), q.isClosed(), m.changed
+		m.mu.RUnlock()
+		if primary || closed {
+			return !closed
+		}
+		select {
+		case <-changed:
+		case <-m.stop:
+			return false
+		}
+	}
 }
 
 // evictDeparted removes the nodes that are not in the ring from every
@@ -483,13 +510,9 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	}
 }
 
+// deliverInvocation hands an invocation to the group's replica in any
+// ring: the executor waits for a primary one (awaitPrimary).
 func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint64) {
-	if !m.HasQuorum() {
-		// Minority partition: refuse to advance replica state so the
-		// majority's history stays the only history (reconciliation by
-		// state transfer on merge).
-		return
-	}
 	msg := hv.Message()
 	// Everything the directory lock protects is collected in one read
 	// section; the observer runs after release (see SetObserver). The

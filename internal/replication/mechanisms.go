@@ -16,7 +16,7 @@ import (
 
 // Errors reported by the mechanisms.
 var (
-	ErrNoQuorum      = errors.New("replication: node is in a minority partition")
+	ErrNoQuorum      = errors.New("replication: node's ring holds no majority of the domain's processors")
 	ErrStopped       = errors.New("replication: mechanisms stopped")
 	ErrNoSuchGroup   = errors.New("replication: no such group")
 	ErrGroupExists   = errors.New("replication: group already exists")
@@ -132,6 +132,10 @@ type Mechanisms struct {
 	// under mu.
 	awaiting atomic.Bool
 	held     []heldEvent
+	// primary is the latest ring's ConfigChange.Primary, true before the
+	// first: outside a primary ring nothing is executed (replica executors
+	// wait, awaitPrimary) or invoked. Written under mu.
+	primary atomic.Bool
 
 	// pending is the sharded pending-call and answered-operation table,
 	// outside mu entirely: response delivery, Invoke registration and a
@@ -195,6 +199,7 @@ func New(cfg Config) (*Mechanisms, error) {
 		pending:     newPendingTable(answeredCapacity, ReplyWindow),
 		changed:     make(chan struct{}),
 	}
+	m.primary.Store(true) // an invoke before the first ring queues for it
 	m.registerMetrics(cfg.Metrics)
 	go m.run()
 	return m, nil
@@ -581,8 +586,9 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 // is conveyed as it was read, in its sender's byte order and GIOP
 // version, and the buffer is totem's from here on (DESIGN.md section 7):
 // the caller may go on reading what it decoded from it and writes to
-// nothing of it. Refused before anything is sent — no such group, no
-// quorum, totem.ErrTooLarge — the frame is still the caller's.
+// nothing of it. Refused before anything is sent — no such group, a ring
+// without a majority (ErrNoQuorum), totem.ErrTooLarge — the frame is
+// still the caller's.
 func (m *Mechanisms) InvokeFrame(src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte, timeout time.Duration) (giop.Reply, error) {
 	h := invocationHeader(src, clientID, dst, op)
 	enc, err := frameInvocation(m.room, h, frame)
@@ -605,7 +611,7 @@ func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.R
 		timeout = m.cfg.InvokeTimeout
 	}
 	dst := h.DstGroup
-	if !m.HasQuorum() {
+	if !m.primary.Load() {
 		return giop.Reply{}, fmt.Errorf("invoke group %d: %w", dst, ErrNoQuorum)
 	}
 	key := opKey{src: dst, clientID: h.ClientID, op: h.Op}
@@ -667,16 +673,6 @@ func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.R
 // and, where ceiling is not zero, in a buffer of at most ceiling bytes in
 // all — what one datagram of this node's transport carries.
 func (m *Mechanisms) Headroom() (room, ceiling int) { return m.room + headerLen, m.ceiling }
-
-// HasQuorum reports whether this node may serve: always true unless
-// QuorumOf is configured, in which case the node's ring must hold a
-// majority of the domain's processors.
-func (m *Mechanisms) HasQuorum() bool {
-	if m.cfg.QuorumOf <= 0 {
-		return true
-	}
-	return len(m.node.Members()) >= m.cfg.QuorumOf/2+1
-}
 
 // multicast encodes a message and submits it to totem.
 func (m *Mechanisms) multicast(msg Message) error {

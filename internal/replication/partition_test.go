@@ -2,20 +2,22 @@ package replication
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/totem"
 )
 
 // TestPartitionHealingDiscardsStaleMinority exercises primary-component
 // membership reconciliation after a ring merge. A replica node isolated
 // into a minority partition keeps a stale servant and, having evicted
-// everyone else from its directory, believes it is the group. Without
-// QuorumOf the majority keeps executing, so on merge the two components
-// disagree. The majority's directory must win: the returning node
+// everyone else from its directory, believes it is the group. The
+// majority keeps executing, so on merge the two components disagree.
+// The majority's directory must win: the returning node
 // discards its stale replica at the merge configuration (before any
 // post-merge delivery), adopts the broadcast directory snapshot, and
 // never answers from stale state again.
@@ -98,6 +100,127 @@ func TestPartitionHealingDiscardsStaleMinority(t *testing.T) {
 	if _, ops := apps[0].snapshot(); ops != staleOps {
 		t.Fatalf("discarded replica executed after merge: ops %d -> %d", staleOps, ops)
 	}
+}
+
+// deafTransport hands its processor the ring's tokens and joins (totem's
+// datagram kinds 2 and 3) and nothing else while deaf is set: the
+// processor stays in the ring and misses the messages it orders.
+type deafTransport struct {
+	*memnet.Endpoint
+	deaf atomic.Bool
+	in   chan memnet.Packet
+}
+
+func newDeafTransport(t *testing.T, ep *memnet.Endpoint) *deafTransport {
+	d := &deafTransport{Endpoint: ep, in: make(chan memnet.Packet, 1024)}
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		for {
+			select {
+			case p := <-ep.Recv():
+				if d.deaf.Load() && p.Payload[0] != 2 && p.Payload[0] != 3 {
+					continue
+				}
+				select {
+				case d.in <- p:
+				case <-stop:
+					return
+				}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	return d
+}
+
+func (d *deafTransport) Recv() <-chan memnet.Packet { return d.in }
+
+// TestLateDeliveryInANonPrimaryRingRuns: two members that continue one
+// history can deliver an invocation in different rings. n00 delivers it in
+// the ring of all four and executes it; n01, deaf to the ring's messages
+// until then, receives it by retransmission only in the ring {n00, n01} of
+// a 2|2 split, which holds no majority. An even split keeps the history of
+// the side with the lowest id, so both continue into the merged ring, and
+// n01's replica must execute the invocation there — not in the ring that
+// delivered it, and not never: a replica that dropped it would differ from
+// n00's for good, and n02 and n03 would adopt whichever a donor held.
+func TestLateDeliveryInANonPrimaryRingRuns(t *testing.T) {
+	net := memnet.New()
+	ids := []memnet.NodeID{"n00", "n01", "n02", "n03"}
+	d := &domain{t: t, net: net, ids: ids, nodes: make(map[memnet.NodeID]*totem.Node), rms: make(map[memnet.NodeID]*Mechanisms)}
+	var late *deafTransport
+	for _, id := range ids {
+		ep, err := net.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr totem.Transport = ep
+		if id == "n01" {
+			late = newDeafTransport(t, ep)
+			tr = late
+		}
+		if d.nodes[id], err = startTotem(t, id, tr, ids); err != nil {
+			t.Fatal(err)
+		}
+		if d.rms[id], err = New(Config{Node: d.nodes[id]}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.rms[id].Stop)
+	}
+	apps := []*regApp{{}, {}}
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustJoin("n00", grpServer, apps[0])
+	d.mustJoin("n01", grpServer, apps[1])
+	for _, id := range ids {
+		if err := d.rms[id].WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// In which ring n01 delivers the invocation, and whether primary.
+	inPrimary := make(chan bool, 1)
+	d.rms["n01"].SetObserver(grpServer, func(msg Message, _ uint64) {
+		if msg.Header.Op.ChildSeq == 1 {
+			select {
+			case inPrimary <- d.rms["n01"].primary.Load():
+			default:
+			}
+		}
+	})
+
+	late.deaf.Store(true)
+	if err := d.rms["n00"].MulticastRequest(grpServer, 0, grpServer, OperationID{ChildSeq: 1}, giop.Request{
+		RequestID: 1, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets([]byte("m")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { v, _ := apps[0].snapshot(); return string(v) == "m" })
+
+	net.Partition([]memnet.NodeID{"n00", "n01"}, []memnet.NodeID{"n02", "n03"})
+	waitFor(t, 5*time.Second, func() bool {
+		return len(d.nodes["n00"].Members()) == 2 && len(d.nodes["n01"].Members()) == 2 && !d.rms["n01"].primary.Load()
+	})
+	late.deaf.Store(false)
+	select {
+	case primary := <-inPrimary:
+		if primary {
+			t.Fatal("n01 delivered the invocation in a primary ring: the split came too late")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("n01 never delivered the invocation in the ring {n00, n01}")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if v, _ := apps[1].snapshot(); len(v) != 0 {
+		t.Fatalf("n01 executed in a ring without a majority: %q", v)
+	}
+
+	net.Heal()
+	waitFor(t, 5*time.Second, func() bool {
+		a, _ := apps[0].snapshot()
+		b, _ := apps[1].snapshot()
+		return string(a) == "m" && string(b) == "m"
+	})
 }
 
 // TestReturnUnderLoadKeepsDirectory is ROADMAP item 1 one layer above

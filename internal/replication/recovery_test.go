@@ -84,7 +84,9 @@ func TestRecoveryImageInvariant(t *testing.T) {
 }
 
 func recoveryScenario(t *testing.T, style Style, solo, paired int, replayed uint64) {
-	d := newDomain(t, 4)
+	// Five processors: with n00 and n01 crashed, n02's ring still holds
+	// most of them, as a failover's replay needs.
+	d := newDomain(t, 5)
 	d.mustCreate(grpServer, style, testKeyStr)
 	d.mustCreate(grpClient, style, "")
 	apps := []*regApp{{}, {}, {}}

@@ -126,6 +126,12 @@ func (q *taskQueue) close() {
 	}
 }
 
+func (q *taskQueue) isClosed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
+}
+
 // replica is this node's runtime for one group membership: the hosted
 // application (nil for client-only members such as gateways) plus the
 // executor state. Fields below the queue are owned by the executor
@@ -210,11 +216,18 @@ func (r *replica) close() { r.tasks.close() }
 func (r *replica) runExecutor() {
 	for {
 		t, ok := r.tasks.pop()
-		if !ok {
+		if !ok || r.runs(t) && !r.m.awaitPrimary(r.tasks) {
 			return
 		}
 		r.handle(t)
 	}
+}
+
+// runs reports whether t runs operations on the servant, which waits for a
+// primary ring (awaitPrimary) and holds up what is behind it: an
+// invocation, a failover's replay, a transfer's replay of the holdback.
+func (r *replica) runs(t task) bool {
+	return t.kind == taskInvoke || t.kind == taskFailover || t.kind == taskApplyState && len(r.holdback) > 0
 }
 
 func (r *replica) handle(t task) {

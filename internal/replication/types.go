@@ -160,15 +160,6 @@ type Config struct {
 	CheckpointInterval int
 	// InvokeTimeout bounds waiting for a response. Zero means 10s.
 	InvokeTimeout time.Duration
-	// QuorumOf, when non-zero, enables majority-partition protection:
-	// while the totem ring holds fewer than QuorumOf/2+1 of the domain's
-	// processors, this node refuses to execute or issue invocations, so
-	// a minority partition cannot diverge from the majority (the
-	// partitionable-operation discipline of the Eternal papers, reference
-	// [6] of the paper). Zero disables the check: every partition
-	// component keeps serving, and reconciliation is the application's
-	// concern.
-	QuorumOf int
 	// Metrics, when set, receives the mechanisms' counters and the
 	// dedup-cache occupancy gauge, labelled with this node's id.
 	Metrics *obs.Registry

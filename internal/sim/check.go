@@ -217,7 +217,7 @@ func Check(events []Event, opts CheckOpts) []Violation {
 	}
 
 	// --- view agreement: every member that installed a given ring must
-	// agree on its membership; only quorum rings matter (minority
+	// agree on its membership; only primary rings matter (minority
 	// fragments may gather transient views while partitioned). A ring is
 	// named by its id and its lowest member, as totem names it: both
 	// sides of a partition count ring ids up in lockstep, and two rings

@@ -36,7 +36,6 @@ type entryKind int
 const (
 	eInvoke   entryKind = iota // a client or bridge invocation
 	eResponse                  // a replica's response, ordered back so every gateway records it
-	eReport                    // how far a member has delivered: the stability rule's input
 	eAsk                       // a member that does not hold the kept history asks for a snapshot
 	eAnswer                    // a snapshot cut where an ask was delivered
 )
@@ -48,9 +47,7 @@ type entry struct {
 	op    *Op
 	val   uint64 // eResponse: the response value
 	group int
-	from  int    // eReport, eAsk, eAnswer: the member that submitted it
-	ring  uint64 // eReport: the ring it was made in
-	upTo  uint64 // eReport: the timestamp through which its member has delivered
+	from  int    // eAsk, eAnswer: the member that submitted it
 	ask   uint64 // eAsk, eAnswer: the request's id
 	snap  *snapshot
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -52,13 +51,11 @@ type node struct {
 	out       [][]byte // what the node produced during a step, submitted after it
 	delivered int      // deliveries in the step in progress
 
-	// The ring as the core last reported it, and how far each member has
-	// reported delivering in it: the stability rule's input.
-	ring       uint64
-	members    []int
-	horizon    map[int]uint64
-	last       uint64 // timestamp of the latest delivery
-	unreported bool   // something was delivered, or a ring installed, since the last report
+	// The ring as the core last reported it.
+	ring    uint64
+	members []int
+	primary bool   // ConfigChange.Primary: entries are executed only in a primary ring
+	last    uint64 // timestamp of the latest delivery
 
 	// Replicated state (what a snapshot carries).
 	apps      map[int]App
@@ -118,7 +115,7 @@ func (n *node) boot() {
 	n.acked = make(map[OpKey]bool)
 	n.ordering = make(map[OpKey]bool)
 	n.records, n.recOrder = make(map[OpKey]*gwRecord), nil
-	n.ring, n.members, n.horizon, n.last = 0, nil, nil, 0
+	n.ring, n.members, n.primary, n.last = 0, nil, false, 0
 	n.woken, n.out = 0, nil
 	// The timeouts are the vnet harness's (internal/totem's fastConfig).
 	cfg := totem.Config{
@@ -150,17 +147,12 @@ func (n *node) step(f func(now time.Time)) {
 }
 
 // settle does what a step left the node to do: execute what became
-// stable, report how far it has delivered, and hand the core what it
-// produced — never from inside the core's step. A submission is a step
-// too (a sequencer orders its own at once), so this repeats until
-// nothing is left.
+// stable and hand the core what it produced — never from inside the
+// core's step. A submission is a step too (a sequencer orders its own at
+// once), so this repeats until nothing is left.
 func (n *node) settle() {
 	for {
 		n.execAdvance()
-		if n.unreported {
-			n.unreported = false
-			n.submit(&entry{kind: eReport, from: n.idx, ring: n.ring, upTo: n.last})
-		}
 		if len(n.out) == 0 {
 			break
 		}
@@ -239,11 +231,6 @@ func (n *node) deliver(ev totem.Event) {
 	n.last = ts
 	n.delivered++
 	switch e.kind {
-	case eReport:
-		if e.ring == n.ring && e.upTo > n.horizon[e.from] {
-			n.horizon[e.from] = e.upTo
-		}
-		return // a report is no reason to report
 	case eAsk:
 		if e.from == n.idx && n.awaiting {
 			n.asked[e.ask] = len(n.log)
@@ -258,7 +245,6 @@ func (n *node) deliver(ev totem.Event) {
 		delete(n.ordering, e.op.Key)
 		n.log = append(n.log, logged{ts, e})
 	}
-	n.unreported = true
 }
 
 // install takes in a ring the core installed. Told it does not continue
@@ -272,9 +258,8 @@ func (n *node) install(c totem.ConfigChange) {
 	for i, id := range c.Members {
 		n.members[i] = n.w.nodes[id].idx
 	}
-	n.horizon = make(map[int]uint64, len(n.members))
-	q := n.hasQuorum()
-	n.trace(Event{Kind: EvRing, Quorum: q, Note: fmt.Sprintf("r%d%v", c.RingID, n.members)})
+	n.primary = c.Primary
+	n.trace(Event{Kind: EvRing, Quorum: c.Primary, Note: fmt.Sprintf("r%d%v", c.RingID, n.members)})
 	n.w.stats.Rings++
 	if !c.Continues {
 		n.awaiting = true
@@ -297,10 +282,7 @@ func (n *node) install(c totem.ConfigChange) {
 			n.convey(rec.op)
 		}
 	}
-	n.unreported = true
 }
-
-func (n *node) hasQuorum() bool { return len(n.members) >= n.w.doms[n.dom].quorum }
 
 // snapshot cuts this node's replicated state where it stands.
 func (n *node) snapshot() *snapshot {
@@ -354,19 +336,17 @@ func sortedAppGroups(m map[int]App) []int {
 	return out
 }
 
-// execAdvance executes delivered entries up to the horizon every ring
-// member has reported delivering through the order. Only quorum rings
-// execute: a minority fragment freezes, so no operation can be executed
+// execAdvance executes delivered entries up to the core's stability
+// horizon, which every member of the ring holds, so whatever history the
+// next ring keeps, an executed entry is in it. Only a primary ring
+// executes: a minority fragment freezes, so no operation can be executed
 // on two sides of a partition at different positions.
 func (n *node) execAdvance() {
-	if n.awaiting || !n.hasQuorum() {
+	if n.awaiting || !n.primary {
 		return
 	}
-	safe := uint64(math.MaxUint64)
-	for _, m := range n.members {
-		safe = min(safe, n.horizon[m])
-	}
-	for len(n.log) > 0 && n.log[0].ts <= safe {
+	above := totem.Delivery{Seq: n.core.Stable() + 1}.Timestamp()
+	for len(n.log) > 0 && n.log[0].ts < above {
 		l := n.log[0]
 		n.log = n.log[1:]
 		if l.e.kind == eResponse {

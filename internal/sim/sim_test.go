@@ -53,6 +53,25 @@ func TestSeedsFoundWhileRehosting(t *testing.T) {
 		// a minority that was then discarded, and the gateway owed its
 		// record an answer for good.
 		{Config{Seed: 585, Workload: WorkloadBank}, "an unanswered record conveyed only at adoption"},
+		// Replicas that executed at delivery, not at the stability horizon:
+		// members executed an operation the majority never received before
+		// a partition cut them off, and the majority ordered the reissue
+		// elsewhere (seq-agreement); an operation ran twice on one replica
+		// (exactly-once); a transfer broke conservation. The first three
+		// broke while replicas reported their own horizon through the
+		// order; the last four break when the core's horizon is ignored.
+		{Config{Seed: 8, Workload: WorkloadCounter}, "ring mode: executed at delivery, seq-agreement broke"},
+		{Config{Seed: 52, Workload: WorkloadBank}, "executed at delivery, seq-agreement and conservation broke"},
+		{Config{Seed: 401, Workload: WorkloadBank}, "leader mode: executed at delivery, exactly-once broke"},
+		{Config{Seed: 180, Workload: WorkloadCounter}, "leader mode: executed at delivery, seq-agreement broke"},
+		{Config{Seed: 289, Workload: WorkloadCounter}, "ring mode: executed at delivery, seq-agreement broke"},
+		{Config{Seed: 749, Workload: WorkloadBank}, "leader mode: executed at delivery, seq-agreement and conservation broke"},
+		{Config{Seed: 784, Workload: WorkloadBank}, "leader mode: executed at delivery, exactly-once broke"},
+		// Replicas that executed at the horizon in a ring that was not
+		// primary (ConfigChange.Primary ignored).
+		{Config{Seed: 62, Workload: WorkloadCounter}, "leader mode: a minority executed"},
+		{Config{Seed: 68, Workload: WorkloadBank}, "leader mode: a minority executed"},
+		{Config{Seed: 800, Workload: WorkloadFanout}, "leader mode: a minority executed"},
 	} {
 		res := Run(c.cfg)
 		if res.Reason != "completed" || len(res.Violations) > 0 {

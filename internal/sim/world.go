@@ -20,8 +20,8 @@
 // The order is the shipping protocol's: every simulated processor steps
 // a real totem.Core, in ring or leader mode as the seed draws, on the
 // virtual clock. Above it the sim models the paper's replicas (which
-// execute in quorum rings, up to the horizon every member has reported
-// through the order, and recover by adopting a snapshot asked for in the
+// execute in the rings their core calls primary, up to the core's
+// stability horizon, and recover by adopting a snapshot asked for in the
 // order), gateway record stores keyed by the paper's operation
 // identifiers, bridges and fan-out — small enough to run thousands of
 // seeded schedules in minutes, faithful enough that disabling a real
@@ -117,7 +117,7 @@ type Result struct {
 type domainSim struct {
 	idx      int
 	size     int
-	quorum   int
+	quorum   int // the most processors the schedule may take down or cut off is size-quorum
 	groups   int
 	gateways []int
 	gwSet    map[int]bool

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,10 @@ import (
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/ftmgmt"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/ior"
+	"eternalgw/internal/memnet"
+	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 	"eternalgw/internal/thinclient"
 	"eternalgw/internal/totem"
@@ -381,6 +385,69 @@ func TestDrainHandsClientsToRedundantGateway(t *testing.T) {
 	for i, app := range apps {
 		if got := app.settled(calls); got != calls {
 			t.Fatalf("replica %d total = %d, want %d", i, got, calls)
+		}
+	}
+}
+
+// TestMinorityGatewayHandsClientsToTheMajority: the processor of the
+// first profile's gateway is partitioned off alone, into a ring with no
+// majority of the domain's processors, which executes nothing. That
+// gateway answers TRANSIENT, COMPLETED_NO, so the layer backs off and
+// fails over to the gateway on the majority side, where the call
+// completes and executes once.
+func TestMinorityGatewayHandsClientsToTheMajority(t *testing.T) {
+	d := fastDomain(t, 4)
+	apps, ref := deploy(t, d, 2, 2) // replicas on p00 and p01, gateways on p03 and p02
+	cut := d.Node(3)
+	if slices.Contains(d.Node(0).RM.Members(grpCounter), cut.ID) {
+		t.Fatalf("a replica was placed on %s, the processor to be cut off", cut.ID)
+	}
+	c, err := thinclient.Dial(ref, thinclient.Config{CallTimeout: 2 * time.Second, ShedBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if c.Gateway() != d.Gateways()[0].Addr() {
+		t.Fatalf("connected to %s, want the first profile's gateway %s", c.Gateway(), d.Gateways()[0].Addr())
+	}
+
+	d.Net.Partition([]memnet.NodeID{cut.ID})
+	// Until its ring holds only itself a request may still enter the total
+	// order there; from then on the gateway refuses it at once.
+	for deadline := time.Now().Add(5 * time.Second); len(cut.Totem.Members()) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s is still in ring %v", cut.ID, cut.Totem.Members())
+		}
+	}
+	conn, err := orb.Dial(d.Gateways()[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		_, err := conn.Call([]byte(keyCounter), "get", nil, orb.InvokeOptions{Timeout: 200 * time.Millisecond})
+		var sysEx *orb.SystemException
+		if errors.As(err, &sysEx) && sysEx.RepoID == orb.RepoTransient && sysEx.Completed == giop.CompletedNo {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the minority's gateway answers %v, want TRANSIENT, COMPLETED_NO", err)
+		}
+	}
+
+	r, err := c.Call("add", addArgs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.ReadLongLong(); got != 1 || r.Err() != nil {
+		t.Fatalf("add = %d (err %v), want 1", got, r.Err())
+	}
+	if st := c.Stats(); st.Sheds < 2 || st.Failovers < 1 || c.Gateway() != d.Gateways()[1].Addr() {
+		t.Fatalf("stats = %+v on %s, want the minority's refusals and a failover to %s", st, c.Gateway(), d.Gateways()[1].Addr())
+	}
+	for i, app := range apps {
+		if got := app.settled(1); got != 1 {
+			t.Fatalf("replica %d total = %d, want 1", i, got)
 		}
 	}
 }

@@ -215,6 +215,10 @@ func (n *Core) due(d deadline) bool { return n.armed(d) && !n.deadlines[d].After
 // payload: this core's longest header ahead of a message sent alone.
 func (n *Core) Headroom() int { return n.room }
 
+// Stable is the horizon gc has collected through: every ring member holds
+// every message at or below it (the token's Stable; leader mode's acks).
+func (n *Core) Stable() uint64 { return n.gcThrough }
+
 // Next is the earliest armed deadline, zero when there is none: when
 // the core must next be ticked if nothing else happens first.
 func (n *Core) Next() time.Time {
@@ -535,7 +539,8 @@ func (n *Core) install(t token) {
 	for _, e := range t.Entries {
 		n.majority = max(n.majority, e.Majority) // the kept history's
 	}
-	if 2*len(t.Members) > len(n.cfg.Members) {
+	primary := 2*len(t.Members) > len(n.cfg.Members)
+	if primary {
 		n.majority = t.RingID
 	}
 	n.ring, n.ringID, n.ids = t.Members, t.RingID, newIDTable(t.Members)
@@ -553,13 +558,15 @@ func (n *Core) install(t token) {
 		// The ring keeps a history this node does not hold. What it
 		// buffered is numbered in a dead sequence space and must never be
 		// retransmitted into the ring. It resumes where the members the
-		// token has visited stand, as a processor that was never there.
+		// token has visited stand, as a processor that was never there,
+		// behind the ring's horizon: the members not yet visited may stand
+		// lower.
 		clear(n.buffer)
 		clear(n.skipped)
-		n.deliveredSeq, n.highest, n.gcThrough = t.Aru, t.Aru, t.Aru
+		n.deliveredSeq, n.highest, n.gcThrough = t.Aru, t.Aru, t.Stable
 		n.resumedN.Add(1)
 	}
-	n.emit(Event{Type: EventConfig, Config: ConfigChange{RingID: n.ringID, Members: n.ring, Continues: continues}})
+	n.emit(Event{Type: EventConfig, Config: ConfigChange{RingID: n.ringID, Members: n.ring, Continues: continues, Primary: primary}})
 }
 
 // processToken performs one token visit: apply skips, serve and update

@@ -86,6 +86,10 @@ type ConfigChange struct {
 	// made (DESIGN.md section 5) and rebuilds from a member that was not;
 	// every ring has one, but a founding ring, which all continue.
 	Continues bool
+	// Primary reports that the ring holds most of the configured
+	// processors: later rings keep the latest such ring's history
+	// (DESIGN.md section 5), so only a primary ring acts on its deliveries.
+	Primary bool
 }
 
 // Transport carries the ring's datagrams: unordered, unreliable,

@@ -169,7 +169,9 @@ func (v *vnet) noteToken(data []byte) {
 }
 
 // noteChecked keeps the books, after a step, on the rings a core has
-// installed and the ring it stood in before each.
+// installed and the ring it stood in before each, and checks its
+// stability horizon: every member of its ring that has installed the ring
+// too has delivered through it.
 func (v *vnet) noteChecked(id memnet.NodeID) {
 	c := v.cores[id]
 	if n := len(v.rings[id]); c.ring != nil && (n == 0 || v.rings[id][n-1].RingID != c.ringID) {
@@ -177,6 +179,11 @@ func (v *vnet) noteChecked(id memnet.NodeID) {
 		v.from[id] = append(v.from[id], v.was[id])
 	}
 	v.was[id] = c.last
+	for _, m := range c.ring {
+		if o := v.cores[m]; o.ringID == c.ringID && !o.gathering && o.deliveredSeq < c.Stable() {
+			v.t.Fatalf("%s holds ring %d stable through %d, and its member %s has delivered through %d", id, c.ringID, c.Stable(), m, o.deliveredSeq)
+		}
+	}
 }
 
 // submit hands payloads to a core at the present instant.
@@ -380,7 +387,9 @@ func (v *vnet) agreeWhereTogether() {
 // not. And its entry names the ring the books had it standing in when it
 // installed this one — none, in a founding ring — or, where the creator
 // vouched for it, a ring the core was a member of and missed the install
-// of, which kept the history the books have it standing in.
+// of, which kept the history the books have it standing in. It is told
+// the ring is primary exactly when the ring holds most of the configured
+// processors.
 func (v *vnet) toldRight() {
 	v.t.Helper()
 	for _, w := range v.told {
@@ -400,6 +409,9 @@ func (v *vnet) toldRight() {
 		if want := tok.kept() == said; w.c.Continues != want || w.resumed == want {
 			v.t.Fatalf("%s was told Continues = %v of ring %d %v (history %v, resumed %v, stood in %v, installed %v)", w.id, w.c.Continues,
 				w.c.RingID, w.c.Members, tok.kept(), w.resumed, stood, rings[:i])
+		}
+		if want := 2*len(w.c.Members) > len(v.ids); w.c.Primary != want {
+			v.t.Fatalf("%s was told Primary = %v of ring %d %v, of %d configured", w.id, w.c.Primary, w.c.RingID, w.c.Members, len(v.ids))
 		}
 	}
 }
