@@ -39,13 +39,15 @@ race:
 
 # check is the full verification gate: static analysis plus the whole
 # test suite under the race detector, the deterministic simulation
-# sweep, short decoder fuzzing, the reconfiguration and leader-crash
-# soaks at a higher repetition count than one `go test` pass gives
-# them, the multi-process UDP deployment smoke, a one-iteration
-# benchmark smoke so a change that breaks benchmark setup (but not the
-# tests) cannot land silently, the reference benchmark's own module, and
-# the datapath's allocation budget.
-check: vet lint race budget sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
+# sweep and the seeded sweeps of the shipping totem core in both ordering
+# modes (a change to when a ring forms or promotes meets them here, not
+# only in CI), short decoder fuzzing, the reconfiguration and
+# leader-crash soaks at a higher repetition count than one `go test`
+# pass gives them, the multi-process UDP deployment smoke, a
+# one-iteration benchmark smoke so a change that breaks benchmark setup
+# (but not the tests) cannot land silently, the reference benchmark's own
+# module, and the datapath's allocation budget.
+check: vet lint race budget sim sim-totem fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke bench-module
 
 # loc prints non-test, non-blank Go lines per top-level package and the
 # total a simplicity PR is judged by (scripts/loc.sh: everything outside
@@ -196,9 +198,11 @@ bench-module:
 
 # bench-compare runs the throughput suite interleaved against a named
 # ref (HEAD's bench_throughput_test.go overlaid onto the ref's tree, so
-# both sides run identical benchmarks) and prints a before/after table.
-# This is the A/B methodology behind the BENCH_pr*.json files.
+# both sides run identical benchmarks) and prints a before/after table
+# of ns/op, B/op and allocs/op. This is the A/B methodology behind the
+# BENCH_pr*.json files. The stand-up of a domain is its own row:
 #   make bench-compare BENCH_REF=v0-tag BENCH_COUNT=3
+#   make bench-compare BENCH_REF=v0-tag BENCH_REGEX=BenchmarkDomainSetUp
 BENCH_REF ?= HEAD~1
 BENCH_REGEX ?= BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup
 bench-compare:

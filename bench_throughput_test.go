@@ -124,6 +124,49 @@ func benchWaitFastpath(tb testing.TB, d *domain.Domain) {
 	}
 }
 
+// BenchmarkDomainSetUp is one stand-up of a domain per iteration, as the
+// reference benchmark stands one up before it times anything (its
+// setup_s): four processors, an active group of three, one gateway and,
+// in leader mode, a sequencer every processor has adopted. Closing the
+// domain is not timed.
+func BenchmarkDomainSetUp(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		mode totem.OrderingMode
+	}{{"ring", totem.OrderingRing}, {"leader", totem.OrderingLeader}} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := domain.New(domain.Config{
+					Name:  "bench",
+					Nodes: 4,
+					Totem: totem.Config{
+						IdleHold:        100 * time.Microsecond,
+						TokenRetransmit: 10 * time.Millisecond,
+						FailTimeout:     80 * time.Millisecond,
+						GatherTimeout:   20 * time.Millisecond,
+						Ordering:        m.mode,
+					},
+					GatewayInvokeTimeout: 10 * time.Second,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchDeployAt(b, d, replication.Active, 3, benchGroup, benchKey)
+				if _, err := d.AddGateway(0, ""); err != nil {
+					b.Fatal(err)
+				}
+				if m.mode == totem.OrderingLeader {
+					benchWaitFastpath(b, d)
+				}
+				b.StopTimer()
+				d.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkGatewayRoundTripLeader is BenchmarkGatewayRoundTrip with the
 // ring in leader ordering mode: the latency figure the fast path exists
 // to improve. Compare against the plain RoundTrip rows (the ring-mode

@@ -149,6 +149,51 @@ func TestDomainFormsWithoutWaitingForGatherTimeout(t *testing.T) {
 	}
 }
 
+// TestLeaderModeStandUpIsSequenced: a leader-mode domain of four stands
+// up an active group of three and a gateway. Every message of it — the
+// gateway group's creation, the group's, the joins and state transfers,
+// the gateway's join — is ordered by the sequencer the ring promotes at
+// its first plain visit: the token goes the commit's two rotations and no
+// further, and by the time AddGateway returns every processor is in that
+// one epoch. (A ring that took its set-up traffic on the token rotated
+// once more per message and promoted only once it had drained.)
+func TestLeaderModeStandUpIsSequenced(t *testing.T) {
+	const nodes = 4
+	d, err := domain.New(domain.Config{Name: "setup", Nodes: nodes, Totem: totem.Config{Ordering: totem.OrderingLeader}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	err = d.Manager().CreateReplicatedObject(70, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 3,
+		MinReplicas:     1,
+		ObjectKey:       []byte("svc/adder"),
+	}, func() (replication.Application, error) { return &adderApp{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddGateway(0, ""); err != nil {
+		t.Fatal(err)
+	}
+	leader, start, _ := d.Node(0).Totem.Fastpath()
+	var passes uint64
+	for i := 0; i < d.Nodes(); i++ {
+		n := d.Node(i).Totem
+		if l, s, ok := n.Fastpath(); !ok || l != leader || s != start {
+			t.Fatalf("%s is in the epoch of %q from %d (ok %v), %s in that of %q from %d", d.Node(i).ID, l, s, ok, d.Node(0).ID, leader, start)
+		}
+		st := n.Stats()
+		if st.Reconfigs != 1 || st.Demotions != 0 {
+			t.Fatalf("%s installed %d rings and was demoted %d times, want one ring and no demotion", d.Node(i).ID, st.Reconfigs, st.Demotions)
+		}
+		passes += st.TokenPasses
+	}
+	if passes != 2*nodes {
+		t.Fatalf("the token was passed %d times, want the commit's two rotations, %d", passes, 2*nodes)
+	}
+}
+
 func TestCrashAndRestartNode(t *testing.T) {
 	d := newDomain(t, "ny", 3)
 	const grp replication.GroupID = 60

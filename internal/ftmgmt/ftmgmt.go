@@ -206,10 +206,18 @@ func (m *Manager) anyRM() (*replication.Mechanisms, error) {
 
 // CreateReplicatedObject is the Replication Manager's entry point: it
 // creates the object group and places the initial replicas on the least
-// loaded processors, waiting for each to synchronize.
+// loaded processors, waiting for each to synchronize. A creation refused
+// for want of hosts orders and registers nothing: no directory lists the
+// group and the Resource Manager does not manage it.
 func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Properties, factory Factory) error {
 	if props.InitialReplicas <= 0 || props.MinReplicas < 0 || props.MinReplicas > props.InitialReplicas {
 		return fmt.Errorf("%w: initial=%d min=%d", ErrBadProps, props.InitialReplicas, props.MinReplicas)
+	}
+	m.mu.Lock()
+	hostCount := len(m.hosts)
+	m.mu.Unlock()
+	if props.InitialReplicas > hostCount {
+		return fmt.Errorf("%w: need %d hosts, have %d", ErrNoHosts, props.InitialReplicas, hostCount)
 	}
 	rm, err := m.anyRM()
 	if err != nil {
@@ -220,13 +228,10 @@ func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Propertie
 	}
 	m.mu.Lock()
 	m.groups[id] = managedGroup{props: props, factory: factory}
-	reg, hostCount := m.reg, len(m.hosts)
+	reg := m.reg
 	m.mu.Unlock()
 	m.registerGroupGauges(reg, id)
 	m.log.Infof("group %d: %s, initial=%d min=%d", id, props.Style, props.InitialReplicas, props.MinReplicas)
-	if props.InitialReplicas > hostCount {
-		return fmt.Errorf("%w: need %d hosts, have %d", ErrNoHosts, props.InitialReplicas, hostCount)
-	}
 	if err := rm.WaitForGroup(id, syncTimeout); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package ftmgmt_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +171,24 @@ func TestCreateFailsWithTooFewHosts(t *testing.T) {
 	err := d.Manager().CreateReplicatedObject(grpObj, props(replication.Active, 3, 1), factoryV(1, nil, nil))
 	if !errors.Is(err, ftmgmt.ErrNoHosts) {
 		t.Fatalf("err = %v, want ErrNoHosts", err)
+	}
+	// A creation its caller was told failed leaves nothing behind: the
+	// group is not managed, no directory lists it — a group created after
+	// it is ordered behind whatever it sent — and a running Resource
+	// Manager places none of its replicas.
+	if _, managed := d.Manager().Properties(grpObj); managed {
+		t.Fatalf("group %d is managed after its creation failed", grpObj)
+	}
+	if err := d.Manager().CreateReplicatedObject(grpObj+1, props(replication.Active, 2, 1), factoryV(1, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	d.Manager().Monitor(15 * time.Millisecond)
+	time.Sleep(60 * time.Millisecond)
+	for i := 0; i < d.Nodes(); i++ {
+		rm := d.Node(i).RM
+		if slices.Contains(rm.Groups(), grpObj) || len(rm.Members(grpObj)) > 0 {
+			t.Fatalf("%s lists group %d with members %v after its creation failed", d.Node(i).ID, grpObj, rm.Members(grpObj))
+		}
 	}
 }
 

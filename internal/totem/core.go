@@ -119,6 +119,10 @@ type Core struct {
 	majority uint64
 
 	fp epoch // the leader-ordered fast path (leader.go); zero while the token rotates
+	// demoted is the ring whose epoch this node last fell from, nil once it
+	// is in an epoch again; processToken promotes a ring of the same
+	// members only on a visit with nothing to send.
+	demoted []memnet.NodeID
 
 	// hdrLen is this node's header in front of a single payload, by kind
 	// (its id's length decides), and room the longest its ordering mode
@@ -570,8 +574,9 @@ func (n *Core) install(t token) {
 }
 
 // processToken performs one token visit: apply skips, serve and update
-// retransmission requests, broadcast pending messages, maintain the aru
-// watermark, age requests (leader only), then forward.
+// retransmission requests, judge promotion (leader mode), broadcast
+// pending messages, maintain the aru watermark, age requests (leader
+// only), then forward — or promote.
 func (n *Core) processToken(t token) {
 	work := t.Decided // the rotation that installs a ring does not idle
 
@@ -616,7 +621,29 @@ func (n *Core) processToken(t token) {
 		}
 	}
 
-	if n.broadcastPending(&t) {
+	// Leader-ordered fast path: once the ring is mature and fully
+	// quiescent — every assigned sequence number delivered everywhere,
+	// nothing outstanding — the current holder promotes to sequencer and
+	// retires the token instead of forwarding it. It is judged on the
+	// token as it arrived, before this visit sends: the first plain visit
+	// after an install that owes no recovery promotes, and what the
+	// members queued meanwhile is the sequencer's to order. The quiescence
+	// condition makes the switch sequence exact: every node has delivered
+	// precisely through t.Seq in ring order, so t.Seq is the agreed
+	// boundary between token-ordered and leader-ordered traffic. A ring of
+	// the very members whose epoch this node fell from also waits for a
+	// visit with nothing to send: what demoted that epoch without losing a
+	// member (a follower that does not confirm) may still hold, and under
+	// load an epoch promoted at once would fall again at once.
+	promote := n.cfg.Ordering == OrderingLeader &&
+		t.TokenID > uint64(2*len(n.ring)) &&
+		t.Stable == t.Seq && n.deliveredSeq == t.Seq &&
+		len(t.Rtr) == 0 && len(t.Skip) == 0 &&
+		(len(n.pending) == 0 || !slices.Equal(n.ring, n.demoted))
+
+	// In leader mode the rotation that installs a ring orders nothing, so
+	// that its first plain visit finds the ring quiescent.
+	if !promote && (n.cfg.Ordering == OrderingRing || !t.Decided) && n.broadcastPending(&t) {
 		work = true
 	}
 
@@ -667,17 +694,9 @@ func (n *Core) processToken(t token) {
 		n.tryDeliver()
 	}
 
-	// Leader-ordered fast path: once the ring is mature and fully
-	// quiescent — every assigned sequence number delivered everywhere,
-	// nothing outstanding — the current holder promotes to sequencer and
-	// retires the token instead of forwarding it. The quiescence
-	// condition makes the switch sequence exact: every node has delivered
-	// precisely through t.Seq in ring order, so t.Seq is the agreed
-	// boundary between token-ordered and leader-ordered traffic.
-	if n.cfg.Ordering == OrderingLeader &&
-		t.TokenID > uint64(2*len(n.ring)) &&
-		t.Stable == t.Seq && n.deliveredSeq == t.Seq &&
-		len(t.Rtr) == 0 && len(t.Skip) == 0 {
+	// A quiescent token leaves the accounting above as it found it, but
+	// for what gc collected.
+	if promote {
 		n.promote(t)
 		return
 	}
@@ -832,8 +851,9 @@ func (n *Core) startGather() {
 		// Any fall into membership recovery from leader mode is a
 		// demotion: the ring rotates again until a fresh promotion.
 		n.demotionN.Add(1)
-		n.leaveLeaderMode()
+		n.demoted = n.ring
 	}
+	n.leaveLeaderMode()
 	n.gatherN.Add(1)
 	n.gathering = true
 	n.heldToken = nil

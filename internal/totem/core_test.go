@@ -369,6 +369,22 @@ func (v *vnet) dropTokens(lose func(to memnet.NodeID, tok token) bool) {
 	}
 }
 
+// silence makes the network lose, besides what it already loses, every
+// heartbeat of ring's sequencer. A leader epoch has retired its token: the
+// heartbeats stopping is what sends it gathering, after its members' fail
+// timeouts, as a rotating ring is sent by the loss of its token. Ring mode
+// sends none.
+func (v *vnet) silence(ring uint64) {
+	lose := v.drop
+	v.drop = func(to memnet.NodeID, data []byte) bool {
+		if data[0] == kindPromote {
+			p, err := decodePromote(cdrSkipKind(data), nil)
+			return err == nil && p.RingID == ring
+		}
+		return lose != nil && lose(to, data)
+	}
+}
+
 // TestLostFirstTokenStillResumes: the merged ring's decided commit never
 // reaches the returner it is addressed to, the ring wedges there and
 // gathers again. Tokens are broadcast and a decided commit is read
@@ -444,12 +460,14 @@ func TestRegatherBeforeFirstTokenKeepsMembers(t *testing.T) {
 			v.submit(v.ids[k%4], []byte(fmt.Sprint("founding/", k)))
 		}
 		v.settle(time.Second)
-		// The founding ring loses its token and gathers; the ring proposed
-		// after it loses every token on its way to the last two.
+		// The founding ring loses its token and gathers — a leader epoch,
+		// whose token is retired, its sequencer's heartbeats — and the ring
+		// proposed after it loses every token on its way to the last two.
 		founding, late := v.cores[v.ids[0]].ringID, v.ids[2:]
 		v.dropTokens(func(to memnet.NodeID, tok token) bool {
 			return tok.RingID == founding || tok.RingID == founding+1 && slices.Contains(late, to)
 		})
+		v.silence(founding)
 		for k := 0; k < 8; k++ {
 			v.submit(v.ids[k%2], []byte(fmt.Sprint("second/", k)))
 		}
@@ -1297,8 +1315,11 @@ func TestCommitEntryIsFinal(t *testing.T) {
 
 // TestMissedInstallIsCaughtUp: a commit is decided, and its second
 // rotation reaches half the ring — the creator, and a member that read the
-// decision in passing. The creator orders and delivers in the new ring;
-// the other two give the commit up and gather again, still standing in the ring
+// decision in passing. The two hold two messages the others lack: in ring
+// mode the creator orders and delivers them in the new ring; in leader
+// mode, whose installing rotation orders nothing, the founding epoch's
+// sequencer ordered them and they reached the two alone. The other two give
+// the commit up and gather again, still standing in the ring
 // before. They are not another component: they wrote into that commit, have
 // taken in nothing since, and hold a prefix of what the two hold. The next
 // commit's creator, which installed the ring they missed, says so in their
@@ -1318,6 +1339,11 @@ func TestMissedInstallIsCaughtUp(t *testing.T) {
 		v.dropTokens(func(to memnet.NodeID, tok token) bool {
 			return tok.RingID == founding || tok.RingID == founding+1 && tok.Decided && slices.Contains(missed, to)
 		})
+		lose := v.drop
+		v.drop = func(to memnet.NodeID, data []byte) bool {
+			return lose(to, data) || data[0] == kindBatch && slices.Contains(missed, to) && bytes.Contains(data, []byte("half/"))
+		}
+		v.silence(founding)
 		v.submit(v.ids[0], []byte("half/0"))
 		v.submit(v.ids[0], []byte("half/1"))
 		half := v.cores[v.ids[2]]
@@ -1325,6 +1351,13 @@ func TestMissedInstallIsCaughtUp(t *testing.T) {
 			t.Fatalf("%s was to read ring %d's decision in passing: ring %d", v.ids[2], founding+1, half.ringID)
 		}
 		v.settle(time.Second)
+		next := v.rings[missed[0]][1]
+		tok := v.decided[ringRef{ID: next.RingID, Low: next.Members[0]}]
+		for _, id := range missed {
+			if e, c := tok.Entries[slices.Index(tok.Members, id)], tok.Entries[0]; e.Aru >= c.Aru {
+				t.Fatalf("%s wrote Aru %d into the commit of ring %d and the creator %d: it was to lack the two messages", id, e.Aru, next.RingID, c.Aru)
+			}
+		}
 		for _, id := range v.ids {
 			v.submit(id, []byte(fmt.Sprint("whole/", id)))
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -300,15 +301,14 @@ func (l *datagramLedger) verify(t *testing.T, when string) int {
 	return len(l.entries)
 }
 
-// sequenced counts the datagrams that carried a sequence number, first
-// transmissions and retransmissions alike.
-func (l *datagramLedger) sequenced() int {
+// count counts the datagrams of the given kinds, first transmissions and
+// retransmissions alike.
+func (l *datagramLedger) count(kinds ...byte) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
 	for _, e := range l.entries {
-		switch e.payload[0] {
-		case kindRegular, kindPacked, kindBatch:
+		if slices.Contains(kinds, e.payload[0]) {
 			n++
 		}
 	}
@@ -404,7 +404,7 @@ func TestSharedDatagramsStayIntact(t *testing.T) {
 				c.collect(id, 1)
 			}
 			// Without GC a member still buffers every sequenced message.
-			sequenced := ledger.sequenced()
+			sequenced := ledger.count(kindRegular, kindPacked, kindBatch) // what carried a sequence number
 			for _, id := range c.ids {
 				n := c.nodes[id]
 				n.Stop()
@@ -509,19 +509,26 @@ func resentForwardIsTheSameBytes(t *testing.T) {
 
 // demotedForwardIsFramedByCopy: the sequencer never sees a follower's
 // forward, the follower gives the epoch up (maxFwdResends) and the ring is
-// demoted to rotation with the forward still awaiting. Its payload goes out
-// again as a regular message, under a new ring's id — by copy: the buffer
-// it was submitted in is the forward every other member holds.
+// demoted to rotation with the forward still awaiting. The third member
+// lacks a message the sequencer ordered, so the next ring owes recovery and
+// rotates its token, and the payload goes out again as a regular message,
+// under a new ring's id — by copy: the buffer it was submitted in is the
+// forward every other member holds.
 func demotedForwardIsFramedByCopy(t *testing.T) {
 	v, seq, follower := leaderVnet(t, 22)
-	v.drop = func(to memnet.NodeID, data []byte) bool { return to == seq && data[0] == kindForward }
+	third := v.ids[slices.IndexFunc(v.ids, func(id memnet.NodeID) bool { return id != seq && id != follower })]
+	owed := func(to memnet.NodeID, data []byte) bool {
+		return to == third && data[0] == kindBatch && bytes.Contains(data, []byte("owed"))
+	}
+	v.drop = func(to memnet.NodeID, data []byte) bool { return to == seq && data[0] == kindForward || owed(to, data) }
+	v.submit(seq, []byte("owed"))
 	payload := bytes.Repeat([]byte("demoted "), 3<<10)
 	v.submit(follower, payload)
 	c := v.cores[follower]
 	if !v.run(time.Second, func() bool { return c.demotionN.Load() > 0 }) {
 		t.Fatal("the follower never gave the epoch up")
 	}
-	v.drop = nil
+	v.drop = owed // the epoch's batches; the next ring retransmits in the regular form
 	v.settle(2 * time.Second)
 	v.everyoneDelivered(payload)
 	forwards := v.ledger.carried(follower, kindForward, payload)

@@ -3,7 +3,14 @@ package totem
 // Leader-ordered fast path (Config.Ordering == OrderingLeader), in the
 // style of LLFT's leader-follower ordering. Once a ring is installed and
 // fully quiescent, the current token holder promotes itself to sequencer
-// and retires the token. From then on the common path has no token wait:
+// and retires the token. The rotation that installs a ring orders no
+// payloads, and promotion is judged on the token as it arrives, before
+// the visit would send: a ring installed owing nothing is promoted at its
+// creator's first plain visit, and what its members queued meanwhile —
+// a domain's whole set-up traffic — is the sequencer's to order. A ring
+// owing recovery rotates until that is delivered everywhere; a ring of
+// the very members whose epoch was demoted waits, too, for a visit with
+// nothing to send (processToken). From then on the common path has no token wait:
 // a node with pending payloads forwards them to the sequencer
 // immediately (kindForward), the sequencer assigns the next sequence
 // numbers and multicasts ordered batches (kindBatch, a leader header plus
@@ -22,6 +29,8 @@ package totem
 // through the ordinary nak. A reference can overtake its forward (two
 // senders, no order between them): it is parked, bound when the forward
 // arrives, and nak'd only once that has had TokenRetransmit to show up.
+// A forward can overtake the promotion too, from a member it reached
+// first: it is held all the same, for the epoch about to begin.
 //
 // Failure handling is demotion: the sequencer demotes when a member's
 // acks go stale past FailTimeout or when the stability lag exceeds
@@ -60,9 +69,10 @@ const (
 )
 
 // epoch is the fast path's state for one sequencer's reign: one value,
-// replaced wholesale on promotion, adoption and demotion. The zero value
-// — no leader — is a ring that rotates its token; every table of it
-// reads as empty.
+// replaced wholesale on promotion, adoption and every gather. The zero
+// value — no leader — is a ring that rotates its token; every table of it
+// reads as empty but held, which keeps the forwards that overtook the
+// promotion (enter).
 type epoch struct {
 	leader     memnet.NodeID // the installed sequencer
 	promoteSeq uint64        // ring-ordered sequence the mode switch was installed at
@@ -127,11 +137,17 @@ func (n *Core) sequencing() bool { return n.fp.leader == n.cfg.ID }
 func (n *Core) following() bool  { return n.fp.leader != "" && !n.sequencing() }
 
 // enter installs ep as the current epoch: the token is retired and the
-// ring-mode deadlines with it.
+// ring-mode deadlines with it. Forwards held before it stay held: a
+// follower adopts where the promotion reaches it, and the first forward
+// of a member it reached earlier can arrive ahead of it.
 func (n *Core) enter(ep epoch) {
 	ep.fwdSeen = make(map[memnet.NodeID]uint64)
-	ep.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
+	ep.held = n.fp.held
+	if ep.held == nil {
+		ep.held = make(map[memnet.NodeID]map[uint64]forwardMsg)
+	}
 	n.fp = ep
+	n.demoted = nil
 	n.heldToken = nil
 	n.disarm(dlHold)
 	n.clearTokenResend()
@@ -179,7 +195,8 @@ func (n *Core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
 }
 
 // leaveLeaderMode tears the fast path down on the way into membership
-// recovery (the only exit from leader mode).
+// recovery (the only exit from leader mode), and outside an epoch drops
+// the forwards held for one that did not begin.
 func (n *Core) leaveLeaderMode() {
 	// Forwards the sequencer never ordered go back to the front of the
 	// send queue and rotate out with the new ring. If a batch for one of
@@ -353,7 +370,7 @@ func (n *Core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 // orders each origin's forwards in FwdSeq order, exactly once; everyone
 // else keeps the forward for the by-reference batch that will order it.
 func (n *Core) handleForward(f forwardMsg) {
-	if !n.admit(f.RingID, f.Sender, false) || n.fp.leader == "" {
+	if !n.admit(f.RingID, f.Sender, false) || n.cfg.Ordering != OrderingLeader {
 		return
 	}
 	if !n.sequencing() {
@@ -399,6 +416,9 @@ func (n *Core) handleForward(f forwardMsg) {
 // hold keeps a forward until it is seen ordered, within the per-origin
 // bound.
 func (n *Core) hold(f forwardMsg) {
+	if n.fp.held == nil {
+		n.fp.held = make(map[memnet.NodeID]map[uint64]forwardMsg) // ahead of the epoch (enter)
+	}
 	h := n.fp.held[f.Sender]
 	if h == nil {
 		h = make(map[uint64]forwardMsg)

@@ -134,7 +134,10 @@ const (
 	// OrderingLeader enables the leader-ordered fast path (in the style
 	// of LLFT's leader-follower ordering): once a ring is installed and
 	// quiescent, the current token holder promotes itself to sequencer
-	// and retires the token. Nodes forward pending payloads to the
+	// and retires the token. The rotation that installs a ring orders
+	// nothing, so a ring that owes no recovery is promoted at its first
+	// plain visit, and what was submitted meanwhile is the sequencer's to
+	// order. Nodes forward pending payloads to the
 	// sequencer immediately; it assigns sequence numbers and multicasts
 	// ordered batches, while followers ack so the sequencer advances a
 	// stability horizon replacing the token-carried aru. Leader failure
@@ -190,8 +193,9 @@ type Config struct {
 
 	// Ordering selects the total-order mechanism: the token ring
 	// (default) or the leader-ordered fast path. All members must
-	// configure the same value; the ring always starts in ring mode and
-	// only promotes a sequencer once installed and quiescent, so mixed
+	// configure the same value; every ring starts with its token
+	// rotating and promotes a sequencer once installed and quiescent —
+	// at its first plain visit when it owes no recovery — so mixed
 	// settings degrade to whichever nodes refuse to adopt (and then to a
 	// membership change), not to an ordering violation.
 	Ordering OrderingMode

@@ -7,7 +7,8 @@
 # self-contained over bench_test.go helpers for exactly this reason).
 # Rounds alternate before/after so machine-load drift cancels instead of
 # biasing one side; the table at the end shows per-benchmark mean ns/op
-# and the before/after speedup. Used by `make bench-compare`.
+# and the before/after speedup, then mean B/op and allocs/op ("al") on
+# each side. Used by `make bench-compare`.
 set -eu
 
 REF=${1:?usage: benchcompare.sh REF [BENCH_REGEX [ROUNDS [BENCHTIME]]]}
@@ -45,9 +46,9 @@ AFTER="$WORK/after.txt"
 i=1
 while [ "$i" -le "$ROUNDS" ]; do
     echo "== round $i/$ROUNDS: before ($REF) ==" >&2
-    (cd "$TREE" && go test -run xxx -bench "$REGEX" -benchtime "$BENCHTIME" -count 1 .) | tee -a "$BEFORE" >&2
+    (cd "$TREE" && go test -run xxx -bench "$REGEX" -benchmem -benchtime "$BENCHTIME" -count 1 .) | tee -a "$BEFORE" >&2
     echo "== round $i/$ROUNDS: after (working tree) ==" >&2
-    go test -run xxx -bench "$REGEX" -benchtime "$BENCHTIME" -count 1 . | tee -a "$AFTER" >&2
+    go test -run xxx -bench "$REGEX" -benchmem -benchtime "$BENCHTIME" -count 1 . | tee -a "$AFTER" >&2
     # A regexp that matches nothing produces a clean PASS and an empty
     # comparison — indistinguishable from "no regression" unless caught.
     # Check after the first round so a typo fails in seconds, not after
@@ -67,30 +68,37 @@ done
 
 awk '
 function mean(sums, cnts, k) { return sums[k] / cnts[k] }
+# row prints one benchmark: mean ns/op before and after and the speedup,
+# then mean B/op and allocs/op before and after (-benchmem).
+function row(label, bk, ak,    b, a) {
+    b = mean(bns, bcnt, bk); a = mean(ans, acnt, ak)
+    printf "%-52s %14d %14d %8.2fx %12d %12d %9d %9d\n", label, b, a, b / a,
+        mean(bB, bcnt, bk), mean(aB, acnt, ak), mean(bal, bcnt, bk), mean(aal, acnt, ak)
+}
 FNR == 1 { side++ }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
+    ns = B = al = 0
     for (i = 2; i < NF; i++) {
-        if ($(i + 1) == "ns/op") {
-            if (side == 1) {
-                if (!(name in bsum)) order[++n] = name
-                bsum[name] += $i; bcnt[name]++
-            } else {
-                if (!(name in asum)) aorder[++an] = name
-                asum[name] += $i; acnt[name]++
-            }
-            break
-        }
+        if ($(i + 1) == "ns/op") ns = $i
+        if ($(i + 1) == "B/op") B = $i
+        if ($(i + 1) == "allocs/op") al = $i
+    }
+    if (side == 1) {
+        if (!(name in bcnt)) order[++n] = name
+        bns[name] += ns; bB[name] += B; bal[name] += al; bcnt[name]++
+    } else {
+        if (!(name in acnt)) aorder[++an] = name
+        ans[name] += ns; aB[name] += B; aal[name] += al; acnt[name]++
     }
 }
 END {
-    printf "%-52s %14s %14s %9s\n", "benchmark", "before ns/op", "after ns/op", "speedup"
+    printf "%-52s %14s %14s %9s %12s %12s %9s %9s\n", "benchmark", "before ns/op", "after ns/op", "speedup",
+        "before B/op", "after B/op", "before al", "after al"
     for (i = 1; i <= n; i++) {
         k = order[i]
-        if (!(k in acnt)) continue
-        b = mean(bsum, bcnt, k); a = mean(asum, acnt, k)
-        printf "%-52s %14d %14d %8.2fx\n", k, b, a, b / a
+        if (k in acnt) row(k, k, k)
     }
     # After-only benchmarks that are a mode variant of a before row are
     # scored against that baseline so the mode-vs-baseline speedup prints
@@ -106,10 +114,10 @@ END {
         sub(/Leader/, "", base)
         if (base == k) sub(/UDP\/batched/, "", base)
         if (base != k && (base in bcnt)) {
-            b = mean(bsum, bcnt, base); a = mean(asum, acnt, k)
-            printf "%-52s %14d %14d %8.2fx\n", k " (vs " base ")", b, a, b / a
+            row(k " (vs " base ")", base, k)
         } else {
-            printf "%-52s %14s %14d %9s\n", k, "(new)", mean(asum, acnt, k), "-"
+            printf "%-52s %14s %14d %9s %12s %12d %9s %9d\n", k, "(new)", mean(ans, acnt, k), "-",
+                "-", mean(aB, acnt, k), "-", mean(aal, acnt, k)
         }
     }
 }' "$BEFORE" "$AFTER"
