@@ -127,17 +127,21 @@ func benchWaitFastpath(tb testing.TB, d *domain.Domain) {
 // BenchmarkDomainSetUp is one stand-up of a domain per iteration, as the
 // reference benchmark stands one up before it times anything (its
 // setup_s): four processors, an active group of three, one gateway and,
-// in leader mode, a sequencer every processor has adopted. Closing the
-// domain is not timed.
+// in leader mode, a sequencer every processor has adopted. The ring-udp
+// row runs the ring over loopback UDP sockets, as udp_ring_ladder does,
+// its ports picked inside the timed stand-up. Closing the domain is not
+// timed.
 func BenchmarkDomainSetUp(b *testing.B) {
 	for _, m := range []struct {
 		name string
 		mode totem.OrderingMode
-	}{{"ring", totem.OrderingRing}, {"leader", totem.OrderingLeader}} {
+		udp  bool
+	}{{"ring", totem.OrderingRing, false}, {"leader", totem.OrderingLeader, false}, {"ring-udp", totem.OrderingRing, true}} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := domain.New(domain.Config{
+				var eps []*udpnet.Endpoint
+				cfg := domain.Config{
 					Name:  "bench",
 					Nodes: 4,
 					Totem: totem.Config{
@@ -148,7 +152,18 @@ func BenchmarkDomainSetUp(b *testing.B) {
 						Ordering:        m.mode,
 					},
 					GatewayInvokeTimeout: 10 * time.Second,
-				})
+				}
+				if m.udp {
+					registry := benchUDPRegistry(b, cfg.Nodes)
+					cfg.TransportFactory = func(id memnet.NodeID) (totem.Transport, error) {
+						ep, err := udpnet.Listen(id, registry)
+						if err == nil {
+							eps = append(eps, ep)
+						}
+						return ep, err
+					}
+				}
+				d, err := domain.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -161,6 +176,9 @@ func BenchmarkDomainSetUp(b *testing.B) {
 				}
 				b.StopTimer()
 				d.Close()
+				for _, ep := range eps {
+					_ = ep.Close()
+				}
 				b.StartTimer()
 			}
 		})

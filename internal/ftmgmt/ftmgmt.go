@@ -28,6 +28,7 @@ package ftmgmt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,25 +206,46 @@ func (m *Manager) anyRM() (*replication.Mechanisms, error) {
 }
 
 // CreateReplicatedObject is the Replication Manager's entry point: it
-// creates the object group and places the initial replicas on the least
-// loaded processors, waiting for each to synchronize. A creation refused
-// for want of hosts orders and registers nothing: no directory lists the
-// group and the Resource Manager does not manage it.
+// creates the object group with its initial replicas on the least loaded
+// processors, all in one view. Each founder's replica is armed on its
+// processor, then one processor orders the creation and one delta adding
+// every founder, back to back: the founders are live where that delta is
+// delivered, owed no state transfer, and the first of them is a passive
+// group's primary. A creation refused before anything is ordered — for
+// want of hosts, or a founder that cannot arm — leaves nothing behind: no
+// directory lists the group, no processor holds an armed replica, and the
+// Resource Manager does not manage it. A founder that left the ring
+// before the delta was ordered is not added (replication's applyView);
+// the Resource Manager restores the group's minimum.
 func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Properties, factory Factory) error {
 	if props.InitialReplicas <= 0 || props.MinReplicas < 0 || props.MinReplicas > props.InitialReplicas {
 		return fmt.Errorf("%w: initial=%d min=%d", ErrBadProps, props.InitialReplicas, props.MinReplicas)
-	}
-	m.mu.Lock()
-	hostCount := len(m.hosts)
-	m.mu.Unlock()
-	if props.InitialReplicas > hostCount {
-		return fmt.Errorf("%w: need %d hosts, have %d", ErrNoHosts, props.InitialReplicas, hostCount)
 	}
 	rm, err := m.anyRM()
 	if err != nil {
 		return err
 	}
-	if err := rm.CreateGroup(id, props.Style, props.ObjectKey); err != nil {
+	m.opMu.Lock()
+	defer m.opMu.Unlock()
+	founders := m.candidates(rm, nil)
+	if props.InitialReplicas > len(founders) {
+		return fmt.Errorf("%w: need %d hosts, have %d", ErrNoHosts, props.InitialReplicas, len(founders))
+	}
+	founders = founders[:props.InitialReplicas]
+	if err := arm(id, founders, factory); err != nil {
+		return err
+	}
+	ids := make([]memnet.NodeID, len(founders))
+	for i, h := range founders {
+		ids[i] = h.ID
+	}
+	err = rm.CreateGroup(id, props.Style, props.ObjectKey)
+	if err == nil {
+		err = rm.AddMembers(id, ids...)
+	}
+	if err != nil {
+		// The creation may be ordered all the same; nobody is armed for it.
+		disarm(id, founders)
 		return err
 	}
 	m.mu.Lock()
@@ -231,15 +253,59 @@ func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Propertie
 	reg := m.reg
 	m.mu.Unlock()
 	m.registerGroupGauges(reg, id)
-	m.log.Infof("group %d: %s, initial=%d min=%d", id, props.Style, props.InitialReplicas, props.MinReplicas)
-	if err := rm.WaitForGroup(id, syncTimeout); err != nil {
-		return err
+	m.log.Infof("group %d: %s, initial=%d min=%d, founded on %v", id, props.Style, props.InitialReplicas, props.MinReplicas, ids)
+	if err := rm.WaitForView(id, 2, syncTimeout); err != nil {
+		return fmt.Errorf("ftmgmt: founding view of group %d: %w", id, err)
 	}
-	for i := 0; i < props.InitialReplicas; i++ {
-		if err := m.placeOne(id, factory); err != nil {
+	for _, h := range founders {
+		if err := awaitFounder(rm, id, h); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// arm arms one replica from factory on every founder, or, failing on
+// one, none.
+func arm(id replication.GroupID, founders []Host, factory Factory) error {
+	for i, h := range founders {
+		app, err := factory()
+		if err == nil {
+			err = h.RM.Arm(id, app)
+		}
+		if err != nil {
+			disarm(id, founders[:i])
+			return fmt.Errorf("ftmgmt: founder %s of group %d: %w", h.ID, id, err)
+		}
+	}
+	return nil
+}
+
+func disarm(id replication.GroupID, founders []Host) {
+	for _, h := range founders {
+		h.RM.Disarm(id)
+	}
+}
+
+// founderPoll is how often awaitFounder looks again whether a founder it
+// waits for is still listed.
+const founderPoll = 10 * time.Millisecond
+
+// awaitFounder waits until the founder's replica is live, for as long as
+// rm's directory lists it: a founder that was never added, or that left
+// the ring since, is waited for no longer, and what it armed is withdrawn.
+func awaitFounder(rm *replication.Mechanisms, id replication.GroupID, h Host) error {
+	deadline := time.Now().Add(syncTimeout)
+	for slices.Contains(rm.Members(id), h.ID) {
+		err := h.RM.WaitSynced(id, founderPoll)
+		if err == nil {
+			return nil
+		}
+		if !errors.Is(err, replication.ErrTimeout) || time.Now().After(deadline) {
+			return fmt.Errorf("ftmgmt: founder %s of group %d: %w", h.ID, id, err)
+		}
+	}
+	h.RM.Disarm(id)
 	return nil
 }
 

@@ -26,6 +26,10 @@ const (
 )
 
 func fastDomain(t *testing.T, nodes int) *domain.Domain {
+	return fastDomainOrdered(t, nodes, totem.OrderingRing)
+}
+
+func fastDomainOrdered(t *testing.T, nodes int, ordering totem.OrderingMode) *domain.Domain {
 	t.Helper()
 	d, err := domain.New(domain.Config{
 		Name:  "mgmt",
@@ -35,6 +39,7 @@ func fastDomain(t *testing.T, nodes int) *domain.Domain {
 			TokenRetransmit: 10 * time.Millisecond,
 			FailTimeout:     80 * time.Millisecond,
 			GatherTimeout:   20 * time.Millisecond,
+			Ordering:        ordering,
 		},
 		Replication: replication.Config{CheckpointInterval: cpInterval},
 	})
@@ -562,4 +567,206 @@ func TestAwaitingDirectoryIsNotRead(t *testing.T) {
 	}
 	want := fmt.Sprintf(`eternalgw_ftmgmt_group_replicas{group="%d"} 2`, grpObj)
 	wait("the replicas gauge does not read host 1's directory: want "+want, func() bool { return strings.Contains(reg.RenderPrometheus(), want) })
+}
+
+// waitUntil polls cond until it holds, failing the test with what after
+// five seconds.
+func waitUntil(t *testing.T, what func() string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// views reads the group's view at every processor listed, as one line
+// each.
+func views(d *domain.Domain, id replication.GroupID, procs ...int) []string {
+	out := make([]string, 0, len(procs))
+	for _, i := range procs {
+		v, _ := d.Node(i).RM.View(id)
+		out = append(out, fmt.Sprintf("%s: view %d %v", d.Node(i).ID, v.Number, v.Members))
+	}
+	return out
+}
+
+// executedAt counts the invocations every processor's replicas executed.
+func executedAt(d *domain.Domain) []uint64 {
+	out := make([]uint64, d.Nodes())
+	for i := range out {
+		out[i] = d.Node(i).RM.Stats().InvocationsExecuted
+	}
+	return out
+}
+
+// TestCreateFoundsTheGroupInOneView: a group is created with all its
+// initial replicas in one ordered view. The founding orders two messages,
+// the creation and one delta; every processor reads view 2 with the
+// founders in placement order (least loaded first, ties by id); nobody is
+// owed a state transfer; the factory ran once per founder; and a passive
+// group's first founder is its primary. In both ordering modes.
+func TestCreateFoundsTheGroupInOneView(t *testing.T) {
+	all := []int{0, 1, 2, 3}
+	for _, mode := range []struct {
+		name     string
+		ordering totem.OrderingMode
+	}{{"ring", totem.OrderingRing}, {"leader", totem.OrderingLeader}} {
+		t.Run(mode.name, func(t *testing.T) {
+			d := fastDomainOrdered(t, 4, mode.ordering)
+			id := func(i int) memnet.NodeID { return d.Node(i).ID }
+			for _, c := range []struct {
+				group    replication.GroupID
+				style    replication.Style
+				founders []memnet.NodeID
+			}{
+				{grpObj, replication.Active, []memnet.NodeID{id(0), id(1), id(2)}},
+				// p03 carries no replica yet; the others one each.
+				{grpObj + 1, replication.WarmPassive, []memnet.NodeID{id(3), id(0), id(1)}},
+			} {
+				var (
+					mu   sync.Mutex
+					apps []*versionedApp
+				)
+				delivered := d.Node(3).Totem.Stats().Delivered
+				p := props(c.style, 3, 3)
+				p.ObjectKey = []byte(fmt.Sprint(keyObj, c.group))
+				if err := d.Manager().CreateReplicatedObject(c.group, p, factoryV(1, &apps, &mu)); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]string, 0, 4)
+				for i := range all {
+					want = append(want, fmt.Sprintf("%s: view 2 %v", id(i), c.founders))
+				}
+				waitUntil(t, func() string { return fmt.Sprintf("group %d: %v, want %v", c.group, views(d, c.group, all...), want) },
+					func() bool { return slices.Equal(views(d, c.group, all...), want) })
+				if got := d.Node(3).Totem.Stats().Delivered - delivered; got != 2 {
+					t.Errorf("group %d: the founding delivered %d messages, want the creation and one delta", c.group, got)
+				}
+				if len(apps) != 3 {
+					t.Errorf("group %d: factory ran %d times, want once per founder", c.group, len(apps))
+				}
+			}
+			for i := range all {
+				if s := d.Node(i).RM.Stats(); s.StateTransfers != 0 {
+					t.Errorf("%s donated %d state transfers, want none", id(i), s.StateTransfers)
+				}
+			}
+			// One write to the passive group executes at its first founder alone.
+			before := executedAt(d)
+			rep, err := d.Node(2).RM.Invoke(domain.DefaultGatewayGroup, 1, grpObj+1, replication.OperationID{ChildSeq: 1},
+				giop.Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte(fmt.Sprint(keyObj, grpObj+1)), Operation: "bump"}, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := cdr.NewReader(rep.Result, rep.ResultOrder); r.ReadLongLong() != 1 {
+				t.Fatal("the first write did not read 1")
+			}
+			after := executedAt(d)
+			for i := range all {
+				want := uint64(0)
+				if i == 3 {
+					want = 1
+				}
+				if after[i]-before[i] != want {
+					t.Fatalf("executed %v after one write, %v before: want it at %s, the primary, alone", after, before, id(3))
+				}
+			}
+		})
+	}
+}
+
+// TestFounderGoneBeforeTheFoundingView crashes a founder after the
+// Replication Manager armed it and before the founding delta is
+// delivered: once with the ring already re-formed without it, so the delta
+// is delivered in a ring it is not in, and once racing the ring change.
+// Every survivor lists the same members at the same view number, never the
+// dead founder as a passive group's primary, and the Resource Manager
+// restores the minimum. (Before, the placement waited ten seconds for the
+// dead host's replica and failed.)
+func TestFounderGoneBeforeTheFoundingView(t *testing.T) {
+	for _, settled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("ring-settled=%v", settled), func(t *testing.T) {
+			d := fastDomain(t, 4)
+			// p00 carries a replica, so the founders are p01, p02 and p03; p00
+			// orders the founding.
+			if err := d.Manager().CreateReplicatedObject(grpObj+1, props(replication.Active, 1, 1), factoryV(1, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+			gone := d.Node(1).ID
+			survivors := []int{0, 2, 3}
+			d.CrashNode(1)
+			if settled {
+				waitUntil(t, func() string { return "the ring never re-formed without " + string(gone) }, func() bool {
+					return len(d.Node(0).Totem.Members()) == 3 && len(d.Node(2).Totem.Members()) == 3 && len(d.Node(3).Totem.Members()) == 3
+				})
+			}
+			p := props(replication.WarmPassive, 3, 3)
+			if err := d.Manager().CreateReplicatedObject(grpObj, p, factoryV(1, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+			agreed := func() bool {
+				first, _ := d.Node(survivors[0]).RM.View(grpObj)
+				for _, i := range survivors {
+					v, _ := d.Node(i).RM.View(grpObj)
+					if v.Number != first.Number || !slices.Equal(v.Members, first.Members) || len(v.Members) == 0 || contains(v.Members, gone) {
+						return false
+					}
+				}
+				return true
+			}
+			waitUntil(t, func() string {
+				return fmt.Sprintf("survivors disagree or list %s: %v", gone, views(d, grpObj, survivors...))
+			}, agreed)
+			if err := d.Node(1).RM.Arm(grpObj, &versionedApp{}); err != nil {
+				t.Fatalf("the dead founder is still armed: %v", err)
+			}
+
+			d.Manager().RemoveHost(gone)
+			waitUntil(t, func() string { return fmt.Sprintf("minimum not restored: %v", views(d, grpObj, survivors...)) }, func() bool {
+				return agreed() && len(d.Node(0).RM.Members(grpObj)) == p.MinReplicas
+			})
+			primary := d.Node(0).RM.Members(grpObj)[0]
+			before := executedAt(d)
+			if r, err := invoke(t, d, 0, 1, "bump"); err != nil || r.ReadLongLong() != 1 {
+				t.Fatalf("first write: %v", err)
+			}
+			after := executedAt(d)
+			for _, i := range survivors {
+				if ran := after[i] - before[i]; (d.Node(i).ID == primary) != (ran == 1) || ran > 1 {
+					t.Fatalf("executed %v after one write, %v before: want it at %s, listed first, alone", after, before, primary)
+				}
+			}
+		})
+	}
+}
+
+// TestCreateFailingBeforeOrderLeavesNothingArmed: a founding refused
+// before anything is ordered — a founder already holds an armed replica
+// of the group — withdraws what it armed on the other founders: no
+// directory lists the group, the group is not managed, and the same
+// creation goes through once the host is free.
+func TestCreateFailingBeforeOrderLeavesNothingArmed(t *testing.T) {
+	d := fastDomain(t, 3)
+	if err := d.Node(1).RM.Arm(grpObj, &versionedApp{}); err != nil {
+		t.Fatal(err)
+	}
+	err := d.Manager().CreateReplicatedObject(grpObj, props(replication.Active, 3, 3), factoryV(1, nil, nil))
+	if !errors.Is(err, replication.ErrAlreadyMember) {
+		t.Fatalf("err = %v, want ErrAlreadyMember", err)
+	}
+	if _, managed := d.Manager().Properties(grpObj); managed {
+		t.Fatal("the group is managed after its creation failed")
+	}
+	d.Node(1).RM.Disarm(grpObj)
+	if err := d.Manager().CreateReplicatedObject(grpObj, props(replication.Active, 3, 3), factoryV(1, nil, nil)); err != nil {
+		t.Fatalf("creating again once the host is free: %v", err)
+	}
+	for i := 0; i < d.Nodes(); i++ {
+		if v, _ := d.Node(i).RM.View(grpObj); v.Number != 2 {
+			t.Fatalf("%s reads view %d of the group created again, want 2: %v", d.Node(i).ID, v.Number, views(d, grpObj, 0, 1, 2))
+		}
+	}
 }

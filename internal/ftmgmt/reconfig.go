@@ -127,9 +127,9 @@ func (m *Manager) evict(id replication.GroupID, node memnet.NodeID) (replication
 
 // placeOne starts one replica on the least loaded non-member host and
 // waits for it to catch up, like Grow, but without counting the
-// operation: it is the placement primitive for initial placement and the
-// Resource Manager's failure replacements, which are accounted
-// separately from operator grows.
+// operation: it is the Resource Manager's failure replacement, accounted
+// separately from operator grows. (Initial placement founds the group in
+// one view instead: CreateReplicatedObject.)
 func (m *Manager) placeOne(id replication.GroupID, factory Factory) error {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()

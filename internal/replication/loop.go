@@ -100,12 +100,14 @@ func (m *Mechanisms) handleDelivery(d totem.Delivery) {
 // heldEvent is one thing a member whose directory is awaiting was
 // delivered that the directory it adopts must still see: a control
 // message — header, sender, payload copied out of the delivery arena,
-// position in the total order — or, the header zero, a ring.
+// position in the total order, members of the ring it was delivered in —
+// or, the header zero, a ring.
 type heldEvent struct {
 	h       Header
 	from    memnet.NodeID
 	payload []byte
 	ts      uint64
+	in      []memnet.NodeID
 	ring    totem.ConfigChange
 }
 
@@ -124,7 +126,7 @@ func (m *Mechanisms) deliverControl(msg Message, from memnet.NodeID, ts uint64) 
 	case msg.Header.Kind == KindMembershipSync && len(msg.Payload) > 0:
 		m.adopt(msg)
 	case msg.Header.Kind != KindStateTransfer || stateTarget(msg.Payload) == m.cfg.NodeID:
-		m.held = append(m.held, heldEvent{h: msg.Header, from: from, payload: append([]byte(nil), msg.Payload...), ts: ts})
+		m.held = append(m.held, heldEvent{h: msg.Header, from: from, payload: append([]byte(nil), msg.Payload...), ts: ts, in: m.ring})
 	}
 	m.notifyChanged()
 }
@@ -239,12 +241,13 @@ func (m *Mechanisms) bumpView(g *groupState, seq uint64) {
 
 // addMember applies one join to the group directory: the membership slot,
 // the local replica activation when the joiner is this node, and the
-// pending-join record the donor's state capture is queued from. It
-// reports whether the membership changed (a self-join that was never
-// prearmed is rolled back for safety). Callers hold mu.
-func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
+// pending-join record the donor's state capture is queued from. A
+// founder — added by a delta that found the group empty — is owed no
+// transfer: nothing has executed. It reports whether the membership
+// changed (a self-join that was never prearmed is rolled back for
+// safety). Callers hold mu.
+func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, founder bool) bool {
 	g.members = append(g.members, node)
-	first := len(g.members) == 1
 
 	if node == m.cfg.NodeID {
 		app, armed := m.prearmed[g.id]
@@ -257,14 +260,19 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
 		delete(m.prearmed, g.id)
 		r := newReplica(m, g.id, g.style, app)
 		g.local = r
-		// The first member and client-only members need no state
-		// transfer.
-		if first || app == nil {
+		// Founders and client-only members need no state transfer. A
+		// passive backup recovers from a checkpoint and its log: a founding
+		// one's first checkpoint is the initial state, cut before anything
+		// runs.
+		if founder || app == nil {
 			r.synced.Store(true)
+			if founder && app != nil && g.style.passive() && len(g.members) > 1 {
+				r.push(task{kind: taskFound})
+			}
 		} else {
 			g.pendingJoins[node] = false
 		}
-	} else if g.local != nil && g.local.app != nil && !first {
+	} else if g.local != nil && g.local.app != nil && !founder {
 		g.pendingJoins[node] = false
 	}
 	return true
@@ -276,7 +284,13 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID) bool {
 // the state transfers the new membership owes. Every membership change
 // goes through here — the wire delta and a ring failure's removals from
 // handleConfig alike — at one point in the total order, so every member
-// installs the same numbered view at the same place. Callers hold mu.
+// installs the same numbered view at the same place. Joiners that find
+// the group empty, after the removals, found it (addMember). A joiner
+// that is not in the ring the delta is delivered in is not added: it left
+// before its join was ordered — a departed sender's message is delivered
+// in the ring after it — and no later ring change would evict it, so a
+// dead member would stay listed, a passive group's primary among them.
+// Callers hold mu.
 func (m *Mechanisms) applyView(g *groupState, add, remove []memnet.NodeID, seq uint64) {
 	changed := false
 	for _, node := range remove {
@@ -291,8 +305,9 @@ func (m *Mechanisms) applyView(g *groupState, add, remove []memnet.NodeID, seq u
 		}
 		changed = true
 	}
+	founding := len(g.members) == 0
 	for _, node := range add {
-		if !g.isMember(node) && m.addMember(g, node) {
+		if !g.isMember(node) && slices.Contains(m.ring, node) && m.addMember(g, node, founding) {
 			changed = true
 		}
 	}
@@ -380,8 +395,10 @@ func (m *Mechanisms) awaitPrimary(q *taskQueue) bool {
 // evictDeparted removes the nodes that are not in the ring from every
 // group: the failure-driven view change. Every member of the ring is told
 // of it at the same point in the total order, so the ring identifier
-// stands in for a membership message's timestamp. Callers hold mu.
+// stands in for a membership message's timestamp. What is delivered from
+// here on is delivered in this ring (m.ring). Callers hold mu.
 func (m *Mechanisms) evictDeparted(c totem.ConfigChange) {
+	m.ring = c.Members
 	for _, g := range m.groups {
 		var gone []memnet.NodeID
 		for _, node := range g.members {
@@ -457,6 +474,7 @@ func (m *Mechanisms) adopt(snapshot Message) {
 			m.evictDeparted(h.ring)
 		case KindMembershipSync: // a request delivered to an awaiting member was not its to answer
 		default:
+			m.ring = h.in
 			m.applyControl(Message{Header: h.h, Payload: h.payload}, h.from, h.ts)
 		}
 	}

@@ -120,9 +120,13 @@ type Mechanisms struct {
 	mu     sync.RWMutex
 	groups map[GroupID]*groupState
 	byKey  map[string]GroupID
-	// prearmed holds applications registered by JoinGroup, installed
-	// when the join announcement is delivered in total order.
-	prearmed  map[GroupID]Application
+	// prearmed holds applications registered by Arm, installed when a
+	// delta adding this node is delivered in total order.
+	prearmed map[GroupID]Application
+	// ring is the membership of the ring the loop's deliveries are in: the
+	// latest ring change it took in, or, while it replays what it held, the
+	// ring of the event replayed. Loop-owned, under mu.
+	ring      []memnet.NodeID
 	observers map[GroupID]Observer
 	changed   chan struct{} // closed and replaced on directory change
 
@@ -377,21 +381,47 @@ func (m *Mechanisms) CreateGroup(id GroupID, style Style, objectKey []byte) erro
 // hosts no servant. Use WaitSynced to block until the replica has
 // received its state transfer and is live.
 func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
+	if err := m.Arm(id, app); err != nil {
+		return err
+	}
+	return m.AddMembers(id, m.cfg.NodeID)
+}
+
+// Arm registers app as this node's replica of the group, installed when a
+// membership delta that adds this node is delivered in total order. It
+// sends nothing: JoinGroup sends this node's own delta, and the
+// Replication Manager sends one delta for every replica a group is
+// founded with (AddMembers).
+func (m *Mechanisms) Arm(id GroupID, app Application) error {
 	// An awaiting directory describes another history than the join is for.
 	if err := m.waitCondition(m.cfg.InvokeTimeout, func() bool { return !m.awaiting.Load() }); err != nil {
 		return err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	g, ok := m.groups[id]
 	if _, armed := m.prearmed[id]; (ok && g.local != nil) || armed {
-		m.mu.Unlock()
 		return fmt.Errorf("group %d on %s: %w", id, m.cfg.NodeID, ErrAlreadyMember)
 	}
-	// Register the intent; the replica activates when the join is
-	// delivered in total order.
 	m.prearmed[id] = app
-	m.mu.Unlock()
-	return m.changeView(id, viewChangePayload{Add: []memnet.NodeID{m.cfg.NodeID}})
+	return nil
+}
+
+// Disarm withdraws what Arm registered for the group and no delivered
+// delta has installed: the replica of a founding that was never ordered,
+// or of a founder that was not in the ring when it was.
+func (m *Mechanisms) Disarm(id GroupID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.prearmed, id)
+}
+
+// AddMembers adds nodes to a group through one totally-ordered view
+// change; each must have armed its replica first (Arm). Added to an empty
+// group, they found it: every one is live at the delta's delivery and
+// owed no state transfer (applyView).
+func (m *Mechanisms) AddMembers(id GroupID, nodes ...memnet.NodeID) error {
+	return m.changeView(id, viewChangePayload{Add: nodes})
 }
 
 // DeleteGroup retires the group across the whole domain: every node

@@ -3,12 +3,14 @@ package replication
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
+	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 )
 
@@ -436,4 +438,116 @@ func logLen(m *Mechanisms) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.groups[grpServer].local.log.EntryCount(uint32(grpServer))
+}
+
+// TestJoinOfADepartedProcessorIsNotListed: a join is delivered after its
+// joiner left the ring. A processor that crashes halfway through
+// broadcasting its own join has that message delivered in the ring after
+// it (docs/FAULT_MODEL.md), and a founding delta names every processor the
+// Replication Manager armed, one of which may crash before the delta is
+// ordered. Every survivor applies such a delta in a ring the joiner is not
+// in: none lists the joiner, all agree on the view, and the passive group
+// the delta finds empty gets a live primary. (Before, the departed joiner
+// was listed for good — no later ring change evicts a processor that is
+// already gone — the passive group's primary and state donor with it, so
+// the next joiner waited for ever for its state.)
+func TestJoinOfADepartedProcessorIsNotListed(t *testing.T) {
+	d := newDomain(t, 4)
+	gone, survivors := d.ids[3], d.ids[:3]
+	d.mustCreate(grpServer, WarmPassive, testKeyStr)
+	d.mustCreate(grpClient, WarmPassive, "")
+	d.net.Crash(gone)
+	waitFor(t, 5*time.Second, func() bool {
+		for _, n := range survivors {
+			if len(d.nodes[n].Members()) != len(survivors) {
+				return false
+			}
+		}
+		return true
+	})
+
+	// The departed processor's own join, as a survivor retransmits it in the
+	// ring after it; then a survivor joins behind it.
+	if err := d.rms[survivors[0]].changeView(grpServer, viewChangePayload{Add: []memnet.NodeID{gone}}); err != nil {
+		t.Fatal(err)
+	}
+	d.mustJoin(survivors[1], grpServer, &regApp{})
+	// A founding delta that names the departed processor first.
+	for _, n := range survivors[1:] {
+		if err := d.rms[n].Arm(grpClient, &regApp{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.rms[survivors[0]].AddMembers(grpClient, gone, survivors[1], survivors[2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range survivors[1:] {
+		if err := d.rms[n].WaitSynced(grpClient, 5*time.Second); err != nil {
+			t.Fatalf("%s: founder of group %d: %v", n, grpClient, err)
+		}
+	}
+
+	want := fmt.Sprintf("[%d: view 2 [%s] %d: view 2 [%s %s]]", grpServer, survivors[1], grpClient, survivors[1], survivors[2])
+	waitFor(t, 5*time.Second, func() bool {
+		for _, n := range survivors {
+			if d.rms[n].directory() != want {
+				return false
+			}
+		}
+		return true
+	})
+	for _, g := range []GroupID{grpServer, grpClient} {
+		rm := d.rms[survivors[1]]
+		rm.mu.RLock()
+		primary := rm.groups[g].local.primary
+		rm.mu.RUnlock()
+		if !primary {
+			t.Fatalf("group %d: %s, listed first, is not its primary", g, survivors[1])
+		}
+	}
+}
+
+// TestFoundedBackupRecoversBeforeAnyCheckpoint: a passive group founded in
+// one view, its primary lost before any checkpoint reached the backup. A
+// founding backup was donated nothing, so its first checkpoint is the
+// initial state, cut before anything ran: the promoted backup loads it and
+// replays every invocation since, in both passive styles. (Without it a
+// cold backup had no image to recover from and served an empty state.)
+func TestFoundedBackupRecoversBeforeAnyCheckpoint(t *testing.T) {
+	for _, style := range []Style{WarmPassive, ColdPassive} {
+		t.Run(style.String(), func(t *testing.T) {
+			d := newDomain(t, 3)
+			d.mustCreate(grpServer, style, testKeyStr)
+			d.mustCreate(grpClient, style, "")
+			apps := []*regApp{{}, {}}
+			for i, app := range apps {
+				if err := d.rms[d.ids[i]].Arm(grpServer, app); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.rms[d.ids[2]].AddMembers(grpServer, d.ids[0], d.ids[1]); err != nil {
+				t.Fatal(err)
+			}
+			d.mustJoin(d.ids[2], grpClient, nil)
+			for _, n := range d.ids {
+				if err := d.rms[n].WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
+					t.Fatalf("%s: members: %v", n, err)
+				}
+			}
+			client := d.rms[d.ids[2]]
+			for i := 1; i <= 3; i++ { // fewer than either interval
+				if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte{byte('a' + i - 1)})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.net.Crash(d.ids[0])
+			waitFor(t, 5*time.Second, func() bool {
+				v, ops := apps[1].snapshot()
+				return ops == 3 && bytes.Equal(v, []byte("abc"))
+			})
+			if s := d.rms[d.ids[1]].Stats(); s.Failovers != 1 || s.StateTransfers != 0 {
+				t.Fatalf("backup: %d failovers, %d transfers; want 1 and none", s.Failovers, s.StateTransfers)
+			}
+		})
+	}
 }

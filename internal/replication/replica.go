@@ -25,6 +25,7 @@ const (
 	taskApplyState
 	taskApplySync
 	taskFailover
+	taskFound
 )
 
 // task is one unit of work, created by the event loop at a specific
@@ -140,7 +141,8 @@ func (q *taskQueue) isClosed() bool {
 // Logging-recovery invariant (DESIGN.md section 5). On every member that
 // hosts a servant, whatever the style, log holds the newest checkpoint
 // that member knows — cut locally if it executes, received by
-// KindStateSync if it is a backup, donated if it joined — and every
+// KindStateSync if it is a backup, donated if it joined, the initial state
+// if it is a backup that founded the group (taskFound) — and every
 // invocation delivered to it after that checkpoint's Seq, in total order
 // and once: the operations its table (ops) does not hold yet. An executing
 // member so leaves out the duplicates it suppressed (they changed
@@ -252,6 +254,8 @@ func (r *replica) handle(t task) {
 		r.handleApplySync(t)
 	case taskFailover:
 		r.handleFailover()
+	case taskFound:
+		r.cutCheckpoint()
 	}
 }
 

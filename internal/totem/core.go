@@ -259,7 +259,7 @@ func (n *Core) Tick(now time.Time, waiting int) {
 		n.resendForwards()
 	}
 	if n.due(dlAck) || n.due(dlRefNak) {
-		n.sendAck()
+		n.sendAck(n.due(dlRefNak) || !n.now.Before(n.fp.renakAt))
 	}
 	if n.due(dlFail) || n.due(dlCommit) {
 		n.startGather()

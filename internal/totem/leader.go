@@ -100,6 +100,7 @@ type epoch struct {
 	awaiting      []awaitingFwd        // forwards sent but not yet seen ordered
 	awaitingParts int                  // payloads inside awaiting (backlog accounting)
 	parked        map[uint64]parkedRef // by-reference batches whose forward has not arrived, by seq
+	renakAt       time.Time            // when gaps may be asked for again: TokenRetransmit after the last request
 }
 
 // batchRef identifies the forward a sequence number ordered.
@@ -191,7 +192,7 @@ func (n *Core) adoptLeader(leader memnet.NodeID, startSeq, stable uint64) {
 	n.touchLiveness()
 	n.applyStable(stable)
 	n.forwardPending()
-	n.sendAck()
+	n.sendAck(true)
 }
 
 // leaveLeaderMode tears the fast path down on the way into membership
@@ -653,7 +654,7 @@ func (n *Core) handlePromote(p promoteMsg) {
 	n.applyStable(p.Stable)
 	// Answer immediately so the sequencer's failure detector sees this
 	// member alive even when the epoch is idle.
-	n.sendAck()
+	n.sendAck(true)
 }
 
 // applyStable advances the follower's view of the stability horizon.
@@ -719,10 +720,11 @@ func (n *Core) resendForwards() {
 
 // scheduleAck coalesces a follower's stability reports: the first
 // watermark movement arms the timer, later ones ride along when it
-// fires.
+// fires. A re-nak further off does not hold the report back: the timer
+// is brought forward, and the report goes without the requests (sendAck).
 func (n *Core) scheduleAck() {
-	if !n.armed(dlAck) {
-		n.arm(dlAck, n.ackDelay())
+	if at := n.now.Add(n.ackDelay()); !n.armed(dlAck) || n.deadlines[dlAck].After(at) {
+		n.deadlines[dlAck] = at
 	}
 }
 
@@ -742,14 +744,17 @@ func (n *Core) refWait(p parkedRef) time.Duration {
 	return 0
 }
 
-// sendAck reports this follower's contiguous watermark plus
+// sendAck reports this follower's contiguous watermark and, with nak,
 // retransmission requests for any observed gaps. A gap that is a parked
-// reference is not requested before its forward has had its wait.
-func (n *Core) sendAck() {
+// reference is not requested before its forward has had its wait. While
+// gaps remain they are asked for again every TokenRetransmit (renakAt); a
+// report in between carries the watermark alone.
+func (n *Core) sendAck(nak bool) {
 	n.disarm(dlAck, dlRefNak)
 	a := ackMsg{RingID: n.ringID, Sender: n.cfg.ID, Aru: n.deliveredSeq}
+	var gaps []uint64
 	var owed time.Duration // the shortest wait a parked reference still has coming
-	for s := n.deliveredSeq + 1; s <= n.highest && len(a.Nak) < maxNaks; s++ {
+	for s := n.deliveredSeq + 1; s <= n.highest && len(gaps) < maxNaks; s++ {
 		if _, ok := n.buffer[s]; ok || n.skipped[s] {
 			continue
 		}
@@ -761,14 +766,21 @@ func (n *Core) sendAck() {
 				continue
 			}
 		}
-		a.Nak = append(a.Nak, s)
+		gaps = append(gaps, s)
+	}
+	if nak {
+		a.Nak = gaps
 	}
 	n.broadcast(encodeAck(a))
 	if owed > 0 {
 		n.arm(dlRefNak, owed)
 	}
-	if len(a.Nak) > 0 {
+	switch {
+	case len(a.Nak) > 0:
 		// Gaps outstanding: keep re-nakking until retransmissions land.
+		n.fp.renakAt = n.now.Add(n.cfg.TokenRetransmit)
 		n.arm(dlAck, n.cfg.TokenRetransmit)
+	case len(gaps) > 0:
+		n.arm(dlAck, n.fp.renakAt.Sub(n.now))
 	}
 }

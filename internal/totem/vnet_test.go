@@ -650,3 +650,64 @@ func TestFollowerAsksForTheLastBatchOfAnIdleEpoch(t *testing.T) {
 	v.settle(time.Second)
 	v.agree(seq.cfg.ID, v.ids...)
 }
+
+// TestReorderedBatchDoesNotStallStability: of two batches the sequencer
+// orders back to back, the first reaches one follower behind the second.
+// The follower naks it and has it at once, the held datagram and the
+// retransmission both. Its next watermark report leaves within ackDelay of
+// its delivering both — gaps are asked for again every TokenRetransmit,
+// the watermark is reported at the ack cadence — so the sequencer's Stable
+// reaches the second batch within ackDelay and a few hops, and nothing
+// demotes. (The report used to wait for the re-nak: Stable stood still for
+// up to TokenRetransmit after the gap had been filled.)
+func TestReorderedBatchDoesNotStallStability(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			v, seq, follower := leaderVnet(t, seed)
+			sc, fc := v.cores[seq], v.cores[follower]
+			var held []byte
+			nakd := false
+			v.drop = func(to memnet.NodeID, data []byte) bool {
+				if to == follower && held == nil && data[0] == kindBatch && bytes.Contains(data, []byte("first")) {
+					held = data
+					return true
+				}
+				return false
+			}
+			v.hear = func(from, to memnet.NodeID, data []byte) {
+				if from != follower || to != seq || data[0] != kindAck || nakd {
+					return
+				}
+				if a, err := decodeAck(cdrSkipKind(data), nil, true); err == nil && len(a.Nak) > 0 {
+					nakd = true
+					v.clk.AfterFunc(0, func() {
+						fc.Receive(v.now(), held, 0)
+						v.noteChecked(follower)
+					})
+				}
+			}
+			v.submit(seq, []byte("first"))
+			v.submit(seq, []byte("second"))
+			through := sc.fp.seq
+			var filled time.Time
+			if !v.run(2*sc.cfg.TokenRetransmit, func() bool {
+				if filled.IsZero() && fc.deliveredSeq >= through {
+					filled = v.now()
+				}
+				return sc.Stable() >= through
+			}) || !nakd {
+				t.Fatalf("nak sent %v; Stable %d of %d after %v of virtual time", nakd, sc.Stable(), through, 2*sc.cfg.TokenRetransmit)
+			}
+			if wait, bound := v.now().Sub(filled), fc.ackDelay()+4*vhop; wait > bound {
+				t.Fatalf("Stable reached %d %v after %s had delivered it, want within %v (TokenRetransmit %v)", through, wait, follower, bound, fc.cfg.TokenRetransmit)
+			}
+			v.run(5*sc.cfg.TokenRetransmit, nil)
+			for _, id := range v.ids {
+				if n := v.cores[id].demotionN.Load(); n != 0 {
+					t.Fatalf("%s was demoted %d times", id, n)
+				}
+			}
+			v.agree(seq, v.ids...)
+		})
+	}
+}

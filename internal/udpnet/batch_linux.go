@@ -50,9 +50,10 @@ type batchState struct {
 	send func(fd uintptr) bool
 
 	// Receive-loop scratch (readLoop goroutine only): pooled
-	// maxDatagram buffers, one per recvmmsg slot. recv is the raw-conn
-	// read callback, built once; it leaves the datagram count in rn, or
-	// the call's error in rerr.
+	// maxDatagram buffers, one per recvmmsg slot, allocated when the
+	// socket is first readable. recv is the raw-conn read callback, built
+	// once; it leaves the datagram count in rn, or the call's error in
+	// rerr.
 	rbufs [][]byte
 	riovs []syscall.Iovec
 	rents []mmsghdr
@@ -78,9 +79,6 @@ func (e *Endpoint) useBatchSyscalls() (bool, error) {
 		salens: make([]uint32, len(e.peers)),
 		iovs:   make([]syscall.Iovec, 0, 2*sendGather),
 		ents:   make([]mmsghdr, 0, sendGather*len(e.peers)),
-		rbufs:  make([][]byte, recvBatch),
-		riovs:  make([]syscall.Iovec, recvBatch),
-		rents:  make([]mmsghdr, recvBatch),
 	}
 	for i, p := range e.peers {
 		n, err := putSockaddr(&bs.sas[i], p.addr, v6)
@@ -88,13 +86,6 @@ func (e *Endpoint) useBatchSyscalls() (bool, error) {
 			return false, fmt.Errorf("udpnet: peer %q: %w", p.id, err)
 		}
 		bs.salens[i] = n
-	}
-	for i := range bs.rbufs {
-		bs.rbufs[i] = make([]byte, maxDatagram)
-		bs.riovs[i].Base = &bs.rbufs[i][0]
-		bs.riovs[i].SetLen(maxDatagram)
-		bs.rents[i].hdr.Iov = &bs.riovs[i]
-		bs.rents[i].hdr.Iovlen = 1
 	}
 	bs.send, bs.recv = bs.sendmmsg, bs.recvmmsg
 	e.transmit, e.readLoop = bs.sendFrames, bs.readLoop
@@ -222,10 +213,45 @@ func (bs *batchState) recvmmsg(fd uintptr) bool {
 	}
 }
 
-// readLoop drains the socket with recvmmsg into the pooled buffers,
-// then validates and queues each datagram.
+// allocRing allocates the receive ring: recvBatch maxDatagram buffers and
+// the vectors recvmmsg fills them through.
+func (bs *batchState) allocRing() {
+	bs.rbufs = make([][]byte, recvBatch)
+	bs.riovs = make([]syscall.Iovec, recvBatch)
+	bs.rents = make([]mmsghdr, recvBatch)
+	for i := range bs.rbufs {
+		bs.rbufs[i] = make([]byte, maxDatagram)
+		bs.riovs[i].Base = &bs.rbufs[i][0]
+		bs.riovs[i].SetLen(maxDatagram)
+		bs.rents[i].hdr.Iov = &bs.riovs[i]
+		bs.rents[i].hdr.Iovlen = 1
+	}
+}
+
+// awaitFirst is the raw-conn read callback the read loop starts with: it
+// peeks for a datagram without taking it, and reports false to wait for
+// readability until there is one.
+func awaitFirst(fd uintptr) bool {
+	var b byte
+	for {
+		_, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd,
+			uintptr(unsafe.Pointer(&b)), 1, syscall.MSG_PEEK|syscall.MSG_DONTWAIT, 0, 0)
+		if errno != syscall.EINTR {
+			return errno != syscall.EAGAIN
+		}
+	}
+}
+
+// readLoop waits until the socket first has something to receive — an
+// endpoint closed before then, such as a port probe, allocates no receive
+// ring — then drains it with recvmmsg into the pooled buffers, and
+// validates and queues each datagram.
 func (bs *batchState) readLoop() {
 	e := bs.e
+	if err := bs.rc.Read(awaitFirst); err != nil {
+		return // socket closed
+	}
+	bs.allocRing()
 	for {
 		bs.rn, bs.rerr = 0, 0
 		if err := bs.rc.Read(bs.recv); err != nil {

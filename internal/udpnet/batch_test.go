@@ -2,6 +2,7 @@ package udpnet
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -332,4 +333,43 @@ func testLossyAgreement(t *testing.T, cfgFor func(id memnet.NodeID, seed int64) 
 		dropped += s.TxLossInjected
 	}
 	t.Logf("injected loss: %d datagrams", dropped)
+}
+
+// listenClose binds an endpoint on an ephemeral loopback port and closes
+// it having received nothing, as a port probe does.
+func listenClose(tb testing.TB) {
+	e, err := Listen("probe", Registry{"probe": "127.0.0.1:0"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestUnreadEndpointAllocatesNoReceiveRing: the receive ring, recvBatch
+// buffers of maxDatagram (4 MiB), is allocated when the socket first has
+// something to receive, so an endpoint closed before then costs its socket
+// and its queues, not 4 MiB allocated and zeroed.
+func TestUnreadEndpointAllocatesNoReceiveRing(t *testing.T) {
+	const probes = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < probes; i++ {
+		listenClose(t)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / probes; per >= recvBatch*maxDatagram/8 {
+		t.Fatalf("an endpoint closed unread allocated %d KiB; the receive ring alone is %d KiB", per>>10, recvBatch*maxDatagram>>10)
+	}
+}
+
+// BenchmarkListen is one endpoint bound and closed without receiving, as a
+// port probe is: its B/op is what an endpoint costs before its first
+// datagram.
+func BenchmarkListen(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		listenClose(b)
+	}
 }
