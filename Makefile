@@ -51,9 +51,11 @@ check: vet lint race budget sim sim-totem fuzz-smoke soak-reconfig soak-leader s
 
 # loc prints non-test, non-blank Go lines per top-level package and the
 # total a simplicity PR is judged by (scripts/loc.sh: everything outside
-# bench/ and internal/analysis). Such a PR states this number on its
-# parent and on its change; with LOC_REF=<ref> the target prints the
-# per-package parent/change/delta table against that ref instead.
+# bench/ and internal/analysis), and the options of the same packages
+# (Config, Properties and ServerOptions fields, cmd/ flags). Such a PR
+# states these numbers on its parent and on its change; with
+# LOC_REF=<ref> the target prints the per-package parent/change/delta
+# table against that ref instead.
 LOC_REF ?=
 loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')

@@ -383,7 +383,7 @@ func benchUDPNetMultiClient(b *testing.B, nodes, clients, window int, ucfg udpne
 // the operation. Rows keep the "batched" name BENCH_udp.json recorded
 // them under.
 func BenchmarkUDPNetMultiClient(b *testing.B) {
-	cfg := udpnet.Config{ReadBuffer: 4 << 20, InboxSize: 4096}
+	cfg := udpnet.Config{ReadBuffer: 4 << 20}
 	for _, clients := range []int{8, 16} {
 		for _, size := range throughputSizes {
 			// The in-flight window keeps window×frame bytes under the

@@ -329,14 +329,14 @@ func run(o runOpts) error {
 // status sections and the admin surface unconditionally.
 func startOps(o runOpts, cfg *domain.Config) (*obs.Server, error) {
 	if o.obsAddr == "" {
-		return obs.NewHandler(nil, nil), nil
+		return obs.NewHandler(nil, nil, obs.ServerOptions{}), nil
 	}
 	cfg.Metrics = obs.NewRegistry()
 	if o.trace {
 		cfg.Tracer = obs.NewTracer(256)
 		cfg.Tracer.Register(cfg.Metrics)
 	}
-	ops, err := obs.NewServerOpts(o.obsAddr, cfg.Metrics, cfg.Tracer, obs.ServerOptions{Pprof: o.pprof})
+	ops, err := obs.NewServer(o.obsAddr, cfg.Metrics, cfg.Tracer, obs.ServerOptions{Pprof: o.pprof})
 	if err != nil {
 		return nil, fmt.Errorf("ops server: %w", err)
 	}

@@ -6,7 +6,8 @@
 // server group in total order, and the three replicas' responses are
 // deduplicated down to one (paper figure 3).
 //
-// Run with: go run ./examples/quickstart
+// Run with: go run ./examples/quickstart (go test ./examples/quickstart
+// runs it too).
 package main
 
 import (
@@ -87,9 +88,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("read() -> %q\n", r.ReadOctetSeq())
+	value := r.ReadOctetSeq()
+	fmt.Printf("read() -> %q\n", value)
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if string(value) != "fault tolerance domains" {
+		return fmt.Errorf("the register holds %q, not the three appends", value)
 	}
 
 	// 5. Show what the infrastructure did behind the client's back.

@@ -12,10 +12,10 @@
 //     when the gateway is full, letting the kernel listen backlog and
 //     ultimately TCP do the pushback) plus a per-client-address cap
 //     enforced at accept time.
-//   - Per-client request policing: a token-bucket rate limit and a
-//     bounded in-flight window, both keyed by the paper's TCP client
-//     identifier, with deadline-based load shedding — a request may wait
-//     AdmitWait for an in-flight slot, after which it is shed.
+//   - Request policing: a per-client token-bucket rate limit keyed by the
+//     paper's TCP client identifier, and a bounded in-flight window with
+//     deadline-based load shedding — a request may wait AdmitWait for an
+//     in-flight slot, after which it is shed.
 //   - A breaker driven by domain-side backpressure (totem send backlog
 //     and pending-call occupancy, exported by internal/replication):
 //     when the signal stays above the threshold for the sustain period,
@@ -52,8 +52,8 @@ const (
 	// ShedRate rejects a request because the client's token bucket is
 	// empty (sustained rate above Config.Rate).
 	ShedRate
-	// ShedWindow rejects a request because the in-flight window (global
-	// or per-client) stayed full past the AdmitWait deadline.
+	// ShedWindow rejects a request because the in-flight window stayed
+	// full past the AdmitWait deadline.
 	ShedWindow
 	// ShedBreaker rejects a connection because the domain-backpressure
 	// breaker is open.
@@ -103,18 +103,13 @@ type Config struct {
 	MaxConnsPerClient int
 	// Rate is the per-client sustained admission rate in requests per
 	// second, enforced with a token bucket keyed by the paper's TCP
-	// client identifier. Zero means unlimited.
+	// client identifier and twice Rate deep (at least one request), so a
+	// client may issue two seconds' worth back-to-back. Zero means
+	// unlimited.
 	Rate float64
-	// Burst is the token-bucket depth: how many requests a client may
-	// issue back-to-back before Rate applies. Zero means twice Rate,
-	// minimum 1.
-	Burst int
 	// MaxInFlight caps requests concurrently admitted into the domain
 	// across all clients. Zero means unlimited.
 	MaxInFlight int
-	// MaxInFlightPerClient caps requests concurrently admitted per
-	// client identifier. Zero means unlimited.
-	MaxInFlightPerClient int
 	// AdmitWait is how long a request may wait for a free slot in the
 	// global in-flight window before it is shed (deadline-based load
 	// shedding). Zero sheds immediately when the window is full.
@@ -123,50 +118,12 @@ type Config struct {
 	// driving the breaker: a value in [0,1], typically
 	// replication.Mechanisms.Backpressure. Nil disables the breaker.
 	Backpressure func() float64
-	// BreakerThreshold is the signal level treated as overload.
-	// Zero means 0.9.
-	BreakerThreshold float64
-	// BreakerSustain is how long the signal must stay at or above the
-	// threshold before the breaker opens. Zero means 200ms.
-	BreakerSustain time.Duration
-	// BreakerCooldown is the minimum open time; the breaker closes once
-	// the signal is back below the threshold and the cooldown has
-	// elapsed. Zero means 1s.
-	BreakerCooldown time.Duration
-	// BreakerInterval is the minimum time between samples of the
-	// backpressure signal (samples are taken lazily on admission
-	// decisions). Zero means 10ms.
-	BreakerInterval time.Duration
-	// ClientTableSize bounds the per-client state table (token buckets
-	// and in-flight windows). When full, an idle client's entry is
-	// evicted; a re-appearing client simply starts with a fresh bucket.
-	// Zero means 4096.
-	ClientTableSize int
 }
 
-func (c *Config) applyDefaults() {
-	if c.Burst == 0 {
-		c.Burst = int(2 * c.Rate)
-	}
-	if c.Burst < 1 {
-		c.Burst = 1
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 0.9
-	}
-	if c.BreakerSustain == 0 {
-		c.BreakerSustain = 200 * time.Millisecond
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.BreakerInterval == 0 {
-		c.BreakerInterval = 10 * time.Millisecond
-	}
-	if c.ClientTableSize == 0 {
-		c.ClientTableSize = 4096
-	}
-}
+// clientTableSize bounds the per-client token buckets. When the table is
+// full an entry is evicted; a re-appearing client simply starts with a
+// fresh bucket.
+const clientTableSize = 4096
 
 // Stats snapshots the controller's counters and state.
 type Stats struct {
@@ -183,18 +140,18 @@ type Stats struct {
 	InFlight         int64 // requests currently admitted
 }
 
-// clientState is one client identifier's admission state: its token
-// bucket and its slice of the in-flight window.
+// clientState is one client identifier's token bucket.
 type clientState struct {
-	tokens   float64
-	last     time.Time
-	inFlight int
+	tokens float64
+	last   time.Time
 }
 
 // Controller enforces one gateway's admission policy. Create with New;
 // a nil *Controller admits everything.
 type Controller struct {
 	cfg Config
+	// burst is the token-bucket depth: twice Rate, at least one request.
+	burst float64
 	// connSlots is the global connection semaphore (nil = unlimited).
 	connSlots chan struct{}
 	// window is the global in-flight semaphore (nil = unlimited).
@@ -219,9 +176,9 @@ type Controller struct {
 
 // New builds a controller from cfg.
 func New(cfg Config) *Controller {
-	cfg.applyDefaults()
 	c := &Controller{
 		cfg:     cfg,
+		burst:   float64(max(1, int(2*cfg.Rate))),
 		hosts:   make(map[string]int),
 		clients: make(map[uint64]*clientState),
 		br:      newBreaker(cfg),
@@ -351,7 +308,7 @@ func noopRelease() {}
 
 // AdmitRequest judges one decoded request from the given client
 // identifier. On Admit the returned release function must be called when
-// the request completes (it frees the client's in-flight slot); it is
+// the request completes (it frees the request's in-flight slot); it is
 // safe to call exactly once. On a shed verdict release is a no-op and
 // the gateway answers the client with a GIOP TRANSIENT system exception
 // carrying Verdict.Minor.
@@ -372,31 +329,16 @@ func (c *Controller) AdmitRequest(clientID uint64) (release func(), v Verdict) {
 	// the breaker sheds connections, not individual requests.
 	c.br.sample(time.Now())
 
-	perClient := c.cfg.Rate > 0 || c.cfg.MaxInFlightPerClient > 0
-	if perClient {
+	if c.cfg.Rate > 0 {
 		c.mu.Lock()
-		cs := c.client(clientID)
-		if c.cfg.Rate > 0 && !c.takeToken(cs) {
-			c.mu.Unlock()
+		ok := c.takeToken(c.client(clientID))
+		c.mu.Unlock()
+		if !ok {
 			c.shedRate.Add(1)
 			return noopRelease, ShedRate
 		}
-		if c.cfg.MaxInFlightPerClient > 0 && cs.inFlight >= c.cfg.MaxInFlightPerClient {
-			c.mu.Unlock()
-			c.shedWindow.Add(1)
-			return noopRelease, ShedWindow
-		}
-		cs.inFlight++
-		c.mu.Unlock()
 	}
 	if c.window != nil && !c.acquireWindow() {
-		if perClient {
-			c.mu.Lock()
-			if cs, ok := c.clients[clientID]; ok {
-				cs.inFlight--
-			}
-			c.mu.Unlock()
-		}
 		c.shedWindow.Add(1)
 		return noopRelease, ShedWindow
 	}
@@ -408,13 +350,6 @@ func (c *Controller) AdmitRequest(clientID uint64) (release func(), v Verdict) {
 			c.inFlight.Add(-1)
 			if c.window != nil {
 				<-c.window
-			}
-			if perClient {
-				c.mu.Lock()
-				if cs, ok := c.clients[clientID]; ok {
-					cs.inFlight--
-				}
-				c.mu.Unlock()
 			}
 		})
 	}, Admit
@@ -441,22 +376,20 @@ func (c *Controller) acquireWindow() bool {
 }
 
 // client returns (creating if needed) the state for a client identifier.
-// Callers hold c.mu. When the table is full an idle entry (no requests
-// in flight) is evicted; the evicted client restarts with a full bucket
-// if it returns, which errs on the side of admitting.
+// Callers hold c.mu. When the table is full an entry is evicted; the
+// evicted client restarts with a full bucket if it returns, which errs on
+// the side of admitting.
 func (c *Controller) client(id uint64) *clientState {
 	if cs, ok := c.clients[id]; ok {
 		return cs
 	}
-	if len(c.clients) >= c.cfg.ClientTableSize {
-		for k, cs := range c.clients {
-			if cs.inFlight == 0 && k != id {
-				delete(c.clients, k)
-				break
-			}
+	if len(c.clients) >= clientTableSize {
+		for k := range c.clients {
+			delete(c.clients, k)
+			break
 		}
 	}
-	cs := &clientState{tokens: float64(c.cfg.Burst), last: time.Now()}
+	cs := &clientState{tokens: c.burst, last: time.Now()}
 	c.clients[id] = cs
 	return cs
 }
@@ -467,9 +400,7 @@ func (c *Controller) takeToken(cs *clientState) bool {
 	now := time.Now()
 	if elapsed := now.Sub(cs.last); elapsed > 0 {
 		cs.tokens += elapsed.Seconds() * c.cfg.Rate
-		if max := float64(c.cfg.Burst); cs.tokens > max {
-			cs.tokens = max
-		}
+		cs.tokens = min(cs.tokens, c.burst)
 	}
 	cs.last = now
 	if cs.tokens < 1 {

@@ -135,10 +135,10 @@ func TestPerClientConnCap(t *testing.T) {
 }
 
 func TestTokenBucketRateLimit(t *testing.T) {
-	c := New(Config{Rate: 10, Burst: 3})
+	c := New(Config{Rate: 10})
 	const client = 42
 	var admitted, shed int
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 22; i++ {
 		release, v := c.AdmitRequest(client)
 		switch v {
 		case Admit:
@@ -150,8 +150,8 @@ func TestTokenBucketRateLimit(t *testing.T) {
 			t.Fatalf("verdict = %v", v)
 		}
 	}
-	if admitted != 3 || shed != 2 {
-		t.Fatalf("admitted=%d shed=%d, want burst of 3 admitted, 2 shed", admitted, shed)
+	if admitted != 20 || shed != 2 {
+		t.Fatalf("admitted=%d shed=%d, want a burst of twice the rate, 20, admitted and 2 shed", admitted, shed)
 	}
 	// Refill at 10/s: ~150ms buys at least one token back.
 	time.Sleep(150 * time.Millisecond)
@@ -199,26 +199,8 @@ func TestInFlightWindowShedsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestPerClientWindow(t *testing.T) {
-	c := New(Config{MaxInFlightPerClient: 1})
-	r1, v := c.AdmitRequest(7)
-	if v != Admit {
-		t.Fatalf("verdict = %v", v)
-	}
-	if _, v := c.AdmitRequest(7); v != ShedWindow {
-		t.Fatalf("second in-flight verdict = %v, want ShedWindow", v)
-	}
-	if _, v := c.AdmitRequest(8); v != Admit {
-		t.Fatalf("other-client verdict = %v", v)
-	}
-	r1()
-	if _, v := c.AdmitRequest(7); v != Admit {
-		t.Fatalf("post-release verdict = %v", v)
-	}
-}
-
 func TestReleaseIsIdempotent(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxInFlightPerClient: 1})
+	c := New(Config{MaxInFlight: 1})
 	release, v := c.AdmitRequest(1)
 	if v != Admit {
 		t.Fatalf("verdict = %v", v)
@@ -254,16 +236,16 @@ func TestDrainShedsEverything(t *testing.T) {
 }
 
 func TestClientTableEviction(t *testing.T) {
-	c := New(Config{Rate: 1000, ClientTableSize: 8})
-	for i := uint64(0); i < 64; i++ {
+	c := New(Config{Rate: 1000})
+	for i := uint64(0); i < 2*clientTableSize; i++ {
 		release, v := c.AdmitRequest(i)
 		if v != Admit {
 			t.Fatalf("client %d verdict = %v", i, v)
 		}
 		release()
 	}
-	if got := c.TrackedClients(); got > 8 {
-		t.Fatalf("tracked clients = %d, want <= 8", got)
+	if got := c.TrackedClients(); got > clientTableSize {
+		t.Fatalf("tracked clients = %d, want <= %d", got, clientTableSize)
 	}
 }
 

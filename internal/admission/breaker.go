@@ -5,6 +5,21 @@ import (
 	"time"
 )
 
+const (
+	// breakerThreshold is the signal level treated as overload.
+	breakerThreshold = 0.9
+	// breakerSustain is how long the signal must stay at or above the
+	// threshold before the breaker opens.
+	breakerSustain = 200 * time.Millisecond
+	// breakerCooldown is the minimum open time; the breaker closes once
+	// the signal is back below the threshold and the cooldown has elapsed.
+	breakerCooldown = time.Second
+	// breakerInterval is the minimum time between samples of the
+	// backpressure signal (samples are taken lazily on admission
+	// decisions).
+	breakerInterval = 10 * time.Millisecond
+)
+
 // breaker is the domain-backpressure circuit breaker: it opens when the
 // sampled load signal stays at or above the threshold for the sustain
 // period, and closes once the signal is back below the threshold and the
@@ -13,11 +28,7 @@ import (
 // (which walks replication state) off the per-request fast path. A nil
 // *breaker (no Backpressure configured) is permanently closed.
 type breaker struct {
-	signal    func() float64
-	threshold float64
-	sustain   time.Duration
-	cooldown  time.Duration
-	interval  time.Duration
+	signal func() float64
 
 	mu         sync.Mutex
 	lastSample time.Time
@@ -33,13 +44,7 @@ func newBreaker(cfg Config) *breaker {
 	if cfg.Backpressure == nil {
 		return nil
 	}
-	return &breaker{
-		signal:    cfg.Backpressure,
-		threshold: cfg.BreakerThreshold,
-		sustain:   cfg.BreakerSustain,
-		cooldown:  cfg.BreakerCooldown,
-		interval:  cfg.BreakerInterval,
-	}
+	return &breaker{signal: cfg.Backpressure}
 }
 
 // sample refreshes the breaker state (at most once per interval) and
@@ -49,7 +54,7 @@ func (b *breaker) sample(now time.Time) bool {
 		return false
 	}
 	b.mu.Lock()
-	if !b.lastSample.IsZero() && now.Sub(b.lastSample) < b.interval {
+	if !b.lastSample.IsZero() && now.Sub(b.lastSample) < breakerInterval {
 		open := b.open
 		b.mu.Unlock()
 		return open
@@ -68,18 +73,18 @@ func (b *breaker) sample(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lastValue = v
-	if b.lastValue >= b.threshold {
+	if b.lastValue >= breakerThreshold {
 		if b.aboveSince.IsZero() {
 			b.aboveSince = now
 		}
-		if !b.open && now.Sub(b.aboveSince) >= b.sustain {
+		if !b.open && now.Sub(b.aboveSince) >= breakerSustain {
 			b.open = true
 			b.openSince = now
 			b.trips++
 		}
 	} else {
 		b.aboveSince = time.Time{}
-		if b.open && now.Sub(b.openSince) >= b.cooldown {
+		if b.open && now.Sub(b.openSince) >= breakerCooldown {
 			b.open = false
 		}
 	}

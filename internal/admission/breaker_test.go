@@ -12,32 +12,40 @@ type sig struct{ bits atomic.Uint64 }
 func (s *sig) set(v float64) { s.bits.Store(uint64(v * 1000)) }
 func (s *sig) get() float64  { return float64(s.bits.Load()) / 1000 }
 
-// breakerConfig builds a controller whose breaker samples every call and
-// trips after `sustain` of continuous overload.
-func breakerController(s *sig, sustain, cooldown time.Duration) *Controller {
-	return New(Config{
-		Backpressure:     s.get,
-		BreakerThreshold: 0.9,
-		BreakerSustain:   sustain,
-		BreakerCooldown:  cooldown,
-		BreakerInterval:  time.Nanosecond,
-	})
+// breakerController builds a controller whose breaker reads s. The tests
+// sample it at times of their choosing, from time.Now() on: a controller
+// call that finds its last sample less than breakerInterval ago, or in
+// the future, answers with that sample's verdict.
+func breakerController(s *sig) (*Controller, time.Time) {
+	return New(Config{Backpressure: s.get}), time.Now()
+}
+
+// overload raises the signal and samples it every breakerInterval from
+// start until the breaker opens, failing unless that is breakerSustain
+// after start. It returns when the breaker opened.
+func overload(t *testing.T, c *Controller, s *sig, start time.Time) time.Time {
+	t.Helper()
+	s.set(1.0)
+	for at := start; ; at = at.Add(breakerInterval) {
+		open := c.br.sample(at)
+		switch held := at.Sub(start); {
+		case open && held < breakerSustain:
+			t.Fatalf("breaker tripped %v into the overload, before breakerSustain", held)
+		case open:
+			return at
+		case held >= breakerSustain:
+			t.Fatalf("breaker still closed %v into the overload", held)
+		}
+	}
 }
 
 func TestBreakerTripsOnSustainedBackpressure(t *testing.T) {
 	s := &sig{}
-	c := breakerController(s, time.Nanosecond, time.Nanosecond)
-	if c.BreakerOpen() {
+	c, t0 := breakerController(s)
+	if c.br.sample(t0) {
 		t.Fatal("breaker open with zero signal")
 	}
-	s.set(1.0)
-	// First sample starts the sustain clock; the second (past the 1ns
-	// sustain) trips.
-	c.BreakerOpen()
-	time.Sleep(time.Millisecond)
-	if !c.BreakerOpen() {
-		t.Fatal("breaker did not trip on sustained overload")
-	}
+	overload(t, c, s, t0.Add(breakerInterval))
 	if !c.ReserveConn(nil) {
 		t.Fatal("reservation refused while merely tripped (caps not reached)")
 	}
@@ -58,16 +66,14 @@ func TestBreakerTripsOnSustainedBackpressure(t *testing.T) {
 
 func TestBreakerRecovers(t *testing.T) {
 	s := &sig{}
-	c := breakerController(s, time.Nanosecond, time.Nanosecond)
-	s.set(1.0)
-	c.BreakerOpen()
-	time.Sleep(time.Millisecond)
-	if !c.BreakerOpen() {
-		t.Fatal("breaker did not trip")
-	}
+	c, t0 := breakerController(s)
+	opened := overload(t, c, s, t0)
 	s.set(0.0)
-	time.Sleep(time.Millisecond)
-	if c.BreakerOpen() {
+	// Within breakerInterval of the last sample the signal is not read.
+	if !c.br.sample(opened.Add(breakerInterval / 2)) {
+		t.Fatal("breaker resampled the signal within breakerInterval")
+	}
+	if c.br.sample(opened.Add(breakerCooldown)) {
 		t.Fatal("breaker did not close after recovery and cooldown")
 	}
 	if !c.ReserveConn(nil) {
@@ -80,28 +86,31 @@ func TestBreakerRecovers(t *testing.T) {
 
 func TestBreakerSustainFiltersSpikes(t *testing.T) {
 	s := &sig{}
-	c := breakerController(s, time.Hour, time.Nanosecond)
-	s.set(1.0)
-	for i := 0; i < 10; i++ {
-		if c.BreakerOpen() {
-			t.Fatal("breaker tripped before the sustain period")
+	c, t0 := breakerController(s)
+	// Spikes a sample short of breakerSustain, each followed by one sample
+	// below the threshold.
+	at := t0
+	for spike := 0; spike < 10; spike++ {
+		s.set(1.0)
+		for end := at.Add(breakerSustain); at.Before(end); at = at.Add(breakerInterval) {
+			if c.br.sample(at) {
+				t.Fatalf("breaker tripped on spike %d, shorter than breakerSustain", spike)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		s.set(0.0)
+		c.br.sample(at)
+		at = at.Add(breakerInterval)
 	}
 }
 
 func TestBreakerCooldownHoldsOpen(t *testing.T) {
 	s := &sig{}
-	c := breakerController(s, time.Nanosecond, time.Hour)
-	s.set(1.0)
-	c.BreakerOpen()
-	time.Sleep(time.Millisecond)
-	if !c.BreakerOpen() {
-		t.Fatal("breaker did not trip")
-	}
+	c, t0 := breakerController(s)
+	opened := overload(t, c, s, t0)
 	s.set(0.0)
-	time.Sleep(time.Millisecond)
-	if !c.BreakerOpen() {
-		t.Fatal("breaker closed before the cooldown elapsed")
+	for at := opened.Add(breakerInterval); at.Before(opened.Add(breakerCooldown)); at = at.Add(breakerInterval) {
+		if !c.br.sample(at) {
+			t.Fatalf("breaker closed %v into its cooldown of %v", at.Sub(opened), breakerCooldown)
+		}
 	}
 }

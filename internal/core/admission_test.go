@@ -94,7 +94,8 @@ func TestGatewayShedsBeyondWindow(t *testing.T) {
 func TestGatewayRateLimitSheds(t *testing.T) {
 	d := fastDomain(t, "ny", 2)
 	deployRegister(t, d, replication.Active, 1)
-	gw, err := d.AddGatewayAdmission(0, "", &admission.Config{Rate: 0.001, Burst: 2})
+	// A burst of twice the rate, 2; the next token is a second away.
+	gw, err := d.AddGatewayAdmission(0, "", &admission.Config{Rate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +165,7 @@ func TestGatewayBreakerShedsConnections(t *testing.T) {
 	deployRegister(t, d, replication.Active, 1)
 	var load atomic.Uint64 // signal in thousandths
 	gw, err := d.AddGatewayAdmission(0, "", &admission.Config{
-		Backpressure:    func() float64 { return float64(load.Load()) / 1000 },
-		BreakerSustain:  time.Nanosecond,
-		BreakerCooldown: time.Nanosecond,
-		BreakerInterval: time.Nanosecond,
+		Backpressure: func() float64 { return float64(load.Load()) / 1000 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +182,15 @@ func TestGatewayBreakerShedsConnections(t *testing.T) {
 	_ = c1.Close()
 	// Sustained overload trips the breaker; new connections are shed.
 	load.Store(1000)
-	adm.BreakerOpen()
-	time.Sleep(time.Millisecond)
-	if !adm.BreakerOpen() {
-		t.Fatal("breaker did not trip")
+	start := time.Now()
+	for !adm.BreakerOpen() {
+		if time.Since(start) > 3*time.Second {
+			t.Fatal("breaker did not trip")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if held := time.Since(start); held < 200*time.Millisecond {
+		t.Fatalf("breaker tripped %v into the overload, before its sustain period of 200ms", held)
 	}
 	c2, err := orb.Dial(gw.Addr())
 	if err == nil {
@@ -197,10 +200,9 @@ func TestGatewayBreakerShedsConnections(t *testing.T) {
 		_ = c2.Close()
 	}
 	waitUint64(t, func() uint64 { return adm.Stats().ConnsShedBreaker }, 1, "breaker sheds")
-	// The domain recovers; after the cooldown the gateway serves again.
+	// The domain recovers; after the cooldown of a second the gateway
+	// serves again.
 	load.Store(0)
-	adm.BreakerOpen()
-	time.Sleep(time.Millisecond)
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		c3, err := orb.Dial(gw.Addr())

@@ -114,7 +114,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(obs.NewHandler(reg, tracer).Handler())
+	srv := httptest.NewServer(obs.NewHandler(reg, tracer, obs.ServerOptions{}).Handler())
 	t.Cleanup(srv.Close)
 
 	conn, err := orb.Dial(gw.Addr())

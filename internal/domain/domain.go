@@ -56,8 +56,6 @@ type Config struct {
 	Local []memnet.NodeID
 	// Totem overrides protocol timeouts; zero values use totem defaults.
 	Totem totem.Config
-	// Replication overrides mechanism tuning; zero values use defaults.
-	Replication replication.Config
 	// GatewayInvokeTimeout bounds invocations forwarded by gateways.
 	GatewayInvokeTimeout time.Duration
 	// Admission, when set, is the admission-control template applied to
@@ -190,12 +188,7 @@ func New(cfg Config) (*Domain, error) {
 			d.Close()
 			return nil, err
 		}
-		rcfg := cfg.Replication
-		rcfg.Node = tn
-		rcfg.NodeID = id
-		rcfg.Metrics = cfg.Metrics
-		rcfg.Tracer = cfg.Tracer
-		rm, err := replication.New(rcfg)
+		rm, err := replication.New(replication.Config{Node: tn, Metrics: cfg.Metrics, Tracer: cfg.Tracer})
 		if err != nil {
 			tn.Stop()
 			d.Close()

@@ -22,7 +22,7 @@ import (
 const (
 	grpObj     replication.GroupID = 400
 	keyObj                         = "app/obj"
-	cpInterval                     = 8
+	cpInterval                     = 32 // the replication layer's checkpoint interval
 )
 
 func fastDomain(t *testing.T, nodes int) *domain.Domain {
@@ -41,7 +41,6 @@ func fastDomainOrdered(t *testing.T, nodes int, ordering totem.OrderingMode) *do
 			GatherTimeout:   20 * time.Millisecond,
 			Ordering:        ordering,
 		},
-		Replication: replication.Config{CheckpointInterval: cpInterval},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 	c := coordinatorFor(d)
 	newGroup(t, d, c, 2, factoryV(1, nil, nil))
 
-	const ops = 20
+	const ops = cpInterval + 8
 	reqID := uint32(0)
 	for i := 0; i < ops; i++ {
 		reqID++
@@ -118,9 +118,14 @@ func TestGrowCatchesUpFromCheckpoint(t *testing.T) {
 		t.Fatalf("view number = %d, want %d", v.Number, prev.Number+1)
 	}
 
+	// The donor counts its transfer once its multicast returns, which the
+	// joiner's sync, and so Grow, can beat.
 	after := sumStats(d)
-	if got := after.StateTransfers - before.StateTransfers; got == 0 {
-		t.Fatal("joiner was not fed from a checkpoint")
+	for deadline := time.Now().Add(5 * time.Second); after.StateTransfers == before.StateTransfers; after = sumStats(d) {
+		if time.Now().After(deadline) {
+			t.Fatal("joiner was not fed from a checkpoint")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	replayed := after.TransferEntriesReplayed - before.TransferEntriesReplayed
 	if replayed > cpInterval {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -161,9 +162,11 @@ func (h *Histogram) Snapshot() Snapshot {
 }
 
 // rankFor converts a percentile to a nearest-rank index into n sorted
-// samples.
+// samples: the ceil(q/100·n)-th sample is the smallest at or below which
+// at least q % of them lie. q·n is taken before the division, so a whole
+// rank such as 90·100/100 is exact and not rounded up past itself.
 func rankFor(q float64, n int) int {
-	rank := int(q/100*float64(n)+0.5) - 1
+	rank := int(math.Ceil(q*float64(n)/100)) - 1
 	if rank < 0 {
 		rank = 0
 	}

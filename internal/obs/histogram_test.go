@@ -42,6 +42,33 @@ func TestHistogramStatistics(t *testing.T) {
 	}
 }
 
+// TestPercentileIsNearestRank: the q-th percentile of n samples is the
+// smallest sample at or below which at least q % of them lie, the
+// ceil(q/100·n)-th in sorted order.
+func TestPercentileIsNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want int // 1-based rank
+	}{
+		{1, 50, 1}, {1, 99, 1},
+		{2, 50, 1}, {2, 51, 2},
+		{4, 50, 2}, {4, 75, 3}, {4, 76, 4},
+		{6, 50, 3}, {6, 90, 6}, {6, 99, 6},
+		{10, 90, 9}, {10, 91, 10},
+		{100, 50, 50}, {100, 90, 90}, {100, 99, 99}, {100, 100, 100},
+		{1000, 99, 990}, {1000, 99.9, 999},
+	} {
+		var h Histogram
+		for i := 1; i <= c.n; i++ {
+			h.Record(time.Duration(i))
+		}
+		if got := h.Percentile(c.q); got != time.Duration(c.want) {
+			t.Errorf("p%v of %d samples is sample %d, want %d", c.q, c.n, got, c.want)
+		}
+	}
+}
+
 func TestHistogramInterleavedRecordAndQuery(t *testing.T) {
 	var h Histogram
 	h.Record(3 * time.Millisecond)

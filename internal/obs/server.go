@@ -57,17 +57,13 @@ type ServerOptions struct {
 // NewServer starts the ops server on addr ("host:port"; port 0 for
 // ephemeral). Either reg or tracer may be nil; the endpoints then render
 // what exists.
-func NewServer(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
-	return NewServerOpts(addr, reg, tracer, ServerOptions{})
-}
-
-// NewServerOpts is NewServer with optional features.
-func NewServerOpts(addr string, reg *Registry, tracer *Tracer, opts ServerOptions) (*Server, error) {
+func NewServer(addr string, reg *Registry, tracer *Tracer, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{reg: reg, tracer: tracer, opts: opts, start: time.Now(), ln: ln}
+	s := NewHandler(reg, tracer, opts)
+	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
 	s.wg.Add(1)
 	go func() {
@@ -79,12 +75,7 @@ func NewServerOpts(addr string, reg *Registry, tracer *Tracer, opts ServerOption
 
 // NewHandler builds the ops endpoints without a listener, for embedding
 // in an existing mux or an httptest server.
-func NewHandler(reg *Registry, tracer *Tracer) *Server {
-	return NewHandlerOpts(reg, tracer, ServerOptions{})
-}
-
-// NewHandlerOpts is NewHandler with optional features.
-func NewHandlerOpts(reg *Registry, tracer *Tracer, opts ServerOptions) *Server {
+func NewHandler(reg *Registry, tracer *Tracer, opts ServerOptions) *Server {
 	return &Server{reg: reg, tracer: tracer, opts: opts, start: time.Now()}
 }
 

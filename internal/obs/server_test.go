@@ -31,7 +31,7 @@ func TestOpsEndpoints(t *testing.T) {
 	tracer.Event(key, StageMulticastSend, "gw")
 	tracer.Event(key, StageReplyWrite, "gw")
 
-	s := NewHandler(reg, tracer)
+	s := NewHandler(reg, tracer, ServerOptions{})
 	s.AddStatusSection("dedup cache", func() string { return "group 100: 17 entries" })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -61,7 +61,7 @@ func TestOpsEndpoints(t *testing.T) {
 }
 
 func TestServerListensAndCloses(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", NewRegistry(), nil)
+	s, err := NewServer("127.0.0.1:0", NewRegistry(), nil, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,13 @@ func TestServerListensAndCloses(t *testing.T) {
 
 func TestPprofEndpointsGated(t *testing.T) {
 	// Default posture: the profiling handlers are not mounted.
-	off := httptest.NewServer(NewHandler(nil, nil).Handler())
+	off := httptest.NewServer(NewHandler(nil, nil, ServerOptions{}).Handler())
 	defer off.Close()
 	if code, _ := get(t, off.URL+"/debug/pprof/cmdline"); code != http.StatusNotFound {
 		t.Fatalf("pprof off: /debug/pprof/cmdline = %d, want 404", code)
 	}
 
-	on := httptest.NewServer(NewHandlerOpts(nil, nil, ServerOptions{Pprof: true}).Handler())
+	on := httptest.NewServer(NewHandler(nil, nil, ServerOptions{Pprof: true}).Handler())
 	defer on.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		if code, _ := get(t, on.URL+path); code != http.StatusOK {

@@ -50,7 +50,7 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 			t.Fatal(err)
 		}
 		d.nodes[id] = node
-		rm, err := New(Config{Node: node, WarmSyncInterval: 4, CheckpointInterval: 8})
+		rm, err := New(Config{Node: node})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func (m *Mechanisms) deliverControl(msg Message, from memnet.NodeID, ts uint64) 
 		m.applyControl(msg, from, ts)
 	case msg.Header.Kind == KindMembershipSync && len(msg.Payload) > 0:
 		m.adopt(msg)
-	case msg.Header.Kind != KindStateTransfer || stateTarget(msg.Payload) == m.cfg.NodeID:
+	case msg.Header.Kind != KindStateTransfer || stateTarget(msg.Payload) == m.id:
 		m.held = append(m.held, heldEvent{h: msg.Header, from: from, payload: append([]byte(nil), msg.Payload...), ts: ts, in: m.ring})
 	}
 	m.notifyChanged()
@@ -249,7 +249,7 @@ func (m *Mechanisms) bumpView(g *groupState, seq uint64) {
 func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, founder bool) bool {
 	g.members = append(g.members, node)
 
-	if node == m.cfg.NodeID {
+	if node == m.id {
 		app, armed := m.prearmed[g.id]
 		if !armed {
 			// A join we never prearmed (e.g. replayed from before a
@@ -299,7 +299,7 @@ func (m *Mechanisms) applyView(g *groupState, add, remove []memnet.NodeID, seq u
 		}
 		g.removeMember(node)
 		delete(g.pendingJoins, node)
-		if node == m.cfg.NodeID && g.local != nil {
+		if node == m.id && g.local != nil {
 			g.local.close()
 			g.local = nil
 		}
@@ -449,7 +449,7 @@ func (m *Mechanisms) adopt(snapshot Message) {
 	for _, sg := range p.Groups {
 		g := &groupState{id: sg.ID, style: sg.Style, objectKey: string(sg.ObjectKey), members: sg.Members,
 			pendingJoins: make(map[memnet.NodeID]bool), view: sg.View, viewSeq: sg.ViewSeq}
-		if o := old[g.id]; o != nil && g.isMember(m.cfg.NodeID) {
+		if o := old[g.id]; o != nil && g.isMember(m.id) {
 			g.local, o.local = o.local, nil
 			m.updatePrimary(g)
 		}
@@ -479,9 +479,9 @@ func (m *Mechanisms) adopt(snapshot Message) {
 		}
 	}
 	for id, g := range m.groups {
-		if g.local == nil && g.isMember(m.cfg.NodeID) {
+		if g.local == nil && g.isMember(m.id) {
 			delete(m.prearmed, id) // its join was ordered ahead of the cut, out of this member's sight
-			m.send(viewChange(id, viewChangePayload{Remove: []memnet.NodeID{m.cfg.NodeID}}))
+			m.send(viewChange(id, viewChangePayload{Remove: []memnet.NodeID{m.id}}))
 		}
 	}
 }
@@ -492,7 +492,7 @@ func (m *Mechanisms) updatePrimary(g *groupState) {
 	if g.local == nil {
 		return
 	}
-	isPrimary := len(g.members) > 0 && g.members[0] == m.cfg.NodeID
+	isPrimary := len(g.members) > 0 && g.members[0] == m.id
 	if isPrimary && !g.local.primary {
 		g.local.primary = true
 		// Failover applies only to replicas that actually served as a
@@ -517,11 +517,11 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	if g.local == nil || g.local.app == nil {
 		return
 	}
-	if len(g.members) == 0 || g.members[0] != m.cfg.NodeID {
+	if len(g.members) == 0 || g.members[0] != m.id {
 		return
 	}
 	for joiner, queued := range g.pendingJoins {
-		if !queued && joiner != m.cfg.NodeID {
+		if !queued && joiner != m.id {
 			g.local.push(task{kind: taskCaptureState, joiner: joiner})
 			g.pendingJoins[joiner] = true
 		}
@@ -558,7 +558,7 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint6
 	if r == nil {
 		return
 	}
-	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.cfg.NodeID))
+	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.id))
 	// The still-encoded GIOP request rides to the per-group executor,
 	// which decodes it off the event loop and logs the raw wire form
 	// instead of re-encoding it.
@@ -693,7 +693,7 @@ func (m *Mechanisms) deliverStateTransfer(msg Message) {
 		return
 	}
 	delete(g.pendingJoins, p.Target)
-	if p.Target == m.cfg.NodeID && g.local != nil && g.local.app != nil {
+	if p.Target == m.id && g.local != nil && g.local.app != nil {
 		g.local.push(task{kind: taskApplyState, state: p})
 	}
 }

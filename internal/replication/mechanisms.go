@@ -98,9 +98,9 @@ type pendingResult struct {
 // Mechanisms is the per-node replication engine. Create with New, stop
 // with Stop.
 type Mechanisms struct {
-	cfg  Config
 	node *totem.Node
-	room int // node.Headroom(): what every multicast is encoded behind
+	id   memnet.NodeID // node.ID()
+	room int           // node.Headroom(): what every multicast is encoded behind
 	// ceiling is node.Ceiling(): the longest encoded multicast, room
 	// included, that totem takes; zero for any.
 	ceiling int
@@ -186,14 +186,13 @@ func New(cfg Config) (*Mechanisms, error) {
 	if cfg.Node == nil {
 		return nil, errors.New("replication: config needs a totem node")
 	}
-	cfg.applyDefaults()
 	m := &Mechanisms{
-		cfg:         cfg,
 		node:        cfg.Node,
+		id:          cfg.Node.ID(),
 		room:        cfg.Node.Headroom(),
 		ceiling:     cfg.Node.Ceiling(),
 		tracer:      cfg.Tracer,
-		responseHop: string(cfg.NodeID) + "/response",
+		responseHop: string(cfg.Node.ID()) + "/response",
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		groups:      make(map[GroupID]*groupState),
@@ -216,7 +215,7 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	lbl := obs.Labels{"node": string(m.cfg.NodeID)}
+	lbl := obs.Labels{"node": string(m.id)}
 	for _, c := range []struct {
 		name, help string
 		fn         func() uint64
@@ -325,7 +324,7 @@ func (m *Mechanisms) dedupTotal() (total DedupUsage) {
 }
 
 // NodeID returns the identity of the node these mechanisms run on.
-func (m *Mechanisms) NodeID() memnet.NodeID { return m.cfg.NodeID }
+func (m *Mechanisms) NodeID() memnet.NodeID { return m.id }
 
 // Stop shuts down the event loop and all replica executors, then waits
 // for any in-flight handoff goroutines (totem.Multicast unblocks them
@@ -384,7 +383,7 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 	if err := m.Arm(id, app); err != nil {
 		return err
 	}
-	return m.AddMembers(id, m.cfg.NodeID)
+	return m.AddMembers(id, m.id)
 }
 
 // Arm registers app as this node's replica of the group, installed when a
@@ -394,14 +393,14 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 // founded with (AddMembers).
 func (m *Mechanisms) Arm(id GroupID, app Application) error {
 	// An awaiting directory describes another history than the join is for.
-	if err := m.waitCondition(m.cfg.InvokeTimeout, func() bool { return !m.awaiting.Load() }); err != nil {
+	if err := m.waitCondition(invokeTimeout, func() bool { return !m.awaiting.Load() }); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, ok := m.groups[id]
 	if _, armed := m.prearmed[id]; (ok && g.local != nil) || armed {
-		return fmt.Errorf("group %d on %s: %w", id, m.cfg.NodeID, ErrAlreadyMember)
+		return fmt.Errorf("group %d on %s: %w", id, m.id, ErrAlreadyMember)
 	}
 	m.prearmed[id] = app
 	return nil
@@ -435,7 +434,7 @@ func (m *Mechanisms) DeleteGroup(id GroupID) error {
 
 // LeaveGroup removes this node's replica from the group.
 func (m *Mechanisms) LeaveGroup(id GroupID) error {
-	return m.changeView(id, viewChangePayload{Remove: []memnet.NodeID{m.cfg.NodeID}})
+	return m.changeView(id, viewChangePayload{Remove: []memnet.NodeID{m.id}})
 }
 
 // changeView multicasts one membership delta of a group; it takes effect
@@ -638,7 +637,7 @@ func invocationHeader(src GroupID, clientID uint64, dst GroupID, op OperationID)
 // its encoded form behind m.room, and waits for the response.
 func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.Reply, error) {
 	if timeout == 0 {
-		timeout = m.cfg.InvokeTimeout
+		timeout = invokeTimeout
 	}
 	dst := h.DstGroup
 	if !m.primary.Load() {
@@ -668,7 +667,7 @@ func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.R
 		return giop.Reply{}, err
 	}
 	m.invocationsSent.Add(1)
-	m.tracer.Event(traceKey(h), obs.StageMulticastSend, string(m.cfg.NodeID))
+	m.tracer.Event(traceKey(h), obs.StageMulticastSend, string(m.id))
 
 	timer := orb.AcquireTimer(timeout)
 	defer orb.ReleaseTimer(timer)

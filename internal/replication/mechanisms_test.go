@@ -287,9 +287,11 @@ func TestColdPassiveFailoverRecoversFromLog(t *testing.T) {
 	apps := setupClientServer(t, d, ColdPassive, 2, 2)
 	client := d.rms[d.ids[2]]
 
-	// 10 ops: checkpoint at 8 (interval 8), entries 9..10 in the log.
-	for i := 1; i <= 10; i++ {
-		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte{byte('a' + i - 1)})); err != nil {
+	// A checkpoint at checkpointInterval, and two entries in the log.
+	var want []byte
+	for i := 1; i <= checkpointInterval+2; i++ {
+		want = append(want, byte('a'+i-1))
+		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets(want[i-1:])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +302,7 @@ func TestColdPassiveFailoverRecoversFromLog(t *testing.T) {
 	d.net.Crash(d.ids[0])
 	waitFor(t, 5*time.Second, func() bool {
 		v, ops := apps[1].snapshot()
-		return ops == 10 && bytes.Equal(v, []byte("abcdefghij"))
+		return ops == int64(len(want)) && bytes.Equal(v, want)
 	})
 	st := d.rms[d.ids[1]].Stats()
 	if st.Failovers != 1 {

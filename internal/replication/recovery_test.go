@@ -63,9 +63,9 @@ func imageState(t *testing.T, m *Mechanisms) (state []byte, ok bool) {
 // recovery image, on its own, must rebuild the live state.
 func TestRecoveryImageInvariant(t *testing.T) {
 	for _, style := range []Style{ColdPassive, WarmPassive} {
-		interval := 8 // the harness's CheckpointInterval
+		interval := checkpointInterval
 		if style == WarmPassive {
-			interval = 4 // and its WarmSyncInterval
+			interval = warmSyncInterval
 		}
 		for _, tc := range []struct {
 			name string
@@ -298,13 +298,14 @@ func TestRecreatedGroupDonatesFreshImage(t *testing.T) {
 	d := newDomain(t, 3)
 	apps := setupClientServer(t, d, Active, 1, 2)
 	client := d.rms[d.ids[2]]
-	for i := 1; i <= 9; i++ { // past the harness's CheckpointInterval of 8
+	const old = checkpointInterval + 1
+	for i := 1; i <= old; i++ {
 		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, uint32(i), "append", octets([]byte("o"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ops := apps[0].snapshot(); ops != 9 {
-		t.Fatalf("old incarnation executed %d ops, want 9", ops)
+	if _, ops := apps[0].snapshot(); ops != old {
+		t.Fatalf("old incarnation executed %d ops, want %d", ops, old)
 	}
 	if err := client.DeleteGroup(grpServer); err != nil {
 		t.Fatal(err)
@@ -329,6 +330,16 @@ func TestRecreatedGroupDonatesFreshImage(t *testing.T) {
 		t.Fatalf("joiner state = %q after %d ops, donor's = %q after %d: the retired incarnation's image was donated",
 			gotV, gotOps, wantV, wantOps)
 	}
+}
+
+// appended is what the register holds after appends 1..n that each add
+// their own letter, 'a' for the first.
+func appended(n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte('a' + i)
+	}
+	return v
 }
 
 // TestSecondCopyBehindACheckpointIsNotLogged: an invocation delivered a
@@ -357,31 +368,33 @@ func TestSecondCopyBehindACheckpointIsNotLogged(t *testing.T) {
 				cp, _, _ := m.groups[grpServer].local.log.Recover(uint32(grpServer))
 				return cp.OpCount
 			}
-			// Operations 1..7, then a joiner donated an image whose suffix
-			// holds 5..7 (warm: cut at 4) or 1..7 (cold: cut on the spot
-			// at the first join, at 0), then 8: both styles cut there.
-			for i := 1; i <= 7; i++ {
+			// Operations 1..cut-1, then a joiner donated an image whose
+			// suffix holds those past the warm style's last cut, or all of
+			// them (cold: cut on the spot at the first join, at 0), then
+			// cut: both styles cut there.
+			const cut = checkpointInterval // a multiple of warmSyncInterval
+			for i := 1; i < cut; i++ {
 				appendOp(i)
 			}
 			d.mustJoin(d.ids[2], grpServer, &regApp{})
-			appendOp(8)
+			appendOp(cut)
 			for _, n := range d.ids[1:3] {
-				waitFor(t, 5*time.Second, func() bool { return cutAt(d.rms[n]) == 8 })
+				waitFor(t, 5*time.Second, func() bool { return cutAt(d.rms[n]) == cut })
 			}
-			// Second copies of 8, which both backups saw delivered, and of
-			// 7, which the joiner was donated: behind the cut at 8 only the
-			// log tells them from first copies.
-			appendOp(8)
-			appendOp(7)
-			appendOp(9)
+			// Second copies of cut, which both backups saw delivered, and
+			// of cut-1, which the joiner was donated: behind the cut only
+			// the log tells them from first copies.
+			appendOp(cut)
+			appendOp(cut - 1)
+			appendOp(cut + 1)
 			d.net.Crash(d.ids[0])
 			waitFor(t, 5*time.Second, func() bool { return d.rms[d.ids[1]].Stats().Failovers == 1 })
-			appendOp(10)
-			if v, ops := apps[1].snapshot(); ops != 10 || !bytes.Equal(v, []byte("abcdefghij")) {
-				t.Fatalf("promoted backup holds %q after %d operations, want %q after 10: a second copy was logged and replayed", v, ops, "abcdefghij")
+			appendOp(cut + 2)
+			if v, ops := apps[1].snapshot(); ops != cut+2 || !bytes.Equal(v, appended(cut+2)) {
+				t.Fatalf("promoted backup holds %q after %d operations, want %q after %d: a second copy was logged and replayed", v, ops, appended(cut+2), cut+2)
 			}
 			if n := logLen(d.rms[d.ids[2]]); n > 2 {
-				t.Fatalf("the donated backup's log holds %d entries behind the cut at 8, want 9 and 10 alone", n)
+				t.Fatalf("the donated backup's log holds %d entries behind the cut at %d, want the two after it alone", n, cut)
 			}
 		})
 	}
@@ -409,8 +422,9 @@ func TestReissueBehindACheckpointAfterPromotionIsNotExecuted(t *testing.T) {
 				}
 				return rep
 			}
-			// Both styles cut at 8; 9 is the backup's log suffix.
-			for i := 1; i <= 9; i++ {
+			// Both styles cut at cut; cut+1 is the backup's log suffix.
+			const cut = checkpointInterval // a multiple of warmSyncInterval
+			for i := 1; i <= cut+1; i++ {
 				appendOp(i)
 			}
 			waitFor(t, 5*time.Second, func() bool { return logLen(backup) == 1 })
@@ -418,16 +432,16 @@ func TestReissueBehindACheckpointAfterPromotionIsNotExecuted(t *testing.T) {
 			waitFor(t, 5*time.Second, func() bool { return backup.Stats().Failovers == 1 })
 			waitStat(t, func() uint64 { return backup.Stats().ReplayedInvocations }, 1)
 
-			wantReplyDiscarded(t, appendOp(8))
-			if rep := appendOp(9); rep.Status != giop.ReplyNoException {
+			wantReplyDiscarded(t, appendOp(cut))
+			if rep := appendOp(cut + 1); rep.Status != giop.ReplyNoException {
 				t.Fatalf("reissue of the replayed operation: status %v, want its reply", rep.Status)
 			}
-			appendOp(10)
-			if v, ops := apps[1].snapshot(); ops != 10 || !bytes.Equal(v, []byte("abcdefghij")) {
-				t.Fatalf("promoted backup holds %q after %d operations, want %q after 10: a reissue ran", v, ops, "abcdefghij")
+			appendOp(cut + 2)
+			if v, ops := apps[1].snapshot(); ops != cut+2 || !bytes.Equal(v, appended(cut+2)) {
+				t.Fatalf("promoted backup holds %q after %d operations, want %q after %d: a reissue ran", v, ops, appended(cut+2), cut+2)
 			}
 			if got := backup.Stats().DuplicatesBeyondWindow; got != 1 {
-				t.Fatalf("duplicates beyond the window = %d, want the reissue of 8 alone", got)
+				t.Fatalf("duplicates beyond the window = %d, want the reissue of the operation at the cut alone", got)
 			}
 		})
 	}

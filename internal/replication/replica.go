@@ -328,7 +328,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 	key := msg.Header.key()
 	if kept, met := r.ops.Get(key); met && mode != execFailover {
 		r.m.duplicateInvocations.Add(1)
-		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.cfg.NodeID))
+		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.id))
 		if mode == execLive {
 			r.answerDuplicate(msg, kept)
 		}
@@ -352,7 +352,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 	r.curParentTS = 0
 
 	r.m.invocationsExecuted.Add(1)
-	r.m.tracer.Event(traceKey(msg.Header), obs.StageExecute, string(r.m.cfg.NodeID))
+	r.m.tracer.Event(traceKey(msg.Header), obs.StageExecute, string(r.m.id))
 	switch mode {
 	case execFailover:
 		r.m.replayedInvocations.Add(1)
@@ -479,10 +479,10 @@ func (r *replica) send(enc []byte) {
 // and a passive primary also multicasts it so the backups' logs follow.
 // Each cut is counted once, under the name its style has always had.
 func (r *replica) maybeCheckpoint() {
-	interval, cuts := r.m.cfg.CheckpointInterval, &r.m.catchupCheckpoints
+	interval, cuts := checkpointInterval, &r.m.catchupCheckpoints
 	switch r.style {
 	case WarmPassive:
-		interval, cuts = r.m.cfg.WarmSyncInterval, &r.m.stateSyncs
+		interval, cuts = warmSyncInterval, &r.m.stateSyncs
 	case ColdPassive:
 		cuts = &r.m.checkpoints
 	}

@@ -41,7 +41,7 @@ const (
 	ColdPassive
 	// WarmPassive is ColdPassive with the backups kept loaded: they apply
 	// each checkpoint as it arrives, and the primary sends them more often
-	// (WarmSyncInterval against CheckpointInterval).
+	// (warmSyncInterval against checkpointInterval).
 	WarmPassive
 	// Active replication executes every invocation at every replica;
 	// duplicate responses are suppressed downstream.
@@ -146,20 +146,9 @@ type Application interface {
 
 // Config parameterizes the replication mechanisms on one node.
 type Config struct {
-	// Node is the Totem node whose event stream these mechanisms consume.
+	// Node is the Totem node whose event stream these mechanisms consume;
+	// its identity is theirs.
 	Node *totem.Node
-	// NodeID is this node's identity (defaults to Node.ID()).
-	NodeID memnet.NodeID
-	// WarmSyncInterval is the number of executed operations between the
-	// checkpoints a warm-passive primary cuts and sends its backups. Zero
-	// means 8.
-	WarmSyncInterval int
-	// CheckpointInterval is the same for a cold-passive primary, and the
-	// number of operations between the local checkpoints of every other
-	// style. Zero means 32.
-	CheckpointInterval int
-	// InvokeTimeout bounds waiting for a response. Zero means 10s.
-	InvokeTimeout time.Duration
 	// Metrics, when set, receives the mechanisms' counters and the
 	// dedup-cache occupancy gauge, labelled with this node's id.
 	Metrics *obs.Registry
@@ -169,20 +158,18 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-func (c *Config) applyDefaults() {
-	if c.NodeID == "" && c.Node != nil {
-		c.NodeID = c.Node.ID()
-	}
-	if c.WarmSyncInterval == 0 {
-		c.WarmSyncInterval = 8
-	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 32
-	}
-	if c.InvokeTimeout == 0 {
-		c.InvokeTimeout = 10 * time.Second
-	}
-}
+const (
+	// warmSyncInterval is the number of executed operations between the
+	// checkpoints a warm-passive primary cuts and sends its backups.
+	warmSyncInterval = 8
+	// checkpointInterval is the same for a cold-passive primary, and the
+	// number of operations between the local checkpoints of every other
+	// style.
+	checkpointInterval = 32
+	// invokeTimeout bounds waiting for a response when the caller sets no
+	// bound of its own.
+	invokeTimeout = 10 * time.Second
+)
 
 // Stats snapshots the mechanisms' counters. The duplicate-suppression
 // counters are the quantities the paper's gateway discussion revolves

@@ -75,12 +75,13 @@ type Config struct {
 	Workload string
 	// Mutations disable safety mechanisms to validate the checkers.
 	Mutations Mutations
-	// MaxVirtual bounds the run in virtual time (default 5s); hitting
-	// it is reported as a liveness failure by the completion checker.
-	MaxVirtual time.Duration
 	// Metrics, when non-nil, receives run counters.
 	Metrics *Metrics
 }
+
+// maxVirtual bounds a run in virtual time; hitting it is reported as a
+// liveness failure by the completion checker.
+const maxVirtual = 5 * time.Second
 
 // RunStats summarizes one run.
 type RunStats struct {
@@ -190,9 +191,6 @@ func Run(cfg Config) *Result {
 }
 
 func newWorld(cfg Config) *world {
-	if cfg.MaxVirtual <= 0 {
-		cfg.MaxVirtual = 5 * time.Second
-	}
 	w := &world{
 		cfg:      cfg,
 		spec:     specFor(cfg.Workload),
@@ -294,7 +292,7 @@ func (w *world) boot() {
 	if w.schedName != SchedCalm {
 		w.clock.AfterFunc(healAfter, w.forceHeal)
 	}
-	w.clock.AfterFunc(w.cfg.MaxVirtual, func() {
+	w.clock.AfterFunc(maxVirtual, func() {
 		if !w.done {
 			w.finalize("deadline")
 		}

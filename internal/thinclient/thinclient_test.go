@@ -317,7 +317,7 @@ func TestShedRetryAndFailover(t *testing.T) {
 	// layer backs off, retries, and after consecutive sheds fails over to
 	// the redundant gateway. No operation is lost or duplicated.
 	d := fastDomain(t, 4)
-	if _, err := d.AddGatewayAdmission(3, "", &admission.Config{Rate: 0.001, Burst: 1}); err != nil {
+	if _, err := d.AddGatewayAdmission(3, "", &admission.Config{Rate: 0.001}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.AddGateway(2, ""); err != nil {

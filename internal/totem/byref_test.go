@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -313,9 +314,7 @@ func TestByReferenceRecovery(t *testing.T) {
 		origin, victim := fol[0], fol[1]
 		arm(filters[victim], origin, leader)
 		for i := 0; i < total; i++ {
-			if err := c.nodes[origin].Multicast([]byte{byte(i), byte(i >> 8), 'x'}); err != nil {
-				t.Fatal(err)
-			}
+			c.forwardAlone(origin, []byte{byte(i), byte(i >> 8), 'x'})
 		}
 		streams := make(map[memnet.NodeID][]Delivery)
 		for _, id := range c.ids {
@@ -331,19 +330,13 @@ func TestByReferenceRecovery(t *testing.T) {
 		filters[victim].set(nil)
 		c.quiesce(leader)
 	}
-	// One forward per payload, so that every payload is its own
-	// reference.
-	unpacked := func(cfg *Config) { cfg.MaxPackCount = 1 }
 	// For the scenarios that must see no retransmission at all: a stall
 	// of the machine between a reference and the forward right behind it
 	// must not outlast the wait a parked reference gets.
-	patient := func(cfg *Config) {
-		cfg.MaxPackCount = 1
-		cfg.TokenRetransmit = time.Second
-	}
+	patient := func(cfg *Config) { cfg.TokenRetransmit = time.Second }
 
 	t.Run("forward lost", func(t *testing.T) {
-		run(t, unpacked, func(f *rxFilter, origin, _ memnet.NodeID) {
+		run(t, nil, func(f *rxFilter, origin, _ memnet.NodeID) {
 			f.set(func(pkt memnet.Packet) []memnet.Packet {
 				if forwardFrom(pkt, origin) {
 					return nil
@@ -426,7 +419,7 @@ func TestByReferenceRecovery(t *testing.T) {
 		// binds before their nak goes out depends on how fast the
 		// sequencer is.
 		const burst = maxHeldFwds + maxParkedRefs + 20
-		run(t, unpacked, func(f *rxFilter, origin, _ memnet.NodeID) {
+		run(t, nil, func(f *rxFilter, origin, _ memnet.NodeID) {
 			var batches []memnet.Packet
 			forwards := 0
 			f.set(func(pkt memnet.Packet) []memnet.Packet {
@@ -450,6 +443,23 @@ func TestByReferenceRecovery(t *testing.T) {
 			}
 		})
 	})
+}
+
+// forwardAlone multicasts payload from follower id and waits until id has
+// forwarded it, so that a payload multicast after it travels in a forward,
+// and is ordered by a reference, of its own.
+func (c *cluster) forwardAlone(id memnet.NodeID, payload []byte) {
+	c.t.Helper()
+	n := c.nodes[id]
+	want := n.Stats().Forwarded + 1
+	if err := n.Multicast(payload); err != nil {
+		c.t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); n.Stats().Forwarded < want; time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("%s did not forward its payload", id)
+		}
+	}
 }
 
 // collectDistinct consumes events from node id until want distinct
@@ -485,9 +495,7 @@ func TestDemotionDropsByReferenceState(t *testing.T) {
 	const msgs = 24
 	payloads := func(c *cluster, from memnet.NodeID, tag byte) {
 		for i := 0; i < msgs; i++ {
-			if err := c.nodes[from].Multicast([]byte{tag, byte(i)}); err != nil {
-				c.t.Fatal(err)
-			}
+			c.forwardAlone(from, []byte{tag, byte(i)})
 		}
 	}
 	// prefixAgree checks the streams of the recovered ring's members: a
@@ -509,7 +517,7 @@ func TestDemotionDropsByReferenceState(t *testing.T) {
 	}
 
 	t.Run("sequencer crash", func(t *testing.T) {
-		c, filters := filteredLeaderCluster(t, 4, func(cfg *Config) { cfg.MaxPackCount = 1 })
+		c, filters := filteredLeaderCluster(t, 4, nil)
 		leader, _ := c.waitFastpath()
 		fol := c.followers(leader)
 		a, b, victim := fol[0], fol[1], fol[2]
@@ -551,36 +559,43 @@ func TestDemotionDropsByReferenceState(t *testing.T) {
 	})
 
 	t.Run("lag limit", func(t *testing.T) {
-		c, filters := filteredLeaderCluster(t, 4, func(cfg *Config) {
-			cfg.MaxPackCount = 1
-			cfg.FastpathLagLimit = 4
-			// Keep liveness-based demotion out of the way so the lag limit
-			// is what trips.
-			cfg.FailTimeout = 2 * time.Second
-		})
-		leader, _ := c.waitFastpath()
-		fol := c.followers(leader)
-		a, victim := fol[0], fol[2]
+		// On the virtual clock: the wall clock would take longer than a
+		// fail timeout to order lagLimit messages, and demote for that.
+		v, seq, a := leaderVnet(t, 7)
+		victim := v.ids[slices.IndexFunc(v.ids, func(id memnet.NodeID) bool { return id != seq && id != a })]
 		// The victim holds a's forwards and sees none of the batches that
-		// order them, so its watermark stands still and the sequencer
-		// runs into the lag limit with references in flight.
-		filters[victim].set(func(pkt memnet.Packet) []memnet.Packet {
-			if _, ok := batchOf(pkt); ok {
-				return nil
-			}
-			return []memnet.Packet{pkt}
-		})
-		payloads(c, a, 'a')
-		for deadline := time.Now().Add(5 * time.Second); c.nodes[leader].Stats().Demotions == 0; time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the sequencer never demoted at the lag limit")
+		// order them, so its watermark stands still and the sequencer runs
+		// into the lag limit with references in flight.
+		v.drop = func(to memnet.NodeID, data []byte) bool { return to == victim && data[0] == kindBatch }
+		sent := make(map[uint32]bool)
+		due, start := v.now(), v.now()
+		v.feed = func() {
+			for ; !due.After(v.now()); due = due.Add(10 * time.Microsecond) {
+				p := []byte(fmt.Sprintf("%-64s", fmt.Sprint("a/", len(sent))))
+				sent[crc32.ChecksumIEEE(p)] = true
+				v.submit(a, p)
 			}
 		}
-		filters[victim].set(nil)
-		streams := make(map[memnet.NodeID][]Delivery)
-		for _, id := range c.ids {
-			streams[id] = c.collectDistinct(id, msgs)
+		sc := v.cores[seq]
+		if !v.run(time.Second, func() bool { return sc.demotionN.Load() > 0 }) {
+			t.Fatal("the sequencer never demoted at the lag limit")
 		}
-		prefixAgree(t, streams)
+		if at := v.now().Sub(start); at >= sc.cfg.FailTimeout {
+			t.Fatalf("the sequencer demoted %v in, not within FailTimeout %v: not at the lag limit", at, sc.cfg.FailTimeout)
+		}
+		v.feed, v.drop = nil, nil
+		v.settle(time.Second)
+		v.agree(seq, v.ids...)
+		for _, id := range v.ids {
+			got := make(map[uint32]bool)
+			for _, d := range v.got[id] {
+				if sent[d.crc] {
+					got[d.crc] = true
+				}
+			}
+			if n := len(got); n != len(sent) {
+				t.Fatalf("%s delivered %d distinct payloads, %d were multicast", id, n, len(sent))
+			}
+		}
 	})
 }

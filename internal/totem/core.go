@@ -722,11 +722,11 @@ func (n *Core) processToken(t token) {
 }
 
 // broadcastPending broadcasts the send queue under the token's sequence
-// numbers, at most MaxBurst messages per visit so one busy member cannot
+// numbers, at most maxBurst messages per visit so one busy member cannot
 // hold the token, and reports whether there was anything to send.
 func (n *Core) broadcastPending(t *token) bool {
 	drained := 0
-	for burst := n.cfg.MaxBurst; drained < len(n.pending) && burst > 0; burst-- {
+	for burst := maxBurst; drained < len(n.pending) && burst > 0; burst-- {
 		t.Seq++
 		// A single payload takes the plain form: identical wire bytes to
 		// the pre-packing protocol.

@@ -61,8 +61,7 @@ func TestReturnAfterLongAbsenceResumes(t *testing.T) {
 	} {
 		mode, victim, gap := cell.mode, cell.victim, cell.gap
 		t.Run(fmt.Sprintf("ordering=%v/v%02d/gap=%d", mode, victim, gap), func(t *testing.T) {
-			// One payload per sequence number, so the numbers run up fast.
-			v := newVnet(t, 4, 1, func(c *Config) { c.Ordering, c.MaxPackCount = mode, 1 })
+			v := newVnet(t, 4, 1, func(c *Config) { c.Ordering = mode })
 			v.settle(time.Second)
 			gone := v.ids[victim]
 			var live []memnet.NodeID
@@ -1045,7 +1044,7 @@ func TestEarlyGatherDeadlineInstallsNothingAlone(t *testing.T) {
 // delivered — sequence numbers the creator has not heard of, and the ring
 // must not give them to other messages.
 func TestUnheardHighestSeqIsNotAssignedAgain(t *testing.T) {
-	v := newVnet(t, 3, 11, func(c *Config) { c.MaxPackCount = 1 }) // one payload a number
+	v := newVnet(t, 3, 11, nil)
 	v.settle(time.Second)
 	for k := 0; k < 6; k++ {
 		v.submit(v.ids[k%3], []byte(fmt.Sprint("founding/", k)))
@@ -1055,8 +1054,12 @@ func TestUnheardHighestSeqIsNotAssignedAgain(t *testing.T) {
 	old, seq := v.cores[creator].ringID, v.cores[creator].highest
 	v.drop = func(to memnet.NodeID, data []byte) bool {
 		switch data[0] {
-		case kindRegular:
-			m, err := decodeRegular(cdrSkipKind(data), nil)
+		case kindRegular, kindPacked:
+			decode := decodeRegular
+			if data[0] == kindPacked {
+				decode = decodePacked
+			}
+			m, err := decode(cdrSkipKind(data), nil)
 			return err == nil && m.RingID == old && m.Seq > seq && to != ahead
 		case kindToken:
 			tok, err := decodeToken(cdrSkipKind(data), nil)

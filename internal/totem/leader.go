@@ -34,7 +34,7 @@ package totem
 //
 // Failure handling is demotion: the sequencer demotes when a member's
 // acks go stale past FailTimeout or when the stability lag exceeds
-// FastpathLagLimit; a follower demotes when the sequencer's traffic
+// lagLimit; a follower demotes when the sequencer's traffic
 // stops (the ordinary fail timer) or when its forwards are resent
 // maxFwdResends times without being ordered (a wedged-but-heartbeating
 // sequencer). Demotion is simply membership recovery — startGather — so
@@ -245,15 +245,15 @@ func (n *Core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awai
 // as the original Totem fills each packet from the send queue, and
 // returns its end and the message's payloads. The first payload is
 // always accepted, so an oversized payload still travels (alone); later
-// ones must keep the pack within MaxPackCount and MaxPackBytes. A single
+// ones must keep the pack within maxPackCount and maxPackBytes. A single
 // payload travels as itself, framed in own if it still has one; a
 // longer run is counted as a packed message and gets a list of its own.
 func (n *Core) nextPack(first int) (end int, payload []byte, parts [][]byte, own []byte) {
 	end = first + 1
 	bytes := len(n.pending[first].payload)
 	for end < len(n.pending) &&
-		end-first < n.cfg.MaxPackCount &&
-		bytes+len(n.pending[end].payload) <= n.cfg.MaxPackBytes {
+		end-first < maxPackCount &&
+		bytes+len(n.pending[end].payload) <= maxPackBytes {
 		bytes += len(n.pending[end].payload)
 		end++
 	}
@@ -358,7 +358,7 @@ func (n *Core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 	n.broadcast(encodeBatch(b, in))
 	n.tryDeliver()
 	n.updateStability()
-	if seq-n.fp.stable > uint64(n.cfg.FastpathLagLimit) {
+	if seq-n.fp.stable > lagLimit {
 		// Backlog imbalance: a member is not confirming. Demote to ring
 		// rotation rather than buffer without bound.
 		n.startGather()

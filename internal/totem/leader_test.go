@@ -306,63 +306,29 @@ func TestLeaderModeStabilityAdvancesAndGCs(t *testing.T) {
 	}
 }
 
+// TestLeaderLagLimitDemotes: the sequencer orders its own submissions at
+// one instant of virtual time, so no member can confirm any of them. It
+// stays in its epoch while it runs lagLimit sequence numbers ahead of its
+// stability horizon and demotes at the next, instead of buffering without
+// bound; the ring that follows delivers everything everywhere.
 func TestLeaderLagLimitDemotes(t *testing.T) {
-	c := newClusterCfg(t, 3, func(cfg *Config) {
-		cfg.Ordering = OrderingLeader
-		cfg.FastpathLagLimit = 4
-		// Keep liveness-based demotion out of the way so the lag limit is
-		// what trips.
-		cfg.FailTimeout = 2 * time.Second
-		cfg.GatherTimeout = 20 * time.Millisecond
-	})
-	for _, id := range c.ids {
-		c.waitConfig(id, 3)
+	v, seq, _ := leaderVnet(t, 3)
+	sc := v.cores[seq]
+	k := 0
+	for ; sc.fp.seq-sc.fp.stable < lagLimit; k++ {
+		v.submit(seq, []byte(fmt.Sprint("ahead/", k)))
 	}
-	leader, _ := c.waitFastpath()
-
-	// Cut the followers off: the sequencer keeps ordering its own
-	// submissions, cannot advance stability, and must demote at the lag
-	// limit instead of buffering without bound.
-	var followers []memnet.NodeID
-	for _, id := range c.ids {
-		if id != leader {
-			followers = append(followers, id)
-		}
+	if n := sc.demotionN.Load(); n != 0 || !sc.sequencing() {
+		t.Fatalf("demoted %d times at a lag of %d, within the limit", n, sc.fp.seq-sc.fp.stable)
 	}
-	c.net.Partition([]memnet.NodeID{leader}, followers)
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; ; i++ {
-		if err := c.nodes[leader].Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if c.nodes[leader].Stats().Demotions > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no demotion after %d submissions with lag limit 4", i+1)
-		}
-		time.Sleep(100 * time.Microsecond)
+	v.submit(seq, []byte("over the limit"))
+	if n := sc.demotionN.Load(); n != 1 || sc.fp.leader != "" {
+		t.Fatalf("demoted %d times one past the lag limit; epoch of %q", n, sc.fp.leader)
 	}
-	// Heal and verify the merged ring still agrees.
-	c.net.Heal()
-	if err := c.nodes[followers[0]].Multicast([]byte("healed")); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for _, id := range c.ids {
-		found := false
-		for !found {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never delivered the post-heal payload", id)
-			}
-			select {
-			case ev := <-c.nodes[id].Events():
-				if ev.Type == EventDeliver && string(ev.Delivery.Payload) == "healed" {
-					found = true
-				}
-			case <-time.After(50 * time.Millisecond):
-			}
-		}
+	v.settle(time.Second)
+	v.agree(seq, v.ids...)
+	if n := len(v.got[seq]); n != k+1 {
+		t.Fatalf("%s delivered %d of %d", seq, n, k+1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package totem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -99,130 +100,50 @@ func TestPackingUnderLossyNetwork(t *testing.T) {
 	}
 }
 
-// TestPackingRespectsBounds checks the pack limits: MaxPackCount caps the
-// payloads per sequence number, and a payload larger than MaxPackBytes
-// still travels (alone).
+// TestPackingRespectsBounds checks the pack limits: maxPackCount caps the
+// payloads per sequence number and maxPackBytes their bytes, and a payload
+// larger than maxPackBytes still travels, alone.
 func TestPackingRespectsBounds(t *testing.T) {
-	net := memnet.New()
-	ep, err := net.Attach("solo")
-	if err != nil {
-		t.Fatal(err)
+	v := newVnet(t, 1, 1, nil)
+	v.settle(time.Second)
+	mid := maxPackBytes/3 + 1 // two to a pack, not three
+	var payloads [][]byte
+	for i := 0; i < 3*maxPackCount; i++ {
+		payloads = append(payloads, []byte{byte(i)})
 	}
-	cfg := fastConfig()
-	cfg.ID = "solo"
-	cfg.Endpoint = ep
-	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.MaxPackCount = 4
-	cfg.MaxPackBytes = 64
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 6; i++ {
+		payloads = append(payloads, make([]byte, mid))
 	}
-	defer n.Stop()
-	deadline := time.After(5 * time.Second)
-	for installed := false; !installed; {
-		select {
-		case ev := <-n.Events():
-			installed = ev.Type == EventConfig
-		case <-deadline:
-			t.Fatal("no ring")
-		}
+	payloads = append(payloads, make([]byte, maxPackBytes+1))
+	v.submit(v.ids[0], payloads...)
+	v.settle(time.Second)
+	if n := len(v.got[v.ids[0]]); n != len(payloads) {
+		t.Fatalf("delivered %d of %d", n, len(payloads))
 	}
-
-	const small = 20
-	for i := 0; i < small; i++ {
-		if err := n.Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := make([]byte, 200) // > MaxPackBytes: must still travel
-	if err := n.Multicast(big); err != nil {
-		t.Fatal(err)
-	}
-
-	perSeq := make(map[uint64]int)
-	got := 0
-	deadline = time.After(5 * time.Second)
-	for got < small+1 {
-		select {
-		case ev := <-n.Events():
-			if ev.Type != EventDeliver {
-				continue
+	var packs []int // the payloads of each datagram, in the order sent
+	for _, e := range v.ledger.entries {
+		switch e.payload[0] {
+		case kindRegular:
+			if _, err := decodeRegular(cdrSkipKind(e.payload), nil); err != nil {
+				t.Fatal(err)
 			}
-			d := ev.Delivery
-			perSeq[d.Seq]++
-			if got == small && len(d.Payload) != len(big) {
-				t.Fatalf("oversized payload arrived with %d bytes, want %d", len(d.Payload), len(big))
+			packs = append(packs, 1)
+		case kindPacked:
+			m, err := decodePacked(cdrSkipKind(e.payload), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got++
-		case <-deadline:
-			t.Fatalf("timed out after %d deliveries", got)
-		}
-	}
-	for seq, parts := range perSeq {
-		if parts > cfg.MaxPackCount {
-			t.Fatalf("seq %d carried %d payloads, cap is %d", seq, parts, cfg.MaxPackCount)
-		}
-	}
-}
-
-// TestPackCountOneDeliversPlain pins the plain wire form: with
-// MaxPackCount 1 every delivery is its own sequence number (Sub always
-// zero) and nothing is counted as packed.
-func TestPackCountOneDeliversPlain(t *testing.T) {
-	net := memnet.New()
-	ep, err := net.Attach("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.ID = "solo"
-	cfg.Endpoint = ep
-	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.MaxPackCount = 1
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	deadline := time.After(5 * time.Second)
-	for installed := false; !installed; {
-		select {
-		case ev := <-n.Events():
-			installed = ev.Type == EventConfig
-		case <-deadline:
-			t.Fatal("no ring")
-		}
-	}
-	const total = 30
-	for i := 0; i < total; i++ {
-		if err := n.Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := 0
-	deadline = time.After(5 * time.Second)
-	var last uint64
-	for got < total {
-		select {
-		case ev := <-n.Events():
-			if ev.Type != EventDeliver {
-				continue
+			bytes := 0
+			for _, p := range m.Parts {
+				bytes += len(p)
 			}
-			d := ev.Delivery
-			if d.Sub != 0 {
-				t.Fatalf("one-payload packs but delivery has sub-index %d", d.Sub)
+			if len(m.Parts) > maxPackCount || bytes > maxPackBytes {
+				t.Fatalf("seq %d carried %d payloads, %d bytes", m.Seq, len(m.Parts), bytes)
 			}
-			if got > 0 && d.Seq != last+1 {
-				t.Fatalf("non-contiguous seqs %d -> %d", last, d.Seq)
-			}
-			last = d.Seq
-			got++
-		case <-deadline:
-			t.Fatalf("timed out after %d deliveries", got)
+			packs = append(packs, len(m.Parts))
 		}
 	}
-	if st := n.Stats(); st.PackedMsgs != 0 {
-		t.Fatalf("packed %d messages with MaxPackCount 1", st.PackedMsgs)
+	if want := []int{maxPackCount, maxPackCount, maxPackCount, 2, 2, 2, 1}; !slices.Equal(packs, want) {
+		t.Fatalf("the backlog went out in packs of %v, want %v", packs, want)
 	}
 }

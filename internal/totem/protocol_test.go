@@ -177,54 +177,37 @@ func TestSequentialReconfigurations(t *testing.T) {
 }
 
 // TestBurstLimitRespected checks that a large submission backlog drains
-// over multiple token visits rather than one unbounded burst.
+// over multiple token visits rather than one unbounded burst: no visit
+// broadcasts more than maxBurst messages.
 func TestBurstLimitRespected(t *testing.T) {
-	net := memnet.New()
-	ep, err := net.Attach("solo")
-	if err != nil {
-		t.Fatal(err)
+	v := newVnet(t, 1, 1, nil)
+	v.settle(time.Second)
+	const total = 2*maxBurst*maxPackCount + 1 // three visits' worth at least
+	payloads := make([][]byte, total)
+	for i := range payloads {
+		payloads[i] = []byte{byte(i), byte(i >> 8)}
 	}
-	cfg := fastConfig()
-	cfg.ID = "solo"
-	cfg.Endpoint = ep
-	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.MaxBurst = 8
-	// Packing would drain the whole backlog in a couple of datagrams;
-	// this test pins the per-message drain to exercise the burst limit.
-	cfg.MaxPackCount = 1
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
+	v.submit(v.ids[0], payloads...)
+	v.settle(time.Second)
+	if n := len(v.got[v.ids[0]]); n != total {
+		t.Fatalf("delivered %d of %d", n, total)
 	}
-	defer n.Stop()
-
-	const total = 50
-	for i := 0; i < total; i++ {
-		if err := n.Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.After(5 * time.Second)
-	for got := 0; got < total; {
-		select {
-		case ev := <-n.Events():
-			if ev.Type == EventDeliver {
-				if ev.Delivery.Payload[0] != byte(got) {
-					t.Fatalf("delivery %d out of order: %v", got, ev.Delivery.Payload)
-				}
-				got++
+	visits, burst := 0, 0
+	for _, e := range v.ledger.entries {
+		switch e.payload[0] {
+		case kindRegular, kindPacked:
+			if burst++; burst == 1 {
+				visits++
 			}
-		case <-deadline:
-			t.Fatalf("timed out")
+			if burst > maxBurst {
+				t.Fatalf("visit %d broadcast more than %d messages", visits, maxBurst)
+			}
+		case kindToken:
+			burst = 0
 		}
 	}
-	// Draining 50 messages at burst 8 needs at least 7 token visits. A
-	// visit delivers before it forwards the token and counts the pass, so
-	// the last delivery can be seen a moment before the seventh pass is.
-	for deadline := time.Now().Add(time.Second); n.Stats().TokenPasses < 7; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("token passes = %d, want >= 7", n.Stats().TokenPasses)
-		}
+	if visits < 3 {
+		t.Fatalf("%d payloads drained in %d visits", total, visits)
 	}
 }
 

@@ -37,9 +37,9 @@ import (
 // Delivery is one totally-ordered message handed to the application.
 type Delivery struct {
 	// Seq is the enclosing wire message's global sequence number:
-	// identical at every node and non-decreasing across deliveries. With
-	// packing enabled several payloads travel in one packed message and
-	// share its Seq; Sub orders them within it.
+	// identical at every node and non-decreasing across deliveries.
+	// Several payloads may travel in one packed message and share its
+	// Seq; Sub orders them within it.
 	Seq uint64
 	// Sub is the payload's index within its packed wire message (0 for
 	// unpacked messages). (Seq, Sub) is unique and strictly increasing
@@ -63,8 +63,27 @@ type Delivery struct {
 }
 
 // subTimestampBits is how far Seq is shifted when folding Sub into a
-// single ordered timestamp; MaxPackCount is capped below 1<<subTimestampBits.
+// single ordered timestamp; maxPackCount stays below 1<<subTimestampBits.
 const subTimestampBits = 16
+
+const (
+	// maxBurst bounds how many queued messages one token visit may
+	// broadcast, so one busy member cannot hold the ring.
+	maxBurst = 64
+	// maxPackCount bounds how many payloads one packed message carries.
+	maxPackCount = 32
+	// maxPackBytes bounds the payload bytes of one packed message, so a
+	// pack fits one datagram on real transports (udpnet reassembles up to
+	// 64 KiB). A payload larger than the bound is never packed; it travels
+	// alone as a plain regular message.
+	maxPackBytes = 32 << 10
+	// lagLimit bounds, in sequence numbers, how far the sequencer may run
+	// ahead of the stability horizon before it demotes the ring back to
+	// token rotation (leader mode's backlog-imbalance escape: a follower
+	// that cannot keep up would otherwise force unbounded buffering
+	// everywhere).
+	lagLimit = 4096
+)
 
 // Timestamp folds (Seq, Sub) into one uint64 that is unique, strictly
 // increasing in delivery order, and identical at every node: the
@@ -158,9 +177,6 @@ type Config struct {
 	// All founding members must be configured with the same list.
 	Members []memnet.NodeID
 
-	// MaxBurst bounds how many queued messages one token visit may
-	// broadcast. Zero means the default of 64.
-	MaxBurst int
 	// IdleHold is how long an idle token holder waits before forwarding
 	// the token, throttling rotation when there is no traffic. Zero
 	// means the default of 200 microseconds.
@@ -180,17 +196,6 @@ type Config struct {
 	// declared failed. Zero means 60ms.
 	GatherTimeout time.Duration
 
-	// MaxPackCount bounds how many payloads one packed message carries.
-	// Zero means 32; values are capped so (Seq, Sub) still folds into a
-	// single 64-bit timestamp. One means every payload travels as its
-	// own plain regular message, as in the pre-packing protocol.
-	MaxPackCount int
-	// MaxPackBytes bounds the payload bytes of one packed message, so a
-	// pack fits one datagram on real transports (udpnet reassembles up
-	// to 64 KiB). Zero means 32 KiB. A payload larger than the bound is
-	// never packed; it travels alone as a plain regular message.
-	MaxPackBytes int
-
 	// Ordering selects the total-order mechanism: the token ring
 	// (default) or the leader-ordered fast path. All members must
 	// configure the same value; every ring starts with its token
@@ -199,12 +204,6 @@ type Config struct {
 	// settings degrade to whichever nodes refuse to adopt (and then to a
 	// membership change), not to an ordering violation.
 	Ordering OrderingMode
-	// FastpathLagLimit bounds, in sequence numbers, how far the
-	// sequencer may run ahead of the stability horizon before it demotes
-	// the ring back to token rotation (leader mode's backlog-imbalance
-	// escape: a follower that cannot keep up would otherwise force
-	// unbounded buffering everywhere). Zero means 4096.
-	FastpathLagLimit int
 
 	// Metrics, when set, exposes the node's protocol counters on the
 	// registry, labelled node=<ID>. The protocol goroutine keeps its
@@ -213,9 +212,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.MaxBurst == 0 {
-		c.MaxBurst = 64
-	}
 	if c.IdleHold == 0 {
 		c.IdleHold = 200 * time.Microsecond
 	}
@@ -227,18 +223,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.GatherTimeout == 0 {
 		c.GatherTimeout = 60 * time.Millisecond
-	}
-	if c.MaxPackCount == 0 {
-		c.MaxPackCount = 32
-	}
-	if c.MaxPackCount >= 1<<subTimestampBits {
-		c.MaxPackCount = 1<<subTimestampBits - 1
-	}
-	if c.MaxPackBytes == 0 {
-		c.MaxPackBytes = 32 << 10
-	}
-	if c.FastpathLagLimit == 0 {
-		c.FastpathLagLimit = 4096
 	}
 }
 

@@ -570,7 +570,7 @@ func TestOwedRecoveryHoldsPromotion(t *testing.T) {
 
 // TestLagDemotionStaysBounded: one follower's acks are lost under
 // sustained submissions at every member, so the sequencer's stability
-// horizon stands still and it demotes at FastpathLagLimit, with the
+// horizon stands still and it demotes at lagLimit, with the
 // membership unchanged. The follower confirms nothing for as long as the
 // load lasts: a ring that promoted again at once would demote again at
 // once, and every demotion is a gather. One demotion, then rotation until
@@ -581,9 +581,6 @@ func TestLagDemotionStaysBounded(t *testing.T) {
 	for seed := int64(31); seed <= 35; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			v, seq, slow := leaderVnet(t, seed)
-			for _, c := range v.cores {
-				c.cfg.FastpathLagLimit = 32
-			}
 			v.drop = func(to memnet.NodeID, data []byte) bool {
 				if to != seq || data[0] != kindAck {
 					return false

@@ -141,9 +141,6 @@ func (bs *batchState) sendFrames(frames [][]byte) {
 	ents := bs.ents[:0]
 	for i := range frames {
 		for pi := range e.peers {
-			if e.dropTx() {
-				continue
-			}
 			var m mmsghdr
 			m.hdr.Name = (*byte)(unsafe.Pointer(&bs.sas[pi]))
 			m.hdr.Namelen = bs.salens[pi]

@@ -1,9 +1,11 @@
 package udpnet
 
 import (
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,9 +211,9 @@ func TestDatagramFromOutsideTheRegistryIsDropped(t *testing.T) {
 	}
 }
 
-// TestInboxOverflowCounted proves silent packet loss is gone: with a
-// tiny inbox and no consumer, drops land in RxInboxDrops instead of
-// vanishing.
+// TestInboxOverflowCounted proves silent packet loss is gone: with no
+// consumer, what arrives once the inbox holds inboxSize datagrams lands
+// in RxInboxDrops instead of vanishing.
 func TestInboxOverflowCounted(t *testing.T) {
 	reg := freeRegistry(t, "src", "sink")
 	src, err := Listen("src", reg)
@@ -219,54 +221,116 @@ func TestInboxOverflowCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = src.Close() }()
-	sink, err := ListenConfig("sink", reg, Config{InboxSize: 4})
+	sink, err := Listen("sink", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = sink.Close() }()
-	for i := 0; i < 200; i++ {
-		if err := src.Broadcast([]byte("flood")); err != nil {
-			t.Fatal(err)
+	// A flood paced in rounds the send loop can flush, so that it is the
+	// sink's inbox that overflows, not the source's outbound queue.
+	deadline := time.Now().Add(10 * time.Second)
+	for sink.Stats().RxInboxDrops == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no inbox drop counted: %+v, %d queued", sink.Stats(), len(sink.Recv()))
 		}
+		for i := 0; i < sendGather; i++ {
+			if err := src.Broadcast([]byte("flood")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	waitStats(t, sink, "inbox overflow counted", func(s Stats) bool {
-		return s.RxInboxDrops > 0
-	})
+	if n := len(sink.Recv()); n != inboxSize {
+		t.Fatalf("drops counted with %d datagrams queued, want a full inbox of %d", n, inboxSize)
+	}
 }
 
-// TestSeededLossAgreement runs a ring over real sockets with 5%
-// deterministic transmit loss on every endpoint: totem's retransmission
-// machinery must still deliver one identical total order everywhere.
+// lossyEndpoint is an Endpoint that drops a seeded fraction of the
+// datagrams it receives from its peers; its own broadcasts, looped back,
+// always arrive.
+type lossyEndpoint struct {
+	*Endpoint
+	out     chan memnet.Packet
+	dropped atomic.Uint64
+}
+
+func newLossyEndpoint(t *testing.T, ep *Endpoint, rate float64, seed int64) *lossyEndpoint {
+	l := &lossyEndpoint{Endpoint: ep, out: make(chan memnet.Packet, inboxSize)}
+	rng := rand.New(rand.NewSource(seed))
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop); <-done })
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case p := <-ep.Recv():
+				if p.From != ep.ID() && rng.Float64() < rate {
+					l.dropped.Add(1)
+					continue
+				}
+				select {
+				case l.out <- p:
+				case <-stop:
+					return
+				}
+			}
+		}
+	}()
+	return l
+}
+
+func (l *lossyEndpoint) Recv() <-chan memnet.Packet { return l.out }
+
+// TestSeededLossAgreement runs a ring over real sockets with 10%
+// deterministic loss of every endpoint's received peer datagrams: totem's
+// retransmission machinery must still deliver one identical total order
+// everywhere. The seeds make the loss certain: the second endpoint drops
+// the third peer datagram it receives.
 func TestSeededLossAgreement(t *testing.T) {
-	testLossyAgreement(t, func(id memnet.NodeID, seed int64) Config {
-		return Config{LossRate: 0.05, LossSeed: seed}
+	var lossy []*lossyEndpoint
+	testLossyAgreement(t, Config{}, func(ep *Endpoint, seed int64) totem.Transport {
+		l := newLossyEndpoint(t, ep, 0.1, seed)
+		lossy = append(lossy, l)
+		return l
 	})
+	var dropped uint64
+	for _, l := range lossy {
+		dropped += l.dropped.Load()
+	}
+	if dropped == 0 {
+		t.Fatal("no datagram was dropped: the run proved nothing")
+	}
+	t.Logf("injected loss: %d datagrams", dropped)
 }
 
 // TestKernelDropRecovery shrinks the kernel receive buffer to its floor
 // so bursts overflow it — genuine kernel-path loss, not injection — and
 // asserts totem still reaches agreement.
 func TestKernelDropRecovery(t *testing.T) {
-	testLossyAgreement(t, func(id memnet.NodeID, seed int64) Config {
-		return Config{ReadBuffer: 1}
-	})
+	testLossyAgreement(t, Config{ReadBuffer: 1}, nil)
 }
 
-func testLossyAgreement(t *testing.T, cfgFor func(id memnet.NodeID, seed int64) Config) {
+// testLossyAgreement runs a ring of three over endpoints configured by
+// cfg, each seen through wrap when it is set.
+func testLossyAgreement(t *testing.T, cfg Config, wrap func(ep *Endpoint, seed int64) totem.Transport) {
 	ids := []memnet.NodeID{"l0", "l1", "l2"}
 	reg := freeRegistry(t, ids...)
 	nodes := make(map[memnet.NodeID]*totem.Node, len(ids))
-	eps := make(map[memnet.NodeID]*Endpoint, len(ids))
 	for i, id := range ids {
-		ep, err := ListenConfig(id, reg, cfgFor(id, int64(i)+1))
+		ep, err := ListenConfig(id, reg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = ep.Close() })
-		eps[id] = ep
+		var tr totem.Transport = ep
+		if wrap != nil {
+			tr = wrap(ep, int64(i)+1)
+		}
 		node, err := totem.Start(totem.Config{
 			ID:              id,
-			Endpoint:        ep,
+			Endpoint:        tr,
 			Members:         ids,
 			IdleHold:        200 * time.Microsecond,
 			TokenRetransmit: 15 * time.Millisecond,
@@ -324,15 +388,6 @@ func testLossyAgreement(t *testing.T, cfgFor func(id memnet.NodeID, seed int64) 
 			}
 		}
 	}
-	// The lossy path must actually have been lossy for the run to prove
-	// anything; seeded injection guarantees it, the kernel path makes it
-	// overwhelmingly likely under a floor-sized receive buffer.
-	var dropped uint64
-	for _, ep := range eps {
-		s := ep.Stats()
-		dropped += s.TxLossInjected
-	}
-	t.Logf("injected loss: %d datagrams", dropped)
 }
 
 // listenClose binds an endpoint on an ephemeral loopback port and closes

@@ -31,7 +31,6 @@ package udpnet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -55,7 +54,9 @@ const maxDatagram = 64 << 10
 const maxUDPPayload = 65535 - 20 - 8
 
 const (
-	defaultInboxSize = 4096
+	// inboxSize bounds the received-packet queue between the socket
+	// reader and the protocol; overflow drops are counted.
+	inboxSize = 4096
 	// outboxSize bounds the outbound queue between Broadcast and the
 	// send loop; overflow drops are counted (best-effort, like a full
 	// socket buffer).
@@ -98,7 +99,7 @@ func LoopbackRegistry(ids ...memnet.NodeID) (Registry, error) {
 }
 
 // Config tunes an endpoint. The zero value gives the production
-// defaults: OS socket-buffer sizes, 4096-entry queues.
+// defaults: OS socket-buffer sizes.
 type Config struct {
 	// ReadBuffer, when positive, is handed to SetReadBuffer: the kernel
 	// receive buffer in bytes. Undersizing it makes the kernel drop
@@ -107,18 +108,6 @@ type Config struct {
 	ReadBuffer int
 	// WriteBuffer, when positive, is handed to SetWriteBuffer.
 	WriteBuffer int
-	// InboxSize bounds the received-packet queue between the socket
-	// reader and the protocol; overflow drops are counted. Zero means
-	// 4096.
-	InboxSize int
-	// LossRate, when in (0,1], drops that fraction of outbound peer
-	// datagrams before they reach the socket, deterministically from
-	// LossSeed. Self-delivery is never dropped. This exists so tests can
-	// prove totem's recovery over real sockets without depending on
-	// kernel-buffer luck; production configs leave it zero.
-	LossRate float64
-	// LossSeed seeds the LossRate generator.
-	LossSeed int64
 	// Metrics, when set, exposes the endpoint's counters as
 	// eternalgw_udpnet_* series labelled node=<id>. The datapath keeps
 	// bare atomics; the registry reads them only at scrape time.
@@ -127,16 +116,15 @@ type Config struct {
 
 // Stats is a snapshot of an endpoint's datapath counters.
 type Stats struct {
-	TxDatagrams    uint64 // datagrams handed to the kernel
-	TxBatches      uint64 // send-loop flushes (each ≥1 syscall, many datagrams)
-	TxQueueDrops   uint64 // broadcasts dropped because the outbound queue was full
-	TxErrors       uint64 // datagrams the kernel refused (counted, skipped)
-	TxLossInjected uint64 // datagrams dropped by configured loss injection
-	RxDatagrams    uint64 // datagrams received from the socket
-	RxBatches      uint64 // receive-loop syscall returns that carried ≥1 datagram
-	RxInboxDrops   uint64 // received datagrams dropped because the inbox was full
-	RxTruncated    uint64 // datagrams the kernel truncated (larger than maxDatagram)
-	RxShortFrames  uint64 // frames too short or with a hostile id length
+	TxDatagrams   uint64 // datagrams handed to the kernel
+	TxBatches     uint64 // send-loop flushes (each ≥1 syscall, many datagrams)
+	TxQueueDrops  uint64 // broadcasts dropped because the outbound queue was full
+	TxErrors      uint64 // datagrams the kernel refused (counted, skipped)
+	RxDatagrams   uint64 // datagrams received from the socket
+	RxBatches     uint64 // receive-loop syscall returns that carried ≥1 datagram
+	RxInboxDrops  uint64 // received datagrams dropped because the inbox was full
+	RxTruncated   uint64 // datagrams the kernel truncated (larger than maxDatagram)
+	RxShortFrames uint64 // frames too short or with a hostile id length
 	// RxUnknownSender counts frames dropped because their sender id is
 	// not a peer in the registry: an id from outside it, or this
 	// endpoint's own, which never reaches it off the socket.
@@ -178,15 +166,10 @@ type Endpoint struct {
 	quit   chan struct{}
 	wg     sync.WaitGroup
 
-	lossMu   sync.Mutex
-	lossRate float64
-	lossRng  *rand.Rand
-
 	txDatagrams     atomic.Uint64
 	txBatches       atomic.Uint64
 	txQueueDrops    atomic.Uint64
 	txErrors        atomic.Uint64
-	txLossInjected  atomic.Uint64
 	rxDatagrams     atomic.Uint64
 	rxBatches       atomic.Uint64
 	rxInboxDrops    atomic.Uint64
@@ -234,10 +217,6 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 			return nil, fmt.Errorf("udpnet: SetWriteBuffer(%d): %w", cfg.WriteBuffer, err)
 		}
 	}
-	inboxSize := cfg.InboxSize
-	if inboxSize <= 0 {
-		inboxSize = defaultInboxSize
-	}
 	idb := []byte(id)
 	e := &Endpoint{
 		id:      id,
@@ -250,12 +229,8 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 		senders: make(map[string]memnet.NodeID, len(registry)),
 	}
 	e.transmit, e.readLoop = e.sendFramesSequential, e.readLoopSequential
-	if cfg.LossRate > 0 {
-		e.lossRate = cfg.LossRate
-		e.lossRng = rand.New(rand.NewSource(cfg.LossSeed))
-	}
-	// Deterministic peer order so the platform sockaddr table and any
-	// injected loss pattern are reproducible across runs.
+	// Deterministic peer order so the platform sockaddr table is
+	// reproducible across runs.
 	ids := make([]string, 0, len(registry))
 	for p := range registry {
 		if p != id {
@@ -328,21 +303,6 @@ func (e *Endpoint) Broadcast(payload []byte) error {
 	return nil
 }
 
-// dropTx applies the configured deterministic loss injection to one
-// outbound peer datagram.
-func (e *Endpoint) dropTx() bool {
-	if e.lossRate == 0 {
-		return false
-	}
-	e.lossMu.Lock()
-	drop := e.lossRng.Float64() < e.lossRate
-	e.lossMu.Unlock()
-	if drop {
-		e.txLossInjected.Add(1)
-	}
-	return drop
-}
-
 // deliverLocal loops one copy of the broadcast back to the local inbox.
 // The payload is aliased, not copied (the Broadcast contract already
 // forbids mutation after sending, exactly as memnet does).
@@ -404,9 +364,6 @@ func (e *Endpoint) sendFramesSequential(frames [][]byte) {
 	for _, f := range frames {
 		e.frame = append(append(e.frame[:0], e.hdr...), f...)
 		for i := range e.peers {
-			if e.dropTx() {
-				continue
-			}
 			if _, err := e.conn.WriteToUDP(e.frame, e.peers[i].addr); err != nil {
 				e.txErrors.Add(1)
 				continue
@@ -485,7 +442,6 @@ func (e *Endpoint) Stats() Stats {
 		TxBatches:       e.txBatches.Load(),
 		TxQueueDrops:    e.txQueueDrops.Load(),
 		TxErrors:        e.txErrors.Load(),
-		TxLossInjected:  e.txLossInjected.Load(),
 		RxDatagrams:     e.rxDatagrams.Load(),
 		RxBatches:       e.rxBatches.Load(),
 		RxInboxDrops:    e.rxInboxDrops.Load(),
@@ -509,7 +465,6 @@ func (e *Endpoint) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_udpnet_tx_batches_total", "Send-loop flushes, each transmitting many datagrams per syscall.", e.txBatches.Load},
 		{"eternalgw_udpnet_tx_queue_drops_total", "Broadcasts dropped because the outbound queue was full.", e.txQueueDrops.Load},
 		{"eternalgw_udpnet_tx_errors_total", "Outbound datagrams the kernel refused.", e.txErrors.Load},
-		{"eternalgw_udpnet_tx_loss_injected_total", "Outbound datagrams dropped by configured loss injection.", e.txLossInjected.Load},
 		{"eternalgw_udpnet_rx_datagrams_total", "UDP datagrams received from the socket.", e.rxDatagrams.Load},
 		{"eternalgw_udpnet_rx_batches_total", "Receive-loop syscall returns that carried at least one datagram.", e.rxBatches.Load},
 		{"eternalgw_udpnet_rx_inbox_drops_total", "Received datagrams dropped because the inbox was full.", e.rxInboxDrops.Load},

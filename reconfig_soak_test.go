@@ -33,10 +33,7 @@ func marker(client, call uint32) []byte {
 }
 
 func TestReconfigRollingUpgradeSoak(t *testing.T) {
-	const (
-		clients    = 16
-		cpInterval = 8
-	)
+	const clients = 16
 	calls := 25
 	if testing.Short() {
 		calls = 8
@@ -58,7 +55,6 @@ func TestReconfigRollingUpgradeSoak(t *testing.T) {
 			FailTimeout:     80 * time.Millisecond,
 			GatherTimeout:   20 * time.Millisecond,
 		},
-		Replication:          replication.Config{CheckpointInterval: cpInterval},
 		GatewayInvokeTimeout: 10 * time.Second,
 		OnIORUpdate: func(objectKey []byte, ref ior.Ref) {
 			clientMu.Lock()
