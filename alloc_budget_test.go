@@ -167,6 +167,99 @@ func TestDatapathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDomainSetUpAllocBudget holds what standing a domain up allocates:
+// BenchmarkDomainSetUp's stand-up — four processors, an active group of
+// three, a gateway — in leader ordering on memnet, and in ring ordering
+// over loopback UDP sockets, the udp_ring_ladder shape, its ports picked
+// inside the measured stand-up. A queue allocates what it holds, not its
+// bound: allocated at their bounds, the four totem event streams (4096
+// events each) and UDP receive rings (64 buffers of 64 KiB each) alone
+// come to 1.9 MB and 16 MiB, over either budget. The cheapest of three
+// stand-ups is the figure, as the datapath budget takes the cheapest
+// window.
+func TestDomainSetUpAllocBudget(t *testing.T) {
+	for _, b := range []struct {
+		name string
+		udp  bool
+		mb   float64
+	}{{"leader", false, 1.25}, {"ring-udp", true, 5}} {
+		t.Run(b.name, func(t *testing.T) {
+			mb := math.Inf(1)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				d, eps := standUp(t, b.udp)
+				runtime.ReadMemStats(&after)
+				d.Close()
+				for _, ep := range eps {
+					_ = ep.Close()
+				}
+				mb = min(mb, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+			}
+			t.Logf("%s stand-up: %.2f MB (budget %v MB)", b.name, mb, b.mb)
+			if mb > b.mb {
+				t.Errorf("a stand-up allocated %.2f MB, budget %v MB: a queue is allocated at its bound again, or set-up grew", mb, b.mb)
+			}
+		})
+	}
+}
+
+// standUp is one of BenchmarkDomainSetUp's stand-ups: on memnet in leader
+// ordering, waiting for the sequencer, or with udp over loopback UDP
+// sockets in ring ordering, whose endpoints it returns for the caller to
+// close with the domain.
+func standUp(t *testing.T, udp bool) (*domain.Domain, []*udpnet.Endpoint) {
+	t.Helper()
+	var eps []*udpnet.Endpoint
+	cfg := domain.Config{
+		Name:  "budget",
+		Nodes: 4,
+		Totem: totem.Config{
+			IdleHold:        100 * time.Microsecond,
+			TokenRetransmit: 10 * time.Millisecond,
+			FailTimeout:     80 * time.Millisecond,
+			GatherTimeout:   20 * time.Millisecond,
+			Ordering:        totem.OrderingLeader,
+		},
+		GatewayInvokeTimeout: 10 * time.Second,
+	}
+	if udp {
+		registry, err := udpnet.LoopbackRegistry(domain.MemberIDs(cfg.Name, cfg.Nodes)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Totem.Ordering = totem.OrderingRing
+		cfg.TransportFactory = func(id memnet.NodeID) (totem.Transport, error) {
+			ep, err := udpnet.Listen(id, registry)
+			if err == nil {
+				eps = append(eps, ep)
+			}
+			return ep, err
+		}
+	}
+	d, err := domain.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.Manager().CreateReplicatedObject(benchGroup, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 3,
+		MinReplicas:     3,
+		ObjectKey:       []byte(benchKey),
+		TypeID:          benchType,
+	}, func() (replication.Application, error) { return &experiments.RegisterApp{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddGateway(0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !udp {
+		benchWaitFastpath(t, d)
+	}
+	return d, eps
+}
+
 // TestReplyWindowBoundsTheLiveHeap holds what large_rtt's resident memory
 // comes from: the three replicas' operation tables and the gateway
 // processor's record keep reply bytes up to replication.ReplyWindow each,

@@ -496,6 +496,11 @@ func (c *checker) escapingDest(set map[types.Object]bool, lhs ast.Expr) string {
 		}
 		return "a struct field"
 	case *ast.IndexExpr:
+		// So is storing into an element of a carrier's own slice: a
+		// ring queue's slot is the queue's, as its field is.
+		if sel, ok := ast.Unparen(lhs.X).(*ast.SelectorExpr); ok && c.isCarrier(analysis.TypeKey(c.pass.TypesInfo.TypeOf(sel.X))) {
+			return ""
+		}
 		return "a map or slice element"
 	case *ast.StarExpr:
 		return "a dereferenced pointer"

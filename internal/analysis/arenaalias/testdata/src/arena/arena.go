@@ -179,6 +179,33 @@ func (q *queue) push(p parcel) {
 	q.items = append(q.items, p)
 }
 
+// A carrier's ring stores into its own array by index, like
+// totem.eventQueue: the slot is the carrier's, as a field is.
+//
+// gwlint:arena-carrier
+type ring struct {
+	slots []view
+	head  int
+}
+
+func (r *ring) put(v view) {
+	r.slots[r.head] = v
+}
+
+func (r *ring) drop() {
+	r.slots[r.head] = view{}
+}
+
+// The same store into the slice of a type that is not a carrier is an
+// escape.
+type shelf struct {
+	slots []view
+}
+
+func (s *shelf) put(i int, v view) {
+	s.slots[i] = v // want `stored in a map or slice element`
+}
+
 // The one sanctioned retention (DESIGN.md section 7): a datagram that
 // carries one message may be kept as it is, and the function that decides
 // — window or copy — is the only non-copy whose result may be stored.

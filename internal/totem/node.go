@@ -3,6 +3,7 @@ package totem
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"eternalgw/internal/memnet"
@@ -34,8 +35,55 @@ var ErrStopped = errors.New("totem: node stopped")
 // node's transport can carry (Ceiling).
 var ErrTooLarge = errors.New("totem: message exceeds the transport's largest datagram")
 
-// eventBufSize is the depth of the ordered event stream.
+// eventBufSize bounds the ordered event stream: once this many events are
+// undelivered — in the hand-off channel and in the queue behind it — the
+// protocol goroutine waits for the consumer. It is a bound, not an
+// allocation: the queue grows only as far as the consumer falls behind.
 const eventBufSize = 4096
+
+// eventHandoff is the capacity of the events channel itself: one token
+// visit's worth of messages (maxBurst), so a consumer that keeps pace with
+// the ring takes every event straight off the channel, and the queue
+// behind it is allocated only once the consumer falls further behind.
+// 64 Events are 7.5 KiB.
+const eventHandoff = 64
+
+// eventQueue holds the ordered events the consumer has not taken and the
+// hand-off channel has no slot for, oldest first: a ring that doubles when
+// full and keeps its array, so a consumer that falls behind as far as it
+// has before costs no allocation. Only the run goroutine touches it; depth
+// mirrors n for the metrics scrape.
+//
+// gwlint:arena-carrier — the queued events are deliveries on their way to
+// the consumer, who takes them through the channel exactly as if the
+// channel had held them all.
+type eventQueue struct {
+	ring    []Event // a power of two long, or empty
+	head, n int
+	depth   atomic.Int64
+}
+
+func (q *eventQueue) push(ev Event) {
+	if q.n == len(q.ring) {
+		grown := make([]Event, max(eventHandoff, 2*len(q.ring)))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = ev
+	q.n++
+	q.depth.Store(int64(q.n))
+}
+
+func (q *eventQueue) front() Event { return q.ring[q.head] }
+
+// pop drops the front event, and the queue's reference to its datagram.
+func (q *eventQueue) pop() {
+	q.ring[q.head] = Event{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	q.depth.Store(int64(q.n))
+}
 
 // Node is one member of a Totem ring. Create with Start, stop with Stop.
 // It is the driver of a protocol core (core.go): one goroutine owns the
@@ -49,9 +97,11 @@ type Node struct {
 	ceiling int
 
 	events chan Event
-	sendq  chan []byte
-	stop   chan struct{}
-	done   chan struct{}
+	// waiting is the rest of the event stream, behind events.
+	waiting eventQueue
+	sendq   chan []byte
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 // Start creates a node and launches its protocol goroutine. The founding
@@ -71,7 +121,7 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		ep:     cfg.Endpoint,
-		events: make(chan Event, eventBufSize),
+		events: make(chan Event, eventHandoff),
 		sendq:  make(chan []byte, 1024),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -116,6 +166,8 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
+	reg.GaugeFunc("eternalgw_totem_event_backlog", "Ordered events queued behind the full hand-off channel, waiting for the consumer.", lbl,
+		func() float64 { return float64(n.waiting.depth.Load()) })
 	reg.GaugeFunc("eternalgw_totem_fastpath_stability_lag", "Sequence numbers the sequencer has assigned beyond its stability horizon.", lbl,
 		func() float64 { return float64(n.stabilityLagN()) })
 }
@@ -123,9 +175,12 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 // ID returns the node's identity.
 func (n *Node) ID() memnet.NodeID { return n.core.cfg.ID }
 
-// Events returns the ordered event stream. The consumer must keep
-// draining it; a full event buffer blocks the protocol goroutine, which
-// stalls the ring (and will eventually look like a failure to peers).
+// Events returns the ordered event stream. The channel holds a few dozen
+// events (eventHandoff); what the consumer has not taken beyond that waits
+// in order on the protocol goroutine, which offers it as the channel frees.
+// The consumer must keep draining it: at eventBufSize undelivered events
+// the protocol goroutine blocks, which stalls the ring (and will
+// eventually look like a failure to peers).
 func (n *Node) Events() <-chan Event { return n.events }
 
 // Multicast submits a payload for totally-ordered delivery to every ring
@@ -254,7 +309,9 @@ func (n *Node) Stop() {
 }
 
 // run is the driver: it waits for a datagram, a submission, the core's
-// next deadline or Stop, reads the clock once, and steps the core.
+// next deadline, the consumer taking the oldest waiting event, or Stop,
+// reads the clock once, steps the core, and hands the consumer what the
+// channel has room for.
 func (n *Node) run() {
 	defer close(n.done)
 	timer := time.NewTimer(0)
@@ -263,9 +320,19 @@ func (n *Node) run() {
 	for {
 		var pkt memnet.Packet
 		fired := false
+		var out chan Event // the events channel while an event waits for it
+		var head Event
+		if n.waiting.n > 0 {
+			out, head = n.events, n.waiting.front()
+		}
 		select {
 		case <-n.stop:
 			return
+		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
+		case out <- head:
+			n.waiting.pop()
+			n.flush()
+			continue // the core has not moved: its deadline stands
 		case pkt = <-n.ep.Recv():
 		case p := <-n.sendq:
 			batch = append(batch, p)
@@ -297,6 +364,7 @@ func (n *Node) run() {
 			default:
 			}
 		}
+		n.flush()
 		wait := time.Hour
 		if next := n.core.Next(); !next.IsZero() {
 			wait = max(0, next.Sub(now))
@@ -309,16 +377,46 @@ func (n *Node) run() {
 // loop keeps running so the node can rejoin after a simulated restart.
 func (n *Node) broadcast(b []byte) { _ = n.ep.Broadcast(b) }
 
-// deliver is the core's event hook.
+// deliver is the core's event hook. An event goes straight onto the
+// channel while none waits before it, and otherwise behind them; at
+// eventBufSize undelivered events it waits for the consumer to take one,
+// or for Stop.
 func (n *Node) deliver(ev Event) {
-	//lint:allow looplock delivery backpressure is intentional and the stop channel bounds the wait
-	select {
-	// This send is where the arena borrow begins, not where it leaks:
-	// the events channel is the protocol's delivery handoff, and the
-	// consumer contract (Config.Events doc) is to finish or copy each
-	// event before taking the next.
-	//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
-	case n.events <- ev:
-	case <-n.stop:
+	if n.waiting.n == 0 {
+		select {
+		// This send is where the arena borrow begins, not where it leaks:
+		// the events channel is the protocol's delivery handoff, and the
+		// consumer contract (Events doc) is to finish or copy each event
+		// before taking the next.
+		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
+		case n.events <- ev:
+			return
+		default:
+		}
+	}
+	for len(n.events)+n.waiting.n >= eventBufSize {
+		//lint:allow looplock delivery backpressure is intentional and the stop channel bounds the wait
+		select {
+		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
+		case n.events <- n.waiting.front():
+			n.waiting.pop()
+		case <-n.stop:
+			return
+		}
+	}
+	n.waiting.push(ev)
+}
+
+// flush moves waiting events onto the channel, oldest first, as far as it
+// has room, without waiting.
+func (n *Node) flush() {
+	for n.waiting.n > 0 {
+		select {
+		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
+		case n.events <- n.waiting.front():
+			n.waiting.pop()
+		default:
+			return
+		}
 	}
 }

@@ -462,3 +462,115 @@ func TestGCWalksTheNewSpanOnly(t *testing.T) {
 		t.Fatalf("%d buffered above the horizon, want 6", len(n.buffer))
 	}
 }
+
+// settle polls a node's delivered count until want holds, then gives the
+// protocol goroutine a while to move past it: it reports the count it
+// stood still at.
+func settle(t *testing.T, n *Node, want uint64) uint64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for n.Stats().Delivered < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d, waiting for %d", n.Stats().Delivered, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	return n.Stats().Delivered
+}
+
+// readInOrder consumes events until it has the deliveries numbered from
+// up to below, each payload its two-byte number, and fails on any other.
+func readInOrder(t *testing.T, n *Node, from, below int) {
+	t.Helper()
+	for i := from; i < below; {
+		select {
+		case ev := <-n.Events():
+			if ev.Type != EventDeliver {
+				continue
+			}
+			if got := int(ev.Delivery.Payload[0])<<8 | int(ev.Delivery.Payload[1]); got != i {
+				t.Fatalf("delivery %d carries %d", i, got)
+			}
+			i++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out at delivery %d of %d", i, below)
+		}
+	}
+}
+
+// multicastNumbered submits count payloads numbered from 0 on a goroutine
+// of its own, which gives up once the node stops.
+func multicastNumbered(n *Node, count int) {
+	go func() {
+		for i := 0; i < count; i++ {
+			if n.Multicast([]byte{byte(i >> 8), byte(i)}) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// A consumer that stalls gets every event later, in order: what the
+// hand-off channel has no room for waits on the protocol goroutine, which
+// goes on ordering meanwhile.
+func TestStalledConsumerReadsEveryEventInOrder(t *testing.T) {
+	c := newCluster(t, 1)
+	c.waitConfig("n00", 1)
+	n := c.nodes["n00"]
+	const total = 8 * eventHandoff
+	multicastNumbered(n, total)
+	if got := settle(t, n, total); got != total {
+		t.Fatalf("delivered %d of %d", got, total)
+	}
+	if depth := n.waiting.depth.Load(); depth != total-eventHandoff {
+		t.Fatalf("%d events wait behind the channel, want %d", depth, total-eventHandoff)
+	}
+	readInOrder(t, n, 0, total)
+	if depth := n.waiting.depth.Load(); depth != 0 {
+		t.Fatalf("%d events still wait after the consumer read them all", depth)
+	}
+}
+
+// stallAtBound multicasts past the event stream's bound to a one-member
+// ring whose consumer reads nothing. The protocol goroutine delivers until
+// eventBufSize events are undelivered and then blocks handing over the
+// next, which its count already includes.
+func stallAtBound(t *testing.T) *Node {
+	t.Helper()
+	c := newCluster(t, 1)
+	c.waitConfig("n00", 1)
+	n := c.nodes["n00"]
+	multicastNumbered(n, eventBufSize+2*eventHandoff)
+	if got := settle(t, n, eventBufSize+1); got != eventBufSize+1 {
+		t.Fatalf("delivered %d with nothing read, want the bound %d and the one it blocks on", got, eventBufSize+1)
+	}
+	return n
+}
+
+// The bound is where it was when the channel itself was eventBufSize
+// deep: the protocol goroutine blocks there, and each event the consumer
+// takes lets exactly one more through.
+func TestEventStreamBlocksAtItsBound(t *testing.T) {
+	n := stallAtBound(t)
+	readInOrder(t, n, 0, 1)
+	if got := settle(t, n, eventBufSize+2); got != eventBufSize+2 {
+		t.Fatalf("delivered %d after one read, want %d", got, eventBufSize+2)
+	}
+	readInOrder(t, n, 1, eventBufSize+2*eventHandoff)
+}
+
+// Stop releases a protocol goroutine blocked at the bound.
+func TestStopReleasesANodeBlockedAtTheBound(t *testing.T) {
+	n := stallAtBound(t)
+	stopped := make(chan struct{})
+	go func() {
+		n.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return while the node was blocked at the event bound")
+	}
+}

@@ -50,16 +50,18 @@ type batchState struct {
 	send func(fd uintptr) bool
 
 	// Receive-loop scratch (readLoop goroutine only): pooled
-	// maxDatagram buffers, one per recvmmsg slot, allocated when the
-	// socket is first readable. recv is the raw-conn read callback, built
-	// once; it leaves the datagram count in rn, or the call's error in
-	// rerr.
-	rbufs [][]byte
-	riovs []syscall.Iovec
-	rents []mmsghdr
-	rn    int
-	rerr  syscall.Errno
-	recv  func(fd uintptr) bool
+	// maxDatagram buffers, one per recvmmsg slot, the first allocated
+	// when the socket is first readable and more as bursts call for them
+	// (readLoop). recv is the raw-conn read callback, built once; it
+	// leaves the datagram count in rn, or the call's error in rerr, and
+	// notes in waited whether it had to wait for readability.
+	rbufs  [][]byte
+	riovs  []syscall.Iovec
+	rents  []mmsghdr
+	rn     int
+	rerr   syscall.Errno
+	waited bool
+	recv   func(fd uintptr) bool
 }
 
 // useBatchSyscalls resolves the raw connection and peer sockaddrs,
@@ -190,7 +192,7 @@ func (bs *batchState) sendmmsg(fd uintptr) bool {
 
 // recvmmsg is the raw-conn read callback of readLoop: it fills the
 // pooled buffers and leaves the count in bs.rn, or an error in bs.rerr,
-// and reports false to wait for readability.
+// and reports false, noting bs.waited, to wait for readability.
 func (bs *batchState) recvmmsg(fd uintptr) bool {
 	for {
 		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
@@ -202,6 +204,7 @@ func (bs *batchState) recvmmsg(fd uintptr) bool {
 		case syscall.EINTR:
 			// retry
 		case syscall.EAGAIN:
+			bs.waited = true
 			return false
 		default:
 			bs.rerr = errno
@@ -210,19 +213,22 @@ func (bs *batchState) recvmmsg(fd uintptr) bool {
 	}
 }
 
-// allocRing allocates the receive ring: recvBatch maxDatagram buffers and
-// the vectors recvmmsg fills them through.
-func (bs *batchState) allocRing() {
-	bs.rbufs = make([][]byte, recvBatch)
-	bs.riovs = make([]syscall.Iovec, recvBatch)
-	bs.rents = make([]mmsghdr, recvBatch)
+// growRing makes the receive ring slots long: the buffers it has, more
+// maxDatagram buffers behind them, and the vectors recvmmsg fills them
+// through.
+func (bs *batchState) growRing(slots int) {
+	for len(bs.rbufs) < slots {
+		bs.rbufs = append(bs.rbufs, make([]byte, maxDatagram))
+	}
+	bs.riovs = make([]syscall.Iovec, slots)
+	bs.rents = make([]mmsghdr, slots)
 	for i := range bs.rbufs {
-		bs.rbufs[i] = make([]byte, maxDatagram)
 		bs.riovs[i].Base = &bs.rbufs[i][0]
 		bs.riovs[i].SetLen(maxDatagram)
 		bs.rents[i].hdr.Iov = &bs.riovs[i]
 		bs.rents[i].hdr.Iovlen = 1
 	}
+	bs.e.rxRingSlots.Store(int64(slots))
 }
 
 // awaitFirst is the raw-conn read callback the read loop starts with: it
@@ -242,15 +248,19 @@ func awaitFirst(fd uintptr) bool {
 // readLoop waits until the socket first has something to receive — an
 // endpoint closed before then, such as a port probe, allocates no receive
 // ring — then drains it with recvmmsg into the pooled buffers, and
-// validates and queues each datagram.
+// validates and queues each datagram. The ring starts at one slot and
+// doubles, up to recvBatch, whenever a call that filled every slot is
+// followed by one that found more without waiting: the socket held more
+// than the ring takes at once. It never shrinks.
 func (bs *batchState) readLoop() {
 	e := bs.e
 	if err := bs.rc.Read(awaitFirst); err != nil {
 		return // socket closed
 	}
-	bs.allocRing()
+	bs.growRing(1)
+	full := false // the last call filled every slot
 	for {
-		bs.rn, bs.rerr = 0, 0
+		bs.rn, bs.rerr, bs.waited = 0, 0, false
 		if err := bs.rc.Read(bs.recv); err != nil {
 			return // socket closed
 		}
@@ -269,5 +279,9 @@ func (bs *batchState) readLoop() {
 			e.deliverFrame(bs.rbufs[i][:m.n], m.hdr.Flags&syscall.MSG_TRUNC != 0)
 			m.hdr.Flags = 0
 		}
+		if full && !bs.waited && len(bs.rents) < recvBatch {
+			bs.growRing(2 * len(bs.rents))
+		}
+		full = n == len(bs.rents)
 	}
 }

@@ -1,6 +1,7 @@
 package udpnet
 
 import (
+	"bytes"
 	"math/rand"
 	"net"
 	"runtime"
@@ -92,6 +93,7 @@ func TestBatchedCountersAndMetrics(t *testing.T) {
 		`eternalgw_udpnet_tx_datagrams_total{node="a"}`,
 		`eternalgw_udpnet_rx_datagrams_total{node="b"}`,
 		`eternalgw_udpnet_rx_inbox_drops_total{node="a"}`,
+		`eternalgw_udpnet_rx_ring_slots{node="b"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output lacks %s:\n%s", want, text)
@@ -102,7 +104,8 @@ func TestBatchedCountersAndMetrics(t *testing.T) {
 // TestReceiveAllocatesOnlyThePayload: a datagram off the socket costs one
 // allocation, the copy of its payload out of the pooled receive buffer —
 // its sender's id is the registry's, not a new string — and a recvmmsg or
-// sendmmsg call costs none. The burst goes through both batched loops.
+// sendmmsg call costs none once the receive ring holds a burst. The burst
+// goes through both batched loops.
 func TestReceiveAllocatesOnlyThePayload(t *testing.T) {
 	reg := freeRegistry(t, "sender", "receiver")
 	src, err := Listen("sender", reg)
@@ -134,8 +137,7 @@ func TestReceiveAllocatesOnlyThePayload(t *testing.T) {
 			t.Fatalf("%s: burst lost on loopback (stats %+v)", e.ID(), e.Stats())
 		}
 	}
-	before := dst.Stats()
-	allocs := testing.AllocsPerRun(20, func() {
+	exchange := func() {
 		for i := 0; i < burst; i++ {
 			if err := src.Broadcast(payload); err != nil {
 				t.Fatal(err)
@@ -145,7 +147,18 @@ func TestReceiveAllocatesOnlyThePayload(t *testing.T) {
 			recv(dst)
 			recv(src) // the loopback copy
 		}
-	})
+	}
+	// The receive ring grows to the bursts it receives: let it grow to
+	// this one first, so the window counts what a datagram costs and not
+	// the ring's buffers.
+	for i := 0; dst.rxRingSlots.Load() < burst; i++ {
+		if i == 100 {
+			t.Fatalf("the receive ring holds %d slots after %d bursts of %d", dst.rxRingSlots.Load(), i, burst)
+		}
+		exchange()
+	}
+	before := dst.Stats()
+	allocs := testing.AllocsPerRun(20, exchange)
 	after := dst.Stats()
 	batches := float64(after.RxBatches-before.RxBatches) / 21
 	t.Logf("%.1f allocations per burst of %d datagrams in %.1f recvmmsg returns", allocs, burst, batches)
@@ -153,6 +166,89 @@ func TestReceiveAllocatesOnlyThePayload(t *testing.T) {
 	// is tolerated, one per syscall is not.
 	if allocs >= burst+1 {
 		t.Fatalf("%.1f allocations per burst of %d datagrams (%.1f recvmmsg returns): want one per datagram, none per syscall", allocs, burst, batches)
+	}
+}
+
+// TestReceiveRingGrowsToItsBursts: an endpoint's receive ring starts at
+// one buffer and stays there while datagrams arrive one at a time; bursts
+// of 64 grow it, by doubling, to at most recvBatch; and no datagram is
+// lost or cut on the way, the longest one the endpoint carries included.
+func TestReceiveRingGrowsToItsBursts(t *testing.T) {
+	reg := freeRegistry(t, "sender", "receiver")
+	src, err := Listen("sender", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	dst, err := Listen("receiver", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dst.Close() }()
+	if !dst.Batched() {
+		t.Skip("no sendmmsg/recvmmsg on this platform")
+	}
+	seq := 0
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(seq + i)
+		}
+		seq++
+		return p
+	}
+	exchange := func(ps ...[]byte) {
+		t.Helper()
+		for _, p := range ps {
+			if err := src.Broadcast(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, want := range ps {
+			<-src.Recv() // the loopback copy
+			select {
+			case got := <-dst.Recv():
+				if !bytes.Equal(got.Payload, want) {
+					t.Fatalf("received %d bytes %x..., want %d bytes %x... (stats %+v)", len(got.Payload), got.Payload[:min(4, len(got.Payload))], len(want), want[:4], dst.Stats())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("datagram lost on loopback (stats %+v)", dst.Stats())
+			}
+		}
+	}
+
+	for i := 0; i < 20; i++ {
+		exchange(payload(64))
+		// Let the read loop wait for the next one, as it does between
+		// datagrams that come one at a time.
+		time.Sleep(2 * time.Millisecond)
+	}
+	if slots := dst.rxRingSlots.Load(); slots != 1 {
+		t.Fatalf("after single datagrams the ring holds %d slots, want 1", slots)
+	}
+
+	for b := 0; b < 20; b++ {
+		burst := make([][]byte, 64)
+		for i := range burst {
+			burst[i] = payload(64 + i)
+		}
+		exchange(burst...)
+	}
+	slots := dst.rxRingSlots.Load()
+	t.Logf("after 20 bursts of 64 the ring holds %d slots", slots)
+	if slots < 2 || slots > recvBatch || slots&(slots-1) != 0 {
+		t.Fatalf("after bursts of 64 the ring holds %d slots, want a power of two in (1, %d]", slots, recvBatch)
+	}
+
+	// A burst as long as the ring, ending in the longest datagram the
+	// endpoint carries: the slots the ring grew by are as long as its first.
+	burst := make([][]byte, 0, slots)
+	for len(burst) < int(slots)-1 {
+		burst = append(burst, payload(64))
+	}
+	exchange(append(burst, payload(dst.MaxDatagram()))...)
+	if s := dst.Stats(); s.RxTruncated != 0 || s.RxInboxDrops != 0 || s.RxDatagrams != uint64(seq) {
+		t.Fatalf("stats %+v after %d datagrams sent", s, seq)
 	}
 }
 

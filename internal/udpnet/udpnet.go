@@ -64,8 +64,10 @@ const (
 	// sendGather bounds how many queued payloads one send-loop flush
 	// drains; each flush transmits len(frames)×len(peers) datagrams.
 	sendGather = 64
-	// recvBatch is how many pooled maxDatagram buffers one recvmmsg
-	// call may fill.
+	// recvBatch bounds how many pooled maxDatagram buffers one recvmmsg
+	// call may fill. It is a bound, not an allocation: an endpoint's
+	// receive ring starts at one buffer and doubles towards it only as
+	// the bursts it receives call for more (batch_linux.go readLoop).
 	recvBatch = 64
 )
 
@@ -176,6 +178,8 @@ type Endpoint struct {
 	rxTruncated     atomic.Uint64
 	rxShortFrames   atomic.Uint64
 	rxUnknownSender atomic.Uint64
+	// rxRingSlots is how many receive buffers the read loop holds.
+	rxRingSlots atomic.Int64
 }
 
 // Listen binds the endpoint for id at its registry address with default
@@ -377,6 +381,7 @@ func (e *Endpoint) sendFramesSequential(frames [][]byte) {
 // datagram into one reused buffer.
 func (e *Endpoint) readLoopSequential() {
 	buf := make([]byte, maxDatagram)
+	e.rxRingSlots.Store(1)
 	for {
 		n, _, err := e.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -474,6 +479,8 @@ func (e *Endpoint) registerMetrics(reg *obs.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
+	reg.GaugeFunc("eternalgw_udpnet_rx_ring_slots", "Receive buffers the read loop holds, each one datagram long; it grows to the bursts received.", lbl,
+		func() float64 { return float64(e.rxRingSlots.Load()) })
 }
 
 // Close shuts the socket down and stops the send and receive loops.

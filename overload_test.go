@@ -46,8 +46,8 @@ func soakDomain(t *testing.T, nodes int) *domain.Domain {
 
 func TestGatewayOverloadSoak(t *testing.T) {
 	const (
-		window  = 8            // configured in-flight cap
-		clients = 4 * window   // 4x overload
+		window  = 8          // configured in-flight cap
+		clients = 4 * window // 4x overload
 	)
 	calls := 25
 	if testing.Short() {
@@ -126,9 +126,9 @@ func TestGatewayOverloadSoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			tc, err := thinclient.Dial(ref, thinclient.Config{
-				CallTimeout: 10 * time.Second,
-				MaxRounds:   500,
-				ShedBackoff: 500 * time.Microsecond,
+				CallTimeout:  10 * time.Second,
+				MaxRounds:    500,
+				ShedBackoff:  500 * time.Microsecond,
 				ShedFailover: 8,
 			})
 			if err != nil {
