@@ -65,10 +65,10 @@ loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
-# leader-mode round trip at r=3 must stay under 120 KiB and 50
-# allocations at 16 KiB, and under 5 KiB and 26 allocations at 64 B —
+# leader-mode round trip at r=3 must stay under 120 KiB and 26
+# allocations at 16 KiB, and under 5 KiB and 21 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
-# over loopback UDP sockets under 10 KiB and 79 at 64 B, udp_ring_ladder's
+# over loopback UDP sockets under 10 KiB and 76 at 64 B, udp_ring_ladder's
 # fixed cost of a message and a datagram), the stand-up budget (a
 # four-processor domain with a group of three and a gateway must be stood
 # up in under 1.25 MB on memnet in leader mode and under 5 MB over
@@ -78,9 +78,13 @@ loc:
 # 4 x replication.ReplyWindow + 64 MiB: the operation tables are bounded
 # by reply bytes) on their own, without the race detector's overhead, and
 # prints the figures. `race` runs them too; this is the line to look for
-# in a CI log. `make copymap` attributes a failure to a call site.
+# in a CI log. `make copymap` attributes a failure to a call site. The
+# last line holds the GIOP decoders to theirs: a request or reply decoded
+# in any GIOP version allocates nothing but its service-context list
+# (TestDecodeAllocatesNothing).
 budget:
 	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
+	$(GO) test -run 'TestDecodeAllocatesNothing$$' -count 1 -v ./internal/giop
 
 # copymap prints the maps behind the budget (scripts/copymap.sh): which
 # call site allocates how many payload-sized buffers per 16 KiB round trip,

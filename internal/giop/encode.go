@@ -88,38 +88,44 @@ func AppendReply(dst []byte, order cdr.ByteOrder, rep Reply) ([]byte, error) {
 }
 
 // DecodeRequest parses a Request message body. The request's ObjectKey,
-// Principal and Args alias msg.Body and must not be written to (they are
-// cap-clipped, so an append reallocates). Whoever holds the request
-// holds the whole body; a caller that keeps one long after the message
-// was handled copies what it needs.
+// Principal, Args and each service context's Data alias msg.Body and
+// must not be written to (they are cap-clipped, so an append
+// reallocates). Whoever holds the request holds the whole body; a caller
+// that keeps one long after the message was handled copies what it
+// needs. The operation name does not alias the body: it is interned
+// (operationName), so a decode allocates only the service-context list,
+// when there is one — and a copy of a name the intern table does not
+// hold.
 func DecodeRequest(msg Message) (Request, error) {
 	if msg.Header.Type != MsgRequest {
 		return Request{}, fmt.Errorf("giop: decode request: message is %v", msg.Header.Type)
 	}
-	switch msg.Header.Minor {
-	case 1:
-		return decodeRequest11(msg)
-	case 2:
+	if msg.Header.Minor == 2 {
 		return decodeRequest12(msg)
 	}
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	req := readRequest(r)
+	req := readRequest(r, msg.Header.Minor)
 	if err := r.Err(); err != nil {
-		return Request{}, fmt.Errorf("giop: decode request: %w", err)
+		return Request{}, fmt.Errorf("giop: decode 1.%d request: %w", msg.Header.Minor, err)
 	}
 	req.ArgsOrder = msg.Header.Order
 	return req, nil
 }
 
-// readRequest reads a 1.0 request: what writeRequestHead writes, and the
-// arguments behind it.
-func readRequest(r *cdr.Reader) Request {
+// readRequest reads a 1.0 or 1.1 request: what writeRequestHead writes,
+// and the arguments behind it.
+func readRequest(r *cdr.Reader, minor byte) Request {
 	var req Request
 	req.ServiceContexts = readServiceContexts(r)
 	req.RequestID = r.ReadULong()
 	req.ResponseExpected = r.ReadBool()
+	if minor == 1 {
+		r.ReadOctet() // reserved
+		r.ReadOctet()
+		r.ReadOctet()
+	}
 	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
-	req.Operation = r.ReadString()
+	req.Operation = operationName(r.ReadStringBytes())
 	req.Principal = slices.Clip(r.ReadOctetSeq())
 	r.Align(8)
 	req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
@@ -159,10 +165,10 @@ func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
 	return EncodeReplyV(order, 0, rep)
 }
 
-// DecodeReply parses a Reply message body. The reply's Result aliases
-// msg.Body under the rule DecodeRequest states for Args: read-only,
-// cap-clipped, and whoever holds the reply holds the whole body. The
-// service contexts are copied.
+// DecodeReply parses a Reply message body. The reply's Result and each
+// service context's Data alias msg.Body under the rule DecodeRequest
+// states for Args: read-only, cap-clipped, and whoever holds the reply
+// holds the whole body.
 func DecodeReply(msg Message) (Reply, error) {
 	if msg.Header.Type != MsgReply {
 		return Reply{}, fmt.Errorf("giop: decode reply: message is %v", msg.Header.Type)
@@ -225,7 +231,9 @@ func EncodeLocateRequest(order cdr.ByteOrder, lr LocateRequest) Message {
 // DecodeLocateRequest parses a LocateRequest message body.
 func DecodeLocateRequest(msg Message) (LocateRequest, error) {
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	lr := LocateRequest{RequestID: r.ReadULong(), ObjectKey: cloneBytes(r.ReadOctetSeq())}
+	lr := LocateRequest{RequestID: r.ReadULong()}
+	// Unlike a Request's, a LocateRequest's key does not alias the body.
+	lr.ObjectKey = append([]byte(nil), r.ReadOctetSeq()...)
 	if err := r.Err(); err != nil {
 		return LocateRequest{}, fmt.Errorf("giop: decode locate request: %w", err)
 	}
@@ -308,19 +316,7 @@ func readServiceContexts(r *cdr.Reader) []ServiceContext {
 	list := make([]ServiceContext, 0, capHint)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		id := r.ReadULong()
-		data := cloneBytes(r.ReadOctetSeq())
-		list = append(list, ServiceContext{ID: id, Data: data})
+		list = append(list, ServiceContext{ID: id, Data: slices.Clip(r.ReadOctetSeq())})
 	}
 	return list
-}
-
-// cloneBytes copies b: the small fields of a decoded message (service
-// contexts, a locate request's key) do not alias network buffers.
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

@@ -3,6 +3,7 @@ package giop
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"eternalgw/internal/cdr"
@@ -39,9 +40,11 @@ func FuzzUnmarshal(f *testing.F) {
 // valid frame header with an arbitrary body, across every protocol
 // minor and both byte orders, so the fuzzer spends its budget inside
 // decodeRequest* instead of bouncing off the framing checks. Any decode
-// that succeeds must survive a re-encode/re-decode round trip with the
-// identity fields intact — the property the gateway's forwarding path
-// (decode, rewrite object key, re-encode) depends on.
+// that succeeds must survive a re-encode/re-decode round trip with every
+// field intact — the property the gateway's forwarding path (decode,
+// rewrite object key, re-encode) depends on — and neither the intern
+// table nor the borrowed contexts may change a value: the operation is
+// the name the wire holds, and each context's data lies in the body.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, minor := range []byte{0, 1, 2} {
 		req, _ := EncodeRequestV(cdr.BigEndian, minor, Request{
@@ -71,6 +74,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if wire := wireOperation(msg); req.Operation != wire {
+			t.Fatalf("Operation %q, the wire holds %q", req.Operation, wire)
+		}
+		checkContextsInside(t, req.ServiceContexts, body)
 		re, err := EncodeRequestV(order, msg.Header.Minor, req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
@@ -79,9 +86,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
-		if back.RequestID != req.RequestID || back.Operation != req.Operation ||
-			string(back.ObjectKey) != string(req.ObjectKey) {
-			t.Fatalf("round trip changed identity: %+v != %+v", back, req)
+		if back.RequestID != req.RequestID || back.ResponseExpected != req.ResponseExpected ||
+			back.Operation != req.Operation || back.ArgsOrder != req.ArgsOrder ||
+			!bytes.Equal(back.ObjectKey, req.ObjectKey) || !bytes.Equal(back.Principal, req.Principal) ||
+			!bytes.Equal(back.Args, req.Args) || !sameContexts(back.ServiceContexts, req.ServiceContexts) {
+			t.Fatalf("round trip changed a field: %+v != %+v", back, req)
 		}
 		// What a replicated object invokes another with is framed as GIOP
 		// 1.0: built in place it must be the bytes the two-step form gives.
@@ -96,6 +105,57 @@ func FuzzDecodeRequest(f *testing.F) {
 			head, err := AppendRequestHead(dst, order, msg.Header.Minor, req)
 			return append(head, req.Args...), err
 		})
+	})
+}
+
+// wireOperation reads the operation name msg holds as a string of its
+// own, by the request layout alone: the fields ahead of it are skipped,
+// not decoded.
+func wireOperation(msg Message) string {
+	r := cdr.NewReader(msg.Body, msg.Header.Order)
+	if msg.Header.Minor == 2 {
+		r.ReadULong()   // request id
+		r.ReadOctets(4) // response flags, reserved
+		r.ReadUShort()  // target disposition
+	} else {
+		for n := r.ReadULong(); n > 0 && r.Err() == nil; n-- {
+			r.ReadULong()
+			r.ReadOctetSeq()
+		}
+		r.ReadULong() // request id
+		r.ReadOctet() // response expected
+		if msg.Header.Minor == 1 {
+			r.ReadOctets(3) // reserved
+		}
+	}
+	r.ReadOctetSeq() // object key
+	return r.ReadString()
+}
+
+// checkContextsInside fails unless each context's data is a cap-clipped
+// view into body.
+func checkContextsInside(t *testing.T, list []ServiceContext, body []byte) {
+	t.Helper()
+	for i, sc := range list {
+		if len(sc.Data) == 0 {
+			continue
+		}
+		inside := false
+		for at := range body {
+			if &body[at] == &sc.Data[0] {
+				inside = at+len(sc.Data) <= len(body)
+				break
+			}
+		}
+		if !inside || cap(sc.Data) != len(sc.Data) {
+			t.Fatalf("context %d's %d data bytes (cap %d) are not a view into the body", i, len(sc.Data), cap(sc.Data))
+		}
+	}
+}
+
+func sameContexts(a, b []ServiceContext) bool {
+	return slices.EqualFunc(a, b, func(x, y ServiceContext) bool {
+		return x.ID == y.ID && bytes.Equal(x.Data, y.Data)
 	})
 }
 
@@ -115,7 +175,8 @@ func checkAppend(t *testing.T, want []byte, appendTo func(dst []byte) ([]byte, e
 	}
 }
 
-// FuzzDecodeReply is FuzzDecodeRequest for the reply decoders.
+// FuzzDecodeReply is FuzzDecodeRequest for the reply decoders: a reply
+// that decodes re-encodes to the same fields, its contexts borrowed.
 func FuzzDecodeReply(f *testing.F) {
 	for _, minor := range []byte{0, 1, 2} {
 		rep, _ := EncodeReplyV(cdr.BigEndian, minor, Reply{
@@ -137,6 +198,7 @@ func FuzzDecodeReply(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkContextsInside(t, rep.ServiceContexts, body)
 		re, err := EncodeReplyV(order, msg.Header.Minor, rep)
 		if err != nil {
 			t.Fatalf("decoded reply does not re-encode: %v", err)
@@ -145,8 +207,9 @@ func FuzzDecodeReply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded reply does not decode: %v", err)
 		}
-		if back.RequestID != rep.RequestID || back.Status != rep.Status {
-			t.Fatalf("round trip changed identity: %+v != %+v", back, rep)
+		if back.RequestID != rep.RequestID || back.Status != rep.Status || back.ResultOrder != rep.ResultOrder ||
+			!bytes.Equal(back.Result, rep.Result) || !sameContexts(back.ServiceContexts, rep.ServiceContexts) {
+			t.Fatalf("round trip changed a field: %+v != %+v", back, rep)
 		}
 		two, err := EncodeReply(order, rep)
 		if err != nil {

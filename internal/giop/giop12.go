@@ -54,27 +54,6 @@ func EncodeRequestV(order cdr.ByteOrder, minor byte, req Request) (Message, erro
 	}, nil
 }
 
-func decodeRequest11(msg Message) (Request, error) {
-	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	var req Request
-	req.ServiceContexts = readServiceContexts(r)
-	req.RequestID = r.ReadULong()
-	req.ResponseExpected = r.ReadBool()
-	r.ReadOctet() // reserved
-	r.ReadOctet()
-	r.ReadOctet()
-	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
-	req.Operation = r.ReadString()
-	req.Principal = slices.Clip(r.ReadOctetSeq())
-	r.Align(8)
-	if err := r.Err(); err != nil {
-		return Request{}, fmt.Errorf("giop: decode 1.1 request: %w", err)
-	}
-	req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
-	req.ArgsOrder = msg.Header.Order
-	return req, nil
-}
-
 // writeRequestHead12 writes a GIOP 1.2 Request body up to its arguments,
 // which if there are any start at an 8-octet boundary.
 func writeRequestHead12(w *cdr.Writer, req Request) {
@@ -110,7 +89,7 @@ func decodeRequest12(msg Message) (Request, error) {
 		return Request{}, fmt.Errorf("%w: %d", ErrUnsupportedTarget, disposition)
 	}
 	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
-	req.Operation = r.ReadString()
+	req.Operation = operationName(r.ReadStringBytes())
 	req.ServiceContexts = readServiceContexts(r)
 	if err := r.Err(); err != nil {
 		return Request{}, fmt.Errorf("giop: decode 1.2 request: %w", err)

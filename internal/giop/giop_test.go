@@ -306,6 +306,7 @@ func TestAppendMatchesMarshal(t *testing.T) {
 // TestDecodeRequestBorrowsBody pins the decode side of the datapath's
 // copy diet: in every protocol minor the decoded key, principal and
 // arguments are cap-clipped windows onto the message body, not copies.
+// TestDecodeAllocatesNothing counts what a decode allocates.
 func TestDecodeRequestBorrowsBody(t *testing.T) {
 	for _, minor := range []byte{0, 1, 2} {
 		args := bytes.Repeat([]byte{0x11}, 4<<10)
@@ -332,12 +333,6 @@ func TestDecodeRequestBorrowsBody(t *testing.T) {
 		if req.Args[0] != 0x11^0xff || req.ObjectKey[0] != 'g'^0xff {
 			t.Errorf("1.%d: decoded request does not alias the body: DecodeRequest copied", minor)
 		}
-		for i := range msg.Body {
-			msg.Body[i] ^= 0xff
-		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = DecodeRequest(msg) }); n > 1 {
-			t.Errorf("1.%d: DecodeRequest made %v allocations; only the operation name is due", minor, n)
-		}
 	}
 }
 
@@ -361,9 +356,6 @@ func TestDecodeReplyBorrowsBody(t *testing.T) {
 		msg.Body[len(msg.Body)-1] ^= 0xff
 		if rep.Result[len(rep.Result)-1] != 0x22^0xff {
 			t.Errorf("1.%d: decoded reply does not alias the body: DecodeReply copied", minor)
-		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = DecodeReply(msg) }); n != 0 {
-			t.Errorf("1.%d: DecodeReply made %v allocations", minor, n)
 		}
 	}
 }
