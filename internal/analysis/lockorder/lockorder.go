@@ -41,6 +41,14 @@
 // function's contract (replication's waitCondition evaluates its
 // condition under mu by design) — and so are locals only ever assigned
 // function literals, whose bodies are visible.
+//
+// A totem node's protocol goroutine is one more class (nodeClass). The
+// consumer it runs (totem.Node.Run's argument) holds it against every
+// lock the consumer takes, and a call that waits on the goroutine —
+// Multicast and MulticastFramed, which block on a full submission queue
+// only that goroutine drains, and Stop — acquires it. A lock held across
+// such a call, where the consumer takes the same lock, is then a cycle,
+// and the consumer waiting on its own node is a re-acquisition.
 package lockorder
 
 import (
@@ -59,6 +67,20 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc:  "reports mutex acquisition cycles, recursive locking, cross-shard acquisitions, and stored callbacks invoked under a held lock",
 	Run:  run,
+}
+
+// nodeClass is the pseudo lock class of a totem node's protocol
+// goroutine, runKey registers the consumer that runs holding it, and
+// nodeWaits are the calls that acquire it.
+const (
+	nodeClass = "eternalgw/internal/totem.Node.run (the protocol goroutine)"
+	runKey    = "eternalgw/internal/totem.Node.Run"
+)
+
+var nodeWaits = map[string]bool{
+	"eternalgw/internal/totem.Node.Multicast":       true,
+	"eternalgw/internal/totem.Node.MulticastFramed": true,
+	"eternalgw/internal/totem.Node.Stop":            true,
 }
 
 // lockMethods classifies the sync primitives.
@@ -272,6 +294,13 @@ func Collect(pkg *types.Package, files []*ast.File, info *types.Info) *Summary {
 		direct[fn] = c.directFacts(fd)
 	}
 	c.trans = closeOver(direct, g)
+	for _, fn := range g.RegisteredArgs(runKey) {
+		t := c.trans[fn]
+		for _, class := range sortedKeys(t.acquires) {
+			a := t.acquires[class]
+			c.addEdge(Edge{From: nodeClass, To: class, ToRLock: a.RLock, Pos: a.Pos, HeldAt: g.Decl(fn).Pos()})
+		}
+	}
 
 	for _, fn := range g.Funcs() {
 		fd := g.Decl(fn)
@@ -455,6 +484,9 @@ func (c *collector) directFacts(fd *ast.FuncDecl) *funcFacts {
 				return true
 			}
 			callee := analysis.Callee(c.info, n)
+			if nodeWaits[analysis.FuncKey(callee)] {
+				ff.acquires[nodeClass] = Acq{Class: nodeClass, Pos: n.Pos()}
+			}
 			if callee == nil {
 				if ff.dyn == nil && c.isDynamicCall(n) {
 					ff.dyn = &DynInfo{Pos: n.Pos()}
@@ -768,6 +800,16 @@ func (c *collector) simCall(call *ast.CallExpr, h []held) []held {
 	if len(h) == 0 {
 		return h
 	}
+	if nodeWaits[analysis.FuncKey(callee)] {
+		for _, hl := range h {
+			c.addEdge(Edge{
+				From: hl.class, To: nodeClass,
+				FromRLock: hl.rlock,
+				Pos:       call.Pos(), HeldAt: hl.pos,
+			})
+		}
+		return h
+	}
 	if fd := c.g.Decl(callee); fd != nil {
 		// Same-package callee: edge to everything it transitively takes.
 		if t := c.trans[callee]; t != nil {
@@ -847,11 +889,16 @@ func hazards(edges []Edge, sharded map[string]bool, fset *token.FileSet, globalO
 		if e.FromRLock && e.ToRLock {
 			continue // concurrent readers are fine
 		}
-		if sharded[e.From] {
+		switch {
+		case e.From == nodeClass:
+			out = append(out, hazard{e.Pos, fmt.Sprintf(
+				"the consumer a totem node runs (%s) waits on the node's protocol goroutine, which is the goroutine it runs on",
+				at(e.HeldAt))})
+		case sharded[e.From]:
 			out = append(out, hazard{e.Pos, fmt.Sprintf(
 				"acquisition of sharded lock class %s while another lock of the same class is held (since %s); cross-shard order is undefined — release the first shard or impose an index order",
 				e.From, at(e.HeldAt))})
-		} else {
+		default:
 			out = append(out, hazard{e.Pos, fmt.Sprintf(
 				"%s acquired while already held (since %s); sync mutexes are not reentrant",
 				e.From, at(e.HeldAt))})

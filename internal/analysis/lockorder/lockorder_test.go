@@ -13,6 +13,13 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "locks")
 }
 
+// TestLockOrderNodeWait: a lock the consumer of a totem node takes, held
+// across a wait on that node, is a cycle through the protocol goroutine,
+// and a consumer that waits on its own node is reported where it waits.
+func TestLockOrderNodeWait(t *testing.T) {
+	analysistest.Run(t, lockorder.Analyzer, "nodewait")
+}
+
 // TestLockOrderPerPackageSilentOnCrossPackage asserts the per-package
 // pass does not guess about cross-package callees: globallock holds a
 // lock across a call into obs, and only the global check may judge it.

@@ -1,9 +1,10 @@
 // Package looplock rejects blocking operations reachable from the
 // replication event loop's datapath dispatch.
 //
-// The event loop (replication/loop.go run → handleDelivery) is the
-// gateway's only consumer of totem deliveries: one blocked callback
-// stalls every ring. The datapath header kinds (invocations, responses,
+// The event loop is the totem node's protocol goroutine, which steps the
+// replication mechanisms in place (totem.Node.Run → replication/loop.go
+// step → handleDelivery): one blocked callback stalls the ring itself,
+// token and all. The datapath header kinds (invocations, responses,
 // voting responses, observer notifications, gateway control) are
 // dispatched under a read lock and must stay wait-free; only the rare
 // membership/state-transfer kinds may take the directory write lock,

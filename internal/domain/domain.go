@@ -183,7 +183,7 @@ func New(cfg Config) (*Domain, error) {
 		tcfg.Endpoint = ep
 		tcfg.Members = members
 		tcfg.Metrics = cfg.Metrics
-		tn, err := totem.Start(tcfg)
+		tn, err := totem.NewNode(tcfg)
 		if err != nil {
 			d.Close()
 			return nil, err

@@ -390,16 +390,7 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := startTotem(t, id, ep, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rm, err := New(Config{Node: node})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rms[id], nodes[id] = rm, node
-		t.Cleanup(rm.Stop)
+		nodes[id], rms[id] = startNode(t, id, ep, ids)
 	}
 	apps := map[memnet.NodeID]*regApp{"q0": {}, "q1": {}}
 	if err := rms["q0"].CreateGroup(grpServer, Active, []byte(testKeyStr)); err != nil {

@@ -37,33 +37,8 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := totem.Start(totem.Config{
-			ID:              id,
-			Endpoint:        ep,
-			Members:         d.ids,
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.nodes[id] = node
-		rm, err := New(Config{Node: node})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.rms[id] = rm
+		d.nodes[id], d.rms[id] = startNode(t, id, ep, d.ids)
 	}
-	t.Cleanup(func() {
-		for _, rm := range d.rms {
-			rm.Stop()
-		}
-		for _, node := range d.nodes {
-			node.Stop()
-		}
-	})
 	return d
 }
 
@@ -160,10 +135,11 @@ func octets(b []byte) []byte {
 	return w.Bytes()
 }
 
-// startTotem boots a totem node with test timeouts.
-func startTotem(t *testing.T, id memnet.NodeID, ep totem.Transport, members []memnet.NodeID) (*totem.Node, error) {
+// startNode boots a totem node with test timeouts and mechanisms over it;
+// the test's cleanup stops both.
+func startNode(t *testing.T, id memnet.NodeID, ep totem.Transport, members []memnet.NodeID) (*totem.Node, *Mechanisms) {
 	t.Helper()
-	node, err := totem.Start(totem.Config{
+	node, err := totem.NewNode(totem.Config{
 		ID:              id,
 		Endpoint:        ep,
 		Members:         members,
@@ -172,8 +148,14 @@ func startTotem(t *testing.T, id memnet.NodeID, ep totem.Transport, members []me
 		FailTimeout:     80 * time.Millisecond,
 		GatherTimeout:   20 * time.Millisecond,
 	})
-	if err == nil {
-		t.Cleanup(node.Stop)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return node, err
+	t.Cleanup(node.Stop)
+	m, err := New(Config{Node: node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Stop)
+	return node, m
 }

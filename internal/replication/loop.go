@@ -34,36 +34,30 @@ const minorBeyondWindow uint32 = 1
 // effects stand: COMPLETED_YES.
 const minorReplyTooLarge uint32 = 2
 
-// run consumes the totem event stream. It is the only goroutine that
+// step is the totem node's consumer (totem.Node.Run), called on the node's
+// protocol goroutine — the event loop — with each ordered event. It alone
 // mutates the group directory; replica executors receive work through
-// their task queues in delivery order, which preserves the total order
-// per group.
-func (m *Mechanisms) run() {
-	defer close(m.done)
-	defer m.shutdownReplicas()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case ev := <-m.node.Events():
-			switch ev.Type {
-			case totem.EventDeliver:
-				m.handleDelivery(ev.Delivery)
-			case totem.EventConfig:
-				m.handleConfig(ev.Config)
-			}
-		}
+// their task queues in delivery order. After Stop it is mute: the node
+// runs on until its owner stops it.
+func (m *Mechanisms) step(ev totem.Event) {
+	if m.stopped() {
+		return
+	}
+	switch ev.Type {
+	case totem.EventDeliver:
+		m.handleDelivery(ev.Delivery)
+	case totem.EventConfig:
+		m.handleConfig(ev.Config)
 	}
 }
 
-func (m *Mechanisms) shutdownReplicas() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, g := range m.groups {
-		if g.local != nil {
-			g.local.close()
-			g.local = nil
-		}
+// stopped reports whether Stop has begun.
+func (m *Mechanisms) stopped() bool {
+	select {
+	case <-m.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -154,8 +148,13 @@ func (m *Mechanisms) applyControl(msg Message, from memnet.NodeID, ts uint64) {
 }
 
 // send multicasts from the event loop. Multicast can block on the send
-// queue, so it leaves the loop; Stop waits on wg for the hand-off.
+// queue, which only the event loop drains, so it leaves the loop; Stop
+// waits on wg for the hand-off. Callers hold mu, which Stop takes between
+// beginning and waiting, so a send Stop does not wait for sends nothing.
 func (m *Mechanisms) send(msg Message) {
+	if m.stopped() {
+		return
+	}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -607,6 +606,9 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	}
 	// First-response delivery: this copy resolves every waiter. The
 	// payload travels raw; each waiter decodes it off the event loop.
+	if first != nil {
+		m.responsesDelivered.Add(1) // before a waiter can return and read it
+	}
 	for c := first; c != nil; {
 		next := c.next
 		c.next = nil
@@ -616,9 +618,6 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	delete(sh.calls, key)
 	sh.remember(key, hv.Payload, d.Sole, record)
 	sh.mu.Unlock()
-	if first != nil {
-		m.responsesDelivered.Add(1)
-	}
 }
 
 // deliverVotingResponse handles responses awaited by active-with-voting
@@ -671,6 +670,9 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 				continue
 			}
 		}
+		if !delivered {
+			m.responsesDelivered.Add(1) // before the waiter can return and read it
+		}
 		c.ch <- res
 		delivered = true
 		sh.drop(key, c, prev)
@@ -679,9 +681,6 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 		sh.remember(key, hv.Payload, d.Sole, record && agreed)
 	}
 	sh.mu.Unlock()
-	if delivered {
-		m.responsesDelivered.Add(1)
-	}
 }
 
 // deliverStateTransfer hands a recovery image to the joiner it is for, if

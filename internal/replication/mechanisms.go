@@ -111,7 +111,6 @@ type Mechanisms struct {
 	responseHop string
 
 	stop chan struct{}
-	done chan struct{}
 
 	// mu guards the group directory. Only the event loop takes the write
 	// lock (directory mutations are delivered in total order); the
@@ -180,8 +179,8 @@ type Mechanisms struct {
 	clientsDeparted         atomic.Uint64
 }
 
-// New creates the replication mechanisms over a running totem node and
-// starts consuming its event stream.
+// New creates the replication mechanisms over a totem node that has not
+// been run (totem.NewNode) and runs it, with step as its consumer.
 func New(cfg Config) (*Mechanisms, error) {
 	if cfg.Node == nil {
 		return nil, errors.New("replication: config needs a totem node")
@@ -194,7 +193,6 @@ func New(cfg Config) (*Mechanisms, error) {
 		tracer:      cfg.Tracer,
 		responseHop: string(cfg.Node.ID()) + "/response",
 		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 		groups:      make(map[GroupID]*groupState),
 		byKey:       make(map[string]GroupID),
 		prearmed:    make(map[GroupID]Application),
@@ -204,7 +202,7 @@ func New(cfg Config) (*Mechanisms, error) {
 	}
 	m.primary.Store(true) // an invoke before the first ring queues for it
 	m.registerMetrics(cfg.Metrics)
-	go m.run()
+	cfg.Node.Run(m.step)
 	return m, nil
 }
 
@@ -326,12 +324,24 @@ func (m *Mechanisms) dedupTotal() (total DedupUsage) {
 // NodeID returns the identity of the node these mechanisms run on.
 func (m *Mechanisms) NodeID() memnet.NodeID { return m.id }
 
-// Stop shuts down the event loop and all replica executors, then waits
-// for any in-flight handoff goroutines (totem.Multicast unblocks them
-// once the node stops, so the wait terminates on every shutdown path).
+// Stop mutes the node's consumer (step), shuts down every replica
+// executor and withdraws what Arm registered, so that a step under way
+// installs no replica after it; then it waits for any in-flight handoff
+// goroutines (totem.Multicast unblocks them once the node drains its send
+// queue or stops). Whoever owns the node stops it.
 func (m *Mechanisms) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
+	m.stopOnce.Do(func() {
+		close(m.stop)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, g := range m.groups {
+			if g.local != nil {
+				g.local.close()
+				g.local = nil
+			}
+		}
+		clear(m.prearmed)
+	})
 	m.wg.Wait()
 }
 
@@ -765,7 +775,8 @@ func (m *Mechanisms) RecordedReplies() (replies, replyBytes, answered int) {
 
 // Observer receives the invocations addressed to an observed group, in
 // total order, together with their delivery timestamps. Observers run on
-// the event loop and must not block.
+// the event loop — the totem node's protocol goroutine — and must not
+// block: the ring waits while they run.
 type Observer func(msg Message, ts uint64)
 
 // SetObserver registers fn to observe every invocation delivered to the

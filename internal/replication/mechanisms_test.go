@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -477,5 +480,57 @@ func waitStat(t *testing.T, get func() uint64, want uint64) {
 			t.Fatalf("stat = %d, want %d", get(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSlowConsumerRaisesBackpressure: the node's protocol goroutine steps
+// the mechanisms, so while a delivery stalls the send queue does not
+// drain, and Backpressure — what admission's breakers read — saturates.
+// An observer that spins stands in for a slow consumer; the sender
+// offers one multicast more than the send queue holds.
+func TestSlowConsumerRaisesBackpressure(t *testing.T) {
+	d := newDomain(t, 1)
+	m, node := d.rms[d.ids[0]], d.nodes[d.ids[0]]
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustJoin(d.ids[0], grpServer, &regApp{})
+	var stall, stalled atomic.Bool
+	stall.Store(true)
+	release := sync.OnceFunc(func() { stall.Store(false) })
+	t.Cleanup(release)
+	m.SetObserver(grpServer, func(Message, uint64) {
+		stalled.Store(true)
+		for stall.Load() {
+			runtime.Gosched()
+		}
+	})
+	if err := m.MulticastRequest(grpServer, UnusedClientID, grpServer, OperationID{ChildSeq: 1}, giop.Request{
+		RequestID: 1, ObjectKey: []byte(testKeyStr), Operation: "read",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, stalled.Load)
+
+	_, capacity := node.Backlog()
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i <= capacity; i++ {
+			if err := m.MulticastMessage(Message{Header: Header{Kind: KindGatewayControl, ClientID: UnusedClientID}}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for m.Backpressure() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	got := m.Backpressure()
+	release()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if got < 1 {
+		t.Fatalf("backpressure %.2f while the consumer stalls, want 1", got)
 	}
 }

@@ -193,13 +193,7 @@ func TestFreshProcessorAdoptsDirectory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d.nodes[id], err = startTotem(t, id, ep, d.ids); err != nil {
-					t.Fatal(err)
-				}
-				if d.rms[id], err = New(Config{Node: d.nodes[id]}); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(d.rms[id].Stop)
+				d.nodes[id], d.rms[id] = startNode(t, id, ep, d.ids)
 			}
 			var running []memnet.NodeID
 			for _, i := range c.running {
@@ -345,7 +339,7 @@ func idleMechanisms(t *testing.T, ids []memnet.NodeID) (*Mechanisms, *totem.Node
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := totem.Start(totem.Config{ID: ids[0], Endpoint: ep, Members: ids, FailTimeout: time.Hour, GatherTimeout: time.Hour})
+	node, err := totem.NewNode(totem.Config{ID: ids[0], Endpoint: ep, Members: ids, FailTimeout: time.Hour, GatherTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,13 +161,7 @@ func TestLateDeliveryInANonPrimaryRingRuns(t *testing.T) {
 			late = newDeafTransport(t, ep)
 			tr = late
 		}
-		if d.nodes[id], err = startTotem(t, id, tr, ids); err != nil {
-			t.Fatal(err)
-		}
-		if d.rms[id], err = New(Config{Node: d.nodes[id]}); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(d.rms[id].Stop)
+		d.nodes[id], d.rms[id] = startNode(t, id, tr, ids)
 	}
 	apps := []*regApp{{}, {}}
 	d.mustCreate(grpServer, Active, testKeyStr)

@@ -146,8 +146,8 @@ type Application interface {
 
 // Config parameterizes the replication mechanisms on one node.
 type Config struct {
-	// Node is the Totem node whose event stream these mechanisms consume;
-	// its identity is theirs.
+	// Node is the Totem node, not yet run (totem.NewNode), whose ordered
+	// events these mechanisms consume: New runs it. Its identity is theirs.
 	Node *totem.Node
 	// Metrics, when set, receives the mechanisms' counters and the
 	// dedup-cache occupancy gauge, labelled with this node's id.

@@ -3,7 +3,6 @@ package totem
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"eternalgw/internal/memnet"
@@ -13,9 +12,8 @@ import (
 // EventType distinguishes the events a node emits.
 type EventType uint8
 
-// Event types. Deliveries and configuration changes arrive on one channel
-// so the application observes membership changes ordered with respect to
-// message deliveries (virtual synchrony).
+// Event types. Deliveries and configuration changes reach the consumer on
+// one stream (Run).
 const (
 	EventDeliver EventType = iota + 1
 	EventConfig
@@ -35,80 +33,33 @@ var ErrStopped = errors.New("totem: node stopped")
 // node's transport can carry (Ceiling).
 var ErrTooLarge = errors.New("totem: message exceeds the transport's largest datagram")
 
-// eventBufSize bounds the ordered event stream: once this many events are
-// undelivered — in the hand-off channel and in the queue behind it — the
-// protocol goroutine waits for the consumer. It is a bound, not an
-// allocation: the queue grows only as far as the consumer falls behind.
+// eventBufSize is how many ordered events Start's stream holds undelivered
+// before the protocol goroutine waits for its reader.
 const eventBufSize = 4096
 
-// eventHandoff is the capacity of the events channel itself: one token
-// visit's worth of messages (maxBurst), so a consumer that keeps pace with
-// the ring takes every event straight off the channel, and the queue
-// behind it is allocated only once the consumer falls further behind.
-// 64 Events are 7.5 KiB.
-const eventHandoff = 64
-
-// eventQueue holds the ordered events the consumer has not taken and the
-// hand-off channel has no slot for, oldest first: a ring that doubles when
-// full and keeps its array, so a consumer that falls behind as far as it
-// has before costs no allocation. Only the run goroutine touches it; depth
-// mirrors n for the metrics scrape.
-//
-// gwlint:arena-carrier — the queued events are deliveries on their way to
-// the consumer, who takes them through the channel exactly as if the
-// channel had held them all.
-type eventQueue struct {
-	ring    []Event // a power of two long, or empty
-	head, n int
-	depth   atomic.Int64
-}
-
-func (q *eventQueue) push(ev Event) {
-	if q.n == len(q.ring) {
-		grown := make([]Event, max(eventHandoff, 2*len(q.ring)))
-		k := copy(grown, q.ring[q.head:])
-		copy(grown[k:], q.ring[:q.head])
-		q.ring, q.head = grown, 0
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = ev
-	q.n++
-	q.depth.Store(int64(q.n))
-}
-
-func (q *eventQueue) front() Event { return q.ring[q.head] }
-
-// pop drops the front event, and the queue's reference to its datagram.
-func (q *eventQueue) pop() {
-	q.ring[q.head] = Event{}
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
-	q.depth.Store(int64(q.n))
-}
-
-// Node is one member of a Totem ring. Create with Start, stop with Stop.
-// It is the driver of a protocol core (core.go): one goroutine owns the
-// core and feeds it the transport's datagrams, the application's
-// submissions and the time; the public methods communicate with that
-// goroutine through channels and read the mirrors the core publishes.
+// Node is one member of a Totem ring. Create with NewNode, run with Run,
+// stop with Stop. It is the driver of a protocol core (core.go): one
+// goroutine owns the core and feeds it the transport's datagrams, the
+// application's submissions and the time, and hands the consumer each
+// ordered event; the public methods communicate with that goroutine
+// through channels and read the mirrors the core publishes.
 type Node struct {
 	core *Core
 	ep   Transport
 	// ceiling is the longest buffer MulticastFramed takes, zero for any.
 	ceiling int
 
-	events chan Event
-	// waiting is the rest of the event stream, behind events.
-	waiting eventQueue
-	sendq   chan []byte
-	stop    chan struct{}
-	done    chan struct{}
+	events chan Event // Start's stream; nil for a node run otherwise
+	sendq  chan []byte
+	stop   chan struct{}
+	done   chan struct{} // closed when run returns; nil until Run
 }
 
-// Start creates a node and launches its protocol goroutine. The founding
-// members immediately run a membership exchange to install the first
-// ring, so callers should wait for the initial EventConfig before
-// multicasting if they need the full ring assembled.
-func Start(cfg Config) (*Node, error) {
+// NewNode creates a node; Run launches it. The founding members run a
+// membership exchange to install the first ring at once, so callers
+// should wait for the initial EventConfig before multicasting if they
+// need the full ring assembled.
+func NewNode(cfg Config) (*Node, error) {
 	cfg.applyDefaults()
 	if cfg.Endpoint == nil {
 		return nil, errors.New("totem: config needs an endpoint")
@@ -120,18 +71,51 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("totem: id %q does not match endpoint %q", cfg.ID, cfg.Endpoint.ID())
 	}
 	n := &Node{
-		ep:     cfg.Endpoint,
-		events: make(chan Event, eventHandoff),
-		sendq:  make(chan []byte, 1024),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		ep:    cfg.Endpoint,
+		sendq: make(chan []byte, 1024),
+		stop:  make(chan struct{}),
 	}
-	n.core = NewCore(cfg, time.Now(), n.broadcast, n.deliver)
+	n.core = NewCore(cfg, time.Now(), n.broadcast, nil) // Run sets its consumer
 	if max := cfg.Endpoint.MaxDatagram(); max > 0 {
 		n.ceiling = max - n.core.longestHeader() + n.core.room
 	}
 	n.registerMetrics(cfg.Metrics)
+	return n, nil
+}
+
+// Run launches the protocol goroutine, which calls consume with each
+// ordered event, in order: deliveries and ring installations on one
+// stream, so the consumer observes membership changes ordered with
+// respect to message deliveries (virtual synchrony). The ring waits while
+// consume runs: it must return promptly, and neither it nor anything
+// holding a lock it takes may wait on the node — MulticastFramed once the
+// submission queue is full, Stop — or the two wait on each other. A
+// delivery's payload is borrowed: consume reads it, or hands it to
+// whoever does, and copies what it keeps. Run is called once, before
+// Stop.
+func (n *Node) Run(consume func(Event)) {
+	n.core.emit = consume
+	n.done = make(chan struct{})
 	go n.run()
+}
+
+// Start creates a node and runs it with a consumer that hands every event
+// to Events, which must be drained: at eventBufSize undelivered events the
+// protocol goroutine waits for the reader, which stalls the ring (and
+// will eventually look like a failure to peers), or for Stop.
+func Start(cfg Config) (*Node, error) {
+	n, err := NewNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.events = make(chan Event, eventBufSize)
+	n.Run(func(ev Event) {
+		select {
+		//lint:allow arenaalias the stream is the borrow's sanctioned handoff point: its reader finishes or copies each event before taking the next
+		case n.events <- ev:
+		case <-n.stop:
+		}
+	})
 	return n, nil
 }
 
@@ -166,8 +150,6 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
-	reg.GaugeFunc("eternalgw_totem_event_backlog", "Ordered events queued behind the full hand-off channel, waiting for the consumer.", lbl,
-		func() float64 { return float64(n.waiting.depth.Load()) })
 	reg.GaugeFunc("eternalgw_totem_fastpath_stability_lag", "Sequence numbers the sequencer has assigned beyond its stability horizon.", lbl,
 		func() float64 { return float64(n.stabilityLagN()) })
 }
@@ -175,12 +157,7 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 // ID returns the node's identity.
 func (n *Node) ID() memnet.NodeID { return n.core.cfg.ID }
 
-// Events returns the ordered event stream. The channel holds a few dozen
-// events (eventHandoff); what the consumer has not taken beyond that waits
-// in order on the protocol goroutine, which offers it as the channel frees.
-// The consumer must keep draining it: at eventBufSize undelivered events
-// the protocol goroutine blocks, which stalls the ring (and will
-// eventually look like a failure to peers).
+// Events returns the ordered event stream of a node made by Start.
 func (n *Node) Events() <-chan Event { return n.events }
 
 // Multicast submits a payload for totally-ordered delivery to every ring
@@ -297,21 +274,22 @@ func (n *Node) Fastpath() (leader memnet.NodeID, startSeq uint64, ok bool) {
 	return n.core.curLeader, n.core.curLeaderSeq, true
 }
 
-// Stop terminates the protocol goroutine and waits for it to exit.
-// Stop is idempotent.
+// Stop terminates the protocol goroutine, if Run launched it, and waits
+// for it to exit. Stop is idempotent.
 func (n *Node) Stop() {
 	select {
 	case <-n.stop:
 	default:
 		close(n.stop)
 	}
-	<-n.done
+	if n.done != nil {
+		<-n.done
+	}
 }
 
 // run is the driver: it waits for a datagram, a submission, the core's
-// next deadline, the consumer taking the oldest waiting event, or Stop,
-// reads the clock once, steps the core, and hands the consumer what the
-// channel has room for.
+// next deadline or Stop, reads the clock once, and steps the core, which
+// hands the consumer what it orders.
 func (n *Node) run() {
 	defer close(n.done)
 	timer := time.NewTimer(0)
@@ -320,19 +298,9 @@ func (n *Node) run() {
 	for {
 		var pkt memnet.Packet
 		fired := false
-		var out chan Event // the events channel while an event waits for it
-		var head Event
-		if n.waiting.n > 0 {
-			out, head = n.events, n.waiting.front()
-		}
 		select {
 		case <-n.stop:
 			return
-		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
-		case out <- head:
-			n.waiting.pop()
-			n.flush()
-			continue // the core has not moved: its deadline stands
 		case pkt = <-n.ep.Recv():
 		case p := <-n.sendq:
 			batch = append(batch, p)
@@ -364,7 +332,6 @@ func (n *Node) run() {
 			default:
 			}
 		}
-		n.flush()
 		wait := time.Hour
 		if next := n.core.Next(); !next.IsZero() {
 			wait = max(0, next.Sub(now))
@@ -376,47 +343,3 @@ func (n *Node) run() {
 // broadcast is the core's send hook. A crashed node's sends fail; the
 // loop keeps running so the node can rejoin after a simulated restart.
 func (n *Node) broadcast(b []byte) { _ = n.ep.Broadcast(b) }
-
-// deliver is the core's event hook. An event goes straight onto the
-// channel while none waits before it, and otherwise behind them; at
-// eventBufSize undelivered events it waits for the consumer to take one,
-// or for Stop.
-func (n *Node) deliver(ev Event) {
-	if n.waiting.n == 0 {
-		select {
-		// This send is where the arena borrow begins, not where it leaks:
-		// the events channel is the protocol's delivery handoff, and the
-		// consumer contract (Events doc) is to finish or copy each event
-		// before taking the next.
-		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
-		case n.events <- ev:
-			return
-		default:
-		}
-	}
-	for len(n.events)+n.waiting.n >= eventBufSize {
-		//lint:allow looplock delivery backpressure is intentional and the stop channel bounds the wait
-		select {
-		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
-		case n.events <- n.waiting.front():
-			n.waiting.pop()
-		case <-n.stop:
-			return
-		}
-	}
-	n.waiting.push(ev)
-}
-
-// flush moves waiting events onto the channel, oldest first, as far as it
-// has room, without waiting.
-func (n *Node) flush() {
-	for n.waiting.n > 0 {
-		select {
-		//lint:allow arenaalias the delivery channel is the borrow's sanctioned handoff point
-		case n.events <- n.waiting.front():
-			n.waiting.pop()
-		default:
-			return
-		}
-	}
-}

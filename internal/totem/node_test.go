@@ -511,29 +511,11 @@ func multicastNumbered(n *Node, count int) {
 	}()
 }
 
-// A consumer that stalls gets every event later, in order: what the
-// hand-off channel has no room for waits on the protocol goroutine, which
-// goes on ordering meanwhile.
-func TestStalledConsumerReadsEveryEventInOrder(t *testing.T) {
-	c := newCluster(t, 1)
-	c.waitConfig("n00", 1)
-	n := c.nodes["n00"]
-	const total = 8 * eventHandoff
-	multicastNumbered(n, total)
-	if got := settle(t, n, total); got != total {
-		t.Fatalf("delivered %d of %d", got, total)
-	}
-	if depth := n.waiting.depth.Load(); depth != total-eventHandoff {
-		t.Fatalf("%d events wait behind the channel, want %d", depth, total-eventHandoff)
-	}
-	readInOrder(t, n, 0, total)
-	if depth := n.waiting.depth.Load(); depth != 0 {
-		t.Fatalf("%d events still wait after the consumer read them all", depth)
-	}
-}
+// pastBound is how far stallAtBound multicasts beyond the stream's bound.
+const pastBound = 128
 
 // stallAtBound multicasts past the event stream's bound to a one-member
-// ring whose consumer reads nothing. The protocol goroutine delivers until
+// ring whose reader reads nothing. The protocol goroutine delivers until
 // eventBufSize events are undelivered and then blocks handing over the
 // next, which its count already includes.
 func stallAtBound(t *testing.T) *Node {
@@ -541,23 +523,22 @@ func stallAtBound(t *testing.T) *Node {
 	c := newCluster(t, 1)
 	c.waitConfig("n00", 1)
 	n := c.nodes["n00"]
-	multicastNumbered(n, eventBufSize+2*eventHandoff)
+	multicastNumbered(n, eventBufSize+pastBound)
 	if got := settle(t, n, eventBufSize+1); got != eventBufSize+1 {
 		t.Fatalf("delivered %d with nothing read, want the bound %d and the one it blocks on", got, eventBufSize+1)
 	}
 	return n
 }
 
-// The bound is where it was when the channel itself was eventBufSize
-// deep: the protocol goroutine blocks there, and each event the consumer
-// takes lets exactly one more through.
+// The protocol goroutine blocks at the stream's bound, and each event the
+// reader takes lets exactly one more through, in order.
 func TestEventStreamBlocksAtItsBound(t *testing.T) {
 	n := stallAtBound(t)
 	readInOrder(t, n, 0, 1)
 	if got := settle(t, n, eventBufSize+2); got != eventBufSize+2 {
 		t.Fatalf("delivered %d after one read, want %d", got, eventBufSize+2)
 	}
-	readInOrder(t, n, 1, eventBufSize+2*eventHandoff)
+	readInOrder(t, n, 1, eventBufSize+pastBound)
 }
 
 // Stop releases a protocol goroutine blocked at the bound.
