@@ -17,6 +17,7 @@ import (
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/experiments"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/udpnet"
@@ -381,7 +382,7 @@ func TestRunNodeMultiProcess(t *testing.T) {
 	defer func() { _ = fast.Close() }()
 	_, err = fast.Call([]byte(demoKey), "ops", nil, opts)
 	var sysEx *orb.SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoTransient {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoTransient {
 		t.Fatalf("second client with the window full: err = %v, want TRANSIENT", err)
 	}
 	if err := <-slowDone; err != nil {

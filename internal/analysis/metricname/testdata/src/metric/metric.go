@@ -8,7 +8,7 @@ import "eternalgw/internal/obs"
 
 func direct(reg *obs.Registry) {
 	reg.Counter("eternalgw_corpus_good_total", "a well-formed name", nil)
-	reg.Gauge("corpus_unprefixed", "missing the module prefix", nil)           // want `does not start with "eternalgw_"`
+	reg.GaugeFunc("corpus_unprefixed", "missing the module prefix", nil, nil)  // want `does not start with "eternalgw_"`
 	reg.Counter("eternalgw_Corpus_bad_total", "uppercase is not allowed", nil) // want `not lowercase`
 	reg.Counter("eternalgw_corpus_twice_total", "registered here...", nil)
 	reg.Counter("eternalgw_corpus_twice_total", "...and here again", nil) // want `registered more than once in this package`

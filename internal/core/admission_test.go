@@ -10,6 +10,7 @@ import (
 
 	"eternalgw/internal/admission"
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/replication"
 )
@@ -70,7 +71,7 @@ func TestGatewayShedsBeyondWindow(t *testing.T) {
 	if !errors.As(err, &sysEx) {
 		t.Fatalf("err = %v, want a system exception", err)
 	}
-	if sysEx.RepoID != orb.RepoTransient {
+	if sysEx.RepoID != giop.RepoTransient {
 		t.Fatalf("repo id = %s, want TRANSIENT", sysEx.RepoID)
 	}
 	if sysEx.Minor != admission.ShedWindow.Minor() {
@@ -111,7 +112,7 @@ func TestGatewayRateLimitSheds(t *testing.T) {
 	}
 	_, err = conn.Call([]byte(keyRegister), "ops", nil, orb.InvokeOptions{})
 	var sysEx *orb.SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoTransient || sysEx.Minor != admission.ShedRate.Minor() {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoTransient || sysEx.Minor != admission.ShedRate.Minor() {
 		t.Fatalf("err = %v, want TRANSIENT/ShedRate", err)
 	}
 }
@@ -307,7 +308,7 @@ func TestGatewayDrainShedsNewRequests(t *testing.T) {
 	}
 	_, err = conn.Call([]byte(keyRegister), "ops", nil, orb.InvokeOptions{Timeout: 2 * time.Second})
 	var sysEx *orb.SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoTransient || sysEx.Minor != admission.ShedDraining.Minor() {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoTransient || sysEx.Minor != admission.ShedDraining.Minor() {
 		t.Fatalf("err = %v, want TRANSIENT/ShedDraining", err)
 	}
 	if err := <-holdDone; err != nil {

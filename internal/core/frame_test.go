@@ -226,7 +226,7 @@ func TestOnlyForwardedFramesReachTheDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sysEx *orb.SystemException
-	if err := call(10, 'Z'); !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoTransient {
+	if err := call(10, 'Z'); !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoTransient {
 		t.Fatalf("third request: %v, want a shed", err)
 	}
 	if st := gw.Stats(); st.AnsweredFromCache != 1 || st.RequestsShed != 1 || st.RequestsForwarded != 1 {

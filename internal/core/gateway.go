@@ -39,12 +39,6 @@ import (
 	"eternalgw/internal/replication"
 )
 
-// repoIDTransient is the CORBA system exception the gateway raises when
-// admission control sheds a request: the standard "try again later"
-// exception, carrying the shed reason as its minor code
-// (admission.Verdict.Minor; see docs/OPERATIONS.md for the contract).
-const repoIDTransient = "IDL:omg.org/CORBA/TRANSIENT:1.0"
-
 // Minor codes for the system exceptions the gateway itself fabricates
 // (shed replies carry admission.Verdict.Minor instead). Documented in
 // docs/OPERATIONS.md; the completedno analyzer rejects bare literals
@@ -67,9 +61,6 @@ const (
 	// holds no majority (replication.ErrNoQuorum). Above every verdict's.
 	minorNoQuorum uint32 = 6
 )
-
-// Errors reported by the gateway.
-var ErrClosed = errors.New("gateway: closed")
 
 // Config parameterizes a Gateway.
 type Config struct {
@@ -555,7 +546,7 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 				cc.writeReplyRaw(msg, req, giop.Reply{
 					RequestID: req.RequestID,
 					Status:    giop.ReplySystemException,
-					Result:    giop.SystemExceptionBody(msg.Header.Order, "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", minorUnknownObjectKey, giop.CompletedNo),
+					Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoObjectNotExist, minorUnknownObjectKey, giop.CompletedNo),
 				})
 				continue
 			}
@@ -718,11 +709,11 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 func invokeFailure(order cdr.ByteOrder, err error) []byte {
 	switch {
 	case errors.Is(err, replication.ErrNoQuorum):
-		return giop.SystemExceptionBody(order, repoIDTransient, minorNoQuorum, giop.CompletedNo)
+		return giop.SystemExceptionBody(order, giop.RepoTransient, minorNoQuorum, giop.CompletedNo)
 	case errors.Is(err, replication.ErrTimeout), errors.Is(err, replication.ErrStopped):
-		return giop.SystemExceptionBody(order, "IDL:omg.org/CORBA/COMM_FAILURE:1.0", minorOutcomeUnknown, giop.CompletedMaybe)
+		return giop.SystemExceptionBody(order, giop.RepoCommFailure, minorOutcomeUnknown, giop.CompletedMaybe)
 	default:
-		return giop.SystemExceptionBody(order, "IDL:omg.org/CORBA/COMM_FAILURE:1.0", minorInvokeFailed, giop.CompletedNo)
+		return giop.SystemExceptionBody(order, giop.RepoCommFailure, minorInvokeFailed, giop.CompletedNo)
 	}
 }
 
@@ -784,7 +775,7 @@ func (cc *clientConn) refuseOversize(msg giop.Message) {
 		cc.writeReplyRaw(msg, req, giop.Reply{
 			RequestID: req.RequestID,
 			Status:    giop.ReplySystemException,
-			Result:    giop.SystemExceptionBody(msg.Header.Order, "IDL:omg.org/CORBA/IMP_LIMIT:1.0", minorRequestTooLarge, giop.CompletedNo),
+			Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoImpLimit, minorRequestTooLarge, giop.CompletedNo),
 		})
 	}
 }
@@ -805,7 +796,7 @@ func (cc *clientConn) shedReply(msg giop.Message, req giop.Request, v admission.
 	cc.writeReplyRaw(msg, req, giop.Reply{
 		RequestID: req.RequestID,
 		Status:    giop.ReplySystemException,
-		Result:    giop.SystemExceptionBody(msg.Header.Order, repoIDTransient, v.Minor(), giop.CompletedNo),
+		Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoTransient, v.Minor(), giop.CompletedNo),
 	})
 }
 

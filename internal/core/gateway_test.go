@@ -239,7 +239,7 @@ func TestGatewayUnknownObjectKey(t *testing.T) {
 	defer func() { _ = conn.Close() }()
 	_, err = conn.Call([]byte("no/such/object"), "read", nil, orb.InvokeOptions{})
 	var sysEx *orb.SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoObjectNotExist {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoObjectNotExist {
 		t.Fatalf("err = %v, want OBJECT_NOT_EXIST", err)
 	}
 }
@@ -265,7 +265,7 @@ func TestTimedOutRequestMayHaveCompleted(t *testing.T) {
 	w.WriteOctetSeq([]byte("slow"))
 	_, err = conn.Call([]byte(keyRegister), "work", w.Bytes(), orb.InvokeOptions{Timeout: 5 * time.Second})
 	var sysEx *orb.SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != orb.RepoCommFailure || sysEx.Minor != core.MinorOutcomeUnknown || sysEx.Completed != giop.CompletedMaybe {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoCommFailure || sysEx.Minor != core.MinorOutcomeUnknown || sysEx.Completed != giop.CompletedMaybe {
 		t.Fatalf("err = %v, want COMM_FAILURE minor %d COMPLETED_MAYBE", err, core.MinorOutcomeUnknown)
 	}
 	// It did run.

@@ -73,17 +73,6 @@ func (p *Plan) Ops() uint64 {
 	return p.ops
 }
 
-// Fired lists the names of the steps that have fired, in order.
-func (p *Plan) Fired() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.fired))
-	for i, f := range p.fired {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // FiredAt returns the plan's event log: every fired step with the
 // operation count at which it actually fired, in firing order.
 func (p *Plan) FiredAt() []FiredStep {
@@ -103,11 +92,4 @@ func (p *Plan) Steps() []FiredStep {
 		out[i] = FiredStep{Name: s.Name, AtOp: s.AtOp}
 	}
 	return out
-}
-
-// Done reports whether every step has fired.
-func (p *Plan) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.next >= len(p.steps)
 }

@@ -19,11 +19,8 @@ func TestStepsFireAtThresholds(t *testing.T) {
 	if !reflect.DeepEqual(fired, []int{1, 3, 5}) {
 		t.Fatalf("fired = %v", fired)
 	}
-	if !reflect.DeepEqual(p.Fired(), []string{"one", "three", "five"}) {
-		t.Fatalf("names = %v", p.Fired())
-	}
-	if !p.Done() {
-		t.Fatal("plan not done")
+	if want := []FiredStep{{"one", 1}, {"three", 3}, {"five", 5}}; !reflect.DeepEqual(p.FiredAt(), want) {
+		t.Fatalf("fired = %v, want %v", p.FiredAt(), want)
 	}
 	if p.Ops() != 6 {
 		t.Fatalf("ops = %d", p.Ops())
@@ -59,7 +56,7 @@ func TestMultipleStepsSameThreshold(t *testing.T) {
 
 func TestEmptyPlanIsDone(t *testing.T) {
 	p := NewPlan()
-	if !p.Done() {
+	if len(p.FiredAt()) != len(p.Steps()) {
 		t.Fatal("empty plan not done")
 	}
 	p.Tick() // must not panic

@@ -5,16 +5,11 @@ import (
 	"math/rand"
 )
 
-// NewRand returns the package's canonical deterministic RNG for a seed.
-// Every consumer that wants reproducible fault schedules derives all of
-// its randomness from one of these (never from the global rand, and
-// never from time.Now), so a seed fully determines the schedule.
-func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Split(seed, 0))))
-}
-
 // Split derives an independent sub-seed from (seed, stream) with a
-// splitmix64 finalizer. Harnesses give each nondeterminism source — the
+// splitmix64 finalizer. Every consumer that wants reproducible fault
+// schedules derives all of its randomness from a *rand.Rand seeded with
+// one of these (never from the global rand, and never from time.Now), so
+// a seed fully determines the schedule. Harnesses give each nondeterminism source — the
 // network, the schedule, the workload — its own stream so pinning one
 // knob does not shift the draws of the others.
 func Split(seed, stream uint64) uint64 {

@@ -380,13 +380,6 @@ func (m *Manager) managed(id replication.GroupID) (managedGroup, error) {
 	return g, nil
 }
 
-// Upgrade is the historical name of RollingUpgrade, kept for callers of
-// the original Evolution Manager interface.
-func (m *Manager) Upgrade(id replication.GroupID, factory Factory) error {
-	_, err := m.RollingUpgrade(id, factory)
-	return err
-}
-
 // Properties returns the managed properties of a group.
 func (m *Manager) Properties(id replication.GroupID) (Properties, bool) {
 	m.mu.Lock()

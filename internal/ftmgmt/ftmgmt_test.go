@@ -269,7 +269,7 @@ func TestEvolutionManagerUpgradesLive(t *testing.T) {
 		t.Fatalf("version = %d, want 1", got)
 	}
 
-	if err := d.Manager().Upgrade(grpObj, factoryV(2, &apps, &mu)); err != nil {
+	if _, err := d.Manager().RollingUpgrade(grpObj, factoryV(2, &apps, &mu)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the old replicas retired.
@@ -313,7 +313,7 @@ func TestPropertiesLookup(t *testing.T) {
 
 func TestUpgradeUnknownGroup(t *testing.T) {
 	d := fastDomain(t, 2)
-	if err := d.Manager().Upgrade(12345, factoryV(2, nil, nil)); !errors.Is(err, ftmgmt.ErrUnknownGroup) {
+	if _, err := d.Manager().RollingUpgrade(12345, factoryV(2, nil, nil)); !errors.Is(err, ftmgmt.ErrUnknownGroup) {
 		t.Fatalf("err = %v, want ErrUnknownGroup", err)
 	}
 }
@@ -447,7 +447,7 @@ func TestUpgradePackedDomainCarriesState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Manager().Upgrade(grpObj, factoryV(2, nil, nil)); err != nil {
+	if _, err := d.Manager().RollingUpgrade(grpObj, factoryV(2, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if members := d.Node(0).RM.Members(grpObj); len(members) != 2 {

@@ -160,11 +160,6 @@ func RequestSizeBound(req Request) int { return HeaderSize + requestSizeHint(req
 // ReplySizeBound bounds the length of what AppendReply appends.
 func ReplySizeBound(rep Reply) int { return HeaderSize + replySizeHint(rep) }
 
-// EncodeReply builds a framed Reply message in the given byte order.
-func EncodeReply(order cdr.ByteOrder, rep Reply) (Message, error) {
-	return EncodeReplyV(order, 0, rep)
-}
-
 // DecodeReply parses a Reply message body. The reply's Result and each
 // service context's Data alias msg.Body under the rule DecodeRequest
 // states for Args: read-only, cap-clipped, and whoever holds the reply
@@ -270,6 +265,26 @@ func EncodeCloseConnection(order cdr.ByteOrder) Message {
 func EncodeMessageError(order cdr.ByteOrder) Message {
 	return Message{Header: Header{Major: 1, Minor: 0, Order: order, Type: MsgError}}
 }
+
+// Repository ids of the system exceptions raised here: CORBA's own, and
+// two of this system's. Each has one spelling, so a raise site and a
+// check for the exception name the same constant.
+const (
+	RepoObjectNotExist = "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0"
+	RepoUnknown        = "IDL:omg.org/CORBA/UNKNOWN:1.0"
+	RepoCommFailure    = "IDL:omg.org/CORBA/COMM_FAILURE:1.0"
+	RepoImpLimit       = "IDL:omg.org/CORBA/IMP_LIMIT:1.0"
+	// RepoTransient is the CORBA "overloaded, try again" exception;
+	// gateways raise it (with the admission verdict in the minor code)
+	// when shedding requests under overload or drain.
+	RepoTransient = "IDL:omg.org/CORBA/TRANSIENT:1.0"
+	// RepoNoAgreement: the replicas of a voting group split on a request
+	// they executed.
+	RepoNoAgreement = "IDL:eternalgw/NO_AGREEMENT:1.0"
+	// RepoReplyDiscarded answers a duplicate of an operation that ran
+	// and whose reply is no longer kept.
+	RepoReplyDiscarded = "IDL:eternalgw/REPLY_DISCARDED:1.0"
+)
 
 // SystemExceptionBody encodes the standard system-exception reply body:
 // repository id, minor code, completion status.

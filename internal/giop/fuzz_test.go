@@ -15,7 +15,7 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed with real messages of each version and kind.
 	req10, _ := EncodeRequest(cdr.BigEndian, Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "op", Args: []byte{1, 2, 3}})
 	req12, _ := EncodeRequestV(cdr.LittleEndian, 2, Request{RequestID: 2, ObjectKey: []byte("k"), Operation: "op"})
-	rep, _ := EncodeReply(cdr.BigEndian, Reply{RequestID: 1, Status: ReplyNoException, Result: []byte{9}})
+	rep, _ := EncodeReplyV(cdr.BigEndian, 0, Reply{RequestID: 1, Status: ReplyNoException, Result: []byte{9}})
 	f.Add(Marshal(req10))
 	f.Add(Marshal(req12))
 	f.Add(Marshal(rep))
@@ -211,7 +211,7 @@ func FuzzDecodeReply(f *testing.F) {
 			!bytes.Equal(back.Result, rep.Result) || !sameContexts(back.ServiceContexts, rep.ServiceContexts) {
 			t.Fatalf("round trip changed a field: %+v != %+v", back, rep)
 		}
-		two, err := EncodeReply(order, rep)
+		two, err := EncodeReplyV(order, 0, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

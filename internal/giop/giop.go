@@ -314,7 +314,3 @@ func putSize(hdr []byte, size uint32) {
 		binary.LittleEndian.PutUint32(hdr[8:], size)
 	}
 }
-
-func encodeHeader(h Header) []byte {
-	return appendHeader(make([]byte, 0, HeaderSize), h)
-}

@@ -12,7 +12,7 @@ import (
 func TestHeaderRoundTrip(t *testing.T) {
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		h := Header{Major: 1, Minor: 0, Order: order, Type: MsgReply, Size: 1234}
-		enc := encodeHeader(h)
+		enc := appendHeader(nil, h)
 		if len(enc) != HeaderSize {
 			t.Fatalf("header size %d", len(enc))
 		}
@@ -131,7 +131,7 @@ func TestReplyRoundTrip(t *testing.T) {
 		Status:    ReplyNoException,
 		Result:    res.Bytes(),
 	}
-	msg, err := EncodeReply(cdr.BigEndian, rep)
+	msg, err := EncodeReplyV(cdr.BigEndian, 0, rep)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestReplyRoundTrip(t *testing.T) {
 func TestSystemExceptionRoundTrip(t *testing.T) {
 	body := SystemExceptionBody(cdr.BigEndian, "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", 1, 0)
 	rep := Reply{RequestID: 9, Status: ReplySystemException, Result: body}
-	msg, err := EncodeReply(cdr.BigEndian, rep)
+	msg, err := EncodeReplyV(cdr.BigEndian, 0, rep)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestAppendMatchesMarshal(t *testing.T) {
 
 			rep := Reply{RequestID: 77, Status: ReplyUserException, Result: body, ResultOrder: order,
 				ServiceContexts: []ServiceContext{{ID: 3, Data: []byte("ctx")}}}
-			twoRep, err := EncodeReply(order, rep)
+			twoRep, err := EncodeReplyV(order, 0, rep)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func TestQuickReplyRoundTrip(t *testing.T) {
 			order = cdr.LittleEndian
 		}
 		rep := Reply{RequestID: id, Status: ReplyStatus(status % 4), Result: result}
-		msg, err := EncodeReply(order, rep)
+		msg, err := EncodeReplyV(order, 0, rep)
 		if err != nil {
 			return false
 		}

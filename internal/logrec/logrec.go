@@ -132,10 +132,3 @@ func (l *Log) HasCheckpoint(g uint32) bool {
 	gl, ok := l.groups[g]
 	return ok && gl.checkpoint != nil
 }
-
-// Drop forgets everything recorded for group g.
-func (l *Log) Drop(g uint32) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.groups, g)
-}

@@ -3,7 +3,6 @@ package logrec
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -90,15 +89,6 @@ func TestRecoverReturnsCopies(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	l := NewLog()
-	l.Checkpoint(1, Checkpoint{Seq: 1, State: []byte("a")})
-	l.Drop(1)
-	if l.HasCheckpoint(1) {
-		t.Fatal("checkpoint survived drop")
-	}
-}
-
 // Recovery must hand back the checkpoint followed by only the
 // invocations delivered after it, still in total order — entries the
 // checkpoint subsumes never reappear, even when appends and checkpoints
@@ -151,43 +141,5 @@ func TestRecoverCheckpointZeroEntries(t *testing.T) {
 	l.AppendOwned(3, Entry{Seq: 43, Data: []byte("op")})
 	if _, entries, _ = l.Recover(3); len(entries) != 1 || entries[0].Seq != 43 {
 		t.Fatalf("entries after late append = %+v", entries)
-	}
-}
-
-// Drop racing concurrent Appends must stay internally consistent: after
-// both sides settle, the group either vanished (drop won last) or holds
-// exactly the entries appended after the drop — run with -race.
-func TestDropConcurrentAppend(t *testing.T) {
-	l := NewLog()
-	const appends = 200
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for seq := uint64(1); seq <= appends; seq++ {
-			l.AppendOwned(5, Entry{Seq: seq, Data: []byte{byte(seq)}})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			l.Drop(5)
-		}
-	}()
-	wg.Wait()
-	if n := l.EntryCount(5); n > appends {
-		t.Fatalf("entry count %d exceeds %d appends", n, appends)
-	}
-	// The group is usable again after the race: a fresh checkpoint and
-	// append recover cleanly.
-	l.Drop(5)
-	l.Checkpoint(5, Checkpoint{Seq: 100, State: []byte("fresh")})
-	l.AppendOwned(5, Entry{Seq: 101, Data: []byte("op")})
-	cp, entries, err := l.Recover(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Seq != 100 || len(entries) != 1 || entries[0].Seq != 101 {
-		t.Fatalf("post-race recovery = %+v, %+v", cp, entries)
 	}
 }

@@ -63,9 +63,9 @@ func TestNodesSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := n.Nodes()
+	ids := n.sorted
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-		t.Fatalf("Nodes() not sorted: %v", ids)
+		t.Fatalf("attached ids not sorted: %v", ids)
 	}
 }
 

@@ -65,8 +65,6 @@ type Stats struct {
 // Errors reported by the package.
 var (
 	ErrDuplicateNode = errors.New("memnet: node id already attached")
-	ErrDetached      = errors.New("memnet: endpoint is detached")
-	ErrUnknownNode   = errors.New("memnet: unknown node")
 )
 
 const defaultInboxSize = 4096
@@ -83,9 +81,10 @@ type Network struct {
 	maxDelay  time.Duration
 	partition map[NodeID]int // partition group per node; absent = group 0
 	crashed   map[NodeID]bool
-	// sorted holds the attached ids in sorted order. Attach and Detach
-	// replace it (never write into it), so Broadcast can walk a snapshot
-	// taken under mu after releasing the lock.
+	// sorted holds the attached ids in sorted order, the order Broadcast
+	// consumes the RNG in: part of the determinism contract. Attach
+	// replaces it (never writes into it), so Broadcast can walk a
+	// snapshot taken under mu after releasing the lock.
 	sorted []NodeID
 
 	sent, delivered, lost, blocked, overflow atomic.Uint64
@@ -162,14 +161,6 @@ func (n *Network) Attach(id NodeID) (*Endpoint, error) {
 	return e, nil
 }
 
-// Detach removes an endpoint; its inbox stops receiving.
-func (n *Network) Detach(id NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, id)
-	n.resortLocked()
-}
-
 // Crash marks a node as crashed: it neither sends nor receives until
 // Restart. The endpoint object stays valid so the owning process can
 // observe the crash through send errors.
@@ -219,16 +210,6 @@ func (n *Network) SetLoss(rate float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.lossRate = rate
-}
-
-// Nodes returns the ids of all attached endpoints in sorted order. The
-// ordering is part of the determinism contract: code that fans out over
-// the node set (Broadcast, simulation drains) must consume the RNG in
-// the same per-destination order on every run with the same seed.
-func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]NodeID(nil), n.sorted...)
 }
 
 // resortLocked rebuilds sorted after the node set changed. Callers hold

@@ -1,44 +1,36 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Histogram collects duration samples and reports percentiles; the
-// gateway's request-latency summary and every experiment's latency
-// series (EXPERIMENTS.md) are one. The zero value is ready to use and
-// retains every sample (what the experiment harness wants). A bounded
-// histogram (NewBoundedHistogram) retains only the most recent samples,
-// so a long-running server can keep one on a hot path without growing
-// without bound.
+// Histogram keeps a sliding window of the most recent duration samples
+// and summarises them by Snapshot; the gateway's request-latency summary
+// is one. The window bounds its memory, so a long-running server can
+// keep one on a hot path.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
 	sorted  bool
-	limit   int // 0 = unbounded
-	next    int // ring cursor when bounded
+	limit   int
+	next    int // ring cursor once the window is full
 	scratch []time.Duration
 }
 
 // NewBoundedHistogram creates a histogram retaining the most recent
-// limit samples (a sliding window); limit <= 0 means unbounded.
+// limit samples (at least one).
 func NewBoundedHistogram(limit int) *Histogram {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Histogram{limit: limit}
+	return &Histogram{limit: max(limit, 1)}
 }
 
-// Record adds one sample, displacing the oldest once a bounded
-// histogram's window is full.
+// Record adds one sample, displacing the oldest once the window is full.
 func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.limit > 0 && len(h.samples) == h.limit {
+	if len(h.samples) == h.limit {
 		h.samples[h.next] = d
 		h.next = (h.next + 1) % h.limit
 	} else {
@@ -47,77 +39,15 @@ func (h *Histogram) Record(d time.Duration) {
 	h.sorted = false
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// sortedLocked returns the samples in ascending order. Callers hold mu.
-// Unbounded histograms sort in place; bounded ones sort a scratch copy
-// so the ring's insertion order survives.
+// sortedLocked returns the samples in ascending order: a sorted scratch
+// copy, so the ring's insertion order survives. Callers hold mu.
 func (h *Histogram) sortedLocked() []time.Duration {
-	if h.limit == 0 {
-		if !h.sorted {
-			sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-			h.sorted = true
-		}
-		return h.samples
-	}
 	if !h.sorted {
 		h.scratch = append(h.scratch[:0], h.samples...)
 		sort.Slice(h.scratch, func(i, j int) bool { return h.scratch[i] < h.scratch[j] })
 		h.sorted = true
 	}
 	return h.scratch
-}
-
-// Percentile returns the q-th percentile (0 < q <= 100) by
-// nearest-rank; zero if empty.
-func (h *Histogram) Percentile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := h.sortedLocked()
-	return s[rankFor(q, len(s))]
-}
-
-// Mean returns the average sample; zero if empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-// Min returns the smallest sample; zero if empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sortedLocked()[0]
-}
-
-// Max returns the largest sample; zero if empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := h.sortedLocked()
-	return s[len(s)-1]
 }
 
 // Snapshot is a single-lock summary of a histogram: every quantity a
@@ -174,14 +104,4 @@ func rankFor(q float64, n int) int {
 		rank = n - 1
 	}
 	return rank
-}
-
-// Summary renders "mean / p50 / p99 / max" for experiment tables.
-func (h *Histogram) Summary() string {
-	s := h.Snapshot()
-	return fmt.Sprintf("mean=%v p50=%v p99=%v max=%v",
-		s.Mean.Round(time.Microsecond),
-		s.P50.Round(time.Microsecond),
-		s.P99.Round(time.Microsecond),
-		s.Max.Round(time.Microsecond))
 }

@@ -1,44 +1,30 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
-		t.Fatal("empty histogram not all-zero")
+	if s := NewBoundedHistogram(8).Snapshot(); s != (Snapshot{}) {
+		t.Fatalf("empty snapshot = %+v", s)
 	}
 }
 
+// TestHistogramStatistics: a full window's statistics are over its
+// newest samples alone.
 func TestHistogramStatistics(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
+	h := NewBoundedHistogram(100)
+	for i := 1; i <= 200; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 100 || s.Min != 101*time.Millisecond || s.Max != 200*time.Millisecond {
+		t.Fatalf("window = %d samples in [%v, %v], want 100 in [101ms, 200ms]", s.Count, s.Min, s.Max)
 	}
-	if got := h.Min(); got != time.Millisecond {
-		t.Fatalf("min = %v", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Fatalf("max = %v", got)
-	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := h.Percentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
+	if s.Mean != 150500*time.Microsecond || s.P50 != 150*time.Millisecond || s.P99 != 199*time.Millisecond {
+		t.Fatalf("mean %v p50 %v p99 %v, want 150.5ms 150ms 199ms", s.Mean, s.P50, s.P99)
 	}
 }
 
@@ -59,33 +45,26 @@ func TestPercentileIsNearestRank(t *testing.T) {
 		{100, 50, 50}, {100, 90, 90}, {100, 99, 99}, {100, 100, 100},
 		{1000, 99, 990}, {1000, 99.9, 999},
 	} {
-		var h Histogram
-		for i := 1; i <= c.n; i++ {
-			h.Record(time.Duration(i))
-		}
-		if got := h.Percentile(c.q); got != time.Duration(c.want) {
+		if got := rankFor(c.q, c.n) + 1; got != c.want {
 			t.Errorf("p%v of %d samples is sample %d, want %d", c.q, c.n, got, c.want)
 		}
 	}
 }
 
 func TestHistogramInterleavedRecordAndQuery(t *testing.T) {
-	var h Histogram
+	h := NewBoundedHistogram(8)
 	h.Record(3 * time.Millisecond)
-	if h.Max() != 3*time.Millisecond {
+	if h.Snapshot().Max != 3*time.Millisecond {
 		t.Fatal("max wrong")
 	}
 	h.Record(time.Millisecond) // must re-sort after new samples
-	if h.Min() != time.Millisecond {
+	if h.Snapshot().Min != time.Millisecond {
 		t.Fatal("min wrong after second record")
 	}
 }
 
 func TestHistogramSnapshot(t *testing.T) {
-	var h Histogram
-	if s := h.Snapshot(); s != (Snapshot{}) {
-		t.Fatalf("empty snapshot = %+v", s)
-	}
+	h := NewBoundedHistogram(100)
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -103,21 +82,6 @@ func TestHistogramSnapshot(t *testing.T) {
 	if s != want {
 		t.Fatalf("snapshot = %+v, want %+v", s, want)
 	}
-	// Snapshot must agree with the per-quantity accessors.
-	if s.P50 != h.Percentile(50) || s.Mean != h.Mean() || s.Max != h.Max() {
-		t.Fatal("snapshot disagrees with accessors")
-	}
-}
-
-func TestSummaryFormat(t *testing.T) {
-	var h Histogram
-	h.Record(time.Millisecond)
-	s := h.Summary()
-	for _, part := range []string{"mean=", "p50=", "p99=", "max="} {
-		if !strings.Contains(s, part) {
-			t.Fatalf("summary %q missing %q", s, part)
-		}
-	}
 }
 
 func TestBoundedHistogramSlidesWindow(t *testing.T) {
@@ -126,53 +90,45 @@ func TestBoundedHistogramSlidesWindow(t *testing.T) {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
 	// Window holds the 3 most recent samples: 3ms, 4ms, 5ms.
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Min() != 3*time.Millisecond || h.Max() != 5*time.Millisecond {
-		t.Fatalf("window = [%v, %v]", h.Min(), h.Max())
+	if s := h.Snapshot(); s.Count != 3 || s.Min != 3*time.Millisecond || s.Max != 5*time.Millisecond {
+		t.Fatalf("window = %d samples in [%v, %v]", s.Count, s.Min, s.Max)
 	}
 	// Recording after a query must displace the oldest, not a sorted slot.
 	h.Record(10 * time.Millisecond) // displaces 3ms
-	if h.Min() != 4*time.Millisecond || h.Max() != 10*time.Millisecond {
-		t.Fatalf("window after displace = [%v, %v]", h.Min(), h.Max())
+	if s := h.Snapshot(); s.Min != 4*time.Millisecond || s.Max != 10*time.Millisecond {
+		t.Fatalf("window after displace = [%v, %v]", s.Min, s.Max)
 	}
 }
 
-// TestQuickPercentileMonotone property: percentiles are monotone in q
-// and bounded by min/max.
+// TestQuickPercentileMonotone property: a snapshot's percentiles are
+// monotone and, with its mean, bounded by its min and max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(samples []uint16) bool {
 		if len(samples) == 0 {
 			return true
 		}
-		var h Histogram
+		h := NewBoundedHistogram(len(samples))
 		for _, s := range samples {
 			h.Record(time.Duration(s))
 		}
-		prev := time.Duration(-1)
-		for _, q := range []float64{1, 25, 50, 75, 90, 99, 100} {
-			p := h.Percentile(q)
-			if p < prev || p < h.Min() || p > h.Max() {
-				return false
-			}
-			prev = p
-		}
-		return h.Mean() >= h.Min() && h.Mean() <= h.Max()
+		s := h.Snapshot()
+		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max &&
+			s.Mean >= s.Min && s.Mean <= s.Max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickCountMatches property: Count equals the number of samples.
+// TestQuickCountMatches property: a snapshot counts the samples the
+// window holds, all of them until it is full.
 func TestQuickCountMatches(t *testing.T) {
-	f := func(n uint8) bool {
-		var h Histogram
+	f := func(n, limit uint8) bool {
+		h := NewBoundedHistogram(int(limit))
 		for i := 0; i < int(n); i++ {
 			h.Record(time.Duration(i))
 		}
-		return h.Count() == int(n)
+		return h.Snapshot().Count == min(int(n), max(int(limit), 1))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -50,16 +49,17 @@ func ParseLevel(s string) Level {
 }
 
 // sink is the shared backend of a logger family: one writer, one mutex,
-// one minimum level, however many component-tagged fronts.
+// one minimum level fixed at creation, however many component-tagged
+// fronts.
 type sink struct {
 	mu  sync.Mutex
 	w   io.Writer
-	min atomic.Int32
+	min Level
 }
 
 // Logger is a small leveled logger. Component-tagged children share
 // their parent's sink, so every line carries a consistent
-// "component=..." prefix and a single level switch governs the family.
+// "component=..." prefix and one level governs the family.
 // A nil *Logger discards everything, which is the default for library
 // components.
 type Logger struct {
@@ -69,9 +69,7 @@ type Logger struct {
 
 // NewLogger creates a logger writing lines at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	s := &sink{w: w}
-	s.min.Store(int32(min))
-	return &Logger{s: s}
+	return &Logger{s: &sink{w: w, min: min}}
 }
 
 // With returns a child logger tagged with a component name. It shares
@@ -83,17 +81,9 @@ func (l *Logger) With(component string) *Logger {
 	return &Logger{s: l.s, component: component}
 }
 
-// SetLevel changes the minimum level for the whole logger family.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.s.min.Store(int32(min))
-}
-
 // Enabled reports whether lines at level would be written.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.s.min.Load()
+	return l != nil && level >= l.s.min
 }
 
 func (l *Logger) logf(level Level, format string, args ...any) {
@@ -111,9 +101,6 @@ func (l *Logger) logf(level Level, format string, args ...any) {
 	_, _ = io.WriteString(l.s.w, line)
 	l.s.mu.Unlock()
 }
-
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
 
 // Infof logs at info level.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }

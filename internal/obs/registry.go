@@ -13,16 +13,12 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Labels is a metric's label set. Values are escaped when rendering.
 type Labels map[string]string
@@ -53,33 +49,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value. Like Counter it is nil-safe
-// and lock-free (the float is stored as its IEEE-754 bits).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(floatBits(v))
-}
-
-// Value returns the current value (zero for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return floatFromBits(g.bits.Load())
-}
-
 // series is one (label set, value source) member of a metric family.
 type series struct {
 	labels    string // rendered {k="v",...} or ""
 	counter   *Counter
-	gauge     *Gauge
 	counterFn func() uint64
 	gaugeFn   func() float64
 	hist      *Histogram
@@ -140,13 +113,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	c := &Counter{}
 	r.register(name, help, "counter", labels, &series{counter: c})
 	return c
-}
-
-// Gauge registers and returns an owned gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", labels, &series{gauge: g})
-	return g
 }
 
 // CounterFunc registers a counter read from fn at render time. This is
@@ -212,8 +178,6 @@ func writeSeries(b *strings.Builder, name string, s *series) {
 		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counter.Value())
 	case s.counterFn != nil:
 		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counterFn())
-	case s.gauge != nil:
-		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatFloat(s.gauge.Value()))
 	case s.gaugeFn != nil:
 		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatFloat(s.gaugeFn()))
 	case s.hist != nil:

@@ -20,8 +20,6 @@ import (
 
 // Errors reported by the package.
 var (
-	// ErrNoSuchObject reports an unknown object key.
-	ErrNoSuchObject = errors.New("orb: no such object")
 	// ErrClosed reports use of a closed connection or server.
 	ErrClosed = errors.New("orb: closed")
 	// ErrTimeout reports an invocation that exceeded its deadline.
@@ -39,17 +37,6 @@ type SystemException struct {
 func (e *SystemException) Error() string {
 	return fmt.Sprintf("orb: system exception %s (minor %d, completed %d)", e.RepoID, e.Minor, e.Completed)
 }
-
-// Well-known system exception repository ids.
-const (
-	RepoObjectNotExist = "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0"
-	RepoUnknown        = "IDL:omg.org/CORBA/UNKNOWN:1.0"
-	RepoCommFailure    = "IDL:omg.org/CORBA/COMM_FAILURE:1.0"
-	// RepoTransient is the CORBA "overloaded, try again" exception;
-	// gateways raise it (with the admission verdict in the minor code)
-	// when shedding requests under overload or drain.
-	RepoTransient = "IDL:omg.org/CORBA/TRANSIENT:1.0"
-)
 
 // minorNoSuchObject is the OBJECT_NOT_EXIST minor code for a request
 // whose object key matches no servant in the adapter (documented in

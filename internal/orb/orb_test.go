@@ -37,11 +37,11 @@ func (c *counterServant) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) 
 		reply.WriteLongLong(total)
 		return nil
 	case "fail":
-		return &SystemException{RepoID: RepoUnknown, Minor: 42}
+		return &SystemException{RepoID: giop.RepoUnknown, Minor: 42}
 	case "boom":
 		return errors.New("internal explosion")
 	default:
-		return &SystemException{RepoID: RepoObjectNotExist, Minor: 2}
+		return &SystemException{RepoID: giop.RepoObjectNotExist, Minor: 2}
 	}
 }
 
@@ -127,7 +127,7 @@ func TestUnknownObjectKeyRaisesObjectNotExist(t *testing.T) {
 
 	_, err := c.Call([]byte("ghost"), "get", nil, InvokeOptions{})
 	var sysEx *SystemException
-	if !errors.As(err, &sysEx) || sysEx.RepoID != RepoObjectNotExist {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoObjectNotExist {
 		t.Fatalf("err = %v, want OBJECT_NOT_EXIST", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestServantErrorsMapToSystemExceptions(t *testing.T) {
 	}
 
 	_, err = c.Call([]byte("counter"), "boom", nil, InvokeOptions{})
-	if !errors.As(err, &sysEx) || sysEx.RepoID != RepoUnknown {
+	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoUnknown {
 		t.Fatalf("err = %v, want UNKNOWN", err)
 	}
 }
@@ -360,42 +360,6 @@ func waitTotal(t *testing.T, c *Conn, want int64) {
 			t.Fatalf("counter never reached %d", want)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestConcurrentDispatchInterleaves(t *testing.T) {
-	// A multithreaded ORB (concurrent dispatch) serves a slow request
-	// without stalling later requests on the same connection — and is
-	// exactly the nondeterminism source the domain executor serializes
-	// away (paper section 2.2).
-	s, err := NewServer("127.0.0.1:0", WithConcurrentDispatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	release := make(chan struct{})
-	s.Register([]byte("slow"), ServantFunc(func(op string, _ *cdr.Reader, reply *cdr.Writer) error {
-		if op == "wait" {
-			<-release
-		}
-		reply.WriteLongLong(1)
-		return nil
-	}))
-	c := dialServer(t, s)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Call([]byte("slow"), "wait", nil, InvokeOptions{Timeout: 5 * time.Second})
-		done <- err
-	}()
-	// The fast request on the same connection completes while the slow
-	// one is still parked.
-	if _, err := c.Call([]byte("slow"), "fast", nil, InvokeOptions{Timeout: 2 * time.Second}); err != nil {
-		t.Fatalf("fast call stalled behind slow call: %v", err)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
 

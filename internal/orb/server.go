@@ -39,24 +39,11 @@ func WithAdvertiser(a Advertiser) ServerOption {
 	return serverOptionFunc(func(s *Server) { s.advertiser = a })
 }
 
-// WithConcurrentDispatch makes the server execute each request on its
-// own goroutine, as commercial multithreaded ORBs do. The paper's
-// section 2.2 identifies exactly this multithreading as a significant
-// source of nondeterminism for replicated objects: inside a fault
-// tolerance domain, Eternal's interceptor-level mechanisms serialize
-// dispatch (in this repository, the replication executor applies the
-// totally-ordered invocation stream one operation at a time), so
-// concurrent dispatch is only safe for unreplicated servants.
-func WithConcurrentDispatch() ServerOption {
-	return serverOptionFunc(func(s *Server) { s.concurrent = true })
-}
-
 // Server is an IIOP server: a TCP listener plus an object adapter mapping
 // object keys to servants.
 type Server struct {
 	ln         net.Listener
 	advertiser Advertiser
-	concurrent bool
 
 	mu       sync.Mutex
 	servants map[string]Servant
@@ -173,9 +160,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var wmu sync.Mutex // serializes replies onto the connection
-	// The servant's reader and writer for the requests this loop runs in
-	// turn; a concurrently dispatched request has its own.
+	// The loop runs the connection's requests in turn and writes their
+	// replies itself, with one servant reader and writer.
 	var args cdr.Reader
 	var reply cdr.Writer
 	ra := giop.NewReassembler(conn, 0)
@@ -186,25 +172,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		switch msg.Header.Type {
 		case giop.MsgRequest:
-			if s.concurrent {
-				s.wg.Add(1)
-				go func(msg giop.Message) {
-					defer s.wg.Done()
-					s.handleRequest(conn, &wmu, msg, new(cdr.Reader), new(cdr.Writer))
-				}(msg)
-			} else {
-				s.handleRequest(conn, &wmu, msg, &args, &reply)
-			}
+			s.handleRequest(conn, msg, &args, &reply)
 		case giop.MsgLocateRequest:
-			s.handleLocate(conn, &wmu, msg)
+			s.handleLocate(conn, msg)
 		case giop.MsgCancelRequest:
 			// Nothing cancellable: requests are served synchronously.
 		case giop.MsgCloseConn:
 			return
 		default:
-			wmu.Lock()
 			_ = giop.WriteMessage(conn, giop.EncodeMessageError(msg.Header.Order))
-			wmu.Unlock()
 		}
 	}
 }
@@ -213,12 +189,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // is built in one buffer: opened in the request's byte order and version,
 // the servant's result written behind its head, sealed with the outcome.
 // args and reply are the servant's reader and writer (InvokeServant).
-func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message, args *cdr.Reader, reply *cdr.Writer) {
+func (s *Server) handleRequest(conn net.Conn, msg giop.Message, args *cdr.Reader, reply *cdr.Writer) {
 	req, err := giop.DecodeRequest(msg)
 	if err != nil {
-		wmu.Lock()
 		_ = giop.WriteMessage(conn, giop.EncodeMessageError(msg.Header.Order))
-		wmu.Unlock()
 		return
 	}
 	order, minor := msg.Header.Order, msg.Header.Minor
@@ -231,7 +205,7 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message,
 		buf, rep.Status = InvokeServant(sv, req, buf, args, reply)
 	} else {
 		rep.Status = giop.ReplySystemException
-		buf = append(buf, giop.SystemExceptionBody(order, RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo)...)
+		buf = append(buf, giop.SystemExceptionBody(order, giop.RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo)...)
 	}
 	if !req.ResponseExpected {
 		return
@@ -243,12 +217,10 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, msg giop.Message,
 	if err != nil {
 		return
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
 	_ = giop.WriteMessageFragmented(conn, out, 0) // a failed write surfaces as the read loop's error
 }
 
-func (s *Server) handleLocate(conn net.Conn, wmu *sync.Mutex, msg giop.Message) {
+func (s *Server) handleLocate(conn net.Conn, msg giop.Message) {
 	lr, err := giop.DecodeLocateRequest(msg)
 	if err != nil {
 		return
@@ -257,8 +229,6 @@ func (s *Server) handleLocate(conn net.Conn, wmu *sync.Mutex, msg giop.Message) 
 	if _, ok := s.lookup(lr.ObjectKey); ok {
 		status = giop.LocateObjectHere
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
 	_ = giop.WriteMessage(conn, giop.EncodeLocateReply(msg.Header.Order, giop.LocateReply{
 		RequestID: lr.RequestID,
 		Status:    status,
@@ -290,7 +260,7 @@ func InvokeServant(sv Servant, req giop.Request, head []byte, args *cdr.Reader, 
 		return out, giop.ReplyNoException
 	}
 	var sysEx *SystemException
-	repoID, minor := RepoUnknown, uint32(0)
+	repoID, minor := giop.RepoUnknown, uint32(0)
 	if errors.As(err, &sysEx) {
 		repoID, minor = sysEx.RepoID, sysEx.Minor
 	}

@@ -117,7 +117,7 @@ func TestDuplicateBeyondTheReplyWindowIsDetected(t *testing.T) {
 	settled(4)
 	for _, m := range servers {
 		if u := m.DedupOccupancy()[grpServer]; u.Entries != 3 || u.ReplyBytes != 2*size {
-			t.Fatalf("%s: table holds %d identifiers and %d reply bytes, want 3 and %d", m.NodeID(), u.Entries, u.ReplyBytes, 2*size)
+			t.Fatalf("%s: table holds %d identifiers and %d reply bytes, want 3 and %d", m.id, u.Entries, u.ReplyBytes, 2*size)
 		}
 	}
 	wantReplyDiscarded(t, appendOp(2))
@@ -148,7 +148,7 @@ func TestDuplicateAnsweredTwiceWhileTheFirstResponseIsHeld(t *testing.T) {
 	}
 	want := append([]byte(nil), first.Result...)
 	for i := 0; i < 2; i++ {
-		if err := client.MulticastRequest(grpClient, 9, grpServer, op, req); err != nil {
+		if err := multicastRequest(client, grpClient, 9, grpServer, op, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func TestDeleteGroupRetiresEverywhere(t *testing.T) {
 	}
 	// The id can be reused for a fresh group.
 	d.mustCreate(grpServer, WarmPassive, "fresh/key")
-	if style, ok := d.rms[d.ids[0]].GroupStyle(grpServer); !ok || style != WarmPassive {
+	if style, ok := groupStyle(d.rms[d.ids[0]], grpServer); !ok || style != WarmPassive {
 		t.Fatalf("recreated style = %v, %v", style, ok)
 	}
 }
@@ -438,7 +438,7 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 	})
 	// ...nor execute what its own ring delivers...
 	delivered := nodes["q1"].Stats().Delivered
-	if err := rms["q1"].MulticastRequest(grpServer, 0, grpServer, OperationID{ChildSeq: 98}, giop.Request{
+	if err := multicastRequest(rms["q1"], grpServer, 0, grpServer, OperationID{ChildSeq: 98}, giop.Request{
 		RequestID: 98, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets([]byte("z")),
 	}); err != nil {
 		t.Fatal(err)

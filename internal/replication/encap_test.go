@@ -28,7 +28,7 @@ func threeStepRequest(t testing.TB, h Header, req giop.Request) []byte {
 // threeStepReply is the chain replica.respond used to run.
 func threeStepReply(t testing.TB, h Header, rep giop.Reply) []byte {
 	t.Helper()
-	wire, err := giop.EncodeReply(rep.ResultOrder, rep)
+	wire, err := giop.EncodeReplyV(rep.ResultOrder, 0, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestEncapsulationWireFormUnchanged(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := EncodeRequest(h, req)
+					got, err := encodeRequest(0, h, req)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -88,7 +88,7 @@ func TestEncapsulationWireFormUnchanged(t *testing.T) {
 
 					rh := Header{Kind: KindResponse, ClientID: h.ClientID, SrcGroup: h.DstGroup, DstGroup: h.SrcGroup, Op: h.Op}
 					rep := giop.Reply{RequestID: 42, Status: giop.ReplyNoException, Result: body, ResultOrder: order}
-					gotRep, err := EncodeReply(rh, rep)
+					gotRep, err := encodeReply(0, rh, rep)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,7 +121,7 @@ func (*scriptedApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error
 		return errScripted
 	case "refuse":
 		reply.WriteOctetSeq(data)
-		return &orb.SystemException{RepoID: orb.RepoTransient, Minor: 5}
+		return &orb.SystemException{RepoID: giop.RepoTransient, Minor: 5}
 	}
 	return args.Err()
 }
@@ -151,9 +151,9 @@ func replyBuiltInPlace(t *testing.T) {
 			{"nothing", 0, func([]byte) giop.Reply { return giop.Reply{RequestID: 42, ResultOrder: order} }},
 			{"echo", 64, func(res []byte) giop.Reply { return giop.Reply{RequestID: 42, Result: res, ResultOrder: order} }},
 			{"echo", 64 << 10, func(res []byte) giop.Reply { return giop.Reply{RequestID: 42, Result: res, ResultOrder: order} }},
-			{"fail-half-way", 64, func([]byte) giop.Reply { return exception(orb.RepoUnknown, 0) }},
-			{"fail-half-way", 64 << 10, func([]byte) giop.Reply { return exception(orb.RepoUnknown, 0) }},
-			{"refuse", 64, func([]byte) giop.Reply { return exception(orb.RepoTransient, 5) }},
+			{"fail-half-way", 64, func([]byte) giop.Reply { return exception(giop.RepoUnknown, 0) }},
+			{"fail-half-way", 64 << 10, func([]byte) giop.Reply { return exception(giop.RepoUnknown, 0) }},
+			{"refuse", 64, func([]byte) giop.Reply { return exception(giop.RepoTransient, 5) }},
 		} {
 			t.Run(fmt.Sprintf("order=%d/%s/%d", order, c.op, c.n), func(t *testing.T) {
 				w := cdr.NewWriter(order)
@@ -163,7 +163,7 @@ func replyBuiltInPlace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := EncodeReply(rh, c.want(w.Bytes()))
+				want, err := encodeReply(0, rh, c.want(w.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +189,7 @@ func replyBuiltInPlace(t *testing.T) {
 		if buf, err = giop.SealReply(append(buf, rep.Result...), room+headerLen, order, 0, rep); err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := EncodeReply(rh, rep); !bytes.Equal(sealPayload(room, buf)[room:], want) {
+		if want, _ := encodeReply(0, rh, rep); !bytes.Equal(sealPayload(room, buf)[room:], want) {
 			t.Errorf("order %d: a user exception built in place differs from EncodeReply's", order)
 		}
 	}
@@ -239,7 +239,7 @@ func requestConveyedVerbatim(t *testing.T) {
 			// The other form of the same invocation, as a gateway of the
 			// previous version sends it, decodes to the same request: the
 			// two may share a ring.
-			old, err := EncodeRequest(h, atGateway)
+			old, err := encodeRequest(0, h, atGateway)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func checkEncapsulated(t *testing.T, msg Message) {
 		return
 	}
 	if req, err := giop.DecodeRequest(wire); err == nil {
-		got, err := EncodeRequest(msg.Header, req)
+		got, err := encodeRequest(0, msg.Header, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func checkEncapsulated(t *testing.T, msg Message) {
 		}
 	}
 	if rep, err := giop.DecodeReply(wire); err == nil {
-		got, err := EncodeReply(msg.Header, rep)
+		got, err := encodeReply(0, msg.Header, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func FuzzDecode(f *testing.F) {
 	// reaches decodeState through Decode): a donation — checkpoint at a
 	// non-zero position with a suffix of real invocations, and without
 	// one — and a passive primary's sync, the checkpoint alone.
-	inv, _ := EncodeRequest(Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 8}},
+	inv, _ := encodeRequest(0, Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 8}},
 		giop.Request{RequestID: 8, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "append", Args: []byte{1}})
 	cp := logrec.Checkpoint{Seq: 7 << 16, OpCount: 7, State: []byte("state")}
 	suffix := []logrec.Entry{{Seq: 8 << 16, Data: inv}, {Seq: 9 << 16, Data: inv}}
@@ -49,10 +49,10 @@ func FuzzDecode(f *testing.F) {
 	}})}))
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		h := Header{Kind: KindInvocation, ClientID: 9, SrcGroup: 1, DstGroup: 100, Op: OperationID{ChildSeq: 3}}
-		req, _ := EncodeRequest(h, giop.Request{RequestID: 3, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "echo", Args: []byte{1, 2, 3}, ArgsOrder: order})
+		req, _ := encodeRequest(0, h, giop.Request{RequestID: 3, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "echo", Args: []byte{1, 2, 3}, ArgsOrder: order})
 		f.Add(req)
 		h.Kind = KindResponse
-		rep, _ := EncodeReply(h, giop.Reply{RequestID: 3, Result: []byte{4, 5}, ResultOrder: order})
+		rep, _ := encodeReply(0, h, giop.Reply{RequestID: 3, Result: []byte{4, 5}, ResultOrder: order})
 		f.Add(rep)
 	}
 	// Invocations as a gateway conveys them: the client's bytes, in its

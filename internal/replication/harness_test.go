@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/totem"
 )
@@ -40,6 +41,28 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 		d.nodes[id], d.rms[id] = startNode(t, id, ep, d.ids)
 	}
 	return d
+}
+
+// multicastRequest conveys req one-way as a gateway does: the request
+// marshalled behind the mechanisms' headroom, then MulticastFrame.
+func multicastRequest(m *Mechanisms, src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request) error {
+	msg, err := giop.EncodeRequest(req.ArgsOrder, req)
+	if err != nil {
+		return err
+	}
+	room, _ := m.Headroom()
+	return m.MulticastFrame(src, clientID, dst, op, append(make([]byte, room), giop.Marshal(msg)...))
+}
+
+// groupStyle reads a group's replication style from m's directory.
+func groupStyle(m *Mechanisms, id GroupID) (Style, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	g, ok := m.groups[id]
+	if !ok {
+		return 0, false
+	}
+	return g.style, true
 }
 
 // mustCreate creates a group from the first node and waits until every

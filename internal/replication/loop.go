@@ -147,19 +147,13 @@ func (m *Mechanisms) applyControl(msg Message, from memnet.NodeID, ts uint64) {
 	}
 }
 
-// send multicasts from the event loop. Multicast can block on the send
-// queue, which only the event loop drains, so it leaves the loop; Stop
-// waits on wg for the hand-off. Callers hold mu, which Stop takes between
-// beginning and waiting, so a send Stop does not wait for sends nothing.
+// send multicasts from the event loop: the node takes the message in
+// step and submits it when the step returns, so the loop never waits on
+// the send queue it alone drains.
 func (m *Mechanisms) send(msg Message) {
-	if m.stopped() {
-		return
+	if !m.stopped() {
+		_ = m.node.MulticastInStep(encode(m.room, msg))
 	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		_ = m.multicast(msg)
-	}()
 }
 
 // deliverDeleteGroup retires a group at this node. Callers hold mu.
@@ -663,7 +657,7 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 				res.rep = giop.Reply{
 					RequestID: rep.RequestID,
 					Status:    giop.ReplySystemException,
-					Result:    giop.SystemExceptionBody(giopOrder, "IDL:eternalgw/NO_AGREEMENT:1.0", minorNoAgreement, giop.CompletedMaybe),
+					Result:    giop.SystemExceptionBody(giopOrder, giop.RepoNoAgreement, minorNoAgreement, giop.CompletedMaybe),
 				}
 			default:
 				prev = c

@@ -19,11 +19,9 @@ var (
 	ErrNoQuorum      = errors.New("replication: node's ring holds no majority of the domain's processors")
 	ErrStopped       = errors.New("replication: mechanisms stopped")
 	ErrNoSuchGroup   = errors.New("replication: no such group")
-	ErrGroupExists   = errors.New("replication: group already exists")
 	ErrNotMember     = errors.New("replication: node is not a member")
 	ErrAlreadyMember = errors.New("replication: node already a member")
 	ErrTimeout       = errors.New("replication: timed out")
-	ErrNoAgreement   = errors.New("replication: voting replicas disagree")
 )
 
 // groupState is the directory entry for one object group. It is mutated
@@ -146,10 +144,6 @@ type Mechanisms struct {
 	pending *pendingTable
 
 	stopOnce sync.Once
-	// wg tracks goroutines the event loop hands blocking work to (send);
-	// Stop waits for them so no multicast fires after the caller assumes
-	// quiescence.
-	wg sync.WaitGroup
 
 	invocationsSent      atomic.Uint64
 	invocationsExecuted  atomic.Uint64
@@ -321,14 +315,9 @@ func (m *Mechanisms) dedupTotal() (total DedupUsage) {
 	return total
 }
 
-// NodeID returns the identity of the node these mechanisms run on.
-func (m *Mechanisms) NodeID() memnet.NodeID { return m.id }
-
 // Stop mutes the node's consumer (step), shuts down every replica
 // executor and withdraws what Arm registered, so that a step under way
-// installs no replica after it; then it waits for any in-flight handoff
-// goroutines (totem.Multicast unblocks them once the node drains its send
-// queue or stops). Whoever owns the node stops it.
+// installs no replica after it. Whoever owns the node stops it.
 func (m *Mechanisms) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.stop)
@@ -342,7 +331,6 @@ func (m *Mechanisms) Stop() {
 		}
 		clear(m.prearmed)
 	})
-	m.wg.Wait()
 }
 
 // Stats snapshots the counters.
@@ -469,17 +457,6 @@ func (m *Mechanisms) GroupByKey(objectKey []byte) (GroupID, bool) {
 	defer m.mu.RUnlock()
 	id, ok := m.byKey[string(objectKey)]
 	return id, ok
-}
-
-// GroupStyle returns the replication style of a group.
-func (m *Mechanisms) GroupStyle(id GroupID) (Style, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	g, ok := m.groups[id]
-	if !ok {
-		return 0, false
-	}
-	return g.style, true
 }
 
 // Members returns a group's hosting nodes in join order (index 0 is the
@@ -727,20 +704,10 @@ func (m *Mechanisms) multicastEncoded(enc []byte) error {
 	return nil
 }
 
-// MulticastRequest conveys an IIOP request into the domain as an
-// invocation of group dst on behalf of (src, clientID), without waiting
-// for a response: the whole of a one-way request, and the send half of
-// Invoke.
-func (m *Mechanisms) MulticastRequest(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request) error {
-	enc, err := encodeRequest(m.room, invocationHeader(src, clientID, dst, op), req)
-	if err != nil {
-		return err
-	}
-	return m.multicastEncoded(enc)
-}
-
-// MulticastFrame is MulticastRequest for a request framed as InvokeFrame
-// takes it.
+// MulticastFrame conveys an IIOP request, framed as InvokeFrame takes
+// it, into the domain as an invocation of group dst on behalf of (src,
+// clientID), without waiting for a response: the whole of a one-way
+// request.
 func (m *Mechanisms) MulticastFrame(src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte) error {
 	enc, err := frameInvocation(m.room, invocationHeader(src, clientID, dst, op), frame)
 	if err != nil {

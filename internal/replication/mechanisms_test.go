@@ -60,7 +60,7 @@ func TestGroupDirectoryAgreement(t *testing.T) {
 		if id, ok := d.rms[n].GroupByKey([]byte(testKeyStr)); !ok || id != grpServer {
 			t.Fatalf("%s: GroupByKey = %d, %v", n, id, ok)
 		}
-		if style, ok := d.rms[n].GroupStyle(grpServer); !ok || style != Active {
+		if style, ok := groupStyle(d.rms[n], grpServer); !ok || style != Active {
 			t.Fatalf("%s: style = %v, %v", n, style, ok)
 		}
 	}
@@ -77,8 +77,8 @@ func TestCreateGroupIdempotentAcrossCreators(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s0, _ := d.rms[d.ids[0]].GroupStyle(grpServer)
-	s1, _ := d.rms[d.ids[1]].GroupStyle(grpServer)
+	s0, _ := groupStyle(d.rms[d.ids[0]], grpServer)
+	s1, _ := groupStyle(d.rms[d.ids[1]], grpServer)
 	if s0 != s1 {
 		t.Fatalf("styles diverge: %v vs %v", s0, s1)
 	}
@@ -503,7 +503,7 @@ func TestSlowConsumerRaisesBackpressure(t *testing.T) {
 			runtime.Gosched()
 		}
 	})
-	if err := m.MulticastRequest(grpServer, UnusedClientID, grpServer, OperationID{ChildSeq: 1}, giop.Request{
+	if err := multicastRequest(m, grpServer, UnusedClientID, grpServer, OperationID{ChildSeq: 1}, giop.Request{
 		RequestID: 1, ObjectKey: []byte(testKeyStr), Operation: "read",
 	}); err != nil {
 		t.Fatal(err)

@@ -330,9 +330,10 @@ func TestLossyReturnsConverge(t *testing.T) {
 
 // idleMechanisms returns mechanisms on ids[0] whose totem node never
 // installs a ring — the others never start and its gather never ends — so
-// the event loop is idle and the test may stand in for it: the only
-// events are the test's, and what the mechanisms multicast stays in the
-// node's backlog to be counted.
+// the event loop is idle and the test may stand in for it. The node is
+// stopped once the mechanisms run on it, so the only events are the
+// test's, and what the mechanisms multicast stays in the node's backlog
+// to be counted.
 func idleMechanisms(t *testing.T, ids []memnet.NodeID) (*Mechanisms, *totem.Node) {
 	t.Helper()
 	ep, err := memnet.New().Attach(ids[0])
@@ -349,6 +350,7 @@ func idleMechanisms(t *testing.T, ids []memnet.NodeID) (*Mechanisms, *totem.Node
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	node.Stop()
 	return m, node
 }
 

@@ -184,7 +184,7 @@ func TestLateDeliveryInANonPrimaryRingRuns(t *testing.T) {
 	})
 
 	late.deaf.Store(true)
-	if err := d.rms["n00"].MulticastRequest(grpServer, 0, grpServer, OperationID{ChildSeq: 1}, giop.Request{
+	if err := multicastRequest(d.rms["n00"], grpServer, 0, grpServer, OperationID{ChildSeq: 1}, giop.Request{
 		RequestID: 1, ObjectKey: []byte(testKeyStr), Operation: "append", Args: octets([]byte("m")),
 	}); err != nil {
 		t.Fatal(err)

@@ -413,7 +413,7 @@ func TestForgetTouchesOneShardAndAllocatesNothing(t *testing.T) {
 func respond(t *testing.T, m *Mechanisms, h Header, sender string, result byte) []byte {
 	t.Helper()
 	h.Kind = KindResponse
-	enc, err := EncodeReply(h, giop.Reply{RequestID: h.Op.ChildSeq, Result: []byte{result}})
+	enc, err := encodeReply(0, h, giop.Reply{RequestID: h.Op.ChildSeq, Result: []byte{result}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,12 @@ func imageState(t *testing.T, m *Mechanisms) (state []byte, ok bool) {
 	}
 	app := &regApp{}
 	if err := app.SetState(cp.State); err != nil {
-		t.Fatalf("%s: checkpoint does not load: %v", m.NodeID(), err)
+		t.Fatalf("%s: checkpoint does not load: %v", m.id, err)
 	}
 	last := cp.Seq
 	for _, e := range entries {
 		if e.Seq <= last {
-			t.Fatalf("%s: entry at %d after position %d: image out of order or not truncated", m.NodeID(), e.Seq, last)
+			t.Fatalf("%s: entry at %d after position %d: image out of order or not truncated", m.id, e.Seq, last)
 		}
 		last = e.Seq
 		msg, err := Decode(e.Data)
@@ -312,7 +312,7 @@ func TestRecreatedGroupDonatesFreshImage(t *testing.T) {
 	}
 	for _, n := range d.ids {
 		waitFor(t, 3*time.Second, func() bool {
-			_, ok := d.rms[n].GroupStyle(grpServer)
+			_, ok := groupStyle(d.rms[n], grpServer)
 			return !ok
 		})
 	}

@@ -402,7 +402,7 @@ func (r *replica) respond(h Header, req giop.Request) ([]byte, error) {
 		return encodeReply(room, h, giop.Reply{
 			RequestID: req.RequestID,
 			Status:    giop.ReplySystemException,
-			Result:    giop.SystemExceptionBody(giopOrder, "IDL:omg.org/CORBA/IMP_LIMIT:1.0", minorReplyTooLarge, giop.CompletedYes),
+			Result:    giop.SystemExceptionBody(giopOrder, giop.RepoImpLimit, minorReplyTooLarge, giop.CompletedYes),
 		})
 	}
 	return sealPayload(room, buf), nil
@@ -437,7 +437,7 @@ func (r *replica) answerDuplicate(inv Message, kept []byte) {
 	enc, err := encodeReply(r.m.room, responseHeader(inv.Header), giop.Reply{
 		RequestID: req.RequestID,
 		Status:    giop.ReplySystemException,
-		Result:    giop.SystemExceptionBody(giopOrder, "IDL:eternalgw/REPLY_DISCARDED:1.0", minorBeyondWindow, giop.CompletedYes),
+		Result:    giop.SystemExceptionBody(giopOrder, giop.RepoReplyDiscarded, minorBeyondWindow, giop.CompletedYes),
 	})
 	if err == nil {
 		r.send(enc)

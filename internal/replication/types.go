@@ -79,26 +79,14 @@ func (s Style) String() string {
 // issuing group was executing when it issued this operation, and ChildSeq
 // is this operation's index in the issuer's sequence of invocations. The
 // operation identifier is determined identically at every replica of the
-// issuing group, which is what makes duplicate detection possible.
+// issuing group, which is what makes duplicate detection possible. The
+// paper's full message identifiers add the carrying message's own
+// timestamp, filled in at the receiving end from the total order: an
+// invocation is (T_B_inv, (T_A_inv, S_A_inv)) and its response
+// (T_B_res, (T_A_inv, S_A_inv)), sharing the operation identifier.
 type OperationID struct {
 	ParentTS uint64
 	ChildSeq uint32
-}
-
-// InvocationID is the full identifier of an invocation message:
-// (T_B_inv, (T_A_inv, S_A_inv)). The timestamp is filled in at the
-// receiving end from the totally-ordered sequence number.
-type InvocationID struct {
-	Timestamp uint64
-	Op        OperationID
-}
-
-// ResponseID is the full identifier of a response message:
-// (T_B_res, (T_A_inv, S_A_inv)). It shares the operation identifier with
-// its invocation.
-type ResponseID struct {
-	Timestamp uint64
-	Op        OperationID
 }
 
 // View is a numbered membership view of an object group. Every

@@ -113,16 +113,14 @@ func writeHeader(w *cdr.Writer, h Header) {
 	w.WriteULong(h.Op.ChildSeq)
 }
 
-// EncodeRequest encapsulates an IIOP Request (figure 4b): Encode's wire
-// form of a message whose payload is the framed request, built in one
-// buffer — header, then the IIOP bytes appended in place, then the
-// payload length, known only now, patched in. The request is framed in
-// the byte order its arguments were marshalled in (the external
-// client's, when a gateway forwards), so replicas decode the arguments
-// correctly and answer in the same order.
-func EncodeRequest(h Header, req giop.Request) ([]byte, error) { return encodeRequest(0, h, req) }
-
-// encodeRequest is to EncodeRequest what encode is to Encode.
+// encodeRequest encapsulates an IIOP Request (figure 4b) behind room
+// unwritten bytes, as encode does a Message: Encode's wire form of a
+// message whose payload is the framed request, built in one buffer —
+// header, then the IIOP bytes appended in place, then the payload
+// length, known only now, patched in. The request is framed in the byte
+// order its arguments were marshalled in (the external client's, when a
+// gateway forwards), so replicas decode the arguments correctly and
+// answer in the same order.
 func encodeRequest(room int, h Header, req giop.Request) ([]byte, error) {
 	buf, err := giop.AppendRequest(openPayload(room, h, giop.RequestSizeBound(req)), req.ArgsOrder, req)
 	if err != nil {
@@ -144,11 +142,9 @@ func frameInvocation(room int, h Header, frame []byte) ([]byte, error) {
 	return sealPayload(room, frame), nil
 }
 
-// EncodeReply is EncodeRequest for an IIOP Reply (figure 4c), framed in
+// encodeReply is encodeRequest for an IIOP Reply (figure 4c), framed in
 // the byte order its result bytes were produced in (the original
 // request's), so the label on the wire matches the payload.
-func EncodeReply(h Header, rep giop.Reply) ([]byte, error) { return encodeReply(0, h, rep) }
-
 func encodeReply(room int, h Header, rep giop.Reply) ([]byte, error) {
 	buf, err := giop.AppendReply(openPayload(room, h, giop.ReplySizeBound(rep)), rep.ResultOrder, rep)
 	if err != nil {

@@ -24,7 +24,6 @@ func (k OpKey) String() string { return fmt.Sprintf("%d.%d.%d", k.Client, k.A, k
 const (
 	EvIssue      = "issue"       // client issued a new operation
 	EvReissue    = "reissue"     // client reissued after timeout/failover (Val = attempt)
-	EvConnFail   = "conn_fail"   // client attempt hit a dead gateway
 	EvExec       = "exec"        // replica executed an invocation (Seq = total-order position, Hash = state hash after)
 	EvDedup      = "dedup"       // replica suppressed a duplicate invocation
 	EvRespRec    = "resp"        // gateway recorded the first response for an op
@@ -34,7 +33,6 @@ const (
 	EvReplyDup   = "reply_dup"   // client ignored a duplicate reply
 	EvRestart    = "restart"     // crashed node rejoined with volatile state wiped
 	EvRing       = "ring"        // node installed a ring (Note = members, Quorum flag)
-	EvView       = "view"        // node installed a group membership view (Val = view number)
 	EvFault      = "fault"       // schedule action fired (Note = name)
 	EvNestedAck  = "nested_ack"  // bridge sender saw its nested invocation acknowledged
 	EvPush       = "push"        // gateway pushed a fan-out item (Val = item)

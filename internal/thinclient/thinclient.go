@@ -322,5 +322,5 @@ func (c *Client) shedVerdict(rep giop.Reply) bool {
 		return false
 	}
 	repoID, _, _, err := giop.DecodeSystemException(rep.Result, rep.ResultOrder)
-	return err == nil && repoID == orb.RepoTransient
+	return err == nil && repoID == giop.RepoTransient
 }

@@ -427,7 +427,7 @@ func TestMinorityGatewayHandsClientsToTheMajority(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		_, err := conn.Call([]byte(keyCounter), "get", nil, orb.InvokeOptions{Timeout: 200 * time.Millisecond})
 		var sysEx *orb.SystemException
-		if errors.As(err, &sysEx) && sysEx.RepoID == orb.RepoTransient && sysEx.Completed == giop.CompletedNo {
+		if errors.As(err, &sysEx) && sysEx.RepoID == giop.RepoTransient && sysEx.Completed == giop.CompletedNo {
 			break
 		}
 		if time.Now().After(deadline) {

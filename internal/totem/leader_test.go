@@ -138,7 +138,7 @@ func TestLeaderModeTokenRetiredAndPacingNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ep.Broadcast(encodeToken(token{
-		RingID:  c.nodes["n00"].RingID(),
+		RingID:  ringID(c.nodes["n00"]),
 		TokenID: 1 << 20, // fresher than anything the ring issued
 		Succ:    "n01",
 	}))

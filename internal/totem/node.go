@@ -3,6 +3,7 @@ package totem
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"eternalgw/internal/memnet"
@@ -51,8 +52,13 @@ type Node struct {
 
 	events chan Event // Start's stream; nil for a node run otherwise
 	sendq  chan []byte
-	stop   chan struct{}
-	done   chan struct{} // closed when run returns; nil until Run
+	// stepped holds what the consumer multicast from inside a step
+	// (MulticastInStep). Only the protocol goroutine touches it; steppedN
+	// mirrors its length for Backlog.
+	stepped  [][]byte
+	steppedN atomic.Int64
+	stop     chan struct{}
+	done     chan struct{} // closed when run returns; nil until Run
 }
 
 // NewNode creates a node; Run launches it. The founding members run a
@@ -91,8 +97,8 @@ func NewNode(cfg Config) (*Node, error) {
 // holding a lock it takes may wait on the node — MulticastFramed once the
 // submission queue is full, Stop — or the two wait on each other. A
 // delivery's payload is borrowed: consume reads it, or hands it to
-// whoever does, and copies what it keeps. Run is called once, before
-// Stop.
+// whoever does, and copies what it keeps. consume multicasts with
+// MulticastInStep, which never waits. Run is called once, before Stop.
 func (n *Node) Run(consume func(Event)) {
 	n.core.emit = consume
 	n.done = make(chan struct{})
@@ -183,11 +189,8 @@ func (n *Node) Ceiling() int { return n.ceiling }
 // and the buffer itself broadcast (DESIGN.md section 7). A buffer longer
 // than Ceiling is refused with ErrTooLarge and stays the caller's.
 func (n *Node) MulticastFramed(buf []byte) error {
-	if len(buf) < n.core.room {
-		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.core.room)
-	}
-	if n.ceiling > 0 && len(buf) > n.ceiling {
-		return fmt.Errorf("%w: %d bytes, ceiling %d", ErrTooLarge, len(buf)-n.core.room, n.ceiling-n.core.room)
+	if err := n.fits(buf); err != nil {
+		return err
 	}
 	select {
 	case <-n.stop:
@@ -202,13 +205,37 @@ func (n *Node) MulticastFramed(buf []byte) error {
 	}
 }
 
+// MulticastInStep is MulticastFramed for the consumer Run calls, and only
+// from inside that call: the buffer waits on the protocol goroutine and
+// goes to the core when the step under way returns, so the consumer never
+// waits on the submission queue that goroutine alone drains.
+func (n *Node) MulticastInStep(buf []byte) error {
+	if err := n.fits(buf); err != nil {
+		return err
+	}
+	n.stepped = append(n.stepped, buf)
+	n.steppedN.Add(1)
+	return nil
+}
+
+// fits refuses a buffer MulticastFramed cannot take.
+func (n *Node) fits(buf []byte) error {
+	if len(buf) < n.core.room {
+		return fmt.Errorf("totem: a framed buffer of %d bytes has no room for the %d-byte header", len(buf), n.core.room)
+	}
+	if n.ceiling > 0 && len(buf) > n.ceiling {
+		return fmt.Errorf("%w: %d bytes, ceiling %d", ErrTooLarge, len(buf)-n.core.room, n.ceiling-n.core.room)
+	}
+	return nil
+}
+
 // Backlog reports the send-side backpressure signal: how many payloads
 // are queued for ordered broadcast (submitted but not yet consumed by a
 // token visit) against the submission queue's capacity. A backlog near
 // the capacity means Multicast callers are about to block — the domain
 // is not keeping up with offered load.
 func (n *Node) Backlog() (queued, capacity int) {
-	return len(n.sendq) + int(n.core.pendingN.Load()), cap(n.sendq)
+	return len(n.sendq) + int(n.core.pendingN.Load()+n.steppedN.Load()), cap(n.sendq)
 }
 
 // Members returns the most recently installed ring.
@@ -218,13 +245,6 @@ func (n *Node) Members() []memnet.NodeID {
 	out := make([]memnet.NodeID, len(n.core.curMembers))
 	copy(out, n.core.curMembers)
 	return out
-}
-
-// RingID returns the id of the most recently installed ring.
-func (n *Node) RingID() uint64 {
-	n.core.mu.Lock()
-	defer n.core.mu.Unlock()
-	return n.core.curRing
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -331,6 +351,15 @@ func (n *Node) run() {
 			case <-timer.C:
 			default:
 			}
+		}
+		// What the consumer multicast in these steps goes to the core now;
+		// a submission is a step too, so until it leaves nothing.
+		for len(n.stepped) > 0 {
+			batch, n.stepped = n.stepped, batch
+			n.steppedN.Store(0)
+			n.core.Submit(now, batch)
+			clear(batch)
+			batch = batch[:0]
 		}
 		wait := time.Hour
 		if next := n.core.Next(); !next.IsZero() {

@@ -396,9 +396,16 @@ func TestMembersSnapshot(t *testing.T) {
 	if len(m) != 3 || m[0] != "n00" || m[1] != "n01" || m[2] != "n02" {
 		t.Fatalf("members = %v", m)
 	}
-	if c.nodes["n00"].RingID() == 0 {
+	if ringID(c.nodes["n00"]) == 0 {
 		t.Fatal("ring id not set")
 	}
+}
+
+// ringID reads the id of the ring n installed last.
+func ringID(n *Node) uint64 {
+	n.core.mu.Lock()
+	defer n.core.mu.Unlock()
+	return n.core.curRing
 }
 
 // TestGCWalksTheNewSpanOnly pins the stability collector: entries at or
@@ -554,4 +561,59 @@ func TestStopReleasesANodeBlockedAtTheBound(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not return while the node was blocked at the event bound")
 	}
+}
+
+// TestMulticastInStepWaitsOnNothing: a consumer multicasts from inside
+// its step without waiting on the submission queue, even a full one.
+// While the consumer stalls, another goroutine fills the queue; then the
+// consumer queues a buffer in step and returns, and that buffer is
+// delivered.
+func TestMulticastInStepWaitsOnNothing(t *testing.T) {
+	ep, err := memnet.New().Attach("n00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	cfg.Endpoint, cfg.Members = ep, []memnet.NodeID{"n00"}
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release, delivered := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	n.Run(func(ev Event) {
+		switch string(ev.Delivery.Payload) {
+		case "stall":
+			close(stalled)
+			<-release
+			if err := n.MulticastInStep(n.core.framed([]byte("in step"))); err != nil {
+				t.Error(err)
+			}
+		case "in step":
+			close(delivered)
+		}
+	})
+	t.Cleanup(n.Stop)
+	if err := n.Multicast([]byte("stall")); err != nil {
+		t.Fatal(err)
+	}
+	wait := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal(what)
+		}
+	}
+	wait(stalled, "the stalling payload was never delivered")
+	go func() {
+		for n.Multicast([]byte("fill")) == nil {
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(n.sendq) < cap(n.sendq); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("submission queue holds %d of %d", len(n.sendq), cap(n.sendq))
+		}
+	}
+	close(release)
+	wait(delivered, "the buffer queued in step was never delivered")
 }

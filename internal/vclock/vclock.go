@@ -102,6 +102,3 @@ func (c *Clock) Step() bool {
 	e.fn()
 	return true
 }
-
-// Pending returns the number of scheduled events.
-func (c *Clock) Pending() int { return len(c.heap) }

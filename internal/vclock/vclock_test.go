@@ -42,8 +42,8 @@ func TestClockTimerStop(t *testing.T) {
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", c.Pending())
+	if len(c.heap) != 0 {
+		t.Fatalf("%d events scheduled after drain", len(c.heap))
 	}
 }
 

@@ -171,8 +171,8 @@ func TestLeaderCrashSoak(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if !plan.Done() {
-		t.Fatalf("fault plan incomplete: fired %v after %d ops", plan.Fired(), plan.Ops())
+	if fired := plan.FiredAt(); len(fired) != len(plan.Steps()) {
+		t.Fatalf("fault plan incomplete: fired %v after %d ops", fired, plan.Ops())
 	}
 
 	// The sequencer's death must have forced the survivors off the fast

@@ -157,8 +157,8 @@ func TestGatewayOverloadSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !plan.Done() {
-		t.Fatalf("fault plan incomplete: fired %v after %d ops", plan.Fired(), plan.Ops())
+	if fired := plan.FiredAt(); len(fired) != len(plan.Steps()) {
+		t.Fatalf("fault plan incomplete: fired %v after %d ops", fired, plan.Ops())
 	}
 	// Boundedness: admitted work never exceeded the window, and the
 	// process never grew goroutines beyond the per-connection constant.
