@@ -101,12 +101,12 @@ copymap:
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule
-# class and workload, then proves the invariant checkers still have
-# teeth: with a known-critical guard disabled (replica dedup, the
-# membership-sync snapshot) a violating seed must turn up within the
-# same budget. Failing seeds replay exactly: simrun -seed N -workload W
-# -schedule S.
-SIM_SEEDS ?= 200
+# class and workload — 300 seeds of each of the two, 600 seeded runs of
+# the shipping totem core — then proves the invariant checkers still
+# have teeth: with a known-critical guard disabled (replica dedup, the
+# membership-sync snapshot) a violating seed must turn up within 30.
+# Failing seeds replay exactly: simrun -seed N -workload W -schedule S.
+SIM_SEEDS ?= 300
 SIM_TEETH_SEEDS ?= 30
 sim:
 	$(GO) run ./cmd/simrun -seeds $(SIM_SEEDS)

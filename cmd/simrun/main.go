@@ -22,49 +22,87 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"eternalgw/internal/faultinject"
-	"eternalgw/internal/obs"
 	"eternalgw/internal/sim"
 )
 
-func main() {
-	var (
-		seeds     = flag.Int("seeds", 0, "sweep seeds 0..N-1 (mutually exclusive with -seed)")
-		seed      = flag.Uint64("seed", 0, "replay exactly one seed")
-		workload  = flag.String("workload", "", "pin a workload ("+strings.Join(sim.Workloads(), ", ")+"); empty sweeps all")
-		schedule  = flag.String("schedule", "", "pin a fault class ("+strings.Join(sim.Schedules(), ", ")+"); empty draws by seed")
-		mutate    = flag.String("mutate", "", "disable a safety mechanism (disable-dedup, disable-membership-sync); success inverts")
-		artifacts = flag.String("artifacts", "", "directory to dump failing traces and schedules into")
-		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel workers for sweeps")
-		metrics   = flag.Bool("metrics", false, "print aggregated eternalgw_sim_* counters at the end")
-		verbose   = flag.Bool("v", false, "print one line per run, not only failures")
-	)
-	flag.Parse()
+// runOpts is what the command line asks for.
+type runOpts struct {
+	seeds     int
+	seed      uint64
+	single    bool // -seed was given: replay that seed alone
+	workloads []string
+	schedule  string
+	mutate    string
+	mut       sim.Mutations
+	artifacts string
+	jobs      int
+	metrics   bool
+	verbose   bool
+}
 
-	var mut sim.Mutations
-	switch *mutate {
+// parseFlags reads the command line and rejects what names nothing the
+// simulator has — a workload, schedule class or mutation it does not
+// know — and -seed beside -seeds, so a misspelling cannot run something
+// else and report it green.
+func parseFlags(args []string) (runOpts, error) {
+	o := runOpts{workloads: sim.Workloads()}
+	var workload string
+	fs := flag.NewFlagSet("simrun", flag.ExitOnError)
+	fs.IntVar(&o.seeds, "seeds", 0, "sweep seeds 0..N-1 (mutually exclusive with -seed)")
+	fs.Uint64Var(&o.seed, "seed", 0, "replay exactly one seed")
+	fs.StringVar(&workload, "workload", "", "pin a workload ("+strings.Join(sim.Workloads(), ", ")+"); empty sweeps all")
+	fs.StringVar(&o.schedule, "schedule", "", "pin a fault class ("+strings.Join(sim.Schedules(), ", ")+"); empty draws by seed")
+	fs.StringVar(&o.mutate, "mutate", "", "disable a safety mechanism (disable-dedup, disable-membership-sync); success inverts")
+	fs.StringVar(&o.artifacts, "artifacts", "", "directory to dump failing traces and schedules into")
+	fs.IntVar(&o.jobs, "jobs", runtime.GOMAXPROCS(0), "parallel workers for sweeps")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the sweep's totals (runs, violations, events, faults, reissues, dedups, virtual ms) at the end")
+	fs.BoolVar(&o.verbose, "v", false, "print one line per run, not only failures")
+	_ = fs.Parse(args) // ExitOnError
+
+	var seedsSet bool
+	fs.Visit(func(f *flag.Flag) {
+		o.single = o.single || f.Name == "seed"
+		seedsSet = seedsSet || f.Name == "seeds"
+	})
+	if o.single && seedsSet {
+		return o, fmt.Errorf("-seed and -seeds are mutually exclusive")
+	}
+	if workload != "" {
+		if !slices.Contains(sim.Workloads(), workload) {
+			return o, fmt.Errorf("unknown -workload %q (one of %s)", workload, strings.Join(sim.Workloads(), ", "))
+		}
+		o.workloads = []string{workload}
+	}
+	if o.schedule != "" && !slices.Contains(sim.Schedules(), o.schedule) {
+		return o, fmt.Errorf("unknown -schedule %q (one of %s)", o.schedule, strings.Join(sim.Schedules(), ", "))
+	}
+	switch o.mutate {
 	case "":
 	case "disable-dedup":
-		mut.DisableDedup = true
+		o.mut.DisableDedup = true
 	case "disable-membership-sync":
-		mut.DisableMembershipSync = true
+		o.mut.DisableMembershipSync = true
 	default:
-		fmt.Fprintf(os.Stderr, "simrun: unknown -mutate %q\n", *mutate)
+		return o, fmt.Errorf("unknown -mutate %q (one of disable-dedup, disable-membership-sync)", o.mutate)
+	}
+	if o.seeds <= 0 && !o.single {
+		o.seeds = 100
+	}
+	o.jobs = max(o.jobs, 1)
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simrun: %v\n", err)
 		os.Exit(2)
-	}
-
-	workloads := sim.Workloads()
-	if *workload != "" {
-		workloads = []string{*workload}
-	}
-
-	single := isFlagSet("seed")
-	if *seeds <= 0 && !single {
-		*seeds = 100
 	}
 
 	type job struct {
@@ -72,35 +110,28 @@ func main() {
 		wl   string
 	}
 	var jobsList []job
-	if single {
-		for _, wl := range workloads {
-			jobsList = append(jobsList, job{*seed, wl})
+	if o.single {
+		for _, wl := range o.workloads {
+			jobsList = append(jobsList, job{o.seed, wl})
 		}
 	} else {
-		for s := uint64(0); s < uint64(*seeds); s++ {
-			for _, wl := range workloads {
+		for s := uint64(0); s < uint64(o.seeds); s++ {
+			for _, wl := range o.workloads {
 				jobsList = append(jobsList, job{s, wl})
 			}
 		}
 	}
 
-	reg := obs.NewRegistry()
-	m := sim.NewMetrics(reg)
-
-	type failure struct {
-		res *sim.Result
-	}
 	var (
-		mu       sync.Mutex
-		failures []failure
-		ran      int
+		mu         sync.Mutex
+		failures   []*sim.Result
+		ran        int
+		violations int
+		totals     sim.RunStats
 	)
 	ch := make(chan job)
 	var wg sync.WaitGroup
-	if *jobs < 1 {
-		*jobs = 1
-	}
-	for w := 0; w < *jobs; w++ {
+	for w := 0; w < o.jobs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -108,17 +139,22 @@ func main() {
 				res := sim.Run(sim.Config{
 					Seed:      j.seed,
 					Workload:  j.wl,
-					Schedule:  *schedule,
-					Mutations: mut,
-					Metrics:   m,
+					Schedule:  o.schedule,
+					Mutations: o.mut,
 				})
 				mu.Lock()
 				ran++
+				violations += len(res.Violations)
+				totals.Events += res.Stats.Events
+				totals.Faults += res.Stats.Faults
+				totals.Reissues += res.Stats.Reissues
+				totals.Dedups += res.Stats.Dedups
+				totals.VirtualMS += res.Stats.VirtualMS
 				bad := res.Reason != "completed" || len(res.Violations) > 0
 				if bad {
-					failures = append(failures, failure{res})
+					failures = append(failures, res)
 				}
-				if bad || *verbose {
+				if bad || o.verbose {
 					status := "ok"
 					if bad {
 						status = fmt.Sprintf("FAIL (%s, %d violations)", res.Reason, len(res.Violations))
@@ -139,41 +175,42 @@ func main() {
 	wg.Wait()
 
 	sort.Slice(failures, func(i, j int) bool {
-		a, b := failures[i].res, failures[j].res
+		a, b := failures[i], failures[j]
 		if a.Seed != b.Seed {
 			return a.Seed < b.Seed
 		}
 		return a.Workload < b.Workload
 	})
 
-	if *artifacts != "" && len(failures) > 0 {
-		if err := os.MkdirAll(*artifacts, 0o755); err != nil {
+	if o.artifacts != "" && len(failures) > 0 {
+		if err := os.MkdirAll(o.artifacts, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "simrun: %v\n", err)
 			os.Exit(2)
 		}
 		for _, f := range failures {
-			if err := dumpArtifact(*artifacts, f.res); err != nil {
+			if err := dumpArtifact(o.artifacts, f); err != nil {
 				fmt.Fprintf(os.Stderr, "simrun: %v\n", err)
 			}
 		}
 	}
 
-	if *metrics {
-		fmt.Print(reg.RenderPrometheus())
+	if o.metrics {
+		fmt.Printf("simrun: totals: runs=%d violations=%d events=%d faults=%d reissues=%d dedups=%d virtual_ms=%d\n",
+			ran, violations, totals.Events, totals.Faults, totals.Reissues, totals.Dedups, totals.VirtualMS)
 	}
 
 	fmt.Printf("simrun: %d runs, %d failures\n", ran, len(failures))
-	if *mutate != "" {
+	if o.mutate != "" {
 		// Teeth mode: the harness is broken if NO seed violates.
 		if len(failures) == 0 {
-			fmt.Fprintf(os.Stderr, "simrun: -mutate %s found no violating seed in %d runs — checkers have lost their teeth\n", *mutate, ran)
+			fmt.Fprintf(os.Stderr, "simrun: -mutate %s found no violating seed in %d runs — checkers have lost their teeth\n", o.mutate, ran)
 			os.Exit(1)
 		}
-		fmt.Printf("simrun: -mutate %s confirmed detectable (first violating seed %d)\n", *mutate, failures[0].res.Seed)
+		fmt.Printf("simrun: -mutate %s confirmed detectable (first violating seed %d)\n", o.mutate, failures[0].Seed)
 		return
 	}
 	if len(failures) > 0 {
-		f := failures[0].res
+		f := failures[0]
 		fmt.Fprintf(os.Stderr, "simrun: replay first failure (%s ordering) with: simrun -seed %d -workload %s -schedule %s\n",
 			f.Ordering, f.Seed, f.Workload, f.Schedule)
 		os.Exit(1)
@@ -204,14 +241,4 @@ func dumpArtifact(dir string, res *sim.Result) error {
 	fmt.Fprintf(&b, "# trace (%d events, hash %016x):\n", res.Trace.Len(), res.TraceHash)
 	b.WriteString(res.Trace.Dump())
 	return os.WriteFile(filepath.Join(dir, base+".trace"), []byte(b.String()), 0o644)
-}
-
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

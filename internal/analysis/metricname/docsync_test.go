@@ -64,8 +64,8 @@ func TestDocSyncDrift(t *testing.T) {
 import "eternalgw/internal/obs"
 
 func register(reg *obs.Registry) {
-	reg.Counter("eternalgw_drift_documented_total", "documented and registered", nil)
-	reg.Counter("eternalgw_drift_undocumented_total", "registered but missing from the docs", nil)
+	reg.CounterFunc("eternalgw_drift_documented_total", "documented and registered", nil, nil)
+	reg.CounterFunc("eternalgw_drift_undocumented_total", "registered but missing from the docs", nil, nil)
 }
 `)
 	two := write("two.go", `package two
@@ -73,7 +73,7 @@ func register(reg *obs.Registry) {
 import "eternalgw/internal/obs"
 
 func register(reg *obs.Registry) {
-	reg.Counter("eternalgw_drift_documented_total", "second registration of the same name", nil)
+	reg.CounterFunc("eternalgw_drift_documented_total", "second registration of the same name", nil, nil)
 }
 `)
 	pkg1, err := l.CheckFiles("gwlint-testdata/driftone", []string{one})

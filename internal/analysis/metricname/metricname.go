@@ -7,7 +7,7 @@
 // cannot see the full registration set.
 //
 // Registration sites are direct string arguments to the Registry methods
-// (Counter, CounterFunc, GaugeFunc, Histogram). The table-driven
+// (CounterFunc, GaugeFunc, Histogram). The table-driven
 // idiom — a slice literal of {name, help} rows fed to the registry in a
 // loop — is resolved by following the name argument's field back to the
 // string literals in the same function's composite literals. A name the
@@ -34,7 +34,6 @@ const (
 )
 
 var registerMethods = map[string]bool{
-	"eternalgw/internal/obs.Registry.Counter":     true,
 	"eternalgw/internal/obs.Registry.CounterFunc": true,
 	"eternalgw/internal/obs.Registry.GaugeFunc":   true,
 	"eternalgw/internal/obs.Registry.Histogram":   true,

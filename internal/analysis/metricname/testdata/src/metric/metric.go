@@ -7,11 +7,11 @@ package metric
 import "eternalgw/internal/obs"
 
 func direct(reg *obs.Registry) {
-	reg.Counter("eternalgw_corpus_good_total", "a well-formed name", nil)
-	reg.GaugeFunc("corpus_unprefixed", "missing the module prefix", nil, nil)  // want `does not start with "eternalgw_"`
-	reg.Counter("eternalgw_Corpus_bad_total", "uppercase is not allowed", nil) // want `not lowercase`
-	reg.Counter("eternalgw_corpus_twice_total", "registered here...", nil)
-	reg.Counter("eternalgw_corpus_twice_total", "...and here again", nil) // want `registered more than once in this package`
+	reg.CounterFunc("eternalgw_corpus_good_total", "a well-formed name", nil, nil)
+	reg.GaugeFunc("corpus_unprefixed", "missing the module prefix", nil, nil)           // want `does not start with "eternalgw_"`
+	reg.CounterFunc("eternalgw_Corpus_bad_total", "uppercase is not allowed", nil, nil) // want `not lowercase`
+	reg.CounterFunc("eternalgw_corpus_twice_total", "registered here...", nil, nil)
+	reg.CounterFunc("eternalgw_corpus_twice_total", "...and here again", nil, nil) // want `registered more than once in this package`
 }
 
 type row struct {
@@ -37,10 +37,10 @@ func tables(reg *obs.Registry) {
 
 // A name the analyzer cannot resolve statically is itself a finding.
 func dynamic(reg *obs.Registry, name string) {
-	reg.Counter(name, "dynamically named", nil) // want `not a resolvable string literal`
+	reg.CounterFunc(name, "dynamically named", nil, nil) // want `not a resolvable string literal`
 }
 
 // The escape hatch works here like everywhere else.
 func sanctioned(reg *obs.Registry, name string) {
-	reg.Counter(name, "forwarded from a config file", nil) //lint:allow metricname bridge metric named by the operator's config
+	reg.CounterFunc(name, "forwarded from a config file", nil, nil) //lint:allow metricname bridge metric named by the operator's config
 }

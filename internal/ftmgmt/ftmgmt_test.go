@@ -506,7 +506,7 @@ func TestGroupGaugesFollowHostList(t *testing.T) {
 		fmt.Sprintf(`eternalgw_reconfig_group_view{group="%d"} %d`, grpObj, v.Number),
 	}
 	for {
-		out := reg.RenderPrometheus()
+		out := scrape(reg)
 		if strings.Contains(out, want[0]) && strings.Contains(out, want[1]) {
 			return
 		}
@@ -565,7 +565,7 @@ func TestAwaitingDirectoryIsNotRead(t *testing.T) {
 		t.Fatalf("host 0 awaiting %v with groups %v: it was to be left out of it", stale.RM.Stats().DirectoryAwaiting, stale.RM.Groups())
 	}
 	want := fmt.Sprintf(`eternalgw_ftmgmt_group_replicas{group="%d"} 2`, grpObj)
-	wait("the replicas gauge does not read host 1's directory: want "+want, func() bool { return strings.Contains(reg.RenderPrometheus(), want) })
+	wait("the replicas gauge does not read host 1's directory: want "+want, func() bool { return strings.Contains(scrape(reg), want) })
 }
 
 // waitUntil polls cond until it holds, failing the test with what after
@@ -768,4 +768,11 @@ func TestCreateFailingBeforeOrderLeavesNothingArmed(t *testing.T) {
 			t.Fatalf("%s reads view %d of the group created again, want 2: %v", d.Node(i).ID, v.Number, views(d, grpObj, 0, 1, 2))
 		}
 	}
+}
+
+// scrape is the exposition /metrics serves.
+func scrape(reg *obs.Registry) string {
+	var b strings.Builder
+	_ = reg.WritePrometheus(&b)
+	return b.String()
 }

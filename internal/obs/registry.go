@@ -52,7 +52,6 @@ func (c *Counter) Value() uint64 {
 // series is one (label set, value source) member of a metric family.
 type series struct {
 	labels    string // rendered {k="v",...} or ""
-	counter   *Counter
 	counterFn func() uint64
 	gaugeFn   func() float64
 	hist      *Histogram
@@ -71,7 +70,7 @@ type family struct {
 // rare (startup) and rendering infrequent (scrapes), so a single mutex
 // guards the directory; the counters and gauges themselves are atomics
 // and never contend with the datapath. A nil *Registry accepts every
-// registration as a no-op and still hands out usable counters/gauges.
+// registration as a no-op.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -105,14 +104,6 @@ func (r *Registry) register(name, help, typ string, labels Labels, s *series) {
 	}
 	f.byKey[s.labels] = len(f.series)
 	f.series = append(f.series, s)
-}
-
-// Counter registers and returns an owned counter. With a nil registry
-// the counter still works; it is simply never rendered.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", labels, &series{counter: c})
-	return c
 }
 
 // CounterFunc registers a counter read from fn at render time. This is
@@ -165,17 +156,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// RenderPrometheus returns the rendered exposition as a string.
-func (r *Registry) RenderPrometheus() string {
-	var b strings.Builder
-	_ = r.WritePrometheus(&b)
-	return b.String()
-}
-
 func writeSeries(b *strings.Builder, name string, s *series) {
 	switch {
-	case s.counter != nil:
-		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counter.Value())
 	case s.counterFn != nil:
 		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counterFn())
 	case s.gaugeFn != nil:

@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestOpsEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("up_total", "Ups.", nil).Add(5)
+	reg.CounterFunc("up_total", "Ups.", nil, func() uint64 { return 5 })
 	tracer := NewTracer(8)
 	key := TraceKey{ClientID: 9, ChildSeq: 1}
 	tracer.Event(key, StageGatewayAccept, "gw")

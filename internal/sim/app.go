@@ -2,8 +2,9 @@ package sim
 
 // Op is one invocation flowing through a simulated domain: a client
 // request admitted by a gateway, or a nested invocation a replica group
-// emits against another domain (the paper's cross-domain bridge, routed
-// through the remote domain's gateways).
+// emits against another domain (the paper's cross-domain bridge, which
+// every replica calls through the remote domain's gateways as a thin
+// client).
 type Op struct {
 	Key   OpKey
 	Dom   int // target domain
@@ -12,12 +13,9 @@ type Op struct {
 	Arg   uint64
 	Arg2  uint64
 	Arg3  uint64
-	// OriginDom/OriginGroup identify the emitting replica group for
-	// bridge ops; OriginDom is -1 for client-issued ops.
-	OriginDom   int
-	OriginGroup int
-	// ReplyTo is the memnet id of the issuing client ("" for bridge
-	// ops, which are acknowledged to the origin domain instead).
+	// ReplyTo is the memnet id of the thin client that sent this copy:
+	// a sim client, or a protocol node calling a bridge op (each sends
+	// its own copy, so the remote gateway answers each caller).
 	ReplyTo string
 }
 
@@ -37,7 +35,7 @@ func (o *Op) keyHash() uint64 {
 // gateways' duplicate suppression collapses the copies — the paper's
 // figure 4c). Hash is an order-sensitive digest of the applied history;
 // Total is the workload-level aggregate the checkers audit (counter
-// value, balance sum, published items).
+// value, balance sum).
 type App interface {
 	Apply(op *Op, seq uint64, emit func(*Op)) uint64
 	Hash() uint64
@@ -69,7 +67,7 @@ func (a *counterApp) Clone() App    { c := *a; return &c }
 // (saturating, so the transferred amount is a deterministic function of
 // replicated state) and emits a "credit" against the east domain keyed
 // by the transfer's global sequence — identical from every replica, so
-// the east gateways admit it exactly once. The east instance applies
+// the east replicas execute it exactly once. The east instance applies
 // credits. Total is the balance sum, which the conservation checker
 // adds across domains.
 type bankApp struct {
@@ -104,14 +102,12 @@ func (a *bankApp) Apply(op *Op, seq uint64, emit func(*Op)) uint64 {
 		}
 		a.bal[from] -= amt
 		emit(&Op{
-			Key:         OpKey{Client: bridgeClient, A: seq, B: 0},
-			Dom:         a.eastDom,
-			Group:       a.eastGroup,
-			Name:        "credit",
-			Arg:         op.Arg2,
-			Arg3:        amt,
-			OriginDom:   op.Dom,
-			OriginGroup: op.Group,
+			Key:   OpKey{Client: bridgeClient, A: seq, B: 0},
+			Dom:   a.eastDom,
+			Group: a.eastGroup,
+			Name:  "credit",
+			Arg:   op.Arg2,
+			Arg3:  amt,
 		})
 		val = amt
 	case "credit":
@@ -138,23 +134,3 @@ func (a *bankApp) Clone() App {
 	c.bal = append([]uint64(nil), a.bal...)
 	return &c
 }
-
-// fanoutApp is the streaming workload's state machine: each "pub" op
-// appends one item; the returned value is the item's position in the
-// published order, which the gateways push to subscribers.
-type fanoutApp struct {
-	items uint64
-	hash  uint64
-}
-
-func newFanoutApp() App { return &fanoutApp{} }
-
-func (a *fanoutApp) Apply(op *Op, seq uint64, emit func(*Op)) uint64 {
-	a.items++
-	a.hash = mix64(mix64(a.hash, op.keyHash()), a.items)
-	return a.items
-}
-
-func (a *fanoutApp) Hash() uint64  { return a.hash }
-func (a *fanoutApp) Total() uint64 { return a.items }
-func (a *fanoutApp) Clone() App    { c := *a; return &c }

@@ -26,13 +26,11 @@ const (
 	InvCompletion   = "completion"
 	InvViewAgree    = "view-agreement"
 	InvConservation = "conservation"
-	InvFanoutOrder  = "fanout-order"
-	InvFanoutDeliv  = "fanout-delivery"
 )
 
 // CheckOpts parameterizes Check for the workload that produced the
-// trace. Liveness checks (completion, fan-out delivery) always apply:
-// schedules force-heal every fault well before the virtual deadline,
+// trace. The liveness check (completion) always applies: schedules
+// force-heal every fault well before the virtual deadline,
 // so a run that still has unfinished operations at the end has lost an
 // admitted request, which is precisely the breach the paper's gateway
 // records exist to prevent.
@@ -41,11 +39,6 @@ type CheckOpts struct {
 	// initial total across all accounts in all domains.
 	Bank        bool
 	BankInitial uint64
-	// Fanout enables the streaming order/delivery checks with the
-	// given published item count and subscriber count.
-	Fanout      bool
-	FanoutItems uint64
-	Subscribers int
 }
 
 // execKey identifies one operation within one group.
@@ -282,41 +275,6 @@ func Check(events []Event, opts CheckOpts) []Violation {
 		if total != opts.BankInitial {
 			out = append(out, Violation{InvConservation, fmt.Sprintf(
 				"total balance %d != initial funding %d", total, opts.BankInitial)})
-		}
-	}
-
-	// --- fan-out: each subscriber must accept items in the published
-	// order with no gaps, and (liveness) accept all of them. ---
-	if opts.Fanout {
-		recv := make(map[int][]uint64) // subscriber node -> items in accept order
-		var subs []int
-		for _, e := range events {
-			if e.Kind != EvRecv {
-				continue
-			}
-			if len(recv[e.Node]) == 0 {
-				subs = append(subs, e.Node)
-			}
-			recv[e.Node] = append(recv[e.Node], e.Val)
-		}
-		sort.Ints(subs)
-		for _, s := range subs {
-			items := recv[s]
-			for i, it := range items {
-				if it != uint64(i+1) {
-					out = append(out, Violation{InvFanoutOrder, fmt.Sprintf(
-						"subscriber n%d accepted item %d at position %d", s, it, i+1)})
-					break
-				}
-			}
-			if uint64(len(items)) != opts.FanoutItems {
-				out = append(out, Violation{InvFanoutDeliv, fmt.Sprintf(
-					"subscriber n%d accepted %d of %d items", s, len(items), opts.FanoutItems)})
-			}
-		}
-		if len(subs) != opts.Subscribers {
-			out = append(out, Violation{InvFanoutDeliv, fmt.Sprintf(
-				"%d of %d subscribers accepted anything", len(subs), opts.Subscribers)})
 		}
 	}
 

@@ -158,25 +158,6 @@ func TestCheckConservation(t *testing.T) {
 	}
 }
 
-func TestCheckFanout(t *testing.T) {
-	gap := []Event{
-		{Kind: EvRecv, Dom: 0, Node: 7, Val: 1},
-		{Kind: EvRecv, Dom: 0, Node: 7, Val: 3},
-	}
-	vs := Check(gap, CheckOpts{Fanout: true, FanoutItems: 3, Subscribers: 1})
-	if !hasInv(vs, InvFanoutOrder) {
-		t.Fatalf("gap in accepted items not flagged: %v", vs)
-	}
-	short := []Event{
-		{Kind: EvRecv, Dom: 0, Node: 7, Val: 1},
-		{Kind: EvRecv, Dom: 0, Node: 7, Val: 2},
-	}
-	vs = Check(short, CheckOpts{Fanout: true, FanoutItems: 3, Subscribers: 2})
-	if !hasInv(vs, InvFanoutDeliv) {
-		t.Fatalf("missing items / missing subscriber not flagged: %v", vs)
-	}
-}
-
 // TestCheckPureOnDump re-runs the checker on a real run's recorded
 // events and expects the identical verdict — Check must be a pure
 // function of the trace so dumped artifacts can be re-audited offline.

@@ -13,8 +13,14 @@ const (
 	clientBaseTO = 20 * time.Millisecond
 	clientMaxTO  = 60 * time.Millisecond
 	thinkTime    = 200 * time.Microsecond
-	fetchTO      = 3 * time.Millisecond
 )
+
+// callTimeout is how long a thin client waits on one gateway before it
+// reissues to the next: clientBaseTO for each attempt made, at most
+// clientMaxTO.
+func callTimeout(attempt int) time.Duration {
+	return min(clientBaseTO*time.Duration(attempt), clientMaxTO)
+}
 
 // client is a simulated thin client: closed-loop, one outstanding
 // operation, reissuing with the same operation identifier on timeout
@@ -31,8 +37,6 @@ type client struct {
 	gws     []memnet.NodeID
 	rng     *rand.Rand
 	seq     uint64
-	total   int
-	done    int
 	cur     *Op
 	attempt int
 	gwIdx   int
@@ -77,11 +81,7 @@ func (c *client) issueNext() {
 func (c *client) sendCur() {
 	gw := c.gws[c.gwIdx%len(c.gws)]
 	c.w.send(c.ep, gw, &msg{kind: mRequest, op: c.cur})
-	to := clientBaseTO * time.Duration(c.attempt)
-	if to > clientMaxTO {
-		to = clientMaxTO
-	}
-	to += time.Duration(c.rng.Int63n(int64(2 * time.Millisecond)))
+	to := callTimeout(c.attempt) + time.Duration(c.rng.Int63n(int64(2*time.Millisecond)))
 	if c.timer != nil {
 		c.timer.Stop()
 	}
@@ -112,78 +112,6 @@ func (c *client) handle(m *msg) {
 		c.timer.Stop()
 	}
 	c.trace(Event{Kind: EvReplyOK, Group: op.Group, Op: op.Key, Val: uint64(c.attempt)})
-	c.done++
 	c.w.opCompleted()
 	c.after(thinkTime+time.Duration(c.rng.Int63n(int64(100*time.Microsecond))), c.issueNext)
-}
-
-// subscriber is a fan-out consumer: it accepts pushed items strictly in
-// order and backfills gaps by fetching from the gateways' replicated
-// publication history, rotating gateways so a crashed one cannot stall
-// it.
-type subscriber struct {
-	w        *world
-	dom      int
-	idx      int
-	nid      memnet.NodeID
-	ep       *memnet.Endpoint
-	gws      []memnet.NodeID
-	next     uint64
-	total    uint64
-	fetchIdx int
-	finished bool
-}
-
-func subscriberName(idx int) memnet.NodeID { return memnet.NodeID(fmt.Sprintf("zs%02d", idx)) }
-
-func (s *subscriber) trace(e Event) {
-	e.T = s.w.clock.Now()
-	e.Dom = s.dom
-	e.Node = s.idx
-	s.w.record(e)
-}
-
-func (s *subscriber) start() {
-	s.next = 1
-	s.scheduleFetch()
-}
-
-func (s *subscriber) handle(m *msg) {
-	if m == nil {
-		return
-	}
-	switch m.kind {
-	case mPush:
-		s.accept([]uint64{m.val})
-	case mItems:
-		s.accept(m.items)
-	}
-}
-
-func (s *subscriber) accept(items []uint64) {
-	for _, it := range items {
-		if it == s.next {
-			s.trace(Event{Kind: EvRecv, Val: it})
-			s.next++
-		}
-	}
-	if !s.finished && s.next > s.total {
-		s.finished = true
-		s.w.workerDone()
-	}
-}
-
-func (s *subscriber) scheduleFetch() {
-	if s.finished {
-		return
-	}
-	s.w.clock.AfterFunc(fetchTO, func() {
-		if s.w.done || s.finished {
-			return
-		}
-		gw := s.gws[s.fetchIdx%len(s.gws)]
-		s.fetchIdx++
-		s.w.send(s.ep, gw, &msg{kind: mFetch, have: s.next - 1, client: string(s.nid)})
-		s.scheduleFetch()
-	})
 }

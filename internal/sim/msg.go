@@ -2,39 +2,32 @@ package sim
 
 import "encoding/binary"
 
-// msgKind enumerates the sim's unicast messages: between a client or a
-// subscriber and a gateway, and between the domains. They travel as
-// real memnet datagrams (so loss, duplication, delay, partition and
-// crash apply), whose payload is an 8-byte handle into the world's
-// message table. None passes between two protocol nodes of one domain:
-// what those exchange is the ring's own datagrams.
+// msgKind enumerates the sim's unicast messages: between a thin client
+// and a gateway, where a protocol node calling a bridge op is the thin
+// client of the remote domain. They travel as real memnet datagrams (so
+// loss, duplication, delay, partition and crash apply), whose payload is
+// an 8-byte handle into the world's message table. None passes between
+// two protocol nodes of one domain: what those exchange is the ring's
+// own datagrams.
 type msgKind int
 
 const (
-	mRequest   msgKind = iota // client -> gateway invocation
-	mReply                    // gateway -> client reply
-	mBridge                   // replica -> remote gateway nested invocation
-	mBridgeAck                // remote gateway -> origin domain ack
-	mPush                     // gateway -> subscriber fan-out item
-	mFetch                    // subscriber -> gateway backfill request
-	mItems                    // gateway -> subscriber backfill reply
+	mRequest msgKind = iota // thin client -> gateway invocation
+	mReply                  // gateway -> thin client reply
 )
 
 // msg is one unicast datagram.
 type msg struct {
-	kind   msgKind
-	op     *Op
-	val    uint64
-	items  []uint64
-	have   uint64
-	client string
+	kind msgKind
+	op   *Op
+	val  uint64
 }
 
 // entryKind enumerates what a domain orders through its totem ring.
 type entryKind int
 
 const (
-	eInvoke   entryKind = iota // a client or bridge invocation
+	eInvoke   entryKind = iota // a thin client's invocation
 	eResponse                  // a replica's response, ordered back so every gateway records it
 	eAsk                       // a member that does not hold the kept history asks for a snapshot
 	eAnswer                    // a snapshot cut where an ask was delivered
@@ -60,16 +53,15 @@ type logged struct {
 }
 
 // snapshot is a member's replicated state cut where an ask was
-// delivered: the applications, duplicate-detection tables, bridge outbox
-// and publication count as executed, and the delivered entries not yet
-// executed. Adopters deep-copy everything mutable; entries themselves are
+// delivered: the applications, duplicate-detection tables and bridge
+// outbox as executed, and the delivered entries not yet executed.
+// Adopters deep-copy everything mutable; entries themselves are
 // immutable once created.
 type snapshot struct {
-	apps      map[int]App
-	executed  map[int]map[OpKey]execRec
-	outbox    map[OpKey]*Op
-	published uint64
-	log       []logged
+	apps     map[int]App
+	executed map[int]map[OpKey]execRec
+	outbox   map[OpKey]*Op
+	log      []logged
 }
 
 // execRec is a replica's memory of one executed op: the agreed position

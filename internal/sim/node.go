@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -9,31 +10,35 @@ import (
 	"eternalgw/internal/totem"
 )
 
-const (
-	linkMaxDelay   = 250 * time.Microsecond
-	bridgeResendTO = 5 * time.Millisecond
-	fetchBatch     = 32
-)
+const linkMaxDelay = 250 * time.Microsecond
 
 // gwRecord is a gateway's memory of one operation identifier: the
 // paper's record store. replied caches the response so reissues are
-// answered without re-execution; interested marks that this gateway owes
-// a thin client an answer.
+// answered without re-execution; waiting holds the thin clients this
+// gateway owes an answer, as replication's pending table holds every
+// caller of an operation.
 type gwRecord struct {
-	op         *Op
-	replied    bool
-	val        uint64
-	interested bool
-	client     string
+	op      *Op
+	replied bool
+	val     uint64
+	waiting []memnet.NodeID
+}
+
+// bridgeCall is one bridge op a node calls as a thin client of the op's
+// domain.
+type bridgeCall struct {
+	op       *Op // this node's copy, with itself as ReplyTo
+	attempt  int
+	answered bool
 }
 
 // node is one protocol node of a simulated domain: a totem processor
 // stepping a real totem.Core, a replica of every group (the sim models
 // the paper's common deployment where the domain is the unit of
-// replication), and optionally a gateway serving thin clients and
-// bridges. The core orders; everything above it is the sim's model of
-// the paper's replicas, gateways, bridges and fan-out, fed by the
-// core's EventDeliver and EventConfig.
+// replication), and optionally a gateway serving thin clients. The core
+// orders; everything above it is the sim's model of the paper's
+// replicas, gateways and bridges, fed by the core's EventDeliver and
+// EventConfig.
 type node struct {
 	w    *world
 	dom  int
@@ -41,7 +46,6 @@ type node struct {
 	id   memnet.NodeID
 	ep   *memnet.Endpoint
 	isGW bool
-	subs []memnet.NodeID // fan-out subscribers attached to this gateway
 
 	crashed bool
 	inc     uint64 // incarnation; invalidates timers on crash/restart
@@ -58,11 +62,10 @@ type node struct {
 	last    uint64 // timestamp of the latest delivery
 
 	// Replicated state (what a snapshot carries).
-	apps      map[int]App
-	executed  map[int]map[OpKey]execRec
-	outbox    map[OpKey]*Op // emitted bridge ops owed to remote domains
-	published uint64        // fan-out items published
-	log       []logged      // delivered, not yet executed
+	apps     map[int]App
+	executed map[int]map[OpKey]execRec
+	outbox   map[OpKey]*Op // emitted bridge ops owed to remote domains
+	log      []logged      // delivered, not yet executed
 
 	// Recovery. awaiting: this node does not hold the history its ring
 	// keeps; asked maps each of its asks delivered since to where its log
@@ -71,8 +74,7 @@ type node struct {
 	asked    map[uint64]int
 
 	// Volatile state (lost on crash).
-	acked    map[OpKey]bool // bridge ops known delivered remotely
-	ordering map[OpKey]bool // invocations this node submitted and has not seen delivered
+	calls    map[OpKey]*bridgeCall // the bridge ops this node calls
 	records  map[OpKey]*gwRecord
 	recOrder []OpKey
 }
@@ -111,9 +113,8 @@ func (n *node) boot() {
 		n.executed[g] = make(map[OpKey]execRec)
 	}
 	n.outbox = make(map[OpKey]*Op)
-	n.published, n.log, n.asked = 0, nil, nil
-	n.acked = make(map[OpKey]bool)
-	n.ordering = make(map[OpKey]bool)
+	n.log, n.asked = nil, nil
+	n.calls = make(map[OpKey]*bridgeCall)
 	n.records, n.recOrder = make(map[OpKey]*gwRecord), nil
 	n.ring, n.members, n.primary, n.last = 0, nil, false, 0
 	n.woken, n.out = 0, nil
@@ -129,7 +130,6 @@ func (n *node) boot() {
 	}
 	n.core = totem.NewCore(cfg, n.w.now(), n.broadcast, n.deliver)
 	n.book()
-	n.startBridgeResend()
 }
 
 // broadcast is the core's send hook: one datagram to every protocol
@@ -188,7 +188,8 @@ func (n *node) submit(e *entry) {
 
 // handle takes one datagram off the network. A protocol node of this
 // domain sends nothing but ring datagrams to another, so those are the
-// core's; everything else is one of the sim's unicast messages.
+// core's; everything else is a request to this gateway or a reply to
+// one of this node's bridge calls.
 func (n *node) handle(pkt memnet.Packet) {
 	if n.crashed {
 		return
@@ -210,12 +211,10 @@ func (n *node) handle(pkt memnet.Packet) {
 	switch m.kind {
 	case mRequest:
 		n.onRequest(m.op)
-	case mBridge:
-		n.onBridge(m.op)
-	case mBridgeAck:
-		n.acked[m.op.Key] = true
-	case mFetch:
-		n.onFetch(m)
+	case mReply:
+		if c := n.calls[m.op.Key]; c != nil {
+			c.answered = true
+		}
 	}
 	n.settle()
 }
@@ -242,7 +241,6 @@ func (n *node) deliver(ev totem.Event) {
 			n.adopt(e.snap, cut)
 		}
 	case eInvoke, eResponse:
-		delete(n.ordering, e.op.Key)
 		n.log = append(n.log, logged{ts, e})
 	}
 }
@@ -264,7 +262,6 @@ func (n *node) install(c totem.ConfigChange) {
 	if !c.Continues {
 		n.awaiting = true
 		n.log, n.asked, n.last = nil, nil, 0
-		clear(n.ordering) // what it broadcast and did not see delivered died with its history
 	}
 	if n.awaiting {
 		if n.asked == nil {
@@ -276,30 +273,34 @@ func (n *node) install(c totem.ConfigChange) {
 	// A response may have died with a history, or have been executed
 	// before the cut this node will adopt: every unanswered record is
 	// conveyed again, behind the ask, and the duplicate's response
-	// answers it — the paper's no-lost-requests discipline.
+	// answers it. Shipping gateways do not do this: a caller waits out
+	// the invoke timeout and reissues.
 	for _, k := range n.recOrder {
-		if rec := n.records[k]; rec.interested && !rec.replied {
-			n.convey(rec.op)
+		if rec := n.records[k]; len(rec.waiting) > 0 {
+			n.submit(&entry{kind: eInvoke, op: rec.op, group: rec.op.Group})
 		}
 	}
 }
 
 // snapshot cuts this node's replicated state where it stands.
 func (n *node) snapshot() *snapshot {
-	s := &snapshot{published: n.published, log: append([]logged(nil), n.log...)}
+	s := &snapshot{log: append([]logged(nil), n.log...)}
 	s.apps, s.executed, s.outbox = copyState(n.apps, n.executed, n.outbox)
 	return s
 }
 
-// adopt installs a snapshot cut at one of this node's asks and replays
-// what it held behind the cut. The membership-sync mutation skips the
-// adoption: the node goes on from its stale state with what it held.
+// adopt installs a snapshot cut at one of this node's asks, calls the
+// bridge ops it inherits, and replays what it held behind the cut. The
+// membership-sync mutation skips the adoption: the node goes on from its
+// stale state with what it held.
 func (n *node) adopt(s *snapshot, cut int) {
 	n.awaiting, n.asked = false, nil
 	if !n.w.cfg.Mutations.DisableMembershipSync {
 		n.log = append(append([]logged(nil), s.log...), n.log[cut:]...)
 		n.apps, n.executed, n.outbox = copyState(s.apps, s.executed, s.outbox)
-		n.published = s.published
+		for _, k := range sortedOpKeys(n.outbox) {
+			n.call(n.outbox[k])
+		}
 	}
 }
 
@@ -336,6 +337,25 @@ func sortedAppGroups(m map[int]App) []int {
 	return out
 }
 
+// sortedOpKeys returns the outbox's keys in ascending order.
+func sortedOpKeys(m map[OpKey]*Op) []OpKey {
+	keys := make([]OpKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Client != b.Client {
+			return a.Client < b.Client
+		}
+		if a.A != b.A {
+			return a.A < b.A
+		}
+		return a.B < b.B
+	})
+	return keys
+}
+
 // execAdvance executes delivered entries up to the core's stability
 // horizon, which every member of the ring holds, so whatever history the
 // next ring keeps, an executed entry is in it. Only a primary ring
@@ -357,47 +377,26 @@ func (n *node) execAdvance() {
 	}
 }
 
+// execInvocation executes an invocation, or, for a second copy, takes
+// the response from the replica's record. Every replica but a gateway's
+// orders its response back, for duplicates too, as replication's
+// answerDuplicate does; the gateways' records collapse the copies.
 func (n *node) execInvocation(op *Op, seq uint64) {
 	ex := n.executed[op.Group]
-	if rec, dup := ex[op.Key]; dup && !n.w.cfg.Mutations.DisableDedup {
+	rec, dup := ex[op.Key]
+	if dup && !n.w.cfg.Mutations.DisableDedup {
 		n.trace(Event{Kind: EvDedup, Group: op.Group, Op: op.Key, Seq: rec.seq})
-		if !n.isGW && n.lowestLiveReplica() {
-			n.submit(&entry{kind: eResponse, op: op, val: rec.val, group: op.Group})
-		}
-		return
+	} else {
+		rec = execRec{seq: seq, val: n.apps[op.Group].Apply(op, seq, func(nested *Op) {
+			n.outbox[nested.Key] = nested
+			n.call(nested)
+		})}
+		ex[op.Key] = rec
+		n.trace(Event{Kind: EvExec, Group: op.Group, Op: op.Key, Seq: seq, Val: rec.val, Hash: n.apps[op.Group].Hash()})
 	}
-	var emitted []*Op
-	val := n.apps[op.Group].Apply(op, seq, func(nested *Op) { emitted = append(emitted, nested) })
-	ex[op.Key] = execRec{seq: seq, val: val}
-	n.trace(Event{Kind: EvExec, Group: op.Group, Op: op.Key, Seq: seq, Val: val, Hash: n.apps[op.Group].Hash()})
-	for _, nop := range emitted {
-		n.outbox[nop.Key] = nop
+	if !n.isGW {
+		n.submit(&entry{kind: eResponse, op: op, val: rec.val, group: op.Group})
 	}
-	if op.Name == "pub" {
-		n.published++
-		n.pushItem(val)
-	}
-	if n.isGW {
-		return
-	}
-	n.submit(&entry{kind: eResponse, op: op, val: val, group: op.Group})
-	for _, nop := range emitted {
-		n.sendBridge(nop)
-	}
-}
-
-// lowestLiveReplica reports whether this node is the lowest-indexed
-// non-gateway member of the current ring — the designated re-responder
-// for duplicate deliveries, so a reissued op whose original responders
-// left the ring still gets its cached answer.
-func (n *node) lowestLiveReplica() bool {
-	for _, mb := range n.members {
-		if n.w.doms[n.dom].isGateway(mb) {
-			continue
-		}
-		return mb == n.idx
-	}
-	return false
 }
 
 func (n *node) execResponse(e *entry) {
@@ -413,15 +412,13 @@ func (n *node) execResponse(e *entry) {
 	rec.replied = true
 	rec.val = e.val
 	n.trace(Event{Kind: EvRespRec, Group: e.group, Op: op.Key, Val: e.val})
-	if rec.interested && rec.client != "" {
-		n.w.send(n.ep, memnet.NodeID(rec.client), &msg{kind: mReply, op: op, val: e.val})
+	for _, to := range rec.waiting {
+		n.w.send(n.ep, to, &msg{kind: mReply, op: op, val: e.val})
 	}
-	if op.OriginDom >= 0 {
-		n.ackBridge(op)
-	}
+	rec.waiting = nil
 }
 
-// ---- gateway role: admission, records, bridges, fan-out ----
+// ---- gateway role: admission and records ----
 
 func (n *node) record(op *Op) *gwRecord {
 	rec, ok := n.records[op.Key]
@@ -433,113 +430,54 @@ func (n *node) record(op *Op) *gwRecord {
 	return rec
 }
 
-// convey orders an invocation, unless this node's earlier copy of it is
-// still on its way. Replica-side duplicate detection collapses the
-// copies that do get ordered twice.
-func (n *node) convey(op *Op) {
-	if n.ordering[op.Key] {
+// onRequest answers a request from the record, or orders it, as
+// Gateway.handleRequest does (cachedReply, else InvokeFrame): a gateway
+// orders every request its record cannot answer, and replica-side
+// duplicate detection collapses the copies ordered twice.
+func (n *node) onRequest(op *Op) {
+	rec := n.record(op)
+	to := memnet.NodeID(op.ReplyTo)
+	if rec.replied {
+		n.trace(Event{Kind: EvRecordHit, Group: op.Group, Op: op.Key})
+		n.w.send(n.ep, to, &msg{kind: mReply, op: op, val: rec.val})
 		return
 	}
-	n.ordering[op.Key] = true
+	if !slices.Contains(rec.waiting, to) {
+		rec.waiting = append(rec.waiting, to)
+	}
 	n.submit(&entry{kind: eInvoke, op: op, group: op.Group})
 }
 
-// onRequest admits a client's invocation, answers a reissue from the
-// record, or conveys a reissue whose answer has not come back.
-func (n *node) onRequest(op *Op) {
-	rec := n.record(op)
-	rec.interested = true
-	rec.client = op.ReplyTo
-	if rec.replied {
-		n.trace(Event{Kind: EvRecordHit, Group: op.Group, Op: op.Key})
-		n.w.send(n.ep, memnet.NodeID(op.ReplyTo), &msg{kind: mReply, op: op, val: rec.val})
+// ---- bridge role: calling another domain ----
+
+// call invokes a bridge op as a thin client of the op's domain, the way
+// domain.BridgeApp calls through thinclient: to one gateway at a time,
+// with this node as the reply address, and on each timeout reissued with
+// the same operation identifier to the next gateway, until a reply
+// answers it. Every replica calls; the remote replicas' duplicate
+// detection collapses the copies (the paper's figure 4c).
+func (n *node) call(op *Op) {
+	if n.calls[op.Key] != nil {
 		return
 	}
-	n.convey(op)
+	cp := *op
+	cp.ReplyTo = string(n.id)
+	c := &bridgeCall{op: &cp, attempt: 1}
+	n.calls[op.Key] = c
+	n.sendCall(c)
 }
 
-// onBridge is the remote side of a nested invocation: answered ones are
-// acknowledged, the rest conveyed — again, if a response died with a
-// ring's history, since nothing else regenerates it for an uninterested
-// record.
-func (n *node) onBridge(op *Op) {
-	if rec, ok := n.records[op.Key]; ok && rec.replied {
-		n.ackBridge(op)
-		return
-	}
-	n.convey(op)
-}
-
-// ackBridge tells every node of the origin domain that the nested
-// invocation is durably answered, stopping their resend loops.
-func (n *node) ackBridge(op *Op) {
-	size := n.w.doms[op.OriginDom].size
-	for i := 0; i < size; i++ {
-		n.w.send(n.ep, nodeName(op.OriginDom, i), &msg{kind: mBridgeAck, op: op})
-	}
-	n.trace(Event{Kind: EvNestedAck, Group: op.Group, Op: op.Key})
-}
-
-// sendBridge forwards a nested invocation to every gateway of the
-// target domain (the gateways' duplicate suppression collapses the R
-// emitted copies into one admission — the paper's figure 4c).
-func (n *node) sendBridge(op *Op) {
-	d := n.w.doms[op.Dom]
-	for _, g := range d.gateways {
-		n.w.send(n.ep, nodeName(op.Dom, g), &msg{kind: mBridge, op: op})
-	}
-}
-
-// startBridgeResend arms the nested-invocation retry loop. Gateways
-// run it too: their acked map is volatile, so after a restart only the
-// resend → re-ack round trip can clear the snapshot-restored outbox.
-func (n *node) startBridgeResend() {
-	n.after(bridgeResendTO, func() {
-		n.resendBridges()
-		n.startBridgeResend()
+func (n *node) sendCall(c *bridgeCall) {
+	gws := n.w.doms[c.op.Dom].gateways
+	n.w.send(n.ep, nodeName(c.op.Dom, gws[(c.attempt-1)%len(gws)]), &msg{kind: mRequest, op: c.op})
+	n.after(callTimeout(c.attempt), func() {
+		if c.answered {
+			return
+		}
+		c.attempt++
+		n.trace(Event{Kind: EvReissue, Group: c.op.Group, Op: c.op.Key, Val: uint64(c.attempt)})
+		n.sendCall(c)
 	})
-}
-
-func (n *node) resendBridges() {
-	keys := make([]OpKey, 0, len(n.outbox))
-	for k := range n.outbox {
-		if !n.acked[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Client != b.Client {
-			return a.Client < b.Client
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
-	for _, k := range keys {
-		n.sendBridge(n.outbox[k])
-	}
-}
-
-func (n *node) pushItem(val uint64) {
-	for _, s := range n.subs {
-		n.trace(Event{Kind: EvPush, Val: val})
-		n.w.send(n.ep, s, &msg{kind: mPush, val: val})
-	}
-}
-
-func (n *node) onFetch(m *msg) {
-	have := min(m.have, n.published)
-	end := min(have+fetchBatch, n.published)
-	if end == have {
-		return
-	}
-	items := make([]uint64, 0, end-have)
-	for it := have + 1; it <= end; it++ {
-		items = append(items, it)
-	}
-	n.w.send(n.ep, memnet.NodeID(m.client), &msg{kind: mItems, items: items})
 }
 
 // ---- crash / restart ----

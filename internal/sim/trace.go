@@ -23,7 +23,7 @@ func (k OpKey) String() string { return fmt.Sprintf("%d.%d.%d", k.Client, k.A, k
 // invariant checkers read; docs/SIMULATION.md documents each.
 const (
 	EvIssue      = "issue"       // client issued a new operation
-	EvReissue    = "reissue"     // client reissued after timeout/failover (Val = attempt)
+	EvReissue    = "reissue"     // thin client or bridge call reissued after timeout/failover (Val = attempt)
 	EvExec       = "exec"        // replica executed an invocation (Seq = total-order position, Hash = state hash after)
 	EvDedup      = "dedup"       // replica suppressed a duplicate invocation
 	EvRespRec    = "resp"        // gateway recorded the first response for an op
@@ -34,9 +34,6 @@ const (
 	EvRestart    = "restart"     // crashed node rejoined with volatile state wiped
 	EvRing       = "ring"        // node installed a ring (Note = members, Quorum flag)
 	EvFault      = "fault"       // schedule action fired (Note = name)
-	EvNestedAck  = "nested_ack"  // bridge sender saw its nested invocation acknowledged
-	EvPush       = "push"        // gateway pushed a fan-out item (Val = item)
-	EvRecv       = "recv"        // subscriber accepted a fan-out item in order (Val = item)
 	EvFinalState = "final_state" // replica's state hash at end of run
 	EvEnd        = "end"         // run finished (Note = reason)
 )

@@ -17,8 +17,6 @@ type workloadSpec struct {
 	doms         []domSpec
 	clients      int
 	opsPerClient int
-	subscribers  int
-	fanoutItems  uint64
 	bankInitial  uint64
 	nextOp       func(c *client) *Op
 }
@@ -27,9 +25,6 @@ func (s *workloadSpec) checkOpts() CheckOpts {
 	return CheckOpts{
 		Bank:        s.bankInitial != 0,
 		BankInitial: s.bankInitial,
-		Fanout:      s.subscribers > 0,
-		FanoutItems: s.fanoutItems,
-		Subscribers: s.subscribers,
 	}
 }
 
@@ -37,11 +32,10 @@ func (s *workloadSpec) checkOpts() CheckOpts {
 const (
 	WorkloadCounter = "counter"
 	WorkloadBank    = "bank"
-	WorkloadFanout  = "fanout"
 )
 
 // Workloads lists the available workload names.
-func Workloads() []string { return []string{WorkloadCounter, WorkloadBank, WorkloadFanout} }
+func Workloads() []string { return []string{WorkloadCounter, WorkloadBank} }
 
 const (
 	bankAccounts = 4
@@ -71,40 +65,14 @@ func specFor(name string) *workloadSpec {
 			}
 			c.seq++
 			return &Op{
-				Key:       OpKey{Client: c.id, B: c.seq},
-				Dom:       0,
-				Group:     0,
-				Name:      "transfer",
-				Arg:       uint64(c.rng.Intn(bankAccounts)),
-				Arg2:      uint64(c.rng.Intn(bankAccounts)),
-				Arg3:      1 + uint64(c.rng.Intn(50)),
-				OriginDom: -1,
-				ReplyTo:   string(c.nid),
-			}
-		}
-		return spec
-	case WorkloadFanout:
-		spec := &workloadSpec{
-			name:         WorkloadFanout,
-			doms:         []domSpec{{size: 5, gateways: 2, groups: 1, app: func(int) App { return newFanoutApp() }}},
-			clients:      1,
-			opsPerClient: 20,
-			subscribers:  3,
-			fanoutItems:  20,
-		}
-		spec.nextOp = func(c *client) *Op {
-			if int(c.seq) >= spec.opsPerClient {
-				return nil
-			}
-			c.seq++
-			return &Op{
-				Key:       OpKey{Client: c.id, B: c.seq},
-				Dom:       0,
-				Group:     0,
-				Name:      "pub",
-				Arg:       c.seq,
-				OriginDom: -1,
-				ReplyTo:   string(c.nid),
+				Key:     OpKey{Client: c.id, B: c.seq},
+				Dom:     0,
+				Group:   0,
+				Name:    "transfer",
+				Arg:     uint64(c.rng.Intn(bankAccounts)),
+				Arg2:    uint64(c.rng.Intn(bankAccounts)),
+				Arg3:    1 + uint64(c.rng.Intn(50)),
+				ReplyTo: string(c.nid),
 			}
 		}
 		return spec
@@ -121,13 +89,12 @@ func specFor(name string) *workloadSpec {
 			}
 			c.seq++
 			return &Op{
-				Key:       OpKey{Client: c.id, B: c.seq},
-				Dom:       0,
-				Group:     int(c.seq) % spec.doms[0].groups,
-				Name:      "add",
-				Arg:       1 + uint64(c.rng.Intn(100)),
-				OriginDom: -1,
-				ReplyTo:   string(c.nid),
+				Key:     OpKey{Client: c.id, B: c.seq},
+				Dom:     0,
+				Group:   int(c.seq) % spec.doms[0].groups,
+				Name:    "add",
+				Arg:     1 + uint64(c.rng.Intn(100)),
+				ReplyTo: string(c.nid),
 			}
 		}
 		return spec

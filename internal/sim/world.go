@@ -20,13 +20,20 @@
 // The order is the shipping protocol's: every simulated processor steps
 // a real totem.Core, in ring or leader mode as the seed draws, on the
 // virtual clock. Above it the sim models the paper's replicas (which
-// execute in the rings their core calls primary, up to the core's
-// stability horizon, and recover by adopting a snapshot asked for in the
-// order), gateway record stores keyed by the paper's operation
-// identifiers, bridges and fan-out — small enough to run thousands of
-// seeded schedules in minutes, faithful enough that disabling a real
-// guard (replica dedup, the snapshot adoption) makes the checkers find a
-// violating seed within a CI-sized budget.
+// execute in the rings their core calls primary and recover by adopting
+// a snapshot asked for in the order), gateway record stores keyed by the
+// paper's operation identifiers, and bridges, with the shipping
+// packages' rules: a gateway answers a request from its record or orders
+// it, as core.Gateway does; every replica answers a duplicate, as
+// replication does; and a bridge's replicas call the remote domain as
+// thin clients that reissue to the next gateway on a timeout, as
+// domain.BridgeApp does. Two rules are the model's own: replicas execute
+// up to the core's stability horizon, not at delivery, and a gateway
+// re-conveys every unanswered record when it installs a ring. The model
+// is small enough to run thousands of seeded schedules in minutes,
+// faithful enough that disabling a real guard (replica dedup, the
+// snapshot adoption) makes the checkers find a violating seed within a
+// CI-sized budget.
 package sim
 
 import (
@@ -75,8 +82,6 @@ type Config struct {
 	Workload string
 	// Mutations disable safety mechanisms to validate the checkers.
 	Mutations Mutations
-	// Metrics, when non-nil, receives run counters.
-	Metrics *Metrics
 }
 
 // maxVirtual bounds a run in virtual time; hitting it is reported as a
@@ -121,7 +126,6 @@ type domainSim struct {
 	quorum   int // the most processors the schedule may take down or cut off is size-quorum
 	groups   int
 	gateways []int
-	gwSet    map[int]bool
 	nodes    []*node
 	ids      []memnet.NodeID // the nodes' ids, every core's configured membership
 	appFn    func(group int) App
@@ -131,8 +135,6 @@ type domainSim struct {
 	// sequencer in a leader epoch.
 	lastOrderer int
 }
-
-func (d *domainSim) isGateway(i int) bool { return d.gwSet[i] }
 
 func (d *domainSim) newApps() map[int]App {
 	m := make(map[int]App, d.groups)
@@ -152,9 +154,8 @@ type world struct {
 	entries  []*entry // what the rings order, by handle
 	asks     uint64   // ask ids handed out
 
-	doms        []*domainSim
-	clients     []*client
-	subscribers []*subscriber
+	doms    []*domainSim
+	clients []*client
 
 	nodes    map[memnet.NodeID]*node // every protocol node, by id
 	order    []memnet.NodeID
@@ -235,13 +236,12 @@ func (w *world) boot() {
 
 	// Topology.
 	for di, ds := range w.spec.doms {
-		d := &domainSim{idx: di, size: ds.size, quorum: ds.size/2 + 1, groups: ds.groups, appFn: ds.app, gwSet: make(map[int]bool)}
+		d := &domainSim{idx: di, size: ds.size, quorum: ds.size/2 + 1, groups: ds.groups, appFn: ds.app}
 		for g := ds.size - ds.gateways; g < ds.size; g++ {
 			d.gateways = append(d.gateways, g)
-			d.gwSet[g] = true
 		}
 		for i := 0; i < ds.size; i++ {
-			n := &node{w: w, dom: di, idx: i, id: nodeName(di, i), isGW: d.gwSet[i]}
+			n := &node{w: w, dom: di, idx: i, id: nodeName(di, i), isGW: i >= ds.size-ds.gateways}
 			n.ep = w.attach(n.id, n.handle)
 			w.nodes[n.id] = n
 			d.nodes = append(d.nodes, n)
@@ -265,18 +265,13 @@ func (w *world) boot() {
 	for i := 0; i < w.spec.clients; i++ {
 		c := &client{
 			w: w, dom: 0, idx: i, id: uint64(i + 1), nid: clientName(i),
-			gws: gw0, total: w.spec.opsPerClient, nextOp: w.spec.nextOp,
+			gws: gw0, nextOp: w.spec.nextOp,
 			rng: rand.New(rand.NewSource(int64(faultinject.Split(w.cfg.Seed, 100+uint64(i))))),
 		}
 		c.ep = w.attach(c.nid, func(pkt memnet.Packet) { c.handle(w.msg(pkt)) })
 		w.clients = append(w.clients, c)
 	}
-	for i := 0; i < w.spec.subscribers; i++ {
-		s := &subscriber{w: w, dom: 0, idx: i, nid: subscriberName(i), gws: gw0, total: w.spec.fanoutItems}
-		s.ep = w.attach(s.nid, func(pkt memnet.Packet) { s.handle(w.msg(pkt)) })
-		w.subscribers = append(w.subscribers, s)
-	}
-	w.workers = len(w.clients) + len(w.subscribers)
+	w.workers = len(w.clients)
 
 	w.plan = faultinject.Generate(schedRng, w.buildSchedule(w.schedName, schedRng)...)
 
@@ -284,9 +279,6 @@ func (w *world) boot() {
 	w.clock.AfterFunc(0, func() {
 		for _, c := range w.clients {
 			c.start()
-		}
-		for _, s := range w.subscribers {
-			s.start()
 		}
 	})
 	if w.schedName != SchedCalm {
@@ -380,7 +372,7 @@ func (w *world) opCompleted() {
 	}
 }
 
-// workerDone is called by each client/subscriber when its workload is
+// workerDone is called by each client when its workload is
 // exhausted; when all are done the world starts polling for
 // quiescence.
 func (w *world) workerDone() {
@@ -405,7 +397,7 @@ func (w *world) quiescePoll() {
 // quiesced reports whether the whole system has converged: no fault in
 // force, every domain one full ring that holds its history everywhere,
 // every delivered entry executed, the same last delivery at every node,
-// every bridge op acknowledged, and no gateway owing anyone an answer.
+// every bridge call answered, and no gateway owing anyone an answer.
 func (w *world) quiesced() bool {
 	if w.partitionActive {
 		return false
@@ -423,12 +415,12 @@ func (w *world) quiesced() bool {
 				return false
 			}
 			for k := range n.outbox {
-				if !n.acked[k] {
+				if c := n.calls[k]; c == nil || !c.answered {
 					return false
 				}
 			}
 			for _, rec := range n.records {
-				if rec.interested && !rec.replied {
+				if len(rec.waiting) > 0 {
 					return false
 				}
 			}
@@ -478,8 +470,5 @@ func (w *world) result() *Result {
 		res.Ordering = "leader"
 	}
 	res.Violations = Check(w.trace.Events(), w.spec.checkOpts())
-	if m := w.cfg.Metrics; m != nil {
-		m.observe(res)
-	}
 	return res
 }

@@ -88,7 +88,7 @@ func TestBatchedCountersAndMetrics(t *testing.T) {
 			t.Fatalf("no send amortization: %+v", sa)
 		}
 	}
-	text := mreg.RenderPrometheus()
+	text := scrape(mreg)
 	for _, want := range []string{
 		`eternalgw_udpnet_tx_datagrams_total{node="a"}`,
 		`eternalgw_udpnet_rx_datagrams_total{node="b"}`,
@@ -301,7 +301,7 @@ func TestDatagramFromOutsideTheRegistryIsDropped(t *testing.T) {
 			t.Fatalf("portable=%v: delivered %q from %q, a sender outside the registry", portable, p.Payload, p.From)
 		default:
 		}
-		if want := `eternalgw_udpnet_rx_unknown_sender_total{node="self"} 2`; !strings.Contains(mreg.RenderPrometheus(), want) {
+		if want := `eternalgw_udpnet_rx_unknown_sender_total{node="self"} 2`; !strings.Contains(scrape(mreg), want) {
 			t.Fatalf("portable=%v: metrics lack %s", portable, want)
 		}
 	}
@@ -523,4 +523,11 @@ func BenchmarkListen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		listenClose(b)
 	}
+}
+
+// scrape is the exposition /metrics serves.
+func scrape(reg *obs.Registry) string {
+	var b strings.Builder
+	_ = reg.WritePrometheus(&b)
+	return b.String()
 }
