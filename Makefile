@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check loc budget copymap sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-compare alloc-gate clean
+.PHONY: build test vet lint race check loc budget copymap sim sim-totem sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-module bench-compare alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -15,25 +15,15 @@ vet:
 
 # lint fails on any Go file gofmt would change (testdata excluded: the
 # analyzers' corpora are inputs, not code), then runs the repository's
-# domain analyzers (docs/STATIC_ANALYSIS.md): once under the go tool as a
-# vettool (per-package findings, cached like vet), and once standalone for
-# the whole-module checks a single build unit cannot see (metric/doc sync,
-# module-wide duplicate registration).
+# domain analyzers (docs/STATIC_ANALYSIS.md) once over the module:
+# every analyzer on every package, then the whole-module checks
+# (metric/doc sync, module-wide duplicate registration, lock order
+# across packages).
 lint:
 	@unformatted=$$(find . \( -name testdata -o -name .bench_build -o -name .git \) -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "not gofmt-clean (gofmt -w them):"; echo "$$unformatted"; exit 1; fi
 	$(GO) build -o bin/gwlint ./cmd/gwlint
-	$(GO) vet -vettool=$(CURDIR)/bin/gwlint ./...
 	./bin/gwlint ./...
-
-# lint-fast is the inner-loop variant: vettool mode only, so the go
-# tool's per-package caching makes a clean re-run near-instant. It skips
-# the standalone module-mode pass (metric/doc sync, duplicate
-# registration, lock-order stitching across packages) — run `make lint`
-# before pushing.
-lint-fast:
-	$(GO) build -o bin/gwlint ./cmd/gwlint
-	$(GO) vet -vettool=$(CURDIR)/bin/gwlint ./...
 
 # race runs the whole test suite under the race detector. (It was a
 # recipe-less phony target for a while, which made `make check` pass

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -117,10 +118,11 @@ func bindDemo(nsRef, demoRef ior.Ref) error {
 
 func main() {
 	o, err := parseFlags(os.Args[1:])
-	if err == nil {
-		err = run(o)
-	}
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "ftdomaind:", err)
+		os.Exit(2) // a usage error, as the flag package exits on one
+	}
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ftdomaind:", err)
 		os.Exit(1)
 	}
@@ -134,7 +136,8 @@ type runOpts struct {
 	udp                        bool
 	node, registry             string
 	udpCfg                     udpnet.Config
-	obsAddr, logLevel          string
+	obsAddr                    string
+	logLevel                   slog.Level
 	trace, pprof               bool
 
 	adm          admission.Config // the admission flags' four limits
@@ -169,13 +172,16 @@ func parseFlags(args []string) (runOpts, error) {
 	fs.StringVar(&o.obsAddr, "obs-addr", "", "ops HTTP listen address for /metrics, /healthz, /readyz, /statusz (empty disables)")
 	fs.BoolVar(&o.trace, "trace", false, "record per-invocation traces, shown on /statusz (requires -obs-addr)")
 	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/ on the ops server (requires -obs-addr)")
-	fs.StringVar(&o.logLevel, "log-level", "warn", "log verbosity: debug|info|warn|error")
+	logLevel := fs.String("log-level", "warn", "log verbosity: debug|info|warn|error")
 	fs.IntVar(&o.adm.MaxConns, "max-conns", 0, "admission: max concurrent client connections per gateway (0 = unlimited)")
 	fs.IntVar(&o.adm.MaxConnsPerClient, "max-conns-per-client", 0, "admission: max concurrent connections per client address (0 = unlimited)")
 	fs.Float64Var(&o.adm.Rate, "rate", 0, "admission: per-client sustained request rate in req/s (0 = unlimited)")
 	fs.IntVar(&o.adm.MaxInFlight, "inflight", 0, "admission: max requests concurrently in flight per gateway (0 = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "how long a gateway may bleed in-flight requests on shutdown")
 	_ = fs.Parse(args) // ExitOnError
+	if err := o.logLevel.UnmarshalText([]byte(*logLevel)); err != nil {
+		return o, fmt.Errorf("-log-level: %w", err)
+	}
 
 	inapplicable, mode := []string{"registry"}, "without -node"
 	if o.node != "" {
@@ -242,7 +248,7 @@ func run(o runOpts) error {
 	}
 	cfg := domain.Config{
 		Name:      "demo",
-		Log:       obs.NewLogger(os.Stderr, obs.ParseLevel(o.logLevel)),
+		Log:       slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel})),
 		Admission: o.admissionConfig(),
 		// Whenever the gateway set changes (admin surface add/remove),
 		// print the re-stitched references so operators can hand the new

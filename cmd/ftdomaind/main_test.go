@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"os"
@@ -47,6 +48,9 @@ func TestParseFlagsApplicability(t *testing.T) {
 		{node + "-trace", "-trace requires -obs-addr"},
 		{node + "-pprof", "-pprof requires -obs-addr"},
 		{"-trace=false -pprof=false", ""},
+		{"-log-level debug", ""},
+		{"-log-level nonsense", "-log-level: "},
+		{"-log-level warning", "-log-level: "},
 	}
 	for _, tt := range tests {
 		o, err := parseFlags(strings.Fields(tt.args))
@@ -108,7 +112,7 @@ func TestGracefulShutdownDrainsGateways(t *testing.T) {
 	go func() {
 		done <- run(runOpts{
 			nodes: 2, replicas: 1, gateways: 1, styleStr: "active",
-			logLevel: "error", drainTimeout: 2 * time.Second,
+			logLevel: slog.LevelError, drainTimeout: 2 * time.Second,
 			adm:     admission.Config{MaxInFlight: 32},
 			stop:    stop,
 			onReady: func(d *domain.Domain, _ *obs.Server) { ready <- gatewayAddrs(d) },
@@ -156,7 +160,7 @@ func TestAdminReconfigEndpoints(t *testing.T) {
 	go func() {
 		done <- run(runOpts{
 			nodes: 3, replicas: 2, gateways: 2, styleStr: "active",
-			logLevel: "error", drainTimeout: 2 * time.Second,
+			logLevel: slog.LevelError, drainTimeout: 2 * time.Second,
 			obsAddr: "127.0.0.1:0",
 			stop:    stop,
 			onReady: func(d *domain.Domain, ops *obs.Server) {
@@ -293,7 +297,7 @@ func TestRunNodeMultiProcess(t *testing.T) {
 		dones[i] = make(chan error, 1)
 		o := runOpts{
 			node: id, registry: spec, replicas: 2, styleStr: "active",
-			ordering: "ring", logLevel: "error", drainTimeout: 2 * time.Second,
+			ordering: "ring", logLevel: slog.LevelError, drainTimeout: 2 * time.Second,
 			stop: stops[i],
 		}
 		if id == "mp/c" {

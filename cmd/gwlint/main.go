@@ -1,27 +1,20 @@
 // Command gwlint runs the repository's domain analyzers
 // (internal/analysis): arenaalias, looplock, completedno, metricname,
-// syncextra, simdet, gospawn, lockorder, wiresym. It speaks two
-// protocols:
+// syncextra, simdet, gospawn, lockorder, wiresym.
 //
-//	go vet -vettool=$(pwd)/bin/gwlint ./...
+//	gwlint ./...
 //
-// runs it as a vettool — cmd/go invokes it once per build unit with a
-// vet.cfg path, caching results like any vet run — and
-//
-//	gwlint ./packages...
-//
-// runs the standalone module driver, which additionally performs the
-// whole-module checks a single-unit vettool cannot (metric/doc sync,
-// module-wide duplicate registration). `make lint` runs both.
+// loads the module's non-test files, runs every analyzer on every
+// package, then the whole-module checks (metric/doc sync, module-wide
+// duplicate registration, lock order across packages). `make lint` runs
+// it; -json prints the findings as a JSON array for CI annotations.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"eternalgw/internal/analysis"
 	"eternalgw/internal/analysis/arenaalias"
@@ -53,30 +46,11 @@ var globals = []analysis.GlobalCheck{
 }
 
 func main() {
-	// cmd/go probes the tool's identity with -V=full before using it and
-	// folds the reply into its action cache keys. The content hash of
-	// this binary is exactly the right identity: rebuild gwlint and
-	// every package re-vets.
-	vFlag := flag.String("V", "", "print version and exit (cmd/go protocol)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON and exit (cmd/go protocol)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout (module mode only)")
+	jsonFlag := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	flag.Usage = usage
 	flag.Parse()
-	if *vFlag != "" {
-		fmt.Printf("gwlint version devel buildID=%s\n", selfHash())
-		return
-	}
-	if *flagsFlag {
-		// go vet asks which per-analyzer flags the tool accepts so it
-		// can forward its own; this suite has none.
-		fmt.Println("[]")
-		return
-	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(analysis.RunUnit(args[0], analyzers))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -94,33 +68,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gwlint:", err)
 		os.Exit(1)
 	}
+	w, print := io.Writer(os.Stderr), analysis.PrintDiagnostics
 	if *jsonFlag {
-		os.Exit(analysis.RunModuleWith(os.Stdout, dir, args, analyzers, globalChecks, analysis.PrintJSON))
+		w, print = os.Stdout, analysis.PrintJSON
 	}
-	os.Exit(analysis.RunModule(os.Stderr, dir, args, analyzers, globalChecks))
-}
-
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	os.Exit(analysis.RunModule(w, dir, args, analyzers, globalChecks, print))
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  gwlint [packages]          whole-module analysis (plus doc sync checks)
-  go vet -vettool=gwlint ./...   per-unit analysis under the go tool
+  gwlint [-json] [packages]   analyze packages (default ./...; the
+                              whole-module checks run on ./... only)
 
 analyzers:
 `)

@@ -2,9 +2,8 @@
 // golang.org/x/tools/go/analysis vocabulary, built only on the standard
 // library so the repository's domain linters (cmd/gwlint) carry no
 // external dependencies. An Analyzer inspects one type-checked package
-// through a Pass and reports Diagnostics; drivers (the vettool unit mode
-// and the whole-module mode in this package) handle loading, the
-// //lint:allow escape hatch, rendering and exit codes.
+// through a Pass and reports Diagnostics; the driver (RunModule) handles
+// loading, the //lint:allow escape hatch, rendering and exit codes.
 //
 // The suite encodes invariants the compiler cannot see: delivery-arena
 // aliasing (arenaalias), the non-blocking replication event loop

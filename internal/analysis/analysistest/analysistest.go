@@ -7,7 +7,7 @@
 //
 // The harness type-checks the testdata package against the real module
 // (so corpora may import eternalgw/internal/... packages), runs the
-// analyzer through the same RunAnalyzers entry point the drivers use —
+// analyzer through the same RunAnalyzers entry point the driver uses —
 // //lint:allow processing included — and fails the test on any
 // unexpected or missing diagnostic.
 package analysistest
@@ -51,7 +51,7 @@ func sharedLoader() (*analysis.Loader, error) {
 }
 
 // Loader returns the shared module loader, for driver-level tests that
-// invoke module-mode checks (analysis.GlobalCheck) directly.
+// invoke whole-module checks (analysis.GlobalCheck) directly.
 func Loader(t *testing.T) *analysis.Loader {
 	t.Helper()
 	l, err := sharedLoader()

@@ -54,18 +54,6 @@ func (g *Graph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 // Funcs returns every declared function in declaration order.
 func (g *Graph) Funcs() []*types.Func { return g.order }
 
-// FuncsByKey returns the declared functions whose analysis.FuncKey is in
-// keys, in declaration order.
-func (g *Graph) FuncsByKey(keys map[string]bool) []*types.Func {
-	var out []*types.Func
-	for _, fn := range g.order {
-		if keys[analysis.FuncKey(fn)] {
-			out = append(out, fn)
-		}
-	}
-	return out
-}
-
 // DirectiveRoots returns the declared functions whose doc comment
 // carries the given "gwlint:<directive>".
 func (g *Graph) DirectiveRoots(directive string) []*types.Func {

@@ -17,8 +17,8 @@ import (
 	"strings"
 )
 
-// Package is one type-checked module package as the module-mode driver
-// sees it: syntax plus types for the non-test files.
+// Package is one type-checked module package as the driver sees it:
+// syntax plus types for the non-test files.
 type Package struct {
 	PkgPath string
 	Dir     string

@@ -23,7 +23,7 @@
 // explored with a copy of the held set. A call made while holding adds
 // edges to everything the callee transitively acquires — within the
 // package via the shared call graph (internal/analysis/callgraph), and
-// across packages via the module-mode global check, which stitches the
+// across packages via the whole-module check, which stitches the
 // per-package summaries together and reports only the cycles a single
 // package cannot see. RLock-only self-edges are tolerated (concurrent
 // readers are the point of an RWMutex); everything else in a cycle is
@@ -178,7 +178,7 @@ func callbackMsg(cb CallbackHazard, fset *token.FileSet) string {
 		cb.Dyn.Via, at(cb.Dyn.Pos), cb.Held, at(cb.HeldAt))
 }
 
-// Global is the module-mode check: it merges every package's summary,
+// Global is the whole-module check: it merges every package's summary,
 // expands calls-while-holding against the callees' module-wide
 // acquisition sets, and reports the cycles that only exist across
 // package boundaries.

@@ -27,7 +27,7 @@ func TestLockOrderPerPackageSilentOnCrossPackage(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "globallock")
 }
 
-// TestLockOrderGlobalStitchesStoredCallbacks runs the module-mode check
+// TestLockOrderGlobalStitchesStoredCallbacks runs the whole-module check
 // over the real obs package plus the globallock corpus: obs's
 // WritePrometheus transitively invokes stored metric callbacks, and
 // globallock calls it under a lock, so the stitched summaries must

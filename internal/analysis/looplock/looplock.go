@@ -11,13 +11,15 @@
 // which is why the analyzer roots at the datapath handlers rather than
 // at handleDelivery itself.
 //
-// Starting from the roots — (*Mechanisms).deliverInvocation,
-// deliverResponse, deliverVotingResponse, deliverGatewayControl and
-// observe, any function passed to
-// (*Mechanisms).SetObserver, and any function whose declaration carries
-// a "gwlint:eventloop" directive comment — the analyzer walks the
-// static call graph of the package under analysis (internal/analysis/
-// callgraph) and reports:
+// Its roots are the functions whose declaration carries a
+// "gwlint:eventloop" directive comment — replication's datapath
+// handlers (deliverInvocation, deliverResponse, deliverVotingResponse,
+// deliverGatewayControl) and totem's leader-mode send hooks
+// ((*Core).forwardPending, leaderOrderPending), which run on the ring's
+// protocol goroutine — plus any function passed to
+// (*Mechanisms).SetObserver. A directive moves with the function it
+// marks. From the roots the analyzer walks the static call graph of the
+// package under analysis (internal/analysis/callgraph) and reports:
 //
 //   - time.Sleep;
 //   - (*sync.RWMutex).Lock — the directory write lock; RLock and plain
@@ -43,20 +45,6 @@ import (
 	"eternalgw/internal/analysis"
 	"eternalgw/internal/analysis/callgraph"
 )
-
-// defaultRoots are the datapath handlers dispatched by
-// replication.(*Mechanisms).handleDelivery under the read lock, plus
-// the totem fast-path send hooks that run directly on the ring's event
-// loop (a blocking call there stalls ordering for the whole ring).
-var defaultRoots = map[string]bool{
-	"eternalgw/internal/replication.Mechanisms.deliverInvocation":     true,
-	"eternalgw/internal/replication.Mechanisms.deliverResponse":       true,
-	"eternalgw/internal/replication.Mechanisms.deliverVotingResponse": true,
-	"eternalgw/internal/replication.Mechanisms.deliverGatewayControl": true,
-	"eternalgw/internal/replication.Mechanisms.observe":               true,
-	"eternalgw/internal/totem.core.forwardPending":                    true,
-	"eternalgw/internal/totem.core.leaderOrderPending":                true,
-}
 
 // setObserverKey is the registration point whose function argument runs
 // on the loop.
@@ -90,8 +78,7 @@ func run(pass *analysis.Pass) error {
 	g := callgraph.New(pass.Files, pass.TypesInfo)
 	chans := g.Chans()
 
-	roots := g.FuncsByKey(defaultRoots)
-	roots = append(roots, g.DirectiveRoots("eventloop")...)
+	roots := g.DirectiveRoots("eventloop")
 	// Anything registered with SetObserver runs on the loop, whichever
 	// package registers it.
 	roots = append(roots, g.RegisteredArgs(setObserverKey)...)

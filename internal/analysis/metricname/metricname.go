@@ -2,9 +2,9 @@
 // series registered with obs.Registry is named eternalgw_<subsystem>_...
 // in Prometheus-safe lowercase, is registered exactly once across the
 // whole module, and appears in docs/OBSERVABILITY.md — and everything
-// documented there still exists in code. The doc cross-reference runs in
-// the module-mode driver (DocSync), because a single-package vettool unit
-// cannot see the full registration set.
+// documented there still exists in code. The doc cross-reference is a
+// whole-module check (DocSync), because one package cannot see the full
+// registration set.
 //
 // Registration sites are direct string arguments to the Registry methods
 // (CounterFunc, GaugeFunc, Histogram). The table-driven
@@ -217,7 +217,7 @@ func structType(t types.Type) (*types.Struct, bool) {
 
 var docTokenRE = regexp.MustCompile(`eternalgw_[a-z0-9_]+`)
 
-// DocSync is the module-mode global check: the union of every package's
+// DocSync is the whole-module check: the union of every package's
 // registrations must match docs/OBSERVABILITY.md exactly, and no name may
 // be registered twice anywhere in the module.
 func DocSync(l *analysis.Loader, pkgs []*analysis.Package) []analysis.Diagnostic {

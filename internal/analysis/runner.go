@@ -5,25 +5,20 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"sort"
 )
 
-// GlobalCheck is a whole-module pass run by the module-mode driver after
-// every package-local pass: cross-package invariants (a metric registered
+// GlobalCheck is a whole-module pass run by the driver after every
+// package-local pass: cross-package invariants (a metric registered
 // twice in different packages, documentation drift against the full
-// registration set) live here. Unit (vettool) mode cannot run these — it
-// sees one package at a time — which is why `make lint` runs both modes.
+// registration set) live here.
 type GlobalCheck func(l *Loader, pkgs []*Package) []Diagnostic
 
-// RunModule is the standalone `gwlint ./...` entry point: load the
-// module rooted at dir, run every analyzer on every package, then the
-// global checks, print findings and return the process exit code.
-func RunModule(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, globals []GlobalCheck) int {
-	return RunModuleWith(w, dir, patterns, analyzers, globals, PrintDiagnostics)
-}
-
-// RunModuleWith is RunModule with a caller-chosen renderer
-// (PrintDiagnostics for the vet-style text form, PrintJSON for CI).
-func RunModuleWith(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, globals []GlobalCheck, print func(io.Writer, *token.FileSet, []Diagnostic)) int {
+// RunModule is the `gwlint ./...` entry point: load the module rooted at
+// dir, run every analyzer on every package, then the global checks,
+// render the findings with print (PrintDiagnostics for the vet-style
+// text form, PrintJSON for CI) and return the process exit code.
+func RunModule(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, globals []GlobalCheck, print func(io.Writer, *token.FileSet, []Diagnostic)) int {
 	l, pkgs, err := LoadModule(dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gwlint:", err)
@@ -46,4 +41,21 @@ func RunModuleWith(w io.Writer, dir string, patterns []string, analyzers []*Anal
 		return 0
 	}
 	return 2
+}
+
+// PrintDiagnostics renders findings vet-style, sorted by position.
+func PrintDiagnostics(w io.Writer, fset *token.FileSet, diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		return diags[i].Message < diags[j].Message
+	})
+	for _, d := range diags {
+		fmt.Fprintf(w, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
 }

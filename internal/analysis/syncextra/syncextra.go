@@ -16,8 +16,7 @@
 //     no by-value assignment from an existing value, no by-value
 //     parameters, arguments, returns, or range elements. Types that
 //     transitively contain a sync primitive or a typed atomic are
-//     covered automatically, like vet, so the analyzer is
-//     self-sufficient in module mode.
+//     covered automatically, like vet.
 //
 //  2. The repository standardized on the typed atomics (atomic.Uint64
 //     and friends, always correctly aligned thanks to the runtime's
@@ -185,11 +184,9 @@ func (c *checker) noCopy1(t types.Type) bool {
 }
 
 // importedNoCopy reports whether t is a named type of another package
-// of this module whose declaration carries gwlint:nocopy. The vettool
-// driver sees dependencies only as export data and there are no facts
-// to carry the directive, but export data (like the source loader)
-// keeps each object's file position, so the declaring file is parsed
-// for it.
+// of this module whose declaration carries gwlint:nocopy. A pass sees
+// only its own package's syntax, but every object keeps its file
+// position, so the declaring file is parsed for the directive.
 func (c *checker) importedNoCopy(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg() == c.pass.Pkg || c.pass.ModuleDir == "" {

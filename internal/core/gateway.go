@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"maps"
 	"net"
 	"sync"
@@ -76,7 +77,7 @@ type Config struct {
 	InvokeTimeout time.Duration
 	// Log receives diagnostics (tagged component=gateway); nil discards
 	// them.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Metrics, when set, receives the gateway's counters, connection
 	// gauges and a request-latency histogram for the /metrics endpoint.
 	Metrics *obs.Registry
@@ -113,7 +114,7 @@ type Gateway struct {
 	cfg    Config
 	rm     *replication.Mechanisms
 	ln     net.Listener
-	log    *obs.Logger
+	log    *slog.Logger
 	tracer *obs.Tracer
 	adm    *admission.Controller
 	// reqHist, non-nil only when cfg.Metrics is set, records round-trip
@@ -185,7 +186,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:           cfg,
 		rm:            cfg.RM,
 		ln:            ln,
-		log:           cfg.Log.With("gateway"),
+		log:           obs.ComponentLogger(cfg.Log, "gateway"),
 		tracer:        cfg.Tracer,
 		adm:           cfg.Admission,
 		conns:         make(map[net.Conn]*clientConn),
@@ -405,7 +406,7 @@ func (g *Gateway) Drain(timeout time.Duration) error {
 		time.Sleep(time.Millisecond)
 	}
 	if n := g.inflight.Load(); n > 0 {
-		g.log.Warnf("drain: %d invocations still in flight at deadline", n)
+		g.log.Warn("drain: invocations still in flight at deadline", "inflight", n)
 	}
 	return g.Shutdown()
 }
@@ -443,7 +444,7 @@ func (g *Gateway) acceptLoop() {
 			// the standard GIOP "go elsewhere" signal — so enhanced
 			// clients fail over to the next gateway profile immediately.
 			g.connectionsShed.Add(1)
-			g.log.Infof("shedding connection from %s: %s", conn.RemoteAddr(), v)
+			g.log.Info("shedding connection", "remote", conn.RemoteAddr(), "verdict", v)
 			_ = giop.WriteMessage(conn, giop.EncodeCloseConnection(cdr.BigEndian))
 			_ = conn.Close()
 			continue
@@ -518,7 +519,7 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				g.log.Warnf("connection %s: %v", nc.RemoteAddr(), err)
+				g.log.Warn("connection failed", "remote", nc.RemoteAddr(), "err", err)
 			}
 			return
 		}
@@ -532,7 +533,7 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 			}
 			req, err := giop.DecodeRequest(msg)
 			if err != nil {
-				g.log.Warnf("bad request from %s: %v", nc.RemoteAddr(), err)
+				g.log.Warn("bad request", "remote", nc.RemoteAddr(), "err", err)
 				cc.write(giop.EncodeMessageError(msg.Header.Order))
 				continue
 			}
@@ -596,7 +597,7 @@ func (cc *clientConn) write(msg giop.Message) {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	if err := giop.WriteMessageFragmented(cc.nc, msg, 0); err != nil {
-		cc.gw.log.Warnf("write to %s: %v", cc.nc.RemoteAddr(), err)
+		cc.gw.log.Warn("write failed", "remote", cc.nc.RemoteAddr(), "err", err)
 	}
 }
 
@@ -760,7 +761,7 @@ func (cc *clientConn) endRequest(id uint32) {
 func (cc *clientConn) refuseOversize(msg giop.Message) {
 	gw := cc.gw
 	gw.requestsTooLarge.Add(1)
-	gw.log.Warnf("%v of %d bytes from %s refused: the domain's transport carries no such datagram", msg.Header.Type, msg.Header.Size, cc.nc.RemoteAddr())
+	gw.log.Warn("message refused: the domain's transport carries no such datagram", "type", msg.Header.Type, "bytes", msg.Header.Size, "remote", cc.nc.RemoteAddr())
 	if msg.Header.Type != giop.MsgRequest {
 		return
 	}
@@ -811,7 +812,7 @@ func (cc *clientConn) writeReplyRaw(msg giop.Message, req giop.Request, rep giop
 	if minor >= 1 && giop.ReplySizeBound(rep) > giop.DefaultFragmentSize {
 		out, err := giop.EncodeReplyV(order, minor, rep)
 		if err != nil {
-			cc.gw.log.Errorf("encode reply: %v", err)
+			cc.gw.log.Error("encode reply", "err", err)
 			return
 		}
 		cc.write(out)
@@ -821,13 +822,13 @@ func (cc *clientConn) writeReplyRaw(msg giop.Message, req giop.Request, rep giop
 	defer cc.wmu.Unlock()
 	head, err := giop.AppendReplyHead(cc.whead[:0], order, minor, rep)
 	if err != nil {
-		cc.gw.log.Errorf("encode reply: %v", err)
+		cc.gw.log.Error("encode reply", "err", err)
 		return
 	}
 	cc.whead = head
 	cc.wbufs = append(cc.wvec[:0], head, rep.Result)
 	if _, err := cc.wbufs.WriteTo(cc.nc); err != nil {
-		cc.gw.log.Warnf("write to %s: %v", cc.nc.RemoteAddr(), err)
+		cc.gw.log.Warn("write failed", "remote", cc.nc.RemoteAddr(), "err", err)
 	}
 	cc.wvec[1] = nil // the result is the datagram's, not this connection's to hold
 }

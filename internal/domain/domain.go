@@ -17,6 +17,7 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"time"
@@ -82,7 +83,7 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Log, when set, gives the domain's components a leveled logger;
 	// each layer tags lines with its own component.
-	Log *obs.Logger
+	Log *slog.Logger
 	// OnIORUpdate, when set, is called with the object key and the
 	// freshly stitched reference each time the domain republishes the
 	// references it has handed out because the gateway set changed

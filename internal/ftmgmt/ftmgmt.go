@@ -28,6 +28,7 @@ package ftmgmt
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -90,7 +91,7 @@ type Manager struct {
 	mu     sync.Mutex // guards hosts, groups, reg, log
 	hosts  []Host
 	groups map[replication.GroupID]managedGroup
-	log    *obs.Logger // nil until Instrument
+	log    *slog.Logger
 	reg    *obs.Registry
 
 	opMu sync.Mutex // serializes membership operations
@@ -112,6 +113,7 @@ func NewManager(hosts ...Host) *Manager {
 	m := &Manager{
 		hosts:  append([]Host(nil), hosts...),
 		groups: make(map[replication.GroupID]managedGroup),
+		log:    obs.ComponentLogger(nil, "ftmgmt"),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -124,11 +126,11 @@ func NewManager(hosts ...Host) *Manager {
 // registered for every group created afterwards. Call before
 // CreateReplicatedObject; safe to skip entirely (nil arguments are
 // no-ops).
-func (m *Manager) Instrument(reg *obs.Registry, log *obs.Logger) {
+func (m *Manager) Instrument(reg *obs.Registry, log *slog.Logger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.reg = reg
-	m.log = log.With("ftmgmt")
+	m.log = obs.ComponentLogger(log, "ftmgmt")
 	for _, c := range []struct {
 		name, help string
 		fn         func() uint64
@@ -253,7 +255,7 @@ func (m *Manager) CreateReplicatedObject(id replication.GroupID, props Propertie
 	reg := m.reg
 	m.mu.Unlock()
 	m.registerGroupGauges(reg, id)
-	m.log.Infof("group %d: %s, initial=%d min=%d, founded on %v", id, props.Style, props.InitialReplicas, props.MinReplicas, ids)
+	m.log.Info("group founded", "group", id, "style", props.Style, "initial", props.InitialReplicas, "min", props.MinReplicas, "hosts", ids)
 	if err := rm.WaitForView(id, 2, syncTimeout); err != nil {
 		return fmt.Errorf("ftmgmt: founding view of group %d: %w", id, err)
 	}
@@ -346,12 +348,11 @@ func (m *Manager) reconcile() {
 	for id, g := range groups {
 		for m.live(rm, id) < g.props.MinReplicas {
 			if err := m.placeOne(id, g.factory); err != nil {
-				m.log.Warnf("group %d: replacement failed: %v", id, err)
+				m.log.Warn("replacement failed", "group", id, "err", err)
 				break // no host available now; retry next tick
 			}
 			m.replacements.Add(1)
-			m.log.Infof("group %d: replacement replica started (%d/%d live)",
-				id, m.live(rm, id), g.props.MinReplicas)
+			m.log.Info("replacement replica started", "group", id, "live", m.live(rm, id), "min", g.props.MinReplicas)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func (m *Manager) Grow(id replication.GroupID) (replication.View, error) {
 	defer m.opMu.Unlock()
 	v, err := m.addReplica(id, g.factory)
 	if err == nil {
-		m.log.Infof("group %d: grew to %d replicas (view %d)", id, len(v.Members), v.Number)
+		m.log.Info("group grew", "group", id, "replicas", len(v.Members), "view", v.Number)
 	}
 	return m.counted(&m.grows, v, err)
 }
@@ -191,7 +191,7 @@ func (m *Manager) Shrink(id replication.GroupID) (replication.View, error) {
 	}
 	v, err := m.evict(id, members[len(members)-1])
 	if err == nil {
-		m.log.Infof("group %d: shrank to %d replicas (view %d)", id, len(v.Members), v.Number)
+		m.log.Info("group shrank", "group", id, "replicas", len(v.Members), "view", v.Number)
 	}
 	return m.counted(&m.shrinks, v, err)
 }
@@ -247,7 +247,7 @@ func (m *Manager) replaceLocked(id replication.GroupID, old memnet.NodeID, facto
 		if err != nil {
 			return v, err
 		}
-		m.log.Infof("group %d: replaced %s (view %d)", id, old, v.Number)
+		m.log.Info("replica replaced", "group", id, "replica", old, "view", v.Number)
 		return v, nil
 	}
 	if _, err := m.evict(id, old); err != nil {
@@ -257,7 +257,7 @@ func (m *Manager) replaceLocked(id replication.GroupID, old memnet.NodeID, facto
 	if err != nil {
 		return v, err
 	}
-	m.log.Infof("group %d: replaced %s in place (view %d)", id, old, v.Number)
+	m.log.Info("replica replaced in place", "group", id, "replica", old, "view", v.Number)
 	return v, nil
 }
 
@@ -298,6 +298,6 @@ func (m *Manager) RollingUpgrade(id replication.GroupID, factory Factory) (repli
 		}
 	}
 	m.upgrades.Add(1)
-	m.log.Infof("group %d: rolling upgrade complete, %d replicas replaced (view %d)", id, len(old), v.Number)
+	m.log.Info("rolling upgrade complete", "group", id, "replaced", len(old), "view", v.Number)
 	return v, nil
 }

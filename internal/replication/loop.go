@@ -177,6 +177,8 @@ func (m *Mechanisms) deliverDeleteGroup(msg Message) {
 // record lives: a TCP client of server group SrcGroup departed somewhere
 // in gateway group DstGroup, so every member's processor drops what it
 // remembered on the client's behalf (paper section 3.5) but the departure.
+//
+// gwlint:eventloop
 func (m *Mechanisms) deliverGatewayControl(h Header) {
 	if h.ClientID == UnusedClientID {
 		return
@@ -523,6 +525,8 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 
 // deliverInvocation hands an invocation to the group's replica in any
 // ring: the executor waits for a primary one (awaitPrimary).
+//
+// gwlint:eventloop
 func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint64) {
 	msg := hv.Message()
 	// Everything the directory lock protects is collected in one read
@@ -565,6 +569,8 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint6
 // departed client, are discarded — from the header peek alone, never
 // reaching the group directory or CDR. What is remembered is also the
 // gateway group's record (section 3.5): see pendingShard.answered.
+//
+// gwlint:eventloop
 func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 	h := hv.Header
 	key := h.key()
@@ -621,6 +627,8 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 // the copy that completed the majority, so the record holds the value
 // delivered and not whichever copy arrived first. A vote that ends
 // without agreement delivered no copy and records none.
+//
+// gwlint:eventloop
 func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *pendingShard, key opKey, record bool) {
 	wire, err := giop.Unmarshal(hv.Payload)
 	if err != nil {

@@ -287,6 +287,8 @@ func (n *Core) compactPending(drained int) {
 // follower. Payloads are chunked by the same packing bounds the ring
 // uses, each chunk one forward; the chunk stays in awaiting until its
 // ordered batch comes back.
+//
+// gwlint:eventloop
 func (n *Core) forwardPending() {
 	fp := &n.fp
 	drained := 0
@@ -310,6 +312,8 @@ func (n *Core) forwardPending() {
 }
 
 // leaderOrderPending orders the sequencer's own submissions directly.
+//
+// gwlint:eventloop
 func (n *Core) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
