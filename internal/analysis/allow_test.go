@@ -80,7 +80,7 @@ func TestRunAnalyzersSuppression(t *testing.T) {
 			return nil
 		},
 	}
-	diags, err := RunAnalyzers(fset, []*ast.File{f}, nil, nil, "", []*Analyzer{stub})
+	diags, err := RunAnalyzers(fset, []*ast.File{f}, nil, nil, []*Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,13 @@
 // loading, the //lint:allow escape hatch, rendering and exit codes.
 //
 // The suite encodes invariants the compiler cannot see: delivery-arena
-// aliasing (arenaalias), the non-blocking replication event loop
-// (looplock), the COMPLETED_NO shed-reply contract (completedno), the
-// eternalgw_* metric conventions (metricname), and sharded-table
-// copy/alignment hygiene (syncextra). docs/STATIC_ANALYSIS.md documents
-// each invariant and its escape hatch.
+// aliasing (arenaalias), the COMPLETED_NO shed-reply contract
+// (completedno), the eternalgw_* metric conventions (metricname), the
+// typed atomics (syncextra), the simulation's determinism (simdet), a
+// provable lifecycle for every goroutine (gospawn), and lock order,
+// including a totem node's protocol goroutine, which must never block
+// (lockorder). docs/STATIC_ANALYSIS.md documents each invariant and its
+// escape hatch.
 package analysis
 
 import (
@@ -36,13 +38,6 @@ type Pass struct {
 	Files     []*ast.File // non-test files only
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// ModuleDir is the enclosing module root ("" when unknown, e.g. a
-	// package outside any module). metricname resolves the metric
-	// documentation file against it.
-	ModuleDir string
-	// Sizes32 models a 32-bit gc target (GOARCH=386); syncextra uses it
-	// to prove 64-bit alignment of atomically accessed fields.
-	Sizes32 types.Sizes
 
 	diags *[]Diagnostic
 }
@@ -67,7 +62,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // RunAnalyzers applies every analyzer to one package and returns the
 // findings that survive the //lint:allow directives found in files,
 // together with diagnostics about malformed directives themselves.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, moduleDir string, analyzers []*Analyzer) ([]Diagnostic, error) {
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -76,8 +71,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			ModuleDir: moduleDir,
-			Sizes32:   types.SizesFor("gc", "386"),
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {

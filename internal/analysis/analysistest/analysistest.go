@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,11 +118,65 @@ func Diagnostics(t *testing.T, a *analysis.Analyzer, name, src string) []analysi
 	if err != nil {
 		t.Fatalf("analysistest: type-check %s: %v", name, err)
 	}
-	diags, err := analysis.RunAnalyzers(l.Fset, tp.Files, tp.Types, tp.Info, l.ModuleDir, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(l.Fset, tp.Files, tp.Types, tp.Info, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: run %s: %v", a.Name, err)
 	}
 	return diags
+}
+
+// Teeth holds an analyzer to the code that ships. The module package at
+// pkgPath must draw no finding as it is; a copy with a mutation planted in
+// file — each old string of oldNew, found there exactly once, replaced by
+// the new one after it — type-checked under the same import path, must
+// draw a finding in file that matches want.
+func Teeth(t *testing.T, a *analysis.Analyzer, pkgPath, file, want string, oldNew ...string) {
+	t.Helper()
+	l := Loader(t)
+	run := func(pkg *analysis.Package) []analysis.Diagnostic {
+		diags, err := analysis.RunAnalyzers(l.Fset, pkg.Files, pkg.Types, pkg.Info, []*analysis.Analyzer{a})
+		if err != nil {
+			t.Fatalf("analysistest: run %s: %v", a.Name, err)
+		}
+		// An allow naming another analyzer reads as unknown to a run of one.
+		return slices.DeleteFunc(diags, func(d analysis.Diagnostic) bool { return d.Analyzer != a.Name })
+	}
+	pkg := ModulePackage(t, pkgPath)
+	if diags := run(pkg); len(diags) != 0 {
+		t.Fatalf("%s as it ships: unexpected findings %v", pkgPath, diags)
+	}
+	dir := t.TempDir()
+	var files []string
+	for _, name := range pkg.GoFiles {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		if filepath.Base(name) == file {
+			for i := 0; i+1 < len(oldNew); i += 2 {
+				if n := strings.Count(string(src), oldNew[i]); n != 1 {
+					t.Fatalf("%s: %q occurs %d times, want once", name, oldNew[i], n)
+				}
+				src = []byte(strings.Replace(string(src), oldNew[i], oldNew[i+1], 1))
+			}
+		}
+		files = append(files, filepath.Join(dir, filepath.Base(name)))
+		if err := os.WriteFile(files[len(files)-1], src, 0o644); err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+	}
+	mutant, err := l.CheckFiles(pkgPath, files)
+	if err != nil {
+		t.Fatalf("analysistest: type-check the mutant of %s: %v", pkgPath, err)
+	}
+	re := regexp.MustCompile(want)
+	diags := run(mutant)
+	for _, d := range diags {
+		if filepath.Base(l.Fset.Position(d.Pos).Filename) == file && re.MatchString(d.Message) {
+			return
+		}
+	}
+	t.Fatalf("%s with %q planted in %s: no finding matching %q, got %v", pkgPath, oldNew, file, want, diags)
 }
 
 // expectation is one want regexp awaiting a diagnostic.
@@ -140,7 +195,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 
 	l := Loader(t)
 	tp := Check(t, pkg)
-	diags, err := analysis.RunAnalyzers(l.Fset, tp.Files, tp.Types, tp.Info, l.ModuleDir, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(l.Fset, tp.Files, tp.Types, tp.Info, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: run %s: %v", a.Name, err)
 	}

@@ -64,6 +64,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"eternalgw/internal/analysis"
 )
@@ -137,19 +138,15 @@ func run(pass *analysis.Pass) error {
 	for k, v := range defaultCarrier {
 		c.carrier[k] = v
 	}
-	for obj, ds := range analysis.TypeDirectives(pass.Files, pass.TypesInfo) {
+	for obj, ds := range analysis.Directives(pass.Files, pass.TypesInfo) {
 		key := pass.Pkg.Path() + "." + obj.Name()
-		if analysis.HasDirective(ds, "arena") {
+		if slices.Contains(ds, "arena") {
 			c.arena[key] = true
 		}
-		if analysis.HasDirective(ds, "arena-carrier") {
-			if _, ok := c.carrier[key]; !ok {
-				c.carrier[key] = nil
-			}
+		if _, ok := c.carrier[key]; !ok && slices.Contains(ds, "arena-carrier") {
+			c.carrier[key] = nil
 		}
-	}
-	for obj, ds := range analysis.FuncDirectives(pass.Files, pass.TypesInfo) {
-		if analysis.HasDirective(ds, "arena-retain") {
+		if slices.Contains(ds, "arena-retain") {
 			c.retain[obj] = true
 		}
 	}

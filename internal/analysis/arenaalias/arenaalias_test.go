@@ -16,3 +16,10 @@ func TestArenaAlias(t *testing.T) {
 func TestReceivePathRegressions(t *testing.T) {
 	analysistest.Run(t, arenaalias.Analyzer, "arenaregress")
 }
+
+// TestArenaAliasTeeth writes into the delivered bytes in replication's
+// invocation handler.
+func TestArenaAliasTeeth(t *testing.T) {
+	analysistest.Teeth(t, arenaalias.Analyzer, "eternalgw/internal/replication", "loop.go", `write into delivery-arena memory`,
+		"\tmsg := hv.Message()\n", "\tmsg := hv.Message()\n\tmsg.Payload[0] = 0\n")
+}

@@ -1,23 +1,24 @@
 // Package callgraph builds the static call graph of a type-checked
 // package and drives reachability walks over it. It is the shared
 // substrate of every gwlint analyzer that reasons about "code reachable
-// from X": looplock (blocking calls reachable from the replication
-// event loop), simdet (nondeterminism reachable from the simulation
+// from X": simdet (nondeterminism reachable from the simulation
 // harness), gospawn (lifecycle proofs reachable from a spawned body)
-// and lockorder (lock acquisitions reachable through calls).
+// and lockorder (lock acquisitions reachable through calls, and blocking
+// calls reachable from a totem node's protocol goroutine).
 //
 // The graph is deliberately modest — it resolves only static callees
 // (package functions and methods named directly at the call site) and
-// trusts dynamic calls (interface methods, function values), exactly as
-// the original walk inside looplock did. The analyzers' blocking and
-// nondeterminism sets are made of leaf operations precisely so the
-// interesting cases need no callee bodies; a dynamic call that matters
-// can always be rooted explicitly with a gwlint directive.
+// trusts dynamic calls (interface methods, function values). The
+// analyzers' blocking and nondeterminism sets are made of leaf
+// operations precisely so the interesting cases need no callee bodies; a
+// dynamic call that matters can always be rooted explicitly with a
+// gwlint directive.
 package callgraph
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"eternalgw/internal/analysis"
 )
@@ -58,9 +59,9 @@ func (g *Graph) Funcs() []*types.Func { return g.order }
 // carries the given "gwlint:<directive>".
 func (g *Graph) DirectiveRoots(directive string) []*types.Func {
 	var out []*types.Func
-	byObj := analysis.FuncDirectives(g.Files, g.Info)
+	byObj := analysis.Directives(g.Files, g.Info)
 	for _, fn := range g.order {
-		if analysis.HasDirective(byObj[types.Object(fn)], directive) {
+		if slices.Contains(byObj[fn], directive) {
 			out = append(out, fn)
 		}
 	}

@@ -11,8 +11,9 @@ import (
 // ChanFacts records, for every channel storage location assigned in the
 // package, whether all of its make sites carry a constant capacity
 // greater than zero. A send on such a channel cannot block its single
-// producer; looplock uses that to admit buffered handoffs on the event
-// loop, and gospawn to prove a result-channel send terminates.
+// producer; lockorder uses that to admit buffered handoffs on a totem
+// node's protocol goroutine, and gospawn to prove a result-channel send
+// terminates.
 type ChanFacts struct {
 	info     *types.Info
 	buffered map[chanKey]bool

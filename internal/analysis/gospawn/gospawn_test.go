@@ -49,3 +49,11 @@ func fan(work []func()) {
 		t.Fatalf("mutant (no accounting): want one lifecycle diagnostic, got %v", ds)
 	}
 }
+
+// TestGoSpawnTeeth deletes the gateway's accounting of its per-connection
+// goroutines.
+func TestGoSpawnTeeth(t *testing.T) {
+	analysistest.Teeth(t, gospawn.Analyzer, "eternalgw/internal/core", "gateway.go", `provable lifecycle`,
+		"\t\tg.wg.Add(1)\n\t\tgo g.serveConn(cc, host)", "\t\tgo g.serveConn(cc, host)",
+		"\tdefer g.wg.Done()\n\tnc := cc.nc", "\tnc := cc.nc")
+}

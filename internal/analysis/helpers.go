@@ -72,73 +72,31 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// TypeDirectives returns the "gwlint:" directives attached to type
-// declarations in the package's files, keyed by the declared type name's
-// object. A directive is any comment line of the form "// gwlint:<word>"
-// (with or without the space) in the type's doc comment or on the line
-// of its TypeSpec.
-func TypeDirectives(files []*ast.File, info *types.Info) map[types.Object][]string {
+// Directives returns the "gwlint:" directives attached to the package's
+// type and function declarations, keyed by the declared object. A
+// directive is any comment line of the form "// gwlint:<word>" (with or
+// without the space) in the declaration's doc comment or, for a type, on
+// the line of its TypeSpec.
+func Directives(files []*ast.File, info *types.Info) map[types.Object][]string {
 	out := make(map[types.Object][]string)
-	for _, f := range files {
-		forEachTypeDirectives(f, func(ts *ast.TypeSpec, ds []string) {
-			if obj := info.Defs[ts.Name]; obj != nil {
-				out[obj] = append(out[obj], ds...)
-			}
-		})
-	}
-	return out
-}
-
-// FileTypeDirectives is TypeDirectives for one parsed but not
-// type-checked file, keyed by type name: how an analyzer reads the
-// directives on a type declared in another package.
-func FileTypeDirectives(f *ast.File) map[string][]string {
-	out := make(map[string][]string)
-	forEachTypeDirectives(f, func(ts *ast.TypeSpec, ds []string) {
-		out[ts.Name.Name] = append(out[ts.Name.Name], ds...)
-	})
-	return out
-}
-
-// forEachTypeDirectives calls fn for every top-level type declaration
-// of f that carries directives.
-func forEachTypeDirectives(f *ast.File, fn func(ts *ast.TypeSpec, ds []string)) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			var ds []string
-			for _, cg := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-				ds = append(ds, directivesIn(cg)...)
-			}
-			if len(ds) > 0 {
-				fn(ts, ds)
+	add := func(name *ast.Ident, groups ...*ast.CommentGroup) {
+		if obj := info.Defs[name]; obj != nil {
+			for _, cg := range groups {
+				out[obj] = append(out[obj], directivesIn(cg)...)
 			}
 		}
 	}
-}
-
-// FuncDirectives is TypeDirectives for function declarations.
-func FuncDirectives(files []*ast.File, info *types.Info) map[types.Object][]string {
-	out := make(map[types.Object][]string)
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj := info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			for _, d := range directivesIn(fd.Doc) {
-				out[obj] = append(out[obj], d)
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				add(d.Name, d.Doc)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						add(ts.Name, d.Doc, ts.Doc, ts.Comment)
+					}
+				}
 			}
 		}
 	}
@@ -157,14 +115,4 @@ func directivesIn(cg *ast.CommentGroup) []string {
 		}
 	}
 	return out
-}
-
-// HasDirective reports whether directives contains want.
-func HasDirective(directives []string, want string) bool {
-	for _, d := range directives {
-		if d == want {
-			return true
-		}
-	}
-	return false
 }

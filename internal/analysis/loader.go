@@ -21,7 +21,6 @@ import (
 // syntax plus types for the non-test files.
 type Package struct {
 	PkgPath string
-	Dir     string
 	GoFiles []string
 	Files   []*ast.File
 	Types   *types.Package
@@ -164,7 +163,6 @@ func (l *Loader) loadModulePackage(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg.Dir = lp.Dir
 	l.loaded[path] = pkg
 	return pkg, nil
 }

@@ -42,13 +42,25 @@
 // condition under mu by design) — and so are locals only ever assigned
 // function literals, whose bodies are visible.
 //
-// A totem node's protocol goroutine is one more class (nodeClass). The
-// consumer it runs (totem.Node.Run's argument) holds it against every
-// lock the consumer takes, and a call that waits on the goroutine —
-// Multicast and MulticastFramed, which block on a full submission queue
-// only that goroutine drains, and Stop — acquires it. A lock held across
-// such a call, where the consumer takes the same lock, is then a cycle,
-// and the consumer waiting on its own node is a re-acquisition.
+// A totem node's protocol goroutine is one more class (nodeClass), held
+// by the code it runs: the consumer (totem.Node.Run's argument), the
+// functions marked "gwlint:eventloop" (replication's datapath handlers,
+// totem's leader-mode send hooks) and any function passed to
+// (*replication.Mechanisms).SetObserver. A call that waits on the
+// goroutine acquires it: Multicast and MulticastFramed, which block on a
+// submission queue only that goroutine drains, and Stop. A lock held
+// across such a call, where that code takes the same lock, is a cycle,
+// and that code waiting on the goroutine is a re-acquisition.
+//
+// The event-loop roots (not the consumer, whose rare membership kinds
+// may take the directory write lock) must not block at all: the ring
+// waits while they run. Walking from them, not into code launched with
+// go, the analyzer reports time.Sleep, WaitGroup.Wait, Cond.Wait, the
+// write lock of a sync.RWMutex (the directory lock; read locks and Mutex
+// sections are the sharded tables' design), dials, listens and transport
+// sends, a select without default, and a channel send that is neither a
+// comm case of a select with default nor on a channel every make site of
+// which has a constant positive capacity.
 package lockorder
 
 import (
@@ -65,22 +77,42 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "reports mutex acquisition cycles, recursive locking, cross-shard acquisitions, and stored callbacks invoked under a held lock",
+	Doc:  "reports mutex acquisition cycles, recursive locking, cross-shard acquisitions, stored callbacks invoked under a held lock, and blocking on a totem node's protocol goroutine",
 	Run:  run,
 }
 
 // nodeClass is the pseudo lock class of a totem node's protocol
-// goroutine, runKey registers the consumer that runs holding it, and
-// nodeWaits are the calls that acquire it.
+// goroutine, runKey and observerKey register functions that run holding
+// it, and nodeWaits are the calls that acquire it.
 const (
-	nodeClass = "eternalgw/internal/totem.Node.run (the protocol goroutine)"
-	runKey    = "eternalgw/internal/totem.Node.Run"
+	nodeClass   = "eternalgw/internal/totem.Node.run (the protocol goroutine)"
+	runKey      = "eternalgw/internal/totem.Node.Run"
+	observerKey = "eternalgw/internal/replication.Mechanisms.SetObserver"
 )
 
 var nodeWaits = map[string]bool{
 	"eternalgw/internal/totem.Node.Multicast":       true,
 	"eternalgw/internal/totem.Node.MulticastFramed": true,
 	"eternalgw/internal/totem.Node.Stop":            true,
+}
+
+// loopBlocks maps the calls that block the protocol goroutine to what a
+// report calls them.
+var loopBlocks = map[string]string{
+	"time.Sleep":          "time.Sleep",
+	"sync.RWMutex.Lock":   "write-Lock of a sync.RWMutex (the directory lock)",
+	"sync.WaitGroup.Wait": "sync.WaitGroup.Wait",
+	"sync.Cond.Wait":      "sync.Cond.Wait",
+	"net.Dial":            "net.Dial",
+	"net.DialTimeout":     "net.DialTimeout",
+	"net.Listen":          "net.Listen",
+	"net.ListenUDP":       "net.ListenUDP",
+	"net.ListenPacket":    "net.ListenPacket",
+
+	"eternalgw/internal/memnet.Endpoint.Send":      "memnet send",
+	"eternalgw/internal/memnet.Endpoint.Broadcast": "memnet broadcast",
+	"eternalgw/internal/udpnet.Endpoint.Broadcast": "udpnet broadcast",
+	"eternalgw/internal/udpnet.Listen":             "udpnet.Listen",
 }
 
 // lockMethods classifies the sync primitives.
@@ -152,6 +184,8 @@ type Summary struct {
 	Sharded   map[string]bool
 	Funcs     map[string]*FuncInfo
 	Callbacks []CallbackHazard
+
+	blocks []hazard // what may block the protocol goroutine
 }
 
 func run(pass *analysis.Pass) error {
@@ -161,6 +195,9 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, cb := range s.Callbacks {
 		pass.Reportf(cb.Pos, "%s", callbackMsg(cb, pass.Fset))
+	}
+	for _, h := range s.blocks {
+		pass.Reportf(h.pos, "%s", h.msg)
 	}
 	return nil
 }
@@ -294,13 +331,15 @@ func Collect(pkg *types.Package, files []*ast.File, info *types.Info) *Summary {
 		direct[fn] = c.directFacts(fd)
 	}
 	c.trans = closeOver(direct, g)
-	for _, fn := range g.RegisteredArgs(runKey) {
+	loop := append(g.DirectiveRoots("eventloop"), g.RegisteredArgs(observerKey)...)
+	for _, fn := range append(g.RegisteredArgs(runKey), loop...) {
 		t := c.trans[fn]
 		for _, class := range sortedKeys(t.acquires) {
 			a := t.acquires[class]
 			c.addEdge(Edge{From: nodeClass, To: class, ToRLock: a.RLock, Pos: a.Pos, HeldAt: g.Decl(fn).Pos()})
 		}
 	}
+	c.s.blocks = blocking(g, loop)
 
 	for _, fn := range g.Funcs() {
 		fd := g.Decl(fn)
@@ -327,6 +366,48 @@ func Collect(pkg *types.Package, files []*ast.File, info *types.Info) *Summary {
 		c.s.Funcs[analysis.FuncKey(fn)] = fi
 	}
 	return c.s
+}
+
+// blocking walks from the event-loop roots and returns what may block
+// the protocol goroutine.
+func blocking(g *callgraph.Graph, roots []*types.Func) []hazard {
+	var out []hazard
+	report := func(pos token.Pos, format string, args ...any) {
+		out = append(out, hazard{pos, fmt.Sprintf(format, args...)})
+	}
+	chans := g.Chans()
+	safe := make(map[*ast.SendStmt]bool) // comm cases of a select with default
+	g.Walk(roots, &callgraph.Walk{Node: func(n ast.Node, path string) bool {
+		switch n := n.(type) {
+		case *ast.SelectStmt:
+			var sends []*ast.SendStmt
+			hasDefault := false
+			for _, cl := range n.Body.List {
+				cc := cl.(*ast.CommClause)
+				hasDefault = hasDefault || cc.Comm == nil
+				if s, ok := cc.Comm.(*ast.SendStmt); ok {
+					sends = append(sends, s)
+				}
+			}
+			if !hasDefault {
+				report(n.Pos(), "select without default may block the protocol goroutine (reachable via %s)", path)
+				return false
+			}
+			for _, s := range sends {
+				safe[s] = true
+			}
+		case *ast.SendStmt:
+			if !safe[n] && !chans.ProvablyBuffered(n.Chan) {
+				report(n.Pos(), "channel send may block the protocol goroutine (reachable via %s); use a buffered channel or select with default", path)
+			}
+		case *ast.CallExpr:
+			if what, ok := loopBlocks[analysis.FuncKey(analysis.Callee(g.Info, n))]; ok {
+				report(n.Pos(), "%s on the protocol goroutine (reachable via %s)", what, path)
+			}
+		}
+		return true
+	}})
+	return out
 }
 
 // setCurrent points the collector at one declaration: its function, and
@@ -892,7 +973,7 @@ func hazards(edges []Edge, sharded map[string]bool, fset *token.FileSet, globalO
 		switch {
 		case e.From == nodeClass:
 			out = append(out, hazard{e.Pos, fmt.Sprintf(
-				"the consumer a totem node runs (%s) waits on the node's protocol goroutine, which is the goroutine it runs on",
+				"code a totem node's protocol goroutine runs (%s) waits on that goroutine, which is the goroutine it runs on",
 				at(e.HeldAt))})
 		case sharded[e.From]:
 			out = append(out, hazard{e.Pos, fmt.Sprintf(

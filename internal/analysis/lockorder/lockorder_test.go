@@ -20,6 +20,12 @@ func TestLockOrderNodeWait(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "nodewait")
 }
 
+// TestLockOrderEventLoop: a function marked gwlint:eventloop, and all it
+// reaches, must not block; the report names the path from the root.
+func TestLockOrderEventLoop(t *testing.T) {
+	analysistest.Run(t, lockorder.Analyzer, "eventloop")
+}
+
 // TestLockOrderPerPackageSilentOnCrossPackage asserts the per-package
 // pass does not guess about cross-package callees: globallock holds a
 // lock across a call into obs, and only the global check may judge it.
@@ -103,4 +109,11 @@ func g(x *s) {
 	if cycles == 0 {
 		t.Fatalf("mutant (reversed order): want a lock order cycle diagnostic, got %v", ds)
 	}
+}
+
+// TestLockOrderTeeth sleeps in totem's follower forward hook, which runs
+// on the protocol goroutine.
+func TestLockOrderTeeth(t *testing.T) {
+	analysistest.Teeth(t, lockorder.Analyzer, "eternalgw/internal/totem", "leader.go", `time.Sleep on the protocol goroutine \(reachable via forwardPending\)`,
+		"forwardPending() {\n", "forwardPending() {\n\ttime.Sleep(0)\n")
 }

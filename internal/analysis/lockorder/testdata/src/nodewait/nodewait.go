@@ -60,5 +60,5 @@ func (e *echo) step(ev totem.Event) {
 }
 
 func (e *echo) send(b []byte) {
-	_ = e.node.Multicast(b) // want `the consumer a totem node runs \(.*\) waits on the node's protocol goroutine`
+	_ = e.node.Multicast(b) // want `code a totem node's protocol goroutine runs \(.*\) waits on that goroutine`
 }

@@ -26,7 +26,7 @@ func RunModule(w io.Writer, dir string, patterns []string, analyzers []*Analyzer
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		ds, err := RunAnalyzers(l.Fset, pkg.Files, pkg.Types, pkg.Info, l.ModuleDir, analyzers)
+		ds, err := RunAnalyzers(l.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gwlint:", err)
 			return 1

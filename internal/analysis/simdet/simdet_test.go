@@ -85,3 +85,10 @@ func (c *Core) handle(datagram []byte) {
 		t.Fatalf("mutant (wall clock in a handler): want one time.Now diagnostic naming the path through handle, got %v", ds)
 	}
 }
+
+// TestSimdetTeeth has totem's core read the wall clock where the
+// simulation hands it the time.
+func TestSimdetTeeth(t *testing.T) {
+	analysistest.Teeth(t, simdet.Analyzer, "eternalgw/internal/totem", "core.go", `time.Now`,
+		"Tick(now time.Time, waiting int) {\n\tn.now", "Tick(now time.Time, waiting int) {\n\tnow = time.Now()\n\tn.now")
+}

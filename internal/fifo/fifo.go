@@ -18,10 +18,11 @@ import "slices"
 // A Map holds no lock; its owner guards it (a shard mutex, or
 // confinement to one goroutine). A by-value copy would alias the ring's
 // backing array while diverging its head index, corrupting eviction as
-// silently as a copied mutex corrupts exclusion, hence the directive.
-//
-// gwlint:nocopy
+// silently as a copied mutex corrupts exclusion, hence the noCopy field:
+// go vet's copylocks reports a copy of a Map, or of a struct that holds
+// one, as it does a copy of a lock.
 type Map[K comparable] struct {
+	_    noCopy // first: a trailing zero-size field would pad the struct
 	m    map[K][]byte
 	ring []K // insertion order; the oldest key is at head once full
 	head int
@@ -34,6 +35,12 @@ type Map[K comparable] struct {
 	// reply: where stripping resumes.
 	bare int
 }
+
+// noCopy has the Lock and Unlock methods copylocks looks for, and no size.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Init sizes the Map to hold at most capacity entries (at least one) and
 // window bytes of replies. It must be called before any other method.

@@ -2,6 +2,8 @@ package giop
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -129,4 +131,64 @@ func sanitize(s string) string {
 		}
 	}
 	return string(out)
+}
+
+// TestHostileCounts overwrites each aligned 4-byte window of requests and
+// replies in every GIOP version and byte order — every place a CDR count
+// can sit — with a hostile count and decodes them: a count that sizes an
+// allocation before its guard allocates from the wire, so the decode may
+// allocate at most a constant multiple of the frame.
+func TestHostileCounts(t *testing.T) {
+	contexts := []ServiceContext{{ID: FTClientContextID, Data: []byte("client-7")}, {ID: 9, Data: []byte{1}}}
+	var frames []Message
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		for minor := byte(0); minor <= 2; minor++ {
+			req, err := EncodeRequestV(order, minor, Request{ServiceContexts: contexts, RequestID: 7, ResponseExpected: true,
+				ObjectKey: []byte("key"), Operation: "echo", Args: []byte("args")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := EncodeReplyV(order, minor, Reply{ServiceContexts: contexts, RequestID: 7, Result: []byte("result")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, req, rep)
+		}
+	}
+	for _, msg := range frames {
+		seed := Marshal(msg)
+		put := binary.BigEndian.PutUint32
+		if msg.Header.Order == cdr.LittleEndian {
+			put = binary.LittleEndian.PutUint32
+		}
+		for at := 12; at+4 <= len(seed); at += 4 {
+			data := bytes.Clone(seed)
+			put(data[at:], 1<<20)
+			n := allocated(func() {
+				if m, err := Unmarshal(data); err == nil {
+					_, _ = DecodeRequest(m)
+					_, _ = DecodeReply(m)
+				}
+			})
+			if n > 64*len(data)+4096 {
+				t.Fatalf("GIOP 1.%d %v with a hostile count at %d: a %d-byte frame allocated %d bytes", msg.Header.Minor, msg.Header.Type, at, len(data), n)
+			}
+		}
+	}
+}
+
+// allocated returns the fewest bytes fn allocated in three runs: another
+// goroutine's allocation can inflate one reading, not all three.
+func allocated(fn func()) int {
+	least := -1
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if n := int(after.TotalAlloc - before.TotalAlloc); least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
 }

@@ -67,10 +67,6 @@ func (r Ref) Components() ([]Component, error) {
 		if rd.Err() != nil {
 			return nil, fmt.Errorf("ior: decode components: %w", rd.Err())
 		}
-		capHint := int(n)
-		if maxEntries := rd.Remaining() / 8; capHint > maxEntries {
-			capHint = maxEntries
-		}
 		for i := uint32(0); i < n && rd.Err() == nil; i++ {
 			tag := rd.ReadULong()
 			data := rd.ReadOctetSeq()

@@ -2,7 +2,9 @@ package ior
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,4 +178,49 @@ func hexOf(b []byte) string {
 
 func stripNUL(s string) string {
 	return strings.ReplaceAll(s, "\x00", "")
+}
+
+// TestHostileCounts overwrites each aligned 4-byte window of a reference
+// with profiles and components — every place a CDR count can sit — with a
+// hostile count and decodes it, profiles and components too: a count that
+// sizes an allocation before its guard allocates from the wire, so the
+// decode may allocate at most a constant multiple of the reference.
+func TestHostileCounts(t *testing.T) {
+	ref := New("IDL:X:1.0", IIOPProfile{Host: "gw", Port: 1, ObjectKey: []byte("key")}).
+		WithComponents(ORBTypeComponent(ORBTypeEternalGW), FTDomainComponent("new-york"))
+	w := cdr.NewWriter(cdr.BigEndian)
+	w.WriteOctet(byte(cdr.BigEndian))
+	ref.Marshal(w)
+	seed := w.Bytes()
+	for at := 4; at+4 <= len(seed); at += 4 {
+		data := bytes.Clone(seed)
+		binary.BigEndian.PutUint32(data[at:], 1<<20)
+		n := allocated(func() {
+			rd := cdr.NewReader(data, cdr.BigEndian)
+			rd.ReadOctet()
+			if r, err := Unmarshal(rd); err == nil {
+				_, _ = r.IIOPProfiles()
+				_, _ = r.Components()
+			}
+		})
+		if n > 64*len(data)+4096 {
+			t.Fatalf("a hostile count at %d: a %d-byte reference allocated %d bytes", at, len(data), n)
+		}
+	}
+}
+
+// allocated returns the fewest bytes fn allocated in three runs: another
+// goroutine's allocation can inflate one reading, not all three.
+func allocated(fn func()) int {
+	least := -1
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if n := int(after.TotalAlloc - before.TotalAlloc); least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
 }

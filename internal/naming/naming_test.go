@@ -1,8 +1,11 @@
 package naming_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -217,4 +220,62 @@ func TestEndToEndDiscoveryThroughNaming(t *testing.T) {
 	if ip.Host != "deep" {
 		t.Fatalf("inner host = %q", ip.Host)
 	}
+}
+
+// TestHostileCounts overwrites each aligned 4-byte window of a state
+// snapshot and of a list reply — every place a CDR count can sit — with
+// a hostile count and decodes them: a count that sizes an allocation
+// before its guard allocates from the wire, so the decode may allocate at
+// most a constant multiple of the bytes.
+func TestHostileCounts(t *testing.T) {
+	svc := naming.NewService()
+	for _, name := range []string{"a", "bank", "exchange"} {
+		w := cdr.NewWriter(cdr.BigEndian)
+		w.WriteString(name)
+		w.WriteString(sampleRef("h").String())
+		if err := svc.Invoke("bind", cdr.NewReader(w.Bytes(), cdr.BigEndian), cdr.NewWriter(cdr.BigEndian)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := cdr.NewWriter(cdr.BigEndian)
+	if err := svc.Invoke("list", nil, list); err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string]func([]byte){
+		"state": func(b []byte) { _ = naming.NewService().SetState(b) },
+		"list": func(b []byte) {
+			_, _ = naming.NewResolver(func(string, []byte) (*cdr.Reader, error) { return cdr.NewReader(b, cdr.BigEndian), nil }).List()
+		},
+	}
+	seeds := map[string][]byte{"state": state, "list": list.Bytes()}
+	for what, decode := range decoders {
+		seed := seeds[what]
+		for at := 0; at+4 <= len(seed); at += 4 {
+			data := bytes.Clone(seed)
+			binary.BigEndian.PutUint32(data[at:], 1<<20)
+			if n := allocated(func() { decode(data) }); n > 64*len(data)+4096 {
+				t.Fatalf("%s with a hostile count at %d: %d bytes allocated %d bytes", what, at, len(data), n)
+			}
+		}
+	}
+}
+
+// allocated returns the fewest bytes fn allocated in three runs: another
+// goroutine's allocation can inflate one reading, not all three.
+func allocated(fn func()) int {
+	least := -1
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if n := int(after.TotalAlloc - before.TotalAlloc); least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
 }

@@ -3,7 +3,8 @@
 # non-blank Go lines per top-level package, with ROADMAP's convention
 # for the total (bench/ and internal/analysis are counted, shown, and
 # left out of it: the one is the reference benchmark's own module, the
-# other the lint tooling). A simplicity PR states this script's total on
+# other the lint tooling, which gets a total of its own, its analyzers'
+# corpora included). A simplicity PR states both totals on
 # its parent and on its change; `make loc` runs it, and CI prints it in
 # the check job's step summary. The script also prints the same count of
 # _test.go lines: code moved into a test file is no reduction, and shows
@@ -74,11 +75,12 @@ options() {
 
 ROOT=$(git rev-parse --show-toplevel 2>/dev/null || pwd)
 NOTE='(non-test, non-blank Go lines outside bench/ and internal/analysis)'
+LINTNOTE='(the same lines of internal/analysis, testdata included)'
 TESTNOTE='(_test.go non-blank lines, same packages)'
 OPTNOTE='(Config, Properties and ServerOptions fields, and cmd/ flags, same packages)'
 
 if [ "${1:-}" != -d ]; then
-    count "${1:-$ROOT}" | awk -v note="$NOTE" -v testnote="$TESTNOTE" '
+    count "${1:-$ROOT}" | awk -v note="$NOTE" -v lintnote="$LINTNOTE" -v testnote="$TESTNOTE" '
         {
             excluded = ($2 == "bench" || $2 == "internal/analysis")
             if ($3 == "test") {
@@ -87,9 +89,11 @@ if [ "${1:-}" != -d ]; then
             }
             printf "%7d  %s%s\n", $1, $2, excluded ? "  (not in total)" : ""
             if (!excluded) total += $1
+            if ($2 == "internal/analysis") lint = $1
         }
         END {
             printf "%7d  total %s\n", total, note
+            printf "%7d  lint total %s\n", lint, lintnote
             printf "%7d  tests %s\n", tests, testnote
         }'
     printf "%7d  options %s\n" "$(options "${1:-$ROOT}")" "$OPTNOTE"
@@ -102,7 +106,7 @@ trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/ref"
 git -C "$ROOT" archive "$REF" | tar -x -C "$WORK/ref"
 count "$WORK/ref" >"$WORK/parent.txt"
-count "$ROOT" | awk -v note="$NOTE" -v testnote="$TESTNOTE" '
+count "$ROOT" | awk -v note="$NOTE" -v lintnote="$LINTNOTE" -v testnote="$TESTNOTE" '
     {
         counted = ($2 != "bench" && $2 != "internal/analysis")
         side = FILENAME == ARGV[1] ? "parent" : "change"
@@ -120,6 +124,8 @@ count "$ROOT" | awk -v note="$NOTE" -v testnote="$TESTNOTE" '
         }
         close("sort")
         printf "%-24s %6d %6d %+6d  %s\n", "total", tp, tc, tc - tp, note
+        lp = parent["internal/analysis"]; lc = change["internal/analysis"]
+        printf "%-24s %6d %6d %+6d  %s\n", "lint total", lp, lc, lc - lp, lintnote
         printf "%-24s %6d %6d %+6d  %s\n", "tests", tests["parent"], tests["change"], tests["change"] - tests["parent"], testnote
         printf "%-24s %6d %6d %+6d\n", "total + tests", tp + tests["parent"], tc + tests["change"], tc + tests["change"] - tp - tests["parent"]
     }' "$WORK/parent.txt" -
