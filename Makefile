@@ -58,15 +58,15 @@ loc:
 # leader-mode round trip at r=3 must stay under 120 KiB and 26
 # allocations at 16 KiB, and under 5 KiB and 21 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
-# over loopback UDP sockets under 10 KiB and 76 at 64 B, udp_ring_ladder's
-# fixed cost of a message and a datagram), the stand-up budget (a
-# four-processor domain with a group of three and a gateway must be stood
-# up in under 1.25 MB on memnet in leader mode and under 5 MB over
-# loopback UDP in ring mode: a queue allocates what it holds, not its
-# bound) and the live-heap gate
-# beside it (after 8192 echoes of 16 KiB the process holds under
-# 4 x replication.ReplyWindow + 64 MiB: the operation tables are bounded
-# by reply bytes) on their own, without the race detector's overhead, and
+# over loopback UDP sockets under 10 KiB and 63 at 64 B, the fixed cost
+# of a message and a datagram, and under 7 KiB and 16 with 32 calls in
+# flight, udp_ring_ladder's, where messages travel packed), the stand-up
+# budget (a four-processor domain with a group of three and a gateway
+# must be stood up in under 1.25 MB on memnet in leader mode and under
+# 5 MB over loopback UDP in ring mode: a queue allocates what it holds,
+# not its bound) and the live-heap gate beside it (after 8192 echoes of
+# 16 KiB the process holds under 4 x replication.ReplyWindow + 64 MiB: the
+# operation tables are bounded by reply bytes) on their own, without the race detector's overhead, and
 # prints the figures. `race` runs them too; this is the line to look for
 # in a CI log. `make copymap` attributes a failure to a call site. The
 # last line holds the GIOP decoders to theirs: a request or reply decoded

@@ -14,16 +14,20 @@
 // the datagram and for every other member. The only safe way to change
 // delivery bytes is an explicit copy: append([]byte(nil), b...), or a
 // string conversion. And the only ways to keep them are that copy and the
-// one sanctioned retention (DESIGN.md section 7): a function declared with
-// a "gwlint:arena-retain" directive — replication.retain — which hands
-// back the window itself when the datagram carries no other message and a
+// two sanctioned retentions (DESIGN.md section 7). A function declared
+// with a "gwlint:arena-retain" directive — replication.retain, which the
+// long-lived gateway-group record keeps its replies through — hands back
+// the window itself when the datagram carries no other message and a
 // copy when it is a part of a pack. Its result may flow into a field
 // store; it is still borrowed for the read-only pass, because a kept
-// datagram is as shared as a delivered one. A datagram that may be kept
-// like this is also one no transport may ever pool: sole-message
-// datagrams live as long as the log entry or reply record that keeps
-// them, so the "use-after-reuse the day datagrams are pooled" that
-// remains is the pack's, whose parts are always copied out.
+// datagram is as shared as a delivered one. A function declared with a
+// "gwlint:arena-keep" directive — replication's logInvocation — is a
+// bounded sink that keeps what it is given by reference, a part of a pack
+// too, until something cuts it (the recovery log, at every checkpoint):
+// its reference-like parameters are borrowed, so it may store them and
+// may not write to them. A datagram that may be kept like this is one no
+// transport may ever pool: it lives as long as the log entry or reply
+// record that keeps it.
 //
 // The analyzer runs a per-function taint pass. Any expression whose type
 // is an arena type (totem.Delivery, totem.Event, replication.HeaderView,
@@ -123,6 +127,9 @@ type checker struct {
 	// retain holds the functions declared "gwlint:arena-retain": what they
 	// return may be kept, and may not be written to.
 	retain map[types.Object]bool
+	// keep holds the functions declared "gwlint:arena-keep": their
+	// parameters are borrowed, and they may store them, not write them.
+	keep map[types.Object]bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -131,6 +138,7 @@ func run(pass *analysis.Pass) error {
 		arena:   make(map[string]bool, len(defaultArena)),
 		carrier: make(map[string]map[string]bool, len(defaultCarrier)),
 		retain:  make(map[types.Object]bool),
+		keep:    make(map[types.Object]bool),
 	}
 	for k := range defaultArena {
 		c.arena[k] = true
@@ -149,8 +157,11 @@ func run(pass *analysis.Pass) error {
 		if slices.Contains(ds, "arena-retain") {
 			c.retain[obj] = true
 		}
+		if slices.Contains(ds, "arena-keep") {
+			c.keep[obj] = true
+		}
 	}
-	ro := &checker{pass: pass, arena: make(map[string]bool, len(c.arena)+len(defaultShared)), carrier: c.carrier, retain: c.retain, writes: true}
+	ro := &checker{pass: pass, arena: make(map[string]bool, len(c.arena)+len(defaultShared)), carrier: c.carrier, retain: c.retain, keep: c.keep, writes: true}
 	for k := range c.arena {
 		ro.arena[k] = true
 	}
@@ -198,6 +209,17 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	}
 	seedFields(fd.Recv)
 	seedFields(fd.Type.Params)
+	// A keep sink's parameters are the delivered bytes it keeps.
+	keeps := c.keep[c.pass.TypesInfo.Defs[fd.Name]]
+	if keeps {
+		for _, f := range fd.Type.Params.List {
+			for _, name := range f.Names {
+				if obj := c.pass.TypesInfo.Defs[name]; obj != nil && refLike(obj.Type()) {
+					tainted[obj] = true
+				}
+			}
+		}
+	}
 
 	// Seed and propagate through assignments to a fixpoint. Two passes
 	// over the body always suffice in practice, but loop until stable to
@@ -255,7 +277,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	if c.writes {
 		c.findWrites(body, tainted)
 	} else {
-		c.findViolations(body, tainted)
+		c.findViolations(body, tainted, keeps)
 	}
 }
 
@@ -364,12 +386,13 @@ func (c *checker) callTainted(set map[types.Object]bool, call *ast.CallExpr) boo
 	return false
 }
 
-// findViolations walks the body reporting escapes of borrowed values.
-func (c *checker) findViolations(body *ast.BlockStmt, set map[types.Object]bool) {
+// findViolations walks the body reporting escapes of borrowed values;
+// in a keep sink, storing them is what it is for.
+func (c *checker) findViolations(body *ast.BlockStmt, set map[types.Object]bool, keeps bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
+			if keeps || len(n.Lhs) != len(n.Rhs) {
 				return true
 			}
 			for i, lhs := range n.Lhs {

@@ -206,9 +206,10 @@ func (s *shelf) put(i int, v view) {
 	s.slots[i] = v // want `stored in a map or slice element`
 }
 
-// The one sanctioned retention (DESIGN.md section 7): a datagram that
-// carries one message may be kept as it is, and the function that decides
-// — window or copy — is the only non-copy whose result may be stored.
+// The first sanctioned retention (DESIGN.md section 7), the long-lived
+// record's: a datagram that carries one message may be kept as it is, and
+// the function that decides — window or copy — is the only non-copy whose
+// result may be stored.
 //
 // gwlint:arena-retain
 func retain(b []byte, sole bool) []byte {
@@ -250,4 +251,41 @@ func writeKept(p pack, k *keeper) {
 	kept := retain(p.parts[0], p.sole)
 	kept[0] = 1 // want `write into delivery-arena memory`
 	k.held = kept
+}
+
+// The second, the bounded log's: a sink declared to keep what it is given
+// by reference, until something cuts it, a part of a pack too.
+type logbook struct {
+	entries [][]byte
+}
+
+// gwlint:arena-keep
+func (l *logbook) keep(b []byte) {
+	l.entries = append(l.entries, b)
+}
+
+func okLogPart(p pack, l *logbook) {
+	l.keep(p.parts[1])
+}
+
+// What it keeps is borrowed all the same.
+//
+// gwlint:arena-keep
+func (l *logbook) keepStamped(b []byte) {
+	b[0] = 1 // want `write into delivery-arena memory`
+	l.entries = append(l.entries, b)
+}
+
+// The record is no such sink: a part kept there by reference, without
+// retain, pins the whole pack for as long as the record holds the reply.
+type record struct {
+	replies map[uint64][]byte
+}
+
+func recordPart(p pack, r *record) {
+	r.replies[1] = p.parts[1] // want `stored in a map or slice element`
+}
+
+func okRecordPart(p pack, r *record) {
+	r.replies[1] = retain(p.parts[1], p.sole)
 }

@@ -80,9 +80,9 @@ func extend(hv replication.HeaderView) []byte {
 	return append(hv.Payload, 0) // want `append to delivery-arena memory` `returning delivery-arena memory`
 }
 
-// The recovery log and the gateway-group record keep a delivery's bytes
-// through the one function that may hand the window back (DESIGN.md
-// section 7), asked with the delivery's own Sole...
+// The gateway-group record keeps a delivery's bytes through the one
+// function that may hand the window back (DESIGN.md section 7), asked
+// with the delivery's own Sole...
 //
 // gwlint:arena-retain
 func retain(b []byte, sole bool) []byte {
@@ -92,25 +92,54 @@ func retain(b []byte, sole bool) []byte {
 	return append([]byte(nil), b...)
 }
 
+type gatewayRecord struct {
+	replies [][]byte
+}
+
+func (g *gatewayRecord) recorded(d totem.Delivery) {
+	g.replies = append(g.replies, retain(d.Payload, d.Sole))
+}
+
+// ...and not by looking at Sole themselves,
+func (g *gatewayRecord) recordedUnasked(d totem.Delivery) {
+	if d.Sole {
+		g.replies = append(g.replies, d.Payload) // want `stored in a struct field`
+	}
+}
+
+// and what it keeps it never writes to: on memnet it is in the other
+// members' records too.
+func (g *gatewayRecord) stamp(d totem.Delivery) {
+	kept := retain(d.Payload, d.Sole)
+	kept[0] |= 0x80 // want `write into delivery-arena memory`
+	g.replies = append(g.replies, kept)
+}
+
+// The recovery log keeps a delivery's bytes by reference, a part of a
+// pack as much as a datagram of its own — it is cut at every checkpoint —
+// in the one function declared to keep them...
 type recoveryLog struct {
 	entries [][]byte
 }
 
+// gwlint:arena-keep
+func (l *recoveryLog) log(raw []byte) {
+	l.entries = append(l.entries, raw)
+}
+
 func (l *recoveryLog) logged(d totem.Delivery) {
-	l.entries = append(l.entries, retain(d.Payload, d.Sole))
+	l.log(d.Payload)
 }
 
-// ...and not by looking at Sole themselves,
-func (l *recoveryLog) loggedUnasked(d totem.Delivery) {
-	if d.Sole {
-		l.entries = append(l.entries, d.Payload) // want `stored in a struct field`
-	}
+// ...and nowhere else,
+func (l *recoveryLog) loggedInline(d totem.Delivery) {
+	l.entries = append(l.entries, d.Payload) // want `stored in a struct field`
 }
 
-// and what they keep they never write to: on memnet it is in the other
-// replicas' logs too.
-func (l *recoveryLog) stamp(d totem.Delivery) {
-	kept := retain(d.Payload, d.Sole)
-	kept[0] |= 0x80 // want `write into delivery-arena memory`
-	l.entries = append(l.entries, kept)
+// and what it keeps it never writes to either.
+//
+// gwlint:arena-keep
+func (l *recoveryLog) logStamped(raw []byte) {
+	raw[0] |= 0x80 // want `write into delivery-arena memory`
+	l.entries = append(l.entries, raw)
 }

@@ -240,13 +240,39 @@ func (ra *Reassembler) readFirst(h Header) (Message, error) {
 		ra.refused = true
 		return Message{Header: h, Body: head}, nil
 	}
-	frame := make([]byte, ra.Room+HeaderSize+int(h.Size))
+	frame := make([]byte, ra.Room+HeaderSize, ra.Room+HeaderSize+min(int(h.Size), firstRead))
 	copy(frame[ra.Room:], ra.hdr[:])
-	body := frame[ra.Room+HeaderSize:]
-	if err := ra.readBody(h, body, 0); err != nil {
+	frame, err := ra.readOnto(h, frame, int(h.Size))
+	if err != nil {
 		return Message{}, err
 	}
-	return Message{Header: h, Body: body, Frame: frame}, nil
+	return Message{Header: h, Body: frame[ra.Room+HeaderSize:], Frame: frame}, nil
+}
+
+// firstRead is the most of a body a frame has room for before any of it
+// has arrived: a message no longer than that takes one allocation, and a
+// header that declares more than it sends costs at most that much.
+const firstRead = 64 << 10
+
+// readOnto reads n more body bytes of the message h heads onto the end of
+// frame and returns it. The frame grows with the bytes read, never ahead
+// of them by more than it already holds (or firstRead), so what a peer
+// makes the reader allocate stays in step with what it sends.
+func (ra *Reassembler) readOnto(h Header, frame []byte, n int) ([]byte, error) {
+	for n > 0 {
+		if len(frame) == cap(frame) {
+			grown := make([]byte, len(frame), len(frame)+min(n, max(len(frame), firstRead)))
+			frame = grown[:copy(grown, frame)]
+		}
+		at := len(frame)
+		chunk := min(n, cap(frame)-at)
+		frame = frame[:at+chunk]
+		if err := ra.readBody(h, frame[at:], 0); err != nil {
+			return nil, err
+		}
+		n -= chunk
+	}
+	return frame, nil
 }
 
 // readFragment reads a continuation's body in behind the partial
@@ -275,10 +301,12 @@ func (ra *Reassembler) readFragment(h Header) error {
 	if ra.refused {
 		return ra.readBody(h, nil, n)
 	}
-	at := len(p.Frame)
-	p.Frame = append(p.Frame, make([]byte, n)...)
-	p.Body = p.Frame[ra.Room+HeaderSize:]
-	return ra.readBody(h, p.Frame[at:], 0)
+	frame, err := ra.readOnto(h, p.Frame, int(n))
+	if err != nil {
+		return err
+	}
+	p.Frame, p.Body = frame, frame[ra.Room+HeaderSize:]
+	return nil
 }
 
 // readBody reads into keep, and then reads and drops drop bytes more, of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -178,5 +179,66 @@ func TestQuickFragmentRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocationFollowsTheBytesRead: a header that declares a body and
+// then sends none of it costs what arrived, not what it declared — a
+// message's, or a 1.2 fragment's behind its request id — while a message that arrives whole still
+// takes one allocation, and one longer than the first read still
+// reassembles.
+func TestAllocationFollowsTheBytesRead(t *testing.T) {
+	const claimed = MaxMessageSize - 64<<10
+	first := big12Request(t, 100)
+	var fragmented bytes.Buffer
+	if err := writeWithFlags(&fragmented, first, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{
+		{"a message's header", appendHeader(nil, Header{Major: 1, Minor: 2, Order: cdr.BigEndian, Type: MsgRequest, Size: claimed})},
+		{"a fragment's header", append(appendHeader(fragmented.Bytes(), Header{Major: 1, Minor: 2, Order: cdr.BigEndian, Type: MsgFragment, Size: claimed}), first.Body[:4]...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ra := NewReassembler(bytes.NewReader(c.wire), 0)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ra.Next()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("a body cut short read as a message")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+				t.Errorf("a header claiming %d bytes and then nothing allocated %d bytes", claimed, got)
+			}
+		})
+	}
+
+	whole := big12Request(t, 1<<10)
+	var wire bytes.Buffer
+	if err := WriteMessage(&wire, whole); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	ra := NewReassembler(rd, 0)
+	if n := testing.AllocsPerRun(50, func() {
+		rd.Reset(wire.Bytes())
+		if _, err := ra.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("reading a 1 KiB message took %v allocations, want 1", n)
+	}
+
+	long := big12Request(t, 5*firstRead/2)
+	wire.Reset()
+	if err := WriteMessage(&wire, long); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewReassembler(&wire, 0).Next()
+	if err != nil || !bytes.Equal(got.Body, long.Body) {
+		t.Fatalf("a %d-byte message read back as %d bytes, %v", len(long.Body), len(got.Body), err)
 	}
 }

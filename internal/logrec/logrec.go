@@ -84,13 +84,18 @@ func (l *Log) Checkpoint(g uint32, cp Checkpoint) {
 			kept = append(kept, e)
 		}
 	}
+	// The slots behind the kept entries still hold the dropped ones' Data,
+	// a datagram each, maybe a pack: let go of them now, not when a later
+	// append overwrites the slot.
+	clear(gl.entries[len(kept):])
 	gl.entries = kept
 }
 
 // AppendOwned records one invocation for group g and keeps e.Data as it
-// is: bytes nobody will write to again — the caller's own copy, or the
-// delivered datagram that carries this invocation alone, which other
-// members' logs may share. Recover's entries share them too.
+// is: bytes nobody will write to again — the caller's own copy, or a
+// window onto the delivered datagram that carries the invocation, alone
+// or in a pack, which other members' logs may share — until a checkpoint
+// covers it. Recover's entries share them too.
 func (l *Log) AppendOwned(g uint32, e Entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

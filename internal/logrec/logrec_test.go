@@ -143,3 +143,24 @@ func TestRecoverCheckpointZeroEntries(t *testing.T) {
 		t.Fatalf("entries after late append = %+v", entries)
 	}
 }
+
+// TestCheckpointLetsGoOfDroppedEntries: the entries a checkpoint covers
+// leave the array behind the kept ones, so a dropped entry's Data — a
+// delivered datagram, maybe a whole pack — is not pinned until a later
+// append happens to overwrite its slot.
+func TestCheckpointLetsGoOfDroppedEntries(t *testing.T) {
+	l := NewLog()
+	for s := uint64(1); s <= 6; s++ {
+		l.AppendOwned(3, Entry{Seq: s, Data: []byte{byte(s)}})
+	}
+	l.Checkpoint(3, Checkpoint{Seq: 4, State: []byte("s4")})
+	gl := l.groups[3]
+	if len(gl.entries) != 2 || gl.entries[0].Seq != 5 || gl.entries[1].Seq != 6 {
+		t.Fatalf("kept %+v, want the entries of 5 and 6", gl.entries)
+	}
+	for i, e := range gl.entries[len(gl.entries):cap(gl.entries)] {
+		if e.Seq != 0 || e.Data != nil {
+			t.Fatalf("slot %d behind the kept entries still holds %+v", len(gl.entries)+i, e)
+		}
+	}
+}

@@ -24,6 +24,13 @@ type domain struct {
 
 func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 	t.Helper()
+	return newDomainVia(t, n, nil, opts...)
+}
+
+// newDomainVia is newDomain with each member's endpoint handed to via,
+// when it is set, for the transport the member's node runs over.
+func newDomainVia(t *testing.T, n int, via func(memnet.NodeID, *memnet.Endpoint) totem.Transport, opts ...memnet.Option) *domain {
+	t.Helper()
 	d := &domain{
 		t:     t,
 		net:   memnet.New(opts...),
@@ -38,7 +45,11 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.nodes[id], d.rms[id] = startNode(t, id, ep, d.ids)
+		var tr totem.Transport = ep
+		if via != nil {
+			tr = via(id, ep)
+		}
+		d.nodes[id], d.rms[id] = startNode(t, id, tr, d.ids)
 	}
 	return d
 }

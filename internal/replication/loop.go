@@ -559,7 +559,7 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, d totem.Delivery, ts uint6
 	// The still-encoded GIOP request rides to the per-group executor,
 	// which decodes it off the event loop and logs the raw wire form
 	// instead of re-encoding it.
-	r.push(task{kind: taskInvoke, msg: msg, raw: d.Payload, sole: d.Sole, ts: ts, execute: execute})
+	r.push(task{kind: taskInvoke, msg: msg, raw: d.Payload, ts: ts, execute: execute})
 }
 
 // deliverResponse routes a response to local pending invocations,

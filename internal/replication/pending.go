@@ -58,8 +58,9 @@ func departedKey(serverGroup GroupID, clientID uint64) opKey {
 
 // remember notes an operation as answered; the first note wins. record
 // says the reply, a window onto a delivered datagram, belongs in the
-// gateway-group record, where it is kept under retain's rule: the
-// datagram itself if sole, a copy if it was packed. Callers hold sh.mu.
+// gateway-group record, where it is kept under retain's rule — the
+// datagram itself if sole, a copy if it was packed — as the record is
+// cut by its window, not by a checkpoint. Callers hold sh.mu.
 func (sh *pendingShard) remember(key opKey, reply []byte, sole, record bool) {
 	if sh.answered.Has(key) {
 		return

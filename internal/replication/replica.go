@@ -37,12 +37,10 @@ type task struct {
 	msg Message
 	// raw is the full encoded wire form of an invocation delivery
 	// (header plus payload), aliasing the delivery buffer; logInvocation
-	// keeps it in the recovery log instead of re-encoding msg — as it is
-	// if sole (totem.Delivery.Sole, or a detached copy), see retain.
+	// keeps it in the recovery log as it is instead of re-encoding msg.
 	raw     []byte
 	ts      uint64
 	execute bool
-	sole    bool
 	state   statePayload
 	joiner  memnet.NodeID
 }
@@ -54,7 +52,7 @@ type task struct {
 // list) must detach first — the arenaalias analyzer enforces it.
 func (t task) detach() task {
 	t.msg.Payload = append([]byte(nil), t.msg.Payload...)
-	t.raw, t.sole = append([]byte(nil), t.raw...), true
+	t.raw = append([]byte(nil), t.raw...)
 	return t
 }
 
@@ -290,18 +288,22 @@ func (r *replica) handleInvoke(t task) {
 			r.m.duplicateInvocations.Add(1)
 			return
 		}
-		r.logInvocation(t.ts, t.raw, t.sole)
+		r.logInvocation(t.ts, t.raw)
 		return
 	}
-	r.executeInvocation(t.msg, t.raw, t.sole, t.ts, execLive)
+	r.executeInvocation(t.msg, t.raw, t.ts, execLive)
 }
 
 // logInvocation puts a delivered invocation's wire form into the recovery
-// log — the one place a servant member retains request bytes past their
-// delivery, under retain's rule: the datagram itself if the invocation
-// travelled alone, a copy if it was packed.
-func (r *replica) logInvocation(ts uint64, raw []byte, sole bool) {
-	r.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: retain(raw, sole)})
+// log as it was delivered — the one place a servant member keeps request
+// bytes past their delivery. A part of a pack is kept by reference as
+// much as a datagram of its own: the log is cut at every checkpoint
+// (maybeCheckpoint, a passive primary's sync), so it pins at most an
+// interval's datagrams per group (DESIGN.md section 7).
+//
+// gwlint:arena-keep
+func (r *replica) logInvocation(ts uint64, raw []byte) {
+	r.log.AppendOwned(uint32(r.group), logrec.Entry{Seq: ts, Data: raw})
 }
 
 // replay executes logged invocations in order; the entries stay owned by
@@ -312,7 +314,7 @@ func (r *replica) replay(entries []logrec.Entry, mode execMode) {
 		if err != nil {
 			continue
 		}
-		r.executeInvocation(hv.Message(), e.Data, true, e.Seq, mode)
+		r.executeInvocation(hv.Message(), e.Data, e.Seq, mode)
 	}
 }
 
@@ -323,8 +325,8 @@ func (r *replica) replay(entries []logrec.Entry, mode execMode) {
 // gateway that failed over) still obtains the result, but the operation
 // is not executed twice (paper sections 2.2, 3.3, 3.5) — and, having
 // changed nothing, is not logged either. raw is the invocation's encoded
-// wire form, sole as in task.
-func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint64, mode execMode) {
+// wire form.
+func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode execMode) {
 	key := msg.Header.key()
 	if kept, met := r.ops.Get(key); met && mode != execFailover {
 		r.m.duplicateInvocations.Add(1)
@@ -343,7 +345,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, sole bool, ts uint6
 		// Log before executing: a checkpoint cut at the end of this
 		// execution (Seq == ts) then truncates the entry its state already
 		// covers.
-		r.logInvocation(ts, raw, sole)
+		r.logInvocation(ts, raw)
 	}
 
 	r.curParentTS = ts

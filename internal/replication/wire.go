@@ -177,20 +177,22 @@ func sealPayload(room int, buf []byte) []byte {
 // replica executor for request bodies, the first pending waiter for
 // reply bodies — and skipped entirely for early-discarded duplicate
 // responses. The payload must not be mutated, and anything retained
-// beyond the delivery goes through retain: the datagram is the arena,
-// shared by every payload packed into it and, on memnet, by every ring
-// member that received it.
+// beyond the delivery goes into the recovery log (logInvocation) or
+// through retain: the datagram is the arena, shared by every payload
+// packed into it and, on memnet, by every ring member that received it.
 type HeaderView struct {
 	Header  Header
 	Payload []byte
 }
 
-// retain returns b, a window onto a delivered datagram, as it may outlive
-// the delivery, and is the only way delivered bytes do (DESIGN.md section
-// 7): b itself if sole (totem.Delivery.Sole), which pins one totem header
-// besides and on memnet is the one buffer every member keeps; a copy of a
-// part of a pack, so that a hundred-byte record never pins 32 KiB. Kept
-// bytes stay read-only, and no transport may pool a datagram that can be.
+// retain returns b, a window onto a delivered datagram, as the gateway-
+// group record keeps it for as long as its window holds the reply
+// (DESIGN.md section 7): b itself if sole (totem.Delivery.Sole), which
+// pins one totem header besides and on memnet is the one buffer every
+// member keeps; a copy of a part of a pack, so that a hundred-byte record
+// never pins 32 KiB. The recovery log, cut at every checkpoint, keeps
+// either by reference (logInvocation). Kept bytes stay read-only, and no
+// transport may pool a datagram that can be.
 //
 // gwlint:arena-retain
 func retain(b []byte, sole bool) []byte {

@@ -73,7 +73,7 @@ func forwardFrom(pkt memnet.Packet, id memnet.NodeID) bool {
 	if pkt.Payload[0] != kindForward {
 		return false
 	}
-	f, err := decodeForward(cdrSkipKind(pkt.Payload), nil)
+	f, err := decodeForward(cdrSkipKind(pkt.Payload), nil, nil)
 	return err == nil && f.Sender == id
 }
 
@@ -82,7 +82,7 @@ func batchOf(pkt memnet.Packet) (batchMsg, bool) {
 	if pkt.Payload[0] != kindBatch {
 		return batchMsg{}, false
 	}
-	b, err := decodeBatch(cdrSkipKind(pkt.Payload), nil)
+	b, err := decodeBatch(cdrSkipKind(pkt.Payload), nil, nil)
 	return b, err == nil
 }
 
@@ -253,7 +253,7 @@ func TestForwardsAreOrderedByReference(t *testing.T) {
 				case kindForward:
 					payloadBytes += len(e.payload)
 				case kindBatch:
-					b, err := decodeBatch(cdrSkipKind(e.payload), nil)
+					b, err := decodeBatch(cdrSkipKind(e.payload), nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -363,7 +363,7 @@ func TestByReferenceRecovery(t *testing.T) {
 			ordered := make(map[uint64]bool)
 			f.set(func(pkt memnet.Packet) []memnet.Packet {
 				if forwardFrom(pkt, origin) {
-					fw, _ := decodeForward(cdrSkipKind(pkt.Payload), nil)
+					fw, _ := decodeForward(cdrSkipKind(pkt.Payload), nil, nil)
 					if ordered[fw.FwdSeq] {
 						return []memnet.Packet{pkt}
 					}

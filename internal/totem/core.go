@@ -98,10 +98,16 @@ type Core struct {
 	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      []submission
 	lastTokenID  uint64
-	ids          idTable // the ring's member ids, for allocation-free decoding
+	ids          idTable  // the ring's member ids, for allocation-free decoding
+	parts        partSlab // where the part lists of packs, forwards and batches are carved
 
+	// heldToken is the token parked here between its visit and its
+	// forwarding, lastSentToken the last one forwarded, awaiting evidence
+	// it arrived; each is nil or points at the core's own copy of it
+	// (held, sent), so a visit moves no token to the heap.
 	lastSentToken *token
 	heldToken     *token
+	held, sent    token
 	// lastTrafficAt is when this node last saw application traffic (a
 	// new regular broadcast, local or remote). Within activeWindowHolds
 	// idle holds of it the token is forwarded on a shortened hold.
@@ -315,8 +321,8 @@ func (n *Core) Receive(now time.Time, datagram []byte, waiting int) {
 			n.handleRegular(m)
 		}
 	case kindPacked:
-		if m, err := decodePacked(r, n.ids); err == nil {
-			n.handleRegular(m)
+		if m, err := decodePacked(r, n.ids, &n.parts); err == nil && !n.handleRegular(m) {
+			clear(m.Parts) // dropped: see unbuffer
 		}
 	case kindToken:
 		if t, err := decodeToken(r, n.ids); err == nil {
@@ -327,12 +333,12 @@ func (n *Core) Receive(now time.Time, datagram []byte, waiting int) {
 			n.handleJoin(j)
 		}
 	case kindForward:
-		if f, err := decodeForward(r, n.ids); err == nil {
-			n.handleForward(f)
+		if f, err := decodeForward(r, n.ids, &n.parts); err == nil && !n.handleForward(f) {
+			clear(f.Parts)
 		}
 	case kindBatch:
-		if b, err := decodeBatch(r, n.ids); err == nil {
-			n.handleBatch(b)
+		if b, err := decodeBatch(r, n.ids, &n.parts); err == nil && !n.handleBatch(b) {
+			clear(b.Parts)
 		}
 	case kindAck:
 		// Everyone receives acks, only the sequencer consumes them.
@@ -374,7 +380,9 @@ func (n *Core) admit(ringID uint64, from memnet.NodeID, ordered bool) bool {
 	return false
 }
 
-func (n *Core) handleRegular(m regularMsg) {
+// handleRegular takes an ordered message in and reports whether it
+// buffered it; what it drops is a duplicate, stale or not this ring's.
+func (n *Core) handleRegular(m regularMsg) (buffered bool) {
 	// A retransmission speaks for whoever retransmits it: it carries this
 	// ring's id in the name of its sender, which may have left rings ago.
 	from := m.Sender
@@ -382,13 +390,13 @@ func (n *Core) handleRegular(m regularMsg) {
 		from, m.Via = m.Via, ""
 	}
 	if !n.admit(m.RingID, from, true) {
-		return
+		return false
 	}
 	if m.Seq <= n.deliveredSeq || n.skipped[m.Seq] {
-		return // already delivered or declared unrecoverable
+		return false // already delivered or declared unrecoverable
 	}
 	if _, ok := n.buffer[m.Seq]; ok {
-		return // duplicate
+		return false // duplicate
 	}
 	// Genuinely new ring traffic counts as liveness; duplicates and
 	// stale retransmissions above do not, so a wedged ring (dead token
@@ -409,6 +417,7 @@ func (n *Core) handleRegular(m regularMsg) {
 	if n.following() {
 		n.scheduleAck() // the watermark may have moved
 	}
+	return true
 }
 
 func (n *Core) handleToken(t token) {
@@ -506,8 +515,8 @@ func (n *Core) commitVisit(t *token) bool {
 	me := slices.Index(t.Members, n.cfg.ID)
 	t.Entries[me] = commitEntry{Filled: true, Last: n.last, Majority: n.majority, Highest: n.highest, Aru: n.deliveredSeq}
 	if me != 0 || slices.ContainsFunc(t.Entries, func(e commitEntry) bool { return !e.Filled }) {
-		held := *t // a copy: the caller's token stays off the heap
-		n.heldToken = &held
+		n.held = *t
+		n.heldToken = &n.held
 		n.finishHold()
 		return false
 	}
@@ -565,6 +574,11 @@ func (n *Core) install(t token) {
 		// token has visited stand, as a processor that was never there,
 		// behind the ring's horizon: the members not yet visited may stand
 		// lower.
+		for _, m := range n.buffer {
+			for i := range m.Parts {
+				m.Parts[i] = nil // see unbuffer
+			}
+		}
 		clear(n.buffer)
 		clear(n.skipped)
 		n.deliveredSeq, n.highest, n.gcThrough = t.Aru, t.Aru, t.Stable
@@ -709,7 +723,8 @@ func (n *Core) processToken(t token) {
 	// shortened hold still paces rotation enough that token processing
 	// does not crowd out payload delivery (a zero hold here floods every
 	// member's event loop with token broadcasts and makes latency worse).
-	n.heldToken = &t
+	n.held = t
+	n.heldToken = &n.held
 	if work || len(t.Rtr) > 0 || t.Aru < t.Seq {
 		n.finishHold()
 		return
@@ -756,7 +771,8 @@ func (n *Core) finishHold() {
 		list = t.Members // a commit's first rotation: the ring is not installed yet
 	}
 	t.Succ = list[(slices.Index(list, n.cfg.ID)+1)%len(list)]
-	n.lastSentToken = t
+	n.sent = *t
+	n.lastSentToken = &n.sent
 	n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	n.broadcast(encodeToken(*t))
 	n.tokenPassN.Add(1)
@@ -813,18 +829,35 @@ func (n *Core) gc(aru uint64) {
 	}
 	if aru-n.gcThrough <= uint64(len(n.buffer)+len(n.skipped)+len(n.fp.batchOrigin)+len(n.fp.parked)) {
 		for s := n.gcThrough + 1; s <= aru; s++ {
-			delete(n.buffer, s)
+			n.unbuffer(s)
 			delete(n.skipped, s)
 			delete(n.fp.batchOrigin, s)
 			delete(n.fp.parked, s)
 		}
 	} else {
-		dropThrough(n.buffer, aru)
+		for s, m := range n.buffer {
+			if s <= aru {
+				for i := range m.Parts {
+					m.Parts[i] = nil // see unbuffer
+				}
+				delete(n.buffer, s)
+			}
+		}
 		dropThrough(n.skipped, aru)
 		dropThrough(n.fp.batchOrigin, aru)
 		dropThrough(n.fp.parked, aru)
 	}
 	n.gcThrough = aru
+}
+
+// unbuffer drops buffered message s and zeroes the part headers it was
+// carved (partSlab): nothing else holds a buffered message's list. A list
+// its handler did not keep is zeroed where it was decoded (Receive).
+func (n *Core) unbuffer(s uint64) {
+	if m, ok := n.buffer[s]; ok {
+		clear(m.Parts)
+		delete(n.buffer, s)
+	}
 }
 
 // dropThrough deletes the entries of m at or below aru by visiting all

@@ -1055,11 +1055,10 @@ func TestUnheardHighestSeqIsNotAssignedAgain(t *testing.T) {
 	v.drop = func(to memnet.NodeID, data []byte) bool {
 		switch data[0] {
 		case kindRegular, kindPacked:
-			decode := decodeRegular
+			m, err := decodeRegular(cdrSkipKind(data), nil)
 			if data[0] == kindPacked {
-				decode = decodePacked
+				m, err = decodePacked(cdrSkipKind(data), nil, nil)
 			}
-			m, err := decode(cdrSkipKind(data), nil)
 			return err == nil && m.RingID == old && m.Seq > seq && to != ahead
 		case kindToken:
 			tok, err := decodeToken(cdrSkipKind(data), nil)

@@ -122,13 +122,13 @@ func TestFramedInPlaceIsTheEncodersWireForm(t *testing.T) {
 
 				fm := forwardMsg{RingID: 9, Sender: id, FwdSeq: 1 << 40, Payload: payload}
 				d := framed(kindForward, func(p, in []byte) []byte { fm.Payload = p; return encodeForward(fm, in) }, oracleForward(fm))
-				if f, err := decodeForward(decodeFrame(t, d, kindForward), ids); err != nil || f.Sender != id || f.FwdSeq != fm.FwdSeq || f.RingID != 9 || !bytes.Equal(f.Payload, payload) || f.Parts != nil {
+				if f, err := decodeForward(decodeFrame(t, d, kindForward), ids, nil); err != nil || f.Sender != id || f.FwdSeq != fm.FwdSeq || f.RingID != 9 || !bytes.Equal(f.Payload, payload) || f.Parts != nil {
 					t.Fatalf("forward read back as %+v, %v", f, err)
 				}
 
 				bm := batchMsg{RingID: 9, Seq: 77, Leader: id, Origin: id, OriginFwd: 3, Stable: 70, Payload: payload}
 				d = framed(kindBatch, func(p, in []byte) []byte { bm.Payload = p; return encodeBatch(bm, in) }, oracleBatch(bm))
-				if b, err := decodeBatch(decodeFrame(t, d, kindBatch), ids); err != nil || b.Ref || b.Leader != id || b.Origin != id || b.Seq != 77 || b.OriginFwd != 3 || b.Stable != 70 || !bytes.Equal(b.Payload, payload) {
+				if b, err := decodeBatch(decodeFrame(t, d, kindBatch), ids, nil); err != nil || b.Ref || b.Leader != id || b.Origin != id || b.Seq != 77 || b.OriginFwd != 3 || b.Stable != 70 || !bytes.Equal(b.Payload, payload) {
 					t.Fatalf("batch read back as %+v, %v", b, err)
 				}
 

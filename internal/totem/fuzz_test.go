@@ -47,15 +47,15 @@ func decodeAny(data []byte) (any, error) {
 	case kindRegular:
 		return decodeRegular(r, nil)
 	case kindPacked:
-		return decodePacked(r, nil)
+		return decodePacked(r, nil, nil)
 	case kindToken:
 		return decodeToken(r, nil)
 	case kindJoin:
 		return decodeJoin(r)
 	case kindForward:
-		return decodeForward(r, nil)
+		return decodeForward(r, nil, nil)
 	case kindBatch:
-		return decodeBatch(r, nil)
+		return decodeBatch(r, nil, nil)
 	case kindAck:
 		return decodeAck(r, nil, true)
 	case kindPromote:

@@ -35,7 +35,7 @@ var payloadDecoders = []struct {
 			return encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			m, err := decodePacked(r, nil)
+			m, err := decodePacked(r, nil, nil)
 			return m.Parts, err
 		}},
 	{"forward", kindForward,
@@ -43,7 +43,7 @@ var payloadDecoders = []struct {
 			return encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 3, Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			f, err := decodeForward(r, nil)
+			f, err := decodeForward(r, nil, nil)
 			return allParts(f.Payload, f.Parts), err
 		}},
 	{"batch", kindBatch,
@@ -51,7 +51,7 @@ var payloadDecoders = []struct {
 			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts}, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
-			b, err := decodeBatch(r, nil)
+			b, err := decodeBatch(r, nil, nil)
 			return allParts(b.Payload, b.Parts), err
 		}},
 }
@@ -161,18 +161,18 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 		ids := newIDTable([]memnet.NodeID{"n00", "n01"})
 		for _, fwd := range []uint64{3, ^uint64(0)} {
 			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true}, nil)
-			b, err := decodeBatch(decodeFrame(t, frame, kindBatch), ids)
+			b, err := decodeBatch(decodeFrame(t, frame, kindBatch), ids, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !b.Ref || b.Payload != nil || b.Parts != nil || b.OriginFwd != fwd || b.Origin != "n01" {
 				t.Fatalf("decoded %+v", b)
 			}
-			if n := testing.AllocsPerRun(100, func() { _, _ = decodeBatch(cdrSkipKind(frame), ids) }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { _, _ = decodeBatch(cdrSkipKind(frame), ids, nil) }); n != 0 {
 				t.Errorf("decoding a by-reference batch (OriginFwd %d) allocates %v times", fwd, n)
 			}
 			for cut := 1; cut < len(frame); cut++ {
-				if _, err := decodeBatch(cdrSkipKind(frame[:cut]), ids); err == nil {
+				if _, err := decodeBatch(cdrSkipKind(frame[:cut]), ids, nil); err == nil {
 					t.Fatalf("frame truncated at %d/%d decoded", cut, len(frame))
 				}
 			}
@@ -181,7 +181,7 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true}, nil)
 		copy(hostile[len(hostile)-4:], []byte{0x7f, 0xff, 0xff, 0xff})
 		var derr error
-		n := allocatedBy(func() { _, derr = decodeBatch(cdrSkipKind(hostile), ids) })
+		n := allocatedBy(func() { _, derr = decodeBatch(cdrSkipKind(hostile), ids, nil) })
 		if derr == nil {
 			t.Fatal("hostile part count decoded")
 		}
@@ -216,10 +216,10 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 			m, err := decodeToken(r, ids)
 			return m.Succ, err
 		case kindForward:
-			m, err := decodeForward(r, ids)
+			m, err := decodeForward(r, ids, nil)
 			return m.Sender, err
 		case kindBatch:
-			m, err := decodeBatch(r, ids)
+			m, err := decodeBatch(r, ids, nil)
 			return m.Origin, err
 		case kindAck:
 			m, err := decodeAck(r, ids, true)

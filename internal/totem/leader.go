@@ -247,7 +247,8 @@ func (n *Core) noteBacklog() { n.pendingN.Store(int64(len(n.pending) + n.fp.awai
 // always accepted, so an oversized payload still travels (alone); later
 // ones must keep the pack within maxPackCount and maxPackBytes. A single
 // payload travels as itself, framed in own if it still has one; a
-// longer run is counted as a packed message and gets a list of its own.
+// longer run is counted as a packed message and gets a list carved from
+// the core's slab.
 func (n *Core) nextPack(first int) (end int, payload []byte, parts [][]byte, own []byte) {
 	end = first + 1
 	bytes := len(n.pending[first].payload)
@@ -262,7 +263,7 @@ func (n *Core) nextPack(first int) (end int, payload []byte, parts [][]byte, own
 	}
 	n.packedMsgN.Add(1)
 	n.packedPartN.Add(uint64(end - first))
-	parts = make([][]byte, 0, end-first)
+	parts = n.parts.carve(end - first)
 	for _, s := range n.pending[first:end] {
 		parts = append(parts, s.payload)
 	}
@@ -374,13 +375,13 @@ func (n *Core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 // handleForward is every member's view of a forward. The sequencer
 // orders each origin's forwards in FwdSeq order, exactly once; everyone
 // else keeps the forward for the by-reference batch that will order it.
-func (n *Core) handleForward(f forwardMsg) {
+// It reports whether f's payloads were kept, ordered or held.
+func (n *Core) handleForward(f forwardMsg) (kept bool) {
 	if !n.admit(f.RingID, f.Sender, false) || n.cfg.Ordering != OrderingLeader {
-		return
+		return false
 	}
 	if !n.sequencing() {
-		n.holdForward(f)
-		return
+		return n.holdForward(f)
 	}
 	fp := &n.fp
 	n.touchLiveness()
@@ -396,22 +397,21 @@ func (n *Core) handleForward(f forwardMsg) {
 				n.rebroadcastOrdered(seq, m)
 			}
 		}
-		return
+		return false
 	}
 	if f.FwdSeq > seen+1 {
 		// Out of order: hold until the gap fills; the origin's resend
 		// timer recovers drops beyond the bound.
-		n.hold(f)
-		return
+		return n.hold(f)
 	}
 	for {
 		if !n.order(f.Sender, f.FwdSeq, f.Payload, f.Parts, nil) {
-			return
+			return true
 		}
 		fp.fwdSeen[f.Sender] = f.FwdSeq
 		next, ok := fp.held[f.Sender][f.FwdSeq+1]
 		if !ok {
-			return
+			return true
 		}
 		delete(fp.held[f.Sender], next.FwdSeq)
 		f = next
@@ -419,8 +419,8 @@ func (n *Core) handleForward(f forwardMsg) {
 }
 
 // hold keeps a forward until it is seen ordered, within the per-origin
-// bound.
-func (n *Core) hold(f forwardMsg) {
+// bound, and reports whether it did.
+func (n *Core) hold(f forwardMsg) bool {
 	if n.fp.held == nil {
 		n.fp.held = make(map[memnet.NodeID]map[uint64]forwardMsg) // ahead of the epoch (enter)
 	}
@@ -429,18 +429,21 @@ func (n *Core) hold(f forwardMsg) {
 		h = make(map[uint64]forwardMsg)
 		n.fp.held[f.Sender] = h
 	}
-	if len(h) < maxHeldFwds {
-		h[f.FwdSeq] = f
+	if len(h) >= maxHeldFwds {
+		return false
 	}
+	h[f.FwdSeq] = f
+	return true
 }
 
 // holdForward is a follower's side of a forward: bind the reference that
 // overtook it, or keep it for the reference to come. The node's own
 // forwards are bound from awaiting, and one at or below the origin's
-// watermark is a resend of something already seen ordered.
-func (n *Core) holdForward(f forwardMsg) {
+// watermark is a resend of something already seen ordered. It reports
+// whether f's payloads were kept, bound or held.
+func (n *Core) holdForward(f forwardMsg) bool {
 	if f.Sender == n.cfg.ID {
-		return
+		return false
 	}
 	// The sequencer orders a forward once, so at most one reference is
 	// parked for it; were there ever two, the lowest is the one bound.
@@ -450,12 +453,14 @@ func (n *Core) holdForward(f forwardMsg) {
 			bound = seq
 		}
 	}
-	if bound != 0 {
+	switch {
+	case bound != 0:
 		delete(n.fp.parked, bound)
-		n.handleRegular(regularMsg{RingID: n.ringID, Seq: bound, Sender: f.Sender, Payload: f.Payload, Parts: f.Parts})
-	} else if f.FwdSeq > n.fp.fwdSeen[f.Sender] {
-		n.hold(f)
+		return n.handleRegular(regularMsg{RingID: n.ringID, Seq: bound, Sender: f.Sender, Payload: f.Payload, Parts: f.Parts})
+	case f.FwdSeq > n.fp.fwdSeen[f.Sender]:
+		return n.hold(f)
 	}
+	return false
 }
 
 // rebroadcastOrdered retransmits an ordered sequence number: as a batch
@@ -483,23 +488,23 @@ func (n *Core) rebroadcastOrdered(seq uint64, m regularMsg) {
 // path is handleRegular — a batch is a packed regular message ordered by
 // the leader instead of a token visit — so buffering, gap detection,
 // contiguous delivery and recovery-time retransmission all behave
-// identically in both modes.
-func (n *Core) handleBatch(b batchMsg) {
+// identically in both modes. It reports whether the payloads were
+// buffered.
+func (n *Core) handleBatch(b batchMsg) (buffered bool) {
 	if !n.admit(b.RingID, b.Leader, !b.Ref) {
-		return
+		return false
 	}
 	m := regularMsg{RingID: b.RingID, Seq: b.Seq, Sender: b.Origin, Payload: b.Payload, Parts: b.Parts}
 	if n.gathering {
 		// Outside an epoch nothing can be bound, and nothing needs to be:
 		// the full form is buffered for recovery like any ordered message.
-		n.handleRegular(m)
-		return
+		return n.handleRegular(m)
 	}
 	switch n.fp.leader {
 	case b.Leader:
 	case "":
 		if n.cfg.Ordering != OrderingLeader {
-			return // misconfigured peer promoted; refuse the mode
+			return false // misconfigured peer promoted; refuse the mode
 		}
 		// First evidence of a promotion whose datagram we lost: adopt
 		// now; the heartbeat fills in the switch sequence.
@@ -509,10 +514,10 @@ func (n *Core) handleBatch(b batchMsg) {
 		// (one live token, one promotion per ring); treat it as
 		// corruption and resolve through recovery.
 		n.startGather()
-		return
+		return false
 	}
 	if n.sequencing() {
-		return // own broadcast echo: what this node ordered, it buffered
+		return false // own broadcast echo: what this node ordered, it buffered
 	}
 	if _, waiting := n.fp.parked[b.Seq]; waiting && !b.Ref {
 		// The retransmission a parked reference asked for.
@@ -520,22 +525,23 @@ func (n *Core) handleBatch(b batchMsg) {
 		n.refMissN.Add(1)
 	}
 	if !b.Ref || n.bindRef(b, &m) {
-		n.handleRegular(m)
+		buffered = n.handleRegular(m)
 	}
 	if n.fp.leader != b.Leader {
-		return // the origin turned out a stranger: recovery has begun
+		return buffered // the origin turned out a stranger: recovery has begun
 	}
 	n.applyStable(b.Stable)
 	// (Origin, OriginFwd) has been seen ordered: the origin stops
 	// resending it, everyone else stops holding it.
 	if b.Origin == n.cfg.ID {
 		n.clearOrdered(b.OriginFwd)
-		return
+		return buffered
 	}
 	delete(n.fp.held[b.Origin], b.OriginFwd)
 	if b.OriginFwd > n.fp.fwdSeen[b.Origin] {
 		n.fp.fwdSeen[b.Origin] = b.OriginFwd
 	}
+	return buffered
 }
 
 // bindRef resolves a by-reference batch to the payloads this member

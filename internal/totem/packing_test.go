@@ -129,7 +129,7 @@ func TestPackingRespectsBounds(t *testing.T) {
 			}
 			packs = append(packs, 1)
 		case kindPacked:
-			m, err := decodePacked(cdrSkipKind(e.payload), nil)
+			m, err := decodePacked(cdrSkipKind(e.payload), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

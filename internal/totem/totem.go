@@ -52,13 +52,14 @@ type Delivery struct {
 	Sender memnet.NodeID
 	// Payload is the application payload: a cap-clipped subslice of the
 	// received datagram, read-only and possibly shared with other ring
-	// members (see Transport). Copy what must outlive the delivery, or,
-	// if Sole, keep it.
+	// members (see Transport). What outlives the delivery is kept
+	// read-only: by reference for a bounded time, or, if Sole, for as
+	// long as the keeper likes; otherwise copied (DESIGN.md section 7).
 	Payload []byte
 	// Sole reports that Payload is the only message of its datagram, not
 	// a part of a pack: keeping it pins one totem header besides, so it
-	// may be retained by reference, read-only and shared as it is
-	// (DESIGN.md section 7).
+	// may be kept by reference without bound, read-only and shared as it
+	// is; a part pins the whole pack.
 	Sole bool
 }
 

@@ -161,7 +161,7 @@ func decodeRegular(r *cdr.Reader, ids idTable) (regularMsg, error) {
 
 // decodePacked parses the packed form: the regular header followed by a
 // counted list of payloads.
-func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
+func decodePacked(r *cdr.Reader, ids idTable, slab *partSlab) (regularMsg, error) {
 	var m regularMsg
 	m.RingID = r.ReadULongLong()
 	m.Seq = r.ReadULongLong()
@@ -175,7 +175,7 @@ func decodePacked(r *cdr.Reader, ids idTable) (regularMsg, error) {
 	if n == 0 {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
 	}
-	m.Payload, m.Parts = readParts(r, n)
+	m.Payload, m.Parts = readParts(r, n, slab)
 	if r.Remaining() > 0 {
 		m.Via = ids.id(r.ReadStringBytes())
 	}
@@ -254,18 +254,45 @@ func writeParts(w *cdr.Writer, in, payload []byte, parts [][]byte) []byte {
 // readParts reads n counted payloads in place: the datagram is the
 // arena. Each part is a subslice of the received datagram (see
 // Transport for who owns it), so decoding a datagram allocates at most
-// the part headers; the cap on each part keeps an append from bleeding
-// into the next part's bytes. The caller has already bounded n by the
-// reader's remainder.
-func readParts(r *cdr.Reader, n uint32) (payload []byte, parts [][]byte) {
+// the part list, which slab carves; the cap on each part keeps an append
+// from bleeding into the next part's bytes. The caller has already
+// bounded n by the reader's remainder.
+func readParts(r *cdr.Reader, n uint32, slab *partSlab) (payload []byte, parts [][]byte) {
 	if n == 1 {
 		return slices.Clip(r.ReadOctetSeq()), nil
 	}
-	parts = make([][]byte, 0, n)
+	parts = slab.carve(int(n))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		parts = append(parts, slices.Clip(r.ReadOctetSeq()))
 	}
 	return nil, parts
+}
+
+// partSlabLen is how many part headers one chunk of a partSlab holds.
+const partSlabLen = 256
+
+// partSlab is a Core's supply of part lists: each is carved out of a
+// chunk of partSlabLen slice headers, with its capacity clipped to what
+// it was carved for, so every pack, forward and batch the core decodes or
+// builds does not allocate a list of its own. A full chunk is replaced,
+// never reused: a list lives as long as the message that holds it, and
+// the collector frees a chunk once nothing carved from it is held. gc
+// zeroes what a collected message carved, so a chunk pins no datagram the
+// buffer has let go of. A nil slab — the standalone decoders' — makes
+// each list.
+type partSlab [][]byte
+
+// carve returns an empty list with room for n parts.
+func (s *partSlab) carve(n int) [][]byte {
+	if s == nil || n > partSlabLen {
+		return make([][]byte, 0, n)
+	}
+	if cap(*s)-len(*s) < n {
+		*s = make([][]byte, 0, partSlabLen)
+	}
+	at := len(*s)
+	*s = (*s)[:at+n]
+	return (*s)[at : at : at+n]
 }
 
 func encodeToken(t token) []byte {
@@ -443,7 +470,7 @@ func encodeForward(f forwardMsg, in []byte) []byte {
 	return writeParts(w, in, f.Payload, f.Parts)
 }
 
-func decodeForward(r *cdr.Reader, ids idTable) (forwardMsg, error) {
+func decodeForward(r *cdr.Reader, ids idTable, slab *partSlab) (forwardMsg, error) {
 	var f forwardMsg
 	f.RingID = r.ReadULongLong()
 	f.Sender = ids.id(r.ReadStringBytes())
@@ -457,7 +484,7 @@ func decodeForward(r *cdr.Reader, ids idTable) (forwardMsg, error) {
 	if n == 0 {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: empty forward")
 	}
-	f.Payload, f.Parts = readParts(r, n)
+	f.Payload, f.Parts = readParts(r, n, slab)
 	if err := r.Err(); err != nil {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: %w", err)
 	}
@@ -485,7 +512,7 @@ func encodeBatch(b batchMsg, in []byte) []byte {
 	return writeParts(w, in, b.Payload, b.Parts)
 }
 
-func decodeBatch(r *cdr.Reader, ids idTable) (batchMsg, error) {
+func decodeBatch(r *cdr.Reader, ids idTable, slab *partSlab) (batchMsg, error) {
 	var b batchMsg
 	b.RingID = r.ReadULongLong()
 	b.Seq = r.ReadULongLong()
@@ -507,7 +534,7 @@ func decodeBatch(r *cdr.Reader, ids idTable) (batchMsg, error) {
 		b.Ref = true
 		return b, nil
 	}
-	b.Payload, b.Parts = readParts(r, n)
+	b.Payload, b.Parts = readParts(r, n, slab)
 	if err := r.Err(); err != nil {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: %w", err)
 	}

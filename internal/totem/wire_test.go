@@ -46,7 +46,8 @@ func TestRetransmissionNamesItsMember(t *testing.T) {
 		}
 		decode, kind := decodeRegular, byte(kindRegular)
 		if m.Parts != nil {
-			decode, kind = decodePacked, kindPacked
+			decode = func(r *cdr.Reader, ids idTable) (regularMsg, error) { return decodePacked(r, ids, nil) }
+			kind = kindPacked
 		}
 		got, err := decode(decodeFrame(t, wire, kind), nil)
 		if err != nil {
@@ -162,7 +163,7 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 
 func TestForwardRoundTrip(t *testing.T) {
 	fm := forwardMsg{RingID: 5, Sender: "n7", FwdSeq: 42, Parts: [][]byte{[]byte("one"), []byte("two"), {}}}
-	got, err := decodeForward(decodeFrame(t, encodeForward(fm, nil), kindForward), nil)
+	got, err := decodeForward(decodeFrame(t, encodeForward(fm, nil), kindForward), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +190,12 @@ func TestForwardRejectsEmptyAndHostile(t *testing.T) {
 		w.WriteULong(count)
 		return cdrSkipKind(w.Bytes())
 	}
-	if _, err := decodeForward(frame(0), nil); err == nil {
+	if _, err := decodeForward(frame(0), nil, nil); err == nil {
 		t.Fatal("empty forward decoded")
 	}
 	// A hostile part count larger than the remaining bytes could carry
 	// must be rejected before allocation.
-	if _, err := decodeForward(frame(1<<30), nil); err == nil {
+	if _, err := decodeForward(frame(1<<30), nil, nil); err == nil {
 		t.Fatal("hostile part count decoded")
 	}
 }
@@ -204,7 +205,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200,
 		Parts: [][]byte{[]byte("payload")},
 	}
-	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm, nil), kindBatch), nil)
+	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm, nil), kindBatch), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestBatchByReferenceRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeBatch(withPayload, nil), frame) {
 		t.Fatal("a by-reference batch put its payload on the wire")
 	}
-	got, err := decodeBatch(decodeFrame(t, frame, kindBatch), nil)
+	got, err := decodeBatch(decodeFrame(t, frame, kindBatch), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestBatchByReferenceRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, bm)
 	}
 	// Bytes behind the header are a malformed datagram, not a payload.
-	if _, err := decodeBatch(cdrSkipKind(append(bytes.Clone(frame), 0, 0, 0, 0)), nil); err == nil {
+	if _, err := decodeBatch(cdrSkipKind(append(bytes.Clone(frame), 0, 0, 0, 0)), nil, nil); err == nil {
 		t.Fatal("a by-reference batch with trailing bytes decoded")
 	}
 }
@@ -306,13 +307,13 @@ func TestQuickForwardBatchRoundTrip(t *testing.T) {
 			payloads = [][]byte{{}}
 		}
 		fm := forwardMsg{RingID: ringID, Sender: "q", FwdSeq: fwd, Parts: payloads}
-		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm, nil)), nil)
+		gotF, err := decodeForward(cdrSkipKind(encodeForward(fm, nil)), nil, nil)
 		partsF := allParts(gotF.Payload, gotF.Parts)
 		if err != nil || gotF.FwdSeq != fwd || len(partsF) != len(payloads) {
 			return false
 		}
 		bm := batchMsg{RingID: ringID, Seq: fwd + 1, Leader: "l", Origin: "q", OriginFwd: fwd, Stable: fwd / 2, Parts: payloads}
-		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm, nil)), nil)
+		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm, nil)), nil, nil)
 		partsB := allParts(gotB.Payload, gotB.Parts)
 		if err != nil || gotB.Seq != fwd+1 || gotB.Origin != "q" || gotB.Ref || len(partsB) != len(payloads) {
 			return false
@@ -366,9 +367,9 @@ func TestTruncatedLeaderFramesRejected(t *testing.T) {
 			var err error
 			switch r.ReadOctet() {
 			case kindForward:
-				_, err = decodeForward(r, nil)
+				_, err = decodeForward(r, nil, nil)
 			case kindBatch:
-				_, err = decodeBatch(r, nil)
+				_, err = decodeBatch(r, nil, nil)
 			case kindAck:
 				_, err = decodeAck(r, nil, true)
 			case kindPromote:

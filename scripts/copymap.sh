@@ -11,12 +11,14 @@
 # plus headers lands in.
 #
 # With -n it prints the fixed-cost maps instead, one after the other: the
-# 64B row (the small_rtt shape: leader ordering on memnet) and the
-# 64B-udp-ring row (the udp_ring_ladder shape: ring ordering over
-# loopback UDP sockets), each profiled by alloc_objects, allocations per
-# operation by the same attribution, for call sites that make at least a
-# third of one — what a message costs whatever it carries. The domain's
-# set-up is in the profile too; divided by the row's 650 operations it
+# 64B row (the small_rtt shape: leader ordering on memnet), the
+# 64B-udp-ring row (ring ordering over loopback UDP sockets, one call at
+# a time) and the 64B-udp-ring-x32 row (the same with 32 calls in flight,
+# the udp_ring_ladder shape, where messages travel packed), each profiled
+# by alloc_objects, allocations per operation by the same attribution,
+# for call sites that make at least a third of one — what a message costs
+# whatever it carries. The domain's
+# set-up is in the profile too; divided by the row's 850 operations it
 # stays under that.
 #
 # With REF the same test (HEAD's alloc_budget_test.go and
@@ -27,7 +29,7 @@ set -eu
 
 ROWS=16KiB INDEX=alloc_space UNIT=18432 FLOOR=0.25 WHAT=units
 if [ "${1:-}" = -n ]; then
-    ROWS="64B 64B-udp-ring" INDEX=alloc_objects UNIT=1 FLOOR=0.34 WHAT=allocs
+    ROWS="64B 64B-udp-ring 64B-udp-ring-x32" INDEX=alloc_objects UNIT=1 FLOOR=0.34 WHAT=allocs
     shift
 fi
 REF=${1:-}
@@ -36,8 +38,9 @@ cd "$ROOT"
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/copymap.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-# A row makes 50 warm-up calls and three windows of 200.
-OPS=650
+# A row makes 250 warm-up calls and three windows of 200, however many at
+# a time.
+OPS=850
 
 # profile TREE ROW OUT: "units function" lines, largest first, for call
 # sites that cost at least FLOOR units per op.
