@@ -55,12 +55,13 @@ loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
-# leader-mode round trip at r=3 must stay under 120 KiB and 26
-# allocations at 16 KiB, and under 5 KiB and 21 allocations at 64 B —
+# leader-mode round trip at r=3 must stay under 120 KiB and 23
+# allocations at 16 KiB, and under 5 KiB and 18 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
-# over loopback UDP sockets under 10 KiB and 63 at 64 B, the fixed cost
-# of a message and a datagram, and under 7 KiB and 16 with 32 calls in
-# flight, udp_ring_ladder's, where messages travel packed), the stand-up
+# over loopback UDP sockets under 10 KiB and 61 at 64 B, the fixed cost
+# of a message and a datagram, and under 7 KiB and 13 with 32 calls in
+# flight through admission, udp_ring_ladder's, where messages travel
+# packed), the stand-up
 # budget (a four-processor domain with a group of three and a gateway
 # must be stood up in under 1.25 MB on memnet in leader mode and under
 # 5 MB over loopback UDP in ring mode: a queue allocates what it holds,

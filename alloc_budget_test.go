@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"eternalgw/internal/admission"
 	"eternalgw/internal/domain"
 	"eternalgw/internal/experiments"
 	"eternalgw/internal/ftmgmt"
@@ -27,39 +28,48 @@ import (
 // receive loop; in a closed loop most of them are the token's idle
 // rotation, so it counts what a datagram costs as much as what a message
 // does. 64B-udp-ring-x32 is that domain with 32 callers at once on the
-// connection, udp_ring_ladder's window: the token finds a queue, so
-// messages travel packed, and the row counts what a part of a pack costs
-// — its part list, and whether the replicas' logs copy it. The race
-// detector pads small objects and drops a quarter of what is given back
-// to a sync.Pool, so each budget is a quarter above the highest -race
-// figure it was set at: 93.2 KiB and 21 allocations on the 16 KiB row,
-// 4.0 KiB and 17 on the 64 B row, 8.1 KiB and 51 on the UDP row, 4.9 KiB
-// and 13 on the pipelined one — the byte figures as they were read when
-// those budgets were set, the allocation figures once the GIOP decoders
-// no longer allocated and the token stayed in the core. The pipelined
-// row's bytes move with the UDP receive rings, which grow by 64 KiB
-// slots to the bursts they meet and can grow in a window: it reads up to
-// 5.7 KiB without -race, and its budget is 7.
+// connection, udp_ring_ladder's window, through udp_ring_ladder's
+// admission policy: the token finds a queue, so messages travel packed,
+// and the row counts what a part of a pack costs — its part list, and
+// whether the replicas' logs copy it — and what admitting it costs. The
+// race detector pads small objects and drops a quarter of what is given
+// back to a sync.Pool, so each budget is a quarter above the highest
+// -race figure it was set at: 93.2 KiB and 19 allocations on the 16 KiB
+// row, 4.0 KiB and 15 on the 64 B row, 8.1 KiB and 49 on the UDP row,
+// 4.9 KiB and 11 on the pipelined one — the byte figures as they were
+// read when those budgets were set, the allocation figures once a
+// request cost the gateway neither a goroutine nor an admission object.
+// The pipelined row's bytes move with the UDP receive rings, which grow
+// by 64 KiB slots to the bursts they meet and can grow in a window: it
+// reads up to 5.7 KiB without -race, and its budget is 7.
 var datapathBudgets = []struct {
-	name        string
-	udp         bool // ring ordering over udpnet; leader ordering on memnet otherwise
-	callers     int  // calls in flight on the connection at once
+	name    string
+	udp     bool // ring ordering over udpnet; leader ordering on memnet otherwise
+	callers int  // calls in flight on the connection at once
+	// admission is the gateway's admission policy; nil admits everything.
+	admission   *admission.Config
 	payload     int
 	kibPerOp    float64
 	allocsPerOp float64
 	overBy      string
 }{
-	{"16KiB", false, 1, 16 << 10, 120, 26, "a payload-sized copy came back (scripts/copymap.sh names it)"},
-	{"64B", false, 1, 64, 5, 21, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
-	{"64B-udp-ring", true, 1, 64, 10, 63, "the fixed cost of a message or a datagram grew (scripts/copymap.sh -n names it)"},
-	{"64B-udp-ring-x32", true, 32, 64, 7, 16, "the fixed cost of a packed message grew (scripts/copymap.sh -n names it)"},
+	{"16KiB", false, 1, nil, 16 << 10, 120, 23, "a payload-sized copy came back (scripts/copymap.sh names it)"},
+	{"64B", false, 1, nil, 64, 5, 18, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
+	{"64B-udp-ring", true, 1, nil, 64, 10, 61, "the fixed cost of a message or a datagram grew (scripts/copymap.sh -n names it)"},
+	{"64B-udp-ring-x32", true, 32, ladderAdmission, 64, 7, 13, "the fixed cost of a packed or admitted message grew (scripts/copymap.sh -n names it)"},
 }
 
+// ladderAdmission is udp_ring_ladder's admission policy (bench/workload.go):
+// the 64B-udp-ring-x32 row's gateway admits every request through it, as
+// the benchmark's does.
+var ladderAdmission = &admission.Config{MaxInFlight: 256, AdmitWait: 100 * time.Millisecond}
+
 // budgetDomain stands up the reference benchmark's steady shape — 4
-// processors, active r=3 on the first three, one gateway on the fourth —
-// and a client connected to the gateway: on memnet in leader ordering,
-// or with udp over loopback UDP sockets in ring ordering.
-func budgetDomain(t *testing.T, udp bool) (*domain.Domain, *orb.Conn) {
+// processors, active r=3 on the first three, one gateway on the fourth,
+// admitting through ac (nil: everything) — and a client connected to the
+// gateway: on memnet in leader ordering, or with udp over loopback UDP
+// sockets in ring ordering.
+func budgetDomain(t *testing.T, udp bool, ac *admission.Config) (*domain.Domain, *orb.Conn) {
 	t.Helper()
 	cfg := domain.Config{
 		Name:  "budget",
@@ -101,7 +111,7 @@ func budgetDomain(t *testing.T, udp bool) (*domain.Domain, *orb.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := d.AddGateway(3, "")
+	gw, err := d.AddGatewayAdmission(3, "", ac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestDatapathAllocBudget(t *testing.T) {
 	)
 	for _, b := range datapathBudgets {
 		t.Run(b.name, func(t *testing.T) {
-			d, conn := budgetDomain(t, b.udp)
+			d, conn := budgetDomain(t, b.udp, b.admission)
 			reconfigs := d.Node(0).Totem.Stats().Reconfigs
 			args := experiments.OctetSeqArg(make([]byte, b.payload))
 			// The callers are started once, so the windows count no
@@ -306,7 +316,7 @@ func TestReplyWindowBoundsTheLiveHeap(t *testing.T) {
 		ops     = 8192
 		ceiling = 4*replication.ReplyWindow + 64<<20
 	)
-	d, conn := budgetDomain(t, false)
+	d, conn := budgetDomain(t, false, nil)
 	args := experiments.OctetSeqArg(make([]byte, 16<<10))
 	for i := 0; i < ops; i++ {
 		if _, err := conn.Call([]byte(benchKey), "echo", args, orb.InvokeOptions{}); err != nil {

@@ -154,8 +154,9 @@ type Controller struct {
 	burst float64
 	// connSlots is the global connection semaphore (nil = unlimited).
 	connSlots chan struct{}
-	// window is the global in-flight semaphore (nil = unlimited).
-	window chan struct{}
+	// window holds the free places of the global in-flight window, each
+	// built once, on first need (nil = unlimited).
+	window chan *slot
 	br     *breaker
 
 	draining atomic.Bool
@@ -164,6 +165,11 @@ type Controller struct {
 	mu      sync.Mutex
 	hosts   map[string]int
 	clients map[uint64]*clientState
+	// idle holds the released slots of a controller without a window,
+	// under mu: as many as were ever admitted at once. built counts the
+	// window's places built so far, under mu.
+	idle  []*slot
+	built int
 
 	admitted         atomic.Uint64
 	shedRate         atomic.Uint64
@@ -187,7 +193,7 @@ func New(cfg Config) *Controller {
 		c.connSlots = make(chan struct{}, cfg.MaxConns)
 	}
 	if cfg.MaxInFlight > 0 {
-		c.window = make(chan struct{}, cfg.MaxInFlight)
+		c.window = make(chan *slot, cfg.MaxInFlight)
 	}
 	return c
 }
@@ -306,12 +312,49 @@ func (c *Controller) ReleaseConn(host string) {
 // can always defer the release.
 func noopRelease() {}
 
+// slot is one admitted request's hold on the controller, built once with
+// its release function and handed to one admission after another, so
+// admitting allocates nothing once the controller has admitted as many
+// requests at once as it will: a place of the in-flight window, or,
+// without a window, one of the idle slots.
+type slot struct {
+	c *Controller
+	// released is set by the first release after the slot was handed out.
+	released atomic.Bool
+	release  func()
+}
+
+func (c *Controller) newSlot() *slot {
+	s := &slot{c: c}
+	s.release = s.free
+	return s
+}
+
+// free gives the slot back the first time it is called after the slot
+// was handed out; a second call is a no-op until the slot is handed out
+// again, so a caller releases once.
+func (s *slot) free() {
+	if !s.released.CompareAndSwap(false, true) {
+		return
+	}
+	c := s.c
+	c.inFlight.Add(-1)
+	if c.window != nil {
+		c.window <- s // never blocks: it has room for every place built
+		return
+	}
+	c.mu.Lock()
+	c.idle = append(c.idle, s)
+	c.mu.Unlock()
+}
+
 // AdmitRequest judges one decoded request from the given client
 // identifier. On Admit the returned release function must be called when
-// the request completes (it frees the request's in-flight slot); it is
-// safe to call exactly once. On a shed verdict release is a no-op and
+// the request completes (it frees the request's in-flight slot); it
+// frees the slot once, however often it is called before the slot is
+// handed to a later request. On a shed verdict release is a no-op and
 // the gateway answers the client with a GIOP TRANSIENT system exception
-// carrying Verdict.Minor.
+// carrying Verdict.Minor. Neither verdict allocates.
 //
 // A full global in-flight window blocks the caller up to AdmitWait
 // before shedding; since the gateway calls this on the connection's read
@@ -338,40 +381,60 @@ func (c *Controller) AdmitRequest(clientID uint64) (release func(), v Verdict) {
 			return noopRelease, ShedRate
 		}
 	}
-	if c.window != nil && !c.acquireWindow() {
-		c.shedWindow.Add(1)
-		return noopRelease, ShedWindow
+	var s *slot
+	if c.window != nil {
+		if s = c.acquireWindow(); s == nil {
+			c.shedWindow.Add(1)
+			return noopRelease, ShedWindow
+		}
+	} else {
+		s = c.idleSlot()
 	}
+	s.released.Store(false)
 	c.admitted.Add(1)
 	c.inFlight.Add(1)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.inFlight.Add(-1)
-			if c.window != nil {
-				<-c.window
-			}
-		})
-	}, Admit
+	return s.release, Admit
 }
 
-// acquireWindow takes a global in-flight slot, waiting up to AdmitWait.
-func (c *Controller) acquireWindow() bool {
+// idleSlot takes a released slot of a controller without a window, or
+// builds one when all are out.
+func (c *Controller) idleSlot() *slot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.idle); n > 0 {
+		s := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return s
+	}
+	return c.newSlot()
+}
+
+// acquireWindow takes a free place of the global in-flight window — a
+// released one, or a new one while fewer than MaxInFlight were built —
+// waiting up to AdmitWait; nil when none came free.
+func (c *Controller) acquireWindow() *slot {
 	select {
-	case c.window <- struct{}{}:
-		return true
+	case s := <-c.window:
+		return s
 	default:
 	}
+	c.mu.Lock()
+	if c.built < c.cfg.MaxInFlight {
+		c.built++
+		c.mu.Unlock()
+		return c.newSlot()
+	}
+	c.mu.Unlock()
 	if c.cfg.AdmitWait <= 0 {
-		return false
+		return nil
 	}
 	timer := time.NewTimer(c.cfg.AdmitWait)
 	defer timer.Stop()
 	select {
-	case c.window <- struct{}{}:
-		return true
+	case s := <-c.window:
+		return s
 	case <-timer.C:
-		return false
+		return nil
 	}
 }
 

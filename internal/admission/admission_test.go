@@ -217,6 +217,28 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	r2()
 }
 
+// TestAdmitRequestAllocatesNothing: an admission and its release cost
+// no allocation, with an in-flight window and without one. The gateway
+// admits every request it conveys.
+func TestAdmitRequestAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{{MaxInFlight: 4}, {}} {
+		c := New(cfg)
+		allocs := testing.AllocsPerRun(1000, func() {
+			release, v := c.AdmitRequest(1)
+			if v != Admit {
+				t.Fatalf("verdict = %v", v)
+			}
+			release()
+		})
+		if allocs != 0 {
+			t.Errorf("MaxInFlight %d: admit and release allocate %v objects, want 0", cfg.MaxInFlight, allocs)
+		}
+		if got := c.InFlight(); got != 0 {
+			t.Errorf("MaxInFlight %d: InFlight = %d after every release", cfg.MaxInFlight, got)
+		}
+	}
+}
+
 func TestDrainShedsEverything(t *testing.T) {
 	c := New(Config{MaxConns: 4})
 	c.BeginDrain()

@@ -42,8 +42,8 @@
 //     field, a map or slice element, a dereferenced pointer, a package
 //     variable),
 //   - sent on a channel whose element type is not a declared carrier
-//     (replication's task and pendingResult stay on the delivery cycle
-//     by construction; others opt in with "gwlint:arena-carrier"),
+//     (replication's task and Response stay on the delivery cycle by
+//     construction; others opt in with "gwlint:arena-carrier"),
 //   - captured by a function launched with go, or
 //   - returned with a type that is not itself an arena or carrier type
 //     (returning a HeaderView hands the borrow to the caller explicitly;
@@ -95,9 +95,9 @@ var defaultShared = map[string]bool{
 
 // defaultCarrier maps the types allowed to carry borrowed memory
 // through channels, queues and returns to the set of their fields that
-// actually hold the borrow: task.msg/task.raw and pendingResult.raw
-// alias the arena and stay tainted when selected; every other field
-// (pendingResult.rep is a decoded copy) is clean. Their consumers
+// actually hold the borrow: task.msg/task.raw and Response.raw alias
+// the arena and stay tainted when selected; every other field
+// (Response.rep, which the voting path decodes on the loop) is clean. Their consumers
 // decode or copy immediately on receipt by construction, which the
 // replication package's own tests and this analyzer's pass over that
 // package keep honest. A nil field set — what an in-package
@@ -105,8 +105,8 @@ var defaultShared = map[string]bool{
 // reference-carrying field is treated as a borrow, the conservative
 // default.
 var defaultCarrier = map[string]map[string]bool{
-	"eternalgw/internal/replication.task":          {"msg": true, "raw": true},
-	"eternalgw/internal/replication.pendingResult": {"raw": true},
+	"eternalgw/internal/replication.task":     {"msg": true, "raw": true},
+	"eternalgw/internal/replication.Response": {"raw": true},
 }
 
 var Analyzer = &analysis.Analyzer{
@@ -305,8 +305,8 @@ func (c *checker) tainted(set map[types.Object]bool, e ast.Expr) bool {
 	case *ast.SelectorExpr:
 		// A reference-carrying field of a borrowed value is borrowed;
 		// scalar fields (Header.ClientID) are plain copies. Carrier
-		// types declare which fields hold the borrow: pendingResult.raw
-		// aliases the arena, pendingResult.rep is a decoded copy.
+		// types declare which fields hold the borrow: Response.raw aliases
+		// the arena, Response.rep is not tracked.
 		if !refLike(c.pass.TypesInfo.TypeOf(e)) {
 			return false
 		}

@@ -57,8 +57,10 @@
 // waits while they run. Walking from them, not into code launched with
 // go, the analyzer reports time.Sleep, WaitGroup.Wait, Cond.Wait, the
 // write lock of a sync.RWMutex (the directory lock; read locks and Mutex
-// sections are the sharded tables' design), dials, listens and transport
-// sends, a select without default, and a channel send that is neither a
+// sections are the sharded tables' design), dials, listens, socket writes
+// (a gateway's completion hook hands a reply to the connection's replier
+// instead) and transport sends, a select without default, and a channel
+// send that is neither a
 // comm case of a select with default nor on a channel every make site of
 // which has a constant positive capacity.
 package lockorder
@@ -108,6 +110,11 @@ var loopBlocks = map[string]string{
 	"net.Listen":          "net.Listen",
 	"net.ListenUDP":       "net.ListenUDP",
 	"net.ListenPacket":    "net.ListenPacket",
+	"net.Conn.Write":      "socket write",
+	"net.Buffers.WriteTo": "socket write",
+
+	"eternalgw/internal/giop.WriteMessage":           "socket write",
+	"eternalgw/internal/giop.WriteMessageFragmented": "socket write",
 
 	"eternalgw/internal/memnet.Endpoint.Send":      "memnet send",
 	"eternalgw/internal/memnet.Endpoint.Broadcast": "memnet broadcast",

@@ -117,3 +117,13 @@ func TestLockOrderTeeth(t *testing.T) {
 	analysistest.Teeth(t, lockorder.Analyzer, "eternalgw/internal/totem", "leader.go", `time.Sleep on the protocol goroutine \(reachable via forwardPending\)`,
 		"forwardPending() {\n", "forwardPending() {\n\ttime.Sleep(0)\n")
 }
+
+// TestLockOrderTeethGatewayCompletion writes to the client's socket from
+// the gateway's completion hook, which runs on the protocol goroutine: in
+// it, and in a helper it calls.
+func TestLockOrderTeethGatewayCompletion(t *testing.T) {
+	analysistest.Teeth(t, lockorder.Analyzer, "eternalgw/internal/core", "gateway.go", `socket write on the protocol goroutine \(reachable via Complete\)`,
+		"\tcc := r.cc\n\tcc.mu.Lock()\n", "\tcc := r.cc\n\t_, _ = cc.nc.Write(nil)\n\tcc.mu.Lock()\n")
+	analysistest.Teeth(t, lockorder.Analyzer, "eternalgw/internal/core", "gateway.go", `socket write on the protocol goroutine \(reachable via Complete → write\)`,
+		"\tcc := r.cc\n\tcc.mu.Lock()\n", "\tcc := r.cc\n\tcc.write(giop.EncodeCloseConnection(cdr.BigEndian))\n\tcc.mu.Lock()\n")
+}

@@ -40,6 +40,12 @@ func dials() {
 }
 
 // gwlint:eventloop
+func writes(c net.Conn, bufs net.Buffers) {
+	_, _ = c.Write(nil)    // want `socket write on the protocol goroutine`
+	_, _ = bufs.WriteTo(c) // want `socket write on the protocol goroutine`
+}
+
+// gwlint:eventloop
 func waits(s *state) {
 	select { // want `select without default may block`
 	case <-s.unbuffered:

@@ -1,7 +1,8 @@
 package core
 
-// TrackedRequestIDs reports how many request ids the gateway holds
-// across its live client connections (in flight, cancelled or not).
+// TrackedRequestIDs reports how many requests the gateway holds in flight
+// across its live client connections (waiting or completed and not yet
+// answered, cancelled or not).
 func (g *Gateway) TrackedRequestIDs() int {
 	g.mu.Lock()
 	ccs := make([]*clientConn, 0, len(g.conns))
@@ -12,7 +13,10 @@ func (g *Gateway) TrackedRequestIDs() int {
 	n := 0
 	for _, cc := range ccs {
 		cc.mu.Lock()
-		n += len(cc.inflight)
+		for r := cc.oldest; r != nil; r = r.next {
+			n++
+		}
+		n += len(cc.done)
 		cc.mu.Unlock()
 	}
 	return n

@@ -124,9 +124,9 @@ type Gateway struct {
 	// draining is set by Drain: new requests are shed with TRANSIENT and
 	// the accept loop stops, while in-flight invocations bleed out.
 	draining atomic.Bool
-	// inflight counts requests currently being conveyed through the
-	// domain; Drain waits for it to reach zero. Tracked by the gateway
-	// itself so drain works with admission disabled too.
+	// inflight counts the admitted requests not yet answered; Drain waits
+	// for it to reach zero. Tracked by the gateway itself so drain works
+	// with admission disabled too.
 	inflight atomic.Int64
 	// lnOnce/lnErr let Drain and Close both close the listener.
 	lnOnce sync.Once
@@ -456,54 +456,162 @@ func (g *Gateway) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		cc := &clientConn{gw: g, nc: conn, ids: make(map[replication.GroupID]uint64), inflight: make(map[uint32]bool)}
+		cc := &clientConn{gw: g, nc: conn, host: host, reading: true, wake: make(chan struct{}, 1), ids: make(map[replication.GroupID]uint64)}
 		g.conns[conn] = cc
 		g.mu.Unlock()
 		g.connectionsAccepted.Add(1)
-		g.wg.Add(1)
-		go g.serveConn(cc, host)
+		g.wg.Add(2)
+		go g.serveConn(cc)
+		go cc.reply()
 	}
 }
 
 // clientConn is the per-TCP-client state of figure 5a: the client
-// identifiers assigned for each destination server group.
+// identifiers assigned for each destination server group, and the
+// requests in flight. Two goroutines serve a connection: its read loop
+// (serveConn) answers what the gateway can answer itself and conveys the
+// rest, and its replier (reply) answers what the domain completes.
 type clientConn struct {
-	gw  *Gateway
-	nc  net.Conn
-	wmu sync.Mutex
-	// The gathered reply write's scratch, under wmu: the reply's head,
-	// the write's two buffers, and the slice of them WriteTo consumes.
+	gw   *Gateway
+	nc   net.Conn
+	host string
+	// wmu serialises the socket's writers — the read loop answering a
+	// request itself, the replier, Shutdown's close notification — so a
+	// message is written whole. The gathered reply write's state is
+	// under it: the reply's head, the write's two buffers, and the slice
+	// of them WriteTo consumes.
+	wmu   sync.Mutex
 	whead []byte
 	wvec  [2][]byte
 	wbufs net.Buffers
+	// wake tells the replier there is something to answer, or that the
+	// read loop ended; a wake-up already pending absorbs another.
+	wake chan struct{}
 
 	mu  sync.Mutex
 	ids map[replication.GroupID]uint64
-	// inflight holds the request ids being served on this connection;
-	// true once the client cancelled the request. An entry lives from
-	// the request's arrival to its completion, so the map is bounded by
-	// the connection's in-flight requests whatever the client sends.
-	inflight map[uint32]bool
+	// oldest and newest end the list of conveyed requests awaiting their
+	// responses, in the order they were read: the order of their
+	// deadlines, since every one has the same InvokeTimeout.
+	oldest, newest *request
+	// done holds the requests completed and not yet answered, and free the
+	// answered ones, for the read loop to convey the next requests in. A
+	// request is in at most one of the three, so the connection holds as
+	// many as it ever had in flight at once, whatever the client sends.
+	done, free []*request
+	// reading is cleared when the read loop ends: the replier ends once
+	// nothing is left to answer.
+	reading bool
 }
 
-// serveConn handles one external client: the gateway spawned a dedicated
-// socket for it and keeps listening for further clients on the original
-// socket (paper section 3.1). When the client departs, the gateway
-// informs the other gateways so they can delete any state stored on the
-// client's behalf (section 3.5).
-func (g *Gateway) serveConn(cc *clientConn, host string) {
+// A request's stage says who holds it. The read loop conveys it and puts
+// it on the waiting list; its completion moves it to done; the replier
+// takes every done request, and a waiting one whose deadline passed,
+// answers it and frees it.
+const (
+	stageFree      uint8 = iota // in clientConn.free, or new
+	stageConveying              // with the read loop, which is registering it
+	stageWaiting                // on the waiting list
+	stageDone                   // completed, then queued on done and answered
+	stageExpired                // taken off the waiting list past its deadline, and answered
+)
+
+// request is one conveyed request that expects a reply, from the read
+// loop's registration to the replier's answer.
+type request struct {
+	cc   *clientConn
+	call replication.Call
+	// release frees the request's admission slot.
+	release func()
+	id      uint32
+	order   cdr.ByteOrder
+	minor   byte
+	arrived time.Time // zero unless the tracer or the latency histogram is on
+	// deadline is when the replier answers the request COMM_FAILURE if no
+	// response came.
+	deadline time.Time
+	tkey     obs.TraceKey
+
+	// Under cc.mu.
+	stage      uint8
+	cancelled  bool
+	prev, next *request // the waiting list
+	res        replication.Response
+}
+
+// Complete takes the domain's response to a conveyed request: on the
+// event loop, so it only moves the request to the replier's queue and
+// wakes the replier, or hands it to the read loop that has yet to queue
+// it. A request the replier already timed out takes nothing.
+//
+// gwlint:eventloop
+// gwlint:arena-keep
+func (r *request) Complete(res replication.Response) {
+	cc := r.cc
+	cc.mu.Lock()
+	queued := r.stage == stageWaiting
+	switch r.stage {
+	case stageWaiting:
+		cc.unlink(r)
+		cc.done = append(cc.done, r)
+		fallthrough
+	case stageConveying:
+		r.res, r.stage = res, stageDone
+	}
+	cc.mu.Unlock()
+	if queued {
+		cc.wakeReplier()
+	}
+}
+
+// wakeReplier wakes the replier without waiting: a wake-up already
+// pending covers this one too.
+func (cc *clientConn) wakeReplier() {
+	select {
+	case cc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// link puts r at the end of the waiting list. Callers hold cc.mu.
+func (cc *clientConn) link(r *request) {
+	if r.prev = cc.newest; r.prev != nil {
+		r.prev.next = r
+	} else {
+		cc.oldest = r
+	}
+	cc.newest = r
+}
+
+// unlink takes r off the waiting list. Callers hold cc.mu.
+func (cc *clientConn) unlink(r *request) {
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		cc.oldest = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		cc.newest = r.prev
+	}
+	r.prev, r.next = nil, nil
+}
+
+// serveConn is a connection's read loop: the gateway spawned a dedicated
+// socket for the client and keeps listening for further clients on the
+// original socket (paper section 3.1). It reads the client's requests in
+// turn and never waits for a reply; when it ends, the replier answers
+// what is still in flight and closes the connection.
+func (g *Gateway) serveConn(cc *clientConn) {
 	defer g.wg.Done()
 	nc := cc.nc
 	defer func() {
-		_ = nc.Close()
-		g.mu.Lock()
-		delete(g.conns, nc)
-		g.mu.Unlock()
-		g.adm.ReleaseConn(host)
-		g.announceDepartures(cc)
+		cc.mu.Lock()
+		cc.reading = false
+		cc.mu.Unlock()
+		cc.wakeReplier()
 	}()
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
 	// A request is read into the buffer it is multicast from: behind the
 	// room the domain's headers take, and no longer than one datagram of
 	// its transport carries.
@@ -544,10 +652,9 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 			group, ok := g.rm.GroupByKey(req.ObjectKey)
 			if !ok {
 				g.exceptions.Add(1)
-				cc.writeReplyRaw(msg, req, giop.Reply{
-					RequestID: req.RequestID,
-					Status:    giop.ReplySystemException,
-					Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoObjectNotExist, minorUnknownObjectKey, giop.CompletedNo),
+				cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
+					Status: giop.ReplySystemException,
+					Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoObjectNotExist, minorUnknownObjectKey, giop.CompletedNo),
 				})
 				continue
 			}
@@ -561,20 +668,11 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 				cc.shedReply(msg, req, verdict)
 				continue
 			}
-			// The goroutine spawn is gated by the in-flight window above:
-			// under overload the gateway sheds instead of growing without
-			// bound.
+			// What the gateway holds per request is bounded by the
+			// in-flight window above: under overload it sheds instead of
+			// growing without bound.
 			g.inflight.Add(1)
-			reqWG.Add(1)
-			cc.beginRequest(req.RequestID)
-			go func() {
-				defer reqWG.Done()
-				// The gauge drops before the admission slot is released,
-				// so it never reads above the in-flight window.
-				defer release()
-				defer g.inflight.Add(-1)
-				cc.handleRequest(msg, req, arrived, group, clientID)
-			}()
+			cc.handleRequest(msg, req, arrived, group, clientID, release)
 		case giop.MsgLocateRequest:
 			cc.handleLocate(msg)
 		case giop.MsgCloseConn:
@@ -583,7 +681,7 @@ func (g *Gateway) serveConn(cc *clientConn, host string) {
 			// The invocation is already in the total order and will
 			// execute (it cannot be unsent, in CORBA or here); the
 			// client has merely declared it no longer wants the reply,
-			// so the gateway stops holding the socket for it.
+			// so the gateway will not write it.
 			if cr, err := giop.DecodeCancelRequest(msg); err == nil {
 				cc.cancelRequest(cr.RequestID)
 			}
@@ -641,13 +739,13 @@ func (cc *clientConn) clientID(group replication.GroupID, req giop.Request) uint
 // way: counter ids are only meaningful to the assigning gateway).
 const counterIDBit = uint64(1) << 63
 
-// handleRequest implements figure 5a: resolve the object key to the
-// server group, tag the request with the client and operation
-// identifiers, convey it into the fault tolerance domain, and return the
-// (first, deduplicated) response over the client's socket.
-func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived time.Time, group replication.GroupID, clientID uint64) {
+// handleRequest implements figure 5a for an admitted request, its object
+// key resolved to the server group: tag the request with the client and
+// operation identifiers and convey it into the fault tolerance domain —
+// or answer a reissue from the gateway group's record. The replier
+// returns the (first, deduplicated) response over the client's socket.
+func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived time.Time, group replication.GroupID, clientID uint64, release func()) {
 	gw := cc.gw
-	defer cc.endRequest(req.RequestID)
 	op := replication.OperationID{ParentTS: 0, ChildSeq: req.RequestID}
 	tkey := obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq}
 	if gw.tracer != nil {
@@ -663,10 +761,11 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
 		if req.ResponseExpected {
 			gw.repliesReturned.Add(1)
-			cc.writeReplyRaw(msg, req, rep)
+			cc.writeReplyRaw(msg.Header, req.RequestID, rep)
 			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
 		}
 		gw.observeLatency(arrived)
+		gw.finish(release)
 		return
 	}
 
@@ -677,31 +776,186 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		if err := gw.rm.MulticastFrame(gw.cfg.Group, clientID, group, op, msg.Frame); err != nil {
 			gw.requestsAbandoned.Add(1)
 		}
+		gw.finish(release)
 		return
 	}
-	rep, err := gw.rm.InvokeFrame(gw.cfg.Group, clientID, group, op, msg.Frame, gw.cfg.InvokeTimeout)
-	if err != nil {
-		gw.requestsAbandoned.Add(1)
-		gw.exceptions.Add(1)
-		if req.ResponseExpected {
-			cc.writeReplyRaw(msg, req, giop.Reply{
-				RequestID: req.RequestID,
-				Status:    giop.ReplySystemException,
-				Result:    invokeFailure(msg.Header.Order, err),
-			})
-			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway-exception")
-		}
-		// Abandoned and excepted requests are exactly the slow ones; the
-		// latency histogram must include them.
-		gw.observeLatency(arrived)
-		return
+	r := cc.newRequest()
+	r.release, r.id, r.order, r.minor = release, req.RequestID, msg.Header.Order, msg.Header.Minor
+	r.arrived, r.tkey = arrived, tkey
+	r.deadline = time.Now().Add(gw.cfg.InvokeTimeout)
+	err := gw.rm.ConveyFrame(&r.call, gw.cfg.Group, clientID, group, op, msg.Frame, r)
+	cc.mu.Lock()
+	completed := r.stage == stageDone
+	switch {
+	case completed:
+		// Completed before it was queued: a response, or Stop, came while
+		// it was being registered.
+		cc.done = append(cc.done, r)
+	case err == nil:
+		// The replier's timer is set no later than this deadline: the
+		// oldest request's, or one InvokeTimeout from when it last looked.
+		r.stage = stageWaiting
+		cc.link(r)
 	}
-	if req.ResponseExpected && !cc.isCancelled(req.RequestID) {
-		gw.repliesReturned.Add(1)
-		cc.writeReplyRaw(msg, req, rep)
-		gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
+	cc.mu.Unlock()
+	switch {
+	case completed:
+		cc.wakeReplier()
+	case err != nil:
+		// Refused before it was multicast: answered here, and the request
+		// goes back unused.
+		cc.recycle(r)
+		cc.fail(msg.Header, req.RequestID, tkey, arrived, err)
+		gw.finish(release)
 	}
+}
+
+// finish ends an admitted request's accounting. The gauge drops before
+// the admission slot is released, so it never reads above the in-flight
+// window.
+func (g *Gateway) finish(release func()) {
+	g.inflight.Add(-1)
+	release()
+}
+
+// fail answers a request the domain did not answer with the exception
+// that says why.
+func (cc *clientConn) fail(h giop.Header, id uint32, tkey obs.TraceKey, arrived time.Time, err error) {
+	gw := cc.gw
+	gw.requestsAbandoned.Add(1)
+	gw.exceptions.Add(1)
+	cc.writeReplyRaw(h, id, giop.Reply{
+		Status: giop.ReplySystemException,
+		Result: invokeFailure(h.Order, err),
+	})
+	gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway-exception")
+	// Abandoned and excepted requests are exactly the slow ones; the
+	// latency histogram must include them.
 	gw.observeLatency(arrived)
+}
+
+// newRequest returns a request for the read loop to convey, stage
+// conveying: a free one, or a new one while all are in flight.
+func (cc *clientConn) newRequest() *request {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	var r *request
+	if n := len(cc.free); n > 0 {
+		r = cc.free[n-1]
+		cc.free[n-1] = nil
+		cc.free = cc.free[:n-1]
+	} else {
+		r = &request{cc: cc}
+	}
+	r.stage = stageConveying
+	return r
+}
+
+// recycle frees an answered request for the read loop to reuse. Its call
+// must be released.
+func (cc *clientConn) recycle(r *request) {
+	cc.mu.Lock()
+	*r = request{cc: cc}
+	cc.free = append(cc.free, r)
+	cc.mu.Unlock()
+}
+
+// reply is a connection's replier. It answers every request the domain
+// completed, in the order they completed, and the oldest request still
+// waiting once its deadline passed, on one timer: set to that deadline,
+// or, with nothing waiting, one InvokeTimeout ahead — no later than the
+// deadline of any request read after — so that queueing a request never
+// has to wake it. It ends, closing the connection and announcing the
+// client's departure, when the read loop has ended and nothing is left
+// to answer.
+func (cc *clientConn) reply() {
+	gw := cc.gw
+	defer gw.wg.Done()
+	timer := time.NewTimer(gw.cfg.InvokeTimeout)
+	defer timer.Stop()
+	var batch []*request
+	for {
+		cc.mu.Lock()
+		batch, cc.done = cc.done, batch[:0]
+		now := time.Now()
+		for r := cc.oldest; r != nil && !r.deadline.After(now); r = cc.oldest {
+			cc.unlink(r)
+			r.stage = stageExpired
+			batch = append(batch, r)
+		}
+		wait := gw.cfg.InvokeTimeout
+		if cc.oldest != nil {
+			wait = cc.oldest.deadline.Sub(now)
+		}
+		over := !cc.reading && cc.oldest == nil && len(batch) == 0
+		cc.mu.Unlock()
+		if len(batch) > 0 {
+			for i, r := range batch {
+				cc.answer(r)
+				batch[i] = nil
+			}
+			continue
+		}
+		if over {
+			gw.closeConn(cc)
+			return
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(wait)
+		select {
+		case <-cc.wake:
+		case <-timer.C:
+		}
+	}
+}
+
+// answer writes the reply to a request the replier took: the domain's
+// response, or the exception for a request that had none by its deadline
+// or whose wait was stopped; a request the client cancelled is answered
+// with nothing. Then it frees the request's call, admission slot and
+// itself.
+func (cc *clientConn) answer(r *request) {
+	gw := cc.gw
+	// From here on no response completes the request.
+	gw.rm.Release(&r.call)
+	h := giop.Header{Order: r.order, Minor: r.minor}
+	var rep giop.Reply
+	err := replication.ErrTimeout
+	if r.stage == stageDone {
+		rep, err = r.res.Reply()
+	}
+	switch {
+	case err != nil:
+		cc.fail(h, r.id, r.tkey, r.arrived, err)
+	case r.cancelled:
+		gw.observeLatency(r.arrived)
+	default:
+		gw.repliesReturned.Add(1)
+		cc.writeReplyRaw(h, r.id, rep)
+		gw.tracer.Event(r.tkey, obs.StageReplyWrite, "gateway")
+		gw.observeLatency(r.arrived)
+	}
+	release := r.release
+	cc.recycle(r)
+	gw.finish(release)
+}
+
+// closeConn ends a connection whose read loop ended and whose requests are
+// all answered: it closes the socket, frees its admission slots and tells
+// the other gateways of the client's departure, so that they delete any
+// state stored on the client's behalf (section 3.5).
+func (g *Gateway) closeConn(cc *clientConn) {
+	_ = cc.nc.Close()
+	g.mu.Lock()
+	delete(g.conns, cc.nc)
+	g.mu.Unlock()
+	g.adm.ReleaseConn(cc.host)
+	g.announceDepartures(cc)
 }
 
 // invokeFailure answers a request whose conveyance failed: COMPLETED_NO
@@ -718,39 +972,24 @@ func invokeFailure(order cdr.ByteOrder, err error) []byte {
 	}
 }
 
-// beginRequest notes a request id as in flight. The read loop calls it
-// before handing the request to its goroutine, so a CancelRequest right
-// behind the request on the wire finds it.
-func (cc *clientConn) beginRequest(id uint32) {
-	cc.mu.Lock()
-	cc.inflight[id] = false
-	cc.mu.Unlock()
-}
-
-// cancelRequest marks an in-flight request as cancelled. A cancel for
-// any other id (already answered, or never sent) is dropped: kept, it
-// would grow without bound under a stream of cancels and suppress the
-// reply of a later request reusing the id.
+// cancelRequest marks the in-flight requests with the id as cancelled:
+// their replies are not written. A cancel for any other id (already
+// answered, or never sent) is dropped: kept, it would grow without bound
+// under a stream of cancels and suppress the reply of a later request
+// reusing the id.
 func (cc *clientConn) cancelRequest(id uint32) {
 	cc.mu.Lock()
-	if _, ok := cc.inflight[id]; ok {
-		cc.inflight[id] = true
-	}
-	cc.mu.Unlock()
-}
-
-// isCancelled reports whether the client cancelled an in-flight request.
-func (cc *clientConn) isCancelled(id uint32) bool {
-	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.inflight[id]
-}
-
-// endRequest forgets a completed request, and any cancel mark with it.
-func (cc *clientConn) endRequest(id uint32) {
-	cc.mu.Lock()
-	delete(cc.inflight, id)
-	cc.mu.Unlock()
+	for r := cc.oldest; r != nil; r = r.next {
+		if r.id == id {
+			r.cancelled = true
+		}
+	}
+	for _, r := range cc.done {
+		if r.id == id {
+			r.cancelled = true
+		}
+	}
 }
 
 // refuseOversize answers a message the reassembler refused by the size
@@ -773,10 +1012,9 @@ func (cc *clientConn) refuseOversize(msg giop.Message) {
 	gw.requestsReceived.Add(1)
 	gw.exceptions.Add(1)
 	if req.ResponseExpected {
-		cc.writeReplyRaw(msg, req, giop.Reply{
-			RequestID: req.RequestID,
-			Status:    giop.ReplySystemException,
-			Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoImpLimit, minorRequestTooLarge, giop.CompletedNo),
+		cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
+			Status: giop.ReplySystemException,
+			Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoImpLimit, minorRequestTooLarge, giop.CompletedNo),
 		})
 	}
 }
@@ -794,21 +1032,20 @@ func (cc *clientConn) shedReply(msg giop.Message, req giop.Request, v admission.
 	if !req.ResponseExpected {
 		return
 	}
-	cc.writeReplyRaw(msg, req, giop.Reply{
-		RequestID: req.RequestID,
-		Status:    giop.ReplySystemException,
-		Result:    giop.SystemExceptionBody(msg.Header.Order, giop.RepoTransient, v.Minor(), giop.CompletedNo),
+	cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
+		Status: giop.ReplySystemException,
+		Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoTransient, v.Minor(), giop.CompletedNo),
 	})
 }
 
-// writeReplyRaw frames a reply in the byte order and version of the
-// client's request and writes it to the socket: the head built here and
-// the result — a view onto the delivered datagram — from where it lies,
-// in one gathered write. A reply that has to be fragmented is encoded
-// whole, so each frame is one Write.
-func (cc *clientConn) writeReplyRaw(msg giop.Message, req giop.Request, rep giop.Reply) {
-	rep.RequestID = req.RequestID
-	order, minor := msg.Header.Order, msg.Header.Minor
+// writeReplyRaw frames the reply to request id in the byte order and
+// version of the client's request, h, and writes it to the socket: the
+// head built here and the result — a view onto the delivered datagram —
+// from where it lies, in one gathered write. A reply that has to be
+// fragmented is encoded whole, so each frame is one Write.
+func (cc *clientConn) writeReplyRaw(h giop.Header, id uint32, rep giop.Reply) {
+	rep.RequestID = id
+	order, minor := h.Order, h.Minor
 	if minor >= 1 && giop.ReplySizeBound(rep) > giop.DefaultFragmentSize {
 		out, err := giop.EncodeReplyV(order, minor, rep)
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +24,9 @@ const (
 	grpRegister replication.GroupID = 100
 	keyRegister                     = "app/register"
 	typeIDReg                       = "IDL:eternalgw/Register:1.0"
+
+	grpGate replication.GroupID = 101
+	keyGate                     = "app/gate"
 )
 
 func fastDomain(t *testing.T, name string, nodes int) *domain.Domain {
@@ -141,6 +146,74 @@ func deployRegister(t *testing.T, d *domain.Domain, style replication.Style, rep
 	return apps
 }
 
+// gateApp is a register whose every invocation waits until its gate is
+// closed.
+type gateApp struct {
+	registerApp
+	gate chan struct{}
+}
+
+func (a *gateApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
+	<-a.gate
+	return a.registerApp.Invoke(op, args, reply)
+}
+
+// deployGate places one gated register on the first node, under grpGate,
+// and returns what closes its gate, which the test's cleanup calls too: a
+// servant still waiting would hold the domain's Close.
+func deployGate(t *testing.T, d *domain.Domain) (open func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	open = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	err := d.Manager().CreateReplicatedObject(grpGate, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 1,
+		MinReplicas:     1,
+		ObjectKey:       []byte(keyGate),
+		TypeID:          typeIDReg,
+	}, func() (replication.Application, error) { return &gateApp{gate: gate}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return open
+}
+
+// writeRequests writes one response-expected request per id, each an
+// "ops" of the object the key names, in one write.
+func writeRequests(t *testing.T, raw net.Conn, key string, ids ...uint32) {
+	t.Helper()
+	var wire bytes.Buffer
+	for _, id := range ids {
+		req, err := giop.EncodeRequest(cdr.BigEndian, giop.Request{
+			RequestID: id, ResponseExpected: true, ObjectKey: []byte(key), Operation: "ops",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.Write(giop.Marshal(req))
+	}
+	if _, err := raw.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readReply reads the next reply on a raw connection.
+func readReply(t *testing.T, raw net.Conn) giop.Reply {
+	t.Helper()
+	_ = raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	msg, err := giop.ReadMessage(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := giop.DecodeReply(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func encodeOctetSeq(b []byte) []byte {
 	w := cdr.NewWriter(cdr.BigEndian)
 	w.WriteOctetSeq(b)
@@ -247,10 +320,14 @@ func TestGatewayUnknownObjectKey(t *testing.T) {
 // TestTimedOutRequestMayHaveCompleted: the servant stalls past the
 // gateway's invoke timeout. The request was multicast and runs to the end,
 // so the client is told COMPLETED_MAYBE: told COMPLETED_NO, a plain client
-// reissues under a new request id and the operation runs twice.
+// reissues under a new request id and the operation runs twice. A request
+// whose reply never comes holds up no other on its connection: one read
+// after it is answered first, and it at its deadline.
 func TestTimedOutRequestMayHaveCompleted(t *testing.T) {
-	d := fastDomainTimeout(t, "ny", 2, 100*time.Millisecond)
+	const timeout = time.Second
+	d := fastDomainTimeout(t, "ny", 2, timeout)
 	apps := deployRegister(t, d, replication.Active, 1)
+	deployGate(t, d)
 	gw, err := d.AddGateway(1, "")
 	if err != nil {
 		t.Fatal(err)
@@ -261,15 +338,92 @@ func TestTimedOutRequestMayHaveCompleted(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteULong(400) // milliseconds the servant stalls
+	w.WriteULong(uint32((timeout + 300*time.Millisecond) / time.Millisecond)) // how long the servant stalls
 	w.WriteOctetSeq([]byte("slow"))
-	_, err = conn.Call([]byte(keyRegister), "work", w.Bytes(), orb.InvokeOptions{Timeout: 5 * time.Second})
+	_, err = conn.Call([]byte(keyRegister), "work", w.Bytes(), orb.InvokeOptions{Timeout: 10 * time.Second})
 	var sysEx *orb.SystemException
 	if !errors.As(err, &sysEx) || sysEx.RepoID != giop.RepoCommFailure || sysEx.Minor != core.MinorOutcomeUnknown || sysEx.Completed != giop.CompletedMaybe {
 		t.Fatalf("err = %v, want COMM_FAILURE minor %d COMPLETED_MAYBE", err, core.MinorOutcomeUnknown)
 	}
 	// It did run.
 	waitInt(t, apps[0].totalOps, 1, "servant ops")
+
+	raw, err := orb.DialRaw(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	start := time.Now()
+	writeRequests(t, raw, keyGate, 1)
+	writeRequests(t, raw, keyRegister, 2)
+	if rep := readReply(t, raw); rep.RequestID != 2 || rep.Status != giop.ReplyNoException {
+		t.Fatalf("first reply %+v, want request 2's", rep)
+	}
+	if elapsed := time.Since(start); elapsed >= timeout {
+		t.Fatalf("request 2 was answered after %v, not before request 1 timed out (%v)", elapsed, timeout)
+	}
+	rep := readReply(t, raw)
+	repo, minor, completed, err := giop.DecodeSystemException(rep.Result, rep.ResultOrder)
+	if rep.RequestID != 1 || rep.Status != giop.ReplySystemException || err != nil || repo != giop.RepoCommFailure || minor != core.MinorOutcomeUnknown || completed != giop.CompletedMaybe {
+		t.Fatalf("second reply to request %d: %s minor %d completed %d (%v), want request 1's COMM_FAILURE minor %d COMPLETED_MAYBE", rep.RequestID, repo, minor, completed, err, core.MinorOutcomeUnknown)
+	}
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Fatalf("request 1 timed out after %v, before its timeout of %v", elapsed, timeout)
+	}
+}
+
+// TestPipelinedRequestsCostTheGatewayNoGoroutine: 64 requests pipelined
+// on one connection wait at a servant that blocks until the test lets it
+// go. The gateway holds them without a goroutine each — a connection has
+// two, its read loop and its replier — and once the servant is let go
+// every reply arrives. After Close the gateway's goroutines are gone.
+func TestPipelinedRequestsCostTheGatewayNoGoroutine(t *testing.T) {
+	const requests = 64
+	d := fastDomain(t, "pg", 2)
+	open := deployGate(t, d)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	raw, err := orb.DialRaw(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	ids := make([]uint32, requests)
+	for i := range ids {
+		ids[i] = uint32(i + 1)
+	}
+	writeRequests(t, raw, keyGate, ids...)
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.Stats().RequestsForwarded != requests || gw.InFlight() != requests {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests forwarded, %d in flight; want %d of each", gw.Stats().RequestsForwarded, gw.InFlight(), requests)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if grew := runtime.NumGoroutine() - baseline; grew > 8 {
+		t.Errorf("%d requests in flight on one connection: %d goroutines more than before it was made, want at most 8", requests, grew)
+	}
+	open()
+	seen := make(map[uint32]bool)
+	for range requests {
+		rep := readReply(t, raw)
+		if rep.Status != giop.ReplyNoException || rep.RequestID < 1 || rep.RequestID > requests || seen[rep.RequestID] {
+			t.Fatalf("reply %+v after %d others", rep, len(seen))
+		}
+		seen[rep.RequestID] = true
+	}
+	_ = raw.Close()
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close the process runs %d goroutines, %d before the connection was made", runtime.NumGoroutine(), baseline)
+		}
+	}
 }
 
 func TestDistinctTCPClientsGetDistinctIdentifiers(t *testing.T) {

@@ -604,15 +604,15 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, d totem.Delivery) {
 			return
 		}
 	}
-	// First-response delivery: this copy resolves every waiter. The
-	// payload travels raw; each waiter decodes it off the event loop.
+	// First-response delivery: this copy completes every waiter. The
+	// payload travels raw; each completion decodes it off the event loop.
 	if first != nil {
 		m.responsesDelivered.Add(1) // before a waiter can return and read it
 	}
 	for c := first; c != nil; {
 		next := c.next
 		c.next = nil
-		c.ch <- pendingResult{raw: hv.Payload}
+		c.done.Complete(Response{raw: hv.Payload})
 		c = next
 	}
 	delete(sh.calls, key)
@@ -642,10 +642,10 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 	sh.mu.Lock()
 	delivered, agreed := false, false
 	// prev is the last call kept awaiting key; a resolved one is dropped.
-	var prev, next *pendingCall
+	var prev, next *Call
 	for c := sh.calls[key]; c != nil; c = next {
 		next = c.next
-		res := pendingResult{rep: rep}
+		res := Response{rep: rep}
 		switch {
 		case c.votesNeeded == 0:
 			agreed = true
@@ -675,7 +675,7 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 		if !delivered {
 			m.responsesDelivered.Add(1) // before the waiter can return and read it
 		}
-		c.ch <- res
+		c.done.Complete(res)
 		delivered = true
 		sh.drop(key, c, prev)
 	}

@@ -65,14 +65,17 @@ func (g *groupState) removeMember(id memnet.NodeID) {
 	g.members = kept
 }
 
-// pendingCall is one invocation awaiting its response(s). The fields
-// below ch are mutated only by the event loop, under the call's pending
-// shard lock. Calls and their channels are reused (acquireCall).
-type pendingCall struct {
-	ch chan pendingResult
+// Call is one invocation registered for its response (ConveyFrame): its
+// operation and the Completion the response goes to. Its caller owns it
+// and gives it back with Release before conveying it again; the zero Call
+// is ready. The fields below done are mutated only by the event loop,
+// under the call's pending shard lock.
+type Call struct {
+	key  opKey
+	done Completion
 	// next is the next call awaiting the same operation: the rare second
 	// waiter (pendingShard.calls).
-	next *pendingCall
+	next *Call
 	// votesNeeded is zero for first-response delivery; otherwise the
 	// number of identical results required (active-with-voting).
 	votesNeeded int
@@ -81,16 +84,48 @@ type pendingCall struct {
 	expected    int // group size at invocation time (voting)
 }
 
-// pendingResult is what the event loop hands a pending waiter: either
-// the raw encapsulated IIOP reply (the common first-response path, where
-// the waiter decodes it off the event loop) or an already-decoded reply
-// (the voting path, which must decode on the loop to compare result
-// bytes across replicas). raw aliases the delivery buffer, and so does
-// the Result of the reply decoded from it — in both cases the borrow
-// passes to Invoke's caller, who reads the reply and lets it go.
-type pendingResult struct {
+// Completion takes the outcome of a registered invocation. Complete is
+// called at most once per registration: on the event loop — the totem
+// node's protocol goroutine — when the response is delivered, or by Stop
+// with ErrStopped. It must not block: the ring waits while it runs. It
+// runs under the lock of the call's pending shard, which is what lets
+// Release promise that no completion follows it, so it takes at most a
+// lock of its own that is never held across a call into the Mechanisms.
+type Completion interface {
+	Complete(Response)
+}
+
+// Response is what a registered invocation is completed with: the raw
+// encapsulated IIOP reply (the common first-response path, decoded off
+// the event loop by whoever takes it), an already-decoded reply (the
+// voting path, which must decode on the loop to compare result bytes
+// across replicas), or the error that ended the wait. raw aliases the
+// delivery buffer, and so does the Result of the reply decoded from it —
+// in both cases the borrow passes to the Completion, which reads the
+// reply and lets it go.
+type Response struct {
 	rep giop.Reply
 	raw []byte
+	err error
+}
+
+// Reply decodes the response, or says why there is none. The reply's
+// Result is a read-only view of the datagram the response was delivered
+// in (DESIGN.md section 7): the caller reads or re-encodes it and copies
+// what it means to keep.
+func (r Response) Reply() (giop.Reply, error) {
+	if r.err != nil || r.raw == nil {
+		return r.rep, r.err
+	}
+	wire, err := giop.Unmarshal(r.raw)
+	if err != nil {
+		return giop.Reply{}, fmt.Errorf("replication: decode response: %w", err)
+	}
+	rep, err := giop.DecodeReply(wire)
+	if err != nil {
+		return giop.Reply{}, fmt.Errorf("replication: decode response: %w", err)
+	}
+	return rep, nil
 }
 
 // Mechanisms is the per-node replication engine. Create with New, stop
@@ -315,12 +350,14 @@ func (m *Mechanisms) dedupTotal() (total DedupUsage) {
 	return total
 }
 
-// Stop mutes the node's consumer (step), shuts down every replica
-// executor and withdraws what Arm registered, so that a step under way
-// installs no replica after it. Whoever owns the node stops it.
+// Stop mutes the node's consumer (step), completes every registered call
+// with ErrStopped and refuses new ones, shuts down every replica executor
+// and withdraws what Arm registered, so that a step under way installs no
+// replica after it. Whoever owns the node stops it.
 func (m *Mechanisms) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.stop)
+		m.pending.close()
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		for _, g := range m.groups {
@@ -596,22 +633,29 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 	return m.invoke(h, enc, timeout)
 }
 
-// InvokeFrame is Invoke for a request that lies framed in the buffer it
-// was read into: frame is Headroom's room unwritten bytes and then the
-// IIOP message whole, GIOP header first (giop.Message.Frame). The request
-// is conveyed as it was read, in its sender's byte order and GIOP
-// version, and the buffer is totem's from here on (DESIGN.md section 7):
-// the caller may go on reading what it decoded from it and writes to
-// nothing of it. Refused before anything is sent — no such group, a ring
-// without a majority (ErrNoQuorum), totem.ErrTooLarge — the frame is
-// still the caller's.
-func (m *Mechanisms) InvokeFrame(src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte, timeout time.Duration) (giop.Reply, error) {
+// ConveyFrame registers c, completing done, for the response to an
+// invocation of the dst group and multicasts the invocation, without
+// waiting: the response, or Stop, completes done. The request lies framed
+// in the buffer it was read into: frame is Headroom's room unwritten
+// bytes and then the IIOP message whole, GIOP header first
+// (giop.Message.Frame). It is conveyed as it was read, in its sender's
+// byte order and GIOP version, and the buffer is totem's from here on
+// (DESIGN.md section 7): the caller may go on reading what it decoded from
+// it and writes to nothing of it.
+//
+// The caller gives c back with Release once done is completed or it stops
+// waiting. Refused before anything is sent — no such group, a ring
+// without a majority (ErrNoQuorum), totem.ErrTooLarge — c is released and
+// the frame is still the caller's; done may have been completed all the
+// same, by a response to the operation that arrived while c was
+// registered.
+func (m *Mechanisms) ConveyFrame(c *Call, src GroupID, clientID uint64, dst GroupID, op OperationID, frame []byte, done Completion) error {
 	h := invocationHeader(src, clientID, dst, op)
 	enc, err := frameInvocation(m.room, h, frame)
 	if err != nil {
-		return giop.Reply{}, err
+		return err
 	}
-	return m.invoke(h, enc, timeout)
+	return m.convey(c, h, enc, done)
 }
 
 // invocationHeader addresses an invocation of group dst on behalf of
@@ -620,71 +664,73 @@ func invocationHeader(src GroupID, clientID uint64, dst GroupID, op OperationID)
 	return Header{Kind: KindInvocation, ClientID: clientID, SrcGroup: src, DstGroup: dst, Op: op}
 }
 
-// invoke registers a pending call for the invocation h, multicasts enc,
-// its encoded form behind m.room, and waits for the response.
-func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.Reply, error) {
-	if timeout == 0 {
-		timeout = invokeTimeout
-	}
+// convey registers c, completing done, for the invocation h and
+// multicasts enc, its encoded form behind m.room.
+func (m *Mechanisms) convey(c *Call, h Header, enc []byte, done Completion) error {
 	dst := h.DstGroup
 	if !m.primary.Load() {
-		return giop.Reply{}, fmt.Errorf("invoke group %d: %w", dst, ErrNoQuorum)
+		return fmt.Errorf("invoke group %d: %w", dst, ErrNoQuorum)
 	}
-	key := opKey{src: dst, clientID: h.ClientID, op: h.Op}
-
 	m.mu.RLock()
 	g, ok := m.groups[dst]
 	if !ok {
 		m.mu.RUnlock()
-		return giop.Reply{}, fmt.Errorf("group %d: %w", dst, ErrNoSuchGroup)
+		return fmt.Errorf("group %d: %w", dst, ErrNoSuchGroup)
 	}
 	style, groupSize := g.style, len(g.members)
 	m.mu.RUnlock()
-	call := acquireCall()
+	c.key = opKey{src: dst, clientID: h.ClientID, op: h.Op}
+	c.done = done
 	if style == ActiveWithVoting {
-		call.expected = groupSize
-		call.votesNeeded = groupSize/2 + 1
-		call.votes = make(map[string]int)
-		call.responded = make(map[memnet.NodeID]bool)
+		c.expected = groupSize
+		c.votesNeeded = groupSize/2 + 1
+		c.votes = make(map[string]int)
+		c.responded = make(map[memnet.NodeID]bool)
 	}
-	m.pending.register(key, call)
-	defer m.pending.unregister(key, call)
-
+	if !m.pending.register(c) {
+		*c = Call{}
+		return ErrStopped
+	}
 	if err := m.multicastEncoded(enc); err != nil {
-		return giop.Reply{}, err
+		m.Release(c)
+		return err
 	}
 	m.invocationsSent.Add(1)
 	m.tracer.Event(traceKey(h), obs.StageMulticastSend, string(m.id))
+	return nil
+}
 
+// Release takes back a call ConveyFrame registered, once its Completion
+// was completed or its caller stopped waiting (a timeout): from its
+// return on, the Completion is not called for it, and the call is ready
+// to be conveyed again.
+func (m *Mechanisms) Release(c *Call) {
+	m.pending.unregister(c)
+	*c = Call{}
+}
+
+// invoke is convey and a wait for the response, up to timeout.
+func (m *Mechanisms) invoke(h Header, enc []byte, timeout time.Duration) (giop.Reply, error) {
+	if timeout == 0 {
+		timeout = invokeTimeout
+	}
+	w := acquireWaiter()
+	defer releaseWaiter(w)
+	if err := m.convey(&w.call, h, enc, w); err != nil {
+		return giop.Reply{}, err
+	}
+	defer m.Release(&w.call)
 	timer := orb.AcquireTimer(timeout)
 	defer orb.ReleaseTimer(timer)
 	select {
-	case res := <-call.ch:
-		if res.raw == nil {
-			return res.rep, nil
-		}
-		// The common path: the event loop handed over the raw
-		// encapsulated reply and this waiter — off the event loop —
-		// decodes it. The reply's Result stays a view of the delivered
-		// datagram (giop.DecodeReply): read-only, and the caller's for as
-		// long as it holds the reply.
-		wire, derr := giop.Unmarshal(res.raw)
-		if derr != nil {
-			return giop.Reply{}, fmt.Errorf("replication: decode response: %w", derr)
-		}
-		rep, derr := giop.DecodeReply(wire)
-		if derr != nil {
-			return giop.Reply{}, fmt.Errorf("replication: decode response: %w", derr)
-		}
-		return rep, nil
+	case res := <-w.ch:
+		return res.Reply()
 	case <-timer.C:
-		return giop.Reply{}, fmt.Errorf("%w: op %v on group %d", ErrTimeout, h.Op, dst)
-	case <-m.stop:
-		return giop.Reply{}, ErrStopped
+		return giop.Reply{}, fmt.Errorf("%w: op %v on group %d", ErrTimeout, h.Op, h.DstGroup)
 	}
 }
 
-// Headroom says how a request is to lie in its buffer for InvokeFrame and
+// Headroom says how a request is to lie in its buffer for ConveyFrame and
 // MulticastFrame to convey it from there: behind room unwritten bytes,
 // and, where ceiling is not zero, in a buffer of at most ceiling bytes in
 // all — what one datagram of this node's transport carries.
@@ -704,7 +750,7 @@ func (m *Mechanisms) multicastEncoded(enc []byte) error {
 	return nil
 }
 
-// MulticastFrame conveys an IIOP request, framed as InvokeFrame takes
+// MulticastFrame conveys an IIOP request, framed as ConveyFrame takes
 // it, into the domain as an invocation of group dst on behalf of (src,
 // clientID), without waiting for a response: the whole of a one-way
 // request.

@@ -31,8 +31,11 @@ const ReplyWindow = 32 << 20
 type pendingShard struct {
 	mu sync.Mutex
 	// calls holds the first call awaiting each operation; a second waiter
-	// on one operation, which is rare, hangs off it (pendingCall.next).
-	calls map[opKey]*pendingCall
+	// on one operation, which is rare, hangs off it (Call.next).
+	calls map[opKey]*Call
+	// closed is set by Stop: the shard's calls were completed with
+	// ErrStopped, and it registers none.
+	closed bool
 	// answered holds every operation whose first response this processor
 	// delivered or observed. Present means answered: the header peek
 	// discards the 2nd..Rth replica copies on it without payload decode
@@ -86,7 +89,7 @@ func newPendingTable(capacity, window int) *pendingTable {
 	t := &pendingTable{}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.calls = make(map[opKey]*pendingCall)
+		sh.calls = make(map[opKey]*Call)
 		sh.answered.Init(per, window/pendingShards)
 	}
 	return t
@@ -162,34 +165,57 @@ func (t *pendingTable) occupancy() int {
 	return total
 }
 
-// register adds a call awaiting responses for the operation.
-func (t *pendingTable) register(key opKey, c *pendingCall) {
-	sh := t.shard(key)
+// register adds a call awaiting responses for its operation, unless Stop
+// closed the table.
+func (t *pendingTable) register(c *Call) bool {
+	sh := t.shard(c.key)
 	sh.mu.Lock()
-	c.next = sh.calls[key]
-	sh.calls[key] = c
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return false
+	}
+	c.next = sh.calls[c.key]
+	sh.calls[c.key] = c
+	return true
 }
 
-// unregister removes a call, whether resolved or abandoned (timeout), and
-// gives it back for reuse: the caller is done with it.
-func (t *pendingTable) unregister(key opKey, c *pendingCall) {
-	sh := t.shard(key)
+// unregister removes a call, whether resolved or abandoned (timeout).
+func (t *pendingTable) unregister(c *Call) {
+	sh := t.shard(c.key)
 	sh.mu.Lock()
-	var prev *pendingCall
-	for p := sh.calls[key]; p != nil; prev, p = p, p.next {
+	defer sh.mu.Unlock()
+	var prev *Call
+	for p := sh.calls[c.key]; p != nil; prev, p = p, p.next {
 		if p == c { // still awaiting: nothing has resolved it
-			sh.drop(key, c, prev)
-			break
+			sh.drop(c.key, c, prev)
+			return
 		}
 	}
-	sh.mu.Unlock()
-	releaseCall(c)
+}
+
+// close completes every registered call with ErrStopped, and closes each
+// shard to further registrations: no response will come for them.
+func (t *pendingTable) close() {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.closed = true
+		for key, c := range sh.calls {
+			delete(sh.calls, key)
+			for c != nil {
+				next := c.next
+				c.next = nil
+				c.done.Complete(Response{err: ErrStopped})
+				c = next
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // drop takes c, which follows prev (nil: c is the first), out of the
 // calls awaiting key. Callers hold sh.mu.
-func (sh *pendingShard) drop(key opKey, c, prev *pendingCall) {
+func (sh *pendingShard) drop(key opKey, c, prev *Call) {
 	switch {
 	case prev != nil:
 		prev.next = c.next
@@ -201,29 +227,37 @@ func (sh *pendingShard) drop(key opKey, c, prev *pendingCall) {
 	c.next = nil
 }
 
-// idleCalls holds released pending calls, their channels empty: an
-// invocation takes one and gives it back, as orb.AcquireTimer does with
-// timers.
-var idleCalls sync.Pool
-
-// acquireCall returns a pending call for first-response delivery whose
-// channel holds nothing.
-func acquireCall() *pendingCall {
-	if c, ok := idleCalls.Get().(*pendingCall); ok {
-		return c
-	}
-	return &pendingCall{ch: make(chan pendingResult, 1)}
+// waiter is a synchronous invocation's call (invoke) and its Completion:
+// it hands the response to the caller waiting on ch, whose capacity of
+// one holds the one completion a registration gets without blocking.
+// Waiters are reused (idleWaiters), as orb.AcquireTimer reuses timers.
+type waiter struct {
+	call Call
+	ch   chan Response
 }
 
-// releaseCall takes back what the event loop may have sent a call after
-// its caller stopped waiting — a response that crossed its timeout — so
-// that it never reaches the caller that reuses the call. The call must be
-// unregistered: nothing sends to it any more.
-func releaseCall(c *pendingCall) {
+// Complete hands the response to the waiting caller.
+func (w *waiter) Complete(res Response) { w.ch <- res }
+
+var idleWaiters sync.Pool
+
+// acquireWaiter returns a waiter whose call is ready and whose channel
+// holds nothing.
+func acquireWaiter() *waiter {
+	if w, ok := idleWaiters.Get().(*waiter); ok {
+		return w
+	}
+	return &waiter{ch: make(chan Response, 1)}
+}
+
+// releaseWaiter takes back what the event loop may have completed a
+// waiter with after its caller stopped waiting — a response that crossed
+// its timeout — so that it never reaches the caller that reuses the
+// waiter. Its call must be released: nothing completes it any more.
+func releaseWaiter(w *waiter) {
 	select {
-	case <-c.ch:
+	case <-w.ch:
 	default:
 	}
-	*c = pendingCall{ch: c.ch}
-	idleCalls.Put(c)
+	idleWaiters.Put(w)
 }

@@ -539,15 +539,16 @@ func TestVotingRecordHoldsTheDeliveredValue(t *testing.T) {
 	m := d.rms[d.ids[0]]
 
 	h := Header{ClientID: 7, SrcGroup: grpServer, DstGroup: grpClient, Op: OperationID{ChildSeq: 1}}
-	key := opKey{src: h.SrcGroup, clientID: h.ClientID, op: h.Op}
-	call := &pendingCall{
-		ch:          make(chan pendingResult, 1),
+	w := acquireWaiter()
+	w.call = Call{
+		key:         opKey{src: h.SrcGroup, clientID: h.ClientID, op: h.Op},
+		done:        w,
 		expected:    3,
 		votesNeeded: 2,
 		votes:       make(map[string]int),
 		responded:   make(map[memnet.NodeID]bool),
 	}
-	m.pending.register(key, call)
+	m.pending.register(&w.call)
 
 	respond(t, m, h, "liar", 0xBD) // arrives first, disagrees
 	if _, ok := m.RecordedReply(h.SrcGroup, h.ClientID, h.Op); ok {
@@ -556,7 +557,7 @@ func TestVotingRecordHoldsTheDeliveredValue(t *testing.T) {
 	respond(t, m, h, "n01", 0x11)
 	majority := respond(t, m, h, "n02", 0x11)
 	select {
-	case res := <-call.ch:
+	case res := <-w.ch:
 		if len(res.rep.Result) != 1 || res.rep.Result[0] != 0x11 {
 			t.Fatalf("caller got result %v, want the majority value", res.rep.Result)
 		}
@@ -633,11 +634,11 @@ func (a *gateApp) Invoke(op string, _ *cdr.Reader, reply *cdr.Writer) error {
 }
 
 // TestLateResponseNeverReachesTheNextCall: a call that timed out gives
-// its pendingCall back for the next invocation to reuse, and the response
-// that arrives after the timeout reaches nobody. End to end, the servant
-// answers each timed-out call just before the next call is made; then the
-// window itself, where the event loop hands the response over after the
-// caller's timer fired and before the caller unregistered.
+// its Call and its waiter back for the next invocation to reuse, and the
+// response that arrives after the timeout reaches nobody. End to end, the
+// servant answers each timed-out call just before the next call is made;
+// then the window itself, where the event loop completes the waiter after
+// the caller's timer fired and before the caller released the call.
 func TestLateResponseNeverReachesTheNextCall(t *testing.T) {
 	d := newDomain(t, 2)
 	d.mustCreate(grpServer, Active, testKeyStr)
@@ -671,25 +672,68 @@ func TestLateResponseNeverReachesTheNextCall(t *testing.T) {
 	h := Header{ClientID: 8, SrcGroup: grpServer, DstGroup: grpClient}
 	for reused, seq := false, uint32(1); !reused; seq++ {
 		if seq == 1000 {
-			t.Fatal("an unregistered pendingCall was never reused")
+			t.Fatal("a released waiter was never reused")
 		}
 		h.Op.ChildSeq = seq
-		key := h.key()
-		c := acquireCall()
-		client.pending.register(key, c)
+		w := acquireWaiter()
+		w.call.key, w.call.done = h.key(), w
+		client.pending.register(&w.call)
 		respond(t, client, h, "n00", 1) // the caller's timer has fired
-		client.pending.unregister(key, c)
-		next := acquireCall()
-		reused = next == c
+		client.Release(&w.call)
+		releaseWaiter(w)
+		next := acquireWaiter()
+		reused = next == w
 		select {
 		case res := <-next.ch:
-			t.Fatalf("a reused pendingCall holds %x, the response to the call that gave it back", res.raw)
+			t.Fatalf("a reused waiter holds %x, the response to the call that gave it back", res.raw)
 		default:
 		}
-		if next.next != nil || next.votesNeeded != 0 || next.votes != nil {
-			t.Fatalf("a reused pendingCall kept state: %+v", next)
+		if c := next.call; c.next != nil || c.done != nil || c.votesNeeded != 0 || c.votes != nil {
+			t.Fatalf("a reused waiter's call kept state: %+v", c)
 		}
-		releaseCall(next)
+		releaseWaiter(next)
+	}
+}
+
+// TestStopCompletesRegisteredCalls: Stop completes a call still awaiting
+// its response with ErrStopped at once, not at its timeout, and registers
+// none after it.
+func TestStopCompletesRegisteredCalls(t *testing.T) {
+	d := newDomain(t, 2)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpClient, Active, "")
+	app := &gateApp{release: make(chan struct{})}
+	d.mustJoin(d.ids[0], grpServer, app)
+	d.mustJoin(d.ids[1], grpClient, nil)
+	t.Cleanup(func() { close(app.release) })
+	client := d.rms[d.ids[1]]
+	if err := client.WaitForMembers(grpServer, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	call := func(seq uint32, op string) error {
+		_, err := client.Invoke(grpClient, 7, grpServer, OperationID{ChildSeq: seq}, giop.Request{
+			RequestID: seq, ResponseExpected: true, ObjectKey: []byte(testKeyStr), Operation: op,
+		}, time.Minute)
+		return err
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- call(1, "slow") }()
+	for deadline := time.Now().Add(5 * time.Second); client.PendingCalls() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the call was never registered")
+		}
+	}
+	client.Stop()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("a call registered at Stop returned %v, want ErrStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call registered at Stop was not completed")
+	}
+	if err := call(2, "fast"); !errors.Is(err, ErrStopped) {
+		t.Fatalf("a call after Stop returned %v, want ErrStopped", err)
 	}
 }
 
@@ -705,13 +749,15 @@ func TestEveryWaiterOnAnOperationIsResolved(t *testing.T) {
 	h := Header{ClientID: 7, SrcGroup: grpServer, DstGroup: grpClient}
 	for _, gaveUp := range []int{-1, 0, 1, 2} {
 		h.Op.ChildSeq++
-		key := h.key()
-		calls := []*pendingCall{acquireCall(), acquireCall(), acquireCall()}
-		for _, c := range calls {
-			m.pending.register(key, c)
+		var calls []*waiter
+		for range 3 {
+			w := acquireWaiter()
+			w.call.key, w.call.done = h.key(), w
+			m.pending.register(&w.call)
+			calls = append(calls, w)
 		}
 		if gaveUp >= 0 {
-			m.pending.unregister(key, calls[gaveUp])
+			m.Release(&calls[gaveUp].call)
 		}
 		want := len(calls)
 		if gaveUp >= 0 {
@@ -733,7 +779,7 @@ func TestEveryWaiterOnAnOperationIsResolved(t *testing.T) {
 			default:
 				t.Fatalf("waiter %d gave up: waiter %d was not resolved", gaveUp, i)
 			}
-			m.pending.unregister(key, c)
+			m.Release(&c.call)
 		}
 		if n := m.PendingCalls(); n != 0 {
 			t.Fatalf("waiter %d gave up: %d calls left pending", gaveUp, n)

@@ -431,7 +431,7 @@ func (n *node) record(op *Op) *gwRecord {
 }
 
 // onRequest answers a request from the record, or orders it, as
-// Gateway.handleRequest does (cachedReply, else InvokeFrame): a gateway
+// clientConn.handleRequest does (cachedReply, else ConveyFrame): a gateway
 // orders every request its record cannot answer, and replica-side
 // duplicate detection collapses the copies ordered twice.
 func (n *node) onRequest(op *Op) {

@@ -13,8 +13,9 @@
 # With -n it prints the fixed-cost maps instead, one after the other: the
 # 64B row (the small_rtt shape: leader ordering on memnet), the
 # 64B-udp-ring row (ring ordering over loopback UDP sockets, one call at
-# a time) and the 64B-udp-ring-x32 row (the same with 32 calls in flight,
-# the udp_ring_ladder shape, where messages travel packed), each profiled
+# a time) and the 64B-udp-ring-x32 row (the same with 32 calls in flight
+# through udp_ring_ladder's admission policy, the udp_ring_ladder shape,
+# where messages travel packed), each profiled
 # by alloc_objects, allocations per operation by the same attribution,
 # for call sites that make at least a third of one — what a message costs
 # whatever it carries. The domain's
