@@ -5,8 +5,9 @@ import (
 	"math"
 )
 
-// Writer encodes values into a CDR stream. The zero value is not usable;
-// construct one with NewWriter.
+// Writer encodes values into a CDR stream. Construct one with NewWriter
+// or NewWriterOn, or give a zero Writer — one that can live on its
+// caller's stack — its buffer with ResetOn.
 //
 // Errors are sticky: the first error (there are none in the write path
 // today, but encapsulation helpers may add them) is retained and every
@@ -25,16 +26,6 @@ type Writer struct {
 // NewWriter returns a Writer producing a stream in the given byte order.
 func NewWriter(order ByteOrder) *Writer {
 	return &Writer{buf: make([]byte, 0, 64), order: order}
-}
-
-// NewWriterCap returns a Writer whose buffer is preallocated to the given
-// capacity, for callers that can bound the encoded size up front and want
-// to avoid growth copies on the hot path.
-func NewWriterCap(order ByteOrder, capacity int) *Writer {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Writer{buf: make([]byte, 0, capacity), order: order}
 }
 
 // NewWriterOn returns a Writer that appends a new stream to buf: stream

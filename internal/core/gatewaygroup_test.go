@@ -104,8 +104,13 @@ func TestReissueAnsweredFromGatewayGroupRecord(t *testing.T) {
 	if st.RequestsForwarded != 0 {
 		t.Fatalf("gw2 forwarded %d requests; the record should have answered", st.RequestsForwarded)
 	}
-	if got := apps[0].totalOps(); got != 1 {
-		t.Fatalf("server executed %d ops, want 1", got)
+	// Each replica executes the append once. The client's answer came from
+	// the first to respond, so the other may still be executing it.
+	for _, app := range apps {
+		waitCount(t, "server ops", func() int { return int(app.totalOps()) }, 1)
+		if got := app.totalOps(); got != 1 {
+			t.Fatalf("server executed %d ops, want 1", got)
+		}
 	}
 }
 

@@ -284,9 +284,10 @@ func TestFailedCaptureIsRetriedOnTheNextDelta(t *testing.T) {
 	if err := joiner.WaitSynced(grpServer, 5*time.Second); err != nil {
 		t.Fatalf("the failed capture was never retried: %v", err)
 	}
-	if got := d.rms[d.ids[0]].Stats().StateTransfers; got != 2 {
-		t.Fatalf("donor counts %d state transfers, want the 2 it sent", got)
-	}
+	// The donor counts a transfer once its multicast returns, on its own
+	// executor, and the joiners sync where they are delivered it: the
+	// count may trail WaitSynced, so it is waited for.
+	waitStat(t, func() uint64 { return d.rms[d.ids[0]].Stats().StateTransfers }, 2)
 }
 
 // TestRecreatedGroupDonatesFreshImage: a group id retired by DeleteGroup

@@ -98,8 +98,9 @@ type Core struct {
 	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      []submission
 	lastTokenID  uint64
-	ids          idTable  // the ring's member ids, for allocation-free decoding
-	parts        partSlab // where the part lists of packs, forwards and batches are carved
+	ids          idTable      // the ring's member ids, for allocation-free decoding
+	parts        slab[[]byte] // where the part lists of packs, forwards and batches are carved
+	frames       slab[byte]   // where the datagrams this core sends that carry no payload are carved
 
 	// heldToken is the token parked here between its visit and its
 	// forwarding, lastSentToken the last one forwarded, awaiting evidence
@@ -160,12 +161,14 @@ func NewCore(cfg Config, now time.Time, broadcast func([]byte), emit func(Event)
 		emit:      emit,
 		buffer:    make(map[uint64]regularMsg),
 		skipped:   make(map[uint64]bool),
+		parts:     slab[[]byte]{size: partChunk},
+		frames:    slab[byte]{size: frameChunk},
 	}
 	n.deadlines[dlFail] = now
 	// An empty payload's datagram is its header.
 	n.hdrLen[kindRegular] = len(encodeRegular(regularMsg{Sender: cfg.ID}, nil))
 	n.hdrLen[kindForward] = len(encodeForward(forwardMsg{Sender: cfg.ID}, nil))
-	n.hdrLen[kindBatch] = len(encodeBatch(batchMsg{Leader: cfg.ID, Origin: cfg.ID}, nil))
+	n.hdrLen[kindBatch] = len(encodeBatch(batchMsg{Leader: cfg.ID, Origin: cfg.ID}, nil, nil))
 	// A ring that only rotates its token never writes the other two.
 	n.room = n.hdrLen[kindRegular]
 	if cfg.Ordering == OrderingLeader {
@@ -187,7 +190,7 @@ func (n *Core) longestHeader() int {
 	return max(
 		len(encodeRegular(regularMsg{Sender: longest, Via: longest}, nil))+3, // Via is aligned, behind a payload of any length
 		len(encodeForward(forwardMsg{Sender: longest}, nil)),
-		len(encodeBatch(batchMsg{Leader: longest, Origin: longest}, nil)))
+		len(encodeBatch(batchMsg{Leader: longest, Origin: longest}, nil, nil)))
 }
 
 // framed returns payload as Submit takes it, copied behind room bytes.
@@ -252,7 +255,7 @@ func (n *Core) Tick(now time.Time, waiting int) {
 	}
 	if n.due(dlTokenResend) {
 		// No evidence of progress since forwarding: resend the token.
-		n.broadcast(encodeToken(*n.lastSentToken))
+		n.broadcast(encodeToken(*n.lastSentToken, &n.frames))
 		n.arm(dlTokenResend, n.cfg.TokenRetransmit)
 	}
 	if n.due(dlGather) {
@@ -774,7 +777,7 @@ func (n *Core) finishHold() {
 	n.sent = *t
 	n.lastSentToken = &n.sent
 	n.arm(dlTokenResend, n.cfg.TokenRetransmit)
-	n.broadcast(encodeToken(*t))
+	n.broadcast(encodeToken(*t, &n.frames))
 	n.tokenPassN.Add(1)
 }
 
@@ -851,7 +854,7 @@ func (n *Core) gc(aru uint64) {
 }
 
 // unbuffer drops buffered message s and zeroes the part headers it was
-// carved (partSlab): nothing else holds a buffered message's list. A list
+// carved (slab): nothing else holds a buffered message's list. A list
 // its handler did not keep is zeroed where it was decoded (Receive).
 func (n *Core) unbuffer(s uint64) {
 	if m, ok := n.buffer[s]; ok {
@@ -933,7 +936,7 @@ func (n *Core) heard(ids ...memnet.NodeID) (grew bool) {
 }
 
 func (n *Core) sendJoin() {
-	n.broadcast(encodeJoin(joinMsg{Sender: n.cfg.ID, Alive: n.alive, RingID: n.proposed}))
+	n.broadcast(encodeJoin(joinMsg{Sender: n.cfg.ID, Alive: n.alive, RingID: n.proposed}, &n.frames))
 }
 
 func (n *Core) handleJoin(j joinMsg) {

@@ -519,7 +519,7 @@ func TestSkippedRequestIsDeclaredAgain(t *testing.T) {
 	n.deliveredSeq, n.highest, n.gcThrough = 20, 20, 11
 	n.skipped[12] = true
 	n.Receive(now, encodeToken(token{RingID: 5, TokenID: 7, Seq: 20, Aru: 11, Stable: 11, Succ: "v01",
-		Rtr: []rtrEntry{{Seq: 12}}}), 0)
+		Rtr: []rtrEntry{{Seq: 12}}}, nil), 0)
 	if len(sent) != 1 || !slices.Equal(sent[0].Skip, []uint64{12}) || len(sent[0].Rtr) != 0 {
 		t.Fatalf("forwarded %+v, want one token that skips 12 and requests nothing", sent)
 	}
@@ -570,22 +570,22 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 			return encodeRegular(regularMsg{RingID: r, Seq: 9, Sender: from, Parts: [][]byte{[]byte("a"), []byte("b")}}, nil)
 		}, func(n *Core) bool { return len(n.buffer) == 1 }},
 		{"token", false, "", func(r uint64, from memnet.NodeID) []byte {
-			return encodeToken(token{RingID: r, TokenID: 7, Seq: 8, Aru: 8, Stable: 8, Succ: from})
+			return encodeToken(token{RingID: r, TokenID: 7, Seq: 8, Aru: 8, Stable: 8, Succ: from}, nil)
 		}, func(n *Core) bool { return n.lastTokenID == 7 }},
 		{"forward", false, "v01", func(r uint64, from memnet.NodeID) []byte {
 			return encodeForward(forwardMsg{RingID: r, Sender: from, FwdSeq: 1, Payload: []byte("p")}, nil)
 		}, func(n *Core) bool { return len(n.fp.held) == 1 }},
 		{"batch", true, "v01", func(r uint64, from memnet.NodeID) []byte {
-			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")}, nil)
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: from, OriginFwd: 1, Payload: []byte("p")}, nil, nil)
 		}, func(n *Core) bool { return len(n.buffer) == 1 }},
 		{"batch by reference", false, "v01", func(r uint64, from memnet.NodeID) []byte {
-			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true}, nil)
+			return encodeBatch(batchMsg{RingID: r, Seq: 9, Leader: from, Origin: "v02", OriginFwd: 1, Ref: true}, nil, nil)
 		}, func(n *Core) bool { return len(n.fp.parked) == 1 }},
 		{"ack", false, "v00", func(r uint64, from memnet.NodeID) []byte {
-			return encodeAck(ackMsg{RingID: r, Sender: from, Aru: 8})
+			return encodeAck(ackMsg{RingID: r, Sender: from, Aru: 8}, nil)
 		}, func(n *Core) bool { return n.fp.memberAru["v01"] == 8 }},
 		{"promote", false, "", func(r uint64, from memnet.NodeID) []byte {
-			return encodePromote(promoteMsg{RingID: r, Leader: from, StartSeq: 8, Stable: 8})
+			return encodePromote(promoteMsg{RingID: r, Leader: from, StartSeq: 8, Stable: 8}, nil)
 		}, func(n *Core) bool { return n.fp.leader == "v01" }},
 	}
 	for _, k := range kinds {
@@ -648,7 +648,7 @@ func TestEveryDatagramPassesTheGate(t *testing.T) {
 		n := NewCore(Config{ID: "v00"}, time.Unix(1000, 0), func(b []byte) { joins++ }, func(Event) {})
 		n.cfg.applyDefaults()
 		n.ring, n.ringID = []memnet.NodeID{"v00", "v01", "v02"}, 5
-		n.Receive(time.Unix(1000, 0), encodeAck(ackMsg{RingID: ringID, Sender: "v09", Aru: 8}), 0)
+		n.Receive(time.Unix(1000, 0), encodeAck(ackMsg{RingID: ringID, Sender: "v09", Aru: 8}, nil), 0)
 		if gathered := joins > 0; gathered != (ring == "newer") {
 			t.Errorf("follower's view of an ack from a %s ring: gathered %v", ring, gathered)
 		}
@@ -706,7 +706,7 @@ func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
 		if decided {
 			tok.TokenID = 4
 		}
-		return encodeToken(tok)
+		return encodeToken(tok, nil)
 	}
 	n.Receive(now, commit(first, false), 0)
 	if len(sent) != 1 || !slices.Equal(sent[0].Members, first) || sent[0].Succ != "v00" || !sent[0].Entries[1].Filled {
@@ -725,7 +725,7 @@ func TestTwoListsUnderOneIdAreTwoRings(t *testing.T) {
 	// and addressee, would take it for a token of the ring's, and no token
 	// id may make it one.
 	sends, last := len(sent), n.lastTokenID
-	n.Receive(now, encodeToken(token{RingID: 8, TokenID: last + 5, Succ: "v02", Members: second, Entries: []commitEntry{{Filled: true}, {}}}), 0)
+	n.Receive(now, encodeToken(token{RingID: 8, TokenID: last + 5, Succ: "v02", Members: second, Entries: []commitEntry{{Filled: true}, {}}}, nil), 0)
 	if len(sent) != sends || n.lastTokenID != last {
 		t.Fatalf("sent %+v, token id %d: the second commit was taken for ring 8 %v's token", sent[sends:], n.lastTokenID, first)
 	}
@@ -1304,7 +1304,7 @@ func TestCommitEntryIsFinal(t *testing.T) {
 		return encodeRegular(regularMsg{RingID: 5, Seq: seq, Sender: "v00", Payload: []byte("p")}, nil)
 	}
 	n.Receive(now, ordered(9), 0)
-	n.Receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}), 0)
+	n.Receive(now, encodeToken(token{RingID: 6, TokenID: 2, Succ: "v01", Members: n.ring, Entries: []commitEntry{{Filled: true}, {}, {}}}, nil), 0)
 	n.Receive(now, ordered(10), 0)
 	want := commitEntry{Filled: true, Last: ringRef{ID: 5, Low: "v00"}, Highest: 9, Aru: 9}
 	if len(sent) != 1 || sent[0].Succ != "v02" || sent[0].Entries[1] != want {

@@ -20,7 +20,7 @@ import (
 
 func oracleRegular(m regularMsg) []byte {
 	if len(m.Parts) > 0 {
-		w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts))
+		w := cdr.NewWriterOn(make([]byte, 0, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts)), cdr.BigEndian)
 		w.WriteOctet(kindPacked)
 		w.WriteULongLong(m.RingID)
 		w.WriteULongLong(m.Seq)
@@ -32,7 +32,7 @@ func oracleRegular(m regularMsg) []byte {
 		}
 		return w.Bytes()
 	}
-	w := cdr.NewWriterCap(cdr.BigEndian, 48+len(m.Sender)+len(m.Via)+len(m.Payload))
+	w := cdr.NewWriterOn(make([]byte, 0, 48+len(m.Sender)+len(m.Via)+len(m.Payload)), cdr.BigEndian)
 	w.WriteOctet(kindRegular)
 	w.WriteULongLong(m.RingID)
 	w.WriteULongLong(m.Seq)
@@ -45,7 +45,7 @@ func oracleRegular(m regularMsg) []byte {
 }
 
 func oracleForward(f forwardMsg) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(f.Sender)+partsSize(f.Payload, f.Parts))
+	w := cdr.NewWriterOn(make([]byte, 0, 40+len(f.Sender)+partsSize(f.Payload, f.Parts)), cdr.BigEndian)
 	w.WriteOctet(kindForward)
 	w.WriteULongLong(f.RingID)
 	w.WriteString(string(f.Sender))
@@ -56,7 +56,7 @@ func oracleForward(f forwardMsg) []byte {
 }
 
 func oracleBatch(b batchMsg) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 64+len(b.Leader)+len(b.Origin)+partsSize(b.Payload, b.Parts))
+	w := cdr.NewWriterOn(make([]byte, 0, 64+len(b.Leader)+len(b.Origin)+partsSize(b.Payload, b.Parts)), cdr.BigEndian)
 	w.WriteOctet(kindBatch)
 	w.WriteULongLong(b.RingID)
 	w.WriteULongLong(b.Seq)
@@ -127,7 +127,7 @@ func TestFramedInPlaceIsTheEncodersWireForm(t *testing.T) {
 				}
 
 				bm := batchMsg{RingID: 9, Seq: 77, Leader: id, Origin: id, OriginFwd: 3, Stable: 70, Payload: payload}
-				d = framed(kindBatch, func(p, in []byte) []byte { bm.Payload = p; return encodeBatch(bm, in) }, oracleBatch(bm))
+				d = framed(kindBatch, func(p, in []byte) []byte { bm.Payload = p; return encodeBatch(bm, in, nil) }, oracleBatch(bm))
 				if b, err := decodeBatch(decodeFrame(t, d, kindBatch), ids, nil); err != nil || b.Ref || b.Leader != id || b.Origin != id || b.Seq != 77 || b.OriginFwd != 3 || b.Stable != 70 || !bytes.Equal(b.Payload, payload) {
 					t.Fatalf("batch read back as %+v, %v", b, err)
 				}
@@ -148,7 +148,7 @@ func TestFramedInPlaceIsTheEncodersWireForm(t *testing.T) {
 					{encodeRegular(regularMsg{RingID: 9, Seq: 79, Sender: id, Parts: parts}, c.frameIn(kindRegular, nil)), oracleRegular(regularMsg{RingID: 9, Seq: 79, Sender: id, Parts: parts})},
 					{encodeRegular(regularMsg{RingID: 9, Seq: 78, Sender: id, Via: "other", Payload: payload}, nil), oracleRegular(regularMsg{RingID: 9, Seq: 78, Sender: id, Via: "other", Payload: payload})},
 					{encodeForward(forwardMsg{RingID: 9, Sender: id, FwdSeq: 2, Parts: parts}, nil), oracleForward(forwardMsg{RingID: 9, Sender: id, FwdSeq: 2, Parts: parts})},
-					{encodeBatch(batchMsg{RingID: 9, Seq: 80, Leader: id, Origin: id, OriginFwd: 2, Parts: parts}, nil), oracleBatch(batchMsg{RingID: 9, Seq: 80, Leader: id, Origin: id, OriginFwd: 2, Parts: parts})},
+					{encodeBatch(batchMsg{RingID: 9, Seq: 80, Leader: id, Origin: id, OriginFwd: 2, Parts: parts}, nil, nil), oracleBatch(batchMsg{RingID: 9, Seq: 80, Leader: id, Origin: id, OriginFwd: 2, Parts: parts})},
 				} {
 					if !bytes.Equal(pair[0], pair[1]) {
 						t.Fatalf("kind %d built by copy differs from the encoder of before", pair[0][0])

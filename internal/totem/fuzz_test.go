@@ -19,18 +19,18 @@ func seedDatagrams() [][]byte {
 		encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n", Parts: [][]byte{[]byte("a"), []byte("b")}}, nil),
 		encodeRegular(regularMsg{RingID: 2, Seq: 2, Sender: "n", Via: "m", Payload: []byte("p")}, nil), // retransmissions
 		encodeRegular(regularMsg{RingID: 2, Seq: 2, Sender: "n", Via: "m", Parts: [][]byte{[]byte("a"), []byte("b")}}, nil),
-		encodeToken(token{RingID: 1, TokenID: 2, Seq: 3, Succ: "n", Rtr: []rtrEntry{{Seq: 1}}}),
-		encodeToken(token{RingID: 1, TokenID: 9, Seq: 7, Aru: 5, Stable: 4, Succ: "n", Rtr: []rtrEntry{{Seq: 6, Age: 2}}, Skip: []uint64{5}}),
+		encodeToken(token{RingID: 1, TokenID: 2, Seq: 3, Succ: "n", Rtr: []rtrEntry{{Seq: 1}}}, nil),
+		encodeToken(token{RingID: 1, TokenID: 9, Seq: 7, Aru: 5, Stable: 4, Succ: "n", Rtr: []rtrEntry{{Seq: 6, Age: 2}}, Skip: []uint64{5}}, nil),
 		encodeToken(token{RingID: 3, TokenID: 2, Succ: "n", Members: []memnet.NodeID{"m", "n"}, // a commit on its first rotation
-			Entries: []commitEntry{{Filled: true, Last: ringRef{ID: 2, Low: "m"}, Majority: 1, Highest: 7, Aru: 5}, {}}}),
-		encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"n"}, RingID: 1}),
-		encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"m", "n"}, RingID: 3}),
+			Entries: []commitEntry{{Filled: true, Last: ringRef{ID: 2, Low: "m"}, Majority: 1, Highest: 7, Aru: 5}, {}}}, nil),
+		encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"n"}, RingID: 1}, nil),
+		encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"m", "n"}, RingID: 3}, nil),
 		encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 2, Parts: [][]byte{[]byte("p")}}, nil),
 		encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 3, Parts: [][]byte{[]byte("a"), []byte("bb")}}, nil),
-		encodeBatch(batchMsg{RingID: 1, Seq: 9, Leader: "l", Origin: "n", OriginFwd: 2, Stable: 5, Parts: [][]byte{[]byte("p")}}, nil),
-		encodeBatch(batchMsg{RingID: 1, Seq: 10, Leader: "l", Origin: "n", OriginFwd: 3, Stable: 5, Ref: true}, nil),
-		encodeAck(ackMsg{RingID: 1, Sender: "n", Aru: 7, Nak: []uint64{8, 9}}),
-		encodePromote(promoteMsg{RingID: 1, Leader: "l", StartSeq: 6, Stable: 6, Seq: 9}),
+		encodeBatch(batchMsg{RingID: 1, Seq: 9, Leader: "l", Origin: "n", OriginFwd: 2, Stable: 5, Parts: [][]byte{[]byte("p")}}, nil, nil),
+		encodeBatch(batchMsg{RingID: 1, Seq: 10, Leader: "l", Origin: "n", OriginFwd: 3, Stable: 5, Ref: true}, nil, nil),
+		encodeAck(ackMsg{RingID: 1, Sender: "n", Aru: 7, Nak: []uint64{8, 9}}, nil),
+		encodePromote(promoteMsg{RingID: 1, Leader: "l", StartSeq: 6, Stable: 6, Seq: 9}, nil),
 	}
 	for _, c := range hostileCommits() {
 		seeds = append(seeds, c.frame)
@@ -70,17 +70,17 @@ func encodeAny(msg any) []byte {
 	case regularMsg:
 		return encodeRegular(m, nil)
 	case token:
-		return encodeToken(m)
+		return encodeToken(m, nil)
 	case joinMsg:
-		return encodeJoin(m)
+		return encodeJoin(m, nil)
 	case forwardMsg:
 		return encodeForward(m, nil)
 	case batchMsg:
-		return encodeBatch(m, nil)
+		return encodeBatch(m, nil, nil)
 	case ackMsg:
-		return encodeAck(m)
+		return encodeAck(m, nil)
 	case promoteMsg:
-		return encodePromote(m)
+		return encodePromote(m, nil)
 	}
 	panic(fmt.Sprintf("no encoder for %T", msg))
 }

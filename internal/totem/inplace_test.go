@@ -48,7 +48,7 @@ var payloadDecoders = []struct {
 		}},
 	{"batch", kindBatch,
 		func(parts [][]byte) []byte {
-			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts}, nil)
+			return encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Parts: parts}, nil, nil)
 		},
 		func(r *cdr.Reader) ([][]byte, error) {
 			b, err := decodeBatch(r, nil, nil)
@@ -160,7 +160,7 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 	t.Run("batch by reference", func(t *testing.T) {
 		ids := newIDTable([]memnet.NodeID{"n00", "n01"})
 		for _, fwd := range []uint64{3, ^uint64(0)} {
-			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true}, nil)
+			frame := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: fwd, Stable: 1, Ref: true}, nil, nil)
 			b, err := decodeBatch(decodeFrame(t, frame, kindBatch), ids, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 			}
 		}
 		// The count is the last ulong of a by-reference frame.
-		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true}, nil)
+		hostile := encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n01", OriginFwd: 3, Stable: 1, Ref: true}, nil, nil)
 		copy(hostile[len(hostile)-4:], []byte{0x7f, 0xff, 0xff, 0xff})
 		var derr error
 		n := allocatedBy(func() { _, derr = decodeBatch(cdrSkipKind(hostile), ids, nil) })
@@ -199,11 +199,11 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 	ids := newIDTable([]memnet.NodeID{"n00", "n01", "n02"})
 	frames := map[string][]byte{
 		"regular": encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n01", Payload: []byte("p")}, nil),
-		"token":   encodeToken(token{RingID: 1, TokenID: 2, Succ: "n01"}),
+		"token":   encodeToken(token{RingID: 1, TokenID: 2, Succ: "n01"}, nil),
 		"forward": encodeForward(forwardMsg{RingID: 1, Sender: "n01", FwdSeq: 2, Payload: []byte("p")}, nil),
-		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}, nil),
-		"ack":     encodeAck(ackMsg{RingID: 1, Sender: "n01", Aru: 2}),
-		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}),
+		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}, nil, nil),
+		"ack":     encodeAck(ackMsg{RingID: 1, Sender: "n01", Aru: 2}, nil),
+		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}, nil),
 	}
 	// Static calls, as in handlePacket, so the reader stays on the stack.
 	decodeID := func(frame []byte, ids idTable) (id memnet.NodeID, err error) {

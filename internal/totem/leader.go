@@ -180,7 +180,7 @@ func (n *Core) promote(t token) {
 	n.arm(dlFail, n.cfg.FailTimeout)
 	n.broadcast(encodePromote(promoteMsg{
 		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable, Seq: t.Seq,
-	}))
+	}, &n.frames))
 	n.leaderOrderPending()
 }
 
@@ -360,7 +360,7 @@ func (n *Core) order(origin memnet.NodeID, fwd uint64, payload []byte, parts [][
 		b.Ref = true
 		n.refN.Add(1)
 	}
-	n.broadcast(encodeBatch(b, in))
+	n.broadcast(encodeBatch(b, in, &n.frames))
 	n.tryDeliver()
 	n.updateStability()
 	if seq-n.fp.stable > lagLimit {
@@ -476,7 +476,7 @@ func (n *Core) rebroadcastOrdered(seq uint64, m regularMsg) {
 			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
 			Origin: ref.origin, OriginFwd: ref.fwd,
 			Stable: n.fp.stable, Payload: m.Payload, Parts: m.Parts,
-		}, nil))
+		}, nil, nil))
 	} else {
 		n.broadcast(encodeRegular(regularMsg{RingID: n.ringID, Seq: seq, Sender: m.Sender, Via: n.cfg.ID, Payload: m.Payload, Parts: m.Parts}, nil))
 	}
@@ -704,7 +704,7 @@ func (n *Core) leaderHeartbeat() {
 	}
 	n.broadcast(encodePromote(promoteMsg{
 		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.fp.promoteSeq, Stable: n.fp.stable, Seq: n.fp.seq,
-	}))
+	}, &n.frames))
 	n.arm(dlHeartbeat, n.heartbeatInterval())
 	// The members just proved live above; the sequencer's own fail timer
 	// must not fire merely because an idle epoch has no inbound traffic.
@@ -781,7 +781,7 @@ func (n *Core) sendAck(nak bool) {
 	if nak {
 		a.Nak = gaps
 	}
-	n.broadcast(encodeAck(a))
+	n.broadcast(encodeAck(a, &n.frames))
 	if owed > 0 {
 		n.arm(dlRefNak, owed)
 	}

@@ -141,7 +141,7 @@ func TestLeaderModeTokenRetiredAndPacingNoop(t *testing.T) {
 		RingID:  ringID(c.nodes["n00"]),
 		TokenID: 1 << 20, // fresher than anything the ring issued
 		Succ:    "n01",
-	}))
+	}, nil))
 	time.Sleep(20 * time.Millisecond)
 	var passesAfter uint64
 	for _, id := range c.ids {

@@ -372,7 +372,7 @@ func TestMulticastFramedRefusesWhatCannotTravel(t *testing.T) {
 			body := make([]byte, payload)
 			worst := max(
 				len(encodeRegular(regularMsg{Sender: long, Via: long, Payload: body}, nil)),
-				len(encodeBatch(batchMsg{Leader: long, Origin: long, Payload: body}, nil)))
+				len(encodeBatch(batchMsg{Leader: long, Origin: long, Payload: body}, nil, nil)))
 			if worst > limit || worst < limit-8 {
 				t.Errorf("ordering %v: the largest payload retransmitted is a datagram of %d bytes, limit %d", mode, worst, limit)
 			}

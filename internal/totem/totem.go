@@ -132,8 +132,12 @@ type Transport interface {
 	// Recv returns the incoming datagram stream.
 	Recv() <-chan memnet.Packet
 	// Broadcast sends a datagram to every node, including the sender.
-	// The transport may retain payload; the caller must not modify it
-	// afterwards.
+	// The caller must not modify payload afterwards. The transport
+	// retains it only while it is in transit — queued to be sent, or in
+	// an inbox until its receiver takes it — so a datagram nobody
+	// received into a message is garbage once delivered: a core carves
+	// the datagrams that carry no payload out of shared chunks, and a
+	// transport that kept one would keep its whole chunk.
 	Broadcast(payload []byte) error
 	// MaxDatagram is the longest datagram Broadcast can carry, zero when
 	// there is no limit. A message that could not travel is refused where

@@ -103,38 +103,41 @@ type joinMsg struct {
 	RingID uint64 // proposed new ring id
 }
 
-// datagramWriter returns the writer of a payload-bearing datagram: on in,
+// datagramBuf returns where a payload-bearing datagram is written: in,
 // the sender's buffer from where the datagram begins (core's submission:
-// the header's room, then the one payload), or else on a new buffer of
-// about size bytes that the payloads are copied into.
-func datagramWriter(in []byte, size int) *cdr.Writer {
+// the header's room, then the one payload), or else a new buffer of about
+// size bytes that the payloads are copied into. Such a datagram is never
+// carved (slab): a payload kept by reference pins its datagram, and
+// Delivery.Sole promises that is one header besides.
+func datagramBuf(in []byte, size int) []byte {
 	if in != nil {
-		return cdr.NewWriterOn(in[:0], cdr.BigEndian)
+		return in[:0]
 	}
-	return cdr.NewWriterCap(cdr.BigEndian, size)
+	return make([]byte, 0, size)
 }
 
 func encodeRegular(m regularMsg, in []byte) []byte {
+	var w cdr.Writer
 	if len(m.Parts) > 0 {
-		w := cdr.NewWriterCap(cdr.BigEndian, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts))
+		w.ResetOn(make([]byte, 0, 40+len(m.Sender)+len(m.Via)+partsSize(nil, m.Parts)), cdr.BigEndian)
 		w.WriteOctet(kindPacked)
 		w.WriteULongLong(m.RingID)
 		w.WriteULongLong(m.Seq)
 		w.WriteString(string(m.Sender))
 		w.WriteULong(uint32(len(m.Parts)))
-		writeParts(w, nil, nil, m.Parts)
+		writeParts(&w, nil, nil, m.Parts)
 		if m.Via != "" {
 			w.WriteString(string(m.Via))
 		}
 		return w.Bytes()
 	}
-	w := datagramWriter(in, 48+len(m.Sender)+len(m.Via)+len(m.Payload))
+	w.ResetOn(datagramBuf(in, 48+len(m.Sender)+len(m.Via)+len(m.Payload)), cdr.BigEndian)
 	w.WriteOctet(kindRegular)
 	w.WriteULongLong(m.RingID)
 	w.WriteULongLong(m.Seq)
 	w.WriteString(string(m.Sender))
 	if in != nil {
-		return writeParts(w, in, m.Payload, nil)
+		return writeParts(&w, in, m.Payload, nil)
 	}
 	w.WriteOctetSeq(m.Payload)
 	if m.Via != "" {
@@ -161,7 +164,7 @@ func decodeRegular(r *cdr.Reader, ids idTable) (regularMsg, error) {
 
 // decodePacked parses the packed form: the regular header followed by a
 // counted list of payloads.
-func decodePacked(r *cdr.Reader, ids idTable, slab *partSlab) (regularMsg, error) {
+func decodePacked(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (regularMsg, error) {
 	var m regularMsg
 	m.RingID = r.ReadULongLong()
 	m.Seq = r.ReadULongLong()
@@ -175,7 +178,7 @@ func decodePacked(r *cdr.Reader, ids idTable, slab *partSlab) (regularMsg, error
 	if n == 0 {
 		return regularMsg{}, fmt.Errorf("totem: decode packed: empty pack")
 	}
-	m.Payload, m.Parts = readParts(r, n, slab)
+	m.Payload, m.Parts = readParts(r, n, parts)
 	if r.Remaining() > 0 {
 		m.Via = ids.id(r.ReadStringBytes())
 	}
@@ -231,7 +234,7 @@ func partsSize(payload []byte, parts [][]byte) int {
 }
 
 // writeParts writes the payloads behind a part count and returns the
-// datagram they end. Framed in place (in, see datagramWriter) that is in:
+// datagram they end. Framed in place (in, see datagramBuf) that is in:
 // the payload lies there already, its length ends the header, and the
 // header fills its room to the byte.
 func writeParts(w *cdr.Writer, in, payload []byte, parts [][]byte) []byte {
@@ -254,49 +257,76 @@ func writeParts(w *cdr.Writer, in, payload []byte, parts [][]byte) []byte {
 // readParts reads n counted payloads in place: the datagram is the
 // arena. Each part is a subslice of the received datagram (see
 // Transport for who owns it), so decoding a datagram allocates at most
-// the part list, which slab carves; the cap on each part keeps an append
+// the part list, which lists carves; the cap on each part keeps an append
 // from bleeding into the next part's bytes. The caller has already
 // bounded n by the reader's remainder.
-func readParts(r *cdr.Reader, n uint32, slab *partSlab) (payload []byte, parts [][]byte) {
+func readParts(r *cdr.Reader, n uint32, lists *slab[[]byte]) (payload []byte, parts [][]byte) {
 	if n == 1 {
 		return slices.Clip(r.ReadOctetSeq()), nil
 	}
-	parts = slab.carve(int(n))
+	parts = lists.carve(int(n))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		parts = append(parts, slices.Clip(r.ReadOctetSeq()))
 	}
 	return nil, parts
 }
 
-// partSlabLen is how many part headers one chunk of a partSlab holds.
-const partSlabLen = 256
+// How long a chunk is in each of a Core's two slabs: one carves the part
+// lists of the packs, forwards and batches it decodes or builds, the other
+// the bytes of every datagram it sends that carries no payload — acks,
+// tokens, by-reference batches, promotes and joins.
+const (
+	partChunk  = 256     // part headers: 6 KiB
+	frameChunk = 4 << 10 // bytes
+)
 
-// partSlab is a Core's supply of part lists: each is carved out of a
-// chunk of partSlabLen slice headers, with its capacity clipped to what
-// it was carved for, so every pack, forward and batch the core decodes or
-// builds does not allocate a list of its own. A full chunk is replaced,
-// never reused: a list lives as long as the message that holds it, and
-// the collector frees a chunk once nothing carved from it is held. gc
-// zeroes what a collected message carved, so a chunk pins no datagram the
-// buffer has let go of. A nil slab — the standalone decoders' — makes
-// each list.
-type partSlab [][]byte
-
-// carve returns an empty list with room for n parts.
-func (s *partSlab) carve(n int) [][]byte {
-	if s == nil || n > partSlabLen {
-		return make([][]byte, 0, n)
-	}
-	if cap(*s)-len(*s) < n {
-		*s = make([][]byte, 0, partSlabLen)
-	}
-	at := len(*s)
-	*s = (*s)[:at+n]
-	return (*s)[at : at : at+n]
+// slab is a Core's supply of short-lived regions of T, so what it carves
+// does not allocate on its own: each region is cut from a chunk of size
+// elements, with its capacity clipped to what it was carved for, so an
+// append onto one reallocates instead of running into the next. A full
+// chunk is replaced, never reused: a region lives as long as what holds
+// it — a part list the message it lists, a control datagram its transit
+// (Transport.Broadcast), after which every receiver has decoded it into
+// structs — and the collector frees a chunk once nothing carved from it
+// is held. Nothing carved is written after it is handed out: gc zeroes
+// the part lists of the messages it collects, so a chunk of them pins no
+// datagram the buffer has let go of, and a datagram is immutable once
+// broadcast (DESIGN.md section 7). A request of more than a quarter of a
+// chunk, which would waste up to as much, and every request of a nil
+// slab — the standalone encoders' and decoders' — is made on its own.
+type slab[T any] struct {
+	chunk []T // the chunk being carved: its length is what is carved
+	size  int // a chunk's length
 }
 
-func encodeToken(t token) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 96+len(t.Succ)+12*len(t.Rtr)+8*len(t.Skip)+72*len(t.Members))
+// carve returns an empty region with room for n elements.
+func (s *slab[T]) carve(n int) []T {
+	if s == nil || n > s.size/4 {
+		return make([]T, 0, n)
+	}
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = make([]T, 0, s.size)
+	}
+	at := len(s.chunk)
+	s.chunk = s.chunk[:at+n]
+	return s.chunk[at : at : at+n]
+}
+
+// The encoders of the datagrams that carry no payload write into a region
+// of frames no shorter than the longest the fields can encode to, padding
+// at its worst, and return it clipped to what they wrote; a nil frames
+// makes the buffer.
+
+func encodeToken(t token, frames *slab[byte]) []byte {
+	size := 80 + len(t.Succ) + 16*len(t.Rtr) + 8*len(t.Skip)
+	for _, id := range t.Members {
+		size += 8 + len(id)
+	}
+	for _, e := range t.Entries {
+		size += 56 + len(e.Last.Low)
+	}
+	var w cdr.Writer
+	w.ResetOn(frames.carve(size), cdr.BigEndian)
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -314,7 +344,7 @@ func encodeToken(t token) []byte {
 		w.WriteULongLong(s)
 	}
 	if len(t.Members) == 0 {
-		return w.Bytes()
+		return slices.Clip(w.Bytes())
 	}
 	w.WriteBool(t.Decided)
 	w.WriteULong(uint32(len(t.Members)))
@@ -329,7 +359,7 @@ func encodeToken(t token) []byte {
 		w.WriteULongLong(e.Highest)
 		w.WriteULongLong(e.Aru)
 	}
-	return w.Bytes()
+	return slices.Clip(w.Bytes())
 }
 
 func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
@@ -386,8 +416,13 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	return t, nil
 }
 
-func encodeJoin(j joinMsg) []byte {
-	w := cdr.NewWriter(cdr.BigEndian)
+func encodeJoin(j joinMsg, frames *slab[byte]) []byte {
+	size := 32 + len(j.Sender)
+	for _, id := range j.Alive {
+		size += 8 + len(id)
+	}
+	var w cdr.Writer
+	w.ResetOn(frames.carve(size), cdr.BigEndian)
 	w.WriteOctet(kindJoin)
 	w.WriteString(string(j.Sender))
 	w.WriteULong(uint32(len(j.Alive)))
@@ -395,7 +430,7 @@ func encodeJoin(j joinMsg) []byte {
 		w.WriteString(string(id))
 	}
 	w.WriteULongLong(j.RingID)
-	return w.Bytes()
+	return slices.Clip(w.Bytes())
 }
 
 // forwardMsg carries a follower's queued payloads to the sequencer in
@@ -461,16 +496,17 @@ type promoteMsg struct {
 }
 
 func encodeForward(f forwardMsg, in []byte) []byte {
-	w := datagramWriter(in, 40+len(f.Sender)+partsSize(f.Payload, f.Parts))
+	var w cdr.Writer
+	w.ResetOn(datagramBuf(in, 40+len(f.Sender)+partsSize(f.Payload, f.Parts)), cdr.BigEndian)
 	w.WriteOctet(kindForward)
 	w.WriteULongLong(f.RingID)
 	w.WriteString(string(f.Sender))
 	w.WriteULongLong(f.FwdSeq)
 	w.WriteULong(partCount(f.Parts))
-	return writeParts(w, in, f.Payload, f.Parts)
+	return writeParts(&w, in, f.Payload, f.Parts)
 }
 
-func decodeForward(r *cdr.Reader, ids idTable, slab *partSlab) (forwardMsg, error) {
+func decodeForward(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (forwardMsg, error) {
 	var f forwardMsg
 	f.RingID = r.ReadULongLong()
 	f.Sender = ids.id(r.ReadStringBytes())
@@ -484,19 +520,24 @@ func decodeForward(r *cdr.Reader, ids idTable, slab *partSlab) (forwardMsg, erro
 	if n == 0 {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: empty forward")
 	}
-	f.Payload, f.Parts = readParts(r, n, slab)
+	f.Payload, f.Parts = readParts(r, n, parts)
 	if err := r.Err(); err != nil {
 		return forwardMsg{}, fmt.Errorf("totem: decode forward: %w", err)
 	}
 	return f, nil
 }
 
-func encodeBatch(b batchMsg, in []byte) []byte {
+// encodeBatch writes the full form in in or a buffer of its own
+// (datagramBuf), and the by-reference form, which carries no payload, in
+// a region of frames.
+func encodeBatch(b batchMsg, in []byte, frames *slab[byte]) []byte {
 	size := 64 + len(b.Leader) + len(b.Origin)
-	if !b.Ref {
-		size += partsSize(b.Payload, b.Parts)
+	var w cdr.Writer
+	if b.Ref {
+		w.ResetOn(frames.carve(size), cdr.BigEndian)
+	} else {
+		w.ResetOn(datagramBuf(in, size+partsSize(b.Payload, b.Parts)), cdr.BigEndian)
 	}
-	w := datagramWriter(in, size)
 	w.WriteOctet(kindBatch)
 	w.WriteULongLong(b.RingID)
 	w.WriteULongLong(b.Seq)
@@ -506,13 +547,13 @@ func encodeBatch(b batchMsg, in []byte) []byte {
 	w.WriteULongLong(b.Stable)
 	if b.Ref {
 		w.WriteULong(0)
-		return w.Bytes()
+		return slices.Clip(w.Bytes())
 	}
 	w.WriteULong(partCount(b.Parts))
-	return writeParts(w, in, b.Payload, b.Parts)
+	return writeParts(&w, in, b.Payload, b.Parts)
 }
 
-func decodeBatch(r *cdr.Reader, ids idTable, slab *partSlab) (batchMsg, error) {
+func decodeBatch(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (batchMsg, error) {
 	var b batchMsg
 	b.RingID = r.ReadULongLong()
 	b.Seq = r.ReadULongLong()
@@ -534,15 +575,16 @@ func decodeBatch(r *cdr.Reader, ids idTable, slab *partSlab) (batchMsg, error) {
 		b.Ref = true
 		return b, nil
 	}
-	b.Payload, b.Parts = readParts(r, n, slab)
+	b.Payload, b.Parts = readParts(r, n, parts)
 	if err := r.Err(); err != nil {
 		return batchMsg{}, fmt.Errorf("totem: decode batch: %w", err)
 	}
 	return b, nil
 }
 
-func encodeAck(a ackMsg) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(a.Sender)+8*len(a.Nak))
+func encodeAck(a ackMsg, frames *slab[byte]) []byte {
+	var w cdr.Writer
+	w.ResetOn(frames.carve(48+len(a.Sender)+8*len(a.Nak)), cdr.BigEndian)
 	w.WriteOctet(kindAck)
 	w.WriteULongLong(a.RingID)
 	w.WriteString(string(a.Sender))
@@ -551,7 +593,7 @@ func encodeAck(a ackMsg) []byte {
 	for _, s := range a.Nak {
 		w.WriteULongLong(s)
 	}
-	return w.Bytes()
+	return slices.Clip(w.Bytes())
 }
 
 // decodeAck parses a stability report. Only the sequencer consumes acks,
@@ -586,15 +628,16 @@ func decodeAck(r *cdr.Reader, ids idTable, full bool) (ackMsg, error) {
 	return a, nil
 }
 
-func encodePromote(p promoteMsg) []byte {
-	w := cdr.NewWriterCap(cdr.BigEndian, 40+len(p.Leader))
+func encodePromote(p promoteMsg, frames *slab[byte]) []byte {
+	var w cdr.Writer
+	w.ResetOn(frames.carve(56+len(p.Leader)), cdr.BigEndian)
 	w.WriteOctet(kindPromote)
 	w.WriteULongLong(p.RingID)
 	w.WriteString(string(p.Leader))
 	w.WriteULongLong(p.StartSeq)
 	w.WriteULongLong(p.Stable)
 	w.WriteULongLong(p.Seq)
-	return w.Bytes()
+	return slices.Clip(w.Bytes())
 }
 
 func decodePromote(r *cdr.Reader, ids idTable) (promoteMsg, error) {

@@ -77,7 +77,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	decided.Members, decided.Decided = undecided.Members, true
 	decided.Entries = []commitEntry{undecided.Entries[0], {Filled: true, Highest: 3, Aru: 2}}
 	for _, tok := range []token{tok, undecided, decided} {
-		got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
+		got, err := decodeToken(decodeFrame(t, encodeToken(tok, nil), kindToken), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,15 +97,15 @@ func hostileCommits() []struct {
 	two := []memnet.NodeID{"m", "n"}
 	// With no member the encoder writes the plain form: the empty commit
 	// is spelled out, the decided flag and two zero counts.
-	empty := append(encodeToken(token{RingID: 3, TokenID: 1, Succ: "n"}), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	empty := append(encodeToken(token{RingID: 3, TokenID: 1, Succ: "n"}, nil), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	return []struct {
 		name  string
 		frame []byte
 	}{
 		{"no entries and no members", empty},
-		{"a list that omits the addressee", encodeToken(token{RingID: 3, TokenID: 1, Succ: "x", Members: two, Entries: []commitEntry{filled, {}}})},
-		{"fewer entries than members", encodeToken(token{RingID: 3, TokenID: 1, Succ: "n", Members: two, Entries: []commitEntry{filled}})},
-		{"decided with an entry not yet written", encodeToken(token{RingID: 3, TokenID: 3, Succ: "n", Members: two, Entries: []commitEntry{filled, {}}, Decided: true})},
+		{"a list that omits the addressee", encodeToken(token{RingID: 3, TokenID: 1, Succ: "x", Members: two, Entries: []commitEntry{filled, {}}}, nil)},
+		{"fewer entries than members", encodeToken(token{RingID: 3, TokenID: 1, Succ: "n", Members: two, Entries: []commitEntry{filled}}, nil)},
+		{"decided with an entry not yet written", encodeToken(token{RingID: 3, TokenID: 3, Succ: "n", Members: two, Entries: []commitEntry{filled, {}}, Decided: true}, nil)},
 	}
 }
 
@@ -119,7 +119,7 @@ func TestTokenRejectsHostileCommits(t *testing.T) {
 
 func TestTokenRoundTripEmptyLists(t *testing.T) {
 	tok := token{RingID: 1, TokenID: 1, Succ: "a"}
-	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken), nil)
+	got, err := decodeToken(decodeFrame(t, encodeToken(tok, nil), kindToken), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestJoinRoundTrip(t *testing.T) {
 		Alive:  []memnet.NodeID{"n1", "n5", "n9"},
 		RingID: 12,
 	}
-	got, err := decodeJoin(decodeFrame(t, encodeJoin(jm), kindJoin))
+	got, err := decodeJoin(decodeFrame(t, encodeJoin(jm, nil), kindJoin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 			tok.Rtr = append(tok.Rtr, rtrEntry{Seq: s, Age: uint32(s % 7)})
 		}
 		tok.Skip = skip
-		got, err := decodeToken(cdrSkipKind(encodeToken(tok)), nil)
+		got, err := decodeToken(cdrSkipKind(encodeToken(tok, nil)), nil)
 		if err != nil {
 			return false
 		}
@@ -205,7 +205,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200,
 		Parts: [][]byte{[]byte("payload")},
 	}
-	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm, nil), kindBatch), nil, nil)
+	got, err := decodeBatch(decodeFrame(t, encodeBatch(bm, nil, nil), kindBatch), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,13 @@ func TestBatchByReferenceRoundTrip(t *testing.T) {
 	bm := batchMsg{RingID: 9, Seq: 1234, Leader: "n0", Origin: "n2", OriginFwd: 17, Stable: 1200, Ref: true}
 	full := bm
 	full.Ref, full.Payload = false, []byte("payload")
-	frame := encodeBatch(bm, nil)
-	if want := len(encodeBatch(full, nil)) - 4 - len(full.Payload); len(frame) != want {
+	frame := encodeBatch(bm, nil, nil)
+	if want := len(encodeBatch(full, nil, nil)) - 4 - len(full.Payload); len(frame) != want {
 		t.Fatalf("by-reference batch is %d bytes, want the %d of the header alone", len(frame), want)
 	}
 	withPayload := bm
 	withPayload.Payload = []byte("ignored")
-	if !bytes.Equal(encodeBatch(withPayload, nil), frame) {
+	if !bytes.Equal(encodeBatch(withPayload, nil, nil), frame) {
 		t.Fatal("a by-reference batch put its payload on the wire")
 	}
 	got, err := decodeBatch(decodeFrame(t, frame, kindBatch), nil, nil)
@@ -246,7 +246,7 @@ func TestBatchByReferenceRoundTrip(t *testing.T) {
 
 // TestAckHeaderOnlyDecode: a non-sequencer reads the ring id and stops.
 func TestAckHeaderOnlyDecode(t *testing.T) {
-	frame := encodeAck(ackMsg{RingID: 7, Sender: "n1", Aru: 800, Nak: []uint64{801, 803}})
+	frame := encodeAck(ackMsg{RingID: 7, Sender: "n1", Aru: 800, Nak: []uint64{801, 803}}, nil)
 	got, err := decodeAck(cdrSkipKind(frame), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func allParts(payload []byte, parts [][]byte) [][]byte {
 
 func TestAckRoundTrip(t *testing.T) {
 	am := ackMsg{RingID: 2, Sender: "n1", Aru: 800, Nak: []uint64{801, 803}}
-	got, err := decodeAck(decodeFrame(t, encodeAck(am), kindAck), nil, true)
+	got, err := decodeAck(decodeFrame(t, encodeAck(am, nil), kindAck), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 	// Empty nak list survives too.
 	am2 := ackMsg{RingID: 2, Sender: "n1", Aru: 801}
-	got2, err := decodeAck(cdrSkipKind(encodeAck(am2)), nil, true)
+	got2, err := decodeAck(cdrSkipKind(encodeAck(am2, nil)), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAckRoundTrip(t *testing.T) {
 
 func TestPromoteRoundTrip(t *testing.T) {
 	pm := promoteMsg{RingID: 3, Leader: "n0", StartSeq: 555, Stable: 554, Seq: 560}
-	got, err := decodePromote(decodeFrame(t, encodePromote(pm), kindPromote), nil)
+	got, err := decodePromote(decodeFrame(t, encodePromote(pm, nil), kindPromote), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestQuickForwardBatchRoundTrip(t *testing.T) {
 			return false
 		}
 		bm := batchMsg{RingID: ringID, Seq: fwd + 1, Leader: "l", Origin: "q", OriginFwd: fwd, Stable: fwd / 2, Parts: payloads}
-		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm, nil)), nil, nil)
+		gotB, err := decodeBatch(cdrSkipKind(encodeBatch(bm, nil, nil)), nil, nil)
 		partsB := allParts(gotB.Payload, gotB.Parts)
 		if err != nil || gotB.Seq != fwd+1 || gotB.Origin != "q" || gotB.Ref || len(partsB) != len(payloads) {
 			return false
@@ -355,10 +355,10 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 func TestTruncatedLeaderFramesRejected(t *testing.T) {
 	frames := [][]byte{
 		encodeForward(forwardMsg{RingID: 1, Sender: "n1", FwdSeq: 2, Parts: [][]byte{[]byte("abc"), []byte("defg")}}, nil),
-		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Parts: [][]byte{[]byte("abc")}}, nil),
-		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Ref: true}, nil),
-		encodeAck(ackMsg{RingID: 1, Sender: "n1", Aru: 3, Nak: []uint64{4}}),
-		encodePromote(promoteMsg{RingID: 1, Leader: "n0", StartSeq: 3, Stable: 3}),
+		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Parts: [][]byte{[]byte("abc")}}, nil, nil),
+		encodeBatch(batchMsg{RingID: 1, Seq: 3, Leader: "n0", Origin: "n1", OriginFwd: 2, Stable: 1, Ref: true}, nil, nil),
+		encodeAck(ackMsg{RingID: 1, Sender: "n1", Aru: 3, Nak: []uint64{4}}, nil),
+		encodePromote(promoteMsg{RingID: 1, Leader: "n0", StartSeq: 3, Stable: 3}, nil),
 	}
 	for _, frame := range frames {
 		kind := frame[0]

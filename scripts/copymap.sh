@@ -6,7 +6,7 @@
 # processors (the large_rtt shape). It runs TestDatapathAllocBudget's
 # 16KiB row with -memprofilerate=1, so every allocation is sampled and the figures are
 # exact, and attributes each buffer to the first non-inlined function
-# that asked for it (cdr.NewWriterCap is inlined into every encoder). A
+# that asked for it (an encoder makes its buffer itself, or carves it). A
 # unit is one 18 KiB allocation per op: the size class a 16 KiB payload
 # plus headers lands in.
 #
