@@ -55,11 +55,11 @@ loc:
 	@scripts/loc.sh $(if $(LOC_REF),-d '$(LOC_REF)')
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
-# leader-mode round trip at r=3 must stay under 120 KiB and 13
-# allocations at 16 KiB, and under 5 KiB and 10 allocations at 64 B —
+# leader-mode round trip at r=3 must stay under 120 KiB and 10
+# allocations at 16 KiB, and under 5 KiB and 6 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
-# over loopback UDP sockets under 10 KiB and 52 at 64 B, the fixed cost
-# of a message and a datagram, and under 7 KiB and 13 with 32 calls in
+# over loopback UDP sockets under 10 KiB and 46 at 64 B, the fixed cost
+# of a message and a datagram, and under 7 KiB and 10 with 32 calls in
 # flight through admission, udp_ring_ladder's, where messages travel
 # packed), the stand-up
 # budget (a four-processor domain with a group of three and a gateway
@@ -78,11 +78,14 @@ loc:
 # (TestControlDatagramsAllocateNothing). One of them built in a buffer
 # of its own again reads a third of an allocation or more and fails
 # there; the round-trip rows, a quarter above their -race figures, have
-# room for it.
+# room for it. The same holds a replica's responses, carved out of its
+# own slab, to at most 0.1 allocations each
+# (TestResponsesAllocateNothing); one in a buffer of its own reads 1.
 budget:
 	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
 	$(GO) test -run 'TestDecodeAllocatesNothing$$' -count 1 -v ./internal/giop
 	$(GO) test -run 'TestControlDatagramsAllocateNothing$$' -count 1 -v ./internal/totem
+	$(GO) test -run 'TestResponsesAllocateNothing$$' -count 1 -v ./internal/replication
 
 # copymap prints the maps behind the budget (scripts/copymap.sh): which
 # call site allocates how many payload-sized buffers per 16 KiB round trip,

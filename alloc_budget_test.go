@@ -34,16 +34,16 @@ import (
 // whether the replicas' logs copy it — and what admitting it costs. The
 // race detector pads small objects and drops a quarter of what is given
 // back to a sync.Pool, so each budget is a quarter above the highest
-// -race figure it was set at: 93.2 KiB and 11 allocations on the 16 KiB
-// row, 4.0 KiB and 8 on the 64 B row, 8.1 KiB and 42 on the UDP row,
-// 4.9 KiB and 11 on the pipelined one — the byte figures as they were
-// read when those budgets were set, the allocation figures of the first
-// three once totem carved the datagrams that carry no payload out of a
-// slab, and the pipelined row's once a request cost the gateway neither
-// a goroutine nor an admission object. A single kind of those datagrams
-// built in a buffer of its own again stays within the round-trip
-// budgets; totem's TestControlDatagramsAllocateNothing, beside this test
-// in make budget, is what fails then.
+// -race figure it was set at: 93.2 KiB and 8 allocations on the 16 KiB
+// row, 4.0 KiB and 5 on the 64 B row, 8.1 KiB and 37 on the UDP row,
+// 4.9 KiB and 8 on the pipelined one — the byte figures as they were
+// read when those budgets were set, the allocation figures once each
+// replica carved its responses out of a slab. A single kind of the
+// datagrams totem carves that carry no payload, built in a buffer of its
+// own again, stays within the round-trip budgets; totem's
+// TestControlDatagramsAllocateNothing, beside this test in make budget,
+// is what fails then, as replication's TestResponsesAllocateNothing does
+// for a response in a buffer of its own.
 // The pipelined row's bytes move with the UDP receive rings, which grow
 // by 64 KiB slots to the bursts they meet and can grow in a window: it
 // reads up to 5.7 KiB without -race, and its budget is 7.
@@ -58,10 +58,10 @@ var datapathBudgets = []struct {
 	allocsPerOp float64
 	overBy      string
 }{
-	{"16KiB", false, 1, nil, 16 << 10, 120, 13, "a payload-sized copy came back (scripts/copymap.sh names it)"},
-	{"64B", false, 1, nil, 64, 5, 10, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
-	{"64B-udp-ring", true, 1, nil, 64, 10, 52, "the fixed cost of a message or a datagram grew (scripts/copymap.sh -n names it)"},
-	{"64B-udp-ring-x32", true, 32, ladderAdmission, 64, 7, 13, "the fixed cost of a packed or admitted message grew (scripts/copymap.sh -n names it)"},
+	{"16KiB", false, 1, nil, 16 << 10, 120, 10, "a payload-sized copy came back (scripts/copymap.sh names it)"},
+	{"64B", false, 1, nil, 64, 5, 6, "the fixed cost of a message grew (scripts/copymap.sh -n names it)"},
+	{"64B-udp-ring", true, 1, nil, 64, 10, 46, "the fixed cost of a message or a datagram grew (scripts/copymap.sh -n names it)"},
+	{"64B-udp-ring-x32", true, 32, ladderAdmission, 64, 7, 10, "the fixed cost of a packed or admitted message grew (scripts/copymap.sh -n names it)"},
 }
 
 // ladderAdmission is udp_ring_ladder's admission policy (bench/workload.go):

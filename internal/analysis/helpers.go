@@ -56,11 +56,19 @@ func FuncKey(fn *types.Func) string {
 }
 
 // Callee resolves a call expression to its static callee, looking
-// through parentheses. Interface-method and function-value calls where
-// no single static target exists return nil.
+// through parentheses and an explicit instantiation. Interface-method
+// and function-value calls where no single static target exists return
+// nil.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) { // an explicit instantiation, f[T] or f[T, U]
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

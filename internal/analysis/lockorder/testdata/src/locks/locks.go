@@ -190,3 +190,15 @@ func (n *notifier) validateThenSet(ev string) {
 		n.last = ev
 	}
 }
+
+// pick is a generic function: a call that names its type argument is as
+// static as one that lets it be inferred.
+func pick[T any](v T) T { return v }
+
+// instantiatedUnderLock calls pick, explicitly instantiated, under the
+// lock: no stored callback.
+func (n *notifier) instantiatedUnderLock(ev string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.last = pick[string](ev)
+}

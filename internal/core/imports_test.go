@@ -26,8 +26,8 @@ func TestImportAllowlist(t *testing.T) {
 		want []string
 	}{
 		{"core", []string{"admission", "cdr", "giop", "obs", "replication"}},
-		{"totem", []string{"cdr", "memnet", "obs"}},
-		{"replication", []string{"cdr", "fifo", "giop", "logrec", "memnet", "obs", "orb", "totem"}},
+		{"totem", []string{"cdr", "memnet", "obs", "slab"}},
+		{"replication", []string{"cdr", "fifo", "giop", "logrec", "memnet", "obs", "orb", "slab", "totem"}},
 	} {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", tt.pkg), nonTest, parser.ImportsOnly)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
 	"eternalgw/internal/orb"
+	"eternalgw/internal/slab"
 )
 
 // threeStepRequest is the encapsulation chain Invoke used to run — body
@@ -137,7 +138,7 @@ func replyBuiltInPlace(t *testing.T) {
 	const room = 23
 	inv := Header{Kind: KindInvocation, ClientID: 0xC0FFEE, SrcGroup: 1, DstGroup: 100, Op: OperationID{ParentTS: 1 << 33, ChildSeq: 7}}
 	rh := responseHeader(inv)
-	r := &replica{m: &Mechanisms{room: room}, app: &scriptedApp{}}
+	r := &replica{m: &Mechanisms{room: room}, app: &scriptedApp{}, responses: slab.New[byte](responseChunk)}
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		exception := func(repo string, minor uint32) giop.Reply {
 			return giop.Reply{RequestID: 42, Status: giop.ReplySystemException, ResultOrder: order,
@@ -181,7 +182,7 @@ func replyBuiltInPlace(t *testing.T) {
 		// A user exception is not something InvokeServant produces; the
 		// open/seal pair carries any status.
 		rep := giop.Reply{RequestID: 42, Status: giop.ReplyUserException, ResultOrder: order}
-		buf, err := giop.OpenReply(openPayload(room, rh, replyStart), order, 0, rep)
+		buf, err := giop.OpenReply(openPayload(room, rh, replyStart, nil), order, 0, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,5 +355,42 @@ func checkEncapsulated(t *testing.T, msg Message) {
 		if !bytes.Equal(got, threeStepReply(t, msg.Header, rep)) {
 			t.Fatalf("EncodeReply differs from the three-step chain for %+v", rep)
 		}
+	}
+}
+
+// TestResponsesAllocateNothing: a replica executing 64 B echoes builds
+// each response in a region of its slab and keeps it in its operation
+// table, which lets go of the oldest in turn, so on average a response
+// allocates next to nothing: its share of a chunk, some eighteen
+// responses to one. A response in a buffer of its own costs one
+// allocation.
+func TestResponsesAllocateNothing(t *testing.T) {
+	const most = 0.1
+	r := &replica{m: &Mechanisms{room: 48}, app: &scriptedApp{}, responses: slab.New[byte](responseChunk)}
+	r.ops.Init(operationCapacity, ReplyWindow)
+	w := cdr.NewWriter(cdr.BigEndian)
+	w.WriteOctetSeq(make([]byte, 64))
+	req := giop.Request{RequestID: 1, ResponseExpected: true, Operation: "echo", Args: w.Bytes(), ArgsOrder: cdr.BigEndian}
+	inv := Header{Kind: KindInvocation, ClientID: 7, SrcGroup: 1, DstGroup: 100}
+	execute := func() {
+		inv.Op.ChildSeq++
+		enc, err := r.respond(responseHeader(inv), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.remember(inv.key(), enc[r.m.room:])
+	}
+	// The table fills first, so that what is measured is a table letting
+	// go of a response for each it keeps.
+	for range operationCapacity {
+		execute()
+	}
+	got := testing.AllocsPerRun(4000, execute)
+	t.Logf("%.3f allocations per 64 B response (at most %v)", got, most)
+	if got > most {
+		t.Errorf("%.3f allocations per 64 B response, want at most %v", got, most)
+	}
+	if n, _ := r.ops.Replies(); n != operationCapacity {
+		t.Fatalf("the table keeps %d responses, want %d", n, operationCapacity)
 	}
 }

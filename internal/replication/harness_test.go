@@ -31,6 +31,23 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 // when it is set, for the transport the member's node runs over.
 func newDomainVia(t *testing.T, n int, via func(memnet.NodeID, *memnet.Endpoint) totem.Transport, opts ...memnet.Option) *domain {
 	t.Helper()
+	return buildDomain(t, n, via, nil, opts...)
+}
+
+// newSteadyDomain is newDomain for a test whose premise is a ring that
+// never reconfigures: with a failure timeout of a second, a member the
+// machine stalls for a few tens of milliseconds stays in the ring, where
+// at newDomain's 80 ms it can leave and come back behind the kept
+// history's horizon, closing the replicas it hosted.
+func newSteadyDomain(t *testing.T, n int) *domain {
+	t.Helper()
+	return buildDomain(t, n, nil, func(c *totem.Config) { c.FailTimeout = time.Second })
+}
+
+// buildDomain is newDomainVia with each member's totem configuration
+// handed to tweak, when it is set.
+func buildDomain(t *testing.T, n int, via func(memnet.NodeID, *memnet.Endpoint) totem.Transport, tweak func(*totem.Config), opts ...memnet.Option) *domain {
+	t.Helper()
 	d := &domain{
 		t:     t,
 		net:   memnet.New(opts...),
@@ -49,7 +66,7 @@ func newDomainVia(t *testing.T, n int, via func(memnet.NodeID, *memnet.Endpoint)
 		if via != nil {
 			tr = via(id, ep)
 		}
-		d.nodes[id], d.rms[id] = startNode(t, id, tr, d.ids)
+		d.nodes[id], d.rms[id] = startNode(t, id, tr, d.ids, tweak)
 	}
 	return d
 }
@@ -171,9 +188,9 @@ func octets(b []byte) []byte {
 
 // startNode boots a totem node with test timeouts and mechanisms over it;
 // the test's cleanup stops both.
-func startNode(t *testing.T, id memnet.NodeID, ep totem.Transport, members []memnet.NodeID) (*totem.Node, *Mechanisms) {
+func startNode(t *testing.T, id memnet.NodeID, ep totem.Transport, members []memnet.NodeID, tweaks ...func(*totem.Config)) (*totem.Node, *Mechanisms) {
 	t.Helper()
-	node, err := totem.NewNode(totem.Config{
+	cfg := totem.Config{
 		ID:              id,
 		Endpoint:        ep,
 		Members:         members,
@@ -181,7 +198,13 @@ func startNode(t *testing.T, id memnet.NodeID, ep totem.Transport, members []mem
 		TokenRetransmit: 10 * time.Millisecond,
 		FailTimeout:     80 * time.Millisecond,
 		GatherTimeout:   20 * time.Millisecond,
-	})
+	}
+	for _, tweak := range tweaks {
+		if tweak != nil {
+			tweak(&cfg)
+		}
+	}
+	node, err := totem.NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

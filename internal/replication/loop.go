@@ -337,7 +337,11 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 // what that history executed; it rejoins groups only through placement —
 // marks its directory awaiting and asks for a snapshot, and asks again at
 // every later ring while still awaiting: whoever would have answered may
-// be gone.
+// be gone. It also conveys again every invocation a call here awaits:
+// what it multicast in the history it left was delivered there and
+// perhaps nowhere else, and it cannot tell which. A copy the ring's
+// history did order is a duplicate, which the replicas answer from their
+// operation tables (DESIGN.md section 8) and do not run again.
 func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -352,6 +356,9 @@ func (m *Mechanisms) handleConfig(c totem.ConfigChange) {
 		}
 		m.awaiting.Store(true)
 		m.held = nil // held in a history this member has now left as well
+		if !m.stopped() {
+			m.pending.reconvey(m.room, func(buf []byte) { _ = m.node.MulticastInStep(buf) })
+		}
 	} else if m.awaiting.Load() {
 		m.held = append(m.held, heldEvent{ring: c})
 	}

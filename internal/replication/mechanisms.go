@@ -73,6 +73,11 @@ func (g *groupState) removeMember(id memnet.NodeID) {
 type Call struct {
 	key  opKey
 	done Completion
+	// sent is the invocation as it was conveyed, its header and IIOP
+	// message without the room totem framed it in: read-only, and conveyed
+	// again in a buffer of its own if this member is told it does not
+	// continue the history it was ordered in (pendingTable.reconvey).
+	sent []byte
 	// next is the next call awaiting the same operation: the rare second
 	// waiter (pendingShard.calls).
 	next *Call
@@ -681,6 +686,7 @@ func (m *Mechanisms) convey(c *Call, h Header, enc []byte, done Completion) erro
 	m.mu.RUnlock()
 	c.key = opKey{src: dst, clientID: h.ClientID, op: h.Op}
 	c.done = done
+	c.sent = enc[m.room:]
 	if style == ActiveWithVoting {
 		c.expected = groupSize
 		c.votesNeeded = groupSize/2 + 1

@@ -283,3 +283,69 @@ func TestReturnUnderLoadKeepsDirectory(t *testing.T) {
 		}
 	}
 }
+
+// muteTransport is a member's endpoint that, once armed, goes mute at the
+// first datagram it sends that carries payloads — a regular message or a
+// pack (totem's wire.go), dropped with everything after it: the member
+// hears the ring and nobody hears it, from the message it sent on.
+type muteTransport struct {
+	*memnet.Endpoint
+	armed, mute atomic.Bool
+}
+
+func (m *muteTransport) Broadcast(datagram []byte) error {
+	if m.armed.Load() && (datagram[0] == 1 || datagram[0] == totemPacked) {
+		m.mute.Store(true)
+	}
+	if m.mute.Load() {
+		return nil
+	}
+	return m.Endpoint.Broadcast(datagram)
+}
+
+// TestAnInvocationOfALostHistoryIsConveyedAgain: a member told it does
+// not continue the history the ring keeps conveys again every invocation
+// its calls await. n03, a client of the active group on n00..n02, invokes
+// and goes mute with the datagram that carries the invocation: n03 alone
+// delivers it, in a ring whose history only n03 holds, while the others
+// form a ring without it. When it speaks again it merges back and resumes
+// at the kept history's horizon (totem's Resumed), which never held the
+// invocation. The call must still be answered, and run once at each
+// replica, where it used to wait out its timeout.
+func TestAnInvocationOfALostHistoryIsConveyedAgain(t *testing.T) {
+	var quiet *muteTransport
+	d := newDomainVia(t, 4, func(id memnet.NodeID, ep *memnet.Endpoint) totem.Transport {
+		if id != "n03" {
+			return ep
+		}
+		quiet = &muteTransport{Endpoint: ep}
+		return quiet
+	})
+	apps := setupClientServer(t, d, Active, 3, 3)
+	client := d.rms["n03"]
+	if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, 1, "append", octets([]byte("a"))); err != nil {
+		t.Fatal(err)
+	}
+
+	quiet.armed.Store(true)
+	answered := make(chan error, 1)
+	go func() {
+		_, err := invokeAsClient(t, client, grpClient, 1, grpServer, 2, "append", octets([]byte("b")))
+		answered <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return quiet.mute.Load() && len(d.nodes["n00"].Members()) == 3 })
+	quiet.armed.Store(false)
+	quiet.mute.Store(false)
+	if err := <-answered; err != nil {
+		t.Fatalf("the call awaiting an invocation of the lost history: %v", err)
+	}
+	if d.nodes["n03"].Stats().Resumed == 0 {
+		t.Fatal("n03 continued the kept history: the test shows nothing")
+	}
+	for i, a := range apps {
+		waitFor(t, 5*time.Second, func() bool { v, _ := a.snapshot(); return string(v) == "ab" })
+		if _, ops := a.snapshot(); ops != 2 {
+			t.Fatalf("replica %d ran %d operations, want 2", i, ops)
+		}
+	}
+}

@@ -213,6 +213,21 @@ func (t *pendingTable) close() {
 	}
 }
 
+// reconvey hands send, in a buffer of its own behind room unwritten
+// bytes, the invocation of every call still awaiting its response.
+func (t *pendingTable) reconvey(room int, send func([]byte)) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for _, c := range sh.calls {
+			for ; c != nil; c = c.next {
+				send(append(make([]byte, room, room+len(c.sent)), c.sent...))
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // drop takes c, which follows prev (nil: c is the first), out of the
 // calls awaiting key. Callers hold sh.mu.
 func (sh *pendingShard) drop(key opKey, c, prev *Call) {

@@ -14,6 +14,7 @@ import (
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/orb"
+	"eternalgw/internal/slab"
 )
 
 // taskKind enumerates replica executor work items.
@@ -191,6 +192,12 @@ type replica struct {
 	// invocation (orb.InvokeServant): the executor runs one at a time.
 	args  cdr.Reader
 	reply cdr.Writer
+	// responses is where respond carves the buffer of each response, its
+	// first chunk made at the first. ops keeps what it builds in the order
+	// it built them and lets go of them in that order, so a chunk lives
+	// about as long as the table keeps its youngest response (DESIGN.md
+	// section 7).
+	responses slab.Slab[byte]
 }
 
 func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *replica {
@@ -200,6 +207,8 @@ func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *rep
 		style: style,
 		app:   app,
 		tasks: newTaskQueue(),
+
+		responses: slab.New[byte](responseChunk),
 	}
 	r.ops.Init(operationCapacity, ReplyWindow)
 	if app != nil {
@@ -378,20 +387,26 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 
 // replyStart is what the buffer of a response starts with behind the two
 // headers: the IIOP reply's head and a result of a value or two, before
-// append has to grow it. Nothing is guessed from the request.
+// append has to grow it out of its region of responseChunk. Nothing is
+// guessed from the request.
 const replyStart = 128
+
+// responseChunk is how long a chunk of a replica's responses is: about
+// twenty regions of replyStart behind the headers.
+const responseChunk = 4 << 10
 
 // respond executes req against the application and returns the response
 // addressed by h, encoded behind the mechanisms' headroom. The servant
-// writes its result into the datagram the response travels in: the
-// headers are there before it runs, and status, size and payload length
-// are filled in once it has (DESIGN.md section 7). A response totem could
-// not carry is replaced by a system exception that says the operation ran
-// and its reply could not travel — the same bytes at every replica.
+// writes its result into the datagram the response travels in, carved
+// from the replica's responses: the headers are there before it runs, and
+// status, size and payload length are filled in once it has (DESIGN.md
+// section 7). A response totem could not carry is replaced by a system
+// exception that says the operation ran and its reply could not travel —
+// the same bytes at every replica.
 func (r *replica) respond(h Header, req giop.Request) ([]byte, error) {
 	room, order := r.m.room, req.ArgsOrder
 	rep := giop.Reply{RequestID: req.RequestID}
-	buf, err := giop.OpenReply(openPayload(room, h, replyStart), order, 0, rep)
+	buf, err := giop.OpenReply(openPayload(room, h, replyStart, &r.responses), order, 0, rep)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"eternalgw/internal/giop"
 	"eternalgw/internal/logrec"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/slab"
 )
 
 // Kind distinguishes the messages the fault tolerance infrastructure
@@ -101,7 +102,7 @@ func Encode(m Message) []byte { return encode(0, m) }
 // which totem frames the message in: the buffer built here is the datagram
 // that is broadcast (totem.Node.MulticastFramed).
 func encode(room int, m Message) []byte {
-	return sealPayload(room, append(openPayload(room, m.Header, len(m.Payload)), m.Payload...))
+	return sealPayload(room, append(openPayload(room, m.Header, len(m.Payload), nil), m.Payload...))
 }
 
 func writeHeader(w *cdr.Writer, h Header) {
@@ -122,7 +123,7 @@ func writeHeader(w *cdr.Writer, h Header) {
 // gateway forwards), so replicas decode the arguments correctly and
 // answer in the same order.
 func encodeRequest(room int, h Header, req giop.Request) ([]byte, error) {
-	buf, err := giop.AppendRequest(openPayload(room, h, giop.RequestSizeBound(req)), req.ArgsOrder, req)
+	buf, err := giop.AppendRequest(openPayload(room, h, giop.RequestSizeBound(req), nil), req.ArgsOrder, req)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +147,7 @@ func frameInvocation(room int, h Header, frame []byte) ([]byte, error) {
 // the byte order its result bytes were produced in (the original
 // request's), so the label on the wire matches the payload.
 func encodeReply(room int, h Header, rep giop.Reply) ([]byte, error) {
-	buf, err := giop.AppendReply(openPayload(room, h, giop.ReplySizeBound(rep)), rep.ResultOrder, rep)
+	buf, err := giop.AppendReply(openPayload(room, h, giop.ReplySizeBound(rep), nil), rep.ResultOrder, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -155,9 +156,12 @@ func encodeReply(room int, h Header, rep giop.Reply) ([]byte, error) {
 
 // openPayload starts a message behind room unwritten bytes, with space
 // for a payload of up to size: the header, its payload length left for
-// sealPayload.
-func openPayload(room int, h Header, size int) []byte {
-	w := cdr.NewWriterOn(make([]byte, room, room+headerLen+size), cdr.BigEndian)
+// sealPayload. The buffer is carved from in, clipped to that length, so a
+// payload that outgrows it is appended into a buffer of its own — a
+// replica's responses (replica.respond); a nil in, the encoders', makes
+// it on its own.
+func openPayload(room int, h Header, size int, in *slab.Slab[byte]) []byte {
+	w := cdr.NewWriterOn(in.Carve(room + headerLen + size)[:room], cdr.BigEndian)
 	writeHeader(w, h)
 	w.WriteULong(0)
 	return w.Bytes()
@@ -188,11 +192,14 @@ type HeaderView struct {
 // retain returns b, a window onto a delivered datagram, as the gateway-
 // group record keeps it for as long as its window holds the reply
 // (DESIGN.md section 7): b itself if sole (totem.Delivery.Sole), which
-// pins one totem header besides and on memnet is the one buffer every
-// member keeps; a copy of a part of a pack, so that a hundred-byte record
-// never pins 32 KiB. The recovery log, cut at every checkpoint, keeps
-// either by reference (logInvocation). Kept bytes stay read-only, and no
-// transport may pool a datagram that can be.
+// pins one totem header besides and, a response being carved from its
+// replica's slab, the responder's chunk — 4 KiB at most, so the record's
+// answeredCapacity entries pin 32 MiB at worst (DESIGN.md section 8) —
+// and on memnet is the one buffer every member keeps; a copy of a part of
+// a pack, so that a hundred-byte record never pins 32 KiB. The recovery
+// log, cut at every checkpoint, keeps either by reference
+// (logInvocation). Kept bytes stay read-only, and no transport may pool a
+// datagram that can be.
 //
 // gwlint:arena-retain
 func retain(b []byte, sole bool) []byte {

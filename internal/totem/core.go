@@ -8,6 +8,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/slab"
 )
 
 const (
@@ -98,9 +99,9 @@ type Core struct {
 	gcThrough    uint64 // stability horizon the last gc collected through
 	pending      []submission
 	lastTokenID  uint64
-	ids          idTable      // the ring's member ids, for allocation-free decoding
-	parts        slab[[]byte] // where the part lists of packs, forwards and batches are carved
-	frames       slab[byte]   // where the datagrams this core sends that carry no payload are carved
+	ids          idTable           // the ring's member ids, for allocation-free decoding
+	parts        slab.Slab[[]byte] // where the part lists of packs, forwards and batches are carved
+	frames       slab.Slab[byte]   // where the datagrams this core sends that carry no payload are carved
 
 	// heldToken is the token parked here between its visit and its
 	// forwarding, lastSentToken the last one forwarded, awaiting evidence
@@ -161,8 +162,8 @@ func NewCore(cfg Config, now time.Time, broadcast func([]byte), emit func(Event)
 		emit:      emit,
 		buffer:    make(map[uint64]regularMsg),
 		skipped:   make(map[uint64]bool),
-		parts:     slab[[]byte]{size: partChunk},
-		frames:    slab[byte]{size: frameChunk},
+		parts:     slab.New[[]byte](partChunk),
+		frames:    slab.New[byte](frameChunk),
 	}
 	n.deadlines[dlFail] = now
 	// An empty payload's datagram is its header.

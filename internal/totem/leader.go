@@ -263,7 +263,7 @@ func (n *Core) nextPack(first int) (end int, payload []byte, parts [][]byte, own
 	}
 	n.packedMsgN.Add(1)
 	n.packedPartN.Add(uint64(end - first))
-	parts = n.parts.carve(end - first)
+	parts = n.parts.Carve(end - first)
 	for _, s := range n.pending[first:end] {
 		parts = append(parts, s.payload)
 	}

@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/slab"
 )
 
 // within reports whether b's bytes lie inside region's backing array, up
@@ -36,7 +37,7 @@ func overlap(a, b []byte) bool {
 
 // controlFrames encodes one datagram of each kind that carries no payload
 // with ids of the given length, on frames.
-func controlFrames(frames *slab[byte], idLen int) map[string][]byte {
+func controlFrames(frames *slab.Slab[byte], idLen int) map[string][]byte {
 	id := memnet.NodeID(strings.Repeat("x", idLen))
 	other := memnet.NodeID(strings.Repeat("y", idLen+1))
 	members := []memnet.NodeID{id, other, "z"}
@@ -52,18 +53,18 @@ func controlFrames(frames *slab[byte], idLen int) map[string][]byte {
 
 // TestSlabCarvesDisjointClippedRegions: the datagrams a core sends that
 // carry no payload lie in its slab's chunk, none overlaps another, each is
-// clipped to what it holds — an append onto one reallocates and leaves its
-// neighbours as they were — and each is the bytes its fields encode to.
+// clipped to what it holds and is the bytes its fields encode to. That a
+// region's append leaves its neighbours as they were is the slab's own
+// test (internal/slab).
 func TestSlabCarvesDisjointClippedRegions(t *testing.T) {
-	frames := &slab[byte]{size: frameChunk}
-	got := controlFrames(frames, 3)
+	frames := slab.New[byte](frameChunk)
+	got := controlFrames(&frames, 3)
 	want := controlFrames(nil, 3)
-	chunk := frames.chunk
 	for kind, f := range got {
 		if !bytes.Equal(f, want[kind]) {
 			t.Errorf("%s: carved %x, want %x", kind, f, want[kind])
 		}
-		if !within(chunk, f) {
+		if !within(frames.Chunk(), f) {
 			t.Errorf("%s: not carved from the slab's chunk", kind)
 		}
 		if cap(f) != len(f) {
@@ -74,79 +75,36 @@ func TestSlabCarvesDisjointClippedRegions(t *testing.T) {
 				t.Errorf("%s and %s overlap", kind, other)
 			}
 		}
-		if grown := append(f, 0xff); unsafe.SliceData(grown) == unsafe.SliceData(f) {
-			t.Errorf("%s: an append wrote into the chunk", kind)
-		}
-	}
-	for kind, f := range got {
-		if !bytes.Equal(f, want[kind]) {
-			t.Errorf("%s: changed by an append onto another datagram", kind)
-		}
 	}
 }
 
-// TestSlabReplacesAFullChunk: a request that does not fit what is left of
-// the chunk gets a new chunk; what was carved from the old one stays as it
-// was, and the old chunk is never carved from again.
+// TestSlabReplacesAFullChunk: a core's part lists are carved by the rule
+// its datagrams are (internal/slab): a list past a full chunk of
+// partChunk headers is carved from a new one.
 func TestSlabReplacesAFullChunk(t *testing.T) {
-	frames := &slab[byte]{size: 64}
-	var carved [][]byte
-	for i := 0; i < 4; i++ {
-		r := append(frames.carve(16), bytes.Repeat([]byte{byte(i + 1)}, 16)...)
-		carved = append(carved, r)
-	}
-	first := frames.chunk
-	if len(first) != 64 {
-		t.Fatalf("four regions of 16 carved %d bytes of a 64-byte chunk", len(first))
-	}
-	next := frames.carve(1)
-	if within(first, next) || !within(frames.chunk, next) {
-		t.Fatal("a request past a full chunk was not carved from a new one")
-	}
-	for i, r := range carved {
-		if !within(first, r) || !bytes.Equal(r, bytes.Repeat([]byte{byte(i + 1)}, 16)) {
-			t.Fatalf("region %d moved or changed when the chunk was replaced", i)
-		}
-	}
-
-	// Part lists follow the same rule.
-	lists := &slab[[]byte]{size: partChunk}
-	a := lists.carve(partChunk / 4)
+	lists := slab.New[[]byte](partChunk)
+	a := lists.Carve(partChunk / 4)
 	for range 3 {
-		lists.carve(partChunk / 4)
+		lists.Carve(partChunk / 4)
 	}
-	b := lists.carve(1)
-	if within(lists.chunk, a) || !within(lists.chunk, b) {
+	b := lists.Carve(1)
+	if within(lists.Chunk(), a) || !within(lists.Chunk(), b) {
 		t.Fatal("a part list past a full chunk was not carved from a new one")
 	}
 }
 
-// TestOversizedAndNilSlabsMakeTheirOwn: a request of more than a quarter
-// of a chunk, and every request of a nil slab, is a buffer of its own, and
-// the chunk carries on where it was.
+// TestOversizedAndNilSlabsMakeTheirOwn: a token with a long
+// retransmission list is past a quarter of a chunk, so it is a buffer of
+// its own, encoded as a nil slab's would be.
 func TestOversizedAndNilSlabsMakeTheirOwn(t *testing.T) {
-	frames := &slab[byte]{size: frameChunk}
-	frames.carve(8)
-	chunk := frames.chunk
-	big := frames.carve(frameChunk/4 + 1)
-	if within(chunk, big) || cap(big) != frameChunk/4+1 || len(frames.chunk) != 8 || unsafe.SliceData(frames.chunk) != unsafe.SliceData(chunk) {
-		t.Fatal("an oversized request was carved, or moved the chunk")
-	}
-	if r := frames.carve(frameChunk / 4); !within(chunk, r) {
-		t.Fatal("a request of a quarter of a chunk was not carved")
-	}
-	// A token with a long retransmission list is past a quarter of a chunk.
+	frames := slab.New[byte](frameChunk)
+	frames.Carve(8)
 	long := token{RingID: 1, TokenID: 2, Succ: "n01", Rtr: make([]rtrEntry, maxRtr)}
-	if f := encodeToken(long, frames); within(frames.chunk, f) || !bytes.Equal(f, encodeToken(long, nil)) {
+	if f := encodeToken(long, &frames); within(frames.Chunk(), f) || !bytes.Equal(f, encodeToken(long, nil)) {
 		t.Fatal("a token past a quarter of a chunk was carved, or encoded wrong")
 	}
-	var none *slab[byte]
-	if r := none.carve(10); cap(r) != 10 || len(r) != 0 {
-		t.Fatalf("a nil slab carved len %d cap %d, want 0 and 10", len(r), cap(r))
-	}
-	var noLists *slab[[]byte]
-	if r := noLists.carve(3); cap(r) != 3 {
-		t.Fatalf("a nil part slab made a list of capacity %d, want 3", cap(r))
+	if len(frames.Chunk()) != 8 {
+		t.Fatal("a token past a quarter of a chunk moved the chunk on")
 	}
 }
 
@@ -156,15 +114,15 @@ func TestOversizedAndNilSlabsMakeTheirOwn(t *testing.T) {
 // allocation, and a hole in the chunk.
 func TestControlFramesFitTheirRegions(t *testing.T) {
 	for idLen := 0; idLen <= 17; idLen++ {
-		frames := &slab[byte]{size: 1 << 20}
-		for kind, f := range controlFrames(frames, idLen) {
-			if !within(frames.chunk, f) {
+		frames := slab.New[byte](1 << 20)
+		for kind, f := range controlFrames(&frames, idLen) {
+			if !within(frames.Chunk(), f) {
 				t.Errorf("ids of %d bytes: the %s outgrew its region (%d bytes)", idLen, kind, len(f))
 			}
 		}
 		for naks := 0; naks <= maxNaks; naks += 9 {
 			a := ackMsg{RingID: 1, Sender: memnet.NodeID(strings.Repeat("a", idLen)), Aru: 1, Nak: make([]uint64, naks)}
-			if f := encodeAck(a, frames); !within(frames.chunk, f) {
+			if f := encodeAck(a, &frames); !within(frames.Chunk(), f) {
 				t.Errorf("ids of %d bytes: an ack with %d naks outgrew its region", idLen, naks)
 			}
 		}
@@ -178,22 +136,22 @@ func TestControlFramesFitTheirRegions(t *testing.T) {
 // untouched.
 func TestPayloadBearingEncodersNeverCarve(t *testing.T) {
 	payload := []byte("payload")
-	frames := &slab[byte]{size: frameChunk}
-	frames.carve(1)
-	chunk := frames.chunk
+	frames := slab.New[byte](frameChunk)
+	frames.Carve(1)
+	chunk := frames.Chunk()
 	full := batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n00", OriginFwd: 3, Stable: 1, Payload: payload}
 	built := map[string][]byte{
 		"regular": encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n00", Payload: payload}, nil),
 		"packed":  encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n00", Parts: [][]byte{payload, payload}}, nil),
 		"forward": encodeForward(forwardMsg{RingID: 1, Sender: "n00", FwdSeq: 3, Payload: payload}, nil),
-		"batch":   encodeBatch(full, nil, frames),
+		"batch":   encodeBatch(full, nil, &frames),
 	}
 	for kind, d := range built {
 		if within(chunk, d) {
 			t.Errorf("%s: carved from the slab", kind)
 		}
 	}
-	if len(frames.chunk) != 1 || unsafe.SliceData(frames.chunk) != unsafe.SliceData(chunk) {
+	if len(frames.Chunk()) != 1 || unsafe.SliceData(frames.Chunk()) != unsafe.SliceData(chunk) {
 		t.Error("a full-form batch carved from the slab")
 	}
 
@@ -203,10 +161,10 @@ func TestPayloadBearingEncodersNeverCarve(t *testing.T) {
 	own := append(make([]byte, room), payload...)
 	b := full
 	b.Payload = own[room:]
-	if d := encodeBatch(b, own[room-len(encodeBatch(batchMsg{Leader: "n00", Origin: "n00"}, nil, nil)):], frames); !within(own, d) {
+	if d := encodeBatch(b, own[room-len(encodeBatch(batchMsg{Leader: "n00", Origin: "n00"}, nil, nil)):], &frames); !within(own, d) {
 		t.Error("a full-form batch framed in place is not the sender's buffer")
 	}
-	if len(frames.chunk) != 1 {
+	if len(frames.Chunk()) != 1 {
 		t.Error("a full-form batch framed in place carved from the slab")
 	}
 }
@@ -229,7 +187,7 @@ func carveAudit(t *testing.T, v *vnet) (control, payload *int) {
 				b, err := decodeBatch(cdrSkipKind(d), nil, nil)
 				carried = err != nil || !b.Ref
 			}
-			switch in := within(c.frames.chunk, d); {
+			switch in := within(c.frames.Chunk(), d); {
 			case carried && in:
 				t.Errorf("%s: a datagram of kind %d that carries payloads was carved from the slab", id, d[0])
 			case carried:

@@ -57,9 +57,12 @@ type Delivery struct {
 	// long as the keeper likes; otherwise copied (DESIGN.md section 7).
 	Payload []byte
 	// Sole reports that Payload is the only message of its datagram, not
-	// a part of a pack: keeping it pins one totem header besides, so it
-	// may be kept by reference without bound, read-only and shared as it
-	// is; a part pins the whole pack.
+	// a part of a pack: the datagram is its sender's buffer, so keeping
+	// it pins one totem header besides and whatever that buffer pins — a
+	// replica's response the chunk of responses it was carved from, 4 KiB
+	// at most (DESIGN.md section 7) — and it may be kept by reference for
+	// as long as a keeper bounded by count likes, read-only and shared as
+	// it is; a part pins the whole pack.
 	Sole bool
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/slab"
 )
 
 // Wire message kinds.
@@ -106,9 +107,10 @@ type joinMsg struct {
 // datagramBuf returns where a payload-bearing datagram is written: in,
 // the sender's buffer from where the datagram begins (core's submission:
 // the header's room, then the one payload), or else a new buffer of about
-// size bytes that the payloads are copied into. Such a datagram is never
-// carved (slab): a payload kept by reference pins its datagram, and
-// Delivery.Sole promises that is one header besides.
+// size bytes that the payloads are copied into. A core never carves such
+// a datagram from its slabs: a payload kept by reference pins its
+// datagram, and Delivery.Sole promises that is one header besides what
+// the sender's buffer pins.
 func datagramBuf(in []byte, size int) []byte {
 	if in != nil {
 		return in[:0]
@@ -164,7 +166,7 @@ func decodeRegular(r *cdr.Reader, ids idTable) (regularMsg, error) {
 
 // decodePacked parses the packed form: the regular header followed by a
 // counted list of payloads.
-func decodePacked(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (regularMsg, error) {
+func decodePacked(r *cdr.Reader, ids idTable, parts *slab.Slab[[]byte]) (regularMsg, error) {
 	var m regularMsg
 	m.RingID = r.ReadULongLong()
 	m.Seq = r.ReadULongLong()
@@ -260,64 +262,39 @@ func writeParts(w *cdr.Writer, in, payload []byte, parts [][]byte) []byte {
 // the part list, which lists carves; the cap on each part keeps an append
 // from bleeding into the next part's bytes. The caller has already
 // bounded n by the reader's remainder.
-func readParts(r *cdr.Reader, n uint32, lists *slab[[]byte]) (payload []byte, parts [][]byte) {
+func readParts(r *cdr.Reader, n uint32, lists *slab.Slab[[]byte]) (payload []byte, parts [][]byte) {
 	if n == 1 {
 		return slices.Clip(r.ReadOctetSeq()), nil
 	}
-	parts = lists.carve(int(n))
+	parts = lists.Carve(int(n))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		parts = append(parts, slices.Clip(r.ReadOctetSeq()))
 	}
 	return nil, parts
 }
 
-// How long a chunk is in each of a Core's two slabs: one carves the part
-// lists of the packs, forwards and batches it decodes or builds, the other
-// the bytes of every datagram it sends that carries no payload — acks,
-// tokens, by-reference batches, promotes and joins.
+// How long a chunk is in each of a Core's two slabs (slab.Slab): one
+// carves the part lists of the packs, forwards and batches it decodes or
+// builds, the other the bytes of every datagram it sends that carries no
+// payload — acks, tokens, by-reference batches, promotes and joins. A
+// region lives as long as what holds it: a part list the message it
+// lists, a control datagram its transit (Transport.Broadcast), after which
+// every receiver has decoded it into structs. gc zeroes the part lists of
+// the messages it collects, so a chunk of them pins no datagram the buffer
+// has let go of, and a datagram is immutable once broadcast (DESIGN.md
+// section 7). The standalone encoders and decoders pass a nil slab, which
+// makes each buffer on its own.
 const (
 	partChunk  = 256     // part headers: 6 KiB
 	frameChunk = 4 << 10 // bytes
 )
-
-// slab is a Core's supply of short-lived regions of T, so what it carves
-// does not allocate on its own: each region is cut from a chunk of size
-// elements, with its capacity clipped to what it was carved for, so an
-// append onto one reallocates instead of running into the next. A full
-// chunk is replaced, never reused: a region lives as long as what holds
-// it — a part list the message it lists, a control datagram its transit
-// (Transport.Broadcast), after which every receiver has decoded it into
-// structs — and the collector frees a chunk once nothing carved from it
-// is held. Nothing carved is written after it is handed out: gc zeroes
-// the part lists of the messages it collects, so a chunk of them pins no
-// datagram the buffer has let go of, and a datagram is immutable once
-// broadcast (DESIGN.md section 7). A request of more than a quarter of a
-// chunk, which would waste up to as much, and every request of a nil
-// slab — the standalone encoders' and decoders' — is made on its own.
-type slab[T any] struct {
-	chunk []T // the chunk being carved: its length is what is carved
-	size  int // a chunk's length
-}
-
-// carve returns an empty region with room for n elements.
-func (s *slab[T]) carve(n int) []T {
-	if s == nil || n > s.size/4 {
-		return make([]T, 0, n)
-	}
-	if cap(s.chunk)-len(s.chunk) < n {
-		s.chunk = make([]T, 0, s.size)
-	}
-	at := len(s.chunk)
-	s.chunk = s.chunk[:at+n]
-	return s.chunk[at : at : at+n]
-}
 
 // The encoders of the datagrams that carry no payload write into a region
 // of frames no shorter than the longest the fields can encode to, padding
 // at its worst, and return it clipped to what they wrote; a nil frames
 // makes the buffer.
 
-func encodeToken(t token, frames *slab[byte]) []byte {
+func encodeToken(t token, frames *slab.Slab[byte]) []byte {
 	size := 80 + len(t.Succ) + 16*len(t.Rtr) + 8*len(t.Skip)
 	for _, id := range t.Members {
 		size += 8 + len(id)
@@ -326,7 +303,7 @@ func encodeToken(t token, frames *slab[byte]) []byte {
 		size += 56 + len(e.Last.Low)
 	}
 	var w cdr.Writer
-	w.ResetOn(frames.carve(size), cdr.BigEndian)
+	w.ResetOn(frames.Carve(size), cdr.BigEndian)
 	w.WriteOctet(kindToken)
 	w.WriteULongLong(t.RingID)
 	w.WriteULongLong(t.TokenID)
@@ -416,13 +393,13 @@ func decodeToken(r *cdr.Reader, ids idTable) (token, error) {
 	return t, nil
 }
 
-func encodeJoin(j joinMsg, frames *slab[byte]) []byte {
+func encodeJoin(j joinMsg, frames *slab.Slab[byte]) []byte {
 	size := 32 + len(j.Sender)
 	for _, id := range j.Alive {
 		size += 8 + len(id)
 	}
 	var w cdr.Writer
-	w.ResetOn(frames.carve(size), cdr.BigEndian)
+	w.ResetOn(frames.Carve(size), cdr.BigEndian)
 	w.WriteOctet(kindJoin)
 	w.WriteString(string(j.Sender))
 	w.WriteULong(uint32(len(j.Alive)))
@@ -506,7 +483,7 @@ func encodeForward(f forwardMsg, in []byte) []byte {
 	return writeParts(&w, in, f.Payload, f.Parts)
 }
 
-func decodeForward(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (forwardMsg, error) {
+func decodeForward(r *cdr.Reader, ids idTable, parts *slab.Slab[[]byte]) (forwardMsg, error) {
 	var f forwardMsg
 	f.RingID = r.ReadULongLong()
 	f.Sender = ids.id(r.ReadStringBytes())
@@ -530,11 +507,11 @@ func decodeForward(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (forwardMsg,
 // encodeBatch writes the full form in in or a buffer of its own
 // (datagramBuf), and the by-reference form, which carries no payload, in
 // a region of frames.
-func encodeBatch(b batchMsg, in []byte, frames *slab[byte]) []byte {
+func encodeBatch(b batchMsg, in []byte, frames *slab.Slab[byte]) []byte {
 	size := 64 + len(b.Leader) + len(b.Origin)
 	var w cdr.Writer
 	if b.Ref {
-		w.ResetOn(frames.carve(size), cdr.BigEndian)
+		w.ResetOn(frames.Carve(size), cdr.BigEndian)
 	} else {
 		w.ResetOn(datagramBuf(in, size+partsSize(b.Payload, b.Parts)), cdr.BigEndian)
 	}
@@ -553,7 +530,7 @@ func encodeBatch(b batchMsg, in []byte, frames *slab[byte]) []byte {
 	return writeParts(&w, in, b.Payload, b.Parts)
 }
 
-func decodeBatch(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (batchMsg, error) {
+func decodeBatch(r *cdr.Reader, ids idTable, parts *slab.Slab[[]byte]) (batchMsg, error) {
 	var b batchMsg
 	b.RingID = r.ReadULongLong()
 	b.Seq = r.ReadULongLong()
@@ -582,9 +559,9 @@ func decodeBatch(r *cdr.Reader, ids idTable, parts *slab[[]byte]) (batchMsg, err
 	return b, nil
 }
 
-func encodeAck(a ackMsg, frames *slab[byte]) []byte {
+func encodeAck(a ackMsg, frames *slab.Slab[byte]) []byte {
 	var w cdr.Writer
-	w.ResetOn(frames.carve(48+len(a.Sender)+8*len(a.Nak)), cdr.BigEndian)
+	w.ResetOn(frames.Carve(48+len(a.Sender)+8*len(a.Nak)), cdr.BigEndian)
 	w.WriteOctet(kindAck)
 	w.WriteULongLong(a.RingID)
 	w.WriteString(string(a.Sender))
@@ -628,9 +605,9 @@ func decodeAck(r *cdr.Reader, ids idTable, full bool) (ackMsg, error) {
 	return a, nil
 }
 
-func encodePromote(p promoteMsg, frames *slab[byte]) []byte {
+func encodePromote(p promoteMsg, frames *slab.Slab[byte]) []byte {
 	var w cdr.Writer
-	w.ResetOn(frames.carve(56+len(p.Leader)), cdr.BigEndian)
+	w.ResetOn(frames.Carve(56+len(p.Leader)), cdr.BigEndian)
 	w.WriteOctet(kindPromote)
 	w.WriteULongLong(p.RingID)
 	w.WriteString(string(p.Leader))

@@ -33,6 +33,7 @@ var notShipped = map[string]string{
 	"internal/faultinject.Plan.Ops":               "seam: soaks report how far a fault plan has come",
 	"internal/logrec.Log.EntryCount":              "seam: recovery tests read how much a group's log holds",
 	"internal/orb.ServantFunc":                    "seam: tests stand up a servant from a function",
+	"internal/slab.Slab.Chunk":                    "seam: totem's tests check that what a core carves lies in its slab's chunk",
 
 	// Tested features of the reproduction that cmd/ does not deploy.
 	"internal/replication.Mechanisms.DeleteGroup": "tested feature: a group is deleted by an ordered message",
