@@ -16,9 +16,7 @@ vet:
 # lint fails on any Go file gofmt would change (testdata excluded: the
 # analyzers' corpora are inputs, not code), then runs the repository's
 # domain analyzers (docs/STATIC_ANALYSIS.md) once over the module:
-# every analyzer on every package, then the whole-module checks
-# (metric/doc sync, module-wide duplicate registration, lock order
-# across packages).
+# every analyzer on every package, then lock order across packages.
 lint:
 	@unformatted=$$(find . \( -name testdata -o -name .bench_build -o -name .git \) -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "not gofmt-clean (gofmt -w them):"; echo "$$unformatted"; exit 1; fi

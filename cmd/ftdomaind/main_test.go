@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -402,4 +404,75 @@ func registrySpec(reg udpnet.Registry) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
+}
+
+// TestMetricsMatchTheCatalogue runs the daemon with every instrumented
+// component on — the UDP ring, admission, the tracer, gateways and
+// managed groups — and holds the families /metrics serves to
+// docs/OBSERVABILITY.md both ways: each served family is documented, and
+// each documented series is served or is the prefix of a served one (a
+// grep example may name a family by its prefix).
+func TestMetricsMatchTheCatalogue(t *testing.T) {
+	stop := make(chan struct{})
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(runOpts{
+			nodes: 3, replicas: 2, gateways: 2, styleStr: "active", udp: true,
+			monitor: time.Second, logLevel: slog.LevelError, drainTimeout: 2 * time.Second,
+			obsAddr: "127.0.0.1:0", trace: true,
+			adm:     admission.Config{MaxConns: 64, MaxConnsPerClient: 16, Rate: 1000, MaxInFlight: 32},
+			stop:    stop,
+			onReady: func(_ *domain.Domain, ops *obs.Server) { ready <- ops.Addr() },
+		})
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("run exited early: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("domain never became ready")
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	var served []string // families and the series they render
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			families[name] = true
+		} else if line != "" && !strings.HasPrefix(line, "#") {
+			served = append(served, line[:strings.IndexAny(line, "{ ")])
+		}
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := regexp.MustCompile(`eternalgw_[a-z0-9_]+`).FindAllString(string(doc), -1)
+	for name := range families {
+		if !slices.Contains(documented, name) {
+			t.Errorf("/metrics serves %s, which docs/OBSERVABILITY.md does not document", name)
+		}
+	}
+	for _, name := range documented {
+		if !slices.ContainsFunc(served, func(s string) bool { return strings.HasPrefix(s, name) }) {
+			t.Errorf("docs/OBSERVABILITY.md documents %s, which /metrics does not serve", name)
+		}
+	}
+	t.Logf("%d families served", len(families))
 }

@@ -82,9 +82,10 @@ var seriesName = regexp.MustCompile(`eternalgw_[a-z0-9_]+`)
 
 // TestDocsNameDocumentedSeries fails when a gated document names an
 // eternalgw_* series that docs/OBSERVABILITY.md does not document, or a
-// prefix of none (a grep example may name a family by its prefix). The
-// metricname analyzer's DocSync ties OBSERVABILITY.md to the
-// registrations, so a series a document names is one the code registers.
+// prefix of none (a grep example may name a family by its prefix).
+// cmd/ftdomaind's TestMetricsMatchTheCatalogue ties OBSERVABILITY.md to
+// what a running daemon serves, so a series a document names is one the
+// code registers.
 func TestDocsNameDocumentedSeries(t *testing.T) {
 	const catalogue = "docs/OBSERVABILITY.md"
 	text, err := os.ReadFile(catalogue)

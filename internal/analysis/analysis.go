@@ -5,14 +5,13 @@
 // through a Pass and reports Diagnostics; the driver (RunModule) handles
 // loading, the //lint:allow escape hatch, rendering and exit codes.
 //
-// The suite encodes invariants the compiler cannot see: delivery-arena
-// aliasing (arenaalias), the COMPLETED_NO shed-reply contract
-// (completedno), the eternalgw_* metric conventions (metricname), the
-// typed atomics (syncextra), the simulation's determinism (simdet), a
-// provable lifecycle for every goroutine (gospawn), and lock order,
-// including a totem node's protocol goroutine, which must never block
-// (lockorder). docs/STATIC_ANALYSIS.md documents each invariant and its
-// escape hatch.
+// The suite encodes invariants that neither the compiler nor a running
+// server can see, each of which needs a value's flow or the call graph:
+// delivery-arena aliasing (arenaalias), the typed atomics (syncextra),
+// the simulation's determinism (simdet), a provable lifecycle for every
+// goroutine (gospawn), and lock order, including a totem node's protocol
+// goroutine, which must never block (lockorder). docs/STATIC_ANALYSIS.md
+// documents each invariant and its escape hatch.
 package analysis
 
 import (

@@ -34,8 +34,7 @@ type Package struct {
 // data that `go list -export` reports, which works offline and never
 // compiles more than the build cache already holds.
 type Loader struct {
-	Fset      *token.FileSet
-	ModuleDir string
+	Fset *token.FileSet
 
 	listed map[string]*listPackage
 	loaded map[string]*Package
@@ -52,11 +51,7 @@ type listPackage struct {
 	Imports    []string
 	Export     string
 	Standard   bool
-	Module     *struct {
-		Path string
-		Dir  string
-		Main bool
-	}
+	Module     *struct{ Main bool }
 }
 
 // LoadModule lists patterns (plus dependencies, with export data) in the
@@ -100,9 +95,6 @@ func LoadModule(dir string, patterns ...string) (*Loader, []*Package, error) {
 			l.export[lp.ImportPath] = lp.Export
 		}
 		if lp.inModule() {
-			if l.ModuleDir == "" {
-				l.ModuleDir = lp.Module.Dir
-			}
 			order = append(order, lp.ImportPath)
 		}
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // GlobalCheck is a whole-module pass run by the driver after every
-// package-local pass: cross-package invariants (a metric registered
-// twice in different packages, documentation drift against the full
-// registration set) live here.
+// package-local pass: cross-package invariants (a lock-order cycle that
+// only closes across packages) live here.
 type GlobalCheck func(l *Loader, pkgs []*Package) []Diagnostic
 
 // RunModule is the `gwlint ./...` entry point: load the module rooted at

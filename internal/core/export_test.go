@@ -24,4 +24,4 @@ func (g *Gateway) TrackedRequestIDs() int {
 
 // MinorOutcomeUnknown is the minor code of a request that was multicast
 // and went unanswered (OPERATIONS.md).
-const MinorOutcomeUnknown = minorOutcomeUnknown
+const MinorOutcomeUnknown = uint32(minorOutcomeUnknown)

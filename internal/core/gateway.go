@@ -41,26 +41,25 @@ import (
 )
 
 // Minor codes for the system exceptions the gateway itself fabricates
-// (shed replies carry admission.Verdict.Minor instead). Documented in
-// docs/OPERATIONS.md; the completedno analyzer rejects bare literals
-// here so every code stays in that table.
+// (shed replies carry an admission.Verdict instead), documented in
+// docs/OPERATIONS.md.
 const (
 	// minorUnknownObjectKey: OBJECT_NOT_EXIST — the request's object key
 	// matches no replicated group at this gateway.
-	minorUnknownObjectKey uint32 = 0
+	minorUnknownObjectKey giop.Minor = 0
 	// minorInvokeFailed: COMM_FAILURE — conveying the request into the
 	// fault tolerance domain failed before the multicast.
-	minorInvokeFailed uint32 = 0
+	minorInvokeFailed giop.Minor = 0
 	// minorRequestTooLarge: IMP_LIMIT — the request's header declares more
 	// than one datagram of the domain's transport carries. Refused before
 	// its body was read; it never entered the total order.
-	minorRequestTooLarge uint32 = 1
+	minorRequestTooLarge giop.Minor = 1
 	// minorOutcomeUnknown: COMM_FAILURE — multicast, and no response came
 	// back in time or the wait was stopped: it may have executed.
-	minorOutcomeUnknown uint32 = 2
+	minorOutcomeUnknown giop.Minor = 2
 	// minorNoQuorum: TRANSIENT — refused before the multicast: the ring
 	// holds no majority (replication.ErrNoQuorum). Above every verdict's.
-	minorNoQuorum uint32 = 6
+	minorNoQuorum giop.Minor = 6
 )
 
 // Config parameterizes a Gateway.
@@ -654,7 +653,7 @@ func (g *Gateway) serveConn(cc *clientConn) {
 				g.exceptions.Add(1)
 				cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
 					Status: giop.ReplySystemException,
-					Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoObjectNotExist, minorUnknownObjectKey, giop.CompletedNo),
+					Result: giop.ObjectNotExist.Body(msg.Header.Order, minorUnknownObjectKey),
 				})
 				continue
 			}
@@ -964,11 +963,11 @@ func (g *Gateway) closeConn(cc *clientConn) {
 func invokeFailure(order cdr.ByteOrder, err error) []byte {
 	switch {
 	case errors.Is(err, replication.ErrNoQuorum):
-		return giop.SystemExceptionBody(order, giop.RepoTransient, minorNoQuorum, giop.CompletedNo)
+		return giop.Transient.Body(order, minorNoQuorum)
 	case errors.Is(err, replication.ErrTimeout), errors.Is(err, replication.ErrStopped):
-		return giop.SystemExceptionBody(order, giop.RepoCommFailure, minorOutcomeUnknown, giop.CompletedMaybe)
+		return giop.CommFailureMaybe.Body(order, minorOutcomeUnknown)
 	default:
-		return giop.SystemExceptionBody(order, giop.RepoCommFailure, minorInvokeFailed, giop.CompletedNo)
+		return giop.CommFailureNo.Body(order, minorInvokeFailed)
 	}
 }
 
@@ -1014,7 +1013,7 @@ func (cc *clientConn) refuseOversize(msg giop.Message) {
 	if req.ResponseExpected {
 		cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
 			Status: giop.ReplySystemException,
-			Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoImpLimit, minorRequestTooLarge, giop.CompletedNo),
+			Result: giop.ImpLimitNo.Body(msg.Header.Order, minorRequestTooLarge),
 		})
 	}
 }
@@ -1034,7 +1033,7 @@ func (cc *clientConn) shedReply(msg giop.Message, req giop.Request, v admission.
 	}
 	cc.writeReplyRaw(msg.Header, req.RequestID, giop.Reply{
 		Status: giop.ReplySystemException,
-		Result: giop.SystemExceptionBody(msg.Header.Order, giop.RepoTransient, v.Minor(), giop.CompletedNo),
+		Result: giop.Transient.Body(msg.Header.Order, v),
 	})
 }
 

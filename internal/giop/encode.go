@@ -286,13 +286,56 @@ const (
 	RepoReplyDiscarded = "IDL:eternalgw/REPLY_DISCARDED:1.0"
 )
 
-// SystemExceptionBody encodes the standard system-exception reply body:
-// repository id, minor code, completion status.
-func SystemExceptionBody(order cdr.ByteOrder, repoID string, minor, completed uint32) []byte {
+// MinorCode is a system exception's minor code: a named Minor constant
+// of the raising package, or a value of a type with this method, as
+// admission's Verdict is one. No bare integer fits where a code goes.
+type MinorCode interface{ Minor() uint32 }
+
+// Minor is the type of a raising package's named minor codes.
+type Minor uint32
+
+// Minor returns the code.
+func (m Minor) Minor() uint32 { return uint32(m) }
+
+// Exception is a system exception this system raises: a repository id
+// bound to the one completion status it may carry. The status carries the
+// §3.3 exactly-once contract to the client, so no raise site chooses it.
+type Exception struct {
+	repoID    string
+	completed uint32
+}
+
+// The exceptions raised, each with its status (docs/OPERATIONS.md).
+var (
+	// Transient refuses a request before the total order: shed, or no
+	// majority.
+	Transient = Exception{RepoTransient, CompletedNo}
+	// ObjectNotExist: the object key names nothing; never dispatched.
+	ObjectNotExist = Exception{RepoObjectNotExist, CompletedNo}
+	// NoAgreement: the replicas of a voting group ran the request and split.
+	NoAgreement = Exception{RepoNoAgreement, CompletedMaybe}
+	// ReplyDiscarded answers a duplicate of an operation that ran.
+	ReplyDiscarded = Exception{RepoReplyDiscarded, CompletedYes}
+	// CommFailureNo: conveying the request failed before the multicast.
+	CommFailureNo = Exception{RepoCommFailure, CompletedNo}
+	// CommFailureMaybe: multicast, and no response came: it may have run.
+	CommFailureMaybe = Exception{RepoCommFailure, CompletedMaybe}
+	// ImpLimitNo refuses a request larger than the transport carries.
+	ImpLimitNo = Exception{RepoImpLimit, CompletedNo}
+	// ImpLimitYes stands in for a reply that large, of an operation that ran.
+	ImpLimitYes = Exception{RepoImpLimit, CompletedYes}
+)
+
+// ServantException is a servant's own exception: the servant ran.
+func ServantException(repoID string) Exception { return Exception{repoID, CompletedYes} }
+
+// Body encodes the standard system-exception reply body: repository id,
+// minor code, completion status.
+func (e Exception) Body(order cdr.ByteOrder, minor MinorCode) []byte {
 	w := cdr.NewWriter(order)
-	w.WriteString(repoID)
-	w.WriteULong(minor)
-	w.WriteULong(completed)
+	w.WriteString(e.repoID)
+	w.WriteULong(minor.Minor())
+	w.WriteULong(e.completed)
 	return w.Bytes()
 }
 

@@ -104,9 +104,7 @@ func (s ReplyStatus) String() string {
 // contract to the client: COMPLETED_NO promises the request never
 // entered the total order so a retry is always safe, COMPLETED_MAYBE
 // says the outcome is genuinely unknown, COMPLETED_YES says the target
-// ran. Every SystemExceptionBody call must pass one of these named
-// constants — the completedno analyzer (cmd/gwlint) rejects bare
-// literals and checks the status against the exception's repository ID.
+// ran. A raise site names no status: each Exception carries its own.
 const (
 	CompletedYes   uint32 = 0
 	CompletedNo    uint32 = 1

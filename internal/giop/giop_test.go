@@ -148,8 +148,33 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExceptionsCarryTheirCompletion: each exception raised says the one
+// completion status its repository id allows.
+func TestExceptionsCarryTheirCompletion(t *testing.T) {
+	for _, c := range []struct {
+		e         Exception
+		repoID    string
+		completed uint32
+	}{
+		{Transient, RepoTransient, CompletedNo},
+		{ObjectNotExist, RepoObjectNotExist, CompletedNo},
+		{NoAgreement, RepoNoAgreement, CompletedMaybe},
+		{ReplyDiscarded, RepoReplyDiscarded, CompletedYes},
+		{CommFailureNo, RepoCommFailure, CompletedNo},
+		{CommFailureMaybe, RepoCommFailure, CompletedMaybe},
+		{ImpLimitNo, RepoImpLimit, CompletedNo},
+		{ImpLimitYes, RepoImpLimit, CompletedYes},
+		{ServantException(RepoUnknown), RepoUnknown, CompletedYes},
+	} {
+		id, m, completed, err := DecodeSystemException(c.e.Body(cdr.LittleEndian, Minor(7)), cdr.LittleEndian)
+		if err != nil || id != c.repoID || m != 7 || completed != c.completed {
+			t.Errorf("%s: decoded %q minor %d completed %d (%v), want completed %d", c.repoID, id, m, completed, err, c.completed)
+		}
+	}
+}
+
 func TestSystemExceptionRoundTrip(t *testing.T) {
-	body := SystemExceptionBody(cdr.BigEndian, "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0", 1, 0)
+	body := ObjectNotExist.Body(cdr.BigEndian, Minor(1))
 	rep := Reply{RequestID: 9, Status: ReplySystemException, Result: body}
 	msg, err := EncodeReplyV(cdr.BigEndian, 0, rep)
 	if err != nil {
@@ -159,12 +184,12 @@ func TestSystemExceptionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	id, minor, completed, err := DecodeSystemException(got.Result, got.ResultOrder)
+	id, m, completed, err := DecodeSystemException(got.Result, got.ResultOrder)
 	if err != nil {
 		t.Fatalf("decode exception: %v", err)
 	}
-	if id != "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0" || minor != 1 || completed != 0 {
-		t.Errorf("got %q %d %d", id, minor, completed)
+	if id != "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0" || m != 1 || completed != CompletedNo {
+		t.Errorf("got %q %d %d", id, m, completed)
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 )
 
 // Histogram keeps a sliding window of the most recent duration samples
-// and summarises them by Snapshot; the gateway's request-latency summary
-// is one. The window bounds its memory, so a long-running server can
-// keep one on a hot path.
+// and summarises them by Snapshot, beside the count and sum of every
+// sample ever recorded; the gateway's request-latency summary is one. The
+// window bounds its memory, so a long-running server can keep one on a
+// hot path.
 type Histogram struct {
 	mu      sync.Mutex
+	count   uint64
+	sum     time.Duration
 	samples []time.Duration
 	sorted  bool
 	limit   int
@@ -30,6 +33,8 @@ func NewBoundedHistogram(limit int) *Histogram {
 func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.count++
+	h.sum += d
 	if len(h.samples) == h.limit {
 		h.samples[h.next] = d
 		h.next = (h.next + 1) % h.limit
@@ -53,11 +58,11 @@ func (h *Histogram) sortedLocked() []time.Duration {
 // Snapshot is a single-lock summary of a histogram: every quantity a
 // renderer needs, captured in one mutex acquisition so exporters (the
 // registry's /metrics endpoint) do not take the histogram lock once per
-// percentile.
+// percentile. Count and Sum cover every sample recorded, so a rate over
+// them holds on a busy server; the rest cover the window.
 type Snapshot struct {
-	Count int
+	Count uint64
 	Sum   time.Duration
-	Mean  time.Duration
 	Min   time.Duration
 	Max   time.Duration
 	P50   time.Duration
@@ -65,8 +70,8 @@ type Snapshot struct {
 	P99   time.Duration
 }
 
-// Snapshot captures count, sum, mean, min, max and the fixed percentiles
-// under one lock acquisition. An empty histogram yields the zero value.
+// Snapshot captures count, sum, min, max and the fixed percentiles under
+// one lock acquisition. An empty histogram yields the zero value.
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -75,14 +80,9 @@ func (h *Histogram) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	sorted := h.sortedLocked()
-	var sum time.Duration
-	for _, s := range sorted {
-		sum += s
-	}
 	return Snapshot{
-		Count: n,
-		Sum:   sum,
-		Mean:  sum / time.Duration(n),
+		Count: h.count,
+		Sum:   h.sum,
 		Min:   sorted[0],
 		Max:   sorted[n-1],
 		P50:   sorted[rankFor(50, n)],

@@ -1,53 +1,27 @@
 // Package obs is the observability subsystem of the fault tolerance
 // infrastructure: a lock-cheap metrics registry rendered in Prometheus
 // text format, an invocation tracer that follows each operation across
-// the hops of the paper's figure 5 datapath, a small leveled logger, and
-// an ops HTTP server exposing /healthz, /readyz, /metrics and /statusz.
+// the hops of the paper's figure 5 datapath, a component tag for slog
+// loggers, and an ops HTTP server exposing /healthz, /readyz, /metrics
+// and /statusz.
 //
-// Everything in this package is nil-safe: a nil *Registry, *Tracer or
-// *Logger is a valid no-op, so the instrumented components (gateway,
-// replication mechanisms, totem, managers) pay at most a nil check on
-// their hot paths when observability is disabled.
+// A nil *Registry or *Tracer is a valid no-op, so the instrumented
+// components (gateway, replication mechanisms, totem, managers) pay at
+// most a nil check on their hot paths when observability is disabled.
 package obs
 
 import (
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Labels is a metric's label set. Values are escaped when rendering.
 type Labels map[string]string
-
-// Counter is a monotonically increasing metric. The zero value is ready
-// to use, and a nil *Counter is a no-op, so components may keep counting
-// whether or not a registry is attached.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (zero for a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // series is one (label set, value source) member of a metric family.
 type series struct {
@@ -62,6 +36,7 @@ type family struct {
 	name   string
 	help   string
 	typ    string // "counter", "gauge" or "summary"
+	keys   string // the label keys every series has, sorted
 	series []*series
 	byKey  map[string]int // labels -> index in series
 }
@@ -82,21 +57,33 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
+// metricName is the form of every family name the registry takes.
+var metricName = regexp.MustCompile(`^eternalgw_[a-z0-9_]+$`)
+
 // register adds (or replaces, for an identical name+labels pair) one
 // series. Replacement keeps restartable components (gateways, replicas)
-// from accumulating dead series.
+// from accumulating dead series. It panics on a name of another form, and
+// on a family registered again with another type, help text or set of
+// label keys: a scrape could not tell such series apart.
 func (r *Registry) register(name, help, typ string, labels Labels, s *series) {
 	if r == nil {
 		return
 	}
-	s.labels = renderLabels(labels)
+	var keys string
+	s.labels, keys = renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.byName[name]
-	if !ok {
-		f = &family{name: name, help: help, typ: typ, byKey: make(map[string]int)}
+	switch {
+	case !ok && !metricName.MatchString(name):
+		panic(fmt.Sprintf("obs: metric name %q is not of the form %s", name, metricName))
+	case !ok:
+		f = &family{name: name, help: help, typ: typ, keys: keys, byKey: make(map[string]int)}
 		r.byName[name] = f
 		r.families = append(r.families, f)
+	case f.typ != typ || f.help != help || f.keys != keys:
+		panic(fmt.Sprintf("obs: metric %s registered as a %s %q with labels [%s] and again as a %s %q with labels [%s]",
+			name, f.typ, f.help, f.keys, typ, help, keys))
 	}
 	if i, dup := f.byKey[s.labels]; dup {
 		f.series[i] = s
@@ -184,25 +171,26 @@ func mergeLabels(labels, extra string) string {
 	return labels[:len(labels)-1] + "," + extra + "}"
 }
 
-func renderLabels(labels Labels) string {
+// renderLabels renders a label block, and lists its keys.
+func renderLabels(labels Labels) (rendered, keys string) {
 	if len(labels) == 0 {
-		return ""
+		return "", ""
 	}
-	keys := make([]string, 0, len(labels))
+	names := make([]string, 0, len(labels))
 	for k := range labels {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
+	sort.Strings(names)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, k := range names {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, `%s="%s"`, k, escapeLabelValue(labels[k]))
 	}
 	b.WriteByte('}')
-	return b.String()
+	return b.String(), strings.Join(names, ",")
 }
 
 func escapeLabelValue(v string) string {

@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestOpsEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterFunc("up_total", "Ups.", nil, func() uint64 { return 5 })
+	reg.CounterFunc("eternalgw_up_total", "Ups.", nil, func() uint64 { return 5 })
 	tracer := NewTracer(8)
 	key := TraceKey{ClientID: 9, ChildSeq: 1}
 	tracer.Event(key, StageGatewayAccept, "gw")
@@ -46,7 +46,7 @@ func TestOpsEndpoints(t *testing.T) {
 	if code, body := get(t, ts.URL+"/readyz"); code != 200 || !strings.Contains(body, "ready") {
 		t.Fatalf("/readyz after ready = %d %q", code, body)
 	}
-	if code, body := get(t, ts.URL+"/metrics"); code != 200 || !strings.Contains(body, "up_total 5") {
+	if code, body := get(t, ts.URL+"/metrics"); code != 200 || !strings.Contains(body, "eternalgw_up_total 5") {
 		t.Fatalf("/metrics = %d %q", code, body)
 	}
 	code, body := get(t, ts.URL+"/statusz")

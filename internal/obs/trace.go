@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -151,9 +152,9 @@ type Tracer struct {
 	filled     bool
 	cap        int
 
-	started   Counter
-	completed Counter
-	evicted   Counter
+	started   atomic.Uint64
+	completed atomic.Uint64
+	evicted   atomic.Uint64
 }
 
 // NewTracer creates a tracer keeping the most recent capacity completed
@@ -202,13 +203,13 @@ func (t *Tracer) record(key TraceKey, stage Stage, at time.Time, note string) {
 		tr = &Trace{Key: key, Start: at}
 		t.active[key] = tr
 		t.activeFIFO = append(t.activeFIFO, key)
-		t.started.Inc()
+		t.started.Add(1)
 		if len(t.activeFIFO) > 4*t.cap {
 			old := t.activeFIFO[0]
 			t.activeFIFO = t.activeFIFO[1:]
 			if stale, live := t.active[old]; live {
 				delete(t.active, old)
-				t.evicted.Inc()
+				t.evicted.Add(1)
 				t.pushRecent(stale)
 			}
 		}
@@ -217,7 +218,7 @@ func (t *Tracer) record(key TraceKey, stage Stage, at time.Time, note string) {
 	if stage == StageReplyWrite {
 		tr.Done = true
 		delete(t.active, key)
-		t.completed.Inc()
+		t.completed.Add(1)
 		t.pushRecent(tr)
 	}
 }
@@ -277,8 +278,8 @@ func (t *Tracer) Register(r *Registry) {
 	if t == nil || r == nil {
 		return
 	}
-	r.CounterFunc("eternalgw_trace_started_total", "Traces started.", nil, t.started.Value)
-	r.CounterFunc("eternalgw_trace_completed_total", "Traces completed by a reply write.", nil, t.completed.Value)
-	r.CounterFunc("eternalgw_trace_evicted_total", "In-flight traces evicted before completion.", nil, t.evicted.Value)
+	r.CounterFunc("eternalgw_trace_started_total", "Traces started.", nil, t.started.Load)
+	r.CounterFunc("eternalgw_trace_completed_total", "Traces completed by a reply write.", nil, t.completed.Load)
+	r.CounterFunc("eternalgw_trace_evicted_total", "In-flight traces evicted before completion.", nil, t.evicted.Load)
 	r.GaugeFunc("eternalgw_trace_active", "Traces currently in flight.", nil, func() float64 { return float64(t.ActiveCount()) })
 }

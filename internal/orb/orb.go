@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/giop"
 )
 
 // Errors reported by the package.
@@ -38,11 +39,14 @@ func (e *SystemException) Error() string {
 	return fmt.Sprintf("orb: system exception %s (minor %d, completed %d)", e.RepoID, e.Minor, e.Completed)
 }
 
-// minorNoSuchObject is the OBJECT_NOT_EXIST minor code for a request
-// whose object key matches no servant in the adapter (documented in
-// docs/OPERATIONS.md).
+// Minor codes of the adapter's own exceptions (docs/OPERATIONS.md).
 const (
-	minorNoSuchObject uint32 = 0
+	// minorNoSuchObject: OBJECT_NOT_EXIST — the request's object key
+	// matches no servant in the adapter.
+	minorNoSuchObject giop.Minor = 0
+	// minorServantError: UNKNOWN — the servant failed with an error that
+	// is not a system exception.
+	minorServantError giop.Minor = 0
 )
 
 // Servant handles invocations on one object. Implementations decode

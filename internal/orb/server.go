@@ -205,7 +205,7 @@ func (s *Server) handleRequest(conn net.Conn, msg giop.Message, args *cdr.Reader
 		buf, rep.Status = InvokeServant(sv, req, buf, args, reply)
 	} else {
 		rep.Status = giop.ReplySystemException
-		buf = append(buf, giop.SystemExceptionBody(order, giop.RepoObjectNotExist, minorNoSuchObject, giop.CompletedNo)...)
+		buf = append(buf, giop.ObjectNotExist.Body(order, minorNoSuchObject)...)
 	}
 	if !req.ResponseExpected {
 		return
@@ -260,9 +260,9 @@ func InvokeServant(sv Servant, req giop.Request, head []byte, args *cdr.Reader, 
 		return out, giop.ReplyNoException
 	}
 	var sysEx *SystemException
-	repoID, minor := giop.RepoUnknown, uint32(0)
+	repoID, minor := giop.RepoUnknown, minorServantError
 	if errors.As(err, &sysEx) {
-		repoID, minor = sysEx.RepoID, sysEx.Minor
+		repoID, minor = sysEx.RepoID, giop.Minor(sysEx.Minor)
 	}
-	return append(head, giop.SystemExceptionBody(req.ArgsOrder, repoID, minor, giop.CompletedYes)...), giop.ReplySystemException
+	return append(head, giop.ServantException(repoID).Body(req.ArgsOrder, minor)...), giop.ReplySystemException
 }

@@ -48,7 +48,7 @@ func wantReplyDiscarded(t *testing.T, rep giop.Reply) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repo != "IDL:eternalgw/REPLY_DISCARDED:1.0" || minor != minorBeyondWindow || completed != giop.CompletedYes {
+	if repo != "IDL:eternalgw/REPLY_DISCARDED:1.0" || minor != minorBeyondWindow.Minor() || completed != giop.CompletedYes {
 		t.Fatalf("exception %s minor %d completed %d, want REPLY_DISCARDED minor %d COMPLETED_YES", repo, minor, completed, minorBeyondWindow)
 	}
 }

@@ -140,9 +140,9 @@ func replyBuiltInPlace(t *testing.T) {
 	rh := responseHeader(inv)
 	r := &replica{m: &Mechanisms{room: room}, app: &scriptedApp{}, responses: slab.New[byte](responseChunk)}
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
-		exception := func(repo string, minor uint32) giop.Reply {
+		exception := func(repo string, minor giop.Minor) giop.Reply {
 			return giop.Reply{RequestID: 42, Status: giop.ReplySystemException, ResultOrder: order,
-				Result: giop.SystemExceptionBody(order, repo, minor, giop.CompletedYes)}
+				Result: giop.ServantException(repo).Body(order, minor)}
 		}
 		for _, c := range []struct {
 			op   string

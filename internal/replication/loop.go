@@ -19,20 +19,20 @@ const giopOrder = cdr.BigEndian
 // in docs/OPERATIONS.md). The request did execute — the copies merely
 // disagree — so it travels with COMPLETED_MAYBE: the outcome is
 // unknown and a blind retry is not known to be safe.
-const minorNoAgreement uint32 = 0
+const minorNoAgreement giop.Minor = 0
 
 // minorBeyondWindow is the REPLY_DISCARDED minor code a replica answers a
 // duplicate invocation with when its table holds the operation's
 // identifier and no longer, or not yet here, its response (documented in
 // docs/OPERATIONS.md). The operation ran, once, and is not run again:
 // COMPLETED_YES.
-const minorBeyondWindow uint32 = 1
+const minorBeyondWindow giop.Minor = 1
 
 // minorReplyTooLarge is the IMP_LIMIT minor code a replica answers with in
 // place of a response longer than one datagram of the domain's transport
 // carries (documented in docs/OPERATIONS.md). The operation ran and its
 // effects stand: COMPLETED_YES.
-const minorReplyTooLarge uint32 = 2
+const minorReplyTooLarge giop.Minor = 2
 
 // step is the totem node's consumer (totem.Node.Run), called on the node's
 // protocol goroutine — the event loop — with each ordered event. It alone
@@ -672,7 +672,7 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 				res.rep = giop.Reply{
 					RequestID: rep.RequestID,
 					Status:    giop.ReplySystemException,
-					Result:    giop.SystemExceptionBody(giopOrder, giop.RepoNoAgreement, minorNoAgreement, giop.CompletedMaybe),
+					Result:    giop.NoAgreement.Body(giopOrder, minorNoAgreement),
 				}
 			default:
 				prev = c

@@ -43,17 +43,18 @@ func (p *packTap) Broadcast(datagram []byte) error {
 }
 
 // tappedDomain is newDomain with the last of its n members' transport
-// tapped.
-func tappedDomain(t *testing.T, n int) (*domain, *packTap) {
+// tapped, and each member's totem configuration handed to tweak, when it
+// is set.
+func tappedDomain(t *testing.T, n int, tweak func(*totem.Config)) (*domain, *packTap) {
 	t.Helper()
 	tap := &packTap{}
-	d := newDomainVia(t, n, func(id memnet.NodeID, ep *memnet.Endpoint) totem.Transport {
+	d := buildDomain(t, n, func(id memnet.NodeID, ep *memnet.Endpoint) totem.Transport {
 		if id != memnet.NodeID(fmt.Sprintf("n%02d", n-1)) {
 			return ep
 		}
 		tap.Endpoint = ep
 		return tap
-	})
+	}, tweak)
 	return d, tap
 }
 
@@ -91,10 +92,11 @@ func pipeline(t *testing.T, client *Mechanisms, firstClient uint64, callers, ops
 // entries, and every pack none of them refers to — nor a buffered
 // message, which the idle ring collects at stability — becomes
 // unreachable: the cut let go of it, and so did the part list totem
-// decoded it into.
+// decoded it into. The premise is a ring that never reconfigures, so the
+// members fail each other after a second (newSteadyDomain's timeout).
 func TestPackedLogEntriesPinABoundedLog(t *testing.T) {
 	const ops = 40*checkpointInterval + 7
-	d, tap := tappedDomain(t, 4)
+	d, tap := tappedDomain(t, 4, func(c *totem.Config) { c.FailTimeout = time.Second })
 	setupClientServer(t, d, Active, 3, 3)
 	pipeline(t, d.rms[d.ids[3]], 1, 16, ops)
 
@@ -106,7 +108,7 @@ func TestPackedLogEntriesPinABoundedLog(t *testing.T) {
 	}
 	replicas := d.ids[:3]
 	for _, id := range replicas {
-		if n := logLen(d.rms[id]); n > checkpointInterval {
+		if n := logLen(t, d.rms[id]); n > checkpointInterval {
 			t.Errorf("%s: %d entries logged after %d operations, want at most checkpointInterval (%d)", id, n, ops, checkpointInterval)
 		}
 	}
@@ -116,11 +118,7 @@ func TestPackedLogEntriesPinABoundedLog(t *testing.T) {
 		runtime.GC()
 		var logged [][]byte
 		for _, id := range replicas {
-			m := d.rms[id]
-			m.mu.RLock()
-			log := m.groups[grpServer].local.log
-			m.mu.RUnlock()
-			_, entries, err := log.Recover(uint32(grpServer))
+			_, entries, err := serverLog(t, d.rms[id]).Recover(uint32(grpServer))
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -167,7 +165,7 @@ func TestPackedLogEntriesPinABoundedLog(t *testing.T) {
 // replica's log is back within warmSyncInterval entries.
 func TestWarmBackupLogsStayWithinASync(t *testing.T) {
 	const before, after = 10*warmSyncInterval + 4, 4*warmSyncInterval + 3
-	d, tap := tappedDomain(t, 4)
+	d, tap := tappedDomain(t, 4, nil)
 	apps := setupClientServer(t, d, WarmPassive, 3, 3)
 	client := d.rms[d.ids[3]]
 	pipeline(t, client, 1, 16, before)
@@ -187,7 +185,7 @@ func TestWarmBackupLogsStayWithinASync(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for _, id := range d.ids[1:3] {
-		for n := logLen(d.rms[id]); n > warmSyncInterval; n = logLen(d.rms[id]) {
+		for n := logLen(t, d.rms[id]); n > warmSyncInterval; n = logLen(t, d.rms[id]) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: %d entries logged, want at most warmSyncInterval (%d)", id, n, warmSyncInterval)
 			}

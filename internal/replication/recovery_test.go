@@ -10,6 +10,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
+	"eternalgw/internal/logrec"
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/orb"
 )
@@ -394,7 +395,7 @@ func TestSecondCopyBehindACheckpointIsNotLogged(t *testing.T) {
 			if v, ops := apps[1].snapshot(); ops != cut+2 || !bytes.Equal(v, appended(cut+2)) {
 				t.Fatalf("promoted backup holds %q after %d operations, want %q after %d: a second copy was logged and replayed", v, ops, appended(cut+2), cut+2)
 			}
-			if n := logLen(d.rms[d.ids[2]]); n > 2 {
+			if n := logLen(t, d.rms[d.ids[2]]); n > 2 {
 				t.Fatalf("the donated backup's log holds %d entries behind the cut at %d, want the two after it alone", n, cut)
 			}
 		})
@@ -428,7 +429,7 @@ func TestReissueBehindACheckpointAfterPromotionIsNotExecuted(t *testing.T) {
 			for i := 1; i <= cut+1; i++ {
 				appendOp(i)
 			}
-			waitFor(t, 5*time.Second, func() bool { return logLen(backup) == 1 })
+			waitFor(t, 5*time.Second, func() bool { return logLen(t, backup) == 1 })
 			d.net.Crash(d.ids[0])
 			waitFor(t, 5*time.Second, func() bool { return backup.Stats().Failovers == 1 })
 			waitStat(t, func() uint64 { return backup.Stats().ReplayedInvocations }, 1)
@@ -449,10 +450,23 @@ func TestReissueBehindACheckpointAfterPromotionIsNotExecuted(t *testing.T) {
 }
 
 // logLen is how many invocations a member's log holds for grpServer.
-func logLen(m *Mechanisms) int {
+func logLen(t *testing.T, m *Mechanisms) int {
+	t.Helper()
+	return serverLog(t, m).EntryCount(uint32(grpServer))
+}
+
+// serverLog is a member's recovery log for grpServer. A member that comes
+// back behind the kept history's horizon closes the replicas it hosted,
+// by design: the test then fails, naming the member.
+func serverLog(t *testing.T, m *Mechanisms) *logrec.Log {
+	t.Helper()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.groups[grpServer].local.log.EntryCount(uint32(grpServer))
+	g := m.groups[grpServer]
+	if g == nil || g.local == nil {
+		t.Fatalf("%s hosts no replica of group %d: it left the ring and came back behind the kept history's horizon", m.id, grpServer)
+	}
+	return g.local.log
 }
 
 // TestJoinOfADepartedProcessorIsNotListed: a join is delivered after its

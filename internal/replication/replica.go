@@ -419,7 +419,7 @@ func (r *replica) respond(h Header, req giop.Request) ([]byte, error) {
 		return encodeReply(room, h, giop.Reply{
 			RequestID: req.RequestID,
 			Status:    giop.ReplySystemException,
-			Result:    giop.SystemExceptionBody(giopOrder, giop.RepoImpLimit, minorReplyTooLarge, giop.CompletedYes),
+			Result:    giop.ImpLimitYes.Body(giopOrder, minorReplyTooLarge),
 		})
 	}
 	return sealPayload(room, buf), nil
@@ -454,7 +454,7 @@ func (r *replica) answerDuplicate(inv Message, kept []byte) {
 	enc, err := encodeReply(r.m.room, responseHeader(inv.Header), giop.Reply{
 		RequestID: req.RequestID,
 		Status:    giop.ReplySystemException,
-		Result:    giop.SystemExceptionBody(giopOrder, giop.RepoReplyDiscarded, minorBeyondWindow, giop.CompletedYes),
+		Result:    giop.ReplyDiscarded.Body(giopOrder, minorBeyondWindow),
 	})
 	if err == nil {
 		r.send(enc)

@@ -270,13 +270,14 @@ func (n *node) install(c totem.ConfigChange) {
 		n.w.asks++
 		n.submit(&entry{kind: eAsk, from: n.idx, ask: n.w.asks})
 	}
-	// A response may have died with a history, or have been executed
-	// before the cut this node will adopt: every unanswered record is
-	// conveyed again, behind the ask, and the duplicate's response
-	// answers it. Shipping gateways do not do this: a caller waits out
-	// the invoke timeout and reissues.
+	// Where this node does not continue the history, a response may have
+	// died with the one it leaves, or have been executed before the cut
+	// it will adopt: every unanswered record is conveyed again, behind
+	// the ask, and the duplicate's response answers it, as a shipping
+	// processor does (Mechanisms.handleConfig). At any other install a
+	// caller waits out the invoke timeout and reissues.
 	for _, k := range n.recOrder {
-		if rec := n.records[k]; len(rec.waiting) > 0 {
+		if rec := n.records[k]; len(rec.waiting) > 0 && !c.Continues {
 			n.submit(&entry{kind: eInvoke, op: rec.op, group: rec.op.Group})
 		}
 	}
