@@ -54,10 +54,10 @@ loc:
 
 # budget runs the datapath allocation budget (alloc_budget_test.go: a
 # leader-mode round trip at r=3 must stay under 120 KiB and 10
-# allocations at 16 KiB, and under 5 KiB and 6 allocations at 64 B —
+# allocations at 16 KiB, and under 5 KiB and 5 allocations at 64 B —
 # large_rtt's copies and small_rtt's fixed cost — and a ring-mode one
-# over loopback UDP sockets under 10 KiB and 46 at 64 B, the fixed cost
-# of a message and a datagram, and under 7 KiB and 10 with 32 calls in
+# over loopback UDP sockets under 10 KiB and 6 at 64 B, the fixed cost
+# of a message and a datagram, and under 7 KiB and 6 with 32 calls in
 # flight through admission, udp_ring_ladder's, where messages travel
 # packed), the stand-up
 # budget (a four-processor domain with a group of three and a gateway
@@ -68,22 +68,32 @@ loc:
 # operation tables are bounded by reply bytes) on their own, without the race detector's overhead, and
 # prints the figures. `race` runs them too; this is the line to look for
 # in a CI log. `make copymap` attributes a failure to a call site. The
-# second line holds the GIOP decoders to theirs: a request or reply
-# decoded in any GIOP version allocates nothing but its service-context
-# list (TestDecodeAllocatesNothing). The last holds totem's datagrams that
+# second line holds the GIOP decoders to theirs: a request decoded in any
+# GIOP version into the room the last one left allocates nothing, a reply
+# nothing but its service-context list (TestDecodeAllocatesNothing). The
+# third holds totem's datagrams that
 # carry no payload — acks, tokens, by-reference batches, promotes, joins —
 # to at most 0.05 allocations each, their share of a slab chunk
-# (TestControlDatagramsAllocateNothing). One of them built in a buffer
-# of its own again reads a third of an allocation or more and fails
-# there; the round-trip rows, a quarter above their -race figures, have
-# room for it. The same holds a replica's responses, carved out of its
-# own slab, to at most 0.1 allocations each
-# (TestResponsesAllocateNothing); one in a buffer of its own reads 1.
+# (TestControlDatagramsAllocateNothing). The same holds a replica's
+# responses, carved out of its own slab, to at most 0.1 allocations each
+# (TestResponsesAllocateNothing), and what a receiver copies into a
+# region of a slab of its own to at most 0.05: a UDP endpoint's received
+# payloads (TestReceivedDatagramsAllocateNothing), the gateway record's
+# copies of parts of packs (TestRecordCopiesAllocateNothing) and the
+# gateway's request frames (TestCarvedFramesAllocateNothing). Each of
+# these runs a batch of a hundred messages at a time, because
+# testing.AllocsPerRun counts whole allocations a run: a message built in
+# a buffer of its own again reads 1, one carved out of too short a chunk
+# its share, and either fails there. TestNoKeeperHoldsAReceiveChunk and
+# TestNoKeeperHoldsARequestChunk hold the keepers of a received byte to
+# letting go of its chunk, and TestQuietUDPClientsPinABoundedHeap holds a
+# quiet client's record entry over UDP to a chunk.
 budget:
-	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$' -count 1 -v .
-	$(GO) test -run 'TestDecodeAllocatesNothing$$' -count 1 -v ./internal/giop
+	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$|TestNoKeeperHoldsAReceiveChunk$$|TestNoKeeperHoldsARequestChunk$$|TestQuietUDPClientsPinABoundedHeap$$' -count 1 -v .
+	$(GO) test -run 'TestDecodeAllocatesNothing$$|TestCarvedFramesAllocateNothing$$' -count 1 -v ./internal/giop
 	$(GO) test -run 'TestControlDatagramsAllocateNothing$$' -count 1 -v ./internal/totem
-	$(GO) test -run 'TestResponsesAllocateNothing$$' -count 1 -v ./internal/replication
+	$(GO) test -run 'TestResponsesAllocateNothing$$|TestRecordCopiesAllocateNothing$$' -count 1 -v ./internal/replication
+	$(GO) test -run 'TestReceivedDatagramsAllocateNothing$$' -count 1 -v ./internal/udpnet
 
 # copymap prints the maps behind the budget (scripts/copymap.sh): which
 # call site allocates how many payload-sized buffers per 16 KiB round trip,

@@ -38,6 +38,7 @@ import (
 	"eternalgw/internal/giop"
 	"eternalgw/internal/obs"
 	"eternalgw/internal/replication"
+	"eternalgw/internal/slab"
 )
 
 // Minor codes for the system exceptions the gateway itself fabricates
@@ -157,6 +158,11 @@ type Gateway struct {
 	requestsShed        atomic.Uint64
 	connectionsShed     atomic.Uint64
 	requestsTooLarge    atomic.Uint64
+
+	// framesMu guards frames, what every connection's requests are carved
+	// out of (carveFrame).
+	framesMu sync.Mutex
+	frames   slab.Slab[byte]
 }
 
 // New creates a gateway, joins the gateway group as a client-only member
@@ -192,6 +198,7 @@ func New(cfg Config) (*Gateway, error) {
 		counters:      make(map[replication.GroupID]uint64),
 		acceptStop:    make(chan struct{}),
 		instanceNonce: binary.BigEndian.Uint64(nonce[:]) &^ counterIDBit,
+		frames:        slab.New[byte](slab.ByteChunk),
 	}
 	g.registerMetrics(cfg.Metrics)
 	// Join the gateway group (idempotent error if the embedding code, or
@@ -597,6 +604,16 @@ func (cc *clientConn) unlink(r *request) {
 	r.prev, r.next = nil, nil
 }
 
+// carveFrame returns an empty region with room for n bytes out of the
+// slab the requests of all the gateway's connections are read into
+// (serveConn): one for the gateway, so that a connection holds no chunk
+// of its own, however few requests it sends.
+func (g *Gateway) carveFrame(n int) []byte {
+	g.framesMu.Lock()
+	defer g.framesMu.Unlock()
+	return g.frames.Carve(n)
+}
+
 // serveConn is a connection's read loop: the gateway spawned a dedicated
 // socket for the client and keeps listening for further clients on the
 // original socket (paper section 3.1). It reads the client's requests in
@@ -613,11 +630,19 @@ func (g *Gateway) serveConn(cc *clientConn) {
 	}()
 	// A request is read into the buffer it is multicast from: behind the
 	// room the domain's headers take, and no longer than one datagram of
-	// its transport carries.
+	// its transport carries. A short one is carved out of the gateway's
+	// slab: what keeps a request's frame past this loop lets go of it in
+	// order or is bounded (DESIGN.md section 7).
 	room, ceiling := g.rm.Headroom()
 	ra := giop.NewReassembler(nc, max(0, ceiling-room-giop.HeaderSize))
-	ra.Room = room
+	ra.Room, ra.Frames = room, g.carveFrame
+	// Each request is decoded into the room the last one's
+	// service-context list left: nothing holds a list past its request,
+	// and what a request borrows from its frame is let go of before the
+	// connection waits for the next, so an idle one holds none.
+	var req giop.Request
 	for {
+		req.Reset()
 		msg, err := ra.Next()
 		if msg.Body != nil && errors.Is(err, giop.ErrTooLarge) {
 			// Refused, and read past: the connection is still in step.
@@ -638,8 +663,7 @@ func (g *Gateway) serveConn(cc *clientConn) {
 			if g.tracer != nil || g.reqHist != nil {
 				arrived = time.Now()
 			}
-			req, err := giop.DecodeRequest(msg)
-			if err != nil {
+			if err := giop.DecodeRequestInto(msg, &req); err != nil {
 				g.log.Warn("bad request", "remote", nc.RemoteAddr(), "err", err)
 				cc.write(giop.EncodeMessageError(msg.Header.Order))
 				continue

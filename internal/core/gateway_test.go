@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -450,6 +451,10 @@ func TestDistinctTCPClientsGetDistinctIdentifiers(t *testing.T) {
 	waitInt(t, func() int64 { return apps[0].totalOps() }, 2, "ops")
 }
 
+// TestGatewayConcurrentClients: clients on connections of their own call
+// at once, and the gateway reads all their requests into regions of one
+// slab (Gateway.carveFrame): each client appends a byte of its own, and
+// every replica must hold each client's byte as often as it called.
 func TestGatewayConcurrentClients(t *testing.T) {
 	d := fastDomain(t, "ny", 3)
 	apps := deployRegister(t, d, replication.Active, 2)
@@ -471,7 +476,7 @@ func TestGatewayConcurrentClients(t *testing.T) {
 			}
 			defer func() { _ = conn.Close() }()
 			for i := 0; i < calls; i++ {
-				if _, err := conn.Call([]byte(keyRegister), "append", encodeOctetSeq([]byte("x")), orb.InvokeOptions{}); err != nil {
+				if _, err := conn.Call([]byte(keyRegister), "append", encodeOctetSeq([]byte{byte('a' + c)}), orb.InvokeOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -485,6 +490,14 @@ func TestGatewayConcurrentClients(t *testing.T) {
 	}
 	for i, app := range apps {
 		waitInt(t, func() int64 { return app.totalOps() }, clients*calls, fmt.Sprintf("replica %d", i))
+		app.mu.Lock()
+		value := string(app.value)
+		app.mu.Unlock()
+		for c := 0; c < clients; c++ {
+			if n := strings.Count(value, string(rune('a'+c))); n != calls {
+				t.Errorf("replica %d holds %d of client %d's %d appends: %q", i, n, c, calls, value)
+			}
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestImportAllowlist(t *testing.T) {
 		pkg  string
 		want []string
 	}{
-		{"core", []string{"admission", "cdr", "giop", "obs", "replication"}},
+		{"core", []string{"admission", "cdr", "giop", "obs", "replication", "slab"}},
 		{"totem", []string{"cdr", "memnet", "obs", "slab"}},
 		{"replication", []string{"cdr", "fifo", "giop", "logrec", "memnet", "obs", "orb", "slab", "totem"}},
 	} {

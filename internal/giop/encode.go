@@ -95,28 +95,55 @@ func AppendReply(dst []byte, order cdr.ByteOrder, rep Reply) ([]byte, error) {
 // needs. The operation name does not alias the body: it is interned
 // (operationName), so a decode allocates only the service-context list,
 // when there is one — and a copy of a name the intern table does not
-// hold.
+// hold. DecodeRequestInto reuses a list instead.
 func DecodeRequest(msg Message) (Request, error) {
-	if msg.Header.Type != MsgRequest {
-		return Request{}, fmt.Errorf("giop: decode request: message is %v", msg.Header.Type)
+	var req Request
+	if err := DecodeRequestInto(msg, &req); err != nil {
+		return Request{}, err
 	}
-	if msg.Header.Minor == 2 {
-		return decodeRequest12(msg)
-	}
-	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	req := readRequest(r, msg.Header.Minor)
-	if err := r.Err(); err != nil {
-		return Request{}, fmt.Errorf("giop: decode 1.%d request: %w", msg.Header.Minor, err)
-	}
-	req.ArgsOrder = msg.Header.Order
 	return req, nil
 }
 
-// readRequest reads a 1.0 or 1.1 request: what writeRequestHead writes,
-// and the arguments behind it.
-func readRequest(r *cdr.Reader, minor byte) Request {
-	var req Request
-	req.ServiceContexts = readServiceContexts(r)
+// DecodeRequestInto is DecodeRequest into req, whose service-context list
+// it decodes into the room req.ServiceContexts already has: a caller that
+// decodes one request after another into one Request, and holds none of
+// their lists past the next decode, allocates a list once. On an error
+// req is left empty.
+func DecodeRequestInto(msg Message, req *Request) error {
+	req.Reset()
+	var err error
+	switch {
+	case msg.Header.Type != MsgRequest:
+		err = fmt.Errorf("giop: decode request: message is %v", msg.Header.Type)
+	case msg.Header.Minor == 2:
+		err = decodeRequest12(msg, req)
+	default:
+		r := cdr.NewReader(msg.Body, msg.Header.Order)
+		readRequest(r, msg.Header.Minor, req)
+		req.ArgsOrder = msg.Header.Order
+		if err = r.Err(); err != nil {
+			err = fmt.Errorf("giop: decode 1.%d request: %w", msg.Header.Minor, err)
+		}
+	}
+	if err != nil {
+		req.Reset()
+	}
+	return err
+}
+
+// Reset empties req but for the room of its service-context list, which
+// DecodeRequestInto decodes the next list into: req then refers to no
+// byte of the message it was decoded from.
+func (req *Request) Reset() {
+	contexts := req.ServiceContexts[:0]
+	clear(contexts[:cap(contexts)])
+	*req = Request{ServiceContexts: contexts}
+}
+
+// readRequest reads a 1.0 or 1.1 request into req: what
+// writeRequestHead writes, and the arguments behind it.
+func readRequest(r *cdr.Reader, minor byte, req *Request) {
+	req.ServiceContexts = readServiceContexts(r, req.ServiceContexts)
 	req.RequestID = r.ReadULong()
 	req.ResponseExpected = r.ReadBool()
 	if minor == 1 {
@@ -129,7 +156,6 @@ func readRequest(r *cdr.Reader, minor byte) Request {
 	req.Principal = slices.Clip(r.ReadOctetSeq())
 	r.Align(8)
 	req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
-	return req
 }
 
 // requestSizeHint bounds a request body's encoded size, so encoders can
@@ -184,7 +210,7 @@ func DecodeReply(msg Message) (Reply, error) {
 // result behind it.
 func readReply(r *cdr.Reader) Reply {
 	var rep Reply
-	rep.ServiceContexts = readServiceContexts(r)
+	rep.ServiceContexts = readServiceContexts(r, nil)
 	rep.RequestID = r.ReadULong()
 	rep.Status = ReplyStatus(r.ReadULong())
 	r.Align(8)
@@ -359,19 +385,19 @@ func writeServiceContexts(w *cdr.Writer, list []ServiceContext) {
 	}
 }
 
-func readServiceContexts(r *cdr.Reader) []ServiceContext {
+// readServiceContexts reads a service-context list onto list[:0].
+func readServiceContexts(r *cdr.Reader, list []ServiceContext) []ServiceContext {
+	list = list[:0]
 	n := r.ReadULong()
-	if r.Err() != nil {
-		return nil
+	if r.Err() != nil || n == 0 {
+		return list
 	}
 	// Each entry is at least 8 bytes, so cap the allocation hint by what
 	// the remaining bytes could possibly hold; truncation then surfaces
 	// through the reader's sticky error as entries are decoded.
-	capHint := int(n)
-	if maxEntries := r.Remaining() / 8; capHint > maxEntries {
-		capHint = maxEntries
+	if hint := min(int(n), r.Remaining()/8); cap(list) < hint {
+		list = make([]ServiceContext, 0, hint)
 	}
-	list := make([]ServiceContext, 0, capHint)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		id := r.ReadULong()
 		list = append(list, ServiceContext{ID: id, Data: slices.Clip(r.ReadOctetSeq())})

@@ -127,6 +127,14 @@ type Reassembler struct {
 	// message's Frame, for a layer that conveys the message as it was read
 	// to write its own header there. Set it before the first Next.
 	Room int
+	// Frames, when set, returns an empty region with room for n bytes,
+	// carved out of a slab its caller owns, that a message's Frame is
+	// read into when it is not fragmented, so that a short message costs
+	// no allocation of its own: a caller whose keepers of a Frame let go
+	// of it in order or are bounded sets it, like Room, before the first
+	// Next. Where it is nil, as for a caller that hands Frames on to code
+	// it does not know, each Frame is made on its own.
+	Frames func(n int) []byte
 	// partial is the in-progress fragmented message, if any: its Frame
 	// grows fragment by fragment. refused says it outgrew maxTotal: its
 	// Body is then the first bytes alone and the rest is read and dropped.
@@ -156,7 +164,9 @@ func NewReassembler(r io.Reader, maxTotal int) *Reassembler {
 
 // Next returns the next complete message. Its Frame is one buffer — Room
 // unwritten bytes, the GIOP header as a whole message carries it, the
-// body — that nothing else refers to: it is the caller's.
+// body — that nothing else refers to: it is the caller's, a region
+// Frames returned, clipped to its length, or one of its own where Frames
+// is nil or the message is fragmented.
 //
 // A message that declares more than maxTotal is refused before its body
 // is allocated: the body is read and dropped, and Next returns the header
@@ -229,8 +239,8 @@ func (ra *Reassembler) readErr(err error) error {
 	return err
 }
 
-// readFirst reads the body behind a message's own header, into a new
-// frame; or refuses it.
+// readFirst reads the body behind a message's own header, into a frame
+// Frames returns; or refuses it.
 func (ra *Reassembler) readFirst(h Header) (Message, error) {
 	if h.Size > uint32(ra.maxTotal) {
 		head := make([]byte, min(h.Size, refusedHead))
@@ -240,7 +250,13 @@ func (ra *Reassembler) readFirst(h Header) (Message, error) {
 		ra.refused = true
 		return Message{Header: h, Body: head}, nil
 	}
-	frame := make([]byte, ra.Room+HeaderSize, ra.Room+HeaderSize+min(int(h.Size), firstRead))
+	frame, n := []byte(nil), ra.Room+HeaderSize+min(int(h.Size), firstRead)
+	if ra.Frames != nil {
+		frame = ra.Frames(n)
+	} else {
+		frame = make([]byte, 0, n)
+	}
+	frame = frame[:ra.Room+HeaderSize]
 	copy(frame[ra.Room:], ra.hdr[:])
 	frame, err := ra.readOnto(h, frame, int(h.Size))
 	if err != nil {

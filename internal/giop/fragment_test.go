@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"eternalgw/internal/cdr"
+	"eternalgw/internal/slab"
 )
 
 func big12Request(t *testing.T, size int) Message {
@@ -240,5 +241,70 @@ func TestAllocationFollowsTheBytesRead(t *testing.T) {
 	got, err := NewReassembler(&wire, 0).Next()
 	if err != nil || !bytes.Equal(got.Body, long.Body) {
 		t.Fatalf("a %d-byte message read back as %d bytes, %v", len(long.Body), len(got.Body), err)
+	}
+}
+
+// TestCarvedFramesAllocateNothing: a Reassembler whose Frames carves out
+// of a slab, as the gateway's does, reads each short message into a region
+// of it — Room unwritten bytes, the header, the body, clipped to that
+// length — so a message costs its share of a chunk and no allocation of
+// its own; a long one the slab makes on its own. With Frames nil, the
+// orb's setting, each frame is its own: one allocation. Each run reads a
+// batch of messages, so that a share of an allocation per message shows.
+func TestCarvedFramesAllocateNothing(t *testing.T) {
+	const (
+		most  = 0.05
+		room  = 60
+		batch = 100
+		runs  = 40
+	)
+	small, err := EncodeRequestV(cdr.BigEndian, 2, Request{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("bench/register"), Operation: "echo", Args: make([]byte, 68)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one bytes.Buffer
+	if err := WriteMessage(&one, small); err != nil {
+		t.Fatal(err)
+	}
+	// perMessage reads batches of the message through a reassembler whose
+	// Frames is frames, and returns the allocations per message.
+	perMessage := func(frames func(int) []byte) float64 {
+		stream := bytes.NewReader(bytes.Repeat(one.Bytes(), (runs+2)*batch))
+		ra := NewReassembler(stream, 0)
+		ra.Room, ra.Frames = room, frames
+		next := func() {
+			for range batch {
+				msg, err := ra.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(msg.Frame) != room+one.Len() || cap(msg.Frame) != len(msg.Frame) || !bytes.Equal(msg.Frame[room:], one.Bytes()) {
+					t.Fatalf("frame of %d bytes (capacity %d), want Room and the %d-byte message", len(msg.Frame), cap(msg.Frame), one.Len())
+				}
+			}
+		}
+		next() // AllocsPerRun's warm-up is the second batch
+		return testing.AllocsPerRun(runs, next) / batch
+	}
+	frames := slab.New[byte](slab.ByteChunk)
+	n := perMessage(frames.Carve)
+	t.Logf("%.2f allocations per %d-byte frame carved out of a slab", n, room+one.Len())
+	if n > most {
+		t.Errorf("%.3f allocations per %d-byte frame carved out of a slab, want at most %v", n, room+one.Len(), most)
+	}
+	if n := perMessage(nil); n != 1 {
+		t.Errorf("%.3f allocations per message read with Frames nil, want 1", n)
+	}
+	// A message longer than a quarter of a chunk is not carved.
+	var long bytes.Buffer
+	if err := WriteMessage(&long, big12Request(t, 2<<10)); err != nil {
+		t.Fatal(err)
+	}
+	size := long.Len()
+	frames = slab.New[byte](slab.ByteChunk)
+	ra := NewReassembler(&long, 0)
+	ra.Frames = frames.Carve
+	if _, err := ra.Next(); err != nil || frames.Chunk() != nil {
+		t.Fatalf("a %d-byte message was carved (err %v)", size, err)
 	}
 }

@@ -75,9 +75,9 @@ func writeRequestHead12(w *cdr.Writer, req Request) {
 	}
 }
 
-func decodeRequest12(msg Message) (Request, error) {
+// decodeRequest12 reads a 1.2 request into req.
+func decodeRequest12(msg Message, req *Request) error {
 	r := cdr.NewReader(msg.Body, msg.Header.Order)
-	var req Request
 	req.RequestID = r.ReadULong()
 	flags := r.ReadOctet()
 	req.ResponseExpected = flags&0x01 != 0
@@ -86,20 +86,20 @@ func decodeRequest12(msg Message) (Request, error) {
 	r.ReadOctet()
 	disposition := r.ReadUShort()
 	if r.Err() == nil && disposition != TargetKeyAddr {
-		return Request{}, fmt.Errorf("%w: %d", ErrUnsupportedTarget, disposition)
+		return fmt.Errorf("%w: %d", ErrUnsupportedTarget, disposition)
 	}
 	req.ObjectKey = slices.Clip(r.ReadOctetSeq())
 	req.Operation = operationName(r.ReadStringBytes())
-	req.ServiceContexts = readServiceContexts(r)
+	req.ServiceContexts = readServiceContexts(r, req.ServiceContexts)
 	if err := r.Err(); err != nil {
-		return Request{}, fmt.Errorf("giop: decode 1.2 request: %w", err)
+		return fmt.Errorf("giop: decode 1.2 request: %w", err)
 	}
 	if r.Remaining() > 0 {
 		r.Align(8)
 		req.Args = slices.Clip(r.ReadOctets(r.Remaining()))
 	}
 	req.ArgsOrder = msg.Header.Order
-	return req, nil
+	return nil
 }
 
 // EncodeReplyV builds a framed Reply in the given GIOP minor version.
@@ -220,7 +220,7 @@ func readReplyHead12(r *cdr.Reader) Reply {
 	var rep Reply
 	rep.RequestID = r.ReadULong()
 	rep.Status = ReplyStatus(r.ReadULong())
-	rep.ServiceContexts = readServiceContexts(r)
+	rep.ServiceContexts = readServiceContexts(r, nil)
 	if r.Err() == nil && r.Remaining() > 0 {
 		r.Align(8)
 	}

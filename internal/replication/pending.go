@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"eternalgw/internal/fifo"
+	"eternalgw/internal/slab"
 )
 
 // pendingShards is how many locks the pending-call table and the
@@ -50,6 +51,11 @@ type pendingShard struct {
 	// entry under departedKey, on which what still arrives for it is
 	// discarded.
 	answered fifo.Map[opKey]
+	// copies is what the record's copies of parts of packs are carved out
+	// of (retain). answered lets go of its entries in the order they were
+	// added, so the chunks go in that order too; an entry forget drops out
+	// of turn pins its chunk, at most, until the entries around it go.
+	copies slab.Slab[byte]
 }
 
 // departedKey stands for a departed client, named as its operations are:
@@ -62,15 +68,16 @@ func departedKey(serverGroup GroupID, clientID uint64) opKey {
 // remember notes an operation as answered; the first note wins. record
 // says the reply, a window onto a delivered datagram, belongs in the
 // gateway-group record, where it is kept under retain's rule — the
-// datagram itself if sole, a copy if it was packed — as the record is
-// cut by its window, not by a checkpoint. Callers hold sh.mu.
+// datagram itself if sole, a copy carved out of the shard's slab if it was
+// packed — as the record is cut by its window, not by a checkpoint.
+// Callers hold sh.mu.
 func (sh *pendingShard) remember(key opKey, reply []byte, sole, record bool) {
 	if sh.answered.Has(key) {
 		return
 	}
 	var kept []byte
 	if record && len(reply) > 0 {
-		kept = retain(reply, sole)
+		kept = retain(reply, sole, &sh.copies)
 	}
 	sh.answered.Add(key, kept)
 }
@@ -91,6 +98,7 @@ func newPendingTable(capacity, window int) *pendingTable {
 		sh := &t.shards[i]
 		sh.calls = make(map[opKey]*Call)
 		sh.answered.Init(per, window/pendingShards)
+		sh.copies = slab.New[byte](slab.ByteChunk)
 	}
 	return t
 }

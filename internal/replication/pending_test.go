@@ -408,6 +408,44 @@ func TestForgetTouchesOneShardAndAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRecordCopiesAllocateNothing: the record copies a reply that was a
+// part of a pack into a region of its shard's slab, clipped to the reply,
+// so a copy costs its share of a chunk and no allocation of its own, also
+// when the shard is full and lets go of an entry for each it takes. One
+// copied into a buffer of its own again reads 1. Each run records a batch
+// of copies, so that a share of an allocation per copy shows.
+func TestRecordCopiesAllocateNothing(t *testing.T) {
+	const (
+		most  = 0.05
+		batch = 100
+	)
+	table := newPendingTable(answeredCapacity, ReplyWindow)
+	const client = 42
+	part := make([]byte, 150) // a 64 B echo's reply, headers included
+	next := uint32(0)
+	record := func() {
+		part[0] = byte(next)
+		table.record(recKey(client, next), part, true)
+		next++
+	}
+	for range answeredCapacity / pendingShards {
+		record() // the shard is full: each entry from here lets one go
+	}
+	n := testing.AllocsPerRun(40, func() {
+		for range batch {
+			record()
+		}
+	}) / batch
+	t.Logf("%.2f allocations per recorded copy", n)
+	if n > most {
+		t.Errorf("%.3f allocations per recorded copy, want at most %v", n, most)
+	}
+	kept, ok := table.reply(recKey(client, next-1))
+	if !ok || len(kept) != len(part) || cap(kept) != len(kept) || kept[0] != byte(next-1) || &kept[0] == &part[0] {
+		t.Fatalf("the last reply is kept as %d bytes (capacity %d, recorded %v), not as a clipped copy of the part", len(kept), cap(kept), ok)
+	}
+}
+
 // respond hands m a response as the event loop would, and returns its
 // encapsulated reply bytes.
 func respond(t *testing.T, m *Mechanisms, h Header, sender string, result byte) []byte {

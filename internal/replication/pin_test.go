@@ -12,6 +12,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/memnet"
+	"eternalgw/internal/slab"
 	"eternalgw/internal/totem"
 )
 
@@ -282,9 +283,9 @@ func waitRan(t *testing.T, apps []*chunkApp, n int) {
 	}
 }
 
-// perChunk is the most responses a chunk of responseChunk holds: each
+// perChunk is the most responses a chunk of a replica's slab holds: each
 // region is at least the two headers and replyStart.
-const perChunk = responseChunk / (headerLen + replyStart)
+const perChunk = slab.ByteChunk / (headerLen + replyStart)
 
 // TestResponseChunksOutliveNoKeeper: a replica carves its responses out
 // of chunks of its slab, and two keepers hold them past their transit —
@@ -383,8 +384,8 @@ func TestQuietClientsPinABoundedHeap(t *testing.T) {
 		}
 	}
 	region := d.rms[d.ids[0]].room + headerLen + replyStart
-	tables := 3 * (capacity*region + responseChunk)
-	bound := tables + recorded*responseChunk + identifiers*128 + 2<<20
+	tables := 3 * (capacity*region + slab.ByteChunk)
+	bound := tables + recorded*slab.ByteChunk + identifiers*128 + 2<<20
 
 	var after runtime.MemStats
 	for range 3 {

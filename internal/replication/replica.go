@@ -192,6 +192,11 @@ type replica struct {
 	// invocation (orb.InvokeServant): the executor runs one at a time.
 	args  cdr.Reader
 	reply cdr.Writer
+	// req is the invocation being run, decoded into the room the last
+	// one's service-context list left (decodeRequest), so that a client's
+	// FT context costs no allocation. It holds the last invocation's
+	// bytes until the next, as the recovery log does until a checkpoint.
+	req giop.Request
 	// responses is where respond carves the buffer of each response, its
 	// first chunk made at the first. ops keeps what it builds in the order
 	// it built them and lets go of them in that order, so a chunk lives
@@ -208,7 +213,7 @@ func newReplica(m *Mechanisms, group GroupID, style Style, app Application) *rep
 		app:   app,
 		tasks: newTaskQueue(),
 
-		responses: slab.New[byte](responseChunk),
+		responses: slab.New[byte](slab.ByteChunk),
 	}
 	r.ops.Init(operationCapacity, ReplyWindow)
 	if app != nil {
@@ -346,7 +351,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 		return
 	}
 	r.m.dedupMisses.Add(1)
-	req, err := decodeRequest(msg.Payload)
+	req, err := r.decodeRequest(msg.Payload)
 	if err != nil {
 		return
 	}
@@ -387,13 +392,10 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 
 // replyStart is what the buffer of a response starts with behind the two
 // headers: the IIOP reply's head and a result of a value or two, before
-// append has to grow it out of its region of responseChunk. Nothing is
-// guessed from the request.
+// append has to grow it out of its region of a chunk (slab.ByteChunk:
+// about twenty such regions behind the headers). Nothing is guessed from
+// the request.
 const replyStart = 128
-
-// responseChunk is how long a chunk of a replica's responses is: about
-// twenty regions of replyStart behind the headers.
-const responseChunk = 4 << 10
 
 // respond executes req against the application and returns the response
 // addressed by h, encoded behind the mechanisms' headroom. The servant
@@ -447,7 +449,7 @@ func (r *replica) answerDuplicate(inv Message, kept []byte) {
 		return
 	}
 	r.m.duplicatesBeyondWindow.Add(1)
-	req, err := decodeRequest(inv.Payload)
+	req, err := r.decodeRequest(inv.Payload)
 	if err != nil || !req.ResponseExpected {
 		return
 	}
@@ -461,14 +463,15 @@ func (r *replica) answerDuplicate(inv Message, kept []byte) {
 	}
 }
 
-// decodeRequest reads the IIOP request an invocation encapsulates; it
-// borrows from payload.
-func decodeRequest(payload []byte) (giop.Request, error) {
+// decodeRequest reads the IIOP request an invocation encapsulates into
+// r.req, and returns it until the next decode; it borrows from payload.
+func (r *replica) decodeRequest(payload []byte) (giop.Request, error) {
 	wire, err := giop.Unmarshal(payload)
 	if err != nil {
 		return giop.Request{}, err
 	}
-	return giop.DecodeRequest(wire)
+	err = giop.DecodeRequestInto(wire, &r.req)
+	return r.req, err
 }
 
 // responseHeader addresses a response to the invoker's group, carrying

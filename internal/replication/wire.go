@@ -192,21 +192,22 @@ type HeaderView struct {
 // retain returns b, a window onto a delivered datagram, as the gateway-
 // group record keeps it for as long as its window holds the reply
 // (DESIGN.md section 7): b itself if sole (totem.Delivery.Sole), which
-// pins one totem header besides and, a response being carved from its
-// replica's slab, the responder's chunk — 4 KiB at most, so the record's
-// answeredCapacity entries pin 32 MiB at worst (DESIGN.md section 8) —
-// and on memnet is the one buffer every member keeps; a copy of a part of
-// a pack, so that a hundred-byte record never pins 32 KiB. The recovery
-// log, cut at every checkpoint, keeps either by reference
-// (logInvocation). Kept bytes stay read-only, and no transport may pool a
-// datagram that can be.
+// pins one totem header besides and the chunk b lies in — the responder's
+// (a response is carved from its replica's slab) or, over UDP, the
+// receiving endpoint's — 4 KiB at most, so the record's answeredCapacity
+// entries pin 32 MiB at worst (DESIGN.md section 8), and on memnet is the
+// one buffer every member keeps; a copy of a part of a pack, carved out
+// of copies, the record shard's slab, so that a hundred-byte record never
+// pins 32 KiB and costs no allocation of its own. The recovery log, cut at
+// every checkpoint, keeps either by reference (logInvocation). Kept bytes
+// stay read-only, and no transport may pool a datagram that can be.
 //
 // gwlint:arena-retain
-func retain(b []byte, sole bool) []byte {
+func retain(b []byte, sole bool, copies *slab.Slab[byte]) []byte {
 	if sole {
 		return b
 	}
-	return append([]byte(nil), b...)
+	return append(copies.Carve(len(b)), b...)
 }
 
 // Message materializes the view as a Message whose payload still aliases

@@ -9,7 +9,9 @@ package slab
 // it, and the collector frees a chunk once nothing carved from it is
 // held. So what a slab's regions pin is the rule of its owner, stated
 // where the owner carves: a totem core's part lists and control datagrams
-// (internal/totem), a replica's responses (internal/replication). Nothing
+// (internal/totem), a replica's responses and a gateway record shard's
+// copies (internal/replication), a UDP endpoint's received payloads
+// (internal/udpnet), a gateway's requests (internal/core). Nothing
 // carved may be written after it is handed out. A request of more than a
 // quarter of a chunk, which would waste up to as much, and every request
 // of a nil slab is made on its own. The first chunk is made at the first
@@ -18,6 +20,14 @@ type Slab[T any] struct {
 	chunk []T // the chunk being carved: its length is what is carved
 	size  int // a chunk's length
 }
+
+// ByteChunk is how long the chunks of every byte slab are: a totem core's
+// control datagrams, a replica's responses, a UDP endpoint's payloads, a
+// gateway's requests and a record shard's copies are carved out of chunks
+// of ByteChunk bytes, anything over a quarter of it made on its own. What
+// a region of one pins, and so DESIGN.md section 8's bounds, is counted
+// in it.
+const ByteChunk = 4 << 10
 
 // New returns a slab whose chunks hold size elements each.
 func New[T any](size int) Slab[T] { return Slab[T]{size: size} }

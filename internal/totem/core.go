@@ -163,7 +163,8 @@ func NewCore(cfg Config, now time.Time, broadcast func([]byte), emit func(Event)
 		buffer:    make(map[uint64]regularMsg),
 		skipped:   make(map[uint64]bool),
 		parts:     slab.New[[]byte](partChunk),
-		frames:    slab.New[byte](frameChunk),
+		frames:    slab.New[byte](slab.ByteChunk),
+		ids:       newIDTable(cfg.Members),
 	}
 	n.deadlines[dlFail] = now
 	// An empty payload's datagram is its header.
@@ -333,7 +334,7 @@ func (n *Core) Receive(now time.Time, datagram []byte, waiting int) {
 			n.handleToken(t)
 		}
 	case kindJoin:
-		if j, err := decodeJoin(r); err == nil {
+		if j, err := decodeJoin(r, n.ids); err == nil {
 			n.handleJoin(j)
 		}
 	case kindForward:
@@ -560,7 +561,7 @@ func (n *Core) install(t token) {
 	if primary {
 		n.majority = t.RingID
 	}
-	n.ring, n.ringID, n.ids = t.Members, t.RingID, newIDTable(t.Members)
+	n.ring, n.ringID, n.ids = t.Members, t.RingID, newIDTable(t.Members, n.cfg.Members)
 	n.gathering, n.last, n.commit = false, n.commit, ringRef{}
 	n.disarm(dlGather, dlCommit)
 	n.arm(dlFail, n.cfg.FailTimeout)

@@ -51,7 +51,7 @@ func decodeAny(data []byte) (any, error) {
 	case kindToken:
 		return decodeToken(r, nil)
 	case kindJoin:
-		return decodeJoin(r)
+		return decodeJoin(r, nil)
 	case kindForward:
 		return decodeForward(r, nil, nil)
 	case kindBatch:

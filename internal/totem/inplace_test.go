@@ -192,9 +192,11 @@ func TestDecodersBorrowTheDatagram(t *testing.T) {
 }
 
 // TestRingMemberIDsDecodeWithoutAllocating pins the id table: a datagram
-// whose ids are ring members' decodes without a string allocation, a
-// stranger's id decodes to the same value it always did, and decoding it
-// does not add it to the table.
+// whose ids are ring members' decodes without a string allocation — a
+// join, which a gather exchanges before any ring is installed, allocates
+// its list of the processors alive and nothing more — a stranger's id
+// decodes to the same value it always did, and decoding it does not add
+// it to the table.
 func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 	ids := newIDTable([]memnet.NodeID{"n00", "n01", "n02"})
 	frames := map[string][]byte{
@@ -204,6 +206,7 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 		"batch":   encodeBatch(batchMsg{RingID: 1, Seq: 2, Leader: "n01", Origin: "n01", OriginFwd: 2, Payload: []byte("p")}, nil, nil),
 		"ack":     encodeAck(ackMsg{RingID: 1, Sender: "n01", Aru: 2}, nil),
 		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}, nil),
+		"join":    encodeJoin(joinMsg{Sender: "n01", Alive: []memnet.NodeID{"n00", "n01"}, RingID: 2}, nil),
 	}
 	// Static calls, as in handlePacket, so the reader stays on the stack.
 	decodeID := func(frame []byte, ids idTable) (id memnet.NodeID, err error) {
@@ -227,6 +230,12 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 		case kindPromote:
 			m, err := decodePromote(r, ids)
 			return m.Leader, err
+		case kindJoin:
+			m, err := decodeJoin(r, ids)
+			if err == nil && (len(m.Alive) != 2 || m.Alive[1] != m.Sender) {
+				err = fmt.Errorf("alive %v", m.Alive)
+			}
+			return m.Sender, err
 		}
 		return "", fmt.Errorf("kind %d", frame[0])
 	}
@@ -236,8 +245,12 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 			if err != nil || got != "n01" {
 				t.Fatalf("decoded id %q, err %v", got, err)
 			}
-			if n := testing.AllocsPerRun(100, func() { _, _ = decodeID(frame, ids) }); n != 0 {
-				t.Errorf("decoding a ring member's datagram allocates %v times", n)
+			want := 0.0
+			if name == "join" {
+				want = 1 // the alive list
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = decodeID(frame, ids) }); n != want {
+				t.Errorf("decoding a ring member's datagram allocates %v times, want %v", n, want)
 			}
 			// The same datagram from a stranger decodes to the same id it
 			// always did, by allocating it — and the table stays as it was.

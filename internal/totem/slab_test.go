@@ -57,7 +57,7 @@ func controlFrames(frames *slab.Slab[byte], idLen int) map[string][]byte {
 // region's append leaves its neighbours as they were is the slab's own
 // test (internal/slab).
 func TestSlabCarvesDisjointClippedRegions(t *testing.T) {
-	frames := slab.New[byte](frameChunk)
+	frames := slab.New[byte](slab.ByteChunk)
 	got := controlFrames(&frames, 3)
 	want := controlFrames(nil, 3)
 	for kind, f := range got {
@@ -97,7 +97,7 @@ func TestSlabReplacesAFullChunk(t *testing.T) {
 // retransmission list is past a quarter of a chunk, so it is a buffer of
 // its own, encoded as a nil slab's would be.
 func TestOversizedAndNilSlabsMakeTheirOwn(t *testing.T) {
-	frames := slab.New[byte](frameChunk)
+	frames := slab.New[byte](slab.ByteChunk)
 	frames.Carve(8)
 	long := token{RingID: 1, TokenID: 2, Succ: "n01", Rtr: make([]rtrEntry, maxRtr)}
 	if f := encodeToken(long, &frames); within(frames.Chunk(), f) || !bytes.Equal(f, encodeToken(long, nil)) {
@@ -136,7 +136,7 @@ func TestControlFramesFitTheirRegions(t *testing.T) {
 // untouched.
 func TestPayloadBearingEncodersNeverCarve(t *testing.T) {
 	payload := []byte("payload")
-	frames := slab.New[byte](frameChunk)
+	frames := slab.New[byte](slab.ByteChunk)
 	frames.Carve(1)
 	chunk := frames.Chunk()
 	full := batchMsg{RingID: 1, Seq: 2, Leader: "n00", Origin: "n00", OriginFwd: 3, Stable: 1, Payload: payload}
@@ -192,7 +192,7 @@ func carveAudit(t *testing.T, v *vnet) (control, payload *int) {
 				t.Errorf("%s: a datagram of kind %d that carries payloads was carved from the slab", id, d[0])
 			case carried:
 				*payload++
-			case !in && len(d) <= frameChunk/8:
+			case !in && len(d) <= slab.ByteChunk/8:
 				t.Errorf("%s: a datagram of kind %d (%d bytes) that carries no payload was not carved", id, d[0], len(d))
 			case in:
 				*control++
@@ -232,9 +232,14 @@ func TestOnlyControlDatagramsAreCarved(t *testing.T) {
 // acking, a ring-mode member taking and passing the token, and a gathering
 // one repeating its join allocate, on average, next to nothing per
 // datagram: a chunk now and then. Each of them built in a buffer of its
-// own costs one allocation.
+// own costs one allocation. Each run sends a batch of datagrams, so that
+// a share of an allocation per datagram shows.
 func TestControlDatagramsAllocateNothing(t *testing.T) {
-	const most = 0.05
+	const (
+		most  = 0.05
+		batch = 100
+		runs  = 20
+	)
 	now := time.Unix(1000, 0)
 	sent := 0
 	newCore := func(id memnet.NodeID, mode OrderingMode, ring ...memnet.NodeID) *Core {
@@ -255,34 +260,38 @@ func TestControlDatagramsAllocateNothing(t *testing.T) {
 	payload := []byte("p")
 	fwd := uint64(0)
 	sent = 0
-	perRun := testing.AllocsPerRun(2000, func() {
-		fwd++
-		seq.order("v01", fwd, payload, nil, nil)
-		seq.leaderHeartbeat()
-		follower.sendAck(true)
+	perRun := testing.AllocsPerRun(runs, func() {
+		for range batch {
+			fwd++
+			seq.order("v01", fwd, payload, nil, nil)
+			seq.leaderHeartbeat()
+			follower.sendAck(true)
+		}
 	})
-	if got := perRun / 3; got > most || sent < 3*2000 {
+	if got := perRun / (3 * batch); got > most || sent < 3*runs*batch {
 		t.Errorf("leader mode: %.3f allocations per by-reference batch, promote and ack (%d sent), want at most %v", got, sent, most)
 	}
-	if seq.fp.leader != "v00" || seq.refN.Load() < 2000 {
+	if seq.fp.leader != "v00" || seq.refN.Load() < runs*batch {
 		t.Fatalf("the sequencer left its epoch, or ordered %d by reference", seq.refN.Load())
 	}
 
 	// A ring member takes each token in and passes it on at its hold's end.
 	ring := newCore("v01", OrderingRing, "v00", "v01")
-	tokens := make([][]byte, 2002)
+	tokens := make([][]byte, (runs+1)*batch)
 	for i := range tokens {
 		tokens[i] = encodeToken(token{RingID: 1, TokenID: uint64(2 * (i + 1)), Succ: "v01"}, nil)
 	}
 	next := 0
 	sent = 0
-	perToken := testing.AllocsPerRun(2000, func() {
-		now = now.Add(time.Millisecond)
-		ring.Receive(now, tokens[next], 0)
-		next++
-		ring.Tick(now.Add(ring.cfg.IdleHold), 0)
-	})
-	if perToken > most || sent < 2000 || ring.tokenPassN.Load() < 2000 {
+	perToken := testing.AllocsPerRun(runs, func() {
+		for range batch {
+			now = now.Add(time.Millisecond)
+			ring.Receive(now, tokens[next], 0)
+			next++
+			ring.Tick(now.Add(ring.cfg.IdleHold), 0)
+		}
+	}) / batch
+	if perToken > most || sent < runs*batch || ring.tokenPassN.Load() < runs*batch {
 		t.Errorf("ring mode: %.3f allocations per token passed (%d passed), want at most %v", perToken, ring.tokenPassN.Load(), most)
 	}
 
@@ -290,7 +299,12 @@ func TestControlDatagramsAllocateNothing(t *testing.T) {
 	gather := newCore("v02", OrderingRing, "v00", "v01", "v02")
 	gather.alive = gather.ring
 	sent = 0
-	if perJoin := testing.AllocsPerRun(2000, gather.sendJoin); perJoin > most || sent < 2000 {
+	perJoin := testing.AllocsPerRun(runs, func() {
+		for range batch {
+			gather.sendJoin()
+		}
+	}) / batch
+	if perJoin > most || sent < runs*batch {
 		t.Errorf("gather: %.3f allocations per join (%d sent), want at most %v", perJoin, sent, most)
 	}
 }
@@ -339,11 +353,11 @@ func (c *controlTap) kept() (kept []tappedFrame, beyond bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, f := range c.frames {
-		if c.bytes-f.upTo > frameChunk && f.at.Value() != nil {
+		if c.bytes-f.upTo > slab.ByteChunk && f.at.Value() != nil {
 			kept = append(kept, f)
 		}
 	}
-	return kept, c.bytes-c.marked > frameChunk
+	return kept, c.bytes-c.marked > slab.ByteChunk
 }
 
 // TestNoReceiverKeepsAControlDatagram: the datagrams a core sends that

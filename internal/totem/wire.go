@@ -191,17 +191,22 @@ func decodePacked(r *cdr.Reader, ids idTable, parts *slab.Slab[[]byte]) (regular
 }
 
 // idTable resolves the node ids inside a datagram without allocating a
-// string per id: the ids a ring exchanges are, almost always, the ring's
-// own members (the core rebuilds its table at every install), and a map
-// lookup keyed by string(b) does not allocate. Decoding an id that is not
-// in the table converts it, allocating, and never adds it, so hostile
-// datagrams cannot grow it. A nil table resolves nothing.
+// string per id: the ids a ring exchanges are, almost always, its
+// configured processors' or its own members' (the core builds its table
+// from the configured members and rebuilds it, with the ring's, at every
+// install), and a map lookup keyed by string(b) does not allocate.
+// Decoding an id that is not in the table converts it, allocating, and
+// never adds it, so hostile datagrams cannot grow it. A nil table
+// resolves nothing.
 type idTable map[string]memnet.NodeID
 
-func newIDTable(members []memnet.NodeID) idTable {
-	t := make(idTable, len(members))
-	for _, m := range members {
-		t[string(m)] = m
+// newIDTable returns the table of the ids in lists.
+func newIDTable(lists ...[]memnet.NodeID) idTable {
+	t := make(idTable)
+	for _, l := range lists {
+		for _, m := range l {
+			t[string(m)] = m
+		}
 	}
 	return t
 }
@@ -273,10 +278,11 @@ func readParts(r *cdr.Reader, n uint32, lists *slab.Slab[[]byte]) (payload []byt
 	return nil, parts
 }
 
-// How long a chunk is in each of a Core's two slabs (slab.Slab): one
-// carves the part lists of the packs, forwards and batches it decodes or
-// builds, the other the bytes of every datagram it sends that carries no
-// payload — acks, tokens, by-reference batches, promotes and joins. A
+// partChunk is how long a chunk of a Core's part lists is. Of its two
+// slabs (slab.Slab), one carves the part lists of the packs, forwards and
+// batches it decodes or builds, the other, of slab.ByteChunk bytes, every
+// datagram it sends that carries no payload — acks, tokens, by-reference
+// batches, promotes and joins. A
 // region lives as long as what holds it: a part list the message it
 // lists, a control datagram its transit (Transport.Broadcast), after which
 // every receiver has decoded it into structs. gc zeroes the part lists of
@@ -284,10 +290,7 @@ func readParts(r *cdr.Reader, n uint32, lists *slab.Slab[[]byte]) (payload []byt
 // has let go of, and a datagram is immutable once broadcast (DESIGN.md
 // section 7). The standalone encoders and decoders pass a nil slab, which
 // makes each buffer on its own.
-const (
-	partChunk  = 256     // part headers: 6 KiB
-	frameChunk = 4 << 10 // bytes
-)
+const partChunk = 256 // part headers: 6 KiB
 
 // The encoders of the datagrams that carry no payload write into a region
 // of frames no shorter than the longest the fields can encode to, padding
@@ -630,16 +633,16 @@ func decodePromote(r *cdr.Reader, ids idTable) (promoteMsg, error) {
 	return p, nil
 }
 
-func decodeJoin(r *cdr.Reader) (joinMsg, error) {
+func decodeJoin(r *cdr.Reader, ids idTable) (joinMsg, error) {
 	var j joinMsg
-	j.Sender = memnet.NodeID(r.ReadString())
+	j.Sender = ids.id(r.ReadStringBytes())
 	n := r.ReadULong()
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return joinMsg{}, fmt.Errorf("totem: decode join: bad alive count %d", n)
 	}
 	j.Alive = make([]memnet.NodeID, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		j.Alive = append(j.Alive, memnet.NodeID(r.ReadString()))
+		j.Alive = append(j.Alive, ids.id(r.ReadStringBytes()))
 	}
 	j.RingID = r.ReadULongLong()
 	if err := r.Err(); err != nil {

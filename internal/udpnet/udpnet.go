@@ -15,9 +15,11 @@
 // assumes: Broadcast enqueues onto a bounded outbound queue and a
 // dedicated send loop flushes many datagrams per syscall (sendmmsg on
 // linux), while the receive loop drains many datagrams per syscall
-// (recvmmsg) into pooled buffers. The sender-identity frame header is
-// precomputed once and sent as a separate iovec, so payload bytes are
-// never copied on the batched transmit path. Platforms without those
+// (recvmmsg) into pooled buffers and copies each payload out into a
+// region of its own slab (Endpoint.deliverFrame), so that a received
+// datagram costs no allocation of its own. The sender-identity frame
+// header is precomputed once and sent as a separate iovec, so payload
+// bytes are never copied on the batched transmit path. Platforms without those
 // syscalls run the same queue and send loop and differ only below it:
 // each flush writes, and each read takes, one datagram per syscall.
 //
@@ -38,6 +40,7 @@ import (
 
 	"eternalgw/internal/memnet"
 	"eternalgw/internal/obs"
+	"eternalgw/internal/slab"
 )
 
 // ErrClosed reports use of a closed endpoint.
@@ -163,6 +166,9 @@ type Endpoint struct {
 	// gather and frame are the flush scratch, owned by sendLoop.
 	gather [][]byte
 	frame  []byte
+	// rx is what received payloads are carved out of, owned by the read
+	// loop (deliverFrame).
+	rx slab.Slab[byte]
 
 	closed atomic.Bool
 	quit   chan struct{}
@@ -231,6 +237,7 @@ func listen(id memnet.NodeID, registry Registry, cfg Config, portable bool) (*En
 		gather:  make([][]byte, 0, sendGather),
 		quit:    make(chan struct{}),
 		senders: make(map[string]memnet.NodeID, len(registry)),
+		rx:      slab.New[byte](slab.ByteChunk),
 	}
 	e.transmit, e.readLoop = e.sendFramesSequential, e.readLoopSequential
 	// Deterministic peer order so the platform sockaddr table is
@@ -378,12 +385,13 @@ func (e *Endpoint) sendFramesSequential(frames [][]byte) {
 }
 
 // readLoopSequential is the portable receive path: one syscall per
-// datagram into one reused buffer.
+// datagram into one reused buffer. It reads no sender address, which would
+// be an allocation per datagram: the frame names its sender.
 func (e *Endpoint) readLoopSequential() {
 	buf := make([]byte, maxDatagram)
 	e.rxRingSlots.Store(1)
 	for {
-		n, _, err := e.conn.ReadFromUDP(buf)
+		n, err := e.conn.Read(buf)
 		if err != nil {
 			return
 		}
@@ -394,9 +402,12 @@ func (e *Endpoint) readLoopSequential() {
 
 // deliverFrame validates one received datagram's sender-id framing and
 // queues the decoded packet from the peer it names. The frame buffer is
-// only borrowed: the payload is copied out because the inbox consumer
-// holds it indefinitely while the receive buffers are pooled. The copy is
-// the one allocation a datagram costs.
+// only borrowed: the payload is copied out, because the inbox consumer
+// holds it as long as its keepers do (DESIGN.md section 7) while the
+// receive buffers are reused at the next read. The copy is carved out of
+// the endpoint's receive slab, so a payload of up to a quarter of slab.ByteChunk
+// costs no allocation of its own, and a larger one is made on its own.
+// Only the read loop calls it: the slab is its alone.
 func (e *Endpoint) deliverFrame(frame []byte, truncated bool) {
 	e.rxDatagrams.Add(1)
 	if truncated {
@@ -417,8 +428,7 @@ func (e *Endpoint) deliverFrame(frame []byte, truncated bool) {
 		e.rxUnknownSender.Add(1)
 		return
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	cp := append(e.rx.Carve(len(payload)), payload...)
 	select {
 	case e.inbox <- memnet.Packet{From: from, Payload: cp}:
 	default:

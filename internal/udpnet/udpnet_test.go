@@ -1,6 +1,7 @@
 package udpnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -257,5 +258,56 @@ func TestMaxDatagramIsWhatTheKernelTakes(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestReceivedDatagramsAllocateNothing: a received payload is copied out
+// of the read loop's buffer into a region of the endpoint's receive slab,
+// clipped to its length, so a datagram of the sizes a ring exchanges —
+// its tokens and short messages, well under a quarter of a chunk — costs
+// its share of a chunk and no allocation of its own, on the batched read
+// loop and on the portable one. One copied into a buffer of its own again
+// reads 1. Each run carries a batch of datagrams, so that a share of an
+// allocation per datagram shows.
+func TestReceivedDatagramsAllocateNothing(t *testing.T) {
+	const (
+		most  = 0.05
+		batch = 100
+	)
+	for _, portable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
+			reg := freeRegistry(t, "a", "b")
+			eps := make(map[memnet.NodeID]*Endpoint, 2)
+			for id := range reg {
+				e, err := listen(id, reg, Config{}, portable)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = e.Close() })
+				eps[id] = e
+			}
+			a, b := eps["a"], eps["b"]
+			// Two payloads, alternately: a broadcast one is never written.
+			payloads := [][]byte{bytes.Repeat([]byte{1}, 48), bytes.Repeat([]byte{2}, 160)}
+			roundTrips := func() {
+				for i := range batch {
+					p := payloads[i%2]
+					if err := a.Broadcast(p); err != nil {
+						t.Fatal(err)
+					}
+					<-a.Recv() // the loopback copy, which is p itself
+					got := (<-b.Recv()).Payload
+					if !bytes.Equal(got, p) || cap(got) != len(got) {
+						t.Fatalf("received %d bytes (capacity %d), sent %d", len(got), cap(got), len(p))
+					}
+				}
+			}
+			roundTrips() // the read loop's buffers and first chunk
+			n := testing.AllocsPerRun(40, roundTrips) / batch
+			t.Logf("%.2f allocations per received datagram", n)
+			if n > most {
+				t.Errorf("%.3f allocations per received datagram, want at most %v", n, most)
+			}
+		})
 	}
 }
