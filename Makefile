@@ -74,7 +74,9 @@ loc:
 # third holds totem's datagrams that
 # carry no payload — acks, tokens, by-reference batches, promotes, joins —
 # to at most 0.05 allocations each, their share of a slab chunk
-# (TestControlDatagramsAllocateNothing). The same holds a replica's
+# (TestControlDatagramsAllocateNothing), and a join a gathering core
+# receives to none: its alive list is decoded into the core's scratch
+# (TestReceivedJoinsAllocateNothing). The same holds a replica's
 # responses, carved out of its own slab, to at most 0.1 allocations each
 # (TestResponsesAllocateNothing), and what a receiver copies into a
 # region of a slab of its own to at most 0.05: a UDP endpoint's received
@@ -91,7 +93,7 @@ loc:
 budget:
 	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$|TestNoKeeperHoldsAReceiveChunk$$|TestNoKeeperHoldsARequestChunk$$|TestQuietUDPClientsPinABoundedHeap$$' -count 1 -v .
 	$(GO) test -run 'TestDecodeAllocatesNothing$$|TestCarvedFramesAllocateNothing$$' -count 1 -v ./internal/giop
-	$(GO) test -run 'TestControlDatagramsAllocateNothing$$' -count 1 -v ./internal/totem
+	$(GO) test -run 'TestControlDatagramsAllocateNothing$$|TestReceivedJoinsAllocateNothing$$' -count 1 -v ./internal/totem
 	$(GO) test -run 'TestResponsesAllocateNothing$$|TestRecordCopiesAllocateNothing$$' -count 1 -v ./internal/replication
 	$(GO) test -run 'TestReceivedDatagramsAllocateNothing$$' -count 1 -v ./internal/udpnet
 

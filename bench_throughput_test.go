@@ -499,8 +499,8 @@ func benchMultiClient(b *testing.B, clients, payload int) {
 }
 
 // BenchmarkGatewayAdmission is the admission-control ablation at the
-// r=3/c=4 headline shape: "off" is the plain gateway (nil controller, one
-// nil check per decision point), "on" is a controller with generous caps
+// r=3/c=4 headline shape: "off" is the plain gateway (a controller of the
+// zero config: no limits and no breaker), "on" is a controller with generous caps
 // so every request is admitted and the benchmark prices the mechanism —
 // the token bucket, the in-flight window and the breaker sample — not the
 // shedding. The acceptance bar for the admission subsystem is "on" within
@@ -526,7 +526,7 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 }
 
 // benchMultiClientAdmission is benchMultiClientDegree with an admission
-// config on the gateway (nil = admission disabled).
+// config on the gateway (nil = no limits and no breaker).
 func benchMultiClientAdmission(b *testing.B, clients, payload, replicas int, ac *admission.Config) {
 	d := benchDomain(b, replicas+1)
 	benchDeploy(b, d, replication.Active, replicas)

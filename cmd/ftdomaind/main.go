@@ -313,7 +313,7 @@ func run(o runOpts) error {
 		return err
 	}
 	defer d.Close()
-	addStatusSections(ops, d, cfg.Admission != nil)
+	addStatusSections(ops, d)
 	if o.drainTimeout <= 0 {
 		o.drainTimeout = 5 * time.Second
 	}
@@ -357,9 +357,8 @@ func startOps(o runOpts, cfg *domain.Config) (*obs.Server, error) {
 // addStatusSections puts the local processors' dedup-cache occupancy
 // (each replica's operation table and the node's answered-operation
 // table, identifiers and reply bytes), the state of their group
-// directories and, under admission control, the gateways' admission state
-// on /statusz.
-func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
+// directories and the gateways' admission state on /statusz.
+func addStatusSections(ops *obs.Server, d *domain.Domain) {
 	ops.AddStatusSection("dedup-cache", func() string {
 		var b strings.Builder
 		for i := 0; i < d.Nodes(); i++ {
@@ -382,23 +381,17 @@ func addStatusSections(ops *obs.Server, d *domain.Domain, admitting bool) {
 		}
 		return b.String()
 	})
-	if !admitting {
-		return
-	}
 	ops.AddStatusSection("admission", func() string {
 		var b strings.Builder
 		for i, gw := range d.Gateways() {
 			adm := gw.Admission()
-			if adm == nil {
-				continue
-			}
 			s := adm.Stats()
-			fmt.Fprintf(&b, "gateway %d (%s): inflight=%d draining=%v breaker=%v clients=%d admitted=%d shed rate=%d window=%d draining=%d conns over-cap=%d breaker=%d trips=%d\n",
-				i, gw.Addr(), gw.InFlight(), gw.Draining(), adm.BreakerOpen(), adm.TrackedClients(),
-				s.Admitted, s.ShedRate, s.ShedWindow, s.ShedDraining, s.ConnsOverCap, s.ConnsShedBreaker, s.BreakerTrips)
+			fmt.Fprintf(&b, "gateway %d (%s): inflight=%d draining=%v breaker=%v clients=%d admitted=%d shed rate=%d window=%d draining=%d conns over-cap=%d breaker=%d drain=%d trips=%d\n",
+				i, gw.Addr(), s.InFlight, s.Draining, adm.BreakerOpen(), adm.TrackedClients(),
+				s.Admitted, s.ShedRate, s.ShedWindow, s.ShedDraining, s.ConnsOverCap, s.ConnsShedBreaker, s.ConnsShedDrain, s.BreakerTrips)
 		}
 		if b.Len() == 0 {
-			return "no admission-controlled gateways\n"
+			return "no gateways\n"
 		}
 		return b.String()
 	})

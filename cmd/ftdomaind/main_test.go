@@ -376,7 +376,7 @@ func TestRunNodeMultiProcess(t *testing.T) {
 		slowDone <- err
 	}()
 	gw := gwDomain.Gateways()[0]
-	for deadline := time.Now().Add(5 * time.Second); gw.InFlight() < 1; time.Sleep(2 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); gw.Admission().InFlight() < 1; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("slow invocation never in flight")
 		}

@@ -29,10 +29,10 @@
 // The controller is deliberately mechanism-only: it decides
 // admit/shed/wait and counts outcomes; the gateway (internal/core) owns
 // the protocol consequences (GIOP TRANSIENT system exceptions for shed
-// requests, CloseConnection for shed connections). A nil *Controller is
-// a valid no-op that admits everything, so the gateway datapath pays one
-// nil check when admission is disabled — the same idiom internal/obs
-// uses for its nil registry and tracer.
+// requests, CloseConnection for shed connections). It is also the
+// gateway's one account of what it admitted, in flight and shed, and of
+// whether it drains: every gateway has a controller, and one built from
+// the zero Config admits everything until it drains.
 package admission
 
 import (
@@ -146,8 +146,7 @@ type clientState struct {
 	last   time.Time
 }
 
-// Controller enforces one gateway's admission policy. Create with New;
-// a nil *Controller admits everything.
+// Controller enforces one gateway's admission policy. Create with New.
 type Controller struct {
 	cfg Config
 	// burst is the token-bucket depth: twice Rate, at least one request.
@@ -200,9 +199,6 @@ func New(cfg Config) *Controller {
 
 // Stats snapshots the counters.
 func (c *Controller) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	return Stats{
 		Admitted:         c.admitted.Load(),
 		ShedRate:         c.shedRate.Load(),
@@ -226,9 +222,6 @@ func (c *Controller) Stats() Stats {
 // instead of consuming gateway state. Returns false when cancel fires or
 // the controller is draining; the caller then stops accepting.
 func (c *Controller) ReserveConn(cancel <-chan struct{}) bool {
-	if c == nil {
-		return true
-	}
 	if c.draining.Load() {
 		return false
 	}
@@ -249,9 +242,6 @@ func (c *Controller) ReserveConn(cancel <-chan struct{}) bool {
 
 // UnreserveConn returns an unused reservation (the accept failed).
 func (c *Controller) UnreserveConn() {
-	if c == nil {
-		return
-	}
 	if c.connSlots != nil {
 		<-c.connSlots
 	}
@@ -262,9 +252,6 @@ func (c *Controller) UnreserveConn() {
 // with ReleaseConn; on any shed verdict the reservation is already
 // returned and the caller only closes the socket.
 func (c *Controller) AdmitConn(host string) Verdict {
-	if c == nil {
-		return Admit
-	}
 	if c.draining.Load() {
 		c.connsShedDrain.Add(1)
 		c.UnreserveConn()
@@ -291,9 +278,6 @@ func (c *Controller) AdmitConn(host string) Verdict {
 
 // ReleaseConn unregisters an admitted connection.
 func (c *Controller) ReleaseConn(host string) {
-	if c == nil {
-		return
-	}
 	if c.cfg.MaxConnsPerClient > 0 {
 		c.mu.Lock()
 		if n := c.hosts[host]; n <= 1 {
@@ -361,16 +345,16 @@ func (s *slot) free() {
 // loop, the wait also exerts per-connection backpressure on pipelined
 // clients.
 func (c *Controller) AdmitRequest(clientID uint64) (release func(), v Verdict) {
-	if c == nil {
-		return noopRelease, Admit
-	}
 	if c.draining.Load() {
 		c.shedDraining.Add(1)
 		return noopRelease, ShedDraining
 	}
 	// Keep the breaker's view of the domain fresh even between accepts;
-	// the breaker sheds connections, not individual requests.
-	c.br.sample(time.Now())
+	// the breaker sheds connections, not individual requests. Without a
+	// breaker the request reads no clock.
+	if c.br != nil {
+		c.br.sample(time.Now())
+	}
 
 	if c.cfg.Rate > 0 {
 		c.mu.Lock()
@@ -476,9 +460,6 @@ func (c *Controller) takeToken(cs *clientState) bool {
 // TrackedClients reports how many client identifiers currently hold
 // admission state (diagnostics).
 func (c *Controller) TrackedClients() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.clients)
@@ -489,30 +470,21 @@ func (c *Controller) TrackedClients() int {
 // BeginDrain flips the controller into drain mode: every subsequent
 // connection and request is shed. Idempotent.
 func (c *Controller) BeginDrain() {
-	if c == nil {
-		return
-	}
 	c.draining.Store(true)
 }
 
 // Draining reports whether BeginDrain has been called.
 func (c *Controller) Draining() bool {
-	return c != nil && c.draining.Load()
+	return c.draining.Load()
 }
 
 // InFlight reports the number of currently admitted requests.
 func (c *Controller) InFlight() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.inFlight.Load()
 }
 
 // BreakerOpen reports whether the backpressure breaker is currently
 // open (sampling the signal if it is stale).
 func (c *Controller) BreakerOpen() bool {
-	if c == nil {
-		return false
-	}
 	return c.br.sample(time.Now())
 }

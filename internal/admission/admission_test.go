@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-func TestNilControllerAdmitsEverything(t *testing.T) {
-	var c *Controller
-	if !c.ReserveConn(nil) {
-		t.Fatal("nil controller refused a connection reservation")
-	}
-	if v := c.AdmitConn("10.0.0.1"); v != Admit {
-		t.Fatalf("nil controller conn verdict = %v", v)
-	}
-	release, v := c.AdmitRequest(7)
-	if v != Admit {
-		t.Fatalf("nil controller request verdict = %v", v)
-	}
-	release()
-	c.ReleaseConn("10.0.0.1")
-	c.UnreserveConn()
-	c.BeginDrain()
-	if c.Draining() || c.InFlight() != 0 || c.BreakerOpen() {
-		t.Fatal("nil controller reported state")
-	}
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("nil controller stats = %+v", s)
-	}
-}
-
 func TestEmptyConfigIsUnlimited(t *testing.T) {
 	c := New(Config{})
 	for i := 0; i < 100; i++ {
@@ -47,6 +23,9 @@ func TestEmptyConfigIsUnlimited(t *testing.T) {
 	}
 	if got := c.Stats().Admitted; got != 100 {
 		t.Fatalf("admitted = %d, want 100", got)
+	}
+	if c.Draining() || c.InFlight() != 0 || c.BreakerOpen() {
+		t.Fatalf("unlimited controller reported state: %+v", c.Stats())
 	}
 }
 

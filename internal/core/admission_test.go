@@ -60,7 +60,7 @@ func TestGatewayShedsBeyondWindow(t *testing.T) {
 	}()
 	// ...then a second client is shed with TRANSIENT once it has waited
 	// out the AdmitWait deadline. Poll until the slow call is in flight.
-	waitInt(t, gw.InFlight, 1, "in-flight")
+	waitInt(t, gw.Admission().InFlight, 1, "in-flight")
 	fast, err := orb.Dial(gw.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +221,23 @@ func TestGatewayBreakerShedsConnections(t *testing.T) {
 	}
 }
 
-func TestGatewayDrainBleedsInFlight(t *testing.T) {
+// forEachDrainConfig runs a drain test for a gateway without an admission
+// config, whose controller has no limits, and for one with a window.
+func forEachDrainConfig(t *testing.T, test func(*testing.T, *admission.Config)) {
+	for _, c := range []struct {
+		name string
+		ac   *admission.Config
+	}{{"unlimited", nil}, {"window", &admission.Config{MaxInFlight: 8}}} {
+		t.Run(c.name, func(t *testing.T) { test(t, c.ac) })
+	}
+}
+
+func TestGatewayDrainBleedsInFlight(t *testing.T) { forEachDrainConfig(t, drainBleedsInFlight) }
+
+func drainBleedsInFlight(t *testing.T, ac *admission.Config) {
 	d := fastDomain(t, "ny", 2)
 	deployRegister(t, d, replication.Active, 1)
-	gw, err := d.AddGatewayAdmission(0, "", &admission.Config{MaxInFlight: 8})
+	gw, err := d.AddGatewayAdmission(0, "", ac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +259,7 @@ func TestGatewayDrainBleedsInFlight(t *testing.T) {
 		}
 		done <- result{ops: r.ReadLongLong(), err: r.Err()}
 	}()
-	waitInt(t, gw.InFlight, 1, "in-flight")
+	waitInt(t, gw.Admission().InFlight, 1, "in-flight")
 	// Drain must wait for the in-flight invocation and deliver its reply.
 	if err := gw.Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -255,7 +268,7 @@ func TestGatewayDrainBleedsInFlight(t *testing.T) {
 	if res.err != nil || res.ops != 1 {
 		t.Fatalf("in-flight call during drain: ops=%d err=%v", res.ops, res.err)
 	}
-	if !gw.Draining() {
+	if !gw.Admission().Draining() {
 		t.Fatal("gateway does not report draining")
 	}
 	// The listener is gone: no new connections.
@@ -265,10 +278,12 @@ func TestGatewayDrainBleedsInFlight(t *testing.T) {
 	}
 }
 
-func TestGatewayDrainShedsNewRequests(t *testing.T) {
+func TestGatewayDrainShedsNewRequests(t *testing.T) { forEachDrainConfig(t, drainShedsNewRequests) }
+
+func drainShedsNewRequests(t *testing.T, ac *admission.Config) {
 	d := fastDomain(t, "ny", 2)
 	deployRegister(t, d, replication.Active, 1)
-	gw, err := d.AddGatewayAdmission(0, "", &admission.Config{MaxInFlight: 8})
+	gw, err := d.AddGatewayAdmission(0, "", ac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +312,13 @@ func TestGatewayDrainShedsNewRequests(t *testing.T) {
 	// its reply — which would start the drain before the held request has
 	// arrived. Wait for the held request to be inside the domain first.
 	waitInt(t, func() int64 { return int64(gw.Stats().RequestsForwarded) }, 2, "requests forwarded")
-	waitInt(t, gw.InFlight, 1, "in-flight")
+	waitInt(t, gw.Admission().InFlight, 1, "in-flight")
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- gw.Drain(5 * time.Second) }()
 	// Wait until the gateway flips to draining, then send a request on
 	// the established connection: it must be shed, not hang.
 	deadline := time.Now().Add(time.Second)
-	for !gw.Draining() && time.Now().Before(deadline) {
+	for !gw.Admission().Draining() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	_, err = conn.Call([]byte(keyRegister), "ops", nil, orb.InvokeOptions{Timeout: 2 * time.Second})

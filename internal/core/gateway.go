@@ -85,12 +85,12 @@ type Config struct {
 	// hops (accept, decode, cache suppression, reply write). Nil — the
 	// default — is the disabled tracer: the datapath pays one nil check.
 	Tracer *obs.Tracer
-	// Admission, when set, is this gateway's admission controller:
-	// connection caps with accept-loop backpressure, per-client rate
-	// limiting and in-flight windows with TRANSIENT shedding, and the
-	// domain-backpressure breaker. Nil admits everything. The controller
-	// must be private to this gateway (its connection accounting is
-	// per-listener).
+	// Admission is this gateway's admission controller, its one account
+	// of what is in flight, shed and draining: connection caps with
+	// accept-loop backpressure, per-client rate limiting and in-flight
+	// windows with TRANSIENT shedding, and the domain-backpressure
+	// breaker. Nil is one with no limits and no breaker. It must be
+	// private to this gateway (its connection accounting is per-listener).
 	Admission *admission.Controller
 }
 
@@ -104,8 +104,8 @@ type Stats struct {
 	RequestsAbandoned   uint64 // received but never answered (gateway or domain failure)
 	Exceptions          uint64 // system exceptions returned to clients
 	ClientsDeparted     uint64 // departed-client notifications processed by this gateway's processor (state deleted)
-	RequestsShed        uint64 // requests refused by admission control (TRANSIENT returned)
-	ConnectionsShed     uint64 // connections refused by admission control (closed at accept)
+	RequestsShed        uint64 // requests refused by admission control (TRANSIENT returned): the controller's ShedRate + ShedWindow + ShedDraining
+	ConnectionsShed     uint64 // connections refused by admission control (closed at accept): its ConnsOverCap + ConnsShedBreaker + ConnsShedDrain
 	RequestsTooLarge    uint64 // messages refused because the domain's transport could not carry them (IMP_LIMIT returned)
 }
 
@@ -121,13 +121,6 @@ type Gateway struct {
 	// latency of response-expected requests over a sliding window.
 	reqHist *obs.Histogram
 
-	// draining is set by Drain: new requests are shed with TRANSIENT and
-	// the accept loop stops, while in-flight invocations bleed out.
-	draining atomic.Bool
-	// inflight counts the admitted requests not yet answered; Drain waits
-	// for it to reach zero. Tracked by the gateway itself so drain works
-	// with admission disabled too.
-	inflight atomic.Int64
 	// lnOnce/lnErr let Drain and Close both close the listener.
 	lnOnce sync.Once
 	lnErr  error
@@ -155,8 +148,6 @@ type Gateway struct {
 	answeredFromCache   atomic.Uint64
 	requestsAbandoned   atomic.Uint64
 	exceptions          atomic.Uint64
-	requestsShed        atomic.Uint64
-	connectionsShed     atomic.Uint64
 	requestsTooLarge    atomic.Uint64
 
 	// framesMu guards frames, what every connection's requests are carved
@@ -187,13 +178,17 @@ func New(cfg Config) (*Gateway, error) {
 		_ = ln.Close()
 		return nil, fmt.Errorf("gateway: generating instance nonce: %w", err)
 	}
+	adm := cfg.Admission
+	if adm == nil {
+		adm = admission.New(admission.Config{})
+	}
 	g := &Gateway{
 		cfg:           cfg,
 		rm:            cfg.RM,
 		ln:            ln,
 		log:           obs.ComponentLogger(cfg.Log, "gateway"),
 		tracer:        cfg.Tracer,
-		adm:           cfg.Admission,
+		adm:           adm,
 		conns:         make(map[net.Conn]*clientConn),
 		counters:      make(map[replication.GroupID]uint64),
 		acceptStop:    make(chan struct{}),
@@ -238,42 +233,41 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 		{"eternalgw_gateway_requests_abandoned_total", "Requests received but never answered.", g.requestsAbandoned.Load},
 		{"eternalgw_gateway_exceptions_total", "System exceptions returned to external clients.", g.exceptions.Load},
 		{"eternalgw_gateway_clients_departed_total", "Departed-client notifications processed by this gateway's processor.", func() uint64 { return g.rm.Stats().ClientsDeparted }},
-		{"eternalgw_gateway_requests_shed_total", "Requests refused by admission control (TRANSIENT returned).", g.requestsShed.Load},
-		{"eternalgw_gateway_connections_shed_total", "Connections refused by admission control (closed at accept).", g.connectionsShed.Load},
+		{"eternalgw_gateway_requests_shed_total", "Requests refused by admission control (TRANSIENT returned).", func() uint64 { return g.Stats().RequestsShed }},
+		{"eternalgw_gateway_connections_shed_total", "Connections refused by admission control (closed at accept).", func() uint64 { return g.Stats().ConnectionsShed }},
 		{"eternalgw_gateway_requests_too_large_total", "Messages whose header declared more than one datagram of the domain's transport carries: refused unread, requests answered IMP_LIMIT, COMPLETED_NO.", g.requestsTooLarge.Load},
 	} {
 		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
 	reg.GaugeFunc("eternalgw_gateway_inflight_requests", "Requests currently being conveyed through the domain.", lbl,
-		func() float64 { return float64(g.inflight.Load()) })
+		func() float64 { return float64(g.adm.InFlight()) })
 	reg.GaugeFunc("eternalgw_gateway_draining", "1 while the gateway is draining.", lbl, func() float64 {
-		if g.draining.Load() {
+		if g.adm.Draining() {
 			return 1
 		}
 		return 0
 	})
-	if g.adm != nil {
-		for _, c := range []struct {
-			name, help string
-			fn         func() uint64
-		}{
-			{"eternalgw_gateway_admission_admitted_total", "Requests admitted by the admission controller.", func() uint64 { return g.adm.Stats().Admitted }},
-			{"eternalgw_gateway_admission_shed_rate_total", "Requests shed by the per-client token bucket.", func() uint64 { return g.adm.Stats().ShedRate }},
-			{"eternalgw_gateway_admission_shed_window_total", "Requests shed by the in-flight window.", func() uint64 { return g.adm.Stats().ShedWindow }},
-			{"eternalgw_gateway_admission_shed_draining_total", "Requests shed while draining.", func() uint64 { return g.adm.Stats().ShedDraining }},
-			{"eternalgw_gateway_admission_conns_over_cap_total", "Connections shed by the per-client connection cap.", func() uint64 { return g.adm.Stats().ConnsOverCap }},
-			{"eternalgw_gateway_admission_conns_shed_breaker_total", "Connections shed by the open backpressure breaker.", func() uint64 { return g.adm.Stats().ConnsShedBreaker }},
-			{"eternalgw_gateway_admission_breaker_trips_total", "Times the backpressure breaker opened.", func() uint64 { return g.adm.Stats().BreakerTrips }},
-		} {
-			reg.CounterFunc(c.name, c.help, lbl, c.fn)
-		}
-		reg.GaugeFunc("eternalgw_gateway_admission_breaker_open", "1 while the backpressure breaker is open.", lbl, func() float64 {
-			if g.adm.Stats().BreakerOpen {
-				return 1
-			}
-			return 0
-		})
+	for _, c := range []struct {
+		name, help string
+		fn         func() uint64
+	}{
+		{"eternalgw_gateway_admission_admitted_total", "Requests admitted by the admission controller.", func() uint64 { return g.adm.Stats().Admitted }},
+		{"eternalgw_gateway_admission_shed_rate_total", "Requests shed by the per-client token bucket.", func() uint64 { return g.adm.Stats().ShedRate }},
+		{"eternalgw_gateway_admission_shed_window_total", "Requests shed by the in-flight window.", func() uint64 { return g.adm.Stats().ShedWindow }},
+		{"eternalgw_gateway_admission_shed_draining_total", "Requests shed while draining.", func() uint64 { return g.adm.Stats().ShedDraining }},
+		{"eternalgw_gateway_admission_conns_over_cap_total", "Connections shed by the per-client connection cap.", func() uint64 { return g.adm.Stats().ConnsOverCap }},
+		{"eternalgw_gateway_admission_conns_shed_breaker_total", "Connections shed by the open backpressure breaker.", func() uint64 { return g.adm.Stats().ConnsShedBreaker }},
+		{"eternalgw_gateway_admission_conns_shed_drain_total", "Connections shed while draining.", func() uint64 { return g.adm.Stats().ConnsShedDrain }},
+		{"eternalgw_gateway_admission_breaker_trips_total", "Times the backpressure breaker opened.", func() uint64 { return g.adm.Stats().BreakerTrips }},
+	} {
+		reg.CounterFunc(c.name, c.help, lbl, c.fn)
 	}
+	reg.GaugeFunc("eternalgw_gateway_admission_breaker_open", "1 while the backpressure breaker is open.", lbl, func() float64 {
+		if g.adm.Stats().BreakerOpen {
+			return 1
+		}
+		return 0
+	})
 	reg.GaugeFunc("eternalgw_gateway_open_connections", "Currently connected external clients.", lbl, func() float64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -306,8 +300,9 @@ func (g *Gateway) HostPort() (string, uint16) {
 	return addr.IP.String(), uint16(addr.Port)
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters; the sheds are the controller's.
 func (g *Gateway) Stats() Stats {
+	as := g.adm.Stats()
 	return Stats{
 		ConnectionsAccepted: g.connectionsAccepted.Load(),
 		RequestsReceived:    g.requestsReceived.Load(),
@@ -317,19 +312,15 @@ func (g *Gateway) Stats() Stats {
 		RequestsAbandoned:   g.requestsAbandoned.Load(),
 		Exceptions:          g.exceptions.Load(),
 		ClientsDeparted:     g.rm.Stats().ClientsDeparted,
-		RequestsShed:        g.requestsShed.Load(),
-		ConnectionsShed:     g.connectionsShed.Load(),
+		RequestsShed:        as.ShedRate + as.ShedWindow + as.ShedDraining,
+		ConnectionsShed:     as.ConnsOverCap + as.ConnsShedBreaker + as.ConnsShedDrain,
 		RequestsTooLarge:    g.requestsTooLarge.Load(),
 	}
 }
 
-// Admission exposes the gateway's admission controller (nil when
-// admission is disabled), for status pages and tests.
+// Admission exposes the gateway's admission controller — what it has in
+// flight, whether it drains, what it shed — for status pages and tests.
 func (g *Gateway) Admission() *admission.Controller { return g.adm }
-
-// InFlight reports the number of requests currently being conveyed
-// through the domain on behalf of this gateway's clients.
-func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
 // closeListener closes the external listener exactly once (Drain and
 // Close both need to).
@@ -403,22 +394,18 @@ func (g *Gateway) Shutdown() error {
 // exception (minor code admission.ShedDraining), so even plain clients
 // observe a clean retryable failure rather than a hang.
 func (g *Gateway) Drain(timeout time.Duration) error {
-	g.draining.Store(true)
 	g.adm.BeginDrain()
 	g.stopAccepting()
 	_ = g.closeListener()
 	deadline := time.Now().Add(timeout)
-	for g.inflight.Load() > 0 && time.Now().Before(deadline) {
+	for g.adm.InFlight() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := g.inflight.Load(); n > 0 {
+	if n := g.adm.InFlight(); n > 0 {
 		g.log.Warn("drain: invocations still in flight at deadline", "inflight", n)
 	}
 	return g.Shutdown()
 }
-
-// Draining reports whether Drain has been initiated.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // hostOf extracts the client address (host without port) used for the
 // per-client connection cap.
@@ -449,7 +436,6 @@ func (g *Gateway) acceptLoop() {
 			// The shed connection gets a CloseConnection notification —
 			// the standard GIOP "go elsewhere" signal — so enhanced
 			// clients fail over to the next gateway profile immediately.
-			g.connectionsShed.Add(1)
 			g.log.Info("shedding connection", "remote", conn.RemoteAddr(), "verdict", v)
 			_ = giop.WriteMessage(conn, giop.EncodeCloseConnection(cdr.BigEndian))
 			_ = conn.Close()
@@ -682,10 +668,6 @@ func (g *Gateway) serveConn(cc *clientConn) {
 				continue
 			}
 			clientID := cc.clientID(group, req)
-			if g.draining.Load() {
-				cc.shedReply(msg, req, admission.ShedDraining)
-				continue
-			}
 			release, verdict := g.adm.AdmitRequest(clientID)
 			if verdict != admission.Admit {
 				cc.shedReply(msg, req, verdict)
@@ -694,7 +676,6 @@ func (g *Gateway) serveConn(cc *clientConn) {
 			// What the gateway holds per request is bounded by the
 			// in-flight window above: under overload it sheds instead of
 			// growing without bound.
-			g.inflight.Add(1)
 			cc.handleRequest(msg, req, arrived, group, clientID, release)
 		case giop.MsgLocateRequest:
 			cc.handleLocate(msg)
@@ -788,7 +769,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
 		}
 		gw.observeLatency(arrived)
-		gw.finish(release)
+		release()
 		return
 	}
 
@@ -799,7 +780,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		if err := gw.rm.MulticastFrame(gw.cfg.Group, clientID, group, op, msg.Frame); err != nil {
 			gw.requestsAbandoned.Add(1)
 		}
-		gw.finish(release)
+		release()
 		return
 	}
 	r := cc.newRequest()
@@ -829,16 +810,8 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		// goes back unused.
 		cc.recycle(r)
 		cc.fail(msg.Header, req.RequestID, tkey, arrived, err)
-		gw.finish(release)
+		release()
 	}
-}
-
-// finish ends an admitted request's accounting. The gauge drops before
-// the admission slot is released, so it never reads above the in-flight
-// window.
-func (g *Gateway) finish(release func()) {
-	g.inflight.Add(-1)
-	release()
 }
 
 // fail answers a request the domain did not answer with the exception
@@ -965,7 +938,7 @@ func (cc *clientConn) answer(r *request) {
 	}
 	release := r.release
 	cc.recycle(r)
-	gw.finish(release)
+	release()
 }
 
 // closeConn ends a connection whose read loop ended and whose requests are
@@ -1050,7 +1023,6 @@ func (cc *clientConn) refuseOversize(msg giop.Message) {
 // apart on the wire.
 func (cc *clientConn) shedReply(msg giop.Message, req giop.Request, v admission.Verdict) {
 	gw := cc.gw
-	gw.requestsShed.Add(1)
 	gw.exceptions.Add(1)
 	if !req.ResponseExpected {
 		return

@@ -398,9 +398,9 @@ func TestPipelinedRequestsCostTheGatewayNoGoroutine(t *testing.T) {
 	}
 	writeRequests(t, raw, keyGate, ids...)
 	deadline := time.Now().Add(5 * time.Second)
-	for gw.Stats().RequestsForwarded != requests || gw.InFlight() != requests {
+	for gw.Stats().RequestsForwarded != requests || gw.Admission().InFlight() != requests {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d requests forwarded, %d in flight; want %d of each", gw.Stats().RequestsForwarded, gw.InFlight(), requests)
+			t.Fatalf("%d requests forwarded, %d in flight; want %d of each", gw.Stats().RequestsForwarded, gw.Admission().InFlight(), requests)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -63,8 +63,9 @@ type Config struct {
 	// every gateway added with AddGateway: each gateway gets its own
 	// controller built from a copy of this config, with the breaker's
 	// backpressure signal defaulted to the hosting node's replication
-	// mechanisms. Nil disables admission control (every connection and
-	// request is accepted), matching the pre-admission behaviour.
+	// mechanisms. Nil gives each gateway a controller with no limits and
+	// no breaker: every connection and request is accepted until the
+	// gateway drains.
 	Admission *admission.Config
 	// TransportFactory, when set, supplies each processor's network
 	// attachment instead of the simulated in-process network — e.g.
@@ -244,8 +245,8 @@ func (d *Domain) AddGateway(i int, addr string) (*core.Gateway, error) {
 }
 
 // AddGatewayAdmission is AddGateway with an explicit admission config
-// for this gateway (overriding the domain template; nil disables
-// admission). When the config has no Backpressure signal, the hosting
+// for this gateway (overriding the domain template; nil means no limits
+// and no breaker). When the config has no Backpressure signal, the hosting
 // node's replication mechanisms supply it, so the breaker trips on that
 // node's totem send backlog and pending-call occupancy.
 func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (*core.Gateway, error) {

@@ -117,6 +117,7 @@ type Core struct {
 
 	alive    []memnet.NodeID // the candidate set, sorted
 	agreed   []memnet.NodeID // who has sent a join for exactly proposed and alive, this node first
+	joined   []memnet.NodeID // what the alive list of the join received last was decoded into
 	proposed uint64          // the ring id this gather will install; zero before the first gather
 	// last names the installed ring and from the history it kept; commit,
 	// the last commit this node wrote into since. From there on it takes in
@@ -334,7 +335,8 @@ func (n *Core) Receive(now time.Time, datagram []byte, waiting int) {
 			n.handleToken(t)
 		}
 	case kindJoin:
-		if j, err := decodeJoin(r, n.ids); err == nil {
+		if j, err := decodeJoin(r, n.ids, n.joined); err == nil {
+			n.joined = j.Alive
 			n.handleJoin(j)
 		}
 	case kindForward:
@@ -953,7 +955,8 @@ func (n *Core) handleJoin(j joinMsg) {
 	if !n.gathering || n.armed(dlCommit) {
 		return // a candidate set that waits for its commit is closed
 	}
-	changed := n.heard(append(j.Alive, j.Sender)...)
+	changed := n.heard(j.Alive...)
+	changed = n.heard(j.Sender) || changed
 	if j.RingID > n.proposed {
 		n.proposed = j.RingID
 		changed = true

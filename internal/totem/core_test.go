@@ -777,7 +777,7 @@ func TestUnheardJoinIsNotCollectedPast(t *testing.T) {
 			tok, err := decodeToken(cdrSkipKind(data), nil)
 			return wedge && err == nil && tok.RingID == old // the ring loses its token and gathers
 		case kindJoin:
-			j, err := decodeJoin(cdrSkipKind(data), nil)
+			j, err := decodeJoin(cdrSkipKind(data), nil, nil)
 			return to == creator && err == nil && j.Sender == laggard
 		}
 		return false
@@ -970,7 +970,7 @@ func TestUnheardLargerComponentIsKept(t *testing.T) {
 		v.settle(time.Second, large...)
 		before := len(v.got[large[0]])
 		v.drop = func(to memnet.NodeID, data []byte) bool {
-			j, err := decodeJoin(cdrSkipKind(data), nil)
+			j, err := decodeJoin(cdrSkipKind(data), nil, nil)
 			return data[0] == kindJoin && err == nil && to == small[0] && slices.Contains(large, j.Sender)
 		}
 		v.net.Heal()
@@ -1064,7 +1064,7 @@ func TestUnheardHighestSeqIsNotAssignedAgain(t *testing.T) {
 			tok, err := decodeToken(cdrSkipKind(data), nil)
 			return err == nil && tok.RingID == old && tok.Seq > seq
 		case kindJoin:
-			j, err := decodeJoin(cdrSkipKind(data), nil)
+			j, err := decodeJoin(cdrSkipKind(data), nil, nil)
 			return err == nil && to == creator && j.Sender == ahead
 		}
 		return false

@@ -51,7 +51,7 @@ func decodeAny(data []byte) (any, error) {
 	case kindToken:
 		return decodeToken(r, nil)
 	case kindJoin:
-		return decodeJoin(r, nil)
+		return decodeJoin(r, nil, nil)
 	case kindForward:
 		return decodeForward(r, nil, nil)
 	case kindBatch:

@@ -208,7 +208,9 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 		"promote": encodePromote(promoteMsg{RingID: 1, Leader: "n01", StartSeq: 2, Stable: 2}, nil),
 		"join":    encodeJoin(joinMsg{Sender: "n01", Alive: []memnet.NodeID{"n00", "n01"}, RingID: 2}, nil),
 	}
-	// Static calls, as in handlePacket, so the reader stays on the stack.
+	// Static calls, as in handlePacket, so the reader stays on the stack;
+	// a join's alive list goes into scratch, as a core's into its own.
+	alive := make([]memnet.NodeID, 0, 2)
 	decodeID := func(frame []byte, ids idTable) (id memnet.NodeID, err error) {
 		r := cdr.NewReader(frame, cdr.BigEndian)
 		switch r.ReadOctet() {
@@ -231,7 +233,7 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 			m, err := decodePromote(r, ids)
 			return m.Leader, err
 		case kindJoin:
-			m, err := decodeJoin(r, ids)
+			m, err := decodeJoin(r, ids, alive)
 			if err == nil && (len(m.Alive) != 2 || m.Alive[1] != m.Sender) {
 				err = fmt.Errorf("alive %v", m.Alive)
 			}
@@ -245,12 +247,8 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 			if err != nil || got != "n01" {
 				t.Fatalf("decoded id %q, err %v", got, err)
 			}
-			want := 0.0
-			if name == "join" {
-				want = 1 // the alive list
-			}
-			if n := testing.AllocsPerRun(100, func() { _, _ = decodeID(frame, ids) }); n != want {
-				t.Errorf("decoding a ring member's datagram allocates %v times, want %v", n, want)
+			if n := testing.AllocsPerRun(100, func() { _, _ = decodeID(frame, ids) }); n != 0 {
+				t.Errorf("decoding a ring member's datagram allocates %v times, want 0", n)
 			}
 			// The same datagram from a stranger decodes to the same id it
 			// always did, by allocating it — and the table stays as it was.
@@ -266,6 +264,39 @@ func TestRingMemberIDsDecodeWithoutAllocating(t *testing.T) {
 				t.Fatalf("nil table: decoded id %q, err %v", got, err)
 			}
 		})
+	}
+}
+
+// TestReceivedJoinsAllocateNothing holds a gathering core to taking a
+// join in without allocating: the alive list is decoded into the core's
+// scratch, only read, and the sender heard on its own. The joins are of
+// the proposal the core gathers for — a member's that agrees, and one
+// whose set is smaller — so the candidate set stays as it is.
+func TestReceivedJoinsAllocateNothing(t *testing.T) {
+	now := time.Unix(1000, 0)
+	ring := []memnet.NodeID{"v00", "v01", "v02"}
+	cfg := fastConfig()
+	cfg.ID, cfg.Members = "v02", ring
+	c := NewCore(cfg, now, func([]byte) {}, func(Event) {})
+	c.now = now
+	c.startGather()
+	joins := [][]byte{
+		encodeJoin(joinMsg{Sender: "v00", Alive: ring, RingID: c.proposed}, nil),
+		encodeJoin(joinMsg{Sender: "v01", Alive: ring[1:], RingID: c.proposed}, nil),
+	}
+	const batch = 50
+	perJoin := testing.AllocsPerRun(20, func() {
+		for range batch {
+			for _, j := range joins {
+				c.Receive(now, j, 0)
+			}
+		}
+	}) / (batch * float64(len(joins)))
+	if perJoin != 0 {
+		t.Errorf("a gathering core allocates %v times per join received, want 0", perJoin)
+	}
+	if !c.gathering || !slices.Equal(c.alive, ring) || !slices.Equal(c.agreed, []memnet.NodeID{"v02", "v00"}) {
+		t.Fatalf("the gather moved: gathering %v, alive %v, agreed %v", c.gathering, c.alive, c.agreed)
 	}
 }
 

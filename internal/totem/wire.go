@@ -633,14 +633,15 @@ func decodePromote(r *cdr.Reader, ids idTable) (promoteMsg, error) {
 	return p, nil
 }
 
-func decodeJoin(r *cdr.Reader, ids idTable) (joinMsg, error) {
+// decodeJoin decodes a join, its alive list into the caller's scratch alive.
+func decodeJoin(r *cdr.Reader, ids idTable, alive []memnet.NodeID) (joinMsg, error) {
 	var j joinMsg
 	j.Sender = ids.id(r.ReadStringBytes())
 	n := r.ReadULong()
 	if r.Err() != nil || int(n) > r.Remaining()/4 {
 		return joinMsg{}, fmt.Errorf("totem: decode join: bad alive count %d", n)
 	}
-	j.Alive = make([]memnet.NodeID, 0, n)
+	j.Alive = slices.Grow(alive[:0], int(n))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		j.Alive = append(j.Alive, ids.id(r.ReadStringBytes()))
 	}

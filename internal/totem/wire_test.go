@@ -134,7 +134,7 @@ func TestJoinRoundTrip(t *testing.T) {
 		Alive:  []memnet.NodeID{"n1", "n5", "n9"},
 		RingID: 12,
 	}
-	got, err := decodeJoin(decodeFrame(t, encodeJoin(jm, nil), kindJoin), newIDTable(jm.Alive[:1]))
+	got, err := decodeJoin(decodeFrame(t, encodeJoin(jm, nil), kindJoin), newIDTable(jm.Alive[:1]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

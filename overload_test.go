@@ -112,7 +112,7 @@ func TestGatewayOverloadSoak(t *testing.T) {
 			if n := int64(runtime.NumGoroutine()); n > maxGoroutines {
 				maxGoroutines = n
 			}
-			if n := gw.InFlight(); n > maxInFlight {
+			if n := gw.Admission().InFlight(); n > maxInFlight {
 				maxInFlight = n
 			}
 		}

@@ -28,8 +28,6 @@ var notShipped = map[string]string{
 	"internal/experiments.RegisterApp.Ops":        "seam: the paper's claims read the servant's operation count",
 	"internal/experiments.RegisterApp.Value":      "seam: the paper's claims read the servant's state",
 	"internal/experiments.WorkArg":                "seam: the paper's claims build a work request",
-	"internal/admission.Controller.InFlight":      "seam: overload tests read the admitted window",
-	"internal/admission.Controller.Draining":      "seam: shutdown tests read the drain state",
 	"internal/faultinject.Plan.Ops":               "seam: soaks report how far a fault plan has come",
 	"internal/logrec.Log.EntryCount":              "seam: recovery tests read how much a group's log holds",
 	"internal/orb.ServantFunc":                    "seam: tests stand up a servant from a function",
