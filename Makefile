@@ -59,7 +59,9 @@ loc:
 # over loopback UDP sockets under 10 KiB and 6 at 64 B, the fixed cost
 # of a message and a datagram, and under 7 KiB and 6 with 32 calls in
 # flight through admission, udp_ring_ladder's, where messages travel
-# packed), the stand-up
+# packed; a 64 B write to a warm-passive group, failover_passive's shape
+# without its faults, under 1.7 KiB and 5, a message's cost with a
+# state sync's share), the stand-up
 # budget (a four-processor domain with a group of three and a gateway
 # must be stood up in under 1.25 MB on memnet in leader mode and under
 # 5 MB over loopback UDP in ring mode: a queue allocates what it holds,
@@ -78,8 +80,12 @@ loc:
 # receives to none: its alive list is decoded into the core's scratch
 # (TestReceivedJoinsAllocateNothing). The same holds a replica's
 # responses, carved out of its own slab, to at most 0.1 allocations each
-# (TestResponsesAllocateNothing), and what a receiver copies into a
-# region of a slab of its own to at most 0.05: a UDP endpoint's received
+# (TestResponsesAllocateNothing), a passive primary's state sync — cut,
+# encoded, delivered, decoded and adopted at a warm backup — to at most
+# 0.05 (TestStateSyncsAllocateNothing), and the fifth line a cut into the
+# log, which copies the state into the buffer it keeps per group, to at
+# most 0.05 (TestCheckpointAllocatesNothing). What a receiver copies into
+# a region of a slab of its own is held to at most 0.05: a UDP endpoint's received
 # payloads (TestReceivedDatagramsAllocateNothing), the gateway record's
 # copies of parts of packs (TestRecordCopiesAllocateNothing) and the
 # gateway's request frames (TestCarvedFramesAllocateNothing). Each of
@@ -88,13 +94,16 @@ loc:
 # a buffer of its own again reads 1, one carved out of too short a chunk
 # its share, and either fails there. TestNoKeeperHoldsAReceiveChunk and
 # TestNoKeeperHoldsARequestChunk hold the keepers of a received byte to
-# letting go of its chunk, and TestQuietUDPClientsPinABoundedHeap holds a
-# quiet client's record entry over UDP to a chunk.
+# letting go of its chunk, TestNoKeeperHoldsAStateSync the backups to
+# letting go of every sync they adopted, and
+# TestQuietUDPClientsPinABoundedHeap holds a quiet client's record entry
+# over UDP to a chunk.
 budget:
-	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$|TestNoKeeperHoldsAReceiveChunk$$|TestNoKeeperHoldsARequestChunk$$|TestQuietUDPClientsPinABoundedHeap$$' -count 1 -v .
+	$(GO) test -run 'TestDatapathAllocBudget$$|TestDomainSetUpAllocBudget$$|TestReplyWindowBoundsTheLiveHeap$$|TestNoKeeperHoldsAReceiveChunk$$|TestNoKeeperHoldsARequestChunk$$|TestNoKeeperHoldsAStateSync$$|TestQuietUDPClientsPinABoundedHeap$$' -count 1 -v .
 	$(GO) test -run 'TestDecodeAllocatesNothing$$|TestCarvedFramesAllocateNothing$$' -count 1 -v ./internal/giop
 	$(GO) test -run 'TestControlDatagramsAllocateNothing$$|TestReceivedJoinsAllocateNothing$$' -count 1 -v ./internal/totem
-	$(GO) test -run 'TestResponsesAllocateNothing$$|TestRecordCopiesAllocateNothing$$' -count 1 -v ./internal/replication
+	$(GO) test -run 'TestResponsesAllocateNothing$$|TestRecordCopiesAllocateNothing$$|TestStateSyncsAllocateNothing$$' -count 1 -v ./internal/replication
+	$(GO) test -run 'TestCheckpointAllocatesNothing$$' -count 1 -v ./internal/logrec
 	$(GO) test -run 'TestReceivedDatagramsAllocateNothing$$' -count 1 -v ./internal/udpnet
 
 # copymap prints the maps behind the budget (scripts/copymap.sh): which

@@ -71,7 +71,7 @@ func (b *BridgeApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error
 // State implements replication.Application; bridges are stateless.
 func (b *BridgeApp) State() ([]byte, error) { return nil, nil }
 
-// SetState implements replication.Application.
+// SetState implements replication.Application; it keeps nothing.
 func (b *BridgeApp) SetState([]byte) error { return nil }
 
 // Close severs the bridge's outbound connection.

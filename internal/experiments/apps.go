@@ -80,7 +80,8 @@ func (a *RegisterApp) State() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// SetState implements replication.Application.
+// SetState implements replication.Application. The value is copied out
+// of state, which is only lent.
 func (a *RegisterApp) SetState(state []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

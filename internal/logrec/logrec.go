@@ -50,8 +50,12 @@ type Log struct {
 	groups map[uint32]*groupLog
 }
 
+// groupLog is one group's share of the log. Its checkpoint is held by
+// value, and its State is the log's own buffer, reused by every cut: it
+// grows to the largest state the group has had and is never handed out.
 type groupLog struct {
-	checkpoint *Checkpoint
+	checkpoint Checkpoint
+	cut        bool // a checkpoint has been recorded
 	entries    []Entry
 }
 
@@ -71,13 +75,16 @@ func (l *Log) group(g uint32) *groupLog {
 
 // Checkpoint replaces group g's checkpoint and truncates the invocation
 // log entries that the checkpoint subsumes (those with Seq <= cp.Seq).
+// cp.State is copied into the group's state buffer, so the caller may
+// pass bytes it only borrows — a state image in a delivered datagram,
+// the slice an application keeps — and the log keeps none of them.
 func (l *Log) Checkpoint(g uint32, cp Checkpoint) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	gl := l.group(g)
-	cpCopy := cp
-	cpCopy.State = append([]byte(nil), cp.State...)
-	gl.checkpoint = &cpCopy
+	gl.checkpoint.Seq, gl.checkpoint.OpCount = cp.Seq, cp.OpCount
+	gl.checkpoint.State = append(gl.checkpoint.State[:0], cp.State...)
+	gl.cut = true
 	kept := gl.entries[:0]
 	for _, e := range gl.entries {
 		if e.Seq > cp.Seq {
@@ -104,15 +111,16 @@ func (l *Log) AppendOwned(g uint32, e Entry) {
 }
 
 // Recover returns group g's checkpoint and the invocations logged after
-// it, in total order.
+// it, in total order. The checkpoint's State is a copy of the log's
+// buffer, which later cuts overwrite.
 func (l *Log) Recover(g uint32) (Checkpoint, []Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	gl, ok := l.groups[g]
-	if !ok || gl.checkpoint == nil {
+	if !ok || !gl.cut {
 		return Checkpoint{}, nil, fmt.Errorf("group %d: %w", g, ErrNoCheckpoint)
 	}
-	cp := *gl.checkpoint
+	cp := gl.checkpoint
 	cp.State = append([]byte(nil), gl.checkpoint.State...)
 	entries := make([]Entry, len(gl.entries))
 	copy(entries, gl.entries)
@@ -135,5 +143,5 @@ func (l *Log) HasCheckpoint(g uint32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	gl, ok := l.groups[g]
-	return ok && gl.checkpoint != nil
+	return ok && gl.cut
 }

@@ -164,3 +164,49 @@ func TestCheckpointLetsGoOfDroppedEntries(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointAllocatesNothing: a cut copies the state into the group's
+// one state buffer, which the log reuses, so once the buffer has grown to
+// the state a cut allocates nothing; and the copy is independent both
+// ways — a state recovered earlier and the slice the caller passed in
+// stay as they were under later cuts, and a later write to that slice
+// does not reach the log.
+func TestCheckpointAllocatesNothing(t *testing.T) {
+	const most = 0.05
+	l := NewLog()
+	state := bytes.Repeat([]byte{'a'}, 256)
+	l.Checkpoint(1, Checkpoint{Seq: 1, State: state})
+	before, _, err := l.Recover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(1)
+	next := bytes.Repeat([]byte{'b'}, 256)
+	// Each run cuts a batch, so that a share of an allocation per cut
+	// shows.
+	got := testing.AllocsPerRun(40, func() {
+		for range 100 {
+			seq++
+			l.AppendOwned(1, Entry{Seq: seq, Data: next[:8]})
+			l.Checkpoint(1, Checkpoint{Seq: seq, OpCount: seq, State: next})
+		}
+	}) / 100
+	t.Logf("%.3f allocations per 256 B cut (at most %v)", got, most)
+	if got > most {
+		t.Errorf("%.3f allocations per 256 B cut, want at most %v", got, most)
+	}
+	if !bytes.Equal(before.State, bytes.Repeat([]byte{'a'}, 256)) {
+		t.Errorf("a state recovered before later cuts changed under them: %q", before.State[:8])
+	}
+	if !bytes.Equal(state, bytes.Repeat([]byte{'a'}, 256)) {
+		t.Errorf("the caller's state changed under later cuts: %q", state[:8])
+	}
+	next[0] = 'X' // the caller writes to the slice it passed in
+	cp, entries, err := l.Recover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Seq != seq || len(entries) != 0 || !bytes.Equal(cp.State, bytes.Repeat([]byte{'b'}, 256)) {
+		t.Errorf("recovered seq %d, %d entries, state %q..., want seq %d, none, the last cut's state", cp.Seq, len(entries), cp.State[:8], seq)
+	}
+}

@@ -132,7 +132,8 @@ func (s *Service) State() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// SetState implements replication.Application.
+// SetState implements replication.Application. Every name and
+// reference is copied out of state, which is only lent.
 func (s *Service) SetState(state []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
+	"eternalgw/internal/logrec"
 	"eternalgw/internal/orb"
 	"eternalgw/internal/slab"
 )
@@ -398,5 +399,71 @@ func TestResponsesAllocateNothing(t *testing.T) {
 	}
 	if n, _ := r.ops.Replies(); n != operationCapacity {
 		t.Fatalf("the table keeps %d responses, want %d", n, operationCapacity)
+	}
+}
+
+// imageApp's state is a slice it builds once, and SetState copies into a
+// slice it keeps: what a sync costs is the mechanisms' alone.
+type imageApp struct {
+	scriptedApp
+	state, got []byte
+}
+
+func (a *imageApp) State() ([]byte, error) { return a.state, nil }
+
+func (a *imageApp) SetState(state []byte) error {
+	a.got = append(a.got[:0], state...)
+	return nil
+}
+
+// TestStateSyncsAllocateNothing: a warm-passive primary's periodic sync —
+// the cut into its log, the image encoded into its responses slab — and
+// the sync's delivery, decode and adoption at a warm backup allocate
+// nothing of their own: each log copies the state into its one buffer,
+// the image is carved, and the backup decodes it in place. What is left
+// is the image's share of a chunk, here an 8-byte state's.
+func TestStateSyncsAllocateNothing(t *testing.T) {
+	const most = 0.05
+	const room = 48
+	m := &Mechanisms{room: room, groups: make(map[GroupID]*groupState)}
+	primary := &replica{m: m, group: 100, style: WarmPassive, app: &imageApp{state: []byte("8 bytes.")}, log: logrec.NewLog(),
+		responses: slab.New[byte](slab.ByteChunk), primary: true}
+	app := &imageApp{}
+	backup := &replica{m: m, group: 100, style: WarmPassive, app: app, log: logrec.NewLog(), tasks: newTaskQueue()}
+	m.groups[100] = &groupState{id: 100, style: WarmPassive, local: backup}
+	sync := func() {
+		primary.opCount += warmSyncInterval
+		primary.lastOpTS += warmSyncInterval
+		cp, ok := primary.cutCheckpoint()
+		if !ok {
+			t.Fatal("the primary cut no checkpoint")
+		}
+		enc := primary.encodeState(KindStateSync, statePayload{Checkpoint: cp})
+		hv, err := DecodeHeader(enc[room:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.deliverStateSync(hv.Message())
+		task, _ := backup.tasks.pop()
+		backup.handle(task)
+	}
+	sync()
+	// Each run syncs a batch, so that a share of an allocation per sync
+	// shows.
+	got := testing.AllocsPerRun(40, func() {
+		for range 100 {
+			sync()
+		}
+	}) / 100
+	t.Logf("%.3f allocations per sync of an 8-byte state (at most %v)", got, most)
+	if got > most {
+		t.Errorf("%.3f allocations per sync of an 8-byte state, want at most %v", got, most)
+	}
+	cp, _, err := backup.log.Recover(100)
+	if err != nil || cp.OpCount != primary.opCount || cp.Seq != primary.lastOpTS || string(cp.State) != "8 bytes." {
+		t.Fatalf("the backup's log holds %+v (%v), want the primary's last cut", cp, err)
+	}
+	if string(app.got) != "8 bytes." || backup.opCount != primary.opCount {
+		t.Fatalf("the backup's application holds %q at %d operations, want the primary's state at %d", app.got, backup.opCount, primary.opCount)
 	}
 }

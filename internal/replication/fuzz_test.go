@@ -24,7 +24,7 @@ func FuzzDecode(f *testing.F) {
 	cp := logrec.Checkpoint{Seq: 7 << 16, OpCount: 7, State: []byte("state")}
 	suffix := []logrec.Entry{{Seq: 8 << 16, Data: inv}, {Seq: 9 << 16, Data: inv}}
 	image := func(kind Kind, p statePayload) []byte {
-		return Encode(Message{Header: Header{Kind: kind, SrcGroup: 100, DstGroup: 100}, Payload: encodeState(p)})
+		return encodeState(0, Header{Kind: kind, SrcGroup: 100, DstGroup: 100}, p, nil)
 	}
 	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp, Entries: suffix}))
 	f.Add(image(KindStateTransfer, statePayload{Target: "n02", Checkpoint: cp}))

@@ -693,24 +693,27 @@ func (m *Mechanisms) deliverVotingResponse(hv HeaderView, d totem.Delivery, sh *
 }
 
 // deliverStateTransfer hands a recovery image to the joiner it is for, if
-// that is this node. Callers hold mu.
+// that is this node: every member reads the joiner, and the joiner alone
+// decodes the image, in place. Callers hold mu.
 func (m *Mechanisms) deliverStateTransfer(msg Message) {
-	p, err := decodeState(msg.Payload)
 	g, ok := m.groups[msg.Header.DstGroup]
-	if err != nil || !ok {
+	if !ok {
 		return
 	}
-	delete(g.pendingJoins, p.Target)
-	if p.Target == m.id && g.local != nil && g.local.app != nil {
+	target := stateTarget(msg.Payload)
+	delete(g.pendingJoins, target)
+	if target != m.id || g.local == nil || g.local.app == nil {
+		return
+	}
+	if p, err := decodeState(msg.Payload); err == nil {
 		g.local.push(task{kind: taskApplyState, state: p})
 	}
 }
 
+// deliverStateSync hands a passive primary's checkpoint to this node's
+// backup of the group, if it hosts one; only there is the image decoded,
+// in place.
 func (m *Mechanisms) deliverStateSync(msg Message) {
-	p, err := decodeState(msg.Payload)
-	if err != nil {
-		return
-	}
 	m.mu.RLock()
 	g, ok := m.groups[msg.Header.DstGroup]
 	var r *replica
@@ -718,7 +721,10 @@ func (m *Mechanisms) deliverStateSync(msg Message) {
 		r = g.local
 	}
 	m.mu.RUnlock()
-	if r != nil {
+	if r == nil {
+		return
+	}
+	if p, err := decodeState(msg.Payload); err == nil {
 		r.push(task{kind: taskApplySync, state: p})
 	}
 }

@@ -408,8 +408,8 @@ func TestOnlyTheAwaitingAdopt(t *testing.T) {
 	backlog(2)                                      // an awaiting member answers nobody
 	m.deliverControl(join(100, ids[2]), ids[2], 62) // behind the cut: replayed
 	// Another joiner's image is not held; this member's own would be.
-	m.deliverControl(Message{Header: Header{Kind: KindStateTransfer, DstGroup: 100}, Payload: encodeState(statePayload{Target: ids[2]})}, ids[1], 63)
-	m.deliverControl(Message{Header: Header{Kind: KindStateTransfer, DstGroup: 100}, Payload: encodeState(statePayload{Target: ids[0]})}, ids[1], 64)
+	m.deliverControl(Message{Header: Header{Kind: KindStateTransfer, DstGroup: 100}, Payload: encodeState(0, Header{}, statePayload{Target: ids[2]}, nil)[headerLen:]}, ids[1], 63)
+	m.deliverControl(Message{Header: Header{Kind: KindStateTransfer, DstGroup: 100}, Payload: encodeState(0, Header{}, statePayload{Target: ids[0]}, nil)[headerLen:]}, ids[1], 64)
 	m.mu.RLock()
 	held := len(m.held)
 	m.mu.RUnlock()

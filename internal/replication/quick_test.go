@@ -63,7 +63,12 @@ func TestQuickStatePayloadRoundTrip(t *testing.T) {
 		if suffix {
 			p.Entries = []logrec.Entry{{Seq: seq + 1, Data: e1}, {Seq: seq + 2, Data: e2}}
 		}
-		got, err := decodeState(encodeState(p))
+		// The image is written in one pass into what was carved for it.
+		enc := encodeState(0, Header{Kind: KindStateTransfer}, p, nil)
+		if len(enc) != headerLen+p.size() || cap(enc) != len(enc) {
+			return false
+		}
+		got, err := decodeState(enc[headerLen:])
 		if err != nil {
 			return false
 		}

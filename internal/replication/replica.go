@@ -42,8 +42,10 @@ type task struct {
 	raw     []byte
 	ts      uint64
 	execute bool
-	state   statePayload
-	joiner  memnet.NodeID
+	// state is a transfer's or a sync's image, borrowed from its datagram
+	// until the replica adopts it.
+	state  statePayload
+	joiner memnet.NodeID
 }
 
 // detach returns a copy of the task whose msg payload and raw bytes no
@@ -515,15 +517,22 @@ func (r *replica) maybeCheckpoint() {
 	}
 	cuts.Add(1)
 	if r.style.passive() {
-		_ = r.m.multicast(Message{
-			Header:  Header{Kind: KindStateSync, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-			Payload: encodeState(statePayload{Checkpoint: cp}),
-		})
+		_ = r.m.multicastEncoded(r.encodeState(KindStateSync, statePayload{Checkpoint: cp}))
 	}
 }
 
+// encodeState encodes a recovery image of this replica's group behind the
+// mechanisms' headroom, in a buffer carved from responses as respond
+// carves a response: a sync and a donation are built on the executor too.
+func (r *replica) encodeState(kind Kind, p statePayload) []byte {
+	h := Header{Kind: kind, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group}
+	return encodeState(r.m.room, h, p, &r.responses)
+}
+
 // cutCheckpoint captures the application state into the local log at the
-// position it reflects, truncating the logged entries it covers.
+// position it reflects, truncating the logged entries it covers. The
+// checkpoint returned holds the state as the application returned it,
+// which the log has copied: it is read, not kept.
 func (r *replica) cutCheckpoint() (logrec.Checkpoint, bool) {
 	state, err := r.app.State()
 	if err != nil {
@@ -550,7 +559,8 @@ func (r *replica) load(cp logrec.Checkpoint) error {
 
 // adopt takes over a checkpoint this replica did not cut — a donation or
 // a periodic sync — into the log, and into the application if the style
-// is eager.
+// is eager. cp.State is borrowed from the datagram that carried it:
+// SetState copies what it keeps, and so does the log.
 func (r *replica) adopt(cp logrec.Checkpoint) error {
 	if r.eager() {
 		if err := r.load(cp); err != nil {
@@ -590,10 +600,7 @@ func (r *replica) donate(joiner memnet.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	return r.m.multicast(Message{
-		Header:  Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-		Payload: encodeState(statePayload{Target: joiner, Checkpoint: cp, Entries: entries}),
-	}) == nil
+	return r.m.multicastEncoded(r.encodeState(KindStateTransfer, statePayload{Target: joiner, Checkpoint: cp, Entries: entries})) == nil
 }
 
 // handleApplyState is the joiner side of state transfer: adopt the
@@ -608,6 +615,9 @@ func (r *replica) handleApplyState(t task) {
 	if err := r.adopt(cp); err != nil {
 		return
 	}
+	// The entries are windows onto the transfer's datagram, which the log
+	// keeps by reference until its next cut, as it keeps invocations
+	// (logInvocation).
 	covered := cp.Seq
 	for _, e := range entries {
 		r.log.AppendOwned(uint32(r.group), e)

@@ -126,9 +126,15 @@ const UnusedClientID uint64 = 0
 // neither of them, nor any bytes of theirs.
 type Application interface {
 	orb.Servant
-	// State captures the full application state.
+	// State captures the full application state. The mechanisms copy the
+	// slice returned — into the recovery log, and into the image a
+	// passive primary or a donor multicasts — before the application runs
+	// again, and keep none of it.
 	State() ([]byte, error)
-	// SetState replaces the application state.
+	// SetState replaces the application state. state is borrowed and
+	// read-only: it may lie in the datagram that carried it, which every
+	// member that received it shares (DESIGN.md section 7), and it is not
+	// the application's once SetState returns. Copy what you keep.
 	SetState(state []byte) error
 }
 

@@ -3,6 +3,7 @@ package replication
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
@@ -370,7 +371,12 @@ func decodeMembershipSync(b []byte) (membershipSyncPayload, error) {
 // statePayload carries a recovery image between members of a group: a
 // state transfer (the donor's checkpoint plus its log suffix, addressed
 // to one joiner) or a passive primary's periodic synchronization (the
-// checkpoint alone, addressed to every backup).
+// checkpoint alone, addressed to every backup). A decoded one borrows
+// its State and every entry's Data from the delivered datagram (DESIGN.md
+// section 7) until the replica it is for adopts it: the log copies the
+// state, and keeps the entries by reference as it keeps invocations.
+//
+// gwlint:arena
 type statePayload struct {
 	// Target is the joining node a transfer is addressed to; empty for
 	// synchronizations.
@@ -384,8 +390,28 @@ type statePayload struct {
 	Entries []logrec.Entry
 }
 
-func encodeState(p statePayload) []byte {
-	w := cdr.NewWriter(cdr.BigEndian)
+// size is the length of the encoded image: what encodeState writes
+// behind the header, alignment padding included.
+func (p statePayload) size() int {
+	n := 4 + len(p.Target) + 1
+	n += -n & 7
+	n += 8 + 8 + 4 + len(p.Checkpoint.State)
+	n += -n & 3
+	n += 4
+	for _, e := range p.Entries {
+		n += -n & 7
+		n += 8 + 4 + len(e.Data)
+	}
+	return n
+}
+
+// encodeState is the wire form of a state message addressed by h behind
+// room unwritten bytes, built in one pass: the image is written straight
+// behind openPayload's header, in a buffer carved from in — the
+// replica's responses, on its executor — or made on its own for a nil in.
+func encodeState(room int, h Header, p statePayload, in *slab.Slab[byte]) []byte {
+	var w cdr.Writer
+	w.ResetOn(openPayload(room, h, p.size(), in), cdr.BigEndian)
 	w.WriteString(string(p.Target))
 	w.WriteULongLong(p.Checkpoint.Seq)
 	w.WriteULongLong(p.Checkpoint.OpCount)
@@ -395,7 +421,7 @@ func encodeState(p statePayload) []byte {
 		w.WriteULongLong(e.Seq)
 		w.WriteOctetSeq(e.Data)
 	}
-	return w.Bytes()
+	return sealPayload(room, w.Bytes())
 }
 
 // stateTarget is the joiner a state transfer is addressed to, read
@@ -404,20 +430,24 @@ func stateTarget(b []byte) memnet.NodeID {
 	return memnet.NodeID(cdr.NewReader(b, cdr.BigEndian).ReadString())
 }
 
+// decodeState reads a state image in place: the result borrows from b,
+// each window clipped, so an append onto one cannot run into the bytes
+// behind it.
 func decodeState(b []byte) (statePayload, error) {
 	r := cdr.NewReader(b, cdr.BigEndian)
-	var p statePayload
-	p.Target = memnet.NodeID(r.ReadString())
-	p.Checkpoint.Seq = r.ReadULongLong()
-	p.Checkpoint.OpCount = r.ReadULongLong()
-	p.Checkpoint.State = append([]byte(nil), r.ReadOctetSeq()...)
+	target := memnet.NodeID(r.ReadString())
+	var cp logrec.Checkpoint
+	cp.Seq = r.ReadULongLong()
+	cp.OpCount = r.ReadULongLong()
+	cp.State = slices.Clip(r.ReadOctetSeq())
+	var entries []logrec.Entry
 	for n := r.ReadULong(); n > 0 && r.Err() == nil; n-- {
 		e := logrec.Entry{Seq: r.ReadULongLong()}
-		e.Data = append([]byte(nil), r.ReadOctetSeq()...)
-		p.Entries = append(p.Entries, e)
+		e.Data = slices.Clip(r.ReadOctetSeq())
+		entries = append(entries, e)
 	}
 	if err := r.Err(); err != nil {
 		return statePayload{}, fmt.Errorf("replication: decode state: %w", err)
 	}
-	return p, nil
+	return statePayload{Target: target, Checkpoint: cp, Entries: entries}, nil
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestDeterministicReplay is the replay gate: the same seed must
 // produce the identical event trace byte-for-byte, for every workload,
@@ -26,6 +29,23 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		if !modes["ring"] || !modes["leader"] {
 			t.Fatalf("wl=%s: the pinned seeds ran %v; the gate needs a seed of each mode", wl, modes)
+		}
+	}
+}
+
+// TestPinnedScheduleReplaysTheSweep: a failing seed's replay line pins
+// the schedule class the sweep drew (simrun -seed N -workload W -schedule
+// S), and must run what the sweep ran — the same fault plan and the same
+// trace — for every seed of every workload.
+func TestPinnedScheduleReplaysTheSweep(t *testing.T) {
+	for _, wl := range Workloads() {
+		for seed := uint64(0); seed < 12; seed++ {
+			swept := Run(Config{Seed: seed, Workload: wl})
+			pinned := Run(Config{Seed: seed, Workload: wl, Schedule: swept.Schedule})
+			if !reflect.DeepEqual(swept.Planned, pinned.Planned) || swept.TraceHash != pinned.TraceHash {
+				t.Errorf("wl=%s seed=%d schedule=%s: pinned, the run planned %d steps (trace %016x), the sweep %d (trace %016x)",
+					wl, seed, swept.Schedule, len(pinned.Planned), pinned.TraceHash, len(swept.Planned), swept.TraceHash)
+			}
 		}
 	}
 }

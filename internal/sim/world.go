@@ -223,15 +223,17 @@ func (w *world) attach(id memnet.NodeID, h func(memnet.Packet)) *memnet.Endpoint
 }
 
 func (w *world) boot() {
-	// The schedule stream draws the ordering mode, then the class.
+	// The schedule stream draws the ordering mode, then the class, which a
+	// pinned Schedule overrides: the draw is made all the same, so the
+	// fault plan drawn behind it is the one the unpinned run draws.
 	schedRng := rand.New(rand.NewSource(int64(faultinject.Split(w.cfg.Seed, 3))))
 	if schedRng.Intn(2) == 1 {
 		w.ordering = totem.OrderingLeader
 	}
-	w.schedName = w.cfg.Schedule
-	if w.schedName == "" {
-		names := Schedules()
-		w.schedName = names[schedRng.Intn(len(names))]
+	names := Schedules()
+	w.schedName = names[schedRng.Intn(len(names))]
+	if w.cfg.Schedule != "" {
+		w.schedName = w.cfg.Schedule
 	}
 
 	// Topology.

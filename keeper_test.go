@@ -137,7 +137,7 @@ func echo(t *testing.T, conn *orb.Conn, n int) {
 func TestNoKeeperHoldsAReceiveChunk(t *testing.T) {
 	var mu sync.Mutex
 	var taps []*rxTap
-	d, conn := budgetDomainVia(t, true, nil, func(ep *udpnet.Endpoint) totem.Transport {
+	d, conn := budgetDomainVia(t, true, nil, replication.Active, func(ep *udpnet.Endpoint) totem.Transport {
 		tap := newRxTap(t, ep)
 		mu.Lock()
 		taps = append(taps, tap)
@@ -331,7 +331,7 @@ func TestNoKeeperHoldsARequestChunk(t *testing.T) {
 	)
 	var mu sync.Mutex
 	var apps []*argsApp
-	d, conn := budgetDomainVia(t, false, nil, nil, func() replication.Application {
+	d, conn := budgetDomainVia(t, false, nil, replication.Active, nil, func() replication.Application {
 		a := &argsApp{}
 		mu.Lock()
 		apps = append(apps, a)
@@ -377,6 +377,92 @@ func TestNoKeeperHoldsARequestChunk(t *testing.T) {
 			t.Fatalf("%d of %d requests' chunks still reachable after every keeper let go of them", held, len(apps)*released)
 		}
 		echo(t, second, 10)
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// syncApp is the demo servant noting, weakly, where each state it is
+// handed lies: at a warm-passive backup, in the sync's datagram, which
+// the backup decodes in place.
+type syncApp struct {
+	experiments.RegisterApp
+	mu     sync.Mutex
+	states []weak.Pointer[byte] // by the order the states were adopted in
+}
+
+func (a *syncApp) SetState(state []byte) error {
+	if len(state) > 0 {
+		a.mu.Lock()
+		a.states = append(a.states, weak.Make(&state[0]))
+		a.mu.Unlock()
+	}
+	return a.RegisterApp.SetState(state)
+}
+
+// TestNoKeeperHoldsAStateSync: a warm-passive primary multicasts a
+// checkpoint every eight operations, and each backup adopts it from the
+// datagram it was delivered in — the state borrowed, never kept: the
+// application and the log copy what they keep (DESIGN.md section 7). In
+// the failover_passive shape on memnet, the register holds 2 KiB, so
+// each image is a buffer of its own and not a region of the primary's
+// response chunk, which its operation table pins by the responses in it.
+// The backups adopt eight syncs — the mark — and then a later one, and a
+// few operations carry totem's stable point past it without another:
+// every sync datagram the backups adopted, the last among them, must
+// then become unreachable.
+func TestNoKeeperHoldsAStateSync(t *testing.T) {
+	var mu sync.Mutex
+	var apps []*syncApp
+	_, conn := budgetDomainVia(t, false, nil, replication.WarmPassive, nil, func() replication.Application {
+		a := &syncApp{}
+		mu.Lock()
+		apps = append(apps, a)
+		mu.Unlock()
+		return a
+	})
+	// adopted counts the states the backups adopted, and reachable those
+	// of them still reachable.
+	count := func(reachable bool) (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, a := range apps {
+			a.mu.Lock()
+			for _, w := range a.states {
+				if !reachable || w.Value() != nil {
+					n++
+				}
+			}
+			a.mu.Unlock()
+		}
+		return n
+	}
+	await := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); count(false) < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the backups adopted %d states, want %d", count(false), want)
+			}
+		}
+	}
+	const backups, interval = 2, 8
+	if _, err := conn.Call([]byte(benchKey), "set", experiments.OctetSeqArg(make([]byte, 2<<10)), orb.InvokeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	echo(t, conn, 8*interval-1)
+	await(8 * backups)
+	echo(t, conn, interval)
+	await(9 * backups)
+	echo(t, conn, interval/2)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		held := count(true)
+		if held == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the %d states the backups adopted still reachable after they adopted later ones", held, count(false))
+		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }

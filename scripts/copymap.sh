@@ -15,22 +15,25 @@
 # 64B-udp-ring row (ring ordering over loopback UDP sockets, one call at
 # a time) and the 64B-udp-ring-x32 row (the same with 32 calls in flight
 # through udp_ring_ladder's admission policy, the udp_ring_ladder shape,
-# where messages travel packed), each profiled
+# where messages travel packed) and the 64B-warm-passive row (the
+# failover_passive shape without its faults: writes to a warm-passive
+# group of three on five processors, where a primary's state syncs and
+# the backups' logs are the cost), each profiled
 # by alloc_objects, allocations per operation by the same attribution,
 # for call sites that make at least a third of one — what a message costs
 # whatever it carries. The domain's
 # set-up is in the profile too; divided by the row's 850 operations it
 # stays under that.
 #
-# With REF the same test (HEAD's alloc_budget_test.go and
-# bench_throughput_test.go overlaid onto an export of REF's tree) is
+# With REF the same test (HEAD's alloc_budget_test.go and the test files
+# that share its helpers overlaid onto an export of REF's tree) is
 # profiled there too and each table shows before and after side by side:
 # the tables in docs/PERFORMANCE.md are `scripts/copymap.sh [-n] <parent>`.
 set -eu
 
 ROWS=16KiB INDEX=alloc_space UNIT=18432 FLOOR=0.25 WHAT=units
 if [ "${1:-}" = -n ]; then
-    ROWS="64B 64B-udp-ring 64B-udp-ring-x32" INDEX=alloc_objects UNIT=1 FLOOR=0.34 WHAT=allocs
+    ROWS="64B 64B-udp-ring 64B-udp-ring-x32 64B-warm-passive" INDEX=alloc_objects UNIT=1 FLOOR=0.34 WHAT=allocs
     shift
 fi
 REF=${1:-}
@@ -63,7 +66,7 @@ profile() {
 if [ -n "$REF" ]; then
     mkdir "$WORK/ref"
     git archive "$REF" | tar -x -C "$WORK/ref"
-    cp alloc_budget_test.go bench_throughput_test.go "$WORK/ref/"
+    cp alloc_budget_test.go bench_throughput_test.go keeper_test.go "$WORK/ref/"
 fi
 
 for ROW in $ROWS; do
