@@ -649,7 +649,8 @@ func (g *Gateway) serveConn(cc *clientConn) {
 			if g.tracer != nil || g.reqHist != nil {
 				arrived = time.Now()
 			}
-			if err := giop.DecodeRequestInto(msg, &req); err != nil {
+			op, err := decodeRequest(msg, &req)
+			if err != nil {
 				g.log.Warn("bad request", "remote", nc.RemoteAddr(), "err", err)
 				cc.write(giop.EncodeMessageError(msg.Header.Order))
 				continue
@@ -676,7 +677,7 @@ func (g *Gateway) serveConn(cc *clientConn) {
 			// What the gateway holds per request is bounded by the
 			// in-flight window above: under overload it sheds instead of
 			// growing without bound.
-			cc.handleRequest(msg, req, arrived, group, clientID, release)
+			cc.handleRequest(msg, req, op, arrived, group, clientID, release)
 		case giop.MsgLocateRequest:
 			cc.handleLocate(msg)
 		case giop.MsgCloseConn:
@@ -737,6 +738,23 @@ func (cc *clientConn) clientID(group replication.GroupID, req giop.Request) uint
 	return id
 }
 
+// decodeRequest decodes msg into req and returns the identifier the
+// gateway conveys it under: figure 6's, which a replicated caller's
+// replicas all carry in FT_O, or else (0, request id) (section 3.5). A
+// malformed FT_O is refused, not ignored: keyed by its request id, a
+// replicated caller's forward could be answered with another call's reply.
+func decodeRequest(msg giop.Message, req *giop.Request) (op replication.OperationID, err error) {
+	if err = giop.DecodeRequestInto(msg, req); err != nil {
+		return op, err
+	}
+	data, ok := giop.ContextByID(req.ServiceContexts, giop.FTOperationContextID)
+	if !ok {
+		return replication.OperationID{ChildSeq: req.RequestID}, nil
+	}
+	op.ParentTS, op.ChildSeq, err = giop.DecodeOperationContext(data)
+	return op, err
+}
+
 // counterIDBit marks gateway-assigned client identifiers; enhanced
 // clients' hashed identifiers occupy the rest of the space (a hash could
 // still land in the marked half, but the paper's point stands either
@@ -748,9 +766,8 @@ const counterIDBit = uint64(1) << 63
 // operation identifiers and convey it into the fault tolerance domain —
 // or answer a reissue from the gateway group's record. The replier
 // returns the (first, deduplicated) response over the client's socket.
-func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived time.Time, group replication.GroupID, clientID uint64, release func()) {
+func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, op replication.OperationID, arrived time.Time, group replication.GroupID, clientID uint64, release func()) {
 	gw := cc.gw
-	op := replication.OperationID{ParentTS: 0, ChildSeq: req.RequestID}
 	tkey := obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq}
 	if gw.tracer != nil {
 		gw.tracer.EventAt(tkey, obs.StageGatewayAccept, arrived, "gateway")

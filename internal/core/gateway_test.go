@@ -596,6 +596,94 @@ func TestEnhancedClientResendIsDeduplicated(t *testing.T) {
 	}
 }
 
+// operationContext builds what a replicated caller sends: its shared
+// client identifier and, in FT_O, the operation identifier data.
+func operationContext(id string, data []byte) []giop.ServiceContext {
+	return []giop.ServiceContext{{ID: giop.FTClientContextID, Data: []byte(id)}, {ID: giop.FTOperationContextID, Data: data}}
+}
+
+func TestCarriedOperationIdentifierKeysTheOperation(t *testing.T) {
+	// A replicated caller's forwards carry figure 6's identifier: two
+	// requests with one identifier are one operation whatever their
+	// request ids, and one request id under two identifiers is two.
+	d := fastDomain(t, "ny", 3)
+	apps := deployRegister(t, d, replication.Active, 2)
+	gw, err := d.AddGateway(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := orb.Dial(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	call := func(reqID uint32, parentTS uint64, childSeq uint32) int64 {
+		t.Helper()
+		sc := operationContext("bridge-7", giop.OperationContext(parentTS, childSeq).Data)
+		r, err := conn.Call([]byte(keyRegister), "append", encodeOctetSeq([]byte("x")),
+			orb.InvokeOptions{RequestID: reqID, ServiceContexts: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ReadLongLong()
+	}
+	if got := call(1, 41, 1); got != 1 {
+		t.Fatalf("first call = %d, want 1", got)
+	}
+	if got := call(2, 41, 1); got != 1 {
+		t.Fatalf("the same operation under request id 2 = %d, want the first reply 1", got)
+	}
+	if got := call(1, 57, 1); got != 2 {
+		t.Fatalf("a new operation under request id 1 = %d, want 2", got)
+	}
+	waitInt(t, func() int64 { return apps[0].totalOps() }, 2, "ops")
+}
+
+func TestMalformedOperationContextIsRefused(t *testing.T) {
+	// An FT_O context of any length but 12 is refused with MessageError,
+	// as an undecodable request is, and the operation is not conveyed:
+	// keyed by its request id it could be answered with another call's
+	// reply. The connection stays in step.
+	d := fastDomain(t, "ny", 2)
+	apps := deployRegister(t, d, replication.Active, 1)
+	gw, err := d.AddGateway(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	for _, n := range []int{0, 11, 13} {
+		req, err := giop.EncodeRequest(cdr.BigEndian, giop.Request{
+			RequestID: uint32(n), ResponseExpected: true, ObjectKey: []byte(keyRegister), Operation: "append",
+			Args: encodeOctetSeq([]byte("x")), ServiceContexts: operationContext("bridge-7", make([]byte, n)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(giop.Marshal(req)); err != nil {
+			t.Fatal(err)
+		}
+		_ = raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		msg, err := giop.ReadMessage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Header.Type != giop.MsgError {
+			t.Fatalf("FT_O of %d octets answered with message type %v, want MessageError", n, msg.Header.Type)
+		}
+	}
+	writeRequests(t, raw, keyRegister, 99)
+	if rep := readReply(t, raw); rep.RequestID != 99 || rep.Status != giop.ReplyNoException {
+		t.Fatalf("reply after the refusals = %+v", rep)
+	}
+	if got := apps[0].totalOps(); got != 0 {
+		t.Fatalf("a refused request executed: ops = %d", got)
+	}
+}
+
 func TestOneWayRequestThroughGateway(t *testing.T) {
 	d := fastDomain(t, "ny", 2)
 	apps := deployRegister(t, d, replication.Active, 1)

@@ -16,13 +16,15 @@ import (
 // through the enhanced client-side interception layer.
 //
 // All replicas of a bridge share a deterministic unique client
-// identifier and issue deterministic request identifiers, so the remote
-// domain's gateway and servers deduplicate their parallel forwards into
-// exactly one operation — the same mechanism (section 3.5) that protects
-// against reissues after gateway failover.
+// identifier, and each forwards a call under the operation identifier
+// its replica's Handle gives it (figure 6), so the remote domain's
+// gateway and servers deduplicate their parallel forwards into exactly
+// one operation — the same mechanism (section 3.5) that protects against
+// reissues after gateway failover — whichever replica joined last.
 type BridgeApp struct {
 	remote ior.Ref
 	cfg    thinclient.Config
+	handle *replication.Handle
 
 	mu     sync.Mutex
 	client *thinclient.Client
@@ -40,6 +42,10 @@ func NewBridgeApp(remote ior.Ref, uniqueID []byte, timeout time.Duration) *Bridg
 	}
 	return &BridgeApp{remote: remote, cfg: cfg}
 }
+
+// Bind takes the Handle of the replica the bridge joins as, before the
+// replica executes anything (replication.Mechanisms.Arm).
+func (b *BridgeApp) Bind(h *replication.Handle) { b.handle = h }
 
 // Invoke forwards the operation to the remote domain and copies the
 // reply body through.
@@ -60,7 +66,11 @@ func (b *BridgeApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error
 	c := b.client
 	b.mu.Unlock()
 
-	r, err := c.Call(op, raw)
+	id, err := b.handle.Next()
+	if err != nil {
+		return err
+	}
+	r, err := c.CallAs(id.ParentTS, id.ChildSeq, op, raw)
 	if err != nil {
 		return err
 	}
@@ -68,7 +78,8 @@ func (b *BridgeApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error
 	return r.Err()
 }
 
-// State implements replication.Application; bridges are stateless.
+// State implements replication.Application; bridges are stateless: what
+// a forward is identified by comes from the invocation it is made in.
 func (b *BridgeApp) State() ([]byte, error) { return nil, nil }
 
 // SetState implements replication.Application; it keeps nothing.

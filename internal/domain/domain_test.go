@@ -3,6 +3,7 @@ package domain_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -232,67 +233,8 @@ func TestCrashAndRestartNode(t *testing.T) {
 // gateway, a bridge object in LA that forwards to the New York domain's
 // gateway, behind which the actual replicated server runs.
 func TestMultiDomainBridging(t *testing.T) {
-	ny := newDomain(t, "new-york", 3)
-	la := newDomain(t, "los-angeles", 3)
-
-	// New York hosts the replicated server.
-	const nyGrp replication.GroupID = 70
-	serverKey := []byte("trading/exchange")
-	err := ny.Manager().CreateReplicatedObject(nyGrp, ftmgmt.Properties{
-		Style:           replication.Active,
-		InitialReplicas: 2,
-		MinReplicas:     1,
-		ObjectKey:       serverKey,
-	}, func() (replication.Application, error) { return &adderApp{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ny.AddGateway(2, ""); err != nil {
-		t.Fatal(err)
-	}
-	nyRef, err := ny.PublishIOR("IDL:Trading/Exchange:1.0", serverKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Los Angeles hosts a replicated bridge to New York.
-	const laGrp replication.GroupID = 71
-	bridgeKey := []byte("bridge/to-ny")
-	err = la.Manager().CreateReplicatedObject(laGrp, ftmgmt.Properties{
-		Style:           replication.Active,
-		InitialReplicas: 2,
-		MinReplicas:     1,
-		ObjectKey:       bridgeKey,
-	}, func() (replication.Application, error) {
-		return domain.NewBridgeApp(nyRef, []byte("la-bridge-01"), 5*time.Second), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := la.AddGateway(2, ""); err != nil {
-		t.Fatal(err)
-	}
-	laRef, err := la.PublishIOR("IDL:Trading/Exchange:1.0", bridgeKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The Santa Barbara customer: a plain unreplicated IIOP client that
-	// knows only the LA reference.
-	obj, conn, err := orb.Resolve(laRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	for i := 1; i <= 5; i++ {
-		r, err := obj.Call("add", int64Args(10), orb.InvokeOptions{})
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if got := r.ReadLongLong(); got != int64(i*10) {
-			t.Fatalf("call %d = %d, want %d (lost or duplicated across domains)", i, got, i*10)
-		}
-	}
+	_, _, _, add := bridgedAdder(t)
+	checkBridgedTotals(t, add, 0)
 }
 
 func TestBridgeSurvivesRemoteGatewayFailover(t *testing.T) {
@@ -599,4 +541,163 @@ func TestRemoveGatewayRepublishesAndReleasesMembership(t *testing.T) {
 	if got := len(d.Gateways()); got != 1 {
 		t.Fatalf("gateways left = %d, want 1", got)
 	}
+}
+
+// bridgedAdder deploys figure 1's two domains for the bridging tests:
+// New York hosts a replicated adder on p00 and p01 behind one
+// gateway, and Los Angeles, four processors with its gateway on p03, a
+// bridge group of two to it. It returns both domains, the bridge group,
+// and a plain client's call of add(10) through LA's gateway.
+func bridgedAdder(t *testing.T) (ny, la *domain.Domain, bridge replication.GroupID, add func() int64) {
+	t.Helper()
+	ny = newDomain(t, "new-york", 3)
+	la = newDomain(t, "los-angeles", 4)
+	const nyGrp replication.GroupID = 90
+	serverKey := []byte("trading/exchange")
+	err := ny.Manager().CreateReplicatedObject(nyGrp, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 2,
+		MinReplicas:     1,
+		ObjectKey:       serverKey,
+	}, func() (replication.Application, error) { return &adderApp{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ny.AddGateway(2, ""); err != nil {
+		t.Fatal(err)
+	}
+	nyRef, err := ny.PublishIOR("IDL:Trading/Exchange:1.0", serverKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := la.AddGateway(3, ""); err != nil {
+		t.Fatal(err)
+	}
+	bridge = 91
+	bridgeKey := []byte("bridge/to-ny")
+	err = la.Manager().CreateReplicatedObject(bridge, ftmgmt.Properties{
+		Style:           replication.Active,
+		InitialReplicas: 2,
+		MinReplicas:     1,
+		ObjectKey:       bridgeKey,
+	}, func() (replication.Application, error) {
+		b := domain.NewBridgeApp(nyRef, []byte("la-bridge-91"), 5*time.Second)
+		t.Cleanup(b.Close)
+		return b, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	laRef, err := la.PublishIOR("IDL:Trading/Exchange:1.0", bridgeKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each gateway's processor knows the group it resolves to.
+	if err := ny.Node(2).RM.WaitForMembers(nyGrp, 2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := la.Node(3).RM.WaitForMembers(bridge, 2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	obj, conn, err := orb.Resolve(laRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return ny, la, bridge, func() int64 {
+		t.Helper()
+		r, err := obj.Call("add", int64Args(10), orb.InvokeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ReadLongLong()
+	}
+}
+
+// checkBridgedTotals makes five calls of add(10) and fails unless they
+// read from+10 onwards: a call lost or run twice across the domains is
+// off by ten, and one a bridge replica numbered itself is answered, under
+// the group's shared client identifier, with an older call's record.
+func checkBridgedTotals(t *testing.T, add func() int64, from int64) {
+	t.Helper()
+	var got, want []int64
+	for i := int64(1); i <= 5; i++ {
+		got, want = append(got, add()), append(want, from+10*i)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("totals %v, want %v", got, want)
+	}
+}
+
+// TestGrownBridgeAnswersCurrentCalls grows a bridge group between calls:
+// the joined replica forwards each call under the identifier of the
+// invocation it executes, as the older replicas do (figure 6), so the
+// remote domain sees one operation per call and no stale reply. There
+// each call executes once at a replica, and the copies beyond the first
+// are answered from the gateway's record or suppressed as duplicates.
+func TestGrownBridgeAnswersCurrentCalls(t *testing.T) {
+	ny, la, grp, add := bridgedAdder(t)
+	checkBridgedTotals(t, add, 0)
+	if _, err := la.Manager().Grow(grp); err != nil {
+		t.Fatal(err)
+	}
+	nyStats := func() (executed, collapsed uint64) {
+		st := ny.Node(0).RM.Stats()
+		return st.InvocationsExecuted, st.DuplicateInvocations + ny.Gateways()[0].Stats().AnsweredFromCache
+	}
+	executed, collapsed := nyStats()
+	checkBridgedTotals(t, add, 50)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e, c := nyStats()
+		if e-executed == 5 && c-collapsed >= 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("at a New York replica, 5 calls of three bridge replicas executed %d times and collapsed %d copies, want 5 and at least 10", e-executed, c-collapsed)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRestartedBridgeAnswersCurrentCalls crashes the processor of one
+// bridge replica, restarts it and places a fresh replica there.
+func TestRestartedBridgeAnswersCurrentCalls(t *testing.T) {
+	_, la, grp, add := bridgedAdder(t)
+	checkBridgedTotals(t, add, 0)
+	rm := la.Node(3).RM
+	victim := rm.Members(grp)[0]
+	idx := -1
+	for i := 0; i < la.Nodes(); i++ {
+		if la.Node(i).ID == victim {
+			idx = i
+		}
+	}
+	back := la.Node(idx)
+	syncs := back.RM.Stats().MembershipSyncs
+	la.CrashNode(idx)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rm.Members(grp)) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("members = %v", rm.Members(grp))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	la.RestartNode(idx)
+	// The restarted processor adopts the survivors' directory, closing
+	// its old replica, before anything is placed on it.
+	for st := back.RM.Stats(); len(back.Totem.Members()) != la.Nodes() || st.MembershipSyncs == syncs || st.DirectoryAwaiting; st = back.RM.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring = %v, directory syncs %d, awaiting %v", back.Totem.Members(), st.MembershipSyncs, st.DirectoryAwaiting)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	v, err := la.Manager().Grow(grp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(v.Members, victim) {
+		t.Fatalf("the fresh replica went to %v, not to the restarted %s", v.Members, victim)
+	}
+	checkBridgedTotals(t, add, 50)
 }

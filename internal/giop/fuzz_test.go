@@ -60,6 +60,22 @@ func FuzzDecodeRequest(f *testing.F) {
 			ServiceContexts: []ServiceContext{{ID: FTClientContextID, Data: []byte("client-7")}},
 		})
 		f.Add(minor, true, little.Body)
+		// A replicated caller's forward, and one whose FT_O context is a
+		// byte short: both decode, and the gateway refuses the second.
+		short, _ := EncodeRequestV(cdr.BigEndian, minor, Request{
+			RequestID: 7, ResponseExpected: true, ObjectKey: []byte("bridge/to-ny"),
+			Operation: "add", Args: []byte{0, 0, 0, 0, 0, 0, 0, 10},
+			ServiceContexts: []ServiceContext{
+				{ID: FTClientContextID, Data: []byte("la-bridge")},
+				{ID: FTOperationContextID, Data: make([]byte, 11)},
+			},
+		})
+		f.Add(minor, false, short.Body)
+		forward, _ := EncodeRequestV(cdr.LittleEndian, minor, Request{
+			RequestID: 8, ResponseExpected: true, ObjectKey: []byte("bridge/to-ny"), Operation: "add",
+			ServiceContexts: []ServiceContext{{ID: FTClientContextID, Data: []byte("la-bridge")}, OperationContext(41, 1)},
+		})
+		f.Add(minor, true, forward.Body)
 	}
 	f.Add(byte(0), true, []byte{})
 	f.Add(byte(2), true, []byte{0xff, 0xff, 0xff, 0xff})
@@ -78,6 +94,17 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("Operation %q, the wire holds %q", req.Operation, wire)
 		}
 		checkContextsInside(t, req.ServiceContexts, body)
+		// An FT_O context reads as an operation identifier exactly when it
+		// is 12 octets, and is then the bytes OperationContext builds.
+		if data, ok := ContextByID(req.ServiceContexts, FTOperationContextID); ok {
+			ts, seq, err := DecodeOperationContext(data)
+			if (err == nil) != (len(data) == 12) {
+				t.Fatalf("FT_O of %d octets: err %v", len(data), err)
+			}
+			if err == nil && !bytes.Equal(OperationContext(ts, seq).Data, data) {
+				t.Fatalf("FT_O %x reads as (%d, %d), which encodes differently", data, ts, seq)
+			}
+		}
 		re, err := EncodeRequestV(order, msg.Header.Minor, req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)

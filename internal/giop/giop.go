@@ -135,6 +135,29 @@ type ServiceContext struct {
 // "FT" plus a vendor nibble, chosen to avoid OMG-assigned ranges.
 const FTClientContextID uint32 = 0x46545F43 // "FT_C"
 
+// FTOperationContextID is the private service-context id a replicated
+// caller (a bridge between domains) sends beside FT_C: the operation
+// identifier of figure 6, which every replica of the caller sends alike,
+// so the gateway identifies the operation by it, not by the request id.
+const FTOperationContextID uint32 = 0x46545F4F // "FT_O"
+
+var errOperationContext = errors.New("giop: FT_O context is not 12 octets")
+
+// OperationContext builds the FT_O context for the operation identifier
+// (parentTS, childSeq): 8 and 4 octets, big-endian.
+func OperationContext(parentTS uint64, childSeq uint32) ServiceContext {
+	return ServiceContext{ID: FTOperationContextID, Data: binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(make([]byte, 0, 12), parentTS), childSeq)}
+}
+
+// DecodeOperationContext reads the operation identifier an FT_O
+// context's data holds.
+func DecodeOperationContext(data []byte) (parentTS uint64, childSeq uint32, err error) {
+	if len(data) != 12 {
+		return 0, 0, errOperationContext
+	}
+	return binary.BigEndian.Uint64(data), binary.BigEndian.Uint32(data[8:]), nil
+}
+
 // Header is the 12-byte GIOP message header.
 type Header struct {
 	Major, Minor byte

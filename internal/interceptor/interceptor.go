@@ -16,21 +16,15 @@
 //
 //   - Connection diversion: replicated clients inside the domain never
 //     use the TCP/IP addressing in an IOR; their connection establishment
-//     is diverted to the local Replication Mechanisms. Diverter performs
-//     that rerouting: it accepts an IOR, ignores its transport endpoint,
-//     and binds the client to the object group named by the object key.
+//     is diverted to the local Replication Mechanisms. That is
+//     replication.Handle: it invokes by the object key alone, under the
+//     identifier figure 6 gives the call, so this package holds no
+//     connection of its own.
 package interceptor
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
-	"eternalgw/internal/cdr"
-	"eternalgw/internal/giop"
 	"eternalgw/internal/ior"
 	"eternalgw/internal/orb"
-	"eternalgw/internal/replication"
 )
 
 // GatewayAddr is an orb.Advertiser that substitutes the gateway's
@@ -63,88 +57,4 @@ func StitchIOR(typeID string, objectKey []byte, gateways ...GatewayAddr) ior.Ref
 		})
 	}
 	return ior.NewMulti(typeID, profiles...)
-}
-
-// Diverter reroutes in-domain connection establishment to the local
-// Replication Mechanisms.
-type Diverter struct {
-	rm *replication.Mechanisms
-	// src is the group whose member this client is; responses are
-	// addressed to it.
-	src replication.GroupID
-
-	// mu guards the request counter, shared by every connection this
-	// diverter establishes so operation identifiers stay unique per
-	// client group. The counter is deterministic: replicas of a
-	// replicated client issuing the same call sequence produce the same
-	// identifiers, which is what lets the servers deduplicate their
-	// invocations. Use one diverter per client group per node.
-	mu     sync.Mutex
-	nextID uint32
-}
-
-// NewDiverter builds a diverter for a client that is a member of the
-// src group on this node.
-func NewDiverter(rm *replication.Mechanisms, src replication.GroupID) *Diverter {
-	return &Diverter{rm: rm, src: src}
-}
-
-// Connect is the diverted socket-establishment routine: the {host, port}
-// in the IOR are ignored, and the connection is bound to the object
-// group identified by the reference's object key.
-func (d *Diverter) Connect(ref ior.Ref) (*Connection, error) {
-	p, err := ref.PrimaryProfile()
-	if err != nil {
-		return nil, err
-	}
-	return d.ConnectKey(p.ObjectKey)
-}
-
-// ConnectKey binds directly to an object key.
-func (d *Diverter) ConnectKey(objectKey []byte) (*Connection, error) {
-	group, ok := d.rm.GroupByKey(objectKey)
-	if !ok {
-		return nil, fmt.Errorf("interceptor: object key %q: %w", objectKey, replication.ErrNoSuchGroup)
-	}
-	return &Connection{
-		d:         d,
-		rm:        d.rm,
-		src:       d.src,
-		dst:       group,
-		objectKey: append([]byte(nil), objectKey...),
-	}, nil
-}
-
-// Connection is a diverted in-domain client connection: invocations
-// travel through the fault tolerance infrastructure as totally-ordered
-// multicasts rather than over TCP. The request counter is deterministic,
-// so every replica of a replicated client produces identical operation
-// identifiers for corresponding requests.
-type Connection struct {
-	d         *Diverter
-	rm        *replication.Mechanisms
-	src       replication.GroupID
-	dst       replication.GroupID
-	objectKey []byte
-}
-
-// Call invokes op on the connected object group and decodes the reply.
-func (c *Connection) Call(op string, args []byte, timeout time.Duration) (*cdr.Reader, error) {
-	c.d.mu.Lock()
-	c.d.nextID++
-	id := c.d.nextID
-	c.d.mu.Unlock()
-	rep, err := c.rm.Invoke(c.src, replication.UnusedClientID, c.dst,
-		replication.OperationID{ParentTS: 0, ChildSeq: id},
-		giop.Request{
-			RequestID:        id,
-			ResponseExpected: true,
-			ObjectKey:        c.objectKey,
-			Operation:        op,
-			Args:             args,
-		}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return orb.ReplyReader(rep)
 }

@@ -1,19 +1,10 @@
 package interceptor_test
 
 import (
-	"bytes"
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
-	"eternalgw/internal/cdr"
-	"eternalgw/internal/domain"
-	"eternalgw/internal/ftmgmt"
 	"eternalgw/internal/interceptor"
 	"eternalgw/internal/orb"
-	"eternalgw/internal/replication"
-	"eternalgw/internal/totem"
 )
 
 func TestGatewayAddrRewritesAdvertisement(t *testing.T) {
@@ -62,106 +53,5 @@ func TestStitchIORProducesOrderedProfiles(t *testing.T) {
 		if string(p.ObjectKey) != "key" {
 			t.Fatalf("object key = %q", p.ObjectKey)
 		}
-	}
-}
-
-// echoApp echoes its argument.
-type echoApp struct{ mu sync.Mutex }
-
-func (a *echoApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
-	if op != "echo" {
-		return errors.New("echoApp: unknown op")
-	}
-	reply.WriteOctetSeq(args.ReadOctetSeq())
-	return args.Err()
-}
-func (a *echoApp) State() ([]byte, error) { return nil, nil }
-func (a *echoApp) SetState([]byte) error  { return nil }
-
-func TestDiverterRoutesThroughInfrastructure(t *testing.T) {
-	// An in-domain client's connection establishment is diverted: the
-	// TCP endpoint in the IOR is ignored and invocations travel through
-	// the replication mechanisms.
-	d, err := domain.New(domain.Config{
-		Name:  "dv",
-		Nodes: 3,
-		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	const grp replication.GroupID = 50
-	key := []byte("svc/echo")
-	err = d.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
-		Style:           replication.Active,
-		InitialReplicas: 2,
-		MinReplicas:     1,
-		ObjectKey:       key,
-	}, func() (replication.Application, error) { return &echoApp{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The client-side group (a client-only membership, as a replicated
-	// client's mechanisms would hold).
-	const clientGrp replication.GroupID = 51
-	rm := d.Node(2).RM
-	if err := rm.CreateGroup(clientGrp, replication.Active, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.WaitForGroup(clientGrp, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.JoinGroup(clientGrp, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.WaitSynced(clientGrp, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// An IOR whose TCP endpoint is somewhere unreachable: the diverter
-	// must never use it.
-	ref := interceptor.StitchIOR("IDL:X:1.0", key, interceptor.GatewayAddr{Host: "203.0.113.1", Port: 1})
-	div := interceptor.NewDiverter(rm, clientGrp)
-	conn, err := div.Connect(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := cdr.NewWriter(cdr.BigEndian)
-	w.WriteOctetSeq([]byte("ping"))
-	r, err := conn.Call("echo", w.Bytes(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.ReadOctetSeq(); !bytes.Equal(got, []byte("ping")) {
-		t.Fatalf("echo = %q", got)
-	}
-}
-
-func TestDiverterUnknownKey(t *testing.T) {
-	d, err := domain.New(domain.Config{
-		Name:  "dv2",
-		Nodes: 1,
-		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	div := interceptor.NewDiverter(d.Node(0).RM, domain.DefaultGatewayGroup)
-	if _, err := div.ConnectKey([]byte("nope")); !errors.Is(err, replication.ErrNoSuchGroup) {
-		t.Fatalf("err = %v, want ErrNoSuchGroup", err)
 	}
 }

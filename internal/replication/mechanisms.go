@@ -427,10 +427,11 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 }
 
 // Arm registers app as this node's replica of the group, installed when a
-// membership delta that adds this node is delivered in total order. It
-// sends nothing: JoinGroup sends this node's own delta, and the
-// Replication Manager sends one delta for every replica a group is
-// founded with (AddMembers).
+// membership delta that adds this node is delivered in total order. An
+// app with a Bind(*Handle) method is handed its replica's Handle here,
+// before it executes anything. Arm sends nothing: JoinGroup sends this
+// node's own delta, and the Replication Manager sends one delta for every
+// replica a group is founded with (AddMembers).
 func (m *Mechanisms) Arm(id GroupID, app Application) error {
 	// An awaiting directory describes another history than the join is for.
 	if err := m.waitCondition(invokeTimeout, func() bool { return !m.awaiting.Load() }); err != nil {
@@ -441,6 +442,9 @@ func (m *Mechanisms) Arm(id GroupID, app Application) error {
 	g, ok := m.groups[id]
 	if _, armed := m.prearmed[id]; (ok && g.local != nil) || armed {
 		return fmt.Errorf("group %d on %s: %w", id, m.id, ErrAlreadyMember)
+	}
+	if b, ok := app.(interface{ Bind(*Handle) }); ok {
+		b.Bind(m.Handle(id))
 	}
 	m.prearmed[id] = app
 	return nil
@@ -624,7 +628,8 @@ func (m *Mechanisms) notifyChanged() {
 // must be a group this node is a member of (responses are addressed to
 // it). clientID carries the TCP client identifier when a gateway invokes
 // on behalf of an external client, and UnusedClientID otherwise. op must
-// be determined identically by every replica of the issuing group.
+// be determined identically by every replica of the issuing group: a
+// nested invocation's comes from Handle.Next.
 //
 // The reply's Result is a read-only view of the datagram the response
 // was delivered in (DESIGN.md section 7): the caller reads or re-encodes

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"eternalgw/internal/cdr"
 	"eternalgw/internal/giop"
+	"eternalgw/internal/ior"
 )
 
 const (
@@ -342,12 +344,8 @@ func TestNestedInvocation(t *testing.T) {
 	d.mustJoin(d.ids[1], grpNested, nestedApps[1])
 
 	// The front servant forwards "relay" calls to the nested target.
-	mkFront := func(m *Mechanisms) Application {
-		h := m.Handle(grpServer)
-		return &relayApp{h: h}
-	}
-	d.mustJoin(d.ids[0], grpServer, mkFront(d.rms[d.ids[0]]))
-	d.mustJoin(d.ids[1], grpServer, mkFront(d.rms[d.ids[1]]))
+	d.mustJoin(d.ids[0], grpServer, &relayApp{key: []byte("nested/target")})
+	d.mustJoin(d.ids[1], grpServer, &relayApp{key: []byte("nested/target")})
 	d.mustJoin(d.ids[2], grpClient, nil)
 	for _, n := range d.ids {
 		if err := d.rms[n].WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
@@ -422,10 +420,18 @@ func TestLeaveGroupStopsExecution(t *testing.T) {
 	}
 }
 
-// relayApp forwards "relay" invocations to the nested target group.
+// relayApp forwards "relay" invocations to the group whose object key is
+// key, through the Handle its replica was armed with, and keeps what each
+// nested call read.
 type relayApp struct {
-	h *Handle
+	key []byte
+	h   *Handle
+
+	mu   sync.Mutex
+	read []int64
 }
+
+func (a *relayApp) Bind(h *Handle) { a.h = h }
 
 func (a *relayApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
 	if op != "relay" {
@@ -435,16 +441,158 @@ func (a *relayApp) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error 
 	if err := args.Err(); err != nil {
 		return err
 	}
-	r, err := a.h.Invoke([]byte("nested/target"), "set", octets(payload), 5*time.Second)
+	r, err := a.h.Invoke(a.key, "set", octets(payload), 5*time.Second)
 	if err != nil {
 		return err
 	}
-	reply.WriteLongLong(r.ReadLongLong())
+	n := r.ReadLongLong()
+	a.mu.Lock()
+	a.read = append(a.read, n)
+	a.mu.Unlock()
+	reply.WriteLongLong(n)
 	return r.Err()
 }
 
 func (a *relayApp) State() ([]byte, error) { return nil, nil }
 func (a *relayApp) SetState([]byte) error  { return nil }
+
+// reads returns what the replica's nested calls have read so far.
+func (a *relayApp) reads() []int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slices.Clone(a.read)
+}
+
+// TestHandleIgnoresIORAddress diverts an in-domain client's connection:
+// the IOR's TCP endpoint is unreachable, and the nested invocation still
+// reaches the group its object key names, through the mechanisms.
+func TestHandleIgnoresIORAddress(t *testing.T) {
+	d := newDomain(t, 3)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpNested, Active, "svc/echo")
+	d.mustCreate(grpClient, Active, "")
+	target := &regApp{}
+	d.mustJoin(d.ids[0], grpNested, target)
+	ref := ior.New("IDL:X:1.0", ior.IIOPProfile{Host: "203.0.113.1", Port: 1, ObjectKey: []byte("svc/echo")})
+	p, err := ref.PrimaryProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mustJoin(d.ids[1], grpServer, &relayApp{key: p.ObjectKey})
+	d.mustJoin(d.ids[2], grpClient, nil)
+	if err := d.rms[d.ids[2]].WaitForMembers(grpServer, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := invokeAsClient(t, d.rms[d.ids[2]], grpClient, 1, grpServer, 1, "relay", octets([]byte("ping")))
+	if err != nil || rep.Status != giop.ReplyNoException {
+		t.Fatalf("relay: %v, status %v", err, rep.Status)
+	}
+	if v, ops := target.snapshot(); ops != 1 || !bytes.Equal(v, []byte("ping")) {
+		t.Fatalf("target holds %q after %d ops, want \"ping\" after 1", v, ops)
+	}
+}
+
+// failRecorder is a relayApp that keeps the error of its last relay.
+type failRecorder struct {
+	*relayApp
+
+	mu  sync.Mutex
+	err error
+}
+
+func (a *failRecorder) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) error {
+	err := a.relayApp.Invoke(op, args, reply)
+	a.mu.Lock()
+	a.err = err
+	a.mu.Unlock()
+	return err
+}
+
+func (a *failRecorder) lastErr() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
+// TestHandleUnknownIORKey diverts a nested call whose IOR's object key
+// names no group: the call fails with ErrNoSuchGroup without using the
+// IOR's address, and the invocation that made it answers its client with
+// an exception.
+func TestHandleUnknownIORKey(t *testing.T) {
+	d := newDomain(t, 2)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpClient, Active, "")
+	ref := ior.New("IDL:X:1.0", ior.IIOPProfile{Host: "203.0.113.1", Port: 1, ObjectKey: []byte("ghost")})
+	p, err := ref.PrimaryProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := &failRecorder{relayApp: &relayApp{key: p.ObjectKey}}
+	d.mustJoin(d.ids[0], grpServer, relay)
+	d.mustJoin(d.ids[1], grpClient, nil)
+	if err := d.rms[d.ids[1]].WaitForMembers(grpServer, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := invokeAsClient(t, d.rms[d.ids[1]], grpClient, 1, grpServer, 1, "relay", octets([]byte("ping")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status == giop.ReplyNoException {
+		t.Fatal("a relay through an unknown object key answered without an exception")
+	}
+	if err := relay.lastErr(); !errors.Is(err, ErrNoSuchGroup) {
+		t.Fatalf("the nested call's err = %v, want ErrNoSuchGroup", err)
+	}
+}
+
+// TestGrownClientGroupNestsCurrentCalls grows an active group whose
+// replicas call another group through their Handles between calls: the
+// joined replica numbers its nested calls from the invocations it
+// executes, as the older replicas do, so the target executes each call
+// once and the joined replica reads what each call was due, not the
+// recorded reply of an older call with the same number. The group joins
+// behind a checkpoint, so the joined replica does not replay, and cannot
+// count, the calls made before it.
+func TestGrownClientGroupNestsCurrentCalls(t *testing.T) {
+	d := newDomain(t, 4)
+	d.mustCreate(grpServer, Active, testKeyStr)
+	d.mustCreate(grpNested, Active, "nested/target")
+	d.mustCreate(grpClient, Active, "")
+	target := &regApp{}
+	d.mustJoin(d.ids[0], grpNested, target)
+	d.mustJoin(d.ids[0], grpServer, &relayApp{key: []byte("nested/target")})
+	d.mustJoin(d.ids[1], grpServer, &relayApp{key: []byte("nested/target")})
+	d.mustJoin(d.ids[3], grpClient, nil)
+	client := d.rms[d.ids[3]]
+	if err := client.WaitForMembers(grpServer, 2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	call := func(seq uint32) {
+		t.Helper()
+		if _, err := invokeAsClient(t, client, grpClient, 1, grpServer, seq, "relay", octets([]byte{byte(seq)})); err != nil {
+			t.Fatalf("call %d: %v", seq, err)
+		}
+	}
+	const before = checkpointInterval + 2
+	for seq := uint32(1); seq <= before; seq++ {
+		call(seq)
+	}
+	joined := &relayApp{key: []byte("nested/target")}
+	d.mustJoin(d.ids[2], grpServer, joined)
+	if err := client.WaitForMembers(grpServer, 3, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	caught := len(joined.reads()) // the log suffix the transfer replayed
+	call(before + 1)
+	call(before + 2)
+	waitFor(t, 2*time.Second, func() bool { return len(joined.reads()) == caught+2 })
+	if got, want := joined.reads()[caught:], []int64{before + 1, before + 2}; !slices.Equal(got, want) {
+		t.Fatalf("the joined replica's nested calls read %v, want %v", got, want)
+	}
+	if _, ops := target.snapshot(); ops != before+2 {
+		t.Fatalf("the target executed %d calls, want %d", ops, before+2)
+	}
+}
 
 func invokeWithTimeout(m *Mechanisms, src, dst GroupID, timeout time.Duration) (giop.Reply, error) {
 	return m.Invoke(src, 0, dst, OperationID{ChildSeq: 1}, giop.Request{

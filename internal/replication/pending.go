@@ -60,7 +60,9 @@ type pendingShard struct {
 
 // departedKey stands for a departed client, named as its operations are:
 // by server group and the identifier it had there. No operation has the
-// key: what a gateway conveys for a client has parent timestamp zero.
+// key: what a gateway conveys for a client has parent timestamp zero, or
+// the total-order timestamp a replicated caller carried (FT_O), which
+// never reaches the all-ones value.
 func departedKey(serverGroup GroupID, clientID uint64) opKey {
 	return opKey{src: serverGroup, clientID: clientID, op: OperationID{ParentTS: ^uint64(0)}}
 }

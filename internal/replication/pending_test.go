@@ -380,8 +380,8 @@ func TestForgetTouchesOneShardAndAllocatesNothing(t *testing.T) {
 	}
 	// Traffic without a client identifier spreads by the rest of the key:
 	// nested invocations by parent, root in-domain invocations (parent
-	// timestamp zero, as interceptor.Connection.Call issues them) by their
-	// sequence number.
+	// timestamp zero, as a direct Mechanisms.Invoke may issue them) by
+	// their sequence number.
 	for name, key := range map[string]func(i uint64) opKey{
 		"nested": func(i uint64) opKey { return opKey{src: 7, op: OperationID{ParentTS: i << 16, ChildSeq: 1}} },
 		"root":   func(i uint64) opKey { return opKey{src: 7, op: OperationID{ChildSeq: uint32(i)}} },

@@ -680,11 +680,13 @@ func (r *replica) handleFailover() {
 // --- nested invocations ----------------------------------------------------
 
 // Handle lets a replicated application issue nested invocations on other
-// object groups. Obtain one from Mechanisms.Handle and call Invoke only
-// from within Application.Invoke: the operation identifiers of nested
-// invocations are derived from the timestamp of the parent invocation
-// being executed (figure 6), so every replica issues the identical
-// identifier and the target group executes the operation exactly once.
+// object groups, and is the one place that numbers them: the identifier
+// of a nested invocation is derived from the timestamp of the parent
+// invocation being executed (figure 6), so every replica issues the
+// identical identifier, whenever it joined, and the target executes the
+// operation exactly once. Arm hands one to an application with a
+// Bind(*Handle) method; Mechanisms.Handle returns one. Call Next and
+// Invoke only from within Application.Invoke.
 type Handle struct {
 	m     *Mechanisms
 	group GroupID
@@ -696,28 +698,41 @@ func (m *Mechanisms) Handle(group GroupID) *Handle {
 	return &Handle{m: m, group: group}
 }
 
+// Next hands out the identifier of the executing operation's next nested
+// invocation: (T_A_inv, S_A_inv), the parent's timestamp and the call's
+// index within it. A caller that conveys the invocation itself — a
+// bridge to another domain's gateway — sends this identifier with it.
+func (h *Handle) Next() (OperationID, error) {
+	h.m.mu.RLock()
+	g, ok := h.m.groups[h.group]
+	if !ok || g.local == nil {
+		h.m.mu.RUnlock()
+		return OperationID{}, fmt.Errorf("group %d: %w", h.group, ErrNotMember)
+	}
+	r := g.local
+	h.m.mu.RUnlock()
+	if r.curParentTS == 0 {
+		return OperationID{}, errors.New("replication: nested invocation outside an executing operation")
+	}
+	r.curChildSeq++
+	return OperationID{ParentTS: r.curParentTS, ChildSeq: r.curChildSeq}, nil
+}
+
 // Invoke performs a nested invocation on the object identified by
-// objectKey from within the currently executing operation.
+// objectKey from within the currently executing operation: the
+// connection an in-domain client's IOR names is diverted to the group
+// its object key names, and the address is never used (section 3.1).
 func (h *Handle) Invoke(objectKey []byte, op string, args []byte, timeout time.Duration) (*cdr.Reader, error) {
 	dst, ok := h.m.GroupByKey(objectKey)
 	if !ok {
 		return nil, fmt.Errorf("replication: object key %q: %w", objectKey, ErrNoSuchGroup)
 	}
-	h.m.mu.RLock()
-	g, ok := h.m.groups[h.group]
-	if !ok || g.local == nil {
-		h.m.mu.RUnlock()
-		return nil, fmt.Errorf("group %d: %w", h.group, ErrNotMember)
+	opID, err := h.Next()
+	if err != nil {
+		return nil, err
 	}
-	r := g.local
-	h.m.mu.RUnlock()
-	if r.curParentTS == 0 {
-		return nil, errors.New("replication: nested Invoke outside an executing operation")
-	}
-	r.curChildSeq++
-	opID := OperationID{ParentTS: r.curParentTS, ChildSeq: r.curChildSeq}
 	rep, err := h.m.Invoke(h.group, UnusedClientID, dst, opID, giop.Request{
-		RequestID:        r.curChildSeq,
+		RequestID:        opID.ChildSeq,
 		ResponseExpected: true,
 		ObjectKey:        objectKey,
 		Operation:        op,

@@ -453,10 +453,12 @@ func (n *node) onRequest(op *Op) {
 
 // call invokes a bridge op as a thin client of the op's domain, the way
 // domain.BridgeApp calls through thinclient: to one gateway at a time,
-// with this node as the reply address, and on each timeout reissued with
-// the same operation identifier to the next gateway, until a reply
-// answers it. Every replica calls; the remote replicas' duplicate
-// detection collapses the copies (the paper's figure 4c).
+// with this node as the reply address, under the operation identifier
+// figure 6 gives the nested invocation (what BridgeApp sends in the FT_O
+// context), and on each timeout reissued with that identifier to the
+// next gateway, until a reply answers it. Every replica calls; the
+// remote replicas' duplicate detection collapses the copies (the paper's
+// figure 4c).
 func (n *node) call(op *Op) {
 	if n.calls[op.Key] != nil {
 		return

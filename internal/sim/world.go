@@ -25,13 +25,15 @@
 // paper's operation identifiers, and bridges, with the shipping
 // packages' rules: a gateway answers a request from its record or orders
 // it, as core.Gateway does; every replica answers a duplicate, as
-// replication does; and a bridge's replicas call the remote domain as
-// thin clients that reissue to the next gateway on a timeout, as
-// domain.BridgeApp does. Two rules are the model's own: replicas execute
-// up to the core's stability horizon, not at delivery, and a gateway
-// re-conveys every unanswered record when it installs a ring. The model
-// is small enough to run thousands of seeded schedules in minutes,
-// faithful enough that disabling a real guard (replica dedup, the
+// replication does; a gateway that installs a ring which does not
+// continue its history re-conveys every request it still owes an
+// answer, as replication's pending table does; and a bridge's replicas
+// call the remote domain as thin clients, under the identifier of the
+// invocation they execute, that reissue to the next gateway on a
+// timeout, as domain.BridgeApp does. One rule is the model's own:
+// replicas execute up to the core's stability horizon, not at delivery.
+// The model is small enough to run thousands of seeded schedules in
+// minutes, faithful enough that disabling a real guard (replica dedup, the
 // snapshot adoption) makes the checkers find a violating seed within a
 // CI-sized budget.
 package sim

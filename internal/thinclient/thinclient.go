@@ -244,22 +244,27 @@ func (c *Client) ensureConn(badGen int) (*orb.Conn, int, error) {
 // Call invokes op on the referenced object, transparently failing over
 // between gateways. The returned reader is positioned at the reply body.
 func (c *Client) Call(op string, args []byte) (*cdr.Reader, error) {
-	rep, err := c.Invoke(op, args)
-	if err != nil {
-		return nil, err
-	}
-	return orb.ReplyReader(rep)
+	return c.call([]giop.ServiceContext{{ID: giop.FTClientContextID, Data: c.uniqueID}}, op, args)
 }
 
-// Invoke performs the request/reply exchange and returns the raw reply.
-func (c *Client) Invoke(op string, args []byte) (giop.Reply, error) {
+// CallAs is Call for one replica of a replicated caller: the request also
+// carries (parentTS, childSeq), the operation identifier figure 6 gives
+// the call at every replica (replication.Handle.Next), in the FT_O
+// context, and the gateway identifies the operation by it.
+func (c *Client) CallAs(parentTS uint64, childSeq uint32, op string, args []byte) (*cdr.Reader, error) {
+	return c.call([]giop.ServiceContext{{ID: giop.FTClientContextID, Data: c.uniqueID}, giop.OperationContext(parentTS, childSeq)}, op, args)
+}
+
+// call performs the request/reply exchange with the service contexts sc.
+// The request id comes from the client's counter; without FT_O the
+// gateway takes it for the operation's identifier too.
+func (c *Client) call(sc []giop.ServiceContext, op string, args []byte) (*cdr.Reader, error) {
 	c.mu.Lock()
 	reqID := c.nextID
 	c.nextID++
 	c.calls++
 	c.mu.Unlock()
 
-	sc := []giop.ServiceContext{{ID: giop.FTClientContextID, Data: c.uniqueID}}
 	badGen := -1
 	var lastErr error
 	sheds := 0 // consecutive TRANSIENT sheds on the current gateway
@@ -269,7 +274,7 @@ func (c *Client) Invoke(op string, args []byte) (giop.Reply, error) {
 	for attempt := 0; attempt < len(c.profiles)*c.cfg.MaxRounds+1; attempt++ {
 		conn, gen, err := c.ensureConn(badGen)
 		if err != nil {
-			return giop.Reply{}, err
+			return nil, err
 		}
 		c.mu.Lock()
 		objectKey := c.profiles[c.profile].ObjectKey
@@ -305,13 +310,13 @@ func (c *Client) Invoke(op string, args []byte) (giop.Reply, error) {
 				time.Sleep(backoff)
 				continue
 			}
-			return rep, nil
+			return orb.ReplyReader(rep)
 		}
 		sheds = 0
 		lastErr = err
 		badGen = gen
 	}
-	return giop.Reply{}, fmt.Errorf("%w (last error: %v)", ErrAllGatewaysDown, lastErr)
+	return nil, fmt.Errorf("%w (last error: %v)", ErrAllGatewaysDown, lastErr)
 }
 
 // shedVerdict reports whether a reply is a gateway admission shed: a

@@ -186,8 +186,12 @@ type Config struct {
 	Members []memnet.NodeID
 
 	// IdleHold is how long an idle token holder waits before forwarding
-	// the token, throttling rotation when there is no traffic. Zero
-	// means the default of 200 microseconds.
+	// the token, throttling rotation when there is no traffic. Leader
+	// mode reads it too: a follower acknowledges IdleHold/2 after what
+	// it delivered (Core.ackDelay), and a parked reference whose nak is
+	// due waits on in steps of IdleHold/2 while the transport has input
+	// queued, at most TokenRetransmit longer (Core.refWait). Zero means
+	// the default of 200 microseconds.
 	IdleHold time.Duration
 	// TokenRetransmit is how long the previous holder waits for evidence
 	// of progress before resending the token. Zero means 25ms.

@@ -35,11 +35,7 @@ var notShipped = map[string]string{
 
 	// Tested features of the reproduction that cmd/ does not deploy.
 	"internal/replication.Mechanisms.DeleteGroup": "tested feature: a group is deleted by an ordered message",
-	"internal/replication.Mechanisms.Handle":      "tested feature: invocation through the replication API's own handle",
 	"internal/replication.Handle.Invoke":          "tested feature: invocation through the replication API's own handle",
-	"internal/interceptor.NewDiverter":            "tested feature: the §3.2 interception approach",
-	"internal/interceptor.Diverter.Connect":       "tested feature: the §3.2 interception approach",
-	"internal/interceptor.Connection.Call":        "tested feature: the §3.2 interception approach",
 	"internal/orb.WithAdvertiser":                 "tested feature: a server's IOR names the address an advertiser gives",
 	"internal/orb.Server.IOR":                     "tested feature: a server's IOR names the address an advertiser gives",
 	"internal/domain.NewBridgeApp":                "tested feature: the §3.4 gateway between two domains",
